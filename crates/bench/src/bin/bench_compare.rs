@@ -31,13 +31,6 @@
 //! a few percent of cache jitter either way). Baselines predating the
 //! columns simply skip the section.
 //!
-//! When the current file carries the per-load
-//! `cycles_per_sec_kernels_off` column, the tool also prints every
-//! load's word-kernel speedup (`cycles_per_sec_scalar` over the
-//! kernels-off twin timing from the same binary and window) and warns —
-//! never gates — below 1.0x at loads ≥ 0.4, where the occupancy masks
-//! are dense enough that the kernels must pay for themselves.
-//!
 //! Both files' `meta.host` blocks (compiler, target triple, target
 //! features, core count) are compared first: a mismatch prints a
 //! warning that wall-clock diffs across hosts are noise. Files
@@ -92,10 +85,6 @@ struct Net {
     /// comparison rows; empty on files predating the lockstep runner
     /// (or written with a run budget, which skips the comparison).
     lockstep: Vec<(f64, f64, f64)>,
-    /// Per-load `(offered_load, kernels_on, kernels_off)` same-binary
-    /// word-kernel comparison rows; empty on files predating the
-    /// kernels or written with a run budget.
-    kernels: Vec<(f64, f64, f64)>,
     /// Campaign outcome counts `(ok, partial, failed)`; `None` on
     /// baselines predating the campaign runner.
     counts: Option<(u64, u64, u64)>,
@@ -126,7 +115,6 @@ fn parse_networks(src: &str) -> Vec<Net> {
                 cycles_per_sec: f64::NAN,
                 loads: Vec::new(),
                 lockstep: Vec::new(),
-                kernels: Vec::new(),
                 counts: None,
                 table_bytes: None,
                 graph_bytes: None,
@@ -175,17 +163,6 @@ fn parse_networks(src: &str) -> Vec<Net> {
                         net.lockstep.push((load, scalar, lock));
                     }
                 }
-                // Kernel on/off twin timings ride on the same row; the
-                // scalar column is the kernels-on numerator (the sweep
-                // runs with the default toggle, which is on).
-                if let (Some(on), Some(off)) = (
-                    field(t, "cycles_per_sec_scalar"),
-                    field(t, "cycles_per_sec_kernels_off"),
-                ) {
-                    if on > 0.0 && off > 0.0 {
-                        net.kernels.push((load, on, off));
-                    }
-                }
             }
         }
     }
@@ -222,42 +199,6 @@ fn compare_lockstep(current: &[Net], summary: &mut String) -> usize {
             let _ = writeln!(
                 summary,
                 "  {:>16} @ load {load:4}: {lock:12.0} vs {scalar:12.0}  ({speedup:5.2}x){flag}",
-                net.name
-            );
-        }
-    }
-    warned
-}
-
-/// Warn-only check of the word-kernel speedup columns: at saturating
-/// loads (≥ 0.4, where the occupancy masks are dense enough that the
-/// kernels should pay for themselves) a per-load
-/// `cycles_per_sec_scalar / cycles_per_sec_kernels_off` ratio below
-/// **1.0x** warns — the word-parallel path has regressed below the
-/// scalar oracle it replaced. Low-load rows are printed for the record
-/// but never warn (sparse masks make the ratio noise-dominated), and no
-/// baseline is consulted, so this can never gate a merge.
-fn compare_kernels(current: &[Net], summary: &mut String) -> usize {
-    let mut warned = 0usize;
-    if current.iter().all(|n| n.kernels.is_empty()) {
-        return 0;
-    }
-    let _ = writeln!(
-        summary,
-        "word kernels: per-load cycles/sec, kernels on vs off (warn below 1.0x at loads >= 0.4)"
-    );
-    for net in current {
-        for &(load, on, off) in &net.kernels {
-            let speedup = on / off;
-            let flag = if load >= 0.4 && speedup < 1.0 {
-                warned += 1;
-                "  <-- WARNING: kernels slower than scalar at saturating load"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                summary,
-                "  {:>16} @ load {load:4}: {on:12.0} vs {off:12.0}  ({speedup:5.2}x){flag}",
                 net.name
             );
         }
@@ -909,7 +850,6 @@ fn main() -> Result<(), String> {
     warned += sweep_warned;
     warned += compare_memory(&baseline, &current, &mut summary);
     warned += compare_lockstep(&current, &mut summary);
-    warned += compare_kernels(&current, &mut summary);
     if let Some((faults_base, faults_cur)) = &faults {
         warned += compare_faults(faults_base, faults_cur, &mut summary)?;
     }
@@ -951,7 +891,6 @@ mod tests {
             cycles_per_sec: cps,
             loads: loads.to_vec(),
             lockstep: Vec::new(),
-            kernels: Vec::new(),
             counts: None,
             table_bytes: None,
             graph_bytes: None,
@@ -991,39 +930,6 @@ mod tests {
         let cur = vec![net("tmin", 1.0, &[])];
         let mut summary = String::new();
         assert_eq!(compare_memory(&base, &cur, &mut summary), 0);
-        assert!(summary.is_empty(), "{summary}");
-    }
-
-    #[test]
-    fn kernel_rows_parse_and_warn_only_at_saturating_loads() {
-        let src = r#"{
-  "networks": [
-    {
-      "name": "tmin",
-      "cycles_per_sec": 400000.0,
-      "loads": [
-        {"load": 0.05, "cycles_per_sec": 1.0, "cycles_per_sec_scalar": 80000.0, "cycles_per_sec_lockstep": 80000.0, "cycles_per_sec_kernels_off": 100000.0},
-        {"load": 0.6, "cycles_per_sec": 1.0, "cycles_per_sec_scalar": 90000.0, "cycles_per_sec_lockstep": 90000.0, "cycles_per_sec_kernels_off": 100000.0},
-        {"load": 0.5, "cycles_per_sec": 1.0, "cycles_per_sec_scalar": 150000.0, "cycles_per_sec_lockstep": 150000.0, "cycles_per_sec_kernels_off": 100000.0}
-      ]
-    }
-  ]
-}"#;
-        let nets = parse_networks(src);
-        assert_eq!(nets[0].kernels.len(), 3);
-        let mut summary = String::new();
-        // Only the 0.9x row at load 0.6 warns; the 0.8x row at load
-        // 0.05 is below the saturating-load threshold.
-        assert_eq!(compare_kernels(&nets, &mut summary), 1, "{summary}");
-        assert!(summary.contains("kernels slower than scalar"), "{summary}");
-        assert!(summary.contains("1.50x"), "{summary}");
-    }
-
-    #[test]
-    fn files_without_kernel_rows_stay_silent() {
-        let nets = vec![net("tmin", 400_000.0, &[(0.6, 400_000.0)])];
-        let mut summary = String::new();
-        assert_eq!(compare_kernels(&nets, &mut summary), 0);
         assert!(summary.is_empty(), "{summary}");
     }
 

@@ -238,11 +238,6 @@ fn main() -> Result<(), String> {
     let _ = writeln!(json, "    \"budget_ms\": {},", cli.budget_ms);
     let _ = writeln!(json, "    \"retries\": {},", cli.retries);
     let _ = writeln!(json, "    \"threads_used\": {threads},");
-    let _ = writeln!(
-        json,
-        "    \"word_kernels\": {},",
-        minnet_sim::EngineConfig::default().word_kernels
-    );
     let _ = writeln!(json, "{}", minnet_bench::host::host_meta_json("    "));
     json.push_str("  },\n  \"networks\": [\n");
     for (i, r) in results.iter().enumerate() {

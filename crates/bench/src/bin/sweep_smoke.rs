@@ -40,12 +40,7 @@
 //!   blocks. Aggregate throughput: summed lane cycles over fleet wall
 //!   time — the honest lockstep headline (thread count labeled, not
 //!   hidden). Zero when a budget is set (budget-armed runs are
-//!   lockstep-ineligible and fall back to scalar anyway);
-//! * `cycles_per_sec_kernels_off` — per load, the same seeds through the
-//!   scalar entry with the word-parallel kernels forced off, timed in
-//!   the same window as `cycles_per_sec_scalar`. Their ratio is the
-//!   kernel speedup `bench_compare` reports; both settings are pinned
-//!   bit-identical by the equivalence suite, so only wall time differs.
+//!   lockstep-ineligible and fall back to scalar anyway).
 //!
 //! The `meta` block records the sweep shape plus the host identity
 //! (`rustc`, target triple, compile-time target features, core count —
@@ -177,11 +172,6 @@ struct LoadRow {
     /// `min(replications, threads)` lane-block threads (aggregate:
     /// summed lane cycles / fleet wall time). Zero when skipped.
     cycles_per_sec_lockstep: f64,
-    /// The same seeds through the scalar entry with the word-parallel
-    /// kernels forced **off** — the same-binary denominator for the
-    /// kernel speedup (`cycles_per_sec_scalar / this`). Zero when the
-    /// direct-engine section is skipped.
-    cycles_per_sec_kernels_off: f64,
     #[cfg(feature = "hotstats")]
     hot: minnet_sim::hotstats::HotStats,
 }
@@ -268,7 +258,6 @@ fn bench_network(
             cycles_per_sec: cycles as f64 / (run_ms / 1e3),
             cycles_per_sec_scalar: 0.0,
             cycles_per_sec_lockstep: 0.0,
-            cycles_per_sec_kernels_off: 0.0,
             #[cfg(feature = "hotstats")]
             hot: minnet_sim::hotstats::take(),
         });
@@ -316,11 +305,6 @@ fn bench_network(
     if lockstep_threads > 0 {
         let compiled = exp.compile()?;
         debug_assert!(compiled.network().lockstep_eligible());
-        // Same binary, same seeds, word kernels forced off — the
-        // denominator of the per-load kernel speedup column. Timed in
-        // the same window as the scalar runs so the ratio is immune to
-        // machine-state drift between sessions.
-        let kernels_off = compiled.network().with_word_kernels(false);
         let mut st = minnet_sim::EngineState::new();
         let mut ls = minnet_sim::LockstepState::new();
         for (i, row) in loads.iter_mut().enumerate() {
@@ -350,21 +334,6 @@ fn bench_network(
                 fleet_cycles += rep.map_err(|e| e.to_string())?.cycles;
             }
             row.cycles_per_sec_lockstep = fleet_cycles as f64 / (fleet_ms / 1e3);
-
-            let t = Instant::now();
-            let mut off_cycles = 0u64;
-            for &seed in &seeds {
-                let rep = kernels_off
-                    .run_poisson(&wl, seed, &mut st)
-                    .map_err(|e| e.to_string())?;
-                off_cycles += rep.cycles;
-            }
-            let off_ms = ms(t);
-            // The two settings are pinned bit-identical by the
-            // engine_equivalence suite; a divergence here means the
-            // speedup column is comparing different simulations.
-            assert_eq!(off_cycles, scalar_cycles, "kernel on/off cycle mismatch");
-            row.cycles_per_sec_kernels_off = off_cycles as f64 / (off_ms / 1e3);
         }
         #[cfg(feature = "hotstats")]
         let _ = minnet_sim::hotstats::take(); // keep comparison noise out
@@ -394,10 +363,9 @@ fn write_load_row(json: &mut String, r: &LoadRow, last: bool) {
     let _ = write!(
         json,
         "\"load\": {}, \"run_ms\": {:.3}, \"cycles\": {}, \"cycles_per_sec\": {:.1}, \
-         \"cycles_per_sec_scalar\": {:.1}, \"cycles_per_sec_lockstep\": {:.1}, \
-         \"cycles_per_sec_kernels_off\": {:.1}",
+         \"cycles_per_sec_scalar\": {:.1}, \"cycles_per_sec_lockstep\": {:.1}",
         r.load, r.run_ms, r.cycles, r.cycles_per_sec, r.cycles_per_sec_scalar,
-        r.cycles_per_sec_lockstep, r.cycles_per_sec_kernels_off
+        r.cycles_per_sec_lockstep
     );
     #[cfg(feature = "hotstats")]
     {
@@ -477,11 +445,6 @@ fn main() -> Result<(), String> {
     let _ = writeln!(json, "    \"threads_used\": {threads},");
     let _ = writeln!(json, "    \"lockstep_threads\": {lockstep_threads},");
     let _ = writeln!(json, "    \"hotstats\": {},", cfg!(feature = "hotstats"));
-    let _ = writeln!(
-        json,
-        "    \"word_kernels\": {},",
-        minnet_sim::EngineConfig::default().word_kernels
-    );
     let _ = writeln!(json, "{}", minnet_bench::host::host_meta_json("    "));
     json.push_str("  },\n  \"networks\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -68,7 +68,7 @@ COMMON OPTIONS
   --network tmin|dmin|vmin|bmin     network design           [tmin]
   --wiring cube|butterfly|omega|baseline   unidirectional wiring [cube]
   --dilation N     DMIN dilation                             [2]
-  --vcs N          VMIN virtual channels                     [2]
+  --vcs N          VMIN virtual channels, 1..=64             [2]
   --k N --n N      geometry (N = k^n nodes)                  [4, 3]
   --pattern uniform|hotspot:<x>|shuffle|butterfly:<i>        [uniform]
   --clusters global|msd|lsd|halves   node clustering         [global]
@@ -127,18 +127,25 @@ fn parse_args() -> Args {
     Args { cmd, opts, free }
 }
 
-fn parse_f64(a: &Args, key: &str, default: f64) -> f64 {
+/// `--key value` parsed as `T`, or `default` when the option is absent.
+/// Parsing straight into the stored type rejects what a cast would
+/// silently wrap (`--vcs 258` into a `u8`).
+fn parse_opt<T: std::str::FromStr>(a: &Args, key: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
     a.opts
         .get(key)
         .map(|v| v.parse().unwrap_or_else(|e| die(&format!("--{key}: {e}"))))
         .unwrap_or(default)
 }
 
+fn parse_f64(a: &Args, key: &str, default: f64) -> f64 {
+    parse_opt(a, key, default)
+}
+
 fn parse_u64(a: &Args, key: &str, default: u64) -> u64 {
-    a.opts
-        .get(key)
-        .map(|v| v.parse().unwrap_or_else(|e| die(&format!("--{key}: {e}"))))
-        .unwrap_or(default)
+    parse_opt(a, key, default)
 }
 
 fn die(msg: &str) -> ! {
@@ -160,8 +167,8 @@ fn network(a: &Args) -> NetworkSpec {
     let w = wiring(a);
     match a.opts.get("network").map(String::as_str) {
         None | Some("tmin") => NetworkSpec::Tmin(w),
-        Some("dmin") => NetworkSpec::Dmin(w, parse_u64(a, "dilation", 2) as u8),
-        Some("vmin") => NetworkSpec::Vmin(w, parse_u64(a, "vcs", 2) as u8),
+        Some("dmin") => NetworkSpec::Dmin(w, parse_opt(a, "dilation", 2)),
+        Some("vmin") => NetworkSpec::Vmin(w, parse_opt(a, "vcs", 2)),
         Some("bmin") => NetworkSpec::Bmin,
         Some(other) => die(&format!("unknown network {other:?}")),
     }
@@ -595,8 +602,8 @@ fn job_spec(a: &Args) -> JobSpec {
     if let Some(v) = a.opts.get("wiring") {
         spec.wiring = v.clone();
     }
-    spec.dilation = parse_u64(a, "dilation", u64::from(spec.dilation)) as u8;
-    spec.vcs = parse_u64(a, "vcs", u64::from(spec.vcs)) as u8;
+    spec.dilation = parse_opt(a, "dilation", spec.dilation);
+    spec.vcs = parse_opt(a, "vcs", spec.vcs);
     spec.k = parse_u64(a, "k", u64::from(spec.k)) as u32;
     spec.n = parse_u64(a, "n", u64::from(spec.n)) as u32;
     if let Some(v) = a.opts.get("pattern") {

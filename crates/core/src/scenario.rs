@@ -1012,6 +1012,10 @@ impl Scenario {
             let (key, value) = (key.trim(), value.trim());
             let num =
                 |v: &str| -> Result<u64, String> { v.parse().map_err(|e| at(format!("{e}"))) };
+            // Lane and dilation counts: parsed as the `u8` they are stored
+            // in, so `vcs = 300` is an error, not `vcs = 44`.
+            let small =
+                |v: &str| -> Result<u8, String> { v.parse().map_err(|e| at(format!("{e}"))) };
             let flag = |v: &str| -> Result<bool, String> {
                 parse_flag(v).ok_or_else(|| at(format!("expected true/false, got {v:?}")))
             };
@@ -1028,8 +1032,8 @@ impl Scenario {
                         _ => return Err(at(format!("unknown wiring {value:?}"))),
                     }
                 }
-                "dilation" => dilation = num(value)? as u8,
-                "vcs" => vcs = num(value)? as u8,
+                "dilation" => dilation = small(value)?,
+                "vcs" => vcs = small(value)?,
                 "k" => b.geometry = Geometry::new(num(value)? as u32, b.geometry.n()),
                 "n" => b.geometry = Geometry::new(b.geometry.k(), num(value)? as u32),
                 "pattern" => {
@@ -1126,7 +1130,7 @@ impl Scenario {
                             };
                             FaultTarget::Lane {
                                 channel: num(c)? as u32,
-                                vc: num(v)? as u8,
+                                vc: small(v)?,
                             }
                         }
                         other => return Err(at(format!("unknown fault class {other:?}"))),
@@ -1697,6 +1701,11 @@ chaos_opt_in = true
         assert!(err.contains("x.scn:1"), "{err}");
         let err = Scenario::parse("fault = channel 3 @ 10\n", "x.scn").unwrap_err();
         assert!(err.contains("onset..repair"), "{err}");
+        // Lane and dilation counts beyond `u8` are errors, not wrapped.
+        for line in ["vcs = 300", "dilation = 256", "fault = lane 3.256"] {
+            let err = Scenario::parse(&format!("loads = 0.2\n{line}\n"), "x.scn").unwrap_err();
+            assert!(err.contains("x.scn:2") && err.contains("too large"), "{line}: {err}");
+        }
         let err =
             Scenario::parse("expected_verdict = maybe\nloads = 0.1\n", "x.scn").unwrap_err();
         assert!(err.contains("pass or fail"), "{err}");

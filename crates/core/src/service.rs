@@ -208,7 +208,14 @@ impl JobSpec {
         exp.sim.seed = self.seed;
         exp.sim.budget.max_cycles = self.budget_cycles;
         exp.sim.budget.max_wall_ms = self.budget_ms;
-        exp.sim.validate()?;
+        // Validate what a run will use: the lane count comes from the
+        // network spec at compile time (`exp.sim.vcs` itself stays at its
+        // default — the identity hash covers it).
+        minnet_sim::EngineConfig {
+            vcs: network.vcs(),
+            ..exp.sim.clone()
+        }
+        .validate()?;
         Ok(exp)
     }
 
@@ -277,8 +284,8 @@ impl JobSpec {
         Some(JobSpec {
             network: json_str(line, "network")?,
             wiring: json_str(line, "wiring")?,
-            dilation: json_u64(line, "dilation")? as u8,
-            vcs: json_u64(line, "vcs")? as u8,
+            dilation: u8::try_from(json_u64(line, "dilation")?).ok()?,
+            vcs: u8::try_from(json_u64(line, "vcs")?).ok()?,
             k: json_u64(line, "k")? as u32,
             n: json_u64(line, "n")? as u32,
             pattern: json_str(line, "pattern")?,
@@ -790,6 +797,28 @@ mod tests {
         assert_eq!(spec, back);
         // The hash (job identity) survives the round trip exactly.
         assert_eq!(spec.job_hash().unwrap(), back.job_hash().unwrap());
+    }
+
+    /// Identity v1 is a data format: these hashes key every checkpoint
+    /// header, journal line and job id already on disk. They cover the
+    /// `Debug` text of `Experiment`, so renaming, reordering or dropping
+    /// a field anywhere under it lands here.
+    #[test]
+    fn identity_hashes_are_pinned() {
+        assert_eq!(JobSpec::default().job_id().unwrap(), "06cdfb50362b750d");
+        let vmin = JobSpec {
+            network: "vmin".into(),
+            vcs: 2,
+            budget_cycles: 250_000,
+            ..quick_spec()
+        };
+        assert_eq!(vmin.job_id().unwrap(), "5213f11348604871");
+        let exp = Experiment::paper_default(NetworkSpec::Bmin);
+        let loads = [0.1, 0.5];
+        assert_eq!(
+            format!("{:016x}", config_hash("curve", &exp, &format!("{loads:?}"), 0)),
+            "728495952c81ef19"
+        );
     }
 
     #[test]

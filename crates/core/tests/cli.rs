@@ -191,4 +191,15 @@ fn bad_arguments_fail_cleanly() {
     assert!(stderr.contains("unknown network"));
     let (ok2, _, _) = minnet(&["frobnicate"]);
     assert!(!ok2);
+    // Out-of-range lane/dilation counts are refused by name, never
+    // wrapped into a small valid one (258 used to run as `--vcs 2`).
+    for flag in ["--vcs", "--dilation"] {
+        let net = if flag == "--vcs" { "vmin" } else { "dmin" };
+        let (ok, _, stderr) = minnet(&["info", "--network", net, flag, "258"]);
+        assert!(!ok && stderr.contains(flag), "{flag} 258: {stderr}");
+    }
+    let (ok, _, stderr) = minnet(&[
+        "simulate", "--network", "vmin", "--vcs", "65", "--warmup", "10", "--measure", "100",
+    ]);
+    assert!(!ok && stderr.contains("at most 64 virtual channels"), "{stderr}");
 }

@@ -492,7 +492,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             Some(req) => handle_request(shared, req),
             None => Response::Error {
                 kind: "bad_request".into(),
-                message: format!("unparsable request: {line}"),
+                message: "unparsable request".into(),
             },
         };
         let mut out = response.to_line();

@@ -4,6 +4,7 @@
 
 use minnet::service::{JobSpec, Response, ServiceClient};
 use minnet_daemon::{Daemon, DaemonConfig};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -169,6 +170,28 @@ fn malformed_specs_get_structured_errors_not_queue_slots() {
     };
     assert_eq!(kind, "config");
     assert!(message.contains("hypercube"), "{message}");
+    // A lane count past the engine's mask word is a typed config error…
+    let mut spec = quick_spec(31);
+    spec.network = "vmin".into();
+    spec.vcs = 65;
+    let Response::Error { kind, message } = client.submit("c1", &spec).unwrap() else {
+        panic!("vcs = 65 must be refused");
+    };
+    assert_eq!(kind, "config");
+    assert!(message.contains("at most 64"), "{message}");
+    // …and one past `u8` is a bad request (it used to wrap: 258 ran as
+    // 2), answered without echoing the offending line back.
+    let line = format!("{{\"op\":\"submit\",\"client\":\"c1\",\"spec\":{}}}\n", spec.to_json())
+        .replace("\"vcs\":65", "\"vcs\":258");
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    let Some(Response::Error { kind, message }) = Response::parse(&reply) else {
+        panic!("vcs = 258 must be refused, got {reply}");
+    };
+    assert_eq!(kind, "bad_request");
+    assert!(!message.contains("258"), "{message}");
     let stats = client.stats().unwrap();
     assert_eq!(stats.queued + stats.running + stats.done, 0);
 }

@@ -249,13 +249,6 @@ impl DenseBitSet {
         self.words[w]
     }
 
-    /// Make `self` an exact copy of `other` (same capacity, same
-    /// members), reusing the word allocation.
-    pub fn copy_from(&mut self, other: &DenseBitSet) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
-
     /// Whether no index is set. A word-level scan — the quiescence-style
     /// checks use this instead of iterating members.
     #[inline]
@@ -383,19 +376,6 @@ mod tests {
         assert_eq!(s.word(2), 1u64 << 1);
         s.clear(64);
         assert_eq!(s.word(1), 0);
-    }
-
-    #[test]
-    fn copy_from_replicates_capacity_and_members() {
-        let mut a = DenseBitSet::with_capacity(130);
-        a.set(0);
-        a.set(129);
-        let mut b = DenseBitSet::with_capacity(10);
-        b.set(3);
-        b.copy_from(&a);
-        assert_eq!(b.num_words(), a.num_words());
-        assert!(b.contains(0) && b.contains(129));
-        assert!(!b.contains(3));
     }
 
     #[test]

@@ -70,22 +70,25 @@
 //!   injector queue; injection start; injection end with a nonempty
 //!   queue). The allocation phase reads injection requests off this set
 //!   instead of scanning every source;
-//! * an **occupied-channel bitset** indexed by *transmit-order position*
-//!   (`order_pos`), backed by a per-channel owned-lane count: a channel
-//!   enters the set when its first lane is claimed and leaves when its
-//!   last lane is released. The transmission phase sweeps a snapshot of
-//!   this set — ascending positions, i.e. reverse-topological order —
-//!   instead of every channel. Releases during the sweep only *clear*
-//!   bits; a just-released channel in the snapshot is a harmless no-op
-//!   (no lane is ready), and no channel becomes occupied mid-sweep
-//!   because claiming happens only in the allocation phase;
+//! * dense **lane masks** (`owned`, `has-input`, `full`, `dead`) indexed
+//!   by *plane* — a channel's transmit-order position times the lane
+//!   group width (`vcs` rounded up to a power of two) plus the lane, so
+//!   ascending bit order is the sweep order and a channel's lanes share
+//!   one aligned group of a mask word; pad bits of a group are never set.
+//!   Every claim, push, pop and release updates its bits in place, and
+//!   the transmission phase serves `owned ∧ has-input ∧ ¬full ∧ ¬dead`
+//!   one `u64` word at a time with `trailing_zeros` — exactly the lanes
+//!   the reference's every-channel scan finds ready, in the same order;
+//! * an **advance mask** over packet slots: bit `p` is set while `p`'s
+//!   header sits in its head lane's buffer short of the ejection channel,
+//!   so the allocation phase tests one bit per active worm;
 //! * a **running queued-message counter** for the per-cycle mean-queue
 //!   sample, the drain check of finite runs, and the end-of-run backlog.
 //!
 //! # Event-horizon fast-forward
 //!
 //! When the network is **fully quiescent** — no active worms *and* no
-//! queued messages (which implies empty injectable and occupied sets) —
+//! queued messages (which implies empty injectable and owned sets) —
 //! no phase can do any work until the next traffic event matures. With
 //! `EngineConfig::fast_forward` on (the default) the loop jumps `now`
 //! straight to the earliest pending event key (arrival heap, script
@@ -167,7 +170,7 @@ use std::sync::Arc;
 const NONE: u32 = u32::MAX;
 
 /// [`Engine::move_flit`] feedback: "no lane ahead of the cursor changed
-/// readiness" (the move pulled from a source, or the kernels are off).
+/// readiness" (the move pulled from a source).
 const NO_FEEDBACK: u32 = u32::MAX;
 /// Feedback low bits: the popped upstream lane's plane index. Bit 31
 /// carries its recomputed ready state; plane indices stay far below 2³¹.
@@ -439,33 +442,54 @@ pub struct CompiledNet {
     /// every hop through [`RouteLogic`] directly (bit-identical results;
     /// the table is a memoized logic).
     routes: Option<RouteTable>,
-    order: Vec<ChannelId>,
-    order_pos: Vec<u32>,
-    dst_is_node: Vec<bool>,
+    sweep: SweepOrder,
 }
 
-/// Transmit order, inverse positions, and ejection mask for `net` under
-/// `cfg` — the non-table part of compilation, also used by the one-shot
-/// wrappers.
-fn order_parts(
-    net: &NetworkGraph,
-    cfg: &EngineConfig,
-) -> (Vec<ChannelId>, Vec<u32>, Vec<bool>) {
-    let nch = net.num_channels();
-    let order = match cfg.transmit_order {
-        TransmitOrder::ReverseTopo => net.transmit_order().to_vec(),
-        TransmitOrder::BuildOrder => (0..nch as u32).collect(),
-    };
-    let mut order_pos = vec![0u32; nch];
-    for (pos, &ch) in order.iter().enumerate() {
-        order_pos[ch as usize] = pos as u32;
+/// The transmit order and what the sweeps derive from it — the non-table
+/// part of compilation, also built per call by the one-shot wrappers.
+#[derive(Clone, Debug)]
+struct SweepOrder {
+    /// Channels in transmit order.
+    order: Vec<ChannelId>,
+    dst_is_node: Vec<bool>,
+    /// Plane index per lane (`ch * vcs + vc`): `(pos << vcs_shift) | vc`
+    /// with `pos` the channel's position in `order`, tabulated so the hot
+    /// loop never divides by a lane count that need not be a power of two.
+    lane_plane: Vec<u32>,
+}
+
+/// `log2` of the plane-group width: `vcs` rounded up to a power of two,
+/// so a channel's lanes never straddle a mask word (`vcs <= 64` is
+/// validated).
+fn vcs_shift(cfg: &EngineConfig) -> u32 {
+    u32::from(cfg.vcs).next_power_of_two().trailing_zeros()
+}
+
+impl SweepOrder {
+    fn new(net: &NetworkGraph, cfg: &EngineConfig) -> SweepOrder {
+        let nch = net.num_channels();
+        let order = match cfg.transmit_order {
+            TransmitOrder::ReverseTopo => net.transmit_order().to_vec(),
+            TransmitOrder::BuildOrder => (0..nch as u32).collect(),
+        };
+        let dst_is_node = net
+            .channels
+            .iter()
+            .map(|c| matches!(c.dst, Endpoint::Node(_)))
+            .collect();
+        let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg));
+        let mut lane_plane = vec![0u32; nch * vcs];
+        for (pos, &ch) in order.iter().enumerate() {
+            for (vc, plane) in lane_plane[ch as usize * vcs..][..vcs].iter_mut().enumerate() {
+                *plane = ((pos as u32) << shift) | vc as u32;
+            }
+        }
+        SweepOrder {
+            order,
+            dst_is_node,
+            lane_plane,
+        }
     }
-    let dst_is_node = net
-        .channels
-        .iter()
-        .map(|c| matches!(c.dst, Endpoint::Node(_)))
-        .collect();
-    (order, order_pos, dst_is_node)
 }
 
 impl CompiledNet {
@@ -489,14 +513,12 @@ impl CompiledNet {
         } else {
             None
         };
-        let (order, order_pos, dst_is_node) = order_parts(&net, &cfg);
+        let sweep = SweepOrder::new(&net, &cfg);
         Ok(CompiledNet {
             net,
             cfg,
             routes,
-            order,
-            order_pos,
-            dst_is_node,
+            sweep,
         })
     }
 
@@ -508,18 +530,6 @@ impl CompiledNet {
     /// The engine configuration this network was compiled under.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// This same compiled network with the word-kernel toggle forced to
-    /// `on` — the hook harnesses use for same-binary kernel on/off
-    /// comparisons (both settings produce bit-identical reports; only
-    /// the wall clock differs). The toggle does not participate in
-    /// compilation, so the artifacts are reused as-is.
-    #[must_use]
-    pub fn with_word_kernels(&self, on: bool) -> CompiledNet {
-        let mut c = self.clone();
-        c.cfg.word_kernels = on;
-        c
     }
 
     /// The precomputed routing table, or `None` when the network exceeds
@@ -728,9 +738,7 @@ impl CompiledNet {
             &self.net,
             &self.cfg,
             self.router(),
-            &self.order,
-            &self.order_pos,
-            &self.dst_is_node,
+            &self.sweep,
             traffic,
             faults,
             seed,
@@ -889,9 +897,7 @@ impl CompiledNet {
                     &self.net,
                     &self.cfg,
                     self.router(),
-                    &self.order,
-                    &self.order_pos,
-                    &self.dst_is_node,
+                    &self.sweep,
                     source.traffic(),
                     None,
                     seed,
@@ -1006,12 +1012,12 @@ pub struct EngineState {
     /// Destination node, duplicated out of `PktMeta` so the allocate
     /// phase's per-request routing lookup stays off the cold array.
     pkt_dst: Vec<u32>,
-    /// Kernel-path cache of the head's `RouteTable::candidate_range`
-    /// bounds, refreshed whenever the head advances. A blocked worm
-    /// re-requests every cycle; resolving the cached bounds skips the
-    /// `(at, dst)` cell lookup in the L2-sized `starts` table. Only
-    /// maintained and read on the fault-free table-router kernel path
-    /// (`(0, 0)` placeholder otherwise).
+    /// Cache of the head's `RouteTable::candidate_range` bounds,
+    /// refreshed whenever the head advances. A blocked worm re-requests
+    /// every cycle; resolving the cached bounds skips the `(at, dst)`
+    /// cell lookup in the L2-sized `starts` table. Only maintained and
+    /// read on the fault-free table-router path (`(0, 0)` placeholder
+    /// otherwise).
     pkt_cand: Vec<(u32, u32)>,
     pkt_delivered: Vec<u32>,
     pkt_meta: Vec<PktMeta>,
@@ -1032,24 +1038,10 @@ pub struct EngineState {
     releases: BinaryHeap<Reverse<(u64, u32)>>,
     /// Bit `n` ⟺ source `n` has a queued message and an idle injector.
     injectable: DenseBitSet,
-    /// Bit `p` ⟺ channel `order[p]` has at least one owned lane.
-    occupied: DenseBitSet,
-    /// Bit `p` ⟺ channel `order[p]` *may* have a transmit-ready lane.
-    /// A conservative superset of the truly-ready channels, maintained
-    /// incrementally: set whenever an event could turn a lane ready
-    /// (a lane claim, a buffer gaining input, a buffer gaining room, a
-    /// fault-epoch change), cleared when a sweep visit finds no ready
-    /// lane. The transmit sweep iterates this set instead of `occupied`,
-    /// so blocked worms cost nothing per cycle — the readiness *test* at
-    /// visit time is unchanged, which is what keeps the sweep
-    /// bit-identical to the scan-everything reference.
-    maybe_ready: DenseBitSet,
-    // Word-parallel kernel masks (see the module header's kernel notes).
-    // All five lane masks are indexed by **plane** — `order_pos[ch] * vcs
-    // + vc` — so ascending bit order *is* the transmit sweep order and a
-    // channel's lanes share one aligned bit group. Maintained only while
-    // the kernels are engaged (`Engine::kern`); the scalar path uses
-    // `maybe_ready` instead.
+    // Lane masks (see the module header). All four are indexed by
+    // **plane** — `(sweep position << vcs_shift) | vc` — so ascending bit
+    // order *is* the transmit sweep order and a channel's lanes share one
+    // aligned bit group.
     /// Bit `plane` ⟺ the lane is owned by a worm.
     k_owned: DenseBitSet,
     /// Bit `plane` ⟺ the lane's upstream input is available (a source
@@ -1065,7 +1057,7 @@ pub struct EngineState {
     k_dead: DenseBitSet,
     /// Bit `p` (a packet slot) ⟺ packet `p`'s head lane is off the
     /// ejection channel **and** its buffer's front flit is `p`'s header —
-    /// exactly the scalar allocate phase's advance-request predicate.
+    /// exactly the reference allocate phase's advance-request predicate.
     k_advance: DenseBitSet,
     // Mask-density counters (words scanned vs bits processed per phase),
     // drained into the `hotstats` counters at probe-flush time.
@@ -1073,8 +1065,6 @@ pub struct EngineState {
     alloc_bits: u64,
     transmit_words: u64,
     transmit_bits: u64,
-    /// Owned-lane count per channel, backing `occupied`.
-    owned_lanes: Vec<u32>,
     /// Messages sitting in source queues, across all sources.
     queued_msgs: u64,
     // fault / watchdog state
@@ -1140,8 +1130,6 @@ impl EngineState {
             arrivals: BinaryHeap::new(),
             releases: BinaryHeap::new(),
             injectable: DenseBitSet::with_capacity(0),
-            occupied: DenseBitSet::with_capacity(0),
-            maybe_ready: DenseBitSet::with_capacity(0),
             k_owned: DenseBitSet::with_capacity(0),
             k_has_input: DenseBitSet::with_capacity(0),
             k_full: DenseBitSet::with_capacity(0),
@@ -1151,7 +1139,6 @@ impl EngineState {
             alloc_bits: 0,
             transmit_words: 0,
             transmit_bits: 0,
-            owned_lanes: Vec::new(),
             queued_msgs: 0,
             moved: 0,
             last_progress: 0,
@@ -1245,16 +1232,12 @@ impl EngineState {
         self.arrivals.clear();
         self.releases.clear();
         self.injectable.reset(n_nodes);
-        self.occupied.reset(nch);
-        self.maybe_ready.reset(nch);
-        // Kernel masks are (re)dimensioned by `Engine::init_kernel_masks`
-        // when the kernels engage; only the counters reset here.
+        // The plane masks are (re)dimensioned by
+        // `Engine::init_kernel_masks`; only the counters reset here.
         self.alloc_words = 0;
         self.alloc_bits = 0;
         self.transmit_words = 0;
         self.transmit_bits = 0;
-        self.owned_lanes.clear();
-        self.owned_lanes.resize(nch, 0);
         self.queued_msgs = 0;
         self.moved = 0;
         self.last_progress = 0;
@@ -1422,8 +1405,8 @@ struct Engine<'a> {
     cfg: &'a EngineConfig,
     router: Router<'a>,
     order: &'a [ChannelId],
-    order_pos: &'a [u32],
     dst_is_node: &'a [bool],
+    lane_plane: &'a [u32],
     vcs: usize,
     traffic: Traffic<'a>,
     /// Active fault schedule; `None` is the fault-free fast path (trivial
@@ -1431,12 +1414,8 @@ struct Engine<'a> {
     faults: Option<&'a CompiledFaults>,
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
-    /// Whether the word-parallel kernels are engaged for this run:
-    /// `cfg.word_kernels` and `vcs` is a power of two ≤ 64, so every
-    /// channel's lanes form one aligned bit group inside a mask word.
-    kern: bool,
-    /// `log2(vcs)` when the kernels are engaged: plane index =
-    /// `(order_pos[ch] << vcs_shift) | vc`.
+    /// [`vcs_shift`] of this run: plane index =
+    /// `(sweep position << vcs_shift) | vc`.
     vcs_shift: u32,
     st: &'a mut EngineState,
 }
@@ -1450,9 +1429,7 @@ fn prepare_engine<'a>(
     net: &'a NetworkGraph,
     cfg: &'a EngineConfig,
     router: Router<'a>,
-    order: &'a [ChannelId],
-    order_pos: &'a [u32],
-    dst_is_node: &'a [bool],
+    sweep: &'a SweepOrder,
     traffic: Traffic<'a>,
     faults: Option<&'a CompiledFaults>,
     seed: u64,
@@ -1490,25 +1467,21 @@ fn prepare_engine<'a>(
         }
     }
 
-    let kern = cfg.word_kernels && cfg.vcs.is_power_of_two() && cfg.vcs <= 64;
     let mut e = Engine {
         net,
         cfg,
         router,
-        order,
-        order_pos,
-        dst_is_node,
+        order: &sweep.order,
+        dst_is_node: &sweep.dst_is_node,
+        lane_plane: &sweep.lane_plane,
         vcs: cfg.vcs as usize,
         traffic,
         faults,
         epoch: 0,
-        kern,
-        vcs_shift: u32::from(cfg.vcs).trailing_zeros(),
+        vcs_shift: vcs_shift(cfg),
         st,
     };
-    if e.kern {
-        e.init_kernel_masks();
-    }
+    e.init_kernel_masks();
     e
 }
 
@@ -1520,27 +1493,13 @@ fn run_prepared(
     net: &NetworkGraph,
     cfg: &EngineConfig,
     router: Router<'_>,
-    order: &[ChannelId],
-    order_pos: &[u32],
-    dst_is_node: &[bool],
+    sweep: &SweepOrder,
     traffic: Traffic<'_>,
     faults: Option<&CompiledFaults>,
     seed: u64,
     st: &mut EngineState,
 ) -> Result<SimReport, SimError> {
-    prepare_engine(
-        net,
-        cfg,
-        router,
-        order,
-        order_pos,
-        dst_is_node,
-        traffic,
-        faults,
-        seed,
-        st,
-    )
-    .run()
+    prepare_engine(net, cfg, router, sweep, traffic, faults, seed, st).run()
 }
 
 impl<'a> Engine<'a> {
@@ -1589,28 +1548,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // ---- word-parallel kernel masks ----------------------------------
+    // ---- plane masks --------------------------------------------------
 
     /// Plane index of lane `li`: the lane's channel mapped to its
     /// transmit-order position, with the VC bits kept in the low end —
-    /// `(order_pos[ch] << vcs_shift) | vc`. Ascending plane order is
-    /// ascending sweep-position order, and (because `vcs` is a power of
-    /// two ≤ 64 whenever the kernels engage) a channel's lanes form one
-    /// aligned group inside a single mask word.
+    /// `(sweep position << vcs_shift) | vc`. Ascending plane order is
+    /// ascending sweep-position order, and (the group width `1 <<
+    /// vcs_shift` being a power of two ≤ 64) a channel's lanes form one
+    /// aligned group inside a single mask word. When `vcs` is not a
+    /// power of two the group's top planes belong to no lane and their
+    /// bits are never set.
     #[inline]
     fn plane(&self, li: usize) -> u32 {
-        (self.order_pos[li >> self.vcs_shift] << self.vcs_shift)
-            | (li as u32 & ((1 << self.vcs_shift) - 1))
+        self.lane_plane[li]
     }
 
-    /// Dimension and seed the kernel masks for a fresh run: everything
+    /// Number of plane bits: one group per channel.
+    fn planes(&self) -> usize {
+        self.net.num_channels() << self.vcs_shift
+    }
+
+    /// Dimension and seed the plane masks for a fresh run: everything
     /// empty except the epoch-0 dead mask.
     fn init_kernel_masks(&mut self) {
-        debug_assert!(self.kern);
-        let lanes = self.net.num_channels() * self.vcs;
-        self.st.k_owned.reset(lanes);
-        self.st.k_has_input.reset(lanes);
-        self.st.k_full.reset(lanes);
+        let planes = self.planes();
+        self.st.k_owned.reset(planes);
+        self.st.k_has_input.reset(planes);
+        self.st.k_full.reset(planes);
         self.st.k_advance.reset(0);
         self.rebuild_dead_mask();
     }
@@ -1619,8 +1583,7 @@ impl<'a> Engine<'a> {
     /// from its packed `dead_lane_words` (set-bit iteration, so a sparse
     /// epoch costs O(words + casualties), not O(lanes)).
     fn rebuild_dead_mask(&mut self) {
-        let lanes = self.net.num_channels() * self.vcs;
-        self.st.k_dead.reset(lanes);
+        self.st.k_dead.reset(self.planes());
         if let Some(f) = self.faults {
             let ep = &f.epochs[self.epoch];
             if ep.any_dead {
@@ -1631,15 +1594,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Debug-only exactness audit: every kernel-mask bit must equal the
-    /// scalar predicate it mirrors. Called periodically from the cycle
+    /// Debug-only exactness audit: every mask bit must equal the
+    /// per-lane predicate it mirrors. Called periodically from the cycle
     /// loop in debug builds; incremental-maintenance bugs persist in the
     /// masks, so a sampled check still catches them.
     #[cfg(debug_assertions)]
     fn check_kernel_masks(&self) {
-        if !self.kern {
-            return;
-        }
         for ch in 0..self.net.num_channels() {
             for vc in 0..self.vcs {
                 let li = ch * self.vcs + vc;
@@ -1829,33 +1789,17 @@ impl<'a> Engine<'a> {
         self.st
             .injectable
             .for_each(|node| reqs.push(Req::Inject(node)));
-        if self.kern {
-            // The advance-request predicate is tracked incrementally in
-            // `k_advance` (set when the header flit lands in the head
-            // lane's buffer, cleared when a claim moves the head), so the
-            // scan costs one bit test per active packet instead of a
-            // head-lane / ejection / buffer-front load chain. The `active`
-            // vec still drives the scan — request order (injectable
-            // ascending, then `active` insertion order) feeds the request
-            // shuffle and must stay identical to the scalar path's.
-            for &p in &self.st.active {
-                if self.st.k_advance.contains(p) {
-                    reqs.push(Req::Advance(p));
-                }
-            }
-        } else {
-            for &p in &self.st.active {
-                let hl = self.st.pkt_head_lane[p as usize];
-                debug_assert_ne!(hl, NONE);
-                let ch = (hl as usize / self.vcs) as u32;
-                if self.dst_is_node[ch as usize] {
-                    continue; // header already on the ejection channel
-                }
-                if let Some(flit) = self.st.lane_bufs.front(hl as usize) {
-                    if flit.packet == p && flit.is_header() {
-                        reqs.push(Req::Advance(p));
-                    }
-                }
+        // The advance-request predicate is tracked incrementally in
+        // `k_advance` (set when the header flit lands in the head lane's
+        // buffer, cleared when a claim moves the head), so the scan costs
+        // one bit test per active packet instead of a head-lane /
+        // ejection / buffer-front load chain. The `active` vec still
+        // drives the scan — request order (injectable ascending, then
+        // `active` insertion order) feeds the request shuffle and must
+        // stay identical to the reference engine's.
+        for &p in &self.st.active {
+            if self.st.k_advance.contains(p) {
+                reqs.push(Req::Advance(p));
             }
         }
         #[cfg(feature = "hotstats")]
@@ -1926,19 +1870,7 @@ impl<'a> Engine<'a> {
         let lane = self.st.elig[idx];
         self.st.lane_owner[lane as usize] = owner;
         self.st.lane_downstream[lane as usize] = NONE;
-        let ch = lane as usize / self.vcs;
-        self.st.owned_lanes[ch] += 1;
-        if self.st.owned_lanes[ch] == 1 {
-            self.st.occupied.set(self.order_pos[ch]);
-        }
-        if self.kern {
-            self.st.k_owned.set(self.plane(lane as usize));
-        } else {
-            // A freshly claimed lane is the worm's head with its input
-            // available (a queued source message or the upstream head
-            // flit), so its channel may transmit this very cycle.
-            self.st.maybe_ready.set(self.order_pos[ch]);
-        }
+        self.st.k_owned.set(self.plane(lane as usize));
         Some(lane)
     }
 
@@ -2028,17 +1960,15 @@ impl<'a> Engine<'a> {
         };
         self.st.lane_owner[lane as usize] = slot;
         self.st.lane_upstream[lane as usize] = Upstream::Source(node);
-        if self.kern {
-            // A source with a packet to emit is available input
-            // (`sent == 0 < len`); the fresh head lane's buffer is empty,
-            // so no advance request until the header lands in it.
-            debug_assert!(self.st.pkt_len[slot as usize] >= 1);
-            self.st.k_has_input.set(self.plane(lane as usize));
-            self.st.k_advance.grow(self.st.pkt_meta.len());
-            self.st.k_advance.clear(slot);
-            if let (None, Router::Table(table)) = (self.faults, self.router) {
-                self.st.pkt_cand[slot as usize] = table.candidate_range(inj, msg.dst);
-            }
+        // A source with a packet to emit is available input
+        // (`sent == 0 < len`); the fresh head lane's buffer is empty,
+        // so no advance request until the header lands in it.
+        debug_assert!(self.st.pkt_len[slot as usize] >= 1);
+        self.st.k_has_input.set(self.plane(lane as usize));
+        self.st.k_advance.grow(self.st.pkt_meta.len());
+        self.st.k_advance.clear(slot);
+        if let (None, Router::Table(table)) = (self.faults, self.router) {
+            self.st.pkt_cand[slot as usize] = table.candidate_range(inj, msg.dst);
         }
         self.st.sources[node as usize].injecting = slot;
         self.st.active.push(slot);
@@ -2085,14 +2015,9 @@ impl<'a> Engine<'a> {
                 self.gather_free(cands);
             }
             (None, Router::Table(table)) => {
-                let cands = if self.kern {
-                    let (lo, hi) = self.st.pkt_cand[p as usize];
-                    let cands = table.resolve_range(lo, hi);
-                    debug_assert_eq!(cands, table.candidates(at_ch, dst));
-                    cands
-                } else {
-                    table.candidates(at_ch, dst)
-                };
+                let (lo, hi) = self.st.pkt_cand[p as usize];
+                let cands = table.resolve_range(lo, hi);
+                debug_assert_eq!(cands, table.candidates(at_ch, dst));
                 debug_assert!(!cands.is_empty(), "advance request at the destination");
                 self.gather_free(cands);
             }
@@ -2112,20 +2037,18 @@ impl<'a> Engine<'a> {
         self.st.lane_upstream[lane as usize] = Upstream::Lane(at_lane);
         self.st.lane_downstream[at_lane as usize] = lane;
         self.st.pkt_head_lane[p as usize] = lane;
-        if self.kern {
-            // The advance request came off a nonempty `at_lane` buffer
-            // (its front is the header), so the new head has input; its
-            // own empty buffer holds no header yet.
-            debug_assert!(!self.st.lane_bufs.is_empty(at_lane as usize));
-            self.st.k_has_input.set(self.plane(lane as usize));
-            self.st.k_advance.clear(p);
-            // New head, new candidate cell: refresh the cached bounds
-            // once per hop. Reaching the destination stores the ejection
-            // channel's empty range, which is never read (no advance
-            // requests are raised from an ejection-channel head).
-            if let (None, Router::Table(table)) = (self.faults, self.router) {
-                self.st.pkt_cand[p as usize] = table.candidate_range(new_ch, dst);
-            }
+        // The advance request came off a nonempty `at_lane` buffer (its
+        // front is the header), so the new head has input; its own empty
+        // buffer holds no header yet.
+        debug_assert!(!self.st.lane_bufs.is_empty(at_lane as usize));
+        self.st.k_has_input.set(self.plane(lane as usize));
+        self.st.k_advance.clear(p);
+        // New head, new candidate cell: refresh the cached bounds once
+        // per hop. Reaching the destination stores the ejection channel's
+        // empty range, which is never read (no advance requests are
+        // raised from an ejection-channel head).
+        if let (None, Router::Table(table)) = (self.faults, self.router) {
+            self.st.pkt_cand[p as usize] = table.candidate_range(new_ch, dst);
         }
         if let Some(tr) = &mut self.st.trace {
             tr.events.push(TraceEvent::Hop {
@@ -2152,127 +2075,50 @@ impl<'a> Engine<'a> {
 
     // ---- phase 3: transmission ---------------------------------------
 
-    fn transmit(&mut self) -> Result<(), SimError> {
-        if self.kern {
-            return self.transmit_kernel();
-        }
-        // Sweep the maybe-ready superset word by word with a monotone
-        // cursor, re-reading the current word after every visit. A move
-        // can set bits *ahead* of the cursor — popping lane `li`'s
-        // upstream `u` re-arms `u`, and reverse-topological order places
-        // upstream channels at later positions — and the re-read serves
-        // them within this same pass, exactly as the old full-`occupied`
-        // snapshot sweep did. Bits set at or behind the cursor (a push
-        // feeding a *downstream* consumer, at an earlier position) wait
-        // for the next cycle — also exactly as before, since the old
-        // ascending sweep had already evaluated those positions before
-        // the enabling mutation.
-        //
-        // Bit-identity with the scan-everything sweep: `maybe_ready` is a
-        // superset of the channels with a ready lane (every readiness-
-        // creating event sets the bit; only a visit that *observes* no
-        // ready lane clears it), and a visit with no ready lane touches
-        // neither mux nor RNG nor report state. So the two sweeps perform
-        // the same moves and mux selections in the same order; the only
-        // difference is skipping no-op visits.
-        for w in 0..self.st.maybe_ready.num_words() {
-            // Bits at or below the last-served index of this word are
-            // behind the cursor; mask them off on each re-read.
-            let mut behind: u64 = 0;
-            loop {
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_words += 1;
-                }
-                let bits = self.st.maybe_ready.word(w) & !behind;
-                if bits == 0 {
-                    break;
-                }
-                let b = bits.trailing_zeros();
-                behind = if b == 63 { u64::MAX } else { (1u64 << (b + 1)) - 1 };
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_bits += 1;
-                }
-                self.visit_channel((w * 64) as u32 + b)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Word-parallel transmit: combine the lane masks into an **exact**
     /// per-word ready mask — `owned ∧ has_input ∧ ¬full ∧ ¬dead`, bit
-    /// for bit the [`lane_ready`](Self::lane_ready) predicate (the
-    /// scalar `eject ∨ ¬full` term collapses to `¬full` because
-    /// ejection-lane buffers are never pushed, and the `¬dead` term is
-    /// folded only when a fault plan is loaded — without one `k_dead` is
-    /// identically zero) — and serve its set bits with
-    /// `trailing_zeros`. Planes are `order_pos`-permuted, so ascending
-    /// bit order *is* the scalar sweep's ascending-position order, and
-    /// the same monotone cursor with a re-read after every move catches
-    /// lanes that become ready ahead of the cursor (a pop re-arms the
-    /// upstream lane, which reverse-topological order places at a later
-    /// position) within the same pass.
-    ///
-    /// Bit-identity with the scalar sweep: the scalar `maybe_ready` set
-    /// is a superset of the truly-ready channels, and a visit that finds
-    /// no ready lane touches neither mux nor RNG nor report state — so
-    /// dropping exactly those no-op visits leaves every move and every
-    /// mux selection identical, in identical order. For `vcs > 1` the
-    /// mux sees the same `ready` bool array a scalar visit would build,
-    /// and is consulted only when some lane is ready, exactly as the
-    /// scalar path does.
-    fn transmit_kernel(&mut self) -> Result<(), SimError> {
+    /// for bit the [`lane_ready`](Self::lane_ready) predicate (its
+    /// `eject ∨ ¬full` term collapses to `¬full` because ejection-lane
+    /// buffers are never pushed, and the `¬dead` term is folded only
+    /// when a fault plan is loaded — without one `k_dead` is identically
+    /// zero) — and serve its set bits with `trailing_zeros`. Planes are
+    /// sweep-position-major, so ascending bit order *is* the reference
+    /// engine's every-channel scan order with the channels that have no
+    /// ready lane left out — and such a visit touches neither mux nor
+    /// RNG nor report state, so every move and every mux selection is
+    /// identical, in identical order. For `vcs > 1` a channel's lanes
+    /// are one aligned group of `1 << vcs_shift` bits; the group's low
+    /// `vcs` bits are the `ready` bool array the reference builds for the
+    /// channel's VC mux, which is consulted only when some lane is ready,
+    /// and the cursor advances a whole group at a time (one flit per
+    /// channel per cycle).
+    fn transmit(&mut self) -> Result<(), SimError> {
         let nw = self.st.k_owned.num_words();
         let faulted = self.faults.is_some();
-        if self.vcs == 1 {
-            if matches!(self.cfg.transmit_order, TransmitOrder::ReverseTopo) {
-                return self.transmit_kernel_vc1_rt(nw, faulted);
-            }
-            // Non-topological orders (the build-order ablation) lose the
-            // "a move only re-arms *later* positions, and only via the
-            // popped upstream lane" invariant, so fall back to re-reading
-            // the masks after every move — still exact, word-at-a-time.
-            for w in 0..nw {
-                let mut behind: u64 = 0;
-                loop {
-                    #[cfg(feature = "hotstats")]
-                    {
-                        self.st.transmit_words += 1;
-                    }
-                    let mut ready = self.st.k_owned.word(w)
-                        & self.st.k_has_input.word(w)
-                        & !(self.st.k_full.word(w) | behind);
-                    if faulted {
-                        ready &= !self.st.k_dead.word(w);
-                    }
-                    if ready == 0 {
-                        break;
-                    }
-                    let b = ready.trailing_zeros();
-                    behind = if b == 63 { u64::MAX } else { (1u64 << (b + 1)) - 1 };
-                    let pl = (w * 64) as u32 + b;
-                    let ch = self.order[pl as usize];
-                    #[cfg(feature = "hotstats")]
-                    {
-                        self.st.transmit_bits += 1;
-                    }
-                    debug_assert!(self.lane_ready(ch as usize, ch));
-                    self.move_flit(ch, ch as usize, pl)?;
-                }
-            }
-            return Ok(());
+        match (self.cfg.transmit_order, self.vcs) {
+            (TransmitOrder::ReverseTopo, 1) => self.transmit_kernel_vc1_rt(nw, faulted),
+            (TransmitOrder::ReverseTopo, _) => self.transmit_kernel_vcn_rt(nw, faulted),
+            (TransmitOrder::BuildOrder, _) => self.transmit_kernel_reread(nw, faulted),
         }
-        // vcs > 1: each channel's lanes are one aligned group of `vcs`
-        // bits. The group's ready bits feed the channel's VC mux exactly
-        // as a scalar visit would; the cursor advances a whole group at
-        // a time (one flit per channel per cycle).
-        if matches!(self.cfg.transmit_order, TransmitOrder::ReverseTopo) {
-            return self.transmit_kernel_vcn_rt(nw, faulted);
-        }
+    }
+
+    /// The order-agnostic loop, for any `vcs`: non-topological orders
+    /// (the build-order ablation) lose the "a move only re-arms *later*
+    /// positions, and only via the popped upstream lane" invariant the
+    /// patching kernels below rest on, so this one re-reads the masks
+    /// after every move behind a monotone cursor — still exact,
+    /// word-at-a-time. A lane that turns ready *ahead* of the cursor is
+    /// served within the pass; one at or behind it waits for the next
+    /// cycle, exactly as in a scan that had already passed the position.
+    /// With `vcs == 1` a group is one bit and the mux call is inert: over
+    /// a single lane both policies pick VC 0 and leave `last` at 0.
+    fn transmit_kernel_reread(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         let vcs = self.vcs;
-        let gmask = u64::MAX >> (64 - vcs as u32);
+        let gw = 1u32 << self.vcs_shift;
+        let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
+            // Groups at or below the last-served one of this word are
+            // behind the cursor; mask them off on each re-read.
             let mut behind: u64 = 0;
             loop {
                 #[cfg(feature = "hotstats")]
@@ -2289,9 +2135,9 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 let b = ready.trailing_zeros();
-                let g0 = b & !(vcs as u32 - 1);
+                let g0 = b & !(gw - 1);
                 let group = (ready >> g0) & gmask;
-                let hi = g0 + vcs as u32;
+                let hi = g0 + gw;
                 behind = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
                 let ch = self.order[pos as usize];
@@ -2307,7 +2153,9 @@ impl<'a> Engine<'a> {
                         what: "a ready lane must be selectable",
                     });
                 };
-                self.move_flit(ch, ch as usize * vcs + vc, (w * 64) as u32 + g0 + vc as u32)?;
+                let li = ch as usize * vcs + vc;
+                debug_assert!(self.lane_ready(li, ch));
+                self.move_flit(ch, li, (w * 64) as u32 + g0 + vc as u32)?;
             }
         }
         Ok(())
@@ -2364,13 +2212,14 @@ impl<'a> Engine<'a> {
 
     /// The `vcs > 1` twin of [`Self::transmit_kernel_vc1_rt`]: the same
     /// combine-once / patch-on-feedback cursor, consuming a whole
-    /// `vcs`-aligned group per visit (one flit per channel per cycle).
+    /// aligned lane group per visit (one flit per channel per cycle).
     /// The ahead-patch argument is unchanged — the popped upstream lane
     /// belongs to a strictly-upstream *channel*, so its plane lands in a
     /// strictly later group than the one just consumed.
     fn transmit_kernel_vcn_rt(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         let vcs = self.vcs;
-        let gmask = u64::MAX >> (64 - vcs as u32);
+        let gw = 1u32 << self.vcs_shift;
+        let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
             #[cfg(feature = "hotstats")]
             {
@@ -2383,7 +2232,7 @@ impl<'a> Engine<'a> {
             }
             while ready != 0 {
                 let b = ready.trailing_zeros();
-                let g0 = b & !(vcs as u32 - 1);
+                let g0 = b & !(gw - 1);
                 let group = (ready >> g0) & gmask;
                 ready &= !(gmask << g0);
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
@@ -2403,7 +2252,7 @@ impl<'a> Engine<'a> {
                 let fb =
                     self.move_flit(ch, ch as usize * vcs + vc, (w * 64) as u32 + g0 + vc as u32)?;
                 if fb != NO_FEEDBACK && (fb & PLANE_MASK) >> 6 == w as u32 {
-                    debug_assert!(fb & PLANE_MASK > (w * 64) as u32 + g0 + vcs as u32 - 1);
+                    debug_assert!(fb & PLANE_MASK > (w * 64) as u32 + g0 + gw - 1);
                     let bit = 1u64 << (fb & 63);
                     if fb >> 31 != 0 {
                         ready |= bit;
@@ -2416,44 +2265,8 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Evaluate one maybe-ready position: move a flit if a lane of the
-    /// channel is ready, otherwise clear the stale bit (the next
-    /// readiness-creating event re-arms it).
-    fn visit_channel(&mut self, pos: u32) -> Result<(), SimError> {
-        let ch = self.order[pos as usize];
-        if self.vcs == 1 {
-            // Single-VC fast path: the round-robin mux over one lane
-            // deterministically picks VC 0 and leaves its priority state
-            // at its initial value, so skipping it is state-identical —
-            // and the per-channel ready vector disappears.
-            let li = ch as usize;
-            if self.lane_ready(li, ch) {
-                self.move_flit(ch, li, 0)?;
-                return Ok(());
-            }
-            self.st.maybe_ready.clear(pos);
-            return Ok(());
-        }
-        let base = ch as usize * self.vcs;
-        let mut any = false;
-        for vc in 0..self.vcs {
-            let r = self.lane_ready(base + vc, ch);
-            self.st.ready[vc] = r;
-            any |= r;
-        }
-        if !any {
-            self.st.maybe_ready.clear(pos);
-            return Ok(());
-        }
-        let Some(vc) = self.st.mux[ch as usize].select(&self.st.ready[..self.vcs]) else {
-            return Err(SimError::Internal {
-                what: "a ready lane must be selectable",
-            });
-        };
-        self.move_flit(ch, base + vc, 0)?;
-        Ok(())
-    }
-
+    /// The per-lane readiness predicate, as the reference engine
+    /// evaluates it; the sweeps debug-assert it of every lane they serve.
     #[inline]
     fn lane_ready(&self, li: usize, ch: ChannelId) -> bool {
         let owner = self.st.lane_owner[li];
@@ -2480,19 +2293,17 @@ impl<'a> Engine<'a> {
     }
 
     /// Move one flit across `ch` into lane `li`. `pl` is `li`'s plane
-    /// index — the kernel sweep already knows it (it *is* the bit
-    /// position just served), so passing it down spares the kern-mode
-    /// maintenance a permutation lookup per touch of `li`'s own masks.
-    /// Scalar callers pass 0; the value is only read when `kern` is set.
+    /// index — the sweep already knows it (it *is* the bit position just
+    /// served), so passing it down spares the mask maintenance a table
+    /// lookup per touch of `li`'s own bits.
     ///
-    /// Returns the cursor-patch feedback the `vcs == 1` reverse-topo
-    /// kernel consumes: [`NO_FEEDBACK`], or the popped upstream lane's
-    /// plane in the low bits with its recomputed ready state in bit 31.
-    /// Only computed when the kernels own single-lane channels; every
-    /// other caller discards it.
+    /// Returns the cursor-patch feedback the reverse-topological kernels
+    /// consume: [`NO_FEEDBACK`], or the popped upstream lane's plane in
+    /// the low bits with its recomputed ready state in bit 31. The
+    /// re-reading loop discards it.
     #[inline]
     fn move_flit(&mut self, ch: ChannelId, li: usize, pl: u32) -> Result<u32, SimError> {
-        debug_assert!(!self.kern || pl == self.plane(li));
+        debug_assert_eq!(pl, self.plane(li));
         let p = self.st.lane_owner[li];
         let upstream = self.st.lane_upstream[li];
         let pi = p as usize;
@@ -2508,9 +2319,7 @@ impl<'a> Engine<'a> {
                 if self.st.pkt_sent[pi] == len {
                     self.st.sources[node as usize].injecting = NONE;
                     self.st.lane_upstream[li] = Upstream::Exhausted;
-                    if self.kern {
-                        self.st.k_has_input.clear(pl);
-                    }
+                    self.st.k_has_input.clear(pl);
                     if !self.st.sources[node as usize].queue.is_empty() {
                         self.st.injectable.set(node);
                     }
@@ -2519,20 +2328,13 @@ impl<'a> Engine<'a> {
             }
             Upstream::Lane(u) => match self.st.lane_bufs.pop(u as usize) {
                 Some(f) => {
-                    if self.kern {
-                        // The pop leaves `u`'s buffer non-full; if it
-                        // also drained it, this lane's input is gone.
-                        let pu = self.plane(u as usize);
-                        self.st.k_full.clear(pu);
-                        fb = pu;
-                        if self.st.lane_bufs.is_empty(u as usize) {
-                            self.st.k_has_input.clear(pl);
-                        }
-                    } else {
-                        // The pop freed a buffer slot in `u`, which may
-                        // be the one thing that was blocking `u`'s own
-                        // transmit.
-                        self.st.maybe_ready.set(self.order_pos[u as usize / self.vcs]);
+                    // The pop leaves `u`'s buffer non-full; if it also
+                    // drained it, this lane's input is gone.
+                    let pu = self.plane(u as usize);
+                    self.st.k_full.clear(pu);
+                    fb = pu;
+                    if self.st.lane_bufs.is_empty(u as usize) {
+                        self.st.k_has_input.clear(pl);
                     }
                     f
                 }
@@ -2559,9 +2361,7 @@ impl<'a> Engine<'a> {
                 self.release_lane(u);
             }
             self.st.lane_upstream[li] = Upstream::Exhausted;
-            if self.kern {
-                self.st.k_has_input.clear(pl);
-            }
+            self.st.k_has_input.clear(pl);
         }
         if self.dst_is_node[ch as usize] {
             // The cold packet meta is only needed on the ejection path
@@ -2583,32 +2383,23 @@ impl<'a> Engine<'a> {
                 self.complete_packet(p, gen_time, measured, len)?;
             }
         } else if self.st.lane_bufs.push(li, flit) {
-            if self.kern {
-                if self.st.lane_bufs.is_full(li) {
-                    self.st.k_full.set(pl);
-                }
-                let d = self.st.lane_downstream[li];
-                if d != NONE {
-                    self.st.k_has_input.set(self.plane(d as usize));
-                }
-                if flit.is_header() {
-                    // A header flit only ever lands in the worm's current
-                    // head lane (the downstream consumer that pops it
-                    // exists only after a later claim moves the head), so
-                    // this push is exactly the advance-request-becomes-
-                    // true event — and this branch never runs for the
-                    // ejection channel.
-                    debug_assert_eq!(self.st.pkt_head_lane[pi], li as u32);
-                    self.st.k_advance.set(p);
-                }
-            } else {
-                // The flit just buffered in `li` is input for the
-                // downstream lane that pulls from `li` (if the worm has
-                // advanced past it).
-                let d = self.st.lane_downstream[li];
-                if d != NONE {
-                    self.st.maybe_ready.set(self.order_pos[d as usize / self.vcs]);
-                }
+            if self.st.lane_bufs.is_full(li) {
+                self.st.k_full.set(pl);
+            }
+            // The flit just buffered in `li` is input for the downstream
+            // lane that pulls from `li` (if the worm has advanced past it).
+            let d = self.st.lane_downstream[li];
+            if d != NONE {
+                self.st.k_has_input.set(self.plane(d as usize));
+            }
+            if flit.is_header() {
+                // A header flit only ever lands in the worm's current
+                // head lane (the downstream consumer that pops it exists
+                // only after a later claim moves the head), so this push
+                // is exactly the advance-request-becomes-true event — and
+                // this branch never runs for the ejection channel.
+                debug_assert_eq!(self.st.pkt_head_lane[pi], li as u32);
+                self.st.k_advance.set(p);
             }
         } else {
             return Err(SimError::Internal {
@@ -2640,20 +2431,13 @@ impl<'a> Engine<'a> {
         debug_assert_ne!(self.st.lane_owner[li as usize], NONE, "double lane release");
         self.st.lane_owner[li as usize] = NONE;
         self.st.lane_upstream[li as usize] = Upstream::Exhausted;
-        if self.kern {
-            let pl = self.plane(li as usize);
-            self.st.k_owned.clear(pl);
-            self.st.k_has_input.clear(pl);
-            // `k_full` needs no touch: the buffer is empty (asserted
-            // above), so the last pop already cleared it.
-        }
-        let ch = li as usize / self.vcs;
-        self.st.owned_lanes[ch] -= 1;
-        if self.st.owned_lanes[ch] == 0 {
-            self.st.occupied.clear(self.order_pos[ch]);
-        }
+        let pl = self.plane(li as usize);
+        self.st.k_owned.clear(pl);
+        self.st.k_has_input.clear(pl);
+        // `k_full` needs no touch: the buffer is empty (asserted above),
+        // so the last pop already cleared it.
         if let Some(xbars) = &mut self.st.crossbars {
-            let c = self.net.channel(ch as u32);
+            let c = self.net.channel((li as usize / self.vcs) as u32);
             if let Endpoint::Switch { sw, side, port } = c.dst {
                 let code = if self.net.kind.is_bidirectional() {
                     let k = self.net.geometry.k() as u8;
@@ -2723,11 +2507,9 @@ impl<'a> Engine<'a> {
             });
         };
         self.st.active.swap_remove(idx);
-        if self.kern {
-            // Already clear (the bit dies with the claim of the ejection
-            // lane), but slot-recycling hygiene is cheap to make total.
-            self.st.k_advance.clear(p);
-        }
+        // Already clear (the bit dies with the claim of the ejection
+        // lane), but slot-recycling hygiene is cheap to make total.
+        self.st.k_advance.clear(p);
         self.st.free_slots.push(p);
         Ok(())
     }
@@ -2750,16 +2532,9 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         // A boundary can resurrect lanes (dead in the old epoch, live in
-        // the new one), silently restoring readiness the incremental
-        // triggers never saw. The kernel path just rebuilds its dead
-        // mask — readiness is recomputed from the masks on every word
-        // read, so resurrection needs no re-arming; the scalar path
-        // conservatively re-arms every occupied channel.
-        if self.kern {
-            self.rebuild_dead_mask();
-        } else {
-            self.st.maybe_ready.copy_from(&self.st.occupied);
-        }
+        // the new one). Readiness is recomputed from the masks on every
+        // word read, so rebuilding the dead mask is all it takes.
+        self.rebuild_dead_mask();
         if !self.cfg.fault_abort {
             return Ok(());
         }
@@ -2825,9 +2600,7 @@ impl<'a> Engine<'a> {
                 debug_assert_eq!(flit.packet, p, "foreign flit drained during abort");
                 drained += 1;
             }
-            if self.kern {
-                self.st.k_full.clear(self.plane(li as usize));
-            }
+            self.st.k_full.clear(self.plane(li as usize));
             let up = self.st.lane_upstream[li as usize];
             self.release_lane(li);
             match up {
@@ -2847,9 +2620,7 @@ impl<'a> Engine<'a> {
             self.st.pkt_delivered[pi] + drained,
             "flits leaked during abort-and-drain"
         );
-        if self.kern {
-            self.st.k_advance.clear(p);
-        }
+        self.st.k_advance.clear(p);
         if self.st.pkt_meta[pi].measured {
             self.st.aborted_pkts += 1;
         }
@@ -2895,9 +2666,10 @@ impl<'a> Engine<'a> {
             .collect();
         let mut held_channels = Vec::new();
         self.st
-            .occupied
-            .for_each(|pos| held_channels.push(self.order[pos as usize]));
+            .k_owned
+            .for_each(|pl| held_channels.push(self.order[(pl >> self.vcs_shift) as usize]));
         held_channels.sort_unstable();
+        held_channels.dedup();
         // Wait-for graph over indices into `stalled`. An edge i → j means
         // packet i's header wants a lane of a candidate channel currently
         // owned by packet j. `find_cycle` works on any dense u32 digraph.
@@ -2961,7 +2733,7 @@ impl<'a> Engine<'a> {
         // emptiness scans keep this lockstep/fast-forward gate honest
         // without iterating members.
         debug_assert!(
-            !q || (self.st.injectable.is_empty_set() && self.st.occupied.is_empty_set()),
+            !q || (self.st.injectable.is_empty_set() && self.st.k_owned.is_empty_set()),
             "quiescent run with live occupancy bits"
         );
         q
@@ -3256,15 +3028,13 @@ fn run_oneshot(
             });
         }
     }
-    let (order, order_pos, dst_is_node) = order_parts(net, cfg);
+    let sweep = SweepOrder::new(net, cfg);
     let mut st = EngineState::new();
     run_prepared(
         net,
         cfg,
         Router::Logic(RouteLogic::for_kind(net.kind)),
-        &order,
-        &order_pos,
-        &dst_is_node,
+        &sweep,
         traffic,
         None,
         cfg.seed,

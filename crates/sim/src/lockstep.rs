@@ -21,12 +21,9 @@
 //! scalar≡lockstep differential suite in `tests/engine_equivalence.rs`
 //! and the replication-count proptest in `tests/compiled_pipeline.rs`.
 //!
-//! The fleet composes with the word-parallel kernels
-//! (`EngineConfig::word_kernels`): each lane runs whichever engine path
-//! the compiled config selects, and since both paths are bit-identical,
-//! the lockstep contract is toggle-invariant — the two accelerations
-//! multiply (kernels speed each lane; the fleet amortizes shared
-//! artifacts across lanes) rather than interact.
+//! Every lane runs the engine's one cycle body, so the fleet composes
+//! with the word-parallel sweeps: they speed each lane, the fleet
+//! amortizes the shared compiled artifacts across lanes.
 
 use crate::engine::EngineState;
 

@@ -156,47 +156,6 @@ proptest! {
         prop_assert_eq!(report.deliveries.unwrap().len(), n_msgs);
         prop_assert_eq!(report.in_flight_at_end, 0);
     }
-
-    // The word-parallel kernels fold the per-epoch dead-lane masks into
-    // their eligibility words; under an arbitrary transient fault they
-    // must stay bit-identical to the scalar path (toggle forced in the
-    // config, independent of the environment default).
-    #[test]
-    fn word_kernel_toggle_is_bitwise_identical_under_faults(
-        choice in prop_oneof![
-            Just(NetChoice::Tmin), Just(NetChoice::Dmin),
-            Just(NetChoice::Vmin), Just(NetChoice::Bmin),
-        ],
-        victim_idx in 0usize..1000,
-        start in 0u64..2000,
-        len in 1u64..3000,
-        load in 0.1f64..0.5,
-        seed in 0u64..1000,
-    ) {
-        let g = Geometry::new(4, 2);
-        let cfg = EngineConfig { warmup: 200, measure: 2_000, ..EngineConfig::default() };
-        let net = compiled(choice, g, cfg);
-        let pool = inter_stage_channels(net.network());
-        let victim = pool[victim_idx % pool.len()];
-        let plan = FaultPlan::new()
-            .with(Fault::transient(FaultTarget::Channel(victim), start, start + len));
-        let faults = net.compile_faults(&plan).unwrap();
-        let wl = uniform_workload(g, load);
-        let mut st = EngineState::new();
-        let on = net
-            .with_word_kernels(true)
-            .run_poisson_faulted(&wl, Some(&faults), seed, &mut st)
-            .unwrap();
-        let off = net
-            .with_word_kernels(false)
-            .run_poisson_faulted(&wl, Some(&faults), seed, &mut st)
-            .unwrap();
-        prop_assert!(
-            on.bitwise_eq(&off),
-            "{choice:?} victim {victim} window [{start}, {}): kernels diverge under faults",
-            start + len
-        );
-    }
 }
 
 /// Property 2, TMIN half: unique paths mean a dead inter-stage link

@@ -152,78 +152,3 @@ proptest! {
         }
     }
 }
-
-// ---- word-kernel / scalar differential twins ------------------------
-//
-// The word-parallel allocate/transmit kernels must be pure
-// acceleration: for arbitrary network shapes, VC counts, buffer
-// depths, loads, and seeds, a run with the kernels forced on is
-// bit-identical to the same run with them forced off (the scalar
-// oracle). The toggle is forced in the config so the properties hold
-// regardless of the `MINNET_WORD_KERNELS` environment default.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn word_kernels_match_scalar_poisson(
-        choice in net_choice(),
-        g in geometry(),
-        depth in 1u16..4,
-        load in 0.05f64..0.6,
-        seed in 0u64..1000,
-    ) {
-        use minnet_sim::{CompiledNet, EngineState};
-        use minnet_traffic::{Workload, WorkloadSpec};
-        let (net, vcs) = build(choice, g);
-        let cfg = EngineConfig {
-            vcs,
-            buffer_depth: depth,
-            warmup: 100,
-            measure: 1_500,
-            ..EngineConfig::default()
-        };
-        let compiled = CompiledNet::new(std::sync::Arc::new(net), cfg).unwrap();
-        let wl = Workload::compile(g, &WorkloadSpec::global_uniform(load)).unwrap();
-        let mut st = EngineState::new();
-        let on = compiled.with_word_kernels(true).run_poisson(&wl, seed, &mut st).unwrap();
-        let off = compiled.with_word_kernels(false).run_poisson(&wl, seed, &mut st).unwrap();
-        prop_assert!(on.bitwise_eq(&off), "{choice:?} depth {depth} load {load}: kernels diverge from scalar\n  on:  {on:?}\n  off: {off:?}");
-    }
-
-    #[test]
-    fn word_kernels_match_scalar_scripted(
-        choice in net_choice(),
-        g in geometry(),
-        depth in 1u16..4,
-        raw in proptest::collection::vec((0u64..200, 0u32..64, 0u32..64, 1u32..96), 1..24),
-        seed in 0u64..1000,
-    ) {
-        use minnet_sim::{engine::Script, CompiledNet, EngineState};
-        let (net, vcs) = build(choice, g);
-        let n = g.nodes();
-        let msgs: Vec<ScriptedMsg> = raw
-            .iter()
-            .map(|&(time, s, d, len)| {
-                let src = s % n;
-                let mut dst = d % n;
-                if dst == src {
-                    dst = (dst + 1) % n;
-                }
-                ScriptedMsg { time, src, dst, len }
-            })
-            .collect();
-        let script = Script::compile(g, &msgs).unwrap();
-        let cfg = EngineConfig {
-            vcs,
-            buffer_depth: depth,
-            warmup: 0,
-            measure: 1_000_000,
-            ..EngineConfig::default()
-        };
-        let compiled = CompiledNet::new(std::sync::Arc::new(net), cfg).unwrap();
-        let mut st = EngineState::new();
-        let on = compiled.with_word_kernels(true).run_script(&script, seed, &mut st).unwrap();
-        let off = compiled.with_word_kernels(false).run_script(&script, seed, &mut st).unwrap();
-        prop_assert!(on.bitwise_eq(&off), "{choice:?} depth {depth}: kernels diverge from scalar on script\n  on:  {on:?}\n  off: {off:?}");
-    }
-}

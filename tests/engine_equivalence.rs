@@ -40,6 +40,14 @@ fn cfg_for(spec: &NetworkSpec, seed: u64) -> EngineConfig {
     }
 }
 
+/// `(vcs, buffer_depth)` pairs each differential runs per network: the
+/// network's own lane count at the paper's one-flit buffers and at
+/// depth 3, then three lane counts that are not a power of two, so a
+/// channel's lanes occupy a padded plane group in the engine's masks.
+fn lanes_and_depths(spec: &NetworkSpec) -> [(u8, u16); 5] {
+    [(spec.vcs(), 1), (spec.vcs(), 3), (3, 1), (5, 2), (6, 1)]
+}
+
 fn assert_identical(kind: &str, opt: &SimReport, refr: &SimReport) {
     assert!(
         opt.bitwise_eq(refr),
@@ -56,15 +64,19 @@ fn poisson_reports_are_bit_identical() {
     for spec in NetworkSpec::paper_lineup() {
         let net = Arc::new(spec.build(g));
         let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.35)).unwrap();
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg_for(&spec, 0)).unwrap();
-        for seed in SEEDS {
-            let cfg = cfg_for(&spec, seed);
-            let opt = run_simulation(&net, &wl, &cfg).unwrap();
-            let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
-            assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
-            let fast = compiled.run_poisson(&wl, seed, &mut st).unwrap();
-            assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
-            assert!(opt.delivered_packets > 0, "{}: nothing simulated", spec.name());
+        for (vcs, buffer_depth) in lanes_and_depths(&spec) {
+            let base = EngineConfig { vcs, buffer_depth, ..cfg_for(&spec, 0) };
+            let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
+            for seed in SEEDS {
+                let cfg = EngineConfig { seed, ..base.clone() };
+                let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
+                let opt = run_simulation(&net, &wl, &cfg).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+                assert_identical(&what, &opt, &refr);
+                let fast = compiled.run_poisson(&wl, seed, &mut st).unwrap();
+                assert_identical(&format!("{what} compiled"), &fast, &refr);
+                assert!(opt.delivered_packets > 0, "{what}: nothing simulated");
+            }
         }
     }
 }
@@ -100,25 +112,29 @@ fn scripted_reports_are_bit_identical() {
     let mut st = EngineState::new();
     for spec in NetworkSpec::paper_lineup() {
         let net = Arc::new(spec.build(g));
-        let mut base = cfg_for(&spec, 0);
-        base.warmup = 0;
-        base.measure = 1_000_000;
-        base.collect_trace = true;
-        let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
         let once = Script::compile(g, &script(g)).unwrap(); // validated once
-        for seed in SEEDS {
-            let cfg = EngineConfig { seed, ..base.clone() };
-            let opt = run_scripted(&net, &script(g), &cfg).unwrap();
-            let refr = reference::run_scripted(&net, &script(g), &cfg).unwrap();
-            assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
-            let fast = compiled.run_script(&once, seed, &mut st).unwrap();
-            assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
-            assert_eq!(
-                opt.delivered_packets as usize,
-                script(g).len(),
-                "{}: script must drain",
-                spec.name()
-            );
+        for (vcs, buffer_depth) in lanes_and_depths(&spec) {
+            let mut base = cfg_for(&spec, 0);
+            base.vcs = vcs;
+            base.buffer_depth = buffer_depth;
+            base.warmup = 0;
+            base.measure = 1_000_000;
+            base.collect_trace = true;
+            let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
+            for seed in SEEDS {
+                let cfg = EngineConfig { seed, ..base.clone() };
+                let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
+                let opt = run_scripted(&net, &script(g), &cfg).unwrap();
+                let refr = reference::run_scripted(&net, &script(g), &cfg).unwrap();
+                assert_identical(&what, &opt, &refr);
+                let fast = compiled.run_script(&once, seed, &mut st).unwrap();
+                assert_identical(&format!("{what} compiled"), &fast, &refr);
+                assert_eq!(
+                    opt.delivered_packets as usize,
+                    script(g).len(),
+                    "{what}: script must drain"
+                );
+            }
         }
     }
 }
@@ -197,94 +213,13 @@ fn build_order_transmit_is_bit_identical() {
     let spec = NetworkSpec::tmin();
     let net = spec.build(g);
     let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.4)).unwrap();
-    let mut cfg = cfg_for(&spec, SEEDS[0]);
-    cfg.transmit_order = minnet_sim::TransmitOrder::BuildOrder;
-    let opt = run_simulation(&net, &wl, &cfg).unwrap();
-    let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
-    assert_identical("TMIN build-order", &opt, &refr);
-}
-
-/// The word-parallel kernels are pure acceleration: with the toggle
-/// forced **on** and forced **off** in the config (independent of the
-/// `MINNET_WORD_KERNELS` environment default), Poisson and scripted
-/// reports must be bit-identical across all four networks and three
-/// seeds — the off path is the scalar oracle the kernels are audited
-/// against, so any divergence in request order, RNG draw count, or
-/// accumulator sequencing lands here. Saturating load (0.55) keeps the
-/// occupancy masks dense so the batched transmit paths actually run.
-#[test]
-fn word_kernel_toggle_is_bit_identical() {
-    let g = Geometry::new(4, 3);
-    let mut st = EngineState::new();
-    for spec in NetworkSpec::paper_lineup() {
-        let net = Arc::new(spec.build(g));
-        let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.55)).unwrap();
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg_for(&spec, 0)).unwrap();
-        let on = compiled.with_word_kernels(true);
-        let off = compiled.with_word_kernels(false);
-        for seed in SEEDS {
-            let a = on.run_poisson(&wl, seed, &mut st).unwrap();
-            let b = off.run_poisson(&wl, seed, &mut st).unwrap();
-            assert_identical(
-                &format!("{} seed {seed:#x} kernels on/off", spec.name()),
-                &a,
-                &b,
-            );
-            assert!(a.delivered_packets > 0, "{}: nothing simulated", spec.name());
-        }
-
-        let mut base = cfg_for(&spec, 0);
-        base.warmup = 0;
-        base.measure = 1_000_000;
-        base.collect_trace = true;
-        let scripted = CompiledNet::new(Arc::clone(&net), base).unwrap();
-        let once = Script::compile(g, &script(g)).unwrap();
-        for seed in SEEDS {
-            let a = scripted
-                .with_word_kernels(true)
-                .run_script(&once, seed, &mut st)
-                .unwrap();
-            let b = scripted
-                .with_word_kernels(false)
-                .run_script(&once, seed, &mut st)
-                .unwrap();
-            assert_identical(
-                &format!("{} seed {seed:#x} scripted kernels on/off", spec.name()),
-                &a,
-                &b,
-            );
-        }
-    }
-}
-
-/// The toggle must also be invisible under the build-order transmit
-/// ablation, which exercises the kernels' re-read (non-patching)
-/// fallback loops instead of the reverse-topological patch loops.
-#[test]
-fn word_kernel_toggle_is_bit_identical_in_build_order() {
-    let g = Geometry::new(4, 3);
-    let mut st = EngineState::new();
-    for spec in NetworkSpec::paper_lineup() {
-        let net = Arc::new(spec.build(g));
-        let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.5)).unwrap();
-        let mut cfg = cfg_for(&spec, 0);
+    for vcs in [1, 3] {
+        let mut cfg = cfg_for(&spec, SEEDS[0]);
+        cfg.vcs = vcs;
         cfg.transmit_order = minnet_sim::TransmitOrder::BuildOrder;
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        for seed in SEEDS {
-            let a = compiled
-                .with_word_kernels(true)
-                .run_poisson(&wl, seed, &mut st)
-                .unwrap();
-            let b = compiled
-                .with_word_kernels(false)
-                .run_poisson(&wl, seed, &mut st)
-                .unwrap();
-            assert_identical(
-                &format!("{} seed {seed:#x} build-order kernels on/off", spec.name()),
-                &a,
-                &b,
-            );
-        }
+        let opt = run_simulation(&net, &wl, &cfg).unwrap();
+        let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+        assert_identical(&format!("cube wiring vcs {vcs} build-order"), &opt, &refr);
     }
 }
 

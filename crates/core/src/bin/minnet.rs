@@ -14,9 +14,9 @@ use minnet::routing::{dependency_graph, find_cycle, DependencyRule};
 use minnet::partition::UnidirPartitionAnalysis;
 use minnet::traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use minnet::{
-    campaign_curve, campaign_saturation_load, curve_csv, curve_table, find_saturation,
-    outcome_counts, CampaignPolicy, Experiment, JobSpec, NetworkSpec, PointOutcome, Response,
-    ServiceClient, SweepPoint,
+    campaign_curve, curve_csv, curve_table, find_saturation, outcome_counts, saturation_load,
+    CampaignPolicy, Experiment, JobSpec, NetworkSpec, PointOutcome, Response, ServiceClient,
+    SweepPoint,
 };
 use minnet_topology::{BitCube, Geometry, UnidirKind};
 use std::collections::BTreeMap;
@@ -408,11 +408,10 @@ fn cmd_sweep(a: &Args) {
     }
     let (ok, partial, failed) = outcome_counts(points.iter().map(|p| &p.outcome));
     println!("outcomes: {ok} ok, {partial} partial, {failed} failed");
-    if let Some(sat) = campaign_saturation_load(&points) {
-        let report = sat.outcome.ok_report().expect("saturation point is Ok");
+    if let Some(sat) = saturation_load(&completed) {
         println!(
             "max sustainable throughput: {:.1}% (offered {:.0}%)",
-            report.throughput_percent(),
+            sat.report.throughput_percent(),
             sat.offered * 100.0
         );
     }

@@ -1,21 +1,25 @@
-//! Resilient experiment campaigns: per-point failure isolation, run
-//! budgets, and durable checkpoint/resume.
+//! The experiment runner: every curve, scenario and daemon job is a
+//! *plan* run by one worker pool, one attempt ladder and one checkpoint.
 //!
-//! The sweep layer in [`crate::sweep`] treats a campaign as all-or-
-//! nothing: one failing `(point, replication)` task turns the whole
-//! curve into an `Err`, and a killed process loses every completed
-//! point. That is the wrong contract for the paper's long §5 campaigns
-//! (curves per network × pattern × size). This module keeps the same
-//! deterministic task grid and per-task seeding but changes what a
-//! failure *means*:
+//! Every §5 figure is the same shape — one network × workload evaluated
+//! over a grid of loads, replications or fault counts — and a long
+//! campaign of them must survive a bad point and a killed process. A
+//! plan is a checkpoint kind, an identity-v1 hash, a task count and a
+//! per-task closure; `run_plan` is the only code that executes one.
+//! [`campaign_curve`], [`campaign_replicated_curve`] and
+//! [`campaign_degradation_curve`] (and, from their own modules,
+//! `Scenario::run` and `service::run_job`) each build the plan, supply
+//! the closure and fold the outcomes. The strict surface in
+//! [`crate::sweep`] is the same call under the default policy with the
+//! outcomes collapsed, not a second path.
 //!
-//! * **Per-point isolation.** Every task runs under
+//! * **Per-point isolation.** Every attempt runs under
 //!   [`std::panic::catch_unwind`] in its worker thread; a panic, a
 //!   watchdog trip, or any other typed engine error downgrades to a
 //!   per-point [`PointOutcome::Failed`] (optionally retried on a
 //!   derived seed), while a [`minnet_sim::SimError::BudgetExceeded`]
 //!   cut becomes [`PointOutcome::Partial`] carrying the truncated —
-//!   but valid — report. The campaign always returns a complete curve
+//!   but valid — report. A campaign always returns a complete curve
 //!   annotated per point; it only `Err`s on configuration or I/O
 //!   problems that no retry can fix.
 //!
@@ -26,9 +30,7 @@
 //!
 //! * **Poison-proof collection.** Results travel over an mpsc channel
 //!   to the scope-owning thread instead of per-task `Mutex` slots, so
-//!   there is no lock to poison: the old
-//!   `.expect("sweep worker panicked")` abort path is gone (the legacy
-//!   sweep functions now route through this runner too).
+//!   there is no lock to poison.
 //!
 //! * **Durable checkpointing.** With [`CampaignPolicy::checkpoint`]
 //!   set, every finished task is appended — `write`+`flush`, one JSON
@@ -49,7 +51,7 @@
 //! meaningless); a budget cut is `Partial` (the numbers are a valid
 //! truncated sample).
 
-use crate::experiment::{CompiledExperiment, Experiment};
+use crate::experiment::Experiment;
 use crate::lockfile::LockFile;
 use crate::sweep::{
     aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
@@ -211,12 +213,19 @@ pub fn outcome_counts<'a>(
 /// The seed for retry `attempt` of a task originally seeded `seed`:
 /// attempt 0 is the original draw; later attempts decorrelate via
 /// SplitMix64 so a seed-dependent failure is not simply replayed.
-pub(crate) fn retry_seed(seed: u64, attempt: u32) -> u64 {
+fn retry_seed(seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         seed
     } else {
         mix(seed, 0x5245_7452 + u64::from(attempt))
     }
+}
+
+/// The seed every plan gives attempt `attempt` of task `task`: the grid
+/// seed `mix(base, task + 1)` — independent of schedule, thread count
+/// and resume — pushed through [`retry_seed`].
+pub(crate) fn task_seed(base: u64, task: usize, attempt: u32) -> u64 {
+    retry_seed(mix(base, task as u64 + 1), attempt)
 }
 
 /// Extract a human-readable message from a caught panic payload.
@@ -230,299 +239,140 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The resilient task runner every campaign (and the legacy sweep
-/// functions) sits on. `results` arrives pre-filled with checkpointed
-/// outcomes (`Some`) and holes to run (`None`); workers claim holes
-/// from a shared cursor, run `run(task, attempt, state)` under
-/// `catch_unwind`, and send `(task, outcome, attempts)` over a channel
-/// to the scope-owning thread, which appends to the checkpoint via
-/// `on_complete`. Per-task seeding keeps the *values* independent of
-/// scheduling; only `Err`s on checkpoint I/O failure.
-pub(crate) fn run_outcomes(
-    threads: usize,
+/// The attempt ladder — the one place a run's result becomes a
+/// [`PointOutcome`]: `Ok` and budget cuts (`Partial`) end the ladder,
+/// an error or a panic spends one of the `retries` and reruns
+/// `run(task, attempt + 1, ..)`, and the last failure stands as
+/// `Failed`. `spent` is an attempt 0 somebody else already ran (a
+/// fleet lane's result); `None` starts by running attempt 0 here.
+/// Returns the outcome and the attempts it took.
+fn attempt_ladder(
+    task: usize,
+    mut spent: Option<Result<SimReport, SimError>>,
     retries: u32,
-    mut results: Vec<Option<(PointOutcome, u32)>>,
-    mut on_complete: impl FnMut(usize, u32, &PointOutcome) -> Result<(), String>,
-    run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
-) -> Result<Vec<(PointOutcome, u32)>, String> {
-    let pending: Vec<usize> = (0..results.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
-    if !pending.is_empty() {
-        let threads = threads.max(1).min(pending.len());
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, PointOutcome, u32)>();
-        let mut io_err: Option<String> = None;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let pending = &pending;
-                let run = &run;
-                scope.spawn(move || {
-                    let mut st = EngineState::new();
-                    loop {
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = pending.get(slot) else { break };
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            let res =
-                                catch_unwind(AssertUnwindSafe(|| run(i, attempt, &mut st)));
-                            let reason = match res {
-                                Ok(Ok(report)) => break PointOutcome::Ok(report),
-                                Ok(Err(SimError::BudgetExceeded(partial))) => {
-                                    let reason = partial.to_string();
-                                    break PointOutcome::Partial {
-                                        report: partial.report,
-                                        reason,
-                                    };
-                                }
-                                Ok(Err(e)) => e.to_string(),
-                                Err(payload) => {
-                                    // The state witnessed a panic mid-run;
-                                    // never reuse it.
-                                    st = EngineState::new();
-                                    panic_reason(payload)
-                                }
-                            };
-                            if attempt < retries {
-                                attempt += 1;
-                                continue;
-                            }
-                            break PointOutcome::Failed { reason };
-                        };
-                        if tx.send((i, outcome, attempt + 1)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Collect on the scope-owning thread while workers run: no
-            // shared slots, nothing to poison. On a checkpoint write
-            // error keep draining (workers must finish) but remember
-            // the first failure.
-            for (i, outcome, attempts) in rx {
-                if io_err.is_none() {
-                    if let Err(e) = on_complete(i, attempts, &outcome) {
-                        io_err = Some(e);
-                    }
-                }
-                results[i] = Some((outcome, attempts));
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(format!("checkpoint write failed: {e}"));
-        }
-    }
-    Ok(results
-        .into_iter()
-        .map(|slot| slot.expect("runner fills every task slot"))
-        .collect())
-}
-
-/// Re-run one `(point, replication)` task through the scalar path with
-/// [`run_outcomes`]-identical retry semantics. `spent_reason` carries
-/// the failure of an attempt already spent by the lockstep fleet (the
-/// fleet is attempt 0); `None` starts from attempt 0 — used after a
-/// fleet panic, where rerunning an innocent lane's attempt 0 scalar
-/// reproduces the fleet's bit-identical report.
-fn scalar_attempts(
-    compiled: &CompiledExperiment,
-    load: f64,
-    seed: u64,
-    spent_reason: Option<String>,
-    retries: u32,
+    run: &impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError>,
     st: &mut EngineState,
 ) -> (PointOutcome, u32) {
     let mut attempt = 0u32;
-    if let Some(reason) = spent_reason {
-        // The fleet already spent attempt 0 on this lane's grid seed;
-        // its failure reason stands if there are no retries to spend.
-        if retries == 0 {
-            return (PointOutcome::Failed { reason }, 1);
-        }
-        attempt = 1;
-    }
     loop {
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            compiled.run_typed(load, retry_seed(seed, attempt), st)
-        }));
+        let res = match spent.take() {
+            Some(res) => Ok(res),
+            None => catch_unwind(AssertUnwindSafe(|| run(task, attempt, st))),
+        };
         let reason = match res {
             Ok(Ok(report)) => return (PointOutcome::Ok(report), attempt + 1),
             Ok(Err(SimError::BudgetExceeded(partial))) => {
                 let reason = partial.to_string();
-                return (
-                    PointOutcome::Partial {
-                        report: partial.report,
-                        reason,
-                    },
-                    attempt + 1,
-                );
+                let report = partial.report;
+                return (PointOutcome::Partial { report, reason }, attempt + 1);
             }
             Ok(Err(e)) => e.to_string(),
             Err(payload) => {
+                // The state witnessed a panic mid-run; never reuse it.
                 *st = EngineState::new();
                 panic_reason(payload)
             }
         };
-        if attempt < retries {
-            attempt += 1;
-            continue;
+        if attempt == retries {
+            return (PointOutcome::Failed { reason }, attempt + 1);
         }
-        return (PointOutcome::Failed { reason }, attempt + 1);
+        attempt += 1;
     }
 }
 
-/// The lockstep variant of [`run_outcomes`] for the replicated-curve
-/// task grid: the unit of parallelism is a *load point*, whose missing
-/// replications run as one lockstep fleet on the worker's own
-/// [`LockstepState`] (see `CompiledNet::run_poisson_lockstep`). Task
-/// `(i, r)` keeps the grid seed `mix(base, i·R + r + 1)`, so every `Ok`
-/// lane is bit-identical to the scalar grid's — including resumed
-/// campaigns, where a point's fleet covers only its checkpoint holes
-/// (lanes are independent, so a partial fleet changes nothing).
+/// A plan's optional per-point prologue: given the still-missing tasks
+/// of one point, a lane-thread allowance and the worker's
+/// [`LockstepState`], run them together — one result per task, in
+/// order — as attempt 0 on their grid seeds.
+pub(crate) type FleetRun<'a> =
+    &'a (dyn Fn(&[usize], usize, &mut LockstepState) -> Vec<Result<SimReport, SimError>> + Sync);
+
+/// The experiment runner: every curve, scenario and daemon job is a
+/// *plan* — `tasks` independent runs identified by checkpoint `kind`
+/// and identity-v1 `hash` — lowered onto this one function. It opens
+/// (or resumes) the policy's checkpoint, fans the tasks that are not in
+/// it out over `threads` scoped workers claiming from a shared cursor,
+/// pushes every result through [`attempt_ladder`], and collects
+/// `(task, outcome, attempts)` over an mpsc channel on the scope-owning
+/// thread, which alone appends to the checkpoint. Per-task seeding
+/// ([`task_seed`]) keeps the *values* independent of scheduling; the
+/// function only `Err`s on checkpoint refusal or I/O failure.
 ///
-/// Fall-backs to the scalar path, per lane: a lane that fails in the
-/// fleet retries scalar under [`retry_seed`]; a fleet panic reruns all
-/// of the point's missing lanes scalar from attempt 0 (innocent lanes
-/// reproduce their fleet report bit-identically, the guilty lane
-/// deterministically re-fails and spends its retries). Budget-armed
-/// configurations never reach this runner — the campaign dispatches to
-/// [`run_outcomes`] instead, because per-run budget accounting cannot
-/// be reproduced under a shared fleet clock.
-pub(crate) fn run_replicated_outcomes_lockstep(
-    compiled: &CompiledExperiment,
-    loads: &[f64],
-    replications: usize,
+/// With `fleet = Some((lanes, prologue))` the unit of work widens from
+/// a task to a *point* — `lanes` consecutive tasks. A worker claims a
+/// point's missing tasks, lets the prologue run them as one lockstep
+/// fleet (attempt 0 of every lane) and hands each lane's result to the
+/// ladder; a lane that failed in the fleet thus retries scalar from
+/// attempt 1. A prologue panic discards the worker's `LockstepState`
+/// and sends every missing lane down the ladder from attempt 0, where
+/// innocent lanes reproduce their fleet report bit-identically and the
+/// guilty one re-fails and spends its retries. Workers go to points
+/// first; threads left over (`threads / points`) go to each fleet as
+/// lane-block threads, so total concurrency stays within the request.
+pub(crate) fn run_plan(
+    kind: &str,
+    hash: u64,
+    tasks: usize,
     threads: usize,
-    retries: u32,
-    mut results: Vec<Option<(PointOutcome, u32)>>,
-    mut on_complete: impl FnMut(usize, u32, &PointOutcome) -> Result<(), String>,
+    policy: &CampaignPolicy,
+    run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
+    fleet: Option<(usize, FleetRun<'_>)>,
 ) -> Result<Vec<(PointOutcome, u32)>, String> {
-    debug_assert_eq!(results.len(), loads.len() * replications);
-    let base = compiled.base_seed();
-    // Pending points and, per point, the replication lanes still to run
-    // (checkpoint holes).
-    let pending: Vec<(usize, Vec<usize>)> = (0..loads.len())
-        .filter_map(|i| {
-            let lanes: Vec<usize> = (0..replications)
-                .filter(|r| results[i * replications + r].is_none())
-                .collect();
-            (!lanes.is_empty()).then_some((i, lanes))
+    let mut ckpt = Checkpoint::open(policy, kind, hash, tasks)?;
+    let mut results = ckpt.preloaded(tasks);
+    let width = fleet.map_or(1, |(lanes, _)| lanes);
+    let pending: Vec<Vec<usize>> = (0..tasks)
+        .step_by(width)
+        .map(|first| {
+            (first..first + width)
+                .filter(|&t| results[t].is_none())
+                .collect::<Vec<usize>>()
         })
+        .filter(|unit| !unit.is_empty())
         .collect();
     if !pending.is_empty() {
-        let requested = threads.max(1);
-        let threads = requested.min(pending.len());
-        // Worker-pool parallelism goes to points first; whatever is
-        // left over (a single-point campaign on a multi-thread budget)
-        // goes to each point's fleet as lane-block threads. Lane
-        // chunking is outside the determinism boundary, so this only
-        // moves wall time; total concurrency stays ≤ the request.
-        let fleet_threads = (requested / pending.len().max(1)).max(1);
+        let threads = threads.max(1);
+        let fleet_threads = (threads / pending.len()).max(1);
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, PointOutcome, u32)>();
         let mut io_err: Option<String> = None;
         std::thread::scope(|scope| {
-            for _ in 0..threads {
+            for _ in 0..threads.min(pending.len()) {
                 let tx = tx.clone();
-                let cursor = &cursor;
-                let pending = &pending;
+                let (cursor, pending, run) = (&cursor, &pending, &run);
                 scope.spawn(move || {
-                    let mut ls = LockstepState::new();
                     let mut st = EngineState::new();
-                    'points: loop {
+                    let mut ls = LockstepState::new();
+                    'units: loop {
                         let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((i, lanes)) = pending.get(slot) else { break };
-                        let i = *i;
-                        let seeds: Vec<u64> = lanes
-                            .iter()
-                            .map(|&r| mix(base, (i * replications + r) as u64 + 1))
-                            .collect();
-                        let workload = match compiled.template().workload_at(loads[i]) {
-                            Ok(w) => w,
-                            Err(e) => {
-                                // A per-load configuration error fails every
-                                // lane of the point identically, after the
-                                // same (futile) retries the scalar grid
-                                // would spend.
-                                let reason = SimError::Config(e).to_string();
-                                for &r in lanes {
-                                    let t = i * replications + r;
-                                    let outcome = PointOutcome::Failed {
-                                        reason: reason.clone(),
-                                    };
-                                    if tx.send((t, outcome, retries + 1)).is_err() {
-                                        break 'points;
-                                    }
-                                }
-                                continue;
+                        let Some(unit) = pending.get(slot) else { break };
+                        let mut spent = Vec::new();
+                        if let Some((_, prologue)) = fleet {
+                            let ran = AssertUnwindSafe(|| prologue(unit, fleet_threads, &mut ls));
+                            match catch_unwind(ran) {
+                                Ok(lanes) => spent = lanes,
+                                // The pool may hold half-mutated states.
+                                Err(_) => ls = LockstepState::new(),
                             }
-                        };
-                        let fleet = catch_unwind(AssertUnwindSafe(|| {
-                            compiled.network().run_poisson_lockstep(
-                                &workload,
-                                &seeds,
-                                fleet_threads,
-                                &mut ls,
-                            )
-                        }));
-                        let mut per_lane: Vec<Option<Result<SimReport, SimError>>> = match fleet
-                        {
-                            Ok(v) => v.into_iter().map(Some).collect(),
-                            Err(_payload) => {
-                                // A lane panicked mid-fleet; the pool may
-                                // hold half-mutated states. Discard it and
-                                // rerun every missing lane scalar.
-                                ls = LockstepState::new();
-                                lanes.iter().map(|_| None).collect()
-                            }
-                        };
-                        for (k, &r) in lanes.iter().enumerate() {
-                            let t = i * replications + r;
-                            let (outcome, attempts) = match per_lane[k].take() {
-                                Some(Ok(report)) => (PointOutcome::Ok(report), 1),
-                                Some(Err(SimError::BudgetExceeded(partial))) => {
-                                    let reason = partial.to_string();
-                                    (
-                                        PointOutcome::Partial {
-                                            report: partial.report,
-                                            reason,
-                                        },
-                                        1,
-                                    )
-                                }
-                                Some(Err(e)) => scalar_attempts(
-                                    compiled,
-                                    loads[i],
-                                    seeds[k],
-                                    Some(e.to_string()),
-                                    retries,
-                                    &mut st,
-                                ),
-                                None => scalar_attempts(
-                                    compiled,
-                                    loads[i],
-                                    seeds[k],
-                                    None,
-                                    retries,
-                                    &mut st,
-                                ),
-                            };
+                        }
+                        let mut spent = spent.into_iter();
+                        for &t in unit {
+                            let (outcome, attempts) =
+                                attempt_ladder(t, spent.next(), policy.retries, run, &mut st);
                             if tx.send((t, outcome, attempts)).is_err() {
-                                break 'points;
+                                break 'units;
                             }
                         }
                     }
                 });
             }
             drop(tx);
+            // Collect while workers run: no shared slots, nothing to
+            // poison. On a checkpoint write error keep draining
+            // (workers must finish) but remember the first failure.
             for (t, outcome, attempts) in rx {
                 if io_err.is_none() {
-                    if let Err(e) = on_complete(t, attempts, &outcome) {
-                        io_err = Some(e);
-                    }
+                    io_err = ckpt.append(t, attempts, &outcome).err();
                 }
                 results[t] = Some((outcome, attempts));
             }
@@ -537,13 +387,37 @@ pub(crate) fn run_replicated_outcomes_lockstep(
         .collect())
 }
 
+/// Fold a replicated grid's task-ordered results into one annotated
+/// point per key: `lanes` consecutive results each, split into outcomes
+/// and attempts, plus the reports of the `Ok` lanes (`None` when no
+/// lane completed) for the caller's aggregate.
+fn fold_points<K: Copy, P>(
+    keys: &[K],
+    lanes: usize,
+    results: Vec<(PointOutcome, u32)>,
+    point: impl Fn(K, Vec<PointOutcome>, Vec<u32>, Option<Vec<SimReport>>) -> P,
+) -> Vec<P> {
+    let mut results = results.into_iter();
+    keys.iter()
+        .map(|&key| {
+            let (outcomes, attempts): (Vec<PointOutcome>, Vec<u32>) =
+                results.by_ref().take(lanes).unzip();
+            let ok: Vec<SimReport> = outcomes
+                .iter()
+                .filter_map(|o| o.ok_report().cloned())
+                .collect();
+            point(key, outcomes, attempts, (!ok.is_empty()).then_some(ok))
+        })
+        .collect()
+}
+
 // ---- campaigns -------------------------------------------------------
 
-/// [`crate::latency_throughput_curve`] with campaign semantics: one
-/// task per load, per-point outcomes, optional retries and
-/// checkpointing. Task seeds are exactly the plain sweep's
-/// (`mix(base, i + 1)`), so every `Ok` report is bit-identical to the
-/// corresponding [`crate::SweepPoint`].
+/// One task per load, per-point outcomes, optional retries and
+/// checkpointing. Task `i` runs on `mix(base, i + 1)`, so every `Ok`
+/// report is bit-identical to [`Experiment::run_seeded`] at that seed;
+/// [`crate::latency_throughput_curve`] is this function under the
+/// default policy, collapsed to the strict surface.
 ///
 /// # Errors
 ///
@@ -561,16 +435,14 @@ pub fn campaign_curve(
     }
     let compiled = exp.compile()?;
     let base = compiled.base_seed();
-    let hash = config_hash("curve", exp, &format!("{loads:?}"), policy.retries);
-    let mut ckpt = Checkpoint::open(policy, "curve", hash, loads.len())?;
-    let results = run_outcomes(
+    let results = run_plan(
+        "curve",
+        config_hash("curve", exp, &format!("{loads:?}"), policy.retries),
+        loads.len(),
         threads,
-        policy.retries,
-        ckpt.preloaded(loads.len()),
-        |i, attempts, outcome| ckpt.append(i, attempts, outcome),
-        |i, attempt, st| {
-            compiled.run_typed(loads[i], retry_seed(mix(base, i as u64 + 1), attempt), st)
-        },
+        policy,
+        |i, attempt, st| compiled.run_typed(loads[i], task_seed(base, i, attempt), st),
+        None,
     )?;
     Ok(loads
         .iter()
@@ -583,10 +455,18 @@ pub fn campaign_curve(
         .collect())
 }
 
-/// [`crate::replicated_curve`] with campaign semantics over the whole
-/// `(point, replication)` grid. Task `(i, r)` keeps the plain sweep's
-/// seed `mix(base, i·R + r + 1)`, so `Ok` replications are
-/// bit-identical to the fragile path's.
+/// `replications` independent seeded runs per load over the whole
+/// `(point, replication)` grid. Task `(i, r)` runs on
+/// `mix(base, i·R + r + 1)` — for `R = 1` exactly the seeds (hence
+/// bit-exactly the reports) of [`campaign_curve`].
+///
+/// `R > 1` replications of a budget-free experiment run as lockstep
+/// fleets, one per load point (the `run_plan` prologue); budget-armed
+/// configurations keep the per-task grid, because per-run budget
+/// accounting cannot be reproduced under a shared fleet clock. Both use
+/// the same task seeds and lanes never exchange information, so the
+/// choice — and a resumed point's fleet covering only its checkpoint
+/// holes — never changes a bit of any `Ok` report.
 ///
 /// # Errors
 ///
@@ -606,64 +486,64 @@ pub fn campaign_replicated_curve(
     }
     let compiled = exp.compile()?;
     let base = compiled.base_seed();
-    let total = loads.len() * replications;
-    let hash = config_hash(
-        "replicated_curve",
-        exp,
-        &format!("{loads:?}/R{replications}"),
-        policy.retries,
-    );
-    let mut ckpt = Checkpoint::open(policy, "replicated_curve", hash, total)?;
-    // R > 1 replications of a budget-free experiment run as lockstep
-    // fleets (one per load point); budget-armed configurations keep the
-    // per-task scalar grid — see `run_replicated_outcomes_lockstep` for
-    // the fall-back ladder. Both paths use the same task seeds, so the
-    // choice never changes a single bit of any `Ok` report.
-    let results = if replications > 1 && compiled.network().lockstep_eligible() {
-        let preloaded = ckpt.preloaded(total);
-        run_replicated_outcomes_lockstep(
-            &compiled,
-            loads,
-            replications,
-            threads,
-            policy.retries,
-            preloaded,
-            |i, attempts, outcome| ckpt.append(i, attempts, outcome),
-        )?
-    } else {
-        run_outcomes(
-            threads,
-            policy.retries,
-            ckpt.preloaded(total),
-            |i, attempts, outcome| ckpt.append(i, attempts, outcome),
-            |t, attempt, st| {
-                let i = t / replications;
-                compiled.run_typed(loads[i], retry_seed(mix(base, t as u64 + 1), attempt), st)
-            },
-        )?
+    let fleet = |tasks: &[usize], fleet_threads: usize, ls: &mut LockstepState| {
+        // A per-load configuration error fails every lane alike; the
+        // ladder's scalar retries then re-derive it per lane.
+        let load = loads[tasks[0] / replications];
+        let workload = match compiled.template().workload_at(load) {
+            Ok(w) => w,
+            Err(e) => return vec![Err(SimError::Config(e)); tasks.len()],
+        };
+        let seeds: Vec<u64> = tasks.iter().map(|&t| task_seed(base, t, 0)).collect();
+        compiled
+            .network()
+            .run_poisson_lockstep(&workload, &seeds, fleet_threads, ls)
     };
-
-    let mut results = results.into_iter();
-    let mut out = Vec::with_capacity(loads.len());
-    for &offered in loads {
-        let chunk: Vec<(PointOutcome, u32)> = results.by_ref().take(replications).collect();
-        let attempts = chunk.iter().map(|(_, a)| *a).collect();
-        let outcomes: Vec<PointOutcome> = chunk.into_iter().map(|(o, _)| o).collect();
-        let ok: Vec<SimReport> = outcomes.iter().filter_map(|o| o.ok_report().cloned()).collect();
-        let ok_stats = (!ok.is_empty()).then(|| aggregate_replicated(offered, ok));
-        out.push(ReplicatedCampaignPoint {
+    let lockstep = replications > 1 && compiled.network().lockstep_eligible();
+    let results = run_plan(
+        "replicated_curve",
+        config_hash(
+            "replicated_curve",
+            exp,
+            &format!("{loads:?}/R{replications}"),
+            policy.retries,
+        ),
+        loads.len() * replications,
+        threads,
+        policy,
+        |t, attempt, st| {
+            compiled.run_typed(loads[t / replications], task_seed(base, t, attempt), st)
+        },
+        lockstep.then_some((replications, &fleet as FleetRun<'_>)),
+    )?;
+    Ok(fold_points(
+        loads,
+        replications,
+        results,
+        |offered, outcomes, attempts, ok| ReplicatedCampaignPoint {
             offered,
             outcomes,
             attempts,
-            ok_stats,
-        });
-    }
-    Ok(out)
+            ok_stats: ok.map(|reps| aggregate_replicated(offered, reps)),
+        },
+    ))
 }
 
-/// [`crate::degradation_curve`] with campaign semantics: per-
-/// `(fault count, replication)` outcomes, optional retries and
-/// checkpointing, same task seeds as the fragile path.
+/// One offered load under increasing numbers of randomly-killed
+/// inter-stage links — the graceful-degradation companion to the §5
+/// latency–throughput curves. For each entry of `fault_counts` a fault
+/// set is drawn seed-reproducibly
+/// ([`FaultPlan::random_inter_stage_links`], salted with the count, so
+/// a refined count list reuses the same fault sets), its masked routing
+/// table is compiled **once**, and `replications` runs fan out over the
+/// `(fault count, replication)` grid on the seeds of
+/// [`campaign_replicated_curve`] — a lone `fault_counts = [0]` entry
+/// reproduces that curve's reports at one load bit-exactly.
+///
+/// Networks with path diversity (BMIN, DMIN) route around dead links
+/// and keep delivering; single-path networks (TMIN, VMIN) report the
+/// disconnected traffic as `mean_undeliverable_packets` instead of
+/// stalling or panicking.
 ///
 /// # Errors
 ///
@@ -699,73 +579,41 @@ pub fn campaign_degradation_curve(
             compiled.network().compile_faults(&plan).map_err(String::from)
         })
         .collect::<Result<_, String>>()?;
-
-    let total = fault_counts.len() * replications;
-    let hash = config_hash(
+    let results = run_plan(
         "degradation_curve",
-        exp,
-        &format!("load{:016x}/{fault_counts:?}/R{replications}", offered_load.to_bits()),
-        policy.retries,
-    );
-    let mut ckpt = Checkpoint::open(policy, "degradation_curve", hash, total)?;
-    let results = run_outcomes(
+        config_hash(
+            "degradation_curve",
+            exp,
+            &format!(
+                "load{:016x}/{fault_counts:?}/R{replications}",
+                offered_load.to_bits()
+            ),
+            policy.retries,
+        ),
+        fault_counts.len() * replications,
         threads,
-        policy.retries,
-        ckpt.preloaded(total),
-        |i, attempts, outcome| ckpt.append(i, attempts, outcome),
+        policy,
         |t, attempt, st| {
-            let i = t / replications;
             compiled.network().run_poisson_faulted(
                 &workload,
-                Some(&faulted[i]),
-                retry_seed(mix(base, t as u64 + 1), attempt),
+                Some(&faulted[t / replications]),
+                task_seed(base, t, attempt),
                 st,
             )
         },
+        None,
     )?;
-
-    let mut results = results.into_iter();
-    let mut out = Vec::with_capacity(fault_counts.len());
-    for &fault_count in fault_counts {
-        let chunk: Vec<(PointOutcome, u32)> = results.by_ref().take(replications).collect();
-        let attempts = chunk.iter().map(|(_, a)| *a).collect();
-        let outcomes: Vec<PointOutcome> = chunk.into_iter().map(|(o, _)| o).collect();
-        let ok: Vec<SimReport> = outcomes.iter().filter_map(|o| o.ok_report().cloned()).collect();
-        let ok_stats = (!ok.is_empty()).then(|| aggregate_degradation(fault_count, ok));
-        out.push(DegradationCampaignPoint {
+    Ok(fold_points(
+        fault_counts,
+        replications,
+        results,
+        |fault_count, outcomes, attempts, ok| DegradationCampaignPoint {
             fault_count,
             outcomes,
             attempts,
-            ok_stats,
-        });
-    }
-    Ok(out)
-}
-
-/// The largest sustainable accepted throughput on a campaign curve —
-/// [`crate::saturation_load`] with outcome awareness: only fully
-/// completed (`Ok`) points qualify. A `Partial` point's report is a
-/// valid truncated sample but its sustainability verdict is not a
-/// completed run's — and a budget cut is itself evidence the point sits
-/// past the knee — so budget-truncated points can never be crowned the
-/// sustainable maximum.
-pub fn campaign_saturation_load(points: &[CampaignPoint]) -> Option<&CampaignPoint> {
-    points
-        .iter()
-        .filter(|p| {
-            p.outcome
-                .ok_report()
-                .is_some_and(|r| r.sustainable && r.steady)
-        })
-        .max_by(|a, b| {
-            let t = |p: &CampaignPoint| {
-                p.outcome
-                    .ok_report()
-                    .map(|r| r.accepted_flits_per_node_cycle)
-                    .unwrap_or(f64::NEG_INFINITY)
-            };
-            t(a).total_cmp(&t(b))
-        })
+            ok_stats: ok.map(|reps| aggregate_degradation(fault_count, reps)),
+        },
+    ))
 }
 
 // ---- configuration hash ----------------------------------------------
@@ -796,7 +644,7 @@ const CKPT_VERSION: u64 = 1;
 /// [`LockFile`] guarding its path — the JSONL appender assumes a
 /// single writer, and the lock turns a misconfigured second process
 /// into a fast, explicit error instead of interleaved lines.
-pub(crate) struct Checkpoint {
+struct Checkpoint {
     file: Option<std::fs::File>,
     loaded: BTreeMap<usize, (PointOutcome, u32)>,
     _lock: Option<LockFile>,
@@ -805,7 +653,7 @@ pub(crate) struct Checkpoint {
 impl Checkpoint {
     /// Open (or create) the policy's checkpoint for a campaign of
     /// `total` tasks, validating version, kind, and config hash.
-    pub(crate) fn open(
+    fn open(
         policy: &CampaignPolicy,
         kind: &str,
         hash: u64,
@@ -927,9 +775,9 @@ impl Checkpoint {
         })
     }
 
-    /// The pre-filled result vector [`run_outcomes`] starts from:
+    /// The pre-filled result vector [`run_plan`] starts from:
     /// checkpointed tasks as `Some`, everything else as holes to run.
-    pub(crate) fn preloaded(&mut self, total: usize) -> Vec<Option<(PointOutcome, u32)>> {
+    fn preloaded(&mut self, total: usize) -> Vec<Option<(PointOutcome, u32)>> {
         let mut v: Vec<Option<(PointOutcome, u32)>> = (0..total).map(|_| None).collect();
         for (task, entry) in std::mem::take(&mut self.loaded) {
             v[task] = Some(entry);
@@ -940,7 +788,7 @@ impl Checkpoint {
     /// Append one finished task — one line, written and flushed whole,
     /// so a kill between tasks never tears more than the line in
     /// flight.
-    pub(crate) fn append(&mut self, task: usize, attempts: u32, outcome: &PointOutcome) -> Result<(), String> {
+    fn append(&mut self, task: usize, attempts: u32, outcome: &PointOutcome) -> Result<(), String> {
         let Some(f) = &mut self.file else {
             return Ok(());
         };
@@ -973,7 +821,7 @@ pub(crate) fn task_line(task: usize, attempts: u32, outcome: &PointOutcome) -> R
 }
 
 /// Parse one checkpoint task line; `None` marks a torn/alien line.
-pub(crate) fn parse_task_line(line: &str) -> Option<(usize, PointOutcome, u32)> {
+fn parse_task_line(line: &str) -> Option<(usize, PointOutcome, u32)> {
     let task = json_u64(line, "task")? as usize;
     let attempts = json_u64(line, "attempts")? as u32;
     let outcome = match json_str(line, "outcome")?.as_str() {
@@ -1189,9 +1037,11 @@ pub(crate) fn json_bits_array(line: &str, key: &str) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::spec::NetworkSpec;
+    use crate::sweep::{saturation_load, SweepPoint};
     use minnet_sim::RunBudget;
     use minnet_traffic::MessageSizeDist;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     fn quick() -> Experiment {
         let mut e = Experiment::paper_default(NetworkSpec::tmin());
@@ -1218,6 +1068,25 @@ mod tests {
         }
     }
 
+    type Outcomes = Vec<(PointOutcome, u32)>;
+
+    fn retrying(retries: u32) -> CampaignPolicy {
+        CampaignPolicy {
+            retries,
+            ..CampaignPolicy::default()
+        }
+    }
+
+    /// A bare `tasks`-task plan with no fleet prologue.
+    fn plan(
+        tasks: usize,
+        threads: usize,
+        policy: &CampaignPolicy,
+        run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
+    ) -> Outcomes {
+        run_plan("curve", 42, tasks, threads, policy, run, None).unwrap()
+    }
+
     #[test]
     fn panicking_point_is_failed_not_abort() {
         // The PR-4-era sweep aborted the whole campaign on one panicking
@@ -1226,19 +1095,12 @@ mod tests {
         // completes, and the retry budget is spent.
         let exp = quick();
         let compiled = exp.compile().unwrap();
-        let results = run_outcomes(
-            3,
-            1,
-            (0..3).map(|_| None).collect(),
-            |_, _, _| Ok(()),
-            |i, attempt, st| {
-                if i == 1 {
-                    panic!("injected failure at point {i} attempt {attempt}");
-                }
-                compiled.run_typed(0.2, mix(7, i as u64 + 1), st)
-            },
-        )
-        .unwrap();
+        let results = plan(3, 3, &retrying(1), |i, attempt, st| {
+            if i == 1 {
+                panic!("injected failure at point {i} attempt {attempt}");
+            }
+            compiled.run_typed(0.2, mix(7, i as u64 + 1), st)
+        });
         assert!(results[0].0.is_ok());
         assert!(results[2].0.is_ok());
         let (outcome, attempts) = &results[1];
@@ -1253,19 +1115,12 @@ mod tests {
     fn retry_recovers_a_transient_failure() {
         let exp = quick();
         let compiled = exp.compile().unwrap();
-        let results = run_outcomes(
-            1,
-            2,
-            (0..1).map(|_| None).collect(),
-            |_, _, _| Ok(()),
-            |i, attempt, st| {
-                if attempt == 0 {
-                    panic!("flaky first attempt");
-                }
-                compiled.run_typed(0.2, retry_seed(mix(7, i as u64 + 1), attempt), st)
-            },
-        )
-        .unwrap();
+        let results = plan(1, 1, &retrying(2), |i, attempt, st| {
+            if attempt == 0 {
+                panic!("flaky first attempt");
+            }
+            compiled.run_typed(0.2, task_seed(7, i, attempt), st)
+        });
         assert!(results[0].0.is_ok());
         assert_eq!(results[0].1, 2);
     }
@@ -1283,18 +1138,11 @@ mod tests {
             max_wall_ms: 0,
         };
         let budgeted = budgeted.compile().unwrap();
-        let results = run_outcomes(
-            2,
-            0,
-            (0..4).map(|_| None).collect(),
-            |_, _, _| Ok(()),
-            |i, _attempt, st| match i {
-                1 => panic!("injected"),
-                2 => budgeted.run_typed(0.2, 99, st),
-                _ => compiled.run_typed(0.2, mix(7, i as u64 + 1), st),
-            },
-        )
-        .unwrap();
+        let results = plan(4, 2, &retrying(0), |i, _attempt, st| match i {
+            1 => panic!("injected"),
+            2 => budgeted.run_typed(0.2, 99, st),
+            _ => compiled.run_typed(0.2, mix(7, i as u64 + 1), st),
+        });
         let outcomes: Vec<&PointOutcome> = results.iter().map(|(o, _)| o).collect();
         assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
         assert!(outcomes[1].is_failed());
@@ -1314,25 +1162,9 @@ mod tests {
             max_cycles: 1_200,
             max_wall_ms: 0,
         };
-        let policy = CampaignPolicy {
-            retries: 3,
-            ..CampaignPolicy::default()
-        };
-        let pts = campaign_curve(&exp, &[0.2], 1, &policy).unwrap();
+        let pts = campaign_curve(&exp, &[0.2], 1, &retrying(3)).unwrap();
         assert!(pts[0].outcome.is_partial());
         assert_eq!(pts[0].attempts, 1, "budget cuts must not burn retries");
-    }
-
-    #[test]
-    fn campaign_curve_matches_plain_sweep_bitwise() {
-        let exp = quick();
-        let loads = [0.15, 0.45];
-        let plain = crate::sweep::latency_throughput_curve(&exp, &loads, 2).unwrap();
-        let campaign = campaign_curve(&exp, &loads, 2, &CampaignPolicy::isolate()).unwrap();
-        for (p, c) in plain.iter().zip(&campaign) {
-            assert!(p.report.bitwise_eq(c.outcome.ok_report().unwrap()));
-            assert_eq!(c.attempts, 1);
-        }
     }
 
     #[test]
@@ -1496,58 +1328,24 @@ mod tests {
         let compiled = exp.compile().unwrap();
         let path = temp_ckpt("failedpt");
         let _cleanup = Cleanup(path.clone());
-        let mut ckpt = Checkpoint::open(
-            &CampaignPolicy {
-                checkpoint: Some(path.clone()),
-                ..CampaignPolicy::default()
-            },
-            "curve",
-            42,
-            2,
-        )
-        .unwrap();
-        let results = run_outcomes(
-            1,
-            0,
-            ckpt.preloaded(2),
-            |i, a, o| ckpt.append(i, a, o),
-            |i, _, st| {
-                if i == 0 {
-                    panic!("boom");
-                }
-                compiled.run_typed(0.2, 5, st)
-            },
-        )
-        .unwrap();
+        let policy = CampaignPolicy {
+            checkpoint: Some(path.clone()),
+            ..CampaignPolicy::default()
+        };
+        let results = plan(2, 1, &policy, |i, _, st| {
+            if i == 0 {
+                panic!("boom");
+            }
+            compiled.run_typed(0.2, 5, st)
+        });
         assert!(results[0].0.is_failed());
-        drop(ckpt);
 
-        let mut ckpt = Checkpoint::open(
-            &CampaignPolicy {
-                checkpoint: Some(path.clone()),
-                require_existing: true,
-                ..CampaignPolicy::default()
-            },
-            "curve",
-            42,
-            2,
-        )
-        .unwrap();
-        let preloaded = ckpt.preloaded(2);
-        assert!(preloaded.iter().all(Option::is_some), "both tasks loaded");
-        let resumed = run_outcomes(
-            1,
-            0,
-            preloaded,
-            |i, a, o| ckpt.append(i, a, o),
-            |_, _, _| panic!("nothing should run on a complete checkpoint"),
-        )
-        .unwrap();
+        let resumed = plan(2, 1, &policy, |_, _, _| {
+            panic!("nothing should run on a complete checkpoint")
+        });
         assert!(resumed[0].0.is_failed());
-        assert!(resumed[1].0.is_ok());
-        assert!(results[1].0.ok_report().unwrap().bitwise_eq(
-            resumed[1].0.ok_report().unwrap()
-        ));
+        let (first, again) = (results[1].0.ok_report(), resumed[1].0.ok_report());
+        assert!(first.unwrap().bitwise_eq(again.unwrap()));
     }
 
     #[test]
@@ -1560,69 +1358,183 @@ mod tests {
         assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
         let stats = pts[0].ok_stats.as_ref().unwrap();
         assert_eq!(stats.replications.len(), 3);
-        // Same seeds as the fragile path → bit-identical replications.
-        let fragile = crate::sweep::replicated_curve(&exp, &[0.2], 3, 2).unwrap();
-        for (a, b) in fragile[0].replications.iter().zip(&stats.replications) {
-            assert!(a.bitwise_eq(b));
-        }
-    }
-
-    #[test]
-    fn degradation_campaign_matches_fragile_path() {
-        let exp = quick();
-        let fragile = crate::sweep::degradation_curve(&exp, 0.2, &[0, 1], 2, 2).unwrap();
-        let campaign = campaign_degradation_curve(
-            &exp,
-            0.2,
-            &[0, 1],
-            2,
-            2,
-            &CampaignPolicy::isolate(),
-        )
-        .unwrap();
-        for (f, c) in fragile.iter().zip(&campaign) {
-            assert_eq!(f.fault_count, c.fault_count);
-            let stats = c.ok_stats.as_ref().unwrap();
-            for (a, b) in f.replications.iter().zip(&stats.replications) {
-                assert!(a.bitwise_eq(b));
-            }
+        // The lockstep lanes carry the grid seeds of the per-run path.
+        for (r, lane) in stats.replications.iter().enumerate() {
+            let direct = exp.run_seeded(0.2, task_seed(exp.sim.seed, r, 0)).unwrap();
+            assert!(lane.bitwise_eq(&direct), "replication {r} diverged");
         }
     }
 
     #[test]
     fn saturation_excludes_partial_points() {
         // Build a curve where the highest-throughput point is Partial
-        // (budget-truncated past the knee): it must not be crowned.
+        // (budget-truncated past the knee): the completed collapse the
+        // CLI feeds `saturation_load` must never let it be crowned.
         let exp = quick();
         let base = exp.run(0.2).unwrap();
         let mut fat = base.clone();
         fat.accepted_flits_per_node_cycle = base.accepted_flits_per_node_cycle * 2.0;
         fat.sustainable = true;
         fat.steady = true;
-        let points = vec![
-            CampaignPoint {
-                offered: 0.2,
-                outcome: PointOutcome::Ok(base),
-                attempts: 1,
-            },
-            CampaignPoint {
-                offered: 0.8,
-                outcome: PointOutcome::Partial {
+        let outcomes = [
+            (0.2, PointOutcome::Ok(base)),
+            (
+                0.8,
+                PointOutcome::Partial {
                     report: fat,
                     reason: "budget".into(),
                 },
-                attempts: 1,
-            },
-            CampaignPoint {
-                offered: 1.2,
-                outcome: PointOutcome::Failed {
+            ),
+            (
+                1.2,
+                PointOutcome::Failed {
                     reason: "panic".into(),
                 },
-                attempts: 1,
-            },
+            ),
         ];
-        let sat = campaign_saturation_load(&points).unwrap();
+        let completed = |outcomes: &[(f64, PointOutcome)]| -> Vec<SweepPoint> {
+            outcomes
+                .iter()
+                .filter_map(|(offered, o)| {
+                    o.ok_report().map(|r| SweepPoint {
+                        offered: *offered,
+                        report: r.clone(),
+                    })
+                })
+                .collect()
+        };
+        let all = completed(&outcomes);
+        let sat = saturation_load(&all).unwrap();
         assert_eq!(sat.offered, 0.2, "Partial/Failed must never win");
-        assert!(campaign_saturation_load(&points[1..]).is_none());
+        assert!(saturation_load(&completed(&outcomes[1..])).is_none());
+    }
+
+    // ---- the fleet prologue and its fall-back ladder ------------------
+
+    /// Three lanes of one point at load 0.2 on base seed 7, run through
+    /// `run_plan` with `fleet` as the prologue and lane 1 panicking in
+    /// the scalar path while `guilty`. Returns the results and the
+    /// `(task, attempt)` pairs the scalar closure saw.
+    fn fleet_point(
+        retries: u32,
+        guilty: bool,
+        fleet: FleetRun<'_>,
+    ) -> (Outcomes, Vec<(usize, u32)>) {
+        let compiled = quick().compile().unwrap();
+        let seen = Mutex::new(Vec::new());
+        let results = run_plan(
+            "replicated_curve",
+            42,
+            3,
+            2,
+            &retrying(retries),
+            |t, attempt, st| {
+                seen.lock().unwrap().push((t, attempt));
+                if guilty && t == 1 {
+                    panic!("guilty lane");
+                }
+                compiled.run_typed(0.2, task_seed(7, t, attempt), st)
+            },
+            Some((3, fleet)),
+        )
+        .unwrap();
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        (results, seen)
+    }
+
+    /// The scalar grid's report for `(task, attempt)` of [`fleet_point`].
+    fn scalar(task: usize, attempt: u32) -> SimReport {
+        let seed = task_seed(7, task, attempt);
+        quick().run_seeded(0.2, seed).unwrap()
+    }
+
+    #[test]
+    fn fleet_lane_error_retries_from_attempt_one_and_spares_neighbours() {
+        let compiled = quick().compile().unwrap();
+        let workload = compiled.template().workload_at(0.2).unwrap();
+        let fleet = |tasks: &[usize], threads: usize, ls: &mut LockstepState| {
+            let seeds: Vec<u64> = tasks.iter().map(|&t| task_seed(7, t, 0)).collect();
+            let net = compiled.network();
+            let mut lanes = net.run_poisson_lockstep(&workload, &seeds, threads, ls);
+            lanes[1] = Err(SimError::Config("injected lane error".into()));
+            lanes
+        };
+        let (results, seen) = fleet_point(1, false, &fleet);
+        // The fleet was attempt 0 of every lane: only the failed lane
+        // reaches the scalar closure, and it starts at attempt 1.
+        assert_eq!(seen, [(1, 1)]);
+        assert_eq!(results[1].1, 2);
+        assert!(results[1].0.ok_report().unwrap().bitwise_eq(&scalar(1, 1)));
+        for t in [0, 2] {
+            assert_eq!(results[t].1, 1);
+            assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
+        }
+        // With no retry to spend the fleet's reason stands.
+        let (results, seen) = fleet_point(0, false, &fleet);
+        assert!(seen.is_empty());
+        let PointOutcome::Failed { reason } = &results[1].0 else {
+            panic!("expected Failed, got {}", results[1].0.tag());
+        };
+        assert!(reason.contains("injected lane error"), "{reason}");
+        assert_eq!(results[1].1, 1);
+    }
+
+    #[test]
+    fn fleet_panic_reruns_every_lane_from_attempt_zero() {
+        let fleet =
+            |_: &[usize], _: usize, _: &mut LockstepState| -> Vec<_> { panic!("fleet blew up") };
+        let (results, seen) = fleet_point(1, true, &fleet);
+        assert_eq!(seen, [(0, 0), (1, 0), (1, 1), (2, 0)]);
+        assert!(results[1].0.is_failed());
+        assert_eq!(results[1].1, 2, "the guilty lane spends its retry");
+        for t in [0, 2] {
+            assert_eq!(results[t].1, 1);
+            assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
+        }
+    }
+
+    #[test]
+    fn invalid_load_fails_every_lane_of_its_point_only() {
+        let pts = campaign_replicated_curve(&quick(), &[0.2, -1.0], 3, 2, &retrying(2)).unwrap();
+        assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
+        assert_eq!(pts[0].attempts, [1, 1, 1]);
+        assert!(pts[1].outcomes.iter().all(PointOutcome::is_failed));
+        assert_eq!(pts[1].attempts, [3, 3, 3], "attempts == retries + 1");
+        assert!(pts[1].ok_stats.is_none());
+    }
+
+    #[test]
+    fn parent_written_checkpoint_resumes_only_its_holes_bitwise() {
+        // Written by the commit before the one-runner refactor: tasks 3,
+        // 1, 5 of a 2-load × 3-replication grid, i.e. some lanes of each
+        // point. Identity v1 must still accept it, the fleets must cover
+        // just the holes, and the curve must equal the uninterrupted one.
+        let path = temp_ckpt("parent");
+        let _cleanup = Cleanup(path.clone());
+        let fixture = include_str!("../tests/fixtures/replicated_curve_v1.ckpt.jsonl");
+        std::fs::write(&path, fixture).unwrap();
+        let policy = CampaignPolicy {
+            checkpoint: Some(path.clone()),
+            require_existing: true,
+            ..CampaignPolicy::default()
+        };
+        let loads = [0.1, 0.3];
+        let resumed = campaign_replicated_curve(&quick(), &loads, 3, 2, &policy).unwrap();
+        let whole =
+            campaign_replicated_curve(&quick(), &loads, 3, 2, &CampaignPolicy::isolate()).unwrap();
+        for (r, w) in resumed.iter().zip(&whole) {
+            for (a, b) in r.outcomes.iter().zip(&w.outcomes) {
+                assert!(a.ok_report().unwrap().bitwise_eq(b.ok_report().unwrap()));
+            }
+        }
+        let refilled = std::fs::read_to_string(&path).unwrap();
+        assert!(refilled.starts_with(fixture), "resume must only append");
+        let mut appended: Vec<u64> = refilled[fixture.len()..]
+            .lines()
+            .map(|l| json_u64(l, "task").unwrap())
+            .collect();
+        appended.sort_unstable();
+        assert_eq!(appended, [0, 2, 4], "exactly the holes ran, once each");
     }
 }

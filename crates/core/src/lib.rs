@@ -31,6 +31,18 @@
 //! assert!(report.mean_latency_us() > 0.0);
 //! ```
 //!
+//! ## Curves, scenarios, jobs: one runner
+//!
+//! Anything larger than a single run — a latency–throughput curve,
+//! replications, a degradation study, a [`Scenario`], a `minnetd` job —
+//! is a grid of independent runs executed by the one experiment runner
+//! in [`campaign`] (worker pool, retry ladder, checkpoint/resume) and
+//! comes back annotated per point ([`PointOutcome`]).
+//! [`latency_throughput_curve`] and [`replicated_curve`] are the same
+//! calls under the default policy with the outcomes collapsed to
+//! all-or-nothing; [`sweep`] otherwise holds the aggregates and the
+//! saturation search.
+//!
 //! The lower layers are re-exported: [`minnet_topology`] (networks &
 //! theory), [`minnet_routing`] (destination-tag / turnaround routing,
 //! deadlock analysis), [`minnet_switch`] (arbiters, VCs, crossbars),
@@ -51,9 +63,8 @@ pub mod sweep;
 pub mod table;
 
 pub use campaign::{
-    campaign_curve, campaign_degradation_curve, campaign_replicated_curve,
-    campaign_saturation_load, outcome_counts, CampaignPoint, CampaignPolicy,
-    DegradationCampaignPoint, PointOutcome, ReplicatedCampaignPoint,
+    campaign_curve, campaign_degradation_curve, campaign_replicated_curve, outcome_counts,
+    CampaignPoint, CampaignPolicy, DegradationCampaignPoint, PointOutcome, ReplicatedCampaignPoint,
 };
 pub use experiment::{CompiledExperiment, Experiment};
 pub use lockfile::LockFile;
@@ -65,8 +76,8 @@ pub use scenario::{
 };
 pub use spec::NetworkSpec;
 pub use sweep::{
-    compiled_curve, degradation_curve, find_saturation, latency_throughput_curve,
-    replicated_curve, saturation_load, DegradationPoint, ReplicatedPoint, SweepPoint,
+    find_saturation, latency_throughput_curve, replicated_curve, saturation_load,
+    DegradationPoint, ReplicatedPoint, SweepPoint,
 };
 pub use table::{curve_csv, curve_table};
 

@@ -22,9 +22,9 @@
 //! `key = value` format documented in `EXPERIMENTS.md` and exemplified
 //! by the `scenarios/` library at the repository root.
 //!
-//! Running a scenario ([`Scenario::run`]) reuses the campaign machinery
-//! wholesale: each load (or the script) is one task under
-//! `run_outcomes`, so panic isolation, deterministic retries, and
+//! Running a scenario ([`Scenario::run`]) lowers it to one plan of the
+//! experiment runner in [`crate::campaign`]: each load (or the script)
+//! is one task, so panic isolation, deterministic retries, and
 //! config-hash-keyed JSONL checkpoint/resume all come for free. The
 //! result is a [`Verdict`]: pass/fail/partial with one [`CheckResult`]
 //! per expectation (each carrying a human-readable reason), per-point
@@ -38,9 +38,7 @@
 //! [`verdict_report_json`] is byte-identical across repeated runs and
 //! thread counts (pinned by the workspace e2e tests).
 
-use crate::campaign::{
-    config_hash, esc, retry_seed, run_outcomes, CampaignPolicy, Checkpoint, PointOutcome,
-};
+use crate::campaign::{config_hash, esc, run_plan, task_seed, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
 use crate::spec::NetworkSpec;
 use crate::sweep::mix;
@@ -367,22 +365,21 @@ impl Scenario {
             ),
             policy.retries,
         );
-        let mut ckpt = Checkpoint::open(policy, "scenario", hash, tasks).map_err(&fail)?;
-        let preloaded = ckpt.preloaded(tasks);
 
-        // Watchdog side channel: `run_outcomes` stringifies non-budget
+        // Watchdog side channel: the runner stringifies non-budget
         // errors into `Failed { reason }`, but the verdict must carry
         // the *structured* diagnostic — so the closure stashes it per
         // task before returning the error.
         let stalls: Mutex<Vec<Option<Box<StallDiagnostic>>>> = Mutex::new(vec![None; tasks]);
         let base = self.exp.sim.seed;
-        let outcomes = run_outcomes(
+        let outcomes = run_plan(
+            "scenario",
+            hash,
+            tasks,
             threads,
-            policy.retries,
-            preloaded,
-            |task, attempts, outcome| ckpt.append(task, attempts, outcome),
+            policy,
             |task, attempt, st| {
-                let seed = retry_seed(mix(base, task as u64 + 1), attempt);
+                let seed = task_seed(base, task, attempt);
                 let res = match &script {
                     Some(s) => compiled.network().run_script_faulted(s, faults.as_ref(), seed, st),
                     None => {
@@ -416,6 +413,7 @@ impl Scenario {
                     Err(e) => Err(e),
                 }
             },
+            None,
         )
         .map_err(&fail)?;
         let stalls = stalls.into_inner().expect("stall channel poisoned");

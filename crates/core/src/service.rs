@@ -43,12 +43,11 @@
 //! comparable with `==` on the raw bytes.
 
 use crate::campaign::{
-    config_hash, json_bits_array, json_bool, json_str, json_u64, retry_seed, run_outcomes,
-    task_line, CampaignPolicy, Checkpoint,
+    config_hash, json_bits_array, json_bool, json_str, json_u64, run_plan, task_line, task_seed,
+    CampaignPolicy,
 };
 use crate::experiment::Experiment;
 use crate::spec::NetworkSpec;
-use crate::sweep::mix;
 use minnet_sim::SimError;
 use minnet_topology::{Geometry, UnidirKind};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
@@ -307,8 +306,8 @@ impl JobSpec {
 /// Run one job to its canonical result JSON — the deterministic core
 /// the daemon's workers (and recovery path) execute.
 ///
-/// Reuses the campaign machinery end to end: per-point
-/// `catch_unwind` isolation on a fresh worker-owned `EngineState`,
+/// A job is one plan of the experiment runner in [`crate::campaign`]:
+/// per-point panic isolation on a worker-owned `EngineState`,
 /// derived-seed retries (`mix(seed, 0x5245_7452 + attempt)`), budget
 /// cuts as `partial` outcomes, and — when `checkpoint` is set — the
 /// versioned JSONL checkpoint with torn-tail truncation, so a job
@@ -338,19 +337,20 @@ pub fn run_job(
         checkpoint,
         require_existing: false,
     };
-    let mut ckpt = Checkpoint::open(&policy, "service_curve", hash, spec.loads.len())?;
     let chaos = spec.chaos_panic_attempts;
-    let results = run_outcomes(
+    let results = run_plan(
+        "service_curve",
+        hash,
+        spec.loads.len(),
         threads,
-        spec.retries,
-        ckpt.preloaded(spec.loads.len()),
-        |i, attempts, outcome| ckpt.append(i, attempts, outcome),
+        &policy,
         |i, attempt, st| {
             if attempt < chaos {
                 panic!("chaos: injected panic at point {i} attempt {attempt}");
             }
-            compiled.run_typed(spec.loads[i], retry_seed(mix(base, i as u64 + 1), attempt), st)
+            compiled.run_typed(spec.loads[i], task_seed(base, i, attempt), st)
         },
+        None,
     )?;
     let mut out = format!(
         "{{\"v\":{RESULT_VERSION},\"job_id\":\"{hash:016x}\",\"points\":[",
@@ -775,6 +775,7 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minnet_topology::{Fault, FaultTarget};
 
     fn quick_spec() -> JobSpec {
         JobSpec {
@@ -799,10 +800,29 @@ mod tests {
         assert_eq!(spec.job_hash().unwrap(), back.job_hash().unwrap());
     }
 
+    /// The `config_hash` in the header of the checkpoint `run` writes.
+    fn header_hash(tag: &str, run: impl FnOnce(&CampaignPolicy)) -> String {
+        let path = std::env::temp_dir().join(format!(
+            "minnet_identity_{}_{tag}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        run(&CampaignPolicy {
+            checkpoint: Some(path.clone()),
+            ..CampaignPolicy::default()
+        });
+        let header = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        json_str(header.lines().next().unwrap(), "config_hash").unwrap()
+    }
+
     /// Identity v1 is a data format: these hashes key every checkpoint
     /// header, journal line and job id already on disk. They cover the
     /// `Debug` text of `Experiment`, so renaming, reordering or dropping
-    /// a field anywhere under it lands here.
+    /// a field anywhere under it lands here — and, for every campaign
+    /// kind, the `params` string its curve function formats, so a
+    /// drifted separator lands here too. The literals were recorded at
+    /// the commit before the curves moved onto the one plan runner.
     #[test]
     fn identity_hashes_are_pinned() {
         assert_eq!(JobSpec::default().job_id().unwrap(), "06cdfb50362b750d");
@@ -813,12 +833,49 @@ mod tests {
             ..quick_spec()
         };
         assert_eq!(vmin.job_id().unwrap(), "5213f11348604871");
+        let chaotic = JobSpec {
+            retries: 2,
+            chaos_panic_attempts: 1,
+            ..quick_spec()
+        };
+        assert_eq!(chaotic.job_id().unwrap(), "ca044bfbc8f7578a");
         let exp = Experiment::paper_default(NetworkSpec::Bmin);
         let loads = [0.1, 0.5];
         assert_eq!(
             format!("{:016x}", config_hash("curve", &exp, &format!("{loads:?}"), 0)),
             "728495952c81ef19"
         );
+
+        let mut exp = Experiment::paper_default(NetworkSpec::tmin());
+        exp.sizes = MessageSizeDist::Fixed(32);
+        exp.sim.warmup = 500;
+        exp.sim.measure = 4_000;
+        let replicated = header_hash("replicated", |policy| {
+            crate::campaign_replicated_curve(&exp, &[0.1, 0.3], 3, 2, policy).unwrap();
+        });
+        assert_eq!(replicated, "c06593f333b21575");
+        let degradation = header_hash("degradation", |policy| {
+            let policy = CampaignPolicy {
+                retries: 1,
+                ..policy.clone()
+            };
+            crate::campaign_degradation_curve(&exp, 0.2, &[0, 1], 2, 2, &policy).unwrap();
+        });
+        assert_eq!(degradation, "35cbd01b1ded12b1");
+        let scenario = header_hash("scenario", |policy| {
+            crate::Scenario::builder("pinned")
+                .sizes(MessageSizeDist::Fixed(32))
+                .warmup(500)
+                .measure(3_000)
+                .loads(&[0.1, 0.2])
+                .fault(Fault::transient(FaultTarget::Channel(7), 100, 500))
+                .expect_delivery(0.5)
+                .build()
+                .unwrap()
+                .run(2, policy)
+                .unwrap();
+        });
+        assert_eq!(scenario, "85e4df5a94a3495b");
     }
 
     #[test]

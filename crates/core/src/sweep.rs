@@ -1,29 +1,23 @@
-//! Load sweeps: the latency–throughput curves behind every §5 figure.
+//! Load sweeps: the strict, all-or-nothing surface over the experiment
+//! runner, plus what a curve needs beyond running it — the
+//! across-replication aggregates, the saturation search and the seed mix.
 //!
-//! Individual simulation runs are sequential discrete-time programs, but a
-//! sweep's load points (and a replicated design's `(point, replication)`
-//! pairs) are independent — the natural parallel axis. Every sweep here:
-//!
-//! * compiles its experiment **once** ([`CompiledExperiment`]: network
-//!   graph, routing table, transmit order, workload template) and shares
-//!   the immutable artifacts across workers;
-//! * fans tasks out over a scoped thread pool claiming work from a shared
-//!   atomic cursor, each worker reusing **its own**
-//!   [`EngineState`](minnet_sim::EngineState) allocation run after run;
-//! * writes into pre-sized per-task slots, so the output order (and,
-//!   thanks to per-task seeds, the numbers themselves) is independent of
-//!   the thread count.
-//!
-//! Seeds are per-task SplitMix64 mixes of the experiment's base seed, so
-//! curves are deterministic, decorrelated across points, and — because the
-//! compiled path is bit-identical to [`Experiment::run_seeded`] — exactly
-//! the numbers the original per-run sweep produced.
+//! [`latency_throughput_curve`] and [`replicated_curve`] are
+//! [`crate::campaign`]'s curves under the default policy (no retries, no
+//! checkpoint) with the annotated outcomes collapsed: the first point
+//! that did not complete turns the whole sweep into its `Err`. There is
+//! one runner underneath, so a sweep shares its properties — the
+//! experiment is compiled **once** and shared across workers, each
+//! worker reuses its own engine state, a worker panic is contained and
+//! reported as a message, and per-task SplitMix64 seeds make the output
+//! deterministic, decorrelated across points and independent of the
+//! thread count: exactly the numbers per-point
+//! [`Experiment::run_seeded`] calls produce.
 
-use crate::campaign::{run_outcomes, PointOutcome};
-use crate::experiment::{CompiledExperiment, Experiment};
+use crate::campaign::{campaign_curve, campaign_replicated_curve, CampaignPolicy, PointOutcome};
+use crate::experiment::Experiment;
 use minnet_sim::stats::Welford;
-use minnet_sim::{CompiledFaults, EngineState, SimError, SimReport};
-use minnet_topology::FaultPlan;
+use minnet_sim::{SimError, SimReport};
 
 /// One point of a latency–throughput curve.
 #[derive(Clone, Debug)]
@@ -42,78 +36,34 @@ pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run `total` independent tasks on `threads` scoped workers, each worker
-/// owning one reusable [`EngineState`]. `run(task, state)` fills slot
-/// `task`; results come back in task order. The shared cursor hands tasks
-/// out first-come-first-served, but per-task seeding makes the *values*
-/// schedule-independent.
-///
-/// This is the strict all-or-nothing surface: the first non-`Ok` point
-/// (in task order) turns the whole sweep into its `Err` — including a
-/// worker panic, which [`crate::campaign::run_outcomes`] contains and
-/// reports as a message instead of poisoning a lock and aborting the
-/// process. Campaign callers that want complete annotated curves use
-/// [`crate::campaign`] directly.
-fn run_tasks(
-    total: usize,
-    threads: usize,
-    run: impl Fn(usize, &mut EngineState) -> Result<SimReport, String> + Sync,
-) -> Result<Vec<SimReport>, String> {
-    let results = run_outcomes(
-        threads,
-        0,
-        (0..total).map(|_| None).collect(),
-        |_, _, _| Ok(()),
-        |i, _attempt, st| run(i, st).map_err(SimError::Config),
-    )?;
-    strict_reports(results)
-}
-
-/// Collapse annotated campaign outcomes to the strict sweep surface:
-/// the first non-`Ok` point (in task order) fails the whole sweep.
-fn strict_reports(
-    results: Vec<(PointOutcome, u32)>,
-) -> Result<Vec<SimReport>, String> {
-    results
-        .into_iter()
-        .map(|(outcome, _attempts)| match outcome {
-            PointOutcome::Ok(report) => Ok(report),
-            PointOutcome::Partial { reason, .. } | PointOutcome::Failed { reason } => Err(reason),
-        })
-        .collect()
+/// Collapse one annotated outcome to the strict sweep surface: anything
+/// but a completed run is the sweep's error.
+fn strict(outcome: PointOutcome) -> Result<SimReport, String> {
+    match outcome {
+        PointOutcome::Ok(report) => Ok(report),
+        PointOutcome::Partial { reason, .. } | PointOutcome::Failed { reason } => Err(reason),
+    }
 }
 
 /// Evaluate the experiment at every load in `loads`, in parallel on
 /// `threads` workers (1 = sequential). Results come back in `loads`
-/// order; numbers are identical for any thread count.
+/// order; numbers are identical for any thread count. Callers that want
+/// a complete annotated curve instead of the first failure use
+/// [`campaign_curve`] directly.
 pub fn latency_throughput_curve(
     exp: &Experiment,
     loads: &[f64],
     threads: usize,
 ) -> Result<Vec<SweepPoint>, String> {
-    if loads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let compiled = exp.compile()?;
-    compiled_curve(&compiled, loads, threads)
-}
-
-/// [`latency_throughput_curve`] against an already-compiled experiment —
-/// chain several sweeps without paying compilation again.
-pub fn compiled_curve(
-    compiled: &CompiledExperiment,
-    loads: &[f64],
-    threads: usize,
-) -> Result<Vec<SweepPoint>, String> {
-    let base = compiled.base_seed();
-    let reports = run_tasks(loads.len(), threads, |i, st| {
-        compiled.run_with(loads[i], mix(base, i as u64 + 1), st)
-    })?;
-    Ok(loads
-        .iter()
-        .zip(reports)
-        .map(|(&offered, report)| SweepPoint { offered, report })
-        .collect())
+    campaign_curve(exp, loads, threads, &CampaignPolicy::default())?
+        .into_iter()
+        .map(|p| {
+            Ok(SweepPoint {
+                offered: p.offered,
+                report: strict(p.outcome)?,
+            })
+        })
+        .collect()
 }
 
 /// One load point of a replicated sweep: `R` independent runs (one seed
@@ -146,7 +96,8 @@ pub struct ReplicatedPoint {
 
 /// Evaluate every load in `loads` with `replications` independent seeded
 /// runs each, parallel over the whole `(point, replication)` grid on
-/// `threads` workers. Task `(i, r)` uses seed `mix(base, i·R + r + 1)` —
+/// `threads` workers — [`campaign_replicated_curve`] under the default
+/// policy, collapsed. Task `(i, r)` uses seed `mix(base, i·R + r + 1)` —
 /// for `R = 1` exactly the seeds (and hence bit-exactly the reports) of
 /// [`latency_throughput_curve`].
 ///
@@ -160,49 +111,18 @@ pub fn replicated_curve(
     replications: usize,
     threads: usize,
 ) -> Result<Vec<ReplicatedPoint>, String> {
-    if replications == 0 {
-        return Err("replicated sweep needs at least one replication".into());
-    }
-    if loads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let compiled = exp.compile()?;
-    let base = compiled.base_seed();
-    let total = loads.len() * replications;
-    // R > 1 replications of a budget-free experiment run as lockstep
-    // fleets, one per load point; seeds stay the grid's
-    // `mix(base, i·R + r + 1)`, so reports are bit-identical to the
-    // scalar grid either way (pinned by the scalar≡lockstep suite).
-    let reports = if replications > 1 && compiled.network().lockstep_eligible() {
-        let results = crate::campaign::run_replicated_outcomes_lockstep(
-            &compiled,
-            loads,
-            replications,
-            threads,
-            0,
-            (0..total).map(|_| None).collect(),
-            |_, _, _| Ok(()),
-        )?;
-        strict_reports(results)?
-    } else {
-        run_tasks(total, threads, |t, st| {
-            let (i, _r) = (t / replications, t % replications);
-            compiled.run_with(loads[i], mix(base, t as u64 + 1), st)
-        })?
-    };
-
-    let mut out = Vec::with_capacity(loads.len());
-    let mut reports = reports.into_iter();
-    for &offered in loads {
-        let reps: Vec<SimReport> = reports.by_ref().take(replications).collect();
-        out.push(aggregate_replicated(offered, reps));
-    }
-    Ok(out)
+    let policy = CampaignPolicy::default();
+    campaign_replicated_curve(exp, loads, replications, threads, &policy)?
+        .into_iter()
+        .map(|p| {
+            let reps: Result<_, _> = p.outcomes.into_iter().map(strict).collect();
+            Ok(aggregate_replicated(p.offered, reps?))
+        })
+        .collect()
 }
 
 /// Fold one load point's replication reports into a [`ReplicatedPoint`]
-/// (shared with the campaign layer, which aggregates the `Ok` subset of
-/// a partially-failed point).
+/// (a campaign aggregates the `Ok` subset of a partially-failed point).
 pub(crate) fn aggregate_replicated(offered: f64, reps: Vec<SimReport>) -> ReplicatedPoint {
     let mut lat = Welford::new();
     let mut acc = Welford::new();
@@ -253,79 +173,8 @@ pub struct DegradationPoint {
     pub steady: bool,
 }
 
-/// Evaluate the experiment at one offered load under increasing numbers of
-/// randomly-killed inter-stage links — the graceful-degradation companion
-/// to the §5 latency–throughput curves. For each entry of `fault_counts` a
-/// fault set is drawn seed-reproducibly
-/// ([`FaultPlan::random_inter_stage_links`], salted with the count), its
-/// masked routing table is compiled **once**, and `replications`
-/// independent seeded runs are fanned out over the whole
-/// `(point, replication)` grid on `threads` workers. Task `(i, r)` uses
-/// seed `mix(base, i·R + r + 1)` — for a single `fault_counts = [0]` entry
-/// exactly the seeds (hence bit-exactly the reports) of
-/// [`replicated_curve`] at one load.
-///
-/// Networks with path diversity (BMIN, DMIN) route around dead links and
-/// keep delivering; single-path networks (TMIN, VMIN) report the
-/// disconnected traffic as `mean_undeliverable_packets` instead of
-/// stalling or panicking.
-///
-/// # Errors
-///
-/// Reports a zero replication count, invalid experiments, fault sets
-/// larger than the network's inter-stage link pool, and fault sets whose
-/// masked channel-dependency graph would deadlock.
-pub fn degradation_curve(
-    exp: &Experiment,
-    offered_load: f64,
-    fault_counts: &[usize],
-    replications: usize,
-    threads: usize,
-) -> Result<Vec<DegradationPoint>, String> {
-    if replications == 0 {
-        return Err("degradation sweep needs at least one replication".into());
-    }
-    if fault_counts.is_empty() {
-        return Ok(Vec::new());
-    }
-    let compiled = exp.compile()?;
-    let base = compiled.base_seed();
-    let workload = compiled.template().workload_at(offered_load)?;
-
-    // Fault placement is a deterministic function of (base seed, count):
-    // re-running with a refined count list reuses the same fault sets.
-    let faulted: Vec<CompiledFaults> = fault_counts
-        .iter()
-        .map(|&count| {
-            let plan = FaultPlan::random_inter_stage_links(
-                compiled.graph(),
-                count,
-                mix(base, 0xFA_0017 + count as u64),
-            )?;
-            compiled.network().compile_faults(&plan).map_err(String::from)
-        })
-        .collect::<Result<_, String>>()?;
-
-    let total = fault_counts.len() * replications;
-    let reports = run_tasks(total, threads, |t, st| {
-        let i = t / replications;
-        compiled
-            .network()
-            .run_poisson_faulted(&workload, Some(&faulted[i]), mix(base, t as u64 + 1), st)
-            .map_err(String::from)
-    })?;
-
-    let mut out = Vec::with_capacity(fault_counts.len());
-    let mut reports = reports.into_iter();
-    for &fault_count in fault_counts {
-        let reps: Vec<SimReport> = reports.by_ref().take(replications).collect();
-        out.push(aggregate_degradation(fault_count, reps));
-    }
-    Ok(out)
-}
-
 /// Fold one fault count's replication reports into a
-/// [`DegradationPoint`] (shared with the campaign layer).
+/// [`DegradationPoint`].
 pub(crate) fn aggregate_degradation(fault_count: usize, reps: Vec<SimReport>) -> DegradationPoint {
     let mut lat = Welford::new();
     let mut acc = Welford::new();
@@ -363,13 +212,20 @@ pub(crate) fn aggregate_degradation(fault_count: usize, reps: Vec<SimReport>) ->
 /// explodes, so "too expensive to finish" is itself evidence the load is
 /// beyond the boundary. The truncated probe's report is discarded — the
 /// returned boundary report always comes from a completed run.
+///
+/// # Errors
+///
+/// Reports a bracket that is not `0 < lo < hi` (NaN included), invalid
+/// experiments, and non-budget engine errors from a probe.
 pub fn find_saturation(
     exp: &Experiment,
     lo: f64,
     hi: f64,
     iters: u32,
 ) -> Result<Option<SweepPoint>, String> {
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
+    if !(lo > 0.0 && hi > lo && hi.is_finite()) {
+        return Err(format!("need 0 < lo < hi, got lo = {lo}, hi = {hi}"));
+    }
     let compiled = exp.compile()?;
     let base = compiled.base_seed();
     let mut lo = lo;
@@ -423,8 +279,27 @@ pub fn saturation_load(points: &[SweepPoint]) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::campaign_degradation_curve;
     use crate::spec::NetworkSpec;
     use minnet_traffic::MessageSizeDist;
+
+    /// The degradation curve under the default policy, every point's
+    /// replications complete.
+    fn degradation(
+        exp: &Experiment,
+        load: f64,
+        fault_counts: &[usize],
+        replications: usize,
+        threads: usize,
+    ) -> Result<Vec<DegradationPoint>, String> {
+        let policy = CampaignPolicy::default();
+        let points =
+            campaign_degradation_curve(exp, load, fault_counts, replications, threads, &policy)?;
+        Ok(points
+            .into_iter()
+            .map(|p| p.ok_stats.expect("healthy curve: a replication completed"))
+            .collect())
+    }
 
     fn quick() -> Experiment {
         let mut e = Experiment::paper_default(NetworkSpec::tmin());
@@ -541,8 +416,9 @@ mod tests {
     #[test]
     fn saturation_load_requires_both_flags() {
         // A point that is sustainable but not steady (delivery fell
-        // behind) must not be crowned — the campaign layer additionally
-        // excludes Partial/Failed outcomes (see campaign tests).
+        // behind) must not be crowned — the completed collapse
+        // additionally excludes Partial/Failed outcomes (see campaign
+        // tests).
         let exp = quick();
         let pts = latency_throughput_curve(&exp, &[0.1, 0.2], 1).unwrap();
         let mut doctored = pts.clone();
@@ -651,7 +527,7 @@ mod tests {
         // plain replicated sweep at the same (load, seed) grid.
         let exp = quick();
         let faultless = replicated_curve(&exp, &[0.25], 3, 2).unwrap();
-        let degraded = degradation_curve(&exp, 0.25, &[0], 3, 2).unwrap();
+        let degraded = degradation(&exp, 0.25, &[0], 3, 2).unwrap();
         assert_eq!(degraded.len(), 1);
         assert_eq!(degraded[0].fault_count, 0);
         assert_eq!(degraded[0].mean_aborted_packets, 0.0);
@@ -668,7 +544,7 @@ mod tests {
         // traffic keeps flowing.
         let mut exp = quick();
         exp.network = NetworkSpec::Bmin;
-        let pts = degradation_curve(&exp, 0.2, &[1], 2, 2).unwrap();
+        let pts = degradation(&exp, 0.2, &[1], 2, 2).unwrap();
         let p = &pts[0];
         assert_eq!(p.mean_undeliverable_packets, 0.0, "BMIN must not disconnect");
         assert!(p.sustainable, "BMIN must sustain 0.2 load around one dead link");
@@ -682,7 +558,7 @@ mod tests {
         // TMIN has a unique path per (src, dst): a dead inter-stage link
         // disconnects some pairs. The engine must refuse that traffic with
         // accounting — not panic, not hang.
-        let pts = degradation_curve(&quick(), 0.2, &[1, 2], 1, 2).unwrap();
+        let pts = degradation(&quick(), 0.2, &[1, 2], 1, 2).unwrap();
         assert!(
             pts.iter().any(|p| p.mean_undeliverable_packets > 0.0),
             "uniform traffic over a cut TMIN must hit a disconnected pair"
@@ -697,8 +573,8 @@ mod tests {
     #[test]
     fn degradation_curve_is_thread_count_invariant() {
         let exp = quick();
-        let a = degradation_curve(&exp, 0.2, &[0, 1], 2, 1).unwrap();
-        let b = degradation_curve(&exp, 0.2, &[0, 1], 2, 4).unwrap();
+        let a = degradation(&exp, 0.2, &[0, 1], 2, 1).unwrap();
+        let b = degradation(&exp, 0.2, &[0, 1], 2, 4).unwrap();
         for (x, y) in a.iter().zip(&b) {
             for (r, s) in x.replications.iter().zip(&y.replications) {
                 assert!(r.bitwise_eq(s));
@@ -708,9 +584,9 @@ mod tests {
 
     #[test]
     fn degradation_curve_rejects_bad_inputs() {
-        assert!(degradation_curve(&quick(), 0.2, &[0], 0, 1).is_err());
+        assert!(degradation(&quick(), 0.2, &[0], 0, 1).is_err());
         // More faults than inter-stage links.
-        assert!(degradation_curve(&quick(), 0.2, &[100_000], 1, 1).is_err());
-        assert!(degradation_curve(&quick(), 0.2, &[], 1, 1).unwrap().is_empty());
+        assert!(degradation(&quick(), 0.2, &[100_000], 1, 1).is_err());
+        assert!(degradation(&quick(), 0.2, &[], 1, 1).unwrap().is_empty());
     }
 }

@@ -60,9 +60,9 @@ proptest! {
         let loads = [0.1, 0.3];
         let replications = 2;
 
-        // The uninterrupted references: the fragile path (no campaign
-        // machinery at all) and a checkpointed campaign run to
-        // completion.
+        // The uninterrupted references: the strict surface (default
+        // policy, no checkpoint file at all) and a checkpointed
+        // campaign run to completion.
         let fragile = replicated_curve(&exp, &loads, replications, 2).unwrap();
         let path = temp_ckpt();
         let _cleanup = Cleanup(path.clone());
@@ -101,7 +101,7 @@ proptest! {
                 prop_assert!(ro.bitwise_eq(uo.ok_report().unwrap()),
                     "resumed point diverged from uninterrupted campaign");
                 prop_assert!(ro.bitwise_eq(fr),
-                    "resumed point diverged from the fragile path");
+                    "resumed point diverged from the strict surface");
             }
             let (rs, us) = (r.ok_stats.as_ref().unwrap(), u.ok_stats.as_ref().unwrap());
             prop_assert_eq!(

@@ -202,4 +202,17 @@ fn bad_arguments_fail_cleanly() {
         "simulate", "--network", "vmin", "--vcs", "65", "--warmup", "10", "--measure", "100",
     ]);
     assert!(!ok && stderr.contains("at most 64 virtual channels"), "{stderr}");
+    // A bad saturation bracket is `die`'s one-line error, not a panic.
+    for bracket in [&["--lo", "0"][..], &["--lo", "0.5", "--hi", "0.2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_minnet"))
+            .arg("saturate")
+            .args(bracket)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bracket:?}: {stderr}");
+        let clean = stderr.starts_with("error: need 0 < lo < hi");
+        assert!(clean, "{bracket:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{bracket:?}: {stderr}");
+    }
 }

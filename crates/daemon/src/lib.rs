@@ -46,16 +46,22 @@ use minnet::service::{run_job, JobSpec, Request, Response, ServiceStats};
 use minnet::LockFile;
 use minnet_sim::RunBudget;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Journal format version (the header's `"v"`).
 const JOURNAL_VERSION: u64 = 1;
+
+/// Longest request line a connection may send, newline included. The
+/// largest legitimate request — a submit with a few hundred loads — is
+/// a few KiB; anything near this is a flood, answered `line_too_long`
+/// before it can grow a buffer or reach admission control.
+const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// Whole-job retries after a panic that escaped the per-point
 /// isolation (or a transient I/O failure), with linear backoff.
@@ -146,7 +152,7 @@ struct Recovered {
 impl Journal {
     /// Open (or create) `journal.jsonl` under `dir`, acquire its lock,
     /// replay existing events, and truncate any torn tail.
-    fn open(dir: &PathBuf) -> Result<(Journal, Recovered), String> {
+    fn open(dir: &Path) -> Result<(Journal, Recovered), String> {
         std::fs::create_dir_all(dir.join("jobs"))
             .map_err(|e| format!("creating state dir {}: {e}", dir.display()))?;
         let path = dir.join("journal.jsonl");
@@ -482,18 +488,37 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells a line that fits from one that
+        // does not; `take` keeps the buffer from growing beyond that.
+        let mut capped = reader.by_ref().take(MAX_LINE_BYTES + 1);
+        match capped.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
-        let response = match Request::parse(&line) {
-            Some(req) => handle_request(shared, req),
-            None => Response::Error {
-                kind: "bad_request".into(),
-                message: "unparsable request".into(),
-            },
+        let too_long = line.len() as u64 > MAX_LINE_BYTES && !line.ends_with(b"\n");
+        let response = if too_long {
+            Response::Error {
+                kind: "line_too_long".into(),
+                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            }
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            match Request::parse(text) {
+                Some(req) => handle_request(shared, req),
+                None => Response::Error {
+                    kind: "bad_request".into(),
+                    message: "unparsable request".into(),
+                },
+            }
         };
         let mut out = response.to_line();
         out.push('\n');
@@ -501,6 +526,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             return;
         }
         let _ = writer.flush();
+        if too_long {
+            // Closing with input unread resets the connection and can
+            // destroy the error before the peer reads it: stop sending,
+            // discard a bounded rest of the flood, then close.
+            let _ = writer.shutdown(Shutdown::Write);
+            let linger = Some(Duration::from_secs(1));
+            let _ = reader.get_ref().set_read_timeout(linger);
+            let _ = std::io::copy(&mut reader.take(MAX_LINE_BYTES), &mut std::io::sink());
+            return;
+        }
     }
 }
 

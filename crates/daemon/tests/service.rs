@@ -197,6 +197,31 @@ fn malformed_specs_get_structured_errors_not_queue_slots() {
 }
 
 #[test]
+fn newline_free_flood_is_cut_at_the_line_cap() {
+    let (daemon, _cleanup) = start("longline", 1, 16, 8);
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.write_all(&vec![b'x'; 2 << 20]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let Some(Response::Error { kind, message }) = Response::parse(&reply) else {
+        panic!("a 2 MiB line must be refused, got {reply:?}");
+    };
+    assert_eq!(kind, "line_too_long");
+    assert!(!message.contains("xx"), "payload echoed: {message}");
+    let after = reader.read_line(&mut reply).unwrap();
+    assert_eq!(after, 0, "the daemon closes the connection");
+    // The flood cost one connection, not the service.
+    let client = ServiceClient::new(daemon.addr().to_string());
+    client.ping().unwrap();
+    let Response::Accepted { job_id, .. } = client.submit("c1", &quick_spec(61)).unwrap() else {
+        panic!("submit after the flood refused");
+    };
+    let deadline = Duration::from_secs(60);
+    client.wait_result(&job_id, deadline).unwrap();
+}
+
+#[test]
 fn drain_closes_admissions_finishes_backlog_and_flushes_journal() {
     let dir = state_dir("drain");
     let _cleanup = Cleanup(dir.clone());

@@ -1,26 +1,20 @@
 //! Benchmarks for the compile-once / run-many pipeline.
 //!
-//! Three questions, one bench each:
+//! Two questions, one bench each (plus the compile cost for context):
 //!
 //! * **Setup amortization** — what fraction of a short probe's cost was
 //!   per-run setup (spec validation, graph build, workload compilation,
 //!   ~20 state allocations)? `one_shot` pays it every iteration;
 //!   `compiled` pays it once outside the timer and only re-runs the
 //!   simulation against a reused [`EngineState`].
-//! * **Table vs logic routing** — the same run routed through the
-//!   precomputed [`RouteTable`] (compiled path) and through the
-//!   closed-form [`RouteLogic`] recomputed per hop (one-shot path). Both
-//!   produce bit-identical reports; this measures the lookup's saving.
 //! * **Saturation search** — `find_saturation` end to end, the sweep
 //!   primitive the figures pipeline leans on hardest; compiling must not
 //!   regress its hot loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minnet::{find_saturation, CompiledExperiment, Experiment, NetworkSpec};
-use minnet_sim::{run_simulation, EngineConfig, EngineState};
-use minnet_topology::Geometry;
-use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
-use std::sync::Arc;
+use minnet_sim::EngineState;
+use minnet_traffic::MessageSizeDist;
 
 /// A short probe — the shape `find_saturation` and replicated sweeps
 /// issue by the dozen, where fixed setup cost bites hardest.
@@ -67,35 +61,6 @@ fn setup_amortization(c: &mut Criterion) {
     group.finish();
 }
 
-fn table_vs_logic(c: &mut Criterion) {
-    let g = Geometry::new(4, 3);
-    let spec = NetworkSpec::Bmin; // deepest routing work per header
-    let net = Arc::new(spec.build(g));
-    let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.5)).expect("workload compiles");
-    let cfg = EngineConfig {
-        vcs: spec.vcs(),
-        warmup: 500,
-        measure: 10_000,
-        ..EngineConfig::default()
-    };
-    let compiled =
-        minnet_sim::CompiledNet::new(Arc::clone(&net), cfg.clone()).expect("net compiles");
-    let mut group = c.benchmark_group("compiled_routing");
-    group.sample_size(10);
-    group.bench_function("logic_per_hop", |b| {
-        b.iter(|| run_simulation(&net, &wl, &cfg).expect("simulation runs"));
-    });
-    group.bench_function("table_lookup", |b| {
-        let mut st = EngineState::new();
-        b.iter(|| {
-            compiled
-                .run_poisson(&wl, cfg.seed, &mut st)
-                .expect("simulation runs")
-        });
-    });
-    group.finish();
-}
-
 fn saturation_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("compiled_saturation");
     group.sample_size(10);
@@ -127,7 +92,6 @@ fn compile_cost(c: &mut Criterion) {
 criterion_group!(
     benches,
     setup_amortization,
-    table_vs_logic,
     saturation_search,
     compile_cost
 );

@@ -50,11 +50,9 @@
 //! files by size row (`tmin_k4_n5`, `bmin_k4_n7`, …): wall-clock
 //! `cycles_per_sec` in the usual noisy ±20% band, the deterministic
 //! `graph_bytes` / `table_bytes` construction footprints in the +5%
-//! memory band, and two behavioural flags — a routing `mode` flip
-//! (`table` ↔ `logic` means the table-size policy moved a row across
-//! the fallback threshold) and an `ncells` change (the route-table
-//! geometry itself changed). Always warn-only, same reasoning as
-//! `--faults`.
+//! memory band, and one behavioural flag — an `ncells` change (the
+//! network geometry itself changed). Always warn-only, same reasoning
+//! as `--faults`.
 //!
 //! `--service SERVICE_BASELINE SERVICE_CURRENT` diffs a pair of
 //! `service_smoke` files: daemon jobs/sec and cold-request latency in
@@ -446,10 +444,7 @@ fn compare_faults(
 /// One size row from a `scale_smoke` JSON file.
 struct ScaleRow {
     name: String,
-    /// Routing mode: `"table"` (dense route table) or `"logic"`
-    /// (on-the-fly fallback above the cell cap).
-    mode: String,
-    /// Route-table cells the topology implies (deterministic geometry).
+    /// `channels × nodes` — deterministic geometry.
     ncells: f64,
     graph_bytes: f64,
     table_bytes: f64,
@@ -458,8 +453,8 @@ struct ScaleRow {
 
 /// Parse every size row from `scale_smoke` JSON. The rows are
 /// single-line `{...}` objects under `"sizes"`, recognised by carrying
-/// both a `"mode"` string and an `"ncells"` number (sweep/fault rows
-/// have neither).
+/// a `"name"` and an `"ncells"` number (sweep/fault rows have no
+/// `ncells`).
 fn parse_scale_rows(src: &str) -> Vec<ScaleRow> {
     let mut out = Vec::new();
     for line in src.lines() {
@@ -467,16 +462,11 @@ fn parse_scale_rows(src: &str) -> Vec<ScaleRow> {
         if !t.starts_with('{') {
             continue;
         }
-        let (Some(name), Some(mode), Some(ncells)) = (
-            str_field(t, "name"),
-            str_field(t, "mode"),
-            field(t, "ncells"),
-        ) else {
+        let (Some(name), Some(ncells)) = (str_field(t, "name"), field(t, "ncells")) else {
             continue;
         };
         out.push(ScaleRow {
             name,
-            mode,
             ncells,
             graph_bytes: field(t, "graph_bytes").unwrap_or(f64::NAN),
             table_bytes: field(t, "table_bytes").unwrap_or(f64::NAN),
@@ -488,9 +478,9 @@ fn parse_scale_rows(src: &str) -> Vec<ScaleRow> {
 
 /// Diff two `scale_smoke` files row by row; returns the warning count.
 /// Wall-clock throughput warns in the noisy ±20% band; the
-/// deterministic construction footprints warn above +5%; a mode flip or
-/// an `ncells` change flags a behavioural difference in the
-/// construction pipeline. Always warn-only.
+/// deterministic construction footprints warn above +5%; an `ncells`
+/// change flags a behavioural difference in the construction pipeline.
+/// Always warn-only.
 fn compare_scale(
     baseline_path: &str,
     current_path: &str,
@@ -510,7 +500,7 @@ fn compare_scale(
     let _ = writeln!(
         summary,
         "scale sweep: {current_path} vs baseline {baseline_path} \
-         (throughput warn at ±20%, memory at +5%, mode/ncells on change)"
+         (throughput warn at ±20%, memory at +5%, ncells on change)"
     );
     for base in &baseline {
         let Some(cur) = current.iter().find(|r| r.name == base.name) else {
@@ -524,14 +514,6 @@ fn compare_scale(
             continue;
         };
         let mut flags = String::new();
-        if cur.mode != base.mode {
-            warned += 1;
-            let _ = write!(
-                flags,
-                "  <-- WARNING: routing mode flipped {} -> {}",
-                base.mode, cur.mode
-            );
-        }
         if cur.ncells != base.ncells {
             warned += 1;
             let _ = write!(
@@ -547,9 +529,7 @@ fn compare_scale(
             if !b.is_finite() || !c.is_finite() {
                 continue;
             }
-            // Zero vs zero (logic-mode rows carry no table) is clean.
-            let grew = if b == 0.0 { c > 0.0 } else { c / b - 1.0 > 0.05 };
-            if grew {
+            if c / b - 1.0 > 0.05 {
                 warned += 1;
                 let _ = write!(flags, "  <-- WARNING: {what} grew {b:.0} -> {c:.0}");
             }
@@ -1006,20 +986,18 @@ mod tests {
 
     const SCALE_SRC: &str = r#"{
   "sizes": [
-    {"name": "tmin_k4_n5", "nodes": 1024, "channels": 6144, "graph_bytes": 257184, "ncells": 6291456, "mode": "table", "table_bytes": 30748732, "cycles_per_sec": 48043.7},
-    {"name": "bmin_k4_n7", "nodes": 16384, "channels": 229376, "graph_bytes": 9519264, "ncells": 3758096384, "mode": "logic", "table_bytes": 0, "cycles_per_sec": 712.2}
+    {"name": "tmin_k4_n5", "nodes": 1024, "channels": 6144, "graph_bytes": 257184, "ncells": 6291456, "table_bytes": 5216, "cycles_per_sec": 48043.7},
+    {"name": "bmin_k4_n7", "nodes": 16384, "channels": 229376, "graph_bytes": 9519264, "ncells": 3758096384, "table_bytes": 344160, "cycles_per_sec": 712.2}
   ]
 }"#;
 
     #[test]
-    fn scale_rows_parse_with_mode_and_ncells() {
+    fn scale_rows_parse_with_ncells() {
         let rows = parse_scale_rows(SCALE_SRC);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "tmin_k4_n5");
-        assert_eq!(rows[0].mode, "table");
         assert_eq!(rows[0].ncells, 6_291_456.0);
-        assert_eq!(rows[1].mode, "logic");
-        assert_eq!(rows[1].table_bytes, 0.0);
+        assert_eq!(rows[1].table_bytes, 344_160.0);
     }
 
     #[test]
@@ -1035,13 +1013,10 @@ mod tests {
             compare_scale(base.to_str().unwrap(), cur.to_str().unwrap(), &mut summary).unwrap();
         assert_eq!(warned, 0, "{summary}");
 
-        // Flip a row to logic mode, grow its graph arena past +5%, and
+        // Change a row's geometry, grow its graph arena past +5%, and
         // slow it below the 0.8x band: three distinct warnings.
         let drifted = SCALE_SRC
-            .replace(
-                "\"ncells\": 6291456, \"mode\": \"table\"",
-                "\"ncells\": 6291456, \"mode\": \"logic\"",
-            )
+            .replace("\"ncells\": 6291456", "\"ncells\": 6291457")
             .replace("\"graph_bytes\": 257184", "\"graph_bytes\": 300000")
             .replace("\"cycles_per_sec\": 48043.7", "\"cycles_per_sec\": 20000.0");
         std::fs::write(&cur, drifted).unwrap();
@@ -1049,7 +1024,7 @@ mod tests {
         let warned =
             compare_scale(base.to_str().unwrap(), cur.to_str().unwrap(), &mut summary).unwrap();
         assert_eq!(warned, 3, "{summary}");
-        assert!(summary.contains("mode flipped table -> logic"), "{summary}");
+        assert!(summary.contains("ncells changed 6291456 -> 6291457"), "{summary}");
         assert!(summary.contains("graph_bytes grew"), "{summary}");
         assert!(summary.contains("slower than baseline"), "{summary}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,41 +1,28 @@
 //! Extreme-scale construction benchmark: time the whole setup pipeline —
-//! CSR graph build, streaming route-table build (serial and parallel),
-//! the legacy `Option<Vec>`-grid oracle where it still fits — and a
+//! CSR graph build, route-table build, one `CompiledNet` compile — and a
 //! budgeted simulation burst, from the paper's 64-terminal networks up to
 //! a 16 384-terminal BMIN. Writes `BENCH_scale.json`.
 //!
 //! ```text
 //! cargo run --release -p minnet-bench --bin scale_smoke              # ./BENCH_scale.json
 //! cargo run --release -p minnet-bench --bin scale_smoke -- out.json \
-//!     --max-nodes 4096 --budget-ms 1000 --threads 4
+//!     --max-nodes 4096 --budget-ms 1000
 //! ```
 //!
 //! Per size row:
 //!
 //! * `graph_build_ms` / `graph_bytes` — building the [`NetworkGraph`]
 //!   (builder + CSR arena assembly + validation) and its resident size;
-//! * `ncells` / `mode` — the route-table cell count `channels × nodes`
-//!   and whether the default [`EngineConfig::route_table_max_cells`] cap
-//!   admits a table (`"table"`) or falls back to per-hop routing logic
-//!   (`"logic"` — the 16k row);
-//! * `table_build_ms` / `table_build_ms_parallel` / `table_bytes` — the
-//!   streaming two-pass build, serial and thread-chunked (the two tables
-//!   are asserted equal), and the table's resident size;
-//! * `grid_build_ms` / `grid_peak_bytes` — the original
-//!   `Option<Vec>`-cell-grid build ([`RouteTable::build_grid`], kept as
-//!   the differential oracle), measured only up to `--max-grid-nodes`
-//!   (default 1024) where its allocation storm is still tolerable; the
-//!   result is asserted byte-identical to the streaming table. The
-//!   stream/grid time and peak-byte ratios are the PR's before/after
-//!   numbers;
-//! * `grid_est_bytes` — the analytic grid floor `ncells × 24` (the
-//!   `Option<Vec>` control blocks alone, before any candidate heap
-//!   allocations) for every row, showing why the grid cannot scale: at
-//!   16k terminals it is ~90 GB against the table's tens of MB;
-//! * `setup_ms` — one [`CompiledNet`] compile under the default cap;
+//! * `ncells` — `channels × nodes`, the cell count of one *dense masked*
+//!   fault-epoch table, which [`EngineConfig::route_table_max_cells`]
+//!   caps (healthy routing is not affected by it);
+//! * `table_build_ms` / `table_bytes` — [`RouteTable::build`] and what
+//!   the table owns (digit rows + BMIN subtree bounds; the candidate pool
+//!   is the graph's arena, counted under `graph_bytes`);
+//! * `setup_ms` — one [`CompiledNet`] compile;
 //! * `sim_cycles` / `sim_ms` / `cycles_per_sec` — a wall-budgeted
 //!   uniform-traffic burst through the compiled network (the 16k row
-//!   exercises the logic-fallback router end to end).
+//!   proves the compact table end to end).
 //!
 //! The JSON is written by hand (no serde in this offline workspace); see
 //! EXPERIMENTS.md for the schema. CI runs the bin budgeted with
@@ -79,23 +66,15 @@ const SIZES: [SizeSpec; 7] = [
 struct Cli {
     out_path: String,
     max_nodes: u32,
-    max_grid_nodes: u32,
     budget_ms: u64,
-    threads: usize,
 }
 
 fn parse_cli() -> Result<Cli, String> {
-    const USAGE: &str = "usage: scale_smoke [OUT.json] [--max-nodes N] \
-                         [--max-grid-nodes N] [--budget-ms N] [--threads N]";
+    const USAGE: &str = "usage: scale_smoke [OUT.json] [--max-nodes N] [--budget-ms N]";
     let mut cli = Cli {
         out_path: "BENCH_scale.json".into(),
         max_nodes: u32::MAX,
-        max_grid_nodes: 1024,
         budget_ms: 2_000,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
     };
     let mut positional = 0usize;
     let mut args = std::env::args().skip(1);
@@ -105,14 +84,8 @@ fn parse_cli() -> Result<Cli, String> {
             "--max-nodes" => {
                 cli.max_nodes = value(&a)?.parse().map_err(|e| format!("{a}: {e}"))?;
             }
-            "--max-grid-nodes" => {
-                cli.max_grid_nodes = value(&a)?.parse().map_err(|e| format!("{a}: {e}"))?;
-            }
             "--budget-ms" => {
                 cli.budget_ms = value(&a)?.parse().map_err(|e| format!("{a}: {e}"))?;
-            }
-            "--threads" => {
-                cli.threads = value(&a)?.parse().map_err(|e| format!("{a}: {e}"))?;
             }
             _ if a.starts_with("--") => return Err(format!("unknown flag {a}; {USAGE}")),
             _ => {
@@ -134,14 +107,8 @@ struct Row {
     graph_build_ms: f64,
     graph_bytes: u64,
     ncells: u64,
-    mode: &'static str,
     table_build_ms: f64,
-    table_build_ms_parallel: f64,
     table_bytes: u64,
-    /// Zeros when the grid was skipped (above `--max-grid-nodes`).
-    grid_build_ms: f64,
-    grid_peak_bytes: u64,
-    grid_est_bytes: u64,
     setup_ms: f64,
     sim_cycles: u64,
     sim_ms: f64,
@@ -157,47 +124,22 @@ fn bench_size(spec: &SizeSpec, cli: &Cli) -> Result<Row, String> {
     let nodes = g.nodes();
 
     let t = Instant::now();
-    let net: NetworkGraph = if spec.bidir {
+    let net: Arc<NetworkGraph> = Arc::new(if spec.bidir {
         build_bmin(g)
     } else {
         build_unidir(g, UnidirKind::Cube, 1)
-    };
+    });
     let graph_build_ms = ms(t);
     let graph_bytes = net.approx_bytes() as u64;
     let channels = net.num_channels();
     let ncells = channels as u64 * u64::from(nodes);
-    // The analytic floor of the legacy grid: one 24-byte `Option<Vec>`
-    // control block per cell, before a single candidate is stored.
-    let grid_est_bytes =
-        ncells * std::mem::size_of::<Option<Vec<minnet_topology::ChannelId>>>() as u64;
 
-    let cap = EngineConfig::default().route_table_max_cells;
-    let mode = if ncells <= cap { "table" } else { "logic" };
+    let t = Instant::now();
+    let table = RouteTable::build(&net)?;
+    let table_build_ms = ms(t);
+    let table_bytes = table.approx_bytes();
 
-    let (mut table_build_ms, mut table_build_ms_parallel, mut table_bytes) = (0.0, 0.0, 0u64);
-    let (mut grid_build_ms, mut grid_peak_bytes) = (0.0, 0u64);
-    if mode == "table" {
-        let t = Instant::now();
-        let serial = RouteTable::build(&net)?;
-        table_build_ms = ms(t);
-        table_bytes = serial.approx_bytes();
-
-        let t = Instant::now();
-        let parallel = RouteTable::build_parallel(&net, cli.threads)?;
-        table_build_ms_parallel = ms(t);
-        assert_eq!(serial, parallel, "parallel build diverged from serial");
-
-        if nodes <= cli.max_grid_nodes {
-            let t = Instant::now();
-            let (grid, peak) = RouteTable::build_grid(&net)?;
-            grid_build_ms = ms(t);
-            grid_peak_bytes = peak;
-            assert_eq!(serial, grid, "streaming build diverged from the grid oracle");
-        }
-    }
-
-    // Compiled-pipeline setup + budgeted simulation burst. The 16k row
-    // compiles without a table and runs down the logic-fallback path.
+    // Compiled-pipeline setup + budgeted simulation burst.
     let cfg = EngineConfig {
         warmup: WARMUP,
         measure: MEASURE,
@@ -205,14 +147,11 @@ fn bench_size(spec: &SizeSpec, cli: &Cli) -> Result<Row, String> {
             max_cycles: 0,
             max_wall_ms: cli.budget_ms,
         },
-        table_build_threads: cli.threads as u32,
         ..EngineConfig::default()
     };
-    let net = Arc::new(net);
     let t = Instant::now();
     let compiled = CompiledNet::new(Arc::clone(&net), cfg).map_err(|e| e.to_string())?;
     let setup_ms = ms(t);
-    debug_assert_eq!(compiled.routes().is_some(), mode == "table");
 
     let mut wspec = WorkloadSpec::global_uniform(LOAD);
     wspec.sizes = MessageSizeDist::Fixed(16);
@@ -235,13 +174,8 @@ fn bench_size(spec: &SizeSpec, cli: &Cli) -> Result<Row, String> {
         graph_build_ms,
         graph_bytes,
         ncells,
-        mode,
         table_build_ms,
-        table_build_ms_parallel,
         table_bytes,
-        grid_build_ms,
-        grid_peak_bytes,
-        grid_est_bytes,
         setup_ms,
         sim_cycles,
         sim_ms,
@@ -265,10 +199,9 @@ fn main() -> Result<(), String> {
         }
         let r = bench_size(spec, &cli)?;
         println!(
-            "{:>12}: {:6} nodes {:7} ch | graph {:8.2} ms {:9} B | table[{}] {:8.2} ms ({:.2} ms x{}) {:10} B | grid {:8.2} ms {:11} B | sim {:.2e} cyc/s",
-            r.name, r.nodes, r.channels, r.graph_build_ms, r.graph_bytes, r.mode,
-            r.table_build_ms, r.table_build_ms_parallel, cli.threads, r.table_bytes,
-            r.grid_build_ms, r.grid_peak_bytes, r.cycles_per_sec
+            "{:>12}: {:6} nodes {:7} ch | graph {:8.2} ms {:9} B | table {:6.3} ms {:7} B | setup {:8.2} ms | sim {:.2e} cyc/s",
+            r.name, r.nodes, r.channels, r.graph_build_ms, r.graph_bytes,
+            r.table_build_ms, r.table_bytes, r.setup_ms, r.cycles_per_sec
         );
         rows.push(r);
     }
@@ -276,31 +209,11 @@ fn main() -> Result<(), String> {
         return Err("every size was skipped; raise --max-nodes".into());
     }
 
-    // The before/after headline: largest row where both builds ran.
-    if let Some(r) = rows
-        .iter()
-        .filter(|r| r.grid_build_ms > 0.0)
-        .max_by_key(|r| r.nodes)
-    {
-        println!(
-            "before/after @ {}: stream {:.2} ms / {} B vs grid {:.2} ms / {} B -> {:.1}x faster, {:.1}x smaller peak",
-            r.name,
-            r.table_build_ms,
-            r.table_bytes,
-            r.grid_build_ms,
-            r.grid_peak_bytes,
-            r.grid_build_ms / r.table_build_ms,
-            r.grid_peak_bytes as f64 / r.table_bytes as f64
-        );
-    }
-
     let mut json = String::from("{\n  \"meta\": {\n");
     let _ = writeln!(json, "    \"load\": {LOAD},");
     let _ = writeln!(json, "    \"warmup\": {WARMUP},");
     let _ = writeln!(json, "    \"budget_ms\": {},", cli.budget_ms);
-    let _ = writeln!(json, "    \"threads\": {},", cli.threads);
     let _ = writeln!(json, "    \"max_nodes\": {},", cli.max_nodes);
-    let _ = writeln!(json, "    \"max_grid_nodes\": {},", cli.max_grid_nodes);
     let _ = writeln!(
         json,
         "    \"route_table_max_cells\": {},",
@@ -314,10 +227,7 @@ fn main() -> Result<(), String> {
             json,
             "\"name\": \"{}\", \"nodes\": {}, \"channels\": {}, \
              \"graph_build_ms\": {:.3}, \"graph_bytes\": {}, \"ncells\": {}, \
-             \"mode\": \"{}\", \"table_build_ms\": {:.3}, \
-             \"table_build_ms_parallel\": {:.3}, \"table_bytes\": {}, \
-             \"grid_build_ms\": {:.3}, \"grid_peak_bytes\": {}, \
-             \"grid_est_bytes\": {}, \"setup_ms\": {:.3}, \
+             \"table_build_ms\": {:.3}, \"table_bytes\": {}, \"setup_ms\": {:.3}, \
              \"sim_cycles\": {}, \"sim_ms\": {:.3}, \"cycles_per_sec\": {:.1}",
             r.name,
             r.nodes,
@@ -325,13 +235,8 @@ fn main() -> Result<(), String> {
             r.graph_build_ms,
             r.graph_bytes,
             r.ncells,
-            r.mode,
             r.table_build_ms,
-            r.table_build_ms_parallel,
             r.table_bytes,
-            r.grid_build_ms,
-            r.grid_peak_bytes,
-            r.grid_est_bytes,
             r.setup_ms,
             r.sim_cycles,
             r.sim_ms,

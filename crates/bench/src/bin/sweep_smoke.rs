@@ -179,10 +179,10 @@ struct LoadRow {
 struct NetResult {
     name: String,
     setup_ms: f64,
-    /// Resident bytes of the compiled route table (0 when the cell cap
-    /// suppressed it) and of the CSR topology arenas — the memory
-    /// companions to `setup_ms`, so `bench_compare` can flag setup-memory
-    /// regressions alongside time ones.
+    /// Resident bytes the compiled route table owns and of the CSR
+    /// topology arenas — the memory companions to `setup_ms`, so
+    /// `bench_compare` can flag setup-memory regressions alongside time
+    /// ones.
     table_bytes: u64,
     graph_bytes: u64,
     run_ms: f64,

@@ -1,411 +1,196 @@
-//! Precomputed routing tables: [`RouteLogic`] flattened into a lookup.
+//! The routing function as a lookup: [`RouteLogic`] keyed by what it
+//! actually depends on.
 //!
-//! The paper's networks are *self-routing*: a header's legal next channels
-//! depend only on where it is (the channel it arrived over) and where it
-//! is going (the destination tag / turnaround digits) — never on the rest
-//! of the path. That makes the whole routing function a finite table over
-//! `(arrival channel, destination node)`, which [`RouteTable::build`]
-//! precomputes once per network so the simulation engine's per-hop routing
-//! is a slice lookup instead of re-deriving tag digits or turnaround
-//! actions.
+//! The paper's networks are *self-routing*: a destination-tag switch at
+//! stage `G_i` consults **one** digit `t_i` of the destination, and a
+//! turnaround switch at stage `j` makes one `FirstDifference` comparison
+//! and then reads digit `d_j` (§2–3, Fig. 7). [`RouteTable::build`]
+//! therefore stores, per network,
 //!
-//! ## Streaming construction
+//! * a `stage × destination` **digit row table** (`n · nodes` bytes),
+//!   filled by calling the same [`UnidirKind::tag_digit`] /
+//!   [`Geometry::digit`] the logic calls;
+//! * for the BMIN, each switch's **down-subtree bound** `[lo, hi)`: a
+//!   forward-arriving header turns at switch `(j, s)` exactly when `dst`
+//!   is one of the `k^(j+1)` leaves below it — which is
+//!   `j == FirstDifference(S, D)` for every source `S` that can reach the
+//!   switch going up, so the source drops out of the function;
 //!
-//! The table is built by *walking* [`RouteLogic`] over every reachable
-//! `(channel, destination)` state rather than by re-implementing the
-//! routing rules. Per destination, one breadth-first union walk seeded
-//! from **every** source's injection channel discovers the reachable
-//! channels (recording a representative source per channel — legal because
-//! the networks are self-routing, so any reaching source induces the same
-//! candidates); the table is then filled in two passes — count, prefix-sum,
-//! fill — directly into the final CSR arrays with no intermediate per-cell
-//! allocations. Destinations are independent, so [`RouteTable::build_parallel`]
-//! chunks them into contiguous blocks across threads; each block writes a
-//! disjoint region of `starts`/`cands` at offsets fixed by the count pass,
-//! making the result byte-identical for every thread count.
+//! and answers a `(channel, destination)` query with a `(lo, hi)` range
+//! into the graph's own output-port arena — the one candidate pool; the
+//! table copies no channel id and holds the graph by `Arc`. Building is
+//! `O(n · nodes + switches)` with no route walk; the exhaustive tests pin
+//! the table to [`RouteLogic`], contents *and* order, on every reachable
+//! pair.
 //!
-//! [`RouteTable::build_grid`] keeps the original per-(src,dst) walk over an
-//! `Option<Vec>` cell grid as a differential oracle: it cross-checks the
-//! self-routing property between sources (the streaming build trusts it)
-//! and the equivalence tests pin `build ≡ build_grid` on every fixture.
+//! The **dense** layout — one CSR cell per `(destination, channel)` — is
+//! constructed only by [`RouteTable::masked`]: a fault epoch's candidate
+//! set is a per-cell filtered subset, not a function of one digit.
 //!
-//! Cells are laid out **destination-major** (`cell = dst·nch + channel`):
-//! all cells of one destination are contiguous, which is what makes the
-//! per-destination parallel fill expressible as disjoint slice borrows.
-//! Unreachable cells stay empty and are never queried by the engine.
+//! [`UnidirKind::tag_digit`]: minnet_topology::UnidirKind::tag_digit
+//! [`Geometry::digit`]: minnet_topology::Geometry::digit
+//! [`RouteLogic`]: crate::RouteLogic
 
-use crate::logic::RouteLogic;
-use minnet_topology::{ChannelId, NetworkGraph, NodeId};
+use minnet_topology::{ChannelId, Endpoint, NetworkGraph, NetworkKind, NodeAddr, NodeId, Side};
+use std::sync::Arc;
 
-/// Flattened routing function of one network: for every reachable
+/// The routing function of one network: for every reachable
 /// `(arrival channel, destination)` pair, the candidate output channels in
-/// exactly the order [`RouteLogic::candidates`] produces them.
+/// exactly the order [`crate::RouteLogic::candidates`] produces them.
 ///
-/// Storage is CSR-style: `starts` has one offset entry per cell plus a
-/// terminator, indexing into the shared `cands` pool; cells are
-/// destination-major. For the paper's 64-node networks the whole table is
-/// a few tens of kilobytes and is immutable after construction — share it
+/// A table from [`RouteTable::build`] is a few hundred bytes to a few
+/// hundred kilobytes at any size (see the module docs); one from
+/// [`RouteTable::masked`] is dense. Both are immutable — share them
 /// freely across sweep threads.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct RouteTable {
     nodes: u32,
-    nch: u32,
-    starts: Vec<u32>,
-    cands: Vec<ChannelId>,
+    repr: Repr,
 }
 
-/// Reusable per-thread scratch for the per-destination union walks: the
-/// visited stamp, the representative source discovered for each channel,
-/// and the BFS frontier. One allocation set per thread for the whole
-/// build, regardless of network size or destination count.
-struct DstWalk {
-    logic: RouteLogic,
-    stamp: Vec<u32>,
-    rep: Vec<NodeId>,
-    gen: u32,
-    frontier: Vec<ChannelId>,
-    scratch: Vec<ChannelId>,
-}
-
-impl DstWalk {
-    fn new(net: &NetworkGraph) -> DstWalk {
-        let nch = net.num_channels();
-        DstWalk {
-            logic: RouteLogic::for_kind(net.kind),
-            stamp: vec![0; nch],
-            rep: vec![0; nch],
-            gen: 0,
-            frontier: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Walk the union of every source's reachable channels toward `dst`,
-    /// stamping each reachable channel with a representative source.
-    /// Returns the total candidate count over all reached cells.
-    fn walk(&mut self, net: &NetworkGraph, dst: NodeId) -> u64 {
-        if self.gen == u32::MAX {
-            self.stamp.fill(0);
-            self.gen = 0;
-        }
-        self.gen += 1;
-        let gen = self.gen;
-        self.frontier.clear();
-        for src in 0..net.geometry.nodes() {
-            if src == dst {
-                continue;
-            }
-            let inj = net.inject(src);
-            if self.stamp[inj as usize] != gen {
-                self.stamp[inj as usize] = gen;
-                self.rep[inj as usize] = src;
-                self.frontier.push(inj);
-            }
-        }
-        let mut total = 0u64;
-        while let Some(at) = self.frontier.pop() {
-            let rep = self.rep[at as usize];
-            self.logic.candidates(net, rep, dst, at, &mut self.scratch);
-            total += self.scratch.len() as u64;
-            for &c in &self.scratch {
-                if self.stamp[c as usize] != gen {
-                    self.stamp[c as usize] = gen;
-                    self.rep[c as usize] = rep;
-                    self.frontier.push(c);
-                }
-            }
-        }
-        total
-    }
-
-    /// After [`Self::walk`]`(dst)`, re-derive each reached cell's
-    /// candidates in ascending channel order and write them into `dst`'s
-    /// slice of the final arrays. `starts_row` covers the `nch` cells of
-    /// `dst`, `cands_seg` its candidate span, and `base` is the span's
-    /// global offset.
-    fn emit(
-        &mut self,
-        net: &NetworkGraph,
-        dst: NodeId,
-        base: u32,
-        starts_row: &mut [u32],
-        cands_seg: &mut [ChannelId],
-    ) {
-        let mut off = 0usize;
-        for (ch, start) in starts_row.iter_mut().enumerate() {
-            *start = base + off as u32;
-            if self.stamp[ch] == self.gen {
-                self.logic
-                    .candidates(net, self.rep[ch], dst, ch as ChannelId, &mut self.scratch);
-                cands_seg[off..off + self.scratch.len()].copy_from_slice(&self.scratch);
-                off += self.scratch.len();
-            }
-        }
-        debug_assert_eq!(off, cands_seg.len(), "count and fill walks disagree");
-    }
-}
-
-/// Contiguous destination range of block `b` of `blocks`.
-fn block_bounds(nodes: u32, blocks: usize, b: usize) -> (u32, u32) {
-    let lo = (u64::from(nodes) * b as u64 / blocks as u64) as u32;
-    let hi = (u64::from(nodes) * (b as u64 + 1) / blocks as u64) as u32;
-    (lo, hi)
+#[derive(Clone, Debug)]
+enum Repr {
+    /// The healthy network: candidates are slices of `net`'s port arena.
+    Compact {
+        net: Arc<NetworkGraph>,
+        /// `digits[stage * nodes + dst]` — the output port a stage-`stage`
+        /// switch sends a `dst`-bound header to.
+        digits: Vec<u8>,
+        /// Per BMIN switch, the `[lo, hi)` destinations below it; empty
+        /// for unidirectional networks.
+        subtree: Vec<(u32, u32)>,
+    },
+    /// A fault epoch: CSR cells, destination-major
+    /// (`cell = dst · nch + channel`), `starts` indexing into `cands`.
+    Dense {
+        nch: u32,
+        starts: Vec<u32>,
+        cands: Vec<ChannelId>,
+    },
 }
 
 impl RouteTable {
-    /// Precompute the routing table for `net` with the streaming
-    /// per-destination build (single-threaded). See the module docs; the
-    /// result is byte-identical to [`Self::build_grid`] and to
-    /// [`Self::build_parallel`] at any thread count.
+    /// Tabulate the routing function of `net` (the table keeps the
+    /// handle; its candidates are slices of the graph's arena).
     ///
     /// # Errors
     ///
-    /// Reports a table whose candidate pool would overflow the `u32` CSR
-    /// offsets (only reachable beyond about four billion stored
-    /// candidates — far past any geometry the cell cap admits).
-    pub fn build(net: &NetworkGraph) -> Result<RouteTable, String> {
-        RouteTable::build_parallel(net, 1)
-    }
-
-    /// [`Self::build`] with the count and fill passes chunked over
-    /// contiguous destination blocks on `threads` OS threads (`0` = one
-    /// per available core). Deterministic: every destination's cells are
-    /// computed independently and land at offsets fixed by the serial
-    /// prefix sum, so the output is byte-identical for every `threads`.
-    pub fn build_parallel(net: &NetworkGraph, threads: usize) -> Result<RouteTable, String> {
-        let nodes = net.geometry.nodes();
-        let nch = net.num_channels();
-        let ncells = nch * nodes as usize;
-        let threads = match threads {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            t => t,
-        }
-        .min(nodes as usize)
-        .max(1);
-
-        // Pass 1: per-destination candidate counts.
-        let mut dst_total = vec![0u64; nodes as usize];
-        if threads <= 1 {
-            let mut w = DstWalk::new(net);
-            for (dst, slot) in dst_total.iter_mut().enumerate() {
-                *slot = w.walk(net, dst as NodeId);
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut rest: &mut [u64] = &mut dst_total;
-                for b in 0..threads {
-                    let (lo, hi) = block_bounds(nodes, threads, b);
-                    let (blk, tail) = rest.split_at_mut((hi - lo) as usize);
-                    rest = tail;
-                    s.spawn(move || {
-                        let mut w = DstWalk::new(net);
-                        for (i, slot) in blk.iter_mut().enumerate() {
-                            *slot = w.walk(net, lo + i as u32);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Prefix-sum into per-destination base offsets.
-        let total: u64 = dst_total.iter().sum();
-        if total > u64::from(u32::MAX) {
-            return Err(format!(
-                "route table needs {total} candidate slots, overflowing u32 offsets"
-            ));
-        }
-        let mut dst_base = vec![0u32; nodes as usize + 1];
-        for (d, &t) in dst_total.iter().enumerate() {
-            dst_base[d + 1] = dst_base[d] + t as u32;
-        }
-
-        // Pass 2: re-walk each destination and fill its disjoint slice of
-        // the final arrays.
-        let mut starts = vec![0u32; ncells + 1];
-        starts[ncells] = total as u32;
-        let mut cands = vec![0 as ChannelId; total as usize];
-        if threads <= 1 {
-            let mut w = DstWalk::new(net);
+    /// Reports a radix whose digits do not fit the `u8` rows (`k > 256`,
+    /// beyond what the graph's `u8` port indices admit anyway).
+    pub fn build(net: &Arc<NetworkGraph>) -> Result<RouteTable, String> {
+        let g = net.geometry;
+        let nodes = g.nodes();
+        let mut digits = Vec::with_capacity(g.n() as usize * nodes as usize);
+        for stage in 0..g.n() {
             for dst in 0..nodes {
-                let (base, hi) = (dst_base[dst as usize], dst_base[dst as usize + 1]);
-                w.walk(net, dst);
-                w.emit(
-                    net,
-                    dst,
-                    base,
-                    &mut starts[dst as usize * nch..(dst as usize + 1) * nch],
-                    &mut cands[base as usize..hi as usize],
+                let digit = match net.kind {
+                    NetworkKind::Unidir { wiring, .. } => {
+                        wiring.tag_digit(&g, NodeAddr(dst), stage)
+                    }
+                    NetworkKind::Bmin => g.digit(NodeAddr(dst), stage),
+                };
+                digits.push(
+                    u8::try_from(digit)
+                        .map_err(|_| format!("radix {} digits overflow the u8 rows", g.k()))?,
                 );
             }
-        } else {
-            std::thread::scope(|s| {
-                let mut starts_rest: &mut [u32] = &mut starts[..ncells];
-                let mut cands_rest: &mut [ChannelId] = &mut cands;
-                for b in 0..threads {
-                    let (lo, hi) = block_bounds(nodes, threads, b);
-                    let (rows, stail) = starts_rest.split_at_mut((hi - lo) as usize * nch);
-                    starts_rest = stail;
-                    let seg_len = dst_base[hi as usize] - dst_base[lo as usize];
-                    let (seg, ctail) = cands_rest.split_at_mut(seg_len as usize);
-                    cands_rest = ctail;
-                    let dst_base = &dst_base;
-                    s.spawn(move || {
-                        let mut w = DstWalk::new(net);
-                        let block_base = dst_base[lo as usize];
-                        for dst in lo..hi {
-                            let (base, top) =
-                                (dst_base[dst as usize], dst_base[dst as usize + 1]);
-                            let i = (dst - lo) as usize;
-                            w.walk(net, dst);
-                            w.emit(
-                                net,
-                                dst,
-                                base,
-                                &mut rows[i * nch..(i + 1) * nch],
-                                &mut seg[(base - block_base) as usize
-                                    ..(top - block_base) as usize],
-                            );
-                        }
-                    });
-                }
-            });
         }
-
+        let subtree = match net.kind {
+            NetworkKind::Unidir { .. } => Vec::new(),
+            // Switch `(j, s)` reaches `dst` going down iff
+            // `dst / k^(j+1) == s / k^j` (see `build_bmin`).
+            NetworkKind::Bmin => net
+                .switches()
+                .iter()
+                .map(|sw| {
+                    let j = u32::from(sw.stage);
+                    let lo = sw.index / g.kpow(j) * g.kpow(j + 1);
+                    (lo, lo + g.kpow(j + 1))
+                })
+                .collect(),
+        };
         Ok(RouteTable {
             nodes,
-            nch: nch as u32,
-            starts,
-            cands,
+            repr: Repr::Compact {
+                net: Arc::clone(net),
+                digits,
+                subtree,
+            },
         })
     }
 
-    /// The original cell-grid build: one walk per `(src, dst)` pair into a
-    /// `Vec<Option<Vec<ChannelId>>>` grid, flattened to CSR at the end.
-    /// O(channels × destinations) `Option<Vec>` cells and one heap
-    /// allocation per reachable cell — kept as the differential oracle for
-    /// the streaming build (and as the *self-routing cross-check*: it
-    /// errors if two sources ever disagree about a cell, which the
-    /// streaming build takes on trust). Returns the table plus an estimate
-    /// of the build's peak heap footprint in bytes, for before/after
-    /// accounting in the scale bench.
-    ///
-    /// # Errors
-    ///
-    /// Reports a routing inconsistency (two sources disagreeing about the
-    /// candidates of the same `(channel, destination)` cell) — impossible
-    /// for the self-routing networks this crate models, but checked so a
-    /// future routing function that violates the assumption fails loudly
-    /// at build time instead of silently mis-simulating.
-    pub fn build_grid(net: &NetworkGraph) -> Result<(RouteTable, u64), String> {
-        let logic = RouteLogic::for_kind(net.kind);
-        let nodes = net.geometry.nodes();
-        let nch = net.num_channels();
-        let ncells = nch * nodes as usize;
-
-        // Per-cell candidate lists, filled lazily as the walks reach them.
-        // Destination-major, like the final layout.
-        let mut cells: Vec<Option<Vec<ChannelId>>> = vec![None; ncells];
-        // Visited stamp per channel, regenerated per (src, dst) walk.
-        let mut stamp = vec![u32::MAX; nch];
-        let mut frontier: Vec<ChannelId> = Vec::new();
-        let mut scratch: Vec<ChannelId> = Vec::new();
-
-        let mut generation = 0u32;
-        for src in 0..nodes {
-            for dst in 0..nodes {
-                if src == dst {
-                    continue;
-                }
-                frontier.clear();
-                frontier.push(net.inject(src));
-                stamp[net.inject(src) as usize] = generation;
-                while let Some(at) = frontier.pop() {
-                    let cell = dst as usize * nch + at as usize;
-                    match &cells[cell] {
-                        Some(prev) => {
-                            // Already filled by an earlier source: the
-                            // candidates must agree (self-routing), and the
-                            // subtree below was already expanded then.
-                            logic.candidates(net, src, dst, at, &mut scratch);
-                            if *prev != scratch {
-                                return Err(format!(
-                                    "routing is not self-routing: channel {at} → node {dst} \
-                                     yields {prev:?} from one source but {scratch:?} from {src}"
-                                ));
-                            }
-                            continue;
-                        }
-                        None => {
-                            logic.candidates(net, src, dst, at, &mut scratch);
-                            for &c in &scratch {
-                                if stamp[c as usize] != generation {
-                                    stamp[c as usize] = generation;
-                                    frontier.push(c);
-                                }
-                            }
-                            cells[cell] = Some(scratch.clone());
-                        }
-                    }
-                }
-                generation = generation.wrapping_add(1);
-            }
-        }
-
-        // Flatten to CSR (destination-major cell order is the vec order).
-        let mut starts = Vec::with_capacity(ncells + 1);
-        let total: usize = cells.iter().flatten().map(Vec::len).sum();
-        let mut cands = Vec::with_capacity(total);
-        for cell in &cells {
-            starts.push(cands.len() as u32);
-            if let Some(cs) = cell {
-                cands.extend_from_slice(cs);
-            }
-        }
-        starts.push(cands.len() as u32);
-        // Peak footprint: the cell grid (control + per-cell heap) and the
-        // final CSR coexist during the flatten.
-        let grid_bytes = ncells as u64 * std::mem::size_of::<Option<Vec<ChannelId>>>() as u64
-            + total as u64 * 4;
-        let csr_bytes = (starts.len() as u64 + cands.len() as u64) * 4;
-        let table = RouteTable {
-            nodes,
-            nch: nch as u32,
-            starts,
-            cands,
-        };
-        Ok((table, grid_bytes + csr_bytes))
+    /// [`Self::build`]; `threads` is ignored. The build is microseconds
+    /// and has nothing to parallelise — the name survives only because
+    /// the frozen `benchmark/` calls it.
+    pub fn build_parallel(net: &Arc<NetworkGraph>, _threads: usize) -> Result<RouteTable, String> {
+        RouteTable::build(net)
     }
 
     /// The output channels a header arriving over `at` may request next on
     /// its way to `dst` — identical (contents *and* order) to what
-    /// [`RouteLogic::candidates`] computes. Empty when `at` terminates at
-    /// the destination node, and for `(at, dst)` pairs no legal route ever
-    /// reaches.
+    /// [`crate::RouteLogic::candidates`] computes. Empty when `at`
+    /// terminates at a node.
+    ///
+    /// On `(at, dst)` pairs no legal route reaches the answer is
+    /// unspecified but harmless: some in-bounds run of the arrival
+    /// switch's own output channels (the digit rule applied anyway) from a
+    /// built table, possibly empty from a masked one. The engine never
+    /// asks.
     #[inline]
     pub fn candidates(&self, at: ChannelId, dst: NodeId) -> &[ChannelId] {
         let (lo, hi) = self.candidate_range(at, dst);
-        &self.cands[lo as usize..hi as usize]
+        &self.pool()[lo as usize..hi as usize]
     }
 
-    /// The `(lo, hi)` bounds of [`Self::candidates`]' slice within the
-    /// flat CSR arena. A `(at, dst)` cell lookup walks a table too large
-    /// for L1 on realistic networks; callers whose `(at, dst)` pair is
-    /// stable across many queries (a blocked worm re-requesting every
-    /// cycle) can cache the bounds and resolve them with
-    /// [`Self::resolve_range`] instead.
-    #[inline]
+    /// The `(lo, hi)` bounds of [`Self::candidates`]' slice within
+    /// [`Self::pool`]. Callers whose `(at, dst)` pair is stable across
+    /// many queries (a blocked worm re-requesting every cycle) cache the
+    /// bounds and slice the pool themselves.
+    ///
+    /// Deliberately out of line: it runs once per hop, not per cycle, and
+    /// inlining both layouts' lookups into the engine's cycle loop cost
+    /// that loop more (≈ 1 % on 64-node sweeps) than the call does.
+    #[inline(never)]
     pub fn candidate_range(&self, at: ChannelId, dst: NodeId) -> (u32, u32) {
-        let cell = dst as usize * self.nch as usize + at as usize;
-        (self.starts[cell], self.starts[cell + 1])
+        match &self.repr {
+            Repr::Compact {
+                net,
+                digits,
+                subtree,
+            } => {
+                let Endpoint::Switch { sw, side, .. } = net.channel(at).dst else {
+                    return (0, 0);
+                };
+                // Only a forward-arriving BMIN header has a choice to
+                // make: up any forward port until `dst` is below.
+                if side == Side::Left {
+                    if let Some(&(lo, hi)) = subtree.get(sw as usize) {
+                        if !(lo..hi).contains(&dst) {
+                            let k = net.out_port_codes() / 2;
+                            return net.out_port_range(sw, k, 2 * k);
+                        }
+                    }
+                }
+                let row = net.switch(sw).stage as usize * self.nodes as usize;
+                let digit = u32::from(digits[row + dst as usize]);
+                net.out_port_range(sw, digit, digit + 1)
+            }
+            Repr::Dense { nch, starts, .. } => {
+                let cell = dst as usize * *nch as usize + at as usize;
+                (starts[cell], starts[cell + 1])
+            }
+        }
     }
 
-    /// Resolve bounds previously obtained from [`Self::candidate_range`]
-    /// on this same table.
+    /// The candidate pool [`Self::candidate_range`]'s bounds index: the
+    /// graph's arena for a built table, the CSR `cands` for a masked one.
+    /// A hot loop fetches it once.
     #[inline]
-    pub fn resolve_range(&self, lo: u32, hi: u32) -> &[ChannelId] {
-        &self.cands[lo as usize..hi as usize]
+    pub fn pool(&self) -> &[ChannelId] {
+        match &self.repr {
+            Repr::Compact { net, .. } => net.arena(),
+            Repr::Dense { cands, .. } => cands,
+        }
     }
 
     /// The fault-masked variant of this table: every candidate list is
@@ -419,26 +204,22 @@ impl RouteTable {
     /// and an empty masked candidate list at a non-ejection cell is a
     /// definitive "disconnected from here" signal, not a maybe.
     ///
-    /// Candidate order is preserved (the mask only deletes entries), so a
-    /// masked table under an all-live mask is candidate-for-candidate the
-    /// original — the engine's no-fault RNG stream is untouched. An
+    /// Candidate order is preserved (the mask only deletes entries). An
     /// all-live mask short-circuits to a plain clone (every candidate of
     /// an unmasked table is deliverable by construction); a faulted mask
-    /// pre-counts the surviving candidates so both CSR arrays are
-    /// allocated at exactly their final size.
+    /// materialises the dense layout — `O(channels × nodes)` cells, the
+    /// one place it exists.
     ///
     /// Deliverability is computed per destination in one transmit-order
     /// pass: the engine's downstream-first channel order visits every
-    /// candidate before the channel that requests it.
+    /// candidate before the channel that requests it. The pass also
+    /// counts the survivors, so both CSR arrays are allocated at exactly
+    /// their final size.
     ///
     /// # Errors
     ///
     /// Reports a mask whose length does not match the channel count.
-    pub fn masked(
-        &self,
-        net: &NetworkGraph,
-        dead_channel: &[bool],
-    ) -> Result<RouteTable, String> {
+    pub fn masked(&self, net: &NetworkGraph, dead_channel: &[bool]) -> Result<RouteTable, String> {
         let nch = net.num_channels();
         if dead_channel.len() != nch {
             return Err(format!(
@@ -453,39 +234,28 @@ impl RouteTable {
         let nodes = self.nodes as usize;
         let order = net.transmit_order();
         // deliver[dst * nch + ch] — `dst` can still be reached from the
-        // head of `ch`.
+        // head of `ch`. The same pass counts the surviving candidates of
+        // every cell (a dead channel's cell keeps its live candidates),
+        // so the fill below writes exactly-sized arrays.
         let mut deliver = vec![false; nch * nodes];
+        let mut total = 0usize;
         for dst in 0..nodes {
             let drow = &mut deliver[dst * nch..(dst + 1) * nch];
             for &ch in order {
-                let chi = ch as usize;
-                if dead_channel[chi] {
-                    continue;
-                }
-                let ok = net.eject(dst as NodeId) == ch
-                    || self.candidates(ch, dst as NodeId).iter().any(|&c| {
-                        debug_assert!(
-                            net.channel(c).topo_rank < net.channel(ch).topo_rank,
-                            "candidate {c} not downstream of {ch}"
-                        );
-                        drow[c as usize]
-                    });
-                drow[chi] = ok;
+                let cands = self.candidates(ch, dst as NodeId);
+                debug_assert!(
+                    cands
+                        .iter()
+                        .all(|&c| net.channel(c).topo_rank < net.channel(ch).topo_rank),
+                    "a candidate of {ch} is not downstream of it"
+                );
+                let live = cands.iter().filter(|&&c| drow[c as usize]).count();
+                total += live;
+                drow[ch as usize] =
+                    !dead_channel[ch as usize] && (live > 0 || net.eject(dst as NodeId) == ch);
             }
         }
-        // Count the survivors, then fill exactly-sized arrays.
-        let mut total = 0usize;
-        for dst in 0..nodes {
-            let drow = &deliver[dst * nch..(dst + 1) * nch];
-            for ch in 0..nch {
-                total += self
-                    .candidates(ch as ChannelId, dst as NodeId)
-                    .iter()
-                    .filter(|&&c| drow[c as usize])
-                    .count();
-            }
-        }
-        let mut starts = Vec::with_capacity(self.starts.len());
+        let mut starts = Vec::with_capacity(nch * nodes + 1);
         let mut cands = Vec::with_capacity(total);
         for dst in 0..nodes {
             let drow = &deliver[dst * nch..(dst + 1) * nch];
@@ -502,9 +272,11 @@ impl RouteTable {
         debug_assert_eq!(cands.len(), total);
         Ok(RouteTable {
             nodes: self.nodes,
-            nch: self.nch,
-            starts,
-            cands,
+            repr: Repr::Dense {
+                nch: nch as u32,
+                starts,
+                cands,
+            },
         })
     }
 
@@ -513,101 +285,168 @@ impl RouteTable {
         self.nodes
     }
 
-    /// Total stored candidate entries (a size/health metric for benches).
-    pub fn len(&self) -> usize {
-        self.cands.len()
-    }
-
-    /// Whether the table stores no candidates at all (degenerate network).
-    pub fn is_empty(&self) -> bool {
-        self.cands.is_empty()
-    }
-
-    /// Approximate resident size of the table in bytes (both CSR arrays) —
-    /// a memory-accounting metric for benches.
+    /// Approximate resident size in bytes of what the table **owns** —
+    /// digit rows and subtree bounds, or the dense CSR arrays. The graph a
+    /// built table points into is accounted by
+    /// [`NetworkGraph::approx_bytes`], not here.
     pub fn approx_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
-            + (self.starts.len() as u64 + self.cands.len() as u64) * 4
+            + match &self.repr {
+                Repr::Compact {
+                    digits, subtree, ..
+                } => digits.len() as u64 + subtree.len() as u64 * 8,
+                Repr::Dense { starts, cands, .. } => (starts.len() as u64 + cands.len() as u64) * 4,
+            }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteLogic;
     use minnet_topology::{build_bmin, build_unidir, Geometry, UnidirKind};
 
-    fn nets() -> Vec<NetworkGraph> {
-        let g = Geometry::new(4, 3);
-        vec![
-            build_unidir(g, UnidirKind::Cube, 1),
-            build_unidir(g, UnidirKind::Cube, 2),
-            build_unidir(g, UnidirKind::Butterfly, 1),
-            build_bmin(g),
-        ]
+    const WIRINGS: [UnidirKind; 4] = [
+        UnidirKind::Cube,
+        UnidirKind::Butterfly,
+        UnidirKind::Omega,
+        UnidirKind::Baseline,
+    ];
+
+    /// TMIN and DMIN(d=2) under every wiring, plus the BMIN.
+    fn lineup(g: Geometry) -> Vec<Arc<NetworkGraph>> {
+        let mut nets: Vec<_> = WIRINGS
+            .iter()
+            .flat_map(|&w| [1, 2].map(|d| Arc::new(build_unidir(g, w, d))))
+            .collect();
+        nets.push(Arc::new(build_bmin(g)));
+        nets
     }
 
-    /// Walk every (src, dst) route with RouteLogic and check the table
-    /// answers identically at every reachable channel.
-    #[test]
-    fn table_matches_logic_on_every_reachable_pair() {
-        for net in nets() {
-            let logic = RouteLogic::for_kind(net.kind);
-            let table = RouteTable::build(&net).unwrap();
-            let mut expect = Vec::new();
-            let mut frontier = Vec::new();
-            for src in 0..net.geometry.nodes() {
-                for dst in 0..net.geometry.nodes() {
-                    if src == dst {
-                        continue;
-                    }
-                    frontier.clear();
-                    frontier.push(net.inject(src));
-                    let mut seen = vec![false; net.num_channels()];
-                    seen[net.inject(src) as usize] = true;
-                    while let Some(at) = frontier.pop() {
-                        logic.candidates(&net, src, dst, at, &mut expect);
-                        assert_eq!(
-                            table.candidates(at, dst),
-                            &expect[..],
-                            "channel {at} → {dst}"
-                        );
-                        for &c in &expect {
-                            if !seen[c as usize] {
-                                seen[c as usize] = true;
-                                frontier.push(c);
-                            }
-                        }
+    fn nets() -> Vec<Arc<NetworkGraph>> {
+        lineup(Geometry::new(4, 3))
+    }
+
+    /// Walks `src → dst` routes with [`RouteLogic`] over every channel
+    /// any legal route may visit, asserting the table's answer — contents
+    /// and order — at each one.
+    struct Walker<'a> {
+        net: &'a NetworkGraph,
+        logic: RouteLogic,
+        table: RouteTable,
+        stamp: Vec<u32>,
+        gen: u32,
+        frontier: Vec<ChannelId>,
+        expect: Vec<ChannelId>,
+    }
+
+    impl<'a> Walker<'a> {
+        fn new(net: &'a Arc<NetworkGraph>) -> Walker<'a> {
+            Walker {
+                net,
+                logic: RouteLogic::for_kind(net.kind),
+                table: RouteTable::build(net).unwrap(),
+                stamp: vec![0; net.num_channels()],
+                gen: 0,
+                frontier: Vec::new(),
+                expect: Vec::new(),
+            }
+        }
+
+        fn check(&mut self, src: NodeId, dst: NodeId) {
+            self.gen += 1;
+            self.frontier.push(self.net.inject(src));
+            while let Some(at) = self.frontier.pop() {
+                self.logic
+                    .candidates(self.net, src, dst, at, &mut self.expect);
+                assert_eq!(
+                    self.table.candidates(at, dst),
+                    &self.expect[..],
+                    "{:?} {:?}: {src} → {dst} at channel {at}",
+                    self.net.kind,
+                    self.net.geometry
+                );
+                for &c in &self.expect {
+                    if std::mem::replace(&mut self.stamp[c as usize], self.gen) != self.gen {
+                        self.frontier.push(c);
                     }
                 }
             }
         }
     }
 
-    /// The streaming build and the Option<Vec>-grid oracle agree byte for
-    /// byte on every fixture — the tentpole's bit-identity pin.
+    /// The table against its definition: every src, dst and reachable
+    /// channel, on every network family, wiring and a spread of radices
+    /// (non-power-of-two `k` included).
     #[test]
-    fn streaming_build_equals_grid_oracle() {
-        for net in nets() {
-            let stream = RouteTable::build(&net).unwrap();
-            let (grid, peak) = RouteTable::build_grid(&net).unwrap();
-            assert_eq!(stream, grid, "{:?}", net.kind);
-            assert!(peak >= stream.approx_bytes(), "grid peak under-estimated");
+    fn table_equals_logic_on_every_reachable_pair() {
+        for (k, n) in [(2, 3), (3, 3), (4, 3), (8, 2), (4, 4)] {
+            for net in lineup(Geometry::new(k, n)) {
+                let mut w = Walker::new(&net);
+                for src in 0..net.geometry.nodes() {
+                    for dst in (0..net.geometry.nodes()).filter(|&d| d != src) {
+                        w.check(src, dst);
+                    }
+                }
+            }
         }
     }
 
-    /// Thread-chunked builds are byte-identical to the serial build for
-    /// every thread count, including counts that don't divide the
-    /// destination count.
+    /// The same check on sampled pairs at the scales the exhaustive walk
+    /// cannot afford: 1024, 4096 and 16 384 terminals.
     #[test]
-    fn parallel_build_is_thread_invariant() {
-        for net in nets() {
-            let serial = RouteTable::build(&net).unwrap();
-            for threads in [2usize, 3, 7, 64, 200] {
-                let par = RouteTable::build_parallel(&net, threads).unwrap();
-                assert_eq!(serial, par, "{:?} threads={threads}", net.kind);
+    fn table_equals_logic_on_sampled_pairs_at_scale() {
+        for g in [
+            Geometry::new(32, 2),
+            Geometry::new(4, 6),
+            Geometry::new(4, 7),
+        ] {
+            for net in [
+                Arc::new(build_unidir(g, UnidirKind::Cube, 1)),
+                Arc::new(build_unidir(g, UnidirKind::Butterfly, 2)),
+                Arc::new(build_bmin(g)),
+            ] {
+                let mut w = Walker::new(&net);
+                let nodes = u64::from(g.nodes());
+                let mut z = 0x9E37_79B9_7F4A_7C15u64;
+                for _ in 0..600 {
+                    z = z
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let (src, dst) = (((z >> 33) % nodes) as u32, ((z >> 13) % nodes) as u32);
+                    if src != dst {
+                        w.check(src, dst);
+                    }
+                }
+                // Neighbours and antipodes: the shortest and longest turns.
+                w.check(0, 1);
+                w.check(0, g.nodes() - 1);
+                w.check(g.nodes() - 1, g.nodes() - 2);
             }
-            let auto = RouteTable::build_parallel(&net, 0).unwrap();
-            assert_eq!(serial, auto);
+        }
+    }
+
+    /// What `candidates` promises on pairs no legal route reaches: no
+    /// panic, and a contiguous run of the arrival switch's own outputs.
+    #[test]
+    fn unreachable_pairs_answer_in_bounds() {
+        for net in lineup(Geometry::new(3, 3)) {
+            let table = RouteTable::build(&net).unwrap();
+            for ch in 0..net.num_channels() as ChannelId {
+                for dst in 0..net.geometry.nodes() {
+                    let cands = table.candidates(ch, dst);
+                    match net.channel(ch).dst {
+                        Endpoint::Node(_) => assert!(cands.is_empty()),
+                        Endpoint::Switch { sw, .. } => {
+                            let outs = net.out_all(sw);
+                            assert!(
+                                outs.windows(cands.len().max(1)).any(|w| w == cands),
+                                "channel {ch} → {dst}: {cands:?} not a run of {outs:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -621,13 +460,16 @@ mod tests {
         }
     }
 
+    /// An all-live mask takes the clone fast path: same candidates in
+    /// every cell, and still the compact layout.
     #[test]
-    fn masked_with_all_live_mask_is_identical() {
+    fn masked_with_all_live_mask_is_a_clone() {
         for net in nets() {
             let table = RouteTable::build(&net).unwrap();
             let masked = table
                 .masked(&net, &vec![false; net.num_channels()])
                 .unwrap();
+            assert_eq!(table.approx_bytes(), masked.approx_bytes());
             for ch in 0..net.num_channels() as u32 {
                 for dst in 0..net.geometry.nodes() {
                     assert_eq!(
@@ -640,24 +482,72 @@ mod tests {
         }
     }
 
-    /// The empty-fault fast path returns a structural clone: both CSR
-    /// arrays byte-identical to the original, with no shrunken rebuild.
-    #[test]
-    fn masked_empty_fault_fast_path_is_a_clone() {
-        let net = build_bmin(Geometry::new(4, 3));
-        let table = RouteTable::build(&net).unwrap();
-        let masked = table
-            .masked(&net, &vec![false; net.num_channels()])
-            .unwrap();
-        assert_eq!(table, masked);
-        assert_eq!(table.approx_bytes(), masked.approx_bytes());
-    }
-
     #[test]
     fn masked_rejects_wrong_mask_length() {
         let net = &nets()[0];
         let table = RouteTable::build(net).unwrap();
         assert!(table.masked(net, &[false; 3]).is_err());
+    }
+
+    /// `masked` against a brute-force oracle: on every reachable cell the
+    /// masked candidates are the logic's candidates minus those with no
+    /// live path to the ejection channel (plain DFS, no memo).
+    #[test]
+    fn masked_equals_brute_force_deliverability() {
+        fn live(
+            net: &NetworkGraph,
+            logic: RouteLogic,
+            dead: &[bool],
+            (src, dst): (NodeId, NodeId),
+            c: ChannelId,
+        ) -> bool {
+            let mut next = Vec::new();
+            logic.candidates(net, src, dst, c, &mut next);
+            !dead[c as usize]
+                && (c == net.eject(dst)
+                    || next.iter().any(|&d| live(net, logic, dead, (src, dst), d)))
+        }
+        for g in [
+            Geometry::new(2, 3),
+            Geometry::new(4, 2),
+            Geometry::new(3, 3),
+        ] {
+            for net in lineup(g) {
+                let logic = RouteLogic::for_kind(net.kind);
+                // Every seventh switch-to-switch channel dies.
+                let mut dead = vec![false; net.num_channels()];
+                let inner = (0..net.num_channels()).filter(|&c| {
+                    let ch = net.channel(c as ChannelId);
+                    ch.src.switch().is_some() && ch.dst.switch().is_some()
+                });
+                inner.step_by(7).for_each(|c| dead[c] = true);
+                let masked = RouteTable::build(&net)
+                    .unwrap()
+                    .masked(&net, &dead)
+                    .unwrap();
+                let mut cands = Vec::new();
+                for src in 0..g.nodes() {
+                    for dst in (0..g.nodes()).filter(|&d| d != src) {
+                        let mut frontier = vec![net.inject(src)];
+                        while let Some(at) = frontier.pop() {
+                            logic.candidates(&net, src, dst, at, &mut cands);
+                            let want: Vec<ChannelId> = cands
+                                .iter()
+                                .copied()
+                                .filter(|&c| live(&net, logic, &dead, (src, dst), c))
+                                .collect();
+                            assert_eq!(
+                                masked.candidates(at, dst),
+                                &want[..],
+                                "{:?}: {src} → {dst} at channel {at}",
+                                net.kind
+                            );
+                            frontier.extend_from_slice(&cands);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Walk every masked candidate chain: a nonempty cell must lead to a
@@ -677,8 +567,7 @@ mod tests {
                         }
                         seen[c as usize] = true;
                         assert!(
-                            c == net.eject(dst)
-                                || !masked.candidates(c, dst).is_empty(),
+                            c == net.eject(dst) || !masked.candidates(c, dst).is_empty(),
                             "masked route {src}→{dst} dead-ends at channel {c}"
                         );
                         frontier.push(c);
@@ -692,7 +581,7 @@ mod tests {
     fn bmin_single_fault_keeps_all_pairs_deliverable() {
         // k^t alternative paths: one dead inter-stage link must leave
         // every (src, dst) cell deliverable, with no route dead-ending.
-        let net = build_bmin(Geometry::new(4, 3));
+        let net = Arc::new(build_bmin(Geometry::new(4, 3)));
         let table = RouteTable::build(&net).unwrap();
         let victim = (0..net.num_channels() as u32)
             .find(|&c| {
@@ -718,7 +607,7 @@ mod tests {
 
     #[test]
     fn tmin_single_fault_disconnects_crossing_pairs_only() {
-        let net = build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 1);
+        let net = Arc::new(build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 1));
         let table = RouteTable::build(&net).unwrap();
         let victim = (0..net.num_channels() as u32)
             .find(|&c| {
@@ -762,7 +651,7 @@ mod tests {
     fn dmin_masked_candidates_skip_the_dead_lane() {
         // Dilated links: killing one parallel channel removes it from the
         // candidate lists but keeps every pair deliverable via its twin.
-        let net = build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 2);
+        let net = Arc::new(build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 2));
         let table = RouteTable::build(&net).unwrap();
         let victim = (0..net.num_channels() as u32)
             .find(|&c| {
@@ -799,16 +688,22 @@ mod tests {
         assert_no_dead_ends(&net, &masked);
     }
 
+    /// What the table owns is digit rows plus per-switch bounds — the
+    /// 64-node tables are a few hundred bytes, a dense masked one is not.
     #[test]
-    fn table_is_compact() {
+    fn built_table_is_compact_and_masked_is_dense() {
         let g = Geometry::new(4, 3);
-        let net = build_unidir(g, UnidirKind::Cube, 1);
-        let table = RouteTable::build(&net).unwrap();
-        // Every non-final channel × destination cell holds exactly one
-        // candidate in a TMIN (one output port, one lane), and the walk
-        // reaches n stages' worth of cells per pair.
-        assert!(!table.is_empty());
-        assert_eq!(table.nodes(), 64);
-        assert!(table.len() < net.num_channels() * 64);
+        for net in [
+            Arc::new(build_unidir(g, UnidirKind::Cube, 1)),
+            Arc::new(build_bmin(g)),
+        ] {
+            let table = RouteTable::build(&net).unwrap();
+            assert_eq!(table.nodes(), 64);
+            assert!(table.approx_bytes() < 1024, "{}", table.approx_bytes());
+            let mut dead = vec![false; net.num_channels()];
+            dead[net.num_channels() / 2] = true;
+            let masked = table.masked(&net, &dead).unwrap();
+            assert!(masked.approx_bytes() > 4 * 64 * net.num_channels() as u64);
+        }
     }
 }

@@ -7,6 +7,7 @@ use minnet_topology::{
     build_bmin, build_unidir, Direction, Geometry, NetworkGraph, NodeAddr, UnidirKind,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn geometry() -> impl Strategy<Value = Geometry> {
     prop_oneof![
@@ -89,31 +90,35 @@ proptest! {
         }
     }
 
-    // The thread-chunked table build is bitwise-identical to the serial
-    // build across random network instances and thread counts — including
-    // thread counts that exceed or don't divide the destination count.
+    // The table answers like the logic along every channel a random
+    // route may visit, across random geometries, wirings and dilations
+    // (the exhaustive fixed-geometry walk lives in `table.rs`).
     #[test]
-    fn parallel_table_build_equals_serial(
+    fn table_equals_logic_along_random_routes(
         g in geometry(),
         which in 0usize..6,
         dilation in 1u8..3,
-        threads in 1usize..5,
-        ragged in 0usize..3,
+        raw_s in 0u32..100_000,
+        raw_d in 0u32..100_000,
     ) {
-        let net: NetworkGraph = match which {
+        let s = raw_s % g.nodes();
+        let d = raw_d % g.nodes();
+        prop_assume!(s != d);
+        let net: Arc<NetworkGraph> = Arc::new(match which {
             0 => build_unidir(g, UnidirKind::Cube, dilation),
             1 => build_unidir(g, UnidirKind::Butterfly, dilation),
             2 => build_unidir(g, UnidirKind::Omega, dilation),
             3 => build_unidir(g, UnidirKind::Baseline, dilation),
             _ => build_bmin(g),
-        };
-        let serial = RouteTable::build(&net).unwrap();
-        // A small thread count and a deliberately ragged one (odd, larger
-        // than most block sizes) to exercise uneven block boundaries.
-        let par = RouteTable::build_parallel(&net, threads).unwrap();
-        prop_assert_eq!(&serial, &par);
-        let ragged_threads = [3usize, 7, g.nodes() as usize + 1][ragged];
-        let par = RouteTable::build_parallel(&net, ragged_threads).unwrap();
-        prop_assert_eq!(&serial, &par);
+        });
+        let logic = RouteLogic::for_kind(net.kind);
+        let table = RouteTable::build(&net).unwrap();
+        let mut expect = Vec::new();
+        let mut frontier = vec![net.inject(s)];
+        while let Some(at) = frontier.pop() {
+            logic.candidates(&net, s, d, at, &mut expect);
+            prop_assert_eq!(table.candidates(at, d), &expect[..], "channel {}", at);
+            frontier.extend_from_slice(&expect);
+        }
     }
 }

@@ -133,20 +133,16 @@ pub struct EngineConfig {
     /// Per-run resource limits (simulated cycles / wall-clock time); see
     /// [`RunBudget`]. Default: unlimited.
     pub budget: RunBudget,
-    /// Route-table cell cap: when `channels × nodes` exceeds this, the
-    /// compiled network skips the precomputed [`minnet_routing::RouteTable`]
-    /// and routes every hop through [`minnet_routing::RouteLogic`] directly
-    /// — bit-identical results (the table is a memoized logic, pinned by
-    /// the differential tests), trading per-hop lookup speed for O(1)
-    /// setup memory. This is what admits 16k-terminal networks whose
-    /// dense table would need tens of gigabytes. `0` = unlimited (always
-    /// build the table). Default: `1 << 25` (32 Mi cells ≈ 128 MB of
-    /// offsets — the 1024-node BMIN fits, 4096 nodes and up fall back).
+    /// Cell cap on the **dense masked tables of fault epochs**: a fault
+    /// plan compiles each faulted epoch into a `channels × nodes`-cell
+    /// [`minnet_routing::RouteTable::masked`] table, and
+    /// [`crate::CompiledNet::compile_faults`] refuses — before allocating
+    /// anything — a network whose cell count exceeds this. It selects no
+    /// routing mode: healthy routing uses the compact table at every
+    /// size. `0` = unlimited. Default: `1 << 25` (32 Mi cells ≈ 128 MB of
+    /// offsets per faulted epoch — the 1024-node BMIN fits, 4096 nodes
+    /// and up cannot run faults).
     pub route_table_max_cells: u64,
-    /// OS threads for the route-table build (`0` = one per available
-    /// core). The parallel build is byte-identical to the serial build at
-    /// every thread count — it only changes setup wall-time. Default: 1.
-    pub table_build_threads: u32,
 }
 
 impl Default for EngineConfig {
@@ -169,7 +165,6 @@ impl Default for EngineConfig {
             fault_abort: true,
             budget: RunBudget::UNLIMITED,
             route_table_max_cells: 1 << 25,
-            table_build_threads: 1,
         }
     }
 }
@@ -178,8 +173,9 @@ impl Default for EngineConfig {
 /// header, journal key and `minnetd` job id (through `Experiment`'s
 /// derived `Debug`). Identity v1 is *defined* as this rendering — field
 /// names and order included — so it is written out, not derived: the
-/// eleventh entry names a toggle the engine no longer has and stays as a
-/// frozen literal at its old position to keep those hashes stable.
+/// eleventh and the last entry name knobs the engine no longer has
+/// (`word_kernels`, `table_build_threads`) and stay as frozen literals at
+/// their old positions to keep those hashes stable.
 impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
@@ -201,7 +197,7 @@ impl std::fmt::Debug for EngineConfig {
             .field("fault_abort", &self.fault_abort)
             .field("budget", &self.budget)
             .field("route_table_max_cells", &self.route_table_max_cells)
-            .field("table_build_threads", &self.table_build_threads)
+            .field("table_build_threads", &1u32)
             .finish()
     }
 }

@@ -14,12 +14,12 @@
 //! 1. **Arrivals** — Poisson (or scripted) messages join their source's
 //!    FCFS queue.
 //! 2. **Routing & allocation** — every header flit sitting in the buffer at
-//!    a switch input computes its candidate output channels
-//!    ([`RouteLogic`] or a precompiled [`RouteTable`]) and tries to claim a
-//!    free lane; queued messages try to claim the injection channel (one
-//!    packet per source at a time — the one-port architecture transmits
-//!    packets in sequence). Requests are served in random order; lane
-//!    choice among free candidates is random (the paper's policy).
+//!    a switch input looks up its candidate output channels
+//!    ([`RouteTable`]) and tries to claim a free lane; queued messages
+//!    try to claim the injection channel (one packet per source at a
+//!    time — the one-port architecture transmits packets in sequence).
+//!    Requests are served in random order; lane choice among free
+//!    candidates is random (the paper's policy).
 //! 3. **Transmission** — every physical channel forwards at most one flit,
 //!    chosen among its ready lanes by the VC multiplexer. Channels are
 //!    processed downstream-first (reverse topological order), so an
@@ -37,21 +37,23 @@
 //!
 //! Everything about a run that depends only on the *network and engine
 //! configuration* — the transmit order and its inverse, the
-//! ejection-channel mask, and the per-`(channel, destination)` routing
-//! table — lives in an immutable [`CompiledNet`], built once and shared
-//! (`Arc`-held network) across however many runs and threads a sweep
-//! needs. Everything that changes over a run — lanes, queues, heaps,
-//! statistics, the RNG — lives in a reusable [`EngineState`], whose
+//! ejection-channel mask, and the routing table (digit rows and subtree
+//! bounds over the graph's own port arena, a few hundred kilobytes at
+//! 16k terminals) — lives in an immutable [`CompiledNet`], built once
+//! and shared (`Arc`-held network) across however many runs and threads
+//! a sweep needs. Everything that changes over a run — lanes, queues,
+//! heaps, statistics, the RNG — lives in a reusable [`EngineState`], whose
 //! `reset(seed)` path restores the exact fresh-construction state while
 //! keeping every allocation. One run = `CompiledNet` × `EngineState` ×
 //! a traffic source ([`minnet_traffic::Workload`], [`Script`], [`Chain`]).
 //!
 //! The original free functions ([`run_simulation`], [`run_scripted`],
-//! [`run_chained`]) remain as one-shot wrappers; they skip the routing
-//! table (routing dynamically through [`RouteLogic`], as before) so a
-//! single run pays no table-build cost. The differential tests pin both
-//! paths to bit-identical reports, so the table is exercised as a
-//! first-class equal of the closed-form logic.
+//! [`run_chained`]) remain as one-shot wrappers: each compiles a private
+//! [`CompiledNet`] and runs it once, so there is one routing
+//! representation and one engine path at every size. The closed-form
+//! [`minnet_routing::RouteLogic`] is the table's *definition* — the
+//! routing crate's exhaustive tests hold the table to it, and the
+//! `reference` engine keeps routing through it.
 //!
 //! # Occupancy-scaled scheduling
 //!
@@ -120,14 +122,13 @@
 //! # Determinism contract
 //!
 //! Same seed + same build ⇒ bit-identical [`SimReport`], regardless of
-//! how many sweep threads call the engine (each run owns its RNG), of
-//! whether routing goes through [`RouteLogic`] or a [`RouteTable`] (the
-//! table stores the logic's answers verbatim), and of whether the state
-//! is freshly allocated or reused through `reset` (reset restores every
-//! observable field the fresh constructor produces). The active sets are
-//! pure bookkeeping: every request list, arbiter call and RNG draw
-//! happens in exactly the order the scan-everything reference engine
-//! (`reference` module, feature `reference-engine`) produces, which
+//! how many sweep threads call the engine (each run owns its RNG), and
+//! of whether the state is freshly allocated or reused through `reset`
+//! (reset restores every observable field the fresh constructor
+//! produces). The active sets are pure bookkeeping: every request list,
+//! arbiter call and RNG draw happens in exactly the order the
+//! scan-everything reference engine (`reference` module, feature
+//! `reference-engine`) produces, which
 //! `tests/engine_equivalence.rs` enforces report-for-report with
 //! [`SimReport::bitwise_eq`]. The load-bearing orderings are: bitset
 //! iteration is ascending (= the reference's node scan); every heap entry
@@ -156,7 +157,7 @@ use crate::fault::CompiledFaults;
 use crate::lockstep::LockstepState;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
-use minnet_routing::{find_cycle, RouteLogic, RouteTable};
+use minnet_routing::{find_cycle, RouteTable};
 use minnet_switch::{Arbiter, ArbiterKind, Crossbar, FlitRef, VcMux};
 use minnet_topology::{ChannelId, Endpoint, FaultPlan, Geometry, NetworkGraph, Side};
 use minnet_traffic::Workload;
@@ -414,19 +415,10 @@ enum Req {
     Advance(u32),
 }
 
-/// How the engine answers "where may this header go next".
-#[derive(Clone, Copy)]
-enum Router<'a> {
-    /// Precomputed per-(channel, destination) lookup (compiled pipeline).
-    Table(&'a RouteTable),
-    /// Closed-form routing recomputed per hop (one-shot wrappers).
-    Logic(RouteLogic),
-}
-
 /// The network- and config-derived constants of a run: transmit order,
-/// its inverse, the ejection mask, and the precomputed routing table —
-/// built **once**, immutable, and shared across every run (and thread)
-/// of a sweep.
+/// its inverse, the ejection mask, and the routing table — built
+/// **once**, immutable, and shared across every run (and thread) of a
+/// sweep.
 ///
 /// A `CompiledNet` plus a (resettable) [`EngineState`] plus a traffic
 /// source is one simulation run; see the module header's
@@ -437,20 +429,18 @@ enum Router<'a> {
 pub struct CompiledNet {
     net: Arc<NetworkGraph>,
     cfg: EngineConfig,
-    /// Precomputed routing table, or `None` when `channels × nodes`
-    /// exceeds [`EngineConfig::route_table_max_cells`] — runs then route
-    /// every hop through [`RouteLogic`] directly (bit-identical results;
-    /// the table is a memoized logic).
-    routes: Option<RouteTable>,
+    routes: RouteTable,
     sweep: SweepOrder,
 }
 
 /// The transmit order and what the sweeps derive from it — the non-table
-/// part of compilation, also built per call by the one-shot wrappers.
+/// part of compilation.
 #[derive(Clone, Debug)]
 struct SweepOrder {
-    /// Channels in transmit order.
-    order: Vec<ChannelId>,
+    /// Channels in [`TransmitOrder::BuildOrder`]; `None` under
+    /// [`TransmitOrder::ReverseTopo`], whose order the graph already
+    /// memoises (see [`SweepOrder::order`]).
+    build_order: Option<Vec<ChannelId>>,
     dst_is_node: Vec<bool>,
     /// Plane index per lane (`ch * vcs + vc`): `(pos << vcs_shift) | vc`
     /// with `pos` the channel's position in `order`, tabulated so the hot
@@ -468,10 +458,11 @@ fn vcs_shift(cfg: &EngineConfig) -> u32 {
 impl SweepOrder {
     fn new(net: &NetworkGraph, cfg: &EngineConfig) -> SweepOrder {
         let nch = net.num_channels();
-        let order = match cfg.transmit_order {
-            TransmitOrder::ReverseTopo => net.transmit_order().to_vec(),
-            TransmitOrder::BuildOrder => (0..nch as u32).collect(),
+        let build_order = match cfg.transmit_order {
+            TransmitOrder::ReverseTopo => None,
+            TransmitOrder::BuildOrder => Some((0..nch as u32).collect()),
         };
+        let order = build_order.as_deref().unwrap_or(net.transmit_order());
         let dst_is_node = net
             .channels
             .iter()
@@ -485,34 +476,30 @@ impl SweepOrder {
             }
         }
         SweepOrder {
-            order,
+            build_order,
             dst_is_node,
             lane_plane,
         }
+    }
+
+    /// Channels in transmit order: the owned build order, or `net`'s
+    /// memoised reverse-topological slice.
+    fn order<'a>(&'a self, net: &'a NetworkGraph) -> &'a [ChannelId] {
+        self.build_order.as_deref().unwrap_or(net.transmit_order())
     }
 }
 
 impl CompiledNet {
     /// Compile `net` under `cfg`: validate the configuration, fix the
-    /// transmit order, and build the routing table — unless the network
-    /// exceeds [`EngineConfig::route_table_max_cells`], in which case the
-    /// compiled network routes through [`RouteLogic`] per hop instead
-    /// (bit-identical, table-free; what admits 16k-terminal networks).
+    /// transmit order, and build the routing table — at every size; the
+    /// table is `O(stages × nodes)` bytes (see [`RouteTable`]).
     ///
     /// # Errors
     ///
-    /// Reports invalid configurations and routing-table inconsistencies.
+    /// Reports invalid configurations and a radix the table cannot hold.
     pub fn new(net: Arc<NetworkGraph>, cfg: EngineConfig) -> Result<CompiledNet, SimError> {
         cfg.validate()?;
-        let ncells = net.num_channels() as u64 * u64::from(net.geometry.nodes());
-        let routes = if cfg.route_table_max_cells == 0 || ncells <= cfg.route_table_max_cells {
-            Some(
-                RouteTable::build_parallel(&net, cfg.table_build_threads as usize)
-                    .map_err(SimError::Routing)?,
-            )
-        } else {
-            None
-        };
+        let routes = RouteTable::build(&net).map_err(SimError::Routing)?;
         let sweep = SweepOrder::new(&net, &cfg);
         Ok(CompiledNet {
             net,
@@ -532,19 +519,11 @@ impl CompiledNet {
         &self.cfg
     }
 
-    /// The precomputed routing table, or `None` when the network exceeds
-    /// the cell cap and runs route through [`RouteLogic`] instead.
+    /// The routing table. Always `Some` — every compiled network has one;
+    /// the `Option` survives only because the frozen `benchmark/` matches
+    /// on it.
     pub fn routes(&self) -> Option<&RouteTable> {
-        self.routes.as_ref()
-    }
-
-    /// The per-hop router runs use: the table when one was built, the
-    /// routing logic otherwise. Both produce bit-identical reports.
-    fn router(&self) -> Router<'_> {
-        match &self.routes {
-            Some(t) => Router::Table(t),
-            None => Router::Logic(RouteLogic::for_kind(self.net.kind)),
-        }
+        Some(&self.routes)
     }
 
     /// Compile a [`FaultPlan`] against this network: per-epoch dead-lane
@@ -555,20 +534,22 @@ impl CompiledNet {
     /// # Errors
     ///
     /// Reports out-of-range fault targets, inverted repair windows, a
-    /// (defensive) masked CDG cycle, and a network too large for a route
-    /// table — fault epochs are precompiled as *masked tables*, so fault
-    /// runs need the table the cell cap suppressed.
+    /// (defensive) masked CDG cycle, and — before anything is allocated —
+    /// a network whose dense masked tables (`channels × nodes` cells per
+    /// faulted epoch) would exceed
+    /// [`EngineConfig::route_table_max_cells`].
     pub fn compile_faults(&self, plan: &FaultPlan) -> Result<CompiledFaults, SimError> {
-        let Some(routes) = &self.routes else {
+        let cap = self.cfg.route_table_max_cells;
+        let ncells = self.net.num_channels() as u64 * u64::from(self.net.geometry.nodes());
+        if cap != 0 && ncells > cap {
             return Err(SimError::Routing(format!(
-                "fault compilation needs a route table, but {} channels × {} nodes \
-                 exceeds route_table_max_cells ({}); raise the cap to run faults",
+                "fault epochs need dense masked route tables, but {} channels × {} nodes \
+                 exceeds route_table_max_cells ({cap}); raise the cap to run faults",
                 self.net.num_channels(),
                 self.net.geometry.nodes(),
-                self.cfg.route_table_max_cells,
             )));
-        };
-        CompiledFaults::compile(&self.net, routes, plan, self.cfg.vcs)
+        }
+        CompiledFaults::compile(&self.net, &self.routes, plan, self.cfg.vcs)
     }
 
     /// Expand a [`crate::chaos::ChaosSchedule`] against this network with
@@ -734,16 +715,7 @@ impl CompiledNet {
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
-        run_prepared(
-            &self.net,
-            &self.cfg,
-            self.router(),
-            &self.sweep,
-            traffic,
-            faults,
-            seed,
-            st,
-        )
+        prepare_engine(self, traffic, faults, seed, st).run()
     }
 
     // ---- lockstep replication fleets ---------------------------------
@@ -893,16 +865,7 @@ impl CompiledNet {
             .iter()
             .zip(states.iter_mut())
             .map(|(&seed, st)| {
-                Some(prepare_engine(
-                    &self.net,
-                    &self.cfg,
-                    self.router(),
-                    &self.sweep,
-                    source.traffic(),
-                    None,
-                    seed,
-                    st,
-                ))
+                Some(prepare_engine(self, source.traffic(), None, seed, st))
             })
             .collect();
         let ff = self.cfg.fast_forward;
@@ -1015,9 +978,8 @@ pub struct EngineState {
     /// Cache of the head's `RouteTable::candidate_range` bounds,
     /// refreshed whenever the head advances. A blocked worm re-requests
     /// every cycle; resolving the cached bounds skips the `(at, dst)`
-    /// cell lookup in the L2-sized `starts` table. Only maintained and
-    /// read on the fault-free table-router path (`(0, 0)` placeholder
-    /// otherwise).
+    /// lookup's chain of dependent loads. Only maintained and read on
+    /// the fault-free path (`(0, 0)` placeholder otherwise).
     pkt_cand: Vec<(u32, u32)>,
     pkt_delivered: Vec<u32>,
     pkt_meta: Vec<PktMeta>,
@@ -1097,7 +1059,6 @@ pub struct EngineState {
     deliveries: Option<Vec<Delivery>>,
     trace: Option<Trace>,
     // scratch buffers
-    cand: Vec<ChannelId>,
     elig: Vec<u32>,
     reqs: Vec<Req>,
     ready: Vec<bool>,
@@ -1157,7 +1118,6 @@ impl EngineState {
             util: Vec::new(),
             deliveries: None,
             trace: None,
-            cand: Vec::new(),
             elig: Vec::new(),
             reqs: Vec::new(),
             ready: Vec::new(),
@@ -1265,7 +1225,6 @@ impl EngineState {
             None
         };
 
-        self.cand.clear();
         self.elig.clear();
         self.reqs.clear();
         self.ready.clear();
@@ -1403,14 +1362,17 @@ use probe::HotProbe;
 struct Engine<'a> {
     net: &'a NetworkGraph,
     cfg: &'a EngineConfig,
-    router: Router<'a>,
+    routes: &'a RouteTable,
+    /// `routes.pool()`, fetched once: what the cached `pkt_cand` bounds
+    /// index on the fault-free path.
+    pool: &'a [ChannelId],
     order: &'a [ChannelId],
     dst_is_node: &'a [bool],
     lane_plane: &'a [u32],
     vcs: usize,
     traffic: Traffic<'a>,
     /// Active fault schedule; `None` is the fault-free fast path (trivial
-    /// schedules are normalized to `None` in `run_prepared`).
+    /// schedules are normalized to `None` in `prepare_engine`).
     faults: Option<&'a CompiledFaults>,
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
@@ -1420,21 +1382,23 @@ struct Engine<'a> {
     st: &'a mut EngineState,
 }
 
-/// Reset `st` for `(net, cfg, seed)`, prime the traffic source, and
+/// Reset `st` for `(compiled, seed)`, prime the traffic source, and
 /// return the ready-to-run engine. Shared by the scalar entry
-/// ([`run_prepared`]) and the lockstep fleet, which prepares one engine
-/// per replication lane and interleaves their cycles.
-#[allow(clippy::too_many_arguments)]
+/// ([`CompiledNet::run_traffic`]) and the lockstep fleet, which prepares
+/// one engine per replication lane and interleaves their cycles.
 fn prepare_engine<'a>(
-    net: &'a NetworkGraph,
-    cfg: &'a EngineConfig,
-    router: Router<'a>,
-    sweep: &'a SweepOrder,
+    compiled: &'a CompiledNet,
     traffic: Traffic<'a>,
     faults: Option<&'a CompiledFaults>,
     seed: u64,
     st: &'a mut EngineState,
 ) -> Engine<'a> {
+    let CompiledNet {
+        net,
+        cfg,
+        routes,
+        sweep,
+    } = compiled;
     // A trivial schedule (no epoch kills any lane) is indistinguishable
     // from no schedule; normalizing it to `None` here *guarantees* the
     // empty-plan path is the untouched fast path, bit for bit.
@@ -1470,8 +1434,9 @@ fn prepare_engine<'a>(
     let mut e = Engine {
         net,
         cfg,
-        router,
-        order: &sweep.order,
+        routes,
+        pool: routes.pool(),
+        order: sweep.order(net),
         dst_is_node: &sweep.dst_is_node,
         lane_plane: &sweep.lane_plane,
         vcs: cfg.vcs as usize,
@@ -1483,23 +1448,6 @@ fn prepare_engine<'a>(
     };
     e.init_kernel_masks();
     e
-}
-
-/// The single scalar run entry: prepare one engine and drive it to
-/// completion. Both the compiled and the one-shot paths funnel through
-/// here — there is exactly one engine.
-#[allow(clippy::too_many_arguments)]
-fn run_prepared(
-    net: &NetworkGraph,
-    cfg: &EngineConfig,
-    router: Router<'_>,
-    sweep: &SweepOrder,
-    traffic: Traffic<'_>,
-    faults: Option<&CompiledFaults>,
-    seed: u64,
-    st: &mut EngineState,
-) -> Result<SimReport, SimError> {
-    prepare_engine(net, cfg, router, sweep, traffic, faults, seed, st).run()
 }
 
 impl<'a> Engine<'a> {
@@ -1639,12 +1587,12 @@ impl<'a> Engine<'a> {
                     .front(hl)
                     .is_some_and(|f| f.packet == p && f.is_header());
             assert_eq!(self.st.k_advance.contains(p), want, "k_advance packet {p}");
-            if let (None, Router::Table(table)) = (self.faults, self.router) {
+            if self.faults.is_none() {
                 let dst = self.st.pkt_dst[p as usize];
                 let (lo, hi) = self.st.pkt_cand[p as usize];
                 assert_eq!(
-                    table.resolve_range(lo, hi),
-                    table.candidates((hl / self.vcs) as u32, dst),
+                    &self.pool[lo as usize..hi as usize],
+                    self.routes.candidates((hl / self.vcs) as u32, dst),
                     "pkt_cand packet {p}"
                 );
             }
@@ -1828,8 +1776,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Collect the free lanes of `cands` into the eligibility scratch.
-    /// `cands` must not alias engine state (it is a routing-table slice,
-    /// a local array, or the detached `cand` scratch). Under an active
+    /// `cands` must not alias engine state (it is a routing-table slice
+    /// or a local array). Under an active
     /// fault schedule, dead lanes are never eligible.
     fn gather_free(&mut self, cands: &[ChannelId]) {
         self.st.elig.clear();
@@ -1967,8 +1915,8 @@ impl<'a> Engine<'a> {
         self.st.k_has_input.set(self.plane(lane as usize));
         self.st.k_advance.grow(self.st.pkt_meta.len());
         self.st.k_advance.clear(slot);
-        if let (None, Router::Table(table)) = (self.faults, self.router) {
-            self.st.pkt_cand[slot as usize] = table.candidate_range(inj, msg.dst);
+        if self.faults.is_none() {
+            self.st.pkt_cand[slot as usize] = self.routes.candidate_range(inj, msg.dst);
         }
         self.st.sources[node as usize].injecting = slot;
         self.st.active.push(slot);
@@ -1989,15 +1937,15 @@ impl<'a> Engine<'a> {
 
     fn try_advance(&mut self, p: u32) -> Result<(), SimError> {
         // The destination comes from the hot SoA copy; the cold `PktMeta`
-        // record is only touched on the rare paths that need more (the
-        // logic-router candidates call wants `src`, tracing wants `tag`).
+        // record is only touched on the rare paths that need more
+        // (tracing wants `tag`).
         let dst = self.st.pkt_dst[p as usize];
         let at_lane = self.st.pkt_head_lane[p as usize];
         let at_ch = (at_lane as usize / self.vcs) as u32;
-        match (self.faults, self.router) {
-            // Fault epochs route through the masked table regardless of
-            // router mode: candidates are live *and* deliverable.
-            (Some(f), _) => {
+        match self.faults {
+            // Fault epochs route through the masked table: candidates
+            // are live *and* deliverable.
+            Some(f) => {
                 let cands = f.epochs[self.epoch].routes.candidates(at_ch, dst);
                 if cands.is_empty() {
                     // Disconnected mid-route: the current epoch left this
@@ -2014,20 +1962,12 @@ impl<'a> Engine<'a> {
                 }
                 self.gather_free(cands);
             }
-            (None, Router::Table(table)) => {
+            None => {
                 let (lo, hi) = self.st.pkt_cand[p as usize];
-                let cands = table.resolve_range(lo, hi);
-                debug_assert_eq!(cands, table.candidates(at_ch, dst));
+                let cands = &self.pool[lo as usize..hi as usize];
+                debug_assert_eq!(cands, self.routes.candidates(at_ch, dst));
                 debug_assert!(!cands.is_empty(), "advance request at the destination");
                 self.gather_free(cands);
-            }
-            (None, Router::Logic(logic)) => {
-                let src = self.st.pkt_meta[p as usize].src;
-                let mut cand = std::mem::take(&mut self.st.cand);
-                logic.candidates(self.net, src, dst, at_ch, &mut cand);
-                debug_assert!(!cand.is_empty(), "advance request at the destination");
-                self.gather_free(&cand);
-                self.st.cand = cand;
             }
         }
         let Some(lane) = self.claim_gathered(p) else {
@@ -2047,8 +1987,8 @@ impl<'a> Engine<'a> {
         // per hop. Reaching the destination stores the ejection channel's
         // empty range, which is never read (no advance requests are
         // raised from an ejection-channel head).
-        if let (None, Router::Table(table)) = (self.faults, self.router) {
-            self.st.pkt_cand[p as usize] = table.candidate_range(new_ch, dst);
+        if self.faults.is_none() {
+            self.st.pkt_cand[p as usize] = self.routes.candidate_range(new_ch, dst);
         }
         if let Some(tr) = &mut self.st.trace {
             tr.events.push(TraceEvent::Hop {
@@ -2092,6 +2032,13 @@ impl<'a> Engine<'a> {
     /// channel's VC mux, which is consulted only when some lane is ready,
     /// and the cursor advances a whole group at a time (one flit per
     /// channel per cycle).
+    ///
+    /// Kept out of line: inlined into [`Self::cycle_body`] the kernels
+    /// share a frame with the allocation phase, and an unrelated edit
+    /// there (the route lookup of ISSUE 15) re-allocated their registers
+    /// for a measured −6 % on 64-node sweeps. One call per cycle buys
+    /// codegen that only changes when this code does.
+    #[inline(never)]
     fn transmit(&mut self) -> Result<(), SimError> {
         let nw = self.st.k_owned.num_words();
         let faulted = self.faults.is_some();
@@ -2678,7 +2625,6 @@ impl<'a> Engine<'a> {
             slot_to_idx[p as usize] = i as u32;
         }
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.st.active.len()];
-        let mut cand_buf = Vec::new();
         for (i, &p) in self.st.active.iter().enumerate() {
             let pi = p as usize;
             let head_ch = (self.st.pkt_head_lane[pi] as usize / self.vcs) as u32;
@@ -2686,22 +2632,8 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let dst = self.st.pkt_meta[pi].dst;
-            let cands: &[ChannelId] = match (self.faults, self.router) {
-                (Some(f), _) => f.epochs[self.epoch].routes.candidates(head_ch, dst),
-                (None, Router::Table(table)) => table.candidates(head_ch, dst),
-                (None, Router::Logic(logic)) => {
-                    cand_buf.clear();
-                    logic.candidates(
-                        self.net,
-                        self.st.pkt_meta[pi].src,
-                        dst,
-                        head_ch,
-                        &mut cand_buf,
-                    );
-                    &cand_buf
-                }
-            };
-            for &c in cands {
+            let routes = self.faults.map_or(self.routes, |f| &f.epochs[self.epoch].routes);
+            for &c in routes.candidates(head_ch, dst) {
                 for vc in 0..self.vcs {
                     let owner = self.st.lane_owner[c as usize * self.vcs + vc];
                     if owner != NONE && owner != p {
@@ -3010,15 +2942,15 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// One-shot run shared by the free functions: fresh state, dynamic
-/// routing (no table build), per-call order computation — the behaviour
-/// (and bit-exact output) the per-run API always had.
+/// One-shot run shared by the free functions: compile a private copy of
+/// `net` (the table holds its graph by `Arc`) and run it once on fresh
+/// state. Run-many callers compile once and use [`CompiledNet`].
 fn run_oneshot(
     net: &NetworkGraph,
     cfg: &EngineConfig,
     traffic: Traffic<'_>,
 ) -> Result<SimReport, SimError> {
-    cfg.validate()?;
+    let compiled = CompiledNet::new(Arc::new(net.clone()), cfg.clone())?;
     if let Traffic::Poisson(wl) = &traffic {
         if wl.geometry() != net.geometry {
             return Err(SimError::GeometryMismatch {
@@ -3028,18 +2960,7 @@ fn run_oneshot(
             });
         }
     }
-    let sweep = SweepOrder::new(net, cfg);
-    let mut st = EngineState::new();
-    run_prepared(
-        net,
-        cfg,
-        Router::Logic(RouteLogic::for_kind(net.kind)),
-        &sweep,
-        traffic,
-        None,
-        cfg.seed,
-        &mut st,
-    )
+    compiled.run_traffic(traffic, None, cfg.seed, &mut EngineState::new())
 }
 
 /// Run a stochastic (Poisson-workload) simulation.

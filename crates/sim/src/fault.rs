@@ -121,10 +121,11 @@ impl CompiledFaults {
 mod tests {
     use super::*;
     use minnet_topology::{build_bmin, build_unidir, Fault, FaultTarget, Geometry, UnidirKind};
+    use std::sync::Arc;
 
     #[test]
     fn empty_plan_compiles_trivial_with_one_epoch() {
-        let net = build_bmin(Geometry::new(2, 3));
+        let net = Arc::new(build_bmin(Geometry::new(2, 3)));
         let base = RouteTable::build(&net).unwrap();
         let cf = CompiledFaults::compile(&net, &base, &FaultPlan::new(), 1).unwrap();
         assert!(cf.is_trivial());
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn transient_fault_yields_three_epochs_and_restored_routes() {
-        let net = build_unidir(Geometry::new(2, 3), UnidirKind::Cube, 1);
+        let net = Arc::new(build_unidir(Geometry::new(2, 3), UnidirKind::Cube, 1));
         let base = RouteTable::build(&net).unwrap();
         // Pick an inter-stage channel so the fault actually prunes routes.
         let victim = (0..net.num_channels() as u32)
@@ -172,7 +173,7 @@ mod tests {
 
     #[test]
     fn dead_lane_words_mirror_the_bool_mask() {
-        let net = build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 1);
+        let net = Arc::new(build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 1));
         let base = RouteTable::build(&net).unwrap();
         let victim = (0..net.num_channels() as u32)
             .find(|&c| {
@@ -196,7 +197,7 @@ mod tests {
 
     #[test]
     fn invalid_plan_surfaces_as_fault_error() {
-        let net = build_bmin(Geometry::new(2, 3));
+        let net = Arc::new(build_bmin(Geometry::new(2, 3)));
         let base = RouteTable::build(&net).unwrap();
         let plan = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(99_999)));
         let err = CompiledFaults::compile(&net, &base, &plan, 1).unwrap_err();

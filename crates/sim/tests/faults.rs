@@ -304,3 +304,33 @@ fn watchdog_is_silent_on_healthy_runs() {
             .unwrap_or_else(|e| panic!("{choice:?}: spurious watchdog trip: {e}"));
     }
 }
+
+/// One routing representation at every size: the 1024- and
+/// 16 384-terminal BMINs compile a table of a few kilobytes / a third of
+/// a megabyte. At 16k the default `route_table_max_cells` refuses a fault
+/// plan with a typed routing error *before* allocating its
+/// 3.7-billion-cell masked table (the test would not come back
+/// otherwise), and the same compiled network still runs healthy traffic.
+#[test]
+fn large_bmins_compile_a_small_table_and_16k_refuses_faults_up_front() {
+    let cfg = EngineConfig { warmup: 20, measure: 100, ..EngineConfig::default() };
+    let small = compiled(NetChoice::Bmin, Geometry::new(4, 5), cfg.clone());
+    let bytes = small.routes().expect("every compiled network has a table").approx_bytes();
+    assert!(bytes < 64 << 10, "1024-node BMIN table owns {bytes} B");
+
+    let g = Geometry::new(4, 7);
+    let net = compiled(NetChoice::Bmin, g, cfg);
+    let bytes = net.routes().expect("16k terminals included").approx_bytes();
+    assert!(bytes < 1 << 20, "16k-node BMIN table owns {bytes} B");
+    let victim = inter_stage_channels(net.network())[0];
+    let plan = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(victim)));
+    match net.compile_faults(&plan) {
+        Err(SimError::Routing(msg)) => assert!(msg.contains("route_table_max_cells"), "{msg}"),
+        other => panic!("expected a routing refusal, got {:?}", other.map(drop)),
+    }
+    let report = net
+        .run_poisson(&uniform_workload(g, 0.05), 7, &mut EngineState::new())
+        .unwrap();
+    assert_eq!(report.cycles, 120);
+    assert!(report.generated_packets > 0);
+}

@@ -2,16 +2,18 @@
 //!
 //! `golden_v1.txt` holds one FNV-1a line per row of a fixed grid —
 //! networks × engine variant (fault schedule × transmit order × buffer
-//! depth, plus a logic-routed and a budget-cut variant) × traffic —
+//! depth, plus a one-cell-cap ("logic") and a budget-cut variant) × traffic —
 //! hashed over the run's whole outcome: every [`SimReport`] field
 //! (channel utilization, delivery log and event trace included), or the
 //! full `StallDiagnostic` / `PartialReport` when the run ends in a
 //! watchdog trip or a budget cut.
 //!
 //! The file was recorded with the engine's scalar allocate/transmit path
-//! forced, at the last commit that had one. It is the differential cover
-//! for everything `reference.rs` cannot run (fault epochs, the logic
-//! router of the compiled pipeline, budget cuts). A mismatch prints the
+//! forced, at the last commit that had one, and with the "logic" rows
+//! routed per hop through `RouteLogic` (the engine's second routing mode
+//! at the time; the route table must reproduce them). It is the
+//! differential cover for everything `reference.rs` cannot run (fault
+//! epochs, budget cuts). A mismatch prints the
 //! whole actual file; re-recording is a deliberate copy of that output
 //! over `golden_v1.txt` and amounts to opening contract v2.
 
@@ -183,15 +185,17 @@ fn actual() -> String {
                 }
             }
         }
-        // The compiled pipeline's table-free mode, and a deterministic
-        // budget cut in the middle of the measurement window.
+        // A one-cell `route_table_max_cells`, and a deterministic budget
+        // cut in the middle of the measurement window. The rows keep the
+        // label "logic": when the file was recorded that cap routed every
+        // hop through `RouteLogic`; it now bounds only fault-epoch tables
+        // and a healthy run must not see it.
         let logic = EngineConfig { route_table_max_cells: 1, ..base.clone() };
         let budget = RunBudget { max_cycles: 700, max_wall_ms: 0 };
         variants.push(("logic rt depth1".into(), logic, None));
         variants.push(("budget rt depth1".into(), EngineConfig { budget, ..base }, None));
         for (variant, cfg, plan) in variants {
             let net = CompiledNet::new(Arc::clone(&graph), cfg).unwrap();
-            assert_eq!(net.routes().is_none(), variant.starts_with("logic"));
             let faults = plan.map(|p| net.compile_faults(p).unwrap());
             let faults = faults.as_ref();
             for (traffic, source) in &traffics {

@@ -355,9 +355,7 @@ impl NetworkGraph {
     /// channel-id (= lane) order.
     #[inline]
     pub fn out_port(&self, s: SwitchId, code: u32) -> &[ChannelId] {
-        let base = s as usize * self.out_codes as usize + code as usize;
-        let (lo, hi) = (self.port_starts[base], self.port_starts[base + 1]);
-        &self.ids[lo as usize..hi as usize]
+        self.out_port_span(s, code, code + 1)
     }
 
     /// The concatenated lane lists of output ports `code_lo..code_hi` of
@@ -365,11 +363,27 @@ impl NetworkGraph {
     /// fan-out (e.g. the BMIN's forward ports `k..2k`) is one slice.
     #[inline]
     pub fn out_port_span(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> &[ChannelId] {
+        let (lo, hi) = self.out_port_range(s, code_lo, code_hi);
+        &self.ids[lo as usize..hi as usize]
+    }
+
+    /// [`Self::out_port_span`] as `(lo, hi)` bounds into [`Self::arena`],
+    /// for callers that cache the bounds and slice later (the route
+    /// table's candidate ranges).
+    #[inline]
+    pub fn out_port_range(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> (u32, u32) {
         debug_assert!(code_lo <= code_hi && code_hi <= self.out_codes);
         let base = s as usize * self.out_codes as usize;
-        let lo = self.port_starts[base + code_lo as usize];
-        let hi = self.port_starts[base + code_hi as usize];
-        &self.ids[lo as usize..hi as usize]
+        (
+            self.port_starts[base + code_lo as usize],
+            self.port_starts[base + code_hi as usize],
+        )
+    }
+
+    /// The whole shared id arena [`Self::out_port_range`] indexes.
+    #[inline]
+    pub fn arena(&self) -> &[ChannelId] {
+        &self.ids
     }
 
     /// Every channel originating at switch `s`, across all output ports.

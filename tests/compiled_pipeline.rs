@@ -12,9 +12,9 @@ use minnet::{CompiledExperiment, Experiment, NetworkSpec};
 use minnet_routing::{RouteLogic, RouteTable};
 use minnet_sim::{
     run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, LockstepState,
-    Script, ScriptedMsg,
+    Script, ScriptedMsg, SimError,
 };
-use minnet_topology::Geometry;
+use minnet_topology::{FaultPlan, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -304,7 +304,7 @@ proptest! {
     ) {
         let g = Geometry::new(4, 3);
         let spec = lineup_spec(which);
-        let net = spec.build(g);
+        let net = Arc::new(spec.build(g));
         let dst = if dst_raw == src { (dst_raw + 1) % 64 } else { dst_raw };
         let logic = RouteLogic::for_kind(net.kind);
         let table = RouteTable::build(&net).unwrap();
@@ -335,13 +335,13 @@ proptest! {
         prop_assert!(hops > 1, "route must traverse at least one switch");
     }
 
-    // Random (network, load, seed): a compiled network whose cell cap
-    // suppressed the route table — forcing the per-hop `RouteLogic`
-    // router — produces bit-identical reports to the default table mode.
-    // This pins the extreme-scale fallback path: 16k-terminal runs route
-    // exactly like a table-backed run would.
+    // Random (network, load, seed): `route_table_max_cells` bounds only
+    // the dense masked tables of fault epochs. A compiled network under a
+    // one-cell cap has the same routing table and runs healthy traffic
+    // bit-identically to the default — and refuses every fault plan with
+    // a typed routing error.
     #[test]
-    fn logic_fallback_equals_table_mode(
+    fn tiny_fault_cap_refuses_plans_and_still_runs_healthy(
         which in 0usize..4,
         load_pct in 5u32..65,
         seed in 0u64..u64::MAX,
@@ -360,52 +360,25 @@ proptest! {
             ..EngineConfig::default()
         };
         let tiny_cap = EngineConfig { route_table_max_cells: 1, ..cfg.clone() };
-        let tabled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        let logic = CompiledNet::new(Arc::clone(&net), tiny_cap).unwrap();
-        prop_assert!(tabled.routes().is_some());
-        prop_assert!(logic.routes().is_none(), "cap of 1 cell must suppress the table");
+        let roomy = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
+        let capped = CompiledNet::new(Arc::clone(&net), tiny_cap).unwrap();
+        prop_assert!(roomy.routes().is_some() && capped.routes().is_some());
+        let plan = FaultPlan::random_inter_stage_links(&net, 2, seed).unwrap();
+        prop_assert!(roomy.compile_faults(&plan).is_ok());
+        let refused = capped.compile_faults(&plan);
+        prop_assert!(
+            matches!(&refused, Err(SimError::Routing(msg)) if msg.contains("route_table_max_cells (1)")),
+            "{:?}", refused.map(drop)
+        );
         let (a, b) = with_pooled_state(|st| {
-            let a = tabled.run_poisson(&wl, seed, st).unwrap();
-            let b = logic.run_poisson(&wl, seed, st).unwrap();
+            let a = roomy.run_poisson(&wl, seed, st).unwrap();
+            let b = capped.run_poisson(&wl, seed, st).unwrap();
             (a, b)
         });
         prop_assert!(
             a.bitwise_eq(&b),
-            "{} load {load} seed {seed:#x}: logic fallback diverged from the table",
+            "{} load {load} seed {seed:#x}: the fault cap changed a healthy run",
             spec.name()
         );
-    }
-
-    // The parallel table build slots transparently into compilation:
-    // a multi-threaded `table_build_threads` yields a compiled network
-    // whose runs are bit-identical to the serial default.
-    #[test]
-    fn threaded_table_build_is_invisible(
-        which in 0usize..4,
-        seed in 0u64..u64::MAX,
-        threads in 2u32..5,
-    ) {
-        let g = Geometry::new(4, 3);
-        let spec = lineup_spec(which);
-        let net = Arc::new(spec.build(g));
-        let mut wspec = WorkloadSpec::global_uniform(0.2);
-        wspec.sizes = MessageSizeDist::Fixed(16);
-        let wl = Workload::compile(g, &wspec).unwrap();
-        let cfg = EngineConfig {
-            vcs: spec.vcs(),
-            warmup: 300,
-            measure: 1_000,
-            ..EngineConfig::default()
-        };
-        let par_cfg = EngineConfig { table_build_threads: threads, ..cfg.clone() };
-        let serial = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        let par = CompiledNet::new(Arc::clone(&net), par_cfg).unwrap();
-        prop_assert_eq!(serial.routes().unwrap(), par.routes().unwrap());
-        let (a, b) = with_pooled_state(|st| {
-            let a = serial.run_poisson(&wl, seed, st).unwrap();
-            let b = par.run_poisson(&wl, seed, st).unwrap();
-            (a, b)
-        });
-        prop_assert!(a.bitwise_eq(&b), "{} seed {seed:#x}", spec.name());
     }
 }

@@ -1,5 +1,5 @@
-//! Dense index sets and flat lane-buffer storage for the engine's
-//! occupancy-scaled hot loop.
+//! Dense index sets, flat lane-buffer storage and the source-queue slab
+//! for the engine's occupancy-scaled hot loop.
 //!
 //! The engine keeps three active sets so its per-cycle cost tracks
 //! *occupancy* (in-flight worms, nonempty sources, claimed channels)
@@ -15,51 +15,55 @@
 //! [`DenseBitSet`] backs the first two: membership flips are O(1) and
 //! ascending-order iteration costs O(words + members), where `words` is
 //! `capacity / 64` — a handful of cache lines even for thousands of
-//! channels, and far cheaper than touching every `Lane` or `Source`.
+//! channels, and far cheaper than touching every lane or source.
 //! Iteration order is always ascending index, which is what keeps the
 //! optimized engine's request ordering (and thus its RNG stream)
 //! bit-identical to the reference engine's full scans.
 
-use minnet_switch::FlitRef;
+/// The one shrink rule for pooled state: empty `v`, and give its allocation
+/// back when the coming run needs under a quarter of it — a daemon worker
+/// that once served a 16k-terminal job must not stay that large for life.
+pub(crate) fn trim<T>(v: &mut Vec<T>, want: usize) {
+    v.clear();
+    if want < v.capacity() / 4 {
+        v.shrink_to(want);
+    }
+}
 
-/// Flat struct-of-arrays storage for every lane's flit FIFO.
-///
-/// The engine used to keep one heap-allocated `VecDeque`-backed
-/// [`minnet_switch::FlitFifo`] per lane inside an array-of-structs
-/// `Lane`; every buffer probe in the allocate/transmit sweeps then chased
-/// a pointer to a separately-allocated ring. This repack stores all
-/// buffers in **three dense arrays** — `store` (the rings themselves,
-/// `depth` slots per lane), `head`, and `len` — so occupancy checks touch
-/// contiguous `u32` lanes and the common `depth == 1` case reads the flit
-/// straight out of a flat array. Semantics are exactly a per-lane bounded
-/// FIFO; only the memory layout changed.
+/// [`trim`], then fill `v` with `n` copies of `fill`.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    trim(v, n);
+    v.resize(n, fill);
+}
+
+/// Flat storage for every lane's flit FIFO: `store` holds `depth` ring
+/// slots per lane, `len` the occupancy, and `head` the ring heads — the
+/// last dimensioned only when `depth > 1` (a one-slot ring's head is
+/// pinned at 0). A slot holds the flit's *index within its packet* and
+/// nothing else: a lane buffers flits of its owning worm only, so the
+/// packet is `lane_owner`. Semantics are exactly a per-lane bounded FIFO.
 #[derive(Clone, Debug, Default)]
 pub struct LaneBufs {
-    store: Vec<FlitRef>,
-    head: Vec<u32>,
-    len: Vec<u32>,
-    depth: u32,
+    store: Vec<u32>,
+    head: Vec<u16>,
+    len: Vec<u16>,
+    depth: u16,
 }
 
 impl LaneBufs {
     /// Empty all buffers and re-dimension for `lanes` lanes of `depth`
     /// flits each, keeping allocations when dimensions allow.
-    pub fn reset(&mut self, lanes: usize, depth: u32) {
+    pub fn reset(&mut self, lanes: usize, depth: u16) {
         assert!(depth >= 1, "a channel buffer holds at least one flit");
         self.depth = depth;
-        let filler = FlitRef { packet: 0, index: 0 };
-        self.store.clear();
-        self.store.resize(lanes * depth as usize, filler);
-        self.head.clear();
-        self.head.resize(lanes, 0);
-        self.len.clear();
-        self.len.resize(lanes, 0);
+        refill(&mut self.store, lanes * depth as usize, 0);
+        refill(&mut self.head, if depth > 1 { lanes } else { 0 }, 0);
+        refill(&mut self.len, lanes, 0);
     }
 
-    /// Buffer capacity per lane.
-    #[inline]
-    pub fn depth(&self) -> u32 {
-        self.depth
+    /// Heap bytes held (capacities × element size).
+    pub fn approx_bytes(&self) -> usize {
+        self.store.capacity() * 4 + (self.head.capacity() + self.len.capacity()) * 2
     }
 
     /// Whether lane `li` buffers no flit.
@@ -74,9 +78,9 @@ impl LaneBufs {
         self.len[li] == self.depth
     }
 
-    /// The oldest flit buffered in lane `li`, if any.
+    /// The index of the oldest flit buffered in lane `li`, if any.
     #[inline]
-    pub fn front(&self, li: usize) -> Option<FlitRef> {
+    pub fn front(&self, li: usize) -> Option<u32> {
         if self.len[li] == 0 {
             None
         } else if self.depth == 1 {
@@ -86,14 +90,14 @@ impl LaneBufs {
         }
     }
 
-    /// Remove and return lane `li`'s oldest flit.
+    /// Remove and return lane `li`'s oldest flit index.
     #[inline]
-    pub fn pop(&mut self, li: usize) -> Option<FlitRef> {
+    pub fn pop(&mut self, li: usize) -> Option<u32> {
         if self.len[li] == 0 {
             return None;
         }
         // Single-slot buffers (the paper's default) skip the ring
-        // arithmetic entirely: `head` is pinned at 0, the slot is `li`.
+        // arithmetic entirely: there is no `head`, the slot is `li`.
         if self.depth == 1 {
             self.len[li] = 0;
             return Some(self.store[li]);
@@ -107,30 +111,119 @@ impl LaneBufs {
         Some(f)
     }
 
-    /// Append a flit to lane `li`. Returns `false` (dropping the flit)
-    /// if the lane's buffer is full — the engine checks
+    /// Append flit index `f` to lane `li`. Returns `false` (dropping the
+    /// flit) if the lane's buffer is full — the engine checks
     /// [`LaneBufs::is_full`] before moving a flit and treats a refused
     /// push as a violated invariant, surfaced as a typed error rather
     /// than a panic.
     #[inline]
     #[must_use]
-    pub fn push(&mut self, li: usize, f: FlitRef) -> bool {
+    pub fn push(&mut self, li: usize, f: u32) -> bool {
         if self.len[li] == self.depth {
             return false;
         }
-        // Depth-1 twin of the `pop` fast path: `len` was 0, `head` is 0.
+        // Depth-1 twin of the `pop` fast path: `len` was 0.
         if self.depth == 1 {
             self.store[li] = f;
             self.len[li] = 1;
             return true;
         }
         // `head < depth` and `len < depth` here, so the ring offset needs
-        // at most one wrap — no runtime-divisor modulo.
-        let s = self.head[li] + self.len[li];
-        let slot = if s >= self.depth { s - self.depth } else { s };
+        // at most one wrap — no runtime-divisor modulo. (u32: the sum of
+        // two u16s below `depth` may pass 2¹⁶.)
+        let s = u32::from(self.head[li]) + u32::from(self.len[li]);
+        let slot = if s >= u32::from(self.depth) { s - u32::from(self.depth) } else { s };
         self.store[li * self.depth as usize + slot as usize] = f;
         self.len[li] += 1;
         true
+    }
+}
+
+/// A message waiting in its source's FCFS queue: destination, length in
+/// flits, generation cycle, script/chain index (`u32::MAX` for Poisson).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct QueuedMsg {
+    pub dst: u32,
+    pub len: u32,
+    pub gen_time: u64,
+    pub tag: u32,
+}
+
+/// Every node's FCFS message queue, as linked lists threaded through
+/// **one** slab: `head` / `tail` / `len` are per-node arrays, `msgs` and
+/// `next` the slab, and freed slots chain through `next` from `free`. No
+/// per-node heap allocation exists, so the footprint is 12 bytes a node
+/// plus 28 per message ever queued at once.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MsgQueues {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    len: Vec<u32>,
+    msgs: Vec<QueuedMsg>,
+    next: Vec<u32>,
+    free: u32,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl MsgQueues {
+    /// Empty every queue and re-dimension for `nodes` nodes.
+    pub fn reset(&mut self, nodes: usize) {
+        refill(&mut self.head, nodes, NIL);
+        refill(&mut self.tail, nodes, NIL);
+        refill(&mut self.len, nodes, 0);
+        trim(&mut self.msgs, nodes);
+        trim(&mut self.next, nodes);
+        self.free = NIL;
+    }
+
+    /// Heap bytes held (capacities × element size).
+    pub fn approx_bytes(&self) -> usize {
+        (self.head.capacity() + self.tail.capacity() + self.len.capacity()) * 4
+            + self.msgs.capacity() * std::mem::size_of::<QueuedMsg>()
+            + self.next.capacity() * 4
+    }
+
+    /// Append `msg` to `node`'s queue; returns the queue's new length.
+    pub fn push_back(&mut self, node: u32, msg: QueuedMsg) -> usize {
+        let slot = if self.free == NIL {
+            self.msgs.push(msg);
+            self.next.push(NIL);
+            (self.msgs.len() - 1) as u32
+        } else {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.next[s as usize], NIL);
+            self.msgs[s as usize] = msg;
+            s
+        };
+        let n = node as usize;
+        if self.len[n] == 0 {
+            self.head[n] = slot;
+        } else {
+            self.next[self.tail[n] as usize] = slot;
+        }
+        self.tail[n] = slot;
+        self.len[n] += 1;
+        self.len[n] as usize
+    }
+
+    /// The oldest message queued at `node`, if any.
+    #[inline]
+    pub fn front(&self, node: u32) -> Option<&QueuedMsg> {
+        (self.len[node as usize] != 0).then(|| &self.msgs[self.head[node as usize] as usize])
+    }
+
+    /// Remove and return the oldest message queued at `node`.
+    pub fn pop_front(&mut self, node: u32) -> Option<QueuedMsg> {
+        let n = node as usize;
+        if self.len[n] == 0 {
+            return None;
+        }
+        let slot = self.head[n] as usize;
+        self.head[n] = std::mem::replace(&mut self.next[slot], self.free);
+        self.free = slot as u32;
+        self.len[n] -= 1;
+        Some(self.msgs[slot])
     }
 }
 
@@ -202,8 +295,12 @@ impl DenseBitSet {
     /// keeping the word allocation when it suffices (the engine-state
     /// pool resets in place between runs).
     pub fn reset(&mut self, capacity: usize) {
-        self.words.clear();
-        self.words.resize(capacity.div_ceil(64), 0);
+        refill(&mut self.words, capacity.div_ceil(64), 0);
+    }
+
+    /// Heap bytes held (capacity × word size).
+    pub fn approx_bytes(&self) -> usize {
+        self.words.capacity() * 8
     }
 
     /// Grow the capacity to at least `capacity` indices, preserving the
@@ -289,16 +386,16 @@ mod tests {
         let mut b = LaneBufs::default();
         b.reset(3, 2);
         assert!(b.is_empty(0) && !b.is_full(0));
-        assert!(b.push(1, FlitRef { packet: 7, index: 0 }));
-        assert!(b.push(1, FlitRef { packet: 7, index: 1 }));
+        assert!(b.push(1, 0));
+        assert!(b.push(1, 1));
         assert!(b.is_full(1));
         assert!(b.is_empty(0) && b.is_empty(2), "lanes are independent");
-        assert_eq!(b.front(1), Some(FlitRef { packet: 7, index: 0 }));
-        assert_eq!(b.pop(1), Some(FlitRef { packet: 7, index: 0 }));
+        assert_eq!(b.front(1), Some(0));
+        assert_eq!(b.pop(1), Some(0));
         // Wraparound: push after a pop reuses the freed ring slot.
-        assert!(b.push(1, FlitRef { packet: 7, index: 2 }));
-        assert_eq!(b.pop(1), Some(FlitRef { packet: 7, index: 1 }));
-        assert_eq!(b.pop(1), Some(FlitRef { packet: 7, index: 2 }));
+        assert!(b.push(1, 2));
+        assert_eq!(b.pop(1), Some(1));
+        assert_eq!(b.pop(1), Some(2));
         assert_eq!(b.pop(1), None);
     }
 
@@ -306,9 +403,11 @@ mod tests {
     fn lane_bufs_reset_empties_and_redimensions() {
         let mut b = LaneBufs::default();
         b.reset(2, 1);
-        assert!(b.push(0, FlitRef { packet: 1, index: 0 }));
+        assert!(b.push(0, 0));
+        assert!(b.head.is_empty(), "one-slot rings keep no head array");
         b.reset(4, 3);
-        assert_eq!(b.depth(), 3);
+        assert_eq!(b.depth, 3);
+        assert_eq!(b.head.len(), 4);
         for li in 0..4 {
             assert!(b.is_empty(li));
         }
@@ -318,9 +417,94 @@ mod tests {
     fn lane_bufs_reject_overfill() {
         let mut b = LaneBufs::default();
         b.reset(1, 1);
-        assert!(b.push(0, FlitRef { packet: 0, index: 0 }));
-        assert!(!b.push(0, FlitRef { packet: 0, index: 1 }), "full lane refuses the flit");
-        assert_eq!(b.front(0), Some(FlitRef { packet: 0, index: 0 }), "refused push leaves the buffer intact");
+        assert!(b.push(0, 0));
+        assert!(!b.push(0, 1), "full lane refuses the flit");
+        assert_eq!(b.front(0), Some(0), "refused push leaves the buffer intact");
+    }
+
+    #[test]
+    fn lane_bufs_deepest_ring_wraps_without_overflow() {
+        let mut b = LaneBufs::default();
+        b.reset(1, u16::MAX);
+        for i in 0..u32::from(u16::MAX) {
+            assert!(b.push(0, i));
+        }
+        for i in 0..u32::from(u16::MAX) - 1 {
+            assert_eq!(b.pop(0), Some(i));
+        }
+        // head = 65534, len = 1: the ring offset passes 2¹⁶ before wrapping.
+        assert!(b.push(0, 7));
+        assert_eq!(b.pop(0), Some(u32::from(u16::MAX) - 1));
+        assert_eq!(b.pop(0), Some(7));
+    }
+
+    #[test]
+    fn refill_releases_only_oversized_allocations() {
+        let mut v: Vec<u32> = Vec::with_capacity(1000);
+        refill(&mut v, 250, 7);
+        assert!(v.capacity() >= 1000, "a quarter or more of the capacity: kept");
+        refill(&mut v, 249, 7);
+        assert!(v.capacity() < 500 && v == vec![7; 249]);
+    }
+
+    fn msg(tag: u32) -> QueuedMsg {
+        QueuedMsg {
+            dst: tag % 7,
+            len: 1 + tag % 5,
+            gen_time: u64::from(tag) * 3,
+            tag,
+        }
+    }
+
+    // The slab is a `Vec<VecDeque<_>>` in disguise: enqueue, dequeue and
+    // the front-peek-then-pop of undeliverable refusal, interleaved across
+    // nodes (with resets between runs), order and contents.
+    proptest::proptest! {
+        #[test]
+        fn msg_queues_equal_a_vecdeque_model(
+            nodes in 1usize..6,
+            ops in proptest::collection::vec((0u8..8, 0u32..6), 0..400),
+        ) {
+            use std::collections::VecDeque;
+            let mut q = MsgQueues::default();
+            q.reset(nodes);
+            let mut model = vec![VecDeque::new(); nodes];
+            let mut high_water = 0;
+            for (tag, (op, node)) in ops.into_iter().enumerate() {
+                let node = node % nodes as u32;
+                let m = &mut model[node as usize];
+                match op {
+                    0..=3 => {
+                        m.push_back(msg(tag as u32));
+                        proptest::prop_assert_eq!(q.push_back(node, msg(tag as u32)), m.len());
+                    }
+                    4 | 5 => proptest::prop_assert_eq!(q.pop_front(node), m.pop_front()),
+                    6 => {
+                        // Refusal: drop queue heads until one is "deliverable".
+                        while q.front(node).is_some_and(|f| f.tag % 2 == 1) {
+                            proptest::prop_assert_eq!(q.pop_front(node), m.pop_front());
+                        }
+                    }
+                    _ => {
+                        q.reset(nodes);
+                        model.iter_mut().for_each(VecDeque::clear);
+                        high_water = 0;
+                    }
+                }
+                for (n, m) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(q.front(n as u32), m.front());
+                }
+                high_water = high_water.max(model.iter().map(VecDeque::len).sum());
+                proptest::prop_assert_eq!(q.msgs.len(), high_water, "freed slots are reused first");
+            }
+            // Drain: FCFS order survives slot recycling.
+            for (n, m) in model.iter_mut().enumerate() {
+                while let Some(want) = m.pop_front() {
+                    proptest::prop_assert_eq!(q.pop_front(n as u32), Some(want));
+                }
+                proptest::prop_assert_eq!(q.pop_front(n as u32), None);
+            }
+        }
     }
 
     #[test]

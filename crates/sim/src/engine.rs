@@ -105,19 +105,33 @@
 //! can pin that. The win scales with idle time: gaps in
 //! scripted/chained workloads, drain tails, and very low Poisson loads.
 //!
-//! # Struct-of-arrays hot state
+//! # Hot state on a byte budget
 //!
-//! The allocate/transmit sweeps touch lane and packet state every
-//! cycle. Both are stored as parallel dense arrays rather than arrays
-//! of structs: lanes as `lane_owner` / `lane_upstream` /
-//! [`crate::active::LaneBufs`] (all flit buffers in one flat ring
-//! store — no per-lane heap allocation to chase), packets as the hot
-//! `pkt_head_lane` / `pkt_sent` / `pkt_len` / `pkt_delivered` arrays
-//! plus a cold `PktMeta` array for fields only touched at injection
-//! and completion. A packet's slot index is stable for its lifetime;
-//! freed slots are recycled through a free list exactly as before, so
-//! slot assignment — and thus every RNG-visible ordering — is
-//! unchanged from the array-of-structs layout.
+//! Lane, node and packet state are parallel dense arrays with no
+//! per-entity heap allocation: 18 bytes a lane and 24 a node at the paper's
+//! `vcs = 1`, `buffer_depth = 1`, held by `tests/footprint.rs`.
+//!
+//! | array | B | per | what it is for; when it exists |
+//! |---|---|---|---|
+//! | `lane_owner` | 4 | lane | owning packet slot, `NONE` when free |
+//! | `lane_upstream` | 4 | lane | packed: lane / `NONE` = exhausted / bit 31 + node |
+//! | `lane_downstream` | 4 | lane | inverse link along the worm's chain |
+//! | `lane_bufs` store | 4 × depth | lane | ring of flit *indices* (the packet is the owner) |
+//! | `lane_bufs` len | 2 | lane | ring occupancy |
+//! | `lane_bufs` head | 2 | lane | ring head; only when `buffer_depth > 1` |
+//! | `mux_last` | 1 | channel | VC multiplexer memory; only when `vcs > 1` |
+//! | the four plane masks | ½ | plane | `owned` / `has-input` / `full` / `dead` bits |
+//! | `src_injecting` | 4 | node | packet drawing from the source, else `NONE` |
+//! | `src_next_arrival` | 8 | node | next Poisson arrival time |
+//! | `queues` head, tail, len | 12 | node | FCFS list ends in the one message slab |
+//! | `queues` slab | 28 | queued message | `active::MsgQueues`; freed slots are reused first |
+//! | `pkt_*`, `PktMeta` | 56 | packet slot | hot fields the sweeps touch, cold meta apart |
+//!
+//! A packet's slot index is stable for its lifetime and freed slots are
+//! recycled through a free list, so no RNG-visible ordering depends on
+//! the layout. The arrays stay parallel on purpose: the sweeps walk each
+//! rank in ascending channel id, so they stream, and one interleaved
+//! 32-byte record per lane measured slower (ROADMAP item 3).
 //!
 //! # Determinism contract
 //!
@@ -150,7 +164,7 @@
 //! warmup-generated packets that land inside the window are excluded,
 //! just as their latencies are.
 
-use crate::active::{DenseBitSet, LaneBufs, SetBits};
+use crate::active::{refill, trim, DenseBitSet, LaneBufs, MsgQueues, QueuedMsg, SetBits};
 use crate::config::{EngineConfig, SimReport, TransmitOrder};
 use crate::error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 use crate::fault::CompiledFaults;
@@ -158,14 +172,14 @@ use crate::lockstep::LockstepState;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::{find_cycle, RouteTable};
-use minnet_switch::{Arbiter, ArbiterKind, Crossbar, FlitRef, VcMux};
+use minnet_switch::{Arbiter, ArbiterKind, Crossbar};
 use minnet_topology::{ChannelId, Endpoint, FaultPlan, Geometry, NetworkGraph, Side};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 const NONE: u32 = u32::MAX;
@@ -174,19 +188,28 @@ const NONE: u32 = u32::MAX;
 /// readiness" (the move pulled from a source).
 const NO_FEEDBACK: u32 = u32::MAX;
 /// Feedback low bits: the popped upstream lane's plane index. Bit 31
-/// carries its recomputed ready state; plane indices stay far below 2³¹.
+/// carries its recomputed ready state; [`check_index_range`] keeps plane
+/// indices below 2³¹.
 const PLANE_MASK: u32 = 0x7FFF_FFFF;
+/// Where a lane's next flit comes from, as one `lane_upstream` word: bit
+/// 31 clear = the buffer of that lane; [`NONE`] = exhausted (the tail is
+/// already buffered here, or the lane is free); else `UP_SOURCE | node` =
+/// that node's source queue. Readers test in that order — two plain
+/// branches; decoding into an enum first cost the `vcs == 1` kernel 3–5 %.
+const UP_SOURCE: u32 = 1 << 31;
 
-/// Where a lane's next flit comes from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Upstream {
-    /// No further flits will enter this lane (tail already buffered here,
-    /// or lane is free).
-    Exhausted,
-    /// Flits are drawn from the source queue of this node.
-    Source(u32),
-    /// Flits are drawn from the buffer of this lane.
-    Lane(u32),
+/// The index ranges the packed words rest on: plane indices (bit 31 of the
+/// transmit feedback is a flag) and lane / node ids (bit 31 of a
+/// `lane_upstream` word is a tag) must all stay below 2³¹.
+fn check_index_range(channels: usize, vcs: u8, nodes: u32) -> Result<(), SimError> {
+    let planes = (channels as u64) << vcs_shift(vcs);
+    if planes >= 1 << 31 || nodes >= 1 << 31 {
+        return Err(SimError::Config(format!(
+            "{channels} channels × {vcs} lanes ({planes} planes) and {nodes} nodes \
+             must each stay below 2^31"
+        )));
+    }
+    Ok(())
 }
 
 /// The cold per-packet fields — touched at injection and completion, not
@@ -203,25 +226,6 @@ struct PktMeta {
     measured: bool,
     /// Script/chain index (NONE for Poisson traffic).
     tag: u32,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct QueuedMsg {
-    dst: u32,
-    len: u32,
-    gen_time: u64,
-    /// Script/chain index (NONE for Poisson traffic).
-    tag: u32,
-}
-
-#[derive(Clone, Debug)]
-struct Source {
-    queue: VecDeque<QueuedMsg>,
-    /// Packet currently drawing flits from this source (one-port rule).
-    injecting: u32,
-    /// Absolute time of the next Poisson arrival (`f64::INFINITY` for
-    /// silent nodes and scripted runs).
-    next_arrival: f64,
 }
 
 /// A message injected at a fixed time — deterministic test workloads.
@@ -451,8 +455,8 @@ struct SweepOrder {
 /// `log2` of the plane-group width: `vcs` rounded up to a power of two,
 /// so a channel's lanes never straddle a mask word (`vcs <= 64` is
 /// validated).
-fn vcs_shift(cfg: &EngineConfig) -> u32 {
-    u32::from(cfg.vcs).next_power_of_two().trailing_zeros()
+fn vcs_shift(vcs: u8) -> u32 {
+    u32::from(vcs).next_power_of_two().trailing_zeros()
 }
 
 impl SweepOrder {
@@ -468,7 +472,7 @@ impl SweepOrder {
             .iter()
             .map(|c| matches!(c.dst, Endpoint::Node(_)))
             .collect();
-        let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg));
+        let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg.vcs));
         let mut lane_plane = vec![0u32; nch * vcs];
         for (pos, &ch) in order.iter().enumerate() {
             for (vc, plane) in lane_plane[ch as usize * vcs..][..vcs].iter_mut().enumerate() {
@@ -496,9 +500,11 @@ impl CompiledNet {
     ///
     /// # Errors
     ///
-    /// Reports invalid configurations and a radix the table cannot hold.
+    /// Reports invalid configurations, a radix the table cannot hold, and
+    /// a network past the 2³¹ planes / nodes the packed state can index.
     pub fn new(net: Arc<NetworkGraph>, cfg: EngineConfig) -> Result<CompiledNet, SimError> {
         cfg.validate()?;
+        check_index_range(net.num_channels(), cfg.vcs, net.geometry.nodes())?;
         let routes = RouteTable::build(&net).map_err(SimError::Routing)?;
         let sweep = SweepOrder::new(&net, &cfg);
         Ok(CompiledNet {
@@ -955,18 +961,19 @@ impl<'a> FleetSource<'a> {
 /// reports.
 #[derive(Debug)]
 pub struct EngineState {
-    // Lane state, struct-of-arrays: owner / upstream / buffers are each
-    // a dense array indexed by lane, so the allocate and transmit sweeps
-    // read contiguous words instead of striding over an array of structs
-    // with per-lane heap-allocated FIFOs.
+    // Lane state, parallel dense arrays indexed by lane (byte table in
+    // the module header).
     lane_owner: Vec<u32>,
-    lane_upstream: Vec<Upstream>,
+    /// Packed upstream words (see [`UP_SOURCE`]).
+    lane_upstream: Vec<u32>,
     lane_bufs: LaneBufs,
     /// Inverse of `lane_upstream` along a worm's chain: the lane that
     /// consumes lane `li`'s buffer, or `NONE` while `li` is the head.
     /// Only valid while `li` is owned; reset on claim.
     lane_downstream: Vec<u32>,
-    mux: Vec<VcMux>,
+    /// Per channel, the VC that transmitted last (the policy is
+    /// `cfg.vc_mux`). Dimensioned only when `vcs > 1`.
+    mux_last: Vec<u8>,
     // Packet state, struct-of-arrays by slot: the hot fields the sweeps
     // touch every cycle, plus a cold `PktMeta` array for the rest.
     pkt_head_lane: Vec<u32>,
@@ -982,10 +989,18 @@ pub struct EngineState {
     /// the fault-free path (`(0, 0)` placeholder otherwise).
     pkt_cand: Vec<(u32, u32)>,
     pkt_delivered: Vec<u32>,
+    /// Index of the slot in `active` while the packet is in flight, so
+    /// retirement is O(1).
+    pkt_active_pos: Vec<u32>,
     pkt_meta: Vec<PktMeta>,
     free_slots: Vec<u32>,
     active: Vec<u32>,
-    sources: Vec<Source>,
+    // Source state by node: the packet drawing flits from the source
+    // (one-port rule), the absolute time of the next Poisson arrival
+    // (`f64::INFINITY` for silent nodes and scripted runs), the queues.
+    src_injecting: Vec<u32>,
+    src_next_arrival: Vec<f64>,
+    queues: MsgQueues,
     crossbars: Option<Vec<Crossbar>>,
     arbiter: Arbiter,
     rng: SmallRng,
@@ -1061,7 +1076,6 @@ pub struct EngineState {
     // scratch buffers
     elig: Vec<u32>,
     reqs: Vec<Req>,
-    ready: Vec<bool>,
 }
 
 impl EngineState {
@@ -1072,17 +1086,20 @@ impl EngineState {
             lane_upstream: Vec::new(),
             lane_bufs: LaneBufs::default(),
             lane_downstream: Vec::new(),
-            mux: Vec::new(),
+            mux_last: Vec::new(),
             pkt_head_lane: Vec::new(),
             pkt_sent: Vec::new(),
             pkt_len: Vec::new(),
             pkt_dst: Vec::new(),
             pkt_cand: Vec::new(),
             pkt_delivered: Vec::new(),
+            pkt_active_pos: Vec::new(),
             pkt_meta: Vec::new(),
             free_slots: Vec::new(),
             active: Vec::new(),
-            sources: Vec::new(),
+            src_injecting: Vec::new(),
+            src_next_arrival: Vec::new(),
+            queues: MsgQueues::default(),
             crossbars: None,
             arbiter: Arbiter::new(ArbiterKind::Random),
             rng: SmallRng::seed_from_u64(0),
@@ -1120,8 +1137,32 @@ impl EngineState {
             trace: None,
             elig: Vec::new(),
             reqs: Vec::new(),
-            ready: Vec::new(),
         }
+    }
+
+    /// Approximate footprint in bytes — capacities × element size, message
+    /// slab included, the convention of `NetworkGraph::approx_bytes`. (The
+    /// fixed-size statistics accumulators, ≈ 9 KB, and the
+    /// `validate_crossbars` audit are not counted.)
+    pub fn approx_bytes(&self) -> usize {
+        let u32s = [
+            &self.lane_owner, &self.lane_upstream, &self.lane_downstream, &self.pkt_head_lane,
+            &self.pkt_sent, &self.pkt_len, &self.pkt_dst, &self.pkt_delivered,
+            &self.pkt_active_pos, &self.free_slots, &self.active, &self.src_injecting, &self.elig,
+        ];
+        let masks = [
+            &self.injectable, &self.k_owned, &self.k_has_input, &self.k_full, &self.k_dead,
+            &self.k_advance,
+        ];
+        let u64s = self.pkt_cand.capacity() + self.src_next_arrival.capacity()
+            + self.util.capacity() + self.reqs.capacity();
+        std::mem::size_of::<Self>()
+            + u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + masks.iter().map(|m| m.approx_bytes()).sum::<usize>()
+            + self.lane_bufs.approx_bytes() + self.queues.approx_bytes() + self.mux_last.capacity()
+            + u64s * 8
+            + self.pkt_meta.capacity() * std::mem::size_of::<PktMeta>()
+            + (self.arrivals.capacity() + self.releases.capacity()) * 16
     }
 
     /// Restore the exact state a fresh engine construction produces for
@@ -1132,41 +1173,34 @@ impl EngineState {
         let vcs = cfg.vcs as usize;
         let nch = net.num_channels();
         let n_nodes = net.geometry.nodes() as usize;
-        let depth = cfg.buffer_depth as usize;
 
         self.rng = SmallRng::seed_from_u64(seed);
 
+        // Every container goes through `refill` / `trim` (`crate::active`'s
+        // shrink rule): per-lane and per-node arrays at their new size, the
+        // ones a run grows — packet slots, heaps, scratch — against the
+        // node count they scale with.
         let want_lanes = nch * vcs;
-        self.lane_owner.clear();
-        self.lane_owner.resize(want_lanes, NONE);
-        self.lane_upstream.clear();
-        self.lane_upstream.resize(want_lanes, Upstream::Exhausted);
-        self.lane_bufs.reset(want_lanes, depth as u32);
-        self.lane_downstream.clear();
-        self.lane_downstream.resize(want_lanes, NONE);
+        refill(&mut self.lane_owner, want_lanes, NONE);
+        refill(&mut self.lane_upstream, want_lanes, NONE);
+        self.lane_bufs.reset(want_lanes, cfg.buffer_depth);
+        refill(&mut self.lane_downstream, want_lanes, NONE);
+        refill(&mut self.mux_last, if vcs > 1 { nch } else { 0 }, 0);
 
-        self.mux.clear();
-        self.mux.resize(nch, VcMux::new(cfg.vc_mux));
-        self.pkt_head_lane.clear();
-        self.pkt_sent.clear();
-        self.pkt_len.clear();
-        self.pkt_dst.clear();
-        self.pkt_cand.clear();
-        self.pkt_delivered.clear();
-        self.pkt_meta.clear();
-        self.free_slots.clear();
-        self.active.clear();
-
-        for s in &mut self.sources {
-            s.queue.clear();
-            s.injecting = NONE;
-            s.next_arrival = f64::INFINITY;
+        for v in [
+            &mut self.pkt_head_lane, &mut self.pkt_sent, &mut self.pkt_len, &mut self.pkt_dst,
+            &mut self.pkt_delivered, &mut self.pkt_active_pos, &mut self.free_slots,
+            &mut self.active, &mut self.elig,
+        ] {
+            trim(v, n_nodes);
         }
-        self.sources.resize_with(n_nodes, || Source {
-            queue: VecDeque::new(),
-            injecting: NONE,
-            next_arrival: f64::INFINITY,
-        });
+        trim(&mut self.pkt_cand, n_nodes);
+        trim(&mut self.pkt_meta, n_nodes);
+        trim(&mut self.reqs, n_nodes);
+
+        refill(&mut self.src_injecting, n_nodes, NONE);
+        refill(&mut self.src_next_arrival, n_nodes, f64::INFINITY);
+        self.queues.reset(n_nodes);
 
         self.crossbars = if cfg.validate_crossbars {
             let k = net.geometry.k() as u8;
@@ -1189,8 +1223,11 @@ impl EngineState {
         self.arbiter = Arbiter::new(cfg.alloc);
         self.now = 0;
         self.end = cfg.warmup + cfg.measure;
-        self.arrivals.clear();
-        self.releases.clear();
+        for heap in [&mut self.arrivals, &mut self.releases] {
+            let mut v = std::mem::take(heap).into_vec();
+            trim(&mut v, n_nodes);
+            *heap = BinaryHeap::from(v);
+        }
         self.injectable.reset(n_nodes);
         // The plane masks are (re)dimensioned by
         // `Engine::init_kernel_masks`; only the counters reset here.
@@ -1214,21 +1251,32 @@ impl EngineState {
         self.queue_sum = 0;
         self.queue_cycles = 0;
         self.max_queue = 0;
-        self.util.clear();
-        if cfg.collect_channel_util {
-            self.util.resize(nch, 0);
-        }
+        refill(&mut self.util, if cfg.collect_channel_util { nch } else { 0 }, 0);
         self.deliveries = if deterministic { Some(Vec::new()) } else { None };
         self.trace = if cfg.collect_trace {
             Some(Trace::default())
         } else {
             None
         };
+    }
 
-        self.elig.clear();
-        self.reqs.clear();
-        self.ready.clear();
-        self.ready.resize(vcs, false);
+    /// Arrivals-phase enqueue of one message at `node`, the same for all
+    /// three traffic kinds.
+    fn enqueue(&mut self, node: u32, msg: QueuedMsg, now: u64, measuring: bool) {
+        let QueuedMsg { dst, len, tag, .. } = msg;
+        let queued = self.queues.push_back(node, msg);
+        if let Some(tr) = &mut self.trace {
+            tr.events.push(TraceEvent::Queued { tag, time: now, src: node, dst, len });
+        }
+        if measuring {
+            self.generated_pkts += 1;
+            self.generated_flits += u64::from(len);
+            self.max_queue = self.max_queue.max(queued);
+        }
+        self.queued_msgs += 1;
+        if self.src_injecting[node as usize] == NONE {
+            self.injectable.set(node);
+        }
     }
 }
 
@@ -1416,7 +1464,7 @@ fn prepare_engine<'a>(
                 if rate > 0.0 {
                     let u: f64 = 1.0 - st.rng.random::<f64>();
                     let t = -u.ln() / rate;
-                    st.sources[node as usize].next_arrival = t;
+                    st.src_next_arrival[node as usize] = t;
                     st.arrivals.push(Reverse((t.ceil() as u64, node)));
                 }
             }
@@ -1443,7 +1491,7 @@ fn prepare_engine<'a>(
         traffic,
         faults,
         epoch: 0,
-        vcs_shift: vcs_shift(cfg),
+        vcs_shift: vcs_shift(cfg.vcs),
         st,
     };
     e.init_kernel_masks();
@@ -1523,7 +1571,9 @@ impl<'a> Engine<'a> {
         self.st.k_owned.reset(planes);
         self.st.k_has_input.reset(planes);
         self.st.k_full.reset(planes);
-        self.st.k_advance.reset(0);
+        // Grows with the slot table; starting at the node count (not 0)
+        // keeps the shrink rule from freeing it on every same-sized rerun.
+        self.st.k_advance.reset(self.net.geometry.nodes() as usize);
         self.rebuild_dead_mask();
     }
 
@@ -1563,29 +1613,18 @@ impl<'a> Engine<'a> {
                     self.st.lane_bufs.is_full(li),
                     "k_full lane {li}"
                 );
-                let has_input = match self.st.lane_upstream[li] {
-                    Upstream::Exhausted => false,
-                    Upstream::Source(_) => {
-                        let p = self.st.lane_owner[li] as usize;
-                        self.st.pkt_sent[p] < self.st.pkt_len[p]
-                    }
-                    Upstream::Lane(u) => !self.st.lane_bufs.is_empty(u as usize),
-                };
                 assert_eq!(
                     self.st.k_has_input.contains(pl),
-                    has_input,
+                    self.has_input(li),
                     "k_has_input lane {li}"
                 );
             }
         }
-        for &p in &self.st.active {
+        for (i, &p) in self.st.active.iter().enumerate() {
+            assert_eq!(self.st.pkt_active_pos[p as usize], i as u32, "pkt_active_pos packet {p}");
             let hl = self.st.pkt_head_lane[p as usize] as usize;
-            let want = !self.dst_is_node[hl / self.vcs]
-                && self
-                    .st
-                    .lane_bufs
-                    .front(hl)
-                    .is_some_and(|f| f.packet == p && f.is_header());
+            assert_eq!(self.st.lane_owner[hl], p, "head lane of packet {p}");
+            let want = !self.dst_is_node[hl / self.vcs] && self.st.lane_bufs.front(hl) == Some(0);
             assert_eq!(self.st.k_advance.contains(p), want, "k_advance packet {p}");
             if self.faults.is_none() {
                 let dst = self.st.pkt_dst[p as usize];
@@ -1618,75 +1657,25 @@ impl<'a> Engine<'a> {
                     }
                     self.st.arrivals.pop();
                     debug_assert_eq!(fire, now, "arrival missed its cycle");
-                    let mut enqueued = 0u32;
-                    let src = &mut self.st.sources[node as usize];
-                    while src.next_arrival <= now_f {
+                    while self.st.src_next_arrival[node as usize] <= now_f {
                         let dst = wl.draw_destination(node, &mut self.st.rng);
                         let len = wl.draw_length(&mut self.st.rng);
-                        src.queue.push_back(QueuedMsg {
-                            dst,
-                            len,
-                            gen_time: now,
-                            tag: NONE,
-                        });
-                        enqueued += 1;
-                        if let Some(tr) = &mut self.st.trace {
-                            tr.events.push(TraceEvent::Queued {
-                                tag: NONE,
-                                time: now,
-                                src: node,
-                                dst,
-                                len,
-                            });
-                        }
-                        if measuring {
-                            self.st.generated_pkts += 1;
-                            self.st.generated_flits += u64::from(len);
-                            self.st.max_queue = self.st.max_queue.max(src.queue.len());
-                        }
+                        let msg = QueuedMsg { dst, len, gen_time: now, tag: NONE };
+                        self.st.enqueue(node, msg, now, measuring);
                         let rate = wl.message_rate(node);
                         let u: f64 = 1.0 - self.st.rng.random::<f64>();
-                        src.next_arrival += -u.ln() / rate;
+                        self.st.src_next_arrival[node as usize] += -u.ln() / rate;
                     }
-                    self.st
-                        .arrivals
-                        .push(Reverse((src.next_arrival.ceil() as u64, node)));
-                    self.st.queued_msgs += u64::from(enqueued);
-                    if enqueued > 0 && self.st.sources[node as usize].injecting == NONE {
-                        self.st.injectable.set(node);
-                    }
+                    let next = self.st.src_next_arrival[node as usize];
+                    self.st.arrivals.push(Reverse((next.ceil() as u64, node)));
                 }
             }
             Traffic::Scripted { msgs, next } => {
                 while *next < msgs.len() && msgs[*next].time <= now {
                     let m = msgs[*next];
-                    let tag = *next as u32;
+                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: m.time, tag: *next as u32 };
                     *next += 1;
-                    let src = &mut self.st.sources[m.src as usize];
-                    src.queue.push_back(QueuedMsg {
-                        dst: m.dst,
-                        len: m.len,
-                        gen_time: m.time,
-                        tag,
-                    });
-                    if let Some(tr) = &mut self.st.trace {
-                        tr.events.push(TraceEvent::Queued {
-                            tag,
-                            time: now,
-                            src: m.src,
-                            dst: m.dst,
-                            len: m.len,
-                        });
-                    }
-                    if measuring {
-                        self.st.generated_pkts += 1;
-                        self.st.generated_flits += u64::from(m.len);
-                        self.st.max_queue = self.st.max_queue.max(src.queue.len());
-                    }
-                    self.st.queued_msgs += 1;
-                    if self.st.sources[m.src as usize].injecting == NONE {
-                        self.st.injectable.set(m.src);
-                    }
+                    self.st.enqueue(m.src, msg, now, measuring);
                 }
             }
             Traffic::Chained { msgs, .. } => {
@@ -1699,31 +1688,8 @@ impl<'a> Engine<'a> {
                     }
                     self.st.releases.pop();
                     let m = msgs[i as usize];
-                    let src = &mut self.st.sources[m.src as usize];
-                    src.queue.push_back(QueuedMsg {
-                        dst: m.dst,
-                        len: m.len,
-                        gen_time: t,
-                        tag: i,
-                    });
-                    if let Some(tr) = &mut self.st.trace {
-                        tr.events.push(TraceEvent::Queued {
-                            tag: i,
-                            time: now,
-                            src: m.src,
-                            dst: m.dst,
-                            len: m.len,
-                        });
-                    }
-                    if measuring {
-                        self.st.generated_pkts += 1;
-                        self.st.generated_flits += u64::from(m.len);
-                        self.st.max_queue = self.st.max_queue.max(src.queue.len());
-                    }
-                    self.st.queued_msgs += 1;
-                    if self.st.sources[m.src as usize].injecting == NONE {
-                        self.st.injectable.set(m.src);
-                    }
+                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: t, tag: i };
+                    self.st.enqueue(m.src, msg, now, measuring);
                 }
             }
         }
@@ -1836,7 +1802,7 @@ impl<'a> Engine<'a> {
         }
         let warmup = self.cfg.warmup;
         loop {
-            let Some(msg) = self.st.sources[node as usize].queue.front() else {
+            let Some(&msg) = self.st.queues.front(node) else {
                 self.st.injectable.clear(node);
                 return false;
             };
@@ -1845,7 +1811,7 @@ impl<'a> Engine<'a> {
             if !ep.routes.candidates(inj, msg.dst).is_empty() {
                 return true;
             }
-            let msg = self.st.sources[node as usize].queue.pop_front().unwrap();
+            self.st.queues.pop_front(node);
             self.st.queued_msgs -= 1;
             if msg.gen_time >= warmup {
                 self.st.undeliverable_pkts += 1;
@@ -1869,7 +1835,7 @@ impl<'a> Engine<'a> {
         let Some(lane) = self.claim_gathered(NONE - 1) else {
             return Ok(());
         };
-        let Some(msg) = self.st.sources[node as usize].queue.pop_front() else {
+        let Some(msg) = self.st.queues.pop_front(node) else {
             return Err(SimError::Internal {
                 what: "inject request without a queued message",
             });
@@ -1892,6 +1858,7 @@ impl<'a> Engine<'a> {
                 self.st.pkt_dst[si] = msg.dst;
                 self.st.pkt_cand[si] = (0, 0);
                 self.st.pkt_delivered[si] = 0;
+                self.st.pkt_active_pos[si] = self.st.active.len() as u32;
                 self.st.pkt_meta[si] = meta;
                 s
             }
@@ -1902,12 +1869,13 @@ impl<'a> Engine<'a> {
                 self.st.pkt_dst.push(msg.dst);
                 self.st.pkt_cand.push((0, 0));
                 self.st.pkt_delivered.push(0);
+                self.st.pkt_active_pos.push(self.st.active.len() as u32);
                 self.st.pkt_meta.push(meta);
                 (self.st.pkt_meta.len() - 1) as u32
             }
         };
         self.st.lane_owner[lane as usize] = slot;
-        self.st.lane_upstream[lane as usize] = Upstream::Source(node);
+        self.st.lane_upstream[lane as usize] = UP_SOURCE | node;
         // A source with a packet to emit is available input
         // (`sent == 0 < len`); the fresh head lane's buffer is empty,
         // so no advance request until the header lands in it.
@@ -1918,7 +1886,7 @@ impl<'a> Engine<'a> {
         if self.faults.is_none() {
             self.st.pkt_cand[slot as usize] = self.routes.candidate_range(inj, msg.dst);
         }
-        self.st.sources[node as usize].injecting = slot;
+        self.st.src_injecting[node as usize] = slot;
         self.st.active.push(slot);
         if let Some(tr) = &mut self.st.trace {
             let tag = self.st.pkt_meta[slot as usize].tag;
@@ -1974,7 +1942,7 @@ impl<'a> Engine<'a> {
             return Ok(()); // blocked; the worm holds its lanes and waits
         };
         let new_ch = (lane as usize / self.vcs) as u32;
-        self.st.lane_upstream[lane as usize] = Upstream::Lane(at_lane);
+        self.st.lane_upstream[lane as usize] = at_lane;
         self.st.lane_downstream[at_lane as usize] = lane;
         self.st.pkt_head_lane[p as usize] = lane;
         // The advance request came off a nonempty `at_lane` buffer (its
@@ -2057,7 +2025,7 @@ impl<'a> Engine<'a> {
     /// word-at-a-time. A lane that turns ready *ahead* of the cursor is
     /// served within the pass; one at or behind it waits for the next
     /// cycle, exactly as in a scan that had already passed the position.
-    /// With `vcs == 1` a group is one bit and the mux call is inert: over
+    /// With `vcs == 1` a group is one bit and there is no mux state: over
     /// a single lane both policies pick VC 0 and leave `last` at 0.
     fn transmit_kernel_reread(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         let vcs = self.vcs;
@@ -2088,18 +2056,11 @@ impl<'a> Engine<'a> {
                 behind = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
                 let ch = self.order[pos as usize];
-                for vc in 0..vcs {
-                    self.st.ready[vc] = (group >> vc) & 1 == 1;
-                }
                 #[cfg(feature = "hotstats")]
                 {
                     self.st.transmit_bits += 1;
                 }
-                let Some(vc) = self.st.mux[ch as usize].select(&self.st.ready[..vcs]) else {
-                    return Err(SimError::Internal {
-                        what: "a ready lane must be selectable",
-                    });
-                };
+                let vc = if vcs == 1 { 0 } else { self.mux_select(ch, group)? };
                 let li = ch as usize * vcs + vc;
                 debug_assert!(self.lane_ready(li, ch));
                 self.move_flit(ch, li, (w * 64) as u32 + g0 + vc as u32)?;
@@ -2184,18 +2145,11 @@ impl<'a> Engine<'a> {
                 ready &= !(gmask << g0);
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
                 let ch = self.order[pos as usize];
-                for vc in 0..vcs {
-                    self.st.ready[vc] = (group >> vc) & 1 == 1;
-                }
                 #[cfg(feature = "hotstats")]
                 {
                     self.st.transmit_bits += 1;
                 }
-                let Some(vc) = self.st.mux[ch as usize].select(&self.st.ready[..vcs]) else {
-                    return Err(SimError::Internal {
-                        what: "a ready lane must be selectable",
-                    });
-                };
+                let vc = self.mux_select(ch, group)?;
                 let fb =
                     self.move_flit(ch, ch as usize * vcs + vc, (w * 64) as u32 + g0 + vc as u32)?;
                 if fb != NO_FEEDBACK && (fb & PLANE_MASK) >> 6 == w as u32 {
@@ -2210,6 +2164,19 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The VC multiplexer of channel `ch` (`vcs > 1`): pick among the
+    /// group's ready lanes — bit `vc` of `group` — and remember the winner.
+    #[inline]
+    fn mux_select(&mut self, ch: ChannelId, group: u64) -> Result<usize, SimError> {
+        let last = &mut self.st.mux_last[ch as usize];
+        match self.cfg.vc_mux.select_mask(last, group, self.vcs as u32) {
+            Some(vc) => Ok(vc as usize),
+            None => Err(SimError::Internal {
+                what: "a ready lane must be selectable",
+            }),
+        }
     }
 
     /// The per-lane readiness predicate, as the reference engine
@@ -2229,14 +2196,18 @@ impl<'a> Engine<'a> {
                 return false;
             }
         }
-        let has_input = match self.st.lane_upstream[li] {
-            Upstream::Exhausted => false,
-            Upstream::Source(_) => {
-                self.st.pkt_sent[owner as usize] < self.st.pkt_len[owner as usize]
-            }
-            Upstream::Lane(u) => !self.st.lane_bufs.is_empty(u as usize),
-        };
-        has_input && (self.dst_is_node[ch as usize] || !self.st.lane_bufs.is_full(li))
+        self.has_input(li) && (self.dst_is_node[ch as usize] || !self.st.lane_bufs.is_full(li))
+    }
+
+    /// Whether lane `li`'s upstream can supply a flit — the predicate the
+    /// `k_has_input` mask mirrors.
+    fn has_input(&self, li: usize) -> bool {
+        let up = self.st.lane_upstream[li];
+        if up & UP_SOURCE == 0 {
+            return !self.st.lane_bufs.is_empty(up as usize);
+        }
+        let p = self.st.lane_owner[li] as usize;
+        up != NONE && self.st.pkt_sent[p] < self.st.pkt_len[p]
     }
 
     /// Move one flit across `ch` into lane `li`. `pl` is `li`'s plane
@@ -2252,62 +2223,55 @@ impl<'a> Engine<'a> {
     fn move_flit(&mut self, ch: ChannelId, li: usize, pl: u32) -> Result<u32, SimError> {
         debug_assert_eq!(pl, self.plane(li));
         let p = self.st.lane_owner[li];
-        let upstream = self.st.lane_upstream[li];
+        let up = self.st.lane_upstream[li];
         let pi = p as usize;
         let len = self.st.pkt_len[pi];
         let mut fb = NO_FEEDBACK;
-        let flit = match upstream {
-            Upstream::Source(node) => {
-                let f = FlitRef {
-                    packet: p,
-                    index: self.st.pkt_sent[pi],
-                };
-                self.st.pkt_sent[pi] += 1;
-                if self.st.pkt_sent[pi] == len {
-                    self.st.sources[node as usize].injecting = NONE;
-                    self.st.lane_upstream[li] = Upstream::Exhausted;
-                    self.st.k_has_input.clear(pl);
-                    if !self.st.sources[node as usize].queue.is_empty() {
-                        self.st.injectable.set(node);
-                    }
-                }
-                f
-            }
-            Upstream::Lane(u) => match self.st.lane_bufs.pop(u as usize) {
-                Some(f) => {
-                    // The pop leaves `u`'s buffer non-full; if it also
-                    // drained it, this lane's input is gone.
-                    let pu = self.plane(u as usize);
-                    self.st.k_full.clear(pu);
-                    fb = pu;
-                    if self.st.lane_bufs.is_empty(u as usize) {
-                        self.st.k_has_input.clear(pl);
-                    }
-                    f
-                }
-                None => {
-                    return Err(SimError::Internal {
-                        what: "ready lane lost its upstream flit",
-                    })
-                }
-            },
-            Upstream::Exhausted => {
+        // The flit is its index within the packet; the packet is `p`, the
+        // lane's owner, on either side of the move.
+        let index = if up & UP_SOURCE == 0 {
+            let Some(f) = self.st.lane_bufs.pop(up as usize) else {
                 return Err(SimError::Internal {
-                    what: "exhausted lanes are never ready",
-                })
+                    what: "ready lane lost its upstream flit",
+                });
+            };
+            debug_assert_eq!(self.st.lane_owner[up as usize], p, "foreign upstream lane");
+            // The pop leaves `up`'s buffer non-full; if it also drained
+            // it, this lane's input is gone.
+            fb = self.plane(up as usize);
+            self.st.k_full.clear(fb);
+            if self.st.lane_bufs.is_empty(up as usize) {
+                self.st.k_has_input.clear(pl);
             }
+            f
+        } else if up != NONE {
+            let node = up & !UP_SOURCE;
+            let f = self.st.pkt_sent[pi];
+            self.st.pkt_sent[pi] += 1;
+            if self.st.pkt_sent[pi] == len {
+                self.st.src_injecting[node as usize] = NONE;
+                self.st.lane_upstream[li] = NONE;
+                self.st.k_has_input.clear(pl);
+                if self.st.queues.front(node).is_some() {
+                    self.st.injectable.set(node);
+                }
+            }
+            f
+        } else {
+            return Err(SimError::Internal {
+                what: "exhausted lanes are never ready",
+            });
         };
-        debug_assert_eq!(flit.packet, p, "foreign flit in the worm's upstream buffer");
         self.st.moved += 1;
         if !self.st.util.is_empty() && self.measuring() {
             self.st.util[ch as usize] += 1;
         }
-        let is_tail = flit.is_tail(len);
+        let is_tail = index + 1 == len;
         if is_tail {
-            if let Upstream::Lane(u) = upstream {
-                self.release_lane(u);
+            if up & UP_SOURCE == 0 {
+                self.release_lane(up);
             }
-            self.st.lane_upstream[li] = Upstream::Exhausted;
+            self.st.lane_upstream[li] = NONE;
             self.st.k_has_input.clear(pl);
         }
         if self.dst_is_node[ch as usize] {
@@ -2329,7 +2293,7 @@ impl<'a> Engine<'a> {
                 self.release_lane(li as u32);
                 self.complete_packet(p, gen_time, measured, len)?;
             }
-        } else if self.st.lane_bufs.push(li, flit) {
+        } else if self.st.lane_bufs.push(li, index) {
             if self.st.lane_bufs.is_full(li) {
                 self.st.k_full.set(pl);
             }
@@ -2339,7 +2303,7 @@ impl<'a> Engine<'a> {
             if d != NONE {
                 self.st.k_has_input.set(self.plane(d as usize));
             }
-            if flit.is_header() {
+            if index == 0 {
                 // A header flit only ever lands in the worm's current
                 // head lane (the downstream consumer that pops it exists
                 // only after a later claim moves the head), so this push
@@ -2377,7 +2341,7 @@ impl<'a> Engine<'a> {
         );
         debug_assert_ne!(self.st.lane_owner[li as usize], NONE, "double lane release");
         self.st.lane_owner[li as usize] = NONE;
-        self.st.lane_upstream[li as usize] = Upstream::Exhausted;
+        self.st.lane_upstream[li as usize] = NONE;
         let pl = self.plane(li as usize);
         self.st.k_owned.clear(pl);
         self.st.k_has_input.clear(pl);
@@ -2448,14 +2412,24 @@ impl<'a> Engine<'a> {
                 tag,
             });
         }
-        let Some(idx) = self.st.active.iter().position(|&a| a == p) else {
-            return Err(SimError::Internal {
-                what: "completing an inactive packet",
-            });
-        };
+        self.retire(p, "completing an inactive packet")
+    }
+
+    /// Take `p` off `active` and recycle its slot, in O(1): `swap_remove`
+    /// at the recorded position, re-recording the element it moves.
+    /// (`active`'s order feeds the request shuffle, so how it is permuted
+    /// here is part of the determinism contract.)
+    fn retire(&mut self, p: u32, what: &'static str) -> Result<(), SimError> {
+        let idx = self.st.pkt_active_pos[p as usize] as usize;
+        if self.st.active.get(idx) != Some(&p) {
+            return Err(SimError::Internal { what });
+        }
         self.st.active.swap_remove(idx);
-        // Already clear (the bit dies with the claim of the ejection
-        // lane), but slot-recycling hygiene is cheap to make total.
+        if let Some(&moved) = self.st.active.get(idx) {
+            self.st.pkt_active_pos[moved as usize] = idx as u32;
+        }
+        // Already clear on completion (the bit dies with the claim of the
+        // ejection lane), but slot-recycling hygiene is cheap to make total.
         self.st.k_advance.clear(p);
         self.st.free_slots.push(p);
         Ok(())
@@ -2521,9 +2495,9 @@ impl<'a> Engine<'a> {
             if dead_lane[li as usize] {
                 return true;
             }
-            match self.st.lane_upstream[li as usize] {
-                Upstream::Lane(u) => li = u,
-                Upstream::Source(_) | Upstream::Exhausted => return false,
+            li = self.st.lane_upstream[li as usize];
+            if li & UP_SOURCE != 0 {
+                return false;
             }
         }
     }
@@ -2543,31 +2517,30 @@ impl<'a> Engine<'a> {
                     what: "aborting a worm over a lane it does not own",
                 });
             }
-            while let Some(flit) = self.st.lane_bufs.pop(li as usize) {
-                debug_assert_eq!(flit.packet, p, "foreign flit drained during abort");
+            while self.st.lane_bufs.pop(li as usize).is_some() {
                 drained += 1;
             }
             self.st.k_full.clear(self.plane(li as usize));
             let up = self.st.lane_upstream[li as usize];
             self.release_lane(li);
-            match up {
-                Upstream::Lane(u) => li = u,
-                Upstream::Source(node) => {
-                    self.st.sources[node as usize].injecting = NONE;
-                    if !self.st.sources[node as usize].queue.is_empty() {
-                        self.st.injectable.set(node);
-                    }
-                    break;
-                }
-                Upstream::Exhausted => break,
+            if up & UP_SOURCE == 0 {
+                li = up;
+                continue;
             }
+            if up != NONE {
+                let node = up & !UP_SOURCE;
+                self.st.src_injecting[node as usize] = NONE;
+                if self.st.queues.front(node).is_some() {
+                    self.st.injectable.set(node);
+                }
+            }
+            break;
         }
         debug_assert_eq!(
             self.st.pkt_sent[pi],
             self.st.pkt_delivered[pi] + drained,
             "flits leaked during abort-and-drain"
         );
-        self.st.k_advance.clear(p);
         if self.st.pkt_meta[pi].measured {
             self.st.aborted_pkts += 1;
         }
@@ -2577,14 +2550,7 @@ impl<'a> Engine<'a> {
                 time: self.st.now,
             });
         }
-        let Some(idx) = self.st.active.iter().position(|&a| a == p) else {
-            return Err(SimError::Internal {
-                what: "aborting an inactive packet",
-            });
-        };
-        self.st.active.swap_remove(idx);
-        self.st.free_slots.push(p);
-        Ok(())
+        self.retire(p, "aborting an inactive packet")
     }
 
     // ---- no-progress watchdog ----------------------------------------
@@ -3025,4 +2991,48 @@ pub fn run_chained(
             overhead,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn index_range_is_checked_not_assumed() {
+        // The 16k-terminal BMIN at the widest lane group is nowhere near.
+        assert!(check_index_range(229_376, 64, 16_384).is_ok());
+        // Planes = channels << vcs_shift: 2³¹ exactly is one too many,
+        // and a non-power-of-two `vcs` pays for its padded group.
+        assert!(check_index_range((1 << 31) - 1, 1, 2).is_ok());
+        assert!(matches!(check_index_range(1 << 31, 1, 2), Err(SimError::Config(_))));
+        assert!(check_index_range((1 << 29) - 1, 4, 2).is_ok());
+        assert!(check_index_range((1 << 29) - 1, 5, 2).is_err());
+        assert!(check_index_range(1 << 29, 3, 2).is_err());
+        // Node ids share a word with the source tag bit.
+        assert!(check_index_range(8, 1, (1 << 31) - 1).is_ok());
+        assert!(check_index_range(8, 1, 1 << 31).is_err());
+    }
+
+    #[test]
+    fn footprint_lane_and_node_arrays_are_on_budget() {
+        assert_eq!(size_of::<QueuedMsg>(), 24);
+        assert_eq!(size_of::<PktMeta>(), 24);
+        assert_eq!(size_of::<Req>(), 8);
+        let net = minnet_topology::build_bmin(Geometry::new(4, 3));
+        let (nch, nodes) = (net.num_channels(), net.geometry.nodes() as usize);
+        let lane_bytes = |st: &EngineState| {
+            4 * (st.lane_owner.len() + st.lane_upstream.len() + st.lane_downstream.len())
+                + st.lane_bufs.approx_bytes()
+                + st.mux_last.len()
+        };
+        let mut st = EngineState::new();
+        st.reset(&net, &EngineConfig::default(), 1, false);
+        assert_eq!(lane_bytes(&st), 18 * nch, "vcs 1, depth 1: 18 B a lane, no mux, no ring heads");
+        let node_bytes = 4 * st.src_injecting.len() + 8 * st.src_next_arrival.len();
+        assert_eq!(node_bytes + st.queues.approx_bytes(), 24 * nodes);
+        let cfg = EngineConfig { vcs: 2, buffer_depth: 4, ..EngineConfig::default() };
+        st.reset(&net, &cfg, 1, false);
+        assert_eq!(lane_bytes(&st), 32 * 2 * nch + nch, "vcs 2, depth 4: 32 B a lane + 1 B a channel");
+    }
 }

@@ -21,14 +21,16 @@
 //! ## Storage
 //!
 //! The graph is stored CSR-style: besides the flat channel table, a single
-//! shared id arena holds every per-switch output-port lane list, every
-//! per-switch input list, the per-node injection and ejection channels, and
-//! the memoized transmit order, with `starts`-style offset tables indexing
-//! into it. No per-switch (or other per-entity) `Vec`s exist, so a
+//! shared id arena holds every per-switch output-port lane list, the
+//! per-node injection and ejection channels, and the memoized transmit
+//! order, with a `starts`-style offset table indexing into it. No
+//! per-switch (or other per-entity) `Vec`s exist, so a
 //! multi-thousand-switch network costs a handful of large allocations
 //! instead of `O(switches × ports)` small ones. Builders create the
 //! channel table and hand it to [`NetworkGraph::assemble`], which derives
-//! all adjacency in two counted passes.
+//! all adjacency in two counted passes. Per-switch *input* lists are not
+//! stored: nothing routes by them, and [`NetworkGraph::validate`] derives
+//! what it checks of them from the channel table.
 
 use crate::address::Geometry;
 
@@ -117,9 +119,9 @@ pub struct ChannelDesc {
     pub topo_rank: u16,
 }
 
-/// A switch (one crossbar) in the network. Pure metadata — the input and
+/// A switch (one crossbar) in the network. Pure metadata — the
 /// output-port adjacency lives in the graph's shared CSR arena, reached
-/// through [`NetworkGraph::switch_inputs`] and [`NetworkGraph::out_port`].
+/// through [`NetworkGraph::out_port`].
 #[derive(Clone, Copy, Debug)]
 pub struct SwitchDesc {
     /// Stage index `G_stage`.
@@ -168,9 +170,9 @@ impl NetworkKind {
 
 /// A complete static network: switches, channels and terminal attachments.
 ///
-/// All adjacency (switch inputs, output-port lane lists, per-node
-/// inject/eject channels, the transmit order) is stored in one shared id
-/// arena with CSR offset tables — see the module docs.
+/// All adjacency (output-port lane lists, per-node inject/eject channels,
+/// the transmit order) is stored in one shared id arena with a CSR offset
+/// table — see the module docs.
 #[derive(Clone, Debug)]
 pub struct NetworkGraph {
     /// The geometry (`k`, `n`).
@@ -187,11 +189,8 @@ pub struct NetworkGraph {
     /// `ids[port_starts[s * out_codes + c] .. port_starts[s * out_codes + c + 1]]`
     /// are the lane channels of switch `s`'s output port `c`.
     port_starts: Vec<u32>,
-    /// `ids[input_starts[s] .. input_starts[s + 1]]` are the channels
-    /// terminating at switch `s`.
-    input_starts: Vec<u32>,
-    /// The shared id arena: output-port lanes, then switch inputs, then
-    /// per-node inject and eject channels, then the transmit order.
+    /// The shared id arena: output-port lanes, then per-node inject and
+    /// eject channels, then the transmit order.
     ids: Vec<ChannelId>,
     /// Offset of the per-node injection section within `ids`.
     inject_at: u32,
@@ -214,11 +213,11 @@ fn out_code(kind: NetworkKind, k: u32, side: Side, port: u8) -> u32 {
 
 impl NetworkGraph {
     /// Assemble a graph from its channel table: derive every switch's
-    /// input list and output-port lane lists, the inject/eject sections,
-    /// and the transmit order, in two counted passes into the shared CSR
-    /// arena (no per-switch allocations).
+    /// output-port lane lists, the inject/eject sections, and the
+    /// transmit order, in two counted passes into the shared CSR arena
+    /// (no per-switch allocations).
     ///
-    /// Within each per-switch list, channels appear in ascending
+    /// Within each output-port list, channels appear in ascending
     /// [`ChannelId`] order — the order the builders create them in, which
     /// every routing-candidate enumeration (and therefore the engine's
     /// RNG stream) depends on.
@@ -245,13 +244,11 @@ impl NetworkGraph {
         let out_codes = if kind.is_bidirectional() { 2 * k } else { k };
         let nports = nsw * out_codes as usize;
 
-        // Pass 1: count lanes per (switch, code) and inputs per switch.
+        // Pass 1: count lanes per (switch, code).
         let mut port_starts = vec![0u32; nports + 1];
-        let mut input_starts = vec![0u32; nsw + 1];
         for ch in &channels {
             if let Endpoint::Switch { sw, .. } = ch.dst {
                 assert!((sw as usize) < nsw, "channel dst switch out of range");
-                input_starts[sw as usize + 1] += 1;
             }
             if let Endpoint::Switch { sw, side, port } = ch.src {
                 assert!((sw as usize) < nsw, "channel src switch out of range");
@@ -262,13 +259,7 @@ impl NetworkGraph {
         for i in 1..port_starts.len() {
             port_starts[i] += port_starts[i - 1];
         }
-        let ports_len = port_starts[nports];
-        input_starts[0] = ports_len;
-        for i in 1..input_starts.len() {
-            input_starts[i] += input_starts[i - 1];
-        }
-        let inputs_end = input_starts[nsw];
-        let inject_at = inputs_end;
+        let inject_at = port_starts[nports];
         let eject_at = inject_at + nodes as u32;
         let order_at = eject_at + nodes as u32;
         let total = order_at as usize + nch;
@@ -277,13 +268,7 @@ impl NetworkGraph {
         // list comes out id-sorted.
         let mut ids = vec![0 as ChannelId; total];
         let mut pcur = port_starts.clone();
-        let mut icur = input_starts.clone();
         for (id, ch) in channels.iter().enumerate() {
-            if let Endpoint::Switch { sw, .. } = ch.dst {
-                let cur = &mut icur[sw as usize];
-                ids[*cur as usize] = id as ChannelId;
-                *cur += 1;
-            }
             if let Endpoint::Switch { sw, side, port } = ch.src {
                 let code = out_code(kind, k, side, port);
                 let cur = &mut pcur[sw as usize * out_codes as usize + code as usize];
@@ -308,7 +293,6 @@ impl NetworkGraph {
             switches,
             out_codes,
             port_starts,
-            input_starts,
             ids,
             inject_at,
             eject_at,
@@ -392,17 +376,6 @@ impl NetworkGraph {
         self.out_port_span(s, 0, self.out_codes)
     }
 
-    /// All channels whose destination is an input port of switch `s`, in
-    /// ascending channel-id order.
-    #[inline]
-    pub fn switch_inputs(&self, s: SwitchId) -> &[ChannelId] {
-        let (lo, hi) = (
-            self.input_starts[s as usize],
-            self.input_starts[s as usize + 1],
-        );
-        &self.ids[lo as usize..hi as usize]
-    }
-
     /// The injection channel (node → network) of `node`.
     #[inline]
     pub fn inject(&self, node: NodeId) -> ChannelId {
@@ -438,26 +411,29 @@ impl NetworkGraph {
     }
 
     /// Approximate resident size of the graph in bytes (channel table,
-    /// switch table, CSR offset tables and the shared id arena) — a
+    /// switch table, CSR offset table and the shared id arena) — a
     /// memory-accounting metric for benches.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.channels.len() * std::mem::size_of::<ChannelDesc>()
             + self.switches.len() * std::mem::size_of::<SwitchDesc>()
             + self.port_starts.len() * 4
-            + self.input_starts.len() * 4
             + self.ids.len() * 4
     }
 
     /// Sanity-check structural invariants; used by builders and tests.
     ///
-    /// Verifies: endpoint switch/node indices are in range; every channel
-    /// in a switch's input / output-port lists actually terminates /
-    /// originates there (and at the claimed port code); every node has
-    /// exactly one injection and one ejection channel; the transmit order
-    /// is a rank-sorted permutation of all channels.
+    /// Verifies: endpoint switch/node indices are in range; no two
+    /// channels terminate at the same switch input (the per-switch input
+    /// lists, derived here in one pass — validation is their only reader);
+    /// every channel in a switch's output-port lists actually originates
+    /// there (and at the claimed port code); every node has exactly one
+    /// injection and one ejection channel; the transmit order is a
+    /// rank-sorted permutation of all channels.
     pub fn validate(&self) -> Result<(), String> {
         let n_nodes = self.geometry.nodes();
+        let lanes = usize::from(self.kind.dilation());
+        let mut fed = vec![false; self.switches.len() * self.out_codes as usize * lanes];
         for (i, ch) in self.channels.iter().enumerate() {
             for ep in [ch.src, ch.dst] {
                 match ep {
@@ -476,13 +452,16 @@ impl NetworkGraph {
                 }
             }
         }
-        for sid in 0..self.switches.len() {
-            for &c in self.switch_inputs(sid as SwitchId) {
-                match self.channels.get(c as usize).map(|ch| ch.dst) {
-                    Some(Endpoint::Switch { sw: s2, .. }) if s2 as usize == sid => {}
-                    _ => return Err(format!("switch {sid}: input {c} does not terminate here")),
+        for (i, ch) in self.channels.iter().enumerate() {
+            if let Endpoint::Switch { sw, side, port } = ch.dst {
+                let code = out_code(self.kind, self.geometry.k(), side, port);
+                let input = (sw * self.out_codes + code) as usize * lanes + usize::from(ch.lane);
+                if usize::from(ch.lane) >= lanes || std::mem::replace(&mut fed[input], true) {
+                    return Err(format!("channel {i}: switch {sw} input already fed"));
                 }
             }
+        }
+        for sid in 0..self.switches.len() {
             for code in 0..self.out_codes {
                 for &c in self.out_port(sid as SwitchId, code) {
                     let originates_here = match self.channels.get(c as usize).map(|ch| ch.src) {
@@ -582,11 +561,7 @@ mod tests {
         use crate::unidir::{build_unidir, UnidirKind};
         let net = build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 2);
         let mut seen_out = 0usize;
-        let mut seen_in = 0usize;
         for s in 0..net.num_switches() as SwitchId {
-            let inputs = net.switch_inputs(s);
-            assert!(inputs.windows(2).all(|w| w[0] < w[1]));
-            seen_in += inputs.len();
             for code in 0..net.out_port_codes() {
                 let lanes = net.out_port(s, code);
                 assert!(lanes.windows(2).all(|w| w[0] < w[1]));
@@ -594,19 +569,24 @@ mod tests {
             }
             assert_eq!(net.out_all(s).len(), net.out_port_span(s, 0, net.out_port_codes()).len());
         }
-        // Every channel not touching a node appears exactly once per side.
+        // Every channel leaving a switch appears in exactly one port list.
         let switch_src = net
             .channels
             .iter()
             .filter(|c| c.src.switch().is_some())
             .count();
-        let switch_dst = net
-            .channels
-            .iter()
-            .filter(|c| c.dst.switch().is_some())
-            .count();
         assert_eq!(seen_out, switch_src);
-        assert_eq!(seen_in, switch_dst);
+    }
+
+    #[test]
+    fn validate_rejects_a_doubly_fed_switch_input() {
+        use crate::unidir::{build_unidir, UnidirKind};
+        let mut net = build_unidir(Geometry::new(2, 2), UnidirKind::Cube, 1);
+        assert_eq!(net.validate(), Ok(()));
+        let feeds_switch = |c: &&ChannelDesc| c.dst.switch().is_some();
+        let dst = net.channels.iter().find(feeds_switch).unwrap().dst;
+        net.channels.iter_mut().filter(|c| c.dst.switch().is_some()).nth(1).unwrap().dst = dst;
+        assert!(net.validate().unwrap_err().contains("input already fed"));
     }
 
     #[test]

@@ -69,7 +69,7 @@ COMMON OPTIONS
   --wiring cube|butterfly|omega|baseline   unidirectional wiring [cube]
   --dilation N     DMIN dilation                             [2]
   --vcs N          VMIN virtual channels, 1..=64             [2]
-  --k N --n N      geometry (N = k^n nodes)                  [4, 3]
+  --k N --n N      geometry, N = k^n nodes (k 2..=256, n 1..=16) [4, 3]
   --pattern uniform|hotspot:<x>|shuffle|butterfly:<i>        [uniform]
   --clusters global|msd|lsd|halves   node clustering         [global]
   --rates a,b,..   per-cluster relative rates
@@ -174,8 +174,13 @@ fn network(a: &Args) -> NetworkSpec {
     }
 }
 
+/// `--k` / `--n`, refused here — not by a panic in `Geometry::new` or a
+/// wrapped cast — when no network of that shape can be built. The errors
+/// start with the parameter's name (`k = 1: …`).
 fn geometry(a: &Args) -> Geometry {
-    Geometry::new(parse_u64(a, "k", 4) as u32, parse_u64(a, "n", 3) as u32)
+    Geometry::try_new(parse_opt(a, "k", 4), parse_opt(a, "n", 3))
+        .and_then(minnet_topology::graph::check_limits)
+        .unwrap_or_else(|e| die(&format!("--{e}")))
 }
 
 fn pattern(a: &Args) -> TrafficPattern {
@@ -603,8 +608,8 @@ fn job_spec(a: &Args) -> JobSpec {
     }
     spec.dilation = parse_opt(a, "dilation", spec.dilation);
     spec.vcs = parse_opt(a, "vcs", spec.vcs);
-    spec.k = parse_u64(a, "k", u64::from(spec.k)) as u32;
-    spec.n = parse_u64(a, "n", u64::from(spec.n)) as u32;
+    spec.k = parse_opt(a, "k", spec.k);
+    spec.n = parse_opt(a, "n", spec.n);
     if let Some(v) = a.opts.get("pattern") {
         spec.pattern = v.clone();
     }

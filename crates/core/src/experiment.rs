@@ -72,6 +72,7 @@ impl Experiment {
     /// to decorrelate points).
     pub fn run_seeded(&self, offered_load: f64, seed: u64) -> Result<SimReport, String> {
         self.network.validate()?;
+        minnet_topology::graph::check_limits(self.geometry)?;
         let net = self.network.build(self.geometry);
         let spec = WorkloadSpec {
             offered_load,
@@ -128,10 +129,13 @@ impl CompiledExperiment {
     ///
     /// # Errors
     ///
-    /// Reports invalid network specs, malformed workloads, and invalid
+    /// Reports invalid network specs, geometries past what the graph's
+    /// packed records hold (`graph::check_limits` — `validate()` above
+    /// has no geometry to look at), malformed workloads, and invalid
     /// engine configurations.
     pub fn compile(exp: &Experiment) -> Result<CompiledExperiment, String> {
         exp.network.validate()?;
+        minnet_topology::graph::check_limits(exp.geometry)?;
         let graph = Arc::new(exp.network.build(exp.geometry));
         // The template ignores the placeholder load; per-run loads come
         // from `workload_at`.

@@ -986,6 +986,14 @@ impl Scenario {
         let mut network_kind = "tmin".to_string();
         let mut dilation: u8 = 2;
         let mut vcs: u8 = 2;
+        // `k` and `n`: each is judged on its own line against the other's
+        // smallest value, so an error there is that key's alone, and the
+        // pair after the loop, reported at the line that completed it
+        // (against the other's *default*, `n = 16` would be refused before
+        // `k = 2` is read).
+        let geometry =
+            |k, n| Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits);
+        let (mut k, mut n, mut geometry_ln) = (b.geometry.k(), b.geometry.n(), 0);
         let mut chaos = ChaosSchedule {
             target: ChaosTarget::Channel,
             count: 1,
@@ -1032,8 +1040,14 @@ impl Scenario {
                 }
                 "dilation" => dilation = small(value)?,
                 "vcs" => vcs = small(value)?,
-                "k" => b.geometry = Geometry::new(num(value)? as u32, b.geometry.n()),
-                "n" => b.geometry = Geometry::new(b.geometry.k(), num(value)? as u32),
+                "k" => {
+                    (k, geometry_ln) = (value.parse().map_err(|e| at(format!("{e}")))?, ln);
+                    geometry(k, 1).map_err(at)?;
+                }
+                "n" => {
+                    (n, geometry_ln) = (value.parse().map_err(|e| at(format!("{e}")))?, ln);
+                    geometry(2, n).map_err(at)?;
+                }
                 "pattern" => {
                     b.pattern = if value == "uniform" {
                         TrafficPattern::Uniform
@@ -1213,6 +1227,7 @@ impl Scenario {
                 other => return Err(at(format!("unknown key {other:?}"))),
             }
         }
+        b.geometry = geometry(k, n).map_err(|e| format!("{origin}:{geometry_ln}: {e}"))?;
         b.network = match network_kind.as_str() {
             "tmin" => NetworkSpec::Tmin(wiring),
             "dmin" => NetworkSpec::Dmin(wiring, dilation),
@@ -1704,6 +1719,24 @@ chaos_opt_in = true
             let err = Scenario::parse(&format!("loads = 0.2\n{line}\n"), "x.scn").unwrap_err();
             assert!(err.contains("x.scn:2") && err.contains("too large"), "{line}: {err}");
         }
+        // A geometry no graph can be built for names the line that made
+        // it so (this used to panic inside `Geometry::new`, or truncate).
+        for (lines, at) in [
+            ("k = 1\nn = 2", "x.scn:2: k = 1:"),
+            ("k = 4\nn = 17", "x.scn:3: n = 17:"),
+            ("k = 300\nn = 1", "x.scn:2: k = 300:"),
+            ("k = 32\nn = 9", "x.scn:3: k = 32, n = 9:"),
+            ("n = 9\nk = 32", "x.scn:3: k = 32, n = 9:"),
+            ("k = 4294967300", "x.scn:2: number too large"),
+        ] {
+            let err = Scenario::parse(&format!("loads = 0.2\n{lines}\n"), "x.scn").unwrap_err();
+            assert!(err.starts_with(at), "{lines:?}: {err}");
+        }
+        // …and neither key is judged against the other's default: 4^16
+        // overflows, 2^16 does not.
+        let text = "loads = 0.2\nn = 16\nk = 2\nexpect.sustainable = true\n";
+        let wide = Scenario::parse(text, "x.scn").unwrap();
+        assert_eq!(wide.experiment().geometry.nodes(), 1 << 16);
         let err =
             Scenario::parse("expected_verdict = maybe\nloads = 0.1\n", "x.scn").unwrap_err();
         assert!(err.contains("pass or fail"), "{err}");

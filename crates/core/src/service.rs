@@ -181,12 +181,12 @@ impl JobSpec {
                 MessageSizeDist::Fixed(len.parse().map_err(|e| bad(format!("fixed size: {e}")))?)
             }
         };
-        if self.k < 2 || self.n == 0 {
-            return Err(bad(format!(
-                "geometry k={} n={} is degenerate (need k >= 2, n >= 1)",
-                self.k, self.n
-            )));
-        }
+        // Refused here, before the daemon journals the job: a geometry
+        // no graph can be built for used to panic the connection thread
+        // (`k^n` overflow) or be accepted and fail every retry (`k > 256`).
+        let geometry = Geometry::try_new(self.k, self.n)
+            .and_then(minnet_topology::graph::check_limits)
+            .map_err(bad)?;
         if self.loads.is_empty() {
             return Err(bad("a job needs at least one load point".into()));
         }
@@ -194,7 +194,7 @@ impl JobSpec {
             return Err(bad("loads must be finite and positive".into()));
         }
         let mut exp = Experiment {
-            geometry: Geometry::new(self.k, self.n),
+            geometry,
             network,
             pattern,
             clustering: Clustering::Global,
@@ -285,8 +285,8 @@ impl JobSpec {
             wiring: json_str(line, "wiring")?,
             dilation: u8::try_from(json_u64(line, "dilation")?).ok()?,
             vcs: u8::try_from(json_u64(line, "vcs")?).ok()?,
-            k: json_u64(line, "k")? as u32,
-            n: json_u64(line, "n")? as u32,
+            k: u32::try_from(json_u64(line, "k")?).ok()?,
+            n: u32::try_from(json_u64(line, "n")?).ok()?,
             pattern: json_str(line, "pattern")?,
             sizes: json_str(line, "sizes")?,
             loads: json_bits_array(line, "loads_bits")?,
@@ -971,6 +971,17 @@ mod tests {
         let mut s = quick_spec();
         s.pattern = "nope".into();
         assert!(s.to_experiment().is_err());
+        // Geometry: degenerate, past `u32` node ids, past the graph's
+        // byte-wide ports — and a `k` past `u32` is a torn line, not 4.
+        for (k, n) in [(1, 3), (4, 0), (4, 17), (32, 9), (300, 1)] {
+            let mut s = quick_spec();
+            (s.k, s.n) = (k, n);
+            let err = s.to_experiment().unwrap_err();
+            assert_eq!(error_kind(&err), "config", "k={k} n={n}");
+        }
+        let json = quick_spec().to_json();
+        let wide = json.replace("\"k\":4,", "\"k\":4294967300,");
+        assert!(wide.contains("4294967300") && JobSpec::from_json(&wide).is_none());
     }
 
     #[test]

@@ -216,3 +216,43 @@ fn bad_arguments_fail_cleanly() {
         assert!(!stderr.contains("panicked at"), "{bracket:?}: {stderr}");
     }
 }
+
+/// Geometries no graph can be built for are refused by name at the
+/// command line and by `file:line` in a `.scn` — never a panic in
+/// `Geometry::new`, a wrapped `as u32`, or a wrapped `u8` port.
+#[test]
+fn impossible_geometries_fail_typed() {
+    for (args, flag) in [
+        (&["--k", "1"][..], "--k"),
+        (&["--k", "300", "--n", "1"], "--k"),
+        (&["--k", "4294967300"], "--k"),
+        (&["--n", "17"], "--n"),
+        (&["--k", "32", "--n", "9"], "--k"),
+    ] {
+        for cmd in ["info", "simulate"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_minnet"))
+                .arg(cmd)
+                .args(args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {args:?}: {stderr}");
+            let named = stderr.starts_with(&format!("error: {flag}"));
+            assert!(named, "{cmd} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {args:?}: {stderr}");
+        }
+    }
+    // The fixtures live here, not under `scenarios/`: that directory is
+    // the scenario library every `scenario run scenarios/` judges.
+    for (file, line, why) in [
+        ("bad_radix.scn", 6, "k = 1: "),
+        ("bad_node_count.scn", 7, "k = 32, n = 9: "),
+    ] {
+        let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+        let (ok, _, stderr) = minnet(&["scenario", "validate", &path]);
+        assert!(!ok, "{file}: {stderr}");
+        let located = stderr.contains(&format!("{file}:{line}: {why}"));
+        assert!(located, "{file}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{file}: {stderr}");
+    }
+}

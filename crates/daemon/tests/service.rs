@@ -161,8 +161,11 @@ fn chaos_panics_are_isolated_and_recovered_by_derived_seed_retries() {
 
 #[test]
 fn malformed_specs_get_structured_errors_not_queue_slots() {
-    let (daemon, _cleanup) = start("badspec", 1, 16, 8);
+    let (daemon, cleanup) = start("badspec", 1, 16, 8);
     let client = ServiceClient::new(daemon.addr().to_string());
+    let journal = cleanup.0.join("journal.jsonl");
+    let journal_len = || std::fs::metadata(&journal).unwrap().len();
+    let journal_before = journal_len();
     let mut spec = quick_spec(31);
     spec.network = "hypercube".into();
     let Response::Error { kind, message } = client.submit("c1", &spec).unwrap() else {
@@ -192,8 +195,26 @@ fn malformed_specs_get_structured_errors_not_queue_slots() {
     };
     assert_eq!(kind, "bad_request");
     assert!(!message.contains("258"), "{message}");
+    // Geometries no graph can be built for are refused at admission:
+    // 32^9 nodes used to panic the connection thread inside
+    // `Geometry::new`, and k = 300 wrapped its `u8` ports, was accepted,
+    // journaled and then failed all three attempts of its retry ladder.
+    for (k, n, why) in [(32, 9, "does not fit"), (300, 1, "at most 256")] {
+        let mut spec = quick_spec(31);
+        (spec.k, spec.n) = (k, n);
+        let Response::Error { kind, message } = client.submit("c1", &spec).unwrap() else {
+            panic!("k = {k}, n = {n} must be refused");
+        };
+        assert_eq!(kind, "config");
+        assert!(message.contains(why), "{message}");
+    }
     let stats = client.stats().unwrap();
     assert_eq!(stats.queued + stats.running + stats.done, 0);
+    // Nothing refused above reached the journal, and the service still
+    // answers a fresh connection.
+    assert_eq!(journal_len(), journal_before);
+    let fresh = ServiceClient::new(daemon.addr().to_string());
+    fresh.ping().unwrap();
 }
 
 #[test]

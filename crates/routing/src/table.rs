@@ -99,10 +99,9 @@ impl RouteTable {
             NetworkKind::Unidir { .. } => Vec::new(),
             // Switch `(j, s)` reaches `dst` going down iff
             // `dst / k^(j+1) == s / k^j` (see `build_bmin`).
-            NetworkKind::Bmin => net
-                .switches()
-                .iter()
-                .map(|sw| {
+            NetworkKind::Bmin => (0..net.num_switches() as u32)
+                .map(|s| {
+                    let sw = net.switch(s);
                     let j = u32::from(sw.stage);
                     let lo = sw.index / g.kpow(j) * g.kpow(j + 1);
                     (lo, lo + g.kpow(j + 1))

@@ -468,8 +468,7 @@ impl SweepOrder {
         };
         let order = build_order.as_deref().unwrap_or(net.transmit_order());
         let dst_is_node = net
-            .channels
-            .iter()
+            .channels()
             .map(|c| matches!(c.dst, Endpoint::Node(_)))
             .collect();
         let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg.vcs));

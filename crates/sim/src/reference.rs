@@ -211,8 +211,7 @@ impl<'a> Engine<'a> {
             mux: vec![VcMux::new(cfg.vc_mux); nch],
             order,
             dst_is_node: net
-                .channels
-                .iter()
+                .channels()
                 .map(|c| matches!(c.dst, Endpoint::Node(_)))
                 .collect(),
             packets: Vec::new(),

@@ -60,22 +60,35 @@ pub struct Geometry {
 
 impl Geometry {
     /// Create a geometry with radix `k` (switch arity) and `n` digits
-    /// (stages).
+    /// (stages) — the form for `k`, `n` that arrive from outside the
+    /// program (argv, `.scn` files, the wire).
+    ///
+    /// # Errors
+    ///
+    /// `k < 2`, `n == 0`, `n > MAX_DIGITS`, or `k^n` overflowing `u32`;
+    /// the message names the offending parameter first (`k = 1: …`).
+    pub fn try_new(k: u32, n: u32) -> Result<Self, String> {
+        if k < 2 {
+            return Err(format!("k = {k}: switch arity k must be at least 2"));
+        }
+        if !(1..=MAX_DIGITS).contains(&n) {
+            return Err(format!(
+                "n = {n}: stage count n must be in 1..={MAX_DIGITS}"
+            ));
+        }
+        match u64::from(k).checked_pow(n) {
+            Some(nodes) if nodes <= u64::from(u32::MAX) => Ok(Geometry { k, n }),
+            _ => Err(format!("k = {k}, n = {n}: k^n does not fit in u32")),
+        }
+    }
+
+    /// [`Self::try_new`] for geometries written in code.
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2`, `n == 0`, `n > MAX_DIGITS`, or `k^n` overflows
-    /// `u32`.
+    /// Panics where `try_new` returns an error.
     pub fn new(k: u32, n: u32) -> Self {
-        assert!(k >= 2, "switch arity k must be at least 2, got {k}");
-        assert!(n >= 1, "stage count n must be at least 1");
-        assert!(n <= MAX_DIGITS, "stage count n must be at most {MAX_DIGITS}");
-        let mut acc: u64 = 1;
-        for _ in 0..n {
-            acc = acc.checked_mul(k as u64).expect("k^n overflows");
-            assert!(acc <= u32::MAX as u64, "k^n = {acc} does not fit in u32");
-        }
-        Geometry { k, n }
+        Self::try_new(k, n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The switch arity `k`.
@@ -211,6 +224,36 @@ mod tests {
         assert_eq!(g.k(), 4);
         assert_eq!(g.n(), 3);
         assert_eq!(g.kpow(2), 16);
+    }
+
+    #[test]
+    fn try_new_names_the_offending_parameter() {
+        assert_eq!(Geometry::try_new(4, 3), Ok(Geometry::new(4, 3)));
+        assert_eq!(
+            Geometry::try_new(2, MAX_DIGITS).map(|g| g.nodes()),
+            Ok(1 << 16)
+        );
+        assert_eq!(
+            Geometry::try_new(65_535, 2).map(|g| g.nodes()),
+            Ok(65_535 * 65_535)
+        );
+        assert!(Geometry::try_new(1, 3).unwrap_err().starts_with("k = 1: "));
+        assert!(Geometry::try_new(0, 3).unwrap_err().starts_with("k = 0: "));
+        assert!(Geometry::try_new(4, 0).unwrap_err().starts_with("n = 0: "));
+        assert!(Geometry::try_new(4, 17)
+            .unwrap_err()
+            .starts_with("n = 17: "));
+        assert!(Geometry::try_new(32, 9)
+            .unwrap_err()
+            .starts_with("k = 32, n = 9: "));
+        assert!(Geometry::try_new(65_536, 2)
+            .unwrap_err()
+            .contains("does not fit"));
+        // Identity v1 hashes `Debug` of the geometry: two fields, this order.
+        assert_eq!(
+            format!("{:?}", Geometry::new(4, 3)),
+            "Geometry { k: 4, n: 3 }"
+        );
     }
 
     #[test]

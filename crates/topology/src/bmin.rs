@@ -25,7 +25,8 @@
 
 use crate::address::Geometry;
 use crate::graph::{
-    ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, Side, SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, PackedChannel,
+    Side,
 };
 
 /// Number of digits in a BMIN switch label (`n - 1`).
@@ -48,21 +49,18 @@ fn label_with_digit(g: &Geometry, label: u32, i: u32, v: u32) -> u32 {
 /// node-facing) outputs `l_i`; `k..2k` are the right-side (forward) outputs
 /// `r_i`. Stage `n-1` switches have no forward output channels — the paper
 /// leaves those ports available for building larger networks.
+///
+/// # Panics
+///
+/// Panics on a geometry outside [`crate::graph::check_limits`].
 pub fn build_bmin(g: Geometry) -> NetworkGraph {
     let k = g.k();
     let n = g.n();
     let nodes = g.nodes();
     let per_stage = nodes / k; // k^{n-1}
 
-    let mut channels: Vec<ChannelDesc> = Vec::with_capacity(2 * n as usize * nodes as usize);
-    let switches: Vec<SwitchDesc> = (0..n)
-        .flat_map(|stage| {
-            (0..per_stage).map(move |index| SwitchDesc {
-                stage: stage as u8,
-                index,
-            })
-        })
-        .collect();
+    // Packed as created, as in `build_unidir`.
+    let mut channels: Vec<PackedChannel> = Vec::with_capacity(2 * n as usize * nodes as usize);
     let sw_id = |stage: u32, index: u32| stage * per_stage + index;
 
     let mut inject = vec![0 as ChannelId; nodes as usize];
@@ -75,37 +73,28 @@ pub fn build_bmin(g: Geometry) -> NetworkGraph {
 
     // Level 0: node a ↔ switch (0, a/k) port a%k.
     for a in 0..nodes {
-        let sw = sw_id(0, a / k);
-        let port = (a % k) as u8;
+        let port = Endpoint::port(sw_id(0, a / k), Side::Left, a % k);
         // Up: node → switch left input.
         let up = channels.len() as ChannelId;
-        channels.push(ChannelDesc {
+        channels.push(PackedChannel::of(ChannelDesc {
             src: Endpoint::Node(a),
-            dst: Endpoint::Switch {
-                sw,
-                side: Side::Left,
-                port,
-            },
+            dst: port,
             level: 0,
             lane: 0,
             dir: Direction::Forward,
             topo_rank: up_rank(0),
-        });
+        }));
         inject[a as usize] = up;
         // Down: switch left output → node.
         let down = channels.len() as ChannelId;
-        channels.push(ChannelDesc {
-            src: Endpoint::Switch {
-                sw,
-                side: Side::Left,
-                port,
-            },
+        channels.push(PackedChannel::of(ChannelDesc {
+            src: port,
             dst: Endpoint::Node(a),
             level: 0,
             lane: 0,
             dir: Direction::Backward,
             topo_rank: down_rank(0),
-        });
+        }));
         eject[a as usize] = down;
     }
 
@@ -113,50 +102,34 @@ pub fn build_bmin(g: Geometry) -> NetworkGraph {
     // (j-1, s[digit j-1 := c]) right port s_{j-1}.
     for j in 1..n {
         for s in 0..per_stage {
-            let hi = sw_id(j, s);
+            let lo_port = label_digit(&g, s, j - 1); // right port s_{j-1}
             for c in 0..k {
                 let lo_label = label_with_digit(&g, s, j - 1, c);
-                let lo = sw_id(j - 1, lo_label);
-                let lo_port_idx = label_digit(&g, s, j - 1) as u8; // right port s_{j-1}
+                let lo = Endpoint::port(sw_id(j - 1, lo_label), Side::Right, lo_port);
+                let hi = Endpoint::port(sw_id(j, s), Side::Left, c);
                 // Up: lower right output s_{j-1} → upper left input c.
-                channels.push(ChannelDesc {
-                    src: Endpoint::Switch {
-                        sw: lo,
-                        side: Side::Right,
-                        port: lo_port_idx,
-                    },
-                    dst: Endpoint::Switch {
-                        sw: hi,
-                        side: Side::Left,
-                        port: c as u8,
-                    },
-                    level: j as u8,
+                channels.push(PackedChannel::of(ChannelDesc {
+                    src: lo,
+                    dst: hi,
+                    level: byte(j),
                     lane: 0,
                     dir: Direction::Forward,
                     topo_rank: up_rank(j),
-                });
+                }));
                 // Down: upper left output c → lower right input s_{j-1}.
-                channels.push(ChannelDesc {
-                    src: Endpoint::Switch {
-                        sw: hi,
-                        side: Side::Left,
-                        port: c as u8,
-                    },
-                    dst: Endpoint::Switch {
-                        sw: lo,
-                        side: Side::Right,
-                        port: lo_port_idx,
-                    },
-                    level: j as u8,
+                channels.push(PackedChannel::of(ChannelDesc {
+                    src: hi,
+                    dst: lo,
+                    level: byte(j),
                     lane: 0,
                     dir: Direction::Backward,
                     topo_rank: down_rank(j),
-                });
+                }));
             }
         }
     }
 
-    let graph = NetworkGraph::assemble(g, NetworkKind::Bmin, channels, switches, inject, eject);
+    let graph = NetworkGraph::assemble(g, NetworkKind::Bmin, channels, inject, eject);
     graph
         .validate()
         .expect("BMIN builder produced an invalid graph");
@@ -213,15 +186,13 @@ mod tests {
         let g = Geometry::new(4, 3);
         let net = build_bmin(g);
         let mut fwd = 0;
-        for ch in &net.channels {
+        for ch in net.channels() {
             if ch.dir == Direction::Forward {
                 fwd += 1;
                 assert!(
-                    net.channels
-                        .iter()
-                        .any(|o| o.dir == Direction::Backward
-                            && o.src == ch.dst
-                            && o.dst == ch.src),
+                    net.channels().any(|o| o.dir == Direction::Backward
+                        && o.src == ch.dst
+                        && o.dst == ch.src),
                     "unpaired forward channel {ch:?}"
                 );
             }
@@ -236,7 +207,7 @@ mod tests {
         let g = Geometry::new(4, 3);
         let net = build_bmin(g);
         let per_stage = g.nodes() / g.k();
-        for ch in &net.channels {
+        for ch in net.channels() {
             if ch.dir != Direction::Forward || ch.level == 0 {
                 continue;
             }
@@ -276,7 +247,7 @@ mod tests {
         let g = Geometry::new(4, 3);
         let net = build_bmin(g);
         let per_stage = g.nodes() / g.k();
-        for ch in &net.channels {
+        for ch in net.channels() {
             if ch.dir != Direction::Backward {
                 continue;
             }

@@ -160,7 +160,7 @@ pub fn bmin_rightmost_stage_splice(net: &NetworkGraph) -> Vec<Option<ChannelId>>
     assert_eq!(net.geometry.k(), 2, "Fig. 12 reduction requires k = 2");
     let top = (net.geometry.n() - 1) as u8;
     let mut map = vec![None; net.num_channels()];
-    for (idx, ch) in net.channels.iter().enumerate() {
+    for (idx, ch) in net.channels().enumerate() {
         if ch.dir != Direction::Forward || ch.level != top {
             continue;
         }

@@ -31,8 +31,29 @@
 //! all adjacency in two counted passes. Per-switch *input* lists are not
 //! stored: nothing routes by them, and [`NetworkGraph::validate`] derives
 //! what it checks of them from the channel table.
+//!
+//! A channel is stored as a 12-byte [`PackedChannel`]:
+//!
+//! | field       | bits | holds                                            |
+//! |-------------|------|--------------------------------------------------|
+//! | `src`,`dst` | 32   | bit 31 set: node id (31 bits); else `switch:22 \| port:8 \| side:1` |
+//! | `topo_rank` | 16   | as [`ChannelDesc::topo_rank`]                    |
+//! | `level_dir` | 8    | `level` in the low seven bits, bit 7 = backward  |
+//! | `lane`      | 8    | as [`ChannelDesc::lane`]                         |
+//!
+//! [`ChannelDesc`] and [`Endpoint`] are the *view*: [`NetworkGraph::channel`]
+//! decodes one by value, and builders, [`NetworkGraph::validate`] and every
+//! reader go through that one codec — there is no second table. Switches
+//! cost one stage byte each; both builders number them stage-major, so a
+//! switch's index within its stage is `id − stage · N/k`. What the fields
+//! can hold — `k ≤ 256`, under 2²² switches, under 2³¹ nodes, levels
+//! below 128 — is stated once, by [`check_limits`], which every entry
+//! point taking a geometry from outside calls before anything is
+//! allocated; [`ChannelDesc::pack`] refuses the same ranges as the
+//! backstop. All in, a channel costs ≈ 24 bytes (12 the record, 4 its
+//! port offset, ≈ 8 its slots in the arena's port and order sections).
 
-use crate::address::Geometry;
+use crate::address::{Geometry, MAX_DIGITS};
 
 /// Index of a node (terminal). Equals the node's address value.
 pub type NodeId = u32;
@@ -93,6 +114,25 @@ impl Endpoint {
             Endpoint::Switch { .. } => None,
         }
     }
+
+    /// Port `port` on `side` of switch `sw`, from the builders' `u32`
+    /// position arithmetic. The narrowing is checked: an `as u8` would
+    /// wrap a radix past 256 into a different, valid-looking wiring.
+    #[inline]
+    pub fn port(sw: SwitchId, side: Side, port: u32) -> Endpoint {
+        Endpoint::Switch {
+            sw,
+            side,
+            port: byte(port),
+        }
+    }
+}
+
+/// The builders' narrowing of a port, stage or level — all below 256
+/// for any geometry [`check_limits`] admits.
+#[inline]
+pub(crate) fn byte(v: u32) -> u8 {
+    u8::try_from(v).expect("port, stage or level past a byte: geometry outside graph::check_limits")
 }
 
 /// A unidirectional communication channel.
@@ -117,6 +157,111 @@ pub struct ChannelDesc {
     /// ascending rank lets an unblocked worm advance one hop on every
     /// channel it spans in a single cycle.
     pub topo_rank: u16,
+}
+
+/// Bit 31 of a packed endpoint: the low 31 bits are a node id.
+const NODE_BIT: u32 = 1 << 31;
+/// Switch ids a packed endpoint holds: 22 bits above `port:8 | side:1`.
+const MAX_SWITCHES: u32 = 1 << 22;
+/// Bit 7 of `level_dir`: the channel runs backward.
+const BACKWARD_BIT: u8 = 1 << 7;
+// Every level a geometry can have fits beside the direction bit.
+const _: () = assert!(MAX_DIGITS < BACKWARD_BIT as u32);
+
+/// A channel as the graph stores it, 12 bytes (layout in the module
+/// docs). Made by [`ChannelDesc::pack`], read by [`PackedChannel::decode`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PackedChannel {
+    src: u32,
+    dst: u32,
+    topo_rank: u16,
+    level_dir: u8,
+    lane: u8,
+}
+
+/// What a [`PackedChannel`] can hold, as a condition on the geometry:
+/// radix at most 256 (ports are a byte), under 2³¹ nodes and under 2²²
+/// switches (`n · N/k`, either builder). Returns `g` so callers chain it
+/// after [`Geometry::try_new`].
+///
+/// # Errors
+///
+/// Names the offending parameter first (`k = 300: …`), as the CLI, the
+/// `.scn` parser and the job service report it.
+pub fn check_limits(g: Geometry) -> Result<Geometry, String> {
+    let (k, n, nodes) = (g.k(), g.n(), g.nodes());
+    let sw = u64::from(n) * u64::from(nodes / k);
+    if k > 256 {
+        Err(format!("k = {k}: at most 256, a switch port is a byte"))
+    } else if nodes >= NODE_BIT {
+        Err(format!("k = {k}, n = {n}: {nodes} nodes, ids end at 2^31"))
+    } else if sw >= u64::from(MAX_SWITCHES) {
+        Err(format!("k = {k}, n = {n}: {sw} switches, ids end at 2^22"))
+    } else {
+        Ok(g)
+    }
+}
+
+impl ChannelDesc {
+    /// Encode for storage, or `None` for what the record's fields cannot
+    /// hold: a switch id of 2²² or more, a node id of 2³¹ or more, a
+    /// level of 128 or more. (`None`, not a message: formatting `self`
+    /// on the cold path pins the descriptor in memory on the hot one and
+    /// tripled the builders' push loop.)
+    #[inline]
+    pub fn pack(self) -> Option<PackedChannel> {
+        // (fits, packed) of one endpoint.
+        let end = |e: Endpoint| match e {
+            Endpoint::Node(n) => (n < NODE_BIT, NODE_BIT | n),
+            Endpoint::Switch { sw, side, port } => (
+                sw < MAX_SWITCHES,
+                sw << 9 | u32::from(port) << 1 | u32::from(side == Side::Right),
+            ),
+        };
+        let ((src_fits, src), (dst_fits, dst)) = (end(self.src), end(self.dst));
+        let backward = self.dir == Direction::Backward;
+        (src_fits && dst_fits && self.level < BACKWARD_BIT).then_some(PackedChannel {
+            src,
+            dst,
+            topo_rank: self.topo_rank,
+            level_dir: self.level | if backward { BACKWARD_BIT } else { 0 },
+            lane: self.lane,
+        })
+    }
+}
+
+impl PackedChannel {
+    /// [`ChannelDesc::pack`] for the builders: a refusal there is a
+    /// geometry that [`check_limits`] should have stopped at the door.
+    #[inline]
+    pub(crate) fn of(ch: ChannelDesc) -> PackedChannel {
+        ch.pack().expect("geometry within graph::check_limits")
+    }
+
+    /// The channel this record stores.
+    #[inline]
+    pub fn decode(self) -> ChannelDesc {
+        let end = |e: u32| match e & NODE_BIT {
+            0 => Endpoint::Switch {
+                sw: e >> 9,
+                side: if e & 1 == 0 { Side::Left } else { Side::Right },
+                port: (e >> 1) as u8, // exactly the `port:8` bits
+            },
+            _ => Endpoint::Node(e & !NODE_BIT),
+        };
+        let dir = match self.level_dir & BACKWARD_BIT {
+            0 => Direction::Forward,
+            _ => Direction::Backward,
+        };
+        ChannelDesc {
+            src: end(self.src),
+            dst: end(self.dst),
+            level: self.level_dir & !BACKWARD_BIT,
+            lane: self.lane,
+            dir,
+            topo_rank: self.topo_rank,
+        }
+    }
 }
 
 /// A switch (one crossbar) in the network. Pure metadata — the
@@ -180,9 +325,11 @@ pub struct NetworkGraph {
     /// Which family this graph belongs to.
     pub kind: NetworkKind,
     /// All channels, indexed by [`ChannelId`].
-    pub channels: Vec<ChannelDesc>,
-    /// Switch metadata, indexed by [`SwitchId`].
-    switches: Vec<SwitchDesc>,
+    channels: Vec<PackedChannel>,
+    /// Each switch's stage, indexed by [`SwitchId`]; ids are stage-major
+    /// with `per_stage` (`N/k`) switches a stage.
+    stages: Vec<u8>,
+    per_stage: u32,
     /// Output-port codes per switch: `k` for unidirectional switches,
     /// `2k` for bidirectional ones.
     out_codes: u32,
@@ -222,6 +369,9 @@ impl NetworkGraph {
     /// every routing-candidate enumeration (and therefore the engine's
     /// RNG stream) depends on.
     ///
+    /// The switch table is not an input: both network families have `n`
+    /// stages of `N/k` switches, numbered stage-major.
+    ///
     /// # Panics
     ///
     /// Panics if `inject`/`eject` don't have one entry per node, or a
@@ -230,23 +380,28 @@ impl NetworkGraph {
     pub fn assemble(
         geometry: Geometry,
         kind: NetworkKind,
-        channels: Vec<ChannelDesc>,
-        switches: Vec<SwitchDesc>,
+        channels: Vec<PackedChannel>,
         inject: Vec<ChannelId>,
         eject: Vec<ChannelId>,
     ) -> NetworkGraph {
         let nodes = geometry.nodes() as usize;
         assert_eq!(inject.len(), nodes, "one injection channel per node");
         assert_eq!(eject.len(), nodes, "one ejection channel per node");
-        let nsw = switches.len();
-        let nch = channels.len();
         let k = geometry.k();
+        let per_stage = geometry.nodes() / k;
+        let stages: Vec<u8> = (0..geometry.n())
+            .flat_map(|stage| std::iter::repeat_n(byte(stage), per_stage as usize))
+            .collect();
+        let nsw = stages.len();
+        let nch = channels.len();
         let out_codes = if kind.is_bidirectional() { 2 * k } else { k };
         let nports = nsw * out_codes as usize;
 
-        // Pass 1: count lanes per (switch, code).
+        // Pass 1: count lanes per (switch, code) and channels per
+        // `topo_rank` (a table as long as the largest rank seen: `2n`).
         let mut port_starts = vec![0u32; nports + 1];
-        for ch in &channels {
+        let mut rank_starts = vec![0u32; 2];
+        for ch in channels.iter().map(|ch| ch.decode()) {
             if let Endpoint::Switch { sw, .. } = ch.dst {
                 assert!((sw as usize) < nsw, "channel dst switch out of range");
             }
@@ -255,9 +410,16 @@ impl NetworkGraph {
                 let code = out_code(kind, k, side, port);
                 port_starts[sw as usize * out_codes as usize + code as usize + 1] += 1;
             }
+            let rank = usize::from(ch.topo_rank);
+            if rank + 2 > rank_starts.len() {
+                rank_starts.resize(rank + 2, 0);
+            }
+            rank_starts[rank + 1] += 1;
         }
-        for i in 1..port_starts.len() {
-            port_starts[i] += port_starts[i - 1];
+        for starts in [&mut port_starts, &mut rank_starts] {
+            for i in 1..starts.len() {
+                starts[i] += starts[i - 1];
+            }
         }
         let inject_at = port_starts[nports];
         let eject_at = inject_at + nodes as u32;
@@ -265,32 +427,30 @@ impl NetworkGraph {
         let total = order_at as usize + nch;
 
         // Pass 2: fill the arena, scanning channels in id order so every
-        // list comes out id-sorted.
+        // list comes out id-sorted — the memoized transmit order too: ids
+        // by `topo_rank`, equal ranks in id order (a stable counting sort).
         let mut ids = vec![0 as ChannelId; total];
         let mut pcur = port_starts.clone();
-        for (id, ch) in channels.iter().enumerate() {
+        for (id, ch) in channels.iter().map(|ch| ch.decode()).enumerate() {
             if let Endpoint::Switch { sw, side, port } = ch.src {
                 let code = out_code(kind, k, side, port);
                 let cur = &mut pcur[sw as usize * out_codes as usize + code as usize];
                 ids[*cur as usize] = id as ChannelId;
                 *cur += 1;
             }
+            let cur = &mut rank_starts[usize::from(ch.topo_rank)];
+            ids[(order_at + *cur) as usize] = id as ChannelId;
+            *cur += 1;
         }
         ids[inject_at as usize..eject_at as usize].copy_from_slice(&inject);
         ids[eject_at as usize..order_at as usize].copy_from_slice(&eject);
-        // Memoized transmit order: channel ids sorted by topo_rank
-        // (stable, so equal ranks stay in id order).
-        let order = &mut ids[order_at as usize..];
-        for (i, slot) in order.iter_mut().enumerate() {
-            *slot = i as ChannelId;
-        }
-        order.sort_by_key(|&c| channels[c as usize].topo_rank);
 
         NetworkGraph {
             geometry,
             kind,
             channels,
-            switches,
+            stages,
+            per_stage,
             out_codes,
             port_starts,
             ids,
@@ -300,22 +460,25 @@ impl NetworkGraph {
         }
     }
 
-    /// Channel descriptor by id.
+    /// Channel descriptor by id, decoded from its stored record.
     #[inline]
-    pub fn channel(&self, c: ChannelId) -> &ChannelDesc {
-        &self.channels[c as usize]
+    pub fn channel(&self, c: ChannelId) -> ChannelDesc {
+        self.channels[c as usize].decode()
+    }
+
+    /// Every channel descriptor, in [`ChannelId`] order.
+    pub fn channels(&self) -> impl ExactSizeIterator<Item = ChannelDesc> + '_ {
+        self.channels.iter().map(|ch| ch.decode())
     }
 
     /// Switch descriptor by id.
     #[inline]
-    pub fn switch(&self, s: SwitchId) -> &SwitchDesc {
-        &self.switches[s as usize]
-    }
-
-    /// All switch descriptors, indexed by [`SwitchId`].
-    #[inline]
-    pub fn switches(&self) -> &[SwitchDesc] {
-        &self.switches
+    pub fn switch(&self, s: SwitchId) -> SwitchDesc {
+        let stage = self.stages[s as usize];
+        SwitchDesc {
+            stage,
+            index: s - u32::from(stage) * self.per_stage,
+        }
     }
 
     /// Number of channels.
@@ -325,7 +488,7 @@ impl NetworkGraph {
 
     /// Number of switches.
     pub fn num_switches(&self) -> usize {
-        self.switches.len()
+        self.stages.len()
     }
 
     /// Output-port codes per switch: `k` for unidirectional switches,
@@ -411,12 +574,12 @@ impl NetworkGraph {
     }
 
     /// Approximate resident size of the graph in bytes (channel table,
-    /// switch table, CSR offset table and the shared id arena) — a
+    /// stage bytes, CSR offset table and the shared id arena) — a
     /// memory-accounting metric for benches.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.channels.len() * std::mem::size_of::<ChannelDesc>()
-            + self.switches.len() * std::mem::size_of::<SwitchDesc>()
+            + self.channels.len() * std::mem::size_of::<PackedChannel>()
+            + self.stages.len()
             + self.port_starts.len() * 4
             + self.ids.len() * 4
     }
@@ -433,15 +596,15 @@ impl NetworkGraph {
     pub fn validate(&self) -> Result<(), String> {
         let n_nodes = self.geometry.nodes();
         let lanes = usize::from(self.kind.dilation());
-        let mut fed = vec![false; self.switches.len() * self.out_codes as usize * lanes];
-        for (i, ch) in self.channels.iter().enumerate() {
+        let mut fed = vec![false; self.stages.len() * self.out_codes as usize * lanes];
+        for (i, ch) in self.channels().enumerate() {
             for ep in [ch.src, ch.dst] {
                 match ep {
                     Endpoint::Node(nd) if nd >= n_nodes => {
                         return Err(format!("channel {i}: node {nd} out of range"));
                     }
                     Endpoint::Switch { sw, port, .. } => {
-                        if sw as usize >= self.switches.len() {
+                        if sw as usize >= self.stages.len() {
                             return Err(format!("channel {i}: switch {sw} out of range"));
                         }
                         if u32::from(port) >= self.geometry.k() {
@@ -451,8 +614,6 @@ impl NetworkGraph {
                     _ => {}
                 }
             }
-        }
-        for (i, ch) in self.channels.iter().enumerate() {
             if let Endpoint::Switch { sw, side, port } = ch.dst {
                 let code = out_code(self.kind, self.geometry.k(), side, port);
                 let input = (sw * self.out_codes + code) as usize * lanes + usize::from(ch.lane);
@@ -461,10 +622,11 @@ impl NetworkGraph {
                 }
             }
         }
-        for sid in 0..self.switches.len() {
+        for sid in 0..self.stages.len() {
             for code in 0..self.out_codes {
                 for &c in self.out_port(sid as SwitchId, code) {
-                    let originates_here = match self.channels.get(c as usize).map(|ch| ch.src) {
+                    let src = self.channels.get(c as usize).map(|ch| ch.decode().src);
+                    let originates_here = match src {
                         Some(Endpoint::Switch { sw: s2, side, port }) if s2 as usize == sid => {
                             out_code(self.kind, self.geometry.k(), side, port) == code
                         }
@@ -479,11 +641,11 @@ impl NetworkGraph {
             }
         }
         for nd in 0..n_nodes {
-            let inj = self.channels[self.inject(nd) as usize];
+            let inj = self.channel(self.inject(nd));
             if inj.src != Endpoint::Node(nd) {
                 return Err(format!("node {nd}: inject channel has wrong source"));
             }
-            let ej = self.channels[self.eject(nd) as usize];
+            let ej = self.channel(self.eject(nd));
             if ej.dst != Endpoint::Node(nd) {
                 return Err(format!("node {nd}: eject channel has wrong destination"));
             }
@@ -495,7 +657,7 @@ impl NetworkGraph {
         let mut seen = vec![false; self.channels.len()];
         let mut prev = 0u16;
         for &c in order {
-            let rank = self.channels[c as usize].topo_rank;
+            let rank = self.channel(c).topo_rank;
             if rank < prev {
                 return Err(format!("transmit order not rank-sorted at channel {c}"));
             }
@@ -512,7 +674,7 @@ impl NetworkGraph {
     pub fn channels_at_level(&self, level: u8, dir: Direction) -> Vec<ChannelId> {
         (0..self.channels.len() as u32)
             .filter(|&c| {
-                let ch = &self.channels[c as usize];
+                let ch = self.channel(c);
                 ch.level == level && ch.dir == dir
             })
             .collect()
@@ -570,11 +732,7 @@ mod tests {
             assert_eq!(net.out_all(s).len(), net.out_port_span(s, 0, net.out_port_codes()).len());
         }
         // Every channel leaving a switch appears in exactly one port list.
-        let switch_src = net
-            .channels
-            .iter()
-            .filter(|c| c.src.switch().is_some())
-            .count();
+        let switch_src = net.channels().filter(|c| c.src.switch().is_some()).count();
         assert_eq!(seen_out, switch_src);
     }
 
@@ -583,10 +741,43 @@ mod tests {
         use crate::unidir::{build_unidir, UnidirKind};
         let mut net = build_unidir(Geometry::new(2, 2), UnidirKind::Cube, 1);
         assert_eq!(net.validate(), Ok(()));
-        let feeds_switch = |c: &&ChannelDesc| c.dst.switch().is_some();
-        let dst = net.channels.iter().find(feeds_switch).unwrap().dst;
-        net.channels.iter_mut().filter(|c| c.dst.switch().is_some()).nth(1).unwrap().dst = dst;
+        let feeders: Vec<ChannelId> = (0..net.num_channels() as ChannelId)
+            .filter(|&c| net.channel(c).dst.switch().is_some())
+            .take(2)
+            .collect();
+        let doubled = ChannelDesc {
+            dst: net.channel(feeders[0]).dst,
+            ..net.channel(feeders[1])
+        };
+        net.channels[feeders[1] as usize] = doubled.pack().unwrap();
         assert!(net.validate().unwrap_err().contains("input already fed"));
+    }
+
+    #[test]
+    fn check_limits_names_the_field_that_overflows() {
+        for (k, n) in [(2, 16), (4, 7), (256, 2), (256, 1), (32, 2)] {
+            assert_eq!(check_limits(Geometry::new(k, n)), Ok(Geometry::new(k, n)));
+        }
+        let refused = |k, n| check_limits(Geometry::new(k, n)).unwrap_err();
+        assert!(refused(300, 1).starts_with("k = 300: "));
+        assert!(refused(257, 2).contains("at most 256"));
+        assert!(refused(216, 4).contains("nodes, ids end at 2^31"));
+        assert!(refused(4, 12).contains("switches, ids end at 2^22"));
+    }
+
+    #[test]
+    fn switch_index_is_derived_from_the_stage_byte() {
+        use crate::bmin::build_bmin;
+        let g = Geometry::new(3, 3);
+        let net = build_bmin(g);
+        let per_stage = g.nodes() / g.k();
+        for s in 0..net.num_switches() as SwitchId {
+            let sw = net.switch(s);
+            assert_eq!(
+                (u32::from(sw.stage), sw.index),
+                (s / per_stage, s % per_stage)
+            );
+        }
     }
 
     #[test]

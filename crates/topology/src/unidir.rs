@@ -21,7 +21,8 @@
 
 use crate::address::{Geometry, NodeAddr};
 use crate::graph::{
-    ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, Side, SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, PackedChannel,
+    Side,
 };
 use crate::permutation::Perm;
 
@@ -121,7 +122,8 @@ impl UnidirKind {
 ///
 /// # Panics
 ///
-/// Panics if `dilation == 0`.
+/// Panics if `dilation == 0`, or on a geometry outside
+/// [`crate::graph::check_limits`].
 pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph {
     assert!(dilation >= 1, "dilation must be at least 1");
     let k = g.k();
@@ -130,15 +132,9 @@ pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph
     let per_stage = nodes / k;
 
     let nch = (2 * nodes + (n - 1) * nodes * dilation as u32) as usize;
-    let mut channels: Vec<ChannelDesc> = Vec::with_capacity(nch);
-    let switches: Vec<SwitchDesc> = (0..n)
-        .flat_map(|stage| {
-            (0..per_stage).map(move |index| SwitchDesc {
-                stage: stage as u8,
-                index,
-            })
-        })
-        .collect();
+    // Channels are packed as they are created: a table of 24-byte
+    // descriptors would be the build's high-water mark.
+    let mut channels: Vec<PackedChannel> = Vec::with_capacity(nch);
     let sw_id = |stage: u32, index: u32| stage * per_stage + index;
 
     let mut inject = vec![0 as ChannelId; nodes as usize];
@@ -152,18 +148,14 @@ pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph
     for a in 0..nodes {
         let pos = c0.apply(&g, NodeAddr(a)).0;
         let id = channels.len() as ChannelId;
-        channels.push(ChannelDesc {
+        channels.push(PackedChannel::of(ChannelDesc {
             src: Endpoint::Node(a),
-            dst: Endpoint::Switch {
-                sw: sw_id(0, pos / k),
-                side: Side::Left,
-                port: (pos % k) as u8,
-            },
+            dst: Endpoint::port(sw_id(0, pos / k), Side::Left, pos % k),
             level: 0,
             lane: 0,
             dir: Direction::Forward,
             topo_rank: rank(0),
-        });
+        }));
         inject[a as usize] = id;
     }
 
@@ -172,28 +164,18 @@ pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph
     for level in 1..n {
         let ci = kind.connection(&g, level);
         for w in 0..nodes {
-            let src_sw = sw_id(level - 1, w / k);
-            let src_port = (w % k) as u8;
             let v = ci.apply(&g, NodeAddr(w)).0;
-            let dst_sw = sw_id(level, v / k);
-            let dst_port = (v % k) as u8;
+            let src = Endpoint::port(sw_id(level - 1, w / k), Side::Right, w % k);
+            let dst = Endpoint::port(sw_id(level, v / k), Side::Left, v % k);
             for lane in 0..dilation {
-                channels.push(ChannelDesc {
-                    src: Endpoint::Switch {
-                        sw: src_sw,
-                        side: Side::Right,
-                        port: src_port,
-                    },
-                    dst: Endpoint::Switch {
-                        sw: dst_sw,
-                        side: Side::Left,
-                        port: dst_port,
-                    },
-                    level: level as u8,
+                channels.push(PackedChannel::of(ChannelDesc {
+                    src,
+                    dst,
+                    level: byte(level),
                     lane,
                     dir: Direction::Forward,
                     topo_rank: rank(level),
-                });
+                }));
             }
         }
     }
@@ -201,33 +183,20 @@ pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph
     // Level n: stage n-1 output position w → node C_n(w). Single lane.
     let cn = kind.connection(&g, n);
     for w in 0..nodes {
-        let src_sw = sw_id(n - 1, w / k);
-        let src_port = (w % k) as u8;
         let node = cn.apply(&g, NodeAddr(w)).0;
         let id = channels.len() as ChannelId;
-        channels.push(ChannelDesc {
-            src: Endpoint::Switch {
-                sw: src_sw,
-                side: Side::Right,
-                port: src_port,
-            },
+        channels.push(PackedChannel::of(ChannelDesc {
+            src: Endpoint::port(sw_id(n - 1, w / k), Side::Right, w % k),
             dst: Endpoint::Node(node),
-            level: n as u8,
+            level: byte(n),
             lane: 0,
             dir: Direction::Forward,
             topo_rank: rank(n),
-        });
+        }));
         eject[node as usize] = id;
     }
 
-    let graph = NetworkGraph::assemble(
-        g,
-        kind.network_kind(dilation),
-        channels,
-        switches,
-        inject,
-        eject,
-    );
+    let graph = NetworkGraph::assemble(g, kind.network_kind(dilation), channels, inject, eject);
     graph
         .validate()
         .expect("unidirectional MIN builder produced an invalid graph");

@@ -143,12 +143,13 @@ fn main() {
         match run_figure(fig, &opts) {
             Ok(csv) => {
                 let path = opts.out_dir.join(format!("{}.csv", fig.id));
-                match std::fs::File::create(&path)
-                    .and_then(|mut f| f.write_all(csv.as_bytes()))
+                if let Err(e) =
+                    std::fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes()))
                 {
-                    Ok(()) => println!("   wrote {}\n", path.display()),
-                    Err(e) => eprintln!("error: writing {}: {e}", path.display()),
+                    eprintln!("error: writing {}: {e}", path.display());
+                    std::process::exit(1);
                 }
+                println!("   wrote {}\n", path.display());
             }
             Err(e) => {
                 eprintln!("error: figure {}: {e}", fig.id);

@@ -293,20 +293,17 @@ mod tests {
 
     #[test]
     fn every_curve_compiles_its_workload() {
-        // Catch invalid clustering/rate combinations at definition time.
+        // Catch invalid clustering/rate combinations at definition time,
+        // and run one short mid-grid point of every curve: nothing else
+        // executes the `ext_*` definitions short of a full regeneration.
         for fig in all_figures() {
+            let load = fig.loads[fig.loads.len() / 2];
             for (label, exp) in &fig.curves {
-                exp.network.validate().expect("network spec");
-                let _net = exp.network.build(exp.geometry);
-                let spec = minnet_traffic::WorkloadSpec {
-                    offered_load: 0.1,
-                    pattern: exp.pattern,
-                    clustering: exp.clustering.clone(),
-                    rates: exp.rates.clone(),
-                    sizes: exp.sizes,
-                };
-                minnet_traffic::Workload::compile(exp.geometry, &spec)
-                    .unwrap_or_else(|e| panic!("{}/{label}: {e}", fig.id));
+                let mut exp = exp.clone();
+                exp.sim.warmup = 500;
+                exp.sim.measure = 3_000;
+                exp.run(load)
+                    .unwrap_or_else(|e| panic!("{}/{label} at load {load}: {e}", fig.id));
             }
         }
     }

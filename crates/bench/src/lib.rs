@@ -1,17 +1,14 @@
 //! # minnet-bench
 //!
-//! The benchmark harness that regenerates every evaluation figure of the
-//! paper (§5, Figs. 16–20) plus the extension studies listed in
-//! `DESIGN.md`. [`figures`] defines one experiment bundle per figure; the
-//! `figures` binary sweeps them and writes paper-style series (text +
-//! CSV); the Criterion benches in `benches/` time the engine, the routing
-//! kernels, a quick variant of every figure, and the design-choice
-//! ablations.
+//! Regenerates every evaluation figure of the paper (§5, Figs. 16–20)
+//! plus the extension studies listed in `DESIGN.md`. [`figures`] defines
+//! one experiment bundle per figure; the `figures` binary sweeps them
+//! and writes paper-style series (text + CSV) under `results/`.
+//! Performance is measured elsewhere, by the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod host;
 
 pub use figures::{all_figures, figure_by_id, FigureDef};

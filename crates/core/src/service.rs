@@ -647,7 +647,7 @@ fn raw_tail(line: &str, key: &str) -> Option<String> {
 
 /// A blocking one-request-per-connection client for the `minnetd`
 /// wire protocol — what the `minnet submit|status|result|drain`
-/// subcommands, the benches, and the integration tests use.
+/// subcommands, the benchmark, and the integration tests use.
 #[derive(Clone, Debug)]
 pub struct ServiceClient {
     addr: String,

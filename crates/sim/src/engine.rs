@@ -875,7 +875,6 @@ impl CompiledNet {
             .collect();
         let ff = self.cfg.fast_forward;
         let mut live = engines.len();
-        let mut probe = HotProbe::new();
         while live > 0 {
             if ff {
                 // Joint fast-forward: the fleet-wide horizon is the
@@ -893,7 +892,7 @@ impl CompiledNet {
                 });
                 if all && horizon != u64::MAX {
                     for e in engines.iter_mut().flatten() {
-                        probe.skipped(e.jump_to(horizon));
+                        e.jump_to(horizon);
                     }
                 }
             }
@@ -902,27 +901,23 @@ impl CompiledNet {
                 let done = if e.st.now >= e.st.end {
                     Ok(true)
                 } else {
-                    e.cycle_body(&mut probe)
+                    e.cycle_body()
                 };
                 match done {
                     Ok(false) => {}
                     Ok(true) => {
                         let e = slot.take().expect("live lane present");
-                        probe.absorb_masks(e.st);
                         *res = Some(Ok(e.finish()));
                         live -= 1;
                     }
                     Err(err) => {
-                        if let Some(e) = slot.take() {
-                            probe.absorb_masks(e.st);
-                        }
+                        *slot = None;
                         *res = Some(Err(err));
                         live -= 1;
                     }
                 }
             }
         }
-        probe.flush();
     }
 }
 
@@ -1035,12 +1030,6 @@ pub struct EngineState {
     /// ejection channel **and** its buffer's front flit is `p`'s header —
     /// exactly the reference allocate phase's advance-request predicate.
     k_advance: DenseBitSet,
-    // Mask-density counters (words scanned vs bits processed per phase),
-    // drained into the `hotstats` counters at probe-flush time.
-    alloc_words: u64,
-    alloc_bits: u64,
-    transmit_words: u64,
-    transmit_bits: u64,
     /// Messages sitting in source queues, across all sources.
     queued_msgs: u64,
     // fault / watchdog state
@@ -1112,10 +1101,6 @@ impl EngineState {
             k_full: DenseBitSet::with_capacity(0),
             k_dead: DenseBitSet::with_capacity(0),
             k_advance: DenseBitSet::with_capacity(0),
-            alloc_words: 0,
-            alloc_bits: 0,
-            transmit_words: 0,
-            transmit_bits: 0,
             queued_msgs: 0,
             moved: 0,
             last_progress: 0,
@@ -1228,12 +1213,7 @@ impl EngineState {
             *heap = BinaryHeap::from(v);
         }
         self.injectable.reset(n_nodes);
-        // The plane masks are (re)dimensioned by
-        // `Engine::init_kernel_masks`; only the counters reset here.
-        self.alloc_words = 0;
-        self.alloc_bits = 0;
-        self.transmit_words = 0;
-        self.transmit_bits = 0;
+        // The plane masks are (re)dimensioned by `Engine::init_kernel_masks`.
         self.queued_msgs = 0;
         self.moved = 0;
         self.last_progress = 0;
@@ -1302,109 +1282,6 @@ pub fn with_pooled_state<R>(f: impl FnOnce(&mut EngineState) -> R) -> R {
     STATE_POOL.with(|cell| *cell.borrow_mut() = Some(st));
     r
 }
-
-/// Per-run hot-loop probe. With the `hotstats` feature on it accumulates
-/// per-phase wall time plus executed/skipped cycle counts and flushes
-/// them into the process-wide [`crate::hotstats`] counters when the run
-/// finishes; with the feature off it is a zero-sized no-op the optimizer
-/// erases, so the production loop pays nothing.
-#[cfg(feature = "hotstats")]
-mod probe {
-    use std::time::Instant;
-
-    pub(super) struct HotProbe {
-        stats: crate::hotstats::HotStats,
-        mark: Instant,
-    }
-
-    impl HotProbe {
-        pub(super) fn new() -> HotProbe {
-            HotProbe {
-                stats: crate::hotstats::HotStats::default(),
-                mark: Instant::now(),
-            }
-        }
-
-        #[inline]
-        fn lap(&mut self) -> u64 {
-            let now = Instant::now();
-            let ns = (now - self.mark).as_nanos() as u64;
-            self.mark = now;
-            ns
-        }
-
-        #[inline]
-        pub(super) fn mark(&mut self) {
-            self.mark = Instant::now();
-        }
-
-        #[inline]
-        pub(super) fn arrivals_done(&mut self) {
-            self.stats.arrivals_ns += self.lap();
-        }
-
-        #[inline]
-        pub(super) fn allocate_done(&mut self) {
-            self.stats.allocate_ns += self.lap();
-        }
-
-        #[inline]
-        pub(super) fn transmit_done(&mut self) {
-            self.stats.transmit_ns += self.lap();
-            self.stats.cycles_executed += 1;
-        }
-
-        #[inline]
-        pub(super) fn skipped(&mut self, cycles: u64) {
-            if cycles > 0 {
-                self.stats.cycles_skipped += cycles;
-                self.stats.ff_jumps += 1;
-            }
-        }
-
-        /// Fold one engine state's mask-density counters (words scanned /
-        /// bits processed per phase) into this probe's totals.
-        pub(super) fn absorb_masks(&mut self, st: &super::EngineState) {
-            self.stats.alloc_words_scanned += st.alloc_words;
-            self.stats.alloc_bits_processed += st.alloc_bits;
-            self.stats.transmit_words_scanned += st.transmit_words;
-            self.stats.transmit_bits_processed += st.transmit_bits;
-        }
-
-        pub(super) fn flush(mut self) {
-            self.stats.runs = 1;
-            crate::hotstats::record(&self.stats);
-        }
-    }
-}
-
-#[cfg(not(feature = "hotstats"))]
-mod probe {
-    pub(super) struct HotProbe;
-
-    impl HotProbe {
-        #[inline]
-        pub(super) fn new() -> HotProbe {
-            HotProbe
-        }
-        #[inline]
-        pub(super) fn mark(&mut self) {}
-        #[inline]
-        pub(super) fn arrivals_done(&mut self) {}
-        #[inline]
-        pub(super) fn allocate_done(&mut self) {}
-        #[inline]
-        pub(super) fn transmit_done(&mut self) {}
-        #[inline]
-        pub(super) fn skipped(&mut self, _cycles: u64) {}
-        #[inline]
-        pub(super) fn absorb_masks(&mut self, _st: &super::EngineState) {}
-        #[inline]
-        pub(super) fn flush(self) {}
-    }
-}
-
-use probe::HotProbe;
 
 struct Engine<'a> {
     net: &'a NetworkGraph,
@@ -1714,11 +1591,6 @@ impl<'a> Engine<'a> {
             if self.st.k_advance.contains(p) {
                 reqs.push(Req::Advance(p));
             }
-        }
-        #[cfg(feature = "hotstats")]
-        {
-            self.st.alloc_words += self.st.injectable.num_words() as u64;
-            self.st.alloc_bits += reqs.len() as u64;
         }
         // Serve requests in random order (distributed arbitration).
         let n = reqs.len();
@@ -2035,10 +1907,6 @@ impl<'a> Engine<'a> {
             // behind the cursor; mask them off on each re-read.
             let mut behind: u64 = 0;
             loop {
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_words += 1;
-                }
                 let mut ready = self.st.k_owned.word(w)
                     & self.st.k_has_input.word(w)
                     & !(self.st.k_full.word(w) | behind);
@@ -2055,10 +1923,6 @@ impl<'a> Engine<'a> {
                 behind = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
                 let ch = self.order[pos as usize];
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_bits += 1;
-                }
                 let vc = if vcs == 1 { 0 } else { self.mux_select(ch, group)? };
                 let li = ch as usize * vcs + vc;
                 debug_assert!(self.lane_ready(li, ch));
@@ -2083,10 +1947,6 @@ impl<'a> Engine<'a> {
     /// tail was the popped flit), so its bit was never set.
     fn transmit_kernel_vc1_rt(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         for w in 0..nw {
-            #[cfg(feature = "hotstats")]
-            {
-                self.st.transmit_words += 1;
-            }
             let mut ready =
                 self.st.k_owned.word(w) & self.st.k_has_input.word(w) & !self.st.k_full.word(w);
             if faulted {
@@ -2097,10 +1957,6 @@ impl<'a> Engine<'a> {
                 ready &= ready - 1;
                 let pl = (w * 64) as u32 + b;
                 let ch = self.order[pl as usize];
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_bits += 1;
-                }
                 debug_assert!(self.lane_ready(ch as usize, ch));
                 let fb = self.move_flit(ch, ch as usize, pl)?;
                 if fb != NO_FEEDBACK && (fb & PLANE_MASK) >> 6 == w as u32 {
@@ -2128,10 +1984,6 @@ impl<'a> Engine<'a> {
         let gw = 1u32 << self.vcs_shift;
         let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
-            #[cfg(feature = "hotstats")]
-            {
-                self.st.transmit_words += 1;
-            }
             let mut ready =
                 self.st.k_owned.word(w) & self.st.k_has_input.word(w) & !self.st.k_full.word(w);
             if faulted {
@@ -2144,10 +1996,6 @@ impl<'a> Engine<'a> {
                 ready &= !(gmask << g0);
                 let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
                 let ch = self.order[pos as usize];
-                #[cfg(feature = "hotstats")]
-                {
-                    self.st.transmit_bits += 1;
-                }
                 let vc = self.mux_select(ch, group)?;
                 let fb =
                     self.move_flit(ch, ch as usize * vcs + vc, (w * 64) as u32 + g0 + vc as u32)?;
@@ -2713,7 +2561,7 @@ impl<'a> Engine<'a> {
     /// clock increment. The shared loop body of the scalar run and the
     /// lockstep driver; returns `true` when a finite traffic source has
     /// fully drained (the caller ends the run).
-    fn cycle_body(&mut self, probe: &mut HotProbe) -> Result<bool, SimError> {
+    fn cycle_body(&mut self) -> Result<bool, SimError> {
         // Bring the fault epoch up to date *before* the phases so the
         // whole cycle — injection refusal, routing, transmission —
         // sees one consistent mask (a fast-forward jump may cross
@@ -2721,13 +2569,9 @@ impl<'a> Engine<'a> {
         if self.faults.is_some() {
             self.advance_epoch()?;
         }
-        probe.mark();
         self.generate_arrivals();
-        probe.arrivals_done();
         self.allocate()?;
-        probe.allocate_done();
         self.transmit()?;
-        probe.transmit_done();
         // No-progress watchdog: a full window of cycles with active
         // packets but zero flit movement can only mean a wedged
         // network (in a healthy run the downstream-most flit of some
@@ -2777,35 +2621,26 @@ impl<'a> Engine<'a> {
         // between two counter-gated checks.
         let wall_start = (budget.max_wall_ms > 0).then(std::time::Instant::now);
         let mut executed: u64 = 0;
-        let mut probe = HotProbe::new();
         while self.st.now < self.st.end {
             // Budget checks sit at the loop top so a fast-forward jump
             // that lands exactly on the horizon still completes normally
             // (the `while` condition wins); a jump *past* a cycle limit
             // but short of the horizon trips here on the next iteration.
             if budget.max_cycles > 0 && self.st.now >= budget.max_cycles {
-                probe.absorb_masks(self.st);
-                probe.flush();
                 return Err(self.budget_cut(BudgetKind::Cycles, budget.max_cycles));
             }
             if let Some(start) = wall_start {
                 if executed & 0x3FF == 0
                     && start.elapsed().as_millis() as u64 >= budget.max_wall_ms
                 {
-                    probe.absorb_masks(self.st);
-                    probe.flush();
                     return Err(self.budget_cut(BudgetKind::WallClock, budget.max_wall_ms));
                 }
                 executed += 1;
             }
             if ff && self.quiescent() {
-                let skipped = self.fast_forward();
-                probe.skipped(skipped);
-                if skipped > 0 {
+                if self.fast_forward() > 0 {
                     if let Some(start) = wall_start {
                         if start.elapsed().as_millis() as u64 >= budget.max_wall_ms {
-                            probe.absorb_masks(self.st);
-                            probe.flush();
                             return Err(
                                 self.budget_cut(BudgetKind::WallClock, budget.max_wall_ms)
                             );
@@ -2816,12 +2651,10 @@ impl<'a> Engine<'a> {
                     break;
                 }
             }
-            if self.cycle_body(&mut probe)? {
+            if self.cycle_body()? {
                 break;
             }
         }
-        probe.absorb_masks(self.st);
-        probe.flush();
         Ok(self.finish())
     }
 

@@ -33,8 +33,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod fault;
-#[cfg(feature = "hotstats")]
-pub mod hotstats;
 pub mod lockstep;
 #[cfg(feature = "reference-engine")]
 pub mod reference;

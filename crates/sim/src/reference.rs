@@ -18,8 +18,8 @@
 //! structures, never in semantics.
 //!
 //! Compiled only with the `reference-engine` feature (enabled by the
-//! differential tests and the `engine_idle`/`engine_saturated` benches);
-//! production consumers get the optimized engine alone.
+//! differential tests); production consumers get the optimized engine
+//! alone.
 
 use crate::config::{Delivery, EngineConfig, SimReport, TransmitOrder};
 use crate::engine::{ChainedMsg, ScriptedMsg};

@@ -3,7 +3,7 @@
 //! stochastic sanity (determinism, conservation, sustainability).
 
 use minnet_sim::{run_scripted, run_simulation, EngineConfig, ScriptedMsg, TransmitOrder};
-use minnet_switch::VcMuxPolicy;
+use minnet_switch::{ArbiterKind, VcMuxPolicy};
 use minnet_topology::{build_bmin, build_unidir, Geometry, NodeAddr, UnidirKind};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
 
@@ -262,29 +262,33 @@ fn transmit_order_single_worm_is_order_insensitive() {
 }
 
 /// Crossbar validation (Fig. 2 legality) holds over a loaded run on every
-/// network type.
+/// network type, under the paper's random output arbitration and the
+/// round-robin ablation.
 #[test]
 fn crossbar_legality_holds_under_load() {
-    let cfg = EngineConfig {
-        warmup: 500,
-        measure: 4_000,
-        validate_crossbars: true,
-        ..EngineConfig::default()
-    };
     let g = Geometry::new(2, 3);
     let spec = WorkloadSpec {
         sizes: MessageSizeDist::Fixed(16),
         ..WorkloadSpec::global_uniform(0.6)
     };
     let wl = Workload::compile(g, &spec).unwrap();
-    for net in [
-        build_unidir(g, UnidirKind::Cube, 1),
-        build_unidir(g, UnidirKind::Butterfly, 1),
-        build_unidir(g, UnidirKind::Cube, 2),
-        build_bmin(g),
-    ] {
-        let report = run_simulation(&net, &wl, &cfg).unwrap();
-        assert!(report.delivered_packets > 0);
+    for alloc in [ArbiterKind::Random, ArbiterKind::RoundRobin] {
+        let cfg = EngineConfig {
+            warmup: 500,
+            measure: 4_000,
+            validate_crossbars: true,
+            alloc,
+            ..EngineConfig::default()
+        };
+        for net in [
+            build_unidir(g, UnidirKind::Cube, 1),
+            build_unidir(g, UnidirKind::Butterfly, 1),
+            build_unidir(g, UnidirKind::Cube, 2),
+            build_bmin(g),
+        ] {
+            let report = run_simulation(&net, &wl, &cfg).unwrap();
+            assert!(report.delivered_packets > 0);
+        }
     }
 }
 

@@ -575,7 +575,7 @@ impl NetworkGraph {
 
     /// Approximate resident size of the graph in bytes (channel table,
     /// stage bytes, CSR offset table and the shared id arena) — a
-    /// memory-accounting metric for benches.
+    /// memory-accounting metric for the benchmark and the footprint tests.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.channels.len() * std::mem::size_of::<PackedChannel>()

@@ -275,7 +275,7 @@ fn experiment(a: &Args) -> Experiment {
     exp.sim.warmup = parse_u64(a, "warmup", 20_000);
     exp.sim.measure = parse_u64(a, "measure", 100_000);
     exp.sim.seed = parse_u64(a, "seed", exp.sim.seed);
-    exp.sim.buffer_depth = parse_u64(a, "buffer-depth", 1) as u16;
+    exp.sim.buffer_depth = parse_opt(a, "buffer-depth", 1);
     exp.sim.budget.max_cycles = parse_u64(a, "budget-cycles", 0);
     exp.sim.budget.max_wall_ms = parse_u64(a, "budget-ms", 0);
     exp
@@ -290,7 +290,7 @@ fn policy(a: &Args) -> CampaignPolicy {
              --checkpoint that refuses to start a fresh file)");
     }
     CampaignPolicy {
-        retries: parse_u64(a, "retries", 0) as u32,
+        retries: parse_opt(a, "retries", 0),
         checkpoint: checkpoint.or(resume).map(Into::into),
         require_existing: resume.is_some(),
     }
@@ -431,7 +431,7 @@ fn cmd_saturate(a: &Args) {
     let exp = experiment(a);
     let lo = parse_f64(a, "lo", 0.05);
     let hi = parse_f64(a, "hi", 1.0);
-    let iters = parse_u64(a, "iters", 6) as u32;
+    let iters: u32 = parse_opt(a, "iters", 6);
     match find_saturation(&exp, lo, hi, iters).unwrap_or_else(|e| die(&e)) {
         Some(p) => println!(
             "{}: sustainable up to offered {:.1}% — accepted {:.1}%, mean latency {:.1} us",
@@ -535,7 +535,7 @@ fn cmd_scenario(a: &Args) {
         }
         "run" => {
             let include_chaos = a.opts.contains_key("chaos");
-            let retries = parse_u64(a, "retries", 0) as u32;
+            let retries: u32 = parse_opt(a, "retries", 0);
             let ckpt_dir = a.opts.get("checkpoint-dir").map(std::path::PathBuf::from);
             if let Some(d) = &ckpt_dir {
                 std::fs::create_dir_all(d)
@@ -627,7 +627,7 @@ fn job_spec(a: &Args) -> JobSpec {
     spec.seed = parse_u64(a, "seed", spec.seed);
     spec.budget_cycles = parse_u64(a, "budget-cycles", 0);
     spec.budget_ms = parse_u64(a, "budget-ms", 0);
-    spec.retries = parse_u64(a, "retries", 0) as u32;
+    spec.retries = parse_opt(a, "retries", 0);
     spec
 }
 

@@ -129,8 +129,8 @@ impl CompiledExperiment {
     ///
     /// # Errors
     ///
-    /// Reports invalid network specs, geometries past what the graph's
-    /// packed records hold (`graph::check_limits` — `validate()` above
+    /// Reports invalid network specs, geometries past what the graph and
+    /// the engine can index (`graph::check_limits` — `validate()` above
     /// has no geometry to look at), malformed workloads, and invalid
     /// engine configurations.
     pub fn compile(exp: &Experiment) -> Result<CompiledExperiment, String> {

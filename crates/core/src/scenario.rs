@@ -1005,6 +1005,16 @@ impl Scenario {
         };
         let mut has_chaos = false;
 
+        // Every number is parsed as the type it is stored in, so
+        // `vcs = 300` or `buffer_depth = 65537` is an error, not a run at
+        // `vcs = 44` or depth 1; `at` labels the error with its line.
+        fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+            v: &str,
+            at: impl Fn(String) -> String,
+        ) -> Result<T, String> {
+            v.parse().map_err(|e: T::Err| at(e.to_string()))
+        }
+
         for (ln, raw) in text.lines().enumerate() {
             let ln = ln + 1;
             let at = |msg: String| format!("{origin}:{ln}: {msg}");
@@ -1016,12 +1026,6 @@ impl Scenario {
                 return Err(at(format!("expected `key = value`, got {line:?}")));
             };
             let (key, value) = (key.trim(), value.trim());
-            let num =
-                |v: &str| -> Result<u64, String> { v.parse().map_err(|e| at(format!("{e}"))) };
-            // Lane and dilation counts: parsed as the `u8` they are stored
-            // in, so `vcs = 300` is an error, not `vcs = 44`.
-            let small =
-                |v: &str| -> Result<u8, String> { v.parse().map_err(|e| at(format!("{e}"))) };
             let flag = |v: &str| -> Result<bool, String> {
                 parse_flag(v).ok_or_else(|| at(format!("expected true/false, got {v:?}")))
             };
@@ -1038,14 +1042,14 @@ impl Scenario {
                         _ => return Err(at(format!("unknown wiring {value:?}"))),
                     }
                 }
-                "dilation" => dilation = small(value)?,
-                "vcs" => vcs = small(value)?,
+                "dilation" => dilation = num(value, at)?,
+                "vcs" => vcs = num(value, at)?,
                 "k" => {
-                    (k, geometry_ln) = (value.parse().map_err(|e| at(format!("{e}")))?, ln);
+                    (k, geometry_ln) = (num(value, at)?, ln);
                     geometry(k, 1).map_err(at)?;
                 }
                 "n" => {
-                    (n, geometry_ln) = (value.parse().map_err(|e| at(format!("{e}")))?, ln);
+                    (n, geometry_ln) = (num(value, at)?, ln);
                     geometry(2, n).map_err(at)?;
                 }
                 "pattern" => {
@@ -1103,21 +1107,21 @@ impl Scenario {
                         )));
                     }
                     b.script.push(ScriptedMsg {
-                        time: num(parts[0])?,
-                        src: num(parts[1])? as u32,
-                        dst: num(parts[2])? as u32,
-                        len: num(parts[3])? as u32,
+                        time: num(parts[0], at)?,
+                        src: num(parts[1], at)?,
+                        dst: num(parts[2], at)?,
+                        len: num(parts[3], at)?,
                     });
                 }
-                "seed" => b.sim.seed = num(value)?,
-                "warmup" => b.sim.warmup = num(value)?,
-                "measure" => b.sim.measure = num(value)?,
-                "queue_limit" => b.sim.queue_limit = num(value)? as usize,
-                "buffer_depth" => b.sim.buffer_depth = num(value)? as u16,
-                "watchdog_window" => b.sim.watchdog_window = num(value)?,
+                "seed" => b.sim.seed = num(value, at)?,
+                "warmup" => b.sim.warmup = num(value, at)?,
+                "measure" => b.sim.measure = num(value, at)?,
+                "queue_limit" => b.sim.queue_limit = num(value, at)?,
+                "buffer_depth" => b.sim.buffer_depth = num(value, at)?,
+                "watchdog_window" => b.sim.watchdog_window = num(value, at)?,
                 "fault_abort" => b.sim.fault_abort = flag(value)?,
-                "budget_cycles" => b.sim.budget.max_cycles = num(value)?,
-                "budget_ms" => b.sim.budget.max_wall_ms = num(value)?,
+                "budget_cycles" => b.sim.budget.max_cycles = num(value, at)?,
+                "budget_ms" => b.sim.budget.max_wall_ms = num(value, at)?,
                 "fault" => {
                     let (target, window) = match value.split_once('@') {
                         Some((t, w)) => (t.trim(), Some(w.trim())),
@@ -1131,8 +1135,8 @@ impl Scenario {
                         )));
                     }
                     let target = match parts[0] {
-                        "channel" => FaultTarget::Channel(num(parts[1])? as u32),
-                        "switch" => FaultTarget::Switch(num(parts[1])? as u32),
+                        "channel" => FaultTarget::Channel(num(parts[1], at)?),
+                        "switch" => FaultTarget::Switch(num(parts[1], at)?),
                         "lane" => {
                             let Some((c, v)) = parts[1].split_once('.') else {
                                 return Err(at(format!(
@@ -1141,8 +1145,8 @@ impl Scenario {
                                 )));
                             };
                             FaultTarget::Lane {
-                                channel: num(c)? as u32,
-                                vc: small(v)?,
+                                channel: num(c, at)?,
+                                vc: num(v, at)?,
                             }
                         }
                         other => return Err(at(format!("unknown fault class {other:?}"))),
@@ -1156,14 +1160,14 @@ impl Scenario {
                                      `inf` = permanent), got {w:?}"
                                 )));
                             };
-                            let onset = num(onset.trim())?;
+                            let onset = num(onset.trim(), at)?;
                             match repair.trim() {
                                 "" | "inf" => Fault {
                                     target,
                                     onset,
                                     repair: None,
                                 },
-                                r => Fault::transient(target, onset, num(r)?),
+                                r => Fault::transient(target, onset, num(r, at)?),
                             }
                         }
                     };
@@ -1180,34 +1184,34 @@ impl Scenario {
                 }
                 "chaos.count" => {
                     has_chaos = true;
-                    chaos.count = num(value)? as usize;
+                    chaos.count = num(value, at)?;
                 }
                 "chaos.min_onset" => {
                     has_chaos = true;
-                    chaos.min_onset = num(value)?;
+                    chaos.min_onset = num(value, at)?;
                 }
                 "chaos.max_onset" => {
                     has_chaos = true;
-                    chaos.max_onset = num(value)?;
+                    chaos.max_onset = num(value, at)?;
                 }
                 "chaos.duration" => {
                     has_chaos = true;
-                    chaos.duration = num(value)?;
+                    chaos.duration = num(value, at)?;
                 }
                 "chaos.cooldown" => {
                     has_chaos = true;
-                    chaos.cooldown = num(value)?;
+                    chaos.cooldown = num(value, at)?;
                 }
                 "chaos.rounds" => {
                     has_chaos = true;
-                    chaos.rounds = num(value)? as u32;
+                    chaos.rounds = num(value, at)?;
                 }
                 "expect.sustainable" => b.expect.sustainable = Some(flag(value)?),
                 "expect.delivery" => {
                     b.expect.delivery =
                         Some(value.parse().map_err(|e| at(format!("{e}")))?)
                 }
-                "expect.p99_latency" => b.expect.p99_latency = Some(num(value)?),
+                "expect.p99_latency" => b.expect.p99_latency = Some(num(value, at)?),
                 "expect.no_stall" => b.expect.no_stall = flag(value)?,
                 "expect.no_aborts" => b.expect.no_aborts = flag(value)?,
                 "expect.no_refusals" => b.expect.no_refusals = flag(value)?,
@@ -1718,6 +1722,23 @@ chaos_opt_in = true
         for line in ["vcs = 300", "dilation = 256", "fault = lane 3.256"] {
             let err = Scenario::parse(&format!("loads = 0.2\n{line}\n"), "x.scn").unwrap_err();
             assert!(err.contains("x.scn:2") && err.contains("too large"), "{line}: {err}");
+        }
+        // …and so is every other number past the type it is stored in
+        // (`buffer_depth = 65537` used to run at depth 1, `fault =
+        // channel 4294967396` as channel 100).
+        for line in [
+            "buffer_depth = 65537",
+            "chaos.rounds = 4294967297",
+            "queue_limit = 18446744073709551616",
+            "message = 0 4294967296 1 8",
+            "message = 0 0 4294967297 8",
+            "message = 0 0 1 4294967304",
+            "fault = channel 4294967396",
+            "fault = switch 4294967297",
+            "fault = lane 4294967396.0",
+        ] {
+            let err = Scenario::parse(&format!("loads = 0.2\n{line}\n"), "x.scn").unwrap_err();
+            assert!(err.starts_with("x.scn:2: number too large"), "{line}: {err}");
         }
         // A geometry no graph can be built for names the line that made
         // it so (this used to panic inside `Geometry::new`, or truncate).

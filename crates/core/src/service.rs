@@ -295,8 +295,8 @@ impl JobSpec {
             seed: json_u64(line, "seed")?,
             budget_cycles: json_u64(line, "budget_cycles")?,
             budget_ms: json_u64(line, "budget_ms")?,
-            retries: json_u64(line, "retries")? as u32,
-            chaos_panic_attempts: json_u64(line, "chaos")? as u32,
+            retries: u32::try_from(json_u64(line, "retries")?).ok()?,
+            chaos_panic_attempts: u32::try_from(json_u64(line, "chaos")?).ok()?,
         })
     }
 }
@@ -982,6 +982,12 @@ mod tests {
         let json = quick_spec().to_json();
         let wide = json.replace("\"k\":4,", "\"k\":4294967300,");
         assert!(wide.contains("4294967300") && JobSpec::from_json(&wide).is_none());
+        // …and so are retry / chaos counts past `u32` (they used to wrap:
+        // 4294967297 retries ran as 1).
+        for key in ["retries", "chaos"] {
+            let wide = json.replace(&format!("\"{key}\":0"), &format!("\"{key}\":4294967297"));
+            assert!(wide.contains("4294967297") && JobSpec::from_json(&wide).is_none(), "{key}");
+        }
     }
 
     #[test]

@@ -198,6 +198,21 @@ fn bad_arguments_fail_cleanly() {
         let (ok, _, stderr) = minnet(&["info", "--network", net, flag, "258"]);
         assert!(!ok && stderr.contains(flag), "{flag} 258: {stderr}");
     }
+    // The same for every other count a cast used to wrap (`--buffer-depth
+    // 65537` ran at depth 1, `--retries 4294967297` as one retry).
+    for (cmd, flag, value) in [
+        ("simulate", "--buffer-depth", "65537"),
+        ("sweep", "--retries", "4294967297"),
+        ("submit", "--retries", "4294967297"),
+        ("saturate", "--iters", "4294967302"),
+    ] {
+        let (ok, _, stderr) = minnet(&[cmd, flag, value, "--warmup", "10", "--measure", "100"]);
+        let named = stderr.starts_with(&format!("error: {flag}: number too large"));
+        assert!(!ok && named, "{cmd} {flag} {value}: {stderr}");
+    }
+    let lib = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let (ok, _, stderr) = minnet(&["scenario", "run", lib, "--retries", "4294967297"]);
+    assert!(!ok && stderr.starts_with("error: --retries: number too large"), "{stderr}");
     let (ok, _, stderr) = minnet(&[
         "simulate", "--network", "vmin", "--vcs", "65", "--warmup", "10", "--measure", "100",
     ]);

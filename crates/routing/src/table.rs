@@ -10,16 +10,17 @@
 //! * a `stage × destination` **digit row table** (`n · nodes` bytes),
 //!   filled by calling the same [`UnidirKind::tag_digit`] /
 //!   [`Geometry::digit`] the logic calls;
-//! * for the BMIN, each switch's **down-subtree bound** `[lo, hi)`: a
-//!   forward-arriving header turns at switch `(j, s)` exactly when `dst`
-//!   is one of the `k^(j+1)` leaves below it — which is
+//! * for the BMIN, the **powers** `k^j` each stage's down-subtree bound
+//!   is made of: a forward-arriving header turns at switch `(j, s)`
+//!   exactly when `dst` is one of the `k^(j+1)` leaves below it
+//!   (`dst / k^(j+1) == s / k^j`) — which is
 //!   `j == FirstDifference(S, D)` for every source `S` that can reach the
 //!   switch going up, so the source drops out of the function;
 //!
 //! and answers a `(channel, destination)` query with a `(lo, hi)` range
 //! into the graph's own output-port arena — the one candidate pool; the
 //! table copies no channel id and holds the graph by `Arc`. Building is
-//! `O(n · nodes + switches)` with no route walk; the exhaustive tests pin
+//! `O(n · nodes)` with no route walk; the exhaustive tests pin
 //! the table to [`RouteLogic`], contents *and* order, on every reachable
 //! pair.
 //!
@@ -31,15 +32,15 @@
 //! [`Geometry::digit`]: minnet_topology::Geometry::digit
 //! [`RouteLogic`]: crate::RouteLogic
 
-use minnet_topology::{ChannelId, Endpoint, NetworkGraph, NetworkKind, NodeAddr, NodeId, Side};
+use minnet_topology::{ChannelId, Divisor, NetworkGraph, NetworkKind, NodeAddr, NodeId, Side};
 use std::sync::Arc;
 
 /// The routing function of one network: for every reachable
 /// `(arrival channel, destination)` pair, the candidate output channels in
 /// exactly the order [`crate::RouteLogic::candidates`] produces them.
 ///
-/// A table from [`RouteTable::build`] is a few hundred bytes to a few
-/// hundred kilobytes at any size (see the module docs); one from
+/// A table from [`RouteTable::build`] is `n · nodes` bytes (see the
+/// module docs); one from
 /// [`RouteTable::masked`] is dense. Both are immutable — share them
 /// freely across sweep threads.
 #[derive(Clone, Debug)]
@@ -56,9 +57,10 @@ enum Repr {
         /// `digits[stage * nodes + dst]` — the output port a stage-`stage`
         /// switch sends a `dst`-bound header to.
         digits: Vec<u8>,
-        /// Per BMIN switch, the `[lo, hi)` destinations below it; empty
-        /// for unidirectional networks.
-        subtree: Vec<(u32, u32)>,
+        /// `k^j` for `j` in `0..=n` on a BMIN — switch `(j, s)` has the
+        /// `k^(j+1)` destinations from `s / k^j · k^(j+1)` below it;
+        /// empty for unidirectional networks.
+        kpow: Vec<Divisor>,
     },
     /// A fault epoch: CSR cells, destination-major
     /// (`cell = dst · nch + channel`), `starts` indexing into `cands`.
@@ -95,25 +97,16 @@ impl RouteTable {
                 );
             }
         }
-        let subtree = match net.kind {
+        let kpow = match net.kind {
             NetworkKind::Unidir { .. } => Vec::new(),
-            // Switch `(j, s)` reaches `dst` going down iff
-            // `dst / k^(j+1) == s / k^j` (see `build_bmin`).
-            NetworkKind::Bmin => (0..net.num_switches() as u32)
-                .map(|s| {
-                    let sw = net.switch(s);
-                    let j = u32::from(sw.stage);
-                    let lo = sw.index / g.kpow(j) * g.kpow(j + 1);
-                    (lo, lo + g.kpow(j + 1))
-                })
-                .collect(),
+            NetworkKind::Bmin => (0..=g.n()).map(|j| Divisor::new(g.kpow(j))).collect(),
         };
         Ok(RouteTable {
             nodes,
             repr: Repr::Compact {
                 net: Arc::clone(net),
                 digits,
-                subtree,
+                kpow,
             },
         })
     }
@@ -152,26 +145,21 @@ impl RouteTable {
     #[inline(never)]
     pub fn candidate_range(&self, at: ChannelId, dst: NodeId) -> (u32, u32) {
         match &self.repr {
-            Repr::Compact {
-                net,
-                digits,
-                subtree,
-            } => {
-                let Endpoint::Switch { sw, side, .. } = net.channel(at).dst else {
+            Repr::Compact { net, digits, kpow } => {
+                let Some((sw, side)) = net.head(at) else {
                     return (0, 0);
                 };
+                let stage = usize::from(sw.stage);
                 // Only a forward-arriving BMIN header has a choice to
-                // make: up any forward port until `dst` is below.
-                if side == Side::Left {
-                    if let Some(&(lo, hi)) = subtree.get(sw as usize) {
-                        if !(lo..hi).contains(&dst) {
-                            let k = net.out_port_codes() / 2;
-                            return net.out_port_range(sw, k, 2 * k);
-                        }
+                // make: up any forward port until `dst` is below — which
+                // it is iff `dst / k^(j+1) == s / k^j` (see `build_bmin`).
+                if let (Side::Left, Some(pow)) = (side, kpow.get(stage..stage + 2)) {
+                    if pow[1].div_rem(dst).0 != pow[0].div_rem(sw.index).0 {
+                        let k = net.out_port_codes() / 2;
+                        return net.out_port_range(sw, k, 2 * k);
                     }
                 }
-                let row = net.switch(sw).stage as usize * self.nodes as usize;
-                let digit = u32::from(digits[row + dst as usize]);
+                let digit = u32::from(digits[stage * self.nodes as usize + dst as usize]);
                 net.out_port_range(sw, digit, digit + 1)
             }
             Repr::Dense { nch, starts, .. } => {
@@ -285,15 +273,15 @@ impl RouteTable {
     }
 
     /// Approximate resident size in bytes of what the table **owns** —
-    /// digit rows and subtree bounds, or the dense CSR arrays. The graph a
+    /// digit rows and stage powers, or the dense CSR arrays. The graph a
     /// built table points into is accounted by
     /// [`NetworkGraph::approx_bytes`], not here.
     pub fn approx_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
             + match &self.repr {
-                Repr::Compact {
-                    digits, subtree, ..
-                } => digits.len() as u64 + subtree.len() as u64 * 8,
+                Repr::Compact { digits, kpow, .. } => {
+                    digits.len() as u64 + std::mem::size_of_val(&kpow[..]) as u64
+                }
                 Repr::Dense { starts, cands, .. } => (starts.len() as u64 + cands.len() as u64) * 4,
             }
     }
@@ -303,7 +291,7 @@ impl RouteTable {
 mod tests {
     use super::*;
     use crate::RouteLogic;
-    use minnet_topology::{build_bmin, build_unidir, Geometry, UnidirKind};
+    use minnet_topology::{build_bmin, build_unidir, Endpoint, Geometry, UnidirKind};
 
     const WIRINGS: [UnidirKind; 4] = [
         UnidirKind::Cube,
@@ -687,7 +675,7 @@ mod tests {
         assert_no_dead_ends(&net, &masked);
     }
 
-    /// What the table owns is digit rows plus per-switch bounds — the
+    /// What the table owns is digit rows plus a power per stage — the
     /// 64-node tables are a few hundred bytes, a dense masked one is not.
     #[test]
     fn built_table_is_compact_and_masked_is_dense() {

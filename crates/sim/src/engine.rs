@@ -37,9 +37,9 @@
 //!
 //! Everything about a run that depends only on the *network and engine
 //! configuration* — the transmit order and its inverse, the
-//! ejection-channel mask, and the routing table (digit rows and subtree
-//! bounds over the graph's own port arena, a few hundred kilobytes at
-//! 16k terminals) — lives in an immutable [`CompiledNet`], built once
+//! ejection-channel mask, and the routing table (digit rows over the
+//! graph's own port arena, `n · nodes` bytes: 115 KB at 16k terminals)
+//! — lives in an immutable [`CompiledNet`], built once
 //! and shared (`Arc`-held network) across however many runs and threads
 //! a sweep needs. Everything that changes over a run — lanes, queues,
 //! heaps, statistics, the RNG — lives in a reusable [`EngineState`], whose
@@ -467,10 +467,11 @@ impl SweepOrder {
             TransmitOrder::BuildOrder => Some((0..nch as u32).collect()),
         };
         let order = build_order.as_deref().unwrap_or(net.transmit_order());
-        let dst_is_node = net
-            .channels()
-            .map(|c| matches!(c.dst, Endpoint::Node(_)))
-            .collect();
+        // Exactly the per-node ejection channels (`NetworkGraph::validate`).
+        let mut dst_is_node = vec![false; nch];
+        for &c in net.ejects() {
+            dst_is_node[c as usize] = true;
+        }
         let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg.vcs));
         let mut lane_plane = vec![0u32; nch * vcs];
         for (pos, &ch) in order.iter().enumerate() {

@@ -212,6 +212,79 @@ impl Geometry {
     }
 }
 
+/// A divisor fixed in advance, so that dividing by it is a multiplication:
+/// with `m = ⌊(2^64 − 1) / d⌋`, `⌊m · (n + 1) / 2^64⌋ = ⌊n / d⌋` for every
+/// `u32` `n` and `d ≥ 1`. The graph's closed forms take a channel id apart
+/// by `k^i` and the dilation on every routing decision, and a chain of
+/// dependent hardware divisions was most of a route lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Divisor {
+    d: u32,
+    m: u64,
+}
+
+impl Divisor {
+    /// Prepare to divide by `d`; panics if `d == 0`.
+    pub fn new(d: u32) -> Divisor {
+        let m = u64::MAX.checked_div(u64::from(d)).expect("division by zero");
+        Divisor { d, m }
+    }
+
+    /// The divisor.
+    #[inline]
+    pub fn get(self) -> u32 {
+        self.d
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    pub fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = ((u128::from(self.m) * (u128::from(n) + 1)) >> 64) as u32;
+        (q, n - q * self.d)
+    }
+}
+
+/// The digit arithmetic of `n`-digit k-ary addresses, as [`Perm::apply`]
+/// computes with it: a [`Geometry`] divides; the powers `k^0 ..= k^n` as
+/// a slice of [`Divisor`]s multiply.
+///
+/// [`Perm::apply`]: crate::permutation::Perm::apply
+pub trait Radix {
+    /// The digit count `n`.
+    fn n(&self) -> u32;
+    /// `k^e` for `e <= n`.
+    fn kpow(&self, e: u32) -> u32;
+    /// `(a / k^e, a % k^e)`.
+    fn split(&self, a: u32, e: u32) -> (u32, u32);
+}
+
+impl Radix for Geometry {
+    fn n(&self) -> u32 {
+        self.n
+    }
+    fn kpow(&self, e: u32) -> u32 {
+        self.k.pow(e)
+    }
+    fn split(&self, a: u32, e: u32) -> (u32, u32) {
+        let p = self.k.pow(e);
+        (a / p, a % p)
+    }
+}
+
+impl Radix for [Divisor] {
+    fn n(&self) -> u32 {
+        self.len() as u32 - 1
+    }
+    #[inline]
+    fn kpow(&self, e: u32) -> u32 {
+        self[e as usize].get()
+    }
+    #[inline]
+    fn split(&self, a: u32, e: u32) -> (u32, u32) {
+        self[e as usize].div_rem(a)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +408,22 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_divisor_is_hardware_division(
+            d in prop_oneof![
+                Just(1u32), Just(2), Just(3), Just(256), Just(1 << 31), Just(u32::MAX), 1u32..=u32::MAX
+            ],
+            raw in 0u32..=u32::MAX,
+            near in 0u32..3,
+        ) {
+            // The quotient steps at multiples of `d`: probe both sides of
+            // one, the extremes, and anywhere.
+            let step = (raw / d).saturating_mul(d);
+            for n in [0, u32::MAX, raw, step.saturating_sub(1), step.saturating_add(near)] {
+                prop_assert_eq!(Divisor::new(d).div_rem(n), (n / d, n % d), "{} / {}", n, d);
+            }
+        }
+
         #[test]
         fn prop_digit_round_trip(k in 2u32..9, n in 1u32..6, raw in 0u32..100_000) {
             let g = Geometry::new(k, n);

@@ -25,22 +25,14 @@
 
 use crate::address::Geometry;
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, PackedChannel,
-    Side,
+    byte, ChannelDesc, ChannelId, Direction, End, NetworkGraph, NetworkKind, Side, SwitchDesc,
 };
 
-/// Number of digits in a BMIN switch label (`n - 1`).
+/// Digit `i` of an `(n-1)`-digit switch label.
 #[inline]
 fn label_digit(g: &Geometry, label: u32, i: u32) -> u32 {
     debug_assert!(i + 1 < g.n());
     (label / g.k().pow(i)) % g.k()
-}
-
-#[inline]
-fn label_with_digit(g: &Geometry, label: u32, i: u32, v: u32) -> u32 {
-    let p = g.k().pow(i);
-    let old = (label / p) % g.k();
-    (label as i64 + (v as i64 - old as i64) * p as i64) as u32
 }
 
 /// Build an `N = k^n` butterfly BMIN.
@@ -54,86 +46,76 @@ fn label_with_digit(g: &Geometry, label: u32, i: u32, v: u32) -> u32 {
 ///
 /// Panics on a geometry outside [`crate::graph::check_limits`].
 pub fn build_bmin(g: Geometry) -> NetworkGraph {
-    let k = g.k();
-    let n = g.n();
-    let nodes = g.nodes();
-    let per_stage = nodes / k; // k^{n-1}
+    NetworkGraph::new(g, NetworkKind::Bmin)
+}
 
-    // Packed as created, as in `build_unidir`.
-    let mut channels: Vec<PackedChannel> = Vec::with_capacity(2 * n as usize * nodes as usize);
-    let sw_id = |stage: u32, index: u32| stage * per_stage + index;
+/// Where channel `id = 2N·j + 2·idx + down` sits, as `(j, idx, down)`:
+/// link `idx` of level `j`, its up channel then its down channel.
+#[inline]
+fn locate(net: &NetworkGraph, id: ChannelId) -> (u32, u32, bool) {
+    let (j, idx) = net.kpow[net.geometry.n() as usize].div_rem(id / 2);
+    (j, idx, id % 2 == 1)
+}
 
-    let mut inject = vec![0 as ChannelId; nodes as usize];
-    let mut eject = vec![0 as ChannelId; nodes as usize];
-
-    // topo_rank: all down channels (by level ascending) precede all up
-    // channels (by level descending): down ℓ → ℓ, up ℓ → 2n-1-ℓ.
-    let down_rank = |level: u32| level as u16;
-    let up_rank = |level: u32| (2 * n - 1 - level) as u16;
-
-    // Level 0: node a ↔ switch (0, a/k) port a%k.
-    for a in 0..nodes {
-        let port = Endpoint::port(sw_id(0, a / k), Side::Left, a % k);
-        // Up: node → switch left input.
-        let up = channels.len() as ChannelId;
-        channels.push(PackedChannel::of(ChannelDesc {
-            src: Endpoint::Node(a),
-            dst: port,
-            level: 0,
-            lane: 0,
-            dir: Direction::Forward,
-            topo_rank: up_rank(0),
-        }));
-        inject[a as usize] = up;
-        // Down: switch left output → node.
-        let down = channels.len() as ChannelId;
-        channels.push(PackedChannel::of(ChannelDesc {
-            src: port,
-            dst: Endpoint::Node(a),
-            level: 0,
-            lane: 0,
-            dir: Direction::Backward,
-            topo_rank: down_rank(0),
-        }));
-        eject[a as usize] = down;
+/// The node-side end of link `idx` of level `j`: node `idx` at level 0;
+/// above it, with `idx = s·k + c`, right port `s_{j-1}` of switch
+/// `(j-1, s[digit j-1 := c])`.
+#[inline]
+fn lower(net: &NetworkGraph, j: u32, idx: u32) -> End {
+    if j == 0 {
+        return End::Node(idx);
     }
+    let (k, p) = (net.kpow[1], net.kpow[j as usize - 1].get());
+    let (s, c) = k.div_rem(idx);
+    // Digit `j` of `idx` (`s_{j-1}`) from two independent quotients: the
+    // route lookup waits on this chain.
+    let port =
+        net.kpow[j as usize].div_rem(idx).0 - net.kpow[j as usize + 1].div_rem(idx).0 * k.get();
+    let (stage, index) = (byte(j - 1), s - port * p + c * p);
+    End::Port(SwitchDesc { stage, index }, Side::Right, port)
+}
 
-    // Levels 1..n-1: switch (j, s) left port c ↔ switch
-    // (j-1, s[digit j-1 := c]) right port s_{j-1}.
-    for j in 1..n {
-        for s in 0..per_stage {
-            let lo_port = label_digit(&g, s, j - 1); // right port s_{j-1}
-            for c in 0..k {
-                let lo_label = label_with_digit(&g, s, j - 1, c);
-                let lo = Endpoint::port(sw_id(j - 1, lo_label), Side::Right, lo_port);
-                let hi = Endpoint::port(sw_id(j, s), Side::Left, c);
-                // Up: lower right output s_{j-1} → upper left input c.
-                channels.push(PackedChannel::of(ChannelDesc {
-                    src: lo,
-                    dst: hi,
-                    level: byte(j),
-                    lane: 0,
-                    dir: Direction::Forward,
-                    topo_rank: up_rank(j),
-                }));
-                // Down: upper left output c → lower right input s_{j-1}.
-                channels.push(PackedChannel::of(ChannelDesc {
-                    src: hi,
-                    dst: lo,
-                    level: byte(j),
-                    lane: 0,
-                    dir: Direction::Backward,
-                    topo_rank: down_rank(j),
-                }));
-            }
-        }
+/// The far end of link `idx` of level `j`: left port `idx % k` of switch
+/// `(j, idx / k)` — node `a` attaches to `(0, a / k)` at port `a % k`.
+#[inline]
+fn upper(net: &NetworkGraph, j: u32, idx: u32) -> End {
+    let (index, port) = net.kpow[1].div_rem(idx);
+    let stage = byte(j);
+    End::Port(SwitchDesc { stage, index }, Side::Left, port)
+}
+
+/// Channel `id` of the wiring — the graph's definition of
+/// [`NetworkGraph::channel`]. `topo_rank`: all down channels (by level
+/// ascending) precede all up channels (by level descending): down `ℓ` →
+/// `ℓ`, up `ℓ` → `2n-1-ℓ`.
+#[inline]
+pub(crate) fn channel(net: &NetworkGraph, id: ChannelId) -> ChannelDesc {
+    let (j, idx, down) = locate(net, id);
+    let (lo, hi) = (net.endpoint(lower(net, j, idx)), net.endpoint(upper(net, j, idx)));
+    let (src, dst, dir, rank) = if down {
+        (hi, lo, Direction::Backward, j)
+    } else {
+        (lo, hi, Direction::Forward, 2 * net.geometry.n() - 1 - j)
+    };
+    ChannelDesc {
+        src,
+        dst,
+        level: byte(j),
+        lane: 0,
+        dir,
+        topo_rank: rank as u16,
     }
+}
 
-    let graph = NetworkGraph::assemble(g, NetworkKind::Bmin, channels, inject, eject);
-    graph
-        .validate()
-        .expect("BMIN builder produced an invalid graph");
-    graph
+/// The receiving end of channel `id` alone.
+#[inline]
+pub(crate) fn head(net: &NetworkGraph, id: ChannelId) -> End {
+    let (j, idx, down) = locate(net, id);
+    if down {
+        lower(net, j, idx)
+    } else {
+        upper(net, j, idx)
+    }
 }
 
 /// The set of node addresses reachable going *down* (backward) from switch
@@ -146,15 +128,10 @@ pub fn down_reachable(g: &Geometry, stage: u32, label: u32) -> Vec<u32> {
         .collect()
 }
 
-/// The stage-0 switch label for node `a` (`a / k`).
-#[inline]
-pub fn node_switch_label(g: &Geometry, a: u32) -> u32 {
-    a / g.k()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Endpoint;
     use crate::address::NodeAddr;
 
     #[test]

@@ -20,46 +20,43 @@
 //!
 //! ## Storage
 //!
-//! The graph is stored CSR-style: besides the flat channel table, a single
-//! shared id arena holds every per-switch output-port lane list, the
-//! per-node injection and ejection channels, and the memoized transmit
-//! order, with a `starts`-style offset table indexing into it. No
-//! per-switch (or other per-entity) `Vec`s exist, so a
-//! multi-thousand-switch network costs a handful of large allocations
-//! instead of `O(switches × ports)` small ones. Builders create the
-//! channel table and hand it to [`NetworkGraph::assemble`], which derives
-//! all adjacency in two counted passes. Per-switch *input* lists are not
-//! stored: nothing routes by them, and [`NetworkGraph::validate`] derives
-//! what it checks of them from the channel table.
+//! The paper defines its networks as functions — every connection pattern
+//! is a digit permutation — and the graph keeps them that way. A channel
+//! id *is* a position in the wiring: both families number channels
+//! level-major, so [`NetworkGraph::channel`] computes the descriptor from
+//! the id ([`crate::unidir`] and [`crate::bmin`] each hold one closed
+//! form) and no channel table exists. What is stored is what a hot path
+//! dereferences or the API returns as a slice:
 //!
-//! A channel is stored as a 12-byte [`PackedChannel`]:
+//! | stored               | size              | holds                                  |
+//! |----------------------|-------------------|----------------------------------------|
+//! | id arena, ports      | 4 B × (`nch − N`) | each output port's lanes, switch-major |
+//! | id arena, terminals  | 4 B × `2N`        | per-node injection, then ejection      |
+//! | id arena, order      | 4 B × `nch`       | the memoized transmit order            |
+//! | [`StagePorts`] rows  | 16 B × `n`        | where a stage's port lists start       |
+//! | [`Divisor`]s         | 16 B × (`n + 3`)  | `k^0 ..= k^n`, `N/k`, the dilation     |
 //!
-//! | field       | bits | holds                                            |
-//! |-------------|------|--------------------------------------------------|
-//! | `src`,`dst` | 32   | bit 31 set: node id (31 bits); else `switch:22 \| port:8 \| side:1` |
-//! | `topo_rank` | 16   | as [`ChannelDesc::topo_rank`]                    |
-//! | `level_dir` | 8    | `level` in the low seven bits, bit 7 = backward  |
-//! | `lane`      | 8    | as [`ChannelDesc::lane`]                         |
-//!
-//! [`ChannelDesc`] and [`Endpoint`] are the *view*: [`NetworkGraph::channel`]
-//! decodes one by value, and builders, [`NetworkGraph::validate`] and every
-//! reader go through that one codec — there is no second table. Switches
-//! cost one stage byte each; both builders number them stage-major, so a
-//! switch's index within its stage is `id − stage · N/k`. What the fields
-//! can hold — `k ≤ 256`, under 2²² switches, under 2³¹ nodes, levels
-//! below 128 — is stated once, by [`check_limits`], which every entry
-//! point taking a geometry from outside calls before anything is
-//! allocated; [`ChannelDesc::pack`] refuses the same ranges as the
-//! backstop. All in, a channel costs ≈ 24 bytes (12 the record, 4 its
-//! port offset, ≈ 8 its slots in the arena's port and order sections).
+//! An output port's lane count depends only on its stage and side (`d`,
+//! or 1 on the last unidirectional stage; 1, or 0 on the right of the
+//! BMIN's top stage), so where a port's list sits in the arena is
+//! arithmetic on its stage's row ([`NetworkGraph::out_port_range`]), not
+//! an offset table. Both wirings number switches stage-major, so a
+//! switch's stage and index are its id divided by `N/k`. Per-switch
+//! *input* lists are not stored: nothing routes by them, and
+//! [`NetworkGraph::validate`] derives what it checks of them from the
+//! descriptors. All in, a channel costs ≈ 8.3 bytes. What the
+//! representation can hold — `k ≤ 256`, under 2²² switches, under 2³¹
+//! nodes — is stated once, by [`check_limits`], which every entry point
+//! taking a geometry from outside calls before anything is allocated.
 
-use crate::address::{Geometry, MAX_DIGITS};
+use crate::address::{Divisor, Geometry};
+use crate::{bmin, unidir};
 
 /// Index of a node (terminal). Equals the node's address value.
 pub type NodeId = u32;
 /// Index of a switch within the graph's switch table.
 pub type SwitchId = u32;
-/// Index of a channel within [`NetworkGraph::channels`].
+/// Index of a channel: its position in the level-major wiring.
 pub type ChannelId = u32;
 
 /// Which side of a bidirectional switch a port is on.
@@ -114,25 +111,13 @@ impl Endpoint {
             Endpoint::Switch { .. } => None,
         }
     }
-
-    /// Port `port` on `side` of switch `sw`, from the builders' `u32`
-    /// position arithmetic. The narrowing is checked: an `as u8` would
-    /// wrap a radix past 256 into a different, valid-looking wiring.
-    #[inline]
-    pub fn port(sw: SwitchId, side: Side, port: u32) -> Endpoint {
-        Endpoint::Switch {
-            sw,
-            side,
-            port: byte(port),
-        }
-    }
 }
 
-/// The builders' narrowing of a port, stage or level — all below 256
-/// for any geometry [`check_limits`] admits.
+/// The wirings' narrowing of a port, lane or level — all below 256 for
+/// any geometry [`check_limits`] admits.
 #[inline]
 pub(crate) fn byte(v: u32) -> u8 {
-    u8::try_from(v).expect("port, stage or level past a byte: geometry outside graph::check_limits")
+    u8::try_from(v).expect("port, lane or level past a byte: geometry outside graph::check_limits")
 }
 
 /// A unidirectional communication channel.
@@ -159,30 +144,13 @@ pub struct ChannelDesc {
     pub topo_rank: u16,
 }
 
-/// Bit 31 of a packed endpoint: the low 31 bits are a node id.
-const NODE_BIT: u32 = 1 << 31;
-/// Switch ids a packed endpoint holds: 22 bits above `port:8 | side:1`.
-const MAX_SWITCHES: u32 = 1 << 22;
-/// Bit 7 of `level_dir`: the channel runs backward.
-const BACKWARD_BIT: u8 = 1 << 7;
-// Every level a geometry can have fits beside the direction bit.
-const _: () = assert!(MAX_DIGITS < BACKWARD_BIT as u32);
-
-/// A channel as the graph stores it, 12 bytes (layout in the module
-/// docs). Made by [`ChannelDesc::pack`], read by [`PackedChannel::decode`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PackedChannel {
-    src: u32,
-    dst: u32,
-    topo_rank: u16,
-    level_dir: u8,
-    lane: u8,
-}
-
-/// What a [`PackedChannel`] can hold, as a condition on the geometry:
-/// radix at most 256 (ports are a byte), under 2³¹ nodes and under 2²²
-/// switches (`n · N/k`, either builder). Returns `g` so callers chain it
-/// after [`Geometry::try_new`].
+/// What a [`NetworkGraph`] and the engine above it can index, as a
+/// condition on the geometry: radix at most 256 ([`Endpoint::port`] is a
+/// byte), under 2³¹ nodes (bit 31 of the engine's packed lane words marks
+/// a node id) and under 2²² switches (`n · N/k`, either builder) — which
+/// keeps `2n · N`, the BMIN's channel count, under 2³¹ at any admitted
+/// radix, so channel ids fit those lane words and the arena's `u32`
+/// offsets. Returns `g` so callers chain it after [`Geometry::try_new`].
 ///
 /// # Errors
 ///
@@ -193,86 +161,35 @@ pub fn check_limits(g: Geometry) -> Result<Geometry, String> {
     let sw = u64::from(n) * u64::from(nodes / k);
     if k > 256 {
         Err(format!("k = {k}: at most 256, a switch port is a byte"))
-    } else if nodes >= NODE_BIT {
-        Err(format!("k = {k}, n = {n}: {nodes} nodes, ids end at 2^31"))
-    } else if sw >= u64::from(MAX_SWITCHES) {
-        Err(format!("k = {k}, n = {n}: {sw} switches, ids end at 2^22"))
+    } else if nodes >= 1 << 31 {
+        Err(format!("k = {k}, n = {n}: {nodes} nodes, the engine's lane words end at 2^31"))
+    } else if sw >= 1 << 22 {
+        Err(format!(
+            "k = {k}, n = {n}: {sw} switches, at most 2^22 keep channel ids in the u32 arena"
+        ))
     } else {
         Ok(g)
     }
 }
 
-impl ChannelDesc {
-    /// Encode for storage, or `None` for what the record's fields cannot
-    /// hold: a switch id of 2²² or more, a node id of 2³¹ or more, a
-    /// level of 128 or more. (`None`, not a message: formatting `self`
-    /// on the cold path pins the descriptor in memory on the hot one and
-    /// tripled the builders' push loop.)
-    #[inline]
-    pub fn pack(self) -> Option<PackedChannel> {
-        // (fits, packed) of one endpoint.
-        let end = |e: Endpoint| match e {
-            Endpoint::Node(n) => (n < NODE_BIT, NODE_BIT | n),
-            Endpoint::Switch { sw, side, port } => (
-                sw < MAX_SWITCHES,
-                sw << 9 | u32::from(port) << 1 | u32::from(side == Side::Right),
-            ),
-        };
-        let ((src_fits, src), (dst_fits, dst)) = (end(self.src), end(self.dst));
-        let backward = self.dir == Direction::Backward;
-        (src_fits && dst_fits && self.level < BACKWARD_BIT).then_some(PackedChannel {
-            src,
-            dst,
-            topo_rank: self.topo_rank,
-            level_dir: self.level | if backward { BACKWARD_BIT } else { 0 },
-            lane: self.lane,
-        })
-    }
-}
-
-impl PackedChannel {
-    /// [`ChannelDesc::pack`] for the builders: a refusal there is a
-    /// geometry that [`check_limits`] should have stopped at the door.
-    #[inline]
-    pub(crate) fn of(ch: ChannelDesc) -> PackedChannel {
-        ch.pack().expect("geometry within graph::check_limits")
-    }
-
-    /// The channel this record stores.
-    #[inline]
-    pub fn decode(self) -> ChannelDesc {
-        let end = |e: u32| match e & NODE_BIT {
-            0 => Endpoint::Switch {
-                sw: e >> 9,
-                side: if e & 1 == 0 { Side::Left } else { Side::Right },
-                port: (e >> 1) as u8, // exactly the `port:8` bits
-            },
-            _ => Endpoint::Node(e & !NODE_BIT),
-        };
-        let dir = match self.level_dir & BACKWARD_BIT {
-            0 => Direction::Forward,
-            _ => Direction::Backward,
-        };
-        ChannelDesc {
-            src: end(self.src),
-            dst: end(self.dst),
-            level: self.level_dir & !BACKWARD_BIT,
-            lane: self.lane,
-            dir,
-            topo_rank: self.topo_rank,
-        }
-    }
-}
-
 /// A switch (one crossbar) in the network. Pure metadata — the
-/// output-port adjacency lives in the graph's shared CSR arena, reached
+/// output-port adjacency lives in the graph's shared id arena, reached
 /// through [`NetworkGraph::out_port`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SwitchDesc {
     /// Stage index `G_stage`.
     pub stage: u8,
     /// Index of the switch within its stage.
     pub index: u32,
+}
+
+/// One end of a channel as the wirings compute it: an [`Endpoint`] whose
+/// switch is still its `(stage, index)` — all a routing decision reads of
+/// it — and whose port is not yet narrowed.
+#[derive(Clone, Copy)]
+pub(crate) enum End {
+    Node(NodeId),
+    Port(SwitchDesc, Side, u32),
 }
 
 /// Which of the paper's network families a graph instantiates.
@@ -313,29 +230,44 @@ impl NetworkKind {
     }
 }
 
+/// Where one stage's output-port lists sit in the arena: the lists of a
+/// stage's switches are contiguous from `base`, `per_switch` ids a
+/// switch, and within a switch every port with a code below `k` holds
+/// `lanes[0]` ids, every port from `k` up `lanes[1]`.
+#[derive(Clone, Copy, Debug)]
+struct StagePorts {
+    base: u32,
+    per_switch: u32,
+    lanes: [u32; 2],
+}
+
 /// A complete static network: switches, channels and terminal attachments.
 ///
-/// All adjacency (output-port lane lists, per-node inject/eject channels,
-/// the transmit order) is stored in one shared id arena with a CSR offset
-/// table — see the module docs.
+/// Channel descriptors are computed from the wiring; the adjacency the
+/// engine dereferences (output-port lane lists, per-node inject/eject
+/// channels, the transmit order) is stored in one shared id arena — see
+/// the module docs.
 #[derive(Clone, Debug)]
 pub struct NetworkGraph {
     /// The geometry (`k`, `n`).
     pub geometry: Geometry,
     /// Which family this graph belongs to.
     pub kind: NetworkKind,
-    /// All channels, indexed by [`ChannelId`].
-    channels: Vec<PackedChannel>,
-    /// Each switch's stage, indexed by [`SwitchId`]; ids are stage-major
-    /// with `per_stage` (`N/k`) switches a stage.
-    stages: Vec<u8>,
-    per_stage: u32,
+    /// `k^0 ..= k^n` — and the dilation — as the divisors the wirings'
+    /// closed forms take ids and positions apart by (`kpow[1]` is `k`,
+    /// `kpow[n]` is `N`).
+    pub(crate) kpow: Vec<Divisor>,
+    pub(crate) lanes: Divisor,
+    /// Switches a stage (`N/k`); switch ids are stage-major, so a
+    /// switch's stage and index are its id's quotient and remainder.
+    pub(crate) per_stage: Divisor,
+    /// Number of channels.
+    nch: u32,
     /// Output-port codes per switch: `k` for unidirectional switches,
     /// `2k` for bidirectional ones.
     out_codes: u32,
-    /// `ids[port_starts[s * out_codes + c] .. port_starts[s * out_codes + c + 1]]`
-    /// are the lane channels of switch `s`'s output port `c`.
-    port_starts: Vec<u32>,
+    /// One row a stage: where its switches' port lists sit in `ids`.
+    ports: Vec<StagePorts>,
     /// The shared id arena: output-port lanes, then per-node inject and
     /// eject channels, then the transmit order.
     ids: Vec<ChannelId>,
@@ -359,136 +291,231 @@ fn out_code(kind: NetworkKind, k: u32, side: Side, port: u8) -> u32 {
 }
 
 impl NetworkGraph {
-    /// Assemble a graph from its channel table: derive every switch's
-    /// output-port lane lists, the inject/eject sections, and the
-    /// transmit order, in two counted passes into the shared CSR arena
-    /// (no per-switch allocations).
+    /// The graph of `kind` over `geometry`: lay the arena out from the
+    /// stages' lane counts, then fill it in one [`Self::walk`] over the
+    /// channel ids — which is also the validation pass, so no descriptor
+    /// is computed twice.
     ///
     /// Within each output-port list, channels appear in ascending
-    /// [`ChannelId`] order — the order the builders create them in, which
-    /// every routing-candidate enumeration (and therefore the engine's
-    /// RNG stream) depends on.
-    ///
-    /// The switch table is not an input: both network families have `n`
-    /// stages of `N/k` switches, numbered stage-major.
+    /// [`ChannelId`] (= lane) order, which every routing-candidate
+    /// enumeration (and therefore the engine's RNG stream) depends on.
     ///
     /// # Panics
     ///
-    /// Panics if `inject`/`eject` don't have one entry per node, or a
-    /// channel references a switch out of range. Structural soundness
-    /// beyond that is [`NetworkGraph::validate`]'s job.
-    pub fn assemble(
-        geometry: Geometry,
-        kind: NetworkKind,
-        channels: Vec<PackedChannel>,
-        inject: Vec<ChannelId>,
-        eject: Vec<ChannelId>,
-    ) -> NetworkGraph {
-        let nodes = geometry.nodes() as usize;
-        assert_eq!(inject.len(), nodes, "one injection channel per node");
-        assert_eq!(eject.len(), nodes, "one ejection channel per node");
-        let k = geometry.k();
-        let per_stage = geometry.nodes() / k;
-        let stages: Vec<u8> = (0..geometry.n())
-            .flat_map(|stage| std::iter::repeat_n(byte(stage), per_stage as usize))
-            .collect();
-        let nsw = stages.len();
-        let nch = channels.len();
+    /// Panics on a geometry outside [`check_limits`], or if the wiring's
+    /// descriptors are unsound (see [`Self::validate`]).
+    pub(crate) fn new(geometry: Geometry, kind: NetworkKind) -> NetworkGraph {
+        let (k, n, nodes) = (geometry.k(), geometry.n(), geometry.nodes());
+        let (per_stage, d) = (nodes / k, u32::from(kind.dilation()));
         let out_codes = if kind.is_bidirectional() { 2 * k } else { k };
-        let nports = nsw * out_codes as usize;
-
-        // Pass 1: count lanes per (switch, code) and channels per
-        // `topo_rank` (a table as long as the largest rank seen: `2n`).
-        let mut port_starts = vec![0u32; nports + 1];
-        let mut rank_starts = vec![0u32; 2];
-        for ch in channels.iter().map(|ch| ch.decode()) {
-            if let Endpoint::Switch { sw, .. } = ch.dst {
-                assert!((sw as usize) < nsw, "channel dst switch out of range");
-            }
-            if let Endpoint::Switch { sw, side, port } = ch.src {
-                assert!((sw as usize) < nsw, "channel src switch out of range");
-                let code = out_code(kind, k, side, port);
-                port_starts[sw as usize * out_codes as usize + code as usize + 1] += 1;
-            }
-            let rank = usize::from(ch.topo_rank);
-            if rank + 2 > rank_starts.len() {
-                rank_starts.resize(rank + 2, 0);
-            }
-            rank_starts[rank + 1] += 1;
-        }
-        for starts in [&mut port_starts, &mut rank_starts] {
-            for i in 1..starts.len() {
-                starts[i] += starts[i - 1];
-            }
-        }
-        let inject_at = port_starts[nports];
-        let eject_at = inject_at + nodes as u32;
-        let order_at = eject_at + nodes as u32;
-        let total = order_at as usize + nch;
-
-        // Pass 2: fill the arena, scanning channels in id order so every
-        // list comes out id-sorted — the memoized transmit order too: ids
-        // by `topo_rank`, equal ranks in id order (a stable counting sort).
-        let mut ids = vec![0 as ChannelId; total];
-        let mut pcur = port_starts.clone();
-        for (id, ch) in channels.iter().map(|ch| ch.decode()).enumerate() {
-            if let Endpoint::Switch { sw, side, port } = ch.src {
-                let code = out_code(kind, k, side, port);
-                let cur = &mut pcur[sw as usize * out_codes as usize + code as usize];
-                ids[*cur as usize] = id as ChannelId;
-                *cur += 1;
-            }
-            let cur = &mut rank_starts[usize::from(ch.topo_rank)];
-            ids[(order_at + *cur) as usize] = id as ChannelId;
-            *cur += 1;
-        }
-        ids[inject_at as usize..eject_at as usize].copy_from_slice(&inject);
-        ids[eject_at as usize..order_at as usize].copy_from_slice(&eject);
-
-        NetworkGraph {
+        let offset =
+            |at: u64| u32::try_from(at).expect("arena offsets are u32: outside check_limits");
+        let mut end = 0u64;
+        let ports: Vec<StagePorts> = (0..n)
+            .map(|stage| {
+                let top = stage == n - 1;
+                let lanes = match kind {
+                    NetworkKind::Unidir { .. } => [if top { 1 } else { d }, 0],
+                    NetworkKind::Bmin => [1, u32::from(!top)],
+                };
+                let per_switch = k * lanes[0] + (out_codes - k) * lanes[1];
+                let base = offset(end);
+                end += u64::from(per_stage) * u64::from(per_switch);
+                StagePorts {
+                    base,
+                    per_switch,
+                    lanes,
+                }
+            })
+            .collect();
+        // Every channel leaves an output port or a node.
+        let nch = end + u64::from(nodes);
+        let [inject_at, nch, order_at, total] =
+            [end, nch, nch + u64::from(nodes), 2 * nch + u64::from(nodes)].map(offset);
+        let mut net = NetworkGraph {
             geometry,
             kind,
-            channels,
-            stages,
-            per_stage,
+            kpow: (0..=n).map(|e| Divisor::new(geometry.kpow(e))).collect(),
+            lanes: Divisor::new(d),
+            per_stage: Divisor::new(per_stage),
+            nch,
             out_codes,
-            port_starts,
-            ids,
+            ports,
+            ids: Vec::new(),
             inject_at,
-            eject_at,
+            eject_at: nch,
             order_at,
+        };
+        const EMPTY: ChannelId = ChannelId::MAX;
+        let mut ids = vec![EMPTY; total as usize];
+        let fill = |slot: u32, id| std::mem::replace(&mut ids[slot as usize], id) == EMPTY;
+        net.walk(|c| net.channel(c), fill)
+            .expect("the wiring's descriptors are unsound");
+        net.ids = ids;
+        net
+    }
+
+    /// The one pass that construction and [`Self::validate`] both are:
+    /// visit every channel id in order, check its descriptor (endpoints
+    /// in range, no switch input fed twice) and offer `place` each arena
+    /// slot the id belongs in — its lane's slot in its output port's list
+    /// or its node's injection slot, its node's ejection slot, and the
+    /// next slot of its `topo_rank`'s run of the transmit order (ids by
+    /// rank, equal ranks in id order: a stable counting sort). `place`
+    /// says whether the slot took the id: it was still empty
+    /// (construction), or already holds it (validation).
+    ///
+    /// Distinct channels get distinct slots and every section is exactly
+    /// as long as the channels that belong in it, so a pass without a
+    /// refusal leaves — or proves — every list exact.
+    fn walk(
+        &self,
+        channel: impl Fn(ChannelId) -> ChannelDesc,
+        mut place: impl FnMut(u32, ChannelId) -> bool,
+    ) -> Result<(), String> {
+        let (k, n, nodes) = (self.geometry.k(), self.geometry.n(), self.geometry.nodes());
+        let (nsw, codes, lanes) =
+            (self.num_switches(), self.out_codes as usize, self.lanes.get() as usize);
+        // Where each rank's run of the order starts: a unidirectional
+        // rank `r` is level `n − r`, single-lane at both ends; the BMIN
+        // has `2n` ranks of `N`.
+        let rank_size = |r: u32| match self.kind {
+            NetworkKind::Unidir { .. } if r != 0 && r != n => nodes * self.lanes.get(),
+            _ => nodes,
+        };
+        let ranks = if self.kind.is_bidirectional() { 2 * n } else { n + 1 };
+        let mut runs: Vec<(u32, u32)> = (0..ranks)
+            .scan(self.order_at, |end, r| {
+                let start = std::mem::replace(end, *end + rank_size(r));
+                Some((start, *end))
+            })
+            .collect();
+        let mut fed = vec![false; nsw * codes * lanes];
+        let mut ejections = 0;
+        let in_range = |end| match end {
+            Endpoint::Node(nd) => nd < nodes,
+            Endpoint::Switch { sw, port, .. } => (sw as usize) < nsw && u32::from(port) < k,
+        };
+        for id in 0..self.nch {
+            let ch = channel(id);
+            if !(in_range(ch.src) && in_range(ch.dst)) {
+                return Err(format!("channel {id}: an end of {ch:?} is out of range"));
+            }
+            let lane = u32::from(ch.lane);
+            match ch.dst {
+                Endpoint::Switch { sw, side, port } => {
+                    let code = out_code(self.kind, k, side, port) as usize;
+                    let input = (sw as usize * codes + code) * lanes + lane as usize;
+                    if lane as usize >= lanes || std::mem::replace(&mut fed[input], true) {
+                        return Err(format!("channel {id}: switch {sw} input already fed"));
+                    }
+                }
+                Endpoint::Node(nd) => {
+                    ejections += 1;
+                    if !place(self.eject_at + nd, id) {
+                        return Err(format!("node {nd}: channel {id} is not its one ejection"));
+                    }
+                }
+            }
+            match ch.src {
+                Endpoint::Switch { sw, side, port } => {
+                    let code = out_code(self.kind, k, side, port);
+                    let (lo, hi) = self.out_port_range(self.switch(sw), code, code + 1);
+                    if lane >= hi - lo || !place(lo + lane, id) {
+                        return Err(format!(
+                            "switch {sw}: channel {id} is not lane {lane} of port code {code}"
+                        ));
+                    }
+                }
+                Endpoint::Node(nd) => {
+                    if !place(self.inject_at + nd, id) {
+                        return Err(format!("node {nd}: channel {id} is not its one injection"));
+                    }
+                }
+            }
+            let rank = ch.topo_rank;
+            let run = runs.get_mut(usize::from(rank)).filter(|(next, end)| next < end);
+            if !run.is_some_and(|(next, _)| place(std::mem::replace(next, *next + 1), id)) {
+                return Err(format!("channel {id}: transmit order is not ids by rank {rank}"));
+            }
+        }
+        // The other sections are as long as the ids offered to them.
+        if ejections != nodes {
+            return Err(format!("{ejections} ejection channels for {nodes} nodes"));
+        }
+        Ok(())
+    }
+
+    /// Channel descriptor by id, computed from the wiring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a channel of this graph.
+    #[inline]
+    pub fn channel(&self, c: ChannelId) -> ChannelDesc {
+        assert!(c < self.nch, "channel {c} out of range");
+        match self.kind {
+            NetworkKind::Unidir { wiring, .. } => unidir::channel(self, wiring, c),
+            NetworkKind::Bmin => bmin::channel(self, c),
         }
     }
 
-    /// Channel descriptor by id, decoded from its stored record.
+    /// The switch and side channel `c` arrives at, `None` at a node —
+    /// what a routing decision reads of [`Self::channel`]`(c).dst`,
+    /// without computing the rest or folding the switch into an id.
+    /// Panics as [`Self::channel`] does.
     #[inline]
-    pub fn channel(&self, c: ChannelId) -> ChannelDesc {
-        self.channels[c as usize].decode()
+    pub fn head(&self, c: ChannelId) -> Option<(SwitchDesc, Side)> {
+        assert!(c < self.nch, "channel {c} out of range");
+        let end = match self.kind {
+            NetworkKind::Unidir { wiring, .. } => unidir::head(self, wiring, c),
+            NetworkKind::Bmin => bmin::head(self, c),
+        };
+        match end {
+            End::Node(_) => None,
+            End::Port(sw, side, _) => Some((sw, side)),
+        }
+    }
+
+    /// The wirings' [`End`] as the [`Endpoint`] the API speaks. The
+    /// narrowing is checked: an `as u8` would wrap a radix past 256 into
+    /// a different, valid-looking wiring.
+    #[inline]
+    pub(crate) fn endpoint(&self, end: End) -> Endpoint {
+        match end {
+            End::Node(a) => Endpoint::Node(a),
+            End::Port(SwitchDesc { stage, index }, side, port) => Endpoint::Switch {
+                sw: u32::from(stage) * self.per_stage.get() + index,
+                side,
+                port: byte(port),
+            },
+        }
     }
 
     /// Every channel descriptor, in [`ChannelId`] order.
     pub fn channels(&self) -> impl ExactSizeIterator<Item = ChannelDesc> + '_ {
-        self.channels.iter().map(|ch| ch.decode())
+        (0..self.nch).map(|c| self.channel(c))
     }
 
     /// Switch descriptor by id.
     #[inline]
     pub fn switch(&self, s: SwitchId) -> SwitchDesc {
-        let stage = self.stages[s as usize];
+        let (stage, index) = self.per_stage.div_rem(s);
         SwitchDesc {
-            stage,
-            index: s - u32::from(stage) * self.per_stage,
+            stage: byte(stage),
+            index,
         }
     }
 
     /// Number of channels.
+    #[inline]
     pub fn num_channels(&self) -> usize {
-        self.channels.len()
+        self.nch as usize
     }
 
     /// Number of switches.
     pub fn num_switches(&self) -> usize {
-        self.stages.len()
+        self.geometry.n() as usize * self.per_stage.get() as usize
     }
 
     /// Output-port codes per switch: `k` for unidirectional switches,
@@ -510,21 +537,23 @@ impl NetworkGraph {
     /// fan-out (e.g. the BMIN's forward ports `k..2k`) is one slice.
     #[inline]
     pub fn out_port_span(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> &[ChannelId] {
-        let (lo, hi) = self.out_port_range(s, code_lo, code_hi);
+        let (lo, hi) = self.out_port_range(self.switch(s), code_lo, code_hi);
         &self.ids[lo as usize..hi as usize]
     }
 
-    /// [`Self::out_port_span`] as `(lo, hi)` bounds into [`Self::arena`],
-    /// for callers that cache the bounds and slice later (the route
-    /// table's candidate ranges).
+    /// The lane lists of output ports `code_lo..code_hi` of switch `sw`
+    /// as `(lo, hi)` bounds into [`Self::arena`], for callers that cache
+    /// the bounds and slice later (the route table's candidate ranges).
+    /// Computed from the switch's stage row.
     #[inline]
-    pub fn out_port_range(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> (u32, u32) {
+    pub fn out_port_range(&self, sw: SwitchDesc, code_lo: u32, code_hi: u32) -> (u32, u32) {
         debug_assert!(code_lo <= code_hi && code_hi <= self.out_codes);
-        let base = s as usize * self.out_codes as usize;
-        (
-            self.port_starts[base + code_lo as usize],
-            self.port_starts[base + code_hi as usize],
-        )
+        let row = &self.ports[usize::from(sw.stage)];
+        let at = row.base + sw.index * row.per_switch;
+        let k = self.geometry.k();
+        // Ids the switch lists before output port `code`.
+        let before = |code: u32| code.min(k) * row.lanes[0] + code.saturating_sub(k) * row.lanes[1];
+        (at + before(code_lo), at + before(code_hi))
     }
 
     /// The whole shared id arena [`Self::out_port_range`] indexes.
@@ -566,113 +595,41 @@ impl NetworkGraph {
     /// Channel ids sorted by `topo_rank` ascending — the order in which the
     /// simulation engine performs per-cycle transmissions so that a worm
     /// advances as a unit (see [`ChannelDesc::topo_rank`]). Memoized at
-    /// assembly; this is a slice view into the shared arena, not a fresh
-    /// allocation.
+    /// construction; this is a slice view into the shared arena, not a
+    /// fresh allocation.
     #[inline]
     pub fn transmit_order(&self) -> &[ChannelId] {
         &self.ids[self.order_at as usize..]
     }
 
-    /// Approximate resident size of the graph in bytes (channel table,
-    /// stage bytes, CSR offset table and the shared id arena) — a
-    /// memory-accounting metric for the benchmark and the footprint tests.
+    /// Approximate resident size of the graph in bytes (the divisors, the
+    /// stage rows and the shared id arena) — a memory-accounting metric
+    /// for the benchmark and the footprint tests.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.channels.len() * std::mem::size_of::<PackedChannel>()
-            + self.stages.len()
-            + self.port_starts.len() * 4
+            + std::mem::size_of_val(&self.kpow[..])
+            + std::mem::size_of_val(&self.ports[..])
             + self.ids.len() * 4
     }
 
-    /// Sanity-check structural invariants; used by builders and tests.
+    /// Sanity-check structural invariants; used by tests (construction
+    /// makes the same pass, see [`Self::walk`]).
     ///
     /// Verifies: endpoint switch/node indices are in range; no two
     /// channels terminate at the same switch input (the per-switch input
     /// lists, derived here in one pass — validation is their only reader);
-    /// every channel in a switch's output-port lists actually originates
-    /// there (and at the claimed port code); every node has exactly one
-    /// injection and one ejection channel; the transmit order is a
-    /// rank-sorted permutation of all channels.
+    /// every switch's output-port lists hold exactly the channels that
+    /// originate there, at the claimed port code, in lane order; every
+    /// node has exactly one injection and one ejection channel; the
+    /// transmit order is the rank-sorted permutation of all channels.
     pub fn validate(&self) -> Result<(), String> {
-        let n_nodes = self.geometry.nodes();
-        let lanes = usize::from(self.kind.dilation());
-        let mut fed = vec![false; self.stages.len() * self.out_codes as usize * lanes];
-        for (i, ch) in self.channels().enumerate() {
-            for ep in [ch.src, ch.dst] {
-                match ep {
-                    Endpoint::Node(nd) if nd >= n_nodes => {
-                        return Err(format!("channel {i}: node {nd} out of range"));
-                    }
-                    Endpoint::Switch { sw, port, .. } => {
-                        if sw as usize >= self.stages.len() {
-                            return Err(format!("channel {i}: switch {sw} out of range"));
-                        }
-                        if u32::from(port) >= self.geometry.k() {
-                            return Err(format!("channel {i}: port {port} out of range"));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let Endpoint::Switch { sw, side, port } = ch.dst {
-                let code = out_code(self.kind, self.geometry.k(), side, port);
-                let input = (sw * self.out_codes + code) as usize * lanes + usize::from(ch.lane);
-                if usize::from(ch.lane) >= lanes || std::mem::replace(&mut fed[input], true) {
-                    return Err(format!("channel {i}: switch {sw} input already fed"));
-                }
-            }
-        }
-        for sid in 0..self.stages.len() {
-            for code in 0..self.out_codes {
-                for &c in self.out_port(sid as SwitchId, code) {
-                    let src = self.channels.get(c as usize).map(|ch| ch.decode().src);
-                    let originates_here = match src {
-                        Some(Endpoint::Switch { sw: s2, side, port }) if s2 as usize == sid => {
-                            out_code(self.kind, self.geometry.k(), side, port) == code
-                        }
-                        _ => false,
-                    };
-                    if !originates_here {
-                        return Err(format!(
-                            "switch {sid}: output {c} does not originate at port code {code}"
-                        ));
-                    }
-                }
-            }
-        }
-        for nd in 0..n_nodes {
-            let inj = self.channel(self.inject(nd));
-            if inj.src != Endpoint::Node(nd) {
-                return Err(format!("node {nd}: inject channel has wrong source"));
-            }
-            let ej = self.channel(self.eject(nd));
-            if ej.dst != Endpoint::Node(nd) {
-                return Err(format!("node {nd}: eject channel has wrong destination"));
-            }
-        }
-        let order = self.transmit_order();
-        if order.len() != self.channels.len() {
-            return Err("transmit order must cover every channel".into());
-        }
-        let mut seen = vec![false; self.channels.len()];
-        let mut prev = 0u16;
-        for &c in order {
-            let rank = self.channel(c).topo_rank;
-            if rank < prev {
-                return Err(format!("transmit order not rank-sorted at channel {c}"));
-            }
-            prev = rank;
-            if std::mem::replace(&mut seen[c as usize], true) {
-                return Err(format!("transmit order repeats channel {c}"));
-            }
-        }
-        Ok(())
+        self.walk(|c| self.channel(c), |slot, id| self.ids[slot as usize] == id)
     }
 
     /// Count channels by `(level, dir)` — used by partition analysis and
     /// structural tests.
     pub fn channels_at_level(&self, level: u8, dir: Direction) -> Vec<ChannelId> {
-        (0..self.channels.len() as u32)
+        (0..self.nch)
             .filter(|&c| {
                 let ch = self.channel(c);
                 ch.level == level && ch.dir == dir
@@ -739,7 +696,7 @@ mod tests {
     #[test]
     fn validate_rejects_a_doubly_fed_switch_input() {
         use crate::unidir::{build_unidir, UnidirKind};
-        let mut net = build_unidir(Geometry::new(2, 2), UnidirKind::Cube, 1);
+        let net = build_unidir(Geometry::new(2, 2), UnidirKind::Cube, 1);
         assert_eq!(net.validate(), Ok(()));
         let feeders: Vec<ChannelId> = (0..net.num_channels() as ChannelId)
             .filter(|&c| net.channel(c).dst.switch().is_some())
@@ -749,8 +706,9 @@ mod tests {
             dst: net.channel(feeders[0]).dst,
             ..net.channel(feeders[1])
         };
-        net.channels[feeders[1] as usize] = doubled.pack().unwrap();
-        assert!(net.validate().unwrap_err().contains("input already fed"));
+        let corrupted = |c| if c == feeders[1] { doubled } else { net.channel(c) };
+        let err = net.walk(corrupted, |slot, id| net.ids[slot as usize] == id).unwrap_err();
+        assert!(err.contains("input already fed"), "{err}");
     }
 
     #[test]
@@ -761,8 +719,8 @@ mod tests {
         let refused = |k, n| check_limits(Geometry::new(k, n)).unwrap_err();
         assert!(refused(300, 1).starts_with("k = 300: "));
         assert!(refused(257, 2).contains("at most 256"));
-        assert!(refused(216, 4).contains("nodes, ids end at 2^31"));
-        assert!(refused(4, 12).contains("switches, ids end at 2^22"));
+        assert!(refused(216, 4).contains("nodes, the engine's lane words end at 2^31"));
+        assert!(refused(4, 12).contains("switches, at most 2^22"));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod graph;
 pub mod permutation;
 pub mod unidir;
 
-pub use address::{Geometry, NodeAddr};
+pub use address::{Divisor, Geometry, NodeAddr, Radix};
 pub use bmin::build_bmin;
 pub use fault::{
     inter_stage_channels, splitmix64, Fault, FaultEpoch, FaultPlan, FaultPlanError,
@@ -47,8 +47,8 @@ pub use fault::{
 };
 pub use cube::{BitCube, CubeSpec, DigitSpec};
 pub use graph::{
-    ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, NodeId, PackedChannel,
-    Side, SwitchDesc, SwitchId,
+    ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, NodeId, Side,
+    SwitchDesc, SwitchId,
 };
 pub use permutation::Perm;
 pub use unidir::{build_unidir, UnidirKind};

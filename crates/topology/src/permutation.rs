@@ -11,7 +11,7 @@
 //! (see [`crate::unidir`]) and as the fixed "permutation traffic" patterns
 //! of the evaluation (§5.1).
 
-use crate::address::{Geometry, NodeAddr};
+use crate::address::{Geometry, NodeAddr, Radix};
 
 /// A wiring permutation on k-ary addresses.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -35,47 +35,41 @@ pub enum Perm {
 }
 
 impl Perm {
-    /// Apply the permutation to address `a` under geometry `g`.
-    pub fn apply(&self, g: &Geometry, a: NodeAddr) -> NodeAddr {
-        debug_assert!(g.contains(a));
-        match *self {
-            Perm::Identity => a,
+    /// Apply the permutation to address `a` under geometry `g` (or any
+    /// other [`Radix`] of the same `k` and `n`).
+    pub fn apply<R: Radix + ?Sized>(&self, g: &R, a: NodeAddr) -> NodeAddr {
+        let (n, a) = (g.n(), a.0);
+        debug_assert!(a < g.kpow(n));
+        // The low `j` digits rotated one place left (`σ`: their top digit
+        // becomes digit 0) or right (`σ⁻¹`); digits above them stay.
+        let left = |j: u32| {
+            debug_assert!(j >= 1 && j <= n, "shuffle width {j} out of range");
+            let low = g.split(a, j).1;
+            let (top, rest) = g.split(low, j - 1);
+            a - low + rest * g.kpow(1) + top
+        };
+        let right = |j: u32| {
+            debug_assert!(j >= 1 && j <= n, "shuffle width {j} out of range");
+            let low = g.split(a, j).1;
+            let (rest, d0) = g.split(low, 1);
+            a - low + rest + d0 * g.kpow(j - 1)
+        };
+        NodeAddr(match *self {
+            Perm::Identity | Perm::Butterfly(0) => a,
             Perm::Butterfly(i) => {
-                debug_assert!(i < g.n(), "butterfly index {i} out of range");
-                if i == 0 {
-                    return a;
-                }
-                let d0 = g.digit(a, 0);
-                let di = g.digit(a, i);
-                g.with_digit(g.with_digit(a, 0, di), i, d0)
+                debug_assert!(i < n, "butterfly index {i} out of range");
+                // Each of the two digits moves to the other's weight
+                // (digit `i` from two independent quotients: this is on
+                // every unidirectional route lookup's critical path).
+                let (d0, p) = (g.split(a, 1).1, g.kpow(i));
+                let di = g.split(a, i).0 - g.split(a, i + 1).0 * g.kpow(1);
+                a - d0 - di * p + di + d0 * p
             }
-            Perm::PerfectShuffle => {
-                // σ(a) = (a mod k^{n-1}) * k + a div k^{n-1}
-                let top = g.kpow(g.n() - 1);
-                NodeAddr((a.0 % top) * g.k() + a.0 / top)
-            }
-            Perm::InverseShuffle => {
-                // σ⁻¹(a) = a div k + (a mod k) * k^{n-1}
-                let top = g.kpow(g.n() - 1);
-                NodeAddr(a.0 / g.k() + (a.0 % g.k()) * top)
-            }
-            Perm::SubShuffle(j) => {
-                debug_assert!(j >= 1 && j <= g.n(), "sub-shuffle width {j} out of range");
-                let span = g.kpow(j);
-                let high = a.0 / span * span;
-                let low = a.0 % span;
-                let top = g.kpow(j - 1);
-                NodeAddr(high + (low % top) * g.k() + low / top)
-            }
-            Perm::SubInverseShuffle(j) => {
-                debug_assert!(j >= 1 && j <= g.n(), "sub-shuffle width {j} out of range");
-                let span = g.kpow(j);
-                let high = a.0 / span * span;
-                let low = a.0 % span;
-                let top = g.kpow(j - 1);
-                NodeAddr(high + low / g.k() + (low % g.k()) * top)
-            }
-        }
+            Perm::PerfectShuffle => left(n),
+            Perm::InverseShuffle => right(n),
+            Perm::SubShuffle(j) => left(j),
+            Perm::SubInverseShuffle(j) => right(j),
+        })
     }
 
     /// The inverse permutation. Butterflies are involutions; the shuffles

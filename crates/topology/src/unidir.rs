@@ -21,8 +21,7 @@
 
 use crate::address::{Geometry, NodeAddr};
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, PackedChannel,
-    Side,
+    byte, ChannelDesc, ChannelId, Direction, End, NetworkGraph, NetworkKind, Side, SwitchDesc,
 };
 use crate::permutation::Perm;
 
@@ -126,81 +125,78 @@ impl UnidirKind {
 /// [`crate::graph::check_limits`].
 pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph {
     assert!(dilation >= 1, "dilation must be at least 1");
-    let k = g.k();
-    let n = g.n();
-    let nodes = g.nodes();
-    let per_stage = nodes / k;
+    NetworkGraph::new(g, kind.network_kind(dilation))
+}
 
-    let nch = (2 * nodes + (n - 1) * nodes * dilation as u32) as usize;
-    // Channels are packed as they are created: a table of 24-byte
-    // descriptors would be the build's high-water mark.
-    let mut channels: Vec<PackedChannel> = Vec::with_capacity(nch);
-    let sw_id = |stage: u32, index: u32| stage * per_stage + index;
-
-    let mut inject = vec![0 as ChannelId; nodes as usize];
-    let mut eject = vec![0 as ChannelId; nodes as usize];
-
-    // topo_rank: sinks first → level ℓ gets rank n - ℓ.
-    let rank = |level: u32| (n - level) as u16;
-
-    // Level 0: node a → stage 0 input position C_0(a).
-    let c0 = kind.connection(&g, 0);
-    for a in 0..nodes {
-        let pos = c0.apply(&g, NodeAddr(a)).0;
-        let id = channels.len() as ChannelId;
-        channels.push(PackedChannel::of(ChannelDesc {
-            src: Endpoint::Node(a),
-            dst: Endpoint::port(sw_id(0, pos / k), Side::Left, pos % k),
-            level: 0,
-            lane: 0,
-            dir: Direction::Forward,
-            topo_rank: rank(0),
-        }));
-        inject[a as usize] = id;
+/// Where channel `id` sits in the level-major numbering, as `(level, w,
+/// lane)`: level 0 is `id = a` (node `a`'s injection), levels `1..n` are
+/// `N + (level − 1)·N·d + w·d + lane`, level `n` is `N + (n − 1)·N·d + w`
+/// — `w` the wire's position on the output side of stage `level − 1`.
+#[inline]
+fn locate(net: &NetworkGraph, id: ChannelId) -> (u32, u32, u32) {
+    let n = net.geometry.n();
+    let (nodes, d) = (net.kpow[n as usize], net.lanes);
+    let last = nodes.get() * (1 + (n - 1) * d.get());
+    if id < nodes.get() {
+        (0, id, 0)
+    } else if id < last {
+        // Lanes of a wire are adjacent, wires of a level contiguous.
+        let (wire, lane) = d.div_rem(id - nodes.get());
+        let (above, w) = nodes.div_rem(wire);
+        (1 + above, w, lane)
+    } else {
+        (n, id - last, 0)
     }
+}
 
-    // Levels 1..n-1: stage i-1 output position w → stage i input position
-    // C_i(w), with `dilation` lanes per port.
-    for level in 1..n {
-        let ci = kind.connection(&g, level);
-        for w in 0..nodes {
-            let v = ci.apply(&g, NodeAddr(w)).0;
-            let src = Endpoint::port(sw_id(level - 1, w / k), Side::Right, w % k);
-            let dst = Endpoint::port(sw_id(level, v / k), Side::Left, v % k);
-            for lane in 0..dilation {
-                channels.push(PackedChannel::of(ChannelDesc {
-                    src,
-                    dst,
-                    level: byte(level),
-                    lane,
-                    dir: Direction::Forward,
-                    topo_rank: rank(level),
-                }));
-            }
-        }
+/// Position `pos` on `side` of stage `stage`: port `pos % k` of switch
+/// `(stage, pos / k)`.
+#[inline]
+fn port_at(net: &NetworkGraph, stage: u32, side: Side, pos: u32) -> End {
+    let (index, port) = net.kpow[1].div_rem(pos);
+    let stage = byte(stage);
+    End::Port(SwitchDesc { stage, index }, side, port)
+}
+
+/// The receiving end of the wire at position `w` of `level`: input
+/// position `C_level(w)` of stage `level`, or node `C_n(w)`.
+#[inline]
+fn head_at(net: &NetworkGraph, kind: UnidirKind, level: u32, w: u32) -> End {
+    let g = &net.geometry;
+    let v = kind.connection(g, level).apply(&net.kpow[..], NodeAddr(w)).0;
+    if level == g.n() {
+        End::Node(v)
+    } else {
+        port_at(net, level, Side::Left, v)
     }
+}
 
-    // Level n: stage n-1 output position w → node C_n(w). Single lane.
-    let cn = kind.connection(&g, n);
-    for w in 0..nodes {
-        let node = cn.apply(&g, NodeAddr(w)).0;
-        let id = channels.len() as ChannelId;
-        channels.push(PackedChannel::of(ChannelDesc {
-            src: Endpoint::port(sw_id(n - 1, w / k), Side::Right, w % k),
-            dst: Endpoint::Node(node),
-            level: byte(n),
-            lane: 0,
-            dir: Direction::Forward,
-            topo_rank: rank(n),
-        }));
-        eject[node as usize] = id;
+/// Channel `id` of the wiring — the graph's definition of
+/// [`NetworkGraph::channel`]: from node `w` (level 0) or output position
+/// `w` of stage `level − 1`, to [`head_at`]. `topo_rank` is sinks first:
+/// level `ℓ` gets rank `n − ℓ`.
+#[inline]
+pub(crate) fn channel(net: &NetworkGraph, kind: UnidirKind, id: ChannelId) -> ChannelDesc {
+    let (level, w, lane) = locate(net, id);
+    let src = match level {
+        0 => End::Node(w),
+        _ => port_at(net, level - 1, Side::Right, w),
+    };
+    ChannelDesc {
+        src: net.endpoint(src),
+        dst: net.endpoint(head_at(net, kind, level, w)),
+        level: byte(level),
+        lane: byte(lane),
+        dir: Direction::Forward,
+        topo_rank: (net.geometry.n() - level) as u16,
     }
+}
 
-    let graph = NetworkGraph::assemble(g, kind.network_kind(dilation), channels, inject, eject);
-    graph
-        .validate()
-        .expect("unidirectional MIN builder produced an invalid graph");
-    graph
+/// The receiving end of channel `id` alone.
+#[inline]
+pub(crate) fn head(net: &NetworkGraph, kind: UnidirKind, id: ChannelId) -> End {
+    let (level, w, _) = locate(net, id);
+    head_at(net, kind, level, w)
 }
 
 /// Follow the unique destination-tag path from `src` to `dst`, returning
@@ -237,6 +233,7 @@ pub fn unique_path_positions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Endpoint;
     use proptest::prelude::*;
 
     fn geometries() -> Vec<Geometry> {

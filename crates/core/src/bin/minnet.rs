@@ -21,7 +21,9 @@ use minnet::{
 use minnet_topology::{BitCube, Geometry, UnidirKind};
 use std::collections::BTreeMap;
 
-fn usage() -> ! {
+/// Print the usage text and exit with `code`: 0 when it was asked for,
+/// 2 when the command line made no sense.
+fn usage(code: i32) -> ! {
     println!(
         "minnet — switch-based wormhole network simulator (Ni, Gui & Moore reproduction)
 
@@ -79,7 +81,7 @@ COMMON OPTIONS
   --warmup N --measure N --seed N --buffer-depth N --threads N
   --csv PATH       also write the sweep as CSV
 
-RESILIENCE (sweep, saturate)
+RESILIENCE (sweep; the two budgets also simulate, saturate, submit)
   --budget-cycles N   cut any run at N simulated cycles (0 = off)  [0]
   --budget-ms N       cut any run at N wall-clock ms (0 = off)     [0]
   --retries N         same-point retries after a failed run        [0]
@@ -88,9 +90,11 @@ RESILIENCE (sweep, saturate)
   --resume PATH       like --checkpoint but the file must exist
 A budget-cut point is reported PARTIAL (its truncated stats are kept);
 a panicking or erroring point is reported FAILED after retries. The
-curve always completes with per-point outcomes."
+curve always completes with per-point outcomes.
+
+An option the command does not read is an error, not a default."
     );
-    std::process::exit(2);
+    std::process::exit(code);
 }
 
 struct Args {
@@ -104,23 +108,70 @@ struct Args {
 /// Options that are bare flags — present or absent, no value.
 const BOOL_FLAGS: &[&str] = &["chaos", "wait"];
 
+/// What [`experiment`] reads: the options of every command that builds one.
+const EXPERIMENT: &[&str] = &[
+    "network", "wiring", "dilation", "vcs", "k", "n", "pattern", "clusters", "rates", "sizes",
+    "warmup", "measure", "seed", "buffer-depth", "budget-cycles", "budget-ms",
+];
+
+/// The options `cmd` reads, as two lists (its own, and [`EXPERIMENT`] if it
+/// builds one); `None` for no command at all. A name outside them would
+/// be parsed and never looked at — a misspelt `--bufer-depth 4` running at
+/// depth 1 — so [`parse_args`] refuses it.
+fn options_of(cmd: &str) -> Option<[&'static [&'static str]; 2]> {
+    Some(match cmd {
+        "info" => [&[], EXPERIMENT],
+        "simulate" => [&["load"], EXPERIMENT],
+        "sweep" => [&["loads", "threads", "csv", "retries", "checkpoint", "resume"], EXPERIMENT],
+        "saturate" => [&["lo", "hi", "iters"], EXPERIMENT],
+        "partition" => [&["k", "n", "wiring", "clusters"], &[]],
+        "scenario" => [
+            &["chaos", "json", "threads", "retries", "checkpoint-dir", "budget-cycles", "budget-ms"],
+            &[],
+        ],
+        "submit" => [
+            &[
+                "daemon", "client", "wait", "timeout-ms", "json", "network", "wiring", "dilation",
+                "vcs", "k", "n", "pattern", "sizes", "loads", "warmup", "measure", "seed",
+                "budget-cycles", "budget-ms", "retries",
+            ],
+            &[],
+        ],
+        "status" => [&["daemon", "job"], &[]],
+        "result" => [&["daemon", "job", "json"], &[]],
+        "drain" => [&["daemon"], &[]],
+        _ => return None,
+    })
+}
+
 fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
-    let cmd = it.next().unwrap_or_else(|| "help".into());
+    let cmd = it.next().unwrap_or_default();
+    if ["help", "--help", "-h"].contains(&cmd.as_str()) {
+        usage(0);
+    }
+    let Some(known) = options_of(&cmd) else { usage(2) };
     let mut opts = BTreeMap::new();
     let mut free = Vec::new();
     while let Some(key) = it.next() {
+        if key == "--help" || key == "-h" {
+            usage(0);
+        }
         let Some(name) = key.strip_prefix("--") else {
             free.push(key);
             continue;
         };
+        if !known.iter().any(|list| list.contains(&name)) {
+            eprintln!("error: {cmd}: unknown option --{name}");
+            std::process::exit(2);
+        }
         if BOOL_FLAGS.contains(&name) {
             opts.insert(name.to_string(), "true".to_string());
             continue;
         }
         let Some(value) = it.next() else {
             eprintln!("--{name} needs a value");
-            usage();
+            usage(2);
         };
         opts.insert(name.to_string(), value);
     }
@@ -497,7 +548,7 @@ fn scenario_paths(a: &Args) -> Vec<std::path::PathBuf> {
 fn cmd_scenario(a: &Args) {
     let action = a.free.first().map(String::as_str).unwrap_or_else(|| {
         eprintln!("scenario needs an action: run, list, or validate");
-        usage();
+        usage(2);
     });
     let files = scenario_paths(a);
     match action {
@@ -579,7 +630,7 @@ fn cmd_scenario(a: &Args) {
         }
         other => {
             eprintln!("unknown scenario action {other:?} (run, list, validate)");
-            usage();
+            usage(2);
         }
     }
 }
@@ -730,6 +781,6 @@ fn main() {
         "status" => cmd_status(&args),
         "result" => cmd_result(&args),
         "drain" => cmd_drain(&args),
-        _ => usage(),
+        _ => unreachable!("parse_args admits only the commands of options_of"),
     }
 }

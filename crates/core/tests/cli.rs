@@ -191,6 +191,38 @@ fn bad_arguments_fail_cleanly() {
     assert!(stderr.contains("unknown network"));
     let (ok2, _, _) = minnet(&["frobnicate"]);
     assert!(!ok2);
+    // An option the command does not read is refused by name with exit 2,
+    // before any work — a misspelt `--bufer-depth 4` used to run at depth
+    // 1, write the CSV and exit 0. Options are per command: `--load` is
+    // simulate's, `--csv` sweep's, `--retries` not saturate's.
+    let csv = std::env::temp_dir().join(format!("minnet_cli_typo_{}.csv", std::process::id()));
+    let csv = csv.to_str().unwrap();
+    for (args, cmd, flag) in [
+        (&["sweep", "--loads", "0.1", "--bufer-depth", "4", "--csv", csv][..], "sweep", "--bufer-depth"),
+        (&["simulate", "--load", "0.1", "--mesure", "100"], "simulate", "--mesure"),
+        (&["sweep", "--load", "0.1"], "sweep", "--load"),
+        (&["simulate", "--csv", csv], "simulate", "--csv"),
+        (&["saturate", "--retries", "2"], "saturate", "--retries"),
+        (&["info", "--bogus"], "info", "--bogus"),
+        (&["scenario", "validate", "--network", "bmin"], "scenario", "--network"),
+        (&["submit", "--clusters", "msd"], "submit", "--clusters"),
+        (&["drain", "--job", "1"], "drain", "--job"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_minnet")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("error: {cmd}: unknown option {flag}\n"), "{args:?}");
+        assert!(!std::path::Path::new(csv).exists(), "{args:?} ran before refusing");
+    }
+    // Asking for the usage is not an error, with or without a command.
+    for args in [&["help"][..], &["--help"], &["-h"], &["simulate", "--help"], &["sweep", "-h"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_minnet")).args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(stdout.contains("USAGE: minnet <command>") && out.stderr.is_empty(), "{args:?}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_minnet")).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "bare `minnet` is a usage error");
     // Out-of-range lane/dilation counts are refused by name, never
     // wrapped into a small valid one (258 used to run as `--vcs 2`).
     for flag in ["--vcs", "--dilation"] {

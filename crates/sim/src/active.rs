@@ -1,5 +1,5 @@
-//! Dense index sets, flat lane-buffer storage and the source-queue slab
-//! for the engine's occupancy-scaled hot loop.
+//! Dense index sets, lane-buffer occupancy counters and the source-queue
+//! slab for the engine's occupancy-scaled hot loop.
 //!
 //! The engine keeps three active sets so its per-cycle cost tracks
 //! *occupancy* (in-flight worms, nonempty sources, claimed channels)
@@ -7,9 +7,8 @@
 //!
 //! * injectable sources — nodes whose FCFS queue is nonempty while the
 //!   injection channel is idle;
-//! * occupied channels — channels with at least one owned lane, indexed
-//!   by their *transmit-order position* so a sweep visits them in
-//!   reverse-topological order;
+//! * owned lanes — indexed by *plane*, transmit-order position first, so
+//!   a sweep visits them in reverse-topological order;
 //! * active packets — already a dense list in the engine itself.
 //!
 //! [`DenseBitSet`] backs the first two: membership flips are O(1) and
@@ -36,34 +35,29 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
-/// Flat storage for every lane's flit FIFO: `store` holds `depth` ring
-/// slots per lane, `len` the occupancy, and `head` the ring heads — the
-/// last dimensioned only when `depth > 1` (a one-slot ring's head is
-/// pinned at 0). A slot holds the flit's *index within its packet* and
-/// nothing else: a lane buffers flits of its owning worm only, so the
-/// packet is `lane_owner`. Semantics are exactly a per-lane bounded FIFO.
+/// Every lane's flit buffer, as its occupancy. A lane buffers flits of
+/// its owning worm only, and a worm's flits pass through in order, so
+/// what a buffer holds is always a run of consecutive flits of one packet:
+/// a bounded FIFO of them is a counter, at any `depth`. Which flit sits at
+/// either end follows from the worm's chain (see `Engine::move_flit`).
 #[derive(Clone, Debug, Default)]
 pub struct LaneBufs {
-    store: Vec<u32>,
-    head: Vec<u16>,
     len: Vec<u16>,
     depth: u16,
 }
 
 impl LaneBufs {
     /// Empty all buffers and re-dimension for `lanes` lanes of `depth`
-    /// flits each, keeping allocations when dimensions allow.
+    /// flits each, keeping the allocation when dimensions allow.
     pub fn reset(&mut self, lanes: usize, depth: u16) {
         assert!(depth >= 1, "a channel buffer holds at least one flit");
         self.depth = depth;
-        refill(&mut self.store, lanes * depth as usize, 0);
-        refill(&mut self.head, if depth > 1 { lanes } else { 0 }, 0);
         refill(&mut self.len, lanes, 0);
     }
 
-    /// Heap bytes held (capacities × element size).
+    /// Heap bytes held (capacity × element size).
     pub fn approx_bytes(&self) -> usize {
-        self.store.capacity() * 4 + (self.head.capacity() + self.len.capacity()) * 2
+        self.len.capacity() * 2
     }
 
     /// Whether lane `li` buffers no flit.
@@ -78,64 +72,33 @@ impl LaneBufs {
         self.len[li] == self.depth
     }
 
-    /// The index of the oldest flit buffered in lane `li`, if any.
-    #[inline]
-    pub fn front(&self, li: usize) -> Option<u32> {
-        if self.len[li] == 0 {
-            None
-        } else if self.depth == 1 {
-            Some(self.store[li])
-        } else {
-            Some(self.store[li * self.depth as usize + self.head[li] as usize])
-        }
-    }
-
-    /// Remove and return lane `li`'s oldest flit index.
-    #[inline]
-    pub fn pop(&mut self, li: usize) -> Option<u32> {
-        if self.len[li] == 0 {
-            return None;
-        }
-        // Single-slot buffers (the paper's default) skip the ring
-        // arithmetic entirely: there is no `head`, the slot is `li`.
-        if self.depth == 1 {
-            self.len[li] = 0;
-            return Some(self.store[li]);
-        }
-        let f = self.store[li * self.depth as usize + self.head[li] as usize];
-        // `head < depth` always, so one conditional wrap replaces the
-        // (runtime-divisor) modulo on the hot flit-move path.
-        let h = self.head[li] + 1;
-        self.head[li] = if h == self.depth { 0 } else { h };
-        self.len[li] -= 1;
-        Some(f)
-    }
-
-    /// Append flit index `f` to lane `li`. Returns `false` (dropping the
-    /// flit) if the lane's buffer is full — the engine checks
-    /// [`LaneBufs::is_full`] before moving a flit and treats a refused
-    /// push as a violated invariant, surfaced as a typed error rather
-    /// than a panic.
+    /// Remove lane `li`'s oldest flit; `false` if it buffers none.
     #[inline]
     #[must_use]
-    pub fn push(&mut self, li: usize, f: u32) -> bool {
+    pub fn pop(&mut self, li: usize) -> bool {
+        let had = self.len[li] != 0;
+        self.len[li] -= u16::from(had);
+        had
+    }
+
+    /// Buffer one more flit in lane `li` and return the new occupancy, or
+    /// `None` (dropping the flit) if the buffer is full — the engine
+    /// checks [`LaneBufs::is_full`] before moving a flit and treats a
+    /// refused push as a violated invariant, surfaced as a typed error
+    /// rather than a panic.
+    #[inline]
+    #[must_use]
+    pub fn push(&mut self, li: usize) -> Option<u16> {
         if self.len[li] == self.depth {
-            return false;
+            return None;
         }
-        // Depth-1 twin of the `pop` fast path: `len` was 0.
-        if self.depth == 1 {
-            self.store[li] = f;
-            self.len[li] = 1;
-            return true;
-        }
-        // `head < depth` and `len < depth` here, so the ring offset needs
-        // at most one wrap — no runtime-divisor modulo. (u32: the sum of
-        // two u16s below `depth` may pass 2¹⁶.)
-        let s = u32::from(self.head[li]) + u32::from(self.len[li]);
-        let slot = if s >= u32::from(self.depth) { s - u32::from(self.depth) } else { s };
-        self.store[li * self.depth as usize + slot as usize] = f;
         self.len[li] += 1;
-        true
+        Some(self.len[li])
+    }
+
+    /// Empty lane `li`, returning how many flits it buffered.
+    pub fn drain(&mut self, li: usize) -> u32 {
+        u32::from(std::mem::take(&mut self.len[li]))
     }
 }
 
@@ -231,11 +194,9 @@ impl MsgQueues {
 /// ascending index order.
 ///
 /// This is the one scan primitive behind every bitset traversal in the
-/// engine: it walks whole words and extracts members with
-/// `trailing_zeros`, so a sweep costs O(words + members) regardless of
-/// how the members cluster. [`DenseBitSet::iter_set`] hands one out over
-/// a set's own words; [`SetBits::over`] runs the same kernel over any
-/// raw mask slice (the per-epoch dead-lane words, scratch masks).
+/// engine ([`DenseBitSet::iter_set`]): it walks whole words and extracts
+/// members with `trailing_zeros`, so a sweep costs O(words + members)
+/// regardless of how the members cluster.
 pub struct SetBits<'a> {
     words: &'a [u64],
     /// Index of the next word to load.
@@ -244,19 +205,6 @@ pub struct SetBits<'a> {
     current: u64,
     /// Bit index of the current word's bit 0.
     base: u32,
-}
-
-impl<'a> SetBits<'a> {
-    /// Iterate the set bits of an arbitrary word slice (bit `64·w + b` of
-    /// word `w` is index `64·w + b`).
-    pub fn over(words: &'a [u64]) -> SetBits<'a> {
-        SetBits {
-            words,
-            next_word: 0,
-            current: 0,
-            base: 0,
-        }
-    }
 }
 
 impl Iterator for SetBits<'_> {
@@ -301,6 +249,12 @@ impl DenseBitSet {
     /// Heap bytes held (capacity × word size).
     pub fn approx_bytes(&self) -> usize {
         self.words.capacity() * 8
+    }
+
+    /// Replace the members by the set bits of `words`, which must be as
+    /// long as the set's own (a compiled fault epoch's dead-plane mask).
+    pub fn load(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
     }
 
     /// Grow the capacity to at least `capacity` indices, preserving the
@@ -356,7 +310,7 @@ impl DenseBitSet {
     /// Word-level iterator over the members in ascending order.
     #[inline]
     pub fn iter_set(&self) -> SetBits<'_> {
-        SetBits::over(&self.words)
+        SetBits { words: &self.words, next_word: 0, current: 0, base: 0 }
     }
 
     /// Visit members in ascending order, appending them to `out`
@@ -382,60 +336,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_bufs_fifo_semantics() {
+    fn lane_bufs_count_a_bounded_fifo() {
         let mut b = LaneBufs::default();
         b.reset(3, 2);
         assert!(b.is_empty(0) && !b.is_full(0));
-        assert!(b.push(1, 0));
-        assert!(b.push(1, 1));
+        assert_eq!(b.push(1), Some(1));
+        assert_eq!(b.push(1), Some(2));
         assert!(b.is_full(1));
         assert!(b.is_empty(0) && b.is_empty(2), "lanes are independent");
-        assert_eq!(b.front(1), Some(0));
-        assert_eq!(b.pop(1), Some(0));
-        // Wraparound: push after a pop reuses the freed ring slot.
-        assert!(b.push(1, 2));
-        assert_eq!(b.pop(1), Some(1));
-        assert_eq!(b.pop(1), Some(2));
-        assert_eq!(b.pop(1), None);
+        assert_eq!(b.push(1), None, "full lane refuses the flit");
+        assert!(b.is_full(1), "refused push leaves the buffer intact");
+        assert!(b.pop(1));
+        assert_eq!(b.push(1), Some(2), "a pop makes room for one");
+        assert!(b.pop(1) && b.pop(1));
+        assert!(!b.pop(1) && b.is_empty(1), "empty lane has nothing to pop");
+        assert_eq!(b.push(2), Some(1));
+        assert_eq!((b.drain(2), b.drain(2)), (1, 0));
     }
 
     #[test]
     fn lane_bufs_reset_empties_and_redimensions() {
         let mut b = LaneBufs::default();
         b.reset(2, 1);
-        assert!(b.push(0, 0));
-        assert!(b.head.is_empty(), "one-slot rings keep no head array");
+        assert_eq!(b.push(0), Some(1));
+        assert!(b.is_full(0));
         b.reset(4, 3);
-        assert_eq!(b.depth, 3);
-        assert_eq!(b.head.len(), 4);
+        assert_eq!((b.depth, b.len.len()), (3, 4));
         for li in 0..4 {
             assert!(b.is_empty(li));
         }
     }
 
     #[test]
-    fn lane_bufs_reject_overfill() {
-        let mut b = LaneBufs::default();
-        b.reset(1, 1);
-        assert!(b.push(0, 0));
-        assert!(!b.push(0, 1), "full lane refuses the flit");
-        assert_eq!(b.front(0), Some(0), "refused push leaves the buffer intact");
-    }
-
-    #[test]
-    fn lane_bufs_deepest_ring_wraps_without_overflow() {
+    fn lane_bufs_deepest_buffer_counts_without_overflow() {
         let mut b = LaneBufs::default();
         b.reset(1, u16::MAX);
-        for i in 0..u32::from(u16::MAX) {
-            assert!(b.push(0, i));
+        for n in 1..=u16::MAX {
+            assert_eq!(b.push(0), Some(n));
         }
-        for i in 0..u32::from(u16::MAX) - 1 {
-            assert_eq!(b.pop(0), Some(i));
-        }
-        // head = 65534, len = 1: the ring offset passes 2¹⁶ before wrapping.
-        assert!(b.push(0, 7));
-        assert_eq!(b.pop(0), Some(u32::from(u16::MAX) - 1));
-        assert_eq!(b.pop(0), Some(7));
+        assert!(b.is_full(0));
+        assert_eq!(b.push(0), None);
+        assert!(b.pop(0) && !b.is_full(0));
+        assert_eq!(b.push(0), Some(u16::MAX));
+        assert_eq!(b.drain(0), u32::from(u16::MAX));
+        assert!(b.is_empty(0));
     }
 
     #[test]
@@ -602,14 +546,13 @@ mod tests {
     }
 
     #[test]
-    fn set_bits_over_raw_words() {
-        let words = [0u64, 1 << 3 | 1 << 63, 0, 1];
-        assert_eq!(
-            SetBits::over(&words).collect::<Vec<_>>(),
-            vec![67, 127, 192]
-        );
-        assert_eq!(SetBits::over(&[]).count(), 0);
-        assert_eq!(SetBits::over(&[0, 0]).count(), 0);
+    fn load_replaces_the_members() {
+        let mut s = DenseBitSet::with_capacity(256);
+        s.set(5);
+        s.load(&[0, 1 << 3 | 1 << 63, 0, 1]);
+        assert_eq!(s.iter_set().collect::<Vec<_>>(), vec![67, 127, 192]);
+        s.load(&[0; 4]);
+        assert!(s.is_empty_set());
     }
 
     #[test]

@@ -36,10 +36,10 @@
 //! # Compile-once / run-many split
 //!
 //! Everything about a run that depends only on the *network and engine
-//! configuration* — the transmit order and its inverse, the
-//! ejection-channel mask, and the routing table (digit rows over the
-//! graph's own port arena, `n · nodes` bytes: 115 KB at 16k terminals)
-//! — lives in an immutable [`CompiledNet`], built once
+//! configuration* — the ejection-plane mask and the routing table (digit
+//! rows over the graph's own port arena, `n · nodes` bytes: 115 KB at
+//! 16k terminals; the transmit order is a closed form of the channel id
+//! and is not stored) — lives in an immutable [`CompiledNet`], built once
 //! and shared (`Arc`-held network) across however many runs and threads
 //! a sweep needs. Everything that changes over a run — lanes, queues,
 //! heaps, statistics, the RNG — lives in a reusable [`EngineState`], whose
@@ -77,10 +77,11 @@
 //!   group width (`vcs` rounded up to a power of two) plus the lane, so
 //!   ascending bit order is the sweep order and a channel's lanes share
 //!   one aligned group of a mask word; pad bits of a group are never set.
-//!   Every claim, push, pop and release updates its bits in place, and
-//!   the transmission phase serves `owned ∧ has-input ∧ ¬full ∧ ¬dead`
-//!   one `u64` word at a time with `trailing_zeros` — exactly the lanes
-//!   the reference's every-channel scan finds ready, in the same order;
+//!   The lane arrays share the index (`Planes`), so a served bit *is*
+//!   the lane. Every claim, push, pop and release updates its bits in
+//!   place, and the transmission phase serves `owned ∧ has-input ∧ ¬full
+//!   ∧ ¬dead` one `u64` word at a time with `trailing_zeros` — exactly the
+//!   lanes the reference's every-channel scan finds ready, in that order;
 //! * an **advance mask** over packet slots: bit `p` is set while `p`'s
 //!   header sits in its head lane's buffer short of the ejection channel,
 //!   so the allocation phase tests one bit per active worm;
@@ -108,29 +109,28 @@
 //! # Hot state on a byte budget
 //!
 //! Lane, node and packet state are parallel dense arrays with no
-//! per-entity heap allocation: 18 bytes a lane and 24 a node at the paper's
-//! `vcs = 1`, `buffer_depth = 1`, held by `tests/footprint.rs`.
+//! per-entity heap allocation: 14 bytes a lane at any `buffer_depth` and
+//! 24 a node, held by `tests/footprint.rs`. ("Lane" is a plane: at a `vcs`
+//! of 3, 5 or 6 — test-only — the arrays carry each group's pad planes.)
 //!
 //! | array | B | per | what it is for; when it exists |
 //! |---|---|---|---|
 //! | `lane_owner` | 4 | lane | owning packet slot, `NONE` when free |
-//! | `lane_upstream` | 4 | lane | packed: lane / `NONE` = exhausted / bit 31 + node |
+//! | `lane_upstream` | 4 | lane | packed: plane / `NONE` = exhausted / bit 31 + node |
 //! | `lane_downstream` | 4 | lane | inverse link along the worm's chain |
-//! | `lane_bufs` store | 4 × depth | lane | ring of flit *indices* (the packet is the owner) |
-//! | `lane_bufs` len | 2 | lane | ring occupancy |
-//! | `lane_bufs` head | 2 | lane | ring head; only when `buffer_depth > 1` |
+//! | `lane_bufs` | 2 | lane | buffer occupancy — a counter: a lane holds a run of its owner's flits, and which is a header or a tail follows from the chain (`move_flit`) |
 //! | `mux_last` | 1 | channel | VC multiplexer memory; only when `vcs > 1` |
 //! | the four plane masks | ½ | plane | `owned` / `has-input` / `full` / `dead` bits |
 //! | `src_injecting` | 4 | node | packet drawing from the source, else `NONE` |
 //! | `src_next_arrival` | 8 | node | next Poisson arrival time |
 //! | `queues` head, tail, len | 12 | node | FCFS list ends in the one message slab |
 //! | `queues` slab | 28 | queued message | `active::MsgQueues`; freed slots are reused first |
-//! | `pkt_*`, `PktMeta` | 56 | packet slot | hot fields the sweeps touch, cold meta apart |
+//! | `pkt_*`, `PktMeta` | 64 | packet slot | hot fields the sweeps touch, cold meta apart |
 //!
 //! A packet's slot index is stable for its lifetime and freed slots are
 //! recycled through a free list, so no RNG-visible ordering depends on
-//! the layout. The arrays stay parallel on purpose: the sweeps walk each
-//! rank in ascending channel id, so they stream, and one interleaved
+//! the layout. The arrays stay parallel on purpose: the sweeps walk them
+//! in ascending plane order, so they stream, and one interleaved
 //! 32-byte record per lane measured slower (ROADMAP item 3).
 //!
 //! # Determinism contract
@@ -164,7 +164,7 @@
 //! warmup-generated packets that land inside the window are excluded,
 //! just as their latencies are.
 
-use crate::active::{refill, trim, DenseBitSet, LaneBufs, MsgQueues, QueuedMsg, SetBits};
+use crate::active::{refill, trim, DenseBitSet, LaneBufs, MsgQueues, QueuedMsg};
 use crate::config::{EngineConfig, SimReport, TransmitOrder};
 use crate::error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 use crate::fault::CompiledFaults;
@@ -173,7 +173,9 @@ use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::{find_cycle, RouteTable};
 use minnet_switch::{Arbiter, ArbiterKind, Crossbar};
-use minnet_topology::{ChannelId, Endpoint, FaultPlan, Geometry, NetworkGraph, Side};
+use minnet_topology::{
+    ChannelId, Endpoint, FaultPlan, Geometry, LevelPositions, NetworkGraph, Side,
+};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -187,20 +189,21 @@ const NONE: u32 = u32::MAX;
 /// [`Engine::move_flit`] feedback: "no lane ahead of the cursor changed
 /// readiness" (the move pulled from a source).
 const NO_FEEDBACK: u32 = u32::MAX;
-/// Feedback low bits: the popped upstream lane's plane index. Bit 31
-/// carries its recomputed ready state; [`check_index_range`] keeps plane
-/// indices below 2³¹.
+/// Feedback low bits: the popped upstream lane's plane. Bit 31 carries
+/// its recomputed ready state; [`check_index_range`] keeps planes below
+/// 2³¹.
 const PLANE_MASK: u32 = 0x7FFF_FFFF;
 /// Where a lane's next flit comes from, as one `lane_upstream` word: bit
-/// 31 clear = the buffer of that lane; [`NONE`] = exhausted (the tail is
-/// already buffered here, or the lane is free); else `UP_SOURCE | node` =
-/// that node's source queue. Readers test in that order — two plain
-/// branches; decoding into an enum first cost the `vcs == 1` kernel 3–5 %.
+/// 31 clear = the buffer of the lane at that plane; [`NONE`] = exhausted
+/// (the tail is already buffered here, or the lane is free); else
+/// `UP_SOURCE | node` = that node's source queue. Readers test in that
+/// order — two plain branches; decoding into an enum first cost the
+/// `vcs == 1` kernel 3–5 %.
 const UP_SOURCE: u32 = 1 << 31;
 
-/// The index ranges the packed words rest on: plane indices (bit 31 of the
-/// transmit feedback is a flag) and lane / node ids (bit 31 of a
-/// `lane_upstream` word is a tag) must all stay below 2³¹.
+/// The index ranges the packed words rest on: planes (bit 31 of the
+/// transmit feedback is a flag, bit 31 of a `lane_upstream` word a tag)
+/// and node ids (which share that word) must all stay below 2³¹.
 fn check_index_range(channels: usize, vcs: u8, nodes: u32) -> Result<(), SimError> {
     let planes = (channels as u64) << vcs_shift(vcs);
     if planes >= 1 << 31 || nodes >= 1 << 31 {
@@ -226,6 +229,15 @@ struct PktMeta {
     measured: bool,
     /// Script/chain index (NONE for Poisson traffic).
     tag: u32,
+}
+
+/// A header's cached routing decision: the bounds of its candidates in
+/// `RouteTable::pool`, and where their level sits in the transmit order.
+#[derive(Clone, Copy, Debug)]
+struct Cands {
+    lo: u32,
+    hi: u32,
+    at: LevelPositions,
 }
 
 /// A message injected at a fixed time — deterministic test workloads.
@@ -419,10 +431,9 @@ enum Req {
     Advance(u32),
 }
 
-/// The network- and config-derived constants of a run: transmit order,
-/// its inverse, the ejection mask, and the routing table — built
-/// **once**, immutable, and shared across every run (and thread) of a
-/// sweep.
+/// The network- and config-derived constants of a run: the ejection
+/// mask and the routing table — built **once**, immutable, and shared
+/// across every run (and thread) of a sweep.
 ///
 /// A `CompiledNet` plus a (resettable) [`EngineState`] plus a traffic
 /// source is one simulation run; see the module header's
@@ -434,22 +445,8 @@ pub struct CompiledNet {
     net: Arc<NetworkGraph>,
     cfg: EngineConfig,
     routes: RouteTable,
-    sweep: SweepOrder,
-}
-
-/// The transmit order and what the sweeps derive from it — the non-table
-/// part of compilation.
-#[derive(Clone, Debug)]
-struct SweepOrder {
-    /// Channels in [`TransmitOrder::BuildOrder`]; `None` under
-    /// [`TransmitOrder::ReverseTopo`], whose order the graph already
-    /// memoises (see [`SweepOrder::order`]).
-    build_order: Option<Vec<ChannelId>>,
-    dst_is_node: Vec<bool>,
-    /// Plane index per lane (`ch * vcs + vc`): `(pos << vcs_shift) | vc`
-    /// with `pos` the channel's position in `order`, tabulated so the hot
-    /// loop never divides by a lane count that need not be a power of two.
-    lane_plane: Vec<u32>,
+    /// Bit `plane` ⟺ the lane's channel ends at a node.
+    eject: DenseBitSet,
 }
 
 /// `log2` of the plane-group width: `vcs` rounded up to a power of two,
@@ -459,43 +456,67 @@ fn vcs_shift(vcs: u8) -> u32 {
     u32::from(vcs).next_power_of_two().trailing_zeros()
 }
 
-impl SweepOrder {
-    fn new(net: &NetworkGraph, cfg: &EngineConfig) -> SweepOrder {
-        let nch = net.num_channels();
-        let build_order = match cfg.transmit_order {
-            TransmitOrder::ReverseTopo => None,
-            TransmitOrder::BuildOrder => Some((0..nch as u32).collect()),
-        };
-        let order = build_order.as_deref().unwrap_or(net.transmit_order());
-        // Exactly the per-node ejection channels (`NetworkGraph::validate`).
-        let mut dst_is_node = vec![false; nch];
-        for &c in net.ejects() {
-            dst_is_node[c as usize] = true;
-        }
-        let (vcs, shift) = (cfg.vcs as usize, vcs_shift(cfg.vcs));
-        let mut lane_plane = vec![0u32; nch * vcs];
-        for (pos, &ch) in order.iter().enumerate() {
-            for (vc, plane) in lane_plane[ch as usize * vcs..][..vcs].iter_mut().enumerate() {
-                *plane = ((pos as u32) << shift) | vc as u32;
-            }
-        }
-        SweepOrder {
-            build_order,
-            dst_is_node,
-            lane_plane,
+/// The engine's one index space. A lane's **plane** is `(pos << shift) |
+/// vc`: `pos` its channel's place in the transmit order (a closed form of
+/// the id, [`NetworkGraph::position`]; the id itself under
+/// [`TransmitOrder::BuildOrder`]), `1 << shift` the lane-group width —
+/// at a `vcs` not a power of two the group's top planes belong to no lane.
+/// Every per-lane array and mask is indexed by plane and every lane word
+/// holds one, so the sweeps translate nothing; an id becomes a plane where
+/// a claim gathers its candidates, a plane an id only where a route is
+/// looked up or on cold paths (traces, diagnostics, audits).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Planes<'a> {
+    net: &'a NetworkGraph,
+    order: TransmitOrder,
+    pub(crate) vcs: u8,
+    shift: u32,
+}
+
+impl<'a> Planes<'a> {
+    pub(crate) fn new(net: &'a NetworkGraph, cfg: &EngineConfig) -> Planes<'a> {
+        Planes {
+            net,
+            order: cfg.transmit_order,
+            vcs: cfg.vcs,
+            shift: vcs_shift(cfg.vcs),
         }
     }
 
-    /// Channels in transmit order: the owned build order, or `net`'s
-    /// memoised reverse-topological slice.
-    fn order<'a>(&'a self, net: &'a NetworkGraph) -> &'a [ChannelId] {
-        self.build_order.as_deref().unwrap_or(net.transmit_order())
+    /// Number of planes: one group per channel.
+    pub(crate) fn count(self) -> usize {
+        self.net.num_channels() << self.shift
+    }
+
+    /// The id → position map shared by the channels of `ch`'s level and
+    /// direction — every candidate of one routing decision.
+    #[inline]
+    fn level(self, ch: ChannelId) -> LevelPositions {
+        match self.order {
+            TransmitOrder::ReverseTopo => self.net.level_positions(ch),
+            TransmitOrder::BuildOrder => LevelPositions::default(),
+        }
+    }
+
+    /// The plane of lane `vc` of channel `ch`.
+    #[inline]
+    pub(crate) fn of(self, ch: ChannelId, vc: u32) -> u32 {
+        (self.level(ch).of(ch) << self.shift) | vc
+    }
+
+    /// The channel the lane at plane `pl` belongs to.
+    #[inline]
+    fn channel(self, pl: u32) -> ChannelId {
+        match self.order {
+            TransmitOrder::ReverseTopo => self.net.channel_at(pl >> self.shift),
+            TransmitOrder::BuildOrder => pl >> self.shift,
+        }
     }
 }
 
 impl CompiledNet {
-    /// Compile `net` under `cfg`: validate the configuration, fix the
-    /// transmit order, and build the routing table — at every size; the
+    /// Compile `net` under `cfg`: validate the configuration, mark the
+    /// ejection planes, and build the routing table — at every size; the
     /// table is `O(stages × nodes)` bytes (see [`RouteTable`]).
     ///
     /// # Errors
@@ -506,12 +527,17 @@ impl CompiledNet {
         cfg.validate()?;
         check_index_range(net.num_channels(), cfg.vcs, net.geometry.nodes())?;
         let routes = RouteTable::build(&net).map_err(SimError::Routing)?;
-        let sweep = SweepOrder::new(&net, &cfg);
+        let planes = Planes::new(&net, &cfg);
+        let mut eject = DenseBitSet::with_capacity(planes.count());
+        // Exactly the per-node ejection channels (`NetworkGraph::validate`).
+        for &c in net.ejects() {
+            (0..cfg.vcs).for_each(|vc| eject.set(planes.of(c, vc.into())));
+        }
         Ok(CompiledNet {
             net,
             cfg,
             routes,
-            sweep,
+            eject,
         })
     }
 
@@ -555,7 +581,7 @@ impl CompiledNet {
                 self.net.geometry.nodes(),
             )));
         }
-        CompiledFaults::compile(&self.net, &self.routes, plan, self.cfg.vcs)
+        CompiledFaults::compile(&self.net, &self.routes, plan, Planes::new(&self.net, &self.cfg))
     }
 
     /// Expand a [`crate::chaos::ChaosSchedule`] against this network with
@@ -956,17 +982,17 @@ impl<'a> FleetSource<'a> {
 /// reports.
 #[derive(Debug)]
 pub struct EngineState {
-    // Lane state, parallel dense arrays indexed by lane (byte table in
-    // the module header).
+    // Lane state, parallel dense arrays indexed by plane (byte table in
+    // the module header; [`Planes`] is the index space).
     lane_owner: Vec<u32>,
     /// Packed upstream words (see [`UP_SOURCE`]).
     lane_upstream: Vec<u32>,
     lane_bufs: LaneBufs,
-    /// Inverse of `lane_upstream` along a worm's chain: the lane that
-    /// consumes lane `li`'s buffer, or `NONE` while `li` is the head.
-    /// Only valid while `li` is owned; reset on claim.
+    /// Inverse of `lane_upstream` along a worm's chain: the plane of the
+    /// lane that consumes this lane's buffer; `NONE` at the head, and on
+    /// every free lane.
     lane_downstream: Vec<u32>,
-    /// Per channel, the VC that transmitted last (the policy is
+    /// Per channel position, the VC that transmitted last (the policy is
     /// `cfg.vc_mux`). Dimensioned only when `vcs > 1`.
     mux_last: Vec<u8>,
     // Packet state, struct-of-arrays by slot: the hot fields the sweeps
@@ -977,12 +1003,11 @@ pub struct EngineState {
     /// Destination node, duplicated out of `PktMeta` so the allocate
     /// phase's per-request routing lookup stays off the cold array.
     pkt_dst: Vec<u32>,
-    /// Cache of the head's `RouteTable::candidate_range` bounds,
-    /// refreshed whenever the head advances. A blocked worm re-requests
-    /// every cycle; resolving the cached bounds skips the `(at, dst)`
-    /// lookup's chain of dependent loads. Only maintained and read on
-    /// the fault-free path (`(0, 0)` placeholder otherwise).
-    pkt_cand: Vec<(u32, u32)>,
+    /// Cache of the head's routing decision ([`Cands`]), refreshed whenever
+    /// the head advances. A blocked worm re-requests every cycle; the
+    /// cached entry skips the `(at, dst)` lookup's chain of dependent
+    /// loads and the level arithmetic. Fault-free path only.
+    pkt_cand: Vec<Cands>,
     pkt_delivered: Vec<u32>,
     /// Index of the slot in `active` while the packet is in flight, so
     /// retirement is O(1).
@@ -1010,10 +1035,8 @@ pub struct EngineState {
     releases: BinaryHeap<Reverse<(u64, u32)>>,
     /// Bit `n` ⟺ source `n` has a queued message and an idle injector.
     injectable: DenseBitSet,
-    // Lane masks (see the module header). All four are indexed by
-    // **plane** — `(sweep position << vcs_shift) | vc` — so ascending bit
-    // order *is* the transmit sweep order and a channel's lanes share one
-    // aligned bit group.
+    // Lane masks (see the module header), indexed by plane like the lane
+    // arrays: ascending bit order *is* the transmit sweep order.
     /// Bit `plane` ⟺ the lane is owned by a worm.
     k_owned: DenseBitSet,
     /// Bit `plane` ⟺ the lane's upstream input is available (a source
@@ -1025,11 +1048,11 @@ pub struct EngineState {
     /// no separate ejection mask: `eject ∨ ¬full` ≡ `¬full`.
     k_full: DenseBitSet,
     /// Bit `plane` ⟺ the lane is dead in the current fault epoch
-    /// (rebuilt at epoch boundaries from `CompiledEpoch::dead_lane_words`).
+    /// (loaded at epoch boundaries from `CompiledEpoch::dead_planes`).
     k_dead: DenseBitSet,
     /// Bit `p` (a packet slot) ⟺ packet `p`'s head lane is off the
-    /// ejection channel **and** its buffer's front flit is `p`'s header —
-    /// exactly the reference allocate phase's advance-request predicate.
+    /// ejection channel **and** buffers `p`'s header — exactly the
+    /// reference allocate phase's advance-request predicate.
     k_advance: DenseBitSet,
     /// Messages sitting in source queues, across all sources.
     queued_msgs: u64,
@@ -1139,13 +1162,13 @@ impl EngineState {
             &self.injectable, &self.k_owned, &self.k_has_input, &self.k_full, &self.k_dead,
             &self.k_advance,
         ];
-        let u64s = self.pkt_cand.capacity() + self.src_next_arrival.capacity()
-            + self.util.capacity() + self.reqs.capacity();
+        let u64s = self.src_next_arrival.capacity() + self.util.capacity() + self.reqs.capacity();
         std::mem::size_of::<Self>()
             + u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
             + masks.iter().map(|m| m.approx_bytes()).sum::<usize>()
             + self.lane_bufs.approx_bytes() + self.queues.approx_bytes() + self.mux_last.capacity()
             + u64s * 8
+            + self.pkt_cand.capacity() * std::mem::size_of::<Cands>()
             + self.pkt_meta.capacity() * std::mem::size_of::<PktMeta>()
             + (self.arrivals.capacity() + self.releases.capacity()) * 16
     }
@@ -1155,7 +1178,6 @@ impl EngineState {
     /// `deterministic` enables the per-message delivery log (finite
     /// scripted/chained runs).
     fn reset(&mut self, net: &NetworkGraph, cfg: &EngineConfig, seed: u64, deterministic: bool) {
-        let vcs = cfg.vcs as usize;
         let nch = net.num_channels();
         let n_nodes = net.geometry.nodes() as usize;
 
@@ -1165,12 +1187,12 @@ impl EngineState {
         // shrink rule): per-lane and per-node arrays at their new size, the
         // ones a run grows — packet slots, heaps, scratch — against the
         // node count they scale with.
-        let want_lanes = nch * vcs;
+        let want_lanes = Planes::new(net, cfg).count();
         refill(&mut self.lane_owner, want_lanes, NONE);
         refill(&mut self.lane_upstream, want_lanes, NONE);
         self.lane_bufs.reset(want_lanes, cfg.buffer_depth);
         refill(&mut self.lane_downstream, want_lanes, NONE);
-        refill(&mut self.mux_last, if vcs > 1 { nch } else { 0 }, 0);
+        refill(&mut self.mux_last, if cfg.vcs > 1 { nch } else { 0 }, 0);
 
         for v in [
             &mut self.pkt_head_lane, &mut self.pkt_sent, &mut self.pkt_len, &mut self.pkt_dst,
@@ -1291,19 +1313,14 @@ struct Engine<'a> {
     /// `routes.pool()`, fetched once: what the cached `pkt_cand` bounds
     /// index on the fault-free path.
     pool: &'a [ChannelId],
-    order: &'a [ChannelId],
-    dst_is_node: &'a [bool],
-    lane_plane: &'a [u32],
-    vcs: usize,
+    planes: Planes<'a>,
+    eject: &'a DenseBitSet,
     traffic: Traffic<'a>,
     /// Active fault schedule; `None` is the fault-free fast path (trivial
     /// schedules are normalized to `None` in `prepare_engine`).
     faults: Option<&'a CompiledFaults>,
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
-    /// [`vcs_shift`] of this run: plane index =
-    /// `(sweep position << vcs_shift) | vc`.
-    vcs_shift: u32,
     st: &'a mut EngineState,
 }
 
@@ -1322,7 +1339,7 @@ fn prepare_engine<'a>(
         net,
         cfg,
         routes,
-        sweep,
+        eject,
     } = compiled;
     // A trivial schedule (no epoch kills any lane) is indistinguishable
     // from no schedule; normalizing it to `None` here *guarantees* the
@@ -1361,14 +1378,11 @@ fn prepare_engine<'a>(
         cfg,
         routes,
         pool: routes.pool(),
-        order: sweep.order(net),
-        dst_is_node: &sweep.dst_is_node,
-        lane_plane: &sweep.lane_plane,
-        vcs: cfg.vcs as usize,
+        planes: Planes::new(net, cfg),
+        eject,
         traffic,
         faults,
         epoch: 0,
-        vcs_shift: vcs_shift(cfg.vcs),
         st,
     };
     e.init_kernel_masks();
@@ -1381,30 +1395,14 @@ impl<'a> Engine<'a> {
         self.st.now >= self.cfg.warmup
     }
 
-    /// In-code of an input channel at its destination switch, for crossbar
-    /// validation.
-    fn in_code(&self, ch: ChannelId) -> Result<(u32, u8), SimError> {
+    /// The switch channel `ch` enters (`input`) or leaves, and its port
+    /// code there, for crossbar validation.
+    fn xbar_code(&self, ch: ChannelId, input: bool) -> Result<(u32, u8), SimError> {
         let c = self.net.channel(ch);
-        match c.dst {
-            Endpoint::Switch { sw, side, port } => {
-                let code = self.port_code(side, port, c.lane);
-                Ok((sw, code))
-            }
+        match if input { c.dst } else { c.src } {
+            Endpoint::Switch { sw, side, port } => Ok((sw, self.port_code(side, port, c.lane))),
             Endpoint::Node(_) => Err(SimError::Internal {
-                what: "in_code of an ejection channel",
-            }),
-        }
-    }
-
-    fn out_code(&self, ch: ChannelId) -> Result<(u32, u8), SimError> {
-        let c = self.net.channel(ch);
-        match c.src {
-            Endpoint::Switch { sw, side, port } => {
-                let code = self.port_code(side, port, c.lane);
-                Ok((sw, code))
-            }
-            Endpoint::Node(_) => Err(SimError::Internal {
-                what: "out_code of an injection channel",
+                what: "crossbar code of a channel's node end",
             }),
         }
     }
@@ -1423,49 +1421,19 @@ impl<'a> Engine<'a> {
 
     // ---- plane masks --------------------------------------------------
 
-    /// Plane index of lane `li`: the lane's channel mapped to its
-    /// transmit-order position, with the VC bits kept in the low end —
-    /// `(sweep position << vcs_shift) | vc`. Ascending plane order is
-    /// ascending sweep-position order, and (the group width `1 <<
-    /// vcs_shift` being a power of two ≤ 64) a channel's lanes form one
-    /// aligned group inside a single mask word. When `vcs` is not a
-    /// power of two the group's top planes belong to no lane and their
-    /// bits are never set.
-    #[inline]
-    fn plane(&self, li: usize) -> u32 {
-        self.lane_plane[li]
-    }
-
-    /// Number of plane bits: one group per channel.
-    fn planes(&self) -> usize {
-        self.net.num_channels() << self.vcs_shift
-    }
-
     /// Dimension and seed the plane masks for a fresh run: everything
     /// empty except the epoch-0 dead mask.
     fn init_kernel_masks(&mut self) {
-        let planes = self.planes();
+        let planes = self.planes.count();
         self.st.k_owned.reset(planes);
         self.st.k_has_input.reset(planes);
         self.st.k_full.reset(planes);
         // Grows with the slot table; starting at the node count (not 0)
         // keeps the shrink rule from freeing it on every same-sized rerun.
         self.st.k_advance.reset(self.net.geometry.nodes() as usize);
-        self.rebuild_dead_mask();
-    }
-
-    /// Rebuild the permuted dead-lane mask for the current fault epoch
-    /// from its packed `dead_lane_words` (set-bit iteration, so a sparse
-    /// epoch costs O(words + casualties), not O(lanes)).
-    fn rebuild_dead_mask(&mut self) {
-        self.st.k_dead.reset(self.planes());
+        self.st.k_dead.reset(planes);
         if let Some(f) = self.faults {
-            let ep = &f.epochs[self.epoch];
-            if ep.any_dead {
-                for li in SetBits::over(&ep.dead_lane_words) {
-                    self.st.k_dead.set(self.plane(li as usize));
-                }
-            }
+            self.st.k_dead.load(&f.epochs[self.epoch].dead_planes);
         }
     }
 
@@ -1473,44 +1441,51 @@ impl<'a> Engine<'a> {
     /// per-lane predicate it mirrors. Called periodically from the cycle
     /// loop in debug builds; incremental-maintenance bugs persist in the
     /// masks, so a sampled check still catches them.
+    /// It also holds what the flit-less buffers rest on ([`Self::move_flit`]):
+    /// a free or pad plane buffers nothing and links nowhere; a worm is one
+    /// chain, upstream and downstream words inverse, sweep positions
+    /// descending toward the head under the reverse-topological order.
     #[cfg(debug_assertions)]
     fn check_kernel_masks(&self) {
-        for ch in 0..self.net.num_channels() {
-            for vc in 0..self.vcs {
-                let li = ch * self.vcs + vc;
-                let pl = self.plane(li);
-                let owned = self.st.lane_owner[li] != NONE;
-                assert_eq!(self.st.k_owned.contains(pl), owned, "k_owned lane {li}");
-                let dead = self
-                    .faults
-                    .is_some_and(|f| f.epochs[self.epoch].dead_lane[li]);
-                assert_eq!(self.st.k_dead.contains(pl), dead, "k_dead lane {li}");
-                assert_eq!(
-                    self.st.k_full.contains(pl),
-                    self.st.lane_bufs.is_full(li),
-                    "k_full lane {li}"
-                );
-                assert_eq!(
-                    self.st.k_has_input.contains(pl),
-                    self.has_input(li),
-                    "k_has_input lane {li}"
-                );
-            }
+        let st = &*self.st;
+        for pl in 0..self.planes.count() as u32 {
+            let li = pl as usize;
+            let owned = st.lane_owner[li] != NONE;
+            assert_eq!(st.k_owned.contains(pl), owned, "k_owned plane {pl}");
+            assert_eq!(st.k_full.contains(pl), st.lane_bufs.is_full(li), "k_full plane {pl}");
+            assert_eq!(st.k_has_input.contains(pl), self.has_input(li), "k_has_input plane {pl}");
+            let unlinked = st.lane_upstream[li] == NONE && st.lane_downstream[li] == NONE;
+            assert!(owned || (st.lane_bufs.is_empty(li) && unlinked), "free plane {pl} holds state");
         }
-        for (i, &p) in self.st.active.iter().enumerate() {
-            assert_eq!(self.st.pkt_active_pos[p as usize], i as u32, "pkt_active_pos packet {p}");
-            let hl = self.st.pkt_head_lane[p as usize] as usize;
-            assert_eq!(self.st.lane_owner[hl], p, "head lane of packet {p}");
-            let want = !self.dst_is_node[hl / self.vcs] && self.st.lane_bufs.front(hl) == Some(0);
-            assert_eq!(self.st.k_advance.contains(p), want, "k_advance packet {p}");
+        let epoch = self.faults.map(|f| &f.epochs[self.epoch]);
+        for w in 0..st.k_dead.num_words() {
+            assert_eq!(st.k_dead.word(w), epoch.map_or(0, |ep| ep.dead_planes[w]), "k_dead word {w}");
+        }
+        let shift = self.planes.shift;
+        for (i, &p) in st.active.iter().enumerate() {
+            assert_eq!(st.pkt_active_pos[p as usize], i as u32, "pkt_active_pos packet {p}");
+            let head = st.pkt_head_lane[p as usize];
+            assert_eq!(st.lane_downstream[head as usize], NONE, "head of packet {p} feeds a lane");
+            let mut li = head;
+            loop {
+                assert_eq!(st.lane_owner[li as usize], p, "chain of packet {p} at plane {li}");
+                let up = st.lane_upstream[li as usize];
+                if up & UP_SOURCE != 0 {
+                    break;
+                }
+                assert_eq!(st.lane_downstream[up as usize], li, "chain of packet {p} at plane {up}");
+                let descends = up >> shift > li >> shift;
+                assert!(descends || self.cfg.transmit_order != TransmitOrder::ReverseTopo);
+                li = up;
+            }
+            let want = !self.eject.contains(head) && !st.lane_bufs.is_empty(head as usize);
+            assert_eq!(st.k_advance.contains(p), want, "k_advance packet {p}");
             if self.faults.is_none() {
-                let dst = self.st.pkt_dst[p as usize];
-                let (lo, hi) = self.st.pkt_cand[p as usize];
-                assert_eq!(
-                    &self.pool[lo as usize..hi as usize],
-                    self.routes.candidates((hl / self.vcs) as u32, dst),
-                    "pkt_cand packet {p}"
-                );
+                let Cands { lo, hi, at } = st.pkt_cand[p as usize];
+                let cands = &self.pool[lo as usize..hi as usize];
+                let at_ch = self.planes.channel(head);
+                assert_eq!(cands, self.routes.candidates(at_ch, st.pkt_dst[p as usize]));
+                assert!(cands.iter().all(|&c| self.planes.level(c) == at), "pkt_cand packet {p}");
             }
         }
     }
@@ -1613,38 +1588,27 @@ impl<'a> Engine<'a> {
         result
     }
 
-    /// Collect the free lanes of `cands` into the eligibility scratch.
-    /// `cands` must not alias engine state (it is a routing-table slice
-    /// or a local array). Under an active
-    /// fault schedule, dead lanes are never eligible.
-    fn gather_free(&mut self, cands: &[ChannelId]) {
+    /// Collect the planes of the free lanes of `cands` — channels of one
+    /// level and direction, `at` their map into the transmit order — into
+    /// the eligibility scratch: where channel ids enter plane space.
+    /// `cands` must not alias engine state (a routing-table slice or a
+    /// local array). Under a fault schedule, dead lanes are not eligible.
+    fn gather_free(&mut self, cands: &[ChannelId], at: LevelPositions) {
         self.st.elig.clear();
-        match self.faults {
-            None => {
-                for &ch in cands {
-                    for vc in 0..self.vcs {
-                        let li = ch as usize * self.vcs + vc;
-                        if self.st.lane_owner[li] == NONE {
-                            self.st.elig.push(li as u32);
-                        }
-                    }
-                }
-            }
-            Some(f) => {
-                let dead = &f.epochs[self.epoch].dead_lane;
-                for &ch in cands {
-                    for vc in 0..self.vcs {
-                        let li = ch as usize * self.vcs + vc;
-                        if self.st.lane_owner[li] == NONE && !dead[li] {
-                            self.st.elig.push(li as u32);
-                        }
-                    }
+        let (Planes { vcs, shift, .. }, faulted) = (self.planes, self.faults.is_some());
+        for &ch in cands {
+            let group = at.of(ch) << shift;
+            for pl in group..group + u32::from(vcs) {
+                if self.st.lane_owner[pl as usize] == NONE
+                    && !(faulted && self.st.k_dead.contains(pl))
+                {
+                    self.st.elig.push(pl);
                 }
             }
         }
     }
 
-    /// Claim one of the gathered free lanes for `owner`; returns the lane.
+    /// Claim one of the gathered free lanes for `owner`; returns its plane.
     fn claim_gathered(&mut self, owner: u32) -> Option<u32> {
         if self.st.elig.is_empty() {
             return None;
@@ -1655,8 +1619,7 @@ impl<'a> Engine<'a> {
             .pick_uncontested(self.st.elig.len(), &mut self.st.rng);
         let lane = self.st.elig[idx];
         self.st.lane_owner[lane as usize] = owner;
-        self.st.lane_downstream[lane as usize] = NONE;
-        self.st.k_owned.set(self.plane(lane as usize));
+        self.st.k_owned.set(lane);
         Some(lane)
     }
 
@@ -1702,7 +1665,7 @@ impl<'a> Engine<'a> {
         if !self.refuse_undeliverable(node, inj) {
             return Ok(());
         }
-        self.gather_free(&[inj]);
+        self.gather_free(&[inj], self.planes.level(inj));
         // Claim with a placeholder owner; fixed up after slot allocation.
         let Some(lane) = self.claim_gathered(NONE - 1) else {
             return Ok(());
@@ -1728,7 +1691,6 @@ impl<'a> Engine<'a> {
                 self.st.pkt_sent[si] = 0;
                 self.st.pkt_len[si] = msg.len;
                 self.st.pkt_dst[si] = msg.dst;
-                self.st.pkt_cand[si] = (0, 0);
                 self.st.pkt_delivered[si] = 0;
                 self.st.pkt_active_pos[si] = self.st.active.len() as u32;
                 self.st.pkt_meta[si] = meta;
@@ -1739,7 +1701,7 @@ impl<'a> Engine<'a> {
                 self.st.pkt_sent.push(0);
                 self.st.pkt_len.push(msg.len);
                 self.st.pkt_dst.push(msg.dst);
-                self.st.pkt_cand.push((0, 0));
+                self.st.pkt_cand.push(Cands { lo: 0, hi: 0, at: LevelPositions::default() });
                 self.st.pkt_delivered.push(0);
                 self.st.pkt_active_pos.push(self.st.active.len() as u32);
                 self.st.pkt_meta.push(meta);
@@ -1752,11 +1714,11 @@ impl<'a> Engine<'a> {
         // (`sent == 0 < len`); the fresh head lane's buffer is empty,
         // so no advance request until the header lands in it.
         debug_assert!(self.st.pkt_len[slot as usize] >= 1);
-        self.st.k_has_input.set(self.plane(lane as usize));
+        self.st.k_has_input.set(lane);
         self.st.k_advance.grow(self.st.pkt_meta.len());
         self.st.k_advance.clear(slot);
         if self.faults.is_none() {
-            self.st.pkt_cand[slot as usize] = self.routes.candidate_range(inj, msg.dst);
+            self.st.pkt_cand[slot as usize] = self.route(inj, msg.dst);
         }
         self.st.src_injecting[node as usize] = slot;
         self.st.active.push(slot);
@@ -1769,10 +1731,19 @@ impl<'a> Engine<'a> {
             tr.events.push(TraceEvent::Hop {
                 tag,
                 time: self.st.now,
-                channel: (lane as usize / self.vcs) as u32,
+                channel: inj,
             });
         }
         Ok(())
+    }
+
+    /// The routing decision of a header arriving over `at` for `dst`. The
+    /// ejection channel's empty range gets a placeholder map, never read
+    /// (no advance request is raised from an ejection-channel head).
+    fn route(&self, at: ChannelId, dst: u32) -> Cands {
+        let (lo, hi) = self.routes.candidate_range(at, dst);
+        let first = self.pool[lo as usize..hi as usize].first();
+        Cands { lo, hi, at: first.map_or(LevelPositions::default(), |&c| self.planes.level(c)) }
     }
 
     fn try_advance(&mut self, p: u32) -> Result<(), SimError> {
@@ -1781,13 +1752,13 @@ impl<'a> Engine<'a> {
         // (tracing wants `tag`).
         let dst = self.st.pkt_dst[p as usize];
         let at_lane = self.st.pkt_head_lane[p as usize];
-        let at_ch = (at_lane as usize / self.vcs) as u32;
         match self.faults {
             // Fault epochs route through the masked table: candidates
             // are live *and* deliverable.
             Some(f) => {
+                let at_ch = self.planes.channel(at_lane);
                 let cands = f.epochs[self.epoch].routes.candidates(at_ch, dst);
-                if cands.is_empty() {
+                let Some(&first) = cands.first() else {
                     // Disconnected mid-route: the current epoch left this
                     // worm no live continuation toward its destination.
                     // `advance_epoch` aborts such worms at the boundary
@@ -1799,21 +1770,21 @@ impl<'a> Engine<'a> {
                         self.abort_packet(p)?;
                     }
                     return Ok(());
-                }
-                self.gather_free(cands);
+                };
+                self.gather_free(cands, self.planes.level(first));
             }
             None => {
-                let (lo, hi) = self.st.pkt_cand[p as usize];
+                let Cands { lo, hi, at } = self.st.pkt_cand[p as usize];
                 let cands = &self.pool[lo as usize..hi as usize];
-                debug_assert_eq!(cands, self.routes.candidates(at_ch, dst));
                 debug_assert!(!cands.is_empty(), "advance request at the destination");
-                self.gather_free(cands);
+                self.gather_free(cands, at);
             }
         }
         let Some(lane) = self.claim_gathered(p) else {
             return Ok(()); // blocked; the worm holds its lanes and waits
         };
-        let new_ch = (lane as usize / self.vcs) as u32;
+        // The one id a hop needs: the new head's, to look its route up.
+        let new_ch = self.planes.channel(lane);
         self.st.lane_upstream[lane as usize] = at_lane;
         self.st.lane_downstream[at_lane as usize] = lane;
         self.st.pkt_head_lane[p as usize] = lane;
@@ -1821,14 +1792,11 @@ impl<'a> Engine<'a> {
         // front is the header), so the new head has input; its own empty
         // buffer holds no header yet.
         debug_assert!(!self.st.lane_bufs.is_empty(at_lane as usize));
-        self.st.k_has_input.set(self.plane(lane as usize));
+        self.st.k_has_input.set(lane);
         self.st.k_advance.clear(p);
-        // New head, new candidate cell: refresh the cached bounds once
-        // per hop. Reaching the destination stores the ejection channel's
-        // empty range, which is never read (no advance requests are
-        // raised from an ejection-channel head).
+        // New head, new candidate cell: refresh the cache once per hop.
         if self.faults.is_none() {
-            self.st.pkt_cand[p as usize] = self.routes.candidate_range(new_ch, dst);
+            self.st.pkt_cand[p as usize] = self.route(new_ch, dst);
         }
         if let Some(tr) = &mut self.st.trace {
             tr.events.push(TraceEvent::Hop {
@@ -1840,8 +1808,8 @@ impl<'a> Engine<'a> {
         if self.st.crossbars.is_none() {
             return Ok(());
         }
-        let (sw_in, code_in) = self.in_code(at_ch)?;
-        let (sw_out, code_out) = self.out_code(new_ch)?;
+        let (sw_in, code_in) = self.xbar_code(self.planes.channel(at_lane), true)?;
+        let (sw_out, code_out) = self.xbar_code(new_ch, false)?;
         debug_assert_eq!(sw_in, sw_out, "allocation must stay inside one switch");
         if let Some(xbars) = &mut self.st.crossbars {
             if xbars[sw_in as usize].connect(code_in, code_out).is_err() {
@@ -1882,7 +1850,7 @@ impl<'a> Engine<'a> {
     fn transmit(&mut self) -> Result<(), SimError> {
         let nw = self.st.k_owned.num_words();
         let faulted = self.faults.is_some();
-        match (self.cfg.transmit_order, self.vcs) {
+        match (self.cfg.transmit_order, self.planes.vcs) {
             (TransmitOrder::ReverseTopo, 1) => self.transmit_kernel_vc1_rt(nw, faulted),
             (TransmitOrder::ReverseTopo, _) => self.transmit_kernel_vcn_rt(nw, faulted),
             (TransmitOrder::BuildOrder, _) => self.transmit_kernel_reread(nw, faulted),
@@ -1900,10 +1868,11 @@ impl<'a> Engine<'a> {
     /// With `vcs == 1` a group is one bit and there is no mux state: over
     /// a single lane both policies pick VC 0 and leave `last` at 0.
     fn transmit_kernel_reread(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
-        let vcs = self.vcs;
-        let gw = 1u32 << self.vcs_shift;
+        let Planes { vcs, shift, .. } = self.planes;
+        let gw = 1u32 << shift;
         let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
+            let eject = self.eject.word(w);
             // Groups at or below the last-served one of this word are
             // behind the cursor; mask them off on each re-read.
             let mut behind: u64 = 0;
@@ -1922,12 +1891,10 @@ impl<'a> Engine<'a> {
                 let group = (ready >> g0) & gmask;
                 let hi = g0 + gw;
                 behind = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
-                let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
-                let ch = self.order[pos as usize];
-                let vc = if vcs == 1 { 0 } else { self.mux_select(ch, group)? };
-                let li = ch as usize * vcs + vc;
-                debug_assert!(self.lane_ready(li, ch));
-                self.move_flit(ch, li, (w * 64) as u32 + g0 + vc as u32)?;
+                let base = (w * 64) as u32 + g0;
+                let vc = if vcs == 1 { 0 } else { self.mux_select(base >> shift, group)? };
+                debug_assert!(self.lane_ready(base + vc));
+                self.move_flit(base + vc, eject >> g0 & 1 != 0)?;
             }
         }
         Ok(())
@@ -1953,13 +1920,13 @@ impl<'a> Engine<'a> {
             if faulted {
                 ready &= !self.st.k_dead.word(w);
             }
+            let eject = self.eject.word(w);
             while ready != 0 {
                 let b = ready.trailing_zeros();
                 ready &= ready - 1;
                 let pl = (w * 64) as u32 + b;
-                let ch = self.order[pl as usize];
-                debug_assert!(self.lane_ready(ch as usize, ch));
-                let fb = self.move_flit(ch, ch as usize, pl)?;
+                debug_assert!(self.lane_ready(pl));
+                let fb = self.move_flit(pl, eject >> b & 1 != 0)?;
                 if fb != NO_FEEDBACK && (fb & PLANE_MASK) >> 6 == w as u32 {
                     debug_assert!(fb & PLANE_MASK > pl, "upstream behind the cursor");
                     let bit = 1u64 << (fb & 63);
@@ -1981,8 +1948,8 @@ impl<'a> Engine<'a> {
     /// belongs to a strictly-upstream *channel*, so its plane lands in a
     /// strictly later group than the one just consumed.
     fn transmit_kernel_vcn_rt(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
-        let vcs = self.vcs;
-        let gw = 1u32 << self.vcs_shift;
+        let shift = self.planes.shift;
+        let gw = 1u32 << shift;
         let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
             let mut ready =
@@ -1990,18 +1957,17 @@ impl<'a> Engine<'a> {
             if faulted {
                 ready &= !self.st.k_dead.word(w);
             }
+            let eject = self.eject.word(w);
             while ready != 0 {
                 let b = ready.trailing_zeros();
                 let g0 = b & !(gw - 1);
                 let group = (ready >> g0) & gmask;
                 ready &= !(gmask << g0);
-                let pos = ((w * 64) as u32 + g0) >> self.vcs_shift;
-                let ch = self.order[pos as usize];
-                let vc = self.mux_select(ch, group)?;
-                let fb =
-                    self.move_flit(ch, ch as usize * vcs + vc, (w * 64) as u32 + g0 + vc as u32)?;
+                let base = (w * 64) as u32 + g0;
+                let vc = self.mux_select(base >> shift, group)?;
+                let fb = self.move_flit(base + vc, eject >> g0 & 1 != 0)?;
                 if fb != NO_FEEDBACK && (fb & PLANE_MASK) >> 6 == w as u32 {
-                    debug_assert!(fb & PLANE_MASK > (w * 64) as u32 + g0 + gw - 1);
+                    debug_assert!(fb & PLANE_MASK > base + gw - 1);
                     let bit = 1u64 << (fb & 63);
                     if fb >> 31 != 0 {
                         ready |= bit;
@@ -2014,37 +1980,29 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The VC multiplexer of channel `ch` (`vcs > 1`): pick among the
-    /// group's ready lanes — bit `vc` of `group` — and remember the winner.
+    /// The VC multiplexer of the channel at sweep position `pos` (`vcs >
+    /// 1`): pick among the group's ready lanes — bit `vc` of `group` — and
+    /// remember the winner.
     #[inline]
-    fn mux_select(&mut self, ch: ChannelId, group: u64) -> Result<usize, SimError> {
-        let last = &mut self.st.mux_last[ch as usize];
-        match self.cfg.vc_mux.select_mask(last, group, self.vcs as u32) {
-            Some(vc) => Ok(vc as usize),
-            None => Err(SimError::Internal {
-                what: "a ready lane must be selectable",
-            }),
-        }
+    fn mux_select(&mut self, pos: u32, group: u64) -> Result<u32, SimError> {
+        let last = &mut self.st.mux_last[pos as usize];
+        let vc = self.cfg.vc_mux.select_mask(last, group, self.planes.vcs.into());
+        vc.ok_or(SimError::Internal { what: "a ready lane must be selectable" })
     }
 
     /// The per-lane readiness predicate, as the reference engine
     /// evaluates it; the sweeps debug-assert it of every lane they serve.
     #[inline]
-    fn lane_ready(&self, li: usize, ch: ChannelId) -> bool {
-        let owner = self.st.lane_owner[li];
-        if owner == NONE {
-            return false;
-        }
+    fn lane_ready(&self, pl: u32) -> bool {
+        let li = pl as usize;
         // A dead lane transmits nothing. With `fault_abort` on, owned
         // lanes are never dead (casualties are aborted at the epoch
         // boundary); this check matters for the wedge-the-network test
-        // knob and costs one predictable branch on the fault-free path.
-        if let Some(f) = self.faults {
-            if f.epochs[self.epoch].dead_lane[li] {
-                return false;
-            }
-        }
-        self.has_input(li) && (self.dst_is_node[ch as usize] || !self.st.lane_bufs.is_full(li))
+        // knob. (`k_dead` is identically zero without a fault plan.)
+        self.st.lane_owner[li] != NONE
+            && !self.st.k_dead.contains(pl)
+            && self.has_input(li)
+            && (self.eject.contains(pl) || !self.st.lane_bufs.is_full(li))
     }
 
     /// Whether lane `li`'s upstream can supply a flit — the predicate the
@@ -2058,53 +2016,55 @@ impl<'a> Engine<'a> {
         up != NONE && self.st.pkt_sent[p] < self.st.pkt_len[p]
     }
 
-    /// Move one flit across `ch` into lane `li`. `pl` is `li`'s plane
-    /// index — the sweep already knows it (it *is* the bit position just
-    /// served), so passing it down spares the mask maintenance a table
-    /// lookup per touch of `li`'s own bits.
+    /// Move one flit into the lane at plane `pl` — the bit the sweep just
+    /// served, and the lane's index in every array; `eject`: whether its
+    /// channel ends at a node.
+    ///
+    /// No flit is stored: a lane buffers a run of its owner's flits, in
+    /// order, so the one moving is the **tail** iff nothing can follow it
+    /// — it left a source that has now sent the whole packet, or emptied
+    /// an upstream lane that is itself exhausted — and the **header** iff
+    /// nothing went before it: it lands in an empty lane no downstream
+    /// lane has yet drawn from, which is the worm's head.
     ///
     /// Returns the cursor-patch feedback the reverse-topological kernels
     /// consume: [`NO_FEEDBACK`], or the popped upstream lane's plane in
     /// the low bits with its recomputed ready state in bit 31. The
     /// re-reading loop discards it.
     #[inline]
-    fn move_flit(&mut self, ch: ChannelId, li: usize, pl: u32) -> Result<u32, SimError> {
-        debug_assert_eq!(pl, self.plane(li));
+    fn move_flit(&mut self, pl: u32, eject: bool) -> Result<u32, SimError> {
+        let li = pl as usize;
         let p = self.st.lane_owner[li];
         let up = self.st.lane_upstream[li];
         let pi = p as usize;
-        let len = self.st.pkt_len[pi];
         let mut fb = NO_FEEDBACK;
-        // The flit is its index within the packet; the packet is `p`, the
-        // lane's owner, on either side of the move.
-        let index = if up & UP_SOURCE == 0 {
-            let Some(f) = self.st.lane_bufs.pop(up as usize) else {
+        let is_tail = if up & UP_SOURCE == 0 {
+            if !self.st.lane_bufs.pop(up as usize) {
                 return Err(SimError::Internal {
                     what: "ready lane lost its upstream flit",
                 });
-            };
+            }
             debug_assert_eq!(self.st.lane_owner[up as usize], p, "foreign upstream lane");
             // The pop leaves `up`'s buffer non-full; if it also drained
             // it, this lane's input is gone.
-            fb = self.plane(up as usize);
-            self.st.k_full.clear(fb);
-            if self.st.lane_bufs.is_empty(up as usize) {
+            fb = up;
+            self.st.k_full.clear(up);
+            let drained = self.st.lane_bufs.is_empty(up as usize);
+            if drained {
                 self.st.k_has_input.clear(pl);
             }
-            f
+            drained && self.st.lane_upstream[up as usize] == NONE
         } else if up != NONE {
             let node = up & !UP_SOURCE;
-            let f = self.st.pkt_sent[pi];
             self.st.pkt_sent[pi] += 1;
-            if self.st.pkt_sent[pi] == len {
+            let sent_all = self.st.pkt_sent[pi] == self.st.pkt_len[pi];
+            if sent_all {
                 self.st.src_injecting[node as usize] = NONE;
-                self.st.lane_upstream[li] = NONE;
-                self.st.k_has_input.clear(pl);
                 if self.st.queues.front(node).is_some() {
                     self.st.injectable.set(node);
                 }
             }
-            f
+            sent_all
         } else {
             return Err(SimError::Internal {
                 what: "exhausted lanes are never ready",
@@ -2112,9 +2072,8 @@ impl<'a> Engine<'a> {
         };
         self.st.moved += 1;
         if !self.st.util.is_empty() && self.measuring() {
-            self.st.util[ch as usize] += 1;
+            self.st.util[li >> self.planes.shift] += 1;
         }
-        let is_tail = index + 1 == len;
         if is_tail {
             if up & UP_SOURCE == 0 {
                 self.release_lane(up);
@@ -2122,7 +2081,7 @@ impl<'a> Engine<'a> {
             self.st.lane_upstream[li] = NONE;
             self.st.k_has_input.clear(pl);
         }
-        if self.dst_is_node[ch as usize] {
+        if eject {
             // The cold packet meta is only needed on the ejection path
             // (delivery accounting and completion); deferring the load
             // here keeps the ~80% of moves that just forward a flit off
@@ -2138,10 +2097,10 @@ impl<'a> Engine<'a> {
                 self.st.delivered_flits += 1;
             }
             if is_tail {
-                self.release_lane(li as u32);
-                self.complete_packet(p, gen_time, measured, len)?;
+                self.release_lane(pl);
+                self.complete_packet(p, gen_time, measured)?;
             }
-        } else if self.st.lane_bufs.push(li, index) {
+        } else if let Some(buffered) = self.st.lane_bufs.push(li) {
             if self.st.lane_bufs.is_full(li) {
                 self.st.k_full.set(pl);
             }
@@ -2149,15 +2108,14 @@ impl<'a> Engine<'a> {
             // lane that pulls from `li` (if the worm has advanced past it).
             let d = self.st.lane_downstream[li];
             if d != NONE {
-                self.st.k_has_input.set(self.plane(d as usize));
-            }
-            if index == 0 {
-                // A header flit only ever lands in the worm's current
+                self.st.k_has_input.set(d);
+            } else if buffered == 1 {
+                // The header: it only ever lands in the worm's current
                 // head lane (the downstream consumer that pops it exists
                 // only after a later claim moves the head), so this push
                 // is exactly the advance-request-becomes-true event — and
                 // this branch never runs for the ejection channel.
-                debug_assert_eq!(self.st.pkt_head_lane[pi], li as u32);
+                debug_assert_eq!(self.st.pkt_head_lane[pi], pl);
                 self.st.k_advance.set(p);
             }
         } else {
@@ -2190,37 +2148,24 @@ impl<'a> Engine<'a> {
         debug_assert_ne!(self.st.lane_owner[li as usize], NONE, "double lane release");
         self.st.lane_owner[li as usize] = NONE;
         self.st.lane_upstream[li as usize] = NONE;
-        let pl = self.plane(li as usize);
-        self.st.k_owned.clear(pl);
-        self.st.k_has_input.clear(pl);
+        self.st.lane_downstream[li as usize] = NONE;
+        self.st.k_owned.clear(li);
+        self.st.k_has_input.clear(li);
         // `k_full` needs no touch: the buffer is empty (asserted above),
         // so the last pop already cleared it.
-        if let Some(xbars) = &mut self.st.crossbars {
-            let c = self.net.channel((li as usize / self.vcs) as u32);
-            if let Endpoint::Switch { sw, side, port } = c.dst {
-                let code = if self.net.kind.is_bidirectional() {
-                    let k = self.net.geometry.k() as u8;
-                    match side {
-                        Side::Left => port,
-                        Side::Right => k + port,
-                    }
-                } else {
-                    port * self.net.kind.dilation() + c.lane
-                };
-                // The connection exists only if the worm had advanced past
-                // this switch; release is a no-op otherwise.
-                let _ = xbars[sw as usize].release_input(code);
-            }
+        if self.st.crossbars.is_none() {
+            return;
+        }
+        // An ejection lane enters no switch, and the connection exists only
+        // if the worm had advanced past this one; else release is a no-op.
+        if let (Ok((sw, code)), Some(xbars)) =
+            (self.xbar_code(self.planes.channel(li), true), &mut self.st.crossbars)
+        {
+            let _ = xbars[sw as usize].release_input(code);
         }
     }
 
-    fn complete_packet(
-        &mut self,
-        p: u32,
-        gen_time: u64,
-        measured: bool,
-        len: u32,
-    ) -> Result<(), SimError> {
+    fn complete_packet(&mut self, p: u32, gen_time: u64, measured: bool) -> Result<(), SimError> {
         let done = self.st.now + 1; // flit arrives at the end of this cycle
         if measured {
             let lat = (done - gen_time) as f64;
@@ -2254,7 +2199,7 @@ impl<'a> Engine<'a> {
             log.push(Delivery {
                 src: meta.src,
                 dst: meta.dst,
-                len,
+                len: self.st.pkt_len[p as usize],
                 gen_time,
                 done_time: done,
                 tag,
@@ -2302,8 +2247,8 @@ impl<'a> Engine<'a> {
         }
         // A boundary can resurrect lanes (dead in the old epoch, live in
         // the new one). Readiness is recomputed from the masks on every
-        // word read, so rebuilding the dead mask is all it takes.
-        self.rebuild_dead_mask();
+        // word read, so loading the new dead mask is all it takes.
+        self.st.k_dead.load(&f.epochs[self.epoch].dead_planes);
         if !self.cfg.fault_abort {
             return Ok(());
         }
@@ -2314,12 +2259,11 @@ impl<'a> Engine<'a> {
         for &p in &self.st.active {
             let pi = p as usize;
             let head = self.st.pkt_head_lane[pi];
-            let head_ch = (head as usize / self.vcs) as u32;
-            let chain_dead = self.chain_holds_dead_lane(p, &ep.dead_lane);
-            let disconnected = !self.dst_is_node[head_ch as usize]
+            let chain_dead = self.chain_holds_dead_lane(p);
+            let disconnected = !self.eject.contains(head)
                 && ep
                     .routes
-                    .candidates(head_ch, self.st.pkt_meta[pi].dst)
+                    .candidates(self.planes.channel(head), self.st.pkt_meta[pi].dst)
                     .is_empty();
             if chain_dead || disconnected {
                 victims.push(p);
@@ -2337,10 +2281,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether any lane in `p`'s held chain (head back to tail) is dead.
-    fn chain_holds_dead_lane(&self, p: u32, dead_lane: &[bool]) -> bool {
+    fn chain_holds_dead_lane(&self, p: u32) -> bool {
         let mut li = self.st.pkt_head_lane[p as usize];
         loop {
-            if dead_lane[li as usize] {
+            if self.st.k_dead.contains(li) {
                 return true;
             }
             li = self.st.lane_upstream[li as usize];
@@ -2365,10 +2309,8 @@ impl<'a> Engine<'a> {
                     what: "aborting a worm over a lane it does not own",
                 });
             }
-            while self.st.lane_bufs.pop(li as usize).is_some() {
-                drained += 1;
-            }
-            self.st.k_full.clear(self.plane(li as usize));
+            drained += self.st.lane_bufs.drain(li as usize);
+            self.st.k_full.clear(li);
             let up = self.st.lane_upstream[li as usize];
             self.release_lane(li);
             if up & UP_SOURCE == 0 {
@@ -2418,7 +2360,7 @@ impl<'a> Engine<'a> {
                 StalledPacket {
                     src: meta.src,
                     dst: meta.dst,
-                    head_channel: (self.st.pkt_head_lane[pi] as usize / self.vcs) as u32,
+                    head_channel: self.planes.channel(self.st.pkt_head_lane[pi]),
                     sent: self.st.pkt_sent[pi],
                     len: self.st.pkt_len[pi],
                     delivered: self.st.pkt_delivered[pi],
@@ -2426,9 +2368,7 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let mut held_channels = Vec::new();
-        self.st
-            .k_owned
-            .for_each(|pl| held_channels.push(self.order[(pl >> self.vcs_shift) as usize]));
+        self.st.k_owned.for_each(|pl| held_channels.push(self.planes.channel(pl)));
         held_channels.sort_unstable();
         held_channels.dedup();
         // Wait-for graph over indices into `stalled`. An edge i → j means
@@ -2441,15 +2381,15 @@ impl<'a> Engine<'a> {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.st.active.len()];
         for (i, &p) in self.st.active.iter().enumerate() {
             let pi = p as usize;
-            let head_ch = (self.st.pkt_head_lane[pi] as usize / self.vcs) as u32;
-            if self.dst_is_node[head_ch as usize] {
+            let head = self.st.pkt_head_lane[pi];
+            if self.eject.contains(head) {
                 continue;
             }
             let dst = self.st.pkt_meta[pi].dst;
             let routes = self.faults.map_or(self.routes, |f| &f.epochs[self.epoch].routes);
-            for &c in routes.candidates(head_ch, dst) {
-                for vc in 0..self.vcs {
-                    let owner = self.st.lane_owner[c as usize * self.vcs + vc];
+            for &c in routes.candidates(self.planes.channel(head), dst) {
+                for vc in 0..self.planes.vcs {
+                    let owner = self.st.lane_owner[self.planes.of(c, vc.into()) as usize];
                     if owner != NONE && owner != p {
                         let j = slot_to_idx[owner as usize];
                         if j != u32::MAX && !adj[i].contains(&j) {
@@ -2725,16 +2665,13 @@ impl<'a> Engine<'a> {
             in_flight_at_end: st.active.len() as u64 + st.queued_msgs,
             aborted_packets: st.aborted_pkts,
             undeliverable_packets: st.undeliverable_pkts,
-            channel_utilization: if st.util.is_empty() {
-                None
-            } else {
-                Some(
-                    st.util
-                        .iter()
-                        .map(|&u| if measured_cycles == 0 { 0.0 } else { u as f64 / window })
-                        .collect(),
-                )
-            },
+            // Counted by sweep position; reported by channel id.
+            channel_utilization: (!st.util.is_empty()).then(|| {
+                (0..st.util.len() as u32)
+                    .map(|ch| st.util[(self.planes.of(ch, 0) >> self.planes.shift) as usize])
+                    .map(|u| if measured_cycles == 0 { 0.0 } else { u as f64 / window })
+                    .collect()
+            }),
             deliveries: st.deliveries.take(),
             trace: st.trace.take(),
         }
@@ -2851,6 +2788,7 @@ mod tests {
     fn footprint_lane_and_node_arrays_are_on_budget() {
         assert_eq!(size_of::<QueuedMsg>(), 24);
         assert_eq!(size_of::<PktMeta>(), 24);
+        assert_eq!(size_of::<Cands>(), 16);
         assert_eq!(size_of::<Req>(), 8);
         let net = minnet_topology::build_bmin(Geometry::new(4, 3));
         let (nch, nodes) = (net.num_channels(), net.geometry.nodes() as usize);
@@ -2861,11 +2799,14 @@ mod tests {
         };
         let mut st = EngineState::new();
         st.reset(&net, &EngineConfig::default(), 1, false);
-        assert_eq!(lane_bytes(&st), 18 * nch, "vcs 1, depth 1: 18 B a lane, no mux, no ring heads");
+        assert_eq!(lane_bytes(&st), 14 * nch, "vcs 1, depth 1: 14 B a lane, no mux");
         let node_bytes = 4 * st.src_injecting.len() + 8 * st.src_next_arrival.len();
         assert_eq!(node_bytes + st.queues.approx_bytes(), 24 * nodes);
         let cfg = EngineConfig { vcs: 2, buffer_depth: 4, ..EngineConfig::default() };
         st.reset(&net, &cfg, 1, false);
-        assert_eq!(lane_bytes(&st), 32 * 2 * nch + nch, "vcs 2, depth 4: 32 B a lane + 1 B a channel");
+        assert_eq!(lane_bytes(&st), 14 * 2 * nch + nch, "vcs 2, depth 4: 14 B a lane + 1 B a channel");
+        // Not a power of two: the lane arrays are padded to the plane group.
+        st.reset(&net, &EngineConfig { vcs: 3, ..EngineConfig::default() }, 1, false);
+        assert_eq!(lane_bytes(&st), 14 * 4 * nch + nch, "vcs 3: a group of 4 planes a channel");
     }
 }

@@ -22,6 +22,7 @@
 //! plus a CDG check — and happens once per `(network, plan)`; runs then
 //! share the `CompiledFaults` read-only, exactly like [`crate::CompiledNet`].
 
+use crate::engine::Planes;
 use crate::error::SimError;
 use minnet_routing::{find_cycle, masked_dependency_graph, DependencyRule, RouteTable};
 use minnet_topology::{FaultPlan, NetworkGraph};
@@ -32,14 +33,10 @@ use minnet_topology::{FaultPlan, NetworkGraph};
 pub(crate) struct CompiledEpoch {
     /// First cycle of the epoch.
     pub(crate) start: u64,
-    /// `dead_lane[channel * vcs + vc]` — lane is failed this epoch.
-    pub(crate) dead_lane: Vec<bool>,
-    /// The same mask packed as `u64` words (bit `li % 64` of word
-    /// `li / 64`), so the engine's word-parallel kernels fold the epoch's
-    /// dead lanes into their per-word eligibility masks — and rebuild
-    /// their permuted alive mask at an epoch boundary — by iterating set
-    /// bits instead of scanning every lane's `bool`.
-    pub(crate) dead_lane_words: Vec<u64>,
+    /// The lanes failed this epoch, as the mask words the engine's
+    /// `k_dead` is loaded from at the epoch's edge: bit `pl % 64` of word
+    /// `pl / 64` for the lane at plane `pl`.
+    pub(crate) dead_planes: Vec<u64>,
     /// Whether any lane is dead this epoch (fast-path gate).
     pub(crate) any_dead: bool,
     /// Masked routing table: candidates are alive and deliverable.
@@ -67,9 +64,10 @@ impl CompiledFaults {
         net: &NetworkGraph,
         base: &RouteTable,
         plan: &FaultPlan,
-        vcs: u8,
+        planes: Planes<'_>,
     ) -> Result<CompiledFaults, SimError> {
-        let schedule = plan.compile(net, vcs).map_err(SimError::Fault)?;
+        let schedule = plan.compile(net, planes.vcs).map_err(SimError::Fault)?;
+        let vcs = u32::from(planes.vcs);
         let trivial = schedule.is_trivial();
         let mut epochs = Vec::with_capacity(schedule.epochs().len());
         for ep in schedule.epochs() {
@@ -87,16 +85,14 @@ impl CompiledFaults {
             } else {
                 base.clone()
             };
-            let mut dead_lane_words = vec![0u64; ep.dead_lane.len().div_ceil(64)];
-            for (li, &dead) in ep.dead_lane.iter().enumerate() {
-                if dead {
-                    dead_lane_words[li / 64] |= 1u64 << (li % 64);
-                }
+            let mut dead_planes = vec![0u64; planes.count().div_ceil(64)];
+            for (li, _) in ep.dead_lane.iter().enumerate().filter(|(_, &dead)| dead) {
+                let pl = planes.of(li as u32 / vcs, li as u32 % vcs) as usize;
+                dead_planes[pl / 64] |= 1u64 << (pl % 64);
             }
             epochs.push(CompiledEpoch {
                 start: ep.start,
-                dead_lane: ep.dead_lane.clone(),
-                dead_lane_words,
+                dead_planes,
                 any_dead: ep.any_dead,
                 routes,
             });
@@ -120,14 +116,24 @@ impl CompiledFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{EngineConfig, TransmitOrder};
     use minnet_topology::{build_bmin, build_unidir, Fault, FaultTarget, Geometry, UnidirKind};
     use std::sync::Arc;
+
+    /// `plan` compiled for `net` under an otherwise default `cfg`.
+    fn compile(
+        net: &Arc<NetworkGraph>,
+        plan: &FaultPlan,
+        cfg: &EngineConfig,
+    ) -> Result<CompiledFaults, SimError> {
+        let base = RouteTable::build(net).unwrap();
+        CompiledFaults::compile(net, &base, plan, Planes::new(net, cfg))
+    }
 
     #[test]
     fn empty_plan_compiles_trivial_with_one_epoch() {
         let net = Arc::new(build_bmin(Geometry::new(2, 3)));
-        let base = RouteTable::build(&net).unwrap();
-        let cf = CompiledFaults::compile(&net, &base, &FaultPlan::new(), 1).unwrap();
+        let cf = compile(&net, &FaultPlan::new(), &EngineConfig::default()).unwrap();
         assert!(cf.is_trivial());
         assert_eq!(cf.num_epochs(), 1);
         assert_eq!(cf.epochs[0].start, 0);
@@ -147,7 +153,7 @@ mod tests {
             .unwrap();
         let plan =
             FaultPlan::new().with(Fault::transient(FaultTarget::Channel(victim), 100, 500));
-        let cf = CompiledFaults::compile(&net, &base, &plan, 1).unwrap();
+        let cf = compile(&net, &plan, &EngineConfig::default()).unwrap();
         assert!(!cf.is_trivial());
         assert_eq!(cf.num_epochs(), 3);
         assert_eq!(
@@ -171,25 +177,40 @@ mod tests {
         }
     }
 
+    /// The compiled words are the plan's dead lanes through `position`:
+    /// lane `vc` of channel `ch` at bit `(position(ch) << shift) | vc`
+    /// (`position` the identity under the build order), nothing else set.
     #[test]
-    fn dead_lane_words_mirror_the_bool_mask() {
-        let net = Arc::new(build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 1));
-        let base = RouteTable::build(&net).unwrap();
-        let victim = (0..net.num_channels() as u32)
-            .find(|&c| {
-                let d = net.channel(c);
-                d.src.switch().is_some() && d.dst.switch().is_some()
-            })
-            .unwrap();
-        let plan =
-            FaultPlan::new().with(Fault::transient(FaultTarget::Channel(victim), 10, 20));
-        for vcs in [1u8, 2] {
-            let cf = CompiledFaults::compile(&net, &base, &plan, vcs).unwrap();
-            for ep in &cf.epochs {
-                assert_eq!(ep.dead_lane_words.len(), ep.dead_lane.len().div_ceil(64));
-                for (li, &dead) in ep.dead_lane.iter().enumerate() {
-                    let bit = ep.dead_lane_words[li / 64] >> (li % 64) & 1 == 1;
-                    assert_eq!(bit, dead, "vcs={vcs} lane {li}");
+    fn dead_plane_words_are_the_plans_dead_lanes_through_position() {
+        use crate::active::DenseBitSet;
+        for net in [build_unidir(Geometry::new(4, 3), UnidirKind::Cube, 2), build_bmin(Geometry::new(4, 3))] {
+            let net = Arc::new(net);
+            let victims = minnet_topology::inter_stage_channels(&net);
+            let (whole, lane) = (victims[3], victims[victims.len() - 2]);
+            for (vcs, shift) in [(1u8, 0), (2, 1), (3, 2)] {
+                let plan = FaultPlan::new()
+                    .with(Fault::transient(FaultTarget::Channel(whole), 10, 20))
+                    .with(Fault::transient(FaultTarget::Lane { channel: lane, vc: vcs - 1 }, 15, 30));
+                let schedule = plan.compile(&net, vcs).unwrap();
+                for transmit_order in [TransmitOrder::ReverseTopo, TransmitOrder::BuildOrder] {
+                    let cfg = EngineConfig { vcs, transmit_order, ..EngineConfig::default() };
+                    let cf = compile(&net, &plan, &cfg).unwrap();
+                    let position = |ch| match transmit_order {
+                        TransmitOrder::ReverseTopo => net.position(ch),
+                        TransmitOrder::BuildOrder => ch,
+                    };
+                    for (ep, want) in cf.epochs.iter().zip(schedule.epochs()) {
+                        assert_eq!(ep.dead_planes.len(), (net.num_channels() << shift).div_ceil(64));
+                        let mut planes: Vec<u32> = (0..want.dead_lane.len() as u32)
+                            .filter(|&li| want.dead_lane[li as usize])
+                            .map(|li| position(li / u32::from(vcs)) << shift | li % u32::from(vcs))
+                            .collect();
+                        planes.sort_unstable();
+                        let mut got = DenseBitSet::with_capacity(net.num_channels() << shift);
+                        got.load(&ep.dead_planes);
+                        let got: Vec<u32> = got.iter_set().collect();
+                        assert_eq!(got, planes, "vcs {vcs} {transmit_order:?} epoch at {}", ep.start);
+                    }
                 }
             }
         }
@@ -198,9 +219,8 @@ mod tests {
     #[test]
     fn invalid_plan_surfaces_as_fault_error() {
         let net = Arc::new(build_bmin(Geometry::new(2, 3)));
-        let base = RouteTable::build(&net).unwrap();
         let plan = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(99_999)));
-        let err = CompiledFaults::compile(&net, &base, &plan, 1).unwrap_err();
+        let err = compile(&net, &plan, &EngineConfig::default()).unwrap_err();
         assert!(matches!(err, SimError::Fault(_)), "{err}");
     }
 }

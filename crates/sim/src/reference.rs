@@ -107,7 +107,7 @@ struct Engine<'a> {
     lanes: Vec<Lane>,
     mux: Vec<VcMux>,
     order: Vec<ChannelId>,
-    dst_is_node: Vec<bool>,
+    ejects: Vec<bool>,
     packets: Vec<Packet>,
     free_slots: Vec<u32>,
     active: Vec<u32>,
@@ -210,7 +210,7 @@ impl<'a> Engine<'a> {
             ],
             mux: vec![VcMux::new(cfg.vc_mux); nch],
             order,
-            dst_is_node: net
+            ejects: net
                 .channels()
                 .map(|c| matches!(c.dst, Endpoint::Node(_)))
                 .collect(),
@@ -413,7 +413,7 @@ impl<'a> Engine<'a> {
             let hl = pkt.head_lane;
             debug_assert_ne!(hl, NONE);
             let ch = (hl as usize / self.vcs) as u32;
-            if self.dst_is_node[ch as usize] {
+            if self.ejects[ch as usize] {
                 continue;
             }
             if let Some(flit) = self.lanes[hl as usize].buf.front() {
@@ -579,7 +579,7 @@ impl<'a> Engine<'a> {
             }
             Upstream::Lane(u) => !self.lanes[u as usize].buf.is_empty(),
         };
-        has_input && (self.dst_is_node[ch as usize] || !lane.buf.is_full())
+        has_input && (self.ejects[ch as usize] || !lane.buf.is_full())
     }
 
     fn move_flit(&mut self, ch: ChannelId, li: usize) {
@@ -620,7 +620,7 @@ impl<'a> Engine<'a> {
             }
             self.lanes[li].upstream = Upstream::Exhausted;
         }
-        if self.dst_is_node[ch as usize] {
+        if self.ejects[ch as usize] {
             let pkt = &mut self.packets[p as usize];
             pkt.delivered += 1;
             // Accounting fix (shared with the optimized engine): count

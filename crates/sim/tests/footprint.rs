@@ -1,14 +1,15 @@
 //! The engine-state byte budget, held as code.
 //!
 //! `EngineState` is the last O(network) allocation of a run. Its budget
-//! is **18 bytes a lane** at the paper's `vcs = 1`, `buffer_depth = 1`
-//! (owner 4 + packed upstream 4 + downstream 4 + one flit-index slot 4 +
-//! occupancy 2) and **under 32 bytes a node** (injector 4 + next arrival
-//! 8 + queue head / tail / length 12) plus the shared message slab; ring
-//! heads and VC-multiplexer bytes exist only when `buffer_depth > 1` /
-//! `vcs > 1`. These tests pin the budget, that arrays which come and go
-//! with the configuration leave no residue in the results, and that a
-//! pooled state gives a large network's memory back.
+//! is **14 bytes a lane** at any `buffer_depth` (owner 4 + packed
+//! upstream 4 + downstream 4 + buffer occupancy 2 — a buffer is a
+//! counter, no flit is stored) and **under 32 bytes a node** (injector 4
+//! + next arrival 8 + queue head / tail / length 12) plus the shared
+//! message slab; the VC-multiplexer byte a channel exists only when `vcs
+//! > 1`, and a `vcs` that is not a power of two pays for the pad planes
+//! of its lane group. These tests pin the budget, that arrays which come
+//! and go with the configuration leave no residue in the results, and
+//! that a pooled state gives a large network's memory back.
 
 use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport, TransmitOrder};
 use minnet_topology::{build_bmin, Geometry};
@@ -59,15 +60,14 @@ fn footprint_budget() {
     let (bytes, lanes, nodes) = burst_16k(burst(1, 1), &mut st);
     assert_eq!((lanes, nodes), (229_376, 16_384));
     assert!(
-        bytes <= 18 * lanes + 32 * nodes + MIB,
+        bytes <= 14 * lanes + 32 * nodes + MIB,
         "vcs 1, depth 1: {bytes} B for {lanes} lanes, {nodes} nodes"
     );
-    // Two lanes a channel, four-flit rings: the store grows to 16 B a
-    // lane, a 2-byte ring head appears, and each channel gains its
-    // multiplexer byte — 32.5 B a lane.
+    // Two lanes a channel, four-flit buffers: depth costs nothing, and
+    // each channel gains its multiplexer byte — 14.5 B a lane.
     let (bytes, lanes, nodes) = burst_16k(burst(2, 4), &mut EngineState::new());
     assert!(
-        bytes <= 33 * lanes + 32 * nodes + MIB,
+        bytes <= 15 * lanes + 32 * nodes + MIB,
         "vcs 2, depth 4: {bytes} B for {lanes} lanes, {nodes} nodes"
     );
 }
@@ -106,7 +106,7 @@ fn redimension_is_bit_identical() {
         EngineConfig { vcs: 3, transmit_order: TransmitOrder::BuildOrder, ..base.clone() },
         first,
     ];
-    // The ring heads, the multiplexer bytes and the slab free list come
+    // The multiplexer bytes, the pad planes and the slab free list come
     // and go along this walk; each stop must match a state that never
     // saw the others.
     let mut reused = EngineState::new();

@@ -49,9 +49,9 @@ fn burst_16k_peak_rss_budget() {
 
     let grew = vm_hwm_kib().unwrap() - before;
     assert!(
-        grew <= 9_728,
-        "16k BMIN burst raised VmHWM by {grew} KiB; the budget is 9.5 MiB \
-         (graph ≈ 1.9, template 0.25, compile 1.3, state 5.1)"
+        grew <= 6_656,
+        "16k BMIN burst raised VmHWM by {grew} KiB; the budget is 6.5 MiB \
+         (graph ≈ 1.1, template 0.1, compile 0.1, state 4.4)"
     );
     eprintln!("16k BMIN burst: VmHWM +{grew} KiB");
 }

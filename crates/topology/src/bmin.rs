@@ -25,7 +25,8 @@
 
 use crate::address::Geometry;
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, End, NetworkGraph, NetworkKind, Side, SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind, Side,
+    SwitchDesc,
 };
 
 /// Digit `i` of an `(n-1)`-digit switch label.
@@ -116,6 +117,39 @@ pub(crate) fn head(net: &NetworkGraph, id: ChannelId) -> End {
     } else {
         upper(net, j, idx)
     }
+}
+
+/// The level and direction of channel `id`.
+#[inline]
+pub(crate) fn level_of(net: &NetworkGraph, id: ChannelId) -> (u32, Direction) {
+    let (j, _, down) = locate(net, id);
+    (j, if down { Direction::Backward } else { Direction::Forward })
+}
+
+/// Where the channels `id = 2N·j + 2·idx + down` of level `j` going `dir`
+/// sit in the transmit order: down channels rank by level ascending, down
+/// `(j, idx)` at `N·j + idx = (id − 1) / 2`; the up channels follow, levels
+/// descending, at `N·(2n − 1 − j) + idx = (id + 2N·(2n − 1 − 2j)) / 2`.
+#[inline]
+pub(crate) fn level_positions(net: &NetworkGraph, j: u32, dir: Direction) -> LevelPositions {
+    let (n, nodes) = (net.geometry.n(), net.kpow[net.geometry.n() as usize].get());
+    let delta = match dir {
+        Direction::Backward => u32::MAX,
+        Direction::Forward => 2 * nodes * (2 * n - 1 - 2 * j),
+    };
+    LevelPositions { shift: 1, delta }
+}
+
+/// [`NetworkGraph::channel_at`]: the first `n·N` positions are the down
+/// channels in id order, the rest the up channels, levels descending.
+#[inline]
+pub(crate) fn channel_at(net: &NetworkGraph, pos: u32) -> ChannelId {
+    let (n, nodes) = (net.geometry.n(), net.kpow[net.geometry.n() as usize]);
+    if pos < n * nodes.get() {
+        return 2 * pos + 1;
+    }
+    let (rank, idx) = nodes.div_rem(pos);
+    2 * (nodes.get() * (2 * n - 1 - rank) + idx)
 }
 
 /// The set of node addresses reachable going *down* (backward) from switch

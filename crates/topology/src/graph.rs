@@ -25,14 +25,15 @@
 //! id *is* a position in the wiring: both families number channels
 //! level-major, so [`NetworkGraph::channel`] computes the descriptor from
 //! the id ([`crate::unidir`] and [`crate::bmin`] each hold one closed
-//! form) and no channel table exists. What is stored is what a hot path
-//! dereferences or the API returns as a slice:
+//! form) and no channel table exists. Nor does a transmit order: ranks
+//! are whole levels, so a channel's place in it is its id moved by its
+//! level's offset ([`NetworkGraph::position`]). What is stored is what a
+//! hot path dereferences or the API returns as a slice:
 //!
 //! | stored               | size              | holds                                  |
 //! |----------------------|-------------------|----------------------------------------|
 //! | id arena, ports      | 4 B × (`nch − N`) | each output port's lanes, switch-major |
 //! | id arena, terminals  | 4 B × `2N`        | per-node injection, then ejection      |
-//! | id arena, order      | 4 B × `nch`       | the memoized transmit order            |
 //! | [`StagePorts`] rows  | 16 B × `n`        | where a stage's port lists start       |
 //! | [`Divisor`]s         | 16 B × (`n + 3`)  | `k^0 ..= k^n`, `N/k`, the dilation     |
 //!
@@ -44,13 +45,14 @@
 //! switch's stage and index are its id divided by `N/k`. Per-switch
 //! *input* lists are not stored: nothing routes by them, and
 //! [`NetworkGraph::validate`] derives what it checks of them from the
-//! descriptors. All in, a channel costs ≈ 8.3 bytes. What the
+//! descriptors. All in, a channel costs ≈ 4.3 bytes. What the
 //! representation can hold — `k ≤ 256`, under 2²² switches, under 2³¹
 //! nodes — is stated once, by [`check_limits`], which every entry point
 //! taking a geometry from outside calls before anything is allocated.
 
 use crate::address::{Divisor, Geometry};
 use crate::{bmin, unidir};
+use std::sync::OnceLock;
 
 /// Index of a node (terminal). Equals the node's address value.
 pub type NodeId = u32;
@@ -230,6 +232,25 @@ impl NetworkKind {
     }
 }
 
+/// Where the channels of one level and direction sit in the transmit
+/// order: position `(id + delta) >> shift`, exactly — ranks are whole
+/// levels, in id order within. `shift` is 1 only for the BMIN, whose ids
+/// interleave a link's two channels; `delta` wraps (a level may move
+/// down). The default is the identity: an order that is the ids themselves.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LevelPositions {
+    pub(crate) shift: u32,
+    pub(crate) delta: u32,
+}
+
+impl LevelPositions {
+    /// The position of `id`, a channel of this level and direction.
+    #[inline]
+    pub fn of(self, id: ChannelId) -> u32 {
+        id.wrapping_add(self.delta) >> self.shift
+    }
+}
+
 /// Where one stage's output-port lists sit in the arena: the lists of a
 /// stage's switches are contiguous from `base`, `per_switch` ids a
 /// switch, and within a switch every port with a code below `k` holds
@@ -243,10 +264,10 @@ struct StagePorts {
 
 /// A complete static network: switches, channels and terminal attachments.
 ///
-/// Channel descriptors are computed from the wiring; the adjacency the
-/// engine dereferences (output-port lane lists, per-node inject/eject
-/// channels, the transmit order) is stored in one shared id arena — see
-/// the module docs.
+/// Channel descriptors and transmit-order positions are computed from
+/// the wiring; the adjacency the engine dereferences (output-port lane
+/// lists, per-node inject/eject channels) is stored in one shared id
+/// arena — see the module docs.
 #[derive(Clone, Debug)]
 pub struct NetworkGraph {
     /// The geometry (`k`, `n`).
@@ -269,14 +290,14 @@ pub struct NetworkGraph {
     /// One row a stage: where its switches' port lists sit in `ids`.
     ports: Vec<StagePorts>,
     /// The shared id arena: output-port lanes, then per-node inject and
-    /// eject channels, then the transmit order.
+    /// eject channels.
     ids: Vec<ChannelId>,
     /// Offset of the per-node injection section within `ids`.
     inject_at: u32,
     /// Offset of the per-node ejection section within `ids`.
     eject_at: u32,
-    /// Offset of the memoized transmit order within `ids`.
-    order_at: u32,
+    /// [`Self::transmit_order`], once somebody has asked for it.
+    order: OnceLock<Vec<ChannelId>>,
 }
 
 /// The output-port code of a channel originating at `(side, port)` of a
@@ -330,8 +351,7 @@ impl NetworkGraph {
             .collect();
         // Every channel leaves an output port or a node.
         let nch = end + u64::from(nodes);
-        let [inject_at, nch, order_at, total] =
-            [end, nch, nch + u64::from(nodes), 2 * nch + u64::from(nodes)].map(offset);
+        let [inject_at, nch, total] = [end, nch, nch + u64::from(nodes)].map(offset);
         let mut net = NetworkGraph {
             geometry,
             kind,
@@ -344,7 +364,7 @@ impl NetworkGraph {
             ids: Vec::new(),
             inject_at,
             eject_at: nch,
-            order_at,
+            order: OnceLock::new(),
         };
         const EMPTY: ChannelId = ChannelId::MAX;
         let mut ids = vec![EMPTY; total as usize];
@@ -359,11 +379,12 @@ impl NetworkGraph {
     /// visit every channel id in order, check its descriptor (endpoints
     /// in range, no switch input fed twice) and offer `place` each arena
     /// slot the id belongs in — its lane's slot in its output port's list
-    /// or its node's injection slot, its node's ejection slot, and the
-    /// next slot of its `topo_rank`'s run of the transmit order (ids by
-    /// rank, equal ranks in id order: a stable counting sort). `place`
+    /// or its node's injection slot, and its node's ejection slot. `place`
     /// says whether the slot took the id: it was still empty
-    /// (construction), or already holds it (validation).
+    /// (construction), or already holds it (validation). On the way each
+    /// level's [`LevelPositions`] (resolved at the first id of its rank)
+    /// are held to the transmit order's definition: ids by `topo_rank`,
+    /// equal ranks in id order — a stable counting sort's next slot.
     ///
     /// Distinct channels get distinct slots and every section is exactly
     /// as long as the channels that belong in it, so a pass without a
@@ -384,10 +405,10 @@ impl NetworkGraph {
             _ => nodes,
         };
         let ranks = if self.kind.is_bidirectional() { 2 * n } else { n + 1 };
-        let mut runs: Vec<(u32, u32)> = (0..ranks)
-            .scan(self.order_at, |end, r| {
+        let mut runs: Vec<(u32, u32, Option<LevelPositions>)> = (0..ranks)
+            .scan(0, |end, r| {
                 let start = std::mem::replace(end, *end + rank_size(r));
-                Some((start, *end))
+                Some((start, *end, None))
             })
             .collect();
         let mut fed = vec![false; nsw * codes * lanes];
@@ -434,8 +455,11 @@ impl NetworkGraph {
                 }
             }
             let rank = ch.topo_rank;
-            let run = runs.get_mut(usize::from(rank)).filter(|(next, end)| next < end);
-            if !run.is_some_and(|(next, _)| place(std::mem::replace(next, *next + 1), id)) {
+            let run = runs.get_mut(usize::from(rank)).filter(|(next, end, _)| next < end);
+            if run.is_none_or(|(next, _, at)| {
+                let at = at.get_or_insert_with(|| self.positions_at(ch.level.into(), ch.dir));
+                std::mem::replace(next, *next + 1) != at.of(id)
+            }) {
                 return Err(format!("channel {id}: transmit order is not ids by rank {rank}"));
             }
         }
@@ -589,27 +613,64 @@ impl NetworkGraph {
     /// Per-node ejection channels, indexed by [`NodeId`].
     #[inline]
     pub fn ejects(&self) -> &[ChannelId] {
-        &self.ids[self.eject_at as usize..self.order_at as usize]
+        &self.ids[self.eject_at as usize..]
     }
 
-    /// Channel ids sorted by `topo_rank` ascending — the order in which the
-    /// simulation engine performs per-cycle transmissions so that a worm
-    /// advances as a unit (see [`ChannelDesc::topo_rank`]). Memoized at
-    /// construction; this is a slice view into the shared arena, not a
-    /// fresh allocation.
+    /// Where the channels of `level` going `dir` sit in the transmit order.
     #[inline]
+    fn positions_at(&self, level: u32, dir: Direction) -> LevelPositions {
+        match self.kind {
+            NetworkKind::Unidir { .. } => unidir::level_positions(self, level),
+            NetworkKind::Bmin => bmin::level_positions(self, level, dir),
+        }
+    }
+
+    /// The id → position map of `c`'s level and direction. The candidates of
+    /// one routing decision share it: resolve once, shift and add per channel.
+    #[inline]
+    pub fn level_positions(&self, c: ChannelId) -> LevelPositions {
+        debug_assert!(c < self.nch, "channel {c} out of range");
+        let (level, dir) = match self.kind {
+            NetworkKind::Unidir { .. } => (unidir::locate(self, c).0, Direction::Forward),
+            NetworkKind::Bmin => bmin::level_of(self, c),
+        };
+        self.positions_at(level, dir)
+    }
+
+    /// Where channel `c` sits in the transmit order — channels by
+    /// `topo_rank` ascending, equal ranks by id: the order the engine
+    /// transmits in so that a worm advances as a unit ([`ChannelDesc::topo_rank`]).
+    /// Rank 0 is the ejection channels: `c` ejects iff its position is below `N`.
+    #[inline]
+    pub fn position(&self, c: ChannelId) -> u32 {
+        self.level_positions(c).of(c)
+    }
+
+    /// The channel at position `pos`: the inverse of [`Self::position`].
+    #[inline]
+    pub fn channel_at(&self, pos: u32) -> ChannelId {
+        debug_assert!(pos < self.nch, "position {pos} out of range");
+        match self.kind {
+            // Levels trade places pairwise: the map is its own inverse.
+            NetworkKind::Unidir { .. } => self.position(pos),
+            NetworkKind::Bmin => bmin::channel_at(self, pos),
+        }
+    }
+
+    /// The transmit order as a list, built on first use and kept (4 B a
+    /// channel): for masked route tables, the reference engine and tests.
     pub fn transmit_order(&self) -> &[ChannelId] {
-        &self.ids[self.order_at as usize..]
+        self.order.get_or_init(|| (0..self.nch).map(|pos| self.channel_at(pos)).collect())
     }
 
     /// Approximate resident size of the graph in bytes (the divisors, the
-    /// stage rows and the shared id arena) — a memory-accounting metric
-    /// for the benchmark and the footprint tests.
+    /// stage rows, the shared id arena, the transmit order once asked for)
+    /// — a memory-accounting metric for the benchmark and footprint tests.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + std::mem::size_of_val(&self.kpow[..])
             + std::mem::size_of_val(&self.ports[..])
-            + self.ids.len() * 4
+            + (self.ids.len() + self.order.get().map_or(0, Vec::len)) * 4
     }
 
     /// Sanity-check structural invariants; used by tests (construction
@@ -620,8 +681,8 @@ impl NetworkGraph {
     /// lists, derived here in one pass — validation is their only reader);
     /// every switch's output-port lists hold exactly the channels that
     /// originate there, at the claimed port code, in lane order; every
-    /// node has exactly one injection and one ejection channel; the
-    /// transmit order is the rank-sorted permutation of all channels.
+    /// node has exactly one injection and one ejection channel;
+    /// [`Self::position`] is the rank-sorted permutation of all channels.
     pub fn validate(&self) -> Result<(), String> {
         self.walk(|c| self.channel(c), |slot, id| self.ids[slot as usize] == id)
     }

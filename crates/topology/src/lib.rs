@@ -47,8 +47,8 @@ pub use fault::{
 };
 pub use cube::{BitCube, CubeSpec, DigitSpec};
 pub use graph::{
-    ChannelDesc, ChannelId, Direction, Endpoint, NetworkGraph, NetworkKind, NodeId, Side,
-    SwitchDesc, SwitchId,
+    ChannelDesc, ChannelId, Direction, Endpoint, LevelPositions, NetworkGraph, NetworkKind, NodeId,
+    Side, SwitchDesc, SwitchId,
 };
 pub use permutation::Perm;
 pub use unidir::{build_unidir, UnidirKind};

@@ -21,7 +21,8 @@
 
 use crate::address::{Geometry, NodeAddr};
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, End, NetworkGraph, NetworkKind, Side, SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind, Side,
+    SwitchDesc,
 };
 use crate::permutation::Perm;
 
@@ -133,7 +134,7 @@ pub fn build_unidir(g: Geometry, kind: UnidirKind, dilation: u8) -> NetworkGraph
 /// `N + (level − 1)·N·d + w·d + lane`, level `n` is `N + (n − 1)·N·d + w`
 /// — `w` the wire's position on the output side of stage `level − 1`.
 #[inline]
-fn locate(net: &NetworkGraph, id: ChannelId) -> (u32, u32, u32) {
+pub(crate) fn locate(net: &NetworkGraph, id: ChannelId) -> (u32, u32, u32) {
     let n = net.geometry.n();
     let (nodes, d) = (net.kpow[n as usize], net.lanes);
     let last = nodes.get() * (1 + (n - 1) * d.get());
@@ -197,6 +198,23 @@ pub(crate) fn channel(net: &NetworkGraph, kind: UnidirKind, id: ChannelId) -> Ch
 pub(crate) fn head(net: &NetworkGraph, kind: UnidirKind, id: ChannelId) -> End {
     let (level, w, _) = locate(net, id);
     head_at(net, kind, level, w)
+}
+
+/// Where `level`'s channels sit in the transmit order. Rank is `n − level`
+/// and ids are level-major, so the order is the levels reversed, each in
+/// id order: the two `N`-id end levels trade places and inner level `ℓ`
+/// (`N·d` ids) moves to where inner level `n − ℓ` was — an involution.
+#[inline]
+pub(crate) fn level_positions(net: &NetworkGraph, level: u32) -> LevelPositions {
+    let n = net.geometry.n();
+    let inner = net.kpow[n as usize].get() * net.lanes.get();
+    let last = net.kpow[n as usize].get() + (n - 1) * inner;
+    let delta = match level {
+        0 => last,
+        l if l == n => last.wrapping_neg(),
+        l => n.wrapping_sub(2 * l).wrapping_mul(inner),
+    };
+    LevelPositions { shift: 0, delta }
 }
 
 /// Follow the unique destination-tag path from `src` to `dst`, returning

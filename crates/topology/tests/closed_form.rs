@@ -1,11 +1,13 @@
 //! The closed forms against enumeration.
 //!
-//! `NetworkGraph::channel` computes a descriptor from its id and
-//! `out_port_range` computes a port's arena slice from its stage row;
-//! nothing stores either. Here every stored list is rebuilt by brute
-//! force from the descriptors alone — scanning all ids, counting prefix
-//! sums — and must equal what the accessors return, on random shapes of
-//! all four wirings at dilations 1–3 and of the BMIN.
+//! `NetworkGraph::channel` computes a descriptor from its id,
+//! `out_port_range` a port's arena slice from its stage row and
+//! `position` / `channel_at` a channel's place in the transmit order from
+//! its level; nothing stores any of them. Here every list is rebuilt by
+//! brute force from the descriptors alone — scanning all ids, counting
+//! prefix sums, sorting by rank — and must equal what the accessors
+//! return, on random shapes of all four wirings at dilations 1–3 and of
+//! the BMIN.
 //! (`graph_identity.rs` pins the same accessors to literals recorded
 //! when the descriptors were still a table.)
 
@@ -66,6 +68,15 @@ fn check(net: &NetworkGraph) {
     let mut order: Vec<ChannelId> = (0..net.num_channels() as ChannelId).collect();
     order.sort_by_key(|&c| net.channel(c).topo_rank);
     assert_eq!(net.transmit_order(), &order[..]);
+    for (pos, &id) in order.iter().enumerate() {
+        let pos = pos as u32;
+        assert_eq!(net.position(id), pos, "channel {id}");
+        assert_eq!(net.channel_at(pos), id, "position {pos}");
+        assert_eq!(net.level_positions(id).of(id), pos, "channel {id}");
+        // Rank 0 is exactly the ejection channels.
+        let ejects = matches!(net.channel(id).dst, Endpoint::Node(_));
+        assert_eq!(ejects, pos < net.geometry.nodes(), "channel {id}");
+    }
 }
 
 proptest! {

@@ -1,12 +1,12 @@
 //! The network graph's byte budget, held as code.
 //!
-//! A channel costs ≈ 8.3 bytes in the id arena (its output-port or
-//! injection slot, its transmit-order slot, and a share of the ejection
-//! section) and nothing else: its descriptor is computed from the wiring,
-//! and so are a switch's stage and a port's arena offset. `approx_bytes`
-//! reports lengths × element size — the figure the benchmark publishes as
-//! `topology.graph_bytes`; what it cannot see (build transients) is held
-//! by `crates/sim/tests/peak_rss.rs`.
+//! A channel costs ≈ 4.3 bytes in the id arena (its output-port or
+//! injection slot and a share of the ejection section) and nothing else:
+//! its descriptor and its transmit-order position are computed from the
+//! wiring, and so are a switch's stage and a port's arena offset.
+//! `approx_bytes` reports lengths × element size — the figure the
+//! benchmark publishes as `topology.graph_bytes`; what it cannot see
+//! (build transients) is held by `crates/sim/tests/peak_rss.rs`.
 
 use minnet_topology::{build_bmin, build_unidir, Geometry, NetworkGraph, UnidirKind};
 
@@ -16,7 +16,7 @@ fn graph_budget() {
     let (bytes, channels) = (net.approx_bytes(), net.num_channels());
     assert_eq!(channels, 229_376);
     assert!(
-        bytes <= 9 * channels + 4096,
+        bytes <= 5 * channels + 4096,
         "16k BMIN: {bytes} B for {channels} channels"
     );
 
@@ -35,7 +35,7 @@ fn graph_budget() {
         for net in lineup {
             let (bytes, channels) = (net.approx_bytes(), net.num_channels());
             assert!(
-                bytes <= 11 * channels + 512,
+                bytes <= 6 * channels + 512,
                 "{:?} {g:?}: {bytes} B for {channels} channels",
                 net.kind
             );

@@ -3,7 +3,11 @@
 //! A [`WorkloadSpec`] describes a §5 experiment declaratively: offered
 //! load, destination pattern, clustering with optional per-cluster rate
 //! ratios, and message sizes. [`Workload::compile`] resolves it against a
-//! geometry into per-node message rates and destination samplers.
+//! geometry into message rates and destination samplers — one a
+//! *cluster*: every member of a cluster shares its rate and, under the
+//! uniform and hot-spot patterns, its sampler, so a node's are found
+//! through the cluster map and nothing but that map (and a permutation
+//! pattern's destination table) grows with the node count.
 //!
 //! **Load normalisation.** `offered_load` is in flits per cycle per node,
 //! averaged over *all* nodes (1.0 saturates the one-port injection
@@ -49,43 +53,38 @@ impl WorkloadSpec {
     }
 }
 
-/// Per-node destination sampler.
+/// How destinations are drawn. A node with nobody to send to — alone in
+/// its cluster, or a fixed point of the permutation — is *silent*: its
+/// message rate is 0 and no destination may be asked of it.
 #[derive(Clone, Debug)]
 enum DestSampler {
-    /// Uniform over the cluster members, skipping the source.
-    Uniform {
-        cluster: u32,
-    },
-    /// Hot-spot within the cluster.
-    HotSpot {
-        cluster: u32,
-        p_hot: f64,
-    },
-    /// Fixed destination (permutation patterns).
-    Fixed(NodeId),
-    /// This node generates no traffic (permutation fixed point, or a
-    /// single-node cluster with nobody else to talk to).
-    Silent,
+    /// Uniform over the source's cluster members, skipping the source.
+    Uniform,
+    /// Hot-spot within the source's cluster: `p_hot` by cluster.
+    HotSpot(Vec<f64>),
+    /// Permutation patterns: the destination by source node.
+    Fixed(Vec<NodeId>),
 }
 
 /// A compiled workload: what each node sends, to whom, and how often.
 ///
-/// The destination samplers and cluster map are shared (`Arc`) with the
+/// The destination sampler and cluster map are shared (`Arc`) with the
 /// [`WorkloadTemplate`] that produced them, so instantiating the same
-/// experiment at another load copies only the per-node rate vector.
+/// experiment at another load computes only the per-cluster rates.
 #[derive(Clone, Debug)]
 pub struct Workload {
     geometry: Geometry,
     clusters: Arc<ClusterMap>,
     sizes: MessageSizeDist,
     offered_load: f64,
-    /// Message rate per node, messages/cycle (0 for silent nodes).
-    msg_rate: Vec<f64>,
-    samplers: Arc<[DestSampler]>,
+    /// Message rate of a cluster's members, messages/cycle (0 for a
+    /// cluster of one).
+    cluster_rate: Vec<f64>,
+    sampler: Arc<DestSampler>,
 }
 
-/// The load-independent part of a compiled workload: destination samplers,
-/// cluster structure, per-node rate weights, and the size distribution.
+/// The load-independent part of a compiled workload: destination sampler,
+/// cluster structure, per-cluster rate weights, and the size distribution.
 ///
 /// A sweep compiles the template **once** and calls
 /// [`WorkloadTemplate::workload_at`] per load point; the instantiation is
@@ -98,9 +97,10 @@ pub struct WorkloadTemplate {
     geometry: Geometry,
     clusters: Arc<ClusterMap>,
     sizes: MessageSizeDist,
-    samplers: Arc<[DestSampler]>,
-    /// Per-node relative rate weight (the node's cluster ratio entry).
-    node_weight: Vec<f64>,
+    sampler: Arc<DestSampler>,
+    /// Per-cluster relative rate weight (the cluster's ratio entry; 0
+    /// for a cluster whose one node has nobody to talk to).
+    cluster_weight: Vec<f64>,
     /// Σ_c r_c |C_c| — the load-normalisation denominator.
     weighted: f64,
     mean_len: f64,
@@ -120,7 +120,7 @@ impl WorkloadTemplate {
         spec.sizes.validate()?;
         let clusters = ClusterMap::build(&g, &spec.clustering)?;
         let ncl = clusters.len();
-        let rates: Vec<f64> = match &spec.rates {
+        let mut rates: Vec<f64> = match &spec.rates {
             None => vec![1.0; ncl],
             Some(r) => {
                 if r.len() != ncl {
@@ -140,7 +140,6 @@ impl WorkloadTemplate {
             }
         };
 
-        let n = g.nodes() as usize;
         // Normalise: Σ_c r_c |C_c| · scale = load · N.
         let weighted: f64 = rates
             .iter()
@@ -149,54 +148,34 @@ impl WorkloadTemplate {
             .sum();
         let mean_len = spec.sizes.mean();
 
-        let mut samplers = Vec::with_capacity(n);
-        let mut node_weight = vec![0.0; n];
-        for node in 0..n as u32 {
-            let cl = clusters.cluster_of(node);
-            node_weight[node as usize] = rates[cl as usize];
-            let sampler = match spec.pattern {
-                TrafficPattern::Uniform => {
-                    if clusters.members[cl as usize].len() < 2 {
-                        DestSampler::Silent
-                    } else {
-                        DestSampler::Uniform { cluster: cl }
+        let sizes = clusters.members.iter().map(Vec::len);
+        let sampler = match spec.pattern {
+            TrafficPattern::Uniform => DestSampler::Uniform,
+            TrafficPattern::HotSpot { extra } => {
+                DestSampler::HotSpot(sizes.clone().map(|n| hot_spot_probabilities(n, extra).0).collect())
+            }
+            TrafficPattern::Permutation(p) => {
+                if let minnet_topology::Perm::Butterfly(i) = p {
+                    if i >= g.n() {
+                        return Err(format!("butterfly index {i} out of range"));
                     }
                 }
-                TrafficPattern::HotSpot { extra } => {
-                    let size = clusters.members[cl as usize].len();
-                    if size < 2 {
-                        DestSampler::Silent
-                    } else {
-                        let (p_hot, _) = hot_spot_probabilities(size, extra);
-                        DestSampler::HotSpot { cluster: cl, p_hot }
-                    }
-                }
-                TrafficPattern::Permutation(p) => {
-                    if p == minnet_topology::Perm::Butterfly(0) {
-                        // β_0 is the identity: everything is a fixed point.
-                    }
-                    if let minnet_topology::Perm::Butterfly(i) = p {
-                        if i >= g.n() {
-                            return Err(format!("butterfly index {i} out of range"));
-                        }
-                    }
-                    let d = p.apply(&g, NodeAddr(node));
-                    if d.0 == node {
-                        DestSampler::Silent
-                    } else {
-                        DestSampler::Fixed(d.0)
-                    }
-                }
-            };
-            samplers.push(sampler);
+                DestSampler::Fixed((0..g.nodes()).map(|a| p.apply(&g, NodeAddr(a)).0).collect())
+            }
+        };
+        if !matches!(sampler, DestSampler::Fixed(_)) {
+            // Within-cluster patterns: a cluster of one is silent.
+            for (rate, _) in rates.iter_mut().zip(sizes).filter(|&(_, n)| n < 2) {
+                *rate = 0.0;
+            }
         }
 
         Ok(WorkloadTemplate {
             geometry: g,
             clusters: Arc::new(clusters),
             sizes: spec.sizes,
-            samplers: samplers.into(),
-            node_weight,
+            sampler: Arc::new(sampler),
+            cluster_weight: rates,
             weighted,
             mean_len,
         })
@@ -219,20 +198,17 @@ impl WorkloadTemplate {
         }
         let n = self.geometry.nodes() as usize;
         let scale = offered_load * n as f64 / self.weighted;
-        let mut msg_rate = vec![0.0; n];
-        for (node, rate) in msg_rate.iter_mut().enumerate() {
-            let flit_rate = self.node_weight[node] * scale;
-            if !matches!(self.samplers[node], DestSampler::Silent) && flit_rate > 0.0 {
-                *rate = flit_rate / self.mean_len;
-            }
-        }
+        let rate = |weight: &f64| {
+            let flit_rate = weight * scale;
+            if flit_rate > 0.0 { flit_rate / self.mean_len } else { 0.0 }
+        };
         Ok(Workload {
             geometry: self.geometry,
             clusters: Arc::clone(&self.clusters),
             sizes: self.sizes,
             offered_load,
-            msg_rate,
-            samplers: Arc::clone(&self.samplers),
+            cluster_rate: self.cluster_weight.iter().map(rate).collect(),
+            sampler: Arc::clone(&self.sampler),
         })
     }
 }
@@ -269,12 +245,14 @@ impl Workload {
         &self.clusters
     }
 
-
     /// Message generation rate of `node` in messages/cycle; `0.0` means
     /// the node is silent.
     #[inline]
     pub fn message_rate(&self, node: NodeId) -> f64 {
-        self.msg_rate[node as usize]
+        match &*self.sampler {
+            DestSampler::Fixed(to) if to[node as usize] == node => 0.0,
+            _ => self.cluster_rate[self.clusters.cluster_of(node) as usize],
+        }
     }
 
     /// Mean message length in flits.
@@ -295,11 +273,16 @@ impl Workload {
     /// Panics if the node is silent (`message_rate(node) == 0.0` — the
     /// engine must not ask).
     pub fn draw_destination<R: Rng>(&self, node: NodeId, rng: &mut R) -> NodeId {
-        match self.samplers[node as usize] {
-            DestSampler::Silent => panic!("destination requested for silent node {node}"),
-            DestSampler::Fixed(d) => d,
-            DestSampler::Uniform { cluster } => {
-                let members = &self.clusters.members[cluster as usize];
+        let talks = |peers: bool| assert!(peers, "destination requested for silent node {node}");
+        let cluster = self.clusters.cluster_of(node) as usize;
+        let members = &self.clusters.members[cluster];
+        match &*self.sampler {
+            DestSampler::Fixed(to) => {
+                talks(to[node as usize] != node);
+                to[node as usize]
+            }
+            DestSampler::Uniform => {
+                talks(members.len() > 1);
                 loop {
                     let d = members[rng.random_range(0..members.len())];
                     if d != node {
@@ -307,9 +290,9 @@ impl Workload {
                     }
                 }
             }
-            DestSampler::HotSpot { cluster, p_hot } => {
-                let members = &self.clusters.members[cluster as usize];
-                let hot = members[0];
+            DestSampler::HotSpot(p_hot) => {
+                talks(members.len() > 1);
+                let (hot, p_hot) = (members[0], p_hot[cluster]);
                 loop {
                     let d = if rng.random::<f64>() < p_hot {
                         hot
@@ -328,7 +311,8 @@ impl Workload {
     /// Aggregate nominal flit-injection rate over all nodes (flits/cycle),
     /// accounting for silent nodes.
     pub fn aggregate_flit_rate(&self) -> f64 {
-        self.msg_rate.iter().sum::<f64>() * self.mean_length()
+        let nodes = 0..self.geometry.nodes();
+        nodes.map(|node| self.message_rate(node)).sum::<f64>() * self.mean_length()
     }
 }
 
@@ -391,6 +375,10 @@ mod tests {
         let lo = w.message_rate(20) * 100.0;
         assert!((hi / lo - 4.0).abs() < 1e-9);
         assert!((hi - 0.4 * 16.0 / 7.0).abs() < 1e-9);
+        // To the bit: weight × scale, then / mean length, in that order.
+        let scale: f64 = 0.4 * 64.0 / (16.0 * 7.0);
+        assert_eq!(w.message_rate(0).to_bits(), (4.0 * scale / 100.0).to_bits());
+        assert_eq!(w.message_rate(20).to_bits(), (1.0 * scale / 100.0).to_bits());
         // Average over all nodes is the nominal load.
         assert!((w.aggregate_flit_rate() / 64.0 - 0.4).abs() < 1e-9);
     }
@@ -458,6 +446,33 @@ mod tests {
             assert_eq!(w.message_rate(fp), 0.0);
         }
         assert!(w.message_rate(1) > 0.0);
+    }
+
+    #[test]
+    fn silent_nodes_have_no_rate_and_refuse_a_destination() {
+        let refuses = |w: &Workload, node| {
+            std::panic::catch_unwind(|| w.draw_destination(node, &mut SmallRng::seed_from_u64(1)))
+                .is_err()
+        };
+        // A fixed point of the permutation, inside a 64-node cluster.
+        let shuffle = WorkloadSpec {
+            pattern: TrafficPattern::Permutation(Perm::PerfectShuffle),
+            ..WorkloadSpec::global_uniform(0.3)
+        };
+        let w = Workload::compile(g64(), &shuffle).unwrap();
+        assert!(refuses(&w, 21) && !refuses(&w, 1));
+        // Clusters of one, under both within-cluster patterns.
+        let g = Geometry::new(2, 1);
+        for pattern in [TrafficPattern::Uniform, TrafficPattern::HotSpot { extra: 0.1 }] {
+            let alone = WorkloadSpec {
+                pattern,
+                clustering: Clustering::cubes_from_patterns(&g, &["0", "1"]).unwrap(),
+                ..WorkloadSpec::global_uniform(0.3)
+            };
+            let w = Workload::compile(g, &alone).unwrap();
+            assert_eq!((w.message_rate(0), w.message_rate(1)), (0.0, 0.0));
+            assert!(refuses(&w, 0) && refuses(&w, 1));
+        }
     }
 
     #[test]

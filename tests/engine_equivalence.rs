@@ -19,12 +19,13 @@
 //! path that leaks state across runs diverges here.
 
 use minnet::NetworkSpec;
+use minnet_routing::RouteTable;
 use minnet_sim::{
     reference, run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet,
-    EngineConfig, EngineState, Script, ScriptedMsg, SimReport,
+    EngineConfig, EngineState, Script, ScriptedMsg, SimReport, TraceEvent, TransmitOrder,
 };
-use minnet_topology::Geometry;
-use minnet_traffic::{Workload, WorkloadSpec};
+use minnet_topology::{inter_stage_channels, Fault, FaultPlan, FaultTarget, Geometry};
+use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
 use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [0x5EED, 0xD1FF_E7EA, 0xC0FF_EE00_0042];
@@ -332,6 +333,180 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
         assert_identical(&format!("scripted round {round}"), &s, &want_s);
         let c = compiled_d.run_chain(&once_chain, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("chained round {round}"), &c, &want_c);
+    }
+}
+
+/// The `(vcs, buffer_depth, transmit order)` grid of the short-message
+/// differentials below.
+fn short_message_grid() -> impl Iterator<Item = (u8, u16, TransmitOrder)> {
+    let orders = [TransmitOrder::ReverseTopo, TransmitOrder::BuildOrder];
+    (1..=3u8).flat_map(move |vcs| {
+        (1..=3u16).flat_map(move |depth| orders.map(move |order| (vcs, depth, order)))
+    })
+}
+
+/// Worms of 1, 2 and `depth + 1` flits from every node, toward a handful
+/// of destinations so they queue behind one another: header = tail, a
+/// tail that lands while its header is still buffered one hop ahead, a
+/// worm that fits in a single lane buffer with a flit to spare. The
+/// engine stores no flit — which one is a header or a tail is derived
+/// from the worm's lane chain — and these are the shapes where every
+/// derivation fires within a cycle or two of the others.
+fn short_script(g: Geometry, depth: u16) -> Vec<ScriptedMsg> {
+    let n = g.nodes();
+    let lens = [1, 2, u32::from(depth) + 1];
+    (0..3 * n)
+        .map(|i| {
+            let (src, round) = (i % n, i / n);
+            let dst = (src * 7 + round) % 5;
+            ScriptedMsg {
+                time: u64::from(round * 9 + src % 4),
+                src,
+                dst: if dst == src { src + 5 } else { dst },
+                len: lens[((src + round) % 3) as usize],
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn short_message_scripts_are_bit_identical() {
+    let g = Geometry::new(4, 3);
+    let mut st = EngineState::new();
+    for spec in [NetworkSpec::tmin(), NetworkSpec::dmin(2), NetworkSpec::Bmin] {
+        let net = Arc::new(spec.build(g));
+        for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+            let cfg = EngineConfig {
+                vcs,
+                buffer_depth,
+                transmit_order,
+                warmup: 0,
+                measure: 1_000_000,
+                collect_trace: true,
+                ..cfg_for(&spec, SEEDS[0])
+            };
+            let what = format!("{} vcs {vcs} depth {buffer_depth} {transmit_order:?}", spec.name());
+            let msgs = short_script(g, buffer_depth);
+            let refr = reference::run_scripted(&net, &msgs, &cfg).unwrap();
+            let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
+            let script = Script::compile(g, &msgs).unwrap();
+            let opt = compiled.run_script(&script, cfg.seed, &mut st).unwrap();
+            assert_identical(&what, &opt, &refr);
+            assert_eq!(opt.delivered_packets as usize, msgs.len(), "{what}: script must drain");
+        }
+    }
+}
+
+#[test]
+fn short_message_poisson_is_bit_identical() {
+    let g = Geometry::new(4, 3);
+    let mut st = EngineState::new();
+    for spec in [NetworkSpec::tmin(), NetworkSpec::dmin(2), NetworkSpec::Bmin] {
+        let net = Arc::new(spec.build(g));
+        for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+            let cfg = EngineConfig {
+                vcs,
+                buffer_depth,
+                transmit_order,
+                warmup: 500,
+                measure: 3_000,
+                ..cfg_for(&spec, SEEDS[1])
+            };
+            let sizes = MessageSizeDist::UniformRange { min: 1, max: u32::from(buffer_depth) + 1 };
+            let wl = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(0.3) };
+            let wl = Workload::compile(g, &wl).unwrap();
+            let what = format!("{} vcs {vcs} depth {buffer_depth} {transmit_order:?}", spec.name());
+            let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+            let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
+            let opt = compiled.run_poisson(&wl, cfg.seed, &mut st).unwrap();
+            assert_identical(&what, &opt, &refr);
+            assert!(opt.delivered_packets > 1_000, "{what}: nothing simulated");
+        }
+    }
+}
+
+/// The fault path on the same short worms. The reference engine has no
+/// fault layer, so the differential half kills a channel no scripted
+/// route crosses: the run goes through the masked tables, the dead-plane
+/// test in every gather and the per-request level lookup, and must still
+/// land every bit where the reference does. The abort half then kills,
+/// for a few cycles, a channel two worms are strung across mid-flight —
+/// one already cut loose from its source, one still drawing from it:
+/// exactly those two are aborted (buffered flits counted out of the
+/// occupancy counters — debug builds hold `sent = delivered + drained`),
+/// everything else is delivered, and the sources inject again afterwards.
+#[test]
+fn short_message_fault_abort_mid_worm() {
+    let g = Geometry::new(4, 3);
+    let net = Arc::new(NetworkSpec::tmin().build(g));
+    let routes = RouteTable::build(&net).unwrap();
+    // The TMIN's unique route, as channels.
+    let path = |src: u32, dst: u32| {
+        let hops = std::iter::successors(Some(net.inject(src)), |&at| {
+            routes.candidates(at, dst).first().copied()
+        });
+        hops.collect::<Vec<_>>()
+    };
+    let mut st = EngineState::new();
+    for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+        let cfg = EngineConfig {
+            vcs,
+            buffer_depth,
+            transmit_order,
+            warmup: 0,
+            measure: 1_000_000,
+            collect_trace: true,
+            ..cfg_for(&NetworkSpec::tmin(), SEEDS[2])
+        };
+        let what = format!("vcs {vcs} depth {buffer_depth} {transmit_order:?}");
+        let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
+
+        // Differential half: half the nodes send, so some inter-stage
+        // channel carries nothing.
+        let msgs: Vec<ScriptedMsg> =
+            short_script(g, buffer_depth).into_iter().filter(|m| m.src < 32).collect();
+        let used: Vec<u32> = msgs.iter().flat_map(|m| path(m.src, m.dst)).collect();
+        let idle = inter_stage_channels(&net).into_iter().find(|c| !used.contains(c)).unwrap();
+        let plan = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(idle)));
+        let faults = compiled.compile_faults(&plan).unwrap();
+        assert!(!faults.is_trivial());
+        let script = Script::compile(g, &msgs).unwrap();
+        let opt = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        let refr = reference::run_scripted(&net, &msgs, &cfg).unwrap();
+        assert_identical(&format!("{what}, idle channel dead"), &opt, &refr);
+
+        // Abort half. By cycle 3 both worms' headers are past the first
+        // stage; the 2-flit one has left its source, the long one has not.
+        let (cut_loose, drawing) = (path(0, 63), path(21, 42));
+        assert!(!drawing.contains(&cut_loose[1]) && !cut_loose.contains(&drawing[1]));
+        let mut msgs = vec![
+            ScriptedMsg { time: 0, src: 0, dst: 63, len: 2 },
+            ScriptedMsg { time: 0, src: 21, dst: 42, len: 40 },
+            ScriptedMsg { time: 0, src: 5, dst: 6, len: u32::from(buffer_depth) + 1 },
+        ];
+        msgs.extend([0, 21].map(|src| ScriptedMsg { time: 60, src, dst: src + 1, len: 1 }));
+        let plan = [cut_loose[1], drawing[1]].iter().fold(FaultPlan::new(), |plan, &c| {
+            plan.with(Fault::transient(FaultTarget::Channel(c), 3, 40))
+        });
+        let faults = compiled.compile_faults(&plan).unwrap();
+        let script = Script::compile(g, &msgs).unwrap();
+        let r = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        let aborted: Vec<(u32, u64)> = r
+            .trace
+            .as_ref()
+            .unwrap()
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Aborted { tag, time } => Some((tag, time)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborted, [(0, 3), (1, 3)], "{what}");
+        assert_eq!((r.aborted_packets, r.delivered_packets), (2, 3), "{what}");
+        assert_eq!((r.undeliverable_packets, r.in_flight_at_end), (0, 0), "{what}");
+        let again = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        assert!(again.bitwise_eq(&r), "{what}: an aborted run must leave no residue");
     }
 }
 

@@ -13,7 +13,8 @@
 //! ## Protocol
 //!
 //! One JSON object per line, one request per line, one response line
-//! back. Requests carry an `"op"`; responses carry a `"status"`:
+//! back, any number of requests over one connection. Requests carry an
+//! `"op"`; responses carry a `"status"`:
 //!
 //! ```text
 //! → {"op":"submit","client":"bench-0","spec":{…}}
@@ -23,6 +24,8 @@
 //! ← {"status":"job","job_id":"91c3…","state":"running"}
 //! → {"op":"result","job_id":"91c3…"}
 //! ← {"status":"result","job_id":"91c3…","result":{…}}
+//! → {"op":"wait","job_id":"91c3…","wait_ms":5000}
+//! ← what `result` answers, once the job has finished or 5 s have passed
 //! → {"op":"stats"} / {"op":"drain"} / {"op":"ping"}
 //! ← {"status":"error","kind":"config","message":"…"}
 //! ```
@@ -54,7 +57,8 @@ use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Wire protocol version (checked nowhere yet; bumped on breaking
 /// changes so mixed-version deployments fail loudly, not subtly).
@@ -403,6 +407,15 @@ pub enum Request {
         /// The job id from the accept response.
         job_id: String,
     },
+    /// [`Request::Result`], answered once the job has left `queued` /
+    /// `running` or `wait_ms` (the daemon caps it at 30 s) have passed:
+    /// the connection waits at the daemon, not by asking again.
+    Wait {
+        /// The job id from the accept response.
+        job_id: String,
+        /// Longest the daemon may hold the answer back.
+        wait_ms: u64,
+    },
     /// Daemon counters (queue depth, outcomes, cache hits).
     Stats,
     /// Stop admissions and finish in-flight work.
@@ -427,6 +440,10 @@ impl Request {
             Request::Result { job_id } => {
                 format!("{{\"op\":\"result\",\"job_id\":\"{}\"}}", esc(job_id))
             }
+            Request::Wait { job_id, wait_ms } => format!(
+                "{{\"op\":\"wait\",\"job_id\":\"{}\",\"wait_ms\":{wait_ms}}}",
+                esc(job_id)
+            ),
             Request::Stats => "{\"op\":\"stats\"}".to_string(),
             Request::Drain => "{\"op\":\"drain\"}".to_string(),
             Request::Ping => "{\"op\":\"ping\"}".to_string(),
@@ -445,6 +462,10 @@ impl Request {
             }),
             "result" => Some(Request::Result {
                 job_id: json_str(line, "job_id")?,
+            }),
+            "wait" => Some(Request::Wait {
+                job_id: json_str(line, "job_id")?,
+                wait_ms: json_u64(line, "wait_ms")?,
             }),
             "stats" => Some(Request::Stats),
             "drain" => Some(Request::Drain),
@@ -471,6 +492,10 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Whether the daemon has stopped admitting work.
     pub draining: bool,
+    /// Connections served since start.
+    pub connections: u64,
+    /// Connections open now (this request's own included).
+    pub open_connections: u64,
 }
 
 /// One daemon response, one line on the wire.
@@ -511,7 +536,8 @@ pub enum Response {
     /// Liveness reply.
     Pong,
     /// A structured error ([`error_kind`] tags plus `not_found` /
-    /// `bad_request` / `io` for service-level failures).
+    /// `job_failed` / `bad_request` / `line_too_long` /
+    /// `too_many_connections` / `io` for service-level failures).
     Error {
         /// Machine-readable failure class.
         kind: String,
@@ -555,8 +581,16 @@ impl Response {
             ),
             Response::Stats(s) => format!(
                 "{{\"status\":\"stats\",\"queued\":{},\"running\":{},\"done\":{},\
-                 \"rejected\":{},\"cache_hits\":{},\"draining\":{}}}",
-                s.queued, s.running, s.done, s.rejected, s.cache_hits, s.draining
+                 \"rejected\":{},\"cache_hits\":{},\"draining\":{},\
+                 \"connections\":{},\"open_connections\":{}}}",
+                s.queued,
+                s.running,
+                s.done,
+                s.rejected,
+                s.cache_hits,
+                s.draining,
+                s.connections,
+                s.open_connections
             ),
             Response::Draining => "{\"status\":\"draining\"}".to_string(),
             Response::Pong => "{\"status\":\"pong\"}".to_string(),
@@ -594,6 +628,8 @@ impl Response {
                 rejected: json_u64(line, "rejected")?,
                 cache_hits: json_u64(line, "cache_hits")?,
                 draining: json_bool(line, "draining")?,
+                connections: json_u64(line, "connections")?,
+                open_connections: json_u64(line, "open_connections")?,
             })),
             "draining" => Some(Response::Draining),
             "pong" => Some(Response::Pong),
@@ -645,22 +681,46 @@ fn raw_tail(line: &str, key: &str) -> Option<String> {
 
 // ---- client ----------------------------------------------------------
 
-/// A blocking one-request-per-connection client for the `minnetd`
-/// wire protocol — what the `minnet submit|status|result|drain`
-/// subcommands, the benchmark, and the integration tests use.
-#[derive(Clone, Debug)]
+/// A blocking client for the `minnetd` wire protocol — what the
+/// `minnet submit|status|result|drain` subcommands, the benchmark, and
+/// the integration tests use.
+///
+/// The first request connects; later ones reuse the connection, one
+/// request in flight at a time. If a *reused* connection fails — the
+/// daemon drops one that has been quiet for 30 s — the client connects
+/// afresh and sends the request once more, which is safe because every
+/// request is idempotent (a `submit` by its config-hash job id). A
+/// failure on a fresh connection is returned. A clone starts
+/// unconnected.
 pub struct ServiceClient {
     addr: String,
     timeout: Duration,
+    conn: Mutex<Option<BufReader<TcpStream>>>,
+}
+
+impl Clone for ServiceClient {
+    fn clone(&self) -> ServiceClient {
+        ServiceClient::new(self.addr.clone()).with_timeout(self.timeout)
+    }
+}
+
+impl std::fmt::Debug for ServiceClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceClient")
+            .field("addr", &self.addr)
+            .field("timeout", &self.timeout)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServiceClient {
     /// A client for the daemon at `addr` (`host:port`) with a 30 s
-    /// per-request timeout.
+    /// per-request timeout. Nothing connects until the first request.
     pub fn new(addr: impl Into<String>) -> ServiceClient {
         ServiceClient {
             addr: addr.into(),
             timeout: Duration::from_secs(30),
+            conn: Mutex::new(None),
         }
     }
 
@@ -668,6 +728,32 @@ impl ServiceClient {
     pub fn with_timeout(mut self, timeout: Duration) -> ServiceClient {
         self.timeout = timeout;
         self
+    }
+
+    fn connect(&self) -> Result<BufReader<TcpStream>, String> {
+        let stream = TcpStream::connect(&self.addr)
+            .map_err(|e| format!("connecting to {}: {e}", self.addr))?;
+        stream
+            .set_read_timeout(Some(self.timeout))
+            .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
+            // A request is one small write the daemon is blocked on.
+            .and_then(|()| stream.set_nodelay(true))
+            .map_err(|e| format!("configuring socket: {e}"))?;
+        Ok(BufReader::new(stream))
+    }
+
+    /// One line out, one line back.
+    fn exchange(&self, conn: &mut BufReader<TcpStream>, line: &str) -> Result<String, String> {
+        conn.get_mut()
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("sending to {}: {e}", self.addr))?;
+        let mut reply = String::new();
+        conn.read_line(&mut reply)
+            .map_err(|e| format!("reading from {}: {e}", self.addr))?;
+        if reply.is_empty() {
+            return Err(format!("daemon at {} closed the connection", self.addr));
+        }
+        Ok(reply)
     }
 
     /// Send one request and parse the response line.
@@ -678,26 +764,25 @@ impl ServiceClient {
     /// human-readable strings; protocol-level failures arrive as
     /// [`Response::Error`] / [`Response::Rejected`] values, not `Err`.
     pub fn request(&self, req: &Request) -> Result<Response, String> {
-        let mut stream = TcpStream::connect(&self.addr)
-            .map_err(|e| format!("connecting to {}: {e}", self.addr))?;
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
-            .map_err(|e| format!("configuring socket: {e}"))?;
         let mut line = req.to_line();
         line.push('\n');
-        stream
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("sending to {}: {e}", self.addr))?;
-        let mut reply = String::new();
-        BufReader::new(stream)
-            .read_line(&mut reply)
-            .map_err(|e| format!("reading from {}: {e}", self.addr))?;
-        if reply.is_empty() {
-            return Err(format!("daemon at {} closed the connection", self.addr));
+        let parse = |reply: String| {
+            Response::parse(reply.trim_end())
+                .ok_or_else(|| format!("unparsable response: {}", reply.trim_end()))
+        };
+        // The slot is emptied while its connection is in use, so a
+        // panic mid-exchange leaves `None`: safe to use after poison.
+        let mut slot = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(mut kept) = slot.take() {
+            if let Ok(reply) = self.exchange(&mut kept, &line) {
+                *slot = Some(kept);
+                return parse(reply);
+            }
         }
-        Response::parse(reply.trim_end())
-            .ok_or_else(|| format!("unparsable response: {}", reply.trim_end()))
+        let mut fresh = self.connect()?;
+        let reply = self.exchange(&mut fresh, &line)?;
+        *slot = Some(fresh);
+        parse(reply)
     }
 
     /// Submit a job under the given client identity.
@@ -743,17 +828,27 @@ impl ServiceClient {
         }
     }
 
-    /// Poll `status` until the job leaves the queue/run states, then
-    /// fetch its result. Returns the raw result JSON.
+    /// Wait — at the daemon, through [`Request::Wait`] — until the job
+    /// leaves the queue/run states, and return its raw result JSON.
     ///
     /// # Errors
     ///
     /// Transport failures, a `failed` job (its structured error,
     /// rendered), or `deadline` expiring first.
     pub fn wait_result(&self, job_id: &str, deadline: Duration) -> Result<String, String> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         loop {
-            match self.result(job_id)? {
+            // Each wait ends well inside the socket's read timeout, so
+            // a long job is never mistaken for a dead connection.
+            let left = deadline.saturating_sub(start.elapsed());
+            let slice = left.min(self.timeout / 2);
+            // Rounded up: a last sub-millisecond is waited out, not spun.
+            let wait_ms = u64::try_from(slice.as_millis()).map_or(u64::MAX, |ms| ms + 1);
+            let waited = self.request(&Request::Wait {
+                job_id: job_id.to_string(),
+                wait_ms,
+            })?;
+            match waited {
                 Response::JobResult { result, .. } => return Ok(result),
                 Response::JobStatus { state, .. }
                     if state == "queued" || state == "running" =>
@@ -761,7 +856,6 @@ impl ServiceClient {
                     if start.elapsed() > deadline {
                         return Err(format!("job {job_id} still {state} after {deadline:?}"));
                     }
-                    std::thread::sleep(Duration::from_millis(10));
                 }
                 Response::Error { kind, message } => {
                     return Err(format!("job {job_id} failed ({kind}): {message}"))
@@ -891,6 +985,10 @@ mod tests {
             Request::Result {
                 job_id: "abc123".into(),
             },
+            Request::Wait {
+                job_id: "abc123".into(),
+                wait_ms: 2_500,
+            },
             Request::Stats,
             Request::Drain,
             Request::Ping,
@@ -927,6 +1025,8 @@ mod tests {
                 rejected: 4,
                 cache_hits: 5,
                 draining: true,
+                connections: 6,
+                open_connections: 7,
             }),
             Response::Draining,
             Response::Pong,
@@ -939,6 +1039,159 @@ mod tests {
             let back = Response::parse(&r.to_line()).unwrap();
             assert_eq!(r, back);
         }
+    }
+
+    /// The wire is a data format too: a client or daemon built before
+    /// `wait` and the connection counters existed must read and write
+    /// the same bytes. `stats` grew at its end only.
+    #[test]
+    fn wire_lines_are_pinned() {
+        let id = || "abc123".to_string();
+        let spec = "{\"network\":\"tmin\",\"wiring\":\"cube\",\"dilation\":2,\"vcs\":2,\
+                    \"k\":4,\"n\":3,\"pattern\":\"uniform\",\"sizes\":\"fixed:32\",\
+                    \"loads_bits\":[\"4594572339843380019\",\"4599075939470750515\"],\
+                    \"warmup\":500,\"measure\":3000,\"seed\":7,\"budget_cycles\":100000,\
+                    \"budget_ms\":0,\"retries\":0,\"chaos\":0}";
+        let requests = [
+            (
+                Request::Submit {
+                    client: "c\"1".into(),
+                    spec: quick_spec(),
+                },
+                format!("{{\"op\":\"submit\",\"client\":\"c\\\"1\",\"spec\":{spec}}}"),
+            ),
+            (
+                Request::Status { job_id: id() },
+                "{\"op\":\"status\",\"job_id\":\"abc123\"}".to_string(),
+            ),
+            (
+                Request::Result { job_id: id() },
+                "{\"op\":\"result\",\"job_id\":\"abc123\"}".to_string(),
+            ),
+            (Request::Stats, "{\"op\":\"stats\"}".to_string()),
+            (Request::Drain, "{\"op\":\"drain\"}".to_string()),
+            (Request::Ping, "{\"op\":\"ping\"}".to_string()),
+            (
+                Request::Wait {
+                    job_id: id(),
+                    wait_ms: 2_500,
+                },
+                "{\"op\":\"wait\",\"job_id\":\"abc123\",\"wait_ms\":2500}".to_string(),
+            ),
+        ];
+        for (request, line) in requests {
+            assert_eq!(request.to_line(), line);
+        }
+        let responses = [
+            (
+                Response::Accepted {
+                    job_id: id(),
+                    cached: true,
+                },
+                "{\"status\":\"accepted\",\"job_id\":\"abc123\",\"cached\":true}",
+            ),
+            (
+                Response::Rejected {
+                    reason: "queue full (depth 4)".into(),
+                    retry_after_ms: 150,
+                },
+                "{\"status\":\"rejected\",\"reason\":\"queue full (depth 4)\",\"retry_after_ms\":150}",
+            ),
+            (
+                Response::JobStatus {
+                    job_id: id(),
+                    state: "running".into(),
+                },
+                "{\"status\":\"job\",\"job_id\":\"abc123\",\"state\":\"running\"}",
+            ),
+            (
+                Response::JobResult {
+                    job_id: id(),
+                    result: "{\"v\":1,\"points\":[]}".into(),
+                },
+                "{\"status\":\"result\",\"job_id\":\"abc123\",\"result\":{\"v\":1,\"points\":[]}}",
+            ),
+            (Response::Draining, "{\"status\":\"draining\"}"),
+            (Response::Pong, "{\"status\":\"pong\"}"),
+            (
+                Response::Error {
+                    kind: "config".into(),
+                    message: "bad \"thing\"".into(),
+                },
+                "{\"status\":\"error\",\"kind\":\"config\",\"message\":\"bad \\\"thing\\\"\"}",
+            ),
+            (
+                Response::Stats(ServiceStats {
+                    queued: 1,
+                    running: 2,
+                    done: 3,
+                    rejected: 4,
+                    cache_hits: 5,
+                    draining: true,
+                    connections: 6,
+                    open_connections: 7,
+                }),
+                "{\"status\":\"stats\",\"queued\":1,\"running\":2,\"done\":3,\"rejected\":4,\
+                 \"cache_hits\":5,\"draining\":true,\"connections\":6,\"open_connections\":7}",
+            ),
+        ];
+        for (response, line) in responses {
+            assert_eq!(response.to_line(), line);
+        }
+    }
+
+    /// A daemon stand-in that plays a script, one entry a connection:
+    /// read a line, then either answer it and close, or hang up without
+    /// an answer and read on until the peer closes too. Returns how
+    /// many lines each connection was seen to carry.
+    fn scripted_daemon(
+        listener: std::net::TcpListener,
+        answers: &'static [bool],
+    ) -> std::thread::JoinHandle<Vec<usize>> {
+        std::thread::spawn(move || {
+            answers
+                .iter()
+                .map(|&answer| {
+                    let (stream, _) = listener.accept().unwrap();
+                    let mut conn = BufReader::new(stream);
+                    let mut line = String::new();
+                    conn.read_line(&mut line).unwrap();
+                    assert_eq!(line, "{\"op\":\"ping\"}\n");
+                    if answer {
+                        conn.get_mut().write_all(b"{\"status\":\"pong\"}\n").unwrap();
+                        return 1;
+                    }
+                    conn.get_mut().shutdown(std::net::Shutdown::Write).unwrap();
+                    let mut rest = String::new();
+                    std::io::Read::read_to_string(&mut conn, &mut rest).unwrap();
+                    1 + rest.lines().count()
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_stale_connection_is_replaced_once_and_a_fresh_failure_is_returned() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let backlog = listener.try_clone().unwrap();
+        // Every connection is closed after one line; the third is
+        // closed without an answer.
+        let daemon = scripted_daemon(listener, &[true, true, false]);
+        let client = ServiceClient::new(addr.to_string()).with_timeout(Duration::from_secs(10));
+        client.ping().unwrap();
+        // The kept connection is dead: replaced without the caller
+        // noticing.
+        client.ping().unwrap();
+        // Dead again, and the replacement fails too: that is an error,
+        // not a third attempt.
+        let err = client.ping().unwrap_err();
+        assert!(err.contains("closed the connection"), "{err}");
+        backlog.set_nonblocking(true).unwrap();
+        assert!(backlog.accept().is_err(), "a fourth connection was opened");
+        // The failed fresh connection carried its request exactly once
+        // and was given up, not kept.
+        assert_eq!(daemon.join().unwrap(), [1, 1, 1]);
     }
 
     #[test]

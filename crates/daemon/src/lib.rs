@@ -41,18 +41,27 @@
 //!   stops admissions; workers finish the accepted backlog — each job
 //!   bounded by its budget, so "finish" means *at worst* budget-cut
 //!   `partial` points — and the journal ends flushed and complete.
+//! * **Wire path.** Nothing between a client's bytes and the reply is a
+//!   timed sleep: `accept` blocks (a hard stop wakes it with a loopback
+//!   self-connect), each connection has a thread that blocks in `read`
+//!   and serves any number of request lines, and a `wait` request parks
+//!   that thread on a condvar until the job finishes. Open connections
+//!   are registered so a stop can close and *join* them — a thread left
+//!   parked in `read` would keep the journal lock alive — and capped at
+//!   [`MAX_CONNECTIONS`].
 
 use minnet::service::{run_job, JobSpec, Request, Response, ServiceStats};
 use minnet::LockFile;
 use minnet_sim::RunBudget;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Journal format version (the header's `"v"`).
 const JOURNAL_VERSION: u64 = 1;
@@ -62,6 +71,16 @@ const JOURNAL_VERSION: u64 = 1;
 /// a few KiB; anything near this is a flood, answered `line_too_long`
 /// before it can grow a buffer or reach admission control.
 const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// Most connections open at once. A kept-alive client holds a thread
+/// for as long as it stays connected (idle ones up to the 30 s read
+/// timeout), so the count is bounded like every other queue here: the
+/// next connection is answered `too_many_connections` and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Longest one `wait` request parks its connection thread; a client
+/// that wants longer asks again.
+const MAX_WAIT_MS: u64 = 30_000;
 
 /// Whole-job retries after a panic that escaped the per-point
 /// isolation (or a transient I/O failure), with linear backoff.
@@ -163,17 +182,18 @@ impl Journal {
             finished: Vec::new(),
         };
         if !path.exists() {
-            let mut f = std::fs::OpenOptions::new()
+            let file = std::fs::OpenOptions::new()
                 .create_new(true)
                 .append(true)
                 .open(&path)
                 .map_err(|e| format!("creating journal {shown}: {e}"))?;
-            f.write_all(
-                format!("{{\"v\":{JOURNAL_VERSION},\"kind\":\"minnetd_journal\"}}\n").as_bytes(),
-            )
-            .and_then(|()| f.flush())
-            .map_err(|e| format!("writing journal {shown}: {e}"))?;
-            return Ok((Journal { file: f, _lock: lock }, recovered));
+            let mut journal = Journal { file, _lock: lock };
+            journal
+                .append(format!(
+                    "{{\"v\":{JOURNAL_VERSION},\"kind\":\"minnetd_journal\"}}"
+                ))
+                .map_err(|e| format!("writing journal {shown}: {e}"))?;
+            return Ok((journal, recovered));
         }
 
         let content = std::fs::read_to_string(&path)
@@ -243,12 +263,13 @@ impl Journal {
         Ok((Journal { file: f, _lock: lock }, recovered))
     }
 
-    /// Append one event — written and flushed whole, so a kill tears at
-    /// most the line in flight.
-    fn append(&mut self, line: &str) -> Result<(), String> {
+    /// Append one line, newline included, as a single `write`: the file
+    /// is unbuffered, so a kill tears at most the line in flight and
+    /// never separates a whole line from its terminator.
+    fn append(&mut self, mut line: String) -> Result<(), String> {
+        line.push('\n');
         self.file
             .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
             .and_then(|()| self.file.flush())
             .map_err(|e| format!("journal append: {e}"))
     }
@@ -300,29 +321,129 @@ struct State {
     rejected: u64,
     cache_hits: u64,
     journal: Journal,
+    /// Open connections: a handle on each socket to shut it down, and
+    /// the thread serving it to join. Pruned of finished threads
+    /// whenever they are counted.
+    conns: Vec<(TcpStream, JoinHandle<()>)>,
+    /// Connections served since start.
+    connections: u64,
+}
+
+impl State {
+    /// Forget the connections whose threads have finished; how many are
+    /// left open.
+    fn open_connections(&mut self) -> usize {
+        self.conns.retain(|(_, thread)| !thread.is_finished());
+        self.conns.len()
+    }
+
+    /// Recount the two stored counters from `jobs`, which every path
+    /// updates first. A panic between a job's state change and its
+    /// counter update would otherwise leave `running` or a client's
+    /// `inflight` too high for good: a drain that never ends, a client
+    /// capped below its bound.
+    fn recount(&mut self) {
+        self.running = 0;
+        self.inflight.clear();
+        for job in self.jobs.values() {
+            match job.state {
+                JobState::Queued => {}
+                JobState::Running => self.running += 1,
+                JobState::Done | JobState::Failed(_) => continue,
+            }
+            *self.inflight.entry(job.client.clone()).or_insert(0) += 1;
+        }
+    }
 }
 
 struct Shared {
     state: Mutex<State>,
     /// Wakes workers when the queue grows or drain/stop flips.
     work: Condvar,
-    /// Wakes drain waiters when a job finishes or the queue empties.
-    idle: Condvar,
+    /// Wakes everything waiting on progress — `drain_and_wait`, `wait`
+    /// requests, the binary's drain watch — when a job finishes, a
+    /// drain is requested, or `stop` flips.
+    done: Condvar,
     /// Hard stop (tests, `Drop`): workers exit between jobs, the
-    /// listener closes. Not a drain — queued jobs stay journaled.
+    /// listener and every connection close. Not a drain — queued jobs
+    /// stay journaled.
     stop: AtomicBool,
     cfg: DaemonConfig,
 }
 
+/// The guard inside a lock or condvar result, poisoned or not;
+/// [`Shared::repaired`] is what makes the state behind it usable.
+fn guard<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    /// Lock the state; a thread that panicked while holding it does not
+    /// take the service down with it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.repaired(guard(self.state.lock()))
+    }
+
+    /// A guard just taken or re-taken, made good if a thread has
+    /// panicked under the lock since the last look. Every update under
+    /// the lock is a run of single-field steps that each leave the maps
+    /// valid, so the state is usable after a panic between two of them;
+    /// what such a panic can break is the agreement of `running` and
+    /// `inflight` with `jobs`, and those are recounted before the poison
+    /// is cleared. (`queue` naming only `Queued` jobs is not re-checked:
+    /// an entry is pushed after its record exists and popped before the
+    /// record changes.)
+    fn repaired<'a>(&self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        if self.state.is_poisoned() {
+            st.recount();
+            self.state.clear_poison();
+        }
+        st
+    }
+
+    /// Park on `done` until `ready`, a stop, or `timeout`; the state as
+    /// it then stands.
+    fn wait_done(
+        &self,
+        timeout: Duration,
+        ready: impl Fn(&State) -> bool,
+    ) -> MutexGuard<'_, State> {
+        // `None`: too far off to name, so no deadline at all.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut st = self.lock();
+        while !ready(&st) && !self.stop.load(Ordering::SeqCst) {
+            let left = deadline.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                break;
+            }
+            st = self.repaired(guard(self.done.wait_timeout(st, left)).0);
+        }
+        st
+    }
+
+    /// Flip `stop` and wake every parked thread. The notifies happen
+    /// under the lock, so a thread that checked `stop` just before the
+    /// store is already waiting when they fire.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _st = self.lock();
+        self.work.notify_all();
+        self.done.notify_all();
+    }
+}
+
 /// A running daemon: listener thread + worker pool over shared state.
 ///
-/// Dropping the handle hard-stops the daemon (listener closes, workers
-/// exit after their current job) *without* draining the queue —
-/// exactly the abrupt-exit path the journal recovery covers.
+/// Dropping the handle hard-stops the daemon (listener and connections
+/// close, workers exit after their current job) *without* draining the
+/// queue — exactly the abrupt-exit path the journal recovery covers.
 pub struct Daemon {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Daemon {
@@ -346,6 +467,8 @@ impl Daemon {
             rejected: 0,
             cache_hits: 0,
             journal,
+            conns: Vec::new(),
+            connections: 0,
         };
         for (job_id, client, outcome) in recovered.finished {
             let state_tag = match &outcome {
@@ -384,31 +507,30 @@ impl Daemon {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             work: Condvar::new(),
-            idle: Condvar::new(),
+            done: Condvar::new(),
             stop: AtomicBool::new(false),
             cfg,
         });
 
-        let mut threads = Vec::new();
-        {
+        let acceptor = {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || listen_loop(&shared, &listener)));
-        }
-        for _ in 0..shared.cfg.workers {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
+            std::thread::spawn(move || listen_loop(&shared, &listener))
+        };
+        let workers = (0..shared.cfg.workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
         Ok(Daemon {
             shared,
             addr,
-            threads,
+            acceptor: Some(acceptor),
+            workers,
         })
     }
 
@@ -417,11 +539,13 @@ impl Daemon {
         self.addr
     }
 
-    /// Whether a drain has been requested — over the wire (a `drain`
-    /// request) or by a prior [`Daemon::drain_and_wait`]. The binary
-    /// polls this so a wire-initiated drain also ends the process.
-    pub fn is_draining(&self) -> bool {
-        self.shared.state.lock().unwrap().draining
+    /// Block until a drain has been requested — over the wire (a
+    /// `drain` request) or by a prior [`Daemon::drain_and_wait`] — or
+    /// `timeout` passes; returns whether one has. The binary sits here
+    /// between looks at its signal flag, so a wire-initiated drain ends
+    /// the process at once.
+    pub fn wait_drain_requested(&self, timeout: Duration) -> bool {
+        self.shared.wait_done(timeout, |st| st.draining).draining
     }
 
     /// Stop admissions and block until every accepted job has finished
@@ -429,25 +553,62 @@ impl Daemon {
     /// The journal is flushed line-by-line as jobs complete; when this
     /// returns it is complete and consistent.
     pub fn drain_and_wait(&self) {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         st.draining = true;
         self.shared.work.notify_all();
+        self.shared.done.notify_all();
         while !(st.queue.is_empty() && st.running == 0) {
-            st = self.shared.idle.wait(st).unwrap();
+            st = self.shared.repaired(guard(self.shared.done.wait(st)));
         }
     }
 
     /// Hard-stop without draining (queued jobs stay journaled for the
-    /// next start) and join all threads.
+    /// next start) and join all threads, connection threads included:
+    /// when this returns nothing holds the state directory's lock.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
-        for t in self.threads.drain(..) {
+        self.shared.stop();
+        if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is blocked in `accept`: hand it a connection
+            // to return with. It sees `stop` and exits without serving
+            // it. If the wake cannot get through (a full backlog), the
+            // thread is detached rather than joined — a hang here would
+            // be worse than a listener that exits at its next
+            // connection.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let woken = match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+                Ok(_) => true,
+                // Nothing listens there any more: a client's connection
+                // woke the acceptor first and it is already on its way
+                // out.
+                Err(e) => e.kind() == std::io::ErrorKind::ConnectionRefused,
+            };
+            if woken {
+                let _ = acceptor.join();
+            }
+        }
+        for t in self.workers.drain(..) {
             let _ = t.join();
+        }
+        // With the acceptor gone the registry is final. `Read`, not
+        // `Both`: a thread parked in `read` gets end-of-input and exits,
+        // while one in the middle of a reply (the `draining` ack that
+        // set the binary's exit in motion) still delivers it. A peer
+        // that will not read its reply holds the join for at most the
+        // 30 s write timeout.
+        let conns = std::mem::take(&mut self.shared.lock().conns);
+        for (stream, thread) in conns {
+            let _ = stream.shutdown(Shutdown::Read);
+            let _ = thread.join();
         }
     }
 }
@@ -460,34 +621,76 @@ impl Drop for Daemon {
 
 fn listen_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                // One short-lived thread per connection: the protocol
-                // is one line in, one line out, a few requests at most.
-                std::thread::spawn(move || handle_connection(&shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // 1 ms keeps the stop flag responsive while bounding
-                // accept latency well below the cache-hit round trip
-                // the service benchmark measures.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        let Ok((stream, _)) = accepted else {
+            // Either the failure consumed the connection (it was
+            // aborted in the backlog) or it is still there (out of
+            // descriptors) and the next `accept` fails the same way
+            // until a connection closes: give the threads that can
+            // close one the processor.
+            std::thread::yield_now();
+            continue;
+        };
+        let mut st = shared.lock();
+        if st.open_connections() >= MAX_CONNECTIONS {
+            drop(st);
+            // Answered from this thread: a refusal must not cost what
+            // it refuses. One short line into an empty send buffer
+            // cannot block.
+            let _ = send(
+                &stream,
+                &Response::Error {
+                    kind: "too_many_connections".into(),
+                    message: format!("{MAX_CONNECTIONS} connections are already open"),
+                },
+            );
+            continue;
+        }
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        // One thread per connection, alive until the peer closes, goes
+        // quiet for 30 s, or the daemon stops. If the thread cannot be
+        // had the connection is dropped and the peer sees it close.
+        let shared = Arc::clone(shared);
+        let spawned =
+            std::thread::Builder::new().spawn(move || handle_connection(&shared, stream));
+        if let Ok(thread) = spawned {
+            st.connections += 1;
+            st.conns.push((peer, thread));
         }
     }
 }
 
+/// Write one response line.
+fn send(mut stream: &TcpStream, response: &Response) -> std::io::Result<()> {
+    let mut out = response.to_line();
+    out.push('\n');
+    stream.write_all(out.as_bytes())
+}
+
+/// Ends the connection when its thread is done with it, however the
+/// thread ends. The registry's handle is a second descriptor on the same
+/// socket, so dropping the thread's alone would close nothing: the peer
+/// would go on writing to a connection no one reads.
+struct HangUp(TcpStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    let stream = HangUp(stream);
+    let stream = &stream.0;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    // A reply is one small write the peer is blocked on: send it now.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
@@ -520,22 +723,47 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 },
             }
         };
-        let mut out = response.to_line();
-        out.push('\n');
-        if writer.write_all(out.as_bytes()).is_err() {
+        if send(stream, &response).is_err() {
             return;
         }
-        let _ = writer.flush();
         if too_long {
             // Closing with input unread resets the connection and can
             // destroy the error before the peer reads it: stop sending,
             // discard a bounded rest of the flood, then close.
-            let _ = writer.shutdown(Shutdown::Write);
+            let _ = stream.shutdown(Shutdown::Write);
             let linger = Some(Duration::from_secs(1));
-            let _ = reader.get_ref().set_read_timeout(linger);
+            let _ = stream.set_read_timeout(linger);
             let _ = std::io::copy(&mut reader.take(MAX_LINE_BYTES), &mut std::io::sink());
             return;
         }
+    }
+}
+
+/// What `result` answers for `job_id` — and `wait`, once it stops
+/// waiting.
+fn result_of(st: &State, job_id: String) -> Response {
+    if let Some(result) = st.cache.get(&job_id) {
+        return Response::JobResult {
+            job_id,
+            result: result.clone(),
+        };
+    }
+    match st.jobs.get(&job_id) {
+        Some(Job {
+            state: JobState::Failed(e),
+            ..
+        }) => Response::Error {
+            kind: "job_failed".into(),
+            message: e.clone(),
+        },
+        Some(job) => Response::JobStatus {
+            job_id,
+            state: job.state.tag().to_string(),
+        },
+        None => Response::Error {
+            kind: "not_found".into(),
+            message: format!("no job {job_id}"),
+        },
     }
 }
 
@@ -543,14 +771,16 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
     match req {
         Request::Ping => Response::Pong,
         Request::Drain => {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             st.draining = true;
             shared.work.notify_all();
+            shared.done.notify_all();
             Response::Draining
         }
         Request::Stats => {
-            let st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             Response::Stats(ServiceStats {
+                open_connections: st.open_connections() as u64,
                 queued: st.queue.len() as u64,
                 running: st.running as u64,
                 done: st
@@ -561,10 +791,11 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
                 rejected: st.rejected,
                 cache_hits: st.cache_hits,
                 draining: st.draining,
+                connections: st.connections,
             })
         }
         Request::Status { job_id } => {
-            let st = shared.state.lock().unwrap();
+            let st = shared.lock();
             match st.jobs.get(&job_id) {
                 Some(job) => Response::JobStatus {
                     job_id,
@@ -576,31 +807,17 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
                 },
             }
         }
-        Request::Result { job_id } => {
-            let st = shared.state.lock().unwrap();
-            if let Some(result) = st.cache.get(&job_id) {
-                return Response::JobResult {
-                    job_id,
-                    result: result.clone(),
-                };
-            }
-            match st.jobs.get(&job_id) {
-                Some(Job {
-                    state: JobState::Failed(e),
-                    ..
-                }) => Response::Error {
-                    kind: "job_failed".into(),
-                    message: e.clone(),
-                },
-                Some(job) => Response::JobStatus {
-                    job_id,
-                    state: job.state.tag().to_string(),
-                },
-                None => Response::Error {
-                    kind: "not_found".into(),
-                    message: format!("no job {job_id}"),
-                },
-            }
+        Request::Result { job_id } => result_of(&shared.lock(), job_id),
+        Request::Wait { job_id, wait_ms } => {
+            let pending = |st: &State| {
+                matches!(
+                    st.jobs.get(&job_id).map(|job| &job.state),
+                    Some(JobState::Queued | JobState::Running)
+                )
+            };
+            let wait = Duration::from_millis(wait_ms.min(MAX_WAIT_MS));
+            let st = shared.wait_done(wait, |st| !pending(st));
+            result_of(&st, job_id)
         }
         Request::Submit { client, spec } => handle_submit(shared, client, spec),
     }
@@ -626,7 +843,7 @@ fn handle_submit(shared: &Arc<Shared>, client: String, mut spec: JobSpec) -> Res
         Err(e) => return Response::from_sim_error(&e),
     };
 
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     if st.cache.contains_key(&job_id) {
         st.cache_hits += 1;
         return Response::Accepted {
@@ -681,7 +898,7 @@ fn handle_submit(shared: &Arc<Shared>, client: String, mut spec: JobSpec) -> Res
         minnet::service::journal_esc(&client),
         spec.to_json()
     );
-    if let Err(e) = st.journal.append(&line) {
+    if let Err(e) = st.journal.append(line) {
         return Response::Error {
             kind: "io".into(),
             message: e,
@@ -707,7 +924,7 @@ fn handle_submit(shared: &Arc<Shared>, client: String, mut spec: JobSpec) -> Res
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let (job_id, spec) = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
@@ -720,9 +937,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 if st.draining {
                     // Queue empty and no new admissions: drained.
-                    shared.idle.notify_all();
+                    shared.done.notify_all();
                 }
-                st = shared.work.wait(st).unwrap();
+                st = shared.repaired(guard(shared.work.wait(st)));
             }
         };
 
@@ -755,13 +972,17 @@ fn worker_loop(shared: &Arc<Shared>) {
             };
             if attempt < JOB_RETRIES {
                 attempt += 1;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "backoff between attempts at a job that just panicked: off the request path, and the pause is the point"
+                )]
                 std::thread::sleep(Duration::from_millis(10 * u64::from(attempt)));
                 continue;
             }
             break Err(reason);
         };
 
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         let line = match &outcome {
             Ok(result) => {
                 format!("{{\"event\":\"done\",\"job_id\":\"{job_id}\",\"result\":{result}}}")
@@ -773,7 +994,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         // A journal write failure must not wedge the daemon: the job
         // still completes in memory (it will rerun after a restart).
-        let _ = st.journal.append(&line);
+        let _ = st.journal.append(line);
         if let Some(job) = st.jobs.get_mut(&job_id) {
             match outcome {
                 Ok(result) => {
@@ -795,6 +1016,69 @@ fn worker_loop(shared: &Arc<Shared>) {
             // never reread it.
         }
         st.running -= 1;
-        shared.idle.notify_all();
+        shared.done.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minnet::service::ServiceClient;
+
+    /// ROADMAP item 8(b): a thread that panics *while holding the state
+    /// lock* — with a counter already moved and the rest of its update
+    /// never made — costs the service nothing but that thread.
+    #[test]
+    fn a_panic_under_the_state_lock_leaves_the_service_serving() {
+        let dir = std::env::temp_dir().join(format!("minnetd_unit_{}_poison", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            state_dir: dir.clone(),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let client = ServiceClient::new(daemon.addr().to_string());
+        let spec = JobSpec {
+            sizes: "fixed:32".into(),
+            loads: vec![0.2],
+            warmup: 300,
+            measure: 2_000,
+            budget_cycles: 100_000,
+            ..JobSpec::default()
+        };
+        let Response::Accepted { job_id, .. } = client.submit("c1", &spec).unwrap() else {
+            panic!("submit refused");
+        };
+        let result = client.wait_result(&job_id, Duration::from_secs(60)).unwrap();
+
+        let shared = Arc::clone(&daemon.shared);
+        let died = std::thread::spawn(move || {
+            let mut st = shared.state.lock().unwrap();
+            st.running += 1;
+            *st.inflight.entry("c1".into()).or_insert(0) += 1;
+            panic!("a bug under the state lock (this test's own)");
+        })
+        .join();
+        assert!(died.is_err() && daemon.shared.state.is_poisoned());
+
+        client.ping().unwrap();
+        let status = client.status(&job_id).unwrap();
+        assert!(matches!(status, Response::JobStatus { state, .. } if state == "done"));
+        assert_eq!(client.wait_result(&job_id, Duration::from_secs(60)).unwrap(), result);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.running, stats.done), (0, 1), "`running` was not recounted");
+        assert_eq!(daemon.shared.lock().inflight.get("c1"), None, "`inflight` was not recounted");
+        assert!(!daemon.shared.state.is_poisoned());
+        // Still a working service, not just an answering one.
+        let next = JobSpec { seed: 2, ..spec };
+        let Response::Accepted { job_id, .. } = client.submit("c1", &next).unwrap() else {
+            panic!("submit refused after the panic");
+        };
+        client.wait_result(&job_id, Duration::from_secs(60)).unwrap();
+        assert_eq!(client.drain().unwrap(), Response::Draining);
+        daemon.drain_and_wait();
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,7 @@ use minnet_sim::RunBudget;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by the main loop. (The handler
+/// Set by the signal handler; looked at by the main loop between waits. (The handler
 /// must be async-signal-safe: a relaxed store is, a Mutex is not.)
 static DRAIN: AtomicBool = AtomicBool::new(false);
 
@@ -112,9 +112,14 @@ fn main() {
 
     // A drain arrives as SIGTERM/SIGINT (the flag) or as a wire
     // `drain` request (daemon state); either way: close admissions,
-    // finish the accepted backlog, flush, exit 0.
-    while !DRAIN.load(Ordering::Relaxed) && !daemon.is_draining() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    // finish the accepted backlog, flush, exit 0. The wire request
+    // ends the wait at once; the handler can only set a flag, which
+    // is looked at again every 50 ms.
+    let signal_poll = std::time::Duration::from_millis(50);
+    loop {
+        if DRAIN.load(Ordering::Relaxed) || daemon.wait_drain_requested(signal_poll) {
+            break;
+        }
     }
     eprintln!("minnetd: drain requested, finishing accepted jobs…");
     daemon.drain_and_wait();

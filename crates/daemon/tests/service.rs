@@ -1,12 +1,15 @@
 //! In-process integration tests for the `minnetd` service: admission
 //! control under flood, cache-hit byte identity, panic isolation,
-//! structured errors over the wire, and graceful drain.
+//! structured errors over the wire, graceful drain, and the wire path's
+//! contracts (kept-alive and one-shot connections, `wait`, the
+//! connection cap, a stop that joins its connections).
 
-use minnet::service::{JobSpec, Response, ServiceClient};
-use minnet_daemon::{Daemon, DaemonConfig};
+use minnet::service::{JobSpec, Request, Response, ServiceClient};
+use minnet_daemon::{Daemon, DaemonConfig, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unique state dir per test (tests run in parallel).
 fn state_dir(tag: &str) -> PathBuf {
@@ -366,4 +369,197 @@ fn hard_stop_and_restart_recovers_queued_jobs_byte_identically() {
         .wait_result(&ref_id, Duration::from_secs(60))
         .unwrap();
     assert_eq!(recovered, reference, "recovery changed result bytes");
+}
+
+/// One connection, one request line, one response line, close: what
+/// every client did before connections were kept, and what `nc` does.
+fn one_shot(daemon: &Daemon, request: &Request) -> Response {
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.write_all(format!("{}\n", request.to_line()).as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    Response::parse(reply.trim_end()).unwrap_or_else(|| panic!("unparsable reply {reply:?}"))
+}
+
+#[test]
+fn a_connection_the_daemon_gives_up_is_closed_not_abandoned() {
+    let (daemon, _cleanup) = start("hangup", 1, 16, 8);
+    // A line that is not UTF-8 ends the connection without a reply. The
+    // daemon keeps a second handle on every open socket (to end it at a
+    // stop), so the thread letting go of its own closes nothing: the
+    // peer must be hung up on, or it waits on a line no one will read.
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.write_all(b"\xff\xfe\n").unwrap();
+    let mut rest = Vec::new();
+    let read = std::io::Read::read_to_end(&mut stream, &mut rest);
+    assert!(matches!(read, Ok(0)), "expected end-of-input, got {read:?}");
+}
+
+#[test]
+fn one_client_is_one_connection_and_a_clone_is_another() {
+    let (daemon, _cleanup) = start("keepalive", 1, 16, 8);
+    let client = ServiceClient::new(daemon.addr().to_string());
+    let Response::Accepted { job_id, .. } = client.submit("c1", &quick_spec(71)).unwrap() else {
+        panic!("submit refused");
+    };
+    client.wait_result(&job_id, Duration::from_secs(60)).unwrap();
+    for i in 0..48 {
+        match i % 4 {
+            0 => client.ping().unwrap(),
+            1 => assert!(matches!(client.status(&job_id), Ok(Response::JobStatus { .. }))),
+            2 => assert!(matches!(client.result(&job_id), Ok(Response::JobResult { .. }))),
+            _ => assert!(matches!(
+                client.submit("c1", &quick_spec(71)),
+                Ok(Response::Accepted { cached: true, .. })
+            )),
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.connections, stats.open_connections), (1, 1));
+    let clone = client.clone();
+    let stats = clone.stats().unwrap();
+    assert_eq!((stats.connections, stats.open_connections), (2, 2));
+}
+
+#[test]
+fn one_shot_connections_are_served_as_before() {
+    let (daemon, _cleanup) = start("oneshot", 1, 16, 8);
+    assert_eq!(one_shot(&daemon, &Request::Ping), Response::Pong);
+    let submit = Request::Submit {
+        client: "c1".into(),
+        spec: quick_spec(72),
+    };
+    let Response::Accepted { job_id, cached: false } = one_shot(&daemon, &submit) else {
+        panic!("submit refused");
+    };
+    let status = one_shot(&daemon, &Request::Status { job_id: job_id.clone() });
+    assert!(matches!(status, Response::JobStatus { .. }), "{status:?}");
+    let wait = Request::Wait {
+        job_id: job_id.clone(),
+        wait_ms: 60_000,
+    };
+    let Response::JobResult { result: waited, .. } = one_shot(&daemon, &wait) else {
+        panic!("the job did not finish");
+    };
+    let Response::JobResult { result, .. } = one_shot(&daemon, &Request::Result { job_id }) else {
+        panic!("no result after wait");
+    };
+    assert_eq!(waited, result, "`wait` and `result` disagree on the bytes");
+    let Response::Stats(stats) = one_shot(&daemon, &Request::Stats) else {
+        panic!("no stats");
+    };
+    assert_eq!((stats.done, stats.connections), (1, 6));
+    assert_eq!(one_shot(&daemon, &Request::Drain), Response::Draining);
+}
+
+#[test]
+fn wait_answers_what_result_would_when_there_is_something_to_say() {
+    // Admission-only: the job stays queued, so `wait` runs out its
+    // time and says so.
+    let (daemon, _cleanup) = start("wait", 0, 16, 8);
+    let client = ServiceClient::new(daemon.addr().to_string());
+    let Response::Accepted { job_id, .. } = client.submit("c1", &quick_spec(73)).unwrap() else {
+        panic!("submit refused");
+    };
+    let wait = |job_id: &str, wait_ms| {
+        let job_id = job_id.to_string();
+        client.request(&Request::Wait { job_id, wait_ms }).unwrap()
+    };
+    assert_eq!(wait(&job_id, 20), client.result(&job_id).unwrap());
+    assert!(matches!(wait(&job_id, 0), Response::JobStatus { state, .. } if state == "queued"));
+    // Nothing to wait for: answered at once, however long was offered.
+    let Response::Error { kind, .. } = wait("no-such-job", 60_000) else {
+        panic!("an unknown job has no result");
+    };
+    assert_eq!(kind, "not_found");
+}
+
+#[test]
+fn wait_ends_with_the_error_of_a_job_that_fails() {
+    let (daemon, cleanup) = start("waitfail", 1, 16, 8);
+    // No job can checkpoint: the directory its file goes in is a file.
+    std::fs::remove_dir_all(cleanup.0.join("jobs")).unwrap();
+    std::fs::write(cleanup.0.join("jobs"), "").unwrap();
+    let client = ServiceClient::new(daemon.addr().to_string());
+    let Response::Accepted { job_id, .. } = client.submit("c1", &quick_spec(75)).unwrap() else {
+        panic!("submit refused");
+    };
+    for _ in 0..2 {
+        // Parked until the last retry gives up; at once after that.
+        let err = client.wait_result(&job_id, Duration::from_secs(60)).unwrap_err();
+        assert!(err.contains("job_failed") && err.contains(".ckpt.jsonl"), "{err}");
+    }
+}
+
+#[test]
+fn a_stop_wakes_a_parked_wait_and_joins_an_idle_connection() {
+    let dir = state_dir("stopwait");
+    let _cleanup = Cleanup(dir.clone());
+    let config = || DaemonConfig {
+        workers: 0,
+        state_dir: dir.clone(),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config()).unwrap();
+    let idle = ServiceClient::new(daemon.addr().to_string());
+    let Response::Accepted { job_id, .. } = idle.submit("c1", &quick_spec(74)).unwrap() else {
+        panic!("submit refused");
+    };
+    let waiter = ServiceClient::new(daemon.addr().to_string());
+    waiter.ping().unwrap();
+    let (connected, go) = std::sync::mpsc::channel();
+    let parked = std::thread::spawn(move || {
+        connected.send(()).unwrap();
+        waiter.request(&Request::Wait {
+            job_id,
+            wait_ms: 30_000,
+        })
+    });
+    go.recv().unwrap();
+    // Both connections are open and one is (about to be) parked in a
+    // 30 s wait; the other sits in a 30 s read. Neither may hold the
+    // stop up — nor outlive it, or the state directory stays locked.
+    let stopping = Instant::now();
+    daemon.shutdown();
+    let took = stopping.elapsed();
+    assert!(took < Duration::from_secs(10), "shutdown sat out a timeout: {took:?}");
+    // Whichever side of the stop the request landed on, it was not
+    // left waiting: the job is still queued, or the connection is gone.
+    match parked.join().unwrap() {
+        Ok(Response::JobStatus { state, .. }) => assert_eq!(state, "queued"),
+        Ok(other) => panic!("unexpected answer to an interrupted wait: {other:?}"),
+        Err(_) => {}
+    }
+    let successor = Daemon::start(config()).unwrap();
+    assert_eq!(ServiceClient::new(successor.addr().to_string()).stats().unwrap().queued, 1);
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_with_a_typed_error() {
+    let (daemon, _cleanup) = start("conncap", 1, 16, 8);
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(daemon.addr()).unwrap())
+        .collect();
+    // Accepted in connection order, so the cap's worth above are all
+    // registered by the time this one is looked at.
+    let over = TcpStream::connect(daemon.addr()).unwrap();
+    let mut reader = BufReader::new(over);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let Some(Response::Error { kind, message }) = Response::parse(reply.trim_end()) else {
+        panic!("expected a refusal, got {reply:?}");
+    };
+    assert_eq!(kind, "too_many_connections");
+    assert!(message.contains(&MAX_CONNECTIONS.to_string()), "{message}");
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "the refused connection is closed");
+    // One closes, one fits. The daemon learns of the close when its
+    // thread reads end-of-input, which nothing here can wait on: ask
+    // until a connection is let in.
+    drop(idle.pop());
+    let asking = Instant::now();
+    while ServiceClient::new(daemon.addr().to_string()).ping().is_err() {
+        assert!(asking.elapsed() < Duration::from_secs(30), "no room after a close");
+        std::thread::yield_now();
+    }
 }

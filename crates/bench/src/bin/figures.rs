@@ -11,9 +11,10 @@
 //! grid, prints the paper-style series (offered %, accepted %, mean
 //! latency in µs, …) and writes one CSV per figure under `results/`.
 
-use minnet::{curve_csv, curve_table, find_saturation, latency_throughput_curve, saturation_load};
+use minnet::{
+    curve_csv, curve_table, find_saturation, latency_throughput_curve, saturation_load, OutputFile,
+};
 use minnet_bench::{all_figures, figure_by_id, FigureDef};
-use std::io::Write as _;
 use std::path::PathBuf;
 
 struct Options {
@@ -143,10 +144,10 @@ fn main() {
         match run_figure(fig, &opts) {
             Ok(csv) => {
                 let path = opts.out_dir.join(format!("{}.csv", fig.id));
-                if let Err(e) =
-                    std::fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes()))
-                {
-                    eprintln!("error: writing {}: {e}", path.display());
+                let written =
+                    OutputFile::open(&path).and_then(|f| f.replace(csv.as_bytes()));
+                if let Err(e) = written {
+                    eprintln!("error: {e}");
                     std::process::exit(1);
                 }
                 println!("   wrote {}\n", path.display());

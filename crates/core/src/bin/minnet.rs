@@ -15,17 +15,20 @@ use minnet::partition::UnidirPartitionAnalysis;
 use minnet::traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use minnet::{
     campaign_curve, curve_csv, curve_table, find_saturation, outcome_counts, saturation_load,
-    CampaignPolicy, Experiment, JobSpec, NetworkSpec, PointOutcome, Response, ServiceClient,
-    SweepPoint,
+    CampaignPolicy, Experiment, JobSpec, NetworkSpec, OutputFile, PointOutcome, Response,
+    ServiceClient, SweepPoint,
 };
 use minnet_topology::{BitCube, Geometry, UnidirKind};
 use std::collections::BTreeMap;
+use std::io::{self, BufWriter, Write};
 
-/// Print the usage text and exit with `code`: 0 when it was asked for,
-/// 2 when the command line made no sense.
-fn usage(code: i32) -> ! {
-    println!(
-        "minnet — switch-based wormhole network simulator (Ni, Gui & Moore reproduction)
+/// The process's stdout: locked once, written once. Every command
+/// `writeln!`s into it and [`finish`] flushes it — std ignores `SIGPIPE`,
+/// so printing to a reader that left (`| head -1`) is an `EPIPE` to be
+/// handled here, not a panic inside a print macro.
+type Out = BufWriter<io::StdoutLock<'static>>;
+
+const USAGE: &str = "minnet — switch-based wormhole network simulator (Ni, Gui & Moore reproduction)
 
 USAGE: minnet <command> [options]
 
@@ -92,9 +95,25 @@ A budget-cut point is reported PARTIAL (its truncated stats are kept);
 a panicking or erroring point is reported FAILED after retries. The
 curve always completes with per-point outcomes.
 
-An option the command does not read is an error, not a default."
-    );
-    std::process::exit(code);
+An option the command does not read is an error, not a default.
+";
+
+/// Print the usage text and exit with `code`: 0 when it was asked for,
+/// 2 when the command line made no sense.
+fn usage(out: &mut Out, code: i32) -> ! {
+    let written = out.write_all(USAGE.as_bytes());
+    finish(out, written, code)
+}
+
+/// Flush `out` and end the process with `code`. A reader that closed
+/// the pipe got all it asked for: that ends the process quietly with
+/// status 0. Any other failure to write stdout is an error.
+fn finish(out: &mut Out, written: io::Result<()>, code: i32) -> ! {
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => std::process::exit(code),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(&format!("writing stdout: {e}")),
+    }
 }
 
 struct Args {
@@ -144,18 +163,18 @@ fn options_of(cmd: &str) -> Option<[&'static [&'static str]; 2]> {
     })
 }
 
-fn parse_args() -> Args {
+fn parse_args(out: &mut Out) -> Args {
     let mut it = std::env::args().skip(1);
     let cmd = it.next().unwrap_or_default();
     if ["help", "--help", "-h"].contains(&cmd.as_str()) {
-        usage(0);
+        usage(out, 0);
     }
-    let Some(known) = options_of(&cmd) else { usage(2) };
+    let Some(known) = options_of(&cmd) else { usage(out, 2) };
     let mut opts = BTreeMap::new();
     let mut free = Vec::new();
     while let Some(key) = it.next() {
         if key == "--help" || key == "-h" {
-            usage(0);
+            usage(out, 0);
         }
         let Some(name) = key.strip_prefix("--") else {
             free.push(key);
@@ -171,7 +190,7 @@ fn parse_args() -> Args {
         }
         let Some(value) = it.next() else {
             eprintln!("--{name} needs a value");
-            usage(2);
+            usage(out, 2);
         };
         opts.insert(name.to_string(), value);
     }
@@ -202,6 +221,35 @@ fn parse_u64(a: &Args, key: &str, default: u64) -> u64 {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// [`die`] for a command that has already written to `out`: what it
+/// wrote is shown first. A stdout that cannot take it changes nothing —
+/// the process is failing with `msg` either way.
+fn die_after(out: &mut Out, msg: &str) -> ! {
+    let _ = out.flush();
+    die(msg)
+}
+
+/// The file `--<key> PATH` names, opened — and so known to be writable —
+/// before the work whose result it will hold.
+fn output_file(a: &Args, key: &str) -> Option<OutputFile> {
+    a.opts
+        .get(key)
+        .map(|path| OutputFile::open(path).unwrap_or_else(|e| die(&e)))
+}
+
+/// Make `bytes` the content of the `file` that [`output_file`] opened
+/// for `--<key>`, and say so.
+fn replace_output(
+    a: &Args,
+    out: &mut Out,
+    key: &str,
+    file: OutputFile,
+    bytes: &[u8],
+) -> io::Result<()> {
+    file.replace(bytes).unwrap_or_else(|e| die_after(out, &e));
+    writeln!(out, "wrote {}", a.opts[key])
 }
 
 fn wiring(a: &Args) -> UnidirKind {
@@ -358,71 +406,77 @@ fn threads(a: &Args) -> usize {
         })
 }
 
-fn cmd_info(a: &Args) {
+fn cmd_info(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
     let net = exp.network.build(exp.geometry);
-    println!("network    : {}", exp.network.name());
-    println!(
+    writeln!(out, "network    : {}", exp.network.name())?;
+    writeln!(
+        out,
         "geometry   : {} nodes, {}x{} switches, {} stages",
         exp.geometry.nodes(),
         exp.geometry.k(),
         exp.geometry.k(),
         exp.geometry.n()
-    );
-    println!("switches   : {}", net.num_switches());
-    println!("channels   : {}", net.num_channels());
+    )?;
+    writeln!(out, "switches   : {}", net.num_switches())?;
+    writeln!(out, "channels   : {}", net.num_channels())?;
     let adj = dependency_graph(&net, DependencyRule::Paper);
-    println!(
+    writeln!(
+        out,
         "deadlock   : {}",
         if find_cycle(&adj).is_none() {
             "free (acyclic channel dependency graph)"
         } else {
             "CYCLE FOUND"
         }
-    );
+    )?;
     let bidir = net.kind.is_bidirectional();
-    println!(
+    writeln!(
+        out,
         "mean path  : {:.2} channels (uniform pairs)",
         if bidir {
             2.0 * (minnet::model::mean_first_difference(&exp.geometry) + 1.0)
         } else {
             (exp.geometry.n() + 1) as f64
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "unloaded   : {:.1} us mean latency for paper-sized messages",
         minnet::model::mean_unloaded_latency(&exp.geometry, bidir, exp.sizes.mean())
             * minnet::sim::CYCLE_US
-    );
+    )
 }
 
-fn cmd_simulate(a: &Args) {
+fn cmd_simulate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
     let load = parse_f64(a, "load", 0.5);
     let r = exp.run(load).unwrap_or_else(|e| die(&e));
-    println!("network   : {}", exp.network.name());
-    println!("offered   : {:.1}%", load * 100.0);
-    println!("accepted  : {:.2}%", r.throughput_percent());
-    println!(
+    writeln!(out, "network   : {}", exp.network.name())?;
+    writeln!(out, "offered   : {:.1}%", load * 100.0)?;
+    writeln!(out, "accepted  : {:.2}%", r.throughput_percent())?;
+    writeln!(
+        out,
         "latency   : mean {:.1} us   p50 {:.1}   p95 {:.1}   p99 {:.1}   max {:.1}",
         r.mean_latency_us(),
         r.p50_latency_cycles as f64 * minnet::sim::CYCLE_US,
         r.p95_latency_cycles as f64 * minnet::sim::CYCLE_US,
         r.p99_latency_cycles as f64 * minnet::sim::CYCLE_US,
         r.max_latency_cycles as f64 * minnet::sim::CYCLE_US,
-    );
-    println!("queueing  : mean {:.1} msgs, max {}", r.mean_queue, r.max_queue);
-    println!(
+    )?;
+    writeln!(out, "queueing  : mean {:.1} msgs, max {}", r.mean_queue, r.max_queue)?;
+    writeln!(
+        out,
         "verdict   : {}",
         match (r.sustainable, r.steady) {
             (true, true) => "sustainable",
             (true, false) => "lagging (delivery behind generation)",
             _ => "SATURATED (queue limit exceeded)",
         }
-    );
+    )
 }
 
-fn cmd_sweep(a: &Args) {
+fn cmd_sweep(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
     let loads: Vec<f64> = match a.opts.get("loads") {
         Some(l) => l
@@ -431,7 +485,11 @@ fn cmd_sweep(a: &Args) {
             .collect(),
         None => (1..=9).map(|i| i as f64 / 10.0).collect(),
     };
-    let points = campaign_curve(&exp, &loads, threads(a), &policy(a)).unwrap_or_else(|e| die(&e));
+    // Every option is read before the file is created: a bad --threads
+    // leaves no empty CSV behind.
+    let (threads, policy) = (threads(a), policy(a));
+    let csv = output_file(a, "csv");
+    let points = campaign_curve(&exp, &loads, threads, &policy).unwrap_or_else(|e| die(&e));
 
     // The classic table over the points that completed; Partial/Failed
     // points are listed separately so truncated stats are never mixed
@@ -445,71 +503,77 @@ fn cmd_sweep(a: &Args) {
             })
         })
         .collect();
-    print!("{}", curve_table(&exp.network.name(), &completed));
+    write!(out, "{}", curve_table(&exp.network.name(), &completed))?;
     for p in &points {
         match &p.outcome {
             PointOutcome::Ok(_) => {}
-            PointOutcome::Partial { report, reason } => println!(
+            PointOutcome::Partial { report, reason } => writeln!(
+                out,
                 "  load {:.0}%: PARTIAL after {} cycles ({reason}) — accepted {:.2}% so far",
                 p.offered * 100.0,
                 report.cycles,
                 report.throughput_percent()
-            ),
-            PointOutcome::Failed { reason } => println!(
+            )?,
+            PointOutcome::Failed { reason } => writeln!(
+                out,
                 "  load {:.0}%: FAILED after {} attempt(s): {reason}",
                 p.offered * 100.0,
                 p.attempts
-            ),
+            )?,
         }
     }
     let (ok, partial, failed) = outcome_counts(points.iter().map(|p| &p.outcome));
-    println!("outcomes: {ok} ok, {partial} partial, {failed} failed");
+    writeln!(out, "outcomes: {ok} ok, {partial} partial, {failed} failed")?;
     if let Some(sat) = saturation_load(&completed) {
-        println!(
+        writeln!(
+            out,
             "max sustainable throughput: {:.1}% (offered {:.0}%)",
             sat.report.throughput_percent(),
             sat.offered * 100.0
-        );
+        )?;
     }
-    if let Some(path) = a.opts.get("csv") {
-        std::fs::write(path, curve_csv(&exp.network.name(), &completed))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote {path}");
+    if let Some(csv) = csv {
+        let bytes = curve_csv(&exp.network.name(), &completed);
+        replace_output(a, out, "csv", csv, bytes.as_bytes())?;
     }
+    Ok(())
 }
 
-fn cmd_saturate(a: &Args) {
+fn cmd_saturate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
     let lo = parse_f64(a, "lo", 0.05);
     let hi = parse_f64(a, "hi", 1.0);
     let iters: u32 = parse_opt(a, "iters", 6);
     match find_saturation(&exp, lo, hi, iters).unwrap_or_else(|e| die(&e)) {
-        Some(p) => println!(
+        Some(p) => writeln!(
+            out,
             "{}: sustainable up to offered {:.1}% — accepted {:.1}%, mean latency {:.1} us",
             exp.network.name(),
             p.offered * 100.0,
             p.report.throughput_percent(),
             p.report.mean_latency_us()
         ),
-        None => println!("{}: already saturated at {:.1}%", exp.network.name(), lo * 100.0),
+        None => writeln!(out, "{}: already saturated at {:.1}%", exp.network.name(), lo * 100.0),
     }
 }
 
-fn cmd_partition(a: &Args) {
+fn cmd_partition(a: &Args, out: &mut Out) -> io::Result<()> {
     let g = geometry(a);
     let kind = wiring(a);
     let clustering = clustering(a, &g);
     let map = minnet::traffic::ClusterMap::build(&g, &clustering).unwrap_or_else(|e| die(&e));
     let clusters: Vec<Vec<u32>> = map.members.clone();
     let analysis = UnidirPartitionAnalysis::analyze(g, kind, &clusters);
-    println!(
+    writeln!(
+        out,
         "wiring {kind:?}, {} clusters over {} nodes",
         clusters.len(),
         g.nodes()
-    );
+    )?;
     for (ci, members) in clusters.iter().enumerate() {
         let counts: Vec<usize> = (0..=g.n()).map(|l| analysis.channels_used(ci, l)).collect();
-        println!(
+        writeln!(
+            out,
             "  cluster {ci} ({} nodes): channels/level {:?}{}",
             members.len(),
             counts,
@@ -518,13 +582,13 @@ fn cmd_partition(a: &Args) {
             } else {
                 "  [NOT balanced]"
             }
-        );
+        )?;
     }
     let shared = analysis.shared_positions();
     if shared.is_empty() {
-        println!("  contention-free: yes");
+        writeln!(out, "  contention-free: yes")
     } else {
-        println!("  contention-free: NO — {} shared channels", shared.len());
+        writeln!(out, "  contention-free: NO — {} shared channels", shared.len())
     }
 }
 
@@ -545,10 +609,10 @@ fn scenario_paths(a: &Args) -> Vec<std::path::PathBuf> {
     files
 }
 
-fn cmd_scenario(a: &Args) {
+fn cmd_scenario(a: &Args, out: &mut Out) -> io::Result<()> {
     let action = a.free.first().map(String::as_str).unwrap_or_else(|| {
         eprintln!("scenario needs an action: run, list, or validate");
-        usage(2);
+        usage(out, 2);
     });
     let files = scenario_paths(a);
     match action {
@@ -569,7 +633,7 @@ fn cmd_scenario(a: &Args) {
                         } else {
                             format!(" [{}]", tags.join(", "))
                         };
-                        println!("{:30} {}{tags}", s.name(), s.description());
+                        writeln!(out, "{:30} {}{tags}", s.name(), s.description())?;
                     }
                     Err(e) => {
                         bad += 1;
@@ -578,10 +642,10 @@ fn cmd_scenario(a: &Args) {
                 }
             }
             if bad > 0 {
-                die(&format!("{bad} invalid scenario file(s)"));
+                die_after(out, &format!("{bad} invalid scenario file(s)"));
             }
             if action == "validate" {
-                println!("{} scenario file(s) valid", files.len());
+                writeln!(out, "{} scenario file(s) valid", files.len())?;
             }
         }
         "run" => {
@@ -596,6 +660,7 @@ fn cmd_scenario(a: &Args) {
                 max_cycles: parse_u64(a, "budget-cycles", 0),
                 max_wall_ms: parse_u64(a, "budget-ms", 0),
             };
+            let json = output_file(a, "json");
             let set = minnet::run_scenario_files_with_budget(
                 &files,
                 threads(a),
@@ -606,33 +671,34 @@ fn cmd_scenario(a: &Args) {
             )
             .unwrap_or_else(|e| die(&e));
             for v in &set.verdicts {
-                println!("{v}");
+                writeln!(out, "{v}")?;
             }
             for name in &set.skipped {
-                println!("SKIP {name} (chaos-gated; rerun with --chaos)");
+                writeln!(out, "SKIP {name} (chaos-gated; rerun with --chaos)")?;
             }
             let as_expected = set.all_as_expected();
-            println!(
+            writeln!(
+                out,
                 "{} scenario(s): {} as declared, {} surprising, {} skipped",
                 set.verdicts.len(),
                 set.verdicts.iter().filter(|v| v.as_expected()).count(),
                 set.verdicts.iter().filter(|v| !v.as_expected()).count(),
                 set.skipped.len()
-            );
-            if let Some(path) = a.opts.get("json") {
-                std::fs::write(path, minnet::verdict_report_json(&set))
-                    .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-                println!("wrote {path}");
+            )?;
+            if let Some(json) = json {
+                let bytes = minnet::verdict_report_json(&set);
+                replace_output(a, out, "json", json, bytes.as_bytes())?;
             }
             if !as_expected {
-                std::process::exit(1);
+                finish(out, Ok(()), 1);
             }
         }
         other => {
             eprintln!("unknown scenario action {other:?} (run, list, validate)");
-            usage(2);
+            usage(out, 2);
         }
     }
+    Ok(())
 }
 
 /// The service client for `--daemon` (default: minnetd's well-known
@@ -691,37 +757,37 @@ fn job_id_arg(a: &Args) -> String {
         .unwrap_or_else(|| die("give a job id (positional, or --job ID)"))
 }
 
-/// Print a result JSON to stdout, or to `--json PATH` when given.
-fn emit_result(a: &Args, result: &str) {
-    if let Some(path) = a.opts.get("json") {
-        std::fs::write(path, format!("{result}\n"))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote {path}");
-    } else {
-        println!("{result}");
+/// Write a result JSON into `json` — the opened `--json PATH` — or,
+/// without one, to stdout.
+fn emit_result(a: &Args, out: &mut Out, json: Option<OutputFile>, result: &str) -> io::Result<()> {
+    match json {
+        Some(json) => replace_output(a, out, "json", json, format!("{result}\n").as_bytes()),
+        None => writeln!(out, "{result}"),
     }
 }
 
-fn cmd_submit(a: &Args) {
+fn cmd_submit(a: &Args, out: &mut Out) -> io::Result<()> {
     let client = service_client(a);
     let name = a
         .opts
         .get("client")
         .cloned()
         .unwrap_or_else(|| "minnet-cli".to_string());
+    let wait = a.opts.contains_key("wait");
+    let json = if wait { output_file(a, "json") } else { None };
     match client.submit(&name, &job_spec(a)).unwrap_or_else(|e| die(&e)) {
         Response::Accepted { job_id, cached } => {
             eprintln!(
                 "accepted {job_id}{}",
                 if cached { " (cached)" } else { "" }
             );
-            if a.opts.contains_key("wait") {
+            if wait {
                 let deadline =
                     std::time::Duration::from_millis(parse_u64(a, "timeout-ms", 300_000));
                 let result = client.wait_result(&job_id, deadline).unwrap_or_else(|e| die(&e));
-                emit_result(a, &result);
+                emit_result(a, out, json, &result)
             } else {
-                println!("{job_id}");
+                writeln!(out, "{job_id}")
             }
         }
         Response::Rejected {
@@ -733,19 +799,19 @@ fn cmd_submit(a: &Args) {
     }
 }
 
-fn cmd_status(a: &Args) {
+fn cmd_status(a: &Args, out: &mut Out) -> io::Result<()> {
     let client = service_client(a);
     match client.status(&job_id_arg(a)).unwrap_or_else(|e| die(&e)) {
-        Response::JobStatus { job_id, state } => println!("{job_id}: {state}"),
+        Response::JobStatus { job_id, state } => writeln!(out, "{job_id}: {state}"),
         Response::Error { kind, message } => die(&format!("[{kind}] {message}")),
         other => die(&format!("unexpected response: {other:?}")),
     }
 }
 
-fn cmd_result(a: &Args) {
+fn cmd_result(a: &Args, out: &mut Out) -> io::Result<()> {
     let client = service_client(a);
     match client.result(&job_id_arg(a)).unwrap_or_else(|e| die(&e)) {
-        Response::JobResult { result, .. } => emit_result(a, &result),
+        Response::JobResult { result, .. } => emit_result(a, out, output_file(a, "json"), &result),
         Response::JobStatus { job_id, state } => {
             die(&format!("{job_id} is not finished (state: {state})"))
         }
@@ -754,33 +820,35 @@ fn cmd_result(a: &Args) {
     }
 }
 
-fn cmd_drain(a: &Args) {
+fn cmd_drain(a: &Args, out: &mut Out) -> io::Result<()> {
     let client = service_client(a);
     match client.drain().unwrap_or_else(|e| die(&e)) {
         Response::Draining => {
-            println!("draining: admissions closed, accepted backlog finishing")
+            writeln!(out, "draining: admissions closed, accepted backlog finishing")
         }
         other => die(&format!("unexpected response: {other:?}")),
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let mut out = BufWriter::new(io::stdout().lock());
+    let args = parse_args(&mut out);
     let takes_free = matches!(args.cmd.as_str(), "scenario" | "status" | "result");
     if !takes_free && !args.free.is_empty() {
         die(&format!("unexpected argument {:?}", args.free[0]));
     }
-    match args.cmd.as_str() {
-        "info" => cmd_info(&args),
-        "simulate" => cmd_simulate(&args),
-        "sweep" => cmd_sweep(&args),
-        "saturate" => cmd_saturate(&args),
-        "partition" => cmd_partition(&args),
-        "scenario" => cmd_scenario(&args),
-        "submit" => cmd_submit(&args),
-        "status" => cmd_status(&args),
-        "result" => cmd_result(&args),
-        "drain" => cmd_drain(&args),
+    let written = match args.cmd.as_str() {
+        "info" => cmd_info(&args, &mut out),
+        "simulate" => cmd_simulate(&args, &mut out),
+        "sweep" => cmd_sweep(&args, &mut out),
+        "saturate" => cmd_saturate(&args, &mut out),
+        "partition" => cmd_partition(&args, &mut out),
+        "scenario" => cmd_scenario(&args, &mut out),
+        "submit" => cmd_submit(&args, &mut out),
+        "status" => cmd_status(&args, &mut out),
+        "result" => cmd_result(&args, &mut out),
+        "drain" => cmd_drain(&args, &mut out),
         _ => unreachable!("parse_args admits only the commands of options_of"),
-    }
+    };
+    finish(&mut out, written, 0)
 }

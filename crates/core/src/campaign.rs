@@ -14,7 +14,7 @@
 //! outcomes collapsed, not a second path.
 //!
 //! * **Per-point isolation.** Every attempt runs under
-//!   [`std::panic::catch_unwind`] in its worker thread; a panic, a
+//!   [`std::panic::catch_unwind`] on its worker; a panic, a
 //!   watchdog trip, or any other typed engine error downgrades to a
 //!   per-point [`PointOutcome::Failed`] (optionally retried on a
 //!   derived seed), while a [`minnet_sim::SimError::BudgetExceeded`]
@@ -30,7 +30,10 @@
 //!
 //! * **Poison-proof collection.** Results travel over an mpsc channel
 //!   to the scope-owning thread instead of per-task `Mutex` slots, so
-//!   there is no lock to poison.
+//!   there is no lock to poison. A plan that can use only one worker
+//!   (`--threads 1`, or one unit left to run) has nobody to hand over
+//!   to: the calling thread runs the same worker loop and records each
+//!   result itself, without a spawn, a join or a channel.
 //!
 //! * **Durable checkpointing.** With [`CampaignPolicy::checkpoint`]
 //!   set, every finished task is appended — `write`+`flush`, one JSON
@@ -294,7 +297,10 @@ pub(crate) type FleetRun<'a> =
 /// it out over `threads` scoped workers claiming from a shared cursor,
 /// pushes every result through [`attempt_ladder`], and collects
 /// `(task, outcome, attempts)` over an mpsc channel on the scope-owning
-/// thread, which alone appends to the checkpoint. Per-task seeding
+/// thread, which alone appends to the checkpoint. When there is work
+/// for one worker only, the calling thread is that worker and appends
+/// as it goes — the same loop, order and flush per task, minus the
+/// spawn and the per-task hand-off. Per-task seeding
 /// ([`task_seed`]) keeps the *values* independent of scheduling; the
 /// function only `Err`s on checkpoint refusal or I/O failure.
 ///
@@ -331,52 +337,67 @@ pub(crate) fn run_plan(
         .filter(|unit| !unit.is_empty())
         .collect();
     if !pending.is_empty() {
-        let threads = threads.max(1);
+        let workers = threads.clamp(1, pending.len());
         let fleet_threads = (threads / pending.len()).max(1);
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, PointOutcome, u32)>();
-        let mut io_err: Option<String> = None;
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(pending.len()) {
-                let tx = tx.clone();
-                let (cursor, pending, run) = (&cursor, &pending, &run);
-                scope.spawn(move || {
-                    let mut st = EngineState::new();
-                    let mut ls = LockstepState::new();
-                    'units: loop {
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = pending.get(slot) else { break };
-                        let mut spent = Vec::new();
-                        if let Some((_, prologue)) = fleet {
-                            let ran = AssertUnwindSafe(|| prologue(unit, fleet_threads, &mut ls));
-                            match catch_unwind(ran) {
-                                Ok(lanes) => spent = lanes,
-                                // The pool may hold half-mutated states.
-                                Err(_) => ls = LockstepState::new(),
-                            }
-                        }
-                        let mut spent = spent.into_iter();
-                        for &t in unit {
-                            let (outcome, attempts) =
-                                attempt_ladder(t, spent.next(), policy.retries, run, &mut st);
-                            if tx.send((t, outcome, attempts)).is_err() {
-                                break 'units;
-                            }
-                        }
+        // The one worker loop: claim units off the cursor until they run
+        // out or `sink` says nobody is listening.
+        let worker = |sink: &mut dyn FnMut(usize, PointOutcome, u32) -> bool| {
+            let mut st = EngineState::new();
+            let mut ls = LockstepState::new();
+            loop {
+                let slot = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(unit) = pending.get(slot) else { break };
+                let mut spent = Vec::new();
+                if let Some((_, prologue)) = fleet {
+                    let ran = AssertUnwindSafe(|| prologue(unit, fleet_threads, &mut ls));
+                    match catch_unwind(ran) {
+                        Ok(lanes) => spent = lanes,
+                        // The pool may hold half-mutated states.
+                        Err(_) => ls = LockstepState::new(),
                     }
-                });
-            }
-            drop(tx);
-            // Collect while workers run: no shared slots, nothing to
-            // poison. On a checkpoint write error keep draining
-            // (workers must finish) but remember the first failure.
-            for (t, outcome, attempts) in rx {
-                if io_err.is_none() {
-                    io_err = ckpt.append(t, attempts, &outcome).err();
                 }
-                results[t] = Some((outcome, attempts));
+                let mut spent = spent.into_iter();
+                for &t in unit {
+                    let (outcome, attempts) =
+                        attempt_ladder(t, spent.next(), policy.retries, &run, &mut st);
+                    if !sink(t, outcome, attempts) {
+                        return;
+                    }
+                }
             }
-        });
+        };
+        // On a checkpoint write error keep going (a pool's workers must
+        // finish) but remember the first failure.
+        let mut io_err: Option<String> = None;
+        let mut record = |t: usize, outcome: PointOutcome, attempts: u32| {
+            if io_err.is_none() {
+                io_err = ckpt.append(t, attempts, &outcome).err();
+            }
+            results[t] = Some((outcome, attempts));
+        };
+        if workers == 1 {
+            worker(&mut |t, outcome, attempts| {
+                record(t, outcome, attempts);
+                true
+            });
+        } else {
+            let (tx, rx) = mpsc::channel::<(usize, PointOutcome, u32)>();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let (tx, worker) = (tx.clone(), &worker);
+                    scope.spawn(move || {
+                        worker(&mut |t, outcome, attempts| tx.send((t, outcome, attempts)).is_ok())
+                    });
+                }
+                drop(tx);
+                // Collect while workers run: no shared slots, nothing
+                // to poison.
+                for (t, outcome, attempts) in rx {
+                    record(t, outcome, attempts);
+                }
+            });
+        }
         if let Some(e) = io_err {
             return Err(format!("checkpoint write failed: {e}"));
         }
@@ -1407,6 +1428,113 @@ mod tests {
         let sat = saturation_load(&all).unwrap();
         assert_eq!(sat.offered, 0.2, "Partial/Failed must never win");
         assert!(saturation_load(&completed(&outcomes[1..])).is_none());
+    }
+
+    // ---- one worker is the calling thread -----------------------------
+
+    #[test]
+    fn one_worker_plan_runs_on_the_calling_thread() {
+        let compiled = quick().compile().unwrap();
+        let caller = std::thread::current().id();
+        let ran_on_caller = |tasks: usize, threads: usize| -> Vec<bool> {
+            let seen = Mutex::new(Vec::new());
+            plan(tasks, threads, &retrying(0), |i, _, st| {
+                seen.lock().unwrap().push(std::thread::current().id() == caller);
+                compiled.run_typed(0.1, task_seed(7, i, 0), st)
+            });
+            seen.into_inner().unwrap()
+        };
+        assert_eq!(ran_on_caller(3, 1), [true; 3]);
+        assert_eq!(ran_on_caller(1, 4), [true], "one unit of work is one worker");
+        assert_eq!(ran_on_caller(3, 2), [false; 3]);
+    }
+
+    #[test]
+    fn panic_on_the_calling_thread_fails_its_point_only() {
+        let compiled = quick().compile().unwrap();
+        let caller = std::thread::current().id();
+        let results = plan(3, 1, &retrying(0), |i, _, st| {
+            if i == 1 {
+                assert_eq!(std::thread::current().id(), caller);
+                panic!("injected on the caller");
+            }
+            compiled.run_typed(0.2, task_seed(7, i, 0), st)
+        });
+        assert!(results[1].0.is_failed());
+        // The point after the panic ran on a fresh state, to the same bits.
+        for t in [0, 2] {
+            assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
+        }
+    }
+
+    #[test]
+    fn thread_count_changes_no_outcome_attempt_or_checkpoint_line() {
+        // Task 1 panics every time, task 2 is cut by its budget, task 3
+        // fails once and is retried; 0 and 4 just run.
+        let compiled = quick().compile().unwrap();
+        let mut budgeted = quick();
+        budgeted.sim.budget.max_cycles = 1_500;
+        let budgeted = budgeted.compile().unwrap();
+        let run_with = |threads: usize| -> (Vec<String>, String) {
+            let path = temp_ckpt("threads");
+            let _cleanup = Cleanup(path.clone());
+            let policy = CampaignPolicy {
+                retries: 1,
+                checkpoint: Some(path.clone()),
+                ..CampaignPolicy::default()
+            };
+            let results = plan(5, threads, &policy, |i, attempt, st| match (i, attempt) {
+                (1, _) => panic!("always"),
+                (2, _) => budgeted.run_typed(0.2, task_seed(7, i, attempt), st),
+                (3, 0) => Err(SimError::Config("first attempt".into())),
+                _ => compiled.run_typed(0.2, task_seed(7, i, attempt), st),
+            });
+            let lines = results
+                .iter()
+                .enumerate()
+                .map(|(t, (outcome, attempts))| task_line(t, *attempts, outcome).unwrap())
+                .collect();
+            (lines, std::fs::read_to_string(&path).unwrap())
+        };
+        let (lines, file) = run_with(1);
+        let tags: Vec<String> = lines.iter().map(|l| json_str(l, "outcome").unwrap()).collect();
+        assert_eq!(tags, ["ok", "failed", "partial", "ok", "ok"]);
+        let attempts: Vec<u64> = lines.iter().map(|l| json_u64(l, "attempts").unwrap()).collect();
+        assert_eq!(attempts, [1, 2, 1, 2, 1]);
+        // One worker appends in task order: the file is header + lines.
+        let header = file.split_inclusive('\n').next().unwrap();
+        assert_eq!(file, format!("{header}{}", lines.concat()));
+        for threads in [2, 4] {
+            let (pooled, pooled_file) = run_with(threads);
+            assert_eq!(pooled, lines, "threads = {threads}");
+            // A pool appends in completion order: same lines, any order.
+            let mut appended: Vec<&str> = pooled_file.split_inclusive('\n').skip(1).collect();
+            appended.sort_unstable_by_key(|l| json_u64(l, "task"));
+            assert_eq!(appended.concat(), lines.concat(), "threads = {threads}");
+            assert!(pooled_file.starts_with(header));
+        }
+    }
+
+    #[test]
+    fn one_worker_checkpoint_holds_task_i_before_task_i_plus_one_starts() {
+        // The flush-per-task contract kill-and-resume relies on: a kill
+        // during task i + 1 finds tasks 0..=i on disk.
+        let compiled = quick().compile().unwrap();
+        let path = temp_ckpt("flush");
+        let _cleanup = Cleanup(path.clone());
+        let policy = CampaignPolicy {
+            checkpoint: Some(path.clone()),
+            ..CampaignPolicy::default()
+        };
+        let results = plan(4, 1, &policy, |i, _, st| {
+            let on_disk = std::fs::read_to_string(&path).unwrap();
+            assert!(on_disk.ends_with('\n'), "torn line before task {i}");
+            let tasks: Vec<u64> = on_disk.lines().skip(1).map(|l| json_u64(l, "task").unwrap()).collect();
+            assert_eq!(tasks, (0..i as u64).collect::<Vec<_>>(), "before task {i}");
+            compiled.run_typed(0.1, task_seed(7, i, 0), st)
+        });
+        // An assertion that failed inside `run` would be a Failed point.
+        assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
     }
 
     // ---- the fleet prologue and its fall-back ladder ------------------

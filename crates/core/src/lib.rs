@@ -56,6 +56,7 @@ pub mod campaign;
 pub mod experiment;
 pub mod lockfile;
 pub mod model;
+pub mod output;
 pub mod scenario;
 pub mod service;
 pub mod spec;
@@ -68,6 +69,7 @@ pub use campaign::{
 };
 pub use experiment::{CompiledExperiment, Experiment};
 pub use lockfile::LockFile;
+pub use output::OutputFile;
 pub use service::{run_job, JobSpec, Request, Response, ServiceClient, ServiceStats};
 pub use scenario::{
     run_scenario_files, run_scenario_files_with_budget, scenario_files, verdict_report_json,

@@ -303,3 +303,76 @@ fn impossible_geometries_fail_typed() {
         assert!(!stderr.contains("panicked"), "{file}: {stderr}");
     }
 }
+
+/// A null sweep (one cycle a point) with `--csv path`.
+fn null_sweep(csv: &str) -> (bool, String, String) {
+    minnet(&["sweep", "--loads", "0.1,0.3", "--warmup", "0", "--measure", "1", "--csv", csv])
+}
+
+#[test]
+fn csv_is_the_same_bytes_whatever_the_target_held() {
+    let dir = std::env::temp_dir().join(format!("minnet_cli_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("sweep.csv");
+    let csv_arg = csv.to_str().unwrap();
+
+    let (ok, stdout, stderr) = null_sweep(csv_arg);
+    assert!(ok, "{stdout}{stderr}");
+    let fresh = std::fs::read(&csv).unwrap();
+    assert_eq!(fresh.iter().filter(|&&b| b == b'\n').count(), 3, "header + 2 points");
+
+    // Present with the same length, then present and 10 KB longer.
+    for old in [vec![b'#'; fresh.len()], vec![b'#'; fresh.len() + 10_240]] {
+        std::fs::write(&csv, &old).unwrap();
+        let (ok, stdout, stderr) = null_sweep(csv_arg);
+        assert!(ok, "{stdout}{stderr}");
+        assert_eq!(std::fs::read(&csv).unwrap(), fresh, "over {} old bytes", old.len());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_csv_is_refused_before_the_campaign() {
+    let dir = std::env::temp_dir().join(format!("minnet_cli_nodir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ok, stdout, stderr) = null_sweep(dir.join("x.csv").to_str().unwrap());
+    assert!(!ok);
+    assert!(!stdout.contains("outcomes:"), "the campaign ran first: {stdout}");
+    assert!(stderr.starts_with("error: opening "), "{stderr}");
+    assert!(stderr.contains("x.csv"), "{stderr}");
+    assert!(!dir.exists());
+}
+
+#[cfg(unix)]
+#[test]
+fn csv_to_stdout_device_works() {
+    let (ok, stdout, stderr) = null_sweep("/dev/stdout");
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("series,offered_load"), "{stdout}");
+    assert!(stdout.contains("wrote /dev/stdout"), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_leaves_early_is_not_an_error() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // The library listed often enough to overfill the pipe: the child is
+    // still writing when the reader goes away, whoever is scheduled first.
+    let lib = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_minnet"))
+        .args(["scenario", "list"])
+        .args(std::iter::repeat_n(lib, 150))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the minnet binary");
+    let mut reader = BufReader::with_capacity(256, child.stdout.take().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("baseline-bmin-curve"), "{line}");
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

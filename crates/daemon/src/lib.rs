@@ -723,7 +723,18 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 },
             }
         };
-        if send(stream, &response).is_err() {
+        // Reply first, wake a worker second. A woken worker can take this
+        // thread's CPU, and one whose plan has a single worker runs the
+        // job on its own thread without ever blocking: woken first, it
+        // kept the `Accepted` of a 5 ms job back ≈ 2 ms on a 2-vCPU
+        // host. The job is journalled and queued either way, and a wake
+        // for a submit that queued nothing finds the queue empty.
+        let queued = matches!(response, Response::Accepted { cached: false, .. });
+        let sent = send(stream, &response);
+        if queued {
+            shared.work.notify_one();
+        }
+        if sent.is_err() {
             return;
         }
         if too_long {
@@ -913,8 +924,8 @@ fn handle_submit(shared: &Arc<Shared>, client: String, mut spec: JobSpec) -> Res
             state: JobState::Queued,
         },
     );
+    // The connection wakes a worker once this reply is on the wire.
     st.queue.push_back(job_id.clone());
-    shared.work.notify_one();
     Response::Accepted {
         job_id,
         cached: false,

@@ -55,7 +55,7 @@
 //! truncated sample).
 
 use crate::experiment::Experiment;
-use crate::lockfile::LockFile;
+use crate::locked::open_locked;
 use crate::sweep::{
     aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
 };
@@ -661,14 +661,13 @@ const CKPT_VERSION: u64 = 1;
 
 /// An open campaign checkpoint: previously completed tasks plus an
 /// append handle. `file == None` means checkpointing is off and every
-/// method is a no-op. A live checkpoint holds the advisory
-/// [`LockFile`] guarding its path — the JSONL appender assumes a
-/// single writer, and the lock turns a misconfigured second process
-/// into a fast, explicit error instead of interleaved lines.
+/// method is a no-op. A live checkpoint's file holds its own exclusive
+/// lock ([`open_locked`]) — the JSONL appender assumes a single writer,
+/// and the lock turns a misconfigured second process into a fast,
+/// explicit error instead of interleaved lines.
 struct Checkpoint {
     file: Option<std::fs::File>,
     loaded: BTreeMap<usize, (PointOutcome, u32)>,
-    _lock: Option<LockFile>,
 }
 
 impl Checkpoint {
@@ -684,24 +683,18 @@ impl Checkpoint {
             return Ok(Checkpoint {
                 file: None,
                 loaded: BTreeMap::new(),
-                _lock: None,
             });
         };
-        let lock = LockFile::acquire(path)?;
         let hash_hex = format!("{hash:016x}");
         let shown = path.display();
-        if !path.exists() {
-            if policy.require_existing {
-                return Err(format!(
-                    "resume: checkpoint {shown} does not exist \
-                     (use --checkpoint to start a new campaign)"
-                ));
-            }
-            let mut f = std::fs::OpenOptions::new()
-                .create_new(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("creating checkpoint {shown}: {e}"))?;
+        if policy.require_existing && !path.exists() {
+            return Err(format!(
+                "resume: checkpoint {shown} does not exist \
+                 (use --checkpoint to start a new campaign)"
+            ));
+        }
+        let (mut f, content) = open_locked(path)?;
+        if content.is_empty() && !policy.require_existing {
             let header = format!(
                 "{{\"v\":{CKPT_VERSION},\"kind\":\"{kind}\",\
                  \"config_hash\":\"{hash_hex}\",\"total_tasks\":{total}}}\n"
@@ -712,12 +705,9 @@ impl Checkpoint {
             return Ok(Checkpoint {
                 file: Some(f),
                 loaded: BTreeMap::new(),
-                _lock: Some(lock),
             });
         }
 
-        let content = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading checkpoint {shown}: {e}"))?;
         let mut lines = content.split_inclusive('\n');
         let header = lines
             .next()
@@ -778,21 +768,12 @@ impl Checkpoint {
             good_len += line.len();
         }
         if good_len < content.len() {
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| format!("opening checkpoint {shown}: {e}"))?;
             f.set_len(good_len as u64)
                 .map_err(|e| format!("dropping torn tail of checkpoint {shown}: {e}"))?;
         }
-        let f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("opening checkpoint {shown}: {e}"))?;
         Ok(Checkpoint {
             file: Some(f),
             loaded,
-            _lock: Some(lock),
         })
     }
 
@@ -1315,17 +1296,15 @@ mod tests {
             ..CampaignPolicy::default()
         };
         let first = Checkpoint::open(&policy, "curve", 7, 2).unwrap();
+        let held = std::fs::read(&path).unwrap();
         let Err(err) = Checkpoint::open(&policy, "curve", 7, 2) else {
             panic!("second writer must be refused");
         };
-        assert!(err.contains("locked by live process"), "{err}");
+        assert!(err.contains("is locked by another live process"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), held, "the refused writer touched the file");
         drop(first);
         let again = Checkpoint::open(&policy, "curve", 7, 2).unwrap();
         drop(again);
-        assert!(
-            !crate::lockfile::LockFile::path_for(&path).exists(),
-            "lock must be released on drop"
-        );
     }
 
     #[test]

@@ -735,7 +735,8 @@ impl ScenarioBuilder {
     }
 
     /// Whether worms wedged by a fault are aborted (engine default) or
-    /// left holding their lanes — `false` is the watchdog's test knob.
+    /// left holding their lanes until the watchdog trips (`false`; the
+    /// `.scn` key `fault_abort = off`).
     #[must_use]
     pub fn fault_abort(mut self, abort: bool) -> Self {
         self.sim.fault_abort = abort;

@@ -376,3 +376,39 @@ fn a_reader_that_leaves_early_is_not_an_error() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+/// A checkpoint another process holds open is not touched: the sweep is
+/// refused at once (exit 1, naming the file) and the holder's bytes —
+/// a torn tail an unlocked resume would cut off included — stay as they
+/// were. Released, the same command resumes and repairs the file.
+#[test]
+fn a_checkpoint_held_by_another_process_is_refused_untouched() {
+    let dir = std::env::temp_dir().join(format!("minnet_cli_held_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("held.jsonl");
+    let args = [
+        "sweep", "--loads", "0.1,0.3", "--warmup", "0", "--measure", "1", "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ];
+    let (ok, stdout, stderr) = minnet(&args);
+    assert!(ok, "{stdout}{stderr}");
+    let full = std::fs::read_to_string(&ckpt).unwrap();
+    let torn: String = full.split_inclusive('\n').take(2).collect::<String>() + "{\"task\":1,";
+    std::fs::write(&ckpt, &torn).unwrap();
+
+    let held = minnet::open_locked(&ckpt).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_minnet")).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("is locked by another live process"), "{stderr}");
+    assert!(stderr.contains("held.jsonl"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), torn, "the refused sweep touched the file");
+
+    drop(held);
+    let (ok, stdout, stderr) = minnet(&args);
+    assert!(ok, "{stdout}{stderr}");
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), full, "resume repairs the torn tail");
+    let entries = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.file_name());
+    assert_eq!(entries.collect::<Vec<_>>(), ["held.jsonl"], "no lock file beside it");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -31,10 +31,11 @@
 //!   determinism contract makes `==` the correctness check).
 //! * **Durable journal.** `journal.jsonl` in the state directory
 //!   records `accepted` (with the full spec) and `done`/`failed`
-//!   events, one flushed line each, behind an advisory
-//!   [`minnet::LockFile`] (a second daemon on the same state directory
-//!   fails fast). Recovery replays the journal with the campaign's
-//!   torn-tail-truncation discipline: `accepted` without `done`
+//!   events, one flushed line each, in a file that holds its own
+//!   exclusive lock while the daemon has it open ([`minnet::open_locked`]:
+//!   a second daemon on the same state directory fails fast, and a
+//!   SIGKILLed one leaves nothing behind to clear). Recovery replays the
+//!   journal with the campaign's torn-tail-truncation discipline: `accepted` without `done`
 //!   re-enqueues, and the job's per-point checkpoint in `jobs/` resumes
 //!   the curve — producing byte-identical results after a SIGKILL.
 //! * **Graceful drain.** A drain request (or SIGTERM in the binary)
@@ -51,7 +52,7 @@
 //!   [`MAX_CONNECTIONS`].
 
 use minnet::service::{run_job, JobSpec, Request, Response, ServiceStats};
-use minnet::LockFile;
+use minnet::open_locked;
 use minnet_sim::RunBudget;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -153,11 +154,11 @@ struct Job {
     state: JobState,
 }
 
-/// The append-only job journal: versioned JSONL behind an advisory
-/// lock, flushed line-whole like the campaign checkpoints.
+/// The append-only job journal: versioned JSONL whose open file holds
+/// its own exclusive lock ([`open_locked`]), flushed line-whole like the
+/// campaign checkpoints.
 struct Journal {
     file: std::fs::File,
-    _lock: LockFile,
 }
 
 /// What a journal replay recovered.
@@ -169,25 +170,20 @@ struct Recovered {
 }
 
 impl Journal {
-    /// Open (or create) `journal.jsonl` under `dir`, acquire its lock,
-    /// replay existing events, and truncate any torn tail.
+    /// Open (or create) `journal.jsonl` under `dir` and lock it, replay
+    /// existing events, and truncate any torn tail.
     fn open(dir: &Path) -> Result<(Journal, Recovered), String> {
         std::fs::create_dir_all(dir.join("jobs"))
             .map_err(|e| format!("creating state dir {}: {e}", dir.display()))?;
         let path = dir.join("journal.jsonl");
-        let lock = LockFile::acquire(&path)?;
+        let (file, content) = open_locked(&path)?;
         let shown = path.display();
         let mut recovered = Recovered {
             pending: Vec::new(),
             finished: Vec::new(),
         };
-        if !path.exists() {
-            let file = std::fs::OpenOptions::new()
-                .create_new(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| format!("creating journal {shown}: {e}"))?;
-            let mut journal = Journal { file, _lock: lock };
+        let mut journal = Journal { file };
+        if content.is_empty() {
             journal
                 .append(format!(
                     "{{\"v\":{JOURNAL_VERSION},\"kind\":\"minnetd_journal\"}}"
@@ -196,12 +192,8 @@ impl Journal {
             return Ok((journal, recovered));
         }
 
-        let content = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading journal {shown}: {e}"))?;
         let mut lines = content.split_inclusive('\n');
-        let header = lines
-            .next()
-            .ok_or_else(|| format!("journal {shown}: empty file"))?;
+        let header = lines.next().unwrap_or_default();
         if !header.ends_with('\n') {
             return Err(format!("journal {shown}: torn header line"));
         }
@@ -243,11 +235,9 @@ impl Journal {
             good_len += line.len();
         }
         if good_len < content.len() {
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .map_err(|e| format!("opening journal {shown}: {e}"))?;
-            f.set_len(good_len as u64)
+            journal
+                .file
+                .set_len(good_len as u64)
                 .map_err(|e| format!("dropping torn tail of journal {shown}: {e}"))?;
         }
         for (job_id, client, spec) in accepted {
@@ -256,11 +246,7 @@ impl Journal {
                 None => recovered.pending.push((job_id, client, spec)),
             }
         }
-        let f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("opening journal {shown}: {e}"))?;
-        Ok((Journal { file: f, _lock: lock }, recovered))
+        Ok((journal, recovered))
     }
 
     /// Append one line, newline included, as a single `write`: the file

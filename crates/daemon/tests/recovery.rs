@@ -125,3 +125,39 @@ proptest! {
         prop_assert_eq!(recovered, reference, "recovery changed result bytes");
     }
 }
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// The journal's lock dies with the process that held it: a daemon
+/// SIGKILLed mid-job is replaced at once on the same state dir — no
+/// stale owner to wait out or clear by hand — and no lock file ever
+/// appears beside the journal or a job's checkpoint.
+#[test]
+fn a_sigkilled_daemon_restarts_at_once_with_no_lock_file() {
+    let dir = state_dir();
+    let _cleanup = Cleanup(dir.clone());
+    let first = spawn_daemon(&dir);
+    let client = ServiceClient::new(first.addr.clone());
+    let Response::Accepted { job_id, .. } = client.submit("kill", &job(7)).expect("submit") else {
+        panic!("submit refused");
+    };
+    drop(first); // SIGKILL
+    let second = spawn_daemon(&dir); // panics on anything but the listen line
+    let client = ServiceClient::new(second.addr.clone());
+    client.wait_result(&job_id, Duration::from_secs(120)).expect("recovered result");
+    let files = files_under(&dir);
+    assert!(files.iter().any(|f| f.ends_with("journal.jsonl")), "{files:?}");
+    assert!(!files.iter().any(|f| f.to_string_lossy().ends_with(".lock")), "{files:?}");
+}

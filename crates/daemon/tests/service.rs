@@ -313,7 +313,7 @@ fn second_daemon_on_same_state_dir_is_refused() {
     }) else {
         panic!("second daemon on the same state dir must be refused");
     };
-    assert!(err.contains("locked by live process"), "{err}");
+    assert!(err.contains("journal.jsonl is locked by another live process"), "{err}");
     drop(first);
     // Released: a successor start succeeds (and recovers the journal).
     let second = Daemon::start(DaemonConfig {

@@ -6,23 +6,6 @@ use minnet_switch::{ArbiterKind, VcMuxPolicy};
 /// the paper's 20 flits/µs, so one flit time is 0.05 µs.
 pub const CYCLE_US: f64 = 0.05;
 
-/// Order in which channels perform their per-cycle transmission.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransmitOrder {
-    /// Downstream-first (reverse topological): an unblocked worm advances
-    /// over its whole span each cycle and a flit crosses at most one
-    /// channel per cycle — the paper's model ("switches … synchronize to
-    /// simultaneously transmit all of the flits in a worm"). The default.
-    ReverseTopo,
-    /// Channel-id order (roughly upstream-first) — an ablation knob.
-    /// Every channel still carries at most one flit per cycle, so
-    /// steady-state pipeline timing of a single worm is unchanged, but a
-    /// body flit may close two bubbles in one cycle, making contended
-    /// timings slightly optimistic. `ablation_transmit_order` in the
-    /// bench crate quantifies the (small) difference.
-    BuildOrder,
-}
-
 /// Hard resource limits for one simulation run — the campaign layer's
 /// defence against *legitimately unbounded* work (a sweep point pushed
 /// far past saturation keeps thousands of worms in flight and crawls in
@@ -93,28 +76,12 @@ pub struct EngineConfig {
     /// Physical-channel multiplexing among virtual channels (paper:
     /// flit-level round-robin).
     pub vc_mux: VcMuxPolicy,
-    /// Channel processing order (see [`TransmitOrder`]).
-    pub transmit_order: TransmitOrder,
-    /// Event-horizon fast-forward: when the network is fully quiescent
-    /// (no worm in flight, no message queued) the engine jumps straight
-    /// to the next scheduled event — the earliest arrival-heap key,
-    /// release-heap key, or script entry — instead of spinning empty
-    /// cycles. Statistics are integrated over the skipped interval, so
-    /// reports are **bitwise identical** with the flag on or off (the
-    /// differential tests enforce it); the flag exists only so those
-    /// tests can exercise both paths. Default: on.
-    pub fast_forward: bool,
     /// Collect per-channel utilization (busy fraction over the window).
     pub collect_channel_util: bool,
     /// Record a [`crate::trace::Trace`] of message events (queue, inject,
     /// per-hop channel claims, delivery). Intended for deterministic or
     /// short runs — the log grows with every header movement.
     pub collect_trace: bool,
-    /// Maintain per-switch [`minnet_switch::Crossbar`] state and assert
-    /// the Fig. 2 connection-legality rules on every allocation. Only
-    /// valid with `vcs == 1` (virtual channels have their own data paths
-    /// through the switch). Debug/test aid.
-    pub validate_crossbars: bool,
     /// No-progress watchdog window: if this many consecutive cycles pass
     /// with active packets but **zero** flit movement, the run terminates
     /// with [`crate::SimError::NoProgress`] and a structured
@@ -127,8 +94,9 @@ pub struct EngineConfig {
     /// routed into a corner with no live continuation — is *aborted*: its
     /// buffered flits drained, its lanes released, and its source freed.
     /// Turning this off leaves such worms wedged in place (blocking
-    /// everything behind them) until the watchdog fires — a test knob for
-    /// exercising the watchdog, not a production mode. Default: on.
+    /// everything behind them) until the watchdog fires: the `.scn` key
+    /// `fault_abort`, which the scenario library's watchdog-trip fixture
+    /// uses to show a wedged network end in a stall diagnostic. Default: on.
     pub fault_abort: bool,
     /// Per-run resource limits (simulated cycles / wall-clock time); see
     /// [`RunBudget`]. Default: unlimited.
@@ -156,11 +124,8 @@ impl Default for EngineConfig {
             queue_limit: 100,
             alloc: ArbiterKind::Random,
             vc_mux: VcMuxPolicy::RoundRobin,
-            transmit_order: TransmitOrder::ReverseTopo,
-            fast_forward: true,
             collect_channel_util: false,
             collect_trace: false,
-            validate_crossbars: false,
             watchdog_window: 10_000,
             fault_abort: true,
             budget: RunBudget::UNLIMITED,
@@ -172,10 +137,12 @@ impl Default for EngineConfig {
 /// The text `minnet::campaign::config_hash` hashes into every checkpoint
 /// header, journal key and `minnetd` job id (through `Experiment`'s
 /// derived `Debug`). Identity v1 is *defined* as this rendering — field
-/// names and order included — so it is written out, not derived: the
-/// eleventh and the last entry name knobs the engine no longer has
-/// (`word_kernels`, `table_build_threads`) and stay as frozen literals at
-/// their old positions to keep those hashes stable.
+/// names and order included — so it is written out, not derived. Five
+/// entries name knobs the engine no longer has (`transmit_order`,
+/// `fast_forward`, `word_kernels`, `validate_crossbars`,
+/// `table_build_threads`); they stay as frozen literals — the values
+/// every production run had — at their old positions to keep those
+/// hashes stable.
 impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
@@ -187,12 +154,12 @@ impl std::fmt::Debug for EngineConfig {
             .field("queue_limit", &self.queue_limit)
             .field("alloc", &self.alloc)
             .field("vc_mux", &self.vc_mux)
-            .field("transmit_order", &self.transmit_order)
-            .field("fast_forward", &self.fast_forward)
+            .field("transmit_order", &format_args!("ReverseTopo"))
+            .field("fast_forward", &true)
             .field("word_kernels", &true)
             .field("collect_channel_util", &self.collect_channel_util)
             .field("collect_trace", &self.collect_trace)
-            .field("validate_crossbars", &self.validate_crossbars)
+            .field("validate_crossbars", &false)
             .field("watchdog_window", &self.watchdog_window)
             .field("fault_abort", &self.fault_abort)
             .field("budget", &self.budget)
@@ -217,9 +184,6 @@ impl EngineConfig {
         }
         if self.measure == 0 {
             return bad("measurement window must be nonempty");
-        }
-        if self.validate_crossbars && self.vcs != 1 {
-            return bad("crossbar validation requires vcs == 1");
         }
         Ok(())
     }
@@ -399,14 +363,21 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(c.validate().is_err());
-        let mut c = EngineConfig {
-            validate_crossbars: true,
-            vcs: 2,
-            ..EngineConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c.vcs = 1;
-        assert!(c.validate().is_ok());
+    }
+
+    /// Identity v1 is this string's FNV hash (through `Experiment`'s
+    /// `Debug`): the frozen literals of deleted knobs must not drift.
+    #[test]
+    fn debug_rendering_is_identity_v1() {
+        assert_eq!(
+            format!("{:?}", EngineConfig::default()),
+            "EngineConfig { vcs: 1, buffer_depth: 1, warmup: 50000, measure: 200000, \
+             seed: 24301, queue_limit: 100, alloc: Random, vc_mux: RoundRobin, \
+             transmit_order: ReverseTopo, fast_forward: true, word_kernels: true, \
+             collect_channel_util: false, collect_trace: false, validate_crossbars: false, \
+             watchdog_window: 10000, fault_abort: true, budget: RunBudget { max_cycles: 0, \
+             max_wall_ms: 0 }, route_table_max_cells: 33554432, table_build_threads: 1 }"
+        );
     }
 
     #[test]

@@ -92,18 +92,19 @@
 //!
 //! When the network is **fully quiescent** — no active worms *and* no
 //! queued messages (which implies empty injectable and owned sets) —
-//! no phase can do any work until the next traffic event matures. With
-//! `EngineConfig::fast_forward` on (the default) the loop jumps `now`
-//! straight to the earliest pending event key (arrival heap, script
-//! cursor, or release heap; clamped to the horizon) instead of spinning
-//! empty cycles. Quiescent cycles make zero RNG draws and their only
+//! no phase can do any work until the next traffic event matures. The
+//! loop then jumps `now` straight to the earliest pending event key
+//! (arrival heap, script cursor, or release heap; clamped to the
+//! horizon) instead of spinning empty cycles — always; there is no
+//! switch. Quiescent cycles make zero RNG draws and their only
 //! observable effect is the zero mean-queue sample, which the jump
 //! replays in bulk (the mean-queue statistic is an integer
 //! `queue_sum / queue_cycles` pair precisely so a jump of any length —
 //! or any *split* of jumps — contributes exactly O(1) work and the
-//! exact same bits) — so reports stay **bit-identical** to the
-//! cycle-by-cycle path; the flag exists only so the differential tests
-//! can pin that. The win scales with idle time: gaps in
+//! exact same bits) — so reports stay **bit-identical** to a
+//! cycle-by-cycle run, which the `reference` engine is: it never skips,
+//! and `tests/engine_equivalence.rs` holds the two equal on gap- and
+//! drain-heavy shapes. The win scales with idle time: gaps in
 //! scripted/chained workloads, drain tails, and very low Poisson loads.
 //!
 //! # Hot state on a byte budget
@@ -165,17 +166,15 @@
 //! just as their latencies are.
 
 use crate::active::{refill, trim, DenseBitSet, LaneBufs, MsgQueues, QueuedMsg};
-use crate::config::{EngineConfig, SimReport, TransmitOrder};
+use crate::config::{EngineConfig, SimReport};
 use crate::error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 use crate::fault::CompiledFaults;
 use crate::lockstep::LockstepState;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::{find_cycle, RouteTable};
-use minnet_switch::{Arbiter, ArbiterKind, Crossbar};
-use minnet_topology::{
-    ChannelId, Endpoint, FaultPlan, Geometry, LevelPositions, NetworkGraph, Side,
-};
+use minnet_switch::{Arbiter, ArbiterKind};
+use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGraph};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -457,18 +456,17 @@ fn vcs_shift(vcs: u8) -> u32 {
 }
 
 /// The engine's one index space. A lane's **plane** is `(pos << shift) |
-/// vc`: `pos` its channel's place in the transmit order (a closed form of
-/// the id, [`NetworkGraph::position`]; the id itself under
-/// [`TransmitOrder::BuildOrder`]), `1 << shift` the lane-group width —
-/// at a `vcs` not a power of two the group's top planes belong to no lane.
-/// Every per-lane array and mask is indexed by plane and every lane word
-/// holds one, so the sweeps translate nothing; an id becomes a plane where
-/// a claim gathers its candidates, a plane an id only where a route is
-/// looked up or on cold paths (traces, diagnostics, audits).
+/// vc`: `pos` its channel's place in the reverse-topological transmit
+/// order (a closed form of the id, [`NetworkGraph::position`]), `1 <<
+/// shift` the lane-group width — at a `vcs` not a power of two the
+/// group's top planes belong to no lane. Every per-lane array and mask is
+/// indexed by plane and every lane word holds one, so the sweeps
+/// translate nothing; an id becomes a plane where a claim gathers its
+/// candidates, a plane an id only where a route is looked up or on cold
+/// paths (traces, diagnostics).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Planes<'a> {
     net: &'a NetworkGraph,
-    order: TransmitOrder,
     pub(crate) vcs: u8,
     shift: u32,
 }
@@ -477,7 +475,6 @@ impl<'a> Planes<'a> {
     pub(crate) fn new(net: &'a NetworkGraph, cfg: &EngineConfig) -> Planes<'a> {
         Planes {
             net,
-            order: cfg.transmit_order,
             vcs: cfg.vcs,
             shift: vcs_shift(cfg.vcs),
         }
@@ -492,10 +489,7 @@ impl<'a> Planes<'a> {
     /// direction — every candidate of one routing decision.
     #[inline]
     fn level(self, ch: ChannelId) -> LevelPositions {
-        match self.order {
-            TransmitOrder::ReverseTopo => self.net.level_positions(ch),
-            TransmitOrder::BuildOrder => LevelPositions::default(),
-        }
+        self.net.level_positions(ch)
     }
 
     /// The plane of lane `vc` of channel `ch`.
@@ -507,10 +501,7 @@ impl<'a> Planes<'a> {
     /// The channel the lane at plane `pl` belongs to.
     #[inline]
     fn channel(self, pl: u32) -> ChannelId {
-        match self.order {
-            TransmitOrder::ReverseTopo => self.net.channel_at(pl >> self.shift),
-            TransmitOrder::BuildOrder => pl >> self.shift,
-        }
+        self.net.channel_at(pl >> self.shift)
     }
 }
 
@@ -900,27 +891,24 @@ impl CompiledNet {
                 Some(prepare_engine(self, source.traffic(), None, seed, st))
             })
             .collect();
-        let ff = self.cfg.fast_forward;
         let mut live = engines.len();
         while live > 0 {
-            if ff {
-                // Joint fast-forward: the fleet-wide horizon is the
-                // minimum next-event target over live lanes, and only
-                // counts when every live lane is quiescent (a `None`
-                // target — a drained finite source — blocks the jump;
-                // that lane finalizes in the step pass below).
-                let mut horizon = u64::MAX;
-                let all = engines.iter().flatten().all(|e| {
-                    e.quiescent()
-                        && e.ff_target().is_some_and(|t| {
-                            horizon = horizon.min(t);
-                            true
-                        })
-                });
-                if all && horizon != u64::MAX {
-                    for e in engines.iter_mut().flatten() {
-                        e.jump_to(horizon);
-                    }
+            // Joint fast-forward: the fleet-wide horizon is the minimum
+            // next-event target over live lanes, and only counts when
+            // every live lane is quiescent (a `None` target — a drained
+            // finite source — blocks the jump; that lane finalizes in
+            // the step pass below).
+            let mut horizon = u64::MAX;
+            let all = engines.iter().flatten().all(|e| {
+                e.quiescent()
+                    && e.ff_target().is_some_and(|t| {
+                        horizon = horizon.min(t);
+                        true
+                    })
+            });
+            if all && horizon != u64::MAX {
+                for e in engines.iter_mut().flatten() {
+                    e.jump_to(horizon);
                 }
             }
             for (slot, res) in engines.iter_mut().zip(results.iter_mut()) {
@@ -1021,7 +1009,6 @@ pub struct EngineState {
     src_injecting: Vec<u32>,
     src_next_arrival: Vec<f64>,
     queues: MsgQueues,
-    crossbars: Option<Vec<Crossbar>>,
     arbiter: Arbiter,
     rng: SmallRng,
     now: u64,
@@ -1112,7 +1099,6 @@ impl EngineState {
             src_injecting: Vec::new(),
             src_next_arrival: Vec::new(),
             queues: MsgQueues::default(),
-            crossbars: None,
             arbiter: Arbiter::new(ArbiterKind::Random),
             rng: SmallRng::seed_from_u64(0),
             now: 0,
@@ -1150,8 +1136,7 @@ impl EngineState {
 
     /// Approximate footprint in bytes — capacities × element size, message
     /// slab included, the convention of `NetworkGraph::approx_bytes`. (The
-    /// fixed-size statistics accumulators, ≈ 9 KB, and the
-    /// `validate_crossbars` audit are not counted.)
+    /// fixed-size statistics accumulators, ≈ 9 KB, are not counted.)
     pub fn approx_bytes(&self) -> usize {
         let u32s = [
             &self.lane_owner, &self.lane_upstream, &self.lane_downstream, &self.pkt_head_lane,
@@ -1208,24 +1193,6 @@ impl EngineState {
         refill(&mut self.src_injecting, n_nodes, NONE);
         refill(&mut self.src_next_arrival, n_nodes, f64::INFINITY);
         self.queues.reset(n_nodes);
-
-        self.crossbars = if cfg.validate_crossbars {
-            let k = net.geometry.k() as u8;
-            let d = net.kind.dilation();
-            Some(
-                (0..net.num_switches())
-                    .map(|_| {
-                        if net.kind.is_bidirectional() {
-                            Crossbar::new(k, true)
-                        } else {
-                            Crossbar::new(k * d, false)
-                        }
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
 
         self.arbiter = Arbiter::new(cfg.alloc);
         self.now = 0;
@@ -1395,30 +1362,6 @@ impl<'a> Engine<'a> {
         self.st.now >= self.cfg.warmup
     }
 
-    /// The switch channel `ch` enters (`input`) or leaves, and its port
-    /// code there, for crossbar validation.
-    fn xbar_code(&self, ch: ChannelId, input: bool) -> Result<(u32, u8), SimError> {
-        let c = self.net.channel(ch);
-        match if input { c.dst } else { c.src } {
-            Endpoint::Switch { sw, side, port } => Ok((sw, self.port_code(side, port, c.lane))),
-            Endpoint::Node(_) => Err(SimError::Internal {
-                what: "crossbar code of a channel's node end",
-            }),
-        }
-    }
-
-    fn port_code(&self, side: Side, port: u8, lane: u8) -> u8 {
-        if self.net.kind.is_bidirectional() {
-            let k = self.net.geometry.k() as u8;
-            match side {
-                Side::Left => port,
-                Side::Right => k + port,
-            }
-        } else {
-            port * self.net.kind.dilation() + lane
-        }
-    }
-
     // ---- plane masks --------------------------------------------------
 
     /// Dimension and seed the plane masks for a fresh run: everything
@@ -1444,7 +1387,7 @@ impl<'a> Engine<'a> {
     /// It also holds what the flit-less buffers rest on ([`Self::move_flit`]):
     /// a free or pad plane buffers nothing and links nowhere; a worm is one
     /// chain, upstream and downstream words inverse, sweep positions
-    /// descending toward the head under the reverse-topological order.
+    /// descending toward the head (the reverse-topological order).
     #[cfg(debug_assertions)]
     fn check_kernel_masks(&self) {
         let st = &*self.st;
@@ -1474,8 +1417,7 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 assert_eq!(st.lane_downstream[up as usize], li, "chain of packet {p} at plane {up}");
-                let descends = up >> shift > li >> shift;
-                assert!(descends || self.cfg.transmit_order != TransmitOrder::ReverseTopo);
+                assert!(up >> shift > li >> shift, "chain of packet {p} ascends at plane {li}");
                 li = up;
             }
             let want = !self.eject.contains(head) && !st.lane_bufs.is_empty(head as usize);
@@ -1805,19 +1747,6 @@ impl<'a> Engine<'a> {
                 channel: new_ch,
             });
         }
-        if self.st.crossbars.is_none() {
-            return Ok(());
-        }
-        let (sw_in, code_in) = self.xbar_code(self.planes.channel(at_lane), true)?;
-        let (sw_out, code_out) = self.xbar_code(new_ch, false)?;
-        debug_assert_eq!(sw_in, sw_out, "allocation must stay inside one switch");
-        if let Some(xbars) = &mut self.st.crossbars {
-            if xbars[sw_in as usize].connect(code_in, code_out).is_err() {
-                return Err(SimError::Internal {
-                    what: "engine requested an illegal crossbar connection",
-                });
-            }
-        }
         Ok(())
     }
 
@@ -1850,61 +1779,18 @@ impl<'a> Engine<'a> {
     fn transmit(&mut self) -> Result<(), SimError> {
         let nw = self.st.k_owned.num_words();
         let faulted = self.faults.is_some();
-        match (self.cfg.transmit_order, self.planes.vcs) {
-            (TransmitOrder::ReverseTopo, 1) => self.transmit_kernel_vc1_rt(nw, faulted),
-            (TransmitOrder::ReverseTopo, _) => self.transmit_kernel_vcn_rt(nw, faulted),
-            (TransmitOrder::BuildOrder, _) => self.transmit_kernel_reread(nw, faulted),
+        if self.planes.vcs == 1 {
+            self.transmit_kernel_vc1(nw, faulted)
+        } else {
+            self.transmit_kernel_vcn(nw, faulted)
         }
     }
 
-    /// The order-agnostic loop, for any `vcs`: non-topological orders
-    /// (the build-order ablation) lose the "a move only re-arms *later*
-    /// positions, and only via the popped upstream lane" invariant the
-    /// patching kernels below rest on, so this one re-reads the masks
-    /// after every move behind a monotone cursor — still exact,
-    /// word-at-a-time. A lane that turns ready *ahead* of the cursor is
-    /// served within the pass; one at or behind it waits for the next
-    /// cycle, exactly as in a scan that had already passed the position.
-    /// With `vcs == 1` a group is one bit and there is no mux state: over
-    /// a single lane both policies pick VC 0 and leave `last` at 0.
-    fn transmit_kernel_reread(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
-        let Planes { vcs, shift, .. } = self.planes;
-        let gw = 1u32 << shift;
-        let gmask = u64::MAX >> (64 - gw);
-        for w in 0..nw {
-            let eject = self.eject.word(w);
-            // Groups at or below the last-served one of this word are
-            // behind the cursor; mask them off on each re-read.
-            let mut behind: u64 = 0;
-            loop {
-                let mut ready = self.st.k_owned.word(w)
-                    & self.st.k_has_input.word(w)
-                    & !(self.st.k_full.word(w) | behind);
-                if faulted {
-                    ready &= !self.st.k_dead.word(w);
-                }
-                if ready == 0 {
-                    break;
-                }
-                let b = ready.trailing_zeros();
-                let g0 = b & !(gw - 1);
-                let group = (ready >> g0) & gmask;
-                let hi = g0 + gw;
-                behind = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
-                let base = (w * 64) as u32 + g0;
-                let vc = if vcs == 1 { 0 } else { self.mux_select(base >> shift, group)? };
-                debug_assert!(self.lane_ready(base + vc));
-                self.move_flit(base + vc, eject >> g0 & 1 != 0)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The saturation-critical kernel: `vcs == 1` under reverse-
-    /// topological order. Each mask word is combined **once**; the set
-    /// bits are then consumed low-to-high with no re-read, because under
-    /// this order a move can change the readiness of at most one lane
-    /// *ahead* of the cursor — the popped upstream lane `u` (its
+    /// The saturation-critical kernel: `vcs == 1`. Each mask word is
+    /// combined **once**; the set bits are then consumed low-to-high with
+    /// no re-read, because under the reverse-topological order a move
+    /// can change the readiness of at most one lane *ahead* of the
+    /// cursor — the popped upstream lane `u` (its
     /// full-bit falls; every other mask transition lands at an earlier
     /// position: the pushed-into lane is the bit just consumed, and the
     /// downstream lane gaining input sits before it). [`Self::move_flit`]
@@ -1913,7 +1799,7 @@ impl<'a> Engine<'a> {
     /// into a register operation. Bits that *fall* ahead of the cursor
     /// cannot happen: a released upstream lane had no input (its worm's
     /// tail was the popped flit), so its bit was never set.
-    fn transmit_kernel_vc1_rt(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
+    fn transmit_kernel_vc1(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         for w in 0..nw {
             let mut ready =
                 self.st.k_owned.word(w) & self.st.k_has_input.word(w) & !self.st.k_full.word(w);
@@ -1941,13 +1827,13 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The `vcs > 1` twin of [`Self::transmit_kernel_vc1_rt`]: the same
+    /// The `vcs > 1` twin of [`Self::transmit_kernel_vc1`]: the same
     /// combine-once / patch-on-feedback cursor, consuming a whole
     /// aligned lane group per visit (one flit per channel per cycle).
     /// The ahead-patch argument is unchanged — the popped upstream lane
     /// belongs to a strictly-upstream *channel*, so its plane lands in a
     /// strictly later group than the one just consumed.
-    fn transmit_kernel_vcn_rt(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
+    fn transmit_kernel_vcn(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         let shift = self.planes.shift;
         let gw = 1u32 << shift;
         let gmask = u64::MAX >> (64 - gw);
@@ -2027,10 +1913,9 @@ impl<'a> Engine<'a> {
     /// nothing went before it: it lands in an empty lane no downstream
     /// lane has yet drawn from, which is the worm's head.
     ///
-    /// Returns the cursor-patch feedback the reverse-topological kernels
-    /// consume: [`NO_FEEDBACK`], or the popped upstream lane's plane in
-    /// the low bits with its recomputed ready state in bit 31. The
-    /// re-reading loop discards it.
+    /// Returns the cursor-patch feedback the transmit kernels consume:
+    /// [`NO_FEEDBACK`], or the popped upstream lane's plane in the low
+    /// bits with its recomputed ready state in bit 31.
     #[inline]
     fn move_flit(&mut self, pl: u32, eject: bool) -> Result<u32, SimError> {
         let li = pl as usize;
@@ -2153,16 +2038,6 @@ impl<'a> Engine<'a> {
         self.st.k_has_input.clear(li);
         // `k_full` needs no touch: the buffer is empty (asserted above),
         // so the last pop already cleared it.
-        if self.st.crossbars.is_none() {
-            return;
-        }
-        // An ejection lane enters no switch, and the connection exists only
-        // if the worm had advanced past this one; else release is a no-op.
-        if let (Ok((sw, code)), Some(xbars)) =
-            (self.xbar_code(self.planes.channel(li), true), &mut self.st.crossbars)
-        {
-            let _ = xbars[sw as usize].release_input(code);
-        }
     }
 
     fn complete_packet(&mut self, p: u32, gen_time: u64, measured: bool) -> Result<(), SimError> {
@@ -2460,7 +2335,7 @@ impl<'a> Engine<'a> {
     /// cycles in `[max(now, warmup), target)` join `queue_cycles` while
     /// the zero queue leaves `queue_sum` untouched — and nothing else,
     /// so the report is bit-identical to the cycle-by-cycle path
-    /// (enforced by the fast-forward-on/off differential tests), and a
+    /// (enforced against the never-skipping reference engine), and a
     /// jump split into several shorter jumps — which is how a lockstep
     /// lane reaches its own horizon through repeated fleet-minimum jumps
     /// — lands in exactly the same state as one long jump. The jump
@@ -2483,16 +2358,6 @@ impl<'a> Engine<'a> {
         }
         self.st.now = target;
         skipped
-    }
-
-    /// Jump over a fully quiescent stretch to this run's own event
-    /// horizon (the scalar path; lockstep lanes jump to the fleet
-    /// minimum instead).
-    fn fast_forward(&mut self) -> u64 {
-        match self.ff_target() {
-            Some(t) => self.jump_to(t),
-            None => 0,
-        }
     }
 
     // ---- main loop ----------------------------------------------------
@@ -2551,7 +2416,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> Result<SimReport, SimError> {
-        let ff = self.cfg.fast_forward;
         let budget = self.cfg.budget;
         // Wall-clock budgets pay for an Instant only when armed; the
         // elapsed check runs every 1024 executed cycles so it stays
@@ -2578,8 +2442,10 @@ impl<'a> Engine<'a> {
                 }
                 executed += 1;
             }
-            if ff && self.quiescent() {
-                if self.fast_forward() > 0 {
+            if self.quiescent() {
+                // A scalar run jumps to its own event horizon (lockstep
+                // lanes to the fleet minimum instead).
+                if self.ff_target().map_or(0, |t| self.jump_to(t)) > 0 {
                     if let Some(start) = wall_start {
                         if start.elapsed().as_millis() as u64 >= budget.max_wall_ms {
                             return Err(

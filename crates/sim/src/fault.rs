@@ -116,7 +116,7 @@ impl CompiledFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, TransmitOrder};
+    use crate::config::EngineConfig;
     use minnet_topology::{build_bmin, build_unidir, Fault, FaultTarget, Geometry, UnidirKind};
     use std::sync::Arc;
 
@@ -178,8 +178,8 @@ mod tests {
     }
 
     /// The compiled words are the plan's dead lanes through `position`:
-    /// lane `vc` of channel `ch` at bit `(position(ch) << shift) | vc`
-    /// (`position` the identity under the build order), nothing else set.
+    /// lane `vc` of channel `ch` at bit `(position(ch) << shift) | vc`,
+    /// nothing else set.
     #[test]
     fn dead_plane_words_are_the_plans_dead_lanes_through_position() {
         use crate::active::DenseBitSet;
@@ -192,25 +192,18 @@ mod tests {
                     .with(Fault::transient(FaultTarget::Channel(whole), 10, 20))
                     .with(Fault::transient(FaultTarget::Lane { channel: lane, vc: vcs - 1 }, 15, 30));
                 let schedule = plan.compile(&net, vcs).unwrap();
-                for transmit_order in [TransmitOrder::ReverseTopo, TransmitOrder::BuildOrder] {
-                    let cfg = EngineConfig { vcs, transmit_order, ..EngineConfig::default() };
-                    let cf = compile(&net, &plan, &cfg).unwrap();
-                    let position = |ch| match transmit_order {
-                        TransmitOrder::ReverseTopo => net.position(ch),
-                        TransmitOrder::BuildOrder => ch,
-                    };
-                    for (ep, want) in cf.epochs.iter().zip(schedule.epochs()) {
-                        assert_eq!(ep.dead_planes.len(), (net.num_channels() << shift).div_ceil(64));
-                        let mut planes: Vec<u32> = (0..want.dead_lane.len() as u32)
-                            .filter(|&li| want.dead_lane[li as usize])
-                            .map(|li| position(li / u32::from(vcs)) << shift | li % u32::from(vcs))
-                            .collect();
-                        planes.sort_unstable();
-                        let mut got = DenseBitSet::with_capacity(net.num_channels() << shift);
-                        got.load(&ep.dead_planes);
-                        let got: Vec<u32> = got.iter_set().collect();
-                        assert_eq!(got, planes, "vcs {vcs} {transmit_order:?} epoch at {}", ep.start);
-                    }
+                let cf = compile(&net, &plan, &EngineConfig { vcs, ..EngineConfig::default() }).unwrap();
+                for (ep, want) in cf.epochs.iter().zip(schedule.epochs()) {
+                    assert_eq!(ep.dead_planes.len(), (net.num_channels() << shift).div_ceil(64));
+                    let mut planes: Vec<u32> = (0..want.dead_lane.len() as u32)
+                        .filter(|&li| want.dead_lane[li as usize])
+                        .map(|li| net.position(li / u32::from(vcs)) << shift | li % u32::from(vcs))
+                        .collect();
+                    planes.sort_unstable();
+                    let mut got = DenseBitSet::with_capacity(net.num_channels() << shift);
+                    got.load(&ep.dead_planes);
+                    let got: Vec<u32> = got.iter_set().collect();
+                    assert_eq!(got, planes, "vcs {vcs} epoch at {}", ep.start);
                 }
             }
         }

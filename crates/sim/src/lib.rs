@@ -14,11 +14,13 @@
 //! See [`engine`] for the precise cycle semantics (including the
 //! occupancy-scaled scheduling and the determinism contract); [`stats`]
 //! for the measurement machinery. The `reference-engine` feature exposes
-//! [`reference`], the frozen scan-everything implementation used as a
-//! differential-testing oracle.
+//! `reference`, the frozen scan-everything implementation used as a
+//! differential-testing oracle; the checks the engine does not carry —
+//! the build-order transmit ablation, cycle-by-cycle stepping through
+//! quiescent stretches, the Fig. 2 crossbar audit — live only there.
 //!
 //! Sweep-style callers should use the compile-once pipeline:
-//! [`CompiledNet`] (immutable network + routing table + transmit order)
+//! [`CompiledNet`] (immutable network + routing table + ejection mask)
 //! plus a reusable [`EngineState`] — see the [`engine`] module header.
 //! The free functions [`run_simulation`] / [`run_scripted`] /
 //! [`run_chained`] remain the one-shot API and produce bit-identical
@@ -40,7 +42,7 @@ pub mod stats;
 pub mod trace;
 
 pub use chaos::{ChaosSchedule, ChaosTarget};
-pub use config::{Delivery, EngineConfig, RunBudget, SimReport, TransmitOrder, CYCLE_US};
+pub use config::{Delivery, EngineConfig, RunBudget, SimReport, CYCLE_US};
 pub use engine::{
     run_chained, run_scripted, run_simulation, with_pooled_state, Chain, ChainedMsg, CompiledNet,
     EngineState, Script, ScriptedMsg,

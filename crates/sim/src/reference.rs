@@ -17,11 +17,22 @@
 //! oracle differs from the optimized engine only in scheduling data
 //! structures, never in semantics.
 //!
+//! Three checks the optimized engine does not carry live here alone:
+//!
+//! * **the transmit order is an argument** ([`TransmitOrder`]): the
+//!   paper's reverse-topological order, which the optimized engine
+//!   hard-wires, and the channel-id ablation;
+//! * **every cycle is stepped**: the oracle never fast-forwards, so
+//!   matching it proves the optimized engine's jumps invisible;
+//! * **Fig. 2 crossbar legality is audited** on every allocation and
+//!   release whenever `vcs == 1` (virtual channels have their own data
+//!   paths through the switch); an illegal connection panics.
+//!
 //! Compiled only with the `reference-engine` feature (enabled by the
 //! differential tests); production consumers get the optimized engine
 //! alone.
 
-use crate::config::{Delivery, EngineConfig, SimReport, TransmitOrder};
+use crate::config::{Delivery, EngineConfig, SimReport};
 use crate::engine::{ChainedMsg, ScriptedMsg};
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
@@ -34,6 +45,23 @@ use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 
 const NONE: u32 = u32::MAX;
+
+/// Order in which channels perform their per-cycle transmission.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TransmitOrder {
+    /// Downstream-first (reverse topological): an unblocked worm advances
+    /// over its whole span each cycle and a flit crosses at most one
+    /// channel per cycle — the paper's model ("switches … synchronize to
+    /// simultaneously transmit all of the flits in a worm"), and the only
+    /// order the optimized engine has.
+    ReverseTopo,
+    /// Channel-id order (roughly upstream-first) — an ablation. Every
+    /// channel still carries at most one flit per cycle, so the timing of
+    /// a single unblocked worm is unchanged, but a body flit may close
+    /// two bubbles in one cycle, making contended timings slightly
+    /// optimistic.
+    BuildOrder,
+}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Upstream {
@@ -144,6 +172,7 @@ impl<'a> Engine<'a> {
         net: &'a NetworkGraph,
         traffic: Traffic<'a>,
         cfg: EngineConfig,
+        order: TransmitOrder,
     ) -> Result<Engine<'a>, String> {
         cfg.validate()?;
         let vcs = cfg.vcs as usize;
@@ -171,25 +200,17 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let crossbars = if cfg.validate_crossbars {
+        let crossbars = (vcs == 1).then(|| {
             let k = net.geometry.k() as u8;
-            let d = net.kind.dilation();
-            Some(
-                (0..net.num_switches())
-                    .map(|_| {
-                        if net.kind.is_bidirectional() {
-                            Crossbar::new(k, true)
-                        } else {
-                            Crossbar::new(k * d, false)
-                        }
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+            let xbar = if net.kind.is_bidirectional() {
+                Crossbar::new(k, true)
+            } else {
+                Crossbar::new(k * net.kind.dilation(), false)
+            };
+            vec![xbar; net.num_switches()]
+        });
 
-        let order = match cfg.transmit_order {
+        let order = match order {
             TransmitOrder::ReverseTopo => net.transmit_order().to_vec(),
             TransmitOrder::BuildOrder => (0..nch as u32).collect(),
         };
@@ -642,19 +663,12 @@ impl<'a> Engine<'a> {
         debug_assert!(lane.buf.is_empty(), "releasing a lane with a buffered flit");
         lane.owner = NONE;
         lane.upstream = Upstream::Exhausted;
-        if let Some(xbars) = &mut self.crossbars {
-            let ch = (li as usize / self.vcs) as u32;
-            let c = self.net.channel(ch);
-            if let Endpoint::Switch { sw, side, port } = c.dst {
-                let code = if self.net.kind.is_bidirectional() {
-                    let k = self.net.geometry.k() as u8;
-                    match side {
-                        Side::Left => port,
-                        Side::Right => k + port,
-                    }
-                } else {
-                    port * self.net.kind.dilation() + c.lane
-                };
+        // An ejection lane enters no switch, and the connection exists only
+        // if the worm had advanced past this lane; else release is a no-op.
+        let ch = (li as usize / self.vcs) as u32;
+        if self.crossbars.is_some() && !self.ejects[ch as usize] {
+            let (sw, code) = self.in_code(ch);
+            if let Some(xbars) = &mut self.crossbars {
                 let _ = xbars[sw as usize].release_input(code);
             }
         }
@@ -797,20 +811,24 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Reference-engine counterpart of [`crate::run_simulation`].
+/// Reference-engine counterpart of [`crate::run_simulation`], transmitting
+/// in `order`.
 pub fn run_simulation(
     net: &NetworkGraph,
     workload: &Workload,
     cfg: &EngineConfig,
+    order: TransmitOrder,
 ) -> Result<SimReport, String> {
-    Engine::new(net, Traffic::Poisson(workload), cfg.clone()).map(Engine::run)
+    Engine::new(net, Traffic::Poisson(workload), cfg.clone(), order).map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_scripted`].
+/// Reference-engine counterpart of [`crate::run_scripted`], transmitting
+/// in `order`.
 pub fn run_scripted(
     net: &NetworkGraph,
     msgs: &[ScriptedMsg],
     cfg: &EngineConfig,
+    order: TransmitOrder,
 ) -> Result<SimReport, String> {
     let mut sorted: Vec<ScriptedMsg> = msgs.to_vec();
     sorted.sort_by_key(|m| m.time);
@@ -832,16 +850,19 @@ pub fn run_scripted(
             next: 0,
         },
         cfg.clone(),
+        order,
     )
     .map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_chained`].
+/// Reference-engine counterpart of [`crate::run_chained`], transmitting
+/// in `order`.
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],
     overhead: u64,
     cfg: &EngineConfig,
+    order: TransmitOrder,
 ) -> Result<SimReport, String> {
     let mut dependents = vec![Vec::new(); msgs.len()];
     let mut release = vec![None; msgs.len()];
@@ -877,6 +898,7 @@ pub fn run_chained(
             overhead,
         },
         cfg.clone(),
+        order,
     )
     .map(Engine::run)
 }

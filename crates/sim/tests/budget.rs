@@ -35,14 +35,10 @@ fn workload(load: f64) -> Workload {
     Workload::compile(Geometry::new(2, 4), &spec).unwrap()
 }
 
-/// Base config: fast-forward off so the budget equivalence below compares
-/// two runs that execute every cycle (a fast-forward jump may legally
-/// overshoot a mid-air cycle limit; see the `RunBudget` docs).
 fn cfg(warmup: u64, measure: u64) -> EngineConfig {
     EngineConfig {
         warmup,
         measure,
-        fast_forward: false,
         ..EngineConfig::default()
     }
 }
@@ -183,7 +179,6 @@ fn wall_clock_budget_fires_on_fast_forward_jumps() {
             max_cycles: 0,
             max_wall_ms: 1,
         },
-        fast_forward: true, // the path under test — cfg() turns it off
         ..cfg(0, u64::MAX / 2)
     });
     let mut st = EngineState::new();

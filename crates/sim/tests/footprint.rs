@@ -11,7 +11,7 @@
 //! and go with the configuration leave no residue in the results, and
 //! that a pooled state gives a large network's memory back.
 
-use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport, TransmitOrder};
+use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport};
 use minnet_topology::{build_bmin, Geometry};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ fn redimension_is_bit_identical() {
         first.clone(),
         EngineConfig { vcs: 2, ..base.clone() },
         EngineConfig { buffer_depth: 4, ..base.clone() },
-        EngineConfig { vcs: 3, transmit_order: TransmitOrder::BuildOrder, ..base.clone() },
+        EngineConfig { vcs: 3, ..base.clone() },
         first,
     ];
     // The multiplexer bytes, the pad planes and the slab free list come

@@ -1,12 +1,21 @@
 //! Determinism contract **v1**, frozen as data.
 //!
 //! `golden_v1.txt` holds one FNV-1a line per row of a fixed grid —
-//! networks × engine variant (fault schedule × transmit order × buffer
-//! depth, plus a one-cell-cap ("logic") and a budget-cut variant) × traffic —
-//! hashed over the run's whole outcome: every [`SimReport`] field
-//! (channel utilization, delivery log and event trace included), or the
-//! full `StallDiagnostic` / `PartialReport` when the run ends in a
-//! watchdog trip or a budget cut.
+//! networks × engine variant (fault schedule × buffer depth, plus a
+//! one-cell-cap ("logic") and a budget-cut variant) × traffic — hashed
+//! over the run's whole outcome: every [`SimReport`] field (channel
+//! utilization, delivery log and event trace included), or the full
+//! `StallDiagnostic` / `PartialReport` when the run ends in a watchdog
+//! trip or a budget cut.
+//!
+//! The `rt` rows (the paper's reverse-topological transmit order) are
+//! run by the engine. The `bo` rows — the channel-id order ablation —
+//! are run by the `reference` engine, the only one that still has that
+//! order, with the same hashes the engine recorded when it had it: the
+//! healthy ones only, since the reference engine has no fault layer (the
+//! faulted `bo` rows were dropped with the engine's build-order kernel).
+//! The test therefore needs the `reference-engine` feature, which the
+//! manifest requires, and it counts the rows it checked.
 //!
 //! The file was recorded with the engine's scalar allocate/transmit path
 //! forced, at the last commit that had one, and with the "logic" rows
@@ -17,12 +26,13 @@
 //! whole actual file; re-recording is a deliberate copy of that output
 //! over `golden_v1.txt` and amounts to opening contract v2.
 
+use minnet_sim::reference::{self, TransmitOrder};
 use minnet_sim::{
     Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, RunBudget, Script, ScriptedMsg,
-    SimError, SimReport, TransmitOrder,
+    SimError, SimReport,
 };
 use minnet_topology::{
-    build_bmin, build_unidir, Fault, FaultPlan, FaultTarget, Geometry, UnidirKind,
+    build_bmin, build_unidir, Fault, FaultPlan, FaultTarget, Geometry, NetworkGraph, UnidirKind,
 };
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
 use std::fmt::Write;
@@ -30,6 +40,8 @@ use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden_v1.txt");
 const SEED: u64 = 1995;
+/// The chained fixture's relay overhead.
+const OVERHEAD: u64 = 20;
 
 /// One grid row's outcome as `"<kind> <fnv-1a hex>"`.
 fn outcome(res: &Result<SimReport, SimError>) -> String {
@@ -95,7 +107,7 @@ fn chain(g: Geometry) -> Chain {
     for i in (3..n).step_by(7) {
         msgs.push(ChainedMsg { src: i, dst: (i + 5) % n, len: 12, earliest: u64::from(i), after: None });
     }
-    Chain::compile(g, &msgs, 20).unwrap()
+    Chain::compile(g, &msgs, OVERHEAD).unwrap()
 }
 
 enum Traffic {
@@ -168,20 +180,22 @@ fn actual() -> String {
             ..EngineConfig::default()
         };
         let mut variants = Vec::new();
-        for (order, transmit_order) in
-            [("rt", TransmitOrder::ReverseTopo), ("bo", TransmitOrder::BuildOrder)]
-        {
+        for (order, reference) in [("rt", false), ("bo", true)] {
             for buffer_depth in [1u16, 3] {
                 for (fault, plan) in &faults {
+                    // The reference engine has no fault layer.
+                    if reference && plan.is_some() {
+                        continue;
+                    }
                     let wedge = *fault == "wedge";
                     let cfg = EngineConfig {
                         buffer_depth,
-                        transmit_order,
                         fault_abort: !wedge,
                         watchdog_window: if wedge { 150 } else { 10_000 },
                         ..base.clone()
                     };
-                    variants.push((format!("{fault} {order} depth{buffer_depth}"), cfg, plan.as_ref()));
+                    let variant = format!("{fault} {order} depth{buffer_depth}");
+                    variants.push((variant, cfg, plan.as_ref(), reference));
                 }
             }
         }
@@ -192,9 +206,17 @@ fn actual() -> String {
         // and a healthy run must not see it.
         let logic = EngineConfig { route_table_max_cells: 1, ..base.clone() };
         let budget = RunBudget { max_cycles: 700, max_wall_ms: 0 };
-        variants.push(("logic rt depth1".into(), logic, None));
-        variants.push(("budget rt depth1".into(), EngineConfig { budget, ..base }, None));
-        for (variant, cfg, plan) in variants {
+        variants.push(("logic rt depth1".into(), logic, None, false));
+        variants.push(("budget rt depth1".into(), EngineConfig { budget, ..base }, None, false));
+        for (variant, cfg, plan, reference) in variants {
+            if reference {
+                let cfg = EngineConfig { seed: SEED, ..cfg };
+                for (traffic, source) in &traffics {
+                    let res = Ok(build_order(&graph, source, &cfg));
+                    writeln!(out, "{name} {traffic} {variant} {}", outcome(&res)).unwrap();
+                }
+                continue;
+            }
             let net = CompiledNet::new(Arc::clone(&graph), cfg).unwrap();
             let faults = plan.map(|p| net.compile_faults(p).unwrap());
             let faults = faults.as_ref();
@@ -211,9 +233,24 @@ fn actual() -> String {
     out
 }
 
+/// One healthy build-order row, on the reference engine (`cfg.seed` is
+/// the run's seed there).
+fn build_order(graph: &NetworkGraph, source: &Traffic, cfg: &EngineConfig) -> SimReport {
+    let order = TransmitOrder::BuildOrder;
+    match source {
+        Traffic::Poisson(wl) => reference::run_simulation(graph, wl, cfg, order),
+        Traffic::Script(s) => reference::run_scripted(graph, s.msgs(), cfg, order),
+        Traffic::Chain(c) => reference::run_chained(graph, c.msgs(), OVERHEAD, cfg, order),
+    }
+    .unwrap()
+}
+
 #[test]
 fn golden_v1_grid_is_bit_stable() {
     let actual = actual();
+    // 6 networks × 5 traffics × (8 fault × depth `rt` + logic + budget
+    // engine rows, and 2 healthy `bo` rows on the reference engine).
+    assert_eq!(actual.lines().count(), 6 * 5 * (10 + 2), "rows checked");
     let differing = actual.lines().zip(GOLDEN.lines()).filter(|(a, b)| a != b).count()
         + actual.lines().count().abs_diff(GOLDEN.lines().count());
     assert!(

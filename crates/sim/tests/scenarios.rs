@@ -2,8 +2,8 @@
 //! semantics: exact unloaded latencies, blocking, lane/VC sharing, and
 //! stochastic sanity (determinism, conservation, sustainability).
 
-use minnet_sim::{run_scripted, run_simulation, EngineConfig, ScriptedMsg, TransmitOrder};
-use minnet_switch::{ArbiterKind, VcMuxPolicy};
+use minnet_sim::{run_scripted, run_simulation, EngineConfig, ScriptedMsg};
+use minnet_switch::VcMuxPolicy;
 use minnet_topology::{build_bmin, build_unidir, Geometry, NodeAddr, UnidirKind};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
 
@@ -239,33 +239,36 @@ fn bmin_delivers_under_scripted_burst() {
     assert_eq!(report.deliveries.unwrap().len(), msgs.len());
 }
 
-/// Transmit-order ablation: every channel still carries at most one flit
-/// per cycle in either order, so the steady-state timing of a single
-/// unblocked worm is *identical* — the orders only differ in how quickly
-/// bubbles close inside contended worms.
+/// Transmit-order ablation (the reference engine's alone): every channel
+/// still carries at most one flit per cycle in either order, so the
+/// steady-state timing of a single unblocked worm is *identical* — the
+/// orders only differ in how quickly bubbles close inside contended
+/// worms.
+#[cfg(feature = "reference-engine")]
 #[test]
 fn transmit_order_single_worm_is_order_insensitive() {
+    use minnet_sim::reference::{self, TransmitOrder};
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let msg = [ScriptedMsg { time: 0, src: 0, dst: 7, len: 16 }];
     let topo = run_scripted(&net, &msg, &scripted_cfg()).unwrap();
-    let build = run_scripted(
-        &net,
-        &msg,
-        &EngineConfig { transmit_order: TransmitOrder::BuildOrder, ..scripted_cfg() },
-    )
-    .unwrap();
+    let build = reference::run_scripted(&net, &msg, &scripted_cfg(), TransmitOrder::BuildOrder);
     assert_eq!(
         topo.deliveries.unwrap()[0].done_time,
-        build.deliveries.unwrap()[0].done_time
+        build.unwrap().deliveries.unwrap()[0].done_time
     );
 }
 
 /// Crossbar validation (Fig. 2 legality) holds over a loaded run on every
 /// network type, under the paper's random output arbitration and the
-/// round-robin ablation.
+/// round-robin ablation: the reference engine audits every connection it
+/// makes and releases at one lane a channel (and panics on an illegal
+/// one), and the engine lands on its report bit for bit.
+#[cfg(feature = "reference-engine")]
 #[test]
 fn crossbar_legality_holds_under_load() {
+    use minnet_sim::reference::{self, TransmitOrder};
+    use minnet_switch::ArbiterKind;
     let g = Geometry::new(2, 3);
     let spec = WorkloadSpec {
         sizes: MessageSizeDist::Fixed(16),
@@ -276,7 +279,6 @@ fn crossbar_legality_holds_under_load() {
         let cfg = EngineConfig {
             warmup: 500,
             measure: 4_000,
-            validate_crossbars: true,
             alloc,
             ..EngineConfig::default()
         };
@@ -286,8 +288,11 @@ fn crossbar_legality_holds_under_load() {
             build_unidir(g, UnidirKind::Cube, 2),
             build_bmin(g),
         ] {
+            let audited = reference::run_simulation(&net, &wl, &cfg, TransmitOrder::ReverseTopo);
+            let audited = audited.unwrap();
+            assert!(audited.delivered_packets > 0);
             let report = run_simulation(&net, &wl, &cfg).unwrap();
-            assert!(report.delivered_packets > 0);
+            assert!(report.bitwise_eq(&audited), "{:?} {alloc:?}", net.kind);
         }
     }
 }

@@ -10,6 +10,7 @@
 
 use minnet::{CompiledExperiment, Experiment, NetworkSpec};
 use minnet_routing::{RouteLogic, RouteTable};
+use minnet_sim::reference::{self, TransmitOrder::ReverseTopo};
 use minnet_sim::{
     run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, LockstepState,
     Script, ScriptedMsg, SimError,
@@ -108,10 +109,11 @@ proptest! {
     }
 
     // Random near-idle Poisson runs: the event-horizon fast-forward must
-    // be invisible in the report — bit for bit — at loads where almost
-    // every cycle is quiescent. The test profile keeps debug assertions
-    // on, so the engine's "arrival missed its cycle" tripwire doubles as
-    // the property that no jump ever passes an arrival-heap key: a jump
+    // be invisible in the report — bit for bit against the reference
+    // engine, which steps every cycle — at loads where almost every
+    // cycle is quiescent. The test profile keeps debug assertions on, so
+    // the engine's "arrival missed its cycle" tripwire doubles as the
+    // property that no jump ever passes an arrival-heap key: a jump
     // landing past a matured entry would pop it with `fire < now` and
     // abort the run instead of merely diverging.
     #[test]
@@ -128,16 +130,15 @@ proptest! {
         let mut wspec = WorkloadSpec::global_uniform(load);
         wspec.sizes = MessageSizeDist::Fixed(16);
         let wl = Workload::compile(g, &wspec).unwrap();
-        let on = EngineConfig {
+        let cfg = EngineConfig {
             vcs: spec.vcs(),
             warmup,
             measure: 2_000,
             seed,
             ..EngineConfig::default()
         };
-        let off = EngineConfig { fast_forward: false, ..on.clone() };
-        let fast = run_simulation(&net, &wl, &on).unwrap();
-        let slow = run_simulation(&net, &wl, &off).unwrap();
+        let fast = run_simulation(&net, &wl, &cfg).unwrap();
+        let slow = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} load {load} warmup {warmup} seed {seed:#x}: fast-forward changed the report",
@@ -148,10 +149,10 @@ proptest! {
 
     // Random sparse scripts: big random gaps between injections are the
     // scripted fast-forward's jump targets (the script cursor, not a
-    // heap). On vs off must agree bit for bit, and every message must
-    // still drain — a jump past an injection time would strand it (and
-    // trip the cycle-count equality, since draining later moves the
-    // drain break).
+    // heap). The engine and the never-jumping reference must agree bit
+    // for bit, and every message must still drain — a jump past an
+    // injection time would strand it (and trip the cycle-count equality,
+    // since draining later moves the drain break).
     #[test]
     fn fast_forward_on_random_sparse_scripts(
         which in 0usize..4,
@@ -170,16 +171,15 @@ proptest! {
                 len,
             })
             .collect();
-        let on = EngineConfig {
+        let cfg = EngineConfig {
             vcs: spec.vcs(),
             warmup: 0,
             measure: 1_000_000,
             seed,
             ..EngineConfig::default()
         };
-        let off = EngineConfig { fast_forward: false, ..on.clone() };
-        let fast = run_scripted(&net, &msgs, &on).unwrap();
-        let slow = run_scripted(&net, &msgs, &off).unwrap();
+        let fast = run_scripted(&net, &msgs, &cfg).unwrap();
+        let slow = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} seed {seed:#x}: fast-forward changed a sparse scripted report",

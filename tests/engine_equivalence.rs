@@ -20,9 +20,10 @@
 
 use minnet::NetworkSpec;
 use minnet_routing::RouteTable;
+use minnet_sim::reference::{self, TransmitOrder::ReverseTopo};
 use minnet_sim::{
-    reference, run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet,
-    EngineConfig, EngineState, Script, ScriptedMsg, SimReport, TraceEvent, TransmitOrder,
+    run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineConfig,
+    EngineState, Script, ScriptedMsg, SimReport, TraceEvent,
 };
 use minnet_topology::{inter_stage_channels, Fault, FaultPlan, FaultTarget, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
@@ -72,7 +73,7 @@ fn poisson_reports_are_bit_identical() {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
                 let opt = run_simulation(&net, &wl, &cfg).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run_poisson(&wl, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
@@ -126,7 +127,7 @@ fn scripted_reports_are_bit_identical() {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
                 let opt = run_scripted(&net, &script(g), &cfg).unwrap();
-                let refr = reference::run_scripted(&net, &script(g), &cfg).unwrap();
+                let refr = reference::run_scripted(&net, &script(g), &cfg, ReverseTopo).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run_script(&once, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
@@ -192,7 +193,7 @@ fn chained_reports_are_bit_identical() {
         for seed in SEEDS {
             let cfg = EngineConfig { seed, ..base.clone() };
             let opt = run_chained(&net, &chain(g), 20, &cfg).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), 20, &cfg).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), 20, &cfg, ReverseTopo).unwrap();
             assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
             let fast = compiled.run_chain(&once, seed, &mut st).unwrap();
             assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
@@ -206,36 +207,49 @@ fn chained_reports_are_bit_identical() {
     }
 }
 
-/// The ablation transmit order must agree too — the occupied-channel set
-/// is indexed by order position, whatever the order is.
+/// The build-order ablation lives only in the reference engine. Where no
+/// two worms meet, the order cannot matter — every channel carries one
+/// flit a cycle in either — so on the sparse script (one worm every 700
+/// cycles) the ablation lands every bit, trace included, where the
+/// engine's reverse-topological order does; under load it must not
+/// (`crates/sim/tests/golden_v1.rs` pins its contended rows).
 #[test]
 fn build_order_transmit_is_bit_identical() {
+    use minnet_sim::reference::TransmitOrder::BuildOrder;
     let g = Geometry::new(4, 3);
     let spec = NetworkSpec::tmin();
     let net = spec.build(g);
-    let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.4)).unwrap();
     for vcs in [1, 3] {
-        let mut cfg = cfg_for(&spec, SEEDS[0]);
-        cfg.vcs = vcs;
-        cfg.transmit_order = minnet_sim::TransmitOrder::BuildOrder;
-        let opt = run_simulation(&net, &wl, &cfg).unwrap();
-        let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
-        assert_identical(&format!("cube wiring vcs {vcs} build-order"), &opt, &refr);
+        let cfg = EngineConfig {
+            vcs,
+            warmup: 0,
+            measure: 1_000_000,
+            collect_trace: true,
+            ..cfg_for(&spec, SEEDS[0])
+        };
+        let opt = run_scripted(&net, &sparse_script(g), &cfg).unwrap();
+        let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, BuildOrder).unwrap();
+        assert_identical(&format!("cube wiring vcs {vcs} build-order, sparse"), &opt, &refr);
+        let busy = reference::run_scripted(&net, &script(g), &cfg, BuildOrder).unwrap();
+        let engine = run_scripted(&net, &script(g), &cfg).unwrap();
+        assert!(!busy.bitwise_eq(&engine), "vcs {vcs}: contended worms must feel the order");
     }
 }
 
-/// Crossbar validation exercises the engine's release bookkeeping on a
-/// different path; keep it equivalent as well.
+/// The reference engine audits Fig. 2 crossbar legality on every
+/// allocation and release when `vcs == 1`; a loaded BMIN run — the
+/// bidirectional switch, turnaround connections included — passes the
+/// audit and lands on the engine's report bit for bit.
 #[test]
 fn crossbar_validated_run_is_bit_identical() {
     let g = Geometry::new(4, 3);
     let spec = NetworkSpec::Bmin;
     let net = spec.build(g);
     let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.3)).unwrap();
-    let mut cfg = cfg_for(&spec, SEEDS[1]);
-    cfg.validate_crossbars = true;
+    let cfg = cfg_for(&spec, SEEDS[1]);
+    assert_eq!(cfg.vcs, 1, "the audit runs at one lane a channel");
     let opt = run_simulation(&net, &wl, &cfg).unwrap();
-    let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+    let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
     assert_identical("BMIN crossbar-validated", &opt, &refr);
 }
 
@@ -336,13 +350,10 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     }
 }
 
-/// The `(vcs, buffer_depth, transmit order)` grid of the short-message
-/// differentials below.
-fn short_message_grid() -> impl Iterator<Item = (u8, u16, TransmitOrder)> {
-    let orders = [TransmitOrder::ReverseTopo, TransmitOrder::BuildOrder];
-    (1..=3u8).flat_map(move |vcs| {
-        (1..=3u16).flat_map(move |depth| orders.map(move |order| (vcs, depth, order)))
-    })
+/// The `(vcs, buffer_depth)` grid of the short-message differentials
+/// below.
+fn short_message_grid() -> impl Iterator<Item = (u8, u16)> {
+    (1..=3u8).flat_map(|vcs| (1..=3u16).map(move |depth| (vcs, depth)))
 }
 
 /// Worms of 1, 2 and `depth + 1` flits from every node, toward a handful
@@ -375,19 +386,18 @@ fn short_message_scripts_are_bit_identical() {
     let mut st = EngineState::new();
     for spec in [NetworkSpec::tmin(), NetworkSpec::dmin(2), NetworkSpec::Bmin] {
         let net = Arc::new(spec.build(g));
-        for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+        for (vcs, buffer_depth) in short_message_grid() {
             let cfg = EngineConfig {
                 vcs,
                 buffer_depth,
-                transmit_order,
                 warmup: 0,
                 measure: 1_000_000,
                 collect_trace: true,
                 ..cfg_for(&spec, SEEDS[0])
             };
-            let what = format!("{} vcs {vcs} depth {buffer_depth} {transmit_order:?}", spec.name());
+            let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
             let msgs = short_script(g, buffer_depth);
-            let refr = reference::run_scripted(&net, &msgs, &cfg).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let script = Script::compile(g, &msgs).unwrap();
             let opt = compiled.run_script(&script, cfg.seed, &mut st).unwrap();
@@ -403,11 +413,10 @@ fn short_message_poisson_is_bit_identical() {
     let mut st = EngineState::new();
     for spec in [NetworkSpec::tmin(), NetworkSpec::dmin(2), NetworkSpec::Bmin] {
         let net = Arc::new(spec.build(g));
-        for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+        for (vcs, buffer_depth) in short_message_grid() {
             let cfg = EngineConfig {
                 vcs,
                 buffer_depth,
-                transmit_order,
                 warmup: 500,
                 measure: 3_000,
                 ..cfg_for(&spec, SEEDS[1])
@@ -415,8 +424,8 @@ fn short_message_poisson_is_bit_identical() {
             let sizes = MessageSizeDist::UniformRange { min: 1, max: u32::from(buffer_depth) + 1 };
             let wl = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(0.3) };
             let wl = Workload::compile(g, &wl).unwrap();
-            let what = format!("{} vcs {vcs} depth {buffer_depth} {transmit_order:?}", spec.name());
-            let refr = reference::run_simulation(&net, &wl, &cfg).unwrap();
+            let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
+            let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let opt = compiled.run_poisson(&wl, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
@@ -448,17 +457,16 @@ fn short_message_fault_abort_mid_worm() {
         hops.collect::<Vec<_>>()
     };
     let mut st = EngineState::new();
-    for (vcs, buffer_depth, transmit_order) in short_message_grid() {
+    for (vcs, buffer_depth) in short_message_grid() {
         let cfg = EngineConfig {
             vcs,
             buffer_depth,
-            transmit_order,
             warmup: 0,
             measure: 1_000_000,
             collect_trace: true,
             ..cfg_for(&NetworkSpec::tmin(), SEEDS[2])
         };
-        let what = format!("vcs {vcs} depth {buffer_depth} {transmit_order:?}");
+        let what = format!("vcs {vcs} depth {buffer_depth}");
         let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
 
         // Differential half: half the nodes send, so some inter-stage
@@ -472,7 +480,7 @@ fn short_message_fault_abort_mid_worm() {
         assert!(!faults.is_trivial());
         let script = Script::compile(g, &msgs).unwrap();
         let opt = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
-        let refr = reference::run_scripted(&net, &msgs, &cfg).unwrap();
+        let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
         assert_identical(&format!("{what}, idle channel dead"), &opt, &refr);
 
         // Abort half. By cycle 3 both worms' headers are past the first
@@ -525,11 +533,10 @@ fn sparse_script(g: Geometry) -> Vec<ScriptedMsg> {
         .collect()
 }
 
-/// Event-horizon fast-forward on vs off must be **bit-identical** across
-/// all four networks, all three traffic modes, and both a
-/// quiescence-heavy and a drain-heavy shape. The frozen reference engine
-/// (which has no fast-forward at all) anchors every comparison, so the
-/// jump can't hide a divergence both paths share.
+/// Event-horizon fast-forward must be **invisible**: the engine always
+/// jumps quiescent stretches, the reference engine never does, and the
+/// two must agree bit for bit across all four networks, all three
+/// traffic modes, and both a quiescence-heavy and a drain-heavy shape.
 ///
 /// Quiescence-heavy shapes: a near-idle Poisson load whose first arrival
 /// typically lands beyond the warmup boundary (exercising the bulk
@@ -550,22 +557,15 @@ fn fast_forward_reports_are_bit_identical() {
         for load in [0.002, 0.3] {
             let wl = Workload::compile(g, &WorkloadSpec::global_uniform(load)).unwrap();
             for seed in SEEDS {
-                let mut on = cfg_for(&spec, seed);
-                on.warmup = 300;
-                on.measure = 2_500;
-                let off = EngineConfig {
-                    fast_forward: false,
-                    ..on.clone()
-                };
-                assert!(on.fast_forward, "fast-forward must default on");
-                let fast = run_simulation(&net, &wl, &on).unwrap();
-                let slow = run_simulation(&net, &wl, &off).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &off).unwrap();
+                let mut cfg = cfg_for(&spec, seed);
+                cfg.warmup = 300;
+                cfg.measure = 2_500;
+                let fast = run_simulation(&net, &wl, &cfg).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
                 let what = format!("{} poisson load {load} seed {seed:#x}", spec.name());
-                assert_identical(&format!("{what} (on vs off)"), &fast, &slow);
-                assert_identical(&format!("{what} (on vs reference)"), &fast, &refr);
+                assert_identical(&what, &fast, &refr);
                 // The compiled path takes the same jumps through a reused state.
-                let compiled = CompiledNet::new(Arc::clone(&net), on.clone()).unwrap();
+                let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
                 let comp = compiled.run_poisson(&wl, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} (compiled)"), &comp, &refr);
             }
@@ -573,40 +573,28 @@ fn fast_forward_reports_are_bit_identical() {
 
         // Scripted: sparse (gap-heavy) and dense (drain-heavy).
         for msgs in [sparse_script(g), script(g)] {
-            let mut on = cfg_for(&spec, SEEDS[0]);
-            on.warmup = 0;
-            on.measure = 1_000_000;
-            on.collect_trace = true;
-            let off = EngineConfig {
-                fast_forward: false,
-                ..on.clone()
-            };
-            let fast = run_scripted(&net, &msgs, &on).unwrap();
-            let slow = run_scripted(&net, &msgs, &off).unwrap();
-            let refr = reference::run_scripted(&net, &msgs, &off).unwrap();
+            let mut cfg = cfg_for(&spec, SEEDS[0]);
+            cfg.warmup = 0;
+            cfg.measure = 1_000_000;
+            cfg.collect_trace = true;
+            let fast = run_scripted(&net, &msgs, &cfg).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
             let what = format!("{} scripted x{}", spec.name(), msgs.len());
-            assert_identical(&format!("{what} (on vs off)"), &fast, &slow);
-            assert_identical(&format!("{what} (on vs reference)"), &fast, &refr);
+            assert_identical(&what, &fast, &refr);
             assert_eq!(fast.delivered_packets as usize, msgs.len(), "{what}: must drain");
         }
 
         // Chained: relay overhead 300 empties the network between
         // generations; overhead 0 keeps it busy until the early drain.
         for overhead in [300u64, 0] {
-            let mut on = cfg_for(&spec, SEEDS[1]);
-            on.warmup = 0;
-            on.measure = 1_000_000;
-            on.collect_trace = true;
-            let off = EngineConfig {
-                fast_forward: false,
-                ..on.clone()
-            };
-            let fast = run_chained(&net, &chain(g), overhead, &on).unwrap();
-            let slow = run_chained(&net, &chain(g), overhead, &off).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), overhead, &off).unwrap();
+            let mut cfg = cfg_for(&spec, SEEDS[1]);
+            cfg.warmup = 0;
+            cfg.measure = 1_000_000;
+            cfg.collect_trace = true;
+            let fast = run_chained(&net, &chain(g), overhead, &cfg).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, ReverseTopo).unwrap();
             let what = format!("{} chained overhead {overhead}", spec.name());
-            assert_identical(&format!("{what} (on vs off)"), &fast, &slow);
-            assert_identical(&format!("{what} (on vs reference)"), &fast, &refr);
+            assert_identical(&what, &fast, &refr);
         }
     }
 }

@@ -59,7 +59,7 @@ use crate::locked::open_locked;
 use crate::sweep::{
     aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
 };
-use minnet_sim::{EngineState, LockstepState, SimError, SimReport};
+use minnet_sim::{EngineState, SimError, SimReport};
 use minnet_topology::FaultPlan;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -246,23 +246,16 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 /// [`PointOutcome`]: `Ok` and budget cuts (`Partial`) end the ladder,
 /// an error or a panic spends one of the `retries` and reruns
 /// `run(task, attempt + 1, ..)`, and the last failure stands as
-/// `Failed`. `spent` is an attempt 0 somebody else already ran (a
-/// fleet lane's result); `None` starts by running attempt 0 here.
-/// Returns the outcome and the attempts it took.
+/// `Failed`. Returns the outcome and the attempts it took.
 fn attempt_ladder(
     task: usize,
-    mut spent: Option<Result<SimReport, SimError>>,
     retries: u32,
     run: &impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError>,
     st: &mut EngineState,
 ) -> (PointOutcome, u32) {
     let mut attempt = 0u32;
     loop {
-        let res = match spent.take() {
-            Some(res) => Ok(res),
-            None => catch_unwind(AssertUnwindSafe(|| run(task, attempt, st))),
-        };
-        let reason = match res {
+        let reason = match catch_unwind(AssertUnwindSafe(|| run(task, attempt, st))) {
             Ok(Ok(report)) => return (PointOutcome::Ok(report), attempt + 1),
             Ok(Err(SimError::BudgetExceeded(partial))) => {
                 let reason = partial.to_string();
@@ -283,13 +276,6 @@ fn attempt_ladder(
     }
 }
 
-/// A plan's optional per-point prologue: given the still-missing tasks
-/// of one point, a lane-thread allowance and the worker's
-/// [`LockstepState`], run them together — one result per task, in
-/// order — as attempt 0 on their grid seeds.
-pub(crate) type FleetRun<'a> =
-    &'a (dyn Fn(&[usize], usize, &mut LockstepState) -> Vec<Result<SimReport, SimError>> + Sync);
-
 /// The experiment runner: every curve, scenario and daemon job is a
 /// *plan* — `tasks` independent runs identified by checkpoint `kind`
 /// and identity-v1 `hash` — lowered onto this one function. It opens
@@ -303,18 +289,6 @@ pub(crate) type FleetRun<'a> =
 /// spawn and the per-task hand-off. Per-task seeding
 /// ([`task_seed`]) keeps the *values* independent of scheduling; the
 /// function only `Err`s on checkpoint refusal or I/O failure.
-///
-/// With `fleet = Some((lanes, prologue))` the unit of work widens from
-/// a task to a *point* — `lanes` consecutive tasks. A worker claims a
-/// point's missing tasks, lets the prologue run them as one lockstep
-/// fleet (attempt 0 of every lane) and hands each lane's result to the
-/// ladder; a lane that failed in the fleet thus retries scalar from
-/// attempt 1. A prologue panic discards the worker's `LockstepState`
-/// and sends every missing lane down the ladder from attempt 0, where
-/// innocent lanes reproduce their fleet report bit-identically and the
-/// guilty one re-fails and spends its retries. Workers go to points
-/// first; threads left over (`threads / points`) go to each fleet as
-/// lane-block threads, so total concurrency stays within the request.
 pub(crate) fn run_plan(
     kind: &str,
     hash: u64,
@@ -322,48 +296,21 @@ pub(crate) fn run_plan(
     threads: usize,
     policy: &CampaignPolicy,
     run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
-    fleet: Option<(usize, FleetRun<'_>)>,
 ) -> Result<Vec<(PointOutcome, u32)>, String> {
     let mut ckpt = Checkpoint::open(policy, kind, hash, tasks)?;
     let mut results = ckpt.preloaded(tasks);
-    let width = fleet.map_or(1, |(lanes, _)| lanes);
-    let pending: Vec<Vec<usize>> = (0..tasks)
-        .step_by(width)
-        .map(|first| {
-            (first..first + width)
-                .filter(|&t| results[t].is_none())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|unit| !unit.is_empty())
-        .collect();
+    let pending: Vec<usize> = (0..tasks).filter(|&t| results[t].is_none()).collect();
     if !pending.is_empty() {
         let workers = threads.clamp(1, pending.len());
-        let fleet_threads = (threads / pending.len()).max(1);
         let cursor = AtomicUsize::new(0);
-        // The one worker loop: claim units off the cursor until they run
+        // The one worker loop: claim tasks off the cursor until they run
         // out or `sink` says nobody is listening.
         let worker = |sink: &mut dyn FnMut(usize, PointOutcome, u32) -> bool| {
             let mut st = EngineState::new();
-            let mut ls = LockstepState::new();
-            loop {
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = pending.get(slot) else { break };
-                let mut spent = Vec::new();
-                if let Some((_, prologue)) = fleet {
-                    let ran = AssertUnwindSafe(|| prologue(unit, fleet_threads, &mut ls));
-                    match catch_unwind(ran) {
-                        Ok(lanes) => spent = lanes,
-                        // The pool may hold half-mutated states.
-                        Err(_) => ls = LockstepState::new(),
-                    }
-                }
-                let mut spent = spent.into_iter();
-                for &t in unit {
-                    let (outcome, attempts) =
-                        attempt_ladder(t, spent.next(), policy.retries, &run, &mut st);
-                    if !sink(t, outcome, attempts) {
-                        return;
-                    }
+            while let Some(&t) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let (outcome, attempts) = attempt_ladder(t, policy.retries, &run, &mut st);
+                if !sink(t, outcome, attempts) {
+                    return;
                 }
             }
         };
@@ -409,12 +356,12 @@ pub(crate) fn run_plan(
 }
 
 /// Fold a replicated grid's task-ordered results into one annotated
-/// point per key: `lanes` consecutive results each, split into outcomes
-/// and attempts, plus the reports of the `Ok` lanes (`None` when no
-/// lane completed) for the caller's aggregate.
+/// point per key: `replications` consecutive results each, split into
+/// outcomes and attempts, plus the reports of the `Ok` replications
+/// (`None` when none completed) for the caller's aggregate.
 fn fold_points<K: Copy, P>(
     keys: &[K],
-    lanes: usize,
+    replications: usize,
     results: Vec<(PointOutcome, u32)>,
     point: impl Fn(K, Vec<PointOutcome>, Vec<u32>, Option<Vec<SimReport>>) -> P,
 ) -> Vec<P> {
@@ -422,7 +369,7 @@ fn fold_points<K: Copy, P>(
     keys.iter()
         .map(|&key| {
             let (outcomes, attempts): (Vec<PointOutcome>, Vec<u32>) =
-                results.by_ref().take(lanes).unzip();
+                results.by_ref().take(replications).unzip();
             let ok: Vec<SimReport> = outcomes
                 .iter()
                 .filter_map(|o| o.ok_report().cloned())
@@ -463,7 +410,6 @@ pub fn campaign_curve(
         threads,
         policy,
         |i, attempt, st| compiled.run_typed(loads[i], task_seed(base, i, attempt), st),
-        None,
     )?;
     Ok(loads
         .iter()
@@ -477,17 +423,12 @@ pub fn campaign_curve(
 }
 
 /// `replications` independent seeded runs per load over the whole
-/// `(point, replication)` grid. Task `(i, r)` runs on
-/// `mix(base, i·R + r + 1)` — for `R = 1` exactly the seeds (hence
-/// bit-exactly the reports) of [`campaign_curve`].
-///
-/// `R > 1` replications of a budget-free experiment run as lockstep
-/// fleets, one per load point (the `run_plan` prologue); budget-armed
-/// configurations keep the per-task grid, because per-run budget
-/// accounting cannot be reproduced under a shared fleet clock. Both use
-/// the same task seeds and lanes never exchange information, so the
-/// choice — and a resumed point's fleet covering only its checkpoint
-/// holes — never changes a bit of any `Ok` report.
+/// `(point, replication)` grid, each replication one task on the plan's
+/// pool. Task `(i, r)` runs on `mix(base, i·R + r + 1)` — for `R = 1`
+/// exactly the seeds (hence bit-exactly the reports) of
+/// [`campaign_curve`] — so every `Ok` report equals
+/// [`Experiment::run_seeded`] at its task seed, however the tasks are
+/// scheduled or resumed.
 ///
 /// # Errors
 ///
@@ -507,20 +448,6 @@ pub fn campaign_replicated_curve(
     }
     let compiled = exp.compile()?;
     let base = compiled.base_seed();
-    let fleet = |tasks: &[usize], fleet_threads: usize, ls: &mut LockstepState| {
-        // A per-load configuration error fails every lane alike; the
-        // ladder's scalar retries then re-derive it per lane.
-        let load = loads[tasks[0] / replications];
-        let workload = match compiled.template().workload_at(load) {
-            Ok(w) => w,
-            Err(e) => return vec![Err(SimError::Config(e)); tasks.len()],
-        };
-        let seeds: Vec<u64> = tasks.iter().map(|&t| task_seed(base, t, 0)).collect();
-        compiled
-            .network()
-            .run_poisson_lockstep(&workload, &seeds, fleet_threads, ls)
-    };
-    let lockstep = replications > 1 && compiled.network().lockstep_eligible();
     let results = run_plan(
         "replicated_curve",
         config_hash(
@@ -535,7 +462,6 @@ pub fn campaign_replicated_curve(
         |t, attempt, st| {
             compiled.run_typed(loads[t / replications], task_seed(base, t, attempt), st)
         },
-        lockstep.then_some((replications, &fleet as FleetRun<'_>)),
     )?;
     Ok(fold_points(
         loads,
@@ -622,7 +548,6 @@ pub fn campaign_degradation_curve(
                 st,
             )
         },
-        None,
     )?;
     Ok(fold_points(
         fault_counts,
@@ -1079,14 +1004,14 @@ mod tests {
         }
     }
 
-    /// A bare `tasks`-task plan with no fleet prologue.
+    /// A bare `tasks`-task plan.
     fn plan(
         tasks: usize,
         threads: usize,
         policy: &CampaignPolicy,
         run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
     ) -> Outcomes {
-        run_plan("curve", 42, tasks, threads, policy, run, None).unwrap()
+        run_plan("curve", 42, tasks, threads, policy, run).unwrap()
     }
 
     #[test]
@@ -1358,10 +1283,10 @@ mod tests {
         assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
         let stats = pts[0].ok_stats.as_ref().unwrap();
         assert_eq!(stats.replications.len(), 3);
-        // The lockstep lanes carry the grid seeds of the per-run path.
-        for (r, lane) in stats.replications.iter().enumerate() {
+        // Each replication is a pool task on its grid seed.
+        for (r, rep) in stats.replications.iter().enumerate() {
             let direct = exp.run_seeded(0.2, task_seed(exp.sim.seed, r, 0)).unwrap();
-            assert!(lane.bitwise_eq(&direct), "replication {r} diverged");
+            assert!(rep.bitwise_eq(&direct), "replication {r} diverged");
         }
     }
 
@@ -1426,6 +1351,13 @@ mod tests {
         assert_eq!(ran_on_caller(3, 1), [true; 3]);
         assert_eq!(ran_on_caller(1, 4), [true], "one unit of work is one worker");
         assert_eq!(ran_on_caller(3, 2), [false; 3]);
+    }
+
+    /// The plain grid's report for `(task, attempt)` at load 0.2 on base
+    /// seed 7.
+    fn scalar(task: usize, attempt: u32) -> SimReport {
+        let seed = task_seed(7, task, attempt);
+        quick().run_seeded(0.2, seed).unwrap()
     }
 
     #[test]
@@ -1516,91 +1448,6 @@ mod tests {
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
     }
 
-    // ---- the fleet prologue and its fall-back ladder ------------------
-
-    /// Three lanes of one point at load 0.2 on base seed 7, run through
-    /// `run_plan` with `fleet` as the prologue and lane 1 panicking in
-    /// the scalar path while `guilty`. Returns the results and the
-    /// `(task, attempt)` pairs the scalar closure saw.
-    fn fleet_point(
-        retries: u32,
-        guilty: bool,
-        fleet: FleetRun<'_>,
-    ) -> (Outcomes, Vec<(usize, u32)>) {
-        let compiled = quick().compile().unwrap();
-        let seen = Mutex::new(Vec::new());
-        let results = run_plan(
-            "replicated_curve",
-            42,
-            3,
-            2,
-            &retrying(retries),
-            |t, attempt, st| {
-                seen.lock().unwrap().push((t, attempt));
-                if guilty && t == 1 {
-                    panic!("guilty lane");
-                }
-                compiled.run_typed(0.2, task_seed(7, t, attempt), st)
-            },
-            Some((3, fleet)),
-        )
-        .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        (results, seen)
-    }
-
-    /// The scalar grid's report for `(task, attempt)` of [`fleet_point`].
-    fn scalar(task: usize, attempt: u32) -> SimReport {
-        let seed = task_seed(7, task, attempt);
-        quick().run_seeded(0.2, seed).unwrap()
-    }
-
-    #[test]
-    fn fleet_lane_error_retries_from_attempt_one_and_spares_neighbours() {
-        let compiled = quick().compile().unwrap();
-        let workload = compiled.template().workload_at(0.2).unwrap();
-        let fleet = |tasks: &[usize], threads: usize, ls: &mut LockstepState| {
-            let seeds: Vec<u64> = tasks.iter().map(|&t| task_seed(7, t, 0)).collect();
-            let net = compiled.network();
-            let mut lanes = net.run_poisson_lockstep(&workload, &seeds, threads, ls);
-            lanes[1] = Err(SimError::Config("injected lane error".into()));
-            lanes
-        };
-        let (results, seen) = fleet_point(1, false, &fleet);
-        // The fleet was attempt 0 of every lane: only the failed lane
-        // reaches the scalar closure, and it starts at attempt 1.
-        assert_eq!(seen, [(1, 1)]);
-        assert_eq!(results[1].1, 2);
-        assert!(results[1].0.ok_report().unwrap().bitwise_eq(&scalar(1, 1)));
-        for t in [0, 2] {
-            assert_eq!(results[t].1, 1);
-            assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
-        }
-        // With no retry to spend the fleet's reason stands.
-        let (results, seen) = fleet_point(0, false, &fleet);
-        assert!(seen.is_empty());
-        let PointOutcome::Failed { reason } = &results[1].0 else {
-            panic!("expected Failed, got {}", results[1].0.tag());
-        };
-        assert!(reason.contains("injected lane error"), "{reason}");
-        assert_eq!(results[1].1, 1);
-    }
-
-    #[test]
-    fn fleet_panic_reruns_every_lane_from_attempt_zero() {
-        let fleet =
-            |_: &[usize], _: usize, _: &mut LockstepState| -> Vec<_> { panic!("fleet blew up") };
-        let (results, seen) = fleet_point(1, true, &fleet);
-        assert_eq!(seen, [(0, 0), (1, 0), (1, 1), (2, 0)]);
-        assert!(results[1].0.is_failed());
-        assert_eq!(results[1].1, 2, "the guilty lane spends its retry");
-        for t in [0, 2] {
-            assert_eq!(results[t].1, 1);
-            assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
-        }
-    }
-
     #[test]
     fn invalid_load_fails_every_lane_of_its_point_only() {
         let pts = campaign_replicated_curve(&quick(), &[0.2, -1.0], 3, 2, &retrying(2)).unwrap();
@@ -1614,9 +1461,9 @@ mod tests {
     #[test]
     fn parent_written_checkpoint_resumes_only_its_holes_bitwise() {
         // Written by the commit before the one-runner refactor: tasks 3,
-        // 1, 5 of a 2-load × 3-replication grid, i.e. some lanes of each
-        // point. Identity v1 must still accept it, the fleets must cover
-        // just the holes, and the curve must equal the uninterrupted one.
+        // 1, 5 of a 2-load × 3-replication grid, i.e. some replications of
+        // each point. Identity v1 must still accept it, only the holes may
+        // run, and the curve must equal the uninterrupted one.
         let path = temp_ckpt("parent");
         let _cleanup = Cleanup(path.clone());
         let fixture = include_str!("../tests/fixtures/replicated_curve_v1.ckpt.jsonl");

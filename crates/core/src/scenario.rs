@@ -413,7 +413,6 @@ impl Scenario {
                     Err(e) => Err(e),
                 }
             },
-            None,
         )
         .map_err(&fail)?;
         let stalls = stalls.into_inner().expect("stall channel poisoned");

@@ -354,7 +354,6 @@ pub fn run_job(
             }
             compiled.run_typed(spec.loads[i], task_seed(base, i, attempt), st)
         },
-        None,
     )?;
     let mut out = format!(
         "{{\"v\":{RESULT_VERSION},\"job_id\":\"{hash:016x}\",\"points\":[",

@@ -20,9 +20,10 @@ pub const CYCLE_US: f64 = 0.05;
 /// [`crate::PartialReport`] with every statistic accumulated so far, so
 /// a campaign can record the point as *partial* instead of aborting.
 ///
-/// `max_cycles` trips deterministically (same seed, same partial
-/// report, bit for bit); `max_wall_ms` depends on the host and is
-/// checked every 1024 executed cycles to keep the hot loop clean.
+/// `max_cycles` trips deterministically, at exactly that cycle even when
+/// a fast-forward jump would cross it (same seed, same partial report,
+/// bit for bit); `max_wall_ms` depends on the host and is checked every
+/// 1024 loop iterations and after every jump to keep the hot loop clean.
 /// Either limit at `0` is unlimited. A `max_cycles` at or above the
 /// run's horizon (`warmup + measure`) never trips — completing is
 /// always preferred to truncating.

@@ -95,13 +95,13 @@
 //! no phase can do any work until the next traffic event matures. The
 //! loop then jumps `now` straight to the earliest pending event key
 //! (arrival heap, script cursor, or release heap; clamped to the
-//! horizon) instead of spinning empty cycles — always; there is no
-//! switch. Quiescent cycles make zero RNG draws and their only
-//! observable effect is the zero mean-queue sample, which the jump
-//! replays in bulk (the mean-queue statistic is an integer
-//! `queue_sum / queue_cycles` pair precisely so a jump of any length —
-//! or any *split* of jumps — contributes exactly O(1) work and the
-//! exact same bits) — so reports stay **bit-identical** to a
+//! horizon and to an armed cycle budget) instead of spinning empty
+//! cycles — always; there is no switch. Quiescent cycles make zero RNG
+//! draws and their only observable effect is the zero mean-queue
+//! sample, which the jump replays in bulk (the mean-queue statistic is
+//! an integer `queue_sum / queue_cycles` pair precisely so a jump of any
+//! length — or one cut short at the budget — contributes exactly O(1)
+//! work and the exact same bits) — so reports stay **bit-identical** to a
 //! cycle-by-cycle run, which the `reference` engine is: it never skips,
 //! and `tests/engine_equivalence.rs` holds the two equal on gap- and
 //! drain-heavy shapes. The win scales with idle time: gaps in
@@ -169,7 +169,6 @@ use crate::active::{refill, trim, DenseBitSet, LaneBufs, MsgQueues, QueuedMsg};
 use crate::config::{EngineConfig, SimReport};
 use crate::error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 use crate::fault::CompiledFaults;
-use crate::lockstep::LockstepState;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::{find_cycle, RouteTable};
@@ -731,6 +730,8 @@ impl CompiledNet {
         )
     }
 
+    /// The one run entry: reset `st` for `seed`, prime the traffic
+    /// source's event heaps, and run the engine to its end.
     fn run_traffic(
         &self,
         traffic: Traffic<'_>,
@@ -738,222 +739,71 @@ impl CompiledNet {
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
-        prepare_engine(self, traffic, faults, seed, st).run()
+        let CompiledNet {
+            net,
+            cfg,
+            routes,
+            eject,
+        } = self;
+        // A trivial schedule (no epoch kills any lane) is indistinguishable
+        // from no schedule; normalizing it to `None` here *guarantees* the
+        // empty-plan path is the untouched fast path, bit for bit.
+        let faults = faults.filter(|f| !f.is_trivial());
+        let deterministic = !matches!(traffic, Traffic::Poisson(_));
+        st.reset(net, cfg, seed, deterministic);
+
+        // Prime the event heaps. Poisson: one initial arrival per generating
+        // node, drawn in ascending node order — the first draws of the run's
+        // RNG stream, exactly as the reference engine makes them.
+        match &traffic {
+            Traffic::Poisson(wl) => {
+                for node in 0..net.geometry.nodes() {
+                    let rate = wl.message_rate(node);
+                    if rate > 0.0 {
+                        let u: f64 = 1.0 - st.rng.random::<f64>();
+                        let t = -u.ln() / rate;
+                        st.src_next_arrival[node as usize] = t;
+                        st.arrivals.push(Reverse((t.ceil() as u64, node)));
+                    }
+                }
+            }
+            Traffic::Scripted { .. } => {}
+            Traffic::Chained { release, .. } => {
+                for (i, r) in release.iter().enumerate() {
+                    if let Some(t) = r {
+                        st.releases.push(Reverse((*t, i as u32)));
+                    }
+                }
+            }
+        }
+
+        let mut e = Engine {
+            net,
+            cfg,
+            routes,
+            pool: routes.pool(),
+            planes: Planes::new(net, cfg),
+            eject,
+            traffic,
+            faults,
+            epoch: 0,
+            st,
+        };
+        e.init_kernel_masks();
+        e.run()
     }
 
-    // ---- lockstep replication fleets ---------------------------------
-
-    /// Whether this configuration may run replication lanes as a
-    /// lockstep fleet. A [`RunBudget`](crate::RunBudget) is per-*run*
-    /// accounting (cycle limits and wall-clock stopwatches started at
-    /// each lane's own entry); a shared-clock fleet cannot reproduce
-    /// those cuts bit-identically, so budget-armed configurations fall
-    /// back to per-lane scalar runs.
-    pub fn lockstep_eligible(&self) -> bool {
-        self.cfg.budget.max_cycles == 0 && self.cfg.budget.max_wall_ms == 0
-    }
-
-    /// Run one Poisson replication per seed as a lockstep fleet (see
-    /// [`run_fleet`](Self::run_fleet) for the interleaving and its
-    /// bit-identity argument), splitting the lanes into at most
-    /// `threads` contiguous blocks on scoped OS threads. Per-lane
-    /// results are **bit-identical** to `run_poisson(workload, seed,
-    /// ..)` for every lane, every thread count, and every chunking —
-    /// lanes never exchange information; they only share the compiled
-    /// network and amortize the per-cycle sweep over the fleet.
-    ///
-    /// Budget-armed configurations (see
-    /// [`lockstep_eligible`](Self::lockstep_eligible)) transparently run
-    /// each lane through the scalar path instead.
+    /// One [`CompiledNet::run_poisson`] per seed, on `st`, in order. Kept
+    /// for `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it with
+    /// [`LockstepState`](crate::LockstepState).
     pub fn run_poisson_lockstep(
         &self,
         workload: &Workload,
         seeds: &[u64],
-        threads: usize,
-        ls: &mut LockstepState,
+        _threads: usize,
+        st: &mut EngineState,
     ) -> Vec<Result<SimReport, SimError>> {
-        if workload.geometry() != self.net.geometry {
-            return seeds
-                .iter()
-                .map(|_| {
-                    Err(SimError::GeometryMismatch {
-                        what: "workload",
-                        expected: self.net.geometry,
-                        got: workload.geometry(),
-                    })
-                })
-                .collect();
-        }
-        self.run_lockstep(FleetSource::Poisson(workload), seeds, threads, ls)
-    }
-
-    /// [`run_poisson_lockstep`](Self::run_poisson_lockstep) for a
-    /// deterministic script: the same script replayed under each seed's
-    /// RNG stream (which scripted runs never draw from — lanes differ
-    /// only if the script itself is stochastic downstream, but the
-    /// fleet machinery and its bit-identity contract are identical).
-    pub fn run_script_lockstep(
-        &self,
-        script: &Script,
-        seeds: &[u64],
-        threads: usize,
-        ls: &mut LockstepState,
-    ) -> Vec<Result<SimReport, SimError>> {
-        if script.geometry != self.net.geometry {
-            return seeds
-                .iter()
-                .map(|_| {
-                    Err(SimError::GeometryMismatch {
-                        what: "script",
-                        expected: self.net.geometry,
-                        got: script.geometry,
-                    })
-                })
-                .collect();
-        }
-        self.run_lockstep(FleetSource::Script(script), seeds, threads, ls)
-    }
-
-    /// Fleet dispatch: scalar fallback for budget-armed configs, then
-    /// contiguous lane-blocks on scoped threads. Chunking cannot change
-    /// any lane's report (lanes are independent), so the thread count is
-    /// a pure wall-clock knob, exactly like the sweep layer's.
-    fn run_lockstep(
-        &self,
-        source: FleetSource<'_>,
-        seeds: &[u64],
-        threads: usize,
-        ls: &mut LockstepState,
-    ) -> Vec<Result<SimReport, SimError>> {
-        if seeds.is_empty() {
-            return Vec::new();
-        }
-        if !self.lockstep_eligible() {
-            let st = &mut ls.lane_block(1)[0];
-            return seeds
-                .iter()
-                .map(|&seed| self.run_traffic(source.traffic(), None, seed, st))
-                .collect();
-        }
-        let states = ls.lane_block(seeds.len());
-        let mut results: Vec<Option<Result<SimReport, SimError>>> =
-            (0..seeds.len()).map(|_| None).collect();
-        let threads = threads.max(1).min(seeds.len());
-        if threads == 1 {
-            self.run_fleet(source, seeds, states, &mut results);
-        } else {
-            let chunk = seeds.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((seed_c, state_c), res_c) in seeds
-                    .chunks(chunk)
-                    .zip(states.chunks_mut(chunk))
-                    .zip(results.chunks_mut(chunk))
-                {
-                    scope.spawn(move || self.run_fleet(source, seed_c, state_c, res_c));
-                }
-            });
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("fleet fills every lane slot"))
-            .collect()
-    }
-
-    /// Drive one interleaved fleet: every live lane executes the same
-    /// simulated cycle before any lane starts the next, so the
-    /// allocate/transmit sweeps of all `R` lanes walk the shared
-    /// compiled artifacts (routes, transmit order, channel table)
-    /// back-to-back while they are hot in cache.
-    ///
-    /// **Bit-identity argument.** Lanes share nothing mutable — each
-    /// owns its [`EngineState`] — so interleaving per se cannot change a
-    /// lane's trajectory. The only joint decision is fast-forward: the
-    /// fleet jumps only when **every** live lane is quiescent with a
-    /// known next event, and jumps to the *minimum* target over the
-    /// lanes, so no lane ever passes its own event horizon
-    /// (`jump_to`'s tripwire). A lane whose horizon lies further ahead
-    /// reaches it through repeated fleet-minimum jumps and interleaved
-    /// quiescent cycles — both of which land it in exactly the state a
-    /// single scalar jump would (see [`Engine::jump_to`]), so every
-    /// lane's report is bit-identical to its scalar run's.
-    fn run_fleet(
-        &self,
-        source: FleetSource<'_>,
-        seeds: &[u64],
-        states: &mut [EngineState],
-        results: &mut [Option<Result<SimReport, SimError>>],
-    ) {
-        debug_assert!(self.lockstep_eligible());
-        let mut engines: Vec<Option<Engine<'_>>> = seeds
-            .iter()
-            .zip(states.iter_mut())
-            .map(|(&seed, st)| {
-                Some(prepare_engine(self, source.traffic(), None, seed, st))
-            })
-            .collect();
-        let mut live = engines.len();
-        while live > 0 {
-            // Joint fast-forward: the fleet-wide horizon is the minimum
-            // next-event target over live lanes, and only counts when
-            // every live lane is quiescent (a `None` target — a drained
-            // finite source — blocks the jump; that lane finalizes in
-            // the step pass below).
-            let mut horizon = u64::MAX;
-            let all = engines.iter().flatten().all(|e| {
-                e.quiescent()
-                    && e.ff_target().is_some_and(|t| {
-                        horizon = horizon.min(t);
-                        true
-                    })
-            });
-            if all && horizon != u64::MAX {
-                for e in engines.iter_mut().flatten() {
-                    e.jump_to(horizon);
-                }
-            }
-            for (slot, res) in engines.iter_mut().zip(results.iter_mut()) {
-                let Some(e) = slot.as_mut() else { continue };
-                let done = if e.st.now >= e.st.end {
-                    Ok(true)
-                } else {
-                    e.cycle_body()
-                };
-                match done {
-                    Ok(false) => {}
-                    Ok(true) => {
-                        let e = slot.take().expect("live lane present");
-                        *res = Some(Ok(e.finish()));
-                        live -= 1;
-                    }
-                    Err(err) => {
-                        *slot = None;
-                        *res = Some(Err(err));
-                        live -= 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A replication fleet's shared traffic source: each lane gets its own
-/// cursor/heap state, but the immutable workload or script is one
-/// allocation shared by all lanes (and all lane-block threads).
-#[derive(Clone, Copy)]
-enum FleetSource<'a> {
-    Poisson(&'a Workload),
-    Script(&'a Script),
-}
-
-impl<'a> FleetSource<'a> {
-    fn traffic(self) -> Traffic<'a> {
-        match self {
-            FleetSource::Poisson(wl) => Traffic::Poisson(wl),
-            FleetSource::Script(s) => Traffic::Scripted {
-                msgs: &s.msgs,
-                next: 0,
-            },
-        }
+        seeds.iter().map(|&seed| self.run_poisson(workload, seed, st)).collect()
     }
 }
 
@@ -1284,76 +1134,11 @@ struct Engine<'a> {
     eject: &'a DenseBitSet,
     traffic: Traffic<'a>,
     /// Active fault schedule; `None` is the fault-free fast path (trivial
-    /// schedules are normalized to `None` in `prepare_engine`).
+    /// schedules are normalized to `None` in `run_traffic`).
     faults: Option<&'a CompiledFaults>,
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
     st: &'a mut EngineState,
-}
-
-/// Reset `st` for `(compiled, seed)`, prime the traffic source, and
-/// return the ready-to-run engine. Shared by the scalar entry
-/// ([`CompiledNet::run_traffic`]) and the lockstep fleet, which prepares
-/// one engine per replication lane and interleaves their cycles.
-fn prepare_engine<'a>(
-    compiled: &'a CompiledNet,
-    traffic: Traffic<'a>,
-    faults: Option<&'a CompiledFaults>,
-    seed: u64,
-    st: &'a mut EngineState,
-) -> Engine<'a> {
-    let CompiledNet {
-        net,
-        cfg,
-        routes,
-        eject,
-    } = compiled;
-    // A trivial schedule (no epoch kills any lane) is indistinguishable
-    // from no schedule; normalizing it to `None` here *guarantees* the
-    // empty-plan path is the untouched fast path, bit for bit.
-    let faults = faults.filter(|f| !f.is_trivial());
-    let deterministic = !matches!(traffic, Traffic::Poisson(_));
-    st.reset(net, cfg, seed, deterministic);
-
-    // Prime the event heaps. Poisson: one initial arrival per generating
-    // node, drawn in ascending node order — the first draws of the run's
-    // RNG stream, exactly as the reference engine makes them.
-    match &traffic {
-        Traffic::Poisson(wl) => {
-            for node in 0..net.geometry.nodes() {
-                let rate = wl.message_rate(node);
-                if rate > 0.0 {
-                    let u: f64 = 1.0 - st.rng.random::<f64>();
-                    let t = -u.ln() / rate;
-                    st.src_next_arrival[node as usize] = t;
-                    st.arrivals.push(Reverse((t.ceil() as u64, node)));
-                }
-            }
-        }
-        Traffic::Scripted { .. } => {}
-        Traffic::Chained { release, .. } => {
-            for (i, r) in release.iter().enumerate() {
-                if let Some(t) = r {
-                    st.releases.push(Reverse((*t, i as u32)));
-                }
-            }
-        }
-    }
-
-    let mut e = Engine {
-        net,
-        cfg,
-        routes,
-        pool: routes.pool(),
-        planes: Planes::new(net, cfg),
-        eject,
-        traffic,
-        faults,
-        epoch: 0,
-        st,
-    };
-    e.init_kernel_masks();
-    e
 }
 
 impl<'a> Engine<'a> {
@@ -1770,7 +1555,7 @@ impl<'a> Engine<'a> {
     /// and the cursor advances a whole group at a time (one flit per
     /// channel per cycle).
     ///
-    /// Kept out of line: inlined into [`Self::cycle_body`] the kernels
+    /// Kept out of line: inlined into the cycle loop of `run` the kernels
     /// share a frame with the allocation phase, and an unrelated edit
     /// there (the route lookup of ISSUE 15) re-allocated their registers
     /// for a measured −6 % on 64-node sweeps. One call per cycle buys
@@ -2291,8 +2076,8 @@ impl<'a> Engine<'a> {
     fn quiescent(&self) -> bool {
         let q = self.st.active.is_empty() && self.st.queued_msgs == 0;
         // Quiescence implies empty occupancy sets; the word-level
-        // emptiness scans keep this lockstep/fast-forward gate honest
-        // without iterating members.
+        // emptiness scans keep this fast-forward gate honest without
+        // iterating members.
         debug_assert!(
             !q || (self.st.injectable.is_empty_set() && self.st.k_owned.is_empty_set()),
             "quiescent run with live occupancy bits"
@@ -2300,7 +2085,7 @@ impl<'a> Engine<'a> {
         q
     }
 
-    /// The fast-forward jump target for a quiescent lane: the earliest
+    /// The fast-forward jump target for a quiescent run: the earliest
     /// pending traffic-event key, clamped to the horizon. `None` means a
     /// drained finite source — no jump; one last cycle must run so the
     /// drain break ends the run at the same count as the slow path. A
@@ -2321,11 +2106,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Jump a quiescent run straight to `target` (which must not exceed
-    /// the run's own [`ff_target`](Self::ff_target) — the lockstep
-    /// driver passes the *minimum* over its live lanes, a scalar run its
-    /// own target). Returns the number of cycles skipped (0 = no jump;
-    /// run the cycle normally).
+    /// Jump a quiescent run straight to `target`, which must not exceed
+    /// its [`ff_target`](Self::ff_target). Returns whether any cycle was
+    /// skipped (`false`: run the cycle normally).
     ///
     /// **Bitwise-identity argument.** In a quiescent cycle the three
     /// phases make *zero* RNG draws (the request shuffle iterates
@@ -2335,102 +2118,52 @@ impl<'a> Engine<'a> {
     /// cycles in `[max(now, warmup), target)` join `queue_cycles` while
     /// the zero queue leaves `queue_sum` untouched — and nothing else,
     /// so the report is bit-identical to the cycle-by-cycle path
-    /// (enforced against the never-skipping reference engine), and a
-    /// jump split into several shorter jumps — which is how a lockstep
-    /// lane reaches its own horizon through repeated fleet-minimum jumps
-    /// — lands in exactly the same state as one long jump. The jump
-    /// never passes an event: the target is capped by the earliest
-    /// heap/script key, and `generate_arrivals` debug-asserts every
-    /// matured entry fires on its exact cycle.
-    fn jump_to(&mut self, target: u64) -> u64 {
+    /// (enforced against the never-skipping reference engine). For the
+    /// same reason a jump cut short — `run` stops one at an armed cycle
+    /// budget — lands in exactly the state the cycle-by-cycle path has
+    /// there, so the budget's partial report equals a run configured to
+    /// end at that cycle. The jump never passes an event: the target is
+    /// capped by the earliest heap/script key, and `generate_arrivals`
+    /// debug-asserts every matured entry fires on its exact cycle.
+    fn jump_to(&mut self, target: u64) -> bool {
         debug_assert!(self.quiescent());
         debug_assert!(
             self.ff_target().is_some_and(|t| target <= t),
-            "fast-forward jumped past the lane's own event horizon"
+            "fast-forward jumped past the run's own event horizon"
         );
         if target <= self.st.now {
-            return 0;
+            return false;
         }
-        let skipped = target - self.st.now;
         let measured_from = self.st.now.max(self.cfg.warmup);
         if target > measured_from {
             self.st.queue_cycles += target - measured_from;
         }
         self.st.now = target;
-        skipped
+        true
     }
 
     // ---- main loop ----------------------------------------------------
 
-    /// One full simulated cycle — fault-epoch catch-up, the three
-    /// phases, the no-progress watchdog, the mean-queue sample, and the
-    /// clock increment. The shared loop body of the scalar run and the
-    /// lockstep driver; returns `true` when a finite traffic source has
-    /// fully drained (the caller ends the run).
-    fn cycle_body(&mut self) -> Result<bool, SimError> {
-        // Bring the fault epoch up to date *before* the phases so the
-        // whole cycle — injection refusal, routing, transmission —
-        // sees one consistent mask (a fast-forward jump may cross
-        // several boundaries at once; casualties are aborted here).
-        if self.faults.is_some() {
-            self.advance_epoch()?;
-        }
-        self.generate_arrivals();
-        self.allocate()?;
-        self.transmit()?;
-        // No-progress watchdog: a full window of cycles with active
-        // packets but zero flit movement can only mean a wedged
-        // network (in a healthy run the downstream-most flit of some
-        // worm always moves — see `EngineConfig::watchdog_window`).
-        let watchdog = self.cfg.watchdog_window;
-        if watchdog > 0 {
-            if self.st.moved == 0 && !self.st.active.is_empty() {
-                if self.st.now - self.st.last_progress >= watchdog {
-                    return Err(SimError::NoProgress(Box::new(self.diagnose_stall())));
-                }
-            } else {
-                self.st.last_progress = self.st.now;
-            }
-            self.st.moved = 0;
-        }
-        if self.measuring() {
-            self.st.queue_sum += self.st.queued_msgs;
-            self.st.queue_cycles += 1;
-        }
-        // Sampled mask-exactness audit (debug builds only): maintenance
-        // bugs persist in the masks, so a periodic full check catches
-        // them without multiplying test wall time by the lane count.
-        #[cfg(debug_assertions)]
-        if self.st.now & 63 == 0 {
-            self.check_kernel_masks();
-        }
-        self.st.now += 1;
-        Ok(self.finite() && self.st.active.is_empty() && self.drained())
-    }
-
-    /// Whether the traffic source is finite (scripted/chained): the run
-    /// ends at drain rather than the horizon.
-    #[inline]
-    fn finite(&self) -> bool {
-        !matches!(self.traffic, Traffic::Poisson(_))
-    }
-
+    /// Run to the horizon (a finite source: to its drain), a budget cut
+    /// or an error. An iteration either fast-forwards a quiescent run or
+    /// executes one full cycle: fault-epoch catch-up, the three phases,
+    /// the no-progress watchdog, the mean-queue sample, the clock tick.
     fn run(mut self) -> Result<SimReport, SimError> {
         let budget = self.cfg.budget;
+        // A jump stops at an armed cycle budget, so the cut lands on it
+        // exactly (see `jump_to`).
+        let jump_cap = if budget.max_cycles > 0 { budget.max_cycles } else { u64::MAX };
         // Wall-clock budgets pay for an Instant only when armed; the
-        // elapsed check runs every 1024 executed cycles so it stays
-        // invisible in the hot loop — and additionally after every
-        // fast-forward jump, because a single jump can swallow an
-        // arbitrarily long simulated stretch: a near-quiescent run
-        // would otherwise overshoot `max_wall_ms` by whole jumps
-        // between two counter-gated checks.
+        // elapsed check runs every 1024 iterations so it stays invisible
+        // in the hot loop — and after every fast-forward jump (the count
+        // restarts), because one jump can swallow an arbitrarily long
+        // simulated stretch.
         let wall_start = (budget.max_wall_ms > 0).then(std::time::Instant::now);
         let mut executed: u64 = 0;
         while self.st.now < self.st.end {
             // Budget checks sit at the loop top so a fast-forward jump
             // that lands exactly on the horizon still completes normally
-            // (the `while` condition wins); a jump *past* a cycle limit
-            // but short of the horizon trips here on the next iteration.
+            // (the `while` condition wins).
             if budget.max_cycles > 0 && self.st.now >= budget.max_cycles {
                 return Err(self.budget_cut(BudgetKind::Cycles, budget.max_cycles));
             }
@@ -2442,23 +2175,52 @@ impl<'a> Engine<'a> {
                 }
                 executed += 1;
             }
-            if self.quiescent() {
-                // A scalar run jumps to its own event horizon (lockstep
-                // lanes to the fleet minimum instead).
-                if self.ff_target().map_or(0, |t| self.jump_to(t)) > 0 {
-                    if let Some(start) = wall_start {
-                        if start.elapsed().as_millis() as u64 >= budget.max_wall_ms {
-                            return Err(
-                                self.budget_cut(BudgetKind::WallClock, budget.max_wall_ms)
-                            );
-                        }
-                    }
-                }
-                if self.st.now >= self.st.end {
-                    break;
-                }
+            // After a jump, back to the top: the end and budget checks
+            // run before another cycle does.
+            if self.quiescent()
+                && self.ff_target().is_some_and(|t| self.jump_to(t.min(jump_cap)))
+            {
+                executed = 0;
+                continue;
             }
-            if self.cycle_body()? {
+            // Bring the fault epoch up to date *before* the phases so the
+            // whole cycle — injection refusal, routing, transmission —
+            // sees one consistent mask (a fast-forward jump may cross
+            // several boundaries at once; casualties are aborted here).
+            if self.faults.is_some() {
+                self.advance_epoch()?;
+            }
+            self.generate_arrivals();
+            self.allocate()?;
+            self.transmit()?;
+            // No-progress watchdog: a full window of cycles with active
+            // packets but zero flit movement can only mean a wedged
+            // network (in a healthy run the downstream-most flit of some
+            // worm always moves — see `EngineConfig::watchdog_window`).
+            let watchdog = self.cfg.watchdog_window;
+            if watchdog > 0 {
+                if self.st.moved == 0 && !self.st.active.is_empty() {
+                    if self.st.now - self.st.last_progress >= watchdog {
+                        return Err(SimError::NoProgress(Box::new(self.diagnose_stall())));
+                    }
+                } else {
+                    self.st.last_progress = self.st.now;
+                }
+                self.st.moved = 0;
+            }
+            if self.measuring() {
+                self.st.queue_sum += self.st.queued_msgs;
+                self.st.queue_cycles += 1;
+            }
+            // Sampled mask-exactness audit (debug builds only): maintenance
+            // bugs persist in the masks, so a periodic full check catches
+            // them without multiplying test wall time by the lane count.
+            #[cfg(debug_assertions)]
+            if self.st.now & 63 == 0 {
+                self.check_kernel_masks();
+            }
+            self.st.now += 1;
+            if self.st.active.is_empty() && self.drained() {
                 break;
             }
         }
@@ -2480,7 +2242,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether a finite (scripted/chained) traffic source has nothing left
-    /// to inject.
+    /// to inject; a Poisson source never drains, its run ends at the
+    /// horizon.
     fn drained(&self) -> bool {
         if self.st.queued_msgs > 0 {
             return false;

@@ -35,7 +35,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod lockstep;
 #[cfg(feature = "reference-engine")]
 pub mod reference;
 pub mod stats;
@@ -49,5 +48,8 @@ pub use engine::{
 };
 pub use error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 pub use fault::CompiledFaults;
-pub use lockstep::LockstepState;
 pub use trace::{Trace, TraceEvent};
+
+/// [`EngineState`] under its old fleet name, for `benchmark/src/replay.rs`
+/// only; ROADMAP 2(d) deletes it with [`CompiledNet::run_poisson_lockstep`].
+pub type LockstepState = EngineState;

@@ -43,29 +43,6 @@ impl Welford {
         self.m2 += d * (x - self.mean);
     }
 
-    /// Push `k` zero samples, bit-identically to calling [`Welford::push`]
-    /// with `0.0` exactly `k` times: when the accumulator is still
-    /// all-zero (every prior sample was zero) a push of `0.0` changes
-    /// nothing but the count, so the loop collapses to `n += k`;
-    /// otherwise the pushes are replayed one by one so the float
-    /// sequence matches sample-by-sample pushing.
-    ///
-    /// No longer on the engine's fast-forward path: the engine's
-    /// mean-queue statistic is an integer `queue_sum / queue_cycles`
-    /// pair precisely so a skipped interval costs O(1) regardless of
-    /// history (the replay branch here is O(k)), and so split jumps sum
-    /// to the same bits as one long jump. Kept for external consumers
-    /// of [`Welford`] that batch zero samples.
-    pub fn push_zeros(&mut self, k: u64) {
-        if self.mean.to_bits() == 0 && self.m2.to_bits() == 0 {
-            self.n += k;
-            return;
-        }
-        for _ in 0..k {
-            self.push(0.0);
-        }
-    }
-
     /// Forget every sample — equivalent to a fresh accumulator, without
     /// an allocation (the engine-state pool resets in place).
     pub fn reset(&mut self) {
@@ -329,37 +306,6 @@ mod tests {
             assert!(crit95(n) >= 1.96);
         }
         assert_eq!(crit95(31), 1.96);
-    }
-
-    #[test]
-    fn push_zeros_is_bitwise_identical_to_pushing() {
-        // All-zero fast path.
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        a.push(0.0);
-        b.push(0.0);
-        a.push_zeros(1000);
-        for _ in 0..1000 {
-            b.push(0.0);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-        assert_eq!(a.variance().to_bits(), b.variance().to_bits());
-
-        // Nonzero history forces the replay path; still bit-identical.
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &[3.5, 0.25, 7.0] {
-            a.push(x);
-            b.push(x);
-        }
-        a.push_zeros(137);
-        for _ in 0..137 {
-            b.push(0.0);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-        assert_eq!(a.variance().to_bits(), b.variance().to_bits());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The contract under test (see `RunBudget` in `config.rs`):
 //!
 //! 1. A `max_cycles` budget below the run horizon cuts the run at
-//!    exactly that cycle and returns `SimError::BudgetExceeded` with a
-//!    valid partial report — the *same* report a shorter configured run
-//!    would have produced (pinned bitwise).
+//!    exactly that cycle — also when a fast-forward jump would cross it
+//!    — and returns `SimError::BudgetExceeded` with a valid partial
+//!    report: the *same* report a shorter configured run would have
+//!    produced (pinned bitwise).
 //! 2. A budget at or above the horizon never fires: the run completes
 //!    bit-identically to an unbudgeted one.
 //! 3. A wall-clock budget of ~zero fires on any non-trivial run and
@@ -199,11 +200,43 @@ fn wall_clock_budget_fires_on_fast_forward_jumps() {
 }
 
 #[test]
-fn budget_armed_lockstep_falls_back_to_scalar_bitwise() {
-    // A budget-armed configuration is ineligible for lockstep fleets
-    // (per-run budget accounting has no shared-clock equivalent); the
-    // lockstep entry must transparently run each lane scalar — and cut
-    // it — exactly as the scalar entry does.
+fn cycle_budget_cuts_exactly_inside_a_fast_forward_gap() {
+    // Regression: a quiescent run jumped to its next event without
+    // looking at the budget, then ran the landing cycle before the
+    // loop-top check tripped — a 1 000-cycle budget over a gap to
+    // t = 5 000 cut at 5 001. The jump now stops at the limit, and the
+    // partial report is the run configured to end there, bit for bit.
+    let g = Geometry::new(2, 4);
+    let msg = |time, src, dst| minnet_sim::ScriptedMsg { time, src, dst, len: 8 };
+    let script = minnet_sim::Script::compile(g, &[msg(10, 0, 9), msg(5_000, 3, 12)]).unwrap();
+    let limit = 1_000u64;
+    let net = tmin(EngineConfig {
+        budget: RunBudget {
+            max_cycles: limit,
+            max_wall_ms: 0,
+        },
+        ..cfg(0, 1_000_000)
+    });
+    let mut st = EngineState::new();
+    let SimError::BudgetExceeded(partial) = net.run_script(&script, 5, &mut st).unwrap_err()
+    else {
+        panic!("expected BudgetExceeded");
+    };
+    assert_eq!(partial.kind, BudgetKind::Cycles);
+    assert_eq!(partial.spent_cycles, limit);
+    let short = tmin(cfg(0, limit)).run_script(&script, 5, &mut st).unwrap();
+    assert_eq!(short.delivered_packets, 1);
+    assert!(
+        partial.report.bitwise_eq(&short),
+        "cut at {} diverged from the run configured to end at {limit}",
+        partial.spent_cycles
+    );
+}
+
+#[test]
+fn cycle_budget_is_exact_at_near_idle_poisson_loads() {
+    // At load 0.002 almost every loop iteration is a jump, so nearly
+    // every seed's limit falls inside a gap between arrivals.
     let limit = 1_500u64;
     let net = tmin(EngineConfig {
         budget: RunBudget {
@@ -212,27 +245,15 @@ fn budget_armed_lockstep_falls_back_to_scalar_bitwise() {
         },
         ..cfg(500, 4_000)
     });
-    assert!(!net.lockstep_eligible());
-    let wl = workload(0.2);
-    let seeds = [7u64, 11, 13];
-    let mut ls = minnet_sim::LockstepState::new();
-    let results = net.run_poisson_lockstep(&wl, &seeds, 2, &mut ls);
+    let wl = workload(0.002);
     let mut st = EngineState::new();
-    for (res, &seed) in results.into_iter().zip(&seeds) {
-        let SimError::BudgetExceeded(got) = res.unwrap_err() else {
-            panic!("expected BudgetExceeded");
-        };
-        let SimError::BudgetExceeded(want) =
-            net.run_poisson(&wl, seed, &mut st).unwrap_err()
+    for seed in 0..50u64 {
+        let SimError::BudgetExceeded(partial) = net.run_poisson(&wl, seed, &mut st).unwrap_err()
         else {
-            panic!("expected BudgetExceeded");
+            panic!("seed {seed}: expected BudgetExceeded");
         };
-        assert_eq!(got.kind, BudgetKind::Cycles);
-        assert_eq!(got.spent_cycles, want.spent_cycles);
-        assert!(
-            got.report.bitwise_eq(&want.report),
-            "seed {seed:#x}: budget-armed lockstep fallback diverged"
-        );
+        assert_eq!(partial.spent_cycles, limit, "seed {seed}");
+        assert_eq!(partial.report.cycles, limit, "seed {seed}");
     }
 }
 

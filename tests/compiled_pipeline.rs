@@ -12,8 +12,8 @@ use minnet::{CompiledExperiment, Experiment, NetworkSpec};
 use minnet_routing::{RouteLogic, RouteTable};
 use minnet_sim::reference::{self, TransmitOrder::ReverseTopo};
 use minnet_sim::{
-    run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, LockstepState,
-    Script, ScriptedMsg, SimError,
+    run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, Script,
+    ScriptedMsg, SimError,
 };
 use minnet_topology::{FaultPlan, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
@@ -186,111 +186,6 @@ proptest! {
             spec.name()
         );
         prop_assert_eq!(fast.delivered_packets as usize, msgs.len());
-    }
-
-    // Random replication counts R ∈ {2..8}: every lane of a lockstep
-    // fleet must equal its scalar run bit for bit, at near-idle loads
-    // where the fleet takes joint fast-forward jumps almost every
-    // round. The test profile keeps debug assertions on, so `jump_to`'s
-    // "fast-forward jumped past the lane's own event horizon" tripwire
-    // doubles as the multi-lane never-jump-past property: a fleet
-    // horizon above any live lane's own next-event key would abort the
-    // run, not merely diverge — extending PR 3's single-lane tripwire
-    // to the minimum-over-lanes horizon rule.
-    #[test]
-    fn lockstep_lanes_equal_scalar_at_random_low_loads(
-        which in 0usize..4,
-        seed in 0u64..u64::MAX,
-        replications in 2usize..=8,
-        load_bp in 1u32..80,
-        threads in 1usize..4,
-    ) {
-        let g = Geometry::new(4, 3);
-        let spec = lineup_spec(which);
-        let net = Arc::new(spec.build(g));
-        let load = f64::from(load_bp) / 5_000.0;
-        let mut wspec = WorkloadSpec::global_uniform(load);
-        wspec.sizes = MessageSizeDist::Fixed(16);
-        let wl = Workload::compile(g, &wspec).unwrap();
-        let cfg = EngineConfig {
-            vcs: spec.vcs(),
-            warmup: 200,
-            measure: 1_500,
-            seed: 0,
-            ..EngineConfig::default()
-        };
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        let seeds: Vec<u64> = (0..replications as u64)
-            .map(|r| seed ^ r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let mut ls = LockstepState::new();
-        let fleet = compiled.run_poisson_lockstep(&wl, &seeds, threads, &mut ls);
-        prop_assert_eq!(fleet.len(), replications);
-        with_pooled_state(|st| {
-            for (lane, &s) in fleet.iter().zip(&seeds) {
-                let scalar = compiled.run_poisson(&wl, s, st).unwrap();
-                let lane = lane.as_ref().expect("lockstep lane failed");
-                prop_assert!(
-                    lane.bitwise_eq(&scalar),
-                    "{} R={replications} threads={threads} load {load} lane seed {s:#x}: \
-                     lockstep lane diverged from its scalar run",
-                    spec.name()
-                );
-            }
-            Ok(())
-        })?;
-    }
-
-    // Random sparse scripts through the fleet: the script cursor is the
-    // jump target, gaps of thousands of cycles force repeated joint
-    // jumps, and the early drain break must land every lane on exactly
-    // its scalar cycle count.
-    #[test]
-    fn lockstep_on_random_sparse_scripts(
-        which in 0usize..4,
-        seed in 0u64..u64::MAX,
-        replications in 2usize..=8,
-        raw in proptest::collection::vec((0u64..5_000, 0u32..64, 0u32..64, 1u32..40), 1..8),
-    ) {
-        let g = Geometry::new(4, 3);
-        let spec = lineup_spec(which);
-        let net = Arc::new(spec.build(g));
-        let msgs: Vec<ScriptedMsg> = raw
-            .into_iter()
-            .map(|(time, src, dst, len)| ScriptedMsg {
-                time,
-                src,
-                dst: if dst == src { (dst + 1) % 64 } else { dst },
-                len,
-            })
-            .collect();
-        let cfg = EngineConfig {
-            vcs: spec.vcs(),
-            warmup: 0,
-            measure: 1_000_000,
-            seed: 0,
-            ..EngineConfig::default()
-        };
-        let script = Script::compile(g, &msgs).unwrap();
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        let seeds: Vec<u64> = (0..replications as u64)
-            .map(|r| seed ^ r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let mut ls = LockstepState::new();
-        let fleet = compiled.run_script_lockstep(&script, &seeds, 2, &mut ls);
-        with_pooled_state(|st| {
-            for (lane, &s) in fleet.iter().zip(&seeds) {
-                let scalar = compiled.run_script(&script, s, st).unwrap();
-                let lane = lane.as_ref().expect("lockstep lane failed");
-                prop_assert!(
-                    lane.bitwise_eq(&scalar),
-                    "{} R={replications} lane seed {s:#x}: lockstep script lane diverged",
-                    spec.name()
-                );
-                prop_assert_eq!(lane.delivered_packets as usize, msgs.len());
-            }
-            Ok(())
-        })?;
     }
 
     // Random routes: walking a (src, dst) route with `RouteLogic`, the

@@ -599,91 +599,6 @@ fn fast_forward_reports_are_bit_identical() {
     }
 }
 
-/// Scalar ≡ lockstep, Poisson: every lane of a lockstep fleet must
-/// reproduce its scalar run bit for bit — all four networks, a
-/// quiescence-heavy and a moderate load, and several thread chunkings
-/// (1 = one interleaved fleet; more = contiguous lane blocks on scoped
-/// threads). The scalar baselines reuse one engine state, the fleets
-/// one lane pool, so state reuse is pinned on both sides.
-#[test]
-fn lockstep_poisson_lanes_match_scalar_bitwise() {
-    let g = Geometry::new(4, 3);
-    let mut st = EngineState::new();
-    let mut ls = minnet_sim::LockstepState::new();
-    let seeds: Vec<u64> = (0..5u64).map(|r| 0xA5A5 + r * 7919).collect();
-    for spec in NetworkSpec::paper_lineup() {
-        let net = Arc::new(spec.build(g));
-        let mut cfg = cfg_for(&spec, 0);
-        cfg.warmup = 500;
-        cfg.measure = 3_000;
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        for load in [0.002, 0.3] {
-            let wl = Workload::compile(g, &WorkloadSpec::global_uniform(load)).unwrap();
-            let scalar: Vec<SimReport> = seeds
-                .iter()
-                .map(|&s| compiled.run_poisson(&wl, s, &mut st).unwrap())
-                .collect();
-            for threads in [1usize, 2, 5] {
-                let fleet = compiled.run_poisson_lockstep(&wl, &seeds, threads, &mut ls);
-                for ((lane, want), &seed) in fleet.iter().zip(&scalar).zip(&seeds) {
-                    let lane = lane.as_ref().expect("lockstep lane failed");
-                    assert_identical(
-                        &format!(
-                            "{} load {load} seed {seed:#x} threads {threads} (lockstep)",
-                            spec.name()
-                        ),
-                        lane,
-                        want,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Scalar ≡ lockstep, scripted: both the dense (drain-heavy) and the
-/// sparse (joint-fast-forward-heavy) script shapes, all four networks.
-/// Event traces ride along, so the comparison pins per-cycle event
-/// streams, not just the aggregate report.
-#[test]
-fn lockstep_script_lanes_match_scalar_bitwise() {
-    let g = Geometry::new(4, 3);
-    let mut st = EngineState::new();
-    let mut ls = minnet_sim::LockstepState::new();
-    let seeds: Vec<u64> = (0..4u64).map(|r| 0xBEE5 + r * 6151).collect();
-    for spec in NetworkSpec::paper_lineup() {
-        let net = Arc::new(spec.build(g));
-        let mut cfg = cfg_for(&spec, 0);
-        cfg.warmup = 0;
-        cfg.measure = 1_000_000;
-        cfg.collect_trace = true;
-        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        for msgs in [script(g), sparse_script(g)] {
-            let once = Script::compile(g, &msgs).unwrap();
-            let scalar: Vec<SimReport> = seeds
-                .iter()
-                .map(|&s| compiled.run_script(&once, s, &mut st).unwrap())
-                .collect();
-            for threads in [1usize, 3] {
-                let fleet = compiled.run_script_lockstep(&once, &seeds, threads, &mut ls);
-                for ((lane, want), &seed) in fleet.iter().zip(&scalar).zip(&seeds) {
-                    let lane = lane.as_ref().expect("lockstep lane failed");
-                    assert_identical(
-                        &format!(
-                            "{} script x{} seed {seed:#x} threads {threads} (lockstep)",
-                            spec.name(),
-                            msgs.len()
-                        ),
-                        lane,
-                        want,
-                    );
-                    assert_eq!(lane.delivered_packets as usize, msgs.len());
-                }
-            }
-        }
-    }
-}
-
 /// Regression test for the measurement-accounting fixes: a short scripted
 /// run that drains long before the configured window must normalize its
 /// rates by the cycles actually measured, and count only measured

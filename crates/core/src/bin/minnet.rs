@@ -464,7 +464,14 @@ fn cmd_simulate(a: &Args, out: &mut Out) -> io::Result<()> {
         r.p99_latency_cycles as f64 * minnet::sim::CYCLE_US,
         r.max_latency_cycles as f64 * minnet::sim::CYCLE_US,
     )?;
-    writeln!(out, "queueing  : mean {:.1} msgs, max {}", r.mean_queue, r.max_queue)?;
+    // `mean_queue` sums every source's queue; `max_queue` is one source's.
+    writeln!(
+        out,
+        "queueing  : network mean {:.1} msgs, per-source mean {:.2}, longest source queue {}",
+        r.mean_queue,
+        r.mean_queue / f64::from(exp.geometry.nodes()),
+        r.max_queue
+    )?;
     writeln!(
         out,
         "verdict   : {}",

@@ -36,6 +36,29 @@ fn simulate_prints_metrics() {
     assert!(stdout.contains("sustainable"));
 }
 
+/// The queueing line names its scopes: the network-wide mean is the
+/// per-source mean times the node count, and a per-source mean cannot
+/// exceed the longest single source queue. On this command line the
+/// network-wide mean (≈ 17) is far above the longest source queue.
+#[test]
+fn simulate_queueing_line_labels_its_scopes() {
+    let (ok, stdout, _) = minnet(&[
+        "simulate", "--network", "bmin", "--k", "16", "--n", "2", "--load", "0.2", "--sizes",
+        "fixed:8", "--warmup", "100", "--measure", "2000",
+    ]);
+    assert!(ok, "{stdout}");
+    let line = stdout.lines().find_map(|l| l.strip_prefix("queueing  : ")).unwrap();
+    let field = |label: &str| -> f64 {
+        let rest = &line[line.find(label).unwrap_or_else(|| panic!("{label} in {line}")) + label.len()..];
+        rest.split([' ', ',']).find(|w| !w.is_empty()).unwrap().parse().unwrap()
+    };
+    let (network, per_source) = (field("network mean"), field("per-source mean"));
+    let longest = field("longest source queue");
+    assert!((network / 256.0 - per_source).abs() < 0.01, "{line}");
+    assert!(per_source <= longest, "{line}");
+    assert!(network > 0.0, "{line}");
+}
+
 #[test]
 fn sweep_writes_csv() {
     let dir = std::env::temp_dir().join("minnet_cli_test");

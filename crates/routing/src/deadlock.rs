@@ -45,7 +45,7 @@ pub fn dependency_graph(net: &NetworkGraph, rule: DependencyRule) -> Vec<Vec<Cha
             } = net.channel(c).dst
             {
                 let k = net.geometry.k();
-                adj[c as usize].extend_from_slice(net.out_port_span(sw, k, 2 * k));
+                adj[c as usize].extend(net.out_port_span(sw, k, 2 * k));
             }
         }
     }

@@ -22,6 +22,6 @@ pub mod turnaround;
 
 pub use deadlock::{dependency_graph, find_cycle, masked_dependency_graph, DependencyRule};
 pub use logic::RouteLogic;
-pub use table::RouteTable;
+pub use table::{Route, RouteTable};
 pub use paths::{enumerate_paths, paths_share_channel, shortest_path_count, shortest_path_length};
 pub use turnaround::{turnaround_action, TurnaroundAction};

@@ -64,23 +64,23 @@ impl RouteLogic {
             RouteLogic::DestinationTag(kind) => {
                 debug_assert_eq!(side, Side::Left, "unidirectional inputs are left-side");
                 let t = kind.tag_digit(g, NodeAddr(dst), swd.stage as u32);
-                out.extend_from_slice(net.out_port(sw, t));
+                out.extend(net.out_port(sw, t));
             }
             RouteLogic::Turnaround => {
                 let k = g.k();
                 match turnaround_action(g, swd.stage as u32, side, NodeAddr(src), NodeAddr(dst)) {
                     TurnaroundAction::ForwardAny => {
-                        out.extend_from_slice(net.out_port_span(sw, k, 2 * k));
+                        out.extend(net.out_port_span(sw, k, 2 * k));
                     }
                     TurnaroundAction::Turn(p) => {
                         debug_assert_ne!(
                             p as u8, port,
                             "turnaround may not reuse the arrival port (Def. 4)"
                         );
-                        out.extend_from_slice(net.out_port(sw, p));
+                        out.extend(net.out_port(sw, p));
                     }
                     TurnaroundAction::Backward(p) => {
-                        out.extend_from_slice(net.out_port(sw, p));
+                        out.extend(net.out_port(sw, p));
                     }
                 }
             }

@@ -17,22 +17,26 @@
 //!   `j == FirstDifference(S, D)` for every source `S` that can reach the
 //!   switch going up, so the source drops out of the function;
 //!
-//! and answers a `(channel, destination)` query with a `(lo, hi)` range
-//! into the graph's own output-port arena — the one candidate pool; the
-//! table copies no channel id and holds the graph by `Arc`. Building is
-//! `O(n · nodes)` with no route walk; the exhaustive tests pin
-//! the table to [`RouteLogic`], contents *and* order, on every reachable
-//! pair.
+//! and answers a `(channel, destination)` query with the [`PortSpan`]
+//! the graph computes for the chosen ports — an arithmetic progression of
+//! ids, so the table copies no channel id, the graph stores none, and
+//! the table holds the graph by `Arc`. Building is `O(n · nodes)` with no
+//! route walk; the exhaustive tests pin the table to [`RouteLogic`],
+//! contents *and* order, on every reachable pair.
 //!
 //! The **dense** layout — one CSR cell per `(destination, channel)` — is
 //! constructed only by [`RouteTable::masked`]: a fault epoch's candidate
 //! set is a per-cell filtered subset, not a function of one digit.
+//! [`RouteTable::route`] answers from either layout with one
+//! non-allocating iterator, [`Route`].
 //!
 //! [`UnidirKind::tag_digit`]: minnet_topology::UnidirKind::tag_digit
 //! [`Geometry::digit`]: minnet_topology::Geometry::digit
 //! [`RouteLogic`]: crate::RouteLogic
 
-use minnet_topology::{ChannelId, Divisor, NetworkGraph, NetworkKind, NodeAddr, NodeId, Side};
+use minnet_topology::{
+    ChannelId, Divisor, NetworkGraph, NetworkKind, NodeAddr, NodeId, PortSpan, Side,
+};
 use std::sync::Arc;
 
 /// The routing function of one network: for every reachable
@@ -49,9 +53,42 @@ pub struct RouteTable {
     repr: Repr,
 }
 
+/// One routing decision's candidates, in order, as [`RouteTable::route`]
+/// answers it: the span a built table computes, or a masked table's
+/// stored cell. Never allocates; clone it to look ahead.
+#[derive(Clone, Debug)]
+pub enum Route<'a> {
+    /// A built table's answer: a run of one switch's output ports.
+    Span(PortSpan),
+    /// A masked table's CSR cell.
+    Cell(std::slice::Iter<'a, ChannelId>),
+}
+
+impl Iterator for Route<'_> {
+    type Item = ChannelId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ChannelId> {
+        match self {
+            Route::Span(span) => span.next(),
+            Route::Cell(cell) => cell.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Route::Span(span) => span.size_hint(),
+            Route::Cell(cell) => cell.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Route<'_> {}
+
 #[derive(Clone, Debug)]
 enum Repr {
-    /// The healthy network: candidates are slices of `net`'s port arena.
+    /// The healthy network: candidates are spans the graph computes.
     Compact {
         net: Arc<NetworkGraph>,
         /// `digits[stage * nodes + dst]` — the output port a stage-`stage`
@@ -73,7 +110,7 @@ enum Repr {
 
 impl RouteTable {
     /// Tabulate the routing function of `net` (the table keeps the
-    /// handle; its candidates are slices of the graph's arena).
+    /// handle; its candidates are spans the graph computes).
     ///
     /// # Errors
     ///
@@ -124,30 +161,19 @@ impl RouteTable {
     /// terminates at a node.
     ///
     /// On `(at, dst)` pairs no legal route reaches the answer is
-    /// unspecified but harmless: some in-bounds run of the arrival
-    /// switch's own output channels (the digit rule applied anyway) from a
-    /// built table, possibly empty from a masked one. The engine never
-    /// asks.
-    #[inline]
-    pub fn candidates(&self, at: ChannelId, dst: NodeId) -> &[ChannelId] {
-        let (lo, hi) = self.candidate_range(at, dst);
-        &self.pool()[lo as usize..hi as usize]
-    }
-
-    /// The `(lo, hi)` bounds of [`Self::candidates`]' slice within
-    /// [`Self::pool`]. Callers whose `(at, dst)` pair is stable across
-    /// many queries (a blocked worm re-requesting every cycle) cache the
-    /// bounds and slice the pool themselves.
+    /// unspecified but harmless: some run of the arrival switch's own
+    /// output channels (the digit rule applied anyway) from a built
+    /// table, possibly empty from a masked one. The engine never asks.
     ///
     /// Deliberately out of line: it runs once per hop, not per cycle, and
     /// inlining both layouts' lookups into the engine's cycle loop cost
     /// that loop more (≈ 1 % on 64-node sweeps) than the call does.
     #[inline(never)]
-    pub fn candidate_range(&self, at: ChannelId, dst: NodeId) -> (u32, u32) {
+    pub fn route(&self, at: ChannelId, dst: NodeId) -> Route<'_> {
         match &self.repr {
             Repr::Compact { net, digits, kpow } => {
                 let Some((sw, side)) = net.head(at) else {
-                    return (0, 0);
+                    return Route::Span(PortSpan::default());
                 };
                 let stage = usize::from(sw.stage);
                 // Only a forward-arriving BMIN header has a choice to
@@ -156,28 +182,23 @@ impl RouteTable {
                 if let (Side::Left, Some(pow)) = (side, kpow.get(stage..stage + 2)) {
                     if pow[1].div_rem(dst).0 != pow[0].div_rem(sw.index).0 {
                         let k = net.out_port_codes() / 2;
-                        return net.out_port_range(sw, k, 2 * k);
+                        return Route::Span(net.out_span(sw, k, 2 * k));
                     }
                 }
                 let digit = u32::from(digits[stage * self.nodes as usize + dst as usize]);
-                net.out_port_range(sw, digit, digit + 1)
+                Route::Span(net.out_span(sw, digit, digit + 1))
             }
-            Repr::Dense { nch, starts, .. } => {
+            Repr::Dense { nch, starts, cands } => {
                 let cell = dst as usize * *nch as usize + at as usize;
-                (starts[cell], starts[cell + 1])
+                Route::Cell(cands[starts[cell] as usize..starts[cell + 1] as usize].iter())
             }
         }
     }
 
-    /// The candidate pool [`Self::candidate_range`]'s bounds index: the
-    /// graph's arena for a built table, the CSR `cands` for a masked one.
-    /// A hot loop fetches it once.
-    #[inline]
-    pub fn pool(&self) -> &[ChannelId] {
-        match &self.repr {
-            Repr::Compact { net, .. } => net.arena(),
-            Repr::Dense { cands, .. } => cands,
-        }
+    /// [`Self::route`] as a list — for tests and tools; the engine walks
+    /// the iterator.
+    pub fn candidates(&self, at: ChannelId, dst: NodeId) -> Vec<ChannelId> {
+        self.route(at, dst).collect()
     }
 
     /// The fault-masked variant of this table: every candidate list is
@@ -199,9 +220,9 @@ impl RouteTable {
     ///
     /// Deliverability is computed per destination in one transmit-order
     /// pass: the engine's downstream-first channel order visits every
-    /// candidate before the channel that requests it. The pass also
-    /// counts the survivors, so both CSR arrays are allocated at exactly
-    /// their final size.
+    /// candidate before the channel that requests it. The same pass
+    /// filters each cell, so every cell's route is computed once; the
+    /// destination's cells are then copied into the CSR in channel order.
     ///
     /// # Errors
     ///
@@ -220,43 +241,40 @@ impl RouteTable {
         }
         let nodes = self.nodes as usize;
         let order = net.transmit_order();
-        // deliver[dst * nch + ch] — `dst` can still be reached from the
-        // head of `ch`. The same pass counts the surviving candidates of
-        // every cell (a dead channel's cell keeps its live candidates),
-        // so the fill below writes exactly-sized arrays.
-        let mut deliver = vec![false; nch * nodes];
-        let mut total = 0usize;
-        for dst in 0..nodes {
-            let drow = &mut deliver[dst * nch..(dst + 1) * nch];
+        // deliver[ch] — the current `dst` can still be reached from the
+        // head of `ch`; every candidate's entry is final before its
+        // requester's cell is filtered, so one pass both decides and
+        // filters. `row` holds the destination's surviving candidates
+        // in transmit order (a dead channel's cell keeps its live ones),
+        // `cell[ch]` where `ch`'s run of them sits.
+        let mut deliver = vec![false; nch];
+        let (mut row, mut cell) = (Vec::new(), vec![(0u32, 0u32); nch]);
+        let mut starts = Vec::with_capacity(nch * nodes + 1);
+        let mut cands = Vec::new();
+        for dst in 0..nodes as NodeId {
+            row.clear();
+            let eject = net.eject(dst);
             for &ch in order {
-                let cands = self.candidates(ch, dst as NodeId);
+                let route = self.route(ch, dst);
                 debug_assert!(
-                    cands
-                        .iter()
-                        .all(|&c| net.channel(c).topo_rank < net.channel(ch).topo_rank),
+                    route
+                        .clone()
+                        .all(|c| net.channel(c).topo_rank < net.channel(ch).topo_rank),
                     "a candidate of {ch} is not downstream of it"
                 );
-                let live = cands.iter().filter(|&&c| drow[c as usize]).count();
-                total += live;
-                drow[ch as usize] =
-                    !dead_channel[ch as usize] && (live > 0 || net.eject(dst as NodeId) == ch);
+                let lo = row.len() as u32;
+                row.extend(route.filter(|&c| deliver[c as usize]));
+                let hi = row.len() as u32;
+                cell[ch as usize] = (lo, hi);
+                deliver[ch as usize] = !dead_channel[ch as usize] && (hi > lo || eject == ch);
             }
-        }
-        let mut starts = Vec::with_capacity(nch * nodes + 1);
-        let mut cands = Vec::with_capacity(total);
-        for dst in 0..nodes {
-            let drow = &deliver[dst * nch..(dst + 1) * nch];
-            for ch in 0..nch {
+            for &(lo, hi) in &cell {
                 starts.push(cands.len() as u32);
-                cands.extend(
-                    self.candidates(ch as ChannelId, dst as NodeId)
-                        .iter()
-                        .filter(|&&c| drow[c as usize]),
-                );
+                cands.extend_from_slice(&row[lo as usize..hi as usize]);
             }
         }
         starts.push(cands.len() as u32);
-        debug_assert_eq!(cands.len(), total);
+        cands.shrink_to_fit();
         Ok(RouteTable {
             nodes: self.nodes,
             repr: Repr::Dense {
@@ -425,7 +443,7 @@ mod tests {
                     match net.channel(ch).dst {
                         Endpoint::Node(_) => assert!(cands.is_empty()),
                         Endpoint::Switch { sw, .. } => {
-                            let outs = net.out_all(sw);
+                            let outs: Vec<ChannelId> = net.out_all(sw).collect();
                             assert!(
                                 outs.windows(cands.len().max(1)).any(|w| w == cands),
                                 "channel {ch} → {dst}: {cands:?} not a run of {outs:?}"
@@ -548,7 +566,7 @@ mod tests {
                 let mut frontier = vec![net.inject(src)];
                 let mut seen = vec![false; net.num_channels()];
                 while let Some(at) = frontier.pop() {
-                    for &c in masked.candidates(at, dst) {
+                    for c in masked.route(at, dst) {
                         if seen[c as usize] {
                             continue;
                         }

@@ -313,15 +313,6 @@ impl DenseBitSet {
         SetBits { words: &self.words, next_word: 0, current: 0, base: 0 }
     }
 
-    /// Visit members in ascending order, appending them to `out`
-    /// (cleared first). Collecting into a caller-owned scratch buffer —
-    /// rather than handing out an iterator — lets the engine mutate the
-    /// set while processing the snapshot.
-    pub fn collect_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.iter_set());
-    }
-
     /// Call `f` on each member in ascending order. `f` must not mutate
     /// the set (enforced by the shared borrow).
     pub fn for_each(&self, mut f: impl FnMut(u32)) {
@@ -473,23 +464,13 @@ mod tests {
         for &m in &members {
             s.set(m);
         }
-        let mut got = Vec::new();
-        s.collect_into(&mut got);
+        let got: Vec<u32> = s.iter_set().collect();
         let mut want: Vec<u32> = members.to_vec();
         want.sort_unstable();
         assert_eq!(got, want);
         let mut via_fn = Vec::new();
         s.for_each(|i| via_fn.push(i));
         assert_eq!(via_fn, want);
-    }
-
-    #[test]
-    fn collect_clears_previous_contents() {
-        let mut s = DenseBitSet::with_capacity(10);
-        s.set(5);
-        let mut out = vec![1, 2, 3];
-        s.collect_into(&mut out);
-        assert_eq!(out, vec![5]);
     }
 
     #[test]
@@ -581,15 +562,12 @@ mod tests {
     #[test]
     fn empty_and_full_words() {
         let s = DenseBitSet::with_capacity(0);
-        let mut out = Vec::new();
-        s.collect_into(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(s.iter_set().next(), None);
 
         let mut s = DenseBitSet::with_capacity(64);
         for i in 0..64 {
             s.set(i);
         }
-        s.collect_into(&mut out);
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        assert_eq!(s.iter_set().collect::<Vec<_>>(), (0..64).collect::<Vec<_>>());
     }
 }

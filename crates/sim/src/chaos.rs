@@ -74,20 +74,6 @@ pub struct ChaosSchedule {
 }
 
 impl ChaosSchedule {
-    /// A single-round channel storm with onset drawn from
-    /// `min_onset..=max_onset` — the common case; adjust fields freely.
-    pub fn channel_storm(count: usize, min_onset: u64, max_onset: u64, duration: u64) -> Self {
-        ChaosSchedule {
-            target: ChaosTarget::Channel,
-            count,
-            min_onset,
-            max_onset,
-            duration,
-            cooldown: 0,
-            rounds: 1,
-        }
-    }
-
     /// Check the schedule's parameters alone (network-independent).
     ///
     /// # Errors
@@ -243,9 +229,16 @@ mod tests {
     #[test]
     fn targets_are_distinct_inter_stage_channels() {
         let net = tmin();
-        let plan = ChaosSchedule::channel_storm(8, 0, 100, 50)
-            .compile_plan(&net, 1, 11)
-            .unwrap();
+        let single_round = ChaosSchedule {
+            count: 8,
+            min_onset: 0,
+            max_onset: 100,
+            duration: 50,
+            cooldown: 0,
+            rounds: 1,
+            ..storm()
+        };
+        let plan = single_round.compile_plan(&net, 1, 11).unwrap();
         let targets: Vec<FaultTarget> = plan.faults().iter().map(|f| f.target).collect();
         assert_eq!(targets.len(), 8);
         for (i, t) in targets.iter().enumerate() {

@@ -283,11 +283,6 @@ impl SimReport {
         self.accepted_flits_per_node_cycle * 100.0
     }
 
-    /// Offered load as a percentage of the one-port bound.
-    pub fn offered_percent(&self) -> f64 {
-        self.offered_flits_per_node_cycle * 100.0
-    }
-
     /// Bit-exact equality: every integer field equal and every float field
     /// identical down to its bit pattern (`f64::to_bits`, so `0.0 != -0.0`
     /// and NaNs compare by representation). This is the determinism
@@ -409,6 +404,5 @@ mod tests {
         };
         assert!((r.mean_latency_us() - 50.0).abs() < 1e-12);
         assert!((r.throughput_percent() - 40.0).abs() < 1e-12);
-        assert!((r.offered_percent() - 50.0).abs() < 1e-12);
     }
 }

@@ -37,12 +37,13 @@
 //!
 //! Everything about a run that depends only on the *network and engine
 //! configuration* — the ejection-plane mask and the routing table (digit
-//! rows over the graph's own port arena, `n · nodes` bytes: 115 KB at
-//! 16k terminals; the transmit order is a closed form of the channel id
-//! and is not stored) — lives in an immutable [`CompiledNet`], built once
-//! and shared (`Arc`-held network) across however many runs and threads
-//! a sweep needs. Everything that changes over a run — lanes, queues,
-//! heaps, statistics, the RNG — lives in a reusable [`EngineState`], whose
+//! rows choosing among the port spans the graph computes, `n · nodes`
+//! bytes: 115 KB at 16k terminals; the transmit order is a closed form
+//! of the channel id and is not stored) — lives in an immutable
+//! [`CompiledNet`], built once and shared (`Arc`-held network) across
+//! however many runs and threads a sweep needs. Everything that changes
+//! over a run — lanes, queues, heaps, statistics, the RNG — lives in a
+//! reusable [`EngineState`], whose
 //! `reset(seed)` path restores the exact fresh-construction state while
 //! keeping every allocation. One run = `CompiledNet` × `EngineState` ×
 //! a traffic source ([`minnet_traffic::Workload`], [`Script`], [`Chain`]).
@@ -171,9 +172,9 @@ use crate::error::{BudgetKind, PartialReport, SimError, StallDiagnostic, Stalled
 use crate::fault::CompiledFaults;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
-use minnet_routing::{find_cycle, RouteTable};
+use minnet_routing::{find_cycle, Route, RouteTable};
 use minnet_switch::{Arbiter, ArbiterKind};
-use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGraph};
+use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGraph, PortSpan};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -227,15 +228,6 @@ struct PktMeta {
     measured: bool,
     /// Script/chain index (NONE for Poisson traffic).
     tag: u32,
-}
-
-/// A header's cached routing decision: the bounds of its candidates in
-/// `RouteTable::pool`, and where their level sits in the transmit order.
-#[derive(Clone, Copy, Debug)]
-struct Cands {
-    lo: u32,
-    hi: u32,
-    at: LevelPositions,
 }
 
 /// A message injected at a fixed time — deterministic test workloads.
@@ -520,7 +512,7 @@ impl CompiledNet {
         let planes = Planes::new(&net, &cfg);
         let mut eject = DenseBitSet::with_capacity(planes.count());
         // Exactly the per-node ejection channels (`NetworkGraph::validate`).
-        for &c in net.ejects() {
+        for c in net.ejects() {
             (0..cfg.vcs).for_each(|vc| eject.set(planes.of(c, vc.into())));
         }
         Ok(CompiledNet {
@@ -781,7 +773,6 @@ impl CompiledNet {
             net,
             cfg,
             routes,
-            pool: routes.pool(),
             planes: Planes::new(net, cfg),
             eject,
             traffic,
@@ -841,11 +832,12 @@ pub struct EngineState {
     /// Destination node, duplicated out of `PktMeta` so the allocate
     /// phase's per-request routing lookup stays off the cold array.
     pkt_dst: Vec<u32>,
-    /// Cache of the head's routing decision ([`Cands`]), refreshed whenever
-    /// the head advances. A blocked worm re-requests every cycle; the
-    /// cached entry skips the `(at, dst)` lookup's chain of dependent
-    /// loads and the level arithmetic. Fault-free path only.
-    pkt_cand: Vec<Cands>,
+    /// Cache of the head's routing decision — its candidates' transmit
+    /// positions, a progression like the ids they map — refreshed
+    /// whenever the head advances. A blocked worm re-requests every
+    /// cycle; the cached span skips the `(at, dst)` lookup's chain of
+    /// dependent loads and the level arithmetic. Fault-free path only.
+    pkt_cand: Vec<PortSpan>,
     pkt_delivered: Vec<u32>,
     /// Index of the slot in `active` while the packet is in flight, so
     /// retirement is O(1).
@@ -1003,7 +995,7 @@ impl EngineState {
             + masks.iter().map(|m| m.approx_bytes()).sum::<usize>()
             + self.lane_bufs.approx_bytes() + self.queues.approx_bytes() + self.mux_last.capacity()
             + u64s * 8
-            + self.pkt_cand.capacity() * std::mem::size_of::<Cands>()
+            + self.pkt_cand.capacity() * std::mem::size_of::<PortSpan>()
             + self.pkt_meta.capacity() * std::mem::size_of::<PktMeta>()
             + (self.arrivals.capacity() + self.releases.capacity()) * 16
     }
@@ -1127,9 +1119,6 @@ struct Engine<'a> {
     net: &'a NetworkGraph,
     cfg: &'a EngineConfig,
     routes: &'a RouteTable,
-    /// `routes.pool()`, fetched once: what the cached `pkt_cand` bounds
-    /// index on the fault-free path.
-    pool: &'a [ChannelId],
     planes: Planes<'a>,
     eject: &'a DenseBitSet,
     traffic: Traffic<'a>,
@@ -1208,11 +1197,10 @@ impl<'a> Engine<'a> {
             let want = !self.eject.contains(head) && !st.lane_bufs.is_empty(head as usize);
             assert_eq!(st.k_advance.contains(p), want, "k_advance packet {p}");
             if self.faults.is_none() {
-                let Cands { lo, hi, at } = st.pkt_cand[p as usize];
-                let cands = &self.pool[lo as usize..hi as usize];
                 let at_ch = self.planes.channel(head);
-                assert_eq!(cands, self.routes.candidates(at_ch, st.pkt_dst[p as usize]));
-                assert!(cands.iter().all(|&c| self.planes.level(c) == at), "pkt_cand packet {p}");
+                let route = self.routes.route(at_ch, st.pkt_dst[p as usize]);
+                let want: Vec<u32> = route.map(|c| self.net.position(c)).collect();
+                assert_eq!(st.pkt_cand[p as usize].collect::<Vec<_>>(), want, "pkt_cand packet {p}");
             }
         }
     }
@@ -1315,16 +1303,16 @@ impl<'a> Engine<'a> {
         result
     }
 
-    /// Collect the planes of the free lanes of `cands` — channels of one
-    /// level and direction, `at` their map into the transmit order — into
-    /// the eligibility scratch: where channel ids enter plane space.
-    /// `cands` must not alias engine state (a routing-table slice or a
-    /// local array). Under a fault schedule, dead lanes are not eligible.
-    fn gather_free(&mut self, cands: &[ChannelId], at: LevelPositions) {
+    /// Collect the planes of the free lanes of the candidate channels at
+    /// transmit `positions` into the eligibility scratch: where a routing
+    /// decision enters plane space — the cached progression on the
+    /// fault-free path, a masked cell mapped channel by channel under a
+    /// fault schedule, where dead lanes are not eligible.
+    fn gather_free(&mut self, positions: impl Iterator<Item = u32>) {
         self.st.elig.clear();
         let (Planes { vcs, shift, .. }, faulted) = (self.planes, self.faults.is_some());
-        for &ch in cands {
-            let group = at.of(ch) << shift;
+        for pos in positions {
+            let group = pos << shift;
             for pl in group..group + u32::from(vcs) {
                 if self.st.lane_owner[pl as usize] == NONE
                     && !(faulted && self.st.k_dead.contains(pl))
@@ -1370,7 +1358,7 @@ impl<'a> Engine<'a> {
             };
             // The masked table's injection cell is nonempty iff a live
             // path to the destination exists (deliverability pruning).
-            if !ep.routes.candidates(inj, msg.dst).is_empty() {
+            if ep.routes.route(inj, msg.dst).len() > 0 {
                 return true;
             }
             self.st.queues.pop_front(node);
@@ -1392,7 +1380,7 @@ impl<'a> Engine<'a> {
         if !self.refuse_undeliverable(node, inj) {
             return Ok(());
         }
-        self.gather_free(&[inj], self.planes.level(inj));
+        self.gather_free(std::iter::once(self.net.position(inj)));
         // Claim with a placeholder owner; fixed up after slot allocation.
         let Some(lane) = self.claim_gathered(NONE - 1) else {
             return Ok(());
@@ -1428,7 +1416,7 @@ impl<'a> Engine<'a> {
                 self.st.pkt_sent.push(0);
                 self.st.pkt_len.push(msg.len);
                 self.st.pkt_dst.push(msg.dst);
-                self.st.pkt_cand.push(Cands { lo: 0, hi: 0, at: LevelPositions::default() });
+                self.st.pkt_cand.push(PortSpan::default());
                 self.st.pkt_delivered.push(0);
                 self.st.pkt_active_pos.push(self.st.active.len() as u32);
                 self.st.pkt_meta.push(meta);
@@ -1464,13 +1452,15 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The routing decision of a header arriving over `at` for `dst`. The
-    /// ejection channel's empty range gets a placeholder map, never read
-    /// (no advance request is raised from an ejection-channel head).
-    fn route(&self, at: ChannelId, dst: u32) -> Cands {
-        let (lo, hi) = self.routes.candidate_range(at, dst);
-        let first = self.pool[lo as usize..hi as usize].first();
-        Cands { lo, hi, at: first.map_or(LevelPositions::default(), |&c| self.planes.level(c)) }
+    /// The routing decision of a header arriving over `at` for `dst`, as
+    /// its candidates' transmit positions: the table's span moved by its
+    /// level's map — empty at the ejection channel, where no advance
+    /// request is raised.
+    fn route(&self, at: ChannelId, dst: u32) -> PortSpan {
+        match self.routes.route(at, dst) {
+            Route::Span(ids) => ids.get(0).map_or(ids, |c| self.planes.level(c).of_span(ids)),
+            Route::Cell(_) => unreachable!("a compiled network's table is the built, compact one"),
+        }
     }
 
     fn try_advance(&mut self, p: u32) -> Result<(), SimError> {
@@ -1484,8 +1474,8 @@ impl<'a> Engine<'a> {
             // are live *and* deliverable.
             Some(f) => {
                 let at_ch = self.planes.channel(at_lane);
-                let cands = f.epochs[self.epoch].routes.candidates(at_ch, dst);
-                let Some(&first) = cands.first() else {
+                let cands = f.epochs[self.epoch].routes.route(at_ch, dst);
+                let Some(first) = cands.clone().next() else {
                     // Disconnected mid-route: the current epoch left this
                     // worm no live continuation toward its destination.
                     // `advance_epoch` aborts such worms at the boundary
@@ -1498,13 +1488,13 @@ impl<'a> Engine<'a> {
                     }
                     return Ok(());
                 };
-                self.gather_free(cands, self.planes.level(first));
+                let at = self.planes.level(first);
+                self.gather_free(cands.map(|c| at.of(c)));
             }
             None => {
-                let Cands { lo, hi, at } = self.st.pkt_cand[p as usize];
-                let cands = &self.pool[lo as usize..hi as usize];
-                debug_assert!(!cands.is_empty(), "advance request at the destination");
-                self.gather_free(cands, at);
+                let positions = self.st.pkt_cand[p as usize];
+                debug_assert!(positions.len > 0, "advance request at the destination");
+                self.gather_free(positions);
             }
         }
         let Some(lane) = self.claim_gathered(p) else {
@@ -1921,10 +1911,7 @@ impl<'a> Engine<'a> {
             let head = self.st.pkt_head_lane[pi];
             let chain_dead = self.chain_holds_dead_lane(p);
             let disconnected = !self.eject.contains(head)
-                && ep
-                    .routes
-                    .candidates(self.planes.channel(head), self.st.pkt_meta[pi].dst)
-                    .is_empty();
+                && ep.routes.route(self.planes.channel(head), self.st.pkt_meta[pi].dst).len() == 0;
             if chain_dead || disconnected {
                 victims.push(p);
             }
@@ -2047,7 +2034,7 @@ impl<'a> Engine<'a> {
             }
             let dst = self.st.pkt_meta[pi].dst;
             let routes = self.faults.map_or(self.routes, |f| &f.epochs[self.epoch].routes);
-            for &c in routes.candidates(self.planes.channel(head), dst) {
+            for c in routes.route(self.planes.channel(head), dst) {
                 for vc in 0..self.planes.vcs {
                     let owner = self.st.lane_owner[self.planes.of(c, vc.into()) as usize];
                     if owner != NONE && owner != p {
@@ -2417,7 +2404,7 @@ mod tests {
     fn footprint_lane_and_node_arrays_are_on_budget() {
         assert_eq!(size_of::<QueuedMsg>(), 24);
         assert_eq!(size_of::<PktMeta>(), 24);
-        assert_eq!(size_of::<Cands>(), 16);
+        assert_eq!(size_of::<PortSpan>(), 12);
         assert_eq!(size_of::<Req>(), 8);
         let net = minnet_topology::build_bmin(Geometry::new(4, 3));
         let (nch, nodes) = (net.num_channels(), net.geometry.nodes() as usize);

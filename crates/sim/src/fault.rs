@@ -100,11 +100,6 @@ impl CompiledFaults {
         Ok(CompiledFaults { epochs, trivial })
     }
 
-    /// Number of fault epochs (the initial epoch at cycle 0 included).
-    pub fn num_epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
     /// Whether no epoch kills any lane — the engine treats a trivial
     /// schedule exactly like no schedule at all, so such runs stay
     /// bit-identical to faultless ones.
@@ -135,7 +130,7 @@ mod tests {
         let net = Arc::new(build_bmin(Geometry::new(2, 3)));
         let cf = compile(&net, &FaultPlan::new(), &EngineConfig::default()).unwrap();
         assert!(cf.is_trivial());
-        assert_eq!(cf.num_epochs(), 1);
+        assert_eq!(cf.epochs.len(), 1);
         assert_eq!(cf.epochs[0].start, 0);
         assert!(!cf.epochs[0].any_dead);
     }
@@ -155,7 +150,7 @@ mod tests {
             FaultPlan::new().with(Fault::transient(FaultTarget::Channel(victim), 100, 500));
         let cf = compile(&net, &plan, &EngineConfig::default()).unwrap();
         assert!(!cf.is_trivial());
-        assert_eq!(cf.num_epochs(), 3);
+        assert_eq!(cf.epochs.len(), 3);
         assert_eq!(
             cf.epochs.iter().map(|e| e.start).collect::<Vec<_>>(),
             vec![0, 100, 500]
@@ -197,7 +192,7 @@ mod tests {
                     assert_eq!(ep.dead_planes.len(), (net.num_channels() << shift).div_ceil(64));
                     let mut planes: Vec<u32> = (0..want.dead_lane.len() as u32)
                         .filter(|&li| want.dead_lane[li as usize])
-                        .map(|li| net.position(li / u32::from(vcs)) << shift | li % u32::from(vcs))
+                        .map(|li| (net.position(li / u32::from(vcs)) << shift) | li % u32::from(vcs))
                         .collect();
                     planes.sort_unstable();
                     let mut got = DenseBitSet::with_capacity(net.num_channels() << shift);

@@ -25,8 +25,8 @@
 
 use crate::address::Geometry;
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind, Side,
-    SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind,
+    PortSpan, Side, SwitchDesc,
 };
 
 /// Digit `i` of an `(n-1)`-digit switch label.
@@ -105,6 +105,32 @@ pub(crate) fn channel(net: &NetworkGraph, id: ChannelId) -> ChannelDesc {
         lane: 0,
         dir,
         topo_rank: rank as u16,
+    }
+}
+
+/// [`NetworkGraph::out_span`], [`upper`] and [`lower`] solved for the
+/// id. Left code `c` of switch `(j, i)` is the down half of link `i·k + c`
+/// of level `j`: id `2N·j + 2(i·k + c) + 1`, step 2. Right port `q` is the
+/// up half of link `s·k + c` of level `j + 1`, where `c = i_j` and `s` is
+/// `i` with digit `j` replaced by `q` — so each next port moves the link
+/// by `k^(j+1)`, the id by twice that. The top stage has no right ports.
+#[inline]
+pub(crate) fn out_span(net: &NetworkGraph, sw: SwitchDesc, lo: u32, hi: u32) -> PortSpan {
+    let (n, k, i) = (net.geometry.n(), net.kpow[1], sw.index);
+    let (j, nodes) = (u32::from(sw.stage), net.kpow[n as usize].get());
+    if hi <= k.get() {
+        return PortSpan { first: 2 * (nodes * j + i * k.get() + lo) + 1, step: 2, len: hi - lo };
+    }
+    if j + 1 == n {
+        return PortSpan::default();
+    }
+    let pj = net.kpow[j as usize];
+    let c = k.div_rem(pj.div_rem(i).0).1;
+    let s = i - c * pj.get() + (lo - k.get()) * pj.get();
+    PortSpan {
+        first: 2 * (nodes * (j + 1) + s * k.get() + c),
+        step: 2 * pj.get() * k.get(),
+        len: hi - lo,
     }
 }
 

@@ -29,19 +29,20 @@ pub fn legal_successors(net: &NetworkGraph, c: ChannelId, out: &mut Vec<ChannelI
     };
     let k = net.geometry.k();
     if !net.kind.is_bidirectional() {
-        out.extend_from_slice(net.out_all(sw));
+        out.extend(net.out_all(sw));
         return;
     }
     match side {
         Side::Left => {
             // Arrived moving forward: may continue forward on any right
             // output, or turn around to a *different* left output.
-            out.extend_from_slice(net.out_port_span(sw, 0, u32::from(port)));
-            out.extend_from_slice(net.out_port_span(sw, u32::from(port) + 1, 2 * k));
+            out.extend(net.out_port_span(sw, 0, u32::from(port)));
+            out.extend(net.out_port_span(sw, u32::from(port) + 1, k));
+            out.extend(net.out_port_span(sw, k, 2 * k));
         }
         Side::Right => {
             // Arrived moving backward: left outputs only.
-            out.extend_from_slice(net.out_port_span(sw, 0, k));
+            out.extend(net.out_port_span(sw, 0, k));
         }
     }
 }
@@ -171,7 +172,7 @@ pub fn bmin_rightmost_stage_splice(net: &NetworkGraph) -> Vec<Option<ChannelId>>
         let other = 1 - u32::from(port);
         let lanes = net.out_port(sw, other);
         assert_eq!(lanes.len(), 1, "BMIN ports carry a single lane");
-        map[idx] = Some(lanes[0]);
+        map[idx] = lanes.get(0);
     }
     map
 }

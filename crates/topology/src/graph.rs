@@ -27,25 +27,28 @@
 //! the id ([`crate::unidir`] and [`crate::bmin`] each hold one closed
 //! form) and no channel table exists. Nor does a transmit order: ranks
 //! are whole levels, so a channel's place in it is its id moved by its
-//! level's offset ([`NetworkGraph::position`]). What is stored is what a
-//! hot path dereferences or the API returns as a slice:
+//! level's offset ([`NetworkGraph::position`]). Nor an adjacency list:
+//! the lanes of a run of output ports on one side of a switch are an
+//! arithmetic progression of ids — a [`PortSpan`] — and so are the
+//! nodes' injection and ejection channels:
 //!
-//! | stored               | size              | holds                                  |
-//! |----------------------|-------------------|----------------------------------------|
-//! | id arena, ports      | 4 B × (`nch − N`) | each output port's lanes, switch-major |
-//! | id arena, terminals  | 4 B × `2N`        | per-node injection, then ejection      |
-//! | [`StagePorts`] rows  | 16 B × `n`        | where a stage's port lists start       |
-//! | [`Divisor`]s         | 16 B × (`n + 3`)  | `k^0 ..= k^n`, `N/k`, the dilation     |
+//! | question                        | first id                             | step          |
+//! |---------------------------------|--------------------------------------|---------------|
+//! | unidir port `c` of `(s, i)`     | `N + s·N·d + (i·k + c)·d'`           | 1             |
+//! | BMIN left code `c` of `(j, i)`  | `2N·j + 2(i·k + c) + 1`              | 2             |
+//! | BMIN right port `q` of `(j, i)` | `2N·(j+1) + 2(i[j := q]·k + i_j)`    | `2k^(j+1)`    |
+//! | inject / eject `a`, unidir      | `a` / `N + (n−1)·N·d + a`            | 1             |
+//! | inject / eject `a`, BMIN        | `2a` / `2a + 1`                      | 2             |
 //!
-//! An output port's lane count depends only on its stage and side (`d`,
-//! or 1 on the last unidirectional stage; 1, or 0 on the right of the
-//! BMIN's top stage), so where a port's list sits in the arena is
-//! arithmetic on its stage's row ([`NetworkGraph::out_port_range`]), not
-//! an offset table. Both wirings number switches stage-major, so a
-//! switch's stage and index are its id divided by `N/k`. Per-switch
-//! *input* lists are not stored: nothing routes by them, and
-//! [`NetworkGraph::validate`] derives what it checks of them from the
-//! descriptors. All in, a channel costs ≈ 4.3 bytes. What the
+//! (`d'` is the port's lane count: `d`, or 1 on the last stage, whose
+//! switch's codes then run on one lane each.) What is stored is the
+//! geometry's [`Divisor`]s — `k^0 ..= k^n`, `N/k` and the dilation, 16 B
+//! each — and nothing that grows with the channels or the nodes but the
+//! [`NetworkGraph::transmit_order`] list, built only when asked for.
+//! Both wirings number switches stage-major, so a switch's stage and
+//! index are its id divided by `N/k`. Per-switch *input* lists are not
+//! stored either: nothing routes by them, and [`NetworkGraph::validate`]
+//! derives what it checks of them from the descriptors. What the
 //! representation can hold — `k ≤ 256`, under 2²² switches, under 2³¹
 //! nodes — is stated once, by [`check_limits`], which every entry point
 //! taking a geometry from outside calls before anything is allocated.
@@ -151,8 +154,9 @@ pub struct ChannelDesc {
 /// byte), under 2³¹ nodes (bit 31 of the engine's packed lane words marks
 /// a node id) and under 2²² switches (`n · N/k`, either builder) — which
 /// keeps `2n · N`, the BMIN's channel count, under 2³¹ at any admitted
-/// radix, so channel ids fit those lane words and the arena's `u32`
-/// offsets. Returns `g` so callers chain it after [`Geometry::try_new`].
+/// radix, so channel ids — and the [`PortSpan`] arithmetic on them — fit
+/// those lane words. Returns `g` so callers chain it after
+/// [`Geometry::try_new`].
 ///
 /// # Errors
 ///
@@ -167,16 +171,15 @@ pub fn check_limits(g: Geometry) -> Result<Geometry, String> {
         Err(format!("k = {k}, n = {n}: {nodes} nodes, the engine's lane words end at 2^31"))
     } else if sw >= 1 << 22 {
         Err(format!(
-            "k = {k}, n = {n}: {sw} switches, at most 2^22 keep channel ids in the u32 arena"
+            "k = {k}, n = {n}: {sw} switches, at most 2^22 keep channel ids in a u32"
         ))
     } else {
         Ok(g)
     }
 }
 
-/// A switch (one crossbar) in the network. Pure metadata — the
-/// output-port adjacency lives in the graph's shared id arena, reached
-/// through [`NetworkGraph::out_port`].
+/// A switch (one crossbar) in the network. Pure metadata — its output
+/// ports' channels are computed from it by [`NetworkGraph::out_span`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SwitchDesc {
     /// Stage index `G_stage`.
@@ -249,25 +252,69 @@ impl LevelPositions {
     pub fn of(self, id: ChannelId) -> u32 {
         id.wrapping_add(self.delta) >> self.shift
     }
+
+    /// The positions of `ids`, channels of this level and direction, as
+    /// the progression they are: the map is affine on every span the
+    /// graph hands out (a BMIN span's ids share their parity, so halving
+    /// its even step is exact).
+    #[inline]
+    pub fn of_span(self, ids: PortSpan) -> PortSpan {
+        PortSpan {
+            first: self.of(ids.first),
+            step: ids.step >> self.shift,
+            len: ids.len,
+        }
+    }
 }
 
-/// Where one stage's output-port lists sit in the arena: the lists of a
-/// stage's switches are contiguous from `base`, `per_switch` ids a
-/// switch, and within a switch every port with a code below `k` holds
-/// `lanes[0]` ids, every port from `k` up `lanes[1]`.
-#[derive(Clone, Copy, Debug)]
-struct StagePorts {
-    base: u32,
-    per_switch: u32,
-    lanes: [u32; 2],
+/// The lanes of a run of output ports on one side of a switch — or the
+/// nodes' injection or ejection channels — as the arithmetic progression
+/// of ids they are: `first`, `first + step`, …, `len` of them, ascending
+/// (the order every candidate enumeration, and through it the engine's
+/// RNG stream, depends on). An iterator over the ids; `Copy`, so a
+/// caller keeps the span and iterates copies.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PortSpan {
+    /// The lowest id (meaningless when `len` is 0).
+    pub first: ChannelId,
+    /// The distance between consecutive ids.
+    pub step: u32,
+    /// How many ids.
+    pub len: u32,
 }
+
+impl PortSpan {
+    /// The `i`-th id, `None` past the end.
+    #[inline]
+    pub fn get(self, i: u32) -> Option<ChannelId> {
+        (i < self.len).then(|| self.first + i * self.step)
+    }
+}
+
+impl Iterator for PortSpan {
+    type Item = ChannelId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ChannelId> {
+        let id = self.get(0)?;
+        self.first = self.first.wrapping_add(self.step);
+        self.len -= 1;
+        Some(id)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len as usize, Some(self.len as usize))
+    }
+}
+
+impl ExactSizeIterator for PortSpan {}
 
 /// A complete static network: switches, channels and terminal attachments.
 ///
-/// Channel descriptors and transmit-order positions are computed from
-/// the wiring; the adjacency the engine dereferences (output-port lane
-/// lists, per-node inject/eject channels) is stored in one shared id
-/// arena — see the module docs.
+/// Channel descriptors, transmit-order positions and the adjacency the
+/// engine walks (output-port lanes, per-node inject/eject channels) are
+/// all computed from the wiring — see the module docs.
 #[derive(Clone, Debug)]
 pub struct NetworkGraph {
     /// The geometry (`k`, `n`).
@@ -287,15 +334,6 @@ pub struct NetworkGraph {
     /// Output-port codes per switch: `k` for unidirectional switches,
     /// `2k` for bidirectional ones.
     out_codes: u32,
-    /// One row a stage: where its switches' port lists sit in `ids`.
-    ports: Vec<StagePorts>,
-    /// The shared id arena: output-port lanes, then per-node inject and
-    /// eject channels.
-    ids: Vec<ChannelId>,
-    /// Offset of the per-node injection section within `ids`.
-    inject_at: u32,
-    /// Offset of the per-node ejection section within `ids`.
-    eject_at: u32,
     /// [`Self::transmit_order`], once somebody has asked for it.
     order: OnceLock<Vec<ChannelId>>,
 }
@@ -312,14 +350,9 @@ fn out_code(kind: NetworkKind, k: u32, side: Side, port: u8) -> u32 {
 }
 
 impl NetworkGraph {
-    /// The graph of `kind` over `geometry`: lay the arena out from the
-    /// stages' lane counts, then fill it in one [`Self::walk`] over the
-    /// channel ids — which is also the validation pass, so no descriptor
-    /// is computed twice.
-    ///
-    /// Within each output-port list, channels appear in ascending
-    /// [`ChannelId`] (= lane) order, which every routing-candidate
-    /// enumeration (and therefore the engine's RNG stream) depends on.
+    /// The graph of `kind` over `geometry`, held to its wiring by one
+    /// [`Self::walk`] over the channel ids — the validation pass — so an
+    /// unsound wiring is refused before anybody routes over it.
     ///
     /// # Panics
     ///
@@ -327,73 +360,43 @@ impl NetworkGraph {
     /// descriptors are unsound (see [`Self::validate`]).
     pub(crate) fn new(geometry: Geometry, kind: NetworkKind) -> NetworkGraph {
         let (k, n, nodes) = (geometry.k(), geometry.n(), geometry.nodes());
-        let (per_stage, d) = (nodes / k, u32::from(kind.dilation()));
-        let out_codes = if kind.is_bidirectional() { 2 * k } else { k };
-        let offset =
-            |at: u64| u32::try_from(at).expect("arena offsets are u32: outside check_limits");
-        let mut end = 0u64;
-        let ports: Vec<StagePorts> = (0..n)
-            .map(|stage| {
-                let top = stage == n - 1;
-                let lanes = match kind {
-                    NetworkKind::Unidir { .. } => [if top { 1 } else { d }, 0],
-                    NetworkKind::Bmin => [1, u32::from(!top)],
-                };
-                let per_switch = k * lanes[0] + (out_codes - k) * lanes[1];
-                let base = offset(end);
-                end += u64::from(per_stage) * u64::from(per_switch);
-                StagePorts {
-                    base,
-                    per_switch,
-                    lanes,
-                }
-            })
-            .collect();
-        // Every channel leaves an output port or a node.
-        let nch = end + u64::from(nodes);
-        let [inject_at, nch, total] = [end, nch, nch + u64::from(nodes)].map(offset);
-        let mut net = NetworkGraph {
+        let d = u32::from(kind.dilation());
+        // Every channel leaves an output port or a node: `N` injections,
+        // `(n − 1)·N·d` inter-stage lanes and `N` ejections, or `N` links
+        // a level each way on the BMIN.
+        let nch = match kind {
+            NetworkKind::Unidir { .. } => u64::from(nodes) * (2 + u64::from(n - 1) * u64::from(d)),
+            NetworkKind::Bmin => 2 * u64::from(n) * u64::from(nodes),
+        };
+        let net = NetworkGraph {
             geometry,
             kind,
             kpow: (0..=n).map(|e| Divisor::new(geometry.kpow(e))).collect(),
             lanes: Divisor::new(d),
-            per_stage: Divisor::new(per_stage),
-            nch,
-            out_codes,
-            ports,
-            ids: Vec::new(),
-            inject_at,
-            eject_at: nch,
+            per_stage: Divisor::new(nodes / k),
+            nch: u32::try_from(nch).expect("channel ids are u32: outside check_limits"),
+            out_codes: if kind.is_bidirectional() { 2 * k } else { k },
             order: OnceLock::new(),
         };
-        const EMPTY: ChannelId = ChannelId::MAX;
-        let mut ids = vec![EMPTY; total as usize];
-        let fill = |slot: u32, id| std::mem::replace(&mut ids[slot as usize], id) == EMPTY;
-        net.walk(|c| net.channel(c), fill)
-            .expect("the wiring's descriptors are unsound");
-        net.ids = ids;
+        net.walk(|c| net.channel(c)).expect("the wiring's descriptors are unsound");
         net
     }
 
     /// The one pass that construction and [`Self::validate`] both are:
     /// visit every channel id in order, check its descriptor (endpoints
-    /// in range, no switch input fed twice) and offer `place` each arena
-    /// slot the id belongs in — its lane's slot in its output port's list
-    /// or its node's injection slot, and its node's ejection slot. `place`
-    /// says whether the slot took the id: it was still empty
-    /// (construction), or already holds it (validation). On the way each
-    /// level's [`LevelPositions`] (resolved at the first id of its rank)
-    /// are held to the transmit order's definition: ids by `topo_rank`,
-    /// equal ranks in id order — a stable counting sort's next slot.
+    /// in range, no switch input fed twice) and that the id sits where
+    /// the closed forms put it — its lane's slot in its output port's
+    /// [`PortSpan`] or its node's injection slot, and its node's ejection
+    /// slot. On the way each level's [`LevelPositions`] (resolved at the
+    /// first id of its rank) are held to the transmit order's definition:
+    /// ids by `topo_rank`, equal ranks in id order — a stable counting
+    /// sort's next slot.
     ///
-    /// Distinct channels get distinct slots and every section is exactly
-    /// as long as the channels that belong in it, so a pass without a
-    /// refusal leaves — or proves — every list exact.
-    fn walk(
-        &self,
-        channel: impl Fn(ChannelId) -> ChannelDesc,
-        mut place: impl FnMut(u32, ChannelId) -> bool,
-    ) -> Result<(), String> {
+    /// Distinct channels match distinct slots, and the spans hold exactly
+    /// as many slots (`nch − N` port lanes, `N` injections, `N`
+    /// ejections) as there are channels to fill them, so a pass without a
+    /// refusal proves every span exact.
+    fn walk(&self, channel: impl Fn(ChannelId) -> ChannelDesc) -> Result<(), String> {
         let (k, n, nodes) = (self.geometry.k(), self.geometry.n(), self.geometry.nodes());
         let (nsw, codes, lanes) =
             (self.num_switches(), self.out_codes as usize, self.lanes.get() as usize);
@@ -433,7 +436,7 @@ impl NetworkGraph {
                 }
                 Endpoint::Node(nd) => {
                     ejections += 1;
-                    if !place(self.eject_at + nd, id) {
+                    if self.eject(nd) != id {
                         return Err(format!("node {nd}: channel {id} is not its one ejection"));
                     }
                 }
@@ -441,15 +444,14 @@ impl NetworkGraph {
             match ch.src {
                 Endpoint::Switch { sw, side, port } => {
                     let code = out_code(self.kind, k, side, port);
-                    let (lo, hi) = self.out_port_range(self.switch(sw), code, code + 1);
-                    if lane >= hi - lo || !place(lo + lane, id) {
+                    if self.out_port(sw, code).get(lane) != Some(id) {
                         return Err(format!(
                             "switch {sw}: channel {id} is not lane {lane} of port code {code}"
                         ));
                     }
                 }
                 Endpoint::Node(nd) => {
-                    if !place(self.inject_at + nd, id) {
+                    if self.inject(nd) != id {
                         return Err(format!("node {nd}: channel {id} is not its one injection"));
                     }
                 }
@@ -552,68 +554,81 @@ impl NetworkGraph {
     /// The lane channels of switch `s`'s output port `code`, in ascending
     /// channel-id (= lane) order.
     #[inline]
-    pub fn out_port(&self, s: SwitchId, code: u32) -> &[ChannelId] {
+    pub fn out_port(&self, s: SwitchId, code: u32) -> PortSpan {
         self.out_port_span(s, code, code + 1)
     }
 
-    /// The concatenated lane lists of output ports `code_lo..code_hi` of
-    /// switch `s` — contiguous in the arena, so a multi-port candidate
-    /// fan-out (e.g. the BMIN's forward ports `k..2k`) is one slice.
+    /// The lanes of output ports `code_lo..code_hi` of switch `s`, port
+    /// by port — one progression, so a multi-port candidate fan-out (the
+    /// BMIN's forward ports `k..2k`) is one span. The codes must lie on
+    /// one side of a bidirectional switch (checked in debug builds).
     #[inline]
-    pub fn out_port_span(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> &[ChannelId] {
-        let (lo, hi) = self.out_port_range(self.switch(s), code_lo, code_hi);
-        &self.ids[lo as usize..hi as usize]
+    pub fn out_port_span(&self, s: SwitchId, code_lo: u32, code_hi: u32) -> PortSpan {
+        self.out_span(self.switch(s), code_lo, code_hi)
     }
 
-    /// The lane lists of output ports `code_lo..code_hi` of switch `sw`
-    /// as `(lo, hi)` bounds into [`Self::arena`], for callers that cache
-    /// the bounds and slice later (the route table's candidate ranges).
-    /// Computed from the switch's stage row.
+    /// [`Self::out_port_span`] of the switch `sw` describes — what a
+    /// routing decision has at hand ([`Self::head`]).
     #[inline]
-    pub fn out_port_range(&self, sw: SwitchDesc, code_lo: u32, code_hi: u32) -> (u32, u32) {
-        debug_assert!(code_lo <= code_hi && code_hi <= self.out_codes);
-        let row = &self.ports[usize::from(sw.stage)];
-        let at = row.base + sw.index * row.per_switch;
+    pub fn out_span(&self, sw: SwitchDesc, code_lo: u32, code_hi: u32) -> PortSpan {
         let k = self.geometry.k();
-        // Ids the switch lists before output port `code`.
-        let before = |code: u32| code.min(k) * row.lanes[0] + code.saturating_sub(k) * row.lanes[1];
-        (at + before(code_lo), at + before(code_hi))
+        debug_assert!(
+            code_lo <= code_hi && code_hi <= self.out_codes && (code_hi <= k || code_lo >= k),
+            "output codes {code_lo}..{code_hi} are not a run on one side"
+        );
+        match self.kind {
+            NetworkKind::Unidir { .. } => unidir::out_span(self, sw, code_lo, code_hi),
+            NetworkKind::Bmin => bmin::out_span(self, sw, code_lo, code_hi),
+        }
     }
 
-    /// The whole shared id arena [`Self::out_port_range`] indexes.
+    /// Every channel originating at switch `s`, across all output ports
+    /// in code order: the left side's span, then the right side's (empty
+    /// on a unidirectional switch).
     #[inline]
-    pub fn arena(&self) -> &[ChannelId] {
-        &self.ids
-    }
-
-    /// Every channel originating at switch `s`, across all output ports.
-    #[inline]
-    pub fn out_all(&self, s: SwitchId) -> &[ChannelId] {
-        self.out_port_span(s, 0, self.out_codes)
+    pub fn out_all(&self, s: SwitchId) -> std::iter::Chain<PortSpan, PortSpan> {
+        let (k, sw) = (self.geometry.k(), self.switch(s));
+        self.out_span(sw, 0, k).chain(self.out_span(sw, k, self.out_codes))
     }
 
     /// The injection channel (node → network) of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this graph.
     #[inline]
     pub fn inject(&self, node: NodeId) -> ChannelId {
-        self.ids[self.inject_at as usize + node as usize]
+        self.injects().get(node).unwrap_or_else(|| panic!("node {node} out of range"))
     }
 
-    /// The ejection channel (network → node) of `node`.
+    /// The ejection channel (network → node) of `node`. Panics as
+    /// [`Self::inject`] does.
     #[inline]
     pub fn eject(&self, node: NodeId) -> ChannelId {
-        self.ids[self.eject_at as usize + node as usize]
+        self.ejects().get(node).unwrap_or_else(|| panic!("node {node} out of range"))
     }
 
-    /// Per-node injection channels, indexed by [`NodeId`].
+    /// Per-node injection channels, in [`NodeId`] order: node `a`'s at
+    /// `a` (unidirectional — level 0) or `2a` (BMIN — the up half of
+    /// level-0 link `a`).
     #[inline]
-    pub fn injects(&self) -> &[ChannelId] {
-        &self.ids[self.inject_at as usize..self.eject_at as usize]
+    pub fn injects(&self) -> PortSpan {
+        let nodes = self.kpow[self.kpow.len() - 1].get();
+        let step = if self.kind.is_bidirectional() { 2 } else { 1 };
+        PortSpan { first: 0, step, len: nodes }
     }
 
-    /// Per-node ejection channels, indexed by [`NodeId`].
+    /// Per-node ejection channels, in [`NodeId`] order: the last level,
+    /// in node order because `C_n` is the identity for every wiring (the
+    /// unidirectional networks), or the down half of level-0 link `a`
+    /// (BMIN).
     #[inline]
-    pub fn ejects(&self) -> &[ChannelId] {
-        &self.ids[self.eject_at as usize..]
+    pub fn ejects(&self) -> PortSpan {
+        let nodes = self.kpow[self.kpow.len() - 1].get();
+        match self.kind {
+            NetworkKind::Unidir { .. } => PortSpan { first: self.nch - nodes, step: 1, len: nodes },
+            NetworkKind::Bmin => PortSpan { first: 1, step: 2, len: nodes },
+        }
     }
 
     /// Where the channels of `level` going `dir` sit in the transmit order.
@@ -663,14 +678,13 @@ impl NetworkGraph {
         self.order.get_or_init(|| (0..self.nch).map(|pos| self.channel_at(pos)).collect())
     }
 
-    /// Approximate resident size of the graph in bytes (the divisors, the
-    /// stage rows, the shared id arena, the transmit order once asked for)
-    /// — a memory-accounting metric for the benchmark and footprint tests.
+    /// Approximate resident size of the graph in bytes (the divisors,
+    /// the transmit order once asked for) — a memory-accounting metric
+    /// for the benchmark and footprint tests.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + std::mem::size_of_val(&self.kpow[..])
-            + std::mem::size_of_val(&self.ports[..])
-            + (self.ids.len() + self.order.get().map_or(0, Vec::len)) * 4
+            + self.order.get().map_or(0, Vec::len) * 4
     }
 
     /// Sanity-check structural invariants; used by tests (construction
@@ -679,12 +693,13 @@ impl NetworkGraph {
     /// Verifies: endpoint switch/node indices are in range; no two
     /// channels terminate at the same switch input (the per-switch input
     /// lists, derived here in one pass — validation is their only reader);
-    /// every switch's output-port lists hold exactly the channels that
+    /// every switch's output-port spans hold exactly the channels that
     /// originate there, at the claimed port code, in lane order; every
-    /// node has exactly one injection and one ejection channel;
-    /// [`Self::position`] is the rank-sorted permutation of all channels.
+    /// node has exactly one injection and one ejection channel, the ones
+    /// [`Self::inject`] and [`Self::eject`] name; [`Self::position`] is
+    /// the rank-sorted permutation of all channels.
     pub fn validate(&self) -> Result<(), String> {
-        self.walk(|c| self.channel(c), |slot, id| self.ids[slot as usize] == id)
+        self.walk(|c| self.channel(c))
     }
 
     /// Count channels by `(level, dir)` — used by partition analysis and
@@ -743,11 +758,11 @@ mod tests {
         let mut seen_out = 0usize;
         for s in 0..net.num_switches() as SwitchId {
             for code in 0..net.out_port_codes() {
-                let lanes = net.out_port(s, code);
+                let lanes: Vec<ChannelId> = net.out_port(s, code).collect();
                 assert!(lanes.windows(2).all(|w| w[0] < w[1]));
                 seen_out += lanes.len();
             }
-            assert_eq!(net.out_all(s).len(), net.out_port_span(s, 0, net.out_port_codes()).len());
+            assert_eq!(net.out_all(s).count(), net.out_port_span(s, 0, net.out_port_codes()).len());
         }
         // Every channel leaving a switch appears in exactly one port list.
         let switch_src = net.channels().filter(|c| c.src.switch().is_some()).count();
@@ -768,8 +783,26 @@ mod tests {
             ..net.channel(feeders[1])
         };
         let corrupted = |c| if c == feeders[1] { doubled } else { net.channel(c) };
-        let err = net.walk(corrupted, |slot, id| net.ids[slot as usize] == id).unwrap_err();
+        let err = net.walk(corrupted).unwrap_err();
         assert!(err.contains("input already fed"), "{err}");
+    }
+
+    /// The walk checks each id against its computed slot: two lanes of a
+    /// dilated port that claim each other's lane index are refused.
+    #[test]
+    fn validate_rejects_an_id_outside_its_computed_slot() {
+        use crate::unidir::{build_unidir, UnidirKind};
+        let net = build_unidir(Geometry::new(2, 3), UnidirKind::Cube, 2);
+        let PortSpan { first, .. } = net.out_port(0, 0);
+        let swapped = |c| {
+            let ch = net.channel(c);
+            match c.wrapping_sub(first) {
+                0 | 1 => ChannelDesc { lane: 1 - ch.lane, ..ch },
+                _ => ch,
+            }
+        };
+        let err = net.walk(swapped).unwrap_err();
+        assert!(err.contains("is not lane 1 of port code 0"), "{err}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use fault::{
 pub use cube::{BitCube, CubeSpec, DigitSpec};
 pub use graph::{
     ChannelDesc, ChannelId, Direction, Endpoint, LevelPositions, NetworkGraph, NetworkKind, NodeId,
-    Side, SwitchDesc, SwitchId,
+    PortSpan, Side, SwitchDesc, SwitchId,
 };
 pub use permutation::Perm;
 pub use unidir::{build_unidir, UnidirKind};

@@ -21,8 +21,8 @@
 
 use crate::address::{Geometry, NodeAddr};
 use crate::graph::{
-    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind, Side,
-    SwitchDesc,
+    byte, ChannelDesc, ChannelId, Direction, End, LevelPositions, NetworkGraph, NetworkKind,
+    PortSpan, Side, SwitchDesc,
 };
 use crate::permutation::Perm;
 
@@ -190,6 +190,23 @@ pub(crate) fn channel(net: &NetworkGraph, kind: UnidirKind, id: ChannelId) -> Ch
         lane: byte(lane),
         dir: Direction::Forward,
         topo_rank: (net.geometry.n() - level) as u16,
+    }
+}
+
+/// [`NetworkGraph::out_span`]: output position `w = i·k + c` of stage `s`
+/// is the wire at `w` of level `s + 1`, so ports `lo..hi` of switch
+/// `(s, i)` hold ids `N + s·N·d + (i·k + lo)·d'` onward, `d'` lanes a
+/// port — `d`, or 1 into the nodes — every wiring alike.
+#[inline]
+pub(crate) fn out_span(net: &NetworkGraph, sw: SwitchDesc, lo: u32, hi: u32) -> PortSpan {
+    let n = net.geometry.n();
+    let (nodes, k, d) = (net.kpow[n as usize].get(), net.kpow[1].get(), net.lanes.get());
+    let stage = u32::from(sw.stage);
+    let lanes = if stage + 1 == n { 1 } else { d };
+    PortSpan {
+        first: nodes + stage * nodes * d + (sw.index * k + lo) * lanes,
+        step: 1,
+        len: (hi - lo) * lanes,
     }
 }
 

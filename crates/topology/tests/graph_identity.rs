@@ -3,7 +3,8 @@
 //! One FNV-1a digest per network over everything the public accessors
 //! return: each channel's decoded `(src, dst, level, lane, dir,
 //! topo_rank)`, each switch's `(stage, index)`, every `out_port` list,
-//! `injects()`, `ejects()` and `transmit_order()`. Candidate order — and
+//! `injects()`, `ejects()` and `transmit_order()` — the spans collected
+//! into the lists they were when a table held them. Candidate order — and
 //! through it the engine's RNG stream — depends on nothing else the graph
 //! holds, so a storage change that keeps these literals keeps every
 //! simulated bit.
@@ -66,11 +67,11 @@ fn digest(net: &NetworkGraph) -> u64 {
         h.bytes(&[sw.stage]);
         h.u32(sw.index);
         for code in 0..net.out_port_codes() {
-            h.ids(net.out_port(s, code));
+            h.ids(&net.out_port(s, code).collect::<Vec<_>>());
         }
     }
-    h.ids(net.injects());
-    h.ids(net.ejects());
+    h.ids(&net.injects().collect::<Vec<_>>());
+    h.ids(&net.ejects().collect::<Vec<_>>());
     h.ids(net.transmit_order());
     h.0
 }

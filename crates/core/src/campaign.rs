@@ -36,15 +36,16 @@
 //!   result itself, without a spawn, a join or a channel.
 //!
 //! * **Durable checkpointing.** With [`CampaignPolicy::checkpoint`]
-//!   set, every finished task is appended — `write`+`flush`, one JSON
-//!   line each — to a versioned JSONL file keyed by a hash of the full
+//!   set, every finished task is appended — one `write`, one JSON line
+//!   each — to a versioned JSONL [`Log`] keyed by a hash of the full
 //!   campaign configuration. Resuming loads completed tasks and only
 //!   runs the rest; because per-task seeds are independent of both the
 //!   schedule and the thread count, and floats are checkpointed as
 //!   `f64::to_bits` patterns, a resumed curve is **bitwise identical**
 //!   to an uninterrupted one (pinned by the workspace proptests). A
-//!   SIGKILL can at worst tear the final line; the loader stops at the
-//!   first unparsable line and drops the torn tail before appending.
+//!   SIGKILL can at worst tear the final line, which the loader drops
+//!   before appending; a complete line it cannot read is skipped and
+//!   left in place, and its task runs again.
 //!
 //! Budget semantics vs the watchdog: the no-progress watchdog (PR 4)
 //! catches *wedged* networks — zero flit movement with packets active —
@@ -55,14 +56,13 @@
 //! truncated sample).
 
 use crate::experiment::Experiment;
-use crate::locked::open_locked;
+use crate::jsonl::{self, esc, Log, Obj};
 use crate::sweep::{
     aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
 };
 use minnet_sim::{EngineState, SimError, SimReport};
 use minnet_topology::FaultPlan;
-use std::collections::BTreeMap;
-use std::io::Write;
+use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -297,8 +297,7 @@ pub(crate) fn run_plan(
     policy: &CampaignPolicy,
     run: impl Fn(usize, u32, &mut EngineState) -> Result<SimReport, SimError> + Sync,
 ) -> Result<Vec<(PointOutcome, u32)>, String> {
-    let mut ckpt = Checkpoint::open(policy, kind, hash, tasks)?;
-    let mut results = ckpt.preloaded(tasks);
+    let (mut ckpt, mut results) = open_checkpoint(policy, kind, hash, tasks)?;
     let pending: Vec<usize> = (0..tasks).filter(|&t| results[t].is_none()).collect();
     if !pending.is_empty() {
         let workers = threads.clamp(1, pending.len());
@@ -318,8 +317,9 @@ pub(crate) fn run_plan(
         // finish) but remember the first failure.
         let mut io_err: Option<String> = None;
         let mut record = |t: usize, outcome: PointOutcome, attempts: u32| {
-            if io_err.is_none() {
-                io_err = ckpt.append(t, attempts, &outcome).err();
+            if let (Some(log), None) = (&mut ckpt, &io_err) {
+                let line = task_line(t, attempts, &outcome);
+                io_err = line.and_then(|l| log.append(l).map_err(|e| e.to_string())).err();
             }
             results[t] = Some((outcome, attempts));
         };
@@ -584,188 +584,109 @@ pub(crate) fn config_hash(kind: &str, exp: &Experiment, params: &str, retries: u
 /// Current checkpoint format version (the header's `"v"`).
 const CKPT_VERSION: u64 = 1;
 
-/// An open campaign checkpoint: previously completed tasks plus an
-/// append handle. `file == None` means checkpointing is off and every
-/// method is a no-op. A live checkpoint's file holds its own exclusive
-/// lock ([`open_locked`]) — the JSONL appender assumes a single writer,
-/// and the lock turns a misconfigured second process into a fast,
-/// explicit error instead of interleaved lines.
-struct Checkpoint {
-    file: Option<std::fs::File>,
-    loaded: BTreeMap<usize, (PointOutcome, u32)>,
-}
+/// A plan's results: `(outcome, attempts)` per task, `None` until run.
+type Slots = Vec<Option<(PointOutcome, u32)>>;
 
-impl Checkpoint {
-    /// Open (or create) the policy's checkpoint for a campaign of
-    /// `total` tasks, validating version, kind, and config hash.
-    fn open(
-        policy: &CampaignPolicy,
-        kind: &str,
-        hash: u64,
-        total: usize,
-    ) -> Result<Checkpoint, String> {
-        let Some(path) = &policy.checkpoint else {
-            return Ok(Checkpoint {
-                file: None,
-                loaded: BTreeMap::new(),
-            });
-        };
-        let hash_hex = format!("{hash:016x}");
-        let shown = path.display();
-        if policy.require_existing && !path.exists() {
-            return Err(format!(
-                "resume: checkpoint {shown} does not exist \
-                 (use --checkpoint to start a new campaign)"
-            ));
-        }
-        let (mut f, content) = open_locked(path)?;
-        if content.is_empty() && !policy.require_existing {
-            let header = format!(
-                "{{\"v\":{CKPT_VERSION},\"kind\":\"{kind}\",\
-                 \"config_hash\":\"{hash_hex}\",\"total_tasks\":{total}}}\n"
-            );
-            f.write_all(header.as_bytes())
-                .and_then(|()| f.flush())
-                .map_err(|e| format!("writing checkpoint {shown}: {e}"))?;
-            return Ok(Checkpoint {
-                file: Some(f),
-                loaded: BTreeMap::new(),
-            });
-        }
-
-        let mut lines = content.split_inclusive('\n');
-        let header = lines
-            .next()
-            .ok_or_else(|| format!("checkpoint {shown}: empty file"))?;
-        if !header.ends_with('\n') {
-            return Err(format!("checkpoint {shown}: torn header line"));
-        }
-        let ht = header.trim();
-        match json_u64(ht, "v") {
-            Some(CKPT_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "checkpoint {shown}: unsupported version {v} (this build reads {CKPT_VERSION})"
-                ))
-            }
-            None => return Err(format!("checkpoint {shown}: malformed header")),
-        }
-        let file_kind = json_str(ht, "kind")
-            .ok_or_else(|| format!("checkpoint {shown}: header has no kind"))?;
+/// Open (or create) the policy's checkpoint for a campaign of `total`
+/// tasks, validating version, kind, and config hash: the [`Log`] finished
+/// tasks are appended to (`None` when checkpointing is off; a live one
+/// holds its file's lock, so a misconfigured second process fails fast
+/// instead of interleaving lines), and the result slots [`run_plan`]
+/// starts from — checkpointed tasks filled, the rest holes to run. A
+/// task line that cannot be read, or names a task past `total`, is
+/// skipped: that task runs again.
+fn open_checkpoint(
+    policy: &CampaignPolicy,
+    kind: &str,
+    hash: u64,
+    total: usize,
+) -> Result<(Option<Log>, Slots), String> {
+    let mut slots: Slots = (0..total).map(|_| None).collect();
+    let Some(path) = &policy.checkpoint else {
+        return Ok((None, slots));
+    };
+    let shown = path.display();
+    if policy.require_existing && path.metadata().is_ok_and(|m| m.len() == 0) {
+        return Err(format!("checkpoint {shown}: empty file"));
+    }
+    if policy.require_existing && !path.exists() {
+        return Err(format!(
+            "resume: checkpoint {shown} does not exist \
+             (use --checkpoint to start a new campaign)"
+        ));
+    }
+    let hash_hex = format!("{hash:016x}");
+    let header = format!(
+        "{{\"v\":{CKPT_VERSION},\"kind\":\"{kind}\",\
+         \"config_hash\":\"{hash_hex}\",\"total_tasks\":{total}}}"
+    );
+    let check_header = |head: &Obj<'_>| {
+        jsonl::check_version(head, CKPT_VERSION)?;
+        let file_kind = head.str("kind").ok_or("header has no kind")?;
         if file_kind != kind {
             return Err(format!(
-                "checkpoint {shown} holds a {file_kind} campaign; this run is a {kind} campaign"
+                "holds a {file_kind} campaign; this run is a {kind} campaign"
             ));
         }
-        let file_hash = json_str(ht, "config_hash")
-            .ok_or_else(|| format!("checkpoint {shown}: header has no config_hash"))?;
+        let file_hash = head.str("config_hash").ok_or("header has no config_hash")?;
         if file_hash != hash_hex {
             return Err(format!(
-                "checkpoint {shown}: config hash {file_hash} does not match this campaign \
+                "config hash {file_hash} does not match this campaign \
                  ({hash_hex}) — the experiment, point grid, replication count, or retry \
                  policy changed; refusing to resume"
             ));
         }
-        if json_u64(ht, "total_tasks") != Some(total as u64) {
-            return Err(format!(
-                "checkpoint {shown}: task count differs from this campaign; refusing to resume"
-            ));
+        if head.u64("total_tasks") != Some(total as u64) {
+            return Err("task count differs from this campaign; refusing to resume".into());
         }
-
-        let mut loaded = BTreeMap::new();
-        let mut good_len = header.len();
-        for line in lines {
-            // A SIGKILL can tear at most the final line: stop at the
-            // first incomplete or unparsable one and drop that tail.
-            if !line.ends_with('\n') {
-                break;
-            }
-            let t = line.trim();
-            if !t.is_empty() {
-                let Some((task, outcome, attempts)) = parse_task_line(t) else {
-                    break;
-                };
-                if task >= total {
-                    break;
-                }
-                loaded.insert(task, (outcome, attempts));
-            }
-            good_len += line.len();
-        }
-        if good_len < content.len() {
-            f.set_len(good_len as u64)
-                .map_err(|e| format!("dropping torn tail of checkpoint {shown}: {e}"))?;
-        }
-        Ok(Checkpoint {
-            file: Some(f),
-            loaded,
-        })
-    }
-
-    /// The pre-filled result vector [`run_plan`] starts from:
-    /// checkpointed tasks as `Some`, everything else as holes to run.
-    fn preloaded(&mut self, total: usize) -> Vec<Option<(PointOutcome, u32)>> {
-        let mut v: Vec<Option<(PointOutcome, u32)>> = (0..total).map(|_| None).collect();
-        for (task, entry) in std::mem::take(&mut self.loaded) {
-            v[task] = Some(entry);
-        }
-        v
-    }
-
-    /// Append one finished task — one line, written and flushed whole,
-    /// so a kill between tasks never tears more than the line in
-    /// flight.
-    fn append(&mut self, task: usize, attempts: u32, outcome: &PointOutcome) -> Result<(), String> {
-        let Some(f) = &mut self.file else {
-            return Ok(());
-        };
-        let line = task_line(task, attempts, outcome)?;
-        f.write_all(line.as_bytes())
-            .and_then(|()| f.flush())
-            .map_err(|e| e.to_string())
-    }
+        Ok(())
+    };
+    let (log, _unreadable) = Log::open("checkpoint", path, &header, check_header, |line| {
+        let (task, outcome, attempts) = parse_task_line(line)?;
+        *slots.get_mut(task)? = Some((outcome, attempts));
+        Some(())
+    })?;
+    Ok((Some(log), slots))
 }
 
-/// Serialize one finished task as a checkpoint line (newline included).
+/// Serialize one finished task as a checkpoint line (no newline).
 pub(crate) fn task_line(task: usize, attempts: u32, outcome: &PointOutcome) -> Result<String, String> {
     let tag = outcome.tag();
     Ok(match outcome {
         PointOutcome::Ok(report) => format!(
-            "{{\"task\":{task},\"attempts\":{attempts},\"outcome\":\"{tag}\",\"report\":{}}}\n",
+            "{{\"task\":{task},\"attempts\":{attempts},\"outcome\":\"{tag}\",\"report\":{}}}",
             report_to_json(report)?
         ),
         PointOutcome::Partial { report, reason } => format!(
             "{{\"task\":{task},\"attempts\":{attempts},\"outcome\":\"{tag}\",\"report\":{},\
-             \"reason\":\"{}\"}}\n",
+             \"reason\":\"{}\"}}",
             report_to_json(report)?,
             esc(reason)
         ),
         PointOutcome::Failed { reason } => format!(
-            "{{\"task\":{task},\"attempts\":{attempts},\"outcome\":\"{tag}\",\"reason\":\"{}\"}}\n",
+            "{{\"task\":{task},\"attempts\":{attempts},\"outcome\":\"{tag}\",\"reason\":\"{}\"}}",
             esc(reason)
         ),
     })
 }
 
-/// Parse one checkpoint task line; `None` marks a torn/alien line.
-fn parse_task_line(line: &str) -> Option<(usize, PointOutcome, u32)> {
-    let task = json_u64(line, "task")? as usize;
-    let attempts = json_u64(line, "attempts")? as u32;
-    let outcome = match json_str(line, "outcome")?.as_str() {
-        "ok" => PointOutcome::Ok(report_from_json(line)?),
+/// Parse one checkpoint task line; `None` marks an unreadable line.
+fn parse_task_line(line: &Obj<'_>) -> Option<(usize, PointOutcome, u32)> {
+    let task = usize::try_from(line.u64("task")?).ok()?;
+    let attempts = u32::try_from(line.u64("attempts")?).ok()?;
+    let outcome = match line.str("outcome")?.as_str() {
+        "ok" => PointOutcome::Ok(report_from_json(&line.obj("report")?)?),
         "partial" => PointOutcome::Partial {
-            report: report_from_json(line)?,
-            reason: json_str(line, "reason")?,
+            report: report_from_json(&line.obj("report")?)?,
+            reason: line.str("reason")?,
         },
         "failed" => PointOutcome::Failed {
-            reason: json_str(line, "reason")?,
+            reason: line.str("reason")?,
         },
         _ => return None,
     };
     Some((task, outcome, attempts))
 }
-
-// ---- hand-rolled JSON (this offline workspace has no serde) ----------
 
 /// Serialize a report for the checkpoint. Floats are written as their
 /// `f64::to_bits` pattern in a quoted decimal — decimal formatting
@@ -809,155 +730,47 @@ fn report_to_json(r: &SimReport) -> Result<String, String> {
         r.undeliverable_packets,
     );
     if let Some(util) = &r.channel_utilization {
-        s.push_str(",\"util_bits\":[");
-        for (i, u) in util.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(&u.to_bits().to_string());
-            s.push('"');
-        }
-        s.push(']');
+        s.push_str(",\"util_bits\":");
+        jsonl::array(&mut s, util, |s, u| {
+            let _ = write!(s, "\"{}\"", u.to_bits());
+        });
     }
     s.push('}');
     Ok(s)
 }
 
-/// Rebuild a report from a checkpoint line (flat key scan — every key
-/// is unique within a line). `None` marks a torn/malformed line.
-fn report_from_json(line: &str) -> Option<SimReport> {
+/// Rebuild a report from its checkpoint object. `None` marks a
+/// malformed one.
+fn report_from_json(r: &Obj<'_>) -> Option<SimReport> {
     Some(SimReport {
-        cycles: json_u64(line, "cycles")?,
-        measured_cycles: json_u64(line, "measured_cycles")?,
-        generated_packets: json_u64(line, "generated_packets")?,
-        delivered_packets: json_u64(line, "delivered_packets")?,
-        offered_flits_per_node_cycle: json_bits(line, "offered_bits")?,
-        accepted_flits_per_node_cycle: json_bits(line, "accepted_bits")?,
-        mean_latency_cycles: json_bits(line, "mean_latency_bits")?,
-        latency_ci95_cycles: json_bits(line, "latency_ci95_bits")?,
-        p50_latency_cycles: json_u64(line, "p50")?,
-        p95_latency_cycles: json_u64(line, "p95")?,
-        p99_latency_cycles: json_u64(line, "p99")?,
-        max_latency_cycles: json_u64(line, "max_latency")?,
-        mean_queue: json_bits(line, "mean_queue_bits")?,
-        max_queue: json_u64(line, "max_queue")? as usize,
-        sustainable: json_bool(line, "sustainable")?,
-        steady: json_bool(line, "steady")?,
-        in_flight_at_end: json_u64(line, "in_flight_at_end")?,
-        aborted_packets: json_u64(line, "aborted_packets")?,
-        undeliverable_packets: json_u64(line, "undeliverable_packets")?,
-        channel_utilization: json_bits_array(line, "util_bits"),
+        cycles: r.u64("cycles")?,
+        measured_cycles: r.u64("measured_cycles")?,
+        generated_packets: r.u64("generated_packets")?,
+        delivered_packets: r.u64("delivered_packets")?,
+        offered_flits_per_node_cycle: r.bits("offered_bits")?,
+        accepted_flits_per_node_cycle: r.bits("accepted_bits")?,
+        mean_latency_cycles: r.bits("mean_latency_bits")?,
+        latency_ci95_cycles: r.bits("latency_ci95_bits")?,
+        p50_latency_cycles: r.u64("p50")?,
+        p95_latency_cycles: r.u64("p95")?,
+        p99_latency_cycles: r.u64("p99")?,
+        max_latency_cycles: r.u64("max_latency")?,
+        mean_queue: r.bits("mean_queue_bits")?,
+        max_queue: usize::try_from(r.u64("max_queue")?).ok()?,
+        sustainable: r.bool("sustainable")?,
+        steady: r.bool("steady")?,
+        in_flight_at_end: r.u64("in_flight_at_end")?,
+        aborted_packets: r.u64("aborted_packets")?,
+        undeliverable_packets: r.u64("undeliverable_packets")?,
+        // Absent: the run kept no utilization. Present but unreadable:
+        // the line is.
+        channel_utilization: match r.raw("util_bits") {
+            Some(_) => Some(r.bits_array("util_bits")?),
+            None => None,
+        },
         deliveries: None,
         trace: None,
     })
-}
-
-/// Escape a string for a JSON line.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The position just past `"key":` in `line`, skipping a space if any.
-fn after_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let mut at = line.find(&pat)? + pat.len();
-    if line[at..].starts_with(' ') {
-        at += 1;
-    }
-    Some(at)
-}
-
-/// Extract the unsigned integer value of `"key"`.
-pub(crate) fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = &line[after_key(line, key)?..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract the boolean value of `"key"`.
-pub(crate) fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = &line[after_key(line, key)?..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extract and unescape the string value of `"key"`.
-pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[after_key(line, key)?..];
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Extract a float checkpointed as a quoted `f64::to_bits` decimal.
-pub(crate) fn json_bits(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[after_key(line, key)?..];
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    rest[..end].parse::<u64>().ok().map(f64::from_bits)
-}
-
-/// Extract an optional array of bit-pattern floats (`None` when the
-/// key is absent — the report had no `channel_utilization`).
-pub(crate) fn json_bits_array(line: &str, key: &str) -> Option<Vec<f64>> {
-    let rest = &line[after_key(line, key)?..];
-    let rest = rest.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',')
-        .map(|item| {
-            item.trim()
-                .trim_matches('"')
-                .parse::<u64>()
-                .ok()
-                .map(f64::from_bits)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1102,8 +915,8 @@ mod tests {
         exp.sim.collect_channel_util = false;
         let without = exp.run(0.3).unwrap();
         for r in [with_util, without] {
-            let line = format!("{{\"report\":{}}}", report_to_json(&r).unwrap());
-            let back = report_from_json(&line).unwrap();
+            let json = report_to_json(&r).unwrap();
+            let back = report_from_json(&Obj::parse(&json).unwrap()).unwrap();
             assert!(r.bitwise_eq(&back), "JSON round trip changed the report");
         }
     }
@@ -1115,7 +928,7 @@ mod tests {
             reason: nasty.to_string(),
         };
         let line = task_line(3, 2, &outcome).unwrap();
-        let (task, parsed, attempts) = parse_task_line(line.trim()).unwrap();
+        let (task, parsed, attempts) = parse_task_line(&Obj::parse(&line).unwrap()).unwrap();
         assert_eq!(task, 3);
         assert_eq!(attempts, 2);
         let PointOutcome::Failed { reason } = parsed else {
@@ -1220,15 +1033,15 @@ mod tests {
             checkpoint: Some(path.clone()),
             ..CampaignPolicy::default()
         };
-        let first = Checkpoint::open(&policy, "curve", 7, 2).unwrap();
+        let first = open_checkpoint(&policy, "curve", 7, 2).unwrap();
         let held = std::fs::read(&path).unwrap();
-        let Err(err) = Checkpoint::open(&policy, "curve", 7, 2) else {
+        let Err(err) = open_checkpoint(&policy, "curve", 7, 2) else {
             panic!("second writer must be refused");
         };
         assert!(err.contains("is locked by another live process"), "{err}");
         assert_eq!(std::fs::read(&path).unwrap(), held, "the refused writer touched the file");
         drop(first);
-        let again = Checkpoint::open(&policy, "curve", 7, 2).unwrap();
+        let again = open_checkpoint(&policy, "curve", 7, 2).unwrap();
         drop(again);
     }
 
@@ -1403,14 +1216,15 @@ mod tests {
             let lines = results
                 .iter()
                 .enumerate()
-                .map(|(t, (outcome, attempts))| task_line(t, *attempts, outcome).unwrap())
+                .map(|(t, (outcome, attempts))| task_line(t, *attempts, outcome).unwrap() + "\n")
                 .collect();
             (lines, std::fs::read_to_string(&path).unwrap())
         };
         let (lines, file) = run_with(1);
-        let tags: Vec<String> = lines.iter().map(|l| json_str(l, "outcome").unwrap()).collect();
+        let parsed: Vec<Obj<'_>> = lines.iter().map(|l| Obj::parse(l).unwrap()).collect();
+        let tags: Vec<String> = parsed.iter().map(|l| l.str("outcome").unwrap()).collect();
         assert_eq!(tags, ["ok", "failed", "partial", "ok", "ok"]);
-        let attempts: Vec<u64> = lines.iter().map(|l| json_u64(l, "attempts").unwrap()).collect();
+        let attempts: Vec<u64> = parsed.iter().map(|l| l.u64("attempts").unwrap()).collect();
         assert_eq!(attempts, [1, 2, 1, 2, 1]);
         // One worker appends in task order: the file is header + lines.
         let header = file.split_inclusive('\n').next().unwrap();
@@ -1420,7 +1234,7 @@ mod tests {
             assert_eq!(pooled, lines, "threads = {threads}");
             // A pool appends in completion order: same lines, any order.
             let mut appended: Vec<&str> = pooled_file.split_inclusive('\n').skip(1).collect();
-            appended.sort_unstable_by_key(|l| json_u64(l, "task"));
+            appended.sort_unstable_by_key(|l| Obj::parse(l).unwrap().u64("task"));
             assert_eq!(appended.concat(), lines.concat(), "threads = {threads}");
             assert!(pooled_file.starts_with(header));
         }
@@ -1440,7 +1254,8 @@ mod tests {
         let results = plan(4, 1, &policy, |i, _, st| {
             let on_disk = std::fs::read_to_string(&path).unwrap();
             assert!(on_disk.ends_with('\n'), "torn line before task {i}");
-            let tasks: Vec<u64> = on_disk.lines().skip(1).map(|l| json_u64(l, "task").unwrap()).collect();
+            let task = |l| Obj::parse(l).unwrap().u64("task").unwrap();
+            let tasks: Vec<u64> = on_disk.lines().skip(1).map(task).collect();
             assert_eq!(tasks, (0..i as u64).collect::<Vec<_>>(), "before task {i}");
             compiled.run_typed(0.1, task_seed(7, i, 0), st)
         });
@@ -1486,7 +1301,7 @@ mod tests {
         assert!(refilled.starts_with(fixture), "resume must only append");
         let mut appended: Vec<u64> = refilled[fixture.len()..]
             .lines()
-            .map(|l| json_u64(l, "task").unwrap())
+            .map(|l| Obj::parse(l).unwrap().u64("task").unwrap())
             .collect();
         appended.sort_unstable();
         assert_eq!(appended, [0, 2, 4], "exactly the holes ran, once each");

@@ -54,7 +54,7 @@
 
 pub mod campaign;
 pub mod experiment;
-pub mod locked;
+pub mod jsonl;
 pub mod model;
 pub mod output;
 pub mod scenario;
@@ -68,7 +68,6 @@ pub use campaign::{
     CampaignPoint, CampaignPolicy, DegradationCampaignPoint, PointOutcome, ReplicatedCampaignPoint,
 };
 pub use experiment::{CompiledExperiment, Experiment};
-pub use locked::open_locked;
 pub use output::OutputFile;
 pub use service::{run_job, JobSpec, Request, Response, ServiceClient, ServiceStats};
 pub use scenario::{

@@ -38,8 +38,9 @@
 //! [`verdict_report_json`] is byte-identical across repeated runs and
 //! thread counts (pinned by the workspace e2e tests).
 
-use crate::campaign::{config_hash, esc, run_plan, task_seed, CampaignPolicy, PointOutcome};
+use crate::campaign::{config_hash, run_plan, task_seed, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
+use crate::jsonl::{array, esc};
 use crate::spec::NetworkSpec;
 use crate::sweep::mix;
 use minnet_sim::{
@@ -48,6 +49,7 @@ use minnet_sim::{
 };
 use minnet_topology::{Fault, FaultPlan, FaultTarget, Geometry, UnidirKind};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -1367,7 +1369,6 @@ pub fn run_scenario_files_with_budget(
 /// raw floats (delivery appears as exact delivered/generated integers),
 /// so repeated runs serialize byte-identically.
 fn verdict_json(v: &Verdict) -> String {
-    use std::fmt::Write;
     let mut s = format!(
         "{{\"name\":\"{}\",\"status\":\"{}\",\"expected\":\"{}\",\"as_expected\":{}",
         esc(&v.scenario),
@@ -1375,11 +1376,8 @@ fn verdict_json(v: &Verdict) -> String {
         v.expected.as_str(),
         v.as_expected()
     );
-    s.push_str(",\"checks\":[");
-    for (i, c) in v.checks.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    s.push_str(",\"checks\":");
+    array(&mut s, &v.checks, |s, c| {
         let _ = write!(
             s,
             "{{\"what\":\"{}\",\"status\":\"{}\",\"detail\":\"{}\"}}",
@@ -1387,12 +1385,9 @@ fn verdict_json(v: &Verdict) -> String {
             c.status.as_str(),
             esc(&c.detail)
         );
-    }
-    s.push_str("],\"points\":[");
-    for (i, p) in v.points.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    });
+    s.push_str(",\"points\":");
+    array(&mut s, &v.points, |s, p| {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"outcome\":\"{}\",\"attempts\":{}",
@@ -1422,39 +1417,27 @@ fn verdict_json(v: &Verdict) -> String {
             PointOutcome::Ok(_) => {}
         }
         s.push('}');
-    }
-    s.push(']');
+    });
     if let Some(d) = &v.stall {
         let _ = write!(s, ",\"stall\":{{\"cycle\":{},\"window\":{}", d.cycle, d.window);
-        s.push_str(",\"stalled\":[");
-        for (i, p) in d.stalled.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        s.push_str(",\"stalled\":");
+        array(&mut s, &d.stalled, |s, p| {
             let _ = write!(
                 s,
                 "{{\"src\":{},\"dst\":{},\"channel\":{},\"sent\":{},\"len\":{},\
                  \"delivered\":{}}}",
                 p.src, p.dst, p.head_channel, p.sent, p.len, p.delivered
             );
-        }
-        s.push_str("],\"held_channels\":[");
-        for (i, c) in d.held_channels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        });
+        s.push_str(",\"held_channels\":");
+        array(&mut s, &d.held_channels, |s, c| {
             let _ = write!(s, "{c}");
-        }
-        s.push(']');
+        });
         if let Some(cycle) = &d.suspected_cycle {
-            s.push_str(",\"suspected_cycle\":[");
-            for (i, p) in cycle.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
+            s.push_str(",\"suspected_cycle\":");
+            array(&mut s, cycle, |s, p| {
                 let _ = write!(s, "{p}");
-            }
-            s.push(']');
+            });
         }
         s.push('}');
     }
@@ -1466,7 +1449,6 @@ fn verdict_json(v: &Verdict) -> String {
 /// document (schema in `EXPERIMENTS.md`). Deterministic: byte-identical
 /// across repeated runs and thread counts of the same library.
 pub fn verdict_report_json(set: &ScenarioSet) -> String {
-    use std::fmt::Write;
     let (mut pass, mut partial, mut fail, mut unexpected) = (0usize, 0usize, 0usize, 0usize);
     for v in &set.verdicts {
         match v.status {
@@ -1480,23 +1462,15 @@ pub fn verdict_report_json(set: &ScenarioSet) -> String {
     }
     let mut s = format!(
         "{{\"v\":1,\"total\":{},\"pass\":{pass},\"partial\":{partial},\"fail\":{fail},\
-         \"unexpected\":{unexpected},\"skipped\":[",
+         \"unexpected\":{unexpected},\"skipped\":",
         set.verdicts.len()
     );
-    for (i, name) in set.skipped.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    array(&mut s, &set.skipped, |s, name| {
         let _ = write!(s, "\"{}\"", esc(name));
-    }
-    s.push_str("],\"scenarios\":[");
-    for (i, v) in set.verdicts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&verdict_json(v));
-    }
-    s.push_str("]}\n");
+    });
+    s.push_str(",\"scenarios\":");
+    array(&mut s, &set.verdicts, |s, v| s.push_str(&verdict_json(v)));
+    s.push_str("}\n");
     s
 }
 

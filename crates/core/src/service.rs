@@ -45,24 +45,19 @@
 //! cache hits, journal replays, and post-crash recoveries are all
 //! comparable with `==` on the raw bytes.
 
-use crate::campaign::{
-    config_hash, json_bits_array, json_bool, json_str, json_u64, run_plan, task_line, task_seed,
-    CampaignPolicy,
-};
+use crate::campaign::{config_hash, run_plan, task_line, task_seed, CampaignPolicy};
 use crate::experiment::Experiment;
+use crate::jsonl::{self, esc, Obj};
 use crate::spec::NetworkSpec;
 use minnet_sim::SimError;
 use minnet_topology::{Geometry, UnidirKind};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Wire protocol version (checked nowhere yet; bumped on breaking
-/// changes so mixed-version deployments fail loudly, not subtly).
-pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Result document version (the `"v"` in every result JSON).
 pub const RESULT_VERSION: u64 = 1;
@@ -247,20 +242,14 @@ impl JobSpec {
     /// patterns — the spec must survive journal round trips without
     /// perturbing the job hash).
     pub fn to_json(&self) -> String {
-        let esc = crate::campaign::esc;
         let mut loads = String::new();
-        for (i, l) in self.loads.iter().enumerate() {
-            if i > 0 {
-                loads.push(',');
-            }
-            loads.push('"');
-            loads.push_str(&l.to_bits().to_string());
-            loads.push('"');
-        }
+        jsonl::array(&mut loads, &self.loads, |s, l| {
+            let _ = write!(s, "\"{}\"", l.to_bits());
+        });
         format!(
             "{{\"network\":\"{}\",\"wiring\":\"{}\",\"dilation\":{},\"vcs\":{},\
              \"k\":{},\"n\":{},\"pattern\":\"{}\",\"sizes\":\"{}\",\
-             \"loads_bits\":[{loads}],\"warmup\":{},\"measure\":{},\"seed\":{},\
+             \"loads_bits\":{loads},\"warmup\":{},\"measure\":{},\"seed\":{},\
              \"budget_cycles\":{},\"budget_ms\":{},\"retries\":{},\"chaos\":{}}}",
             esc(&self.network),
             esc(&self.wiring),
@@ -280,27 +269,27 @@ impl JobSpec {
         )
     }
 
-    /// Parse a spec from a line containing its JSON object (flat key
-    /// scan — spec keys are unique within a request/journal line).
-    /// `None` marks a torn or malformed line.
-    pub fn from_json(line: &str) -> Option<JobSpec> {
+    /// Parse a spec from its JSON object — the `"spec"` value of a
+    /// submit request or journal line. `None` marks a malformed spec.
+    pub fn from_json(json: &str) -> Option<JobSpec> {
+        let o = Obj::parse(json)?;
         Some(JobSpec {
-            network: json_str(line, "network")?,
-            wiring: json_str(line, "wiring")?,
-            dilation: u8::try_from(json_u64(line, "dilation")?).ok()?,
-            vcs: u8::try_from(json_u64(line, "vcs")?).ok()?,
-            k: u32::try_from(json_u64(line, "k")?).ok()?,
-            n: u32::try_from(json_u64(line, "n")?).ok()?,
-            pattern: json_str(line, "pattern")?,
-            sizes: json_str(line, "sizes")?,
-            loads: json_bits_array(line, "loads_bits")?,
-            warmup: json_u64(line, "warmup")?,
-            measure: json_u64(line, "measure")?,
-            seed: json_u64(line, "seed")?,
-            budget_cycles: json_u64(line, "budget_cycles")?,
-            budget_ms: json_u64(line, "budget_ms")?,
-            retries: u32::try_from(json_u64(line, "retries")?).ok()?,
-            chaos_panic_attempts: u32::try_from(json_u64(line, "chaos")?).ok()?,
+            network: o.str("network")?,
+            wiring: o.str("wiring")?,
+            dilation: u8::try_from(o.u64("dilation")?).ok()?,
+            vcs: u8::try_from(o.u64("vcs")?).ok()?,
+            k: u32::try_from(o.u64("k")?).ok()?,
+            n: u32::try_from(o.u64("n")?).ok()?,
+            pattern: o.str("pattern")?,
+            sizes: o.str("sizes")?,
+            loads: o.bits_array("loads_bits")?,
+            warmup: o.u64("warmup")?,
+            measure: o.u64("measure")?,
+            seed: o.u64("seed")?,
+            budget_cycles: o.u64("budget_cycles")?,
+            budget_ms: o.u64("budget_ms")?,
+            retries: u32::try_from(o.u64("retries")?).ok()?,
+            chaos_panic_attempts: u32::try_from(o.u64("chaos")?).ok()?,
         })
     }
 }
@@ -355,17 +344,14 @@ pub fn run_job(
             compiled.run_typed(spec.loads[i], task_seed(base, i, attempt), st)
         },
     )?;
-    let mut out = format!(
-        "{{\"v\":{RESULT_VERSION},\"job_id\":\"{hash:016x}\",\"points\":[",
-    );
-    for (i, (outcome, attempts)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let line = task_line(i, *attempts, outcome)?;
-        out.push_str(line.trim_end());
-    }
-    out.push_str("]}");
+    let points = results
+        .iter()
+        .enumerate()
+        .map(|(i, (outcome, attempts))| task_line(i, *attempts, outcome))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out = format!("{{\"v\":{RESULT_VERSION},\"job_id\":\"{hash:016x}\",\"points\":");
+    jsonl::array(&mut out, points, |s, point| s.push_str(&point));
+    out.push('}');
     Ok(out)
 }
 
@@ -426,7 +412,6 @@ pub enum Request {
 impl Request {
     /// Encode as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let esc = crate::campaign::esc;
         match self {
             Request::Submit { client, spec } => format!(
                 "{{\"op\":\"submit\",\"client\":\"{}\",\"spec\":{}}}",
@@ -451,20 +436,21 @@ impl Request {
 
     /// Parse one wire line; `None` marks a malformed request.
     pub fn parse(line: &str) -> Option<Request> {
-        match json_str(line, "op")?.as_str() {
+        let o = Obj::parse(line)?;
+        match o.str("op")?.as_str() {
             "submit" => Some(Request::Submit {
-                client: json_str(line, "client")?,
-                spec: JobSpec::from_json(line)?,
+                client: o.str("client")?,
+                spec: JobSpec::from_json(o.raw("spec")?)?,
             }),
             "status" => Some(Request::Status {
-                job_id: json_str(line, "job_id")?,
+                job_id: o.str("job_id")?,
             }),
             "result" => Some(Request::Result {
-                job_id: json_str(line, "job_id")?,
+                job_id: o.str("job_id")?,
             }),
             "wait" => Some(Request::Wait {
-                job_id: json_str(line, "job_id")?,
-                wait_ms: json_u64(line, "wait_ms")?,
+                job_id: o.str("job_id")?,
+                wait_ms: o.u64("wait_ms")?,
             }),
             "stats" => Some(Request::Stats),
             "drain" => Some(Request::Drain),
@@ -556,7 +542,6 @@ impl Response {
 
     /// Encode as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let esc = crate::campaign::esc;
         match self {
             Response::Accepted { job_id, cached } => format!(
                 "{{\"status\":\"accepted\",\"job_id\":\"{}\",\"cached\":{cached}}}",
@@ -603,79 +588,43 @@ impl Response {
 
     /// Parse one wire line; `None` marks a malformed response.
     pub fn parse(line: &str) -> Option<Response> {
-        match json_str(line, "status")?.as_str() {
+        let o = Obj::parse(line)?;
+        match o.str("status")?.as_str() {
             "accepted" => Some(Response::Accepted {
-                job_id: json_str(line, "job_id")?,
-                cached: json_bool(line, "cached")?,
+                job_id: o.str("job_id")?,
+                cached: o.bool("cached")?,
             }),
             "rejected" => Some(Response::Rejected {
-                reason: json_str(line, "reason")?,
-                retry_after_ms: json_u64(line, "retry_after_ms")?,
+                reason: o.str("reason")?,
+                retry_after_ms: o.u64("retry_after_ms")?,
             }),
             "job" => Some(Response::JobStatus {
-                job_id: json_str(line, "job_id")?,
-                state: json_str(line, "state")?,
+                job_id: o.str("job_id")?,
+                state: o.str("state")?,
             }),
             "result" => Some(Response::JobResult {
-                job_id: json_str(line, "job_id")?,
-                result: raw_tail(line, "result")?,
+                job_id: o.str("job_id")?,
+                result: o.raw("result")?.to_string(),
             }),
             "stats" => Some(Response::Stats(ServiceStats {
-                queued: json_u64(line, "queued")?,
-                running: json_u64(line, "running")?,
-                done: json_u64(line, "done")?,
-                rejected: json_u64(line, "rejected")?,
-                cache_hits: json_u64(line, "cache_hits")?,
-                draining: json_bool(line, "draining")?,
-                connections: json_u64(line, "connections")?,
-                open_connections: json_u64(line, "open_connections")?,
+                queued: o.u64("queued")?,
+                running: o.u64("running")?,
+                done: o.u64("done")?,
+                rejected: o.u64("rejected")?,
+                cache_hits: o.u64("cache_hits")?,
+                draining: o.bool("draining")?,
+                connections: o.u64("connections")?,
+                open_connections: o.u64("open_connections")?,
             })),
             "draining" => Some(Response::Draining),
             "pong" => Some(Response::Pong),
             "error" => Some(Response::Error {
-                kind: json_str(line, "kind")?,
-                message: json_str(line, "message")?,
+                kind: o.str("kind")?,
+                message: o.str("message")?,
             }),
             _ => None,
         }
     }
-}
-
-// ---- JSONL helpers for the daemon's journal --------------------------
-//
-// The daemon crate writes its job journal with the same hand-rolled
-// JSON-line discipline as the campaign checkpoints; these thin public
-// wrappers export the crate-private helpers across the crate boundary.
-
-/// Extract the unsigned integer value of `"key"` from a JSONL line.
-pub fn journal_json_u64(line: &str, key: &str) -> Option<u64> {
-    json_u64(line, key)
-}
-
-/// Extract and unescape the string value of `"key"` from a JSONL line.
-pub fn journal_json_str(line: &str, key: &str) -> Option<String> {
-    json_str(line, key)
-}
-
-/// Escape a string for embedding in a JSONL line.
-pub fn journal_esc(s: &str) -> String {
-    crate::campaign::esc(s)
-}
-
-/// The raw JSON value of `"key"` when it is the last field of a JSONL
-/// line's outer object — see [`raw_tail`]'s contract.
-pub fn journal_raw_tail(line: &str, key: &str) -> Option<String> {
-    raw_tail(line, key)
-}
-
-/// The raw JSON value of `"key"` when it is the **last** field of the
-/// line's outer object: everything between `"key":` and the final `}`.
-fn raw_tail(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let line = line.trim_end();
-    line.strip_suffix('}')
-        .map(|trimmed| trimmed[at..].to_string())
 }
 
 // ---- client ----------------------------------------------------------
@@ -906,7 +855,7 @@ mod tests {
         });
         let header = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        json_str(header.lines().next().unwrap(), "config_hash").unwrap()
+        Obj::parse(header.lines().next().unwrap()).unwrap().str("config_hash").unwrap()
     }
 
     /// Identity v1 is a data format: these hashes key every checkpoint
@@ -996,6 +945,40 @@ mod tests {
             let back = Request::parse(&r.to_line()).unwrap();
             assert_eq!(r, back);
         }
+    }
+
+    /// Lines a standard JSON encoder writes: any whitespace, escaped
+    /// non-BMP characters, and keys of a nested object that repeat a
+    /// top-level key.
+    #[test]
+    fn standard_encoder_lines_parse() {
+        assert_eq!(Request::parse("{\"op\" : \"ping\"}"), Some(Request::Ping));
+        assert_eq!(Request::parse("{\"op\":  \"ping\"}"), Some(Request::Ping));
+        let submit = format!(
+            "{{\"op\":\"submit\",\"client\":\"\\ud83d\\ude00\",\"spec\":{}}}",
+            quick_spec().to_json()
+        );
+        let Some(Request::Submit { client, spec }) = Request::parse(&submit) else {
+            panic!("escaped client refused: {submit}");
+        };
+        assert_eq!((client.as_str(), spec), ("\u{1f600}", quick_spec()));
+        let nested =
+            "{\"op\":\"wait\",\"x\":{\"job_id\":\"inner\"},\"job_id\":\"outer\",\"wait_ms\":5}";
+        assert_eq!(
+            Request::parse(nested),
+            Some(Request::Wait {
+                job_id: "outer".into(),
+                wait_ms: 5
+            })
+        );
+        let spaced = "{ \"status\" : \"accepted\" , \"job_id\" : \"x\" , \"cached\" : true }";
+        assert_eq!(
+            Response::parse(spaced),
+            Some(Response::Accepted {
+                job_id: "x".into(),
+                cached: true
+            })
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! checkpointed to a JSONL file, simulate a SIGKILL by truncating the
 //! file after an arbitrary number of completed tasks (optionally with a
 //! torn half-line, which is exactly what a kill mid-`write` leaves),
-//! resume from the truncated checkpoint — and the resumed curve must be
+//! resume from the truncated checkpoint (optionally with one complete
+//! task line overwritten by garbage, which must be skipped, not taken
+//! for the end of the file) — and the resumed curve must be
 //! **bitwise identical** to an uninterrupted run without any checkpoint
 //! at all.
 //! This holds because per-task seeds are schedule- and thread-count
@@ -75,6 +77,9 @@ proptest! {
         // truncation point reachable).
         survivors in 0usize..=4,
         torn_tail in proptest::bool::ANY,
+        // Whether the first surviving task line is overwritten by a
+        // complete but unreadable one.
+        garbled in proptest::bool::ANY,
     ) {
         let spec = NetworkSpec::paper_lineup()[net_idx];
         let exp = quick(spec, seed);
@@ -123,8 +128,12 @@ proptest! {
         // `write` leaves behind.
         let full = std::fs::read_to_string(&path).unwrap();
         prop_assert_eq!(full.lines().count(), 1 + loads.len() * replications);
-        let mut truncated: String =
-            full.split_inclusive('\n').take(1 + survivors).collect();
+        let mut kept: Vec<&str> = full.split_inclusive('\n').take(1 + survivors).collect();
+        if garbled && survivors > 0 {
+            kept[1] = "{\"task\":0,\"attempts\":1,\"outcome\":\"ok\",\"report\":{\"cyc\n";
+        }
+        let kept = kept.concat();
+        let mut truncated = kept.clone();
         if torn_tail {
             truncated.push_str("{\"task\":3,\"attempts\":1,\"outcome\":\"ok\",\"rep");
         }
@@ -141,6 +150,10 @@ proptest! {
         assert_same_reports(resumed.iter(), uninterrupted.iter(), "resumed vs uninterrupted");
         assert_same_reports(resumed.iter(), fragile.iter(), "resumed vs the strict surface");
         prop_assert_eq!(resumed_stats, uninterrupted_stats);
+        // Only the torn tail went: an unreadable complete line stays,
+        // and so does every good line after it.
+        let refilled = std::fs::read_to_string(&path).unwrap();
+        prop_assert!(refilled.starts_with(&kept), "resume dropped complete lines");
     }
 }
 

@@ -419,7 +419,7 @@ fn a_checkpoint_held_by_another_process_is_refused_untouched() {
     let torn: String = full.split_inclusive('\n').take(2).collect::<String>() + "{\"task\":1,";
     std::fs::write(&ckpt, &torn).unwrap();
 
-    let held = minnet::open_locked(&ckpt).unwrap();
+    let held = minnet::jsonl::open_locked(&ckpt).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_minnet")).args(args).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");

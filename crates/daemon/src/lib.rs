@@ -31,13 +31,13 @@
 //!   determinism contract makes `==` the correctness check).
 //! * **Durable journal.** `journal.jsonl` in the state directory
 //!   records `accepted` (with the full spec) and `done`/`failed`
-//!   events, one flushed line each, in a file that holds its own
-//!   exclusive lock while the daemon has it open ([`minnet::open_locked`]:
-//!   a second daemon on the same state directory fails fast, and a
-//!   SIGKILLed one leaves nothing behind to clear). Recovery replays the
-//!   journal with the campaign's torn-tail-truncation discipline: `accepted` without `done`
-//!   re-enqueues, and the job's per-point checkpoint in `jobs/` resumes
-//!   the curve — producing byte-identical results after a SIGKILL.
+//!   events, one line each, in a [`minnet::jsonl::Log`] (the campaign
+//!   checkpoints' file) that holds its own exclusive lock: a second
+//!   daemon on the same state directory fails fast, and a SIGKILLed one
+//!   leaves nothing to clear. Recovery truncates a torn tail, skips (and
+//!   reports) an unreadable complete line, re-enqueues `accepted`
+//!   without `done`, and the job's per-point checkpoint in `jobs/`
+//!   resumes the curve — byte-identical results after a SIGKILL.
 //! * **Graceful drain.** A drain request (or SIGTERM in the binary)
 //!   stops admissions; workers finish the accepted backlog — each job
 //!   bounded by its budget, so "finish" means *at worst* budget-cut
@@ -51,8 +51,8 @@
 //!   parked in `read` would keep the journal lock alive — and capped at
 //!   [`MAX_CONNECTIONS`].
 
+use minnet::jsonl::{self, esc, Log};
 use minnet::service::{run_job, JobSpec, Request, Response, ServiceStats};
-use minnet::open_locked;
 use minnet_sim::RunBudget;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -154,147 +154,64 @@ struct Job {
     state: JobState,
 }
 
-/// The append-only job journal: versioned JSONL whose open file holds
-/// its own exclusive lock ([`open_locked`]), flushed line-whole like the
-/// campaign checkpoints.
-struct Journal {
-    file: std::fs::File,
-}
-
-/// What a journal replay recovered.
-struct Recovered {
-    /// `accepted` events in order, minus those with a `done`/`failed`.
-    pending: Vec<(String, String, JobSpec)>,
-    /// Finished jobs: id → (client, result JSON or error).
-    finished: Vec<(String, String, Result<String, String>)>,
-}
-
-impl Journal {
-    /// Open (or create) `journal.jsonl` under `dir` and lock it, replay
-    /// existing events, and truncate any torn tail.
-    fn open(dir: &Path) -> Result<(Journal, Recovered), String> {
-        std::fs::create_dir_all(dir.join("jobs"))
-            .map_err(|e| format!("creating state dir {}: {e}", dir.display()))?;
-        let path = dir.join("journal.jsonl");
-        let (file, content) = open_locked(&path)?;
-        let shown = path.display();
-        let mut recovered = Recovered {
-            pending: Vec::new(),
-            finished: Vec::new(),
-        };
-        let mut journal = Journal { file };
-        if content.is_empty() {
-            journal
-                .append(format!(
-                    "{{\"v\":{JOURNAL_VERSION},\"kind\":\"minnetd_journal\"}}"
-                ))
-                .map_err(|e| format!("writing journal {shown}: {e}"))?;
-            return Ok((journal, recovered));
-        }
-
-        let mut lines = content.split_inclusive('\n');
-        let header = lines.next().unwrap_or_default();
-        if !header.ends_with('\n') {
-            return Err(format!("journal {shown}: torn header line"));
-        }
-        match minnet::service::journal_json_u64(header.trim(), "v") {
-            Some(JOURNAL_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "journal {shown}: unsupported version {v} (this build reads {JOURNAL_VERSION})"
-                ))
-            }
-            None => return Err(format!("journal {shown}: malformed header")),
-        }
-
-        // Replay: accepted-order map of unfinished jobs, plus finished
-        // results. A SIGKILL can tear at most the final line — stop at
-        // the first incomplete/unparsable line and drop that tail.
-        let mut accepted: Vec<(String, String, JobSpec)> = Vec::new();
-        let mut done: BTreeMap<String, Result<String, String>> = BTreeMap::new();
-        let mut good_len = header.len();
-        for line in lines {
-            if !line.ends_with('\n') {
-                break;
-            }
-            let t = line.trim();
-            if !t.is_empty() {
-                let Some(ev) = parse_event(t) else { break };
-                match ev {
-                    Event::Accepted { job_id, client, spec } => {
-                        accepted.push((job_id, client, spec));
-                    }
-                    Event::Done { job_id, result } => {
-                        done.insert(job_id, Ok(result));
-                    }
-                    Event::Failed { job_id, error } => {
-                        done.insert(job_id, Err(error));
-                    }
+/// Open (or create) `journal.jsonl` under `dir` as a locked [`Log`] and
+/// replay it into the daemon's starting state: `accepted` events in
+/// order, `done`/`failed` marking theirs finished. A torn tail is
+/// truncated; an unreadable complete line is skipped, so the accepted
+/// jobs after it are still recovered. Returns the state and how many
+/// lines were skipped.
+fn recover(dir: &Path) -> Result<(State, usize), String> {
+    std::fs::create_dir_all(dir.join("jobs"))
+        .map_err(|e| format!("creating state dir {}: {e}", dir.display()))?;
+    let (mut jobs, mut cache, mut accepted) = (BTreeMap::new(), BTreeMap::new(), Vec::new());
+    let (journal, unreadable) = Log::open(
+        "journal",
+        &dir.join("journal.jsonl"),
+        &format!("{{\"v\":{JOURNAL_VERSION},\"kind\":\"minnetd_journal\"}}"),
+        |head| jsonl::check_version(head, JOURNAL_VERSION),
+        |event| {
+            let job_id = event.str("job_id")?;
+            let (state, result) = match event.str("event")?.as_str() {
+                "accepted" => {
+                    let spec = JobSpec::from_json(event.raw("spec")?)?;
+                    let client = event.str("client")?;
+                    let state = JobState::Queued;
+                    jobs.insert(job_id.clone(), Job { spec, client, state });
+                    accepted.push(job_id);
+                    return Some(());
+                }
+                "done" => (JobState::Done, Some(event.raw("result")?)),
+                "failed" => (JobState::Failed(event.str("error")?), None),
+                _ => return None,
+            };
+            if let Some(job) = jobs.get_mut(&job_id) {
+                job.state = state;
+                if let Some(result) = result {
+                    cache.insert(job_id, result.to_string());
                 }
             }
-            good_len += line.len();
-        }
-        if good_len < content.len() {
-            journal
-                .file
-                .set_len(good_len as u64)
-                .map_err(|e| format!("dropping torn tail of journal {shown}: {e}"))?;
-        }
-        for (job_id, client, spec) in accepted {
-            match done.remove(&job_id) {
-                Some(outcome) => recovered.finished.push((job_id, client, outcome)),
-                None => recovered.pending.push((job_id, client, spec)),
-            }
-        }
-        Ok((journal, recovered))
-    }
-
-    /// Append one line, newline included, as a single `write`: the file
-    /// is unbuffered, so a kill tears at most the line in flight and
-    /// never separates a whole line from its terminator.
-    fn append(&mut self, mut line: String) -> Result<(), String> {
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| format!("journal append: {e}"))
-    }
-}
-
-enum Event {
-    Accepted {
-        job_id: String,
-        client: String,
-        spec: JobSpec,
-    },
-    Done {
-        job_id: String,
-        result: String,
-    },
-    Failed {
-        job_id: String,
-        error: String,
-    },
-}
-
-fn parse_event(line: &str) -> Option<Event> {
-    use minnet::service::{journal_json_str, journal_raw_tail};
-    match journal_json_str(line, "event")?.as_str() {
-        "accepted" => Some(Event::Accepted {
-            job_id: journal_json_str(line, "job_id")?,
-            client: journal_json_str(line, "client")?,
-            spec: JobSpec::from_json(line)?,
-        }),
-        "done" => Some(Event::Done {
-            job_id: journal_json_str(line, "job_id")?,
-            result: journal_raw_tail(line, "result")?,
-        }),
-        "failed" => Some(Event::Failed {
-            job_id: journal_json_str(line, "job_id")?,
-            error: journal_json_str(line, "error")?,
-        }),
-        _ => None,
-    }
+            Some(())
+        },
+    )?;
+    let queue = accepted
+        .into_iter()
+        .filter(|id| jobs[id].state == JobState::Queued)
+        .collect();
+    let mut state = State {
+        queue,
+        jobs,
+        cache,
+        inflight: BTreeMap::new(),
+        draining: false,
+        running: 0,
+        rejected: 0,
+        cache_hits: 0,
+        journal,
+        conns: Vec::new(),
+        connections: 0,
+    };
+    state.recount();
+    Ok((state, unreadable))
 }
 
 struct State {
@@ -306,7 +223,7 @@ struct State {
     running: usize,
     rejected: u64,
     cache_hits: u64,
-    journal: Journal,
+    journal: Log,
     /// Open connections: a handle on each socket to shut it down, and
     /// the thread serving it to join. Pruned of finished threads
     /// whenever they are counted.
@@ -430,6 +347,7 @@ pub struct Daemon {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    unreadable_journal_lines: usize,
 }
 
 impl Daemon {
@@ -438,56 +356,11 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Journal lock conflicts (another daemon owns the state dir),
-    /// journal corruption beyond the torn tail, and socket bind
-    /// failures.
+    /// Journal lock conflicts (another daemon owns the state dir), a
+    /// torn, unreadable or newer-version journal header, and socket
+    /// bind failures.
     pub fn start(cfg: DaemonConfig) -> Result<Daemon, String> {
-        let (journal, recovered) = Journal::open(&cfg.state_dir)?;
-        let mut state = State {
-            queue: VecDeque::new(),
-            jobs: BTreeMap::new(),
-            cache: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            draining: false,
-            running: 0,
-            rejected: 0,
-            cache_hits: 0,
-            journal,
-            conns: Vec::new(),
-            connections: 0,
-        };
-        for (job_id, client, outcome) in recovered.finished {
-            let state_tag = match &outcome {
-                Ok(result) => {
-                    state.cache.insert(job_id.clone(), result.clone());
-                    JobState::Done
-                }
-                Err(e) => JobState::Failed(e.clone()),
-            };
-            state.jobs.insert(
-                job_id,
-                Job {
-                    // The spec is not replayed for finished jobs; a
-                    // placeholder keeps the record shape uniform.
-                    spec: JobSpec::default(),
-                    client,
-                    state: state_tag,
-                },
-            );
-        }
-        for (job_id, client, spec) in recovered.pending {
-            *state.inflight.entry(client.clone()).or_insert(0) += 1;
-            state.jobs.insert(
-                job_id.clone(),
-                Job {
-                    spec,
-                    client,
-                    state: JobState::Queued,
-                },
-            );
-            state.queue.push_back(job_id);
-        }
-
+        let (state, unreadable_journal_lines) = recover(&cfg.state_dir)?;
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
         let addr = listener
@@ -517,12 +390,19 @@ impl Daemon {
             addr,
             acceptor: Some(acceptor),
             workers,
+            unreadable_journal_lines,
         })
     }
 
     /// The bound listen address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// How many complete journal lines the start could not read and
+    /// skipped (they stay in the file).
+    pub fn unreadable_journal_lines(&self) -> usize {
+        self.unreadable_journal_lines
     }
 
     /// Block until a drain has been requested — over the wire (a
@@ -892,13 +772,13 @@ fn handle_submit(shared: &Arc<Shared>, client: String, mut spec: JobSpec) -> Res
     // Journal *before* acknowledging: an accepted job survives a kill.
     let line = format!(
         "{{\"event\":\"accepted\",\"job_id\":\"{job_id}\",\"client\":\"{}\",\"spec\":{}}}",
-        minnet::service::journal_esc(&client),
+        esc(&client),
         spec.to_json()
     );
     if let Err(e) = st.journal.append(line) {
         return Response::Error {
             kind: "io".into(),
-            message: e,
+            message: format!("journal append: {e}"),
         };
     }
     *st.inflight.entry(client.clone()).or_insert(0) += 1;
@@ -986,7 +866,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Err(e) => format!(
                 "{{\"event\":\"failed\",\"job_id\":\"{job_id}\",\"error\":\"{}\"}}",
-                minnet::service::journal_esc(e)
+                esc(e)
             ),
         };
         // A journal write failure must not wedge the daemon: the job

@@ -13,7 +13,9 @@
 //! budgets (at worst as budget-cut `partial` points), the journal is
 //! flushed, and the process exits 0. A SIGKILL instead leaves the
 //! journal mid-flight — by design at most one torn line, which the
-//! next start truncates and recovers from.
+//! next start truncates and recovers from. A complete line the start
+//! cannot read is skipped and left in place, and one stderr line says
+//! how many there were.
 
 use minnet_daemon::{Daemon, DaemonConfig};
 use minnet_sim::RunBudget;
@@ -107,6 +109,10 @@ fn main() {
         Ok(d) => d,
         Err(e) => die(&e),
     };
+    let unreadable = daemon.unreadable_journal_lines();
+    if unreadable > 0 {
+        eprintln!("minnetd: skipped {unreadable} unreadable journal line(s), left in the file");
+    }
     println!("minnetd listening on {}", daemon.addr());
     let _ = std::io::stdout().flush();
 

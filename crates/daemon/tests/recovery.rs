@@ -5,9 +5,11 @@
 //! the same state dir, and the result it serves for that job must be
 //! **byte-identical** to an uninterrupted in-process run of the same
 //! spec. Durability begins at the `Accepted` response: the accept
-//! event is journaled before the daemon acknowledges.
+//! event is journaled before the daemon acknowledges — and a complete
+//! but unreadable journal line must not cost the jobs after it.
 
 use minnet::service::{JobSpec, Response, ServiceClient};
+use minnet_daemon::{Daemon, DaemonConfig};
 use proptest::prelude::*;
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -160,4 +162,46 @@ fn a_sigkilled_daemon_restarts_at_once_with_no_lock_file() {
     let files = files_under(&dir);
     assert!(files.iter().any(|f| f.ends_with("journal.jsonl")), "{files:?}");
     assert!(!files.iter().any(|f| f.to_string_lossy().ends_with(".lock")), "{files:?}");
+}
+
+/// A complete journal line that cannot be read — between two acknowledged
+/// `accepted` events — is skipped and left in place, not taken for the end
+/// of the journal: both jobs are recovered and served byte-identically.
+#[test]
+fn an_unreadable_journal_line_loses_no_job_after_it() {
+    let dir = state_dir();
+    let _cleanup = Cleanup(dir.clone());
+    std::fs::create_dir_all(&dir).unwrap();
+    let accepted = |spec: &JobSpec| {
+        format!(
+            "{{\"event\":\"accepted\",\"job_id\":\"{}\",\"client\":\"c\",\"spec\":{}}}\n",
+            spec.job_id().unwrap(),
+            spec.to_json()
+        )
+    };
+    let (a, b) = (job(11), job(12));
+    let journal = format!(
+        "{{\"v\":1,\"kind\":\"minnetd_journal\"}}\n{}{{\"event\":\"accepted\",\"job_id\":\n{}",
+        accepted(&a),
+        accepted(&b)
+    );
+    std::fs::write(dir.join("journal.jsonl"), &journal).unwrap();
+
+    let daemon = Daemon::start(DaemonConfig {
+        workers: 1,
+        state_dir: dir.clone(),
+        ..DaemonConfig::default()
+    })
+    .expect("start on a journal with an unreadable line");
+    assert_eq!(daemon.unreadable_journal_lines(), 1);
+    let client = ServiceClient::new(daemon.addr().to_string());
+    for spec in [&a, &b] {
+        let served = client
+            .wait_result(&spec.job_id().unwrap(), Duration::from_secs(120))
+            .expect("recovered result");
+        assert_eq!(served, minnet::run_job(spec, None, 1).unwrap());
+    }
+    daemon.shutdown();
+    let after = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+    assert!(after.starts_with(&journal), "recovery rewrote the journal");
 }

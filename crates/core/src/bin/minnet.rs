@@ -668,7 +668,7 @@ fn cmd_scenario(a: &Args, out: &mut Out) -> io::Result<()> {
                 max_wall_ms: parse_u64(a, "budget-ms", 0),
             };
             let json = output_file(a, "json");
-            let set = minnet::run_scenario_files_with_budget(
+            let set = minnet::run_scenario_files(
                 &files,
                 threads(a),
                 retries,

@@ -118,11 +118,6 @@ impl PointOutcome {
         matches!(self, PointOutcome::Partial { .. })
     }
 
-    /// Whether the run produced no usable statistics.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, PointOutcome::Failed { .. })
-    }
-
     /// The checkpoint tag (`ok` / `partial` / `failed`).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -885,7 +880,7 @@ mod tests {
         });
         let outcomes: Vec<&PointOutcome> = results.iter().map(|(o, _)| o).collect();
         assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
-        assert!(outcomes[1].is_failed());
+        assert!(matches!(outcomes[1], PointOutcome::Failed { .. }));
         assert!(outcomes[2].is_partial());
         let PointOutcome::Partial { report, reason } = outcomes[2] else {
             unreachable!()
@@ -1076,12 +1071,12 @@ mod tests {
             }
             compiled.run_typed(0.2, 5, st)
         });
-        assert!(results[0].0.is_failed());
+        assert!(matches!(results[0].0, PointOutcome::Failed { .. }));
 
         let resumed = plan(2, 1, &policy, |_, _, _| {
             panic!("nothing should run on a complete checkpoint")
         });
-        assert!(resumed[0].0.is_failed());
+        assert!(matches!(resumed[0].0, PointOutcome::Failed { .. }));
         let (first, again) = (results[1].0.ok_report(), resumed[1].0.ok_report());
         assert!(first.unwrap().bitwise_eq(again.unwrap()));
     }
@@ -1184,7 +1179,7 @@ mod tests {
             }
             compiled.run_typed(0.2, task_seed(7, i, 0), st)
         });
-        assert!(results[1].0.is_failed());
+        assert!(matches!(results[1].0, PointOutcome::Failed { .. }));
         // The point after the panic ran on a fresh state, to the same bits.
         for t in [0, 2] {
             assert!(results[t].0.ok_report().unwrap().bitwise_eq(&scalar(t, 0)));
@@ -1268,7 +1263,7 @@ mod tests {
         let pts = campaign_replicated_curve(&quick(), &[0.2, -1.0], 3, 2, &retrying(2)).unwrap();
         assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
         assert_eq!(pts[0].attempts, [1, 1, 1]);
-        assert!(pts[1].outcomes.iter().all(PointOutcome::is_failed));
+        assert!(pts[1].outcomes.iter().all(|o| matches!(o, PointOutcome::Failed { .. })));
         assert_eq!(pts[1].attempts, [3, 3, 3], "attempts == retries + 1");
         assert!(pts[1].ok_stats.is_none());
     }

@@ -45,9 +45,12 @@
 //!
 //! The lower layers are re-exported: [`minnet_topology`] (networks &
 //! theory), [`minnet_routing`] (destination-tag / turnaround routing,
-//! deadlock analysis), [`minnet_switch`] (arbiters, VCs, crossbars),
-//! [`minnet_traffic`] (workloads), [`minnet_sim`] (the engine) and
-//! [`minnet_partition`] (§4 analysis).
+//! deadlock analysis), [`minnet_traffic`] (workloads), [`minnet_sim`]
+//! (the engine, whose switch is the paper's: random lane choice and
+//! flit-level round-robin VC multiplexing) and [`minnet_partition`] (§4
+//! analysis). The oracle's switch model, `minnet-switch`, is no
+//! dependency of this crate: only `minnet_sim`'s `reference-engine`
+//! feature links it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,9 +74,8 @@ pub use experiment::{CompiledExperiment, Experiment};
 pub use output::OutputFile;
 pub use service::{run_job, JobSpec, Request, Response, ServiceClient, ServiceStats};
 pub use scenario::{
-    run_scenario_files, run_scenario_files_with_budget, scenario_files, verdict_report_json,
-    CheckResult, CheckStatus,
-    Expectations, Scenario, ScenarioBuilder, ScenarioPoint, ScenarioSet, Verdict, VerdictStatus,
+    run_scenario_files, scenario_files, verdict_report_json, CheckResult, CheckStatus, Scenario,
+    ScenarioPoint, ScenarioSet, Verdict, VerdictStatus,
 };
 pub use spec::NetworkSpec;
 pub use sweep::{
@@ -87,6 +89,5 @@ pub use minnet_mcast as mcast;
 pub use minnet_partition as partition;
 pub use minnet_routing as routing;
 pub use minnet_sim as sim;
-pub use minnet_switch as switch;
 pub use minnet_topology as topology;
 pub use minnet_traffic as traffic;

@@ -12,15 +12,13 @@
 //! * engine settings including [`minnet_sim::RunBudget`] and the
 //!   no-progress watchdog,
 //! * and **expectations** — the SLOs the run must meet:
-//!   [`ScenarioBuilder::expect_sustainable`],
-//!   [`ScenarioBuilder::expect_delivery`],
-//!   [`ScenarioBuilder::expect_p99_latency`],
-//!   [`ScenarioBuilder::expect_no_stall`], …
+//!   `expect.sustainable`, `expect.delivery`, `expect.p99_latency`,
+//!   `expect.no_stall`, …
 //!
-//! Scenarios come from Rust (the [`ScenarioBuilder`]) or from `.scn`
-//! files ([`Scenario::parse`] / [`Scenario::load`]) — a line-oriented
-//! `key = value` format documented in `EXPERIMENTS.md` and exemplified
-//! by the `scenarios/` library at the repository root.
+//! A scenario is declared one way: as `.scn` text ([`Scenario::parse`] /
+//! [`Scenario::load`]), a line-oriented `key = value` format documented
+//! in `EXPERIMENTS.md` and exemplified by the `scenarios/` library at
+//! the repository root.
 //!
 //! Running a scenario ([`Scenario::run`]) lowers it to one plan of the
 //! experiment runner in [`crate::campaign`]: each load (or the script)
@@ -196,23 +194,23 @@ impl std::fmt::Display for Verdict {
 
 /// The success criteria a scenario evaluates its reports against.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Expectations {
+struct Expectations {
     /// `Some(true)`: every point must be sustainable (the paper's queue
     /// criterion); `Some(false)`: every point must be saturated.
-    pub sustainable: Option<bool>,
+    sustainable: Option<bool>,
     /// Minimum delivered/generated fraction per point.
-    pub delivery: Option<f64>,
+    delivery: Option<f64>,
     /// Maximum p99 latency in cycles per point.
-    pub p99_latency: Option<u64>,
+    p99_latency: Option<u64>,
     /// No task may trip the no-progress watchdog.
-    pub no_stall: bool,
+    no_stall: bool,
     /// No point may abort packets mid-flight.
-    pub no_aborts: bool,
+    no_aborts: bool,
     /// No point may refuse packets at injection as undeliverable.
-    pub no_refusals: bool,
+    no_refusals: bool,
     /// Budget-cut (partial) reports count as evaluable data and do not
     /// demote the verdict.
-    pub allow_partial: bool,
+    allow_partial: bool,
 }
 
 impl Expectations {
@@ -228,9 +226,8 @@ impl Expectations {
     }
 }
 
-/// A fully validated, runnable scenario. Construct with
-/// [`Scenario::builder`] or parse from a `.scn` file with
-/// [`Scenario::load`].
+/// A fully validated, runnable scenario: `.scn` text through
+/// [`Scenario::parse`], or a file through [`Scenario::load`].
 #[derive(Clone, Debug)]
 pub struct Scenario {
     name: String,
@@ -246,11 +243,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Start declaring a scenario named `name`.
-    pub fn builder(name: &str) -> ScenarioBuilder {
-        ScenarioBuilder::new(name)
-    }
-
     /// The scenario's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -276,11 +268,6 @@ impl Scenario {
     /// config including seed and budget).
     pub fn experiment(&self) -> &Experiment {
         &self.exp
-    }
-
-    /// The declared expectations.
-    pub fn expectations(&self) -> &Expectations {
-        &self.expect
     }
 
     /// Override the scenario's declared run budget from outside — the
@@ -606,18 +593,16 @@ impl Scenario {
     }
 }
 
-/// Fluent construction of a [`Scenario`]; see the module docs. Defaults:
-/// the paper's 64-node geometry, cube TMIN, uniform traffic, paper
-/// message sizes, default engine config, no faults, no chaos, expected
-/// verdict `pass`.
-#[derive(Clone, Debug)]
-pub struct ScenarioBuilder {
+/// A scenario as [`Scenario::parse`] accumulates it, before validation.
+/// Defaults: the paper's 64-node geometry, cube TMIN, uniform traffic
+/// (scenarios are unclustered), paper message sizes, default engine config, no faults, no chaos,
+/// expected verdict `pass`.
+struct Draft {
     name: String,
     description: String,
     geometry: Geometry,
     network: NetworkSpec,
     pattern: TrafficPattern,
-    clustering: Clustering,
     sizes: MessageSizeDist,
     sim: EngineConfig,
     loads: Vec<f64>,
@@ -629,15 +614,14 @@ pub struct ScenarioBuilder {
     chaos_opt_in: bool,
 }
 
-impl ScenarioBuilder {
-    fn new(name: &str) -> ScenarioBuilder {
-        ScenarioBuilder {
+impl Draft {
+    fn new(name: &str) -> Draft {
+        Draft {
             name: name.to_string(),
             description: String::new(),
             geometry: Geometry::new(4, 3),
             network: NetworkSpec::tmin(),
             pattern: TrafficPattern::Uniform,
-            clustering: Clustering::Global,
             sizes: MessageSizeDist::PAPER,
             sim: EngineConfig::default(),
             loads: Vec::new(),
@@ -650,221 +634,6 @@ impl ScenarioBuilder {
         }
     }
 
-    /// One-line description shown by `minnet scenario list`.
-    #[must_use]
-    pub fn description(mut self, d: &str) -> Self {
-        self.description = d.to_string();
-        self
-    }
-
-    /// Network geometry: `k`×`k` switches, `n` stages (`k^n` nodes).
-    #[must_use]
-    pub fn geometry(mut self, k: u32, n: u32) -> Self {
-        self.geometry = Geometry::new(k, n);
-        self
-    }
-
-    /// Which of the four designs to simulate.
-    #[must_use]
-    pub fn network(mut self, spec: NetworkSpec) -> Self {
-        self.network = spec;
-        self
-    }
-
-    /// Destination pattern (uniform, hotspot, shuffle, butterfly).
-    #[must_use]
-    pub fn pattern(mut self, p: TrafficPattern) -> Self {
-        self.pattern = p;
-        self
-    }
-
-    /// Node clustering for partitioned workloads.
-    #[must_use]
-    pub fn clustering(mut self, c: Clustering) -> Self {
-        self.clustering = c;
-        self
-    }
-
-    /// Message size distribution.
-    #[must_use]
-    pub fn sizes(mut self, s: MessageSizeDist) -> Self {
-        self.sizes = s;
-        self
-    }
-
-    /// The scenario seed — the *only* source of randomness, including
-    /// chaos expansion.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.sim.seed = seed;
-        self
-    }
-
-    /// Warmup cycles excluded from measurement.
-    #[must_use]
-    pub fn warmup(mut self, cycles: u64) -> Self {
-        self.sim.warmup = cycles;
-        self
-    }
-
-    /// Measured cycles.
-    #[must_use]
-    pub fn measure(mut self, cycles: u64) -> Self {
-        self.sim.measure = cycles;
-        self
-    }
-
-    /// Source-queue limit for the sustainability criterion.
-    #[must_use]
-    pub fn queue_limit(mut self, limit: usize) -> Self {
-        self.sim.queue_limit = limit;
-        self
-    }
-
-    /// Per-lane flit buffer depth.
-    #[must_use]
-    pub fn buffer_depth(mut self, depth: u16) -> Self {
-        self.sim.buffer_depth = depth;
-        self
-    }
-
-    /// No-progress watchdog window in cycles (0 = off).
-    #[must_use]
-    pub fn watchdog_window(mut self, window: u64) -> Self {
-        self.sim.watchdog_window = window;
-        self
-    }
-
-    /// Whether worms wedged by a fault are aborted (engine default) or
-    /// left holding their lanes until the watchdog trips (`false`; the
-    /// `.scn` key `fault_abort = off`).
-    #[must_use]
-    pub fn fault_abort(mut self, abort: bool) -> Self {
-        self.sim.fault_abort = abort;
-        self
-    }
-
-    /// Deterministic cycle budget per run (0 = off).
-    #[must_use]
-    pub fn budget_cycles(mut self, cycles: u64) -> Self {
-        self.sim.budget.max_cycles = cycles;
-        self
-    }
-
-    /// Wall-clock budget per run in milliseconds (0 = off).
-    #[must_use]
-    pub fn budget_ms(mut self, ms: u64) -> Self {
-        self.sim.budget.max_wall_ms = ms;
-        self
-    }
-
-    /// Add one Poisson offered-load point (one campaign task).
-    #[must_use]
-    pub fn load(mut self, load: f64) -> Self {
-        self.loads.push(load);
-        self
-    }
-
-    /// Add several Poisson offered-load points.
-    #[must_use]
-    pub fn loads(mut self, loads: &[f64]) -> Self {
-        self.loads.extend_from_slice(loads);
-        self
-    }
-
-    /// Add one scripted message (scripted scenarios run as one task).
-    #[must_use]
-    pub fn message(mut self, time: u64, src: u32, dst: u32, len: u32) -> Self {
-        self.script.push(ScriptedMsg { time, src, dst, len });
-        self
-    }
-
-    /// Add one explicit scheduled fault.
-    #[must_use]
-    pub fn fault(mut self, fault: Fault) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
-    /// Attach a chaos schedule (expanded from the scenario seed).
-    #[must_use]
-    pub fn chaos(mut self, schedule: ChaosSchedule) -> Self {
-        self.chaos = Some(schedule);
-        self
-    }
-
-    /// Expect every point to be sustainable (the paper's criterion).
-    #[must_use]
-    pub fn expect_sustainable(mut self) -> Self {
-        self.expect.sustainable = Some(true);
-        self
-    }
-
-    /// Expect every point to be saturated (a saturation probe).
-    #[must_use]
-    pub fn expect_saturated(mut self) -> Self {
-        self.expect.sustainable = Some(false);
-        self
-    }
-
-    /// Expect at least this delivered/generated fraction per point.
-    #[must_use]
-    pub fn expect_delivery(mut self, frac: f64) -> Self {
-        self.expect.delivery = Some(frac);
-        self
-    }
-
-    /// Expect the p99 latency to stay at or below `cycles` per point.
-    #[must_use]
-    pub fn expect_p99_latency(mut self, cycles: u64) -> Self {
-        self.expect.p99_latency = Some(cycles);
-        self
-    }
-
-    /// Expect no task to trip the no-progress watchdog.
-    #[must_use]
-    pub fn expect_no_stall(mut self) -> Self {
-        self.expect.no_stall = true;
-        self
-    }
-
-    /// Expect no packets aborted mid-flight by faults.
-    #[must_use]
-    pub fn expect_no_aborts(mut self) -> Self {
-        self.expect.no_aborts = true;
-        self
-    }
-
-    /// Expect no packets refused at injection as undeliverable.
-    #[must_use]
-    pub fn expect_no_refusals(mut self) -> Self {
-        self.expect.no_refusals = true;
-        self
-    }
-
-    /// Let budget-cut (partial) reports count as evaluable data.
-    #[must_use]
-    pub fn allow_partial(mut self) -> Self {
-        self.expect.allow_partial = true;
-        self
-    }
-
-    /// Declare that this scenario is *supposed* to fail (e.g. a
-    /// watchdog-trip fixture): the CLI treats a matching `Fail` verdict
-    /// as success.
-    #[must_use]
-    pub fn expect_failure(mut self) -> Self {
-        self.expected = VerdictStatus::Fail;
-        self
-    }
-
-    /// Gate this scenario behind explicit chaos opt-in (`--chaos`).
-    #[must_use]
-    pub fn chaos_opt_in(mut self) -> Self {
-        self.chaos_opt_in = true;
-        self
-    }
-
     /// Validate and freeze the scenario.
     ///
     /// # Errors
@@ -872,7 +641,7 @@ impl ScenarioBuilder {
     /// Reports an invalid name, a missing or doubled workload, empty or
     /// out-of-range loads, a missing expectation, degenerate fault
     /// windows, and invalid network/chaos parameters.
-    pub fn build(self) -> Result<Scenario, String> {
+    fn build(self) -> Result<Scenario, String> {
         let fail = |e: String| format!("scenario {}: {e}", self.name);
         if self.name.is_empty()
             || !self
@@ -932,7 +701,7 @@ impl ScenarioBuilder {
             geometry: self.geometry,
             network: self.network,
             pattern: self.pattern,
-            clustering: self.clustering,
+            clustering: Clustering::Global,
             rates: None,
             sizes: self.sizes,
             sim: EngineConfig {
@@ -975,15 +744,17 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Reports unknown keys, malformed values, and everything
-    /// [`ScenarioBuilder::build`] rejects — all labeled
-    /// `origin:line`.
+    /// Reports unknown keys, malformed values, and what no run can judge:
+    /// an invalid name, a missing or doubled workload, out-of-range loads
+    /// or delivery fractions, no expectation at all, empty fault windows,
+    /// invalid network or chaos parameters — labeled `origin:line` where
+    /// one line is at fault, `origin` otherwise.
     pub fn parse(text: &str, origin: &str) -> Result<Scenario, String> {
         let default_name = Path::new(origin)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let mut b = ScenarioBuilder::new(&default_name);
+        let mut b = Draft::new(&default_name);
         let mut wiring = UnidirKind::Cube;
         let mut network_kind = "tmin".to_string();
         let mut dilation: u8 = 2;
@@ -1210,8 +981,15 @@ impl Scenario {
                 }
                 "expect.sustainable" => b.expect.sustainable = Some(flag(value)?),
                 "expect.delivery" => {
-                    b.expect.delivery =
-                        Some(value.parse().map_err(|e| at(format!("{e}")))?)
+                    let frac: f64 = value.parse().map_err(|e| at(format!("{e}")))?;
+                    // A `NaN` floor would judge `delivery >= NaN` as
+                    // passed; no run can meet one above 1.
+                    if !(0.0..=1.0).contains(&frac) {
+                        return Err(at(format!(
+                            "expect.delivery = {value} is not a fraction in [0, 1]"
+                        )));
+                    }
+                    b.expect.delivery = Some(frac);
                 }
                 "expect.p99_latency" => b.expect.p99_latency = Some(num(value, at)?),
                 "expect.no_stall" => b.expect.no_stall = flag(value)?,
@@ -1308,6 +1086,11 @@ impl ScenarioSet {
 /// Load and run a list of scenario files in order. Chaos-gated
 /// scenarios are skipped unless `include_chaos`; `checkpoint_dir`, when
 /// given, checkpoints each scenario to `<dir>/<name>.ckpt` for resume.
+/// A `budget_override` tightens each scenario's declared budget through
+/// [`Scenario::override_budget`] before it runs (nonzero fields replace,
+/// zero fields keep the declared value): the CLI's `minnet scenario run
+/// --budget-cycles/--budget-ms` passthrough bounds a whole library
+/// without editing any `.scn` file.
 ///
 /// # Errors
 ///
@@ -1315,26 +1098,6 @@ impl ScenarioSet {
 /// [`Scenario::run`] (a failed expectation is a `Fail` verdict, not an
 /// error).
 pub fn run_scenario_files(
-    paths: &[PathBuf],
-    threads: usize,
-    retries: u32,
-    include_chaos: bool,
-    checkpoint_dir: Option<&Path>,
-) -> Result<ScenarioSet, String> {
-    run_scenario_files_with_budget(paths, threads, retries, include_chaos, checkpoint_dir, None)
-}
-
-/// [`run_scenario_files`] with an externally imposed run budget: when
-/// `budget_override` is `Some`, each scenario's declared budget is
-/// tightened via [`Scenario::override_budget`] before it runs (nonzero
-/// fields replace, zero fields keep the declared value). This is the
-/// CLI's `minnet scenario run --budget-cycles/--budget-ms` passthrough:
-/// a whole library can be bounded without editing any `.scn` file.
-///
-/// # Errors
-///
-/// Same as [`run_scenario_files`].
-pub fn run_scenario_files_with_budget(
     paths: &[PathBuf],
     threads: usize,
     retries: u32,
@@ -1478,70 +1241,40 @@ pub fn verdict_report_json(set: &ScenarioSet) -> String {
 mod tests {
     use super::*;
 
-    fn quick_builder(name: &str) -> ScenarioBuilder {
-        Scenario::builder(name)
-            .sizes(MessageSizeDist::Fixed(32))
-            .warmup(500)
-            .measure(3_000)
+    /// `lines` of `.scn` text over 32-flit messages and a short window.
+    fn quick(lines: &str) -> Result<Scenario, String> {
+        let text = format!("sizes = fixed:32\nwarmup = 500\nmeasure = 3000\n{lines}\n");
+        Scenario::parse(&text, "quick.scn")
     }
 
     #[test]
-    fn builder_validates_workload_and_expectations() {
-        // No workload.
-        let err = quick_builder("w").expect_sustainable().build().unwrap_err();
-        assert!(err.contains("workload"), "{err}");
-        // Both workloads.
-        let err = quick_builder("w")
-            .load(0.2)
-            .message(0, 0, 1, 8)
-            .expect_sustainable()
-            .build()
-            .unwrap_err();
-        assert!(err.contains("not both"), "{err}");
-        // No expectation.
-        let err = quick_builder("w").load(0.2).build().unwrap_err();
-        assert!(err.contains("expectation"), "{err}");
-        // Bad load.
-        let err = quick_builder("w")
-            .load(1.5)
-            .expect_sustainable()
-            .build()
-            .unwrap_err();
-        assert!(err.contains("outside"), "{err}");
-        // Bad name.
-        let err = Scenario::builder("bad name!")
-            .load(0.2)
-            .expect_sustainable()
-            .build()
-            .unwrap_err();
-        assert!(err.contains("name"), "{err}");
-        // Degenerate fault window.
-        let err = quick_builder("w")
-            .load(0.2)
-            .expect_sustainable()
-            .fault(Fault {
-                target: FaultTarget::Channel(0),
-                onset: 5,
-                repair: Some(5),
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.contains("empty fault window"), "{err}");
-        // Valid.
-        assert!(quick_builder("ok-1").load(0.2).expect_sustainable().build().is_ok());
+    fn draft_validation_refuses_what_no_run_can_judge() {
+        for (lines, want) in [
+            ("expect.sustainable = true", "workload"),
+            ("loads = 0.2\nmessage = 0 0 1 8\nexpect.sustainable = true", "not both"),
+            ("loads = 0.2", "expectation"),
+            ("loads = 1.5\nexpect.sustainable = true", "outside"),
+            ("name = bad name!\nloads = 0.2\nexpect.sustainable = true", "name"),
+            (
+                "loads = 0.2\nexpect.sustainable = true\nfault = channel 0 @ 5..5",
+                "empty fault window",
+            ),
+        ] {
+            let err = quick(lines).unwrap_err();
+            assert!(err.contains(want), "{lines:?}: {err}");
+        }
+        assert!(quick("name = ok-1\nloads = 0.2\nexpect.sustainable = true").is_ok());
     }
 
     #[test]
     fn sustainable_scenario_passes_and_saturated_probe_works() {
-        let v = quick_builder("base")
-            .loads(&[0.1, 0.2])
-            .expect_sustainable()
-            .expect_delivery(0.5)
-            .expect_no_stall()
-            .build()
-            .unwrap()
-            .run(2, &CampaignPolicy::isolate())
-            .unwrap();
+        let v = quick(
+            "name = base\nloads = 0.1, 0.2\nexpect.sustainable = true\n\
+             expect.delivery = 0.5\nexpect.no_stall = true",
+        )
+        .unwrap()
+        .run(2, &CampaignPolicy::isolate())
+        .unwrap();
         assert_eq!(v.status, VerdictStatus::Pass, "{v}");
         assert!(v.as_expected());
         assert_eq!(v.points.len(), 2);
@@ -1549,11 +1282,7 @@ mod tests {
 
         // The same network at load 0.9 with a tight queue limit is not
         // sustainable — as a saturation probe *expects*.
-        let v = quick_builder("probe")
-            .load(0.9)
-            .queue_limit(20)
-            .expect_saturated()
-            .build()
+        let v = quick("name = probe\nloads = 0.9\nqueue_limit = 20\nexpect.sustainable = false")
             .unwrap()
             .run(1, &CampaignPolicy::isolate())
             .unwrap();
@@ -1562,10 +1291,7 @@ mod tests {
 
     #[test]
     fn violated_expectation_fails_with_reasons() {
-        let v = quick_builder("too-strict")
-            .load(0.2)
-            .expect_p99_latency(1)
-            .build()
+        let v = quick("name = too-strict\nloads = 0.2\nexpect.p99_latency = 1")
             .unwrap()
             .run(1, &CampaignPolicy::isolate())
             .unwrap();
@@ -1582,23 +1308,12 @@ mod tests {
 
     #[test]
     fn budget_cut_is_partial_unless_allowed() {
-        let strict = quick_builder("budgeted")
-            .load(0.2)
-            .budget_cycles(1_000)
-            .expect_sustainable()
-            .build()
-            .unwrap()
-            .run(1, &CampaignPolicy::isolate())
-            .unwrap();
+        let budgeted = "name = budgeted\nloads = 0.2\nbudget_cycles = 1000\nexpect.sustainable = true";
+        let strict = quick(budgeted).unwrap().run(1, &CampaignPolicy::isolate()).unwrap();
         assert_eq!(strict.status, VerdictStatus::Partial, "{strict}");
         assert!(strict.points[0].outcome.is_partial());
 
-        let lenient = quick_builder("budgeted")
-            .load(0.2)
-            .budget_cycles(1_000)
-            .expect_sustainable()
-            .allow_partial()
-            .build()
+        let lenient = quick(&format!("{budgeted}\nexpect.allow_partial = true"))
             .unwrap()
             .run(1, &CampaignPolicy::isolate())
             .unwrap();
@@ -1714,6 +1429,17 @@ chaos_opt_in = true
             let err = Scenario::parse(&format!("loads = 0.2\n{line}\n"), "x.scn").unwrap_err();
             assert!(err.starts_with("x.scn:2: number too large"), "{line}: {err}");
         }
+        // A delivery floor is a fraction: a `NaN` one would judge
+        // `delivery >= NaN` as passed, and no run can meet one above 1.
+        for value in ["NaN", "inf", "1.5", "-0.1"] {
+            let err = Scenario::parse(&format!("loads = 0.2\nexpect.delivery = {value}\n"), "x.scn")
+                .unwrap_err();
+            assert!(err.starts_with("x.scn:2: expect.delivery"), "{value}: {err}");
+        }
+        for value in ["0", "1"] {
+            let s = quick(&format!("loads = 0.2\nexpect.delivery = {value}")).unwrap();
+            assert_eq!(s.expect.delivery, Some(value.parse().unwrap()));
+        }
         // A geometry no graph can be built for names the line that made
         // it so (this used to panic inside `Geometry::new`, or truncate).
         for (lines, at) in [
@@ -1747,22 +1473,13 @@ chaos_opt_in = true
     #[test]
     fn chaos_scenario_is_deterministic_across_threads() {
         let build = || {
-            quick_builder("chaos-det")
-                .network(NetworkSpec::Bmin)
-                .loads(&[0.15, 0.25])
-                .seed(1234)
-                .chaos(ChaosSchedule {
-                    target: ChaosTarget::Channel,
-                    count: 2,
-                    min_onset: 200,
-                    max_onset: 800,
-                    duration: 300,
-                    cooldown: 100,
-                    rounds: 2,
-                })
-                .expect_delivery(0.2)
-                .build()
-                .unwrap()
+            quick(
+                "name = chaos-det\nnetwork = bmin\nloads = 0.15, 0.25\nseed = 1234\n\
+                 chaos.target = channel\nchaos.count = 2\nchaos.min_onset = 200\n\
+                 chaos.max_onset = 800\nchaos.duration = 300\nchaos.cooldown = 100\n\
+                 chaos.rounds = 2\nexpect.delivery = 0.2",
+            )
+            .unwrap()
         };
         let a = build().run(1, &CampaignPolicy::isolate()).unwrap();
         let b = build().run(4, &CampaignPolicy::isolate()).unwrap();
@@ -1783,10 +1500,7 @@ chaos_opt_in = true
 
     #[test]
     fn verdict_json_shape_is_wellformed() {
-        let v = quick_builder("shape")
-            .load(0.2)
-            .expect_sustainable()
-            .build()
+        let v = quick("name = shape\nloads = 0.2\nexpect.sustainable = true")
             .unwrap()
             .run(1, &CampaignPolicy::isolate())
             .unwrap();

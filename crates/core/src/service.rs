@@ -817,7 +817,6 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minnet_topology::{Fault, FaultTarget};
 
     fn quick_spec() -> JobSpec {
         JobSpec {
@@ -905,17 +904,9 @@ mod tests {
         });
         assert_eq!(degradation, "35cbd01b1ded12b1");
         let scenario = header_hash("scenario", |policy| {
-            crate::Scenario::builder("pinned")
-                .sizes(MessageSizeDist::Fixed(32))
-                .warmup(500)
-                .measure(3_000)
-                .loads(&[0.1, 0.2])
-                .fault(Fault::transient(FaultTarget::Channel(7), 100, 500))
-                .expect_delivery(0.5)
-                .build()
-                .unwrap()
-                .run(2, policy)
-                .unwrap();
+            let text = "name = pinned\nsizes = fixed:32\nwarmup = 500\nmeasure = 3000\n\
+                        loads = 0.1, 0.2\nfault = channel 7 @ 100..500\nexpect.delivery = 0.5\n";
+            crate::Scenario::parse(text, "pinned.scn").unwrap().run(2, policy).unwrap();
         });
         assert_eq!(scenario, "85e4df5a94a3495b");
     }

@@ -317,6 +317,7 @@ fn impossible_geometries_fail_typed() {
     for (file, line, why) in [
         ("bad_radix.scn", 6, "k = 1: "),
         ("bad_node_count.scn", 7, "k = 32, n = 9: "),
+        ("bad_delivery.scn", 8, "expect.delivery = NaN "),
     ] {
         let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
         let (ok, _, stderr) = minnet(&["scenario", "validate", &path]);

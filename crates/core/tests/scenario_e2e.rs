@@ -10,10 +10,7 @@
 //! 4. checkpoint/resume reproduces the same verdicts without rerunning
 //!    finished tasks.
 
-use minnet::{
-    run_scenario_files, run_scenario_files_with_budget, scenario_files, verdict_report_json,
-    CheckStatus, VerdictStatus,
-};
+use minnet::{run_scenario_files, scenario_files, verdict_report_json, CheckStatus, VerdictStatus};
 use minnet_sim::RunBudget;
 use std::path::{Path, PathBuf};
 
@@ -34,7 +31,7 @@ fn small_library() -> Vec<PathBuf> {
 
 #[test]
 fn library_runs_end_to_end_as_declared() {
-    let set = run_scenario_files(&library(), 2, 0, true, None).unwrap();
+    let set = run_scenario_files(&library(), 2, 0, true, None, None).unwrap();
     assert!(set.skipped.is_empty(), "chaos included, nothing skipped");
     assert!(
         set.all_as_expected(),
@@ -81,12 +78,12 @@ fn library_runs_end_to_end_as_declared() {
 #[test]
 fn verdict_report_is_bitwise_stable_across_runs_and_threads() {
     let files = small_library();
-    let a = run_scenario_files(&files, 1, 0, true, None).unwrap();
-    let b = run_scenario_files(&files, 4, 0, true, None).unwrap();
+    let a = run_scenario_files(&files, 1, 0, true, None, None).unwrap();
+    let b = run_scenario_files(&files, 4, 0, true, None, None).unwrap();
     let ja = verdict_report_json(&a);
     let jb = verdict_report_json(&b);
     assert_eq!(ja, jb, "verdict report must not depend on thread count");
-    let c = run_scenario_files(&files, 4, 0, true, None).unwrap();
+    let c = run_scenario_files(&files, 4, 0, true, None, None).unwrap();
     assert_eq!(jb, verdict_report_json(&c), "repeat runs must be bitwise identical");
     // The report format stays wall-clock-free — the determinism above
     // is structural, not luck.
@@ -102,7 +99,7 @@ fn chaos_scenarios_are_gated_behind_opt_in() {
             s.contains("transient_storm") || s.contains("baseline_tmin")
         })
         .collect();
-    let set = run_scenario_files(&files, 2, 0, false, None).unwrap();
+    let set = run_scenario_files(&files, 2, 0, false, None, None).unwrap();
     assert_eq!(set.skipped, vec!["transient-storm-recovery".to_string()]);
     assert_eq!(set.verdicts.len(), 1);
     assert_eq!(set.verdicts[0].scenario, "baseline-tmin-curve");
@@ -121,7 +118,7 @@ fn cli_budget_override_cuts_scenarios_without_editing_files() {
         max_cycles: 500,
         max_wall_ms: 0,
     };
-    let cut = run_scenario_files_with_budget(&files, 2, 0, true, None, Some(tight)).unwrap();
+    let cut = run_scenario_files(&files, 2, 0, true, None, Some(tight)).unwrap();
     assert_eq!(cut.verdicts.len(), 1);
     assert!(
         cut.verdicts[0]
@@ -135,11 +132,11 @@ fn cli_budget_override_cuts_scenarios_without_editing_files() {
             .map(|p| p.outcome.tag())
             .collect::<Vec<_>>()
     );
-    // No override (or an all-zero one, which `minnet` maps to None)
+    // No override, or an all-zero one (which `minnet` maps to None),
     // leaves the declared behavior untouched, bit for bit.
-    let plain = run_scenario_files(&files, 2, 0, true, None).unwrap();
-    let none = run_scenario_files_with_budget(&files, 2, 0, true, None, None).unwrap();
-    assert_eq!(verdict_report_json(&plain), verdict_report_json(&none));
+    let plain = run_scenario_files(&files, 2, 0, true, None, None).unwrap();
+    let zero = run_scenario_files(&files, 2, 0, true, None, Some(RunBudget::UNLIMITED)).unwrap();
+    assert_eq!(verdict_report_json(&plain), verdict_report_json(&zero));
     assert_eq!(plain.verdicts[0].status, VerdictStatus::Pass);
 }
 
@@ -157,7 +154,7 @@ fn checkpointed_rerun_resumes_to_identical_verdicts() {
         .collect();
     let dir = std::env::temp_dir().join(format!("minnet_scn_ckpt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let first = run_scenario_files(&files, 2, 0, true, Some(&dir)).unwrap();
+    let first = run_scenario_files(&files, 2, 0, true, Some(&dir), None).unwrap();
     for v in &first.verdicts {
         assert!(
             dir.join(format!("{}.ckpt", v.scenario)).exists(),
@@ -167,7 +164,7 @@ fn checkpointed_rerun_resumes_to_identical_verdicts() {
     }
     // Second run resumes from the checkpoints (every task preloaded)
     // and must reproduce the verdict report bit for bit.
-    let second = run_scenario_files(&files, 2, 0, true, Some(&dir)).unwrap();
+    let second = run_scenario_files(&files, 2, 0, true, Some(&dir), None).unwrap();
     assert_eq!(verdict_report_json(&first), verdict_report_json(&second));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -96,10 +96,13 @@ impl UnidirPartitionAnalysis {
         (0..=self.geometry.n())
             .all(|level| self.channels_used(cluster, level) == size)
     }
+}
 
+#[cfg(test)]
+impl UnidirPartitionAnalysis {
     /// Levels at which cluster `c` has fewer channels than nodes — the
     /// "channel-reduced" degradation of Fig. 15a.
-    pub fn reduced_levels(&self, cluster: usize) -> Vec<(u32, usize)> {
+    fn reduced_levels(&self, cluster: usize) -> Vec<(u32, usize)> {
         let size = self.cluster_sizes[cluster];
         (0..=self.geometry.n())
             .filter_map(|level| {

@@ -56,14 +56,15 @@ pub fn turnaround_action(
     }
 }
 
-/// Length in channels of any turnaround path: `2 (t + 1)` (paper §3.2.3).
-pub fn turnaround_path_length(g: &Geometry, src: NodeAddr, dst: NodeAddr) -> Option<u32> {
-    g.first_difference(src, dst).map(|t| 2 * (t + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Length in channels of any turnaround path: `2 (t + 1)` (paper
+    /// §3.2.3).
+    fn turnaround_path_length(g: &Geometry, src: NodeAddr, dst: NodeAddr) -> Option<u32> {
+        g.first_difference(src, dst).map(|t| 2 * (t + 1))
+    }
 
     #[test]
     fn fig8_example_decisions() {

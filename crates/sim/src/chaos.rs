@@ -53,8 +53,8 @@ impl ChaosTarget {
 }
 
 /// A declarative restart-style fault storm; see the module docs for the
-/// timing model. Compile with [`ChaosSchedule::compile_plan`] (or
-/// [`crate::CompiledNet::compile_chaos`] straight to engine form).
+/// timing model. Compile with [`ChaosSchedule::compile_plan`], then
+/// [`crate::CompiledNet::compile_faults`] for the engine form.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChaosSchedule {
     /// Component class to disrupt.

@@ -1,7 +1,5 @@
 //! Engine configuration and the simulation report.
 
-use minnet_switch::{ArbiterKind, VcMuxPolicy};
-
 /// Duration of one simulation cycle in microseconds. All channels run at
 /// the paper's 20 flits/µs, so one flit time is 0.05 µs.
 pub const CYCLE_US: f64 = 0.05;
@@ -71,12 +69,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Source-queue sustainability limit (paper: 100 messages).
     pub queue_limit: usize,
-    /// Arbitration among free output lanes/VCs at allocation (paper:
-    /// random).
-    pub alloc: ArbiterKind,
-    /// Physical-channel multiplexing among virtual channels (paper:
-    /// flit-level round-robin).
-    pub vc_mux: VcMuxPolicy,
     /// Collect per-channel utilization (busy fraction over the window).
     pub collect_channel_util: bool,
     /// Record a [`crate::trace::Trace`] of message events (queue, inject,
@@ -123,8 +115,6 @@ impl Default for EngineConfig {
             measure: 200_000,
             seed: 0x5EED,
             queue_limit: 100,
-            alloc: ArbiterKind::Random,
-            vc_mux: VcMuxPolicy::RoundRobin,
             collect_channel_util: false,
             collect_trace: false,
             watchdog_window: 10_000,
@@ -138,12 +128,12 @@ impl Default for EngineConfig {
 /// The text `minnet::campaign::config_hash` hashes into every checkpoint
 /// header, journal key and `minnetd` job id (through `Experiment`'s
 /// derived `Debug`). Identity v1 is *defined* as this rendering — field
-/// names and order included — so it is written out, not derived. Five
-/// entries name knobs the engine no longer has (`transmit_order`,
-/// `fast_forward`, `word_kernels`, `validate_crossbars`,
-/// `table_build_threads`); they stay as frozen literals — the values
-/// every production run had — at their old positions to keep those
-/// hashes stable.
+/// names and order included — so it is written out, not derived. Seven
+/// entries name knobs the engine no longer has (`alloc`, `vc_mux`,
+/// `transmit_order`, `fast_forward`, `word_kernels`,
+/// `validate_crossbars`, `table_build_threads`); they stay as frozen
+/// literals — the values every production run had — at their old
+/// positions to keep those hashes stable.
 impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
@@ -153,8 +143,8 @@ impl std::fmt::Debug for EngineConfig {
             .field("measure", &self.measure)
             .field("seed", &self.seed)
             .field("queue_limit", &self.queue_limit)
-            .field("alloc", &self.alloc)
-            .field("vc_mux", &self.vc_mux)
+            .field("alloc", &format_args!("Random"))
+            .field("vc_mux", &format_args!("RoundRobin"))
             .field("transmit_order", &format_args!("ReverseTopo"))
             .field("fast_forward", &true)
             .field("word_kernels", &true)

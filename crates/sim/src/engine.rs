@@ -142,7 +142,7 @@
 //! of whether the state is freshly allocated or reused through `reset`
 //! (reset restores every observable field the fresh constructor
 //! produces). The active sets are pure bookkeeping: every request list,
-//! arbiter call and RNG draw happens in exactly the order the
+//! lane choice and RNG draw happens in exactly the order the
 //! scan-everything reference engine (`reference` module, feature
 //! `reference-engine`) produces, which
 //! `tests/engine_equivalence.rs` enforces report-for-report with
@@ -150,9 +150,9 @@
 //! iteration is ascending (= the reference's node scan); every heap entry
 //! due at cycle `t` carries key `t` exactly — entries are pushed with
 //! future keys and popped the cycle they mature — so pops are
-//! node-/index-ascending within a cycle; and
-//! `Arbiter::pick_uncontested` draws the same stream as `pick` over an
-//! all-`true` slice.
+//! node-/index-ascending within a cycle; and a lane claim draws one
+//! `random_range(0..n)` over its `n` free candidates — the stream the
+//! oracle's random arbiter draws over an all-`true` flag slice.
 //!
 //! # Measurement accounting
 //!
@@ -173,7 +173,6 @@ use crate::fault::CompiledFaults;
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::{find_cycle, Route, RouteTable};
-use minnet_switch::{Arbiter, ArbiterKind};
 use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGraph, PortSpan};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
@@ -439,6 +438,23 @@ pub struct CompiledNet {
     eject: DenseBitSet,
 }
 
+/// Flit-level round-robin among a channel's ready virtual channels (§2.2:
+/// `k` active VCs each get `W/k`): bit `i` of `ready` ⟺ VC `i` of `n ≤
+/// 64` is ready (no bit at or above `n` set), and `last`, the VC that
+/// transmitted last, is the multiplexer's whole memory. The first ready
+/// VC after `last`, wrapping to the lowest; `None` when none is ready.
+#[inline]
+pub(crate) fn round_robin_select(last: &mut u8, ready: u64, n: u32) -> Option<u32> {
+    if ready == 0 {
+        return None;
+    }
+    let start = (u32::from(*last) + 1) % n;
+    let from_start = ready >> start << start;
+    let i = if from_start != 0 { from_start } else { ready }.trailing_zeros();
+    *last = i as u8;
+    Some(i)
+}
+
 /// `log2` of the plane-group width: `vcs` rounded up to a power of two,
 /// so a channel's lanes never straddle a mask word (`vcs <= 64` is
 /// validated).
@@ -566,23 +582,6 @@ impl CompiledNet {
         CompiledFaults::compile(&self.net, &self.routes, plan, Planes::new(&self.net, &self.cfg))
     }
 
-    /// Expand a [`crate::chaos::ChaosSchedule`] against this network with
-    /// `seed` and compile the resulting plan — the one-call chaos hook:
-    /// `schedule → FaultPlan → CompiledFaults`.
-    ///
-    /// # Errors
-    ///
-    /// Anything [`crate::chaos::ChaosSchedule::compile_plan`] or
-    /// [`CompiledNet::compile_faults`] reports.
-    pub fn compile_chaos(
-        &self,
-        chaos: &crate::chaos::ChaosSchedule,
-        seed: u64,
-    ) -> Result<CompiledFaults, SimError> {
-        let plan = chaos.compile_plan(&self.net, self.cfg.vcs, seed)?;
-        self.compile_faults(&plan)
-    }
-
     /// Run a stochastic (Poisson-workload) simulation with the given seed,
     /// reusing `st`'s allocations.
     ///
@@ -671,29 +670,15 @@ impl CompiledNet {
     }
 
     /// Run a deterministic chained simulation (see [`run_chained`]) with
-    /// the given seed, reusing `st`'s allocations. Only the per-message
-    /// release times are per-run state; the dependency fan-out is shared
-    /// from the [`Chain`].
+    /// the given seed, reusing `st`'s allocations, under a fault
+    /// schedule — `None` (or a trivial schedule) runs the faultless path.
+    /// Only the per-message release times are per-run state; the
+    /// dependency fan-out is shared from the [`Chain`].
     ///
     /// # Errors
     ///
     /// Reports a chain compiled for a different geometry, or a watchdog
     /// trip ([`SimError::NoProgress`]).
-    pub fn run_chain(
-        &self,
-        chain: &Chain,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        self.run_chain_faulted(chain, None, seed, st)
-    }
-
-    /// [`CompiledNet::run_chain`] under a fault schedule. `None` (or a
-    /// trivial schedule) runs bit-identically to the faultless path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledNet::run_chain`].
     pub fn run_chain_faulted(
         &self,
         chain: &Chain,
@@ -821,8 +806,9 @@ pub struct EngineState {
     /// lane that consumes this lane's buffer; `NONE` at the head, and on
     /// every free lane.
     lane_downstream: Vec<u32>,
-    /// Per channel position, the VC that transmitted last (the policy is
-    /// `cfg.vc_mux`). Dimensioned only when `vcs > 1`.
+    /// Per channel position, the VC that transmitted last (flit-level
+    /// round-robin, [`round_robin_select`]). Dimensioned only when `vcs >
+    /// 1`.
     mux_last: Vec<u8>,
     // Packet state, struct-of-arrays by slot: the hot fields the sweeps
     // touch every cycle, plus a cold `PktMeta` array for the rest.
@@ -851,7 +837,6 @@ pub struct EngineState {
     src_injecting: Vec<u32>,
     src_next_arrival: Vec<f64>,
     queues: MsgQueues,
-    arbiter: Arbiter,
     rng: SmallRng,
     now: u64,
     end: u64,
@@ -941,7 +926,6 @@ impl EngineState {
             src_injecting: Vec::new(),
             src_next_arrival: Vec::new(),
             queues: MsgQueues::default(),
-            arbiter: Arbiter::new(ArbiterKind::Random),
             rng: SmallRng::seed_from_u64(0),
             now: 0,
             end: 0,
@@ -1036,7 +1020,6 @@ impl EngineState {
         refill(&mut self.src_next_arrival, n_nodes, f64::INFINITY);
         self.queues.reset(n_nodes);
 
-        self.arbiter = Arbiter::new(cfg.alloc);
         self.now = 0;
         self.end = cfg.warmup + cfg.measure;
         for heap in [&mut self.arrivals, &mut self.releases] {
@@ -1323,15 +1306,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Claim one of the gathered free lanes for `owner`; returns its plane.
+    /// Claim one of the gathered free lanes for `owner`, uniformly at
+    /// random (the paper's policy); returns its plane.
     fn claim_gathered(&mut self, owner: u32) -> Option<u32> {
         if self.st.elig.is_empty() {
             return None;
         }
-        let idx = self
-            .st
-            .arbiter
-            .pick_uncontested(self.st.elig.len(), &mut self.st.rng);
+        let idx = self.st.rng.random_range(0..self.st.elig.len());
         let lane = self.st.elig[idx];
         self.st.lane_owner[lane as usize] = owner;
         self.st.k_owned.set(lane);
@@ -1647,7 +1628,7 @@ impl<'a> Engine<'a> {
     #[inline]
     fn mux_select(&mut self, pos: u32, group: u64) -> Result<u32, SimError> {
         let last = &mut self.st.mux_last[pos as usize];
-        let vc = self.cfg.vc_mux.select_mask(last, group, self.planes.vcs.into());
+        let vc = round_robin_select(last, group, self.planes.vcs.into());
         vc.ok_or(SimError::Internal { what: "a ready lane must be selectable" })
     }
 
@@ -2358,7 +2339,7 @@ pub fn run_scripted(
 /// latency at each relay node.
 ///
 /// This is a thin wrapper compiling a [`Chain`] per call; run-many
-/// callers should compile once and use [`CompiledNet::run_chain`].
+/// callers should compile once and use [`CompiledNet::run_chain_faulted`].
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],
@@ -2398,6 +2379,38 @@ mod tests {
         // Node ids share a word with the source tag bit.
         assert!(check_index_range(8, 1, (1 << 31) - 1).is_ok());
         assert!(check_index_range(8, 1, 1 << 31).is_err());
+    }
+
+    /// The engine's mask select is the oracle's round-robin `VcMux` on
+    /// every input: n ≤ 6 VCs, every `last`, every ready mask — the same
+    /// choice, and the same memory after it.
+    #[cfg(feature = "reference-engine")]
+    #[test]
+    fn select_mask_equals_select_on_every_input() {
+        use minnet_switch::{VcMux, VcMuxPolicy};
+        for n in 1..=6u32 {
+            let all = vec![true; n as usize];
+            for last in 0..n {
+                for mask in 0..1u64 << n {
+                    // A lone ready VC wins: that sets the oracle's memory.
+                    let mut m = VcMux::new(VcMuxPolicy::RoundRobin);
+                    let lone: Vec<bool> = (0..n).map(|i| i == last).collect();
+                    assert_eq!(m.select(&lone), Some(last as usize));
+                    let ready: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                    let mut packed = last as u8;
+                    let got = round_robin_select(&mut packed, mask, n);
+                    let want = m.select(&ready);
+                    assert_eq!(got.map(|i| i as usize), want, "n={n} last={last} mask={mask:b}");
+                    // With every VC ready the pick is `last + 1`: the
+                    // memories agree.
+                    let next = round_robin_select(&mut packed, (1 << n) - 1, n);
+                    assert_eq!(next.map(|i| i as usize), m.select(&all), "n={n} last={last} mask={mask:b}");
+                }
+            }
+        }
+        let mut last = 63u8;
+        assert_eq!(round_robin_select(&mut last, 1 << 63 | 1, 64), Some(0));
+        assert_eq!(round_robin_select(&mut last, 0, 1), None);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! for the measurement machinery. The `reference-engine` feature exposes
 //! `reference`, the frozen scan-everything implementation used as a
 //! differential-testing oracle; the checks the engine does not carry —
-//! the build-order transmit ablation, cycle-by-cycle stepping through
-//! quiescent stretches, the Fig. 2 crossbar audit — live only there.
+//! the switch ablations (build-order transmission, round-robin lane
+//! choice, winner-holds VC multiplexing), cycle-by-cycle stepping
+//! through quiescent stretches, the Fig. 2 crossbar audit — live only
+//! there, and so does the only use of `minnet-switch`.
 //!
 //! Sweep-style callers should use the compile-once pipeline:
 //! [`CompiledNet`] (immutable network + routing table + ejection mask)

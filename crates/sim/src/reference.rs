@@ -19,9 +19,11 @@
 //!
 //! Three checks the optimized engine does not carry live here alone:
 //!
-//! * **the transmit order is an argument** ([`TransmitOrder`]): the
-//!   paper's reverse-topological order, which the optimized engine
-//!   hard-wires, and the channel-id ablation;
+//! * **the switch is an argument** ([`Ablation`]): the transmit order,
+//!   the lane arbiter and the VC multiplexer each have the paper's arm,
+//!   which the optimized engine hard-wires ([`Ablation::PAPER`]), and an
+//!   ablation arm — channel-id order, round-robin lane choice,
+//!   winner-holds multiplexing;
 //! * **every cycle is stepped**: the oracle never fast-forwards, so
 //!   matching it proves the optimized engine's jumps invisible;
 //! * **Fig. 2 crossbar legality is audited** on every allocation and
@@ -38,6 +40,7 @@ use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::RouteLogic;
 use minnet_switch::{Arbiter, Crossbar, FlitFifo, FlitRef, VcMux};
+pub use minnet_switch::{ArbiterKind, VcMuxPolicy};
 use minnet_topology::{ChannelId, Endpoint, NetworkGraph, Side};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
@@ -61,6 +64,30 @@ pub enum TransmitOrder {
     /// two bubbles in one cycle, making contended timings slightly
     /// optimistic.
     BuildOrder,
+}
+
+/// The oracle's three ablation arms: how the switch orders its
+/// transmissions, picks among free lanes, and multiplexes a physical
+/// channel among its virtual channels.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Ablation {
+    /// Per-cycle channel transmission order.
+    pub order: TransmitOrder,
+    /// Arbitration among free output lanes at allocation.
+    pub arbiter: ArbiterKind,
+    /// Physical-channel multiplexing among virtual channels.
+    pub mux: VcMuxPolicy,
+}
+
+impl Ablation {
+    /// The paper's switch (§2.2, §5): reverse-topological transmission,
+    /// random choice among free lanes, flit-level round-robin VC
+    /// multiplexing — the only switch the optimized engine has.
+    pub const PAPER: Ablation = Ablation {
+        order: TransmitOrder::ReverseTopo,
+        arbiter: ArbiterKind::Random,
+        mux: VcMuxPolicy::RoundRobin,
+    };
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,7 +199,7 @@ impl<'a> Engine<'a> {
         net: &'a NetworkGraph,
         traffic: Traffic<'a>,
         cfg: EngineConfig,
-        order: TransmitOrder,
+        arms: Ablation,
     ) -> Result<Engine<'a>, String> {
         cfg.validate()?;
         let vcs = cfg.vcs as usize;
@@ -210,7 +237,7 @@ impl<'a> Engine<'a> {
             vec![xbar; net.num_switches()]
         });
 
-        let order = match order {
+        let order = match arms.order {
             TransmitOrder::ReverseTopo => net.transmit_order().to_vec(),
             TransmitOrder::BuildOrder => (0..nch as u32).collect(),
         };
@@ -229,7 +256,7 @@ impl<'a> Engine<'a> {
                 };
                 nch * vcs
             ],
-            mux: vec![VcMux::new(cfg.vc_mux); nch],
+            mux: vec![VcMux::new(arms.mux); nch],
             order,
             ejects: net
                 .channels()
@@ -240,7 +267,7 @@ impl<'a> Engine<'a> {
             active: Vec::new(),
             sources,
             crossbars,
-            arbiter: Arbiter::new(cfg.alloc),
+            arbiter: Arbiter::new(arms.arbiter),
             rng,
             now: 0,
             end: cfg.warmup + cfg.measure,
@@ -811,24 +838,24 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Reference-engine counterpart of [`crate::run_simulation`], transmitting
-/// in `order`.
+/// Reference-engine counterpart of [`crate::run_simulation`], on the switch
+/// `arms` describes.
 pub fn run_simulation(
     net: &NetworkGraph,
     workload: &Workload,
     cfg: &EngineConfig,
-    order: TransmitOrder,
+    arms: Ablation,
 ) -> Result<SimReport, String> {
-    Engine::new(net, Traffic::Poisson(workload), cfg.clone(), order).map(Engine::run)
+    Engine::new(net, Traffic::Poisson(workload), cfg.clone(), arms).map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_scripted`], transmitting
-/// in `order`.
+/// Reference-engine counterpart of [`crate::run_scripted`], on the switch
+/// `arms` describes.
 pub fn run_scripted(
     net: &NetworkGraph,
     msgs: &[ScriptedMsg],
     cfg: &EngineConfig,
-    order: TransmitOrder,
+    arms: Ablation,
 ) -> Result<SimReport, String> {
     let mut sorted: Vec<ScriptedMsg> = msgs.to_vec();
     sorted.sort_by_key(|m| m.time);
@@ -850,19 +877,19 @@ pub fn run_scripted(
             next: 0,
         },
         cfg.clone(),
-        order,
+        arms,
     )
     .map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_chained`], transmitting
-/// in `order`.
+/// Reference-engine counterpart of [`crate::run_chained`], on the switch
+/// `arms` describes.
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],
     overhead: u64,
     cfg: &EngineConfig,
-    order: TransmitOrder,
+    arms: Ablation,
 ) -> Result<SimReport, String> {
     let mut dependents = vec![Vec::new(); msgs.len()];
     let mut release = vec![None; msgs.len()];
@@ -898,7 +925,7 @@ pub fn run_chained(
             overhead,
         },
         cfg.clone(),
-        order,
+        arms,
     )
     .map(Engine::run)
 }

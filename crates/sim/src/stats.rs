@@ -85,11 +85,6 @@ impl Welford {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Number of linear sub-buckets per power of two in [`LatencyHistogram`].
@@ -284,7 +279,7 @@ mod tests {
         for &x in &[1.0, 2.0, 3.0] {
             w.push(x);
         }
-        let s = w.std_dev();
+        let s = w.variance().sqrt();
         let want = 4.303 * s / 3.0f64.sqrt();
         assert!((w.ci95_half_width() - want).abs() < 1e-12);
 
@@ -293,7 +288,7 @@ mod tests {
         for i in 0..100 {
             big.push((i % 7) as f64);
         }
-        let want = 1.96 * big.std_dev() / 100.0f64.sqrt();
+        let want = 1.96 * big.variance().sqrt() / 100.0f64.sqrt();
         assert!((big.ci95_half_width() - want).abs() < 1e-12);
     }
 

@@ -105,11 +105,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Events belonging to one message.
-    pub fn of_message(&self, tag: u32) -> Vec<TraceEvent> {
-        self.events.iter().copied().filter(|e| e.tag() == tag).collect()
-    }
-
     /// The channel path (including the injection channel) a message's
     /// header took, in order.
     pub fn channel_path(&self, tag: u32) -> Vec<ChannelId> {
@@ -143,6 +138,6 @@ mod tests {
         };
         assert_eq!(t.channel_path(0), vec![4, 6]);
         assert_eq!(t.channel_path(1), vec![5]);
-        assert_eq!(t.of_message(0).len(), 4);
+        assert_eq!(t.events.iter().filter(|e| e.tag() == 0).count(), 4);
     }
 }

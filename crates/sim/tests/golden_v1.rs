@@ -26,7 +26,7 @@
 //! whole actual file; re-recording is a deliberate copy of that output
 //! over `golden_v1.txt` and amounts to opening contract v2.
 
-use minnet_sim::reference::{self, TransmitOrder};
+use minnet_sim::reference::{self, Ablation, TransmitOrder};
 use minnet_sim::{
     Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, RunBudget, Script, ScriptedMsg,
     SimError, SimReport,
@@ -236,7 +236,7 @@ fn actual() -> String {
 /// One healthy build-order row, on the reference engine (`cfg.seed` is
 /// the run's seed there).
 fn build_order(graph: &NetworkGraph, source: &Traffic, cfg: &EngineConfig) -> SimReport {
-    let order = TransmitOrder::BuildOrder;
+    let order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
     match source {
         Traffic::Poisson(wl) => reference::run_simulation(graph, wl, cfg, order),
         Traffic::Script(s) => reference::run_scripted(graph, s.msgs(), cfg, order),

@@ -59,7 +59,7 @@ fn trace_event_ordering_and_timing() {
     )
     .unwrap();
     let trace = r.trace.unwrap();
-    let evs = trace.of_message(0);
+    let evs: Vec<TraceEvent> = trace.events.iter().copied().filter(|e| e.tag() == 0).collect();
     assert!(matches!(evs[0], TraceEvent::Queued { time: 3, src: 2, dst: 5, len: 10, .. }));
     assert!(matches!(evs[1], TraceEvent::Injected { time: 3, .. }));
     // Four hops (n+1 channels), allocated one per cycle starting at t=3.

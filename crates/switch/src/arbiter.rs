@@ -6,8 +6,8 @@
 //! selection ("packets destined for a particular output port are randomly
 //! distributed to one of the free channels of that port"; forward-channel
 //! choice "resolved by randomly selecting from among those … not
-//! blocked"). A round-robin arbiter is provided as an ablation
-//! (`ablation_arbiter` in the bench crate).
+//! blocked"). A round-robin arbiter is provided as an ablation arm of
+//! the reference engine.
 
 use rand::{Rng, RngExt};
 
@@ -31,34 +31,6 @@ impl Arbiter {
     /// Create an arbiter with the given policy.
     pub fn new(kind: ArbiterKind) -> Self {
         Arbiter { kind, ptr: 0 }
-    }
-
-    /// The policy in use.
-    pub fn kind(&self) -> ArbiterKind {
-        self.kind
-    }
-
-    /// Grant among `n` requests that are *all* eligible — the common case
-    /// when the caller has already filtered its request list down to the
-    /// eligible subset (the engine's lane allocator does). Draws the same
-    /// RNG stream and round-robin pointer updates as
-    /// [`Arbiter::pick`] over an all-`true` slice of length `n`, so the
-    /// two entry points are interchangeable without perturbing seeded
-    /// runs; this one just skips materializing the flag slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn pick_uncontested<R: Rng>(&mut self, n: usize, rng: &mut R) -> usize {
-        assert!(n > 0, "pick_uncontested needs at least one request");
-        match self.kind {
-            ArbiterKind::Random => rng.random_range(0..n),
-            ArbiterKind::RoundRobin => {
-                let i = self.ptr % n;
-                self.ptr = (i + 1) % n;
-                i
-            }
-        }
     }
 
     /// Grant one of the eligible slots (`eligible[i] == true`), or `None`
@@ -155,32 +127,6 @@ mod tests {
             let frac = c as f64 / trials as f64;
             assert!((frac - 0.25).abs() < 0.02, "skewed arbiter: {counts:?}");
         }
-    }
-
-    #[test]
-    fn uncontested_matches_all_true_pick() {
-        // The two entry points must consume the same RNG stream and
-        // produce the same grants — the engine relies on this to drop the
-        // flag-slice round-trip without perturbing seeded runs.
-        for kind in [ArbiterKind::Random, ArbiterKind::RoundRobin] {
-            let mut slow = Arbiter::new(kind);
-            let mut fast = Arbiter::new(kind);
-            let mut rng_slow = SmallRng::seed_from_u64(40);
-            let mut rng_fast = SmallRng::seed_from_u64(40);
-            for n in [1usize, 2, 3, 7, 2, 5, 1, 4] {
-                let flags = vec![true; n];
-                let want = slow.pick(&flags, &mut rng_slow).unwrap();
-                let got = fast.pick_uncontested(n, &mut rng_fast);
-                assert_eq!(want, got, "{kind:?} diverged at n={n}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one request")]
-    fn uncontested_rejects_zero() {
-        let mut rng = SmallRng::seed_from_u64(41);
-        Arbiter::new(ArbiterKind::Random).pick_uncontested(0, &mut rng);
     }
 
     #[test]

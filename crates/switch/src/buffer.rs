@@ -1,7 +1,7 @@
-//! The single-flit channel buffer.
+//! The channel buffer.
 //!
 //! Wormhole switching keeps buffering minimal: every (virtual) channel has
-//! a buffer holding exactly one flit at its receiving end. A flit is
+//! a buffer holding one flit at its receiving end. A flit is
 //! identified by the packet it belongs to and its position in that packet
 //! (`0` is the header; `len - 1` the tail).
 
@@ -28,55 +28,11 @@ impl FlitRef {
     }
 }
 
-/// A one-flit buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct FlitBuffer(Option<FlitRef>);
-
-impl FlitBuffer {
-    /// An empty buffer.
-    pub const EMPTY: FlitBuffer = FlitBuffer(None);
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// The buffered flit, if any.
-    #[inline]
-    pub fn peek(&self) -> Option<FlitRef> {
-        self.0
-    }
-
-    /// Store a flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is occupied — a single-flit buffer can never
-    /// accept a second flit; the engine must check emptiness first.
-    #[inline]
-    pub fn put(&mut self, f: FlitRef) {
-        assert!(self.0.is_none(), "overwriting an occupied flit buffer");
-        self.0 = Some(f);
-    }
-
-    /// Remove and return the buffered flit.
-    #[inline]
-    pub fn take(&mut self) -> Option<FlitRef> {
-        self.0.take()
-    }
-
-    /// Empty the buffer unconditionally (used when resetting lanes).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.0 = None;
-    }
-}
-
-/// A bounded flit FIFO: the generalisation of [`FlitBuffer`] to deeper
-/// channel buffers (the paper's conclusions flag the one-flit buffer as a
-/// condition of its results; the engine's `buffer_depth` knob uses this
-/// to explore deeper buffering).
+/// A bounded flit FIFO: a channel buffer of `buffer_depth` flits — one in
+/// the paper's model (§5: "Each input channel in a switch has a buffer
+/// the size of a single flit"), deeper where `buffer_depth` explores
+/// beyond it (the paper's conclusions flag the one-flit buffer as a
+/// condition of its results).
 #[derive(Clone, Debug)]
 pub struct FlitFifo {
     slots: std::collections::VecDeque<FlitRef>,
@@ -153,27 +109,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn put_take_cycle() {
-        let mut b = FlitBuffer::EMPTY;
-        assert!(b.is_empty());
-        let f = FlitRef { packet: 3, index: 0 };
-        b.put(f);
-        assert!(!b.is_empty());
-        assert_eq!(b.peek(), Some(f));
-        assert_eq!(b.take(), Some(f));
-        assert!(b.is_empty());
-        assert_eq!(b.take(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "occupied")]
-    fn double_put_panics() {
-        let mut b = FlitBuffer::EMPTY;
-        b.put(FlitRef { packet: 0, index: 0 });
-        b.put(FlitRef { packet: 1, index: 0 });
-    }
-
-    #[test]
     fn header_and_tail_predicates() {
         let h = FlitRef { packet: 0, index: 0 };
         assert!(h.is_header());
@@ -182,14 +117,6 @@ mod tests {
         let t = FlitRef { packet: 0, index: 7 };
         assert!(t.is_tail(8));
         assert!(!t.is_header());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut b = FlitBuffer::EMPTY;
-        b.put(FlitRef { packet: 0, index: 4 });
-        b.clear();
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -97,24 +97,22 @@ impl Crossbar {
         debug_assert_eq!(back, Some(input));
         Some(out)
     }
+}
 
-    /// The output currently fed by `input`.
-    pub fn output_of(&self, input: PortCode) -> Option<PortCode> {
-        self.in_dst[input as usize]
-    }
-
+#[cfg(test)]
+impl Crossbar {
     /// The input currently driving `output`.
-    pub fn input_of(&self, output: PortCode) -> Option<PortCode> {
+    fn input_of(&self, output: PortCode) -> Option<PortCode> {
         self.out_src[output as usize]
     }
 
     /// Number of live connections.
-    pub fn live_connections(&self) -> usize {
+    fn live_connections(&self) -> usize {
         self.in_dst.iter().filter(|c| c.is_some()).count()
     }
 
     /// Internal consistency check: the two maps are mutual inverses.
-    pub fn invariants_hold(&self) -> bool {
+    fn invariants_hold(&self) -> bool {
         for (i, &d) in self.in_dst.iter().enumerate() {
             if let Some(o) = d {
                 if self.out_src[o as usize] != Some(i as PortCode) {

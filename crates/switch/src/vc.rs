@@ -6,9 +6,11 @@
 //! default [`VcMuxPolicy::RoundRobin`] rotates among the *ready* VCs, so
 //! `k` active VCs each receive `W/k` of the bandwidth. The alternative
 //! [`VcMuxPolicy::WinnerHolds`] keeps serving one worm until it blocks,
-//! which is unfair but keeps whole worms together — the `ablation_vc_mux`
-//! bench quantifies the difference (it is the mechanism behind the VMIN's
-//! poor showing under permutation traffic, §5.3.3).
+//! which is unfair but keeps whole worms together; it is an ablation arm
+//! of the reference engine (the mechanism behind the VMIN's poor showing
+//! under permutation traffic, §5.3.3). The engine's own mux is a
+//! round-robin select on a packed ready mask, held exhaustively equal to
+//! [`VcMux::select`] by `minnet-sim`'s unit tests.
 
 /// How a physical channel chooses among ready virtual channels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,29 +19,6 @@ pub enum VcMuxPolicy {
     RoundRobin,
     /// Keep serving the last winner while it stays ready.
     WinnerHolds,
-}
-
-impl VcMuxPolicy {
-    /// [`VcMux::select`] on packed state: bit `i` of `ready` ⟺ VC `i` of
-    /// `n ≤ 64` is ready (no bit at or above `n` may be set), and `last`
-    /// is the multiplexer's whole memory — one byte per physical channel
-    /// for a caller that keeps the policy elsewhere. Same choice, same
-    /// state update, for every input.
-    #[inline]
-    pub fn select_mask(self, last: &mut u8, ready: u64, n: u32) -> Option<u32> {
-        if ready == 0 || n == 0 {
-            return None;
-        }
-        let start = match self {
-            VcMuxPolicy::RoundRobin => (u32::from(*last) + 1) % n,
-            VcMuxPolicy::WinnerHolds => u32::from(*last) % n,
-        };
-        // First ready VC at or after `start`, else wrap to the lowest.
-        let from_start = ready >> start << start;
-        let i = if from_start != 0 { from_start } else { ready }.trailing_zeros();
-        *last = i as u8;
-        Some(i)
-    }
 }
 
 /// Multiplexer state for one physical channel.
@@ -54,11 +33,6 @@ impl VcMux {
     /// New multiplexer (initial priority at VC 0).
     pub fn new(policy: VcMuxPolicy) -> Self {
         VcMux { policy, last: 0 }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> VcMuxPolicy {
-        self.policy
     }
 
     /// Choose the VC to transmit this cycle among the `ready` ones (ready =
@@ -126,27 +100,6 @@ mod tests {
         // VC 0 blocks → switch to VC 1 and stay there.
         assert_eq!(m.select(&[false, true]), Some(1));
         assert_eq!(m.select(&[true, true]), Some(1));
-    }
-
-    #[test]
-    fn select_mask_equals_select_on_every_input() {
-        for policy in [VcMuxPolicy::RoundRobin, VcMuxPolicy::WinnerHolds] {
-            for n in 1..=6u32 {
-                for last in 0..n {
-                    for mask in 0..1u64 << n {
-                        let mut m = VcMux { policy, last: last as usize };
-                        let ready: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-                        let mut packed = last as u8;
-                        let got = policy.select_mask(&mut packed, mask, n);
-                        assert_eq!(got.map(|i| i as usize), m.select(&ready));
-                        assert_eq!(packed as usize, m.last, "{policy:?} n={n} last={last} mask={mask:b}");
-                    }
-                }
-            }
-        }
-        let mut last = 63u8;
-        assert_eq!(VcMuxPolicy::RoundRobin.select_mask(&mut last, 1 << 63 | 1, 64), Some(0));
-        assert_eq!(VcMuxPolicy::WinnerHolds.select_mask(&mut last, 0, 0), None);
     }
 
     #[test]

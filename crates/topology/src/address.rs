@@ -20,12 +20,6 @@ impl NodeAddr {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// The raw value as a `usize`, for indexing.
-    #[inline]
-    pub fn as_usize(self) -> usize {
-        self.0 as usize
-    }
 }
 
 impl fmt::Debug for NodeAddr {
@@ -127,17 +121,6 @@ impl Geometry {
     pub fn digit(&self, a: NodeAddr, i: u32) -> u32 {
         debug_assert!(i < self.n, "digit index {i} out of range (n = {})", self.n);
         (a.0 / self.k.pow(i)) % self.k
-    }
-
-    /// `a` with digit `i` replaced by `v`.
-    #[inline]
-    pub fn with_digit(&self, a: NodeAddr, i: u32, v: u32) -> NodeAddr {
-        debug_assert!(i < self.n);
-        debug_assert!(v < self.k, "digit value {v} out of range (k = {})", self.k);
-        let p = self.k.pow(i);
-        let old = (a.0 / p) % self.k;
-        let res = a.0 as i64 + (v as i64 - old as i64) * p as i64;
-        NodeAddr(res as u32)
     }
 
     /// Build an address from its digits, `digits[i]` being digit `i`
@@ -282,6 +265,19 @@ impl Radix for [Divisor] {
     #[inline]
     fn split(&self, a: u32, e: u32) -> (u32, u32) {
         self[e as usize].div_rem(a)
+    }
+}
+
+#[cfg(test)]
+impl Geometry {
+    /// `a` with digit `i` replaced by `v`.
+    fn with_digit(&self, a: NodeAddr, i: u32, v: u32) -> NodeAddr {
+        debug_assert!(i < self.n);
+        debug_assert!(v < self.k, "digit value {v} out of range (k = {})", self.k);
+        let p = self.k.pow(i);
+        let old = (a.0 / p) % self.k;
+        let res = a.0 as i64 + (v as i64 - old as i64) * p as i64;
+        NodeAddr(res as u32)
     }
 }
 

@@ -29,13 +29,6 @@ use crate::graph::{
     PortSpan, Side, SwitchDesc,
 };
 
-/// Digit `i` of an `(n-1)`-digit switch label.
-#[inline]
-fn label_digit(g: &Geometry, label: u32, i: u32) -> u32 {
-    debug_assert!(i + 1 < g.n());
-    (label / g.k().pow(i)) % g.k()
-}
-
 /// Build an `N = k^n` butterfly BMIN.
 ///
 /// Output-port codes on each switch: `0..k` are the left-side (backward /
@@ -178,9 +171,17 @@ pub(crate) fn channel_at(net: &NetworkGraph, pos: u32) -> ChannelId {
     2 * (nodes.get() * (2 * n - 1 - rank) + idx)
 }
 
+#[cfg(test)]
+/// Digit `i` of an `(n-1)`-digit switch label.
+fn label_digit(g: &Geometry, label: u32, i: u32) -> u32 {
+    debug_assert!(i + 1 < g.n());
+    (label / g.k().pow(i)) % g.k()
+}
+
+#[cfg(test)]
 /// The set of node addresses reachable going *down* (backward) from switch
 /// `(stage, label)` — the leaves of the fat-tree subtree rooted there.
-pub fn down_reachable(g: &Geometry, stage: u32, label: u32) -> Vec<u32> {
+pub(crate) fn down_reachable(g: &Geometry, stage: u32, label: u32) -> Vec<u32> {
     (0..g.nodes())
         .filter(|&a| {
             (stage..g.n() - 1).all(|i| label_digit(g, label, i) == g.digit(a.into(), i + 1))

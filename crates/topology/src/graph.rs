@@ -701,10 +701,12 @@ impl NetworkGraph {
     pub fn validate(&self) -> Result<(), String> {
         self.walk(|c| self.channel(c))
     }
+}
 
-    /// Count channels by `(level, dir)` — used by partition analysis and
-    /// structural tests.
-    pub fn channels_at_level(&self, level: u8, dir: Direction) -> Vec<ChannelId> {
+#[cfg(test)]
+impl NetworkGraph {
+    /// The channels of one `(level, dir)`, for the structural tests.
+    pub(crate) fn channels_at_level(&self, level: u8, dir: Direction) -> Vec<ChannelId> {
         (0..self.nch)
             .filter(|&c| {
                 let ch = self.channel(c);

@@ -103,11 +103,6 @@ impl UnidirKind {
         }
     }
 
-    /// The full routing tag `t_0 t_1 … t_{n-1}`.
-    pub fn routing_tag(&self, g: &Geometry, dst: NodeAddr) -> Vec<u32> {
-        (0..g.n()).map(|s| self.tag_digit(g, dst, s)).collect()
-    }
-
     /// The corresponding [`NetworkKind`] at a given dilation.
     pub fn network_kind(&self, dilation: u8) -> NetworkKind {
         NetworkKind::Unidir {
@@ -271,6 +266,11 @@ mod tests {
     use crate::graph::Endpoint;
     use proptest::prelude::*;
 
+    /// The full routing tag `t_0 t_1 … t_{n-1}`.
+    fn routing_tag(kind: UnidirKind, g: &Geometry, dst: NodeAddr) -> Vec<u32> {
+        (0..g.n()).map(|s| kind.tag_digit(g, dst, s)).collect()
+    }
+
     fn geometries() -> Vec<Geometry> {
         vec![
             Geometry::new(2, 3),
@@ -371,9 +371,9 @@ mod tests {
     fn cube_tag_digits() {
         let g = Geometry::new(4, 3);
         let dst = g.parse_addr("213").unwrap();
-        assert_eq!(UnidirKind::Cube.routing_tag(&g, dst), vec![2, 1, 3]);
+        assert_eq!(routing_tag(UnidirKind::Cube, &g, dst), vec![2, 1, 3]);
         // Butterfly: t_i = d_{i+1} for i ≤ n-2, t_{n-1} = d_0.
-        assert_eq!(UnidirKind::Butterfly.routing_tag(&g, dst), vec![1, 2, 3]);
+        assert_eq!(routing_tag(UnidirKind::Butterfly, &g, dst), vec![1, 2, 3]);
     }
 
     #[test]
@@ -413,9 +413,9 @@ mod tests {
         assert_eq!(UnidirKind::Baseline.connection(&g, 3), Perm::Identity);
         // All four wirings consume the same tag for cube-style kinds.
         let dst = g.parse_addr("101").unwrap();
-        assert_eq!(UnidirKind::Omega.routing_tag(&g, dst), vec![1, 0, 1]);
-        assert_eq!(UnidirKind::Baseline.routing_tag(&g, dst), vec![1, 0, 1]);
-        assert_eq!(UnidirKind::Cube.routing_tag(&g, dst), vec![1, 0, 1]);
+        assert_eq!(routing_tag(UnidirKind::Omega, &g, dst), vec![1, 0, 1]);
+        assert_eq!(routing_tag(UnidirKind::Baseline, &g, dst), vec![1, 0, 1]);
+        assert_eq!(routing_tag(UnidirKind::Cube, &g, dst), vec![1, 0, 1]);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl PoissonArrivals {
         Self::new(1.0 / rate)
     }
 
-    /// The mean gap in cycles.
-    pub fn mean_gap(&self) -> f64 {
-        self.mean_gap
-    }
-
     /// Draw the next interarrival gap in cycles (continuous; the engine
     /// accumulates into fractional arrival times and fires on whole
     /// cycles).
@@ -67,7 +62,7 @@ mod tests {
     fn gaps_are_positive() {
         let mut rng = SmallRng::seed_from_u64(10);
         let a = PoissonArrivals::with_rate(0.01);
-        assert!((a.mean_gap() - 100.0).abs() < 1e-12);
+        assert!((a.mean_gap - 100.0).abs() < 1e-12);
         for _ in 0..10_000 {
             assert!(a.next_gap(&mut rng) > 0.0);
         }

@@ -95,10 +95,27 @@ impl ClusterMap {
         self.cluster_of[node as usize]
     }
 
+    /// The cluster-32 partition (two binary cubes splitting on the most
+    /// significant address bit); requires `k` to be a power of two.
+    pub fn cluster32(g: &Geometry) -> Result<ClusterMap, String> {
+        if !g.k().is_power_of_two() {
+            return Err("cluster-32 needs k to be a power of two".into());
+        }
+        let j = g.k().trailing_zeros();
+        let nbits = g.n() * j;
+        let top = 1u32 << (nbits - 1);
+        let lo = BitCube::new(g, top, 0);
+        let hi = BitCube::new(g, top, top);
+        ClusterMap::build(g, &Clustering::BitCubes(vec![lo, hi]))
+    }
+}
+
+#[cfg(test)]
+impl ClusterMap {
     /// The paper's cluster-16 partition for the 64-node, k=4 system:
     /// `0XX, 1XX, 2XX, 3XX` (channel-balanced on the cube MIN,
     /// channel-reduced on the butterfly MIN).
-    pub fn cluster16_msd(g: &Geometry) -> Result<ClusterMap, String> {
+    fn cluster16_msd(g: &Geometry) -> Result<ClusterMap, String> {
         let patterns: Vec<String> = (0..g.k())
             .map(|v| {
                 let mut s = v.to_string();
@@ -113,7 +130,7 @@ impl ClusterMap {
 
     /// The paper's channel-shared clustering for the butterfly MIN:
     /// `XX0, XX1, XX2, XX3` (least-significant digit fixed).
-    pub fn cluster16_lsd(g: &Geometry) -> Result<ClusterMap, String> {
+    fn cluster16_lsd(g: &Geometry) -> Result<ClusterMap, String> {
         let patterns: Vec<String> = (0..g.k())
             .map(|v| {
                 let mut s: String = std::iter::repeat_n('X', g.n() as usize - 1).collect();
@@ -124,20 +141,6 @@ impl ClusterMap {
         let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
         let clustering = Clustering::cubes_from_patterns(g, &refs)?;
         ClusterMap::build(g, &clustering)
-    }
-
-    /// The cluster-32 partition (two binary cubes splitting on the most
-    /// significant address bit); requires `k` to be a power of two.
-    pub fn cluster32(g: &Geometry) -> Result<ClusterMap, String> {
-        if !g.k().is_power_of_two() {
-            return Err("cluster-32 needs k to be a power of two".into());
-        }
-        let j = g.k().trailing_zeros();
-        let nbits = g.n() * j;
-        let top = 1u32 << (nbits - 1);
-        let lo = BitCube::new(g, top, 0);
-        let hi = BitCube::new(g, top, top);
-        ClusterMap::build(g, &Clustering::BitCubes(vec![lo, hi]))
     }
 }
 

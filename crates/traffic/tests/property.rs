@@ -102,7 +102,7 @@ proptest! {
             sizes: MessageSizeDist::PAPER,
         };
         let wl = Workload::compile(g, &spec).unwrap();
-        let agg = wl.aggregate_flit_rate();
+        let agg = (0..g.nodes()).map(|n| wl.message_rate(n)).sum::<f64>() * spec.sizes.mean();
         let rel = (agg - load * g.nodes() as f64).abs() / (load * g.nodes() as f64);
         prop_assert!(rel < 1e-9, "aggregate {agg} vs nominal {}", load * g.nodes() as f64);
     }

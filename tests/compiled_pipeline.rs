@@ -10,7 +10,7 @@
 
 use minnet::{CompiledExperiment, Experiment, NetworkSpec};
 use minnet_routing::{RouteLogic, RouteTable};
-use minnet_sim::reference::{self, TransmitOrder::ReverseTopo};
+use minnet_sim::reference::{self, Ablation};
 use minnet_sim::{
     run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, Script,
     ScriptedMsg, SimError,
@@ -138,7 +138,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let fast = run_simulation(&net, &wl, &cfg).unwrap();
-        let slow = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
+        let slow = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} load {load} warmup {warmup} seed {seed:#x}: fast-forward changed the report",
@@ -179,7 +179,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let fast = run_scripted(&net, &msgs, &cfg).unwrap();
-        let slow = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
+        let slow = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} seed {seed:#x}: fast-forward changed a sparse scripted report",

@@ -204,7 +204,7 @@ fn analytic_path_lengths_match_simulated_latency() {
             .unwrap();
             assert_eq!(
                 done,
-                path as u64 + len as u64 - 1,
+                minnet::model::unloaded_latency_cycles(path, len),
                 "{} {s}→{d}",
                 spec.name()
             );

@@ -20,7 +20,7 @@
 
 use minnet::NetworkSpec;
 use minnet_routing::RouteTable;
-use minnet_sim::reference::{self, TransmitOrder::ReverseTopo};
+use minnet_sim::reference::{self, Ablation};
 use minnet_sim::{
     run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineConfig,
     EngineState, Script, ScriptedMsg, SimReport, TraceEvent,
@@ -73,7 +73,7 @@ fn poisson_reports_are_bit_identical() {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
                 let opt = run_simulation(&net, &wl, &cfg).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run_poisson(&wl, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
@@ -127,7 +127,7 @@ fn scripted_reports_are_bit_identical() {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
                 let opt = run_scripted(&net, &script(g), &cfg).unwrap();
-                let refr = reference::run_scripted(&net, &script(g), &cfg, ReverseTopo).unwrap();
+                let refr = reference::run_scripted(&net, &script(g), &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run_script(&once, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
@@ -193,9 +193,9 @@ fn chained_reports_are_bit_identical() {
         for seed in SEEDS {
             let cfg = EngineConfig { seed, ..base.clone() };
             let opt = run_chained(&net, &chain(g), 20, &cfg).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), 20, &cfg, ReverseTopo).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), 20, &cfg, Ablation::PAPER).unwrap();
             assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
-            let fast = compiled.run_chain(&once, seed, &mut st).unwrap();
+            let fast = compiled.run_chain_faulted(&once, None, seed, &mut st).unwrap();
             assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
             assert_eq!(
                 opt.delivered_packets as usize,
@@ -215,7 +215,8 @@ fn chained_reports_are_bit_identical() {
 /// (`crates/sim/tests/golden_v1.rs` pins its contended rows).
 #[test]
 fn build_order_transmit_is_bit_identical() {
-    use minnet_sim::reference::TransmitOrder::BuildOrder;
+    use minnet_sim::reference::TransmitOrder;
+    let build_order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
     let g = Geometry::new(4, 3);
     let spec = NetworkSpec::tmin();
     let net = spec.build(g);
@@ -228,9 +229,9 @@ fn build_order_transmit_is_bit_identical() {
             ..cfg_for(&spec, SEEDS[0])
         };
         let opt = run_scripted(&net, &sparse_script(g), &cfg).unwrap();
-        let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, BuildOrder).unwrap();
+        let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, build_order).unwrap();
         assert_identical(&format!("cube wiring vcs {vcs} build-order, sparse"), &opt, &refr);
-        let busy = reference::run_scripted(&net, &script(g), &cfg, BuildOrder).unwrap();
+        let busy = reference::run_scripted(&net, &script(g), &cfg, build_order).unwrap();
         let engine = run_scripted(&net, &script(g), &cfg).unwrap();
         assert!(!busy.bitwise_eq(&engine), "vcs {vcs}: contended worms must feel the order");
     }
@@ -249,7 +250,7 @@ fn crossbar_validated_run_is_bit_identical() {
     let cfg = cfg_for(&spec, SEEDS[1]);
     assert_eq!(cfg.vcs, 1, "the audit runs at one lane a channel");
     let opt = run_simulation(&net, &wl, &cfg).unwrap();
-    let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
+    let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
     assert_identical("BMIN crossbar-validated", &opt, &refr);
 }
 
@@ -345,7 +346,7 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
         assert_identical(&format!("poisson round {round}"), &p, &want_p);
         let s = compiled_d.run_script(&once_script, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("scripted round {round}"), &s, &want_s);
-        let c = compiled_d.run_chain(&once_chain, SEEDS[0], &mut st).unwrap();
+        let c = compiled_d.run_chain_faulted(&once_chain, None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("chained round {round}"), &c, &want_c);
     }
 }
@@ -397,7 +398,7 @@ fn short_message_scripts_are_bit_identical() {
             };
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
             let msgs = short_script(g, buffer_depth);
-            let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let script = Script::compile(g, &msgs).unwrap();
             let opt = compiled.run_script(&script, cfg.seed, &mut st).unwrap();
@@ -425,7 +426,7 @@ fn short_message_poisson_is_bit_identical() {
             let wl = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(0.3) };
             let wl = Workload::compile(g, &wl).unwrap();
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
-            let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
+            let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let opt = compiled.run_poisson(&wl, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
@@ -480,7 +481,7 @@ fn short_message_fault_abort_mid_worm() {
         assert!(!faults.is_trivial());
         let script = Script::compile(g, &msgs).unwrap();
         let opt = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
-        let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
+        let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
         assert_identical(&format!("{what}, idle channel dead"), &opt, &refr);
 
         // Abort half. By cycle 3 both worms' headers are past the first
@@ -561,7 +562,7 @@ fn fast_forward_reports_are_bit_identical() {
                 cfg.warmup = 300;
                 cfg.measure = 2_500;
                 let fast = run_simulation(&net, &wl, &cfg).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &cfg, ReverseTopo).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
                 let what = format!("{} poisson load {load} seed {seed:#x}", spec.name());
                 assert_identical(&what, &fast, &refr);
                 // The compiled path takes the same jumps through a reused state.
@@ -578,7 +579,7 @@ fn fast_forward_reports_are_bit_identical() {
             cfg.measure = 1_000_000;
             cfg.collect_trace = true;
             let fast = run_scripted(&net, &msgs, &cfg).unwrap();
-            let refr = reference::run_scripted(&net, &msgs, &cfg, ReverseTopo).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
             let what = format!("{} scripted x{}", spec.name(), msgs.len());
             assert_identical(&what, &fast, &refr);
             assert_eq!(fast.delivered_packets as usize, msgs.len(), "{what}: must drain");
@@ -592,7 +593,7 @@ fn fast_forward_reports_are_bit_identical() {
             cfg.measure = 1_000_000;
             cfg.collect_trace = true;
             let fast = run_chained(&net, &chain(g), overhead, &cfg).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, ReverseTopo).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, Ablation::PAPER).unwrap();
             let what = format!("{} chained overhead {overhead}", spec.name());
             assert_identical(&what, &fast, &refr);
         }

@@ -12,10 +12,10 @@
 
 use minnet::routing::{dependency_graph, find_cycle, DependencyRule};
 use minnet::partition::UnidirPartitionAnalysis;
-use minnet::traffic::{Clustering, MessageSizeDist, TrafficPattern};
+use minnet::traffic::Clustering;
 use minnet::{
     campaign_curve, curve_csv, curve_table, find_saturation, outcome_counts, saturation_load,
-    CampaignPolicy, Experiment, JobSpec, NetworkSpec, OutputFile, PointOutcome, Response,
+    spec, CampaignPolicy, Experiment, JobSpec, NetworkSpec, OutputFile, PointOutcome, Response,
     ServiceClient, SweepPoint,
 };
 use minnet_topology::{BitCube, Geometry, UnidirKind};
@@ -124,6 +124,9 @@ struct Args {
     free: Vec<String>,
 }
 
+/// The offered loads `sweep` and `submit` run without `--loads`.
+const DEFAULT_LOADS: &str = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9";
+
 /// Options that are bare flags — present or absent, no value.
 const BOOL_FLAGS: &[&str] = &["chaos", "wait"];
 
@@ -210,14 +213,6 @@ where
         .unwrap_or(default)
 }
 
-fn parse_f64(a: &Args, key: &str, default: f64) -> f64 {
-    parse_opt(a, key, default)
-}
-
-fn parse_u64(a: &Args, key: &str, default: u64) -> u64 {
-    parse_opt(a, key, default)
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
@@ -252,54 +247,30 @@ fn replace_output(
     writeln!(out, "wrote {}", a.opts[key])
 }
 
+/// `--key`'s text, or `default` when the option is absent, read by one
+/// of the [`spec`] parsers; the error names the flag.
+fn read<T, F>(a: &Args, key: &str, default: &str, parse: F) -> T
+where
+    F: FnOnce(&str) -> Result<T, String>,
+{
+    let text = a.opts.get(key).map_or(default, String::as_str);
+    parse(text).unwrap_or_else(|e| die(&format!("--{key}: {e}")))
+}
+
 fn wiring(a: &Args) -> UnidirKind {
-    match a.opts.get("wiring").map(String::as_str) {
-        None | Some("cube") => UnidirKind::Cube,
-        Some("butterfly") => UnidirKind::Butterfly,
-        Some("omega") => UnidirKind::Omega,
-        Some("baseline") => UnidirKind::Baseline,
-        Some(other) => die(&format!("unknown wiring {other:?}")),
-    }
+    read(a, "wiring", "cube", spec::parse_wiring)
 }
 
 fn network(a: &Args) -> NetworkSpec {
-    let w = wiring(a);
-    match a.opts.get("network").map(String::as_str) {
-        None | Some("tmin") => NetworkSpec::Tmin(w),
-        Some("dmin") => NetworkSpec::Dmin(w, parse_opt(a, "dilation", 2)),
-        Some("vmin") => NetworkSpec::Vmin(w, parse_opt(a, "vcs", 2)),
-        Some("bmin") => NetworkSpec::Bmin,
-        Some(other) => die(&format!("unknown network {other:?}")),
-    }
+    let (w, d, v) = (wiring(a), parse_opt(a, "dilation", 2), parse_opt(a, "vcs", 2));
+    read(a, "network", "tmin", |kind| spec::parse_network(kind, w, d, v))
 }
 
-/// `--k` / `--n`, refused here — not by a panic in `Geometry::new` or a
-/// wrapped cast — when no network of that shape can be built. The errors
-/// start with the parameter's name (`k = 1: …`).
+/// `--k` / `--n`, refused here when no network of that shape can be
+/// built. The errors start with the parameter's name (`k = 1: …`).
 fn geometry(a: &Args) -> Geometry {
-    Geometry::try_new(parse_opt(a, "k", 4), parse_opt(a, "n", 3))
-        .and_then(minnet_topology::graph::check_limits)
+    spec::geometry(parse_opt(a, "k", 4), parse_opt(a, "n", 3))
         .unwrap_or_else(|e| die(&format!("--{e}")))
-}
-
-fn pattern(a: &Args) -> TrafficPattern {
-    match a.opts.get("pattern").map(String::as_str) {
-        None | Some("uniform") => TrafficPattern::Uniform,
-        Some("shuffle") => TrafficPattern::SHUFFLE,
-        Some(p) => {
-            if let Some(x) = p.strip_prefix("hotspot:") {
-                TrafficPattern::HotSpot {
-                    extra: x.parse().unwrap_or_else(|e| die(&format!("hotspot: {e}"))),
-                }
-            } else if let Some(i) = p.strip_prefix("butterfly:") {
-                TrafficPattern::butterfly(
-                    i.parse().unwrap_or_else(|e| die(&format!("butterfly: {e}"))),
-                )
-            } else {
-                die(&format!("unknown pattern {p:?}"))
-            }
-        }
-    }
 }
 
 fn clustering(a: &Args, g: &Geometry) -> Clustering {
@@ -333,50 +304,27 @@ fn clustering(a: &Args, g: &Geometry) -> Clustering {
     }
 }
 
-fn sizes(a: &Args) -> MessageSizeDist {
-    match a.opts.get("sizes").map(String::as_str) {
-        None | Some("paper") => MessageSizeDist::PAPER,
-        Some(s) => {
-            if let Some(len) = s.strip_prefix("fixed:") {
-                MessageSizeDist::Fixed(len.parse().unwrap_or_else(|e| die(&format!("fixed: {e}"))))
-            } else if let Some(rest) = s.strip_prefix("bimodal:") {
-                let parts: Vec<&str> = rest.split(',').collect();
-                if parts.len() != 3 {
-                    die("bimodal needs short,long,p_short");
-                }
-                MessageSizeDist::Bimodal {
-                    short: parts[0].parse().unwrap_or_else(|e| die(&format!("{e}"))),
-                    long: parts[1].parse().unwrap_or_else(|e| die(&format!("{e}"))),
-                    p_short: parts[2].parse().unwrap_or_else(|e| die(&format!("{e}"))),
-                }
-            } else {
-                die(&format!("unknown sizes {s:?}"))
-            }
-        }
-    }
-}
-
 fn experiment(a: &Args) -> Experiment {
     let g = geometry(a);
     let mut exp = Experiment {
         geometry: g,
         network: network(a),
-        pattern: pattern(a),
+        pattern: read(a, "pattern", "uniform", spec::parse_pattern),
         clustering: clustering(a, &g),
         rates: a.opts.get("rates").map(|r| {
             r.split(',')
                 .map(|x| x.parse().unwrap_or_else(|e| die(&format!("rates: {e}"))))
                 .collect()
         }),
-        sizes: sizes(a),
+        sizes: read(a, "sizes", "paper", spec::parse_sizes),
         sim: Default::default(),
     };
-    exp.sim.warmup = parse_u64(a, "warmup", 20_000);
-    exp.sim.measure = parse_u64(a, "measure", 100_000);
-    exp.sim.seed = parse_u64(a, "seed", exp.sim.seed);
+    exp.sim.warmup = parse_opt(a, "warmup", 20_000);
+    exp.sim.measure = parse_opt(a, "measure", 100_000);
+    exp.sim.seed = parse_opt(a, "seed", exp.sim.seed);
     exp.sim.buffer_depth = parse_opt(a, "buffer-depth", 1);
-    exp.sim.budget.max_cycles = parse_u64(a, "budget-cycles", 0);
-    exp.sim.budget.max_wall_ms = parse_u64(a, "budget-ms", 0);
+    exp.sim.budget.max_cycles = parse_opt(a, "budget-cycles", 0);
+    exp.sim.budget.max_wall_ms = parse_opt(a, "budget-ms", 0);
     exp
 }
 
@@ -450,7 +398,7 @@ fn cmd_info(a: &Args, out: &mut Out) -> io::Result<()> {
 
 fn cmd_simulate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
-    let load = parse_f64(a, "load", 0.5);
+    let load = parse_opt(a, "load", 0.5);
     let r = exp.run(load).unwrap_or_else(|e| die(&e));
     writeln!(out, "network   : {}", exp.network.name())?;
     writeln!(out, "offered   : {:.1}%", load * 100.0)?;
@@ -485,13 +433,7 @@ fn cmd_simulate(a: &Args, out: &mut Out) -> io::Result<()> {
 
 fn cmd_sweep(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
-    let loads: Vec<f64> = match a.opts.get("loads") {
-        Some(l) => l
-            .split(',')
-            .map(|x| x.parse().unwrap_or_else(|e| die(&format!("loads: {e}"))))
-            .collect(),
-        None => (1..=9).map(|i| i as f64 / 10.0).collect(),
-    };
+    let loads = read(a, "loads", DEFAULT_LOADS, spec::parse_loads);
     // Every option is read before the file is created: a bad --threads
     // leaves no empty CSV behind.
     let (threads, policy) = (threads(a), policy(a));
@@ -548,8 +490,8 @@ fn cmd_sweep(a: &Args, out: &mut Out) -> io::Result<()> {
 
 fn cmd_saturate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
-    let lo = parse_f64(a, "lo", 0.05);
-    let hi = parse_f64(a, "hi", 1.0);
+    let lo = parse_opt(a, "lo", 0.05);
+    let hi = parse_opt(a, "hi", 1.0);
     let iters: u32 = parse_opt(a, "iters", 6);
     match find_saturation(&exp, lo, hi, iters).unwrap_or_else(|e| die(&e)) {
         Some(p) => writeln!(
@@ -664,8 +606,8 @@ fn cmd_scenario(a: &Args, out: &mut Out) -> io::Result<()> {
                     .unwrap_or_else(|e| die(&format!("creating {}: {e}", d.display())));
             }
             let budget = minnet_sim::RunBudget {
-                max_cycles: parse_u64(a, "budget-cycles", 0),
-                max_wall_ms: parse_u64(a, "budget-ms", 0),
+                max_cycles: parse_opt(a, "budget-cycles", 0),
+                max_wall_ms: parse_opt(a, "budget-ms", 0),
             };
             let json = output_file(a, "json");
             let set = minnet::run_scenario_files(
@@ -723,36 +665,26 @@ fn service_client(a: &Args) -> ServiceClient {
 /// take; unset options keep the paper defaults. Validation happens on
 /// the daemon, which answers structured `config` errors.
 fn job_spec(a: &Args) -> JobSpec {
-    let mut spec = JobSpec::default();
-    if let Some(v) = a.opts.get("network") {
-        spec.network = v.clone();
+    let d = JobSpec::default();
+    let text = |key: &str, default: String| a.opts.get(key).cloned().unwrap_or(default);
+    JobSpec {
+        network: text("network", d.network),
+        wiring: text("wiring", d.wiring),
+        dilation: parse_opt(a, "dilation", d.dilation),
+        vcs: parse_opt(a, "vcs", d.vcs),
+        k: parse_opt(a, "k", d.k),
+        n: parse_opt(a, "n", d.n),
+        pattern: text("pattern", d.pattern),
+        sizes: text("sizes", d.sizes),
+        loads: read(a, "loads", DEFAULT_LOADS, spec::parse_loads),
+        warmup: parse_opt(a, "warmup", d.warmup),
+        measure: parse_opt(a, "measure", d.measure),
+        seed: parse_opt(a, "seed", d.seed),
+        budget_cycles: parse_opt(a, "budget-cycles", d.budget_cycles),
+        budget_ms: parse_opt(a, "budget-ms", d.budget_ms),
+        retries: parse_opt(a, "retries", d.retries),
+        ..d
     }
-    if let Some(v) = a.opts.get("wiring") {
-        spec.wiring = v.clone();
-    }
-    spec.dilation = parse_opt(a, "dilation", spec.dilation);
-    spec.vcs = parse_opt(a, "vcs", spec.vcs);
-    spec.k = parse_opt(a, "k", spec.k);
-    spec.n = parse_opt(a, "n", spec.n);
-    if let Some(v) = a.opts.get("pattern") {
-        spec.pattern = v.clone();
-    }
-    if let Some(v) = a.opts.get("sizes") {
-        spec.sizes = v.clone();
-    }
-    if let Some(l) = a.opts.get("loads") {
-        spec.loads = l
-            .split(',')
-            .map(|x| x.parse().unwrap_or_else(|e| die(&format!("loads: {e}"))))
-            .collect();
-    }
-    spec.warmup = parse_u64(a, "warmup", spec.warmup);
-    spec.measure = parse_u64(a, "measure", spec.measure);
-    spec.seed = parse_u64(a, "seed", spec.seed);
-    spec.budget_cycles = parse_u64(a, "budget-cycles", 0);
-    spec.budget_ms = parse_u64(a, "budget-ms", 0);
-    spec.retries = parse_opt(a, "retries", 0);
-    spec
 }
 
 /// The job id for `status`/`result`: positional or `--job`.
@@ -790,7 +722,7 @@ fn cmd_submit(a: &Args, out: &mut Out) -> io::Result<()> {
             );
             if wait {
                 let deadline =
-                    std::time::Duration::from_millis(parse_u64(a, "timeout-ms", 300_000));
+                    std::time::Duration::from_millis(parse_opt(a, "timeout-ms", 300_000));
                 let result = client.wait_result(&job_id, deadline).unwrap_or_else(|e| die(&e));
                 emit_result(a, out, json, &result)
             } else {

@@ -226,8 +226,9 @@ pub(crate) fn task_seed(base: u64, task: usize, attempt: u32) -> u64 {
     retry_seed(mix(base, task as u64 + 1), attempt)
 }
 
-/// Extract a human-readable message from a caught panic payload.
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extract a human-readable message from a caught panic payload: the
+/// reason a campaign point, and a `minnetd` job, records for a panic.
+pub fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {

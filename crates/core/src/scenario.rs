@@ -4,7 +4,8 @@
 //!
 //! A [`Scenario`] is everything one evaluation story needs, as *data*:
 //!
-//! * the network shape (a [`NetworkSpec`] and [`Geometry`]),
+//! * the network shape (a [`NetworkSpec`] and
+//!   [`Geometry`](minnet_topology::Geometry)),
 //! * a workload — Poisson offered loads or a deterministic message
 //!   script,
 //! * scheduled faults: an explicit [`FaultPlan`] and/or a seeded
@@ -39,14 +40,13 @@
 use crate::campaign::{config_hash, run_plan, task_seed, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
 use crate::jsonl::{array, esc};
-use crate::spec::NetworkSpec;
+use crate::spec::{self, NetworkSpec};
 use crate::sweep::mix;
 use minnet_sim::{
-    ChaosSchedule, ChaosTarget, EngineConfig, RunBudget, Script, ScriptedMsg, SimError,
+    ChaosSchedule, ChaosTarget, RunBudget, Script, ScriptedMsg, SimError,
     SimReport, StallDiagnostic,
 };
-use minnet_topology::{Fault, FaultPlan, FaultTarget, Geometry, UnidirKind};
-use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
+use minnet_topology::{Fault, FaultPlan, FaultTarget, UnidirKind};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -600,11 +600,7 @@ impl Scenario {
 struct Draft {
     name: String,
     description: String,
-    geometry: Geometry,
-    network: NetworkSpec,
-    pattern: TrafficPattern,
-    sizes: MessageSizeDist,
-    sim: EngineConfig,
+    exp: Experiment,
     loads: Vec<f64>,
     script: Vec<ScriptedMsg>,
     faults: FaultPlan,
@@ -619,11 +615,7 @@ impl Draft {
         Draft {
             name: name.to_string(),
             description: String::new(),
-            geometry: Geometry::new(4, 3),
-            network: NetworkSpec::tmin(),
-            pattern: TrafficPattern::Uniform,
-            sizes: MessageSizeDist::PAPER,
-            sim: EngineConfig::default(),
+            exp: Experiment::paper_default(NetworkSpec::tmin()),
             loads: Vec::new(),
             script: Vec::new(),
             faults: FaultPlan::new(),
@@ -640,7 +632,7 @@ impl Draft {
     ///
     /// Reports an invalid name, a missing or doubled workload, empty or
     /// out-of-range loads, a missing expectation, degenerate fault
-    /// windows, and invalid network/chaos parameters.
+    /// windows, and invalid chaos parameters.
     fn build(self) -> Result<Scenario, String> {
         let fail = |e: String| format!("scenario {}: {e}", self.name);
         if self.name.is_empty()
@@ -655,7 +647,6 @@ impl Draft {
                 self.name
             ));
         }
-        self.network.validate().map_err(&fail)?;
         match (self.loads.is_empty(), self.script.is_empty()) {
             (true, true) => {
                 return Err(fail("declare a workload: loads = … or message = …".into()))
@@ -697,18 +688,8 @@ impl Draft {
         if let Some(chaos) = &self.chaos {
             chaos.validate().map_err(|e| fail(e.to_string()))?;
         }
-        let exp = Experiment {
-            geometry: self.geometry,
-            network: self.network,
-            pattern: self.pattern,
-            clustering: Clustering::Global,
-            rates: None,
-            sizes: self.sizes,
-            sim: EngineConfig {
-                vcs: self.network.vcs(),
-                ..self.sim
-            },
-        };
+        let mut exp = self.exp;
+        exp.sim.vcs = exp.network.vcs();
         Ok(Scenario {
             name: self.name,
             description: self.description,
@@ -755,18 +736,19 @@ impl Scenario {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
         let mut b = Draft::new(&default_name);
+        // The network's four keys are judged together after the loop, at
+        // the line of the last of them.
         let mut wiring = UnidirKind::Cube;
-        let mut network_kind = "tmin".to_string();
+        let mut network_kind = "tmin";
         let mut dilation: u8 = 2;
         let mut vcs: u8 = 2;
+        let mut network_ln = 0;
         // `k` and `n`: each is judged on its own line against the other's
         // smallest value, so an error there is that key's alone, and the
         // pair after the loop, reported at the line that completed it
         // (against the other's *default*, `n = 16` would be refused before
         // `k = 2` is read).
-        let geometry =
-            |k, n| Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits);
-        let (mut k, mut n, mut geometry_ln) = (b.geometry.k(), b.geometry.n(), 0);
+        let (mut k, mut n, mut geometry_ln) = (b.exp.geometry.k(), b.exp.geometry.n(), 0);
         let mut chaos = ChaosSchedule {
             target: ChaosTarget::Channel,
             count: 1,
@@ -799,79 +781,31 @@ impl Scenario {
                 return Err(at(format!("expected `key = value`, got {line:?}")));
             };
             let (key, value) = (key.trim(), value.trim());
+            // A value of the experiment vocabulary is refused naming its key.
+            let keyed = |e: String| at(format!("{key}: {e}"));
             let flag = |v: &str| -> Result<bool, String> {
                 parse_flag(v).ok_or_else(|| at(format!("expected true/false, got {v:?}")))
             };
             match key {
                 "name" => b.name = value.to_string(),
                 "description" => b.description = value.to_string(),
-                "network" => network_kind = value.to_string(),
+                "network" => (network_kind, network_ln) = (value, ln),
                 "wiring" => {
-                    wiring = match value {
-                        "cube" => UnidirKind::Cube,
-                        "butterfly" => UnidirKind::Butterfly,
-                        "omega" => UnidirKind::Omega,
-                        "baseline" => UnidirKind::Baseline,
-                        _ => return Err(at(format!("unknown wiring {value:?}"))),
-                    }
+                    (wiring, network_ln) = (spec::parse_wiring(value).map_err(keyed)?, ln);
                 }
-                "dilation" => dilation = num(value, at)?,
-                "vcs" => vcs = num(value, at)?,
+                "dilation" => (dilation, network_ln) = (num(value, at)?, ln),
+                "vcs" => (vcs, network_ln) = (num(value, at)?, ln),
                 "k" => {
                     (k, geometry_ln) = (num(value, at)?, ln);
-                    geometry(k, 1).map_err(at)?;
+                    spec::geometry(k, 1).map_err(at)?;
                 }
                 "n" => {
                     (n, geometry_ln) = (num(value, at)?, ln);
-                    geometry(2, n).map_err(at)?;
+                    spec::geometry(2, n).map_err(at)?;
                 }
-                "pattern" => {
-                    b.pattern = if value == "uniform" {
-                        TrafficPattern::Uniform
-                    } else if value == "shuffle" {
-                        TrafficPattern::SHUFFLE
-                    } else if let Some(x) = value.strip_prefix("hotspot:") {
-                        TrafficPattern::HotSpot {
-                            extra: x.parse().map_err(|e| at(format!("hotspot: {e}")))?,
-                        }
-                    } else if let Some(i) = value.strip_prefix("butterfly:") {
-                        TrafficPattern::butterfly(
-                            i.parse().map_err(|e| at(format!("butterfly: {e}")))?,
-                        )
-                    } else {
-                        return Err(at(format!("unknown pattern {value:?}")));
-                    }
-                }
-                "sizes" => {
-                    b.sizes = if value == "paper" {
-                        MessageSizeDist::PAPER
-                    } else if let Some(len) = value.strip_prefix("fixed:") {
-                        MessageSizeDist::Fixed(
-                            len.parse().map_err(|e| at(format!("fixed: {e}")))?,
-                        )
-                    } else if let Some(rest) = value.strip_prefix("bimodal:") {
-                        let parts: Vec<&str> = rest.split(',').collect();
-                        if parts.len() != 3 {
-                            return Err(at("bimodal needs short,long,p_short".to_string()));
-                        }
-                        MessageSizeDist::Bimodal {
-                            short: parts[0].parse().map_err(|e| at(format!("{e}")))?,
-                            long: parts[1].parse().map_err(|e| at(format!("{e}")))?,
-                            p_short: parts[2].parse().map_err(|e| at(format!("{e}")))?,
-                        }
-                    } else {
-                        return Err(at(format!("unknown sizes {value:?}")));
-                    }
-                }
-                "loads" => {
-                    for part in value.split(',') {
-                        let l: f64 = part
-                            .trim()
-                            .parse()
-                            .map_err(|e| at(format!("loads: {e}")))?;
-                        b.loads.push(l);
-                    }
-                }
+                "pattern" => b.exp.pattern = spec::parse_pattern(value).map_err(keyed)?,
+                "sizes" => b.exp.sizes = spec::parse_sizes(value).map_err(keyed)?,
+                "loads" => b.loads.extend(spec::parse_loads(value).map_err(keyed)?),
                 "message" => {
                     let parts: Vec<&str> = value.split_whitespace().collect();
                     if parts.len() != 4 {
@@ -886,15 +820,15 @@ impl Scenario {
                         len: num(parts[3], at)?,
                     });
                 }
-                "seed" => b.sim.seed = num(value, at)?,
-                "warmup" => b.sim.warmup = num(value, at)?,
-                "measure" => b.sim.measure = num(value, at)?,
-                "queue_limit" => b.sim.queue_limit = num(value, at)?,
-                "buffer_depth" => b.sim.buffer_depth = num(value, at)?,
-                "watchdog_window" => b.sim.watchdog_window = num(value, at)?,
-                "fault_abort" => b.sim.fault_abort = flag(value)?,
-                "budget_cycles" => b.sim.budget.max_cycles = num(value, at)?,
-                "budget_ms" => b.sim.budget.max_wall_ms = num(value, at)?,
+                "seed" => b.exp.sim.seed = num(value, at)?,
+                "warmup" => b.exp.sim.warmup = num(value, at)?,
+                "measure" => b.exp.sim.measure = num(value, at)?,
+                "queue_limit" => b.exp.sim.queue_limit = num(value, at)?,
+                "buffer_depth" => b.exp.sim.buffer_depth = num(value, at)?,
+                "watchdog_window" => b.exp.sim.watchdog_window = num(value, at)?,
+                "fault_abort" => b.exp.sim.fault_abort = flag(value)?,
+                "budget_cycles" => b.exp.sim.budget.max_cycles = num(value, at)?,
+                "budget_ms" => b.exp.sim.budget.max_wall_ms = num(value, at)?,
                 "fault" => {
                     let (target, window) = match value.split_once('@') {
                         Some((t, w)) => (t.trim(), Some(w.trim())),
@@ -1011,14 +945,9 @@ impl Scenario {
                 other => return Err(at(format!("unknown key {other:?}"))),
             }
         }
-        b.geometry = geometry(k, n).map_err(|e| format!("{origin}:{geometry_ln}: {e}"))?;
-        b.network = match network_kind.as_str() {
-            "tmin" => NetworkSpec::Tmin(wiring),
-            "dmin" => NetworkSpec::Dmin(wiring, dilation),
-            "vmin" => NetworkSpec::Vmin(wiring, vcs),
-            "bmin" => NetworkSpec::Bmin,
-            other => return Err(format!("{origin}: unknown network {other:?}")),
-        };
+        b.exp.geometry = spec::geometry(k, n).map_err(|e| format!("{origin}:{geometry_ln}: {e}"))?;
+        b.exp.network = spec::parse_network(network_kind, wiring, dilation, vcs)
+            .map_err(|e| format!("{origin}:{network_ln}: network: {e}"))?;
         if has_chaos {
             b.chaos = Some(chaos);
         }
@@ -1240,6 +1169,7 @@ pub fn verdict_report_json(set: &ScenarioSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minnet_traffic::TrafficPattern;
 
     /// `lines` of `.scn` text over 32-flit messages and a short window.
     fn quick(lines: &str) -> Result<Scenario, String> {
@@ -1449,6 +1379,17 @@ chaos_opt_in = true
             ("k = 32\nn = 9", "x.scn:3: k = 32, n = 9:"),
             ("n = 9\nk = 32", "x.scn:3: k = 32, n = 9:"),
             ("k = 4294967300", "x.scn:2: number too large"),
+        ] {
+            let err = Scenario::parse(&format!("loads = 0.2\n{lines}\n"), "x.scn").unwrap_err();
+            assert!(err.starts_with(at), "{lines:?}: {err}");
+        }
+        // A vocabulary value no run can use names its line and key; the
+        // network, four keys judged together, the last of their lines.
+        for (lines, at) in [
+            ("sizes = fixed:0", "x.scn:2: sizes: messages must have at least one flit"),
+            ("pattern = hotspot:NaN", "x.scn:2: pattern: hot-spot extra fraction"),
+            ("network = vmin\nvcs = 65", "x.scn:3: network: at most 64 virtual channels"),
+            ("dilation = 0\nnetwork = dmin", "x.scn:3: network: dilation must be at least 1"),
         ] {
             let err = Scenario::parse(&format!("loads = 0.2\n{lines}\n"), "x.scn").unwrap_err();
             assert!(err.starts_with(at), "{lines:?}: {err}");

@@ -48,10 +48,8 @@
 use crate::campaign::{config_hash, run_plan, task_line, task_seed, CampaignPolicy};
 use crate::experiment::Experiment;
 use crate::jsonl::{self, esc, Obj};
-use crate::spec::NetworkSpec;
+use crate::spec;
 use minnet_sim::SimError;
-use minnet_topology::{Geometry, UnidirKind};
-use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -85,9 +83,12 @@ pub struct JobSpec {
     pub k: u32,
     /// Stages (`k^n` terminals).
     pub n: u32,
-    /// Traffic pattern: `uniform` | `shuffle` | `hotspot:<extra>`.
+    /// Traffic pattern: `uniform` | `shuffle` | `hotspot:<extra>` |
+    /// `butterfly:<i>`, as [`spec::parse_pattern`] reads it.
     pub pattern: String,
-    /// Message sizes: `paper` | `fixed:<flits>`.
+    /// Message sizes: `paper` | `fixed:<flits>` |
+    /// `bimodal:<short>,<long>,<p_short>`, as [`spec::parse_sizes`] reads
+    /// them.
     pub sizes: String,
     /// Offered loads (flits/cycle/node), one curve point each.
     pub loads: Vec<f64>,
@@ -142,78 +143,36 @@ impl JobSpec {
     /// [`SimError::Config`] naming the offending field — the structured
     /// form the daemon serializes back over the wire.
     pub fn to_experiment(&self) -> Result<Experiment, SimError> {
-        let bad = |msg: String| SimError::Config(msg);
-        let wiring = match self.wiring.as_str() {
-            "cube" => UnidirKind::Cube,
-            "butterfly" => UnidirKind::Butterfly,
-            "omega" => UnidirKind::Omega,
-            "baseline" => UnidirKind::Baseline,
-            other => return Err(bad(format!("unknown wiring {other:?}"))),
-        };
-        let network = match self.network.as_str() {
-            "tmin" => NetworkSpec::Tmin(wiring),
-            "dmin" => NetworkSpec::Dmin(wiring, self.dilation),
-            "vmin" => NetworkSpec::Vmin(wiring, self.vcs),
-            "bmin" => NetworkSpec::Bmin,
-            other => return Err(bad(format!("unknown network {other:?}"))),
-        };
-        network.validate().map_err(SimError::Config)?;
-        let pattern = match self.pattern.as_str() {
-            "uniform" => TrafficPattern::Uniform,
-            "shuffle" => TrafficPattern::SHUFFLE,
-            p => {
-                let Some(x) = p.strip_prefix("hotspot:") else {
-                    return Err(bad(format!("unknown pattern {p:?}")));
-                };
-                let extra: f64 = x
-                    .parse()
-                    .map_err(|e| bad(format!("hotspot extra rate: {e}")))?;
-                TrafficPattern::HotSpot { extra }
-            }
-        };
-        let sizes = match self.sizes.as_str() {
-            "paper" => MessageSizeDist::PAPER,
-            s => {
-                let Some(len) = s.strip_prefix("fixed:") else {
-                    return Err(bad(format!("unknown sizes {s:?}")));
-                };
-                MessageSizeDist::Fixed(len.parse().map_err(|e| bad(format!("fixed size: {e}")))?)
-            }
-        };
-        // Refused here, before the daemon journals the job: a geometry
-        // no graph can be built for used to panic the connection thread
-        // (`k^n` overflow) or be accepted and fail every retry (`k > 256`).
-        let geometry = Geometry::try_new(self.k, self.n)
-            .and_then(minnet_topology::graph::check_limits)
-            .map_err(bad)?;
+        // Refused here, before the daemon journals the job: a value no
+        // run can use (`fixed:0`, `k = 300`) used to be accepted and
+        // then fail every retry.
+        let field = |name: &'static str| move |e: String| SimError::Config(format!("{name}: {e}"));
+        let wiring = spec::parse_wiring(&self.wiring).map_err(field("wiring"))?;
+        let network = spec::parse_network(&self.network, wiring, self.dilation, self.vcs)
+            .map_err(field("network"))?;
+        let pattern = spec::parse_pattern(&self.pattern).map_err(field("pattern"))?;
+        let sizes = spec::parse_sizes(&self.sizes).map_err(field("sizes"))?;
+        let geometry = spec::geometry(self.k, self.n).map_err(SimError::Config)?;
         if self.loads.is_empty() {
-            return Err(bad("a job needs at least one load point".into()));
+            return Err(SimError::Config("a job needs at least one load point".into()));
         }
-        if self.loads.iter().any(|l| !l.is_finite() || *l <= 0.0) {
-            return Err(bad("loads must be finite and positive".into()));
+        if let Some(l) = self.loads.iter().find(|l| !l.is_finite() || **l <= 0.0) {
+            return Err(SimError::Config(format!("load {l} is not finite and positive")));
         }
         let mut exp = Experiment {
             geometry,
-            network,
             pattern,
-            clustering: Clustering::Global,
-            rates: None,
             sizes,
-            sim: Default::default(),
+            ..Experiment::paper_default(network)
         };
         exp.sim.warmup = self.warmup;
         exp.sim.measure = self.measure;
         exp.sim.seed = self.seed;
         exp.sim.budget.max_cycles = self.budget_cycles;
         exp.sim.budget.max_wall_ms = self.budget_ms;
-        // Validate what a run will use: the lane count comes from the
-        // network spec at compile time (`exp.sim.vcs` itself stays at its
-        // default — the identity hash covers it).
-        minnet_sim::EngineConfig {
-            vcs: network.vcs(),
-            ..exp.sim.clone()
-        }
-        .validate()?;
+        // The network's lane count was checked with it; `exp.sim.vcs`
+        // stays at its default (the identity hash covers it).
+        exp.sim.validate()?;
         Ok(exp)
     }
 
@@ -817,6 +776,8 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::NetworkSpec;
+    use minnet_traffic::MessageSizeDist;
 
     fn quick_spec() -> JobSpec {
         JobSpec {
@@ -1197,6 +1158,30 @@ mod tests {
         let mut s = quick_spec();
         s.pattern = "nope".into();
         assert!(s.to_experiment().is_err());
+        // A job speaks the command line's vocabulary…
+        let accepted = [("butterfly:2", "fixed:32"), ("uniform", "bimodal:8,1024,0.5")];
+        for (pattern, sizes) in accepted {
+            let mut s = quick_spec();
+            (s.pattern, s.sizes) = (pattern.into(), sizes.into());
+            assert!(s.to_experiment().is_ok(), "{pattern} {sizes}");
+        }
+        // …and refuses, naming the field, a value no run can use (these
+        // were accepted, journaled, and failed at compile time).
+        for (field, value) in [
+            ("pattern", "hotspot:-1"),
+            ("pattern", "hotspot:NaN"),
+            ("sizes", "fixed:0"),
+            ("sizes", "bimodal:8,1024,1.5"),
+        ] {
+            let mut s = quick_spec();
+            match field {
+                "pattern" => s.pattern = value.into(),
+                _ => s.sizes = value.into(),
+            }
+            let err = s.to_experiment().unwrap_err();
+            assert_eq!(error_kind(&err), "config", "{value}");
+            assert!(String::from(err).starts_with(&format!("{field}: ")), "{value}");
+        }
         // Geometry: degenerate, past `u32` node ids, past the graph's
         // byte-wide ports — and a `k` past `u32` is a torn line, not 4.
         for (k, n) in [(1, 3), (4, 0), (4, 17), (32, 9), (300, 1)] {

@@ -1,6 +1,27 @@
-//! Network specifications: the four designs of the paper as one enum.
+//! Network specifications — the four designs of the paper as one enum —
+//! and the text form of an experiment.
+//!
+//! The `minnet` options, a [`crate::JobSpec`]'s strings and `.scn` keys
+//! spell one vocabulary, read here and nowhere else: [`parse_wiring`],
+//! [`parse_network`], [`parse_pattern`], [`parse_sizes`], [`geometry`]
+//! and [`parse_loads`]. Each refuses a value no run can use — it runs the
+//! type's own `validate()` — so the error surfaces where the text is read.
+//! Each door frames the message (`--flag`, a config error, `file:line`)
+//! and keeps its own defaults and load range.
 
+use minnet_sim::EngineConfig;
 use minnet_topology::{build_bmin, build_unidir, Geometry, NetworkGraph, UnidirKind};
+use minnet_traffic::{MessageSizeDist, TrafficPattern};
+use std::fmt::Display;
+
+/// The unidirectional wirings by name, for [`parse_wiring`] and
+/// [`NetworkSpec::name`].
+const WIRINGS: [(&str, UnidirKind); 4] = [
+    ("cube", UnidirKind::Cube),
+    ("butterfly", UnidirKind::Butterfly),
+    ("omega", UnidirKind::Omega),
+    ("baseline", UnidirKind::Baseline),
+];
 
 /// One of the four switch-based wormhole networks under evaluation.
 ///
@@ -66,12 +87,7 @@ impl NetworkSpec {
 
     /// Short display name matching the paper's terminology.
     pub fn name(&self) -> String {
-        let wiring = |k: UnidirKind| match k {
-            UnidirKind::Cube => "cube",
-            UnidirKind::Butterfly => "butterfly",
-            UnidirKind::Omega => "omega",
-            UnidirKind::Baseline => "baseline",
-        };
+        let wiring = |k| WIRINGS.iter().find(|w| w.1 == k).map_or("", |w| w.0);
         match *self {
             NetworkSpec::Tmin(k) => format!("TMIN({})", wiring(k)),
             NetworkSpec::Dmin(k, d) => format!("DMIN({}, d={d})", wiring(k)),
@@ -88,6 +104,90 @@ impl NetworkSpec {
             _ => Ok(()),
         }
     }
+}
+
+/// A wiring: `cube | butterfly | omega | baseline`.
+pub fn parse_wiring(s: &str) -> Result<UnidirKind, String> {
+    let w = WIRINGS.iter().find(|w| w.0 == s);
+    w.map(|w| w.1).ok_or_else(|| format!("unknown wiring {s:?}"))
+}
+
+/// A network: `tmin | dmin | vmin | bmin` on `wiring`, DMIN with
+/// `dilation` and VMIN with `vcs` (the other kinds ignore both), refused
+/// where [`NetworkSpec::validate`] refuses it or the engine refuses its
+/// lane count.
+pub fn parse_network(
+    kind: &str,
+    wiring: UnidirKind,
+    dilation: u8,
+    vcs: u8,
+) -> Result<NetworkSpec, String> {
+    let net = match kind {
+        "tmin" => NetworkSpec::Tmin(wiring),
+        "dmin" => NetworkSpec::Dmin(wiring, dilation),
+        "vmin" => NetworkSpec::Vmin(wiring, vcs),
+        "bmin" => NetworkSpec::Bmin,
+        _ => return Err(format!("unknown network {kind:?}")),
+    };
+    net.validate()?;
+    let lanes = EngineConfig { vcs: net.vcs(), ..EngineConfig::default() };
+    lanes.validate().map(|()| net).map_err(String::from)
+}
+
+/// A destination pattern: `uniform | shuffle | hotspot:F | butterfly:I`,
+/// refused where [`TrafficPattern::validate`] refuses it (`hotspot:NaN`).
+pub fn parse_pattern(s: &str) -> Result<TrafficPattern, String> {
+    let p = match s.split_once(':') {
+        None if s == "uniform" => TrafficPattern::Uniform,
+        None if s == "shuffle" => TrafficPattern::SHUFFLE,
+        Some(("hotspot", x)) => TrafficPattern::HotSpot {
+            extra: x.parse().map_err(|e| format!("hotspot {x:?}: {e}"))?,
+        },
+        Some(("butterfly", i)) => {
+            TrafficPattern::butterfly(i.parse().map_err(|e| format!("butterfly {i:?}: {e}"))?)
+        }
+        _ => return Err(format!("unknown pattern {s:?}")),
+    };
+    p.validate().map(|()| p)
+}
+
+/// Message sizes: `paper | fixed:N | bimodal:S,L,P` (lengths in flits,
+/// `P` the share of short messages), refused where
+/// [`MessageSizeDist::validate`] refuses them (`fixed:0`).
+pub fn parse_sizes(s: &str) -> Result<MessageSizeDist, String> {
+    let d = match s.split_once(':') {
+        None if s == "paper" => MessageSizeDist::PAPER,
+        Some(("fixed", len)) => {
+            MessageSizeDist::Fixed(len.parse().map_err(|e| format!("fixed {len:?}: {e}"))?)
+        }
+        Some(("bimodal", rest)) => {
+            let [short, long, p_short] = rest.split(',').collect::<Vec<_>>()[..] else {
+                return Err("bimodal needs short,long,p_short".into());
+            };
+            let bad = |x: &str, e: &dyn Display| format!("bimodal {x:?}: {e}");
+            MessageSizeDist::Bimodal {
+                short: short.parse().map_err(|e| bad(short, &e))?,
+                long: long.parse().map_err(|e| bad(long, &e))?,
+                p_short: p_short.parse().map_err(|e| bad(p_short, &e))?,
+            }
+        }
+        _ => return Err(format!("unknown sizes {s:?}")),
+    };
+    d.validate().map(|()| d)
+}
+
+/// The `k`-ary `n`-stage geometry once both are read as numbers, refused
+/// where [`Geometry::try_new`] or [`minnet_topology::graph::check_limits`]
+/// refuses it; the error names the parameter first (`k = 1: …`).
+pub fn geometry(k: u32, n: u32) -> Result<Geometry, String> {
+    Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits)
+}
+
+/// A comma-separated list of offered loads; which loads a run allows is
+/// each door's own policy.
+pub fn parse_loads(s: &str) -> Result<Vec<f64>, String> {
+    let load = |x: &str| x.trim().parse().map_err(|e| format!("load {x:?}: {e}"));
+    s.split(',').map(load).collect()
 }
 
 #[cfg(test)]

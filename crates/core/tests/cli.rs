@@ -289,7 +289,8 @@ fn bad_arguments_fail_cleanly() {
 
 /// Geometries no graph can be built for are refused by name at the
 /// command line and by `file:line` in a `.scn` — never a panic in
-/// `Geometry::new`, a wrapped `as u32`, or a wrapped `u8` port.
+/// `Geometry::new`, a wrapped `as u32`, or a wrapped `u8` port — and so
+/// are message sizes and hot spots no run can use.
 #[test]
 fn impossible_geometries_fail_typed() {
     for (args, flag) in [
@@ -318,6 +319,8 @@ fn impossible_geometries_fail_typed() {
         ("bad_radix.scn", 6, "k = 1: "),
         ("bad_node_count.scn", 7, "k = 32, n = 9: "),
         ("bad_delivery.scn", 8, "expect.delivery = NaN "),
+        ("bad_sizes.scn", 7, "sizes: messages must have at least one flit"),
+        ("bad_hotspot.scn", 7, "pattern: hot-spot extra fraction must be >= 0, got -1"),
     ] {
         let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
         let (ok, _, stderr) = minnet(&["scenario", "validate", &path]);

@@ -51,6 +51,7 @@
 //!   parked in `read` would keep the journal lock alive — and capped at
 //!   [`MAX_CONNECTIONS`].
 
+use minnet::campaign::panic_reason;
 use minnet::jsonl::{self, esc, Log};
 use minnet::service::{run_job, JobSpec, Request, Response, ServiceStats};
 use minnet_sim::RunBudget;
@@ -837,15 +838,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let reason = match res {
                 Ok(Ok(result)) => break Ok(result),
                 Ok(Err(e)) => e,
-                Err(payload) => {
-                    if let Some(s) = payload.downcast_ref::<&str>() {
-                        format!("panic: {s}")
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        format!("panic: {s}")
-                    } else {
-                        "panic: (non-string payload)".to_string()
-                    }
-                }
+                Err(payload) => panic_reason(payload),
             };
             if attempt < JOB_RETRIES {
                 attempt += 1;

@@ -221,6 +221,45 @@ fn malformed_specs_get_structured_errors_not_queue_slots() {
 }
 
 #[test]
+fn unusable_values_are_refused_at_submit_and_never_journaled() {
+    let (daemon, cleanup) = start("unusable", 1, 16, 8);
+    let client = ServiceClient::new(daemon.addr().to_string());
+    let journal = cleanup.0.join("journal.jsonl");
+    let before = std::fs::read_to_string(&journal).unwrap();
+    // Each of these used to be accepted and journaled, then fail all
+    // three attempts of its retry ladder when the run compiled it.
+    for (field, value) in [
+        ("pattern", "hotspot:-1"),
+        ("pattern", "hotspot:NaN"),
+        ("sizes", "fixed:0"),
+        ("sizes", "bimodal:8,1024,1.5"),
+    ] {
+        let mut spec = quick_spec(41);
+        match field {
+            "pattern" => spec.pattern = value.into(),
+            _ => spec.sizes = value.into(),
+        }
+        let Response::Error { kind, message } = client.submit("c1", &spec).unwrap() else {
+            panic!("{field} = {value} must be refused");
+        };
+        assert_eq!(kind, "config", "{value}");
+        assert!(message.starts_with(&format!("{field}: ")), "{value}: {message}");
+    }
+    let after = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(after, before, "a refused job reached the journal");
+    assert!(!after.contains("\"accepted\""), "{after}");
+    // The permutation and bimodal forms the command line lists are a
+    // job's vocabulary too.
+    let mut spec = quick_spec(41);
+    (spec.pattern, spec.sizes) = ("butterfly:2".into(), "bimodal:8,64,0.5".into());
+    let Response::Accepted { job_id, .. } = client.submit("c1", &spec).unwrap() else {
+        panic!("butterfly:2 with bimodal sizes must be accepted");
+    };
+    let result = client.wait_result(&job_id, Duration::from_secs(60)).unwrap();
+    assert!(result.contains("\"outcome\":\"ok\""), "{result}");
+}
+
+#[test]
 fn newline_free_flood_is_cut_at_the_line_cap() {
     let (daemon, _cleanup) = start("longline", 1, 16, 8);
     let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();

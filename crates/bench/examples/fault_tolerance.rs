@@ -22,7 +22,7 @@
 
 use minnet::{Experiment, NetworkSpec};
 use minnet_sim::engine::{Script, ScriptedMsg};
-use minnet_sim::{EngineState, SimError};
+use minnet_sim::{EngineState, SimError, Traffic};
 use minnet_topology::{Fault, FaultPlan, FaultTarget};
 use minnet_traffic::MessageSizeDist;
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), String> {
         let mut st = EngineState::new();
         let report = compiled
             .network()
-            .run_poisson_faulted(&workload, Some(&faults), 7, &mut st)?;
+            .run(Traffic::Poisson(&workload), Some(&faults), 7, &mut st)?;
         println!(
             "  {:>8}: delivered {:6} | aborted {:3} | refused {:5} | accepted {:.4} f/n/c",
             spec.name(),
@@ -77,7 +77,7 @@ fn main() -> Result<(), String> {
     let mut st = EngineState::new();
     let report = compiled
         .network()
-        .run_poisson_faulted(&workload, Some(&faults), 7, &mut st)?;
+        .run(Traffic::Poisson(&workload), Some(&faults), 7, &mut st)?;
     println!(
         "\ntransient fault on channel {victim} over cycles [3000, 6000) in a TMIN:\n  \
          delivered {} packets, aborted {} at onset, refused {} during the outage",
@@ -102,14 +102,14 @@ fn main() -> Result<(), String> {
     }];
     let script = Script::compile(exp.geometry, &worm)?;
     let mut st = EngineState::new();
-    let clean = compiled.network().run_script(&script, 7, &mut st)?;
+    let clean = compiled.network().run(Traffic::Script(&script), None, 7, &mut st)?;
     let path = clean.trace.as_ref().expect("trace was enabled").channel_path(0);
     let mid = path[path.len() / 2];
     let plan = FaultPlan::new().with(Fault::transient(FaultTarget::Channel(mid), 100, u64::MAX));
     let faults = compiled.network().compile_faults(&plan)?;
     match compiled
         .network()
-        .run_script_faulted(&script, Some(&faults), 7, &mut st)
+        .run(Traffic::Script(&script), Some(&faults), 7, &mut st)
     {
         Err(SimError::NoProgress(diag)) => {
             println!("\nwatchdog tripped as intended:\n{diag}");

@@ -60,7 +60,7 @@ use crate::jsonl::{self, esc, Log, Obj};
 use crate::sweep::{
     aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
 };
-use minnet_sim::{EngineState, SimError, SimReport};
+use minnet_sim::{EngineState, SimError, SimReport, Traffic};
 use minnet_topology::FaultPlan;
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -379,9 +379,9 @@ fn fold_points<K: Copy, P>(
 
 /// One task per load, per-point outcomes, optional retries and
 /// checkpointing. Task `i` runs on `mix(base, i + 1)`, so every `Ok`
-/// report is bit-identical to [`Experiment::run_seeded`] at that seed;
-/// [`crate::latency_throughput_curve`] is this function under the
-/// default policy, collapsed to the strict surface.
+/// report is bit-identical to a lone [`crate::CompiledExperiment::run`]
+/// at that seed; [`crate::latency_throughput_curve`] is this function
+/// under the default policy, collapsed to the strict surface.
 ///
 /// # Errors
 ///
@@ -405,7 +405,7 @@ pub fn campaign_curve(
         loads.len(),
         threads,
         policy,
-        |i, attempt, st| compiled.run_typed(loads[i], task_seed(base, i, attempt), st),
+        |i, attempt, st| compiled.run(loads[i], task_seed(base, i, attempt), st),
     )?;
     Ok(loads
         .iter()
@@ -422,9 +422,9 @@ pub fn campaign_curve(
 /// `(point, replication)` grid, each replication one task on the plan's
 /// pool. Task `(i, r)` runs on `mix(base, i·R + r + 1)` — for `R = 1`
 /// exactly the seeds (hence bit-exactly the reports) of
-/// [`campaign_curve`] — so every `Ok` report equals
-/// [`Experiment::run_seeded`] at its task seed, however the tasks are
-/// scheduled or resumed.
+/// [`campaign_curve`] — so every `Ok` report equals a lone
+/// [`crate::CompiledExperiment::run`] at its task seed, however the tasks
+/// are scheduled or resumed.
 ///
 /// # Errors
 ///
@@ -456,7 +456,7 @@ pub fn campaign_replicated_curve(
         threads,
         policy,
         |t, attempt, st| {
-            compiled.run_typed(loads[t / replications], task_seed(base, t, attempt), st)
+            compiled.run(loads[t / replications], task_seed(base, t, attempt), st)
         },
     )?;
     Ok(fold_points(
@@ -537,8 +537,8 @@ pub fn campaign_degradation_curve(
         threads,
         policy,
         |t, attempt, st| {
-            compiled.network().run_poisson_faulted(
-                &workload,
+            compiled.network().run(
+                Traffic::Poisson(&workload),
                 Some(&faulted[t / replications]),
                 task_seed(base, t, attempt),
                 st,
@@ -835,7 +835,7 @@ mod tests {
             if i == 1 {
                 panic!("injected failure at point {i} attempt {attempt}");
             }
-            compiled.run_typed(0.2, mix(7, i as u64 + 1), st)
+            compiled.run(0.2, mix(7, i as u64 + 1), st)
         });
         assert!(results[0].0.is_ok());
         assert!(results[2].0.is_ok());
@@ -855,7 +855,7 @@ mod tests {
             if attempt == 0 {
                 panic!("flaky first attempt");
             }
-            compiled.run_typed(0.2, task_seed(7, i, attempt), st)
+            compiled.run(0.2, task_seed(7, i, attempt), st)
         });
         assert!(results[0].0.is_ok());
         assert_eq!(results[0].1, 2);
@@ -876,8 +876,8 @@ mod tests {
         let budgeted = budgeted.compile().unwrap();
         let results = plan(4, 2, &retrying(0), |i, _attempt, st| match i {
             1 => panic!("injected"),
-            2 => budgeted.run_typed(0.2, 99, st),
-            _ => compiled.run_typed(0.2, mix(7, i as u64 + 1), st),
+            2 => budgeted.run(0.2, 99, st),
+            _ => compiled.run(0.2, mix(7, i as u64 + 1), st),
         });
         let outcomes: Vec<&PointOutcome> = results.iter().map(|(o, _)| o).collect();
         assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
@@ -1070,7 +1070,7 @@ mod tests {
             if i == 0 {
                 panic!("boom");
             }
-            compiled.run_typed(0.2, 5, st)
+            compiled.run(0.2, 5, st)
         });
         assert!(matches!(results[0].0, PointOutcome::Failed { .. }));
 
@@ -1093,8 +1093,10 @@ mod tests {
         let stats = pts[0].ok_stats.as_ref().unwrap();
         assert_eq!(stats.replications.len(), 3);
         // Each replication is a pool task on its grid seed.
+        let compiled = exp.compile().unwrap();
         for (r, rep) in stats.replications.iter().enumerate() {
-            let direct = exp.run_seeded(0.2, task_seed(exp.sim.seed, r, 0)).unwrap();
+            let seed = task_seed(exp.sim.seed, r, 0);
+            let direct = compiled.run(0.2, seed, &mut EngineState::new()).unwrap();
             assert!(rep.bitwise_eq(&direct), "replication {r} diverged");
         }
     }
@@ -1153,7 +1155,7 @@ mod tests {
             let seen = Mutex::new(Vec::new());
             plan(tasks, threads, &retrying(0), |i, _, st| {
                 seen.lock().unwrap().push(std::thread::current().id() == caller);
-                compiled.run_typed(0.1, task_seed(7, i, 0), st)
+                compiled.run(0.1, task_seed(7, i, 0), st)
             });
             seen.into_inner().unwrap()
         };
@@ -1166,7 +1168,7 @@ mod tests {
     /// seed 7.
     fn scalar(task: usize, attempt: u32) -> SimReport {
         let seed = task_seed(7, task, attempt);
-        quick().run_seeded(0.2, seed).unwrap()
+        quick().compile().unwrap().run(0.2, seed, &mut EngineState::new()).unwrap()
     }
 
     #[test]
@@ -1178,7 +1180,7 @@ mod tests {
                 assert_eq!(std::thread::current().id(), caller);
                 panic!("injected on the caller");
             }
-            compiled.run_typed(0.2, task_seed(7, i, 0), st)
+            compiled.run(0.2, task_seed(7, i, 0), st)
         });
         assert!(matches!(results[1].0, PointOutcome::Failed { .. }));
         // The point after the panic ran on a fresh state, to the same bits.
@@ -1195,7 +1197,7 @@ mod tests {
         let mut budgeted = quick();
         budgeted.sim.budget.max_cycles = 1_500;
         let budgeted = budgeted.compile().unwrap();
-        let run_with = |threads: usize| -> (Vec<String>, String) {
+        let run_on = |threads: usize| -> (Vec<String>, String) {
             let path = temp_ckpt("threads");
             let _cleanup = Cleanup(path.clone());
             let policy = CampaignPolicy {
@@ -1205,9 +1207,9 @@ mod tests {
             };
             let results = plan(5, threads, &policy, |i, attempt, st| match (i, attempt) {
                 (1, _) => panic!("always"),
-                (2, _) => budgeted.run_typed(0.2, task_seed(7, i, attempt), st),
+                (2, _) => budgeted.run(0.2, task_seed(7, i, attempt), st),
                 (3, 0) => Err(SimError::Config("first attempt".into())),
-                _ => compiled.run_typed(0.2, task_seed(7, i, attempt), st),
+                _ => compiled.run(0.2, task_seed(7, i, attempt), st),
             });
             let lines = results
                 .iter()
@@ -1216,7 +1218,7 @@ mod tests {
                 .collect();
             (lines, std::fs::read_to_string(&path).unwrap())
         };
-        let (lines, file) = run_with(1);
+        let (lines, file) = run_on(1);
         let parsed: Vec<Obj<'_>> = lines.iter().map(|l| Obj::parse(l).unwrap()).collect();
         let tags: Vec<String> = parsed.iter().map(|l| l.str("outcome").unwrap()).collect();
         assert_eq!(tags, ["ok", "failed", "partial", "ok", "ok"]);
@@ -1226,7 +1228,7 @@ mod tests {
         let header = file.split_inclusive('\n').next().unwrap();
         assert_eq!(file, format!("{header}{}", lines.concat()));
         for threads in [2, 4] {
-            let (pooled, pooled_file) = run_with(threads);
+            let (pooled, pooled_file) = run_on(threads);
             assert_eq!(pooled, lines, "threads = {threads}");
             // A pool appends in completion order: same lines, any order.
             let mut appended: Vec<&str> = pooled_file.split_inclusive('\n').skip(1).collect();
@@ -1253,7 +1255,7 @@ mod tests {
             let task = |l| Obj::parse(l).unwrap().u64("task").unwrap();
             let tasks: Vec<u64> = on_disk.lines().skip(1).map(task).collect();
             assert_eq!(tasks, (0..i as u64).collect::<Vec<_>>(), "before task {i}");
-            compiled.run_typed(0.1, task_seed(7, i, 0), st)
+            compiled.run(0.1, task_seed(7, i, 0), st)
         });
         // An assertion that failed inside `run` would be a Failed point.
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));

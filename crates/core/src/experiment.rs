@@ -1,30 +1,18 @@
 //! One §5 experiment: a network, a workload family, and engine settings.
 //!
-//! Two evaluation paths share one engine:
-//!
-//! * [`Experiment::run`] / [`Experiment::run_seeded`] — the original
-//!   one-shot path: build the network, compile the workload, run. Nothing
-//!   is cached; right for a single report.
-//! * [`CompiledExperiment`] — the compile-once / run-many path: the
-//!   network graph, the per-`(channel, destination)` routing table, and
-//!   the workload *template* are built exactly once; each run only
-//!   rescales the template to its load (a handful of float ops per node)
-//!   and reuses a pooled or caller-owned
-//!   [`EngineState`](minnet_sim::EngineState). Sweeps, saturation
-//!   searches and replicated designs all sit on this path.
-//!
-//! Both paths are pinned bit-identical (`SimReport::bitwise_eq`) by the
-//! workspace differential tests — compiling is *only* a performance
-//! decision.
+//! An experiment is evaluated one way. [`Experiment::compile`] builds
+//! every load-independent artifact once — the network graph, the
+//! per-`(channel, destination)` routing table and the workload
+//! *template* — and [`CompiledExperiment::run`] rescales the template to
+//! its load (a handful of float ops per node) and runs the engine on a
+//! caller-owned [`EngineState`]. Sweeps, saturation searches and
+//! replicated designs keep one state per worker; [`Experiment::run`], for
+//! a single report, compiles and runs once on a fresh state.
 
 use crate::spec::NetworkSpec;
-use minnet_sim::{
-    run_simulation, with_pooled_state, CompiledNet, EngineConfig, EngineState, SimError, SimReport,
-};
+use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimError, SimReport, Traffic};
 use minnet_topology::{Geometry, NetworkGraph};
-use minnet_traffic::{
-    Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec, WorkloadTemplate,
-};
+use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, WorkloadSpec, WorkloadTemplate};
 use std::sync::Arc;
 
 /// A complete experiment description; [`Experiment::run`] evaluates it at
@@ -63,37 +51,39 @@ impl Experiment {
     }
 
     /// Simulate at the given offered load (flits/cycle/node; 1.0 = the
-    /// one-port injection bound).
+    /// one-port injection bound) with the experiment's own seed:
+    /// [`Experiment::compile`], then one [`CompiledExperiment::run`] on a
+    /// fresh state.
     pub fn run(&self, offered_load: f64) -> Result<SimReport, String> {
-        self.run_seeded(offered_load, self.sim.seed)
+        Ok(self.compile()?.run(offered_load, self.sim.seed, &mut EngineState::new())?)
     }
 
-    /// Like [`Experiment::run`] but with an explicit seed (used by sweeps
-    /// to decorrelate points).
-    pub fn run_seeded(&self, offered_load: f64, seed: u64) -> Result<SimReport, String> {
+    /// Validate this experiment and build its shared artifacts — see
+    /// [`CompiledExperiment`].
+    ///
+    /// # Errors
+    ///
+    /// Reports invalid network specs, geometries past what the graph and
+    /// the engine can index (`graph::check_limits` — the spec's
+    /// `validate()` has no geometry to look at), malformed workloads, and
+    /// invalid engine configurations.
+    pub fn compile(&self) -> Result<CompiledExperiment, String> {
         self.network.validate()?;
         minnet_topology::graph::check_limits(self.geometry)?;
-        let net = self.network.build(self.geometry);
-        let spec = WorkloadSpec {
-            offered_load,
-            pattern: self.pattern,
-            clustering: self.clustering.clone(),
-            rates: self.rates.clone(),
-            sizes: self.sizes,
-        };
-        let workload = Workload::compile(self.geometry, &spec)?;
+        let graph = Arc::new(self.network.build(self.geometry));
+        // The template ignores the placeholder load; per-run loads come
+        // from `workload_at`.
+        let template = WorkloadTemplate::compile(self.geometry, &self.workload_spec(1.0))?;
         let cfg = EngineConfig {
             vcs: self.network.vcs(),
-            seed,
             ..self.sim.clone()
         };
-        Ok(run_simulation(&net, &workload, &cfg)?)
-    }
-
-    /// Compile this experiment for run-many use — see
-    /// [`CompiledExperiment`].
-    pub fn compile(&self) -> Result<CompiledExperiment, String> {
-        CompiledExperiment::compile(self)
+        let net = CompiledNet::new(graph, cfg)?;
+        Ok(CompiledExperiment {
+            net,
+            template,
+            seed: self.sim.seed,
+        })
     }
 
     /// The workload spec this experiment evaluates at `offered_load`.
@@ -112,11 +102,6 @@ impl Experiment {
 /// once: the network graph (shared via `Arc` across sweep threads), the
 /// routing table, the transmit order, and the workload template. Each run
 /// costs only a workload rescale plus the simulation itself.
-///
-/// Runs are bit-identical to [`Experiment::run_seeded`] at the same
-/// `(load, seed)` — the differential tests enforce it — so callers choose
-/// by lifecycle, not semantics: one report → `Experiment::run`; a curve,
-/// a search, or replications → compile once and reuse.
 #[derive(Clone, Debug)]
 pub struct CompiledExperiment {
     net: CompiledNet,
@@ -125,33 +110,6 @@ pub struct CompiledExperiment {
 }
 
 impl CompiledExperiment {
-    /// Validate `exp` and build its shared artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Reports invalid network specs, geometries past what the graph and
-    /// the engine can index (`graph::check_limits` — `validate()` above
-    /// has no geometry to look at), malformed workloads, and invalid
-    /// engine configurations.
-    pub fn compile(exp: &Experiment) -> Result<CompiledExperiment, String> {
-        exp.network.validate()?;
-        minnet_topology::graph::check_limits(exp.geometry)?;
-        let graph = Arc::new(exp.network.build(exp.geometry));
-        // The template ignores the placeholder load; per-run loads come
-        // from `workload_at`.
-        let template = WorkloadTemplate::compile(exp.geometry, &exp.workload_spec(1.0))?;
-        let cfg = EngineConfig {
-            vcs: exp.network.vcs(),
-            ..exp.sim.clone()
-        };
-        let net = CompiledNet::new(graph, cfg)?;
-        Ok(CompiledExperiment {
-            net,
-            template,
-            seed: exp.sim.seed,
-        })
-    }
-
     /// The compiled network (graph, routing table, engine config).
     pub fn network(&self) -> &CompiledNet {
         &self.net
@@ -172,46 +130,29 @@ impl CompiledExperiment {
         self.seed
     }
 
-    /// Simulate at the given offered load with the experiment's own seed,
-    /// using this thread's pooled engine state.
-    pub fn run(&self, offered_load: f64) -> Result<SimReport, String> {
-        self.run_seeded(offered_load, self.seed)
-    }
-
-    /// Like [`CompiledExperiment::run`] with an explicit seed, using this
-    /// thread's pooled engine state.
-    pub fn run_seeded(&self, offered_load: f64, seed: u64) -> Result<SimReport, String> {
-        with_pooled_state(|st| self.run_with(offered_load, seed, st))
-    }
-
-    /// [`CompiledExperiment::run_seeded`] with the typed error surface —
-    /// callers that must distinguish a budget cut (carrying a partial
-    /// report) from a watchdog trip or a config problem use this form.
-    pub fn run_seeded_typed(&self, offered_load: f64, seed: u64) -> Result<SimReport, SimError> {
-        with_pooled_state(|st| self.run_typed(offered_load, seed, st))
-    }
-
-    /// Run with an explicit seed *and* a caller-owned engine state — the
-    /// form sweep workers use so each worker reuses its own allocations.
-    pub fn run_with(
-        &self,
-        offered_load: f64,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, String> {
-        Ok(self.run_typed(offered_load, seed, st)?)
-    }
-
-    /// [`CompiledExperiment::run_with`] with the typed error surface —
-    /// the form the campaign runner uses to classify failures.
-    pub fn run_typed(
+    /// Simulate at the given offered load and seed on `st`, reusing its
+    /// allocations. The error is typed, so a caller can tell a budget cut
+    /// (carrying a partial report) from a watchdog trip or a config
+    /// problem.
+    pub fn run(
         &self,
         offered_load: f64,
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
         let workload = self.template.workload_at(offered_load).map_err(SimError::Config)?;
-        self.net.run_poisson(&workload, seed, st)
+        self.net.run(Traffic::Poisson(&workload), None, seed, st)
+    }
+
+    /// [`CompiledExperiment::run`] with a `String` error, for
+    /// `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it.
+    pub fn run_with(
+        &self,
+        offered_load: f64,
+        seed: u64,
+        st: &mut EngineState,
+    ) -> Result<SimReport, String> {
+        Ok(self.run(offered_load, seed, st)?)
     }
 }
 
@@ -253,12 +194,17 @@ mod tests {
 
     #[test]
     fn compiled_matches_one_shot_bitwise() {
+        // `Experiment::run` (compile, fresh state) and a compiled run on a
+        // state other loads have used agree at the same seed.
+        let mut st = EngineState::new();
         for spec in NetworkSpec::paper_lineup() {
             let exp = quick(spec);
             let compiled = exp.compile().unwrap();
             for (load, seed) in [(0.2, 7u64), (0.5, 0xFEED)] {
-                let fresh = exp.run_seeded(load, seed).unwrap();
-                let fast = compiled.run_seeded(load, seed).unwrap();
+                let mut seeded = exp.clone();
+                seeded.sim.seed = seed;
+                let fresh = seeded.run(load).unwrap();
+                let fast = compiled.run(load, seed, &mut st).unwrap();
                 assert!(
                     fresh.bitwise_eq(&fast),
                     "{} at load {load}: compiled path diverged",
@@ -274,11 +220,11 @@ mod tests {
         // leave no residue: re-running the first case reproduces it.
         let exp = quick(NetworkSpec::vmin(2));
         let compiled = exp.compile().unwrap();
-        let mut st = minnet_sim::EngineState::new();
-        let first = compiled.run_with(0.3, 1, &mut st).unwrap();
-        compiled.run_with(0.7, 2, &mut st).unwrap();
-        compiled.run_with(0.1, 3, &mut st).unwrap();
-        let again = compiled.run_with(0.3, 1, &mut st).unwrap();
+        let mut st = EngineState::new();
+        let first = compiled.run(0.3, 1, &mut st).unwrap();
+        compiled.run(0.7, 2, &mut st).unwrap();
+        compiled.run(0.1, 3, &mut st).unwrap();
+        let again = compiled.run(0.3, 1, &mut st).unwrap();
         assert!(first.bitwise_eq(&again));
     }
 
@@ -287,7 +233,7 @@ mod tests {
         let exp = quick(NetworkSpec::tmin());
         let compiled = exp.compile().unwrap();
         let a = exp.run(0.25).unwrap();
-        let b = compiled.run(0.25).unwrap();
+        let b = compiled.run(0.25, compiled.base_seed(), &mut EngineState::new()).unwrap();
         assert!(a.bitwise_eq(&b));
     }
 }

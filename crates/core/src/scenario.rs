@@ -44,7 +44,7 @@ use crate::spec::{self, NetworkSpec};
 use crate::sweep::mix;
 use minnet_sim::{
     ChaosSchedule, ChaosTarget, RunBudget, Script, ScriptedMsg, SimError,
-    SimReport, StallDiagnostic,
+    SimReport, StallDiagnostic, Traffic,
 };
 use minnet_topology::{Fault, FaultPlan, FaultTarget, UnidirKind};
 use std::fmt::Write as _;
@@ -369,17 +369,18 @@ impl Scenario {
             policy,
             |task, attempt, st| {
                 let seed = task_seed(base, task, attempt);
-                let res = match &script {
-                    Some(s) => compiled.network().run_script_faulted(s, faults.as_ref(), seed, st),
+                let workload;
+                let traffic = match &script {
+                    Some(s) => Traffic::Script(s),
                     None => {
-                        let w = compiled
+                        workload = compiled
                             .template()
                             .workload_at(self.loads[task])
                             .map_err(SimError::Config)?;
-                        compiled.network().run_poisson_faulted(&w, faults.as_ref(), seed, st)
+                        Traffic::Poisson(&workload)
                     }
                 };
-                match res {
+                match compiled.network().run(traffic, faults.as_ref(), seed, st) {
                     Ok(mut r) => {
                         // Delivery records and traces are not needed for
                         // judging and are not checkpointable; strip them

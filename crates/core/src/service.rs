@@ -300,7 +300,7 @@ pub fn run_job(
             if attempt < chaos {
                 panic!("chaos: injected panic at point {i} attempt {attempt}");
             }
-            compiled.run_typed(spec.loads[i], task_seed(base, i, attempt), st)
+            compiled.run(spec.loads[i], task_seed(base, i, attempt), st)
         },
     )?;
     let points = results

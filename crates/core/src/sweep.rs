@@ -11,13 +11,13 @@
 //! worker reuses its own engine state, a worker panic is contained and
 //! reported as a message, and per-task SplitMix64 seeds make the output
 //! deterministic, decorrelated across points and independent of the
-//! thread count: exactly the numbers per-point
-//! [`Experiment::run_seeded`] calls produce.
+//! thread count: exactly the numbers a lone
+//! [`crate::CompiledExperiment::run`] per point produces.
 
 use crate::campaign::{campaign_curve, campaign_replicated_curve, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
 use minnet_sim::stats::Welford;
-use minnet_sim::{SimError, SimReport};
+use minnet_sim::{EngineState, SimError, SimReport};
 
 /// One point of a latency–throughput curve.
 #[derive(Clone, Debug)]
@@ -204,8 +204,8 @@ pub(crate) fn aggregate_degradation(fault_count: usize, reps: Vec<SimReport>) ->
 /// in `[lo, hi]` that remains sustainable, refined over `iters` halvings.
 /// Returns the boundary load and its report, or `None` when even `lo`
 /// saturates. Each probe uses a seed derived from the iteration, so the
-/// search is deterministic. The experiment is compiled once; the probes
-/// reuse this thread's pooled engine state.
+/// search is deterministic. The experiment is compiled once, and every
+/// probe runs on one engine state the search owns.
 ///
 /// A probe cut by the experiment's [`minnet_sim::RunBudget`] counts as
 /// *saturated*: past the knee the network backs up and a run's wall time
@@ -228,11 +228,12 @@ pub fn find_saturation(
     }
     let compiled = exp.compile()?;
     let base = compiled.base_seed();
+    let mut st = EngineState::new();
     let mut lo = lo;
     let mut hi = hi;
     // Establish the bracket; a budget cut at the floor means even `lo`
     // is past (or too expensive to confirm below) saturation.
-    let first = match compiled.run_seeded_typed(lo, mix(base, 0xB15EC7)) {
+    let first = match compiled.run(lo, mix(base, 0xB15EC7), &mut st) {
         Ok(report) => report,
         Err(SimError::BudgetExceeded(_)) => return Ok(None),
         Err(e) => return Err(e.to_string()),
@@ -246,7 +247,7 @@ pub fn find_saturation(
     });
     for i in 0..iters {
         let mid = 0.5 * (lo + hi);
-        match compiled.run_seeded_typed(mid, mix(base, 0xB15EC7 + 1 + u64::from(i))) {
+        match compiled.run(mid, mix(base, 0xB15EC7 + 1 + u64::from(i)), &mut st) {
             Ok(report) if report.sustainable && report.steady => {
                 best = Some(SweepPoint {
                     offered: mid,
@@ -323,15 +324,15 @@ mod tests {
 
     #[test]
     fn sweep_matches_per_run_path_bitwise() {
-        // The compiled sweep must reproduce exactly what per-point
-        // `Experiment::run_seeded` calls produced before the rewrite.
+        // A sweep on the campaign pool must reproduce what a one-shot
+        // `Experiment::run` at each point's seed produces.
         let exp = quick();
         let loads = [0.15, 0.45];
         let pts = latency_throughput_curve(&exp, &loads, 2).unwrap();
         for (i, p) in pts.iter().enumerate() {
-            let direct = exp
-                .run_seeded(loads[i], mix(exp.sim.seed, i as u64 + 1))
-                .unwrap();
+            let mut seeded = exp.clone();
+            seeded.sim.seed = mix(exp.sim.seed, i as u64 + 1);
+            let direct = seeded.run(loads[i]).unwrap();
             assert!(p.report.bitwise_eq(&direct), "point {i} diverged");
         }
     }

@@ -277,11 +277,12 @@ macro_rules! __proptest_impl {
                 for _case in 0..config.cases {
                     $( let $arg = ($strat).sample(&mut rng); )+
                     // Err(()) marks a case discarded by prop_assume!.
-                    let _outcome: ::std::result::Result<(), ()> = (|| {
+                    let case = || -> ::std::result::Result<(), ()> {
                         $body
                         #[allow(unreachable_code)]
                         ::std::result::Result::Ok(())
-                    })();
+                    };
+                    let _outcome = case();
                 }
             }
         )*

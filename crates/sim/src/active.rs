@@ -19,7 +19,7 @@
 //! optimized engine's request ordering (and thus its RNG stream)
 //! bit-identical to the reference engine's full scans.
 
-/// The one shrink rule for pooled state: empty `v`, and give its allocation
+/// The one shrink rule for reused state: empty `v`, and give its allocation
 /// back when the coming run needs under a quarter of it — a daemon worker
 /// that once served a 16k-terminal job must not stay that large for life.
 pub(crate) fn trim<T>(v: &mut Vec<T>, want: usize) {

@@ -45,15 +45,21 @@
 //! over a run — lanes, queues, heaps, statistics, the RNG — lives in a
 //! reusable [`EngineState`], whose
 //! `reset(seed)` path restores the exact fresh-construction state while
-//! keeping every allocation. One run = `CompiledNet` × `EngineState` ×
-//! a traffic source ([`minnet_traffic::Workload`], [`Script`], [`Chain`]).
+//! keeping every allocation. One run is one call of the one run entry,
+//! [`CompiledNet::run`]: the compiled network × a [`Traffic`] source (a
+//! Poisson [`minnet_traffic::Workload`], a [`Script`] or a [`Chain`]) ×
+//! an optional fault schedule × a seed × the caller's `EngineState`.
+//! Whoever owns the state decides how long its allocations live: a sweep
+//! worker keeps one for all of its points, a one-shot caller passes a
+//! fresh one.
 //!
-//! The original free functions ([`run_simulation`], [`run_scripted`],
-//! [`run_chained`]) remain as one-shot wrappers: each compiles a private
-//! [`CompiledNet`] and runs it once, so there is one routing
-//! representation and one engine path at every size. The closed-form
-//! [`minnet_routing::RouteLogic`] is the table's *definition* — the
-//! routing crate's exhaustive tests hold the table to it, and the
+//! The free functions ([`run_simulation`], [`run_scripted`],
+//! [`run_chained`]) take the arguments of their `reference` twins, so the
+//! differential tests call both engines alike; each compiles a private
+//! [`CompiledNet`] and runs it once on a fresh state, so there is one
+//! routing representation and one engine path at every size. The
+//! closed-form [`minnet_routing::RouteLogic`] is the table's *definition*
+//! — the routing crate's exhaustive tests hold the table to it, and the
 //! `reference` engine keeps routing through it.
 //!
 //! # Occupancy-scaled scheduling
@@ -177,7 +183,6 @@ use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGra
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -264,13 +269,11 @@ pub struct ChainedMsg {
     pub after: Option<usize>,
 }
 
-/// A validated, time-sorted scripted workload, reusable across runs.
-///
-/// [`run_scripted`] used to re-sort and re-validate (and clone) its
-/// message slice on every invocation; compiling the script once moves
-/// that cost out of the run-many loop. The script pins the geometry it
-/// was validated against so it cannot silently be replayed on a network
-/// with fewer nodes.
+/// A validated, time-sorted scripted workload, reusable across runs
+/// ([`Traffic::Script`]). Compiling once moves the sort and the checks
+/// out of the run-many loop. The script pins the geometry it was
+/// validated against so it cannot silently be replayed on a network with
+/// fewer nodes.
 #[derive(Clone, Debug)]
 pub struct Script {
     geometry: Geometry,
@@ -307,21 +310,11 @@ impl Script {
     pub fn msgs(&self) -> &[ScriptedMsg] {
         &self.msgs
     }
-
-    /// Number of messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether the script is empty.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
 }
 
 /// A validated chained (dependent-message) workload with its dependency
-/// fan-out and root release times precomputed — the reusable counterpart
-/// of what [`run_chained`] used to rebuild per invocation.
+/// fan-out and root release times precomputed, reusable across runs
+/// ([`Traffic::Chain`]); a run copies only the release times.
 #[derive(Clone, Debug)]
 pub struct Chain {
     geometry: Geometry,
@@ -381,19 +374,33 @@ impl Chain {
     pub fn msgs(&self) -> &[ChainedMsg] {
         &self.msgs
     }
-
-    /// Number of messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
 }
 
-enum Traffic<'a> {
+/// The traffic one [`CompiledNet::run`] carries. Each source was compiled
+/// for one [`Geometry`]; a run on a network of another is refused with
+/// [`SimError::GeometryMismatch`].
+#[derive(Clone, Copy, Debug)]
+pub enum Traffic<'a> {
+    /// Poisson arrivals from a compiled workload. The source never
+    /// drains: the run ends at `warmup + measure`.
+    Poisson(&'a Workload),
+    /// Messages injected at fixed cycles. The run ends when every message
+    /// is delivered, or at the horizon; the report logs each delivery.
+    Script(&'a Script),
+    /// Dependent messages: a message is released `overhead` cycles after
+    /// its parent is delivered (roots at their `earliest`). The run ends
+    /// when every message is delivered, or at the horizon.
+    ///
+    /// Only a delivery releases dependents. Under faults, a message that
+    /// an epoch aborts or that is refused at injection as undeliverable
+    /// is never delivered, so its dependents never release and the run
+    /// does not drain: it goes on to the horizon.
+    Chain(&'a Chain),
+}
+
+/// A run's cursor into its [`Traffic`]: a script's next index, a chain's
+/// release times and undelivered count.
+enum Feed<'a> {
     Poisson(&'a Workload),
     Scripted {
         msgs: &'a [ScriptedMsg],
@@ -424,8 +431,8 @@ enum Req {
 /// mask and the routing table — built **once**, immutable, and shared
 /// across every run (and thread) of a sweep.
 ///
-/// A `CompiledNet` plus a (resettable) [`EngineState`] plus a traffic
-/// source is one simulation run; see the module header's
+/// [`CompiledNet::run`] on a (resettable) [`EngineState`] with a
+/// [`Traffic`] source is one simulation run; see the module header's
 /// compile-once / run-many notes. The per-run `seed` argument overrides
 /// `config.seed`, so one compiled network serves a whole replicated
 /// sweep.
@@ -544,11 +551,6 @@ impl CompiledNet {
         &self.net
     }
 
-    /// The engine configuration this network was compiled under.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// The routing table. Always `Some` — every compiled network has one;
     /// the `Option` survives only because the frozen `benchmark/` matches
     /// on it.
@@ -582,140 +584,59 @@ impl CompiledNet {
         CompiledFaults::compile(&self.net, &self.routes, plan, Planes::new(&self.net, &self.cfg))
     }
 
-    /// Run a stochastic (Poisson-workload) simulation with the given seed,
-    /// reusing `st`'s allocations.
+    /// Run `traffic` on `st` with the given seed under a fault schedule —
+    /// the engine's one run entry. `st` is reset first, keeping its
+    /// allocations; `None` (or a trivial schedule) runs the fault-free
+    /// path bit for bit.
     ///
     /// # Errors
     ///
-    /// Reports a workload compiled for a different geometry, or a
-    /// watchdog trip ([`SimError::NoProgress`]).
-    pub fn run_poisson(
-        &self,
-        workload: &Workload,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        self.run_poisson_faulted(workload, None, seed, st)
-    }
-
-    /// [`CompiledNet::run_poisson`] under a fault schedule. `None` (or a
-    /// trivial schedule) runs bit-identically to the faultless path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledNet::run_poisson`].
-    pub fn run_poisson_faulted(
-        &self,
-        workload: &Workload,
-        faults: Option<&CompiledFaults>,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        if workload.geometry() != self.net.geometry {
-            return Err(SimError::GeometryMismatch {
-                what: "workload",
-                expected: self.net.geometry,
-                got: workload.geometry(),
-            });
-        }
-        self.run_traffic(Traffic::Poisson(workload), faults, seed, st)
-    }
-
-    /// Run a deterministic scripted simulation (see [`run_scripted`]) with
-    /// the given seed, reusing `st`'s allocations. The script is already
-    /// validated and sorted — nothing per-run remains but the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Reports a script compiled for a different geometry, or a watchdog
-    /// trip ([`SimError::NoProgress`]).
-    pub fn run_script(
-        &self,
-        script: &Script,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        self.run_script_faulted(script, None, seed, st)
-    }
-
-    /// [`CompiledNet::run_script`] under a fault schedule. `None` (or a
-    /// trivial schedule) runs bit-identically to the faultless path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledNet::run_script`].
-    pub fn run_script_faulted(
-        &self,
-        script: &Script,
-        faults: Option<&CompiledFaults>,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        if script.geometry != self.net.geometry {
-            return Err(SimError::GeometryMismatch {
-                what: "script",
-                expected: self.net.geometry,
-                got: script.geometry,
-            });
-        }
-        self.run_traffic(
-            Traffic::Scripted {
-                msgs: &script.msgs,
-                next: 0,
-            },
-            faults,
-            seed,
-            st,
-        )
-    }
-
-    /// Run a deterministic chained simulation (see [`run_chained`]) with
-    /// the given seed, reusing `st`'s allocations, under a fault
-    /// schedule — `None` (or a trivial schedule) runs the faultless path.
-    /// Only the per-message release times are per-run state; the
-    /// dependency fan-out is shared from the [`Chain`].
-    ///
-    /// # Errors
-    ///
-    /// Reports a chain compiled for a different geometry, or a watchdog
-    /// trip ([`SimError::NoProgress`]).
-    pub fn run_chain_faulted(
-        &self,
-        chain: &Chain,
-        faults: Option<&CompiledFaults>,
-        seed: u64,
-        st: &mut EngineState,
-    ) -> Result<SimReport, SimError> {
-        if chain.geometry != self.net.geometry {
-            return Err(SimError::GeometryMismatch {
-                what: "chain",
-                expected: self.net.geometry,
-                got: chain.geometry,
-            });
-        }
-        self.run_traffic(
-            Traffic::Chained {
-                msgs: &chain.msgs,
-                dependents: &chain.dependents,
-                release: chain.roots.clone(),
-                remaining: chain.msgs.len(),
-                overhead: chain.overhead,
-            },
-            faults,
-            seed,
-            st,
-        )
-    }
-
-    /// The one run entry: reset `st` for `seed`, prime the traffic
-    /// source's event heaps, and run the engine to its end.
-    fn run_traffic(
+    /// Reports traffic compiled for a different geometry, a watchdog trip
+    /// ([`SimError::NoProgress`]) or a budget cut
+    /// ([`SimError::BudgetExceeded`]).
+    // Inline: once a caller's variant is known the check is one compare,
+    // and the engine start stays out of line in `start`. The split also
+    // keeps the benchmark harness's text layout (EXPERIMENTS.md "One run
+    // entry").
+    #[inline]
+    pub fn run(
         &self,
         traffic: Traffic<'_>,
         faults: Option<&CompiledFaults>,
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
+        let (what, got) = match traffic {
+            Traffic::Poisson(wl) => ("workload", wl.geometry()),
+            Traffic::Script(s) => ("script", s.geometry),
+            Traffic::Chain(c) => ("chain", c.geometry),
+        };
+        if got != self.net.geometry {
+            return Err(SimError::GeometryMismatch { what, expected: self.net.geometry, got });
+        }
+        self.start(traffic, faults, seed, st)
+    }
+
+    /// Reset `st` for `seed`, prime the traffic source's event heaps, and
+    /// run the engine to its end.
+    fn start(
+        &self,
+        traffic: Traffic<'_>,
+        faults: Option<&CompiledFaults>,
+        seed: u64,
+        st: &mut EngineState,
+    ) -> Result<SimReport, SimError> {
+        let traffic = match traffic {
+            Traffic::Poisson(wl) => Feed::Poisson(wl),
+            Traffic::Script(s) => Feed::Scripted { msgs: &s.msgs, next: 0 },
+            Traffic::Chain(c) => Feed::Chained {
+                msgs: &c.msgs,
+                dependents: &c.dependents,
+                release: c.roots.clone(),
+                remaining: c.msgs.len(),
+                overhead: c.overhead,
+            },
+        };
         let CompiledNet {
             net,
             cfg,
@@ -726,14 +647,14 @@ impl CompiledNet {
         // from no schedule; normalizing it to `None` here *guarantees* the
         // empty-plan path is the untouched fast path, bit for bit.
         let faults = faults.filter(|f| !f.is_trivial());
-        let deterministic = !matches!(traffic, Traffic::Poisson(_));
+        let deterministic = !matches!(traffic, Feed::Poisson(_));
         st.reset(net, cfg, seed, deterministic);
 
         // Prime the event heaps. Poisson: one initial arrival per generating
         // node, drawn in ascending node order — the first draws of the run's
         // RNG stream, exactly as the reference engine makes them.
         match &traffic {
-            Traffic::Poisson(wl) => {
+            Feed::Poisson(wl) => {
                 for node in 0..net.geometry.nodes() {
                     let rate = wl.message_rate(node);
                     if rate > 0.0 {
@@ -744,8 +665,8 @@ impl CompiledNet {
                     }
                 }
             }
-            Traffic::Scripted { .. } => {}
-            Traffic::Chained { release, .. } => {
+            Feed::Scripted { .. } => {}
+            Feed::Chained { release, .. } => {
                 for (i, r) in release.iter().enumerate() {
                     if let Some(t) = r {
                         st.releases.push(Reverse((*t, i as u32)));
@@ -769,8 +690,39 @@ impl CompiledNet {
         e.run()
     }
 
-    /// One [`CompiledNet::run_poisson`] per seed, on `st`, in order. Kept
-    /// for `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it with
+    /// `run(Traffic::Poisson(workload), None, seed, st)`, for
+    /// `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledNet::run`].
+    pub fn run_poisson(
+        &self,
+        workload: &Workload,
+        seed: u64,
+        st: &mut EngineState,
+    ) -> Result<SimReport, SimError> {
+        self.run(Traffic::Poisson(workload), None, seed, st)
+    }
+
+    /// `run(Traffic::Poisson(workload), faults, seed, st)`, for
+    /// `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledNet::run`].
+    pub fn run_poisson_faulted(
+        &self,
+        workload: &Workload,
+        faults: Option<&CompiledFaults>,
+        seed: u64,
+        st: &mut EngineState,
+    ) -> Result<SimReport, SimError> {
+        self.run(Traffic::Poisson(workload), faults, seed, st)
+    }
+
+    /// One Poisson [`CompiledNet::run`] per seed, on `st`, in order, for
+    /// `benchmark/src/replay.rs` only; ROADMAP 2(d) deletes it with
     /// [`LockstepState`](crate::LockstepState).
     pub fn run_poisson_lockstep(
         &self,
@@ -779,7 +731,8 @@ impl CompiledNet {
         _threads: usize,
         st: &mut EngineState,
     ) -> Vec<Result<SimReport, SimError>> {
-        seeds.iter().map(|&seed| self.run_poisson(workload, seed, st)).collect()
+        let wl = Traffic::Poisson(workload);
+        seeds.iter().map(|&seed| self.run(wl, None, seed, st)).collect()
     }
 }
 
@@ -1080,33 +1033,15 @@ impl Default for EngineState {
     }
 }
 
-thread_local! {
-    /// One pooled [`EngineState`] per thread, shared by every caller that
-    /// does not thread its own state through (sequential saturation
-    /// probes, repeated `CompiledExperiment::run_seeded` calls, …).
-    static STATE_POOL: RefCell<Option<Box<EngineState>>> = const { RefCell::new(None) };
-}
-
-/// Run `f` with this thread's pooled [`EngineState`], creating it on
-/// first use. Reentrant calls get a temporary fresh state (the pooled one
-/// is taken out while `f` runs), so nesting is safe if pointless.
-pub fn with_pooled_state<R>(f: impl FnOnce(&mut EngineState) -> R) -> R {
-    let taken = STATE_POOL.with(|cell| cell.borrow_mut().take());
-    let mut st = taken.unwrap_or_else(|| Box::new(EngineState::new()));
-    let r = f(&mut st);
-    STATE_POOL.with(|cell| *cell.borrow_mut() = Some(st));
-    r
-}
-
 struct Engine<'a> {
     net: &'a NetworkGraph,
     cfg: &'a EngineConfig,
     routes: &'a RouteTable,
     planes: Planes<'a>,
     eject: &'a DenseBitSet,
-    traffic: Traffic<'a>,
+    traffic: Feed<'a>,
     /// Active fault schedule; `None` is the fault-free fast path (trivial
-    /// schedules are normalized to `None` in `run_traffic`).
+    /// schedules are normalized to `None` in `CompiledNet::run`).
     faults: Option<&'a CompiledFaults>,
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
@@ -1195,7 +1130,7 @@ impl<'a> Engine<'a> {
         let now_f = now as f64;
         let measuring = self.measuring();
         match &mut self.traffic {
-            Traffic::Poisson(wl) => {
+            Feed::Poisson(wl) => {
                 // Pop every matured node. A due entry's key always equals
                 // `now` (keys are ⌈next_arrival⌉ computed when the arrival
                 // was strictly in the future, and nothing is left behind a
@@ -1220,7 +1155,7 @@ impl<'a> Engine<'a> {
                     self.st.arrivals.push(Reverse((next.ceil() as u64, node)));
                 }
             }
-            Traffic::Scripted { msgs, next } => {
+            Feed::Scripted { msgs, next } => {
                 while *next < msgs.len() && msgs[*next].time <= now {
                     let m = msgs[*next];
                     let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: m.time, tag: *next as u32 };
@@ -1228,7 +1163,7 @@ impl<'a> Engine<'a> {
                     self.st.enqueue(m.src, msg, now, measuring);
                 }
             }
-            Traffic::Chained { msgs, .. } => {
+            Feed::Chained { msgs, .. } => {
                 // Due entries carry key == now (roots mature untouched;
                 // dependents are released at ≥ delivery cycle + 1), so
                 // pops are index-ascending — the reference's scan order.
@@ -1806,7 +1741,7 @@ impl<'a> Engine<'a> {
             self.st.delivered_pkts += 1;
         }
         let tag = self.st.pkt_meta[p as usize].tag;
-        if let Traffic::Chained {
+        if let Feed::Chained {
             msgs,
             dependents,
             release,
@@ -2061,14 +1996,14 @@ impl<'a> Engine<'a> {
     /// the horizon itself.
     fn ff_target(&self) -> Option<u64> {
         let next = match &self.traffic {
-            Traffic::Poisson(_) => self.st.arrivals.peek().map(|&Reverse((t, _))| t),
-            Traffic::Scripted { msgs, next } => msgs.get(*next).map(|m| m.time),
-            Traffic::Chained { .. } => self.st.releases.peek().map(|&Reverse((t, _))| t),
+            Feed::Poisson(_) => self.st.arrivals.peek().map(|&Reverse((t, _))| t),
+            Feed::Scripted { msgs, next } => msgs.get(*next).map(|m| m.time),
+            Feed::Chained { .. } => self.st.releases.peek().map(|&Reverse((t, _))| t),
         };
         match next {
             Some(t) => Some(t.min(self.st.end)),
             None => match self.traffic {
-                Traffic::Poisson(_) => Some(self.st.end),
+                Feed::Poisson(_) => Some(self.st.end),
                 _ => None,
             },
         }
@@ -2217,9 +2152,9 @@ impl<'a> Engine<'a> {
             return false;
         }
         match &self.traffic {
-            Traffic::Poisson(_) => false,
-            Traffic::Scripted { msgs, next } => *next == msgs.len(),
-            Traffic::Chained { remaining, .. } => *remaining == 0,
+            Feed::Poisson(_) => false,
+            Feed::Scripted { msgs, next } => *next == msgs.len(),
+            Feed::Chained { remaining, .. } => *remaining == 0,
         }
     }
 
@@ -2275,89 +2210,56 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// One-shot run shared by the free functions: compile a private copy of
-/// `net` (the table holds its graph by `Arc`) and run it once on fresh
-/// state. Run-many callers compile once and use [`CompiledNet`].
-fn run_oneshot(
+/// One run of a private copy of `net` (the table holds its graph by
+/// `Arc`) on fresh state, at `cfg.seed` — the free functions' body.
+fn run_once(
     net: &NetworkGraph,
     cfg: &EngineConfig,
     traffic: Traffic<'_>,
 ) -> Result<SimReport, SimError> {
     let compiled = CompiledNet::new(Arc::new(net.clone()), cfg.clone())?;
-    if let Traffic::Poisson(wl) = &traffic {
-        if wl.geometry() != net.geometry {
-            return Err(SimError::GeometryMismatch {
-                what: "workload",
-                expected: net.geometry,
-                got: wl.geometry(),
-            });
-        }
-    }
-    compiled.run_traffic(traffic, None, cfg.seed, &mut EngineState::new())
+    compiled.run(traffic, None, cfg.seed, &mut EngineState::new())
 }
 
-/// Run a stochastic (Poisson-workload) simulation.
+/// Run a stochastic (Poisson-workload) simulation once. The free
+/// functions take the arguments of their `reference` twins, so the
+/// differential tests call both engines alike; run-many callers compile
+/// once and use [`CompiledNet::run`].
 pub fn run_simulation(
     net: &NetworkGraph,
     workload: &Workload,
     cfg: &EngineConfig,
 ) -> Result<SimReport, SimError> {
-    run_oneshot(net, cfg, Traffic::Poisson(workload))
+    run_once(net, cfg, Traffic::Poisson(workload))
 }
 
-/// Run a deterministic scripted simulation: the given messages are
-/// injected at fixed times; the run ends when all are delivered (or the
-/// configured horizon is reached). The report's `deliveries` field records
-/// per-message completions in completion order.
-///
-/// This is a thin wrapper compiling a [`Script`] per call; run-many
-/// callers should compile once and use [`CompiledNet::run_script`].
+/// Run a deterministic scripted simulation once ([`Traffic::Script`]):
+/// the given messages are injected at fixed times; the report's
+/// `deliveries` field records per-message completions in completion
+/// order.
 pub fn run_scripted(
     net: &NetworkGraph,
     msgs: &[ScriptedMsg],
     cfg: &EngineConfig,
 ) -> Result<SimReport, SimError> {
-    let script = Script::compile(net.geometry, msgs)?;
-    run_oneshot(
-        net,
-        cfg,
-        Traffic::Scripted {
-            msgs: &script.msgs,
-            next: 0,
-        },
-    )
+    run_once(net, cfg, Traffic::Script(&Script::compile(net.geometry, msgs)?))
 }
 
-/// Run a deterministic simulation of *dependent* messages: entry `i`
-/// becomes available `overhead` cycles after the delivery of its `after`
-/// parent (or at `earliest` for roots). Dependencies must point to
-/// earlier entries, which keeps the graph acyclic. The run ends when
-/// every message is delivered; `deliveries[..].tag` is the entry index.
+/// Run a deterministic simulation of *dependent* messages once
+/// ([`Traffic::Chain`]): entry `i` becomes available `overhead` cycles
+/// after the delivery of its `after` parent (or at `earliest` for roots);
+/// `deliveries[..].tag` is the entry index.
 ///
 /// This is the substrate for *software multicast* (paper §6): a multicast
 /// is a tree of chained unicasts, with `overhead` modelling the software
 /// latency at each relay node.
-///
-/// This is a thin wrapper compiling a [`Chain`] per call; run-many
-/// callers should compile once and use [`CompiledNet::run_chain_faulted`].
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],
     overhead: u64,
     cfg: &EngineConfig,
 ) -> Result<SimReport, SimError> {
-    let chain = Chain::compile(net.geometry, msgs, overhead)?;
-    run_oneshot(
-        net,
-        cfg,
-        Traffic::Chained {
-            msgs: &chain.msgs,
-            dependents: &chain.dependents,
-            release: chain.roots.clone(),
-            remaining: chain.msgs.len(),
-            overhead,
-        },
-    )
+    run_once(net, cfg, Traffic::Chain(&Chain::compile(net.geometry, msgs, overhead)?))
 }
 
 #[cfg(test)]
@@ -2379,6 +2281,34 @@ mod tests {
         // Node ids share a word with the source tag bit.
         assert!(check_index_range(8, 1, (1 << 31) - 1).is_ok());
         assert!(check_index_range(8, 1, 1 << 31).is_err());
+    }
+
+    /// The one geometry check: every traffic kind compiled for a
+    /// geometry other than the network's is refused, naming its source.
+    #[test]
+    fn traffic_of_another_geometry_is_refused() {
+        let (small, big) = (Geometry::new(4, 2), Geometry::new(4, 3));
+        let graph = Arc::new(minnet_topology::build_bmin(big));
+        let net = CompiledNet::new(graph, EngineConfig::default()).unwrap();
+        let spec = minnet_traffic::WorkloadSpec::global_uniform(0.1);
+        let workload = Workload::compile(small, &spec).unwrap();
+        let scripted = ScriptedMsg { time: 0, src: 0, dst: 1, len: 4 };
+        let script = Script::compile(small, &[scripted]).unwrap();
+        let chained = ChainedMsg { src: 0, dst: 1, len: 4, earliest: 0, after: None };
+        let chain = Chain::compile(small, &[chained], 0).unwrap();
+        let mut st = EngineState::new();
+        for (traffic, want) in [
+            (Traffic::Poisson(&workload), "workload"),
+            (Traffic::Script(&script), "script"),
+            (Traffic::Chain(&chain), "chain"),
+        ] {
+            match net.run(traffic, None, 1, &mut st) {
+                Err(SimError::GeometryMismatch { what, expected, got }) => {
+                    assert_eq!((what, expected, got), (want, big, small));
+                }
+                other => panic!("{want}: {:?}", other.map(drop)),
+            }
+        }
     }
 
     /// The engine's mask select is the oracle's round-robin `VcMux` on

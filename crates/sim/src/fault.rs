@@ -45,7 +45,7 @@ pub(crate) struct CompiledEpoch {
 
 /// A [`FaultPlan`] compiled against one network and routing table:
 /// per-epoch dead-lane masks and masked routing tables, ready for
-/// [`crate::CompiledNet::run_poisson_faulted`] and friends.
+/// [`crate::CompiledNet::run`].
 #[derive(Clone, Debug)]
 pub struct CompiledFaults {
     pub(crate) epochs: Vec<CompiledEpoch>,
@@ -192,7 +192,9 @@ mod tests {
                     assert_eq!(ep.dead_planes.len(), (net.num_channels() << shift).div_ceil(64));
                     let mut planes: Vec<u32> = (0..want.dead_lane.len() as u32)
                         .filter(|&li| want.dead_lane[li as usize])
-                        .map(|li| (net.position(li / u32::from(vcs)) << shift) | li % u32::from(vcs))
+                        .map(|li| {
+                            (net.position(li / u32::from(vcs)) << shift) | (li % u32::from(vcs))
+                        })
                         .collect();
                     planes.sort_unstable();
                     let mut got = DenseBitSet::with_capacity(net.num_channels() << shift);

@@ -21,12 +21,14 @@
 //! through quiescent stretches, the Fig. 2 crossbar audit — live only
 //! there, and so does the only use of `minnet-switch`.
 //!
-//! Sweep-style callers should use the compile-once pipeline:
-//! [`CompiledNet`] (immutable network + routing table + ejection mask)
-//! plus a reusable [`EngineState`] — see the [`engine`] module header.
-//! The free functions [`run_simulation`] / [`run_scripted`] /
-//! [`run_chained`] remain the one-shot API and produce bit-identical
-//! reports.
+//! A run has one entry, [`CompiledNet::run`]: a compiled network
+//! (immutable graph + routing table + ejection mask) runs a [`Traffic`]
+//! source — a Poisson workload, a [`Script`] or a [`Chain`] — under an
+//! optional fault schedule, on a caller-owned, reusable [`EngineState`];
+//! see the [`engine`] module header. The free functions
+//! [`run_simulation`] / [`run_scripted`] / [`run_chained`] compile and
+//! run once on a fresh state, with the arguments of their `reference`
+//! twins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,8 +47,8 @@ pub mod trace;
 pub use chaos::{ChaosSchedule, ChaosTarget};
 pub use config::{Delivery, EngineConfig, RunBudget, SimReport, CYCLE_US};
 pub use engine::{
-    run_chained, run_scripted, run_simulation, with_pooled_state, Chain, ChainedMsg, CompiledNet,
-    EngineState, Script, ScriptedMsg,
+    run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineState, Script,
+    ScriptedMsg, Traffic,
 };
 pub use error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 pub use fault::CompiledFaults;

@@ -13,7 +13,7 @@
 //!    reports `BudgetKind::WallClock`.
 
 use minnet_sim::{
-    BudgetKind, CompiledNet, EngineConfig, EngineState, RunBudget, SimError,
+    BudgetKind, CompiledNet, EngineConfig, EngineState, RunBudget, SimError, Traffic,
 };
 use minnet_topology::{build_unidir, Geometry, UnidirKind};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
@@ -56,7 +56,7 @@ fn cycle_budget_cuts_at_exactly_the_limit() {
     });
     let wl = workload(0.2);
     let mut st = EngineState::new();
-    let err = net.run_poisson(&wl, 7, &mut st).unwrap_err();
+    let err = net.run(Traffic::Poisson(&wl), None, 7, &mut st).unwrap_err();
     let SimError::BudgetExceeded(partial) = err else {
         panic!("expected BudgetExceeded, got something else");
     };
@@ -85,14 +85,14 @@ fn partial_report_matches_equally_short_configured_run() {
         ..cfg(warmup, 4_000)
     });
     let mut st = EngineState::new();
-    let err = budgeted.run_poisson(&wl, 11, &mut st).unwrap_err();
+    let err = budgeted.run(Traffic::Poisson(&wl), None, 11, &mut st).unwrap_err();
     let SimError::BudgetExceeded(partial) = err else {
         panic!("expected BudgetExceeded");
     };
 
     let short = tmin(cfg(warmup, k));
     let mut st2 = EngineState::new();
-    let full = short.run_poisson(&wl, 11, &mut st2).unwrap();
+    let full = short.run(Traffic::Poisson(&wl), None, 11, &mut st2).unwrap();
     assert!(
         partial.report.bitwise_eq(&full),
         "partial report at cycle {} diverged from configured short run",
@@ -108,7 +108,7 @@ fn budget_at_or_above_horizon_never_fires() {
 
     let plain = tmin(cfg(warmup, measure));
     let mut st = EngineState::new();
-    let reference = plain.run_poisson(&wl, 3, &mut st).unwrap();
+    let reference = plain.run(Traffic::Poisson(&wl), None, 3, &mut st).unwrap();
 
     for extra in [0u64, 1, 10_000] {
         let budgeted = tmin(EngineConfig {
@@ -119,7 +119,7 @@ fn budget_at_or_above_horizon_never_fires() {
             ..cfg(warmup, measure)
         });
         let mut st = EngineState::new();
-        let report = budgeted.run_poisson(&wl, 3, &mut st).unwrap();
+        let report = budgeted.run(Traffic::Poisson(&wl), None, 3, &mut st).unwrap();
         assert!(
             report.bitwise_eq(&reference),
             "budget {} above horizon changed the run",
@@ -142,7 +142,7 @@ fn wall_clock_budget_fires_and_reports_kind() {
     });
     let wl = workload(0.3);
     let mut st = EngineState::new();
-    let err = net.run_poisson(&wl, 42, &mut st).unwrap_err();
+    let err = net.run(Traffic::Poisson(&wl), None, 42, &mut st).unwrap_err();
     let SimError::BudgetExceeded(partial) = err else {
         panic!("expected BudgetExceeded");
     };
@@ -183,7 +183,7 @@ fn wall_clock_budget_fires_on_fast_forward_jumps() {
         ..cfg(0, u64::MAX / 2)
     });
     let mut st = EngineState::new();
-    let err = net.run_script(&script, 42, &mut st).unwrap_err();
+    let err = net.run(Traffic::Script(&script), None, 42, &mut st).unwrap_err();
     let SimError::BudgetExceeded(partial) = err else {
         panic!("expected BudgetExceeded, got a completed run");
     };
@@ -218,13 +218,13 @@ fn cycle_budget_cuts_exactly_inside_a_fast_forward_gap() {
         ..cfg(0, 1_000_000)
     });
     let mut st = EngineState::new();
-    let SimError::BudgetExceeded(partial) = net.run_script(&script, 5, &mut st).unwrap_err()
-    else {
+    let res = net.run(Traffic::Script(&script), None, 5, &mut st);
+    let SimError::BudgetExceeded(partial) = res.unwrap_err() else {
         panic!("expected BudgetExceeded");
     };
     assert_eq!(partial.kind, BudgetKind::Cycles);
     assert_eq!(partial.spent_cycles, limit);
-    let short = tmin(cfg(0, limit)).run_script(&script, 5, &mut st).unwrap();
+    let short = tmin(cfg(0, limit)).run(Traffic::Script(&script), None, 5, &mut st).unwrap();
     assert_eq!(short.delivered_packets, 1);
     assert!(
         partial.report.bitwise_eq(&short),
@@ -248,8 +248,8 @@ fn cycle_budget_is_exact_at_near_idle_poisson_loads() {
     let wl = workload(0.002);
     let mut st = EngineState::new();
     for seed in 0..50u64 {
-        let SimError::BudgetExceeded(partial) = net.run_poisson(&wl, seed, &mut st).unwrap_err()
-        else {
+        let res = net.run(Traffic::Poisson(&wl), None, seed, &mut st);
+        let SimError::BudgetExceeded(partial) = res.unwrap_err() else {
             panic!("seed {seed}: expected BudgetExceeded");
         };
         assert_eq!(partial.spent_cycles, limit, "seed {seed}");
@@ -264,5 +264,5 @@ fn unlimited_budget_is_default_and_inert() {
     let net = tmin(cfg(200, 800));
     let wl = workload(0.1);
     let mut st = EngineState::new();
-    net.run_poisson(&wl, 1, &mut st).unwrap();
+    net.run(Traffic::Poisson(&wl), None, 1, &mut st).unwrap();
 }

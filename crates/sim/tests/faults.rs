@@ -14,7 +14,7 @@
 //!    hanging.
 
 use minnet_sim::{
-    CompiledNet, EngineConfig, EngineState, ScriptedMsg, SimError,
+    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, ScriptedMsg, SimError, Traffic,
     engine::Script,
 };
 use minnet_topology::{
@@ -105,8 +105,8 @@ proptest! {
         let faults = net.compile_faults(&FaultPlan::new()).unwrap();
         prop_assert!(faults.is_trivial());
         let mut st = EngineState::new();
-        let plain = net.run_poisson(&wl, seed, &mut st).unwrap();
-        let faulted = net.run_poisson_faulted(&wl, Some(&faults), seed, &mut st).unwrap();
+        let plain = net.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
+        let faulted = net.run(Traffic::Poisson(&wl), Some(&faults), seed, &mut st).unwrap();
         prop_assert!(plain.bitwise_eq(&faulted), "empty plan changed a {choice:?} run");
     }
 
@@ -126,8 +126,8 @@ proptest! {
         let script = scripted(g, &raw);
         let faults = net.compile_faults(&FaultPlan::new()).unwrap();
         let mut st = EngineState::new();
-        let plain = net.run_script(&script, seed, &mut st).unwrap();
-        let faulted = net.run_script_faulted(&script, Some(&faults), seed, &mut st).unwrap();
+        let plain = net.run(Traffic::Script(&script), None, seed, &mut st).unwrap();
+        let faulted = net.run(Traffic::Script(&script), Some(&faults), seed, &mut st).unwrap();
         prop_assert!(plain.bitwise_eq(&faulted), "empty plan changed a {choice:?} run");
     }
 
@@ -150,7 +150,7 @@ proptest! {
         prop_assert!(!faults.is_trivial());
         let script = scripted(g, &raw);
         let mut st = EngineState::new();
-        let report = net.run_script_faulted(&script, Some(&faults), seed, &mut st).unwrap();
+        let report = net.run(Traffic::Script(&script), Some(&faults), seed, &mut st).unwrap();
         let n_msgs = raw.len();
         prop_assert_eq!(report.undeliverable_packets, 0, "channel {} disconnected a BMIN", victim);
         prop_assert_eq!(report.deliveries.unwrap().len(), n_msgs);
@@ -172,7 +172,7 @@ fn tmin_reports_structured_disconnection() {
     let faults = net.compile_faults(&plan).unwrap();
     let wl = uniform_workload(g, 0.3);
     let mut st = EngineState::new();
-    let report = net.run_poisson_faulted(&wl, Some(&faults), 7, &mut st).unwrap();
+    let report = net.run(Traffic::Poisson(&wl), Some(&faults), 7, &mut st).unwrap();
     assert!(report.delivered_packets > 0, "connected pairs must keep flowing");
     assert!(
         report.undeliverable_packets > 0,
@@ -202,7 +202,7 @@ fn transient_fault_aborts_refuses_then_recovers() {
     )
     .unwrap();
     let mut st = EngineState::new();
-    let clean = net.run_script(&probe, 7, &mut st).unwrap();
+    let clean = net.run(Traffic::Script(&probe), None, 7, &mut st).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     let victim = path[path.len() / 2];
 
@@ -220,7 +220,7 @@ fn transient_fault_aborts_refuses_then_recovers() {
     .unwrap();
     let plan = FaultPlan::new().with(Fault::transient(FaultTarget::Channel(victim), 1_000, 5_000));
     let faults = net.compile_faults(&plan).unwrap();
-    let report = net.run_script_faulted(&script, Some(&faults), 7, &mut st).unwrap();
+    let report = net.run(Traffic::Script(&script), Some(&faults), 7, &mut st).unwrap();
 
     assert_eq!(report.aborted_packets, 1, "the streaming worm is caught at onset");
     assert_eq!(
@@ -231,6 +231,45 @@ fn transient_fault_aborts_refuses_then_recovers() {
     assert_eq!(deliveries.len(), 1, "only the post-repair message completes");
     assert_eq!(deliveries[0].gen_time, 10_000);
     assert_eq!(report.in_flight_at_end, 0);
+}
+
+/// A chain under faults does not drain: only a delivery releases a
+/// dependent, so a root refused as undeliverable holds its dependent back
+/// for good and the run goes on to the horizon. `golden_v1.txt`'s `chain
+/// permanent` rows rest on this.
+#[test]
+fn refused_chain_root_never_releases_its_dependent() {
+    let g = Geometry::new(4, 2);
+    let cfg = EngineConfig {
+        warmup: 0,
+        measure: 5_000,
+        collect_trace: true,
+        ..EngineConfig::default()
+    };
+    let net = compiled(NetChoice::Tmin, g, cfg);
+    let dst = g.nodes() - 1;
+    let probe = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len: 8 }]).unwrap();
+    let mut st = EngineState::new();
+    let clean = net.run(Traffic::Script(&probe), None, 7, &mut st).unwrap();
+    let path = clean.trace.as_ref().unwrap().channel_path(0);
+    // A TMIN has one path per pair: killing its middle hop for good
+    // leaves the root none.
+    let plan = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(path[path.len() / 2])));
+    let faults = net.compile_faults(&plan).unwrap();
+    let chain = Chain::compile(
+        g,
+        &[
+            ChainedMsg { src: 0, dst, len: 8, earliest: 0, after: None },
+            ChainedMsg { src: dst, dst: 0, len: 8, earliest: 0, after: Some(0) },
+        ],
+        0,
+    )
+    .unwrap();
+    let report = net.run(Traffic::Chain(&chain), Some(&faults), 7, &mut st).unwrap();
+    assert_eq!(report.cycles, 5_000, "the run goes on to warmup + measure");
+    assert_eq!(report.undeliverable_packets, 1, "the root is refused");
+    assert_eq!(report.generated_packets, 1, "the dependent is never released");
+    assert_eq!(report.deliveries.unwrap().len(), 0, "nothing is delivered");
 }
 
 /// The watchdog: with packet aborts disabled (test knob), a worm wedged on
@@ -256,13 +295,13 @@ fn watchdog_fires_with_diagnostic_on_wedged_network() {
     )
     .unwrap();
     let mut st = EngineState::new();
-    let clean = net.run_script(&script, 7, &mut st).unwrap();
+    let clean = net.run(Traffic::Script(&script), None, 7, &mut st).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     let victim = path[path.len() / 2];
 
     let plan = FaultPlan::new().with(Fault::transient(FaultTarget::Channel(victim), 100, u64::MAX));
     let faults = net.compile_faults(&plan).unwrap();
-    match net.run_script_faulted(&script, Some(&faults), 7, &mut st) {
+    match net.run(Traffic::Script(&script), Some(&faults), 7, &mut st) {
         Err(SimError::NoProgress(diag)) => {
             assert_eq!(diag.window, 500);
             assert!(diag.cycle >= 100 + 500, "cannot trip before onset + window");
@@ -300,7 +339,7 @@ fn watchdog_is_silent_on_healthy_runs() {
         let net = compiled(choice, g, cfg.clone());
         let wl = uniform_workload(g, 0.4);
         let mut st = EngineState::new();
-        net.run_poisson(&wl, 7, &mut st)
+        net.run(Traffic::Poisson(&wl), None, 7, &mut st)
             .unwrap_or_else(|e| panic!("{choice:?}: spurious watchdog trip: {e}"));
     }
 }
@@ -329,7 +368,7 @@ fn large_bmins_compile_a_small_table_and_16k_refuses_faults_up_front() {
         other => panic!("expected a routing refusal, got {:?}", other.map(drop)),
     }
     let report = net
-        .run_poisson(&uniform_workload(g, 0.05), 7, &mut EngineState::new())
+        .run(Traffic::Poisson(&uniform_workload(g, 0.05)), None, 7, &mut EngineState::new())
         .unwrap();
     assert_eq!(report.cycles, 120);
     assert!(report.generated_packets > 0);

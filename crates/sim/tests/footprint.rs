@@ -3,15 +3,15 @@
 //! `EngineState` is the last O(network) allocation of a run. Its budget
 //! is **14 bytes a lane** at any `buffer_depth` (owner 4 + packed
 //! upstream 4 + downstream 4 + buffer occupancy 2 — a buffer is a
-//! counter, no flit is stored) and **under 32 bytes a node** (injector 4
-//! + next arrival 8 + queue head / tail / length 12) plus the shared
-//! message slab; the VC-multiplexer byte a channel exists only when `vcs
-//! > 1`, and a `vcs` that is not a power of two pays for the pad planes
-//! of its lane group. These tests pin the budget, that arrays which come
-//! and go with the configuration leave no residue in the results, and
-//! that a pooled state gives a large network's memory back.
+//! counter, no flit is stored) and **under 32 bytes a node** (injector
+//! 4 + next arrival 8 + queue head / tail / length 12) plus the shared
+//! message slab; the VC-multiplexer byte a channel exists only when
+//! `vcs > 1`, and a `vcs` that is not a power of two pays for the pad
+//! planes of its lane group. These tests pin the budget, that arrays
+//! which come and go with the configuration leave no residue in the
+//! results, and that a reused state gives a large network's memory back.
 
-use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport};
+use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport, Traffic};
 use minnet_topology::{build_bmin, Geometry};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn burst(vcs: u8, buffer_depth: u16) -> EngineConfig {
 fn burst_16k(cfg: EngineConfig, st: &mut EngineState) -> (usize, usize, usize) {
     let lanes_per_channel = cfg.vcs as usize;
     let net = bmin(4, 7, cfg);
-    let report = net.run_poisson(&uniform(4, 7, 0.1), 42, st).unwrap();
+    let report = net.run(Traffic::Poisson(&uniform(4, 7, 0.1)), None, 42, st).unwrap();
     assert!(report.generated_packets > 1_000, "the burst must load the network");
     let g = net.network();
     (st.approx_bytes(), g.num_channels() * lanes_per_channel, g.geometry.nodes() as usize)
@@ -77,11 +77,11 @@ fn pooled_state_footprint_shrinks_after_a_large_run() {
     let small = bmin(4, 3, EngineConfig { warmup: 200, measure: 2_000, ..EngineConfig::default() });
     let wl = uniform(4, 3, 0.4);
     let mut fresh = EngineState::new();
-    let want = small.run_poisson(&wl, 7, &mut fresh).unwrap();
+    let want = small.run(Traffic::Poisson(&wl), None, 7, &mut fresh).unwrap();
 
     let mut pooled = EngineState::new();
     let (big, ..) = burst_16k(burst(1, 1), &mut pooled);
-    let got = small.run_poisson(&wl, 7, &mut pooled).unwrap();
+    let got = small.run(Traffic::Poisson(&wl), None, 7, &mut pooled).unwrap();
     assert!(got.bitwise_eq(&want), "a shrunk state must run bit-identically");
     assert!(big > 100 * fresh.approx_bytes(), "the 16k run dimensioned the state");
     assert!(
@@ -95,7 +95,7 @@ fn pooled_state_footprint_shrinks_after_a_large_run() {
 #[test]
 fn redimension_is_bit_identical() {
     let run = |cfg: &EngineConfig, st: &mut EngineState| -> SimReport {
-        bmin(4, 3, cfg.clone()).run_poisson(&uniform(4, 3, 0.4), 11, st).unwrap()
+        bmin(4, 3, cfg.clone()).run(Traffic::Poisson(&uniform(4, 3, 0.4)), None, 11, st).unwrap()
     };
     let base = EngineConfig { warmup: 200, measure: 3_000, ..EngineConfig::default() };
     let first = base.clone();

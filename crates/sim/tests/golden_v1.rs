@@ -29,7 +29,7 @@
 use minnet_sim::reference::{self, Ablation, TransmitOrder};
 use minnet_sim::{
     Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, RunBudget, Script, ScriptedMsg,
-    SimError, SimReport,
+    SimError, SimReport, Traffic,
 };
 use minnet_topology::{
     build_bmin, build_unidir, Fault, FaultPlan, FaultTarget, Geometry, NetworkGraph, UnidirKind,
@@ -110,12 +110,6 @@ fn chain(g: Geometry) -> Chain {
     Chain::compile(g, &msgs, OVERHEAD).unwrap()
 }
 
-enum Traffic {
-    Poisson(Workload),
-    Script(Script),
-    Chain(Chain),
-}
-
 fn actual() -> String {
     let g = Geometry::new(4, 3);
     let cube = |dilation| build_unidir(g, UnidirKind::Cube, dilation);
@@ -130,17 +124,18 @@ fn actual() -> String {
     ];
     // Short fixed-size messages keep hundreds of worms crossing every
     // link inside the short window, so each fault schedule bites.
-    let poisson = |load| {
+    let poisson = [0.1, 0.4, 0.7].map(|load| {
         let sizes = MessageSizeDist::Fixed(16);
         let spec = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(load) };
-        Traffic::Poisson(Workload::compile(g, &spec).unwrap())
-    };
+        Workload::compile(g, &spec).unwrap()
+    });
+    let (scripted, chained) = (script(g), chain(g));
     let traffics = [
-        ("poisson-0.1", poisson(0.1)),
-        ("poisson-0.4", poisson(0.4)),
-        ("poisson-0.7", poisson(0.7)),
-        ("script", Traffic::Script(script(g))),
-        ("chain", Traffic::Chain(chain(g))),
+        ("poisson-0.1", Traffic::Poisson(&poisson[0])),
+        ("poisson-0.4", Traffic::Poisson(&poisson[1])),
+        ("poisson-0.7", Traffic::Poisson(&poisson[2])),
+        ("script", Traffic::Script(&scripted)),
+        ("chain", Traffic::Chain(&chained)),
     ];
     let mut st = EngineState::new(); // one state across the whole grid
     let mut out = String::new();
@@ -211,7 +206,7 @@ fn actual() -> String {
         for (variant, cfg, plan, reference) in variants {
             if reference {
                 let cfg = EngineConfig { seed: SEED, ..cfg };
-                for (traffic, source) in &traffics {
+                for &(traffic, source) in &traffics {
                     let res = Ok(build_order(&graph, source, &cfg));
                     writeln!(out, "{name} {traffic} {variant} {}", outcome(&res)).unwrap();
                 }
@@ -220,12 +215,8 @@ fn actual() -> String {
             let net = CompiledNet::new(Arc::clone(&graph), cfg).unwrap();
             let faults = plan.map(|p| net.compile_faults(p).unwrap());
             let faults = faults.as_ref();
-            for (traffic, source) in &traffics {
-                let res = match source {
-                    Traffic::Poisson(wl) => net.run_poisson_faulted(wl, faults, SEED, &mut st),
-                    Traffic::Script(s) => net.run_script_faulted(s, faults, SEED, &mut st),
-                    Traffic::Chain(c) => net.run_chain_faulted(c, faults, SEED, &mut st),
-                };
+            for &(traffic, source) in &traffics {
+                let res = net.run(source, faults, SEED, &mut st);
                 writeln!(out, "{name} {traffic} {variant} {}", outcome(&res)).unwrap();
             }
         }
@@ -235,7 +226,7 @@ fn actual() -> String {
 
 /// One healthy build-order row, on the reference engine (`cfg.seed` is
 /// the run's seed there).
-fn build_order(graph: &NetworkGraph, source: &Traffic, cfg: &EngineConfig) -> SimReport {
+fn build_order(graph: &NetworkGraph, source: Traffic<'_>, cfg: &EngineConfig) -> SimReport {
     let order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
     match source {
         Traffic::Poisson(wl) => reference::run_simulation(graph, wl, cfg, order),

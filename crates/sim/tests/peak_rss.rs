@@ -6,7 +6,7 @@
 //! `VmHWM` can — but it is per process and only ever rises, so this
 //! binary has exactly one test: nothing else may run in its process.
 
-use minnet_sim::{CompiledNet, EngineConfig, EngineState};
+use minnet_sim::{CompiledNet, EngineConfig, EngineState, Traffic};
 use minnet_topology::{build_bmin, Geometry};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ fn burst_16k_peak_rss_budget() {
     };
     let workload = Workload::compile(g, &spec).unwrap();
     let report = net
-        .run_poisson(&workload, 42, &mut EngineState::new())
+        .run(Traffic::Poisson(&workload), None, 42, &mut EngineState::new())
         .unwrap();
     assert!(
         report.generated_packets > 1_000,

@@ -1,9 +1,9 @@
 //! Property tests for the compile-once pipeline: random specs, loads,
-//! seeds and scripts must behave **bit-identically** through the compiled
-//! path ([`CompiledExperiment`], [`CompiledNet`] + [`Script`]/[`Chain`])
-//! and the original one-shot path — and the precomputed routing table
-//! must answer exactly like the closed-form [`RouteLogic`] along random
-//! routes.
+//! seeds and scripts must behave **bit-identically** through a compiled
+//! run on a reused state ([`CompiledExperiment::run`], [`CompiledNet::run`])
+//! and a one-shot run on a fresh one ([`Experiment::run`], the free
+//! functions) — and the precomputed routing table must answer exactly
+//! like the closed-form [`RouteLogic`] along random routes.
 //!
 //! The vendored proptest shim draws each test's cases from a fixed seed,
 //! so failures reproduce without a persistence file.
@@ -12,8 +12,8 @@ use minnet::{CompiledExperiment, Experiment, NetworkSpec};
 use minnet_routing::{RouteLogic, RouteTable};
 use minnet_sim::reference::{self, Ablation};
 use minnet_sim::{
-    run_scripted, run_simulation, with_pooled_state, CompiledNet, EngineConfig, Script,
-    ScriptedMsg, SimError,
+    run_scripted, run_simulation, CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg,
+    SimError, Traffic,
 };
 use minnet_topology::{FaultPlan, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
@@ -46,9 +46,9 @@ fn compiled_lineup() -> &'static Vec<(Experiment, CompiledExperiment)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Random (network, load, seed): the compiled pipeline — shared
-    // routing table, pooled reused state — equals a fresh one-shot run
-    // bit for bit.
+    // Random (network, load, seed): a compiled run — shared routing
+    // table, a state another load has used — equals a one-shot
+    // `Experiment::run` (compile, fresh state) bit for bit.
     #[test]
     fn compiled_run_equals_fresh_run(
         which in 0usize..4,
@@ -57,8 +57,12 @@ proptest! {
     ) {
         let (exp, compiled) = &compiled_lineup()[which];
         let load = f64::from(load_pct) / 100.0;
-        let fresh = exp.run_seeded(load, seed).unwrap();
-        let fast = compiled.run_seeded(load, seed).unwrap();
+        let mut seeded = exp.clone();
+        seeded.sim.seed = seed;
+        let fresh = seeded.run(load).unwrap();
+        let mut st = EngineState::new();
+        compiled.run(0.7 - load, !seed, &mut st).unwrap();
+        let fast = compiled.run(load, seed, &mut st).unwrap();
         prop_assert!(
             fresh.bitwise_eq(&fast),
             "{} load {load} seed {seed:#x}: compiled diverged",
@@ -67,8 +71,9 @@ proptest! {
     }
 
     // Random scripts: compiling the script once (validate + sort once)
-    // and replaying it through `CompiledNet::run_script` equals the
-    // per-call `run_scripted` wrapper bit for bit.
+    // and replaying it through `CompiledNet::run`, on a fresh state and
+    // again on the same state, equals the per-call `run_scripted` wrapper
+    // bit for bit.
     #[test]
     fn compiled_script_equals_run_scripted(
         which in 0usize..4,
@@ -99,12 +104,15 @@ proptest! {
         let wrapper = run_scripted(&net, &msgs, &cfg).unwrap();
         let script = Script::compile(g, &msgs).unwrap();
         let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
-        let fast = with_pooled_state(|st| compiled.run_script(&script, seed, st)).unwrap();
-        prop_assert!(
-            wrapper.bitwise_eq(&fast),
-            "{} seed {seed:#x}: compiled script diverged",
-            spec.name()
-        );
+        let mut st = EngineState::new();
+        for _ in 0..2 {
+            let fast = compiled.run(Traffic::Script(&script), None, seed, &mut st).unwrap();
+            prop_assert!(
+                wrapper.bitwise_eq(&fast),
+                "{} seed {seed:#x}: compiled script diverged",
+                spec.name()
+            );
+        }
         prop_assert_eq!(wrapper.delivered_packets as usize, msgs.len());
     }
 
@@ -265,11 +273,9 @@ proptest! {
             matches!(&refused, Err(SimError::Routing(msg)) if msg.contains("route_table_max_cells (1)")),
             "{:?}", refused.map(drop)
         );
-        let (a, b) = with_pooled_state(|st| {
-            let a = roomy.run_poisson(&wl, seed, st).unwrap();
-            let b = capped.run_poisson(&wl, seed, st).unwrap();
-            (a, b)
-        });
+        let mut st = EngineState::new();
+        let a = roomy.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
+        let b = capped.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
         prop_assert!(
             a.bitwise_eq(&b),
             "{} load {load} seed {seed:#x}: the fault cap changed a healthy run",

@@ -23,7 +23,7 @@ use minnet_routing::RouteTable;
 use minnet_sim::reference::{self, Ablation};
 use minnet_sim::{
     run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineConfig,
-    EngineState, Script, ScriptedMsg, SimReport, TraceEvent,
+    EngineState, Script, ScriptedMsg, SimReport, TraceEvent, Traffic,
 };
 use minnet_topology::{inter_stage_channels, Fault, FaultPlan, FaultTarget, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
@@ -75,7 +75,7 @@ fn poisson_reports_are_bit_identical() {
                 let opt = run_simulation(&net, &wl, &cfg).unwrap();
                 let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
-                let fast = compiled.run_poisson(&wl, seed, &mut st).unwrap();
+                let fast = compiled.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
                 assert!(opt.delivered_packets > 0, "{what}: nothing simulated");
             }
@@ -129,7 +129,7 @@ fn scripted_reports_are_bit_identical() {
                 let opt = run_scripted(&net, &script(g), &cfg).unwrap();
                 let refr = reference::run_scripted(&net, &script(g), &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
-                let fast = compiled.run_script(&once, seed, &mut st).unwrap();
+                let fast = compiled.run(Traffic::Script(&once), None, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} compiled"), &fast, &refr);
                 assert_eq!(
                     opt.delivered_packets as usize,
@@ -195,7 +195,7 @@ fn chained_reports_are_bit_identical() {
             let opt = run_chained(&net, &chain(g), 20, &cfg).unwrap();
             let refr = reference::run_chained(&net, &chain(g), 20, &cfg, Ablation::PAPER).unwrap();
             assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
-            let fast = compiled.run_chain_faulted(&once, None, seed, &mut st).unwrap();
+            let fast = compiled.run(Traffic::Chain(&once), None, seed, &mut st).unwrap();
             assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
             assert_eq!(
                 opt.delivered_packets as usize,
@@ -342,11 +342,11 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     // The same state cycles through all modes, twice.
     let mut st = EngineState::new();
     for round in 0..2 {
-        let p = compiled_p.run_poisson(&wl, SEEDS[0], &mut st).unwrap();
+        let p = compiled_p.run(Traffic::Poisson(&wl), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("poisson round {round}"), &p, &want_p);
-        let s = compiled_d.run_script(&once_script, SEEDS[0], &mut st).unwrap();
+        let s = compiled_d.run(Traffic::Script(&once_script), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("scripted round {round}"), &s, &want_s);
-        let c = compiled_d.run_chain_faulted(&once_chain, None, SEEDS[0], &mut st).unwrap();
+        let c = compiled_d.run(Traffic::Chain(&once_chain), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("chained round {round}"), &c, &want_c);
     }
 }
@@ -401,7 +401,7 @@ fn short_message_scripts_are_bit_identical() {
             let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let script = Script::compile(g, &msgs).unwrap();
-            let opt = compiled.run_script(&script, cfg.seed, &mut st).unwrap();
+            let opt = compiled.run(Traffic::Script(&script), None, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
             assert_eq!(opt.delivered_packets as usize, msgs.len(), "{what}: script must drain");
         }
@@ -428,7 +428,7 @@ fn short_message_poisson_is_bit_identical() {
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
             let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
-            let opt = compiled.run_poisson(&wl, cfg.seed, &mut st).unwrap();
+            let opt = compiled.run(Traffic::Poisson(&wl), None, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
             assert!(opt.delivered_packets > 1_000, "{what}: nothing simulated");
         }
@@ -480,7 +480,7 @@ fn short_message_fault_abort_mid_worm() {
         let faults = compiled.compile_faults(&plan).unwrap();
         assert!(!faults.is_trivial());
         let script = Script::compile(g, &msgs).unwrap();
-        let opt = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        let opt = compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
         let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
         assert_identical(&format!("{what}, idle channel dead"), &opt, &refr);
 
@@ -499,7 +499,7 @@ fn short_message_fault_abort_mid_worm() {
         });
         let faults = compiled.compile_faults(&plan).unwrap();
         let script = Script::compile(g, &msgs).unwrap();
-        let r = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        let r = compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
         let aborted: Vec<(u32, u64)> = r
             .trace
             .as_ref()
@@ -514,7 +514,8 @@ fn short_message_fault_abort_mid_worm() {
         assert_eq!(aborted, [(0, 3), (1, 3)], "{what}");
         assert_eq!((r.aborted_packets, r.delivered_packets), (2, 3), "{what}");
         assert_eq!((r.undeliverable_packets, r.in_flight_at_end), (0, 0), "{what}");
-        let again = compiled.run_script_faulted(&script, Some(&faults), cfg.seed, &mut st).unwrap();
+        let again =
+            compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
         assert!(again.bitwise_eq(&r), "{what}: an aborted run must leave no residue");
     }
 }
@@ -567,7 +568,7 @@ fn fast_forward_reports_are_bit_identical() {
                 assert_identical(&what, &fast, &refr);
                 // The compiled path takes the same jumps through a reused state.
                 let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
-                let comp = compiled.run_poisson(&wl, seed, &mut st).unwrap();
+                let comp = compiled.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
                 assert_identical(&format!("{what} (compiled)"), &comp, &refr);
             }
         }

@@ -9,9 +9,12 @@
 //! [`campaign_curve`], [`campaign_replicated_curve`] and
 //! [`campaign_degradation_curve`] (and, from their own modules,
 //! `Scenario::run` and `service::run_job`) each build the plan, supply
-//! the closure and fold the outcomes. The strict surface in
-//! [`crate::sweep`] is the same call under the default policy with the
-//! outcomes collapsed, not a second path.
+//! the closure and fold the outcomes. The two replicated grids fold into
+//! one point type, [`ReplicatedCampaignPoint`] — a load, a fault count
+//! (0 on a replicated curve) and one [`ReplicatedStats`] aggregate. The
+//! strict [`crate::latency_throughput_curve`] is [`campaign_curve`]
+//! under the default policy with the outcomes collapsed, not a second
+//! path; this module needs nothing from [`crate::sweep`].
 //!
 //! * **Per-point isolation.** Every attempt runs under
 //!   [`std::panic::catch_unwind`] on its worker; a panic, a
@@ -57,9 +60,7 @@
 
 use crate::experiment::Experiment;
 use crate::jsonl::{self, esc, Log, Obj};
-use crate::sweep::{
-    aggregate_degradation, aggregate_replicated, mix, DegradationPoint, ReplicatedPoint,
-};
+use minnet_sim::stats::Welford;
 use minnet_sim::{EngineState, SimError, SimReport, Traffic};
 use minnet_topology::FaultPlan;
 use std::fmt::Write;
@@ -106,11 +107,6 @@ impl PointOutcome {
             PointOutcome::Ok(r) => Some(r),
             _ => None,
         }
-    }
-
-    /// Whether the run completed normally.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, PointOutcome::Ok(_))
     }
 
     /// Whether a budget cut the run short.
@@ -162,13 +158,17 @@ pub struct CampaignPoint {
     pub attempts: u32,
 }
 
-/// One annotated point of a [`campaign_replicated_curve`]: every
-/// replication's outcome, plus the usual across-replication aggregate
-/// over the replications that completed normally.
+/// One annotated point of a [`campaign_replicated_curve`] or a
+/// [`campaign_degradation_curve`]: every replication's outcome, plus the
+/// across-replication aggregate over the replications that completed
+/// normally.
 #[derive(Clone, Debug)]
 pub struct ReplicatedCampaignPoint {
-    /// Nominal offered load (flits/cycle/node).
+    /// Nominal offered load (flits/cycle/node); on a degradation curve,
+    /// its one load.
     pub offered: f64,
+    /// Inter-stage links killed for this point (0 on a replicated curve).
+    pub fault_count: usize,
     /// Per-replication outcomes, in replication order.
     pub outcomes: Vec<PointOutcome>,
     /// Per-replication attempt counts, in replication order.
@@ -176,21 +176,66 @@ pub struct ReplicatedCampaignPoint {
     /// Aggregate over the `Ok` replications — `None` when none
     /// completed. Partial reports are *excluded*: a truncated sample
     /// would bias the across-replication confidence intervals.
-    pub ok_stats: Option<ReplicatedPoint>,
+    pub ok_stats: Option<ReplicatedStats>,
 }
 
-/// One annotated point of a [`campaign_degradation_curve`].
+/// `R` independent runs of one point (one seed each) aggregated into
+/// across-replication means and 95% confidence half-widths. Unlike the
+/// within-run batch-means interval — which must fight autocorrelation —
+/// replication means are independent samples, so the classical i.i.d.
+/// interval `t₀.₀₂₅,R₋₁·s/√R` applies. [`Welford::ci95_half_width`] uses
+/// the Student-t critical value for the small `R` typical here (4.30 at
+/// `R = 3`, not 1.96 — the normal approximation would understate a
+/// 3-replication interval by half).
 #[derive(Clone, Debug)]
-pub struct DegradationCampaignPoint {
-    /// Number of inter-stage links killed for this point.
-    pub fault_count: usize,
-    /// Per-replication outcomes, in replication order.
-    pub outcomes: Vec<PointOutcome>,
-    /// Per-replication attempt counts, in replication order.
-    pub attempts: Vec<u32>,
-    /// Aggregate over the `Ok` replications — `None` when none
-    /// completed (see [`ReplicatedCampaignPoint::ok_stats`]).
-    pub ok_stats: Option<DegradationPoint>,
+pub struct ReplicatedStats {
+    /// Per-replication reports, in replication order.
+    pub replications: Vec<SimReport>,
+    /// Mean over replications of the mean message latency (cycles).
+    pub mean_latency_cycles: f64,
+    /// 95% half-width of the latency mean across replications.
+    pub latency_ci95_cycles: f64,
+    /// Mean over replications of accepted throughput (flits/node/cycle).
+    pub accepted_flits_per_node_cycle: f64,
+    /// 95% half-width of accepted throughput across replications.
+    pub accepted_ci95: f64,
+    /// Mean over replications of measured packets aborted mid-flight by
+    /// a fault onset.
+    pub mean_aborted_packets: f64,
+    /// Mean over replications of measured packets refused at injection
+    /// (destination unreachable under the fault set).
+    pub mean_undeliverable_packets: f64,
+    /// Whether *every* replication was sustainable (§5 queue criterion).
+    pub sustainable: bool,
+    /// Whether *every* replication kept delivery pace with generation.
+    pub steady: bool,
+}
+
+impl ReplicatedStats {
+    /// Fold one point's replication reports — `None` when there are none.
+    fn of(replications: Vec<SimReport>) -> Option<ReplicatedStats> {
+        if replications.is_empty() {
+            return None;
+        }
+        let [mut lat, mut acc, mut aborted, mut refused] = std::array::from_fn(|_| Welford::new());
+        for r in &replications {
+            lat.push(r.mean_latency_cycles);
+            acc.push(r.accepted_flits_per_node_cycle);
+            aborted.push(r.aborted_packets as f64);
+            refused.push(r.undeliverable_packets as f64);
+        }
+        Some(ReplicatedStats {
+            mean_latency_cycles: lat.mean(),
+            latency_ci95_cycles: lat.ci95_half_width(),
+            accepted_flits_per_node_cycle: acc.mean(),
+            accepted_ci95: acc.ci95_half_width(),
+            mean_aborted_packets: aborted.mean(),
+            mean_undeliverable_packets: refused.mean(),
+            sustainable: replications.iter().all(|r| r.sustainable),
+            steady: replications.iter().all(|r| r.steady),
+            replications,
+        })
+    }
 }
 
 /// Count `(ok, partial, failed)` over a slice of outcomes.
@@ -206,6 +251,14 @@ pub fn outcome_counts<'a>(
         }
     }
     counts
+}
+
+/// SplitMix64 — decorrelates per-task seeds from the base seed.
+pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
+    let mut z = seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
 /// The seed for retry `attempt` of a task originally seeded `seed`:
@@ -352,27 +405,28 @@ pub(crate) fn run_plan(
 }
 
 /// Fold a replicated grid's task-ordered results into one annotated
-/// point per key: `replications` consecutive results each, split into
-/// outcomes and attempts, plus the reports of the `Ok` replications
-/// (`None` when none completed) for the caller's aggregate.
-fn fold_points<K: Copy, P>(
-    keys: &[K],
+/// point per `(offered, fault_count)` key: `replications` consecutive
+/// results each, split into outcomes and attempts, plus the aggregate of
+/// the `Ok` replications.
+fn fold_points(
+    keys: impl Iterator<Item = (f64, usize)>,
     replications: usize,
     results: Vec<(PointOutcome, u32)>,
-    point: impl Fn(K, Vec<PointOutcome>, Vec<u32>, Option<Vec<SimReport>>) -> P,
-) -> Vec<P> {
+) -> Vec<ReplicatedCampaignPoint> {
     let mut results = results.into_iter();
-    keys.iter()
-        .map(|&key| {
-            let (outcomes, attempts): (Vec<PointOutcome>, Vec<u32>) =
-                results.by_ref().take(replications).unzip();
-            let ok: Vec<SimReport> = outcomes
-                .iter()
-                .filter_map(|o| o.ok_report().cloned())
-                .collect();
-            point(key, outcomes, attempts, (!ok.is_empty()).then_some(ok))
-        })
-        .collect()
+    keys.map(|(offered, fault_count)| {
+        let (outcomes, attempts): (Vec<PointOutcome>, Vec<u32>) =
+            results.by_ref().take(replications).unzip();
+        let ok = outcomes.iter().filter_map(|o| o.ok_report().cloned()).collect();
+        ReplicatedCampaignPoint {
+            offered,
+            fault_count,
+            ok_stats: ReplicatedStats::of(ok),
+            outcomes,
+            attempts,
+        }
+    })
+    .collect()
 }
 
 // ---- campaigns -------------------------------------------------------
@@ -459,17 +513,7 @@ pub fn campaign_replicated_curve(
             compiled.run(loads[t / replications], task_seed(base, t, attempt), st)
         },
     )?;
-    Ok(fold_points(
-        loads,
-        replications,
-        results,
-        |offered, outcomes, attempts, ok| ReplicatedCampaignPoint {
-            offered,
-            outcomes,
-            attempts,
-            ok_stats: ok.map(|reps| aggregate_replicated(offered, reps)),
-        },
-    ))
+    Ok(fold_points(loads.iter().map(|&l| (l, 0)), replications, results))
 }
 
 /// One offered load under increasing numbers of randomly-killed
@@ -501,7 +545,7 @@ pub fn campaign_degradation_curve(
     replications: usize,
     threads: usize,
     policy: &CampaignPolicy,
-) -> Result<Vec<DegradationCampaignPoint>, String> {
+) -> Result<Vec<ReplicatedCampaignPoint>, String> {
     if replications == 0 {
         return Err("degradation campaign needs at least one replication".into());
     }
@@ -545,17 +589,8 @@ pub fn campaign_degradation_curve(
             )
         },
     )?;
-    Ok(fold_points(
-        fault_counts,
-        replications,
-        results,
-        |fault_count, outcomes, attempts, ok| DegradationCampaignPoint {
-            fault_count,
-            outcomes,
-            attempts,
-            ok_stats: ok.map(|reps| aggregate_degradation(fault_count, reps)),
-        },
-    ))
+    let keys = fault_counts.iter().map(|&count| (offered_load, count));
+    Ok(fold_points(keys, replications, results))
 }
 
 // ---- configuration hash ----------------------------------------------
@@ -837,8 +872,8 @@ mod tests {
             }
             compiled.run(0.2, mix(7, i as u64 + 1), st)
         });
-        assert!(results[0].0.is_ok());
-        assert!(results[2].0.is_ok());
+        assert!(matches!(results[0].0, PointOutcome::Ok(_)));
+        assert!(matches!(results[2].0, PointOutcome::Ok(_)));
         let (outcome, attempts) = &results[1];
         let PointOutcome::Failed { reason } = outcome else {
             panic!("expected Failed, got {}", outcome.tag());
@@ -857,7 +892,7 @@ mod tests {
             }
             compiled.run(0.2, task_seed(7, i, attempt), st)
         });
-        assert!(results[0].0.is_ok());
+        assert!(matches!(results[0].0, PointOutcome::Ok(_)));
         assert_eq!(results[0].1, 2);
     }
 
@@ -880,7 +915,8 @@ mod tests {
             _ => compiled.run(0.2, mix(7, i as u64 + 1), st),
         });
         let outcomes: Vec<&PointOutcome> = results.iter().map(|(o, _)| o).collect();
-        assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
+        assert!(matches!(outcomes[0], PointOutcome::Ok(_)));
+        assert!(matches!(outcomes[3], PointOutcome::Ok(_)));
         assert!(matches!(outcomes[1], PointOutcome::Failed { .. }));
         assert!(outcomes[2].is_partial());
         let PointOutcome::Partial { report, reason } = outcomes[2] else {
@@ -1089,9 +1125,13 @@ mod tests {
             campaign_replicated_curve(&exp, &[0.2], 3, 2, &CampaignPolicy::isolate()).unwrap();
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].outcomes.len(), 3);
-        assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
+        assert!(pts[0].outcomes.iter().all(|o| matches!(o, PointOutcome::Ok(_))));
+        // A replicated curve is the fault-free degradation point.
+        assert_eq!(pts[0].fault_count, 0);
         let stats = pts[0].ok_stats.as_ref().unwrap();
         assert_eq!(stats.replications.len(), 3);
+        assert_eq!(stats.mean_aborted_packets, 0.0);
+        assert_eq!(stats.mean_undeliverable_packets, 0.0);
         // Each replication is a pool task on its grid seed.
         let compiled = exp.compile().unwrap();
         for (r, rep) in stats.replications.iter().enumerate() {
@@ -1258,13 +1298,13 @@ mod tests {
             compiled.run(0.1, task_seed(7, i, 0), st)
         });
         // An assertion that failed inside `run` would be a Failed point.
-        assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
+        assert!(results.iter().all(|(outcome, _)| matches!(outcome, PointOutcome::Ok(_))));
     }
 
     #[test]
     fn invalid_load_fails_every_lane_of_its_point_only() {
         let pts = campaign_replicated_curve(&quick(), &[0.2, -1.0], 3, 2, &retrying(2)).unwrap();
-        assert!(pts[0].outcomes.iter().all(PointOutcome::is_ok));
+        assert!(pts[0].outcomes.iter().all(|o| matches!(o, PointOutcome::Ok(_))));
         assert_eq!(pts[0].attempts, [1, 1, 1]);
         assert!(pts[1].outcomes.iter().all(|o| matches!(o, PointOutcome::Failed { .. })));
         assert_eq!(pts[1].attempts, [3, 3, 3], "attempts == retries + 1");

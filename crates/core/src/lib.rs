@@ -37,11 +37,12 @@
 //! replications, a degradation study, a [`Scenario`], a `minnetd` job —
 //! is a grid of independent runs executed by the one experiment runner
 //! in [`campaign`] (worker pool, retry ladder, checkpoint/resume) and
-//! comes back annotated per point ([`PointOutcome`]).
-//! [`latency_throughput_curve`] and [`replicated_curve`] are the same
-//! calls under the default policy with the outcomes collapsed to
-//! all-or-nothing; [`sweep`] otherwise holds the aggregates and the
-//! saturation search.
+//! comes back annotated per point ([`PointOutcome`]). A replicated or
+//! degradation point is one [`ReplicatedCampaignPoint`] — its load, its
+//! fault count and one [`ReplicatedStats`] aggregate of the replications
+//! that completed. [`latency_throughput_curve`] is [`campaign_curve`]
+//! under the default policy with the outcomes collapsed to
+//! all-or-nothing; [`sweep`] otherwise holds the saturation search.
 //!
 //! The lower layers are re-exported: [`minnet_topology`] (networks &
 //! theory), [`minnet_routing`] (destination-tag / turnaround routing,
@@ -68,7 +69,7 @@ pub mod table;
 
 pub use campaign::{
     campaign_curve, campaign_degradation_curve, campaign_replicated_curve, outcome_counts,
-    CampaignPoint, CampaignPolicy, DegradationCampaignPoint, PointOutcome, ReplicatedCampaignPoint,
+    CampaignPoint, CampaignPolicy, PointOutcome, ReplicatedCampaignPoint, ReplicatedStats,
 };
 pub use experiment::{CompiledExperiment, Experiment};
 pub use output::OutputFile;
@@ -78,10 +79,7 @@ pub use scenario::{
     ScenarioPoint, ScenarioSet, Verdict, VerdictStatus,
 };
 pub use spec::NetworkSpec;
-pub use sweep::{
-    find_saturation, latency_throughput_curve, replicated_curve, saturation_load,
-    DegradationPoint, ReplicatedPoint, SweepPoint,
-};
+pub use sweep::{find_saturation, latency_throughput_curve, saturation_load, SweepPoint};
 pub use table::{curve_csv, curve_table};
 
 // Re-export the layer crates under stable names.

@@ -37,11 +37,10 @@
 //! [`verdict_report_json`] is byte-identical across repeated runs and
 //! thread counts (pinned by the workspace e2e tests).
 
-use crate::campaign::{config_hash, run_plan, task_seed, CampaignPolicy, PointOutcome};
+use crate::campaign::{config_hash, mix, run_plan, task_seed, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
 use crate::jsonl::{array, esc};
 use crate::spec::{self, NetworkSpec};
-use crate::sweep::mix;
 use minnet_sim::{
     ChaosSchedule, ChaosTarget, RunBudget, Script, ScriptedMsg, SimError,
     SimReport, StallDiagnostic, Traffic,

@@ -156,8 +156,8 @@ impl JobSpec {
         if self.loads.is_empty() {
             return Err(SimError::Config("a job needs at least one load point".into()));
         }
-        if let Some(l) = self.loads.iter().find(|l| !l.is_finite() || **l <= 0.0) {
-            return Err(SimError::Config(format!("load {l} is not finite and positive")));
+        for &l in &self.loads {
+            spec::check_load(l).map_err(SimError::Config)?;
         }
         let mut exp = Experiment {
             geometry,

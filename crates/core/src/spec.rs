@@ -7,7 +7,8 @@
 //! and [`parse_loads`]. Each refuses a value no run can use — it runs the
 //! type's own `validate()` — so the error surfaces where the text is read.
 //! Each door frames the message (`--flag`, a config error, `file:line`)
-//! and keeps its own defaults and load range.
+//! and keeps its own defaults; every door refuses a load that is not
+//! finite and positive (`check_load`), and a `.scn` also caps it at 1.
 
 use minnet_sim::EngineConfig;
 use minnet_topology::{build_bmin, build_unidir, Geometry, NetworkGraph, UnidirKind};
@@ -183,11 +184,21 @@ pub fn geometry(k: u32, n: u32) -> Result<Geometry, String> {
     Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits)
 }
 
-/// A comma-separated list of offered loads; which loads a run allows is
-/// each door's own policy.
+/// An offered load any run can use: finite and positive. A door may cap
+/// it further (a `.scn` load is at most 1).
+pub(crate) fn check_load(l: f64) -> Result<f64, String> {
+    if l.is_finite() && l > 0.0 {
+        Ok(l)
+    } else {
+        Err(format!("load {l} is not finite and positive"))
+    }
+}
+
+/// A comma-separated list of offered loads, each refused unless finite
+/// and positive.
 pub fn parse_loads(s: &str) -> Result<Vec<f64>, String> {
     let load = |x: &str| x.trim().parse().map_err(|e| format!("load {x:?}: {e}"));
-    s.split(',').map(load).collect()
+    s.split(',').map(|x| load(x).and_then(check_load)).collect()
 }
 
 #[cfg(test)]

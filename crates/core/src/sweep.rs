@@ -1,11 +1,11 @@
-//! Load sweeps: the strict, all-or-nothing surface over the experiment
-//! runner, plus what a curve needs beyond running it — the
-//! across-replication aggregates, the saturation search and the seed mix.
+//! Load sweeps: the strict, all-or-nothing curve over the experiment
+//! runner, plus the saturation search. The across-replication aggregate
+//! and the seed mix belong to the runner ([`crate::campaign`]).
 //!
-//! [`latency_throughput_curve`] and [`replicated_curve`] are
-//! [`crate::campaign`]'s curves under the default policy (no retries, no
-//! checkpoint) with the annotated outcomes collapsed: the first point
-//! that did not complete turns the whole sweep into its `Err`. There is
+//! [`latency_throughput_curve`] is [`crate::campaign::campaign_curve`]
+//! under the default policy (no retries, no checkpoint) with the
+//! annotated outcomes collapsed: the first point that did not complete
+//! turns the whole sweep into its `Err`. There is
 //! one runner underneath, so a sweep shares its properties — the
 //! experiment is compiled **once** and shared across workers, each
 //! worker reuses its own engine state, a worker panic is contained and
@@ -14,9 +14,8 @@
 //! thread count: exactly the numbers a lone
 //! [`crate::CompiledExperiment::run`] per point produces.
 
-use crate::campaign::{campaign_curve, campaign_replicated_curve, CampaignPolicy, PointOutcome};
+use crate::campaign::{campaign_curve, mix, CampaignPolicy, PointOutcome};
 use crate::experiment::Experiment;
-use minnet_sim::stats::Welford;
 use minnet_sim::{EngineState, SimError, SimReport};
 
 /// One point of a latency–throughput curve.
@@ -26,23 +25,6 @@ pub struct SweepPoint {
     pub offered: f64,
     /// The simulation report at that load.
     pub report: SimReport,
-}
-
-/// SplitMix64 — decorrelates per-point seeds from the base seed.
-pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Collapse one annotated outcome to the strict sweep surface: anything
-/// but a completed run is the sweep's error.
-fn strict(outcome: PointOutcome) -> Result<SimReport, String> {
-    match outcome {
-        PointOutcome::Ok(report) => Ok(report),
-        PointOutcome::Partial { reason, .. } | PointOutcome::Failed { reason } => Err(reason),
-    }
 }
 
 /// Evaluate the experiment at every load in `loads`, in parallel on
@@ -57,147 +39,14 @@ pub fn latency_throughput_curve(
 ) -> Result<Vec<SweepPoint>, String> {
     campaign_curve(exp, loads, threads, &CampaignPolicy::default())?
         .into_iter()
-        .map(|p| {
-            Ok(SweepPoint {
+        .map(|p| match p.outcome {
+            PointOutcome::Ok(report) => Ok(SweepPoint {
                 offered: p.offered,
-                report: strict(p.outcome)?,
-            })
+                report,
+            }),
+            PointOutcome::Partial { reason, .. } | PointOutcome::Failed { reason } => Err(reason),
         })
         .collect()
-}
-
-/// One load point of a replicated sweep: `R` independent runs (one seed
-/// each) aggregated into across-replication means and 95% confidence
-/// half-widths. Unlike the within-run batch-means interval — which must
-/// fight autocorrelation — replication means are independent samples, so
-/// the classical i.i.d. interval `t₀.₀₂₅,R₋₁·s/√R` applies.
-/// [`Welford::ci95_half_width`] uses the Student-t critical value for
-/// the small `R` typical here (4.30 at `R = 3`, not 1.96 — the normal
-/// approximation would understate a 3-replication interval by half).
-#[derive(Clone, Debug)]
-pub struct ReplicatedPoint {
-    /// Nominal offered load (flits/cycle/node).
-    pub offered: f64,
-    /// Per-replication reports, in replication order.
-    pub replications: Vec<SimReport>,
-    /// Mean over replications of the mean message latency (cycles).
-    pub mean_latency_cycles: f64,
-    /// 95% half-width of the latency mean across replications.
-    pub latency_ci95_cycles: f64,
-    /// Mean over replications of accepted throughput (flits/node/cycle).
-    pub accepted_flits_per_node_cycle: f64,
-    /// 95% half-width of accepted throughput across replications.
-    pub accepted_ci95: f64,
-    /// Whether *every* replication was sustainable (§5 queue criterion).
-    pub sustainable: bool,
-    /// Whether *every* replication kept delivery pace with generation.
-    pub steady: bool,
-}
-
-/// Evaluate every load in `loads` with `replications` independent seeded
-/// runs each, parallel over the whole `(point, replication)` grid on
-/// `threads` workers — [`campaign_replicated_curve`] under the default
-/// policy, collapsed. Task `(i, r)` uses seed `mix(base, i·R + r + 1)` —
-/// for `R = 1` exactly the seeds (and hence bit-exactly the reports) of
-/// [`latency_throughput_curve`].
-///
-/// # Errors
-///
-/// Reports a zero replication count, invalid experiments, and invalid
-/// loads.
-pub fn replicated_curve(
-    exp: &Experiment,
-    loads: &[f64],
-    replications: usize,
-    threads: usize,
-) -> Result<Vec<ReplicatedPoint>, String> {
-    let policy = CampaignPolicy::default();
-    campaign_replicated_curve(exp, loads, replications, threads, &policy)?
-        .into_iter()
-        .map(|p| {
-            let reps: Result<_, _> = p.outcomes.into_iter().map(strict).collect();
-            Ok(aggregate_replicated(p.offered, reps?))
-        })
-        .collect()
-}
-
-/// Fold one load point's replication reports into a [`ReplicatedPoint`]
-/// (a campaign aggregates the `Ok` subset of a partially-failed point).
-pub(crate) fn aggregate_replicated(offered: f64, reps: Vec<SimReport>) -> ReplicatedPoint {
-    let mut lat = Welford::new();
-    let mut acc = Welford::new();
-    for r in &reps {
-        lat.push(r.mean_latency_cycles);
-        acc.push(r.accepted_flits_per_node_cycle);
-    }
-    ReplicatedPoint {
-        offered,
-        mean_latency_cycles: lat.mean(),
-        latency_ci95_cycles: lat.ci95_half_width(),
-        accepted_flits_per_node_cycle: acc.mean(),
-        accepted_ci95: acc.ci95_half_width(),
-        sustainable: reps.iter().all(|r| r.sustainable),
-        steady: reps.iter().all(|r| r.steady),
-        replications: reps,
-    }
-}
-
-/// One point of a graceful-degradation curve: `R` replications at a fixed
-/// offered load, under `fault_count` randomly-placed permanent inter-stage
-/// link faults. Aggregates follow [`ReplicatedPoint`] (independent
-/// replications, Student-t 95% half-widths) and add the fault-specific
-/// accounting: packets the engine aborted at a fault onset and packets it
-/// refused because no live route to their destination existed.
-#[derive(Clone, Debug)]
-pub struct DegradationPoint {
-    /// Number of inter-stage links killed for this point.
-    pub fault_count: usize,
-    /// Per-replication reports, in replication order.
-    pub replications: Vec<SimReport>,
-    /// Mean over replications of the mean message latency (cycles).
-    pub mean_latency_cycles: f64,
-    /// 95% half-width of the latency mean across replications.
-    pub latency_ci95_cycles: f64,
-    /// Mean over replications of accepted throughput (flits/node/cycle).
-    pub accepted_flits_per_node_cycle: f64,
-    /// 95% half-width of accepted throughput across replications.
-    pub accepted_ci95: f64,
-    /// Mean over replications of measured packets aborted mid-flight.
-    pub mean_aborted_packets: f64,
-    /// Mean over replications of measured packets refused at injection
-    /// (destination unreachable under the fault set).
-    pub mean_undeliverable_packets: f64,
-    /// Whether *every* replication was sustainable (§5 queue criterion).
-    pub sustainable: bool,
-    /// Whether *every* replication kept delivery pace with generation.
-    pub steady: bool,
-}
-
-/// Fold one fault count's replication reports into a
-/// [`DegradationPoint`].
-pub(crate) fn aggregate_degradation(fault_count: usize, reps: Vec<SimReport>) -> DegradationPoint {
-    let mut lat = Welford::new();
-    let mut acc = Welford::new();
-    let mut aborted = Welford::new();
-    let mut refused = Welford::new();
-    for r in &reps {
-        lat.push(r.mean_latency_cycles);
-        acc.push(r.accepted_flits_per_node_cycle);
-        aborted.push(r.aborted_packets as f64);
-        refused.push(r.undeliverable_packets as f64);
-    }
-    DegradationPoint {
-        fault_count,
-        mean_latency_cycles: lat.mean(),
-        latency_ci95_cycles: lat.ci95_half_width(),
-        accepted_flits_per_node_cycle: acc.mean(),
-        accepted_ci95: acc.ci95_half_width(),
-        mean_aborted_packets: aborted.mean(),
-        mean_undeliverable_packets: refused.mean(),
-        sustainable: reps.iter().all(|r| r.sustainable),
-        steady: reps.iter().all(|r| r.steady),
-        replications: reps,
-    }
 }
 
 /// Locate the saturation boundary by bisection: the largest offered load
@@ -280,26 +129,45 @@ pub fn saturation_load(points: &[SweepPoint]) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::campaign_degradation_curve;
+    use crate::campaign::{
+        campaign_degradation_curve, campaign_replicated_curve, ReplicatedCampaignPoint,
+        ReplicatedStats,
+    };
     use crate::spec::NetworkSpec;
     use minnet_traffic::MessageSizeDist;
 
-    /// The degradation curve under the default policy, every point's
-    /// replications complete.
+    /// Each point's aggregate, every replication of it complete.
+    fn ok_stats(points: Vec<ReplicatedCampaignPoint>) -> Vec<ReplicatedStats> {
+        let stats = |p: ReplicatedCampaignPoint| {
+            let s = p.ok_stats.expect("healthy curve: a replication completed");
+            assert_eq!(s.replications.len(), p.outcomes.len(), "a replication did not complete");
+            s
+        };
+        points.into_iter().map(stats).collect()
+    }
+
+    /// The replicated curve under the default policy, as its aggregates.
+    fn replicated(
+        exp: &Experiment,
+        loads: &[f64],
+        replications: usize,
+        threads: usize,
+    ) -> Result<Vec<ReplicatedStats>, String> {
+        let policy = CampaignPolicy::default();
+        campaign_replicated_curve(exp, loads, replications, threads, &policy).map(ok_stats)
+    }
+
+    /// The degradation curve under the default policy, as its aggregates.
     fn degradation(
         exp: &Experiment,
         load: f64,
         fault_counts: &[usize],
         replications: usize,
         threads: usize,
-    ) -> Result<Vec<DegradationPoint>, String> {
+    ) -> Result<Vec<ReplicatedStats>, String> {
         let policy = CampaignPolicy::default();
-        let points =
-            campaign_degradation_curve(exp, load, fault_counts, replications, threads, &policy)?;
-        Ok(points
-            .into_iter()
-            .map(|p| p.ok_stats.expect("healthy curve: a replication completed"))
-            .collect())
+        campaign_degradation_curve(exp, load, fault_counts, replications, threads, &policy)
+            .map(ok_stats)
     }
 
     fn quick() -> Experiment {
@@ -360,7 +228,7 @@ mod tests {
     fn empty_sweep() {
         let exp = quick();
         assert!(latency_throughput_curve(&exp, &[], 4).unwrap().is_empty());
-        assert!(replicated_curve(&exp, &[], 3, 4).unwrap().is_empty());
+        assert!(replicated(&exp, &[], 3, 4).unwrap().is_empty());
         assert!(saturation_load(&[]).is_none());
     }
 
@@ -435,7 +303,7 @@ mod tests {
         // A window long enough that the end-of-run transient cannot push
         // a replication below the 95% steady criterion at these loads.
         exp.sim.measure = 12_000;
-        let pts = replicated_curve(&exp, &[0.15, 0.35], 4, 3).unwrap();
+        let pts = replicated(&exp, &[0.15, 0.35], 4, 3).unwrap();
         assert_eq!(pts.len(), 2);
         for p in &pts {
             assert_eq!(p.replications.len(), 4);
@@ -473,7 +341,7 @@ mod tests {
         // from the published replication reports. The old normal-based
         // 1.96·s/√3 would be ~2.2× too narrow.
         let exp = quick();
-        let p = &replicated_curve(&exp, &[0.3], 3, 1).unwrap()[0];
+        let p = &replicated(&exp, &[0.3], 3, 1).unwrap()[0];
         let lats: Vec<f64> = p
             .replications
             .iter()
@@ -494,8 +362,8 @@ mod tests {
     #[test]
     fn replicated_curve_is_thread_count_invariant() {
         let exp = quick();
-        let a = replicated_curve(&exp, &[0.3], 3, 1).unwrap();
-        let b = replicated_curve(&exp, &[0.3], 3, 4).unwrap();
+        let a = replicated(&exp, &[0.3], 3, 1).unwrap();
+        let b = replicated(&exp, &[0.3], 3, 4).unwrap();
         for (x, y) in a[0].replications.iter().zip(&b[0].replications) {
             assert!(x.bitwise_eq(y));
         }
@@ -509,7 +377,7 @@ mod tests {
         let exp = quick();
         let loads = [0.2, 0.4];
         let plain = latency_throughput_curve(&exp, &loads, 2).unwrap();
-        let reps = replicated_curve(&exp, &loads, 1, 2).unwrap();
+        let reps = replicated(&exp, &loads, 1, 2).unwrap();
         for (p, r) in plain.iter().zip(&reps) {
             assert!(p.report.bitwise_eq(&r.replications[0]));
             assert_eq!(r.latency_ci95_cycles, 0.0); // one sample, no CI
@@ -518,7 +386,7 @@ mod tests {
 
     #[test]
     fn replicated_curve_rejects_zero_replications() {
-        assert!(replicated_curve(&quick(), &[0.2], 0, 1).is_err());
+        assert!(replicated(&quick(), &[0.2], 0, 1).is_err());
     }
 
     #[test]
@@ -527,10 +395,12 @@ mod tests {
         // normalises away — the reports must be bit-identical to the
         // plain replicated sweep at the same (load, seed) grid.
         let exp = quick();
-        let faultless = replicated_curve(&exp, &[0.25], 3, 2).unwrap();
-        let degraded = degradation(&exp, 0.25, &[0], 3, 2).unwrap();
+        let faultless = replicated(&exp, &[0.25], 3, 2).unwrap();
+        let policy = CampaignPolicy::default();
+        let degraded = campaign_degradation_curve(&exp, 0.25, &[0], 3, 2, &policy).unwrap();
         assert_eq!(degraded.len(), 1);
         assert_eq!(degraded[0].fault_count, 0);
+        let degraded = ok_stats(degraded);
         assert_eq!(degraded[0].mean_aborted_packets, 0.0);
         assert_eq!(degraded[0].mean_undeliverable_packets, 0.0);
         for (a, b) in faultless[0].replications.iter().zip(&degraded[0].replications) {

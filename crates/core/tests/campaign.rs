@@ -16,7 +16,7 @@
 
 use minnet::{
     campaign_degradation_curve, campaign_replicated_curve, outcome_counts, CampaignPolicy,
-    Experiment, NetworkSpec, PointOutcome,
+    Experiment, NetworkSpec, PointOutcome, ReplicatedStats,
 };
 use minnet_traffic::MessageSizeDist;
 use proptest::prelude::*;
@@ -62,6 +62,19 @@ fn assert_same_reports<'a>(
     }
 }
 
+/// An aggregate's means and half-widths, as bits.
+fn stats_bits(s: &ReplicatedStats) -> [u64; 6] {
+    [
+        s.mean_latency_cycles,
+        s.latency_ci95_cycles,
+        s.accepted_flits_per_node_cycle,
+        s.accepted_ci95,
+        s.mean_aborted_packets,
+        s.mean_undeliverable_packets,
+    ]
+    .map(f64::to_bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -87,29 +100,21 @@ proptest! {
         let fault_counts = [0, 2];
         let replications = 2;
         // Per point: the replication outcomes, and the aggregate's
-        // latency mean / CI bits.
-        let run = |policy: &CampaignPolicy| -> (Vec<Vec<PointOutcome>>, Vec<[u64; 2]>) {
-            if degradation {
+        // mean / CI bits.
+        let run = |policy: &CampaignPolicy| -> (Vec<Vec<PointOutcome>>, Vec<[u64; 6]>) {
+            let points = if degradation {
                 campaign_degradation_curve(&exp, 0.2, &fault_counts, replications, 2, policy)
-                    .unwrap()
-                    .into_iter()
-                    .map(|p| {
-                        let s = p.ok_stats.expect("healthy campaign: all Ok");
-                        let (mean, ci95) = (s.mean_latency_cycles, s.latency_ci95_cycles);
-                        (p.outcomes, [mean.to_bits(), ci95.to_bits()])
-                    })
-                    .unzip()
             } else {
                 campaign_replicated_curve(&exp, &loads, replications, 2, policy)
-                    .unwrap()
-                    .into_iter()
-                    .map(|p| {
-                        let s = p.ok_stats.expect("healthy campaign: all Ok");
-                        let (mean, ci95) = (s.mean_latency_cycles, s.latency_ci95_cycles);
-                        (p.outcomes, [mean.to_bits(), ci95.to_bits()])
-                    })
-                    .unzip()
-            }
+            };
+            points
+                .unwrap()
+                .into_iter()
+                .map(|p| {
+                    let s = p.ok_stats.expect("healthy campaign: all Ok");
+                    (p.outcomes, stats_bits(&s))
+                })
+                .unzip()
         };
 
         // The uninterrupted references: the default policy (no
@@ -166,11 +171,23 @@ fn zero_fault_degradation_equals_the_replicated_curve_on_every_network() {
         let exp = quick(spec, 11);
         let degraded = campaign_degradation_curve(&exp, 0.2, &[0], 3, 2, &policy).unwrap();
         let plain = campaign_replicated_curve(&exp, &[0.2], 3, 2, &policy).unwrap();
+        let name = spec.name();
         assert_same_reports(
             degraded.iter().map(|p| &p.outcomes),
             plain.iter().map(|p| &p.outcomes),
-            &spec.name(),
+            &name,
         );
+        // The whole point, aggregate included, is the same bits.
+        let (d, p) = (&degraded[0], &plain[0]);
+        assert_eq!((d.offered, d.fault_count), (p.offered, p.fault_count), "{name}");
+        assert_eq!(d.attempts, p.attempts, "{name}");
+        let (a, b) = (d.ok_stats.as_ref().unwrap(), p.ok_stats.as_ref().unwrap());
+        assert_eq!(stats_bits(a), stats_bits(b), "{name}");
+        assert_eq!((a.sustainable, a.steady), (b.sustainable, b.steady), "{name}");
+        assert_eq!(a.replications.len(), b.replications.len(), "{name}");
+        for (r, s) in a.replications.iter().zip(&b.replications) {
+            assert!(r.bitwise_eq(s), "{name}: aggregated replications diverged");
+        }
     }
 }
 
@@ -203,6 +220,7 @@ fn degradation_curve_separates_path_diversity_from_single_paths() {
         let mut refused_before = 0.0;
         for p in &points {
             let at = format!("{name} at {} faults", p.fault_count);
+            assert_eq!(p.offered, 0.2, "{at}: a degradation point carries its load");
             assert_eq!(outcome_counts(&p.outcomes), (3, 0, 0), "{at}");
             let s = p.ok_stats.as_ref().expect("three ok replications");
             let accepted = s.accepted_flits_per_node_cycle;

@@ -56,6 +56,10 @@ const ROWS: &[(Row, bool)] = &[
     (&[("loads", "0.2, 0.4")], true),
     (&[("loads", "0.1,abc")], false),
     (&[("loads", "0.1,,0.3")], false),
+    (&[("loads", "0.1,-0.5")], false),
+    (&[("loads", "0")], false),
+    (&[("loads", "NaN")], false),
+    (&[("loads", "inf")], false),
 ];
 
 /// The `.scn` door: the experiment and its loads, or the refusal, which

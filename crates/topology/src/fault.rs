@@ -264,17 +264,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Check every fault against `net` and the lane count `vcs` — the
-    /// string-typed form of [`FaultPlan::check`], kept for the older
-    /// `Result<_, String>` call sites.
-    ///
-    /// # Errors
-    ///
-    /// Anything [`FaultPlan::check`] reports, as its display form.
-    pub fn validate(&self, net: &NetworkGraph, vcs: u8) -> Result<(), String> {
-        self.check(net, vcs).map_err(|e| e.to_string())
-    }
-
     /// Check every fault against `net` and the lane count `vcs`.
     ///
     /// # Errors
@@ -358,9 +347,9 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Anything [`FaultPlan::validate`] reports.
+    /// Anything [`FaultPlan::check`] reports, as its display form.
     pub fn compile(&self, net: &NetworkGraph, vcs: u8) -> Result<FaultSchedule, String> {
-        self.validate(net, vcs)?;
+        self.check(net, vcs).map_err(|e| e.to_string())?;
         let nch = net.num_channels();
         let lanes = nch * vcs as usize;
 
@@ -552,19 +541,19 @@ mod tests {
         let net = tmin();
         let nch = net.num_channels() as u32;
         let bad = FaultPlan::new().with(Fault::permanent(FaultTarget::Channel(nch)));
-        assert!(bad.validate(&net, 1).unwrap_err().contains("out of range"));
+        assert!(bad.check(&net, 1).unwrap_err().to_string().contains("out of range"));
         let bad = FaultPlan::new()
             .with(Fault::permanent(FaultTarget::Lane { channel: 0, vc: 2 }));
-        assert!(bad.validate(&net, 2).unwrap_err().contains("lane 2"));
+        assert!(bad.check(&net, 2).unwrap_err().to_string().contains("lane 2"));
         let bad = FaultPlan::new()
             .with(Fault::permanent(FaultTarget::Switch(10_000)));
-        assert!(bad.validate(&net, 1).is_err());
+        assert!(bad.check(&net, 1).is_err());
         let bad = FaultPlan::new().with(Fault {
             target: FaultTarget::Channel(0),
             onset: 10,
             repair: Some(10),
         });
-        assert!(bad.validate(&net, 1).unwrap_err().contains("repair"));
+        assert!(bad.check(&net, 1).unwrap_err().to_string().contains("repair"));
     }
 
     #[test]
@@ -622,8 +611,8 @@ mod tests {
             bad.check(&net, 1),
             Err(FaultPlanError::EmptyWindow { repair: 3, .. })
         ));
-        // The string form still mentions "repair" for legacy matching.
-        assert!(bad.validate(&net, 1).unwrap_err().contains("repair"));
+        // The display form still mentions "repair" for legacy matching.
+        assert!(bad.check(&net, 1).unwrap_err().to_string().contains("repair"));
     }
 
     #[test]

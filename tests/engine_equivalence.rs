@@ -289,8 +289,7 @@ fn sweep_reports_are_thread_count_invariant() {
 /// its aggregates must not depend on how workers claim that grid.
 #[test]
 fn replicated_sweep_is_thread_count_invariant() {
-    use minnet::sweep::replicated_curve;
-    use minnet::Experiment;
+    use minnet::{campaign_replicated_curve, CampaignPolicy, Experiment, PointOutcome};
     use minnet_traffic::MessageSizeDist;
 
     let mut exp = Experiment::paper_default(NetworkSpec::vmin(2));
@@ -298,9 +297,19 @@ fn replicated_sweep_is_thread_count_invariant() {
     exp.sim.warmup = 500;
     exp.sim.measure = 4_000;
     let loads = [0.1, 0.3, 0.5];
-    let seq = replicated_curve(&exp, &loads, 5, 1).unwrap();
-    let par = replicated_curve(&exp, &loads, 5, 8).unwrap();
-    for (a, b) in seq.iter().zip(&par) {
+    let curve = |threads| {
+        let policy = CampaignPolicy::default();
+        let points = campaign_replicated_curve(&exp, &loads, 5, threads, &policy).unwrap();
+        for p in &points {
+            let all_ok = p.outcomes.iter().all(|o| matches!(o, PointOutcome::Ok(_)));
+            assert!(all_ok, "a replication did not complete at load {}", p.offered);
+        }
+        points
+    };
+    let (seq, par) = (curve(1), curve(8));
+    for (p, q) in seq.iter().zip(&par) {
+        assert_eq!(p.offered, q.offered);
+        let (a, b) = (p.ok_stats.as_ref().unwrap(), q.ok_stats.as_ref().unwrap());
         assert_eq!(a.mean_latency_cycles.to_bits(), b.mean_latency_cycles.to_bits());
         assert_eq!(a.latency_ci95_cycles.to_bits(), b.latency_ci95_cycles.to_bits());
         assert_eq!(
@@ -308,7 +317,7 @@ fn replicated_sweep_is_thread_count_invariant() {
             b.accepted_flits_per_node_cycle.to_bits()
         );
         for (x, y) in a.replications.iter().zip(&b.replications) {
-            assert!(x.bitwise_eq(y), "replication diverged at load {}", a.offered);
+            assert!(x.bitwise_eq(y), "replication diverged at load {}", p.offered);
         }
     }
 }

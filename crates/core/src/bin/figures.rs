@@ -1,10 +1,10 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! cargo run --release -p minnet-bench --bin figures            # everything
-//! cargo run --release -p minnet-bench --bin figures -- --fig fig18a,fig19b
-//! cargo run --release -p minnet-bench --bin figures -- --quick # small windows
-//! cargo run --release -p minnet-bench --bin figures -- --list
+//! cargo run --release -p minnet --bin figures            # everything
+//! cargo run --release -p minnet --bin figures -- --fig fig18a,fig19b
+//! cargo run --release -p minnet --bin figures -- --quick # small windows
+//! cargo run --release -p minnet --bin figures -- --list
 //! ```
 //!
 //! For every figure the harness sweeps each curve over the offered-load
@@ -14,7 +14,7 @@
 use minnet::{
     curve_csv, curve_table, find_saturation, latency_throughput_curve, saturation_load, OutputFile,
 };
-use minnet_bench::{all_figures, figure_by_id, FigureDef};
+use minnet::figures::{all_figures, figure_by_id, FigureDef, LOADS};
 use std::path::PathBuf;
 
 struct Options {
@@ -77,7 +77,7 @@ fn run_figure(fig: &FigureDef, opts: &Options) -> Result<String, String> {
             exp.sim.measure = 150_000;
         }
         let start = std::time::Instant::now();
-        let points = latency_throughput_curve(&exp, &fig.loads, opts.threads)?;
+        let points = latency_throughput_curve(&exp, &LOADS, opts.threads)?;
         print!("{}", curve_table(label, &points));
         if let Some(sat) = saturation_load(&points) {
             // Refine the knee between the last steady grid point and the

@@ -18,7 +18,7 @@ use minnet::{
     spec, CampaignPolicy, Experiment, JobSpec, NetworkSpec, OutputFile, PointOutcome, Response,
     ServiceClient, SweepPoint,
 };
-use minnet_topology::{BitCube, Geometry, UnidirKind};
+use minnet_topology::{Geometry, UnidirKind};
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 
@@ -274,34 +274,7 @@ fn geometry(a: &Args) -> Geometry {
 }
 
 fn clustering(a: &Args, g: &Geometry) -> Clustering {
-    let msd_or_lsd = |fix_msd: bool| -> Clustering {
-        let free = std::iter::repeat_n('X', g.n() as usize - 1).collect::<String>();
-        let pats: Vec<String> = (0..g.k())
-            .map(|v| {
-                if fix_msd {
-                    format!("{v}{free}")
-                } else {
-                    format!("{free}{v}")
-                }
-            })
-            .collect();
-        let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
-        Clustering::cubes_from_patterns(g, &refs).unwrap_or_else(|e| die(&e))
-    };
-    match a.opts.get("clusters").map(String::as_str) {
-        None | Some("global") => Clustering::Global,
-        Some("msd") => msd_or_lsd(true),
-        Some("lsd") => msd_or_lsd(false),
-        Some("halves") => {
-            if !g.k().is_power_of_two() {
-                die("--clusters halves needs k to be a power of two");
-            }
-            let bits = g.n() * g.k().trailing_zeros();
-            let top = 1u32 << (bits - 1);
-            Clustering::BitCubes(vec![BitCube::new(g, top, 0), BitCube::new(g, top, top)])
-        }
-        Some(other) => die(&format!("unknown clustering {other:?}")),
-    }
+    read(a, "clusters", "global", |s| spec::parse_clusters(g, s))
 }
 
 fn experiment(a: &Args) -> Experiment {
@@ -312,9 +285,7 @@ fn experiment(a: &Args) -> Experiment {
         pattern: read(a, "pattern", "uniform", spec::parse_pattern),
         clustering: clustering(a, &g),
         rates: a.opts.get("rates").map(|r| {
-            r.split(',')
-                .map(|x| x.parse().unwrap_or_else(|e| die(&format!("rates: {e}"))))
-                .collect()
+            spec::parse_rates(r).unwrap_or_else(|e| die(&format!("--rates: {e}")))
         }),
         sizes: read(a, "sizes", "paper", spec::parse_sizes),
         sim: Default::default(),

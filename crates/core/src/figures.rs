@@ -1,15 +1,21 @@
 //! The experiment bundle behind every evaluation figure.
 //!
 //! Each [`FigureDef`] lists the curves (labelled [`Experiment`]s) of one
-//! paper figure, its offered-load grid, and the qualitative claim the
-//! paper makes about it (recorded in `EXPERIMENTS.md`).
+//! paper figure; the qualitative claim the paper makes about it is
+//! recorded in `EXPERIMENTS.md`. Every figure sweeps [`LOADS`]. The
+//! `figures` binary regenerates them, and `tests/paper_claims.rs` takes
+//! each claim's experiment from here by (figure id, curve label).
 
-use minnet::{Experiment, NetworkSpec};
-use minnet_topology::{Geometry, UnidirKind};
-use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
+use crate::spec::parse_clusters;
+use crate::{Experiment, NetworkSpec};
+use minnet_topology::UnidirKind;
+use minnet_traffic::{MessageSizeDist, TrafficPattern};
 
-/// One figure to regenerate: an id like `fig18a`, a set of labelled
-/// experiment curves, and the load grid to sweep.
+/// The offered loads (flits/cycle/node) every figure sweeps.
+pub const LOADS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+
+/// One figure to regenerate: an id like `fig18a` and a set of labelled
+/// experiment curves.
 pub struct FigureDef {
     /// Identifier (`fig16a` … `fig20b`, `ext_*`).
     pub id: &'static str,
@@ -17,50 +23,26 @@ pub struct FigureDef {
     pub title: &'static str,
     /// Labelled curves.
     pub curves: Vec<(String, Experiment)>,
-    /// Offered loads (flits/cycle/node) to sweep.
-    pub loads: Vec<f64>,
-}
-
-/// The paper's geometry: 64 nodes of 4×4 switches, three stages.
-pub fn paper_geometry() -> Geometry {
-    Geometry::new(4, 3)
 }
 
 fn base(network: NetworkSpec) -> Experiment {
     Experiment::paper_default(network)
 }
 
-fn msd_clusters() -> Clustering {
-    Clustering::cubes_from_patterns(&paper_geometry(), &["0XX", "1XX", "2XX", "3XX"])
-        .expect("valid patterns")
+/// `e` with its nodes grouped by the [`parse_clusters`] name `clusters`.
+fn clustered(e: Experiment, clusters: &str) -> Experiment {
+    let clustering = parse_clusters(&e.geometry, clusters).expect("a clustering of 64 nodes");
+    Experiment { clustering, ..e }
 }
 
-fn lsd_clusters() -> Clustering {
-    Clustering::cubes_from_patterns(&paper_geometry(), &["XX0", "XX1", "XX2", "XX3"])
-        .expect("valid patterns")
+fn with_rates(e: &Experiment, rates: [f64; 4]) -> Experiment {
+    Experiment { rates: Some(rates.to_vec()), ..e.clone() }
 }
 
-fn cluster32() -> Clustering {
-    use minnet_topology::BitCube;
-    let g = paper_geometry();
-    Clustering::BitCubes(vec![
-        BitCube::parse(&g, "0XXXXX").expect("valid"),
-        BitCube::parse(&g, "1XXXXX").expect("valid"),
-    ])
-}
-
-fn default_loads() -> Vec<f64> {
-    (1..=9).map(|i| i as f64 / 10.0).collect()
-}
-
-fn lineup_curves(mutate: impl Fn(&mut Experiment)) -> Vec<(String, Experiment)> {
+fn lineup_curves(f: impl Fn(Experiment) -> Experiment) -> Vec<(String, Experiment)> {
     NetworkSpec::paper_lineup()
         .into_iter()
-        .map(|spec| {
-            let mut e = base(spec);
-            mutate(&mut e);
-            (spec.name(), e)
-        })
+        .map(|spec| (spec.name(), f(base(spec))))
         .collect()
 }
 
@@ -79,15 +61,11 @@ pub fn all_figures() -> Vec<FigureDef> {
                 base(NetworkSpec::Tmin(UnidirKind::Butterfly)),
             ),
         ],
-        loads: default_loads(),
     });
 
-    let mut cube16 = base(NetworkSpec::Tmin(UnidirKind::Cube));
-    cube16.clustering = msd_clusters();
-    let mut bf_reduced = base(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    bf_reduced.clustering = msd_clusters();
-    let mut bf_shared = base(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    bf_shared.clustering = lsd_clusters();
+    let cube16 = clustered(base(NetworkSpec::Tmin(UnidirKind::Cube)), "msd");
+    let bf_reduced = clustered(base(NetworkSpec::Tmin(UnidirKind::Butterfly)), "msd");
+    let bf_shared = clustered(base(NetworkSpec::Tmin(UnidirKind::Butterfly)), "lsd");
     figs.push(FigureDef {
         id: "fig16b",
         title: "Cube vs butterfly TMIN, cluster-16 uniform traffic",
@@ -96,15 +74,9 @@ pub fn all_figures() -> Vec<FigureDef> {
             ("butterfly TMIN (reduced)".into(), bf_reduced.clone()),
             ("butterfly TMIN (shared)".into(), bf_shared.clone()),
         ],
-        loads: default_loads(),
     });
 
     // ---- Fig. 17: cluster rate ratios ------------------------------------
-    let with_rates = |e: &Experiment, rates: [f64; 4]| {
-        let mut e = e.clone();
-        e.rates = Some(rates.to_vec());
-        e
-    };
     figs.push(FigureDef {
         id: "fig17a",
         title: "Cube vs butterfly TMIN, four 16-node clusters, rates 4:1:1:1",
@@ -122,7 +94,6 @@ pub fn all_figures() -> Vec<FigureDef> {
                 with_rates(&bf_shared, [4.0, 1.0, 1.0, 1.0]),
             ),
         ],
-        loads: default_loads(),
     });
     figs.push(FigureDef {
         id: "fig17b",
@@ -145,74 +116,66 @@ pub fn all_figures() -> Vec<FigureDef> {
                 with_rates(&bf_shared, [4.0, 1.0, 1.0, 1.0]),
             ),
         ],
-        loads: default_loads(),
     });
 
     // ---- Fig. 18: four networks, uniform ---------------------------------
     figs.push(FigureDef {
         id: "fig18a",
         title: "TMIN / DMIN / VMIN / BMIN, global uniform traffic",
-        curves: lineup_curves(|_| {}),
-        loads: default_loads(),
+        curves: lineup_curves(|e| e),
     });
     figs.push(FigureDef {
         id: "fig18b",
         title: "TMIN / DMIN / VMIN / BMIN, cluster-16 uniform traffic",
-        curves: lineup_curves(|e| e.clustering = msd_clusters()),
-        loads: default_loads(),
+        curves: lineup_curves(|e| clustered(e, "msd")),
     });
 
     // ---- Fig. 19: hot spots ----------------------------------------------
+    let lineup_with = |pattern: TrafficPattern| lineup_curves(|e| Experiment { pattern, ..e });
     figs.push(FigureDef {
         id: "fig19a",
         title: "Four networks, global 5% hot-spot traffic",
-        curves: lineup_curves(|e| e.pattern = TrafficPattern::HotSpot { extra: 0.05 }),
-        loads: default_loads(),
+        curves: lineup_with(TrafficPattern::HotSpot { extra: 0.05 }),
     });
     figs.push(FigureDef {
         id: "fig19b",
         title: "Four networks, global 10% hot-spot traffic",
-        curves: lineup_curves(|e| e.pattern = TrafficPattern::HotSpot { extra: 0.10 }),
-        loads: default_loads(),
+        curves: lineup_with(TrafficPattern::HotSpot { extra: 0.10 }),
     });
 
     // ---- Fig. 20: permutations ---------------------------------------------
     figs.push(FigureDef {
         id: "fig20a",
         title: "Four networks, perfect-shuffle permutation traffic",
-        curves: lineup_curves(|e| e.pattern = TrafficPattern::SHUFFLE),
-        loads: default_loads(),
+        curves: lineup_with(TrafficPattern::SHUFFLE),
     });
     figs.push(FigureDef {
         id: "fig20b",
         title: "Four networks, 2nd butterfly permutation traffic",
-        curves: lineup_curves(|e| e.pattern = TrafficPattern::butterfly(2)),
-        loads: default_loads(),
+        curves: lineup_with(TrafficPattern::butterfly(2)),
     });
 
     // ---- Extensions (paper §5 text and §6 future work) --------------------
-    let mut c32 = lineup_curves(|e| e.clustering = cluster32());
-    let mut bf32 = base(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    bf32.clustering = cluster32();
+    let mut c32 = lineup_curves(|e| clustered(e, "halves"));
+    let bf32 = clustered(base(NetworkSpec::Tmin(UnidirKind::Butterfly)), "halves");
     c32.push(("TMIN(butterfly)".into(), bf32));
     figs.push(FigureDef {
         id: "ext_cluster32",
         title: "Cluster-32 uniform traffic (two binary 5-cube clusters)",
         curves: c32,
-        loads: default_loads(),
     });
 
     figs.push(FigureDef {
         id: "ext_bimodal",
         title: "Four networks, bimodal message sizes (90% 8-flit, 10% 1024-flit)",
-        curves: lineup_curves(|e| {
-            e.sizes = MessageSizeDist::Bimodal {
+        curves: lineup_curves(|e| Experiment {
+            sizes: MessageSizeDist::Bimodal {
                 short: 8,
                 long: 1024,
                 p_short: 0.9,
-            }
+            },
+            ..e
         }),
-        loads: default_loads(),
     });
 
     let wiring_curves = [
@@ -222,17 +185,12 @@ pub fn all_figures() -> Vec<FigureDef> {
         UnidirKind::Baseline,
     ]
     .into_iter()
-    .map(|w| {
-        let mut e = base(NetworkSpec::Tmin(w));
-        e.clustering = msd_clusters();
-        (NetworkSpec::Tmin(w).name(), e)
-    })
+    .map(|w| (NetworkSpec::Tmin(w).name(), clustered(base(NetworkSpec::Tmin(w)), "msd")))
     .collect();
     figs.push(FigureDef {
         id: "ext_wirings",
         title: "Delta wirings under cluster-16 uniform traffic (paper §6: omega ~ cube, baseline ~ butterfly)",
         curves: wiring_curves,
-        loads: default_loads(),
     });
 
     let mut buffer_curves = Vec::new();
@@ -247,7 +205,6 @@ pub fn all_figures() -> Vec<FigureDef> {
         id: "ext_buffers",
         title: "Deeper channel buffers (the paper's results assume one flit buffer per channel)",
         curves: buffer_curves,
-        loads: default_loads(),
     });
 
     figs.push(FigureDef {
@@ -259,7 +216,6 @@ pub fn all_figures() -> Vec<FigureDef> {
             ("VMIN(cube, v=4)".into(), base(NetworkSpec::vmin(4))),
             ("DMIN(cube, d=2)".into(), base(NetworkSpec::dmin(2))),
         ],
-        loads: default_loads(),
     });
 
     figs
@@ -297,7 +253,7 @@ mod tests {
         // and run one short mid-grid point of every curve: nothing else
         // executes the `ext_*` definitions short of a full regeneration.
         for fig in all_figures() {
-            let load = fig.loads[fig.loads.len() / 2];
+            let load = LOADS[LOADS.len() / 2];
             for (label, exp) in &fig.curves {
                 let mut exp = exp.clone();
                 exp.sim.warmup = 500;

@@ -58,6 +58,7 @@
 
 pub mod campaign;
 pub mod experiment;
+pub mod figures;
 pub mod jsonl;
 pub mod model;
 pub mod output;

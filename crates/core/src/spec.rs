@@ -3,16 +3,20 @@
 //!
 //! The `minnet` options, a [`crate::JobSpec`]'s strings and `.scn` keys
 //! spell one vocabulary, read here and nowhere else: [`parse_wiring`],
-//! [`parse_network`], [`parse_pattern`], [`parse_sizes`], [`geometry`]
-//! and [`parse_loads`]. Each refuses a value no run can use — it runs the
-//! type's own `validate()` — so the error surfaces where the text is read.
+//! [`parse_network`], [`parse_pattern`], [`parse_clusters`],
+//! [`parse_rates`], [`parse_sizes`], [`geometry`] and [`parse_loads`]
+//! (clusterings and rates have no `JobSpec` or `.scn` key yet: only the
+//! CLI's `--clusters` / `--rates` read them, and [`crate::figures`] names
+//! its clusterings through [`parse_clusters`]). Each refuses a value no
+//! run can use — it runs the type's own `validate()` — so the error
+//! surfaces where the text is read.
 //! Each door frames the message (`--flag`, a config error, `file:line`)
 //! and keeps its own defaults; every door refuses a load that is not
 //! finite and positive (`check_load`), and a `.scn` also caps it at 1.
 
 use minnet_sim::EngineConfig;
-use minnet_topology::{build_bmin, build_unidir, Geometry, NetworkGraph, UnidirKind};
-use minnet_traffic::{MessageSizeDist, TrafficPattern};
+use minnet_topology::{build_bmin, build_unidir, BitCube, Geometry, NetworkGraph, UnidirKind};
+use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use std::fmt::Display;
 
 /// The unidirectional wirings by name, for [`parse_wiring`] and
@@ -152,6 +156,39 @@ pub fn parse_pattern(s: &str) -> Result<TrafficPattern, String> {
     p.validate().map(|()| p)
 }
 
+/// A node clustering over `g`: `global`, `msd` / `lsd` (the `k` digit
+/// cubes that fix the most / least significant digit: `0XX … 3XX` /
+/// `XX0 … XX3` at 64 nodes) or `halves` (the two binary cubes that fix
+/// the top address bit, `0XXXXX` / `1XXXXX`; `k` a power of two).
+pub fn parse_clusters(g: &Geometry, s: &str) -> Result<Clustering, String> {
+    let digit_cubes = |fix_msd: bool| {
+        let free = "X".repeat(g.n() as usize - 1);
+        let pats: Vec<String> = (0..g.k())
+            .map(|v| if fix_msd { format!("{v}{free}") } else { format!("{free}{v}") })
+            .collect();
+        Clustering::cubes_from_patterns(g, &pats.iter().map(String::as_str).collect::<Vec<_>>())
+    };
+    match s {
+        "global" => Ok(Clustering::Global),
+        "msd" => digit_cubes(true),
+        "lsd" => digit_cubes(false),
+        "halves" if g.k().is_power_of_two() => {
+            let top = 1u32 << (g.n() * g.k().trailing_zeros() - 1);
+            Ok(Clustering::BitCubes(vec![BitCube::new(g, top, 0), BitCube::new(g, top, top)]))
+        }
+        "halves" => Err("halves needs k to be a power of two".into()),
+        _ => Err(format!("unknown clustering {s:?}")),
+    }
+}
+
+/// Per-cluster relative rates, `a,b,…` (§5.2's `4,1,1,1`). Their count
+/// and signs are checked against the clustering when the workload is
+/// built.
+pub fn parse_rates(s: &str) -> Result<Vec<f64>, String> {
+    let rate = |x: &str| x.trim().parse().map_err(|e| format!("rate {x:?}: {e}"));
+    s.split(',').map(rate).collect()
+}
+
 /// Message sizes: `paper | fixed:N | bimodal:S,L,P` (lengths in flits,
 /// `P` the share of short messages), refused where
 /// [`MessageSizeDist::validate`] refuses them (`fixed:0`).
@@ -226,6 +263,33 @@ mod tests {
             NetworkSpec::Tmin(UnidirKind::Butterfly).name(),
             "TMIN(butterfly)"
         );
+    }
+
+    #[test]
+    fn clusterings_are_the_paper_patterns() {
+        let g = Geometry::new(4, 3);
+        let cubes = |pats: &[&str]| Clustering::cubes_from_patterns(&g, pats).unwrap();
+        let bits = |pats: [&str; 2]| {
+            Clustering::BitCubes(pats.map(|p| BitCube::parse(&g, p).unwrap()).to_vec())
+        };
+        for (name, want) in [
+            ("global", Clustering::Global),
+            ("msd", cubes(&["0XX", "1XX", "2XX", "3XX"])),
+            ("lsd", cubes(&["XX0", "XX1", "XX2", "XX3"])),
+            ("halves", bits(["0XXXXX", "1XXXXX"])),
+        ] {
+            let got = parse_clusters(&g, name).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}");
+        }
+        assert_eq!(parse_clusters(&g, "nope").unwrap_err(), "unknown clustering \"nope\"");
+        let err = parse_clusters(&Geometry::new(3, 3), "halves").unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
+    }
+
+    #[test]
+    fn rates_are_numbers() {
+        assert_eq!(parse_rates("4, 1,1,0").unwrap(), [4.0, 1.0, 1.0, 0.0]);
+        assert!(parse_rates("4,x").unwrap_err().starts_with("rate \"x\""));
     }
 
     #[test]

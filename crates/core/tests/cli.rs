@@ -439,3 +439,35 @@ fn a_checkpoint_held_by_another_process_is_refused_untouched() {
     assert_eq!(entries.collect::<Vec<_>>(), ["held.jsonl"], "no lock file beside it");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A clustering name `spec::parse_clusters` does not know is refused by
+/// its flag, exit 1, before any work.
+#[test]
+fn unknown_clustering_is_refused_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_minnet"))
+        .args(["simulate", "--clusters", "nope"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: --clusters:"), "{stderr}");
+}
+
+/// The `figures` binary's exit status: a figure it could not write is a
+/// failed reproduction run, not a green one.
+#[test]
+fn unwritable_figure_exits_nonzero() {
+    let out_dir = std::env::temp_dir().join(format!("minnet_figures_cli_{}", std::process::id()));
+    // A directory where the CSV should go makes opening it fail.
+    std::fs::create_dir_all(out_dir.join("fig16a.csv")).expect("creating the blocking directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--fig", "fig16a", "--quick", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("spawning the figures binary");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let status = out.status;
+    assert!(!status.success(), "exit {status:?}, stderr: {stderr}");
+    assert!(stderr.contains("error: opening"), "stderr: {stderr}");
+}

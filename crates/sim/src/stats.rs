@@ -78,7 +78,7 @@ impl Welford {
     }
 
     /// Sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

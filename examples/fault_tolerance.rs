@@ -2,7 +2,7 @@
 //! each network degrade (or not).
 //!
 //! ```text
-//! cargo run --release -p minnet-bench --example fault_tolerance
+//! cargo run --release --example fault_tolerance
 //! ```
 //!
 //! Three demonstrations:

@@ -2,12 +2,12 @@
 //!
 //! These use shorter measurement windows than the `figures` harness, so
 //! they check *orderings and shapes*, not absolute numbers. Every claim
-//! cites the paper passage it encodes.
+//! cites the paper passage it encodes, and runs the experiments of the
+//! figure that draws it: [`curve`] takes them from `minnet::figures`.
 
-use minnet::traffic::{Clustering, TrafficPattern};
+use minnet::figures::figure_by_id;
 use minnet::{Experiment, NetworkSpec};
 use minnet_sim::SimReport;
-use minnet_topology::{Geometry, UnidirKind};
 
 fn run(mut exp: Experiment, load: f64) -> SimReport {
     exp.sim.warmup = 8_000;
@@ -15,12 +15,11 @@ fn run(mut exp: Experiment, load: f64) -> SimReport {
     exp.run(load).expect("experiment runs")
 }
 
-fn msd_clusters(g: &Geometry) -> Clustering {
-    Clustering::cubes_from_patterns(g, &["0XX", "1XX", "2XX", "3XX"]).unwrap()
-}
-
-fn lsd_clusters(g: &Geometry) -> Clustering {
-    Clustering::cubes_from_patterns(g, &["XX0", "XX1", "XX2", "XX3"]).unwrap()
+/// The experiment of the curve labelled `label` in figure `id`.
+fn curve(id: &str, label: &str) -> Experiment {
+    let fig = figure_by_id(id).unwrap_or_else(|| panic!("no figure {id}"));
+    let found = fig.curves.into_iter().find(|(l, _)| l == label);
+    found.unwrap_or_else(|| panic!("{id} has no curve {label:?}")).1
 }
 
 /// Fig. 16a: "For the global uniform traffic, there is no difference
@@ -28,14 +27,8 @@ fn lsd_clusters(g: &Geometry) -> Clustering {
 /// partition."
 #[test]
 fn fig16a_cube_equals_butterfly_globally() {
-    let cube = run(
-        Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Cube)),
-        0.4,
-    );
-    let butterfly = run(
-        Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Butterfly)),
-        0.4,
-    );
+    let cube = run(curve("fig16a", "cube TMIN"), 0.4);
+    let butterfly = run(curve("fig16a", "butterfly TMIN"), 0.4);
     let rel = (cube.mean_latency_cycles - butterfly.mean_latency_cycles).abs()
         / cube.mean_latency_cycles;
     assert!(rel < 0.15, "cube vs butterfly differ by {rel:.2} under global uniform");
@@ -46,11 +39,8 @@ fn fig16a_cube_equals_butterfly_globally() {
 /// clustering provides the worst performance."
 #[test]
 fn fig16b_cluster16_orderings() {
-    let g = Geometry::new(4, 3);
-    let mut cube = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Cube));
-    cube.clustering = msd_clusters(&g);
-    let mut reduced = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    reduced.clustering = msd_clusters(&g);
+    let cube = curve("fig16b", "cube TMIN (balanced)");
+    let reduced = curve("fig16b", "butterfly TMIN (reduced)");
 
     // At a load the balanced cube network handles comfortably, the
     // channel-reduced butterfly (4 channels for 16 nodes) is saturated.
@@ -69,14 +59,8 @@ fn fig16b_cluster16_orderings() {
 /// butterfly TMIN provides the best performance" (ratios 4:1:1:1).
 #[test]
 fn fig17a_channel_shared_wins_under_skew() {
-    let g = Geometry::new(4, 3);
-    let rates = Some(vec![4.0, 1.0, 1.0, 1.0]);
-    let mut cube = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Cube));
-    cube.clustering = msd_clusters(&g);
-    cube.rates = rates.clone();
-    let mut shared = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    shared.clustering = lsd_clusters(&g);
-    shared.rates = rates;
+    let mut cube = curve("fig17a", "cube TMIN (balanced)");
+    let mut shared = curve("fig17a", "butterfly TMIN (shared)");
 
     // The hot cluster runs at 16/7 ≈ 2.3x nominal; the cube's 16 balanced
     // channels are its bottleneck while the shared butterfly spreads the
@@ -109,10 +93,7 @@ fn fig17a_channel_shared_wins_under_skew() {
 /// bound.
 #[test]
 fn fig17b_single_active_cluster_caps_at_quarter() {
-    let g = Geometry::new(4, 3);
-    let mut exp = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Cube));
-    exp.clustering = msd_clusters(&g);
-    exp.rates = Some(vec![1.0, 0.0, 0.0, 0.0]);
+    let mut exp = curve("fig17b", "cube TMIN 1:0:0:0");
     // Deep overload for the active cluster. Accepted throughput counts
     // flits of window-generated packets only; under overload a warmup
     // backlog would delay those far into the window and attenuate the
@@ -135,10 +116,10 @@ fn fig17b_single_active_cluster_caps_at_quarter() {
 #[test]
 fn fig18a_four_network_ordering() {
     let load = 0.5;
-    let tmin = run(Experiment::paper_default(NetworkSpec::tmin()), load);
-    let dmin = run(Experiment::paper_default(NetworkSpec::dmin(2)), load);
-    let vmin = run(Experiment::paper_default(NetworkSpec::vmin(2)), load);
-    let bmin = run(Experiment::paper_default(NetworkSpec::Bmin), load);
+    let tmin = run(curve("fig18a", "TMIN(cube)"), load);
+    let dmin = run(curve("fig18a", "DMIN(cube, d=2)"), load);
+    let vmin = run(curve("fig18a", "VMIN(cube, v=2)"), load);
+    let bmin = run(curve("fig18a", "BMIN"), load);
     assert!(dmin.mean_latency_cycles < vmin.mean_latency_cycles, "DMIN best");
     assert!(dmin.mean_latency_cycles < bmin.mean_latency_cycles);
     assert!(tmin.mean_latency_cycles > vmin.mean_latency_cycles, "TMIN worst");
@@ -156,15 +137,9 @@ fn fig18a_four_network_ordering() {
 /// Fig. 18b: the ordering survives cluster-16 partitioning.
 #[test]
 fn fig18b_ordering_survives_clustering() {
-    let g = Geometry::new(4, 3);
     let load = 0.5;
-    let mut results = Vec::new();
-    for spec in NetworkSpec::paper_lineup() {
-        let mut e = Experiment::paper_default(spec);
-        e.clustering = msd_clusters(&g);
-        results.push((spec.name(), run(e, load)));
-    }
-    let lat = |i: usize| results[i].1.mean_latency_cycles;
+    let results = NetworkSpec::paper_lineup().map(|spec| run(curve("fig18b", &spec.name()), load));
+    let lat = |i: usize| results[i].mean_latency_cycles;
     // lineup order: TMIN, DMIN, VMIN, BMIN.
     assert!(lat(1) < lat(0), "DMIN beats TMIN");
     assert!(lat(1) < lat(3), "DMIN beats BMIN");
@@ -177,24 +152,16 @@ fn fig18b_ordering_survives_clustering() {
 #[test]
 fn fig19_hot_spot_degradation() {
     let overload = 0.9; // probe the saturated regime
-    let dmin = |extra: f64| {
-        let mut e = Experiment::paper_default(NetworkSpec::dmin(2));
-        if extra > 0.0 {
-            e.pattern = TrafficPattern::HotSpot { extra };
-        }
-        run(e, overload).accepted_flits_per_node_cycle
-    };
-    let uni = dmin(0.0);
-    let h5 = dmin(0.05);
-    let h10 = dmin(0.10);
+    let dmin = |fig: &str| run(curve(fig, "DMIN(cube, d=2)"), overload).accepted_flits_per_node_cycle;
+    let uni = dmin("fig18a");
+    let h5 = dmin("fig19a");
+    let h10 = dmin("fig19b");
     assert!(h5 < uni, "5% hot spot must cost throughput ({h5} vs {uni})");
     assert!(h10 < h5, "10% must cost more ({h10} vs {h5})");
     // The 10% hot spot roughly halves the uniform saturation throughput.
     assert!(h10 < 0.75 * uni, "10% hot spot only reached {h10} vs {uni}");
     // TMIN remains the worst network under hot spots.
-    let mut t = Experiment::paper_default(NetworkSpec::tmin());
-    t.pattern = TrafficPattern::HotSpot { extra: 0.10 };
-    let tmin10 = run(t, overload).accepted_flits_per_node_cycle;
+    let tmin10 = run(curve("fig19b", "TMIN(cube)"), overload).accepted_flits_per_node_cycle;
     assert!(tmin10 <= h10 + 0.02, "TMIN ({tmin10}) must not beat DMIN ({h10})");
 }
 
@@ -204,22 +171,18 @@ fn fig19_hot_spot_degradation() {
 #[test]
 fn fig20_permutation_traffic() {
     let load = 0.6;
-    let with = |spec: NetworkSpec, pattern: TrafficPattern| {
-        let mut e = Experiment::paper_default(spec);
-        e.pattern = pattern;
-        run(e, load)
-    };
-    for pattern in [TrafficPattern::SHUFFLE, TrafficPattern::butterfly(2)] {
-        let tmin = with(NetworkSpec::tmin(), pattern);
-        let vmin = with(NetworkSpec::vmin(2), pattern);
-        let dmin = with(NetworkSpec::dmin(2), pattern);
-        let bmin = with(NetworkSpec::Bmin, pattern);
+    // fig20a is the perfect shuffle, fig20b the 2nd butterfly.
+    for fig in ["fig20a", "fig20b"] {
+        let tmin = run(curve(fig, "TMIN(cube)"), load);
+        let vmin = run(curve(fig, "VMIN(cube, v=2)"), load);
+        let dmin = run(curve(fig, "DMIN(cube, d=2)"), load);
+        let bmin = run(curve(fig, "BMIN"), load);
         // DMIN and BMIN clearly beat TMIN and VMIN on accepted throughput.
         for good in [&dmin, &bmin] {
             for bad in [&tmin, &vmin] {
                 assert!(
                     good.accepted_flits_per_node_cycle > bad.accepted_flits_per_node_cycle,
-                    "{pattern:?}: good {} vs bad {}",
+                    "{fig}: good {} vs bad {}",
                     good.accepted_flits_per_node_cycle,
                     bad.accepted_flits_per_node_cycle
                 );
@@ -229,7 +192,7 @@ fn fig20_permutation_traffic() {
         // multiplexing gives all contending packets similarly long delays.
         assert!(
             vmin.mean_latency_cycles > tmin.mean_latency_cycles,
-            "{pattern:?}: VMIN ({}) should be slower than TMIN ({})",
+            "{fig}: VMIN ({}) should be slower than TMIN ({})",
             vmin.mean_latency_cycles,
             tmin.mean_latency_cycles
         );
@@ -244,15 +207,15 @@ fn fig20_permutation_traffic() {
 #[test]
 fn ext_more_vcs_help_vmin() {
     let load = 0.5;
-    let longer = |spec| {
-        let mut e = Experiment::paper_default(spec);
+    let longer = |mut e: Experiment| {
         e.sim.warmup = 15_000;
         e.sim.measure = 80_000;
         e.run(load).unwrap()
     };
-    let v1 = longer(NetworkSpec::vmin(1));
-    let v2 = longer(NetworkSpec::vmin(2));
-    let v4 = longer(NetworkSpec::vmin(4));
+    // No figure draws the one-lane VMIN (it is a TMIN).
+    let v1 = longer(Experiment::paper_default(NetworkSpec::vmin(1)));
+    let v2 = longer(curve("ext_vc4", "VMIN(cube, v=2)"));
+    let v4 = longer(curve("ext_vc4", "VMIN(cube, v=4)"));
     // 1 → 2 VCs is a large, unambiguous improvement on both metrics.
     assert!(
         v2.mean_latency_cycles < v1.mean_latency_cycles,
@@ -275,17 +238,8 @@ fn ext_more_vcs_help_vmin() {
 /// improvement over the butterfly interconnection" for cluster-32.
 #[test]
 fn ext_cluster32_cube_beats_butterfly() {
-    let g = Geometry::new(4, 3);
-    let c32 = Clustering::BitCubes(vec![
-        minnet_topology::BitCube::parse(&g, "0XXXXX").unwrap(),
-        minnet_topology::BitCube::parse(&g, "1XXXXX").unwrap(),
-    ]);
-    let mut cube = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Cube));
-    cube.clustering = c32.clone();
-    let mut butterfly = Experiment::paper_default(NetworkSpec::Tmin(UnidirKind::Butterfly));
-    butterfly.clustering = c32;
-    let rc = run(cube, 0.45);
-    let rb = run(butterfly, 0.45);
+    let rc = run(curve("ext_cluster32", "TMIN(cube)"), 0.45);
+    let rb = run(curve("ext_cluster32", "TMIN(butterfly)"), 0.45);
     assert!(
         rc.mean_latency_cycles < rb.mean_latency_cycles,
         "cube {} vs butterfly {}",

@@ -369,7 +369,7 @@ fn cmd_info(a: &Args, out: &mut Out) -> io::Result<()> {
 
 fn cmd_simulate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
-    let load = parse_opt(a, "load", 0.5);
+    let load = read(a, "load", "0.5", spec::parse_load);
     let r = exp.run(load).unwrap_or_else(|e| die(&e));
     writeln!(out, "network   : {}", exp.network.name())?;
     writeln!(out, "offered   : {:.1}%", load * 100.0)?;
@@ -461,8 +461,8 @@ fn cmd_sweep(a: &Args, out: &mut Out) -> io::Result<()> {
 
 fn cmd_saturate(a: &Args, out: &mut Out) -> io::Result<()> {
     let exp = experiment(a);
-    let lo = parse_opt(a, "lo", 0.05);
-    let hi = parse_opt(a, "hi", 1.0);
+    let lo = read(a, "lo", "0.05", spec::parse_load);
+    let hi = read(a, "hi", "1", spec::parse_load);
     let iters: u32 = parse_opt(a, "iters", 6);
     match find_saturation(&exp, lo, hi, iters).unwrap_or_else(|e| die(&e)) {
         Some(p) => writeln!(

@@ -141,7 +141,8 @@ pub struct CampaignPolicy {
 }
 
 impl CampaignPolicy {
-    /// No retries, no checkpoint — isolation only.
+    /// [`CampaignPolicy::default`], kept for `benchmark/src/replay.rs`,
+    /// its last caller; ROADMAP 2(d) deletes it.
     pub fn isolate() -> CampaignPolicy {
         CampaignPolicy::default()
     }
@@ -975,7 +976,7 @@ mod tests {
         let loads = [0.1, 0.3, 0.5];
         let path = temp_ckpt("resume");
         let _cleanup = Cleanup(path.clone());
-        let reference = campaign_curve(&exp, &loads, 2, &CampaignPolicy::isolate()).unwrap();
+        let reference = campaign_curve(&exp, &loads, 2, &CampaignPolicy::default()).unwrap();
 
         let policy = CampaignPolicy {
             checkpoint: Some(path.clone()),
@@ -1122,7 +1123,7 @@ mod tests {
     fn replicated_campaign_aggregates_ok_subset() {
         let exp = quick();
         let pts =
-            campaign_replicated_curve(&exp, &[0.2], 3, 2, &CampaignPolicy::isolate()).unwrap();
+            campaign_replicated_curve(&exp, &[0.2], 3, 2, &CampaignPolicy::default()).unwrap();
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].outcomes.len(), 3);
         assert!(pts[0].outcomes.iter().all(|o| matches!(o, PointOutcome::Ok(_))));
@@ -1329,7 +1330,7 @@ mod tests {
         let loads = [0.1, 0.3];
         let resumed = campaign_replicated_curve(&quick(), &loads, 3, 2, &policy).unwrap();
         let whole =
-            campaign_replicated_curve(&quick(), &loads, 3, 2, &CampaignPolicy::isolate()).unwrap();
+            campaign_replicated_curve(&quick(), &loads, 3, 2, &CampaignPolicy::default()).unwrap();
         for (r, w) in resumed.iter().zip(&whole) {
             for (a, b) in r.outcomes.iter().zip(&w.outcomes) {
                 assert!(a.ok_report().unwrap().bitwise_eq(b.ok_report().unwrap()));

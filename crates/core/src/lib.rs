@@ -49,9 +49,11 @@
 //! deadlock analysis), [`minnet_traffic`] (workloads), [`minnet_sim`]
 //! (the engine, whose switch is the paper's: random lane choice and
 //! flit-level round-robin VC multiplexing) and [`minnet_partition`] (§4
-//! analysis). The oracle's switch model, `minnet-switch`, is no
-//! dependency of this crate: only `minnet_sim`'s `reference-engine`
-//! feature links it.
+//! analysis). The differential oracle and its switch model sit behind
+//! `minnet_sim`'s `reference-engine` feature, which this crate never
+//! enables. Every door of an experiment — the CLI, a [`JobSpec`], a
+//! `.scn` — reads its text through [`spec`], and refuses a load outside
+//! (0, 1] by one rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -658,13 +658,6 @@ impl Draft {
             }
             _ => {}
         }
-        for &l in &self.loads {
-            if !(l > 0.0 && l <= 1.0 && l.is_finite()) {
-                return Err(fail(format!(
-                    "load {l} is outside (0, 1] (1.0 = the one-port injection bound)"
-                )));
-            }
-        }
         if !self.expect.any() {
             return Err(fail(
                 "declare at least one expectation (expect.sustainable, \
@@ -1203,7 +1196,7 @@ mod tests {
              expect.delivery = 0.5\nexpect.no_stall = true",
         )
         .unwrap()
-        .run(2, &CampaignPolicy::isolate())
+        .run(2, &CampaignPolicy::default())
         .unwrap();
         assert_eq!(v.status, VerdictStatus::Pass, "{v}");
         assert!(v.as_expected());
@@ -1214,7 +1207,7 @@ mod tests {
         // sustainable — as a saturation probe *expects*.
         let v = quick("name = probe\nloads = 0.9\nqueue_limit = 20\nexpect.sustainable = false")
             .unwrap()
-            .run(1, &CampaignPolicy::isolate())
+            .run(1, &CampaignPolicy::default())
             .unwrap();
         assert_eq!(v.status, VerdictStatus::Pass, "{v}");
     }
@@ -1223,7 +1216,7 @@ mod tests {
     fn violated_expectation_fails_with_reasons() {
         let v = quick("name = too-strict\nloads = 0.2\nexpect.p99_latency = 1")
             .unwrap()
-            .run(1, &CampaignPolicy::isolate())
+            .run(1, &CampaignPolicy::default())
             .unwrap();
         assert_eq!(v.status, VerdictStatus::Fail);
         assert!(!v.as_expected());
@@ -1239,13 +1232,13 @@ mod tests {
     #[test]
     fn budget_cut_is_partial_unless_allowed() {
         let budgeted = "name = budgeted\nloads = 0.2\nbudget_cycles = 1000\nexpect.sustainable = true";
-        let strict = quick(budgeted).unwrap().run(1, &CampaignPolicy::isolate()).unwrap();
+        let strict = quick(budgeted).unwrap().run(1, &CampaignPolicy::default()).unwrap();
         assert_eq!(strict.status, VerdictStatus::Partial, "{strict}");
         assert!(strict.points[0].outcome.is_partial());
 
         let lenient = quick(&format!("{budgeted}\nexpect.allow_partial = true"))
             .unwrap()
-            .run(1, &CampaignPolicy::isolate())
+            .run(1, &CampaignPolicy::default())
             .unwrap();
         assert_eq!(lenient.status, VerdictStatus::Pass, "{lenient}");
     }
@@ -1302,7 +1295,7 @@ chaos_opt_in = true
             TrafficPattern::HotSpot { .. }
         ));
         assert_eq!(s.loads, vec![0.1, 0.2]);
-        assert_eq!(s.faults.len(), 3);
+        assert_eq!(s.faults.faults().len(), 3);
         assert_eq!(
             s.faults.faults()[0],
             Fault::transient(FaultTarget::Channel(7), 100, 500)
@@ -1422,8 +1415,8 @@ chaos_opt_in = true
             )
             .unwrap()
         };
-        let a = build().run(1, &CampaignPolicy::isolate()).unwrap();
-        let b = build().run(4, &CampaignPolicy::isolate()).unwrap();
+        let a = build().run(1, &CampaignPolicy::default()).unwrap();
+        let b = build().run(4, &CampaignPolicy::default()).unwrap();
         let set_a = ScenarioSet {
             verdicts: vec![a],
             skipped: vec![],
@@ -1443,7 +1436,7 @@ chaos_opt_in = true
     fn verdict_json_shape_is_wellformed() {
         let v = quick("name = shape\nloads = 0.2\nexpect.sustainable = true")
             .unwrap()
-            .run(1, &CampaignPolicy::isolate())
+            .run(1, &CampaignPolicy::default())
             .unwrap();
         let set = ScenarioSet {
             verdicts: vec![v],

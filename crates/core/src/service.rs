@@ -157,7 +157,7 @@ impl JobSpec {
             return Err(SimError::Config("a job needs at least one load point".into()));
         }
         for &l in &self.loads {
-            spec::check_load(l).map_err(SimError::Config)?;
+            spec::check_load(l).map_err(field("loads"))?;
         }
         let mut exp = Experiment {
             geometry,

@@ -4,15 +4,16 @@
 //! The `minnet` options, a [`crate::JobSpec`]'s strings and `.scn` keys
 //! spell one vocabulary, read here and nowhere else: [`parse_wiring`],
 //! [`parse_network`], [`parse_pattern`], [`parse_clusters`],
-//! [`parse_rates`], [`parse_sizes`], [`geometry`] and [`parse_loads`]
+//! [`parse_rates`], [`parse_sizes`], [`geometry`], [`parse_load`] and
+//! [`parse_loads`]
 //! (clusterings and rates have no `JobSpec` or `.scn` key yet: only the
 //! CLI's `--clusters` / `--rates` read them, and [`crate::figures`] names
 //! its clusterings through [`parse_clusters`]). Each refuses a value no
 //! run can use — it runs the type's own `validate()` — so the error
 //! surfaces where the text is read.
 //! Each door frames the message (`--flag`, a config error, `file:line`)
-//! and keeps its own defaults; every door refuses a load that is not
-//! finite and positive (`check_load`), and a `.scn` also caps it at 1.
+//! and keeps its own defaults; every door refuses a load outside (0, 1],
+//! the one-port bound, by one rule (`check_load`).
 
 use minnet_sim::EngineConfig;
 use minnet_topology::{build_bmin, build_unidir, BitCube, Geometry, NetworkGraph, UnidirKind};
@@ -221,21 +222,30 @@ pub fn geometry(k: u32, n: u32) -> Result<Geometry, String> {
     Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits)
 }
 
-/// An offered load any run can use: finite and positive. A door may cap
-/// it further (a `.scn` load is at most 1).
+/// An offered load a door accepts: in (0, 1], flits per cycle per node,
+/// where 1 is the one-port injection bound. Past the bound a run only
+/// grows its source queues, and a huge load never ends its first cycle's
+/// arrivals; `NaN` fails both comparisons.
 pub(crate) fn check_load(l: f64) -> Result<f64, String> {
-    if l.is_finite() && l > 0.0 {
+    if l > 0.0 && l <= 1.0 {
         Ok(l)
     } else {
-        Err(format!("load {l} is not finite and positive"))
+        Err(format!(
+            "load {l:?} is outside (0, 1] (1.0 = the one-port injection bound)"
+        ))
     }
 }
 
-/// A comma-separated list of offered loads, each refused unless finite
-/// and positive.
+/// One offered load, refused outside (0, 1] by the doors' one rule
+/// (`check_load`).
+pub fn parse_load(s: &str) -> Result<f64, String> {
+    let l = s.trim().parse().map_err(|e| format!("load {s:?}: {e}"))?;
+    check_load(l)
+}
+
+/// A comma-separated list of offered loads, each read by [`parse_load`].
 pub fn parse_loads(s: &str) -> Result<Vec<f64>, String> {
-    let load = |x: &str| x.trim().parse().map_err(|e| format!("load {x:?}: {e}"));
-    s.split(',').map(|x| load(x).and_then(check_load)).collect()
+    s.split(',').map(parse_load).collect()
 }
 
 #[cfg(test)]

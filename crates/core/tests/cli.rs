@@ -272,8 +272,13 @@ fn bad_arguments_fail_cleanly() {
         "simulate", "--network", "vmin", "--vcs", "65", "--warmup", "10", "--measure", "100",
     ]);
     assert!(!ok && stderr.contains("at most 64 virtual channels"), "{stderr}");
-    // A bad saturation bracket is `die`'s one-line error, not a panic.
-    for bracket in [&["--lo", "0"][..], &["--lo", "0.5", "--hi", "0.2"]] {
+    // A bad saturation bracket is `die`'s one-line error, not a panic: a
+    // bound outside (0, 1] is refused by its flag, an inverted one by the
+    // search.
+    for (bracket, want) in [
+        (&["--lo", "0"][..], "error: --lo: load 0.0 is outside (0, 1]"),
+        (&["--lo", "0.5", "--hi", "0.2"], "error: need 0 < lo < hi"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_minnet"))
             .arg("saturate")
             .args(bracket)
@@ -281,9 +286,23 @@ fn bad_arguments_fail_cleanly() {
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bracket:?}: {stderr}");
-        let clean = stderr.starts_with("error: need 0 < lo < hi");
+        let clean = stderr.starts_with(want);
         assert!(clean, "{bracket:?}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{bracket:?}: {stderr}");
+    }
+    // Every flag that takes a load refuses one outside (0, 1] before any
+    // work: 1e308 would never finish its first cycle's arrivals.
+    for (args, want) in [
+        (&["simulate", "--load", "1e308"][..], "error: --load: load 1e308 is outside (0, 1]"),
+        (&["simulate", "--load", "1.5"], "error: --load: load 1.5 is outside (0, 1]"),
+        (&["sweep", "--loads", "0.1,1.5"], "error: --loads: load 1.5 is outside (0, 1]"),
+        (&["saturate", "--hi", "2"], "error: --hi: load 2.0 is outside (0, 1]"),
+        (&["saturate", "--lo", "1e308"], "error: --lo: load 1e308 is outside (0, 1]"),
+        (&["submit", "--loads", "1.5"], "error: --loads: load 1.5 is outside (0, 1]"),
+    ] {
+        let (ok, stdout, stderr) = minnet(args);
+        assert!(!ok && stderr.starts_with(want), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
     }
 }
 

@@ -60,6 +60,9 @@ const ROWS: &[(Row, bool)] = &[
     (&[("loads", "0")], false),
     (&[("loads", "NaN")], false),
     (&[("loads", "inf")], false),
+    (&[("loads", "1")], true),
+    (&[("loads", "1.5")], false),
+    (&[("loads", "1e308")], false),
 ];
 
 /// The `.scn` door: the experiment and its loads, or the refusal, which

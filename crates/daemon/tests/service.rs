@@ -227,17 +227,24 @@ fn unusable_values_are_refused_at_submit_and_never_journaled() {
     let journal = cleanup.0.join("journal.jsonl");
     let before = std::fs::read_to_string(&journal).unwrap();
     // Each of these used to be accepted and journaled, then fail all
-    // three attempts of its retry ladder when the run compiled it.
+    // three attempts of its retry ladder when the run compiled it. A
+    // load past the one-port bound never fails: 1e308 spins in its first
+    // cycle's arrivals, where the wall budget (checked between cycles)
+    // cannot cut it.
     for (field, value) in [
         ("pattern", "hotspot:-1"),
         ("pattern", "hotspot:NaN"),
         ("sizes", "fixed:0"),
         ("sizes", "bimodal:8,1024,1.5"),
+        ("loads", "1.5"),
+        ("loads", "1e308"),
+        ("loads", "0"),
     ] {
         let mut spec = quick_spec(41);
         match field {
             "pattern" => spec.pattern = value.into(),
-            _ => spec.sizes = value.into(),
+            "sizes" => spec.sizes = value.into(),
+            _ => spec.loads = vec![0.2, value.parse().unwrap()],
         }
         let Response::Error { kind, message } = client.submit("c1", &spec).unwrap() else {
             panic!("{field} = {value} must be refused");

@@ -8,8 +8,9 @@
 //! None of the paper's switches replicate flits, so a multicast from one
 //! source to `m` destinations must be built from unicasts: nodes that have
 //! already received the message retransmit it to others. A schedule is a
-//! *tree of dependent unicasts*, executed by the engine's
-//! [`minnet_sim::run_chained`] with a per-relay software `overhead`.
+//! *tree of dependent unicasts*, run by the engine's one entry,
+//! [`minnet_sim::CompiledNet::run`], as a [`minnet_sim::Traffic::Chain`]
+//! with a per-relay software `overhead`.
 //!
 //! Three schedules are provided:
 //!

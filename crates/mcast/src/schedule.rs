@@ -1,7 +1,10 @@
 //! Multicast schedules as trees of chained unicasts.
 
-use minnet_sim::{run_chained, ChainedMsg, EngineConfig, SimError, SimReport};
+use minnet_sim::{
+    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, SimError, SimReport, Traffic,
+};
 use minnet_topology::NetworkGraph;
+use std::sync::Arc;
 
 /// A multicast schedule: the chained unicasts realising one multicast.
 #[derive(Clone, Debug)]
@@ -136,7 +139,10 @@ pub fn run_multicast(
     overhead: u64,
     cfg: &EngineConfig,
 ) -> Result<McastOutcome, SimError> {
-    let report = run_chained(net, &schedule.msgs, overhead, cfg)?;
+    let compiled = CompiledNet::new(Arc::new(net.clone()), cfg.clone())?;
+    let chain = Chain::compile(net.geometry, &schedule.msgs, overhead)?;
+    let mut st = EngineState::new();
+    let report = compiled.run(Traffic::Chain(&chain), None, cfg.seed, &mut st)?;
     let deliveries = report.deliveries.as_ref().ok_or(SimError::Internal {
         what: "chained runs always record deliveries",
     })?;

@@ -102,12 +102,6 @@ pub fn find_cycle(adj: &[Vec<ChannelId>]) -> Option<Vec<ChannelId>> {
     None
 }
 
-/// Convenience: whether the network's CDG under `rule` is acyclic
-/// (deadlock-free for any routing restricted to these connections).
-pub fn is_deadlock_free(net: &NetworkGraph, rule: DependencyRule) -> bool {
-    find_cycle(&dependency_graph(net, rule)).is_none()
-}
-
 /// The CDG of the network with `dead_channel` removed: dead channels keep
 /// no outgoing edges and appear in no one's successor list. A subgraph of
 /// an acyclic graph is acyclic, so masking can never *introduce* a cycle
@@ -134,6 +128,12 @@ pub fn masked_dependency_graph(
 mod tests {
     use super::*;
     use minnet_topology::{build_bmin, build_unidir, Geometry, UnidirKind};
+
+    /// Whether the network's CDG under `rule` is acyclic (deadlock-free
+    /// for any routing restricted to these connections).
+    fn is_deadlock_free(net: &NetworkGraph, rule: DependencyRule) -> bool {
+        find_cycle(&dependency_graph(net, rule)).is_none()
+    }
 
     #[test]
     fn unidirectional_mins_are_acyclic() {

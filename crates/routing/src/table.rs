@@ -285,11 +285,6 @@ impl RouteTable {
         })
     }
 
-    /// Number of destination nodes the table was built for.
-    pub fn nodes(&self) -> u32 {
-        self.nodes
-    }
-
     /// Approximate resident size in bytes of what the table **owns** —
     /// digit rows and stage powers, or the dense CSR arrays. The graph a
     /// built table points into is accounted by
@@ -302,6 +297,14 @@ impl RouteTable {
                 }
                 Repr::Dense { starts, cands, .. } => (starts.len() as u64 + cands.len() as u64) * 4,
             }
+    }
+}
+
+#[cfg(test)]
+impl RouteTable {
+    /// Number of destination nodes the table was built for.
+    pub fn nodes(&self) -> u32 {
+        self.nodes
     }
 }
 

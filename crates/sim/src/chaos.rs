@@ -211,7 +211,7 @@ mod tests {
         let net = tmin();
         let s = storm();
         let plan = s.compile_plan(&net, 1, 7).unwrap();
-        assert_eq!(plan.len(), s.count * s.rounds as usize);
+        assert_eq!(plan.faults().len(), s.count * s.rounds as usize);
         // Group the faults back per target: rounds are pushed in order.
         for faults in plan.faults().chunks(s.rounds as usize) {
             let mut cursor = 0u64;

@@ -53,10 +53,8 @@
 //! worker keeps one for all of its points, a one-shot caller passes a
 //! fresh one.
 //!
-//! The free functions ([`run_simulation`], [`run_scripted`],
-//! [`run_chained`]) take the arguments of their `reference` twins, so the
-//! differential tests call both engines alike; each compiles a private
-//! [`CompiledNet`] and runs it once on a fresh state, so there is one
+//! There is no other entry: a caller that runs a network once compiles
+//! a [`CompiledNet`] and runs it on a fresh state, so there is one
 //! routing representation and one engine path at every size. The
 //! closed-form [`minnet_routing::RouteLogic`] is the table's *definition*
 //! — the routing crate's exhaustive tests hold the table to it, and the
@@ -307,6 +305,7 @@ impl Script {
     }
 
     /// The messages, sorted by injection time.
+    #[cfg(feature = "reference-engine")]
     pub fn msgs(&self) -> &[ScriptedMsg] {
         &self.msgs
     }
@@ -371,6 +370,7 @@ impl Chain {
     }
 
     /// The chained messages, in entry order.
+    #[cfg(feature = "reference-engine")]
     pub fn msgs(&self) -> &[ChainedMsg] {
         &self.msgs
     }
@@ -2210,58 +2210,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// One run of a private copy of `net` (the table holds its graph by
-/// `Arc`) on fresh state, at `cfg.seed` — the free functions' body.
-fn run_once(
-    net: &NetworkGraph,
-    cfg: &EngineConfig,
-    traffic: Traffic<'_>,
-) -> Result<SimReport, SimError> {
-    let compiled = CompiledNet::new(Arc::new(net.clone()), cfg.clone())?;
-    compiled.run(traffic, None, cfg.seed, &mut EngineState::new())
-}
-
-/// Run a stochastic (Poisson-workload) simulation once. The free
-/// functions take the arguments of their `reference` twins, so the
-/// differential tests call both engines alike; run-many callers compile
-/// once and use [`CompiledNet::run`].
-pub fn run_simulation(
-    net: &NetworkGraph,
-    workload: &Workload,
-    cfg: &EngineConfig,
-) -> Result<SimReport, SimError> {
-    run_once(net, cfg, Traffic::Poisson(workload))
-}
-
-/// Run a deterministic scripted simulation once ([`Traffic::Script`]):
-/// the given messages are injected at fixed times; the report's
-/// `deliveries` field records per-message completions in completion
-/// order.
-pub fn run_scripted(
-    net: &NetworkGraph,
-    msgs: &[ScriptedMsg],
-    cfg: &EngineConfig,
-) -> Result<SimReport, SimError> {
-    run_once(net, cfg, Traffic::Script(&Script::compile(net.geometry, msgs)?))
-}
-
-/// Run a deterministic simulation of *dependent* messages once
-/// ([`Traffic::Chain`]): entry `i` becomes available `overhead` cycles
-/// after the delivery of its `after` parent (or at `earliest` for roots);
-/// `deliveries[..].tag` is the entry index.
-///
-/// This is the substrate for *software multicast* (paper §6): a multicast
-/// is a tree of chained unicasts, with `overhead` modelling the software
-/// latency at each relay node.
-pub fn run_chained(
-    net: &NetworkGraph,
-    msgs: &[ChainedMsg],
-    overhead: u64,
-    cfg: &EngineConfig,
-) -> Result<SimReport, SimError> {
-    run_once(net, cfg, Traffic::Chain(&Chain::compile(net.geometry, msgs, overhead)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2290,7 +2238,13 @@ mod tests {
         let (small, big) = (Geometry::new(4, 2), Geometry::new(4, 3));
         let graph = Arc::new(minnet_topology::build_bmin(big));
         let net = CompiledNet::new(graph, EngineConfig::default()).unwrap();
-        let spec = minnet_traffic::WorkloadSpec::global_uniform(0.1);
+        let spec = minnet_traffic::WorkloadSpec {
+            offered_load: 0.1,
+            pattern: minnet_traffic::TrafficPattern::Uniform,
+            clustering: minnet_traffic::Clustering::Global,
+            rates: None,
+            sizes: minnet_traffic::MessageSizeDist::PAPER,
+        };
         let workload = Workload::compile(small, &spec).unwrap();
         let scripted = ScriptedMsg { time: 0, src: 0, dst: 1, len: 4 };
         let script = Script::compile(small, &[scripted]).unwrap();
@@ -2317,7 +2271,7 @@ mod tests {
     #[cfg(feature = "reference-engine")]
     #[test]
     fn select_mask_equals_select_on_every_input() {
-        use minnet_switch::{VcMux, VcMuxPolicy};
+        use crate::reference::{VcMux, VcMuxPolicy};
         for n in 1..=6u32 {
             let all = vec![true; n as usize];
             for last in 0..n {

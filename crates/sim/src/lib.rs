@@ -19,16 +19,17 @@
 //! the switch ablations (build-order transmission, round-robin lane
 //! choice, winner-holds VC multiplexing), cycle-by-cycle stepping
 //! through quiescent stretches, the Fig. 2 crossbar audit — live only
-//! there, and so does the only use of `minnet-switch`.
+//! there, and so does the paper's §5 switch model they run on (flit
+//! FIFOs, arbiters, VC multiplexers, the crossbar).
 //!
 //! A run has one entry, [`CompiledNet::run`]: a compiled network
 //! (immutable graph + routing table + ejection mask) runs a [`Traffic`]
 //! source — a Poisson workload, a [`Script`] or a [`Chain`] — under an
 //! optional fault schedule, on a caller-owned, reusable [`EngineState`];
-//! see the [`engine`] module header. The free functions
-//! [`run_simulation`] / [`run_scripted`] / [`run_chained`] compile and
-//! run once on a fresh state, with the arguments of their `reference`
-//! twins.
+//! see the [`engine`] module header. It is the only entry: a one-shot
+//! caller compiles the network and passes a fresh state. (The oracle
+//! keeps its own one-shot `run_simulation` / `run_scripted` /
+//! `run_chained`, which take the switch as an argument.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,8 +48,7 @@ pub mod trace;
 pub use chaos::{ChaosSchedule, ChaosTarget};
 pub use config::{Delivery, EngineConfig, RunBudget, SimReport, CYCLE_US};
 pub use engine::{
-    run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineState, Script,
-    ScriptedMsg, Traffic,
+    Chain, ChainedMsg, CompiledNet, EngineState, Script, ScriptedMsg, Traffic,
 };
 pub use error::{BudgetKind, PartialReport, SimError, StallDiagnostic, StalledPacket};
 pub use fault::CompiledFaults;

@@ -30,6 +30,22 @@
 //!   release whenever `vcs == 1` (virtual channels have their own data
 //!   paths through the switch); an illegal connection panics.
 //!
+//! The switch those checks run on is the paper's §5 switch model, kept
+//! here beside the oracle that alone uses it:
+//!
+//! * [`FlitFifo`] — the flit buffer the paper attaches to every
+//!   (virtual) channel (§5: "Each input channel in a switch has a buffer
+//!   the size of a single flit"), `buffer_depth` flits deep;
+//! * [`Arbiter`] — random and round-robin arbitration among competing
+//!   requests (the paper specifies *random* choice among free
+//!   lanes/forward channels; round-robin is the ablation arm);
+//! * [`VcMux`] — flit-level multiplexing of one physical channel among
+//!   virtual channels (§2.2: fair round-robin so `k` active VCs each get
+//!   `W/k` bandwidth; winner-holds is the ablation arm);
+//! * [`Crossbar`] — explicit crossbar connection state enforcing the
+//!   connection-legality rules of Fig. 2 (no `r → r` connection, no
+//!   same-port turnaround), which the oracle audits.
+//!
 //! Compiled only with the `reference-engine` feature (enabled by the
 //! differential tests); production consumers get the optimized engine
 //! alone.
@@ -39,13 +55,21 @@ use crate::engine::{ChainedMsg, ScriptedMsg};
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
 use crate::trace::{Trace, TraceEvent};
 use minnet_routing::RouteLogic;
-use minnet_switch::{Arbiter, Crossbar, FlitFifo, FlitRef, VcMux};
-pub use minnet_switch::{ArbiterKind, VcMuxPolicy};
 use minnet_topology::{ChannelId, Endpoint, NetworkGraph, Side};
 use minnet_traffic::Workload;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
+
+pub mod arbiter;
+pub mod buffer;
+pub mod crossbar;
+pub mod vc;
+
+pub use arbiter::{Arbiter, ArbiterKind};
+pub use buffer::{FlitFifo, FlitRef};
+pub use crossbar::{Crossbar, CrossbarError};
+pub use vc::{VcMux, VcMuxPolicy};
 
 const NONE: u32 = u32::MAX;
 
@@ -838,8 +862,8 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Reference-engine counterpart of [`crate::run_simulation`], on the switch
-/// `arms` describes.
+/// One Poisson-workload run on the switch `arms` describes: the oracle's
+/// twin of the engine's `CompiledNet::run` on `Traffic::Poisson`.
 pub fn run_simulation(
     net: &NetworkGraph,
     workload: &Workload,
@@ -849,8 +873,8 @@ pub fn run_simulation(
     Engine::new(net, Traffic::Poisson(workload), cfg.clone(), arms).map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_scripted`], on the switch
-/// `arms` describes.
+/// One scripted run on the switch `arms` describes: the oracle's twin
+/// of the engine's `CompiledNet::run` on `Traffic::Script`.
 pub fn run_scripted(
     net: &NetworkGraph,
     msgs: &[ScriptedMsg],
@@ -882,8 +906,8 @@ pub fn run_scripted(
     .map(Engine::run)
 }
 
-/// Reference-engine counterpart of [`crate::run_chained`], on the switch
-/// `arms` describes.
+/// One chained run on the switch `arms` describes: the oracle's twin of
+/// the engine's `CompiledNet::run` on `Traffic::Chain`.
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],

@@ -11,8 +11,8 @@
 //! * and **never** right input → right output (deadlock rule).
 //!
 //! The simulation engine tracks worm ownership at lane granularity; this
-//! type re-derives the same constraints at the switch level and is used in
-//! engine self-checks and tests.
+//! type re-derives the same constraints at the switch level, and the
+//! reference engine audits its allocations against it.
 
 /// Port codes: inputs and outputs are both numbered `0..k` for the left
 /// side and `k..2k` for the right side. Unidirectional switches use codes

@@ -10,7 +10,7 @@
 //! of the reference engine (the mechanism behind the VMIN's poor showing
 //! under permutation traffic, §5.3.3). The engine's own mux is a
 //! round-robin select on a packed ready mask, held exhaustively equal to
-//! [`VcMux::select`] by `minnet-sim`'s unit tests.
+//! [`VcMux::select`] by the engine's unit tests.
 
 /// How a physical channel chooses among ready virtual channels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

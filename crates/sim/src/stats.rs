@@ -144,11 +144,6 @@ impl LatencyHistogram {
         self.max = self.max.max(x);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// Largest recorded sample (exact).
     pub fn max(&self) -> u64 {
         self.max
@@ -240,6 +235,14 @@ impl BatchMeans {
         let grand = means.iter().sum::<f64>() / n;
         let var = means.iter().map(|m| (m - grand) * (m - grand)).sum::<f64>() / (n - 1.0);
         1.96 * (var / n).sqrt()
+    }
+}
+
+#[cfg(test)]
+impl LatencyHistogram {
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.total
     }
 }
 

@@ -34,7 +34,7 @@ use minnet_sim::{
 use minnet_topology::{
     build_bmin, build_unidir, Fault, FaultPlan, FaultTarget, Geometry, NetworkGraph, UnidirKind,
 };
-use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
+use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -125,8 +125,13 @@ fn actual() -> String {
     // Short fixed-size messages keep hundreds of worms crossing every
     // link inside the short window, so each fault schedule bites.
     let poisson = [0.1, 0.4, 0.7].map(|load| {
-        let sizes = MessageSizeDist::Fixed(16);
-        let spec = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(load) };
+        let spec = WorkloadSpec {
+            offered_load: load,
+            pattern: TrafficPattern::Uniform,
+            clustering: Clustering::Global,
+            rates: None,
+            sizes: MessageSizeDist::Fixed(16),
+        };
         Workload::compile(g, &spec).unwrap()
     });
     let (scripted, chained) = (script(g), chain(g));

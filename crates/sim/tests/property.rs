@@ -2,9 +2,12 @@
 //! arbitrary network types, the engine must deliver every message, respect
 //! the unloaded-latency lower bound, conserve flits, and be deterministic.
 
-use minnet_sim::{run_scripted, EngineConfig, ScriptedMsg};
+use minnet_sim::{EngineConfig, Script, ScriptedMsg, Traffic};
 use minnet_topology::{build_bmin, build_unidir, Geometry, NetworkGraph, NodeAddr, UnidirKind};
 use proptest::prelude::*;
+use support::run_once;
+
+mod support;
 
 #[derive(Debug, Clone, Copy)]
 enum NetChoice {
@@ -85,7 +88,8 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let report = run_scripted(&net, &msgs, &cfg).unwrap();
+        let script = Script::compile(g, &msgs).unwrap();
+        let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         let deliveries = report.deliveries.clone().unwrap();
 
         // 1. Everything injected is delivered (deadlock/livelock freedom).
@@ -117,7 +121,7 @@ proptest! {
 
         // 4. Determinism: replaying the same script and seed reproduces
         //    every completion time.
-        let replay = run_scripted(&net, &msgs, &cfg).unwrap();
+        let replay = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         prop_assert_eq!(replay.deliveries.unwrap(), deliveries);
     }
 
@@ -143,7 +147,8 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let report = run_scripted(&net, &msgs, &cfg).unwrap();
+        let script = Script::compile(g, &msgs).unwrap();
+        let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         let deliveries = report.deliveries.unwrap();
         prop_assert_eq!(deliveries.len(), msgs.len());
         // Completion order equals generation order.

@@ -2,9 +2,23 @@
 //! semantics: exact unloaded latencies, blocking, lane/VC sharing, and
 //! stochastic sanity (determinism, conservation, sustainability).
 
-use minnet_sim::{run_scripted, run_simulation, EngineConfig, ScriptedMsg};
+use minnet_sim::{EngineConfig, Script, ScriptedMsg, Traffic};
 use minnet_topology::{build_bmin, build_unidir, Geometry, NodeAddr, UnidirKind};
-use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
+use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
+use support::run_once;
+
+mod support;
+
+/// Global uniform traffic at `offered_load` with messages of `sizes`.
+fn uniform(offered_load: f64, sizes: MessageSizeDist) -> WorkloadSpec {
+    WorkloadSpec {
+        offered_load,
+        pattern: TrafficPattern::Uniform,
+        clustering: Clustering::Global,
+        rates: None,
+        sizes,
+    }
+}
 
 fn scripted_cfg() -> EngineConfig {
     EngineConfig {
@@ -22,12 +36,8 @@ fn tmin_single_message_exact_latency() {
         let g = Geometry::new(2, 3);
         let net = build_unidir(g, kind, 1);
         for len in [1u32, 8, 100] {
-            let report = run_scripted(
-                &net,
-                &[ScriptedMsg { time: 0, src: 0, dst: 7, len }],
-                &scripted_cfg(),
-            )
-            .unwrap();
+            let script = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst: 7, len }]).unwrap();
+            let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
             let deliveries = report.deliveries.unwrap();
             assert_eq!(deliveries.len(), 1);
             let expect = (g.n() + 1) as u64 + len as u64 - 1;
@@ -48,12 +58,8 @@ fn bmin_single_message_exact_latency() {
         let t = g
             .first_difference(NodeAddr(src), NodeAddr(dst))
             .unwrap();
-        let report = run_scripted(
-            &net,
-            &[ScriptedMsg { time: 0, src, dst, len }],
-            &scripted_cfg(),
-        )
-        .unwrap();
+        let script = Script::compile(g, &[ScriptedMsg { time: 0, src, dst, len }]).unwrap();
+        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
         let d = &report.deliveries.unwrap()[0];
         assert_eq!(
             d.done_time,
@@ -70,16 +76,12 @@ fn distance_insensitivity() {
     let g = Geometry::new(4, 3);
     let net = build_bmin(g);
     let len = 512u32;
-    let near = run_scripted(&net, &[ScriptedMsg { time: 0, src: 0, dst: 1, len }], &scripted_cfg())
-        .unwrap()
-        .deliveries
-        .unwrap()[0]
-        .done_time;
-    let far = run_scripted(&net, &[ScriptedMsg { time: 0, src: 0, dst: 63, len }], &scripted_cfg())
-        .unwrap()
-        .deliveries
-        .unwrap()[0]
-        .done_time;
+    let done = |dst| {
+        let script = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len }]).unwrap();
+        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+        report.deliveries.unwrap()[0].done_time
+    };
+    let (near, far) = (done(1), done(63));
     // 4 extra channels on a 512-flit message: under 1% extra latency.
     assert_eq!(far - near, 4);
     let rel = (far - near) as f64 / near as f64;
@@ -92,15 +94,15 @@ fn output_contention_serializes() {
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let len = 32u32;
-    let report = run_scripted(
-        &net,
+    let script = Script::compile(
+        g,
         &[
             ScriptedMsg { time: 0, src: 0, dst: 7, len },
             ScriptedMsg { time: 0, src: 1, dst: 7, len },
         ],
-        &scripted_cfg(),
     )
     .unwrap();
+    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
     let ds = report.deliveries.unwrap();
     assert_eq!(ds.len(), 2);
     let (first, second) = (ds[0].done_time, ds[1].done_time);
@@ -125,18 +127,13 @@ fn dilation_removes_port_serialization() {
         ScriptedMsg { time: 0, src: 0, dst: 6, len },
         ScriptedMsg { time: 0, src: 4, dst: 7, len },
     ];
-    let solo = run_scripted(
-        &build_unidir(g, UnidirKind::Cube, 1),
-        &msgs[..1],
-        &scripted_cfg(),
-    )
-    .unwrap()
-    .deliveries
-    .unwrap()[0]
-        .done_time;
+    let (tmin, dmin) = (build_unidir(g, UnidirKind::Cube, 1), build_unidir(g, UnidirKind::Cube, 2));
+    let (one, both) = (Script::compile(g, &msgs[..1]).unwrap(), Script::compile(g, &msgs).unwrap());
+    let solo = run_once(&tmin, &scripted_cfg(), Traffic::Script(&one)).unwrap();
+    let solo = solo.deliveries.unwrap()[0].done_time;
 
-    let tmin = run_scripted(&build_unidir(g, UnidirKind::Cube, 1), &msgs, &scripted_cfg()).unwrap();
-    let dmin = run_scripted(&build_unidir(g, UnidirKind::Cube, 2), &msgs, &scripted_cfg()).unwrap();
+    let tmin = run_once(&tmin, &scripted_cfg(), Traffic::Script(&both)).unwrap();
+    let dmin = run_once(&dmin, &scripted_cfg(), Traffic::Script(&both)).unwrap();
     let tmax = tmin.deliveries.unwrap().iter().map(|d| d.done_time).max().unwrap();
     let dmax = dmin.deliveries.unwrap().iter().map(|d| d.done_time).max().unwrap();
     // TMIN: the two worms serialize on a shared channel. DMIN: both run at
@@ -158,13 +155,10 @@ fn vc_interleaving_shares_bandwidth_fairly() {
         ScriptedMsg { time: 0, src: 4, dst: 7, len },
     ];
     let net = build_unidir(g, UnidirKind::Cube, 1);
-    let tmin = run_scripted(&net, &msgs, &scripted_cfg()).unwrap();
-    let vmin = run_scripted(
-        &net,
-        &msgs,
-        &EngineConfig { vcs: 2, ..scripted_cfg() },
-    )
-    .unwrap();
+    let script = Script::compile(g, &msgs).unwrap();
+    let tmin = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let vmin = EngineConfig { vcs: 2, ..scripted_cfg() };
+    let vmin = run_once(&net, &vmin, Traffic::Script(&script)).unwrap();
     let t: Vec<u64> = tmin.deliveries.unwrap().iter().map(|d| d.done_time).collect();
     let v: Vec<u64> = vmin.deliveries.unwrap().iter().map(|d| d.done_time).collect();
     // TMIN: one worm blocks. Its completions are far apart.
@@ -205,15 +199,16 @@ fn one_port_injection_is_sequential() {
     let g = Geometry::new(2, 3);
     let len = 50u32;
     let net = build_unidir(g, UnidirKind::Cube, 1);
-    let report = run_scripted(
-        &net,
+    let script = Script::compile(
+        g,
         &[
             ScriptedMsg { time: 0, src: 0, dst: 5, len },
             ScriptedMsg { time: 0, src: 0, dst: 6, len },
         ],
-        &EngineConfig { vcs: 2, ..scripted_cfg() },
     )
     .unwrap();
+    let cfg = EngineConfig { vcs: 2, ..scripted_cfg() };
+    let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
     let ds = report.deliveries.unwrap();
     // The second message cannot finish before the first has fully left the
     // source (len cycles) plus its own serialization.
@@ -234,7 +229,8 @@ fn bmin_delivers_under_scripted_burst() {
             msgs.push(ScriptedMsg { time: (s as u64) % 7, src: s, dst: d, len: 24 });
         }
     }
-    let report = run_scripted(&net, &msgs, &scripted_cfg()).unwrap();
+    let script = Script::compile(g, &msgs).unwrap();
+    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
     assert_eq!(report.deliveries.unwrap().len(), msgs.len());
 }
 
@@ -250,7 +246,8 @@ fn transmit_order_single_worm_is_order_insensitive() {
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let msg = [ScriptedMsg { time: 0, src: 0, dst: 7, len: 16 }];
-    let topo = run_scripted(&net, &msg, &scripted_cfg()).unwrap();
+    let script = Script::compile(g, &msg).unwrap();
+    let topo = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
     let build_order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
     let build = reference::run_scripted(&net, &msg, &scripted_cfg(), build_order);
     assert_eq!(
@@ -270,10 +267,7 @@ fn transmit_order_single_worm_is_order_insensitive() {
 fn crossbar_legality_holds_under_load() {
     use minnet_sim::reference::{self, Ablation, ArbiterKind};
     let g = Geometry::new(2, 3);
-    let spec = WorkloadSpec {
-        sizes: MessageSizeDist::Fixed(16),
-        ..WorkloadSpec::global_uniform(0.6)
-    };
+    let spec = uniform(0.6, MessageSizeDist::Fixed(16));
     let wl = Workload::compile(g, &spec).unwrap();
     let cfg = EngineConfig {
         warmup: 500,
@@ -291,7 +285,7 @@ fn crossbar_legality_holds_under_load() {
             let audited = reference::run_simulation(&net, &wl, &cfg, arms).unwrap();
             assert!(audited.delivered_packets > 0);
             if arms == Ablation::PAPER {
-                let report = run_simulation(&net, &wl, &cfg).unwrap();
+                let report = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
                 assert!(report.bitwise_eq(&audited), "{:?}", net.kind);
             }
         }
@@ -306,19 +300,16 @@ fn determinism_and_seed_sensitivity() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::Fixed(32),
-            ..WorkloadSpec::global_uniform(0.3)
-        },
+        &uniform(0.3, MessageSizeDist::Fixed(32)),
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 1_000, measure: 8_000, ..EngineConfig::default() };
-    let a = run_simulation(&net, &wl, &cfg).unwrap();
-    let b = run_simulation(&net, &wl, &cfg).unwrap();
+    let a = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let b = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     assert_eq!(a.delivered_packets, b.delivered_packets);
     assert_eq!(a.mean_latency_cycles, b.mean_latency_cycles);
     assert_eq!(a.max_latency_cycles, b.max_latency_cycles);
-    let c = run_simulation(&net, &wl, &EngineConfig { seed: 99, ..cfg }).unwrap();
+    let c = run_once(&net, &EngineConfig { seed: 99, ..cfg }, Traffic::Poisson(&wl)).unwrap();
     assert_ne!(a.mean_latency_cycles, c.mean_latency_cycles);
     let rel = (a.accepted_flits_per_node_cycle - c.accepted_flits_per_node_cycle).abs()
         / a.accepted_flits_per_node_cycle;
@@ -334,14 +325,11 @@ fn low_load_conservation_and_latency() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::Fixed(32),
-            ..WorkloadSpec::global_uniform(0.05)
-        },
+        &uniform(0.05, MessageSizeDist::Fixed(32)),
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 2_000, measure: 20_000, ..EngineConfig::default() };
-    let r = run_simulation(&net, &wl, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     assert!(r.sustainable);
     assert!(r.delivered_packets > 100, "not enough samples: {}", r.delivered_packets);
     // Unloaded: 4 hops + 31 = 35 cycles; allow mild queueing.
@@ -361,14 +349,11 @@ fn overload_is_unsustainable() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::Fixed(16),
-            ..WorkloadSpec::global_uniform(2.0)
-        },
+        &uniform(2.0, MessageSizeDist::Fixed(16)),
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 0, measure: 40_000, ..EngineConfig::default() };
-    let r = run_simulation(&net, &wl, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     assert!(!r.sustainable, "max queue {}", r.max_queue);
     assert!(r.max_queue > 100);
     // Accepted throughput saturates strictly below the offered rate.
@@ -383,10 +368,7 @@ fn channel_utilization_collection() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::Fixed(16),
-            ..WorkloadSpec::global_uniform(0.4)
-        },
+        &uniform(0.4, MessageSizeDist::Fixed(16)),
     )
     .unwrap();
     let cfg = EngineConfig {
@@ -395,7 +377,7 @@ fn channel_utilization_collection() {
         collect_channel_util: true,
         ..EngineConfig::default()
     };
-    let r = run_simulation(&net, &wl, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     let util = r.channel_utilization.unwrap();
     assert_eq!(util.len(), net.num_channels());
     assert!(util.iter().all(|&u| (0.0..=1.0).contains(&u)));
@@ -409,13 +391,10 @@ fn buffer_depth_preserves_unloaded_latency() {
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let msg = [ScriptedMsg { time: 0, src: 0, dst: 7, len: 32 }];
-    let d1 = run_scripted(&net, &msg, &scripted_cfg()).unwrap();
-    let d8 = run_scripted(
-        &net,
-        &msg,
-        &EngineConfig { buffer_depth: 8, ..scripted_cfg() },
-    )
-    .unwrap();
+    let script = Script::compile(g, &msg).unwrap();
+    let d1 = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let deep = EngineConfig { buffer_depth: 8, ..scripted_cfg() };
+    let d8 = run_once(&net, &deep, Traffic::Script(&script)).unwrap();
     assert_eq!(
         d1.deliveries.unwrap()[0].done_time,
         d8.deliveries.unwrap()[0].done_time
@@ -442,13 +421,10 @@ fn buffer_depth_releases_blocked_chains() {
         ScriptedMsg { time: 2, src: 4, dst: 7, len: 6 },
         ScriptedMsg { time: 8, src: 0, dst: 4, len: 16 },
     ];
+    let script = Script::compile(g, &msgs).unwrap();
     let done_c = |depth: u16| {
-        let r = run_scripted(
-            &net,
-            &msgs,
-            &EngineConfig { buffer_depth: depth, ..scripted_cfg() },
-        )
-        .unwrap();
+        let cfg = EngineConfig { buffer_depth: depth, ..scripted_cfg() };
+        let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         r.deliveries
             .unwrap()
             .iter()
@@ -475,10 +451,7 @@ fn bmin_adaptive_up_routing_balances_channels() {
     let net = build_bmin(g);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::Fixed(32),
-            ..WorkloadSpec::global_uniform(0.3)
-        },
+        &uniform(0.3, MessageSizeDist::Fixed(32)),
     )
     .unwrap();
     let cfg = EngineConfig {
@@ -487,7 +460,7 @@ fn bmin_adaptive_up_routing_balances_channels() {
         collect_channel_util: true,
         ..EngineConfig::default()
     };
-    let r = run_simulation(&net, &wl, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     let util = r.channel_utilization.unwrap();
     for level in 0..g.n() as u8 {
         for dir in [Direction::Forward, Direction::Backward] {
@@ -518,14 +491,11 @@ fn report_metric_consistency() {
     let net = build_unidir(g, UnidirKind::Cube, 2);
     let wl = Workload::compile(
         g,
-        &WorkloadSpec {
-            sizes: MessageSizeDist::PAPER,
-            ..WorkloadSpec::global_uniform(0.5)
-        },
+        &uniform(0.5, MessageSizeDist::PAPER),
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 3_000, measure: 20_000, ..EngineConfig::default() };
-    let r = run_simulation(&net, &wl, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     assert!(r.p50_latency_cycles <= r.p95_latency_cycles);
     assert!(r.p95_latency_cycles <= r.p99_latency_cycles);
     assert!(r.p99_latency_cycles <= r.max_latency_cycles);
@@ -542,7 +512,7 @@ fn report_metric_consistency() {
 /// sum of unloaded latencies plus the overhead.
 #[test]
 fn chained_messages_exact_relay_timing() {
-    use minnet_sim::{run_chained, ChainedMsg};
+    use minnet_sim::{Chain, ChainedMsg};
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let len = 20u32;
@@ -552,7 +522,8 @@ fn chained_messages_exact_relay_timing() {
         ChainedMsg { src: 3, dst: 6, len, earliest: 0, after: Some(0) },
     ];
     let cfg = EngineConfig { warmup: 0, measure: 100_000, ..EngineConfig::default() };
-    let r = run_chained(&net, &msgs, overhead, &cfg).unwrap();
+    let chain = Chain::compile(g, &msgs, overhead).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Chain(&chain)).unwrap();
     let ds = r.deliveries.unwrap();
     assert_eq!(ds.len(), 2);
     let hop = (g.n() + 1) as u64 + len as u64 - 1; // 23 cycles unloaded
@@ -563,30 +534,28 @@ fn chained_messages_exact_relay_timing() {
     assert_eq!(second.done_time, first.done_time + overhead + hop);
 }
 
-/// Chained validation: forward references and self-sends are rejected.
+/// Chained validation: forward references and self-sends are rejected
+/// where a chain is compiled, before any run.
 #[test]
 fn chained_input_validation() {
-    use minnet_sim::{run_chained, ChainedMsg};
+    use minnet_sim::{Chain, ChainedMsg};
     let g = Geometry::new(2, 3);
-    let net = build_unidir(g, UnidirKind::Cube, 1);
-    let cfg = EngineConfig { warmup: 0, measure: 1_000, ..EngineConfig::default() };
     // Forward dependency.
     let bad = [
         ChainedMsg { src: 0, dst: 1, len: 8, earliest: 0, after: Some(1) },
         ChainedMsg { src: 1, dst: 2, len: 8, earliest: 0, after: None },
     ];
-    assert!(run_chained(&net, &bad, 0, &cfg).is_err());
+    assert!(Chain::compile(g, &bad, 0).is_err());
     // Self-send.
     let selfy = [ChainedMsg { src: 2, dst: 2, len: 8, earliest: 0, after: None }];
-    assert!(run_chained(&net, &selfy, 0, &cfg).is_err());
+    assert!(Chain::compile(g, &selfy, 0).is_err());
 }
 
-/// Scripted-run input validation.
+/// Scripted-run input validation, where a script is compiled.
 #[test]
 fn scripted_input_validation() {
     let g = Geometry::new(2, 3);
-    let net = build_unidir(g, UnidirKind::Cube, 1);
-    assert!(run_scripted(&net, &[ScriptedMsg { time: 0, src: 3, dst: 3, len: 8 }], &scripted_cfg()).is_err());
-    assert!(run_scripted(&net, &[ScriptedMsg { time: 0, src: 0, dst: 99, len: 8 }], &scripted_cfg()).is_err());
-    assert!(run_scripted(&net, &[ScriptedMsg { time: 0, src: 0, dst: 1, len: 0 }], &scripted_cfg()).is_err());
+    assert!(Script::compile(g, &[ScriptedMsg { time: 0, src: 3, dst: 3, len: 8 }]).is_err());
+    assert!(Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst: 99, len: 8 }]).is_err());
+    assert!(Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst: 1, len: 0 }]).is_err());
 }

@@ -1,8 +1,11 @@
 //! Trace audits: the engine's recorded behaviour must agree with the
 //! independent static analyses (routing enumeration, timing formulas).
 
-use minnet_sim::{run_scripted, EngineConfig, ScriptedMsg, TraceEvent};
+use minnet_sim::{EngineConfig, Script, ScriptedMsg, TraceEvent, Traffic};
 use minnet_topology::{build_bmin, build_unidir, Geometry, UnidirKind};
+use support::run_once;
+
+mod support;
 
 fn traced_cfg() -> EngineConfig {
     EngineConfig {
@@ -27,12 +30,9 @@ fn traced_path_is_a_legal_routing_path() {
     ] {
         let logic = RouteLogic::for_kind(net.kind);
         for (src, dst) in pairs {
-            let r = run_scripted(
-                &net,
-                &[ScriptedMsg { time: 0, src, dst, len: 16 }],
-                &traced_cfg(),
-            )
-            .unwrap();
+            let msg = ScriptedMsg { time: 0, src, dst, len: 16 };
+            let script = Script::compile(net.geometry, &[msg]).unwrap();
+            let r = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
             let trace = r.trace.unwrap();
             let path = trace.channel_path(0);
             let legal = enumerate_paths(&net, logic, src, dst);
@@ -52,12 +52,8 @@ fn traced_path_is_a_legal_routing_path() {
 fn trace_event_ordering_and_timing() {
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
-    let r = run_scripted(
-        &net,
-        &[ScriptedMsg { time: 3, src: 2, dst: 5, len: 10 }],
-        &traced_cfg(),
-    )
-    .unwrap();
+    let script = Script::compile(g, &[ScriptedMsg { time: 3, src: 2, dst: 5, len: 10 }]).unwrap();
+    let r = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
     let trace = r.trace.unwrap();
     let evs: Vec<TraceEvent> = trace.events.iter().copied().filter(|e| e.tag() == 0).collect();
     assert!(matches!(evs[0], TraceEvent::Queued { time: 3, src: 2, dst: 5, len: 10, .. }));
@@ -95,9 +91,10 @@ fn tracing_does_not_perturb_the_simulation() {
             len: 8 + (i % 30),
         })
         .collect();
-    let plain = run_scripted(&net, &msgs, &EngineConfig { collect_trace: false, ..traced_cfg() })
-        .unwrap();
-    let traced = run_scripted(&net, &msgs, &traced_cfg()).unwrap();
+    let script = Script::compile(g, &msgs).unwrap();
+    let untraced = EngineConfig { collect_trace: false, ..traced_cfg() };
+    let plain = run_once(&net, &untraced, Traffic::Script(&script)).unwrap();
+    let traced = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
     assert_eq!(plain.deliveries.unwrap(), traced.deliveries.unwrap());
     assert!(traced.trace.is_some());
     assert!(plain.trace.is_none());

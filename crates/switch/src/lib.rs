@@ -1,31 +1,16 @@
 //! # minnet-switch
 //!
-//! The switch model of the reference engine (`minnet_sim::reference`,
-//! feature `reference-engine`) — the differential oracle, not the engine
-//! the binaries run, which hard-wires the paper's switch:
-//!
-//! * [`buffer::FlitFifo`] — the flit buffer the paper attaches to every
-//!   (virtual) channel (§5: "Each input channel in a switch has a buffer
-//!   the size of a single flit"), `buffer_depth` flits deep;
-//! * [`arbiter::Arbiter`] — random and round-robin arbitration among
-//!   competing requests (the paper specifies *random* choice among free
-//!   lanes/forward channels; round-robin is kept as an ablation);
-//! * [`vc::VcMux`] — flit-level multiplexing of one physical channel among
-//!   virtual channels (§2.2: fair round-robin so `k` active VCs each get
-//!   `W/k` bandwidth; a winner-holds policy is kept as an ablation);
-//! * [`crossbar::Crossbar`] — explicit crossbar connection state enforcing
-//!   the connection-legality rules of Fig. 2 (no `r → r` connection, no
-//!   same-port turnaround), which the oracle audits.
+//! A shell, kept only for the frozen benchmark: `benchmark/src/replay.rs`
+//! times [`Arbiter::pick`] through this crate's name. It compiles the
+//! reference engine's arbiter (`minnet_sim::reference::arbiter`, feature
+//! `reference-engine`) from that one source file, so the harness never
+//! links `minnet-sim` with the oracle. No workspace crate depends on it;
+//! ROADMAP 2(d) deletes it once the harness stops importing it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbiter;
-pub mod buffer;
-pub mod crossbar;
-pub mod vc;
+#[path = "../../sim/src/reference/arbiter.rs"]
+mod arbiter;
 
 pub use arbiter::{Arbiter, ArbiterKind};
-pub use buffer::{FlitFifo, FlitRef};
-pub use crossbar::{Crossbar, CrossbarError};
-pub use vc::{VcMux, VcMuxPolicy};

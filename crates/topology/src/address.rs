@@ -14,14 +14,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeAddr(pub u32);
 
-impl NodeAddr {
-    /// The raw integer value of the address.
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 impl fmt::Debug for NodeAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "NodeAddr({})", self.0)
@@ -110,12 +102,6 @@ impl Geometry {
         self.k.pow(e)
     }
 
-    /// Whether `a` is a valid address in this geometry.
-    #[inline]
-    pub fn contains(&self, a: NodeAddr) -> bool {
-        a.0 < self.nodes()
-    }
-
     /// Digit `i` (0 = least significant) of address `a`.
     #[inline]
     pub fn digit(&self, a: NodeAddr, i: u32) -> u32 {
@@ -137,11 +123,6 @@ impl Geometry {
             v += d * self.k.pow(i as u32);
         }
         NodeAddr(v)
-    }
-
-    /// The digits of `a`, least significant first, padded to `n` entries.
-    pub fn digits(&self, a: NodeAddr) -> Vec<u32> {
-        (0..self.n).map(|i| self.digit(a, i)).collect()
     }
 
     /// Render `a` as a k-ary digit string, most significant digit first
@@ -270,6 +251,11 @@ impl Radix for [Divisor] {
 
 #[cfg(test)]
 impl Geometry {
+    /// The digits of `a`, least significant first, padded to `n` entries.
+    pub fn digits(&self, a: NodeAddr) -> Vec<u32> {
+        (0..self.n).map(|i| self.digit(a, i)).collect()
+    }
+
     /// `a` with digit `i` replaced by `v`.
     fn with_digit(&self, a: NodeAddr, i: u32, v: u32) -> NodeAddr {
         debug_assert!(i < self.n);

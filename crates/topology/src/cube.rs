@@ -30,21 +30,6 @@ pub struct CubeSpec {
 }
 
 impl CubeSpec {
-    /// Build from per-digit constraints, least significant digit first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.len() != n` or any fixed value is `>= k`.
-    pub fn new(g: &Geometry, spec: Vec<DigitSpec>) -> Self {
-        assert_eq!(spec.len() as u32, g.n(), "spec must have n digit entries");
-        for d in &spec {
-            if let DigitSpec::Fixed(v) = d {
-                assert!(*v < g.k(), "fixed digit {v} out of range");
-            }
-        }
-        CubeSpec { spec }
-    }
-
     /// Parse the paper's pattern notation, most significant digit first:
     /// `'*'` or `'X'`/`'x'` is a free digit, a decimal digit is fixed.
     /// Only radices up to 10 are supported by this notation.

@@ -32,11 +32,6 @@ impl FatTreeView {
         FatTreeView { g }
     }
 
-    /// The geometry.
-    pub fn geometry(&self) -> Geometry {
-        self.g
-    }
-
     /// Number of fat-tree vertices at `level`: `k^{n-1-level}`.
     pub fn vertices_at(&self, level: u32) -> u32 {
         assert!(level < self.g.n());

@@ -220,11 +220,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()

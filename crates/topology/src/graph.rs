@@ -225,14 +225,6 @@ impl NetworkKind {
     pub fn is_bidirectional(&self) -> bool {
         matches!(self, NetworkKind::Bmin)
     }
-
-    /// The unidirectional wiring, if this is not a BMIN.
-    pub fn wiring(&self) -> Option<crate::unidir::UnidirKind> {
-        match self {
-            NetworkKind::Unidir { wiring, .. } => Some(*wiring),
-            NetworkKind::Bmin => None,
-        }
-    }
 }
 
 /// Where the channels of one level and direction sit in the transmit
@@ -713,6 +705,17 @@ impl NetworkGraph {
                 ch.level == level && ch.dir == dir
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl NetworkKind {
+    /// The unidirectional wiring, if this is not a BMIN.
+    pub fn wiring(&self) -> Option<crate::unidir::UnidirKind> {
+        match self {
+            NetworkKind::Unidir { wiring, .. } => Some(*wiring),
+            NetworkKind::Bmin => None,
+        }
     }
 }
 

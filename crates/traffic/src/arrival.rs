@@ -19,7 +19,7 @@ impl PoissonArrivals {
     /// # Panics
     ///
     /// Panics if `mean_gap` is not finite and positive.
-    pub fn new(mean_gap: f64) -> Self {
+    fn new(mean_gap: f64) -> Self {
         assert!(
             mean_gap.is_finite() && mean_gap > 0.0,
             "mean interarrival must be positive and finite, got {mean_gap}"

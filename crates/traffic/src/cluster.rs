@@ -94,7 +94,10 @@ impl ClusterMap {
     pub fn cluster_of(&self, node: NodeId) -> u32 {
         self.cluster_of[node as usize]
     }
+}
 
+#[cfg(test)]
+impl ClusterMap {
     /// The cluster-32 partition (two binary cubes splitting on the most
     /// significant address bit); requires `k` to be a power of two.
     pub fn cluster32(g: &Geometry) -> Result<ClusterMap, String> {
@@ -108,10 +111,7 @@ impl ClusterMap {
         let hi = BitCube::new(g, top, top);
         ClusterMap::build(g, &Clustering::BitCubes(vec![lo, hi]))
     }
-}
 
-#[cfg(test)]
-impl ClusterMap {
     /// The paper's cluster-16 partition for the 64-node, k=4 system:
     /// `0XX, 1XX, 2XX, 3XX` (channel-balanced on the cube MIN,
     /// channel-reduced on the butterfly MIN).

@@ -40,19 +40,6 @@ pub struct WorkloadSpec {
     pub sizes: MessageSizeDist,
 }
 
-impl WorkloadSpec {
-    /// A global uniform workload with the paper's message sizes.
-    pub fn global_uniform(offered_load: f64) -> WorkloadSpec {
-        WorkloadSpec {
-            offered_load,
-            pattern: TrafficPattern::Uniform,
-            clustering: Clustering::Global,
-            rates: None,
-            sizes: MessageSizeDist::PAPER,
-        }
-    }
-}
-
 /// How destinations are drawn. A node with nobody to send to — alone in
 /// its cluster, or a fixed point of the permutation — is *silent*: its
 /// message rate is 0 and no destination may be asked of it.
@@ -181,11 +168,6 @@ impl WorkloadTemplate {
         })
     }
 
-    /// The geometry this template was compiled for.
-    pub fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
     /// Instantiate a [`Workload`] at the given offered load
     /// (flits/cycle/node, averaged over all nodes).
     ///
@@ -305,6 +287,14 @@ impl Workload {
 }
 
 #[cfg(test)]
+impl WorkloadTemplate {
+    /// The geometry this template was compiled for.
+    pub fn geometry(&self) -> Geometry {
+        self.geometry
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use minnet_topology::Perm;
@@ -318,13 +308,24 @@ mod tests {
         nodes.map(|node| w.message_rate(node)).sum::<f64>() * w.sizes.mean()
     }
 
+    /// A global uniform workload with the paper's message sizes.
+    fn global_uniform(offered_load: f64) -> WorkloadSpec {
+        WorkloadSpec {
+            offered_load,
+            pattern: TrafficPattern::Uniform,
+            clustering: Clustering::Global,
+            rates: None,
+            sizes: MessageSizeDist::PAPER,
+        }
+    }
+
     fn g64() -> Geometry {
         Geometry::new(4, 3)
     }
 
     #[test]
     fn global_uniform_rates() {
-        let w = Workload::compile(g64(), &WorkloadSpec::global_uniform(0.5)).unwrap();
+        let w = Workload::compile(g64(), &global_uniform(0.5)).unwrap();
         for node in 0..64 {
             assert!((w.message_rate(node) - 0.5 / 516.0).abs() < 1e-12);
         }
@@ -452,7 +453,7 @@ mod tests {
         // A fixed point of the permutation, inside a 64-node cluster.
         let shuffle = WorkloadSpec {
             pattern: TrafficPattern::Permutation(Perm::PerfectShuffle),
-            ..WorkloadSpec::global_uniform(0.3)
+            ..global_uniform(0.3)
         };
         let w = Workload::compile(g64(), &shuffle).unwrap();
         assert!(refuses(&w, 21) && !refuses(&w, 1));
@@ -462,7 +463,7 @@ mod tests {
             let alone = WorkloadSpec {
                 pattern,
                 clustering: Clustering::cubes_from_patterns(&g, &["0", "1"]).unwrap(),
-                ..WorkloadSpec::global_uniform(0.3)
+                ..global_uniform(0.3)
             };
             let w = Workload::compile(g, &alone).unwrap();
             assert_eq!((w.message_rate(0), w.message_rate(1)), (0.0, 0.0));
@@ -474,7 +475,7 @@ mod tests {
     fn template_instantiation_is_bit_identical_to_compile() {
         let g = g64();
         let specs = [
-            WorkloadSpec::global_uniform(0.123),
+            global_uniform(0.123),
             WorkloadSpec {
                 offered_load: 0.7,
                 pattern: TrafficPattern::HotSpot { extra: 0.05 },
@@ -517,7 +518,7 @@ mod tests {
 
     #[test]
     fn template_rejects_bad_load_late() {
-        let tpl = WorkloadTemplate::compile(g64(), &WorkloadSpec::global_uniform(0.5)).unwrap();
+        let tpl = WorkloadTemplate::compile(g64(), &global_uniform(0.5)).unwrap();
         assert!(tpl.workload_at(0.0).is_err());
         assert!(tpl.workload_at(f64::NAN).is_err());
         assert!(tpl.workload_at(0.4).is_ok());
@@ -527,10 +528,10 @@ mod tests {
     #[test]
     fn compile_errors() {
         let g = g64();
-        assert!(Workload::compile(g, &WorkloadSpec::global_uniform(0.0)).is_err());
+        assert!(Workload::compile(g, &global_uniform(0.0)).is_err());
         let bad_rates = WorkloadSpec {
             rates: Some(vec![1.0, 2.0]),
-            ..WorkloadSpec::global_uniform(0.1)
+            ..global_uniform(0.1)
         };
         assert!(matches!(
             Workload::compile(g, &bad_rates),
@@ -538,7 +539,7 @@ mod tests {
         ));
         let bad_perm = WorkloadSpec {
             pattern: TrafficPattern::Permutation(Perm::Butterfly(9)),
-            ..WorkloadSpec::global_uniform(0.1)
+            ..global_uniform(0.1)
         };
         assert!(Workload::compile(g, &bad_perm).is_err());
     }

@@ -10,3 +10,35 @@
 //! repository `README.md` for the tour.
 
 pub use minnet::*;
+
+/// What the integration tests share: the engine run once, and the
+/// workload most of them drive it with.
+pub mod support {
+    use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimError, SimReport, Traffic};
+    use minnet_topology::NetworkGraph;
+    use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, WorkloadSpec};
+    use std::sync::Arc;
+
+    /// One run of the engine's one entry, [`CompiledNet::run`], on a
+    /// private copy of `net` and a fresh state at `cfg.seed` — the shape
+    /// of the oracle's one-shot `reference::run_*` twins.
+    pub fn run_once(
+        net: &NetworkGraph,
+        cfg: &EngineConfig,
+        traffic: Traffic<'_>,
+    ) -> Result<SimReport, SimError> {
+        let compiled = CompiledNet::new(Arc::new(net.clone()), cfg.clone())?;
+        compiled.run(traffic, None, cfg.seed, &mut EngineState::new())
+    }
+
+    /// A global uniform workload with the paper's message sizes.
+    pub fn global_uniform(offered_load: f64) -> WorkloadSpec {
+        WorkloadSpec {
+            offered_load,
+            pattern: TrafficPattern::Uniform,
+            clustering: Clustering::Global,
+            rates: None,
+            sizes: MessageSizeDist::PAPER,
+        }
+    }
+}

@@ -1,22 +1,20 @@
 //! Property tests for the compile-once pipeline: random specs, loads,
 //! seeds and scripts must behave **bit-identically** through a compiled
 //! run on a reused state ([`CompiledExperiment::run`], [`CompiledNet::run`])
-//! and a one-shot run on a fresh one ([`Experiment::run`], the free
-//! functions) — and the precomputed routing table must answer exactly
+//! and a one-shot run on a fresh one ([`Experiment::run`], [`run_once`])
+//! — and the precomputed routing table must answer exactly
 //! like the closed-form [`RouteLogic`] along random routes.
 //!
 //! The vendored proptest shim draws each test's cases from a fixed seed,
 //! so failures reproduce without a persistence file.
 
 use minnet::{CompiledExperiment, Experiment, NetworkSpec};
+use minnet_repro::support::{global_uniform, run_once};
 use minnet_routing::{RouteLogic, RouteTable};
 use minnet_sim::reference::{self, Ablation};
-use minnet_sim::{
-    run_scripted, run_simulation, CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg,
-    SimError, Traffic,
-};
+use minnet_sim::{CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg, SimError, Traffic};
 use minnet_topology::{FaultPlan, Geometry};
-use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
+use minnet_traffic::{MessageSizeDist, Workload};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -71,9 +69,9 @@ proptest! {
     }
 
     // Random scripts: compiling the script once (validate + sort once)
-    // and replaying it through `CompiledNet::run`, on a fresh state and
-    // again on the same state, equals the per-call `run_scripted` wrapper
-    // bit for bit.
+    // and replaying it through one compiled network, on a fresh state and
+    // again on the same state, equals a one-shot run (`run_once`: a
+    // private network, a fresh state) bit for bit.
     #[test]
     fn compiled_script_equals_run_scripted(
         which in 0usize..4,
@@ -101,8 +99,8 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let wrapper = run_scripted(&net, &msgs, &cfg).unwrap();
         let script = Script::compile(g, &msgs).unwrap();
+        let wrapper = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
         let mut st = EngineState::new();
         for _ in 0..2 {
@@ -135,7 +133,7 @@ proptest! {
         let spec = lineup_spec(which);
         let net = Arc::new(spec.build(g));
         let load = f64::from(load_bp) / 5_000.0;
-        let mut wspec = WorkloadSpec::global_uniform(load);
+        let mut wspec = global_uniform(load);
         wspec.sizes = MessageSizeDist::Fixed(16);
         let wl = Workload::compile(g, &wspec).unwrap();
         let cfg = EngineConfig {
@@ -145,7 +143,7 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let fast = run_simulation(&net, &wl, &cfg).unwrap();
+        let fast = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
         let slow = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
@@ -186,7 +184,8 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let fast = run_scripted(&net, &msgs, &cfg).unwrap();
+        let script = Script::compile(g, &msgs).unwrap();
+        let fast = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
         let slow = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
@@ -253,7 +252,7 @@ proptest! {
         let spec = lineup_spec(which);
         let net = Arc::new(spec.build(g));
         let load = f64::from(load_pct) / 100.0;
-        let mut wspec = WorkloadSpec::global_uniform(load);
+        let mut wspec = global_uniform(load);
         wspec.sizes = MessageSizeDist::Fixed(16);
         let wl = Workload::compile(g, &wspec).unwrap();
         let cfg = EngineConfig {

@@ -181,7 +181,8 @@ fn scales_to_256_nodes() {
 #[test]
 fn analytic_path_lengths_match_simulated_latency() {
     use minnet::routing::shortest_path_length;
-    use minnet_sim::{run_scripted, EngineConfig, ScriptedMsg};
+    use minnet_repro::support::run_once;
+    use minnet_sim::{EngineConfig, Script, ScriptedMsg, Traffic};
     let g = Geometry::new(4, 3);
     let cfg = EngineConfig {
         warmup: 0,
@@ -192,8 +193,8 @@ fn analytic_path_lengths_match_simulated_latency() {
     for spec in NetworkSpec::paper_lineup() {
         let net = spec.build(g);
         for (s, d) in [(0u32, 63u32), (5, 6), (17, 40)] {
-            let r = run_scripted(&net, &[ScriptedMsg { time: 0, src: s, dst: d, len }], &cfg)
-                .unwrap();
+            let script = Script::compile(g, &[ScriptedMsg { time: 0, src: s, dst: d, len }]).unwrap();
+            let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
             let done = r.deliveries.unwrap()[0].done_time;
             let path = shortest_path_length(
                 &g,

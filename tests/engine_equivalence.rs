@@ -19,11 +19,12 @@
 //! path that leaks state across runs diverges here.
 
 use minnet::NetworkSpec;
+use minnet_repro::support::{global_uniform, run_once};
 use minnet_routing::RouteTable;
 use minnet_sim::reference::{self, Ablation};
 use minnet_sim::{
-    run_chained, run_scripted, run_simulation, Chain, ChainedMsg, CompiledNet, EngineConfig,
-    EngineState, Script, ScriptedMsg, SimReport, TraceEvent, Traffic,
+    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg, SimReport,
+    TraceEvent, Traffic,
 };
 use minnet_topology::{inter_stage_channels, Fault, FaultPlan, FaultTarget, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
@@ -65,14 +66,14 @@ fn poisson_reports_are_bit_identical() {
     let mut st = EngineState::new(); // one state across ALL runs below
     for spec in NetworkSpec::paper_lineup() {
         let net = Arc::new(spec.build(g));
-        let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.35)).unwrap();
+        let wl = Workload::compile(g, &global_uniform(0.35)).unwrap();
         for (vcs, buffer_depth) in lanes_and_depths(&spec) {
             let base = EngineConfig { vcs, buffer_depth, ..cfg_for(&spec, 0) };
             let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
             for seed in SEEDS {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
-                let opt = run_simulation(&net, &wl, &cfg).unwrap();
+                let opt = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
                 let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
@@ -126,7 +127,7 @@ fn scripted_reports_are_bit_identical() {
             for seed in SEEDS {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
-                let opt = run_scripted(&net, &script(g), &cfg).unwrap();
+                let opt = run_once(&net, &cfg, Traffic::Script(&once)).unwrap();
                 let refr = reference::run_scripted(&net, &script(g), &cfg, Ablation::PAPER).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run(Traffic::Script(&once), None, seed, &mut st).unwrap();
@@ -192,7 +193,7 @@ fn chained_reports_are_bit_identical() {
         let once = Chain::compile(g, &chain(g), 20).unwrap();
         for seed in SEEDS {
             let cfg = EngineConfig { seed, ..base.clone() };
-            let opt = run_chained(&net, &chain(g), 20, &cfg).unwrap();
+            let opt = run_once(&net, &cfg, Traffic::Chain(&once)).unwrap();
             let refr = reference::run_chained(&net, &chain(g), 20, &cfg, Ablation::PAPER).unwrap();
             assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
             let fast = compiled.run(Traffic::Chain(&once), None, seed, &mut st).unwrap();
@@ -228,11 +229,13 @@ fn build_order_transmit_is_bit_identical() {
             collect_trace: true,
             ..cfg_for(&spec, SEEDS[0])
         };
-        let opt = run_scripted(&net, &sparse_script(g), &cfg).unwrap();
+        let sparse = Script::compile(g, &sparse_script(g)).unwrap();
+        let opt = run_once(&net, &cfg, Traffic::Script(&sparse)).unwrap();
         let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, build_order).unwrap();
         assert_identical(&format!("cube wiring vcs {vcs} build-order, sparse"), &opt, &refr);
         let busy = reference::run_scripted(&net, &script(g), &cfg, build_order).unwrap();
-        let engine = run_scripted(&net, &script(g), &cfg).unwrap();
+        let contended = Script::compile(g, &script(g)).unwrap();
+        let engine = run_once(&net, &cfg, Traffic::Script(&contended)).unwrap();
         assert!(!busy.bitwise_eq(&engine), "vcs {vcs}: contended worms must feel the order");
     }
 }
@@ -246,10 +249,10 @@ fn crossbar_validated_run_is_bit_identical() {
     let g = Geometry::new(4, 3);
     let spec = NetworkSpec::Bmin;
     let net = spec.build(g);
-    let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.3)).unwrap();
+    let wl = Workload::compile(g, &global_uniform(0.3)).unwrap();
     let cfg = cfg_for(&spec, SEEDS[1]);
     assert_eq!(cfg.vcs, 1, "the audit runs at one lane a channel");
-    let opt = run_simulation(&net, &wl, &cfg).unwrap();
+    let opt = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
     let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
     assert_identical("BMIN crossbar-validated", &opt, &refr);
 }
@@ -331,7 +334,7 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     let g = Geometry::new(4, 3);
     let spec = NetworkSpec::dmin(2);
     let net = Arc::new(spec.build(g));
-    let wl = Workload::compile(g, &WorkloadSpec::global_uniform(0.3)).unwrap();
+    let wl = Workload::compile(g, &global_uniform(0.3)).unwrap();
     let mut poisson_cfg = cfg_for(&spec, SEEDS[0]);
     poisson_cfg.collect_trace = true;
     let mut det_cfg = poisson_cfg.clone();
@@ -344,9 +347,9 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     let once_chain = Chain::compile(g, &chain(g), 20).unwrap();
 
     // Fresh-state baselines.
-    let want_p = run_simulation(&net, &wl, &poisson_cfg).unwrap();
-    let want_s = run_scripted(&net, &script(g), &det_cfg).unwrap();
-    let want_c = run_chained(&net, &chain(g), 20, &det_cfg).unwrap();
+    let want_p = run_once(&net, &poisson_cfg, Traffic::Poisson(&wl)).unwrap();
+    let want_s = run_once(&net, &det_cfg, Traffic::Script(&once_script)).unwrap();
+    let want_c = run_once(&net, &det_cfg, Traffic::Chain(&once_chain)).unwrap();
 
     // The same state cycles through all modes, twice.
     let mut st = EngineState::new();
@@ -432,7 +435,7 @@ fn short_message_poisson_is_bit_identical() {
                 ..cfg_for(&spec, SEEDS[1])
             };
             let sizes = MessageSizeDist::UniformRange { min: 1, max: u32::from(buffer_depth) + 1 };
-            let wl = WorkloadSpec { sizes, ..WorkloadSpec::global_uniform(0.3) };
+            let wl = WorkloadSpec { sizes, ..global_uniform(0.3) };
             let wl = Workload::compile(g, &wl).unwrap();
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
             let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
@@ -566,12 +569,12 @@ fn fast_forward_reports_are_bit_identical() {
 
         // Poisson: near-idle and moderate.
         for load in [0.002, 0.3] {
-            let wl = Workload::compile(g, &WorkloadSpec::global_uniform(load)).unwrap();
+            let wl = Workload::compile(g, &global_uniform(load)).unwrap();
             for seed in SEEDS {
                 let mut cfg = cfg_for(&spec, seed);
                 cfg.warmup = 300;
                 cfg.measure = 2_500;
-                let fast = run_simulation(&net, &wl, &cfg).unwrap();
+                let fast = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
                 let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
                 let what = format!("{} poisson load {load} seed {seed:#x}", spec.name());
                 assert_identical(&what, &fast, &refr);
@@ -588,7 +591,8 @@ fn fast_forward_reports_are_bit_identical() {
             cfg.warmup = 0;
             cfg.measure = 1_000_000;
             cfg.collect_trace = true;
-            let fast = run_scripted(&net, &msgs, &cfg).unwrap();
+            let script = Script::compile(g, &msgs).unwrap();
+            let fast = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
             let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
             let what = format!("{} scripted x{}", spec.name(), msgs.len());
             assert_identical(&what, &fast, &refr);
@@ -602,7 +606,8 @@ fn fast_forward_reports_are_bit_identical() {
             cfg.warmup = 0;
             cfg.measure = 1_000_000;
             cfg.collect_trace = true;
-            let fast = run_chained(&net, &chain(g), overhead, &cfg).unwrap();
+            let chained = Chain::compile(g, &chain(g), overhead).unwrap();
+            let fast = run_once(&net, &cfg, Traffic::Chain(&chained)).unwrap();
             let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, Ablation::PAPER).unwrap();
             let what = format!("{} chained overhead {overhead}", spec.name());
             assert_identical(&what, &fast, &refr);
@@ -630,7 +635,8 @@ fn early_drain_normalizes_by_elapsed_cycles() {
         seed: 7,
         ..EngineConfig::default()
     };
-    let r = run_scripted(&net, &msgs, &cfg).unwrap();
+    let script = Script::compile(g, &msgs).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
     assert_eq!(r.delivered_packets, 3);
     assert!(
         r.cycles < 200,
@@ -653,7 +659,7 @@ fn early_drain_normalizes_by_elapsed_cycles() {
     // its flits land inside the window.
     cfg.warmup = 3; // messages at t=0 and t=2 are warmup traffic
     cfg.measure = 1_000_000;
-    let r = run_scripted(&net, &msgs, &cfg).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
     assert_eq!(r.delivered_packets, 1, "only the t=4 message is measured");
     let expect = 10.0 / (64.0 * r.measured_cycles as f64);
     assert!(

@@ -226,7 +226,7 @@ impl Iterator for SetBits<'_> {
 
 /// A fixed-capacity bitset over dense `u32` indices with ascending
 /// iteration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DenseBitSet {
     words: Vec<u64>,
 }

@@ -34,7 +34,7 @@ pub(crate) struct CompiledEpoch {
     /// First cycle of the epoch.
     pub(crate) start: u64,
     /// The lanes failed this epoch, as the mask words the engine's
-    /// `k_dead` is loaded from at the epoch's edge: bit `pl % 64` of word
+    /// `lanes.dead` is loaded from at the epoch's edge: bit `pl % 64` of word
     /// `pl / 64` for the lane at plane `pl`.
     pub(crate) dead_planes: Vec<u64>,
     /// Whether any lane is dead this epoch (fast-path gate).

@@ -12,15 +12,17 @@
 //! 100-message criterion).
 //!
 //! See [`engine`] for the precise cycle semantics (including the
-//! occupancy-scaled scheduling and the determinism contract); [`stats`]
-//! for the measurement machinery. The `reference-engine` feature exposes
-//! `reference`, the frozen scan-everything implementation used as a
-//! differential-testing oracle; the checks the engine does not carry —
-//! the switch ablations (build-order transmission, round-robin lane
-//! choice, winner-holds VC multiplexing), cycle-by-cycle stepping
-//! through quiescent stretches, the Fig. 2 crossbar audit — live only
-//! there, and so does the paper's §5 switch model they run on (flit
-//! FIFOs, arbiters, VC multiplexers, the crossbar).
+//! occupancy-scaled scheduling and the determinism contract) — its code
+//! is one private module a cycle phase, each owning the part of the run
+//! state it mutates; [`stats`] for the measurement machinery. The
+//! `reference-engine` feature exposes `reference`, the frozen
+//! scan-everything implementation used as a differential-testing
+//! oracle; the checks the engine does not carry — the switch ablations
+//! (build-order transmission, round-robin lane choice, winner-holds VC
+//! multiplexing), cycle-by-cycle stepping through quiescent stretches,
+//! the Fig. 2 crossbar audit — live only there, and so does the paper's
+//! §5 switch model they run on (flit FIFOs, arbiters, VC multiplexers,
+//! the crossbar).
 //!
 //! A run has one entry, [`CompiledNet::run`]: a compiled network
 //! (immutable graph + routing table + ejection mask) runs a [`Traffic`]

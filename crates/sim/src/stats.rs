@@ -184,6 +184,13 @@ pub struct BatchMeans {
     in_current: u64,
 }
 
+impl Default for BatchMeans {
+    /// The smallest accumulator, two batches of one sample each.
+    fn default() -> Self {
+        BatchMeans::new(2, 1)
+    }
+}
+
 impl BatchMeans {
     /// `nbatches` batches of `per_batch` samples each; further samples fold
     /// into the last batch.

@@ -14,8 +14,8 @@
 //!    hanging.
 
 use minnet_sim::{
-    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, ScriptedMsg, SimError, Traffic,
-    engine::Script,
+    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, RunBudget, ScriptedMsg, SimError,
+    Traffic, engine::Script,
 };
 use minnet_topology::{
     build_bmin, build_unidir, Fault, FaultPlan, FaultTarget, Geometry, NetworkGraph, UnidirKind,
@@ -321,6 +321,88 @@ fn watchdog_fires_with_diagnostic_on_wedged_network() {
         }
         other => panic!("expected a watchdog trip, got {other:?}"),
     }
+}
+
+/// A state an early exit left behind runs the next job as a fresh one
+/// would. A campaign worker reuses its state after a budget cut, a
+/// watchdog trip or a faulted run (a retry, or its next task), so each
+/// exit is followed by a healthy Poisson run on the same state — at one
+/// lane and at two — which must equal the same run on a fresh state.
+#[test]
+fn state_reused_after_an_early_exit_runs_bit_identically() {
+    let g = Geometry::new(4, 2);
+    let dst = g.nodes() - 1;
+    let healthy = |vcs: u8, st: &mut EngineState| {
+        let cfg = EngineConfig { vcs, warmup: 200, measure: 2_000, ..EngineConfig::default() };
+        let report = compiled(NetChoice::Tmin, g, cfg)
+            .run(Traffic::Poisson(&uniform_workload(g, 0.3)), None, 11, st)
+            .unwrap();
+        assert!(report.delivered_packets > 0);
+        report
+    };
+    let fresh = [healthy(1, &mut EngineState::new()), healthy(2, &mut EngineState::new())];
+
+    // A Poisson run cut by its cycle budget mid-flight.
+    let budget = RunBudget { max_cycles: 1_500, ..RunBudget::default() };
+    let cut_cfg = EngineConfig { measure: 50_000, budget, ..EngineConfig::default() };
+    let cut = compiled(NetChoice::Tmin, g, cut_cfg);
+    let budget_cut = |st: &mut EngineState| {
+        match cut.run(Traffic::Poisson(&uniform_workload(g, 0.5)), None, 3, st) {
+            Err(SimError::BudgetExceeded(partial)) => assert_eq!(partial.spent_cycles, 1_500),
+            other => panic!("expected a budget cut, got {:?}", other.map(drop)),
+        }
+    };
+    // The wedge of `watchdog_fires_with_diagnostic_on_wedged_network`.
+    let wedge_cfg = EngineConfig {
+        warmup: 0,
+        measure: 1_000_000,
+        collect_trace: true,
+        fault_abort: false,
+        watchdog_window: 500,
+        ..EngineConfig::default()
+    };
+    let wedge = compiled(NetChoice::Tmin, g, wedge_cfg);
+    let long = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len: 3_000 }]).unwrap();
+    let clean = wedge.run(Traffic::Script(&long), None, 7, &mut EngineState::new()).unwrap();
+    let path = clean.trace.as_ref().unwrap().channel_path(0);
+    let victim = FaultTarget::Channel(path[path.len() / 2]);
+    let stuck = FaultPlan::new().with(Fault::transient(victim, 100, u64::MAX));
+    let stuck = wedge.compile_faults(&stuck).unwrap();
+    let watchdog_trip = |st: &mut EngineState| {
+        match wedge.run(Traffic::Script(&long), Some(&stuck), 7, st) {
+            Err(SimError::NoProgress(_)) => {}
+            other => panic!("expected a watchdog trip, got {:?}", other.map(drop)),
+        }
+    };
+    // The outage of `transient_fault_aborts_refuses_then_recovers`.
+    let outage_cfg = EngineConfig { warmup: 0, measure: 50_000, ..EngineConfig::default() };
+    let outage = compiled(NetChoice::Tmin, g, outage_cfg);
+    let script = Script::compile(
+        g,
+        &[
+            ScriptedMsg { time: 0, src: 0, dst, len: 3_000 },
+            ScriptedMsg { time: 2_000, src: 0, dst, len: 8 },
+            ScriptedMsg { time: 10_000, src: 0, dst, len: 8 },
+        ],
+    )
+    .unwrap();
+    let transient = FaultPlan::new().with(Fault::transient(victim, 1_000, 5_000));
+    let transient = outage.compile_faults(&transient).unwrap();
+    let fault_epoch = |st: &mut EngineState| {
+        let report = outage.run(Traffic::Script(&script), Some(&transient), 7, st).unwrap();
+        assert_eq!((report.aborted_packets, report.undeliverable_packets), (1, 1));
+    };
+
+    let mut st = EngineState::new();
+    let mut after = |what: &str, exit: &dyn Fn(&mut EngineState)| {
+        for (vcs, want) in [1, 2].into_iter().zip(&fresh) {
+            exit(&mut st);
+            assert!(healthy(vcs, &mut st).bitwise_eq(want), "vcs {vcs} after {what}");
+        }
+    };
+    after("a budget cut", &budget_cut);
+    after("a watchdog trip", &watchdog_trip);
+    after("a fault epoch", &fault_epoch);
 }
 
 /// The watchdog never fires on a healthy (faultless) network, even with

@@ -51,7 +51,7 @@ use crate::jsonl::{self, esc, Obj};
 use crate::spec;
 use minnet_sim::SimError;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -588,6 +588,14 @@ impl Response {
 
 // ---- client ----------------------------------------------------------
 
+/// Longest reply line a [`ServiceClient`] reads, newline included. The
+/// longest legitimate reply is a job result: one point of under 1 KB a
+/// load, and a request within the daemon's 1 MiB line names at most
+/// ≈ 48 000 loads (as 19-digit bit patterns, which every load above
+/// 1e-241 takes), so any result fits in ≈ 50 MB. A longer line is a
+/// broken or hostile peer, refused before it can grow the buffer further.
+const MAX_REPLY_BYTES: u64 = 64 << 20;
+
 /// A blocking client for the `minnetd` wire protocol — what the
 /// `minnet submit|status|result|drain` subcommands, the benchmark, and
 /// the integration tests use.
@@ -649,18 +657,25 @@ impl ServiceClient {
         Ok(BufReader::new(stream))
     }
 
-    /// One line out, one line back.
+    /// One line out, one line back, of at most [`MAX_REPLY_BYTES`].
     fn exchange(&self, conn: &mut BufReader<TcpStream>, line: &str) -> Result<String, String> {
         conn.get_mut()
             .write_all(line.as_bytes())
             .map_err(|e| format!("sending to {}: {e}", self.addr))?;
-        let mut reply = String::new();
-        conn.read_line(&mut reply)
+        // One byte past the cap tells a reply that fits from one that
+        // does not; `take` keeps the buffer from growing beyond that.
+        let mut reply = Vec::new();
+        conn.by_ref()
+            .take(MAX_REPLY_BYTES + 1)
+            .read_until(b'\n', &mut reply)
             .map_err(|e| format!("reading from {}: {e}", self.addr))?;
         if reply.is_empty() {
             return Err(format!("daemon at {} closed the connection", self.addr));
         }
-        Ok(reply)
+        if reply.len() as u64 > MAX_REPLY_BYTES {
+            return Err(format!("reply from {} exceeds {MAX_REPLY_BYTES} bytes", self.addr));
+        }
+        String::from_utf8(reply).map_err(|_| format!("reply from {} is not UTF-8", self.addr))
     }
 
     /// Send one request and parse the response line.
@@ -1126,6 +1141,29 @@ mod tests {
         // The failed fresh connection carried its request exactly once
         // and was given up, not kept.
         assert_eq!(daemon.join().unwrap(), [1, 1, 1]);
+    }
+
+    #[test]
+    fn a_reply_longer_than_the_cap_is_refused() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Read the request, then answer with twice the cap and no newline.
+        let flood = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = BufReader::new(stream);
+            conn.read_line(&mut String::new()).unwrap();
+            let block = vec![b'x'; 1 << 20];
+            for _ in 0..2 * MAX_REPLY_BYTES / block.len() as u64 {
+                // The client hangs up at the cap: the rest cannot be sent.
+                if conn.get_mut().write_all(&block).is_err() {
+                    break;
+                }
+            }
+        });
+        let client = ServiceClient::new(addr.to_string()).with_timeout(Duration::from_secs(30));
+        let err = client.ping().unwrap_err();
+        assert!(err.contains(&format!("exceeds {MAX_REPLY_BYTES} bytes")), "{err}");
+        flood.join().unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Dense index sets, lane-buffer occupancy counters and the source-queue
-//! slab for the engine's occupancy-scaled hot loop.
+//! Dense index sets, lane-buffer occupancy counters and the source queues
+//! (fixed chunks of 16-byte records) for the engine's occupancy-scaled
+//! hot loop.
 //!
 //! The engine keeps three active sets so its per-cycle cost tracks
 //! *occupancy* (in-flight worms, nonempty sources, claimed channels)
@@ -103,67 +104,106 @@ impl LaneBufs {
 }
 
 /// A message waiting in its source's FCFS queue: destination, length in
-/// flits, generation cycle, script/chain index (`u32::MAX` for Poisson).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// flits, generation cycle. A script or chain message's index travels
+/// beside it as its tag (see [`MsgQueues::push_back`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub(crate) struct QueuedMsg {
     pub dst: u32,
     pub len: u32,
     pub gen_time: u64,
-    pub tag: u32,
+}
+
+/// Messages a [`MsgQueues`] chunk holds.
+const CHUNK: usize = 256;
+
+/// One fixed block of queue slots: slot `c · CHUNK + i` is `msgs[i]` of
+/// chunk `c`, and `next[i]` its link — to the next message of its queue,
+/// or along the free list.
+#[derive(Debug)]
+struct Chunk {
+    msgs: [QueuedMsg; CHUNK],
+    next: [u32; CHUNK],
 }
 
 /// Every node's FCFS message queue, as linked lists threaded through
-/// **one** slab: `head` / `tail` / `len` are per-node arrays, `msgs` and
-/// `next` the slab, and freed slots chain through `next` from `free`. No
+/// slots in fixed chunks: `head` / `tail` / `len` are per-node arrays,
+/// and freed slots chain from `free` through the chunks' own links. No
 /// per-node heap allocation exists, so the footprint is 12 bytes a node
-/// plus 28 per message ever queued at once.
-#[derive(Clone, Debug, Default)]
+/// plus 20 per message ever queued at once (a 16-byte record and its
+/// link), rounded up to whole chunks. A chunk never moves once
+/// allocated: a saturated run's queues grow by one more chunk, never by
+/// copying the ones it has. Tags live in a side array that grows only
+/// under tagged pushes (an untagged one clears a slot a tagged one
+/// wrote since the reset), so a Poisson run allocates none.
+#[derive(Debug, Default)]
 pub(crate) struct MsgQueues {
     head: Vec<u32>,
     tail: Vec<u32>,
     len: Vec<u32>,
-    msgs: Vec<QueuedMsg>,
-    next: Vec<u32>,
+    chunks: Vec<Box<Chunk>>,
+    /// Slots handed out since the reset; those below it and in no queue
+    /// are on the free list.
+    used: u32,
     free: u32,
+    /// Tag by slot, as far as a tagged push has written; a slot past its
+    /// end is untagged.
+    tags: Vec<u32>,
 }
 
 const NIL: u32 = u32::MAX;
 
 impl MsgQueues {
-    /// Empty every queue and re-dimension for `nodes` nodes.
+    /// Empty every queue and re-dimension for `nodes` nodes. The chunk
+    /// count follows [`trim`]'s rule: chunks beyond what `nodes` messages
+    /// need are given back when that is under a quarter of them.
     pub fn reset(&mut self, nodes: usize) {
         refill(&mut self.head, nodes, NIL);
         refill(&mut self.tail, nodes, NIL);
         refill(&mut self.len, nodes, 0);
-        trim(&mut self.msgs, nodes);
-        trim(&mut self.next, nodes);
-        self.free = NIL;
+        let want = nodes.div_ceil(CHUNK);
+        if want < self.chunks.len() / 4 {
+            self.chunks.truncate(want);
+            self.chunks.shrink_to(want);
+        }
+        trim(&mut self.tags, nodes);
+        (self.used, self.free) = (0, NIL);
     }
 
     /// Heap bytes held (capacities × element size).
     pub fn approx_bytes(&self) -> usize {
-        (self.head.capacity() + self.tail.capacity() + self.len.capacity()) * 4
-            + self.msgs.capacity() * std::mem::size_of::<QueuedMsg>()
-            + self.next.capacity() * 4
+        (self.head.capacity() + self.tail.capacity() + self.len.capacity() + self.tags.capacity())
+            * 4
+            + self.chunks.len() * std::mem::size_of::<Chunk>()
+            + self.chunks.capacity() * std::mem::size_of::<Box<Chunk>>()
     }
 
-    /// Append `msg` to `node`'s queue; returns the queue's new length.
-    pub fn push_back(&mut self, node: u32, msg: QueuedMsg) -> usize {
-        let slot = if self.free == NIL {
-            self.msgs.push(msg);
-            self.next.push(NIL);
-            (self.msgs.len() - 1) as u32
-        } else {
+    /// Append `msg` to `node`'s queue under `tag` (`u32::MAX`: none);
+    /// returns the queue's new length.
+    pub fn push_back(&mut self, node: u32, msg: QueuedMsg, tag: u32) -> usize {
+        let slot = if self.free != NIL {
             let s = self.free;
-            self.free = std::mem::replace(&mut self.next[s as usize], NIL);
-            self.msgs[s as usize] = msg;
+            self.free = std::mem::replace(self.link(s), NIL);
             s
+        } else {
+            if self.used as usize == self.chunks.len() * CHUNK {
+                let fresh = Chunk { msgs: [QueuedMsg::default(); CHUNK], next: [NIL; CHUNK] };
+                self.chunks.push(Box::new(fresh));
+            }
+            self.used += 1;
+            self.used - 1
         };
+        self.chunks[slot as usize / CHUNK].msgs[slot as usize % CHUNK] = msg;
+        if tag != NIL || (slot as usize) < self.tags.len() {
+            if slot as usize >= self.tags.len() {
+                self.tags.resize(slot as usize + 1, NIL);
+            }
+            self.tags[slot as usize] = tag;
+        }
         let n = node as usize;
         if self.len[n] == 0 {
             self.head[n] = slot;
         } else {
-            self.next[self.tail[n] as usize] = slot;
+            *self.link(self.tail[n]) = slot;
         }
         self.tail[n] = slot;
         self.len[n] += 1;
@@ -172,21 +212,31 @@ impl MsgQueues {
 
     /// The oldest message queued at `node`, if any.
     #[inline]
-    pub fn front(&self, node: u32) -> Option<&QueuedMsg> {
-        (self.len[node as usize] != 0).then(|| &self.msgs[self.head[node as usize] as usize])
+    pub fn front(&self, node: u32) -> Option<QueuedMsg> {
+        let slot = self.head[node as usize] as usize;
+        (self.len[node as usize] != 0).then(|| self.chunks[slot / CHUNK].msgs[slot % CHUNK])
     }
 
-    /// Remove and return the oldest message queued at `node`.
-    pub fn pop_front(&mut self, node: u32) -> Option<QueuedMsg> {
+    /// Remove and return the oldest message queued at `node`, with its
+    /// tag.
+    pub fn pop_front(&mut self, node: u32) -> Option<(QueuedMsg, u32)> {
         let n = node as usize;
         if self.len[n] == 0 {
             return None;
         }
-        let slot = self.head[n] as usize;
-        self.head[n] = std::mem::replace(&mut self.next[slot], self.free);
-        self.free = slot as u32;
+        let slot = self.head[n];
+        let free = self.free;
+        self.head[n] = std::mem::replace(self.link(slot), free);
+        self.free = slot;
         self.len[n] -= 1;
-        Some(self.msgs[slot])
+        let msg = self.chunks[slot as usize / CHUNK].msgs[slot as usize % CHUNK];
+        Some((msg, self.tags.get(slot as usize).copied().unwrap_or(NIL)))
+    }
+
+    /// Slot `s`'s link.
+    #[inline]
+    fn link(&mut self, s: u32) -> &mut u32 {
+        &mut self.chunks[s as usize / CHUNK].next[s as usize % CHUNK]
     }
 }
 
@@ -382,41 +432,42 @@ mod tests {
         assert!(v.capacity() < 500 && v == vec![7; 249]);
     }
 
-    fn msg(tag: u32) -> QueuedMsg {
-        QueuedMsg {
-            dst: tag % 7,
-            len: 1 + tag % 5,
-            gen_time: u64::from(tag) * 3,
-            tag,
-        }
+    fn msg(i: u32) -> QueuedMsg {
+        QueuedMsg { dst: i % 7, len: 1 + i % 5, gen_time: u64::from(i) * 3 }
     }
 
-    // The slab is a `Vec<VecDeque<_>>` in disguise: enqueue, dequeue and
-    // the front-peek-then-pop of undeliverable refusal, interleaved across
-    // nodes (with resets between runs), order and contents.
+    // The queues are a `Vec<VecDeque<_>>` in disguise: enqueue, dequeue
+    // and the front-peek-then-pop of undeliverable refusal, interleaved
+    // across nodes (with resets between runs), order, contents and tags.
+    // Every case first fills past one chunk, so links, frees and tags
+    // cross chunk boundaries; tagged and untagged pushes share slots, so
+    // a tag a freed slot kept would surface on an untagged message.
     proptest::proptest! {
         #[test]
         fn msg_queues_equal_a_vecdeque_model(
             nodes in 1usize..6,
-            ops in proptest::collection::vec((0u8..8, 0u32..6), 0..400),
+            fill in 257usize..600,
+            ops in proptest::collection::vec((0u8..16, 0u32..6, proptest::bool::ANY), 0..1200),
         ) {
             use std::collections::VecDeque;
             let mut q = MsgQueues::default();
             q.reset(nodes);
             let mut model = vec![VecDeque::new(); nodes];
-            let mut high_water = 0;
-            for (tag, (op, node)) in ops.into_iter().enumerate() {
+            let (mut high_water, mut crossed) = (0, false);
+            let fill_ops = (0..fill).map(|i| (0, i as u32, i % 3 == 0));
+            for (i, (op, node, tagged)) in fill_ops.chain(ops).enumerate() {
                 let node = node % nodes as u32;
                 let m = &mut model[node as usize];
+                let tag = if tagged { i as u32 } else { NIL };
                 match op {
-                    0..=3 => {
-                        m.push_back(msg(tag as u32));
-                        proptest::prop_assert_eq!(q.push_back(node, msg(tag as u32)), m.len());
+                    0..=8 => {
+                        m.push_back((msg(i as u32), tag));
+                        proptest::prop_assert_eq!(q.push_back(node, msg(i as u32), tag), m.len());
                     }
-                    4 | 5 => proptest::prop_assert_eq!(q.pop_front(node), m.pop_front()),
-                    6 => {
+                    9..=12 => proptest::prop_assert_eq!(q.pop_front(node), m.pop_front()),
+                    13 | 14 => {
                         // Refusal: drop queue heads until one is "deliverable".
-                        while q.front(node).is_some_and(|f| f.tag % 2 == 1) {
+                        while q.front(node).is_some_and(|f| f.dst % 2 == 1) {
                             proptest::prop_assert_eq!(q.pop_front(node), m.pop_front());
                         }
                     }
@@ -427,12 +478,15 @@ mod tests {
                     }
                 }
                 for (n, m) in model.iter().enumerate() {
-                    proptest::prop_assert_eq!(q.front(n as u32), m.front());
+                    proptest::prop_assert_eq!(q.front(n as u32), m.front().map(|&(f, _)| f));
                 }
                 high_water = high_water.max(model.iter().map(VecDeque::len).sum());
-                proptest::prop_assert_eq!(q.msgs.len(), high_water, "freed slots are reused first");
+                crossed |= high_water > CHUNK;
+                proptest::prop_assert_eq!(q.used as usize, high_water, "freed slots are reused first");
+                proptest::prop_assert!(q.chunks.len() >= high_water.div_ceil(CHUNK));
             }
-            // Drain: FCFS order survives slot recycling.
+            proptest::prop_assert!(crossed, "the live count crossed a chunk boundary");
+            // Drain: FCFS order and tags survive slot recycling.
             for (n, m) in model.iter_mut().enumerate() {
                 while let Some(want) = m.pop_front() {
                     proptest::prop_assert_eq!(q.pop_front(n as u32), Some(want));
@@ -440,6 +494,26 @@ mod tests {
                 proptest::prop_assert_eq!(q.pop_front(n as u32), None);
             }
         }
+    }
+
+    #[test]
+    fn msg_queues_reset_keeps_chunks_by_the_quarter_rule() {
+        let mut q = MsgQueues::default();
+        q.reset(4);
+        for i in 0..8 * CHUNK as u32 {
+            q.push_back(i % 4, msg(i), i);
+        }
+        assert_eq!(q.chunks.len(), 8);
+        let at = |q: &MsgQueues| &*q.chunks[1] as *const Chunk;
+        let second = at(&q);
+        q.reset(300);
+        assert_eq!(q.chunks.len(), 8, "two chunks wanted: not under a quarter of eight");
+        assert_eq!(at(&q), second, "kept chunks do not move");
+        assert_eq!((q.pop_front(0), q.tags.len()), (None, 0), "reset empties queues and tags");
+        q.push_back(0, msg(1), NIL);
+        assert_eq!(q.pop_front(0), Some((msg(1), NIL)), "a recycled slot is untagged");
+        q.reset(4);
+        assert_eq!(q.chunks.len(), 1, "one chunk wanted: under a quarter of eight");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Engine<'_> {
         }
         let (src, meas) = (&mut self.st.src, &mut self.st.meas);
         loop {
-            let Some(&msg) = src.queues.front(node) else {
+            let Some(msg) = src.queues.front(node) else {
                 src.injectable.clear(node);
                 return false;
             };
@@ -124,13 +124,13 @@ impl Engine<'_> {
             if ep.routes.route(inj, msg.dst).len() > 0 {
                 return true;
             }
-            src.queues.pop_front(node);
+            let tag = src.queues.pop_front(node).map_or(NONE, |(_, tag)| tag);
             src.queued -= 1;
             if msg.gen_time >= self.cfg.warmup {
                 meas.undeliverable_pkts += 1;
             }
             if let Some(tr) = &mut meas.trace {
-                tr.events.push(TraceEvent::Refused { tag: msg.tag, time: self.st.now });
+                tr.events.push(TraceEvent::Refused { tag, time: self.st.now });
             }
         }
     }
@@ -146,12 +146,12 @@ impl Engine<'_> {
             return Ok(());
         };
         let src = &mut self.st.src;
-        let Some(msg) = src.queues.pop_front(node) else {
+        let Some((msg, tag)) = src.queues.pop_front(node) else {
             return Err(SimError::Internal { what: "inject request without a queued message" });
         };
         src.queued -= 1;
         src.injectable.clear(node);
-        let (dst, gen_time, tag) = (msg.dst, msg.gen_time, msg.tag);
+        let (dst, gen_time) = (msg.dst, msg.gen_time);
         let measured = gen_time >= self.cfg.warmup;
         let meta = PktMeta { src: node, dst, gen_time, measured, tag };
         let slot = self.st.pkts.alloc(lane, msg.len, meta);

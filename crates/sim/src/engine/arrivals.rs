@@ -88,12 +88,12 @@ fn poisson_gap(rng: &mut SmallRng, rate: f64) -> f64 {
 }
 
 impl Engine<'_> {
-    /// Arrivals-phase enqueue of one message at `node`, the same for all
-    /// three traffic kinds.
-    fn enqueue(&mut self, node: u32, msg: QueuedMsg, measuring: bool) {
+    /// Arrivals-phase enqueue of one message at `node` under `tag`, the
+    /// same for all three traffic kinds.
+    fn enqueue(&mut self, node: u32, msg: QueuedMsg, tag: u32, measuring: bool) {
         let (src, meas, now) = (&mut self.st.src, &mut self.st.meas, self.st.now);
-        let QueuedMsg { dst, len, tag, .. } = msg;
-        let queued = src.queues.push_back(node, msg);
+        let QueuedMsg { dst, len, .. } = msg;
+        let queued = src.queues.push_back(node, msg, tag);
         if let Some(tr) = &mut meas.trace {
             tr.events.push(TraceEvent::Queued { tag, time: now, src: node, dst, len });
         }
@@ -127,8 +127,8 @@ impl Engine<'_> {
                     while self.st.src.next_arrival[node as usize] <= now_f {
                         let dst = wl.draw_destination(node, &mut self.st.rng);
                         let len = wl.draw_length(&mut self.st.rng);
-                        let msg = QueuedMsg { dst, len, gen_time: now, tag: NONE };
-                        self.enqueue(node, msg, measuring);
+                        let msg = QueuedMsg { dst, len, gen_time: now };
+                        self.enqueue(node, msg, NONE, measuring);
                         let gap = poisson_gap(&mut self.st.rng, wl.message_rate(node));
                         self.st.src.next_arrival[node as usize] += gap;
                     }
@@ -140,8 +140,8 @@ impl Engine<'_> {
                 while let Some(&m) = s.msgs.get(self.st.src.cursor).filter(|m| m.time <= now) {
                     let tag = self.st.src.cursor as u32;
                     self.st.src.cursor += 1;
-                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: m.time, tag };
-                    self.enqueue(m.src, msg, measuring);
+                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: m.time };
+                    self.enqueue(m.src, msg, tag, measuring);
                 }
             }
             Traffic::Chain(c) => {
@@ -154,8 +154,8 @@ impl Engine<'_> {
                     }
                     self.st.src.releases.pop();
                     let m = c.msgs[i as usize];
-                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: t, tag: i };
-                    self.enqueue(m.src, msg, measuring);
+                    let msg = QueuedMsg { dst: m.dst, len: m.len, gen_time: t };
+                    self.enqueue(m.src, msg, i, measuring);
                 }
             }
         }

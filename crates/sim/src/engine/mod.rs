@@ -129,8 +129,9 @@
 //! | the four plane masks | ½ | plane | `owned` / `has_input` / `full` / `dead` bits |
 //! | `src.injecting` | 4 | node | packet drawing from the source, else `NONE` |
 //! | `src.next_arrival` | 8 | node | next Poisson arrival time |
-//! | `src.queues` head, tail, len | 12 | node | FCFS list ends in the one message slab |
-//! | `src.queues` slab | 28 | queued message | `active::MsgQueues`; freed slots are reused first |
+//! | `src.queues` head, tail, len | 12 | node | FCFS list ends in the queue chunks |
+//! | `src.queues` chunks | 20 | queued message | `active::MsgQueues`: a 16-byte record and its link, in 256-slot chunks that never move; freed slots are reused first |
+//! | `src.queues` tags | 4 | queued message | script / chain index; only a tagged push writes it |
 //! | `pkts.*`, `PktMeta` | 64 | packet slot | hot fields the sweeps touch, cold meta apart |
 //!
 //! A packet's slot index is stable for its lifetime and freed slots are

@@ -72,8 +72,8 @@ impl EngineState {
         EngineState { lanes, pkts, src, meas, scratch, rng: SmallRng::seed_from_u64(0), now: 0, end: 0 }
     }
 
-    /// Approximate footprint in bytes — capacities × element size, message
-    /// slab included, the convention of `NetworkGraph::approx_bytes`. (The
+    /// Approximate footprint in bytes — capacities × element size, queue
+    /// chunks included, the convention of `NetworkGraph::approx_bytes`. (The
     /// fixed-size statistics accumulators, ≈ 9 KB, are not counted.)
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn footprint_lane_and_node_arrays_are_on_budget() {
-        assert_eq!(size_of::<QueuedMsg>(), 24);
+        assert_eq!(size_of::<QueuedMsg>(), 16);
         assert_eq!(size_of::<PktMeta>(), 24);
         assert_eq!(size_of::<PortSpan>(), 12);
         assert_eq!(size_of::<Req>(), 8);

@@ -4,15 +4,20 @@
 //! is **14 bytes a lane** at any `buffer_depth` (owner 4 + packed
 //! upstream 4 + downstream 4 + buffer occupancy 2 — a buffer is a
 //! counter, no flit is stored) and **under 32 bytes a node** (injector
-//! 4 + next arrival 8 + queue head / tail / length 12) plus the shared
-//! message slab; the VC-multiplexer byte a channel exists only when
-//! `vcs > 1`, and a `vcs` that is not a power of two pays for the pad
-//! planes of its lane group. These tests pin the budget, that arrays
-//! which come and go with the configuration leave no residue in the
-//! results, and that a reused state gives a large network's memory back.
+//! 4 + next arrival 8 + queue head / tail / length 12), plus **20 bytes
+//! a message queued at once** (a 16-byte record and its link) in
+//! 256-message chunks that never move; the VC-multiplexer byte a channel
+//! exists only when `vcs > 1`, and a `vcs` that is not a power of two
+//! pays for the pad planes of its lane group. These tests pin the
+//! budget, that arrays which come and go with the configuration or the
+//! traffic leave no residue in the results, and that a reused state
+//! gives a large network's memory back.
 
-use minnet_sim::{CompiledNet, EngineConfig, EngineState, SimReport, Traffic};
-use minnet_topology::{build_bmin, Geometry};
+use minnet_sim::{
+    Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg, SimReport,
+    TraceEvent, Traffic,
+};
+use minnet_topology::{build_bmin, build_unidir, Geometry, UnidirKind};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern, Workload, WorkloadSpec};
 use std::sync::Arc;
 
@@ -106,7 +111,7 @@ fn redimension_is_bit_identical() {
         EngineConfig { vcs: 3, ..base.clone() },
         first,
     ];
-    // The multiplexer bytes, the pad planes and the slab free list come
+    // The multiplexer bytes, the pad planes and the queue free list come
     // and go along this walk; each stop must match a state that never
     // saw the others.
     let mut reused = EngineState::new();
@@ -115,5 +120,93 @@ fn redimension_is_bit_identical() {
         let want = run(cfg, &mut EngineState::new());
         assert!(got.delivered_packets > 0);
         assert!(got.bitwise_eq(&want), "step {i} (vcs {}, depth {})", cfg.vcs, cfg.buffer_depth);
+    }
+}
+
+/// The most messages sitting in source queues at once over a traced run:
+/// a `Queued` event adds one, an `Injected` or `Refused` takes one away.
+fn peak_queued(report: &SimReport) -> usize {
+    let (mut now, mut peak) = (0usize, 0usize);
+    for e in &report.trace.as_ref().unwrap().events {
+        match e {
+            TraceEvent::Queued { .. } => now += 1,
+            TraceEvent::Injected { .. } | TraceEvent::Refused { .. } => now -= 1,
+            _ => {}
+        }
+        peak = peak.max(now);
+    }
+    peak
+}
+
+#[test]
+fn saturated_source_queues_cost_20_bytes_a_message() {
+    let g = Geometry::new(4, 3);
+    let tmin = Arc::new(build_unidir(g, UnidirKind::Cube, 1));
+    let wl = uniform(4, 3, 0.7);
+    let run = |measure: u64, st: &mut EngineState| {
+        let cfg = EngineConfig { warmup: 0, measure, collect_trace: true, ..EngineConfig::default() };
+        let net = CompiledNet::new(tmin.clone(), cfg).unwrap();
+        let report = net.run(Traffic::Poisson(&wl), None, 5, st).unwrap();
+        (st.approx_bytes(), peak_queued(&report))
+    };
+    // The longer run is the shorter one continued (same seed): past the
+    // packet table's high water, it grows by its queues alone.
+    let (short_bytes, short_peak) = run(1_500, &mut EngineState::new());
+    let mut st = EngineState::new();
+    let (bytes, peak) = run(6_000, &mut st);
+    let msgs = peak - short_peak;
+    assert!(msgs > 4 * 256, "the queues grew by {msgs} messages, not several chunks");
+    // 20 B a message plus one partly filled chunk, and the chunk table's
+    // 8 B a chunk, doubled by its growth.
+    let allowed = 20 * msgs + 20 * 256 + 16 * peak.div_ceil(256);
+    assert!(
+        bytes - short_bytes <= allowed,
+        "{} B more for {msgs} more messages queued at once (allowed {allowed})",
+        bytes - short_bytes
+    );
+    // The same saturated run again on the same state: no chunk beyond
+    // the first run's high water.
+    assert_eq!(run(6_000, &mut st), (bytes, peak));
+}
+
+/// Script, Poisson, chain and Poisson again on one state, traced: each
+/// equals the same run on a fresh state. Only script and chain messages
+/// carry tags, and a Poisson run reuses the queue slots a tagged run
+/// wrote, so a tag left behind would show in its trace.
+#[test]
+fn tagged_and_untagged_runs_share_a_state_bit_identically() {
+    let g = Geometry::new(4, 2);
+    let nodes = g.nodes();
+    let cfg = EngineConfig { warmup: 0, measure: 3_000, collect_trace: true, ..EngineConfig::default() };
+    let net = CompiledNet::new(Arc::new(build_unidir(g, UnidirKind::Cube, 1)), cfg).unwrap();
+    // Bursts at a few sources queue hundreds of messages at once.
+    let script: Vec<ScriptedMsg> = (0..400u32)
+        .map(|i| {
+            let src = i % 4;
+            ScriptedMsg { time: u64::from(i / 8), src, dst: (src + 1 + i % 15) % nodes, len: 4 }
+        })
+        .collect();
+    let script = Script::compile(g, &script).unwrap();
+    let chain: Vec<ChainedMsg> = (0..300u32)
+        .map(|i| {
+            let src = i % 3;
+            let after = (i >= 100).then(|| (i - 100) as usize);
+            ChainedMsg { src, dst: (src + 1 + i % 15) % nodes, len: 4, earliest: 0, after }
+        })
+        .collect();
+    let chain = Chain::compile(g, &chain, 2).unwrap();
+    let poisson = uniform(4, 2, 0.6);
+    let runs = [
+        ("script", Traffic::Script(&script)),
+        ("poisson", Traffic::Poisson(&poisson)),
+        ("chain", Traffic::Chain(&chain)),
+        ("poisson after a chain", Traffic::Poisson(&poisson)),
+    ];
+    let mut st = EngineState::new();
+    for (what, traffic) in runs {
+        let got = net.run(traffic, None, 9, &mut st).unwrap();
+        let want = net.run(traffic, None, 9, &mut EngineState::new()).unwrap();
+        assert!(got.delivered_packets > 100 && got.trace.is_some(), "{what}");
+        assert!(got.bitwise_eq(&want), "{what} on a reused state");
     }
 }

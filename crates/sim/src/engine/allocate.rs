@@ -3,7 +3,7 @@
 //! random order, and claims one of its free candidates at random. The
 //! phase owns its request scratch, [`Scratch`].
 
-use super::state::{PktMeta, NONE, UP_SOURCE};
+use super::state::{PktMeta, NONE};
 use super::{Engine, Planes};
 use crate::active::trim;
 use crate::error::SimError;
@@ -156,7 +156,7 @@ impl Engine<'_> {
         let meta = PktMeta { src: node, dst, gen_time, measured, tag };
         let slot = self.st.pkts.alloc(lane, msg.len, meta);
         self.st.lanes.owner[lane as usize] = slot;
-        self.st.lanes.upstream[lane as usize] = UP_SOURCE | node;
+        self.st.lanes.hop[lane as usize] = 0;
         // A source with a packet to emit is available input
         // (`sent == 0 < len`); the fresh head lane's buffer is empty,
         // so no advance request until the header lands in it.
@@ -190,12 +190,11 @@ impl Engine<'_> {
         // record is only touched on the rare paths that need more
         // (tracing wants `tag`).
         let dst = self.st.pkts.dst[p as usize];
-        let at_lane = self.st.pkts.head_lane[p as usize];
         match self.faults {
             // Fault epochs route through the masked table: candidates
             // are live *and* deliverable.
             Some(f) => {
-                let at_ch = self.planes.channel(at_lane);
+                let at_ch = self.planes.channel(self.st.pkts.head_lane(p));
                 let cands = f.epochs[self.epoch].routes.route(at_ch, dst);
                 let Some(first) = cands.clone().next() else {
                     // Disconnected mid-route: the current epoch left this
@@ -224,13 +223,11 @@ impl Engine<'_> {
         };
         // The one id a hop needs: the new head's, to look its route up.
         let new_ch = self.planes.channel(lane);
-        self.st.lanes.upstream[lane as usize] = at_lane;
-        self.st.lanes.downstream[at_lane as usize] = lane;
-        self.st.pkts.head_lane[p as usize] = lane;
-        // The advance request came off a nonempty `at_lane` buffer (its
+        // The advance request came off a nonempty head-lane buffer (its
         // front is the header), so the new head has input; its own empty
         // buffer holds no header yet.
-        debug_assert!(!self.st.lanes.bufs.is_empty(at_lane as usize));
+        debug_assert!(!self.st.lanes.bufs.is_empty(self.st.pkts.head_lane(p) as usize));
+        self.st.lanes.hop[lane as usize] = self.st.pkts.extend(p, lane)?;
         self.st.lanes.has_input.set(lane);
         self.st.pkts.advance.clear(p);
         // New head, new candidate cell: refresh the cache once per hop.

@@ -1,7 +1,7 @@
 //! Fault epochs: catching the epoch up to the clock, aborting the worms
 //! it strands, and the no-progress watchdog's stall diagnostic.
 
-use super::state::{NONE, UP_SOURCE};
+use super::state::NONE;
 use super::Engine;
 use crate::error::{SimError, StallDiagnostic, StalledPacket};
 use crate::trace::TraceEvent;
@@ -36,7 +36,7 @@ impl Engine<'_> {
         let mut victims: Vec<u32> = Vec::new();
         for &p in &self.st.pkts.active {
             let pi = p as usize;
-            let head = self.st.pkts.head_lane[pi];
+            let head = self.st.pkts.head_lane(p);
             let chain_dead = self.chain_holds_dead_lane(p);
             let disconnected = !self.eject.contains(head)
                 && ep.routes.route(self.planes.channel(head), self.st.pkts.meta[pi].dst).len() == 0;
@@ -55,50 +55,35 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Whether any lane in `p`'s held chain (head back to tail) is dead.
+    /// Whether any lane `p` holds is dead.
     fn chain_holds_dead_lane(&self, p: u32) -> bool {
-        let mut li = self.st.pkts.head_lane[p as usize];
-        loop {
-            if self.st.lanes.dead.contains(li) {
-                return true;
-            }
-            li = self.st.lanes.upstream[li as usize];
-            if li & UP_SOURCE != 0 {
-                return false;
-            }
-        }
+        self.st.pkts.held(p).iter().any(|&li| self.st.lanes.dead.contains(li))
     }
 
-    /// Abort-and-drain: walk `p`'s lane chain from head to tail, drain
-    /// every buffered flit, release every lane, restore the source
-    /// injector, and retire the slot. Debug builds check conservation of
-    /// flits: every flit the source emitted was either delivered or
-    /// drained here.
+    /// Abort-and-drain: walk `p`'s held lanes, tail to head, drain every
+    /// buffered flit, release every lane, restore the source injector if
+    /// the worm was still drawing from it, and retire the slot. Debug
+    /// builds check conservation of flits: every flit the source emitted
+    /// was either delivered or drained here.
     pub(super) fn abort_packet(&mut self, p: u32) -> Result<(), SimError> {
         let pi = p as usize;
-        let mut li = self.st.pkts.head_lane[pi];
+        let (lanes, pkts) = (&mut self.st.lanes, &self.st.pkts);
         let mut drained: u32 = 0;
-        loop {
-            if self.st.lanes.owner[li as usize] != p {
+        for &li in pkts.held(p) {
+            if lanes.owner[li as usize] != p {
                 let what = "aborting a worm over a lane it does not own";
                 return Err(SimError::Internal { what });
             }
-            drained += self.st.lanes.bufs.drain(li as usize);
-            self.st.lanes.full.clear(li);
-            let up = self.st.lanes.upstream[li as usize];
-            self.release_lane(li);
-            if up & UP_SOURCE == 0 {
-                li = up;
-                continue;
+            drained += lanes.bufs.drain(li as usize);
+            lanes.full.clear(li);
+            lanes.release(li);
+        }
+        if pkts.sent[pi] < pkts.len[pi] {
+            let node = pkts.meta[pi].src;
+            self.st.src.injecting[node as usize] = NONE;
+            if self.st.src.queues.front(node).is_some() {
+                self.st.src.injectable.set(node);
             }
-            if up != NONE {
-                let node = up & !UP_SOURCE;
-                self.st.src.injecting[node as usize] = NONE;
-                if self.st.src.queues.front(node).is_some() {
-                    self.st.src.injectable.set(node);
-                }
-            }
-            break;
         }
         let pkts = &self.st.pkts;
         let leaked = "flits leaked during abort-and-drain";
@@ -123,7 +108,7 @@ impl Engine<'_> {
             .map(|pi| StalledPacket {
                 src: pkts.meta[pi].src,
                 dst: pkts.meta[pi].dst,
-                head_channel: self.planes.channel(pkts.head_lane[pi]),
+                head_channel: self.planes.channel(pkts.head_lane(pi as u32)),
                 sent: pkts.sent[pi],
                 len: pkts.len[pi],
                 delivered: pkts.delivered[pi],
@@ -143,7 +128,7 @@ impl Engine<'_> {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); pkts.active.len()];
         for (i, &p) in pkts.active.iter().enumerate() {
             let pi = p as usize;
-            let head = pkts.head_lane[pi];
+            let head = pkts.head_lane(p);
             if self.eject.contains(head) {
                 continue;
             }

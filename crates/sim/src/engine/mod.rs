@@ -115,16 +115,16 @@
 //! # Hot state on a byte budget
 //!
 //! Lane, node and packet state are parallel dense arrays with no
-//! per-entity heap allocation: 14 bytes a lane at any `buffer_depth` and
-//! 24 a node, held by `tests/footprint.rs`. ("Lane" is a plane: at a `vcs`
-//! of 3, 5 or 6 — test-only — the arrays carry each group's pad planes.)
+//! per-entity heap allocation: 7 bytes a lane at any `buffer_depth`,
+//! 24 a node and 4·H a packet slot for its lane path, held by
+//! `tests/footprint.rs`. ("Lane" is a plane: at a `vcs` of 3, 5 or 6 —
+//! test-only — the arrays carry each group's pad planes.)
 //!
 //! | array | B | per | what it is for; when it exists |
 //! |---|---|---|---|
 //! | `lanes.owner` | 4 | lane | owning packet slot, `NONE` when free |
-//! | `lanes.upstream` | 4 | lane | packed: plane / `NONE` = exhausted / bit 31 + node |
-//! | `lanes.downstream` | 4 | lane | inverse link along the worm's chain |
-//! | `lanes.bufs` | 2 | lane | buffer occupancy — a counter: a lane holds a run of its owner's flits, and which is a header or a tail follows from the chain (`move_flit`) |
+//! | `lanes.hop` | 1 | lane | the lane's index along its owner's `pkts.path` |
+//! | `lanes.bufs` | 2 | lane | buffer occupancy — a counter: a lane holds a run of its owner's flits, and which is a header or a tail follows from the path (`move_flit`) |
 //! | `lanes.mux_last` | 1 | channel | VC multiplexer memory; only when `vcs > 1` |
 //! | the four plane masks | ½ | plane | `owned` / `has_input` / `full` / `dead` bits |
 //! | `src.injecting` | 4 | node | packet drawing from the source, else `NONE` |
@@ -132,8 +132,13 @@
 //! | `src.queues` head, tail, len | 12 | node | FCFS list ends in the queue chunks |
 //! | `src.queues` chunks | 20 | queued message | `active::MsgQueues`: a 16-byte record and its link, in 256-slot chunks that never move; freed slots are reused first |
 //! | `src.queues` tags | 4 | queued message | script / chain index; only a tagged push writes it |
-//! | `pkts.*`, `PktMeta` | 64 | packet slot | hot fields the sweeps touch, cold meta apart |
+//! | `pkts.path` | 4·H | packet slot | the planes the worm claimed, in route order; it holds `tail..=head` |
+//! | `pkts.*`, `PktMeta` | 62 | packet slot | hot fields the sweeps touch, cold meta apart |
 //!
+//! `H` is the network's longest route in channels, `n + 1` through a
+//! unidirectional MIN and `2n` through a BMIN, so a worm's chain lives
+//! with the worm: a lane's upstream and downstream are its neighbours
+//! on the owner's path, and a network's idle lanes carry no chain words.
 //! A packet's slot index is stable for its lifetime and freed slots are
 //! recycled through a free list, so no RNG-visible ordering depends on
 //! the layout. The arrays stay parallel on purpose: the sweeps walk them
@@ -186,9 +191,10 @@ pub use crate::config::Delivery;
 pub use state::EngineState;
 
 /// The index ranges the packed words rest on: planes (bit 31 of the
-/// transmit feedback is a flag, bit 31 of a `lanes.upstream` word a tag)
-/// and node ids (which share that word) must all stay below 2³¹.
-fn check_index_range(channels: usize, vcs: u8, nodes: u32) -> Result<(), SimError> {
+/// transmit feedback is a flag) and node ids must stay below 2³¹, and a
+/// lane's index along the longest route, `hops − 1`, must fit the `u8`
+/// of `lanes.hop`.
+fn check_index_range(channels: usize, vcs: u8, nodes: u32, hops: usize) -> Result<(), SimError> {
     let planes = (channels as u64) << vcs_shift(vcs);
     if planes >= 1 << 31 || nodes >= 1 << 31 {
         return Err(SimError::Config(format!(
@@ -196,7 +202,25 @@ fn check_index_range(channels: usize, vcs: u8, nodes: u32) -> Result<(), SimErro
              must each stay below 2^31"
         )));
     }
+    if hops > 1 << u8::BITS {
+        return Err(SimError::Config(format!(
+            "a route of {hops} channels: a worm's lane index must fit in a byte"
+        )));
+    }
     Ok(())
+}
+
+/// The longest route on `net`, in channels — injection and ejection
+/// included, so the most lanes one worm can hold: `n + 1` through a
+/// unidirectional MIN, `2n` up and down a BMIN (§3.2.3). Routes are
+/// minimal, and a fault epoch's masked tables only prune candidates.
+fn longest_route(net: &NetworkGraph) -> usize {
+    let n = net.geometry.n() as usize;
+    if net.kind.is_bidirectional() {
+        2 * n
+    } else {
+        n + 1
+    }
 }
 
 /// The checks every message of a [`Script`] or a [`Chain`] passes: no
@@ -373,6 +397,9 @@ pub struct CompiledNet {
     routes: RouteTable,
     /// Bit `plane` ⟺ the lane's channel ends at a node.
     eject: DenseBitSet,
+    /// The longest route in channels ([`longest_route`]): the stride of a
+    /// packet slot's lane path.
+    hops: usize,
 }
 
 /// `log2` of the plane-group width: `vcs` rounded up to a power of two,
@@ -436,10 +463,12 @@ impl CompiledNet {
     /// # Errors
     ///
     /// Reports invalid configurations, a radix the table cannot hold, and
-    /// a network past the 2³¹ planes / nodes the packed state can index.
+    /// a network past the 2³¹ planes / nodes the packed state can index
+    /// or with a route too long for a lane's byte of hop index.
     pub fn new(net: Arc<NetworkGraph>, cfg: EngineConfig) -> Result<CompiledNet, SimError> {
         cfg.validate()?;
-        check_index_range(net.num_channels(), cfg.vcs, net.geometry.nodes())?;
+        let hops = longest_route(&net);
+        check_index_range(net.num_channels(), cfg.vcs, net.geometry.nodes(), hops)?;
         let routes = RouteTable::build(&net).map_err(SimError::Routing)?;
         let planes = Planes::new(&net, &cfg);
         let mut eject = DenseBitSet::with_capacity(planes.count());
@@ -447,7 +476,7 @@ impl CompiledNet {
         for c in net.ejects() {
             (0..cfg.vcs).for_each(|vc| eject.set(planes.of(c, vc.into())));
         }
-        Ok(CompiledNet { net, cfg, routes, eject })
+        Ok(CompiledNet { net, cfg, routes, eject, hops })
     }
 
     /// The shared network graph.
@@ -623,17 +652,57 @@ mod tests {
     #[test]
     fn index_range_is_checked_not_assumed() {
         // The 16k-terminal BMIN at the widest lane group is nowhere near.
-        assert!(check_index_range(229_376, 64, 16_384).is_ok());
+        assert!(check_index_range(229_376, 64, 16_384, 14).is_ok());
         // Planes = channels << vcs_shift: 2³¹ exactly is one too many,
         // and a non-power-of-two `vcs` pays for its padded group.
-        assert!(check_index_range((1 << 31) - 1, 1, 2).is_ok());
-        assert!(matches!(check_index_range(1 << 31, 1, 2), Err(SimError::Config(_))));
-        assert!(check_index_range((1 << 29) - 1, 4, 2).is_ok());
-        assert!(check_index_range((1 << 29) - 1, 5, 2).is_err());
-        assert!(check_index_range(1 << 29, 3, 2).is_err());
-        // Node ids share a word with the source tag bit.
-        assert!(check_index_range(8, 1, (1 << 31) - 1).is_ok());
-        assert!(check_index_range(8, 1, 1 << 31).is_err());
+        assert!(check_index_range((1 << 31) - 1, 1, 2, 2).is_ok());
+        assert!(matches!(check_index_range(1 << 31, 1, 2, 2), Err(SimError::Config(_))));
+        assert!(check_index_range((1 << 29) - 1, 4, 2, 2).is_ok());
+        assert!(check_index_range((1 << 29) - 1, 5, 2, 2).is_err());
+        assert!(check_index_range(1 << 29, 3, 2, 2).is_err());
+        // Node ids must stay below 2³¹ too.
+        assert!(check_index_range(8, 1, (1 << 31) - 1, 2).is_ok());
+        assert!(check_index_range(8, 1, 1 << 31, 2).is_err());
+        // A lane's hop is a byte: 256 lanes a route, indices 0..=255.
+        assert!(check_index_range(8, 1, 2, 256).is_ok());
+        assert!(matches!(check_index_range(8, 1, 2, 257), Err(SimError::Config(_))));
+    }
+
+    /// `H`, a slot's path stride, on the four networks at 64 and 256
+    /// terminals: the longest shortest path over all pairs (the routing
+    /// crate's closed form), and at 64 terminals no route the routing
+    /// logic can produce is longer.
+    #[test]
+    fn longest_route_is_the_longest_shortest_path() {
+        use minnet_routing::{enumerate_paths, shortest_path_length, RouteLogic};
+        use minnet_topology::{build_bmin, build_unidir, NodeAddr, UnidirKind};
+        for n in [3, 4] {
+            let g = Geometry::new(4, n);
+            let vmin = EngineConfig { vcs: 2, ..EngineConfig::default() };
+            let nets = [
+                ("tmin", build_unidir(g, UnidirKind::Cube, 1), EngineConfig::default(), n + 1),
+                ("dmin", build_unidir(g, UnidirKind::Cube, 2), EngineConfig::default(), n + 1),
+                ("vmin", build_unidir(g, UnidirKind::Cube, 1), vmin, n + 1),
+                ("bmin", build_bmin(g), EngineConfig::default(), 2 * n),
+            ];
+            for (name, graph, cfg, want) in nets {
+                let bidir = graph.kind.is_bidirectional();
+                let pairs = (0..g.nodes()).flat_map(|s| (0..g.nodes()).map(move |d| (s, d)));
+                let longest = pairs
+                    .clone()
+                    .filter_map(|(s, d)| shortest_path_length(&g, bidir, NodeAddr(s), NodeAddr(d)))
+                    .max();
+                if n == 3 {
+                    let logic = RouteLogic::for_kind(graph.kind);
+                    let routed = pairs.map(|(s, d)| enumerate_paths(&graph, logic, s, d));
+                    let most = routed.flat_map(|paths| paths.into_iter().map(|p| p.len())).max();
+                    assert_eq!(most, Some(want as usize), "{name} at {} terminals", g.nodes());
+                }
+                let net = CompiledNet::new(Arc::new(graph), cfg).unwrap();
+                assert_eq!(net.hops, want as usize, "{name} at {} terminals", g.nodes());
+                assert_eq!(longest, Some(want), "{name} at {} terminals", g.nodes());
+            }
+        }
     }
 
     /// The one geometry check: every traffic kind compiled for a

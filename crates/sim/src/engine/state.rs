@@ -10,6 +10,7 @@ use super::arrivals::Sources;
 use super::run::Measure;
 use super::{CompiledNet, Engine, Planes, Traffic};
 use crate::active::{refill, trim, DenseBitSet, LaneBufs};
+use crate::error::SimError;
 use crate::fault::CompiledFaults;
 use minnet_topology::PortSpan;
 use rand::rngs::SmallRng;
@@ -17,19 +18,12 @@ use rand::SeedableRng;
 
 /// "No lane", "no packet" and "no node" in every `u32` word of the state.
 pub(super) const NONE: u32 = u32::MAX;
-/// Where a lane's next flit comes from, as one `lanes.upstream` word: bit
-/// 31 clear = the buffer of the lane at that plane; [`NONE`] = exhausted
-/// (the tail is already buffered here, or the lane is free); else
-/// `UP_SOURCE | node` = that node's source queue. Readers test in that
-/// order — two plain branches; decoding into an enum first cost the
-/// `vcs == 1` kernel 3–5 %.
-pub(super) const UP_SOURCE: u32 = 1 << 31;
 
 /// The cold per-packet fields — touched at injection and completion, not
-/// by the per-cycle allocate/transmit sweeps. The hot fields (`head_lane`,
-/// `sent`, `len`, `delivered`) are parallel dense arrays of [`Packets`],
-/// indexed by packet slot, so the sweeps touch contiguous memory (see the
-/// `engine` module header's struct-of-arrays notes).
+/// by the per-cycle allocate/transmit sweeps. The hot fields (`path`,
+/// `head`, `tail`, `sent`, `len`, `delivered`) are parallel dense arrays
+/// of [`Packets`], indexed by packet slot, so the sweeps touch contiguous
+/// memory (see the `engine` module header's struct-of-arrays notes).
 #[derive(Clone, Copy, Debug)]
 pub(super) struct PktMeta {
     pub(super) src: u32,
@@ -104,7 +98,7 @@ impl EngineState {
         (self.now, self.end) = (0, cfg.warmup + cfg.measure);
         let dead = faults.map(|f| &f.epochs[0].dead_planes[..]);
         self.lanes.reset(Planes::new(&net.net, cfg), cfg.buffer_depth, dead);
-        self.pkts.reset(nodes);
+        self.pkts.reset(nodes, net.hops);
         self.src.reset(traffic, nodes, &mut self.rng);
         let deterministic = !matches!(traffic, Traffic::Poisson(_));
         self.meas.reset(cfg, net.net.num_channels(), deterministic);
@@ -126,12 +120,11 @@ impl Default for EngineState {
 pub(super) struct Lanes {
     /// Owning packet slot, [`NONE`] when free.
     pub(super) owner: Vec<u32>,
-    /// Packed upstream words (see [`UP_SOURCE`]).
-    pub(super) upstream: Vec<u32>,
-    /// Inverse of `upstream` along a worm's chain: the plane of the lane
-    /// that consumes this lane's buffer; [`NONE`] at the head, and on
-    /// every free lane.
-    pub(super) downstream: Vec<u32>,
+    /// The lane's index along its owner's route: the lane is
+    /// `pkts.path` at `owner · H + hop`, and its upstream and downstream
+    /// lanes are that entry's neighbours ([`Packets`]). Stale on a free
+    /// lane, which nothing reads it through.
+    pub(super) hop: Vec<u8>,
     pub(super) bufs: LaneBufs,
     /// Per channel position, the VC that transmitted last (flit-level
     /// round-robin, [`round_robin_select`](super::transmit::round_robin_select)).
@@ -157,9 +150,8 @@ impl Lanes {
     /// words) alive, over the planes of `planes`.
     fn reset(&mut self, planes: Planes<'_>, depth: u16, dead: Option<&[u64]>) {
         let n = planes.count();
-        for v in [&mut self.owner, &mut self.upstream, &mut self.downstream] {
-            refill(v, n, NONE);
-        }
+        refill(&mut self.owner, n, NONE);
+        refill(&mut self.hop, n, 0);
         self.bufs.reset(n, depth);
         refill(&mut self.mux_last, if planes.vcs > 1 { n >> planes.shift } else { 0 }, 0);
         for m in [&mut self.owned, &mut self.has_input, &mut self.full, &mut self.dead] {
@@ -170,9 +162,21 @@ impl Lanes {
         }
     }
 
+    /// Free the lane at plane `li`: no owner, no mask bit. `full` needs no
+    /// touch: the buffer is empty (asserted), so the last pop already
+    /// cleared it; `hop` is left stale.
+    pub(super) fn release(&mut self, li: u32) {
+        debug_assert!(self.bufs.is_empty(li as usize), "releasing a lane with a buffered flit");
+        debug_assert_ne!(self.owner[li as usize], NONE, "double lane release");
+        self.owner[li as usize] = NONE;
+        self.owned.clear(li);
+        self.has_input.clear(li);
+    }
+
     fn approx_bytes(&self) -> usize {
         let masks = [&self.owned, &self.has_input, &self.full, &self.dead];
-        4 * (self.owner.capacity() + self.upstream.capacity() + self.downstream.capacity())
+        4 * self.owner.capacity()
+            + self.hop.capacity()
             + self.bufs.approx_bytes()
             + self.mux_last.capacity()
             + masks.iter().map(|m| m.approx_bytes()).sum::<usize>()
@@ -183,9 +187,25 @@ impl Lanes {
 /// touch every cycle, a cold [`PktMeta`] array for the rest, and the slot
 /// bookkeeping. A slot is stable for its packet's lifetime and recycled
 /// through `free`.
+///
+/// A worm's lanes are its `path`: the planes it claimed, in route order,
+/// `H` entries a slot (`stride`, the network's longest route in channels,
+/// [`CompiledNet`]'s `hops`). It holds `path[tail..=head]`; every held
+/// lane's `lanes.hop` is its index here, so a lane's upstream is the
+/// entry before it — or, at `hop == tail`, the source while it has flits
+/// left (`sent < len`: once `tail > 0` the source is done) — and its
+/// downstream the entry after it, below the head.
 #[derive(Debug, Default)]
 pub(super) struct Packets {
-    pub(super) head_lane: Vec<u32>,
+    /// `H`, the stride of `path`.
+    pub(super) stride: usize,
+    /// Per slot, `H` planes: the worm's lanes in route order.
+    pub(super) path: Vec<u32>,
+    /// Index in the slot's `path` of the worm's head lane.
+    pub(super) head: Vec<u8>,
+    /// Index in the slot's `path` of the oldest lane the worm holds; a
+    /// tail release advances it.
+    pub(super) tail: Vec<u8>,
     pub(super) sent: Vec<u32>,
     pub(super) len: Vec<u32>,
     /// Destination node, duplicated out of `PktMeta` so the allocate
@@ -212,13 +232,17 @@ pub(super) struct Packets {
 }
 
 impl Packets {
-    fn reset(&mut self, nodes: usize) {
+    fn reset(&mut self, nodes: usize, stride: usize) {
+        self.stride = stride;
         for v in [
-            &mut self.head_lane, &mut self.sent, &mut self.len, &mut self.dst, &mut self.delivered,
-            &mut self.active_pos, &mut self.free, &mut self.active,
+            &mut self.sent, &mut self.len, &mut self.dst, &mut self.delivered, &mut self.active_pos,
+            &mut self.free, &mut self.active,
         ] {
             trim(v, nodes);
         }
+        trim(&mut self.path, nodes * stride);
+        trim(&mut self.head, nodes);
+        trim(&mut self.tail, nodes);
         trim(&mut self.cand, nodes);
         trim(&mut self.meta, nodes);
         // Grows with the slot table; starting at the node count (not 0)
@@ -228,13 +252,40 @@ impl Packets {
 
     fn approx_bytes(&self) -> usize {
         let u32s = [
-            &self.head_lane, &self.sent, &self.len, &self.dst, &self.delivered, &self.active_pos,
+            &self.path, &self.sent, &self.len, &self.dst, &self.delivered, &self.active_pos,
             &self.free, &self.active,
         ];
         u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + self.head.capacity()
+            + self.tail.capacity()
             + self.cand.capacity() * std::mem::size_of::<PortSpan>()
             + self.meta.capacity() * std::mem::size_of::<PktMeta>()
             + self.advance.approx_bytes()
+    }
+
+    /// The lanes packet `p` holds, tail to head.
+    pub(super) fn held(&self, p: u32) -> &[u32] {
+        let (pi, base) = (p as usize, p as usize * self.stride);
+        &self.path[base + self.tail[pi] as usize..=base + self.head[pi] as usize]
+    }
+
+    /// The plane of packet `p`'s head lane.
+    #[inline]
+    pub(super) fn head_lane(&self, p: u32) -> u32 {
+        self.path[p as usize * self.stride + self.head[p as usize] as usize]
+    }
+
+    /// Append `lane` to packet `p`'s path as its new head; returns the
+    /// lane's hop. A route longer than the stride is refused, typed,
+    /// rather than written into the next slot's path.
+    pub(super) fn extend(&mut self, p: u32, lane: u32) -> Result<u8, SimError> {
+        let hop = self.head[p as usize] as usize + 1;
+        if hop >= self.stride {
+            return Err(SimError::Internal { what: "a worm outgrew the network's longest route" });
+        }
+        self.path[p as usize * self.stride + hop] = lane;
+        self.head[p as usize] = hop as u8;
+        Ok(hop as u8)
     }
 
     /// Take a slot for a new packet whose head claimed `lane` — a recycled
@@ -244,18 +295,23 @@ impl Packets {
         let slot = self.free.pop().unwrap_or_else(|| {
             let s = self.meta.len();
             for v in [
-                &mut self.head_lane, &mut self.sent, &mut self.len, &mut self.dst,
-                &mut self.delivered, &mut self.active_pos,
+                &mut self.sent, &mut self.len, &mut self.dst, &mut self.delivered,
+                &mut self.active_pos,
             ] {
                 v.push(0);
             }
+            self.path.resize(self.path.len() + self.stride, NONE);
+            self.head.push(0);
+            self.tail.push(0);
             self.cand.push(PortSpan::default());
             self.meta.push(meta);
             self.advance.grow(s + 1);
             s as u32
         });
         let si = slot as usize;
-        self.head_lane[si] = lane;
+        self.path[si * self.stride] = lane;
+        self.head[si] = 0;
+        self.tail[si] = 0;
         self.sent[si] = 0;
         self.len[si] = len;
         self.dst[si] = meta.dst;
@@ -278,21 +334,32 @@ impl Engine<'_> {
     /// per-lane predicate it mirrors. Called periodically from the cycle
     /// loop in debug builds; incremental-maintenance bugs persist in the
     /// masks, so a sampled check still catches them.
-    /// It also holds what the flit-less buffers rest on (`move_flit`):
-    /// a free or pad plane buffers nothing and links nowhere; a worm is one
-    /// chain, upstream and downstream words inverse, sweep positions
-    /// descending toward the head (the reverse-topological order).
+    /// It also holds what the derived chain rests on (`move_flit`): every
+    /// owned plane sits at its owner's `path[hop]`, inside the held window
+    /// `[tail, head]`, and every window entry is a plane its packet owns at
+    /// that hop — so a plane outside all windows is free, and a free (or
+    /// pad) plane buffers nothing; sweep positions descend along a window
+    /// toward the head (the reverse-topological order).
     #[cfg(debug_assertions)]
     pub(super) fn check_kernel_masks(&self) {
         let (lanes, pkts) = (&self.st.lanes, &self.st.pkts);
         for pl in 0..self.planes.count() as u32 {
             let li = pl as usize;
-            let owned = lanes.owner[li] != NONE;
-            assert_eq!(lanes.owned.contains(pl), owned, "owned plane {pl}");
+            let p = lanes.owner[li];
+            assert_eq!(lanes.owned.contains(pl), p != NONE, "owned plane {pl}");
             assert_eq!(lanes.full.contains(pl), lanes.bufs.is_full(li), "full plane {pl}");
             assert_eq!(lanes.has_input.contains(pl), self.has_input(li), "has_input plane {pl}");
-            let unlinked = lanes.upstream[li] == NONE && lanes.downstream[li] == NONE;
-            assert!(owned || (lanes.bufs.is_empty(li) && unlinked), "free plane {pl} holds state");
+            if p == NONE {
+                assert!(lanes.bufs.is_empty(li), "free plane {pl} holds a flit");
+                continue;
+            }
+            let (pi, hop) = (p as usize, lanes.hop[li]);
+            let active = pkts.active.get(pkts.active_pos[pi] as usize);
+            assert_eq!(active, Some(&p), "plane {pl}'s owner {p} is not in flight");
+            let window = pkts.tail[pi]..=pkts.head[pi];
+            assert!(window.contains(&hop), "plane {pl} off packet {p}'s window");
+            let at = pkts.path[pi * pkts.stride + usize::from(hop)];
+            assert_eq!(at, pl, "plane {pl} off packet {p}'s path");
         }
         let epoch = self.faults.map(|f| &f.epochs[self.epoch]);
         for w in 0..lanes.dead.num_words() {
@@ -301,19 +368,16 @@ impl Engine<'_> {
         let shift = self.planes.shift;
         for (i, &p) in pkts.active.iter().enumerate() {
             assert_eq!(pkts.active_pos[p as usize], i as u32, "active_pos packet {p}");
-            let head = pkts.head_lane[p as usize];
-            assert_eq!(lanes.downstream[head as usize], NONE, "head of packet {p} feeds a lane");
-            let mut li = head;
-            loop {
-                assert_eq!(lanes.owner[li as usize], p, "chain of packet {p} at plane {li}");
-                let up = lanes.upstream[li as usize];
-                if up & UP_SOURCE != 0 {
-                    break;
-                }
-                assert_eq!(lanes.downstream[up as usize], li, "chain of packet {p} at plane {up}");
-                assert!(up >> shift > li >> shift, "chain of packet {p} ascends at plane {li}");
-                li = up;
+            let (tail, held) = (usize::from(pkts.tail[p as usize]), pkts.held(p));
+            for (hop, &li) in (tail..).zip(held) {
+                assert_eq!(lanes.owner[li as usize], p, "path of packet {p} at hop {hop}");
+                assert_eq!(usize::from(lanes.hop[li as usize]), hop, "path of packet {p} at plane {li}");
             }
+            for w in held.windows(2) {
+                let (up, down) = (w[0], w[1]);
+                assert!(up >> shift > down >> shift, "path of packet {p} ascends at plane {down}");
+            }
+            let head = pkts.head_lane(p);
             let want = !self.eject.contains(head) && !lanes.bufs.is_empty(head as usize);
             assert_eq!(pkts.advance.contains(p), want, "advance packet {p}");
             if self.faults.is_none() {
@@ -352,19 +416,35 @@ mod tests {
             let net = CompiledNet::new(graph.clone(), cfg).unwrap();
             st.reset(&net, Traffic::Script(&script), None, 1);
             let lanes = &st.lanes;
-            let lane_bytes = 4 * (lanes.owner.len() + lanes.upstream.len() + lanes.downstream.len())
+            let lane_bytes = 4 * lanes.owner.len()
+                + lanes.hop.len()
                 + lanes.bufs.approx_bytes()
                 + lanes.mux_last.len();
             let node_bytes = 4 * st.src.injecting.len() + 8 * st.src.next_arrival.len();
             (lane_bytes, node_bytes + st.src.queues.approx_bytes())
         };
         let (lane_bytes, node_bytes) = reset(EngineConfig::default());
-        assert_eq!(lane_bytes, 14 * nch, "vcs 1, depth 1: 14 B a lane, no mux");
+        assert_eq!(lane_bytes, 7 * nch, "vcs 1, depth 1: 7 B a lane, no mux");
         assert_eq!(node_bytes, 24 * nodes);
         let (lane_bytes, _) = reset(EngineConfig { vcs: 2, buffer_depth: 4, ..EngineConfig::default() });
-        assert_eq!(lane_bytes, 14 * 2 * nch + nch, "vcs 2, depth 4: 14 B a lane + 1 B a channel");
+        assert_eq!(lane_bytes, 7 * 2 * nch + nch, "vcs 2, depth 4: 7 B a lane + 1 B a channel");
         // Not a power of two: the lane arrays are padded to the plane group.
         let (lane_bytes, _) = reset(EngineConfig { vcs: 3, ..EngineConfig::default() });
-        assert_eq!(lane_bytes, 14 * 4 * nch + nch, "vcs 3: a group of 4 planes a channel");
+        assert_eq!(lane_bytes, 7 * 4 * nch + nch, "vcs 3: a group of 4 planes a channel");
+    }
+
+    /// A claim past the stride is refused, typed, and leaves the next
+    /// slot's path as it was.
+    #[test]
+    fn a_claim_past_the_longest_route_is_refused() {
+        let mut pkts = Packets::default();
+        pkts.reset(2, 3);
+        let meta = PktMeta { src: 0, dst: 1, gen_time: 0, measured: true, tag: NONE };
+        let (p, q) = (pkts.alloc(10, 4, meta), pkts.alloc(20, 4, meta));
+        assert_eq!((pkts.extend(p, 11).unwrap(), pkts.extend(p, 12).unwrap()), (1, 2));
+        assert!(matches!(pkts.extend(p, 13), Err(SimError::Internal { .. })));
+        assert_eq!((pkts.held(p), pkts.head_lane(p)), (&[10, 11, 12][..], 12));
+        assert_eq!((pkts.held(q), pkts.head_lane(q)), (&[20][..], 20));
+        assert_eq!(pkts.path, [10, 11, 12, 20, NONE, NONE]);
     }
 }

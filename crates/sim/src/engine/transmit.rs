@@ -4,7 +4,7 @@
 //! transmit all of the flits in a worm"); a flit reaching its destination
 //! node is consumed at once, and a delivered packet's slot is retired.
 
-use super::state::{NONE, UP_SOURCE};
+use super::state::NONE;
 use super::{Engine, Traffic};
 use crate::config::Delivery;
 use crate::error::SimError;
@@ -177,14 +177,20 @@ impl Engine<'_> {
     }
 
     /// Whether lane `li`'s upstream can supply a flit — the predicate the
-    /// `has_input` mask mirrors.
+    /// `has_input` mask mirrors. Its upstream is the path entry before it
+    /// while that lane is held, else the source while it has flits left
+    /// ([`Packets`](super::state::Packets)).
     pub(super) fn has_input(&self, li: usize) -> bool {
-        let up = self.st.lanes.upstream[li];
-        if up & UP_SOURCE == 0 {
-            return !self.st.lanes.bufs.is_empty(up as usize);
+        let (lanes, pkts) = (&self.st.lanes, &self.st.pkts);
+        let p = lanes.owner[li] as usize;
+        if p == NONE as usize {
+            return false;
         }
-        let p = self.st.lanes.owner[li] as usize;
-        up != NONE && self.st.pkts.sent[p] < self.st.pkts.len[p]
+        let hop = usize::from(lanes.hop[li]);
+        if hop > usize::from(pkts.tail[p]) {
+            return !lanes.bufs.is_empty(pkts.path[p * pkts.stride + hop - 1] as usize);
+        }
+        pkts.sent[p] < pkts.len[p]
     }
 
     /// Move one flit into the lane at plane `pl` — the bit the sweep just
@@ -194,9 +200,9 @@ impl Engine<'_> {
     /// No flit is stored: a lane buffers a run of its owner's flits, in
     /// order, so the one moving is the **tail** iff nothing can follow it
     /// — it left a source that has now sent the whole packet, or emptied
-    /// an upstream lane that is itself exhausted — and the **header** iff
-    /// nothing went before it: it lands in an empty lane no downstream
-    /// lane has yet drawn from, which is the worm's head.
+    /// the worm's oldest lane after the source sent its last — and the
+    /// **header** iff nothing went before it: it lands in an empty lane
+    /// no downstream lane has yet drawn from, which is the worm's head.
     ///
     /// Returns the cursor-patch feedback the transmit kernels consume:
     /// [`NO_FEEDBACK`], or the popped upstream lane's plane in the low
@@ -205,10 +211,13 @@ impl Engine<'_> {
     fn move_flit(&mut self, pl: u32, eject: bool) -> Result<u32, SimError> {
         let li = pl as usize;
         let p = self.st.lanes.owner[li];
-        let up = self.st.lanes.upstream[li];
+        let hop = usize::from(self.st.lanes.hop[li]);
         let pi = p as usize;
+        let base = pi * self.st.pkts.stride;
+        let tail = usize::from(self.st.pkts.tail[pi]);
         let mut fb = NO_FEEDBACK;
-        let is_tail = if up & UP_SOURCE == 0 {
+        let is_tail = if hop > tail {
+            let up = self.st.pkts.path[base + hop - 1];
             if !self.st.lanes.bufs.pop(up as usize) {
                 return Err(SimError::Internal { what: "ready lane lost its upstream flit" });
             }
@@ -221,12 +230,14 @@ impl Engine<'_> {
             if drained {
                 self.st.lanes.has_input.clear(pl);
             }
-            drained && self.st.lanes.upstream[up as usize] == NONE
-        } else if up != NONE {
-            let node = up & !UP_SOURCE;
+            // `up` is exhausted when it is the oldest lane held and the
+            // source is done.
+            drained && hop - 1 == tail && self.st.pkts.sent[pi] == self.st.pkts.len[pi]
+        } else if self.st.pkts.sent[pi] < self.st.pkts.len[pi] {
             self.st.pkts.sent[pi] += 1;
             let sent_all = self.st.pkts.sent[pi] == self.st.pkts.len[pi];
             if sent_all {
+                let node = self.st.pkts.meta[pi].src;
                 self.st.src.injecting[node as usize] = NONE;
                 if self.st.src.queues.front(node).is_some() {
                     self.st.src.injectable.set(node);
@@ -241,10 +252,10 @@ impl Engine<'_> {
             self.st.meas.util[li >> self.planes.shift] += 1;
         }
         if is_tail {
-            if up & UP_SOURCE == 0 {
-                self.release_lane(up);
+            if fb != NO_FEEDBACK {
+                self.st.lanes.release(fb);
+                self.st.pkts.tail[pi] += 1;
             }
-            self.st.lanes.upstream[li] = NONE;
             self.st.lanes.has_input.clear(pl);
         }
         if eject {
@@ -261,7 +272,7 @@ impl Engine<'_> {
                 self.st.meas.delivered_flits += 1;
             }
             if is_tail {
-                self.release_lane(pl);
+                self.st.lanes.release(pl);
                 self.complete_packet(p, meta.gen_time, meta.measured)?;
             }
         } else if let Some(buffered) = self.st.lanes.bufs.push(li) {
@@ -270,16 +281,15 @@ impl Engine<'_> {
             }
             // The flit just buffered in `li` is input for the downstream
             // lane that pulls from `li` (if the worm has advanced past it).
-            let d = self.st.lanes.downstream[li];
-            if d != NONE {
-                self.st.lanes.has_input.set(d);
+            if hop < usize::from(self.st.pkts.head[pi]) {
+                self.st.lanes.has_input.set(self.st.pkts.path[base + hop + 1]);
             } else if buffered == 1 {
                 // The header: it only ever lands in the worm's current
                 // head lane (the downstream consumer that pops it exists
                 // only after a later claim moves the head), so this push
                 // is exactly the advance-request-becomes-true event — and
                 // this branch never runs for the ejection channel.
-                debug_assert_eq!(self.st.pkts.head_lane[pi], pl);
+                debug_assert_eq!(self.st.pkts.head_lane(p), pl);
                 self.st.pkts.advance.set(p);
             }
         } else {
@@ -300,19 +310,6 @@ impl Engine<'_> {
             }
         }
         Ok(fb)
-    }
-
-    pub(super) fn release_lane(&mut self, li: u32) {
-        let lanes = &mut self.st.lanes;
-        debug_assert!(lanes.bufs.is_empty(li as usize), "releasing a lane with a buffered flit");
-        debug_assert_ne!(lanes.owner[li as usize], NONE, "double lane release");
-        lanes.owner[li as usize] = NONE;
-        lanes.upstream[li as usize] = NONE;
-        lanes.downstream[li as usize] = NONE;
-        lanes.owned.clear(li);
-        lanes.has_input.clear(li);
-        // `full` needs no touch: the buffer is empty (asserted above), so
-        // the last pop already cleared it.
     }
 
     fn complete_packet(&mut self, p: u32, gen_time: u64, measured: bool) -> Result<(), SimError> {

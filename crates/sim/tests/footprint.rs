@@ -1,17 +1,19 @@
 //! The engine-state byte budget, held as code.
 //!
 //! `EngineState` is the last O(network) allocation of a run. Its budget
-//! is **14 bytes a lane** at any `buffer_depth` (owner 4 + packed
-//! upstream 4 + downstream 4 + buffer occupancy 2 — a buffer is a
-//! counter, no flit is stored) and **under 32 bytes a node** (injector
-//! 4 + next arrival 8 + queue head / tail / length 12), plus **20 bytes
-//! a message queued at once** (a 16-byte record and its link) in
-//! 256-message chunks that never move; the VC-multiplexer byte a channel
-//! exists only when `vcs > 1`, and a `vcs` that is not a power of two
-//! pays for the pad planes of its lane group. These tests pin the
-//! budget, that arrays which come and go with the configuration or the
-//! traffic leave no residue in the results, and that a reused state
-//! gives a large network's memory back.
+//! is **7 bytes a lane** at any `buffer_depth` (owner 4 + buffer
+//! occupancy 2 — a buffer is a counter, no flit is stored — + the lane's
+//! hop along its owner's route 1), **4·H bytes a packet slot** for the
+//! worm's lane path (H the longest route in channels: 14 on the
+//! 16 384-terminal BMIN), **under 32 bytes a node** (injector 4 + next
+//! arrival 8 + queue head / tail / length 12), plus **20 bytes a message
+//! queued at once** (a 16-byte record and its link) in 256-message chunks
+//! that never move; the VC-multiplexer byte a channel exists only when
+//! `vcs > 1`, and a `vcs` that is not a power of two pays for the pad
+//! planes of its lane group. These tests pin the budget, that arrays
+//! which come and go with the configuration or the traffic leave no
+//! residue in the results, and that a reused state gives a large
+//! network's memory back.
 
 use minnet_sim::{
     Chain, ChainedMsg, CompiledNet, EngineConfig, EngineState, Script, ScriptedMsg, SimReport,
@@ -48,32 +50,56 @@ fn burst(vcs: u8, buffer_depth: u16) -> EngineConfig {
     }
 }
 
-/// A 300-cycle burst at load 0.1 on the 16 384-terminal BMIN; returns the
-/// state's footprint, the lane count and the node count.
-fn burst_16k(cfg: EngineConfig, st: &mut EngineState) -> (usize, usize, usize) {
+/// A 300-cycle burst at load 0.1 on the 16 384-terminal BMIN, traced;
+/// returns the state's footprint, the lane count, the node count and the
+/// most packets in flight at once.
+fn burst_16k(cfg: EngineConfig, st: &mut EngineState) -> (usize, usize, usize, usize) {
     let lanes_per_channel = cfg.vcs as usize;
-    let net = bmin(4, 7, cfg);
+    let net = bmin(4, 7, EngineConfig { collect_trace: true, ..cfg });
     let report = net.run(Traffic::Poisson(&uniform(4, 7, 0.1)), None, 42, st).unwrap();
     assert!(report.generated_packets > 1_000, "the burst must load the network");
     let g = net.network();
-    (st.approx_bytes(), g.num_channels() * lanes_per_channel, g.geometry.nodes() as usize)
+    let lanes = g.num_channels() * lanes_per_channel;
+    (st.approx_bytes(), lanes, g.geometry.nodes() as usize, peak_in_flight(&report))
 }
+
+/// The most packets in flight at once over a traced run — the packet
+/// slots the state needed: an `Injected` event takes one, a `Delivered`
+/// or `Aborted` gives it back.
+fn peak_in_flight(report: &SimReport) -> usize {
+    let (mut now, mut peak) = (0usize, 0usize);
+    for e in &report.trace.as_ref().unwrap().events {
+        match e {
+            TraceEvent::Injected { .. } => now += 1,
+            TraceEvent::Delivered { .. } | TraceEvent::Aborted { .. } => now -= 1,
+            _ => {}
+        }
+        peak = peak.max(now);
+    }
+    peak
+}
+
+/// The 16 384-terminal BMIN's longest route: up and down its 7 stages.
+const H: usize = 14;
 
 #[test]
 fn footprint_budget() {
     let mut st = EngineState::new();
-    let (bytes, lanes, nodes) = burst_16k(burst(1, 1), &mut st);
+    let (bytes, lanes, nodes, slots) = burst_16k(burst(1, 1), &mut st);
     assert_eq!((lanes, nodes), (229_376, 16_384));
+    assert!(slots > 1_000, "{slots} packets in flight at most");
+    // The paths grow with the slot table, by doubling.
+    let paths = 2 * 4 * H * slots;
     assert!(
-        bytes <= 14 * lanes + 32 * nodes + MIB,
-        "vcs 1, depth 1: {bytes} B for {lanes} lanes, {nodes} nodes"
+        bytes <= 7 * lanes + 32 * nodes + paths + MIB,
+        "vcs 1, depth 1: {bytes} B for {lanes} lanes, {nodes} nodes, {slots} slots"
     );
     // Two lanes a channel, four-flit buffers: depth costs nothing, and
-    // each channel gains its multiplexer byte — 14.5 B a lane.
-    let (bytes, lanes, nodes) = burst_16k(burst(2, 4), &mut EngineState::new());
+    // each channel gains its multiplexer byte — 7.5 B a lane.
+    let (bytes, lanes, nodes, slots) = burst_16k(burst(2, 4), &mut EngineState::new());
     assert!(
-        bytes <= 15 * lanes + 32 * nodes + MIB,
-        "vcs 2, depth 4: {bytes} B for {lanes} lanes, {nodes} nodes"
+        bytes <= 8 * lanes + 32 * nodes + 2 * 4 * H * slots + MIB,
+        "vcs 2, depth 4: {bytes} B for {lanes} lanes, {nodes} nodes, {slots} slots"
     );
 }
 

@@ -482,7 +482,7 @@ fn cmd_partition(a: &Args, out: &mut Out) -> io::Result<()> {
     let kind = wiring(a);
     let clustering = clustering(a, &g);
     let map = minnet::traffic::ClusterMap::build(&g, &clustering).unwrap_or_else(|e| die(&e));
-    let clusters: Vec<Vec<u32>> = map.members.clone();
+    let clusters: Vec<Vec<u32>> = (0..map.len() as u32).map(|c| map.members(c).collect()).collect();
     let analysis = UnidirPartitionAnalysis::analyze(g, kind, &clusters);
     writeln!(
         out,

@@ -4,25 +4,28 @@
 //! The paper's networks are *self-routing*: a destination-tag switch at
 //! stage `G_i` consults **one** digit `t_i` of the destination, and a
 //! turnaround switch at stage `j` makes one `FirstDifference` comparison
-//! and then reads digit `d_j` (§2–3, Fig. 7). [`RouteTable::build`]
-//! therefore stores, per network,
+//! and then reads digit `d_j` (§2–3, Fig. 7). A table from
+//! [`RouteTable::build`] therefore stores nothing but the graph's handle
+//! and computes, per query,
 //!
-//! * a `stage × destination` **digit row table** (`n · nodes` bytes),
-//!   filled by calling the same [`UnidirKind::tag_digit`] /
-//!   [`Geometry::digit`] the logic calls;
-//! * for the BMIN, the **powers** `k^j` each stage's down-subtree bound
-//!   is made of: a forward-arriving header turns at switch `(j, s)`
-//!   exactly when `dst` is one of the `k^(j+1)` leaves below it
-//!   (`dst / k^(j+1) == s / k^j`) — which is
-//!   `j == FirstDifference(S, D)` for every source `S` that can reach the
-//!   switch going up, so the source drops out of the function;
+//! * the **digit** the arrival switch reads: digit
+//!   [`UnidirKind::tag_digit_index`] of the destination — the digit the
+//!   logic's [`UnidirKind::tag_digit`] reads — or, on the BMIN, digit `j`
+//!   at stage `j` as the logic's [`Geometry::digit`]; `dst / k^i mod k`
+//!   is two multiply-shifts by the graph's powers `k^j`
+//!   ([`NetworkGraph::powers`]);
+//! * for a forward-arriving BMIN header, whether it turns: at switch
+//!   `(j, s)` exactly when `dst` is one of the `k^(j+1)` leaves below it
+//!   (`dst / k^(j+1) == s / k^j`) — which is `j == FirstDifference(S, D)`
+//!   for every source `S` that can reach the switch going up, so the
+//!   source drops out of the function;
 //!
 //! and answers a `(channel, destination)` query with the [`PortSpan`]
 //! the graph computes for the chosen ports — an arithmetic progression of
 //! ids, so the table copies no channel id, the graph stores none, and
-//! the table holds the graph by `Arc`. Building is `O(n · nodes)` with no
-//! route walk; the exhaustive tests pin the table to [`RouteLogic`],
-//! contents *and* order, on every reachable pair.
+//! the table holds the graph by `Arc`. Building is `O(1)`, with no route
+//! walk and no per-destination row; the exhaustive tests pin the table
+//! to [`RouteLogic`], contents *and* order, on every reachable pair.
 //!
 //! The **dense** layout — one CSR cell per `(destination, channel)` — is
 //! constructed only by [`RouteTable::masked`]: a fault epoch's candidate
@@ -31,20 +34,19 @@
 //! non-allocating iterator, [`Route`].
 //!
 //! [`UnidirKind::tag_digit`]: minnet_topology::UnidirKind::tag_digit
+//! [`UnidirKind::tag_digit_index`]: minnet_topology::UnidirKind::tag_digit_index
 //! [`Geometry::digit`]: minnet_topology::Geometry::digit
 //! [`RouteLogic`]: crate::RouteLogic
 
-use minnet_topology::{
-    ChannelId, Divisor, NetworkGraph, NetworkKind, NodeAddr, NodeId, PortSpan, Side,
-};
+use minnet_topology::{ChannelId, NetworkGraph, NetworkKind, NodeId, PortSpan, Side};
 use std::sync::Arc;
 
 /// The routing function of one network: for every reachable
 /// `(arrival channel, destination)` pair, the candidate output channels in
 /// exactly the order [`crate::RouteLogic::candidates`] produces them.
 ///
-/// A table from [`RouteTable::build`] is `n · nodes` bytes (see the
-/// module docs); one from
+/// A table from [`RouteTable::build`] owns nothing but the graph's
+/// handle (see the module docs); one from
 /// [`RouteTable::masked`] is dense. Both are immutable — share them
 /// freely across sweep threads.
 #[derive(Clone, Debug)]
@@ -89,16 +91,7 @@ impl ExactSizeIterator for Route<'_> {}
 #[derive(Clone, Debug)]
 enum Repr {
     /// The healthy network: candidates are spans the graph computes.
-    Compact {
-        net: Arc<NetworkGraph>,
-        /// `digits[stage * nodes + dst]` — the output port a stage-`stage`
-        /// switch sends a `dst`-bound header to.
-        digits: Vec<u8>,
-        /// `k^j` for `j` in `0..=n` on a BMIN — switch `(j, s)` has the
-        /// `k^(j+1)` destinations from `s / k^j · k^(j+1)` below it;
-        /// empty for unidirectional networks.
-        kpow: Vec<Divisor>,
-    },
+    Compact { net: Arc<NetworkGraph> },
     /// A fault epoch: CSR cells, destination-major
     /// (`cell = dst · nch + channel`), `starts` indexing into `cands`.
     Dense {
@@ -114,38 +107,11 @@ impl RouteTable {
     ///
     /// # Errors
     ///
-    /// Reports a radix whose digits do not fit the `u8` rows (`k > 256`,
-    /// beyond what the graph's `u8` port indices admit anyway).
+    /// None: a built table is the graph's handle, which every graph
+    /// admits. The `Result` is the signature its callers match on.
     pub fn build(net: &Arc<NetworkGraph>) -> Result<RouteTable, String> {
-        let g = net.geometry;
-        let nodes = g.nodes();
-        let mut digits = Vec::with_capacity(g.n() as usize * nodes as usize);
-        for stage in 0..g.n() {
-            for dst in 0..nodes {
-                let digit = match net.kind {
-                    NetworkKind::Unidir { wiring, .. } => {
-                        wiring.tag_digit(&g, NodeAddr(dst), stage)
-                    }
-                    NetworkKind::Bmin => g.digit(NodeAddr(dst), stage),
-                };
-                digits.push(
-                    u8::try_from(digit)
-                        .map_err(|_| format!("radix {} digits overflow the u8 rows", g.k()))?,
-                );
-            }
-        }
-        let kpow = match net.kind {
-            NetworkKind::Unidir { .. } => Vec::new(),
-            NetworkKind::Bmin => (0..=g.n()).map(|j| Divisor::new(g.kpow(j))).collect(),
-        };
-        Ok(RouteTable {
-            nodes,
-            repr: Repr::Compact {
-                net: Arc::clone(net),
-                digits,
-                kpow,
-            },
-        })
+        let nodes = net.geometry.nodes();
+        Ok(RouteTable { nodes, repr: Repr::Compact { net: Arc::clone(net) } })
     }
 
     /// [`Self::build`]; `threads` is ignored. The build is microseconds
@@ -171,22 +137,22 @@ impl RouteTable {
     #[inline(never)]
     pub fn route(&self, at: ChannelId, dst: NodeId) -> Route<'_> {
         match &self.repr {
-            Repr::Compact { net, digits, kpow } => {
+            Repr::Compact { net } => {
                 let Some((sw, side)) = net.head(at) else {
                     return Route::Span(PortSpan::default());
                 };
-                let stage = usize::from(sw.stage);
                 // Only a forward-arriving BMIN header has a choice to
                 // make: up any forward port until `dst` is below — which
                 // it is iff `dst / k^(j+1) == s / k^j` (see `build_bmin`).
-                if let (Side::Left, Some(pow)) = (side, kpow.get(stage..stage + 2)) {
-                    if pow[1].div_rem(dst).0 != pow[0].div_rem(sw.index).0 {
+                if side == Side::Left && matches!(net.kind, NetworkKind::Bmin) {
+                    let below = &net.powers()[usize::from(sw.stage)..usize::from(sw.stage) + 2];
+                    if below[1].div_rem(dst).0 != below[0].div_rem(sw.index).0 {
                         let k = net.out_port_codes() / 2;
                         return Route::Span(net.out_span(sw, k, 2 * k));
                     }
                 }
-                let digit = u32::from(digits[stage * self.nodes as usize + dst as usize]);
-                Route::Span(net.out_span(sw, digit, digit + 1))
+                let d = port_digit(net, sw.stage.into(), dst);
+                Route::Span(net.out_span(sw, d, d + 1))
             }
             Repr::Dense { nch, starts, cands } => {
                 let cell = dst as usize * *nch as usize + at as usize;
@@ -286,18 +252,29 @@ impl RouteTable {
     }
 
     /// Approximate resident size in bytes of what the table **owns** —
-    /// digit rows and stage powers, or the dense CSR arrays. The graph a
-    /// built table points into is accounted by
-    /// [`NetworkGraph::approx_bytes`], not here.
+    /// nothing past itself when built, the dense CSR arrays when masked.
+    /// The graph a built table points into, and the powers it divides
+    /// by, are accounted by [`NetworkGraph::approx_bytes`], not here.
     pub fn approx_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
             + match &self.repr {
-                Repr::Compact { digits, kpow, .. } => {
-                    digits.len() as u64 + std::mem::size_of_val(&kpow[..]) as u64
-                }
+                Repr::Compact { .. } => 0,
                 Repr::Dense { starts, cands, .. } => (starts.len() as u64 + cands.len() as u64) * 4,
             }
     }
+}
+
+/// The output port a stage-`stage` switch of `net` sends a `dst`-bound
+/// header by: the destination digit the stage reads, `dst / k^i mod k`,
+/// two multiply-shifts by the graph's powers `k^0 ..= k^n`.
+#[inline]
+fn port_digit(net: &NetworkGraph, stage: u32, dst: NodeId) -> u32 {
+    let i = match net.kind {
+        NetworkKind::Unidir { wiring, .. } => wiring.tag_digit_index(net.geometry.n(), stage),
+        NetworkKind::Bmin => stage,
+    };
+    let pow = net.powers();
+    pow[1].div_rem(pow[i as usize].div_rem(dst).0).1
 }
 
 #[cfg(test)]
@@ -305,6 +282,13 @@ impl RouteTable {
     /// Number of destination nodes the table was built for.
     pub fn nodes(&self) -> u32 {
         self.nodes
+    }
+
+    /// The port digit a stage-`stage` switch of a built table sends a
+    /// `dst`-bound header by.
+    fn digit(&self, stage: u32, dst: NodeId) -> u32 {
+        let Repr::Compact { net } = &self.repr else { panic!("a masked table") };
+        port_digit(net, stage, dst)
     }
 }
 
@@ -696,10 +680,43 @@ mod tests {
         assert_no_dead_ends(&net, &masked);
     }
 
-    /// What the table owns is digit rows plus a power per stage — the
-    /// 64-node tables are a few hundred bytes, a dense masked one is not.
+    /// The computed digits are the ones the logic reads, for every
+    /// `(stage, dst)`: [`UnidirKind::tag_digit`] under every wiring, at
+    /// dilation 1 (the TMIN's, and the VMIN's — lanes are the engine's,
+    /// not the graph's) and 2 (DMIN), and [`Geometry::digit`] on the
+    /// BMIN; at 64, 256 and 1 024 terminals and at the widest radix.
+    #[test]
+    fn computed_digits_equal_the_logic_digits() {
+        let shapes = [(4, 3), (4, 4), (4, 5), (256, 2)];
+        for g in shapes.map(|(k, n)| Geometry::new(k, n)) {
+            for net in lineup(g) {
+                let table = RouteTable::build(&net).unwrap();
+                for stage in 0..g.n() {
+                    for dst in 0..g.nodes() {
+                        let want = match net.kind {
+                            NetworkKind::Unidir { wiring, .. } => {
+                                wiring.tag_digit(&g, minnet_topology::NodeAddr(dst), stage)
+                            }
+                            NetworkKind::Bmin => g.digit(minnet_topology::NodeAddr(dst), stage),
+                        };
+                        let got = table.digit(stage, dst);
+                        assert_eq!(got, want, "{:?} stage {stage} dst {dst}", net.kind);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A built table owns nothing past itself, whatever the node count
+    /// — a dense masked one is `channels × nodes` cells.
     #[test]
     fn built_table_is_compact_and_masked_is_dense() {
+        for g in [Geometry::new(4, 3), Geometry::new(4, 7)] {
+            let net = Arc::new(build_bmin(g));
+            let bytes = RouteTable::build(&net).unwrap().approx_bytes();
+            let fixed = std::mem::size_of::<RouteTable>() as u64;
+            assert_eq!(bytes, fixed, "{} terminals", g.nodes());
+        }
         let g = Geometry::new(4, 3);
         for net in [
             Arc::new(build_unidir(g, UnidirKind::Cube, 1)),

@@ -73,13 +73,20 @@ impl LaneBufs {
         self.len[li] == self.depth
     }
 
-    /// Remove lane `li`'s oldest flit; `false` if it buffers none.
+    /// Remove lane `li`'s oldest flit and return how many it still
+    /// buffers; `None` if it buffered none.
     #[inline]
     #[must_use]
-    pub fn pop(&mut self, li: usize) -> bool {
-        let had = self.len[li] != 0;
-        self.len[li] -= u16::from(had);
-        had
+    pub fn pop(&mut self, li: usize) -> Option<u16> {
+        let len = &mut self.len[li];
+        *len = len.checked_sub(1)?;
+        Some(*len)
+    }
+
+    /// The flits a lane buffers when full.
+    #[inline]
+    pub fn depth(&self) -> u16 {
+        self.depth
     }
 
     /// Buffer one more flit in lane `li` and return the new occupancy, or
@@ -125,19 +132,20 @@ struct Chunk {
     next: [u32; CHUNK],
 }
 
-/// Every node's FCFS message queue, as linked lists threaded through
-/// slots in fixed chunks: `head` / `tail` / `len` are per-node arrays,
-/// and freed slots chain from `free` through the chunks' own links. No
-/// per-node heap allocation exists, so the footprint is 12 bytes a node
-/// plus 20 per message ever queued at once (a 16-byte record and its
-/// link), rounded up to whole chunks. A chunk never moves once
-/// allocated: a saturated run's queues grow by one more chunk, never by
-/// copying the ones it has. Tags live in a side array that grows only
+/// Every node's FCFS message queue, as circular linked lists threaded
+/// through slots in fixed chunks: `tail` / `len` are per-node arrays, the
+/// tail's link is the queue's head, and freed slots chain from `free`
+/// through the chunks' own links. No per-node heap allocation exists, so
+/// the footprint is 8 bytes a node plus 20 per message ever queued at
+/// once (a 16-byte record and its link), rounded up to whole chunks. A
+/// chunk never moves once allocated: a saturated run's queues grow by
+/// one more chunk, never by copying the ones it has. Tags live in a side array that grows only
 /// under tagged pushes (an untagged one clears a slot a tagged one
 /// wrote since the reset), so a Poisson run allocates none.
 #[derive(Debug, Default)]
 pub(crate) struct MsgQueues {
-    head: Vec<u32>,
+    /// The newest message's slot; its link closes the circle at the
+    /// oldest. Stale while the queue is empty.
     tail: Vec<u32>,
     len: Vec<u32>,
     chunks: Vec<Box<Chunk>>,
@@ -157,7 +165,6 @@ impl MsgQueues {
     /// count follows [`trim`]'s rule: chunks beyond what `nodes` messages
     /// need are given back when that is under a quarter of them.
     pub fn reset(&mut self, nodes: usize) {
-        refill(&mut self.head, nodes, NIL);
         refill(&mut self.tail, nodes, NIL);
         refill(&mut self.len, nodes, 0);
         let want = nodes.div_ceil(CHUNK);
@@ -171,8 +178,7 @@ impl MsgQueues {
 
     /// Heap bytes held (capacities × element size).
     pub fn approx_bytes(&self) -> usize {
-        (self.head.capacity() + self.tail.capacity() + self.len.capacity() + self.tags.capacity())
-            * 4
+        (self.tail.capacity() + self.len.capacity() + self.tags.capacity()) * 4
             + self.chunks.len() * std::mem::size_of::<Chunk>()
             + self.chunks.capacity() * std::mem::size_of::<Box<Chunk>>()
     }
@@ -199,12 +205,15 @@ impl MsgQueues {
             }
             self.tags[slot as usize] = tag;
         }
+        // The new tail links to the head: itself in an empty queue, else
+        // the old tail's link, which it takes over.
         let n = node as usize;
-        if self.len[n] == 0 {
-            self.head[n] = slot;
+        let head = if self.len[n] == 0 {
+            slot
         } else {
-            *self.link(self.tail[n]) = slot;
-        }
+            std::mem::replace(self.link(self.tail[n]), slot)
+        };
+        *self.link(slot) = head;
         self.tail[n] = slot;
         self.len[n] += 1;
         self.len[n] as usize
@@ -213,8 +222,11 @@ impl MsgQueues {
     /// The oldest message queued at `node`, if any.
     #[inline]
     pub fn front(&self, node: u32) -> Option<QueuedMsg> {
-        let slot = self.head[node as usize] as usize;
-        (self.len[node as usize] != 0).then(|| self.chunks[slot / CHUNK].msgs[slot % CHUNK])
+        let n = node as usize;
+        (self.len[n] != 0).then(|| {
+            let head = self.next(self.tail[n]) as usize;
+            self.chunks[head / CHUNK].msgs[head % CHUNK]
+        })
     }
 
     /// Remove and return the oldest message queued at `node`, with its
@@ -224,9 +236,14 @@ impl MsgQueues {
         if self.len[n] == 0 {
             return None;
         }
-        let slot = self.head[n];
+        let slot = self.next(self.tail[n]);
         let free = self.free;
-        self.head[n] = std::mem::replace(self.link(slot), free);
+        let after = std::mem::replace(self.link(slot), free);
+        // A queue of one leaves its tail stale; else the tail links past
+        // the popped head.
+        if self.len[n] > 1 {
+            *self.link(self.tail[n]) = after;
+        }
         self.free = slot;
         self.len[n] -= 1;
         let msg = self.chunks[slot as usize / CHUNK].msgs[slot as usize % CHUNK];
@@ -234,6 +251,12 @@ impl MsgQueues {
     }
 
     /// Slot `s`'s link.
+    #[inline]
+    fn next(&self, s: u32) -> u32 {
+        self.chunks[s as usize / CHUNK].next[s as usize % CHUNK]
+    }
+
+    /// Slot `s`'s link, to write.
     #[inline]
     fn link(&mut self, s: u32) -> &mut u32 {
         &mut self.chunks[s as usize / CHUNK].next[s as usize % CHUNK]
@@ -387,10 +410,10 @@ mod tests {
         assert!(b.is_empty(0) && b.is_empty(2), "lanes are independent");
         assert_eq!(b.push(1), None, "full lane refuses the flit");
         assert!(b.is_full(1), "refused push leaves the buffer intact");
-        assert!(b.pop(1));
+        assert_eq!(b.pop(1), Some(1));
         assert_eq!(b.push(1), Some(2), "a pop makes room for one");
-        assert!(b.pop(1) && b.pop(1));
-        assert!(!b.pop(1) && b.is_empty(1), "empty lane has nothing to pop");
+        assert_eq!((b.pop(1), b.pop(1)), (Some(1), Some(0)));
+        assert!(b.pop(1).is_none() && b.is_empty(1), "empty lane has nothing to pop");
         assert_eq!(b.push(2), Some(1));
         assert_eq!((b.drain(2), b.drain(2)), (1, 0));
     }
@@ -417,7 +440,7 @@ mod tests {
         }
         assert!(b.is_full(0));
         assert_eq!(b.push(0), None);
-        assert!(b.pop(0) && !b.is_full(0));
+        assert!(b.pop(0) == Some(u16::MAX - 1) && !b.is_full(0));
         assert_eq!(b.push(0), Some(u16::MAX));
         assert_eq!(b.drain(0), u32::from(u16::MAX));
         assert!(b.is_empty(0));

@@ -29,7 +29,7 @@ impl Engine<'_> {
     pub(super) fn ff_target(&self) -> Option<u64> {
         let src = &self.st.src;
         let next = match self.traffic {
-            Traffic::Poisson(_) => src.arrivals.peek().map(|&Reverse((t, _))| t),
+            Traffic::Poisson(_) => src.arrivals.peek().map(|&Reverse(key)| src.keys.split(key).0),
             Traffic::Script(s) => s.msgs.get(src.cursor).map(|m| m.time),
             Traffic::Chain(_) => src.releases.peek().map(|&Reverse((t, _))| t),
         };

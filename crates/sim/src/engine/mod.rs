@@ -40,10 +40,13 @@
 //! # Compile-once / run-many split
 //!
 //! Everything about a run that depends only on the *network and engine
-//! configuration* — the ejection-plane mask and the routing table (digit
-//! rows choosing among the port spans the graph computes, `n · nodes`
-//! bytes: 115 KB at 16k terminals; the transmit order is a closed form
-//! of the channel id and is not stored) — lives in an immutable
+//! configuration* — the ejection-plane mask and the routing table (the
+//! graph's handle and nothing more: the destination digit a switch reads
+//! is computed, and chooses among the port spans the graph computes, so
+//! the benchmark's `routing.table_bytes` is the table's own few dozen
+//! bytes at any node count, where digit rows made it `n · nodes`; the
+//! transmit order is a closed form of the channel id and is not stored)
+//! — lives in an immutable
 //! [`CompiledNet`], built once and shared (`Arc`-held network) across
 //! however many runs and threads a sweep needs. Everything that changes
 //! over a run — lanes, queues, heaps, statistics, the RNG — lives in a
@@ -71,8 +74,9 @@
 //! An idle 1024-node network costs near nothing per cycle. The engine
 //! maintains:
 //!
-//! * an **arrival heap** (Poisson) keyed `(⌈next_arrival⌉, node)` with one
-//!   outstanding entry per generating node, and a **release heap**
+//! * an **arrival heap** (Poisson) keyed `(⌈next_arrival⌉, node)`, packed
+//!   in one `u64`, with one outstanding entry per generating node, and a
+//!   **release heap**
 //!   (chained traffic) keyed `(release_time, index)` — arrivals phase work
 //!   is O(log n) per event, not O(nodes) or O(messages) per cycle;
 //! * an **injectable-source bitset**: bit `n` set iff node `n`'s queue is
@@ -116,7 +120,7 @@
 //!
 //! Lane, node and packet state are parallel dense arrays with no
 //! per-entity heap allocation: 7 bytes a lane at any `buffer_depth`,
-//! 24 a node and 4·H a packet slot for its lane path, held by
+//! 28 a node and 4·H a packet slot for its lane path, held by
 //! `tests/footprint.rs`. ("Lane" is a plane: at a `vcs` of 3, 5 or 6 —
 //! test-only — the arrays carry each group's pad planes.)
 //!
@@ -129,7 +133,8 @@
 //! | the four plane masks | ½ | plane | `owned` / `has_input` / `full` / `dead` bits |
 //! | `src.injecting` | 4 | node | packet drawing from the source, else `NONE` |
 //! | `src.next_arrival` | 8 | node | next Poisson arrival time |
-//! | `src.queues` head, tail, len | 12 | node | FCFS list ends in the queue chunks |
+//! | `src.arrivals` | 8 | node | the node's next Poisson arrival as a heap key, `⌈cycle⌉ << b \| node` with `b` the node id's bit width, a cycle past the horizon held as `end + 1`; only for a generating node, and a Poisson run whose `end + 1` does not fit above the `b` bits is refused before it starts |
+//! | `src.queues` tail, len | 8 | node | FCFS list in the queue chunks, circular: the tail's link is the head |
 //! | `src.queues` chunks | 20 | queued message | `active::MsgQueues`: a 16-byte record and its link, in 256-slot chunks that never move; freed slots are reused first |
 //! | `src.queues` tags | 4 | queued message | script / chain index; only a tagged push writes it |
 //! | `pkts.path` | 4·H | packet slot | the planes the worm claimed, in route order; it holds `tail..=head` |
@@ -186,6 +191,7 @@ use minnet_traffic::Workload;
 use std::cmp::Reverse;
 use std::fmt::Display;
 use std::sync::Arc;
+use arrivals::ArrivalKeys;
 
 pub use crate::config::Delivery;
 pub use state::EngineState;
@@ -400,6 +406,10 @@ pub struct CompiledNet {
     /// The longest route in channels ([`longest_route`]): the stride of a
     /// packet slot's lane path.
     hops: usize,
+    /// The arrival heap's key packing for this horizon; `None` when the
+    /// horizon does not fit above the node bits, which refuses Poisson
+    /// runs (a finite source never keys the heap).
+    keys: Option<ArrivalKeys>,
 }
 
 /// `log2` of the plane-group width: `vcs` rounded up to a power of two,
@@ -467,8 +477,8 @@ impl CompiledNet {
     /// or with a route too long for a lane's byte of hop index.
     pub fn new(net: Arc<NetworkGraph>, cfg: EngineConfig) -> Result<CompiledNet, SimError> {
         cfg.validate()?;
-        let hops = longest_route(&net);
-        check_index_range(net.num_channels(), cfg.vcs, net.geometry.nodes(), hops)?;
+        let (hops, nodes) = (longest_route(&net), net.geometry.nodes());
+        check_index_range(net.num_channels(), cfg.vcs, nodes, hops)?;
         let routes = RouteTable::build(&net).map_err(SimError::Routing)?;
         let planes = Planes::new(&net, &cfg);
         let mut eject = DenseBitSet::with_capacity(planes.count());
@@ -476,7 +486,8 @@ impl CompiledNet {
         for c in net.ejects() {
             (0..cfg.vcs).for_each(|vc| eject.set(planes.of(c, vc.into())));
         }
-        Ok(CompiledNet { net, cfg, routes, eject, hops })
+        let keys = cfg.warmup.checked_add(cfg.measure).and_then(|end| ArrivalKeys::fit(nodes, end));
+        Ok(CompiledNet { net, cfg, routes, eject, hops, keys })
     }
 
     /// The shared network graph.
@@ -551,7 +562,8 @@ impl CompiledNet {
     }
 
     /// Reset `st` for this run, which primes the traffic source's event
-    /// heaps, and run the engine to its end.
+    /// heaps, and run the engine to its end. A Poisson run whose horizon
+    /// the arrival keys cannot hold is refused first, with `st` untouched.
     fn start(
         &self,
         traffic: Traffic<'_>,
@@ -559,11 +571,19 @@ impl CompiledNet {
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
+        let keys = match (traffic, self.keys) {
+            (Traffic::Poisson(_), None) => {
+                let why = "a Poisson run's horizon, warmup + measure, does not fit \
+                           beside the node bits of an arrival key";
+                return Err(SimError::Config(why.into()));
+            }
+            (_, keys) => keys.unwrap_or_default(),
+        };
         // A trivial schedule (no epoch kills any lane) is indistinguishable
         // from no schedule; normalizing it to `None` here *guarantees* the
         // empty-plan path is the untouched fast path, bit for bit.
         let faults = faults.filter(|f| !f.is_trivial());
-        st.reset(self, traffic, faults, seed);
+        st.reset(self, traffic, faults, keys, seed);
         Engine {
             net: &self.net,
             cfg: &self.cfg,
@@ -666,6 +686,57 @@ mod tests {
         // A lane's hop is a byte: 256 lanes a route, indices 0..=255.
         assert!(check_index_range(8, 1, 2, 256).is_ok());
         assert!(matches!(check_index_range(8, 1, 2, 257), Err(SimError::Config(_))));
+    }
+
+    /// A Poisson horizon one cycle past what the arrival keys hold is
+    /// refused, typed, before the run touches its state; at the limit it
+    /// runs (cut by a budget), and a script on the refused configuration
+    /// runs too — a finite source keys no arrival.
+    #[test]
+    fn a_horizon_past_the_arrival_keys_is_refused_before_the_run() {
+        let g = Geometry::new(4, 3);
+        let graph = Arc::new(minnet_topology::build_bmin(g));
+        // 64 nodes: 6 node bits, so the cycle field holds up to 2^58 − 1
+        // and the last horizon is one less, `end + 1` never firing.
+        let limit = (1u64 << 58) - 2;
+        let cfg = |warmup, measure| EngineConfig {
+            warmup,
+            measure,
+            budget: crate::RunBudget { max_cycles: 200, max_wall_ms: 0 },
+            ..EngineConfig::default()
+        };
+        let spec = minnet_traffic::WorkloadSpec {
+            offered_load: 0.1,
+            pattern: minnet_traffic::TrafficPattern::Uniform,
+            clustering: minnet_traffic::Clustering::Global,
+            rates: None,
+            sizes: minnet_traffic::MessageSizeDist::Fixed(8),
+        };
+        let workload = Workload::compile(g, &spec).unwrap();
+        let poisson = Traffic::Poisson(&workload);
+        let msg = ScriptedMsg { time: 3, src: 0, dst: 9, len: 4 };
+        let script = Script::compile(g, &[msg]).unwrap();
+        let untouched = EngineState::new().approx_bytes();
+        for (warmup, measure) in [(0, limit + 1), (1_000, limit - 999), (u64::MAX, 1)] {
+            let net = CompiledNet::new(graph.clone(), cfg(warmup, measure)).unwrap();
+            assert!(net.keys.is_none(), "{warmup} + {measure}");
+            let mut st = EngineState::new();
+            match net.run(poisson, None, 1, &mut st) {
+                Err(SimError::Config(msg)) => assert!(msg.contains("arrival key"), "{msg}"),
+                other => panic!("{warmup} + {measure}: {:?}", other.map(drop)),
+            }
+            assert_eq!(st.approx_bytes(), untouched, "the refused run dimensioned its state");
+            if warmup == 0 {
+                let report = net.run(Traffic::Script(&script), None, 1, &mut st).unwrap();
+                assert_eq!(report.delivered_packets, 1);
+            }
+        }
+        let net = CompiledNet::new(graph, cfg(0, limit)).unwrap();
+        assert!(net.keys.is_some());
+        match net.run(poisson, None, 1, &mut EngineState::new()) {
+            Err(SimError::BudgetExceeded(cut)) => assert!(cut.report.generated_packets > 0),
+            other => panic!("at the limit: {:?}", other.map(drop)),
+        }
     }
 
     /// `H`, a slot's path stride, on the four networks at 64 and 256

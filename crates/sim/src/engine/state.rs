@@ -6,7 +6,7 @@
 //! holds the lane and packet masks to the predicates they mirror.
 
 use super::allocate::Scratch;
-use super::arrivals::Sources;
+use super::arrivals::{ArrivalKeys, Sources};
 use super::run::Measure;
 use super::{CompiledNet, Engine, Planes, Traffic};
 use crate::active::{refill, trim, DenseBitSet, LaneBufs};
@@ -21,7 +21,7 @@ pub(super) const NONE: u32 = u32::MAX;
 
 /// The cold per-packet fields — touched at injection and completion, not
 /// by the per-cycle allocate/transmit sweeps. The hot fields (`path`,
-/// `head`, `tail`, `sent`, `len`, `delivered`) are parallel dense arrays
+/// `window`, `sent`, `len`, `delivered`) are parallel dense arrays
 /// of [`Packets`], indexed by packet slot, so the sweeps touch contiguous
 /// memory (see the `engine` module header's struct-of-arrays notes).
 #[derive(Clone, Copy, Debug)]
@@ -80,8 +80,9 @@ impl EngineState {
 
     /// Restore the exact state a fresh engine construction produces for a
     /// run of `traffic` on `net` under `faults` (already normalized: a
-    /// trivial schedule is `None`) with `seed`, keeping allocations
-    /// wherever dimensions allow, and prime the traffic's event heaps.
+    /// trivial schedule is `None`) with `seed`, its arrival heap packed by
+    /// `keys`, keeping allocations wherever dimensions allow, and prime
+    /// the traffic's event heaps.
     /// Every container goes through `crate::active`'s shrink rule:
     /// per-lane and per-node arrays at their new size, the ones a run
     /// grows — packet slots, heaps, scratch — against the node count they
@@ -91,6 +92,7 @@ impl EngineState {
         net: &CompiledNet,
         traffic: Traffic<'_>,
         faults: Option<&CompiledFaults>,
+        keys: ArrivalKeys,
         seed: u64,
     ) {
         let (cfg, nodes) = (&net.cfg, net.net.geometry.nodes() as usize);
@@ -99,7 +101,7 @@ impl EngineState {
         let dead = faults.map(|f| &f.epochs[0].dead_planes[..]);
         self.lanes.reset(Planes::new(&net.net, cfg), cfg.buffer_depth, dead);
         self.pkts.reset(nodes, net.hops);
-        self.src.reset(traffic, nodes, &mut self.rng);
+        self.src.reset(traffic, nodes, keys, &mut self.rng);
         let deterministic = !matches!(traffic, Traffic::Poisson(_));
         self.meas.reset(cfg, net.net.num_channels(), deterministic);
         self.scratch.reset(nodes);
@@ -183,6 +185,15 @@ impl Lanes {
     }
 }
 
+/// A worm's held lanes on its path, `path[tail..=head]`: `head` indexes
+/// its head lane, `tail` the oldest lane it holds — a tail release
+/// advances it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct Window {
+    pub(super) tail: u8,
+    pub(super) head: u8,
+}
+
 /// Packet state, struct-of-arrays by slot: the hot fields the sweeps
 /// touch every cycle, a cold [`PktMeta`] array for the rest, and the slot
 /// bookkeeping. A slot is stable for its packet's lifetime and recycled
@@ -201,11 +212,9 @@ pub(super) struct Packets {
     pub(super) stride: usize,
     /// Per slot, `H` planes: the worm's lanes in route order.
     pub(super) path: Vec<u32>,
-    /// Index in the slot's `path` of the worm's head lane.
-    pub(super) head: Vec<u8>,
-    /// Index in the slot's `path` of the oldest lane the worm holds; a
-    /// tail release advances it.
-    pub(super) tail: Vec<u8>,
+    /// The slot's held window on its `path`, in one word so a move
+    /// reads both ends with one bounds check.
+    pub(super) window: Vec<Window>,
     pub(super) sent: Vec<u32>,
     pub(super) len: Vec<u32>,
     /// Destination node, duplicated out of `PktMeta` so the allocate
@@ -241,8 +250,7 @@ impl Packets {
             trim(v, nodes);
         }
         trim(&mut self.path, nodes * stride);
-        trim(&mut self.head, nodes);
-        trim(&mut self.tail, nodes);
+        trim(&mut self.window, nodes);
         trim(&mut self.cand, nodes);
         trim(&mut self.meta, nodes);
         // Grows with the slot table; starting at the node count (not 0)
@@ -256,35 +264,44 @@ impl Packets {
             &self.free, &self.active,
         ];
         u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
-            + self.head.capacity()
-            + self.tail.capacity()
+            + self.window.capacity() * std::mem::size_of::<Window>()
             + self.cand.capacity() * std::mem::size_of::<PortSpan>()
             + self.meta.capacity() * std::mem::size_of::<PktMeta>()
             + self.advance.approx_bytes()
     }
 
     /// The lanes packet `p` holds, tail to head.
+    #[inline]
     pub(super) fn held(&self, p: u32) -> &[u32] {
-        let (pi, base) = (p as usize, p as usize * self.stride);
-        &self.path[base + self.tail[pi] as usize..=base + self.head[pi] as usize]
+        self.held_at(p, 0).0
+    }
+
+    /// [`Self::held`], and where in it the lane at `hop` sits: `hop −
+    /// tail`, wrapped (so past the slice's end) below the tail.
+    #[inline]
+    pub(super) fn held_at(&self, p: u32, hop: u8) -> (&[u32], usize) {
+        let base = p as usize * self.stride;
+        let Window { tail, head } = self.window[p as usize];
+        let (tail, head) = (usize::from(tail), usize::from(head));
+        (&self.path[base + tail..base + head + 1], usize::from(hop).wrapping_sub(tail))
     }
 
     /// The plane of packet `p`'s head lane.
     #[inline]
     pub(super) fn head_lane(&self, p: u32) -> u32 {
-        self.path[p as usize * self.stride + self.head[p as usize] as usize]
+        self.path[p as usize * self.stride + usize::from(self.window[p as usize].head)]
     }
 
     /// Append `lane` to packet `p`'s path as its new head; returns the
     /// lane's hop. A route longer than the stride is refused, typed,
     /// rather than written into the next slot's path.
     pub(super) fn extend(&mut self, p: u32, lane: u32) -> Result<u8, SimError> {
-        let hop = self.head[p as usize] as usize + 1;
+        let hop = usize::from(self.window[p as usize].head) + 1;
         if hop >= self.stride {
             return Err(SimError::Internal { what: "a worm outgrew the network's longest route" });
         }
         self.path[p as usize * self.stride + hop] = lane;
-        self.head[p as usize] = hop as u8;
+        self.window[p as usize].head = hop as u8;
         Ok(hop as u8)
     }
 
@@ -301,8 +318,7 @@ impl Packets {
                 v.push(0);
             }
             self.path.resize(self.path.len() + self.stride, NONE);
-            self.head.push(0);
-            self.tail.push(0);
+            self.window.push(Window::default());
             self.cand.push(PortSpan::default());
             self.meta.push(meta);
             self.advance.grow(s + 1);
@@ -310,8 +326,7 @@ impl Packets {
         });
         let si = slot as usize;
         self.path[si * self.stride] = lane;
-        self.head[si] = 0;
-        self.tail[si] = 0;
+        self.window[si] = Window::default();
         self.sent[si] = 0;
         self.len[si] = len;
         self.dst[si] = meta.dst;
@@ -356,8 +371,8 @@ impl Engine<'_> {
             let (pi, hop) = (p as usize, lanes.hop[li]);
             let active = pkts.active.get(pkts.active_pos[pi] as usize);
             assert_eq!(active, Some(&p), "plane {pl}'s owner {p} is not in flight");
-            let window = pkts.tail[pi]..=pkts.head[pi];
-            assert!(window.contains(&hop), "plane {pl} off packet {p}'s window");
+            let Window { tail, head } = pkts.window[pi];
+            assert!((tail..=head).contains(&hop), "plane {pl} off packet {p}'s window");
             let at = pkts.path[pi * pkts.stride + usize::from(hop)];
             assert_eq!(at, pl, "plane {pl} off packet {p}'s path");
         }
@@ -368,7 +383,7 @@ impl Engine<'_> {
         let shift = self.planes.shift;
         for (i, &p) in pkts.active.iter().enumerate() {
             assert_eq!(pkts.active_pos[p as usize], i as u32, "active_pos packet {p}");
-            let (tail, held) = (usize::from(pkts.tail[p as usize]), pkts.held(p));
+            let (tail, held) = (usize::from(pkts.window[p as usize].tail), pkts.held(p));
             for (hop, &li) in (tail..).zip(held) {
                 assert_eq!(lanes.owner[li as usize], p, "path of packet {p} at hop {hop}");
                 assert_eq!(usize::from(lanes.hop[li as usize]), hop, "path of packet {p} at plane {li}");
@@ -393,7 +408,6 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::allocate::Req;
-    use super::super::Script;
     use super::*;
     use crate::active::QueuedMsg;
     use crate::config::EngineConfig;
@@ -410,22 +424,34 @@ mod tests {
         let g = Geometry::new(4, 3);
         let graph = Arc::new(minnet_topology::build_bmin(g));
         let (nch, nodes) = (graph.num_channels(), g.nodes() as usize);
-        let script = Script::compile(g, &[]).unwrap();
+        let spec = minnet_traffic::WorkloadSpec {
+            offered_load: 0.1,
+            pattern: minnet_traffic::TrafficPattern::Uniform,
+            clustering: minnet_traffic::Clustering::Global,
+            rates: None,
+            sizes: minnet_traffic::MessageSizeDist::PAPER,
+        };
+        let workload = minnet_traffic::Workload::compile(g, &spec).unwrap();
         let mut st = EngineState::new();
         let mut reset = |cfg: EngineConfig| {
             let net = CompiledNet::new(graph.clone(), cfg).unwrap();
-            st.reset(&net, Traffic::Script(&script), None, 1);
+            st.reset(&net, Traffic::Poisson(&workload), None, net.keys.unwrap(), 1);
             let lanes = &st.lanes;
             let lane_bytes = 4 * lanes.owner.len()
                 + lanes.hop.len()
                 + lanes.bufs.approx_bytes()
                 + lanes.mux_last.len();
-            let node_bytes = 4 * st.src.injecting.len() + 8 * st.src.next_arrival.len();
+            // Every node generates, so the arrival heap holds a key each.
+            assert_eq!(st.src.arrivals.len(), nodes);
+            let node_bytes = 4 * st.src.injecting.len()
+                + 8 * st.src.next_arrival.len()
+                + 8 * st.src.arrivals.capacity();
             (lane_bytes, node_bytes + st.src.queues.approx_bytes())
         };
         let (lane_bytes, node_bytes) = reset(EngineConfig::default());
         assert_eq!(lane_bytes, 7 * nch, "vcs 1, depth 1: 7 B a lane, no mux");
-        assert_eq!(node_bytes, 24 * nodes);
+        assert_eq!(size_of::<std::cmp::Reverse<u64>>(), 8);
+        assert_eq!(node_bytes, 28 * nodes, "injector 4, next arrival 8, heap key 8, queue 8");
         let (lane_bytes, _) = reset(EngineConfig { vcs: 2, buffer_depth: 4, ..EngineConfig::default() });
         assert_eq!(lane_bytes, 7 * 2 * nch + nch, "vcs 2, depth 4: 7 B a lane + 1 B a channel");
         // Not a power of two: the lane arrays are padded to the plane group.

@@ -186,11 +186,11 @@ impl Engine<'_> {
         if p == NONE as usize {
             return false;
         }
-        let hop = usize::from(lanes.hop[li]);
-        if hop > usize::from(pkts.tail[p]) {
-            return !lanes.bufs.is_empty(pkts.path[p * pkts.stride + hop - 1] as usize);
+        let (held, i) = pkts.held_at(p as u32, lanes.hop[li]);
+        match held.get(i.wrapping_sub(1)) {
+            Some(&up) => !lanes.bufs.is_empty(up as usize),
+            None => pkts.sent[p] < pkts.len[p],
         }
-        pkts.sent[p] < pkts.len[p]
     }
 
     /// Move one flit into the lane at plane `pl` — the bit the sweep just
@@ -211,28 +211,30 @@ impl Engine<'_> {
     fn move_flit(&mut self, pl: u32, eject: bool) -> Result<u32, SimError> {
         let li = pl as usize;
         let p = self.st.lanes.owner[li];
-        let hop = usize::from(self.st.lanes.hop[li]);
         let pi = p as usize;
-        let base = pi * self.st.pkts.stride;
-        let tail = usize::from(self.st.pkts.tail[pi]);
+        // The lane's neighbours on its owner's held window, read in one
+        // slice: past either end of the window, `get` answers `None` —
+        // the same compare that tells a lane fed by the source from one
+        // fed by a lane, and the head from a lane with a downstream.
+        let (held, i) = self.st.pkts.held_at(p, self.st.lanes.hop[li]);
+        let (up, down) = (held.get(i.wrapping_sub(1)).copied(), held.get(i + 1).copied());
         let mut fb = NO_FEEDBACK;
-        let is_tail = if hop > tail {
-            let up = self.st.pkts.path[base + hop - 1];
-            if !self.st.lanes.bufs.pop(up as usize) {
+        let is_tail = if let Some(up) = up {
+            let Some(left) = self.st.lanes.bufs.pop(up as usize) else {
                 return Err(SimError::Internal { what: "ready lane lost its upstream flit" });
-            }
+            };
             debug_assert_eq!(self.st.lanes.owner[up as usize], p, "foreign upstream lane");
             // The pop leaves `up`'s buffer non-full; if it also drained
             // it, this lane's input is gone.
             fb = up;
             self.st.lanes.full.clear(up);
-            let drained = self.st.lanes.bufs.is_empty(up as usize);
+            let drained = left == 0;
             if drained {
                 self.st.lanes.has_input.clear(pl);
             }
             // `up` is exhausted when it is the oldest lane held and the
             // source is done.
-            drained && hop - 1 == tail && self.st.pkts.sent[pi] == self.st.pkts.len[pi]
+            drained && i == 1 && self.st.pkts.sent[pi] == self.st.pkts.len[pi]
         } else if self.st.pkts.sent[pi] < self.st.pkts.len[pi] {
             self.st.pkts.sent[pi] += 1;
             let sent_all = self.st.pkts.sent[pi] == self.st.pkts.len[pi];
@@ -254,7 +256,7 @@ impl Engine<'_> {
         if is_tail {
             if fb != NO_FEEDBACK {
                 self.st.lanes.release(fb);
-                self.st.pkts.tail[pi] += 1;
+                self.st.pkts.window[pi].tail += 1;
             }
             self.st.lanes.has_input.clear(pl);
         }
@@ -276,13 +278,13 @@ impl Engine<'_> {
                 self.complete_packet(p, meta.gen_time, meta.measured)?;
             }
         } else if let Some(buffered) = self.st.lanes.bufs.push(li) {
-            if self.st.lanes.bufs.is_full(li) {
+            if buffered == self.st.lanes.bufs.depth() {
                 self.st.lanes.full.set(pl);
             }
             // The flit just buffered in `li` is input for the downstream
             // lane that pulls from `li` (if the worm has advanced past it).
-            if hop < usize::from(self.st.pkts.head[pi]) {
-                self.st.lanes.has_input.set(self.st.pkts.path[base + hop + 1]);
+            if let Some(down) = down {
+                self.st.lanes.has_input.set(down);
             } else if buffered == 1 {
                 // The header: it only ever lands in the worm's current
                 // head lane (the downstream consumer that pops it exists

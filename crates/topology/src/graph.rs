@@ -536,6 +536,13 @@ impl NetworkGraph {
         self.geometry.n() as usize * self.per_stage.get() as usize
     }
 
+    /// `k^0 ..= k^n` as divisors: `powers()[j].div_rem(a)` takes address
+    /// `a` apart at digit `j`.
+    #[inline]
+    pub fn powers(&self) -> &[Divisor] {
+        &self.kpow
+    }
+
     /// Output-port codes per switch: `k` for unidirectional switches,
     /// `2k` for bidirectional ones (see the module docs for the coding).
     #[inline]

@@ -82,22 +82,27 @@ impl UnidirKind {
     }
 
     /// Routing tag digit `t_i` controlling the switch at stage `G_i` for a
-    /// packet headed to `dst` (self-routing property of Delta networks).
+    /// packet headed to `dst` (self-routing property of Delta networks):
+    /// digit [`Self::tag_digit_index`] of `dst`.
     #[inline]
     pub fn tag_digit(&self, g: &Geometry, dst: NodeAddr, stage: u32) -> u32 {
-        let n = g.n();
+        g.digit(dst, self.tag_digit_index(g.n(), stage))
+    }
+
+    /// Which digit of the destination the stage-`stage` switches of an
+    /// `n`-stage network read ([`Self::tag_digit`]).
+    #[inline]
+    pub fn tag_digit_index(&self, n: u32, stage: u32) -> u32 {
         debug_assert!(stage < n);
         match self {
             // Cube, Omega and baseline all consume destination digits most
             // significant first; only the wiring between stages differs.
-            UnidirKind::Cube | UnidirKind::Omega | UnidirKind::Baseline => {
-                g.digit(dst, n - 1 - stage)
-            }
+            UnidirKind::Cube | UnidirKind::Omega | UnidirKind::Baseline => n - 1 - stage,
             UnidirKind::Butterfly => {
                 if stage == n - 1 {
-                    g.digit(dst, 0)
+                    0
                 } else {
-                    g.digit(dst, stage + 1)
+                    stage + 1
                 }
             }
         }

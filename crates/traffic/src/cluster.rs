@@ -32,13 +32,25 @@ impl Clustering {
     }
 }
 
-/// A resolved clustering: membership lists plus reverse lookup.
+/// A resolved clustering: each cluster's members, in increasing order,
+/// and each node's cluster. The one cluster of [`Clustering::Global`] is
+/// its node count alone — its index is 0 and its member `i` is node `i` —
+/// so a global workload holds no per-node array.
 #[derive(Clone, Debug)]
 pub struct ClusterMap {
-    /// `members[c]` lists the nodes of cluster `c`, in increasing order.
-    pub members: Vec<Vec<NodeId>>,
+    repr: Map,
+}
+
+#[derive(Clone, Debug)]
+enum Map {
+    /// Every node of `0..nodes` in cluster 0.
+    Global { nodes: u32 },
+    /// `members[c]` lists the nodes of cluster `c`, in increasing order;
     /// `cluster_of[node]` gives the node's cluster index.
-    pub cluster_of: Vec<u32>,
+    Listed {
+        members: Vec<Vec<NodeId>>,
+        cluster_of: Vec<u32>,
+    },
 }
 
 impl ClusterMap {
@@ -51,7 +63,7 @@ impl ClusterMap {
     pub fn build(g: &Geometry, clustering: &Clustering) -> Result<ClusterMap, String> {
         let n = g.nodes();
         let members: Vec<Vec<NodeId>> = match clustering {
-            Clustering::Global => vec![(0..n).collect()],
+            Clustering::Global => return Ok(ClusterMap { repr: Map::Global { nodes: n } }),
             Clustering::Cubes(cubes) => cubes
                 .iter()
                 .map(|c| c.members(g).into_iter().map(|a| a.0).collect())
@@ -73,31 +85,70 @@ impl ClusterMap {
         if let Some(orphan) = cluster_of.iter().position(|&c| c == u32::MAX) {
             return Err(format!("node {orphan} belongs to no cluster"));
         }
-        Ok(ClusterMap {
-            members,
-            cluster_of,
-        })
+        Ok(ClusterMap { repr: Map::Listed { members, cluster_of } })
     }
 
     /// Number of clusters.
     pub fn len(&self) -> usize {
-        self.members.len()
+        match &self.repr {
+            Map::Global { .. } => 1,
+            Map::Listed { members, .. } => members.len(),
+        }
     }
 
     /// Whether there are no clusters (never true for a valid map).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len() == 0
     }
 
     /// Cluster index of a node.
     #[inline]
     pub fn cluster_of(&self, node: NodeId) -> u32 {
-        self.cluster_of[node as usize]
+        match &self.repr {
+            Map::Global { .. } => 0,
+            Map::Listed { cluster_of, .. } => cluster_of[node as usize],
+        }
+    }
+
+    /// Number of nodes in cluster `c`.
+    #[inline]
+    pub fn size(&self, c: u32) -> usize {
+        match &self.repr {
+            Map::Global { nodes } => *nodes as usize,
+            Map::Listed { members, .. } => members[c as usize].len(),
+        }
+    }
+
+    /// The `i`-th smallest node of cluster `c`.
+    #[inline]
+    pub fn member(&self, c: u32, i: usize) -> NodeId {
+        match &self.repr {
+            Map::Global { .. } => i as NodeId,
+            Map::Listed { members, .. } => members[c as usize][i],
+        }
+    }
+
+    /// The nodes of cluster `c`, in increasing order.
+    pub fn members(&self, c: u32) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        (0..self.size(c)).map(move |i| self.member(c, i))
     }
 }
 
 #[cfg(test)]
 impl ClusterMap {
+    /// Heap bytes held: nothing for the global cluster, else the member
+    /// lists and the node → cluster array.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        match &self.repr {
+            Map::Global { .. } => 0,
+            Map::Listed { members, cluster_of } => {
+                let lists = members.iter().map(|m| m.capacity() * 4).sum::<usize>();
+                let table = members.capacity() * std::mem::size_of::<Vec<NodeId>>();
+                lists + table + cluster_of.capacity() * 4
+            }
+        }
+    }
+
     /// The cluster-32 partition (two binary cubes splitting on the most
     /// significant address bit); requires `k` to be a power of two.
     pub fn cluster32(g: &Geometry) -> Result<ClusterMap, String> {
@@ -153,8 +204,9 @@ mod tests {
         let g = Geometry::new(4, 3);
         let m = ClusterMap::build(&g, &Clustering::Global).unwrap();
         assert_eq!(m.len(), 1);
-        assert_eq!(m.members[0].len(), 64);
+        assert_eq!(m.members(0).collect::<Vec<_>>(), (0..64).collect::<Vec<_>>());
         assert_eq!(m.cluster_of(17), 0);
+        assert_eq!(m.approx_bytes(), 0, "the global cluster holds no per-node array");
     }
 
     #[test]
@@ -162,17 +214,17 @@ mod tests {
         let g = Geometry::new(4, 3);
         let msd = ClusterMap::cluster16_msd(&g).unwrap();
         assert_eq!(msd.len(), 4);
-        for c in &msd.members {
-            assert_eq!(c.len(), 16);
+        for c in 0..4 {
+            assert_eq!(msd.size(c), 16);
         }
         // 0XX = nodes 0..16, 3XX = nodes 48..64.
-        assert_eq!(msd.members[0], (0..16).collect::<Vec<_>>());
+        assert_eq!(msd.members(0).collect::<Vec<_>>(), (0..16).collect::<Vec<_>>());
         assert_eq!(msd.cluster_of(50), 3);
 
         let lsd = ClusterMap::cluster16_lsd(&g).unwrap();
         assert_eq!(lsd.len(), 4);
         // XX0 = nodes ≡ 0 mod 4.
-        assert_eq!(lsd.members[0], (0..64).step_by(4).collect::<Vec<_>>());
+        assert_eq!(lsd.members(0).collect::<Vec<_>>(), (0..64).step_by(4).collect::<Vec<_>>());
         assert_eq!(lsd.cluster_of(7), 3);
     }
 
@@ -181,8 +233,8 @@ mod tests {
         let g = Geometry::new(4, 3);
         let m = ClusterMap::cluster32(&g).unwrap();
         assert_eq!(m.len(), 2);
-        assert_eq!(m.members[0], (0..32).collect::<Vec<_>>());
-        assert_eq!(m.members[1], (32..64).collect::<Vec<_>>());
+        assert_eq!(m.members(0).collect::<Vec<_>>(), (0..32).collect::<Vec<_>>());
+        assert_eq!(m.members(1).collect::<Vec<_>>(), (32..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! geometry into message rates and destination samplers — one a
 //! *cluster*: every member of a cluster shares its rate and, under the
 //! uniform and hot-spot patterns, its sampler, so a node's are found
-//! through the cluster map and nothing but that map (and a permutation
-//! pattern's destination table) grows with the node count.
+//! through the cluster map and nothing but a listed map (and a
+//! permutation pattern's destination table) grows with the node count:
+//! the global cluster's map is its node count alone.
 //!
 //! **Load normalisation.** `offered_load` is in flits per cycle per node,
 //! averaged over *all* nodes (1.0 saturates the one-port injection
@@ -128,14 +129,10 @@ impl WorkloadTemplate {
         };
 
         // Normalise: Σ_c r_c |C_c| · scale = load · N.
-        let weighted: f64 = rates
-            .iter()
-            .zip(&clusters.members)
-            .map(|(r, m)| r * m.len() as f64)
-            .sum();
+        let sizes = (0..ncl as u32).map(|c| clusters.size(c));
+        let weighted: f64 = rates.iter().zip(sizes.clone()).map(|(r, n)| r * n as f64).sum();
         let mean_len = spec.sizes.mean();
 
-        let sizes = clusters.members.iter().map(Vec::len);
         let sampler = match spec.pattern {
             TrafficPattern::Uniform => DestSampler::Uniform,
             TrafficPattern::HotSpot { extra } => {
@@ -249,33 +246,37 @@ impl Workload {
     ///
     /// Panics if the node is silent (`message_rate(node) == 0.0` — the
     /// engine must not ask).
+    // Out of line: it runs once a message, not once a flit move, and
+    // inlined, its rejection loops took a copy of the cluster lookup into
+    // every caller's text — the engine's cycle loop among them.
+    #[inline(never)]
     pub fn draw_destination<R: Rng>(&self, node: NodeId, rng: &mut R) -> NodeId {
         let talks = |peers: bool| assert!(peers, "destination requested for silent node {node}");
-        let cluster = self.clusters.cluster_of(node) as usize;
-        let members = &self.clusters.members[cluster];
+        let (map, cluster) = (&*self.clusters, self.clusters.cluster_of(node));
+        let size = map.size(cluster);
         match &*self.sampler {
             DestSampler::Fixed(to) => {
                 talks(to[node as usize] != node);
                 to[node as usize]
             }
             DestSampler::Uniform => {
-                talks(members.len() > 1);
+                talks(size > 1);
                 loop {
-                    let d = members[rng.random_range(0..members.len())];
+                    let d = map.member(cluster, rng.random_range(0..size));
                     if d != node {
                         return d;
                     }
                 }
             }
             DestSampler::HotSpot(p_hot) => {
-                talks(members.len() > 1);
-                let (hot, p_hot) = (members[0], p_hot[cluster]);
+                talks(size > 1);
+                let (hot, p_hot) = (map.member(cluster, 0), p_hot[cluster as usize]);
                 loop {
                     let d = if rng.random::<f64>() < p_hot {
                         hot
                     } else {
                         // Uniform over the non-hot members.
-                        members[1 + rng.random_range(0..members.len() - 1)]
+                        map.member(cluster, 1 + rng.random_range(0..size - 1))
                     };
                     if d != node {
                         return d;
@@ -321,6 +322,32 @@ mod tests {
 
     fn g64() -> Geometry {
         Geometry::new(4, 3)
+    }
+
+    /// The global cluster, held as a count, draws what the same cluster
+    /// listed node by node — one cube of all `X` — draws: the same rates
+    /// and, from one seed, the same destinations, bit for bit.
+    #[test]
+    fn global_map_draws_what_one_listed_cube_draws() {
+        let g = g64();
+        let whole = Clustering::cubes_from_patterns(&g, &["XXX"]).unwrap();
+        for pattern in [TrafficPattern::Uniform, TrafficPattern::HotSpot { extra: 0.05 }] {
+            let global = WorkloadSpec { pattern, ..global_uniform(0.3) };
+            let listed = WorkloadSpec { clustering: whole.clone(), ..global.clone() };
+            let a = Workload::compile(g, &global).unwrap();
+            let b = Workload::compile(g, &listed).unwrap();
+            assert_eq!(a.clusters().approx_bytes(), 0, "the global map holds no per-node array");
+            assert!(b.clusters().approx_bytes() >= 2 * 4 * 64);
+            let (mut ra, mut rb) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+            for node in 0..g.nodes() {
+                assert_eq!(a.message_rate(node).to_bits(), b.message_rate(node).to_bits());
+                for _ in 0..50 {
+                    let da = a.draw_destination(node, &mut ra);
+                    assert_eq!(da, b.draw_destination(node, &mut rb));
+                }
+            }
+            assert_eq!(ra.random::<u64>(), rb.random::<u64>(), "the streams drew alike");
+        }
     }
 
     #[test]

@@ -12,13 +12,11 @@
 
 use minnet::routing::{dependency_graph, find_cycle, DependencyRule};
 use minnet::partition::UnidirPartitionAnalysis;
-use minnet::traffic::Clustering;
 use minnet::{
     campaign_curve, curve_csv, curve_table, find_saturation, outcome_counts, saturation_load,
     spec, CampaignPolicy, Experiment, JobSpec, NetworkSpec, OutputFile, PointOutcome, Response,
     ServiceClient, SweepPoint,
 };
-use minnet_topology::{Geometry, UnidirKind};
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 
@@ -257,46 +255,23 @@ where
     parse(text).unwrap_or_else(|e| die(&format!("--{key}: {e}")))
 }
 
-fn wiring(a: &Args) -> UnidirKind {
-    read(a, "wiring", "cube", spec::parse_wiring)
-}
-
-fn network(a: &Args) -> NetworkSpec {
-    let (w, d, v) = (wiring(a), parse_opt(a, "dilation", 2), parse_opt(a, "vcs", 2));
-    read(a, "network", "tmin", |kind| spec::parse_network(kind, w, d, v))
-}
-
-/// `--k` / `--n`, refused here when no network of that shape can be
-/// built. The errors start with the parameter's name (`k = 1: …`).
-fn geometry(a: &Args) -> Geometry {
-    spec::geometry(parse_opt(a, "k", 4), parse_opt(a, "n", 3))
-        .unwrap_or_else(|e| die(&format!("--{e}")))
-}
-
-fn clustering(a: &Args, g: &Geometry) -> Clustering {
-    read(a, "clusters", "global", |s| spec::parse_clusters(g, s))
-}
-
+/// The experiment the [`EXPERIMENT`] options describe, read by
+/// [`spec::Settings`] — the reader every door shares — over the command
+/// line's own windows (20 000 warmup and 100 000 measured cycles);
+/// `--buffer-depth` is the key `buffer_depth`. A refusal names its flag.
 fn experiment(a: &Args) -> Experiment {
-    let g = geometry(a);
-    let mut exp = Experiment {
-        geometry: g,
-        network: network(a),
-        pattern: read(a, "pattern", "uniform", spec::parse_pattern),
-        clustering: clustering(a, &g),
-        rates: a.opts.get("rates").map(|r| {
-            spec::parse_rates(r).unwrap_or_else(|e| die(&format!("--rates: {e}")))
-        }),
-        sizes: read(a, "sizes", "paper", spec::parse_sizes),
-        sim: Default::default(),
-    };
-    exp.sim.warmup = parse_opt(a, "warmup", 20_000);
-    exp.sim.measure = parse_opt(a, "measure", 100_000);
-    exp.sim.seed = parse_opt(a, "seed", exp.sim.seed);
-    exp.sim.buffer_depth = parse_opt(a, "buffer-depth", 1);
-    exp.sim.budget.max_cycles = parse_opt(a, "budget-cycles", 0);
-    exp.sim.budget.max_wall_ms = parse_opt(a, "budget-ms", 0);
-    exp
+    let mut settings = spec::Settings::default();
+    let given = a.opts.iter().filter(|(flag, _)| EXPERIMENT.contains(&flag.as_str()));
+    let given = given.map(|(flag, value)| (flag.as_str(), value.as_str()));
+    for (flag, value) in [("warmup", "20000"), ("measure", "100000")].into_iter().chain(given) {
+        settings.set(&flag.replace('-', "_"), value).unwrap_or_else(|r| refused(r));
+    }
+    settings.finish().unwrap_or_else(|r| refused(r))
+}
+
+/// [`die`] with what [`spec::Settings`] refused, named by its flag.
+fn refused(r: spec::Refusal) -> ! {
+    die(&format!("--{}: {}", r.key.replace('_', "-"), r.why))
 }
 
 /// The campaign policy from `--retries` / `--checkpoint` / `--resume`.
@@ -478,10 +453,12 @@ fn cmd_saturate(a: &Args, out: &mut Out) -> io::Result<()> {
 }
 
 fn cmd_partition(a: &Args, out: &mut Out) -> io::Result<()> {
-    let g = geometry(a);
-    let kind = wiring(a);
-    let clustering = clustering(a, &g);
-    let map = minnet::traffic::ClusterMap::build(&g, &clustering).unwrap_or_else(|e| die(&e));
+    let exp = experiment(a);
+    let NetworkSpec::Tmin(kind) = exp.network else {
+        unreachable!("partition reads no --network: the network is a TMIN on --wiring")
+    };
+    let g = exp.geometry;
+    let map = minnet::traffic::ClusterMap::build(&g, &exp.clustering).unwrap_or_else(|e| die(&e));
     let clusters: Vec<Vec<u32>> = (0..map.len() as u32).map(|c| map.members(c).collect()).collect();
     let analysis = UnidirPartitionAnalysis::analyze(g, kind, &clusters);
     writeln!(

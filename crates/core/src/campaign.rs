@@ -5,16 +5,18 @@
 //! over a grid of loads, replications or fault counts — and a long
 //! campaign of them must survive a bad point and a killed process. A
 //! plan is a checkpoint kind, an identity-v1 hash, a task count and a
-//! per-task closure; `run_plan` is the only code that executes one.
-//! [`campaign_curve`], [`campaign_replicated_curve`] and
-//! [`campaign_degradation_curve`] (and, from their own modules,
-//! `Scenario::run` and `service::run_job`) each build the plan, supply
-//! the closure and fold the outcomes. The two replicated grids fold into
-//! one point type, [`ReplicatedCampaignPoint`] — a load, a fault count
-//! (0 on a replicated curve) and one [`ReplicatedStats`] aggregate. The
-//! strict [`crate::latency_throughput_curve`] is [`campaign_curve`]
-//! under the default policy with the outcomes collapsed, not a second
-//! path; this module needs nothing from [`crate::sweep`].
+//! per-task closure; `run_plan` is the only code that executes one. A
+//! door's job — one experiment over its loads or a script, under faults
+//! and a chaos storm — goes through one runner, `execute`, which
+//! compiles it and supplies the closure: [`campaign_curve`], and from
+//! their own modules `Scenario::run` and `service::run_job`, pass their
+//! kind and hash and fold its outcomes. [`campaign_replicated_curve`]
+//! and [`campaign_degradation_curve`] build their plans on `run_plan`
+//! and fold into one point type, [`ReplicatedCampaignPoint`] — a load, a
+//! fault count (0 on a replicated curve) and one [`ReplicatedStats`]
+//! aggregate. The strict [`crate::latency_throughput_curve`] is
+//! [`campaign_curve`] under the default policy with the outcomes
+//! collapsed; this module needs nothing from [`crate::sweep`].
 //!
 //! * **Per-point isolation.** Every attempt runs under
 //!   [`std::panic::catch_unwind`] on its worker; a panic, a
@@ -61,13 +63,20 @@
 use crate::experiment::Experiment;
 use crate::jsonl::{self, esc, Log, Obj};
 use minnet_sim::stats::Welford;
-use minnet_sim::{EngineState, SimError, SimReport, Traffic};
+use minnet_sim::{
+    ChaosSchedule, EngineState, Script, ScriptedMsg, SimError, SimReport, StallDiagnostic, Traffic,
+};
 use minnet_topology::FaultPlan;
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
+
+/// Salt mixed into the experiment seed to derive the chaos-expansion
+/// seed, so the storm draw is decorrelated from the engine's own RNG
+/// streams.
+const CHAOS_SALT: u64 = 0x0063_6861_6f73; // "chaos"
 
 /// What one campaign task (a `(point, replication)` cell) produced.
 #[derive(Clone, Debug)]
@@ -405,6 +414,104 @@ pub(crate) fn run_plan(
         .collect())
 }
 
+/// What a door hands [`execute`]: one experiment over its Poisson loads
+/// — or over one message script, when `script` is not empty — under
+/// explicit `faults` and a `chaos` storm. `panics` panics the first
+/// attempts of every task (the v1 job document's chaos knob).
+pub(crate) struct Job<'a> {
+    pub(crate) exp: &'a Experiment,
+    pub(crate) loads: &'a [f64],
+    pub(crate) script: &'a [ScriptedMsg],
+    pub(crate) faults: Option<&'a FaultPlan>,
+    pub(crate) chaos: Option<&'a ChaosSchedule>,
+    pub(crate) panics: u32,
+}
+
+impl<'a> Job<'a> {
+    /// `exp` over Poisson `loads`, and nothing else.
+    pub(crate) fn curve(exp: &'a Experiment, loads: &'a [f64]) -> Job<'a> {
+        let (script, faults, chaos, panics) = (&[][..], None, None, 0);
+        Job { exp, loads, script, faults, chaos, panics }
+    }
+}
+
+/// Every task's outcome and attempts, in task order, and the stall
+/// diagnostic of each task whose watchdog fired.
+pub(crate) struct Executed {
+    pub(crate) outcomes: Vec<(PointOutcome, u32)>,
+    pub(crate) stalls: Vec<Option<Box<StallDiagnostic>>>,
+}
+
+/// The runner every door's job goes through: compile the experiment,
+/// merge the explicit faults with the storm expanded from `mix(seed,
+/// CHAOS_SALT)` into one plan compiled once, and run a task a load (or
+/// the one script) on [`run_plan`] under the door's `kind` and hash
+/// `identity(merged plan)`. A script's delivery records and traces are
+/// dropped (not judged, not checkpointable; a Poisson run keeps none). A
+/// watchdog trip becomes a `Failed` reason on the ladder, so its
+/// diagnostic is kept per task in [`Executed::stalls`].
+///
+/// # Errors
+///
+/// What compiling the experiment, the storm, the fault plan or the
+/// script refuses, and [`run_plan`]'s checkpoint errors.
+pub(crate) fn execute(
+    job: &Job<'_>,
+    kind: &str,
+    identity: &dyn Fn(&FaultPlan) -> u64,
+    threads: usize,
+    policy: &CampaignPolicy,
+) -> Result<Executed, String> {
+    let compiled = job.exp.compile()?;
+    let mut plan = job.faults.cloned().unwrap_or_default();
+    if let Some(chaos) = job.chaos {
+        let seed = mix(job.exp.sim.seed, CHAOS_SALT);
+        let storm = chaos.compile_plan(compiled.graph(), job.exp.network.vcs(), seed);
+        for f in storm.map_err(|e| e.to_string())?.faults() {
+            plan.push(*f);
+        }
+    }
+    let faults = (!plan.is_empty()).then(|| compiled.network().compile_faults(&plan));
+    let faults = faults.transpose().map_err(|e| e.to_string())?;
+    let script = (!job.script.is_empty()).then(|| Script::compile(job.exp.geometry, job.script));
+    let script = script.transpose().map_err(|e| e.to_string())?;
+    let tasks = if script.is_some() { 1 } else { job.loads.len() };
+    let stalls = Mutex::new(vec![None; tasks]);
+    let base = compiled.base_seed();
+    let outcomes = run_plan(kind, identity(&plan), tasks, threads, policy, |task, attempt, st| {
+        if attempt < job.panics {
+            panic!("chaos: injected panic at point {task} attempt {attempt}");
+        }
+        let workload;
+        let traffic = match &script {
+            Some(s) => Traffic::Script(s),
+            None => {
+                let load = job.loads[task];
+                workload = compiled.template().workload_at(load).map_err(SimError::Config)?;
+                Traffic::Poisson(&workload)
+            }
+        };
+        let seed = task_seed(base, task, attempt);
+        match compiled.network().run(traffic, faults.as_ref(), seed, st) {
+            Ok(mut r) => {
+                (r.deliveries, r.trace) = (None, None);
+                Ok(r)
+            }
+            Err(SimError::BudgetExceeded(mut p)) => {
+                (p.report.deliveries, p.report.trace) = (None, None);
+                Err(SimError::BudgetExceeded(p))
+            }
+            Err(SimError::NoProgress(d)) => {
+                stalls.lock().expect("stall channel poisoned")[task] = Some(d.clone());
+                Err(SimError::NoProgress(d))
+            }
+            Err(e) => Err(e),
+        }
+    })?;
+    let stalls = stalls.into_inner().expect("stall channel poisoned");
+    Ok(Executed { outcomes, stalls })
+}
+
 /// Fold a replicated grid's task-ordered results into one annotated
 /// point per `(offered, fault_count)` key: `replications` consecutive
 /// results each, split into outcomes and attempts, plus the aggregate of
@@ -452,19 +559,11 @@ pub fn campaign_curve(
     if loads.is_empty() {
         return Ok(Vec::new());
     }
-    let compiled = exp.compile()?;
-    let base = compiled.base_seed();
-    let results = run_plan(
-        "curve",
-        config_hash("curve", exp, &format!("{loads:?}"), policy.retries),
-        loads.len(),
-        threads,
-        policy,
-        |i, attempt, st| compiled.run(loads[i], task_seed(base, i, attempt), st),
-    )?;
+    let hash = config_hash("curve", exp, &format!("{loads:?}"), policy.retries);
+    let ran = execute(&Job::curve(exp, loads), "curve", &|_| hash, threads, policy)?;
     Ok(loads
         .iter()
-        .zip(results)
+        .zip(ran.outcomes)
         .map(|(&offered, (outcome, attempts))| CampaignPoint {
             offered,
             outcome,

@@ -31,7 +31,8 @@ pub struct Experiment {
     pub rates: Option<Vec<f64>>,
     /// Message sizes (paper: uniform [8, 1024]).
     pub sizes: MessageSizeDist,
-    /// Engine settings. `sim.vcs` is overridden by the network spec.
+    /// Engine settings. `sim.vcs` is not read: a run's lane count is the
+    /// network's.
     pub sim: EngineConfig,
 }
 
@@ -58,32 +59,48 @@ impl Experiment {
         Ok(self.compile()?.run(offered_load, self.sim.seed, &mut EngineState::new())?)
     }
 
+    /// Everything [`Experiment::compile`] refuses that needs no graph,
+    /// no routing table and no cluster map: the field at fault
+    /// (`network`, `geometry`, a [`WorkloadSpec`] field, or an
+    /// [`EngineConfig`] field, `vcs` being the network's lane count) and
+    /// why. [`crate::spec::Settings::finish`] runs it, so every door
+    /// refuses these where it reads them.
+    pub(crate) fn check(&self) -> Result<(), (&'static str, String)> {
+        self.network.validate().map_err(|why| ("network", why))?;
+        minnet_topology::graph::check_limits(self.geometry).map_err(|why| ("geometry", why))?;
+        self.workload_spec(1.0).check(&self.geometry)?;
+        let engine = self.engine_config().check();
+        engine.map_err(|(field, why)| (field, why.to_string()))
+    }
+
     /// Validate this experiment and build its shared artifacts — see
     /// [`CompiledExperiment`].
     ///
     /// # Errors
     ///
-    /// Reports invalid network specs, geometries past what the graph and
-    /// the engine can index (`graph::check_limits` — the spec's
-    /// `validate()` has no geometry to look at), malformed workloads, and
-    /// invalid engine configurations.
+    /// What `Experiment::check` refuses, and what the graph, the
+    /// workload's cluster map or the engine refuse once built.
     pub fn compile(&self) -> Result<CompiledExperiment, String> {
-        self.network.validate()?;
-        minnet_topology::graph::check_limits(self.geometry)?;
+        self.check().map_err(|(_, why)| why)?;
         let graph = Arc::new(self.network.build(self.geometry));
         // The template ignores the placeholder load; per-run loads come
         // from `workload_at`.
         let template = WorkloadTemplate::compile(self.geometry, &self.workload_spec(1.0))?;
-        let cfg = EngineConfig {
-            vcs: self.network.vcs(),
-            ..self.sim.clone()
-        };
-        let net = CompiledNet::new(graph, cfg)?;
+        let net = CompiledNet::new(graph, self.engine_config())?;
         Ok(CompiledExperiment {
             net,
             template,
             seed: self.sim.seed,
         })
+    }
+
+    /// The engine settings a run uses: `sim` with the network's lane
+    /// count.
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            vcs: self.network.vcs(),
+            ..self.sim.clone()
+        }
     }
 
     /// The workload spec this experiment evaluates at `offered_load`.

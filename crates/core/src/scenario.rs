@@ -19,16 +19,18 @@
 //! A scenario is declared one way: as `.scn` text ([`Scenario::parse`] /
 //! [`Scenario::load`]), a line-oriented `key = value` format documented
 //! in `EXPERIMENTS.md` and exemplified by the `scenarios/` library at
-//! the repository root.
+//! the repository root. Its experiment keys go to
+//! [`crate::spec::Settings`], the reader every door shares; the rest are
+//! the scenario's own.
 //!
-//! Running a scenario ([`Scenario::run`]) lowers it to one plan of the
-//! experiment runner in [`crate::campaign`]: each load (or the script)
-//! is one task, so panic isolation, deterministic retries, and
-//! config-hash-keyed JSONL checkpoint/resume all come for free. The
-//! result is a [`Verdict`]: pass/fail/partial with one [`CheckResult`]
-//! per expectation (each carrying a human-readable reason), per-point
-//! outcomes, and — when the watchdog fired — the structured
-//! [`StallDiagnostic`].
+//! Running a scenario ([`Scenario::run`]) hands it to the runner every
+//! door shares, in [`crate::campaign`]: each load (or the script) is one
+//! task, so panic isolation, deterministic retries, and config-hash-keyed
+//! JSONL checkpoint/resume all come for free. What is the scenario's own
+//! is its identity and the judging: the result is a [`Verdict`] —
+//! pass/fail/partial with one [`CheckResult`] per expectation (each
+//! carrying a human-readable reason), per-point outcomes, and — when the
+//! watchdog fired — the structured [`StallDiagnostic`].
 //!
 //! Determinism: a baseline scenario is bit-deterministic by the engine's
 //! contract; a chaos scenario stays deterministic because the storm is
@@ -37,22 +39,15 @@
 //! [`verdict_report_json`] is byte-identical across repeated runs and
 //! thread counts (pinned by the workspace e2e tests).
 
-use crate::campaign::{config_hash, mix, run_plan, task_seed, CampaignPolicy, PointOutcome};
+use crate::campaign::{config_hash, execute, CampaignPolicy, Executed, Job, PointOutcome};
 use crate::experiment::Experiment;
 use crate::jsonl::{array, esc};
-use crate::spec::{self, NetworkSpec};
-use minnet_sim::{
-    ChaosSchedule, ChaosTarget, RunBudget, Script, ScriptedMsg, SimError,
-    SimReport, StallDiagnostic, Traffic,
-};
-use minnet_topology::{Fault, FaultPlan, FaultTarget, UnidirKind};
+use crate::spec::{self, NetworkSpec, Settings};
+use minnet_sim::{ChaosSchedule, ChaosTarget, RunBudget, ScriptedMsg, SimReport, StallDiagnostic};
+use minnet_topology::{Fault, FaultPlan, FaultTarget};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-/// Salt mixed into the scenario seed to derive the chaos-expansion seed,
-/// so the storm draw is decorrelated from the engine's own RNG streams.
-const CHAOS_SALT: u64 = 0x0063_6861_6f73; // "chaos"
 
 /// The overall outcome of a scenario (and the outcome it *expects* —
 /// a watchdog-trip scenario declares `expected_verdict = fail`).
@@ -111,6 +106,15 @@ pub struct CheckResult {
     /// Why — empty for a clean pass, otherwise the offending points and
     /// values.
     pub detail: String,
+}
+
+impl CheckResult {
+    /// `what`, passed when nothing is `failing`, else failed naming each
+    /// failure.
+    fn of(what: String, failing: Vec<String>) -> CheckResult {
+        let status = if failing.is_empty() { CheckStatus::Passed } else { CheckStatus::Failed };
+        CheckResult { what, status, detail: failing.join("; ") }
+    }
 }
 
 /// One task of a scenario run (a load point, or the script) with its
@@ -283,23 +287,18 @@ impl Scenario {
         }
     }
 
-    /// Run the scenario and judge it into a [`Verdict`].
+    /// Run the scenario on the one runner and judge it into a
+    /// [`Verdict`]. Task `i` runs with seed `mix(scenario seed, i + 1)`
+    /// and the chaos storm expands from `mix(scenario seed, CHAOS_SALT)`,
+    /// so verdicts are thread-count invariant and bitwise reproducible.
+    /// The identity (kind `scenario`) hashes the experiment with its
+    /// `sim.vcs` set to the network's lane count, as identity v1 always
+    /// has, plus name, loads, script, merged fault plan and expectations.
     ///
-    /// Each Poisson load (or the script) is one campaign task: panics
-    /// are isolated per task, failures retried per `policy.retries`
-    /// with decorrelated seeds, and finished tasks appended to the
-    /// policy's checkpoint for resume. Task `i` runs with seed
-    /// `mix(scenario seed, i + 1)`; the chaos storm (if any) expands
-    /// from `mix(scenario seed, CHAOS_SALT)` — all randomness flows
-    /// from the scenario seed, so verdicts are thread-count invariant
-    /// and bitwise reproducible.
-    ///
-    /// One caveat on resume: a [`StallDiagnostic`] is captured through a
-    /// side channel during the run and is not persisted to checkpoints —
-    /// a task preloaded from a checkpoint keeps its `Failed` reason
-    /// string (and the verdict status), but `Verdict::stall` and the
-    /// `no stall` check reflect only the tasks that actually ran in
-    /// this process.
+    /// One caveat on resume: a [`StallDiagnostic`] is not persisted to
+    /// checkpoints — a task preloaded from one keeps its `Failed` reason
+    /// (and the verdict status), but `Verdict::stall` and the `no stall`
+    /// check reflect only the tasks that ran in this process.
     ///
     /// # Errors
     ///
@@ -308,123 +307,37 @@ impl Scenario {
     /// expectation *violation* is not an error — it is a `Fail`
     /// verdict.
     pub fn run(&self, threads: usize, policy: &CampaignPolicy) -> Result<Verdict, String> {
-        let fail = |e: String| format!("scenario {}: {e}", self.name);
-        let compiled = self.exp.compile().map_err(&fail)?;
-
-        // Explicit faults plus the expanded chaos storm, compiled once
-        // into per-epoch masked tables shared by every task.
-        let mut plan = self.faults.clone();
-        if let Some(chaos) = &self.chaos {
-            let storm = chaos
-                .compile_plan(
-                    compiled.graph(),
-                    self.exp.network.vcs(),
-                    mix(self.exp.sim.seed, CHAOS_SALT),
-                )
-                .map_err(|e| fail(e.to_string()))?;
-            for f in storm.faults() {
-                plan.push(*f);
-            }
-        }
-        let faults = if plan.is_empty() {
-            None
-        } else {
-            Some(
-                compiled
-                    .network()
-                    .compile_faults(&plan)
-                    .map_err(|e| fail(e.to_string()))?,
-            )
+        let job = Job {
+            script: &self.script,
+            faults: Some(&self.faults),
+            chaos: self.chaos.as_ref(),
+            ..Job::curve(&self.exp, &self.loads)
         };
-
-        let script = if self.script.is_empty() {
-            None
-        } else {
-            Some(Script::compile(self.exp.geometry, &self.script).map_err(|e| fail(e.to_string()))?)
+        let identity = |plan: &FaultPlan| {
+            let mut exp = self.exp.clone();
+            exp.sim.vcs = exp.network.vcs();
+            let params = format!(
+                "name={};loads={:?};script={:?};plan={plan:?};expect={:?}",
+                self.name, self.loads, self.script, self.expect
+            );
+            config_hash("scenario", &exp, &params, policy.retries)
         };
-        let tasks = if script.is_some() { 1 } else { self.loads.len() };
-
-        let hash = config_hash(
-            "scenario",
-            &self.exp,
-            &format!(
-                "name={};loads={:?};script={:?};plan={:?};expect={:?}",
-                self.name, self.loads, self.script, plan, self.expect
-            ),
-            policy.retries,
-        );
-
-        // Watchdog side channel: the runner stringifies non-budget
-        // errors into `Failed { reason }`, but the verdict must carry
-        // the *structured* diagnostic — so the closure stashes it per
-        // task before returning the error.
-        let stalls: Mutex<Vec<Option<Box<StallDiagnostic>>>> = Mutex::new(vec![None; tasks]);
-        let base = self.exp.sim.seed;
-        let outcomes = run_plan(
-            "scenario",
-            hash,
-            tasks,
-            threads,
-            policy,
-            |task, attempt, st| {
-                let seed = task_seed(base, task, attempt);
-                let workload;
-                let traffic = match &script {
-                    Some(s) => Traffic::Script(s),
-                    None => {
-                        workload = compiled
-                            .template()
-                            .workload_at(self.loads[task])
-                            .map_err(SimError::Config)?;
-                        Traffic::Poisson(&workload)
-                    }
-                };
-                match compiled.network().run(traffic, faults.as_ref(), seed, st) {
-                    Ok(mut r) => {
-                        // Delivery records and traces are not needed for
-                        // judging and are not checkpointable; strip them
-                        // so scripted scenarios checkpoint like Poisson
-                        // ones.
-                        r.deliveries = None;
-                        r.trace = None;
-                        Ok(r)
-                    }
-                    Err(SimError::BudgetExceeded(mut p)) => {
-                        p.report.deliveries = None;
-                        p.report.trace = None;
-                        Err(SimError::BudgetExceeded(p))
-                    }
-                    Err(SimError::NoProgress(d)) => {
-                        let mut slot = stalls.lock().expect("stall channel poisoned");
-                        slot[task] = Some(d.clone());
-                        Err(SimError::NoProgress(d))
-                    }
-                    Err(e) => Err(e),
-                }
-            },
-        )
-        .map_err(&fail)?;
-        let stalls = stalls.into_inner().expect("stall channel poisoned");
-        Ok(self.judge(outcomes, stalls))
+        let ran = execute(&job, "scenario", &identity, threads, policy)
+            .map_err(|e| format!("scenario {}: {e}", self.name))?;
+        Ok(self.judge(ran))
     }
 
-    /// The per-task labels (`load 0.3` … or `script`).
-    fn labels(&self) -> Vec<String> {
-        if self.script.is_empty() {
+    /// Evaluate expectations over the runner's outcomes into a
+    /// [`Verdict`].
+    fn judge(&self, ran: Executed) -> Verdict {
+        let labels: Vec<String> = if self.script.is_empty() {
             self.loads.iter().map(|l| format!("load {l}")).collect()
         } else {
             vec!["script".to_string()]
-        }
-    }
-
-    /// Evaluate expectations over the outcomes into a [`Verdict`].
-    fn judge(
-        &self,
-        outcomes: Vec<(PointOutcome, u32)>,
-        stalls: Vec<Option<Box<StallDiagnostic>>>,
-    ) -> Verdict {
-        let labels = self.labels();
-        let points: Vec<ScenarioPoint> = outcomes
+        };
+        let stalls = ran.stalls;
+        let points: Vec<ScenarioPoint> = ran
+            .outcomes
             .into_iter()
             .zip(&labels)
             .map(|((outcome, attempts), label)| ScenarioPoint {
@@ -463,18 +376,8 @@ impl Scenario {
                     status: CheckStatus::Skipped,
                     detail: "no completed run to evaluate".to_string(),
                 }
-            } else if failing.is_empty() {
-                CheckResult {
-                    what,
-                    status: CheckStatus::Passed,
-                    detail: String::new(),
-                }
             } else {
-                CheckResult {
-                    what,
-                    status: CheckStatus::Failed,
-                    detail: failing.join("; "),
-                }
+                CheckResult::of(what, failing)
             });
         };
 
@@ -524,51 +427,18 @@ impl Scenario {
         if self.expect.no_stall {
             // Judged from the side channel, not the reports: a stall on
             // any attempt counts even if a retry later completed.
-            let failing: Vec<String> = stalls
-                .iter()
-                .zip(&labels)
-                .filter_map(|(s, label)| {
-                    s.as_ref().map(|d| format!("{label}: {d}"))
-                })
-                .collect();
-            checks.push(if failing.is_empty() {
-                CheckResult {
-                    what: "no stall".to_string(),
-                    status: CheckStatus::Passed,
-                    detail: String::new(),
-                }
-            } else {
-                CheckResult {
-                    what: "no stall".to_string(),
-                    status: CheckStatus::Failed,
-                    detail: failing.join("; "),
-                }
-            });
+            let stalled = stalls.iter().zip(&labels);
+            let failing =
+                stalled.filter_map(|(s, label)| s.as_ref().map(|d| format!("{label}: {d}")));
+            checks.push(CheckResult::of("no stall".to_string(), failing.collect()));
         }
         // The implicit completion check: failed points sink a scenario
         // even without a declared expectation on them.
-        {
-            let failing: Vec<String> = points
-                .iter()
-                .filter_map(|p| match &p.outcome {
-                    PointOutcome::Failed { reason } => Some(format!("{}: {reason}", p.label)),
-                    _ => None,
-                })
-                .collect();
-            checks.push(if failing.is_empty() {
-                CheckResult {
-                    what: "all points completed".to_string(),
-                    status: CheckStatus::Passed,
-                    detail: String::new(),
-                }
-            } else {
-                CheckResult {
-                    what: "all points completed".to_string(),
-                    status: CheckStatus::Failed,
-                    detail: failing.join("; "),
-                }
-            });
-        }
+        let failing = points.iter().filter_map(|p| match &p.outcome {
+            PointOutcome::Failed { reason } => Some(format!("{}: {reason}", p.label)),
+            _ => None,
+        });
+        checks.push(CheckResult::of("all points completed".to_string(), failing.collect()));
 
         let any_failed_check = checks.iter().any(|c| c.status == CheckStatus::Failed);
         let any_skipped_check = checks.iter().any(|c| c.status == CheckStatus::Skipped);
@@ -593,28 +463,75 @@ impl Scenario {
     }
 }
 
-/// A scenario as [`Scenario::parse`] accumulates it, before validation.
-/// Defaults: the paper's 64-node geometry, cube TMIN, uniform traffic
-/// (scenarios are unclustered), paper message sizes, default engine config, no faults, no chaos,
-/// expected verdict `pass`.
-struct Draft {
-    name: String,
-    description: String,
-    exp: Experiment,
-    loads: Vec<f64>,
-    script: Vec<ScriptedMsg>,
-    faults: FaultPlan,
-    chaos: Option<ChaosSchedule>,
-    expect: Expectations,
-    expected: VerdictStatus,
-    chaos_opt_in: bool,
+impl Scenario {
+    /// Refuse what no run can judge once the keys are read.
+    ///
+    /// # Errors
+    ///
+    /// Reports an invalid name, a missing or doubled workload, a missing
+    /// expectation, degenerate fault windows, and invalid chaos
+    /// parameters.
+    fn validate(&self) -> Result<(), String> {
+        let fail = |e: &str| Err(format!("scenario {}: {e}", self.name));
+        let named = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+        if self.name.is_empty() || !self.name.chars().all(named) {
+            return Err(format!(
+                "scenario name {:?} must be non-empty [A-Za-z0-9_-] (it names \
+                 checkpoint and report entries)",
+                self.name
+            ));
+        }
+        match (self.loads.is_empty(), self.script.is_empty()) {
+            (true, true) => return fail("declare a workload: loads = … or message = …"),
+            (false, false) => return fail("declare either Poisson loads or a script, not both"),
+            _ => {}
+        }
+        if !self.expect.any() {
+            return fail(
+                "declare at least one expectation (expect.sustainable, \
+                 expect.delivery, expect.p99_latency, expect.no_stall, …)",
+            );
+        }
+        // Window sanity that needs no network; out-of-range targets are
+        // caught at run time against the built graph.
+        for (i, f) in self.faults.faults().iter().enumerate() {
+            if let Some(r) = f.repair.filter(|&r| r <= f.onset) {
+                let why = format!("fault {i}: repair cycle {r} is not after onset {}", f.onset);
+                return fail(&format!("{why} (empty fault window)"));
+            }
+        }
+        let chaos = self.chaos.as_ref().map(ChaosSchedule::validate);
+        chaos.transpose().map(drop).or_else(|e| fail(&e.to_string()))
+    }
 }
 
-impl Draft {
-    fn new(name: &str) -> Draft {
-        Draft {
-            name: name.to_string(),
+// ---- scenario file format --------------------------------------------
+
+impl Scenario {
+    /// Parse the scenario file format: one `key = value` per line, `#`
+    /// comments, blank lines ignored. `origin` labels error messages
+    /// (usually the file name) and, stemmed, provides the default
+    /// `name`. The format is documented in `EXPERIMENTS.md`; the
+    /// `scenarios/` library is the living reference. The experiment's
+    /// keys go to [`Settings`], the reader every door shares; this
+    /// function reads only the scenario's own: name, description, loads,
+    /// messages, faults, `chaos.*`, `expect.*`, `expected_verdict` and
+    /// `chaos_opt_in`.
+    ///
+    /// # Errors
+    ///
+    /// Reports unknown keys, malformed values, and what no run can judge:
+    /// what [`Settings`] refuses, an invalid name, a missing or doubled
+    /// workload, out-of-range loads or delivery fractions, no expectation
+    /// at all, empty fault windows, invalid chaos parameters — labeled
+    /// `origin:line` where one line is at fault (the last of several keys
+    /// judged together), `origin` otherwise.
+    pub fn parse(text: &str, origin: &str) -> Result<Scenario, String> {
+        let stem = Path::new(origin).file_stem().map(|s| s.to_string_lossy().into_owned());
+        let mut s = Scenario {
+            name: stem.unwrap_or_default(),
             description: String::new(),
+            // The reader's experiment, once every key is read.
             exp: Experiment::paper_default(NetworkSpec::tmin()),
             loads: Vec::new(),
             script: Vec::new(),
@@ -623,125 +540,10 @@ impl Draft {
             expect: Expectations::default(),
             expected: VerdictStatus::Pass,
             chaos_opt_in: false,
-        }
-    }
-
-    /// Validate and freeze the scenario.
-    ///
-    /// # Errors
-    ///
-    /// Reports an invalid name, a missing or doubled workload, empty or
-    /// out-of-range loads, a missing expectation, degenerate fault
-    /// windows, and invalid chaos parameters.
-    fn build(self) -> Result<Scenario, String> {
-        let fail = |e: String| format!("scenario {}: {e}", self.name);
-        if self.name.is_empty()
-            || !self
-                .name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            return Err(format!(
-                "scenario name {:?} must be non-empty [A-Za-z0-9_-] (it names \
-                 checkpoint and report entries)",
-                self.name
-            ));
-        }
-        match (self.loads.is_empty(), self.script.is_empty()) {
-            (true, true) => {
-                return Err(fail("declare a workload: loads = … or message = …".into()))
-            }
-            (false, false) => {
-                return Err(fail(
-                    "declare either Poisson loads or a script, not both".into(),
-                ))
-            }
-            _ => {}
-        }
-        if !self.expect.any() {
-            return Err(fail(
-                "declare at least one expectation (expect.sustainable, \
-                 expect.delivery, expect.p99_latency, expect.no_stall, …)"
-                    .into(),
-            ));
-        }
-        // Window sanity that needs no network; out-of-range targets are
-        // caught at run time against the built graph.
-        for (i, f) in self.faults.faults().iter().enumerate() {
-            if let Some(r) = f.repair {
-                if r <= f.onset {
-                    return Err(fail(format!(
-                        "fault {i}: repair cycle {r} is not after onset {} \
-                         (empty fault window)",
-                        f.onset
-                    )));
-                }
-            }
-        }
-        if let Some(chaos) = &self.chaos {
-            chaos.validate().map_err(|e| fail(e.to_string()))?;
-        }
-        let mut exp = self.exp;
-        exp.sim.vcs = exp.network.vcs();
-        Ok(Scenario {
-            name: self.name,
-            description: self.description,
-            exp,
-            loads: self.loads,
-            script: self.script,
-            faults: self.faults,
-            chaos: self.chaos,
-            expect: self.expect,
-            expected: self.expected,
-            chaos_opt_in: self.chaos_opt_in,
-        })
-    }
-}
-
-// ---- scenario file format --------------------------------------------
-
-/// Accept `true/false` and `on/off`.
-fn parse_flag(v: &str) -> Option<bool> {
-    match v {
-        "true" | "on" | "yes" => Some(true),
-        "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-impl Scenario {
-    /// Parse the scenario file format: one `key = value` per line, `#`
-    /// comments, blank lines ignored. `origin` labels error messages
-    /// (usually the file name) and, stemmed, provides the default
-    /// `name`. The format is documented in `EXPERIMENTS.md`; the
-    /// `scenarios/` library is the living reference.
-    ///
-    /// # Errors
-    ///
-    /// Reports unknown keys, malformed values, and what no run can judge:
-    /// an invalid name, a missing or doubled workload, out-of-range loads
-    /// or delivery fractions, no expectation at all, empty fault windows,
-    /// invalid network or chaos parameters — labeled `origin:line` where
-    /// one line is at fault, `origin` otherwise.
-    pub fn parse(text: &str, origin: &str) -> Result<Scenario, String> {
-        let default_name = Path::new(origin)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let mut b = Draft::new(&default_name);
-        // The network's four keys are judged together after the loop, at
-        // the line of the last of them.
-        let mut wiring = UnidirKind::Cube;
-        let mut network_kind = "tmin";
-        let mut dilation: u8 = 2;
-        let mut vcs: u8 = 2;
-        let mut network_ln = 0;
-        // `k` and `n`: each is judged on its own line against the other's
-        // smallest value, so an error there is that key's alone, and the
-        // pair after the loop, reported at the line that completed it
-        // (against the other's *default*, `n = 16` would be refused before
-        // `k = 2` is read).
-        let (mut k, mut n, mut geometry_ln) = (b.exp.geometry.k(), b.exp.geometry.n(), 0);
+        };
+        let mut settings = Settings::default();
+        // The line that last set a key, by the key a refusal is charged to.
+        let mut lines = BTreeMap::new();
         let mut chaos = ChaosSchedule {
             target: ChaosTarget::Channel,
             count: 1,
@@ -754,8 +556,8 @@ impl Scenario {
         let mut has_chaos = false;
 
         // Every number is parsed as the type it is stored in, so
-        // `vcs = 300` or `buffer_depth = 65537` is an error, not a run at
-        // `vcs = 44` or depth 1; `at` labels the error with its line.
+        // `fault = channel 4294967396` is an error, not channel 100; `at`
+        // labels the error with its line.
         fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
             v: &str,
             at: impl Fn(String) -> String,
@@ -774,31 +576,16 @@ impl Scenario {
                 return Err(at(format!("expected `key = value`, got {line:?}")));
             };
             let (key, value) = (key.trim(), value.trim());
-            // A value of the experiment vocabulary is refused naming its key.
-            let keyed = |e: String| at(format!("{key}: {e}"));
             let flag = |v: &str| -> Result<bool, String> {
-                parse_flag(v).ok_or_else(|| at(format!("expected true/false, got {v:?}")))
+                spec::parse_flag(v).ok_or_else(|| at(format!("expected true/false, got {v:?}")))
             };
             match key {
-                "name" => b.name = value.to_string(),
-                "description" => b.description = value.to_string(),
-                "network" => (network_kind, network_ln) = (value, ln),
-                "wiring" => {
-                    (wiring, network_ln) = (spec::parse_wiring(value).map_err(keyed)?, ln);
+                "name" => s.name = value.to_string(),
+                "description" => s.description = value.to_string(),
+                "loads" => {
+                    let loads = spec::parse_loads(value).map_err(|e| at(format!("loads: {e}")))?;
+                    s.loads.extend(loads);
                 }
-                "dilation" => (dilation, network_ln) = (num(value, at)?, ln),
-                "vcs" => (vcs, network_ln) = (num(value, at)?, ln),
-                "k" => {
-                    (k, geometry_ln) = (num(value, at)?, ln);
-                    spec::geometry(k, 1).map_err(at)?;
-                }
-                "n" => {
-                    (n, geometry_ln) = (num(value, at)?, ln);
-                    spec::geometry(2, n).map_err(at)?;
-                }
-                "pattern" => b.exp.pattern = spec::parse_pattern(value).map_err(keyed)?,
-                "sizes" => b.exp.sizes = spec::parse_sizes(value).map_err(keyed)?,
-                "loads" => b.loads.extend(spec::parse_loads(value).map_err(keyed)?),
                 "message" => {
                     let parts: Vec<&str> = value.split_whitespace().collect();
                     if parts.len() != 4 {
@@ -806,22 +593,13 @@ impl Scenario {
                             "message needs `time src dst len`, got {value:?}"
                         )));
                     }
-                    b.script.push(ScriptedMsg {
+                    s.script.push(ScriptedMsg {
                         time: num(parts[0], at)?,
                         src: num(parts[1], at)?,
                         dst: num(parts[2], at)?,
                         len: num(parts[3], at)?,
                     });
                 }
-                "seed" => b.exp.sim.seed = num(value, at)?,
-                "warmup" => b.exp.sim.warmup = num(value, at)?,
-                "measure" => b.exp.sim.measure = num(value, at)?,
-                "queue_limit" => b.exp.sim.queue_limit = num(value, at)?,
-                "buffer_depth" => b.exp.sim.buffer_depth = num(value, at)?,
-                "watchdog_window" => b.exp.sim.watchdog_window = num(value, at)?,
-                "fault_abort" => b.exp.sim.fault_abort = flag(value)?,
-                "budget_cycles" => b.exp.sim.budget.max_cycles = num(value, at)?,
-                "budget_ms" => b.exp.sim.budget.max_wall_ms = num(value, at)?,
                 "fault" => {
                     let (target, window) = match value.split_once('@') {
                         Some((t, w)) => (t.trim(), Some(w.trim())),
@@ -871,42 +649,29 @@ impl Scenario {
                             }
                         }
                     };
-                    b.faults.push(fault);
+                    s.faults.push(fault);
                 }
-                "chaos.target" => {
+                chaos_key if chaos_key.starts_with("chaos.") => {
                     has_chaos = true;
-                    chaos.target = match value {
-                        "channel" => ChaosTarget::Channel,
-                        "lane" => ChaosTarget::Lane,
-                        "switch" => ChaosTarget::Switch,
-                        _ => return Err(at(format!("unknown chaos target {value:?}"))),
-                    };
+                    match &chaos_key["chaos.".len()..] {
+                        "target" => {
+                            chaos.target = match value {
+                                "channel" => ChaosTarget::Channel,
+                                "lane" => ChaosTarget::Lane,
+                                "switch" => ChaosTarget::Switch,
+                                _ => return Err(at(format!("unknown chaos target {value:?}"))),
+                            }
+                        }
+                        "count" => chaos.count = num(value, at)?,
+                        "min_onset" => chaos.min_onset = num(value, at)?,
+                        "max_onset" => chaos.max_onset = num(value, at)?,
+                        "duration" => chaos.duration = num(value, at)?,
+                        "cooldown" => chaos.cooldown = num(value, at)?,
+                        "rounds" => chaos.rounds = num(value, at)?,
+                        _ => return Err(at(format!("unknown key {key:?}"))),
+                    }
                 }
-                "chaos.count" => {
-                    has_chaos = true;
-                    chaos.count = num(value, at)?;
-                }
-                "chaos.min_onset" => {
-                    has_chaos = true;
-                    chaos.min_onset = num(value, at)?;
-                }
-                "chaos.max_onset" => {
-                    has_chaos = true;
-                    chaos.max_onset = num(value, at)?;
-                }
-                "chaos.duration" => {
-                    has_chaos = true;
-                    chaos.duration = num(value, at)?;
-                }
-                "chaos.cooldown" => {
-                    has_chaos = true;
-                    chaos.cooldown = num(value, at)?;
-                }
-                "chaos.rounds" => {
-                    has_chaos = true;
-                    chaos.rounds = num(value, at)?;
-                }
-                "expect.sustainable" => b.expect.sustainable = Some(flag(value)?),
+                "expect.sustainable" => s.expect.sustainable = Some(flag(value)?),
                 "expect.delivery" => {
                     let frac: f64 = value.parse().map_err(|e| at(format!("{e}")))?;
                     // A `NaN` floor would judge `delivery >= NaN` as
@@ -916,15 +681,15 @@ impl Scenario {
                             "expect.delivery = {value} is not a fraction in [0, 1]"
                         )));
                     }
-                    b.expect.delivery = Some(frac);
+                    s.expect.delivery = Some(frac);
                 }
-                "expect.p99_latency" => b.expect.p99_latency = Some(num(value, at)?),
-                "expect.no_stall" => b.expect.no_stall = flag(value)?,
-                "expect.no_aborts" => b.expect.no_aborts = flag(value)?,
-                "expect.no_refusals" => b.expect.no_refusals = flag(value)?,
-                "expect.allow_partial" => b.expect.allow_partial = flag(value)?,
+                "expect.p99_latency" => s.expect.p99_latency = Some(num(value, at)?),
+                "expect.no_stall" => s.expect.no_stall = flag(value)?,
+                "expect.no_aborts" => s.expect.no_aborts = flag(value)?,
+                "expect.no_refusals" => s.expect.no_refusals = flag(value)?,
+                "expect.allow_partial" => s.expect.allow_partial = flag(value)?,
                 "expected_verdict" => {
-                    b.expected = match value {
+                    s.expected = match value {
                         "pass" => VerdictStatus::Pass,
                         "fail" => VerdictStatus::Fail,
                         _ => {
@@ -934,17 +699,22 @@ impl Scenario {
                         }
                     }
                 }
-                "chaos_opt_in" => b.chaos_opt_in = flag(value)?,
-                other => return Err(at(format!("unknown key {other:?}"))),
+                "chaos_opt_in" => s.chaos_opt_in = flag(value)?,
+                _ => {
+                    settings.set(key, value).map_err(|r| at(r.to_string()))?;
+                    lines.insert(Settings::charged(key), ln);
+                }
             }
         }
-        b.exp.geometry = spec::geometry(k, n).map_err(|e| format!("{origin}:{geometry_ln}: {e}"))?;
-        b.exp.network = spec::parse_network(network_kind, wiring, dilation, vcs)
-            .map_err(|e| format!("{origin}:{network_ln}: network: {e}"))?;
+        s.exp = settings.finish().map_err(|r| match lines.get(r.key.as_str()) {
+            Some(ln) => format!("{origin}:{ln}: {r}"),
+            None => format!("{origin}: {r}"),
+        })?;
         if has_chaos {
-            b.chaos = Some(chaos);
+            s.chaos = Some(chaos);
         }
-        b.build().map_err(|e| format!("{origin}: {e}"))
+        s.validate().map_err(|e| format!("{origin}: {e}"))?;
+        Ok(s)
     }
 
     /// [`Scenario::parse`] a file from disk.

@@ -9,6 +9,9 @@
 //! journal, recovery). The split keeps the dependency arrow pointing
 //! one way (`minnetd` → `minnet`) and lets the CLI talk to the daemon
 //! without a third protocol crate.
+//! A job's fields are read by the reader every door shares
+//! ([`crate::spec::Settings`]), so what a run would refuse is refused at
+//! submit, unjournaled; it runs on the runner every door shares.
 //!
 //! ## Protocol
 //!
@@ -45,10 +48,10 @@
 //! cache hits, journal replays, and post-crash recoveries are all
 //! comparable with `==` on the raw bytes.
 
-use crate::campaign::{config_hash, run_plan, task_line, task_seed, CampaignPolicy};
+use crate::campaign::{config_hash, execute, task_line, CampaignPolicy, Job};
 use crate::experiment::Experiment;
 use crate::jsonl::{self, esc, Obj};
-use crate::spec;
+use crate::spec::{self, Refusal, Settings};
 use minnet_sim::SimError;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -84,11 +87,10 @@ pub struct JobSpec {
     /// Stages (`k^n` terminals).
     pub n: u32,
     /// Traffic pattern: `uniform` | `shuffle` | `hotspot:<extra>` |
-    /// `butterfly:<i>`, as [`spec::parse_pattern`] reads it.
+    /// `butterfly:<i>`.
     pub pattern: String,
     /// Message sizes: `paper` | `fixed:<flits>` |
-    /// `bimodal:<short>,<long>,<p_short>`, as [`spec::parse_sizes`] reads
-    /// them.
+    /// `bimodal:<short>,<long>,<p_short>`.
     pub sizes: String,
     /// Offered loads (flits/cycle/node), one curve point each.
     pub loads: Vec<f64>,
@@ -136,43 +138,45 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Build the typed experiment this spec describes.
+    /// Build the typed experiment this spec describes: its fields are
+    /// read as the keys of the same name by [`Settings`], over the
+    /// paper's defaults, and its loads by the doors' one load rule.
     ///
     /// # Errors
     ///
     /// [`SimError::Config`] naming the offending field — the structured
-    /// form the daemon serializes back over the wire.
+    /// form the daemon serializes back over the wire. It is refused here,
+    /// before the daemon journals the job: a value no run can use
+    /// (`fixed:0`, `k = 300`, `butterfly:3` at `n = 3`) used to be
+    /// accepted and then fail every retry.
     pub fn to_experiment(&self) -> Result<Experiment, SimError> {
-        // Refused here, before the daemon journals the job: a value no
-        // run can use (`fixed:0`, `k = 300`) used to be accepted and
-        // then fail every retry.
-        let field = |name: &'static str| move |e: String| SimError::Config(format!("{name}: {e}"));
-        let wiring = spec::parse_wiring(&self.wiring).map_err(field("wiring"))?;
-        let network = spec::parse_network(&self.network, wiring, self.dilation, self.vcs)
-            .map_err(field("network"))?;
-        let pattern = spec::parse_pattern(&self.pattern).map_err(field("pattern"))?;
-        let sizes = spec::parse_sizes(&self.sizes).map_err(field("sizes"))?;
-        let geometry = spec::geometry(self.k, self.n).map_err(SimError::Config)?;
+        let refused = |r: Refusal| SimError::Config(r.to_string());
+        let mut settings = Settings::default();
+        let fields: [(&str, &dyn std::fmt::Display); 13] = [
+            ("network", &self.network),
+            ("wiring", &self.wiring),
+            ("dilation", &self.dilation),
+            ("vcs", &self.vcs),
+            ("k", &self.k),
+            ("n", &self.n),
+            ("pattern", &self.pattern),
+            ("sizes", &self.sizes),
+            ("warmup", &self.warmup),
+            ("measure", &self.measure),
+            ("seed", &self.seed),
+            ("budget_cycles", &self.budget_cycles),
+            ("budget_ms", &self.budget_ms),
+        ];
+        for (key, value) in fields {
+            settings.set(key, &value.to_string()).map_err(refused)?;
+        }
+        let exp = settings.finish().map_err(refused)?;
         if self.loads.is_empty() {
             return Err(SimError::Config("a job needs at least one load point".into()));
         }
         for &l in &self.loads {
-            spec::check_load(l).map_err(field("loads"))?;
+            spec::check_load(l).map_err(|e| SimError::Config(format!("loads: {e}")))?;
         }
-        let mut exp = Experiment {
-            geometry,
-            pattern,
-            sizes,
-            ..Experiment::paper_default(network)
-        };
-        exp.sim.warmup = self.warmup;
-        exp.sim.measure = self.measure;
-        exp.sim.seed = self.seed;
-        exp.sim.budget.max_cycles = self.budget_cycles;
-        exp.sim.budget.max_wall_ms = self.budget_ms;
-        // The network's lane count was checked with it; `exp.sim.vcs`
-        // stays at its default (the identity hash covers it).
-        exp.sim.validate()?;
         Ok(exp)
     }
 
@@ -258,17 +262,14 @@ impl JobSpec {
 /// Run one job to its canonical result JSON — the deterministic core
 /// the daemon's workers (and recovery path) execute.
 ///
-/// A job is one plan of the experiment runner in [`crate::campaign`]:
-/// per-point panic isolation on a worker-owned `EngineState`,
-/// derived-seed retries (`mix(seed, 0x5245_7452 + attempt)`), budget
-/// cuts as `partial` outcomes, and — when `checkpoint` is set — the
-/// versioned JSONL checkpoint with torn-tail truncation, so a job
-/// killed mid-curve resumes from its completed points and still
-/// produces **byte-identical** result JSON.
-///
-/// The chaos knob panics the first `chaos_panic_attempts` attempts of
-/// every point before the real run, which exercises the isolation and
-/// retry ladder without special-casing the execution path.
+/// A job is a curve on the runner every door shares (see
+/// [`crate::campaign`]): per-point panic isolation, derived-seed retries,
+/// budget cuts as `partial` outcomes and, with `checkpoint`, a JSONL
+/// checkpoint a killed job resumes from into **byte-identical** result
+/// JSON. What is the v1 job's own: its identity ([`JobSpec::job_hash`],
+/// kind `service_curve`), its chaos knob (the first
+/// `chaos_panic_attempts` attempts of every point panic) and the result
+/// document, one checkpoint task line a point.
 ///
 /// # Errors
 ///
@@ -280,30 +281,19 @@ pub fn run_job(
     checkpoint: Option<PathBuf>,
     threads: usize,
 ) -> Result<String, String> {
-    let exp = spec.to_experiment().map_err(String::from)?;
-    let compiled = exp.compile()?;
-    let base = compiled.base_seed();
-    let hash = spec.job_hash().map_err(String::from)?;
+    let (exp, hash) = (spec.to_experiment()?, spec.job_hash()?);
     let policy = CampaignPolicy {
         retries: spec.retries,
         checkpoint,
         require_existing: false,
     };
-    let chaos = spec.chaos_panic_attempts;
-    let results = run_plan(
-        "service_curve",
-        hash,
-        spec.loads.len(),
-        threads,
-        &policy,
-        |i, attempt, st| {
-            if attempt < chaos {
-                panic!("chaos: injected panic at point {i} attempt {attempt}");
-            }
-            compiled.run(spec.loads[i], task_seed(base, i, attempt), st)
-        },
-    )?;
-    let points = results
+    let job = Job {
+        panics: spec.chaos_panic_attempts,
+        ..Job::curve(&exp, &spec.loads)
+    };
+    let ran = execute(&job, "service_curve", &|_| hash, threads, &policy)?;
+    let points = ran
+        .outcomes
         .iter()
         .enumerate()
         .map(|(i, (outcome, attempts))| task_line(i, *attempts, outcome))
@@ -885,6 +875,27 @@ mod tests {
             crate::Scenario::parse(text, "pinned.scn").unwrap().run(2, policy).unwrap();
         });
         assert_eq!(scenario, "85e4df5a94a3495b");
+
+        // A VMIN curve and scenario, and a clustered curve with §5.2
+        // rates: the hashes a lane count written into `sim.vcs`, or a
+        // workload field moved, would change.
+        let vmin_exp = vmin.to_experiment().unwrap();
+        let vmin_curve = header_hash("vmin_curve", |policy| {
+            crate::campaign_curve(&vmin_exp, &[0.1, 0.2], 2, policy).unwrap();
+        });
+        assert_eq!(vmin_curve, "b6be7257eeac44f3");
+        let vmin_scenario = header_hash("vmin_scenario", |policy| {
+            let text = "name = pinned-vmin\nnetwork = vmin\nvcs = 2\nsizes = fixed:32\n\
+                        warmup = 500\nmeasure = 3000\nloads = 0.1, 0.2\nexpect.delivery = 0.5\n";
+            crate::Scenario::parse(text, "pinned-vmin.scn").unwrap().run(2, policy).unwrap();
+        });
+        assert_eq!(vmin_scenario, "b5cc0f6e0dab5b48");
+        exp.clustering = crate::spec::parse_clusters(&exp.geometry, "msd").unwrap();
+        exp.rates = Some(vec![4.0, 1.0, 1.0, 1.0]);
+        let clustered = header_hash("msd_curve", |policy| {
+            crate::campaign_curve(&exp, &[0.1, 0.2], 2, policy).unwrap();
+        });
+        assert_eq!(clustered, "0324dc29f5d72e20");
     }
 
     #[test]

@@ -1,26 +1,27 @@
 //! Network specifications — the four designs of the paper as one enum —
 //! and the text form of an experiment.
 //!
-//! The `minnet` options, a [`crate::JobSpec`]'s strings and `.scn` keys
-//! spell one vocabulary, read here and nowhere else: [`parse_wiring`],
-//! [`parse_network`], [`parse_pattern`], [`parse_clusters`],
-//! [`parse_rates`], [`parse_sizes`], [`geometry`], [`parse_load`] and
-//! [`parse_loads`]
-//! (clusterings and rates have no `JobSpec` or `.scn` key yet: only the
-//! CLI's `--clusters` / `--rates` read them, and [`crate::figures`] names
-//! its clusterings through [`parse_clusters`]). Each refuses a value no
-//! run can use — it runs the type's own `validate()` — so the error
-//! surfaces where the text is read.
-//! Each door frames the message (`--flag`, a config error, `file:line`)
-//! and keeps its own defaults; every door refuses a load outside (0, 1],
-//! the one-port bound, by one rule (`check_load`).
+//! The three doors of an experiment — the `minnet` flags, a
+//! [`crate::JobSpec`]'s fields and `.scn` keys — hand their `key = value`
+//! text to one reader, [`Settings`], the only code that maps a key to an
+//! [`Experiment`] field. [`Settings::set`] reads one value (each parser
+//! runs the type's own `validate()`); [`Settings::finish`] judges what
+//! takes several keys, then `Experiment::check`: all that `compile`
+//! refuses without building a graph. So a value no run can use is
+//! refused where it is read, as a [`Refusal`] naming its key, which each
+//! door frames (`--flag`, a config error, `file:line`). Every door
+//! refuses a load outside (0, 1], the one-port bound, by one rule
+//! (`check_load`).
 
-use minnet_sim::EngineConfig;
-use minnet_topology::{build_bmin, build_unidir, BitCube, Geometry, NetworkGraph, UnidirKind};
+use crate::experiment::Experiment;
+use minnet_topology::{
+    build_bmin, build_unidir, BitCube, CubeSpec, Geometry, NetworkGraph, UnidirKind,
+};
 use minnet_traffic::{Clustering, MessageSizeDist, TrafficPattern};
 use std::fmt::Display;
+use std::num::ParseIntError;
 
-/// The unidirectional wirings by name, for [`parse_wiring`] and
+/// The unidirectional wirings by name, for the `wiring` key and
 /// [`NetworkSpec::name`].
 const WIRINGS: [(&str, UnidirKind); 4] = [
     ("cube", UnidirKind::Cube),
@@ -112,37 +113,163 @@ impl NetworkSpec {
     }
 }
 
-/// A wiring: `cube | butterfly | omega | baseline`.
-pub fn parse_wiring(s: &str) -> Result<UnidirKind, String> {
-    let w = WIRINGS.iter().find(|w| w.0 == s);
-    w.map(|w| w.1).ok_or_else(|| format!("unknown wiring {s:?}"))
+/// A value [`Settings`] refuses: the key charged with it and why.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Refusal {
+    /// The key charged with it: for the network's four keys `network`,
+    /// for `k` and `n` together `k`.
+    pub key: String,
+    /// Why, without the key.
+    pub why: String,
+    /// Whether the text form names the key: not for a number or flag that
+    /// does not parse, an unknown key, or a geometry (`k = 1: …`).
+    keyed: bool,
 }
 
-/// A network: `tmin | dmin | vmin | bmin` on `wiring`, DMIN with
-/// `dilation` and VMIN with `vcs` (the other kinds ignore both), refused
-/// where [`NetworkSpec::validate`] refuses it or the engine refuses its
-/// lane count.
-pub fn parse_network(
-    kind: &str,
+impl Display for Refusal {
+    /// As a `.scn` line and a job's config error state it: `key: why`,
+    /// or `why` alone.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.keyed {
+            write!(f, "{}: ", self.key)?;
+        }
+        f.write_str(&self.why)
+    }
+}
+
+/// The experiment vocabulary read one `key = value` at a time (the keys
+/// are the arms of [`Settings::set`]) over the paper's default: cube TMIN
+/// (DMIN dilation 2, VMIN 2 lanes), `k = 4`, `n = 3`, global uniform
+/// traffic, paper sizes, the engine's defaults. A door sets its own
+/// defaults the same way, before its text. `sim.vcs` is never written:
+/// the lane count is the network's.
+#[derive(Clone, Debug)]
+pub struct Settings {
+    exp: Experiment,
+    network: String,
     wiring: UnidirKind,
     dilation: u8,
     vcs: u8,
-) -> Result<NetworkSpec, String> {
-    let net = match kind {
-        "tmin" => NetworkSpec::Tmin(wiring),
-        "dmin" => NetworkSpec::Dmin(wiring, dilation),
-        "vmin" => NetworkSpec::Vmin(wiring, vcs),
-        "bmin" => NetworkSpec::Bmin,
-        _ => return Err(format!("unknown network {kind:?}")),
-    };
-    net.validate()?;
-    let lanes = EngineConfig { vcs: net.vcs(), ..EngineConfig::default() };
-    lanes.validate().map(|()| net).map_err(String::from)
+    k: u32,
+    n: u32,
+    clusters: Option<String>,
+}
+
+impl Default for Settings {
+    fn default() -> Settings {
+        let exp = Experiment::paper_default(NetworkSpec::tmin());
+        Settings {
+            network: "tmin".into(),
+            wiring: UnidirKind::Cube,
+            dilation: 2,
+            vcs: 2,
+            k: exp.geometry.k(),
+            n: exp.geometry.n(),
+            clusters: None,
+            exp,
+        }
+    }
+}
+
+impl Settings {
+    /// Read `value` for `key`, refusing what no run can use on its own:
+    /// text a parser refuses, a number past the type it is stored in
+    /// (`vcs = 300` is not `vcs = 44`), `k` or `n` past what a graph can
+    /// hold with the other at its smallest, an unknown key.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), Refusal> {
+        self.read(key, value).map_err(|(why, keyed)| Refusal { key: key.into(), why, keyed })
+    }
+
+    /// [`Settings::set`], refusing with why and whether the text form
+    /// names the key.
+    fn read(&mut self, key: &str, value: &str) -> Result<(), (String, bool)> {
+        fn num<T: std::str::FromStr<Err = ParseIntError>>(v: &str) -> Result<T, (String, bool)> {
+            v.parse().map_err(|e: ParseIntError| (e.to_string(), false))
+        }
+        let keyed = |why| (why, true);
+        let sim = &mut self.exp.sim;
+        match key {
+            "network" => self.network = value.into(),
+            "wiring" => {
+                let w = WIRINGS.iter().find(|w| w.0 == value);
+                self.wiring = w.ok_or_else(|| keyed(format!("unknown wiring {value:?}")))?.1;
+            }
+            "dilation" => self.dilation = num(value)?,
+            "vcs" => self.vcs = num(value)?,
+            "k" => {
+                self.k = num(value)?;
+                geometry(self.k, 1).map_err(|why| (why, false))?;
+            }
+            "n" => {
+                self.n = num(value)?;
+                geometry(2, self.n).map_err(|why| (why, false))?;
+            }
+            "pattern" => self.exp.pattern = parse_pattern(value).map_err(keyed)?,
+            "clusters" => self.clusters = Some(value.into()),
+            "rates" => self.exp.rates = Some(parse_rates(value).map_err(keyed)?),
+            "sizes" => self.exp.sizes = parse_sizes(value).map_err(keyed)?,
+            "seed" => sim.seed = num(value)?,
+            "warmup" => sim.warmup = num(value)?,
+            "measure" => sim.measure = num(value)?,
+            "queue_limit" => sim.queue_limit = num(value)?,
+            "buffer_depth" => sim.buffer_depth = num(value)?,
+            "watchdog_window" => sim.watchdog_window = num(value)?,
+            "fault_abort" => {
+                let why = || (format!("expected true/false, got {value:?}"), false);
+                sim.fault_abort = parse_flag(value).ok_or_else(why)?;
+            }
+            "budget_cycles" => sim.budget.max_cycles = num(value)?,
+            "budget_ms" => sim.budget.max_wall_ms = num(value)?,
+            _ => return Err((format!("unknown key {key:?}"), false)),
+        }
+        Ok(())
+    }
+
+    /// The key [`Settings::finish`] charges when `key` is at fault:
+    /// `network` for the network's four keys, `k` for `k` and `n`.
+    pub(crate) fn charged(key: &str) -> &str {
+        match key {
+            "network" | "wiring" | "dilation" | "vcs" => "network",
+            "k" | "n" => "k",
+            other => other,
+        }
+    }
+
+    /// The experiment, once what takes more than one key holds: the
+    /// geometry, the network with its dilation and lanes, the clustering
+    /// on the geometry, and `Experiment::check`.
+    pub fn finish(self) -> Result<Experiment, Refusal> {
+        let refusal = |key: &str, keyed, why| Refusal { key: key.into(), why, keyed };
+        let mut exp = self.exp;
+        exp.geometry = geometry(self.k, self.n).map_err(|why| refusal("k", false, why))?;
+        exp.network = match self.network.as_str() {
+            "tmin" => NetworkSpec::Tmin(self.wiring),
+            "dmin" => NetworkSpec::Dmin(self.wiring, self.dilation),
+            "vmin" => NetworkSpec::Vmin(self.wiring, self.vcs),
+            "bmin" => NetworkSpec::Bmin,
+            kind => return Err(refusal("network", true, format!("unknown network {kind:?}"))),
+        };
+        if let Some(c) = &self.clusters {
+            let clustering = parse_clusters(&exp.geometry, c);
+            exp.clustering = clustering.map_err(|why| refusal("clusters", true, why))?;
+        }
+        exp.check().map_err(|(field, why)| refusal(Settings::charged(field), true, why))?;
+        Ok(exp)
+    }
+}
+
+/// Accept `true/false`, `on/off` and `yes/no`.
+pub(crate) fn parse_flag(v: &str) -> Option<bool> {
+    match v {
+        "true" | "on" | "yes" => Some(true),
+        "false" | "off" | "no" => Some(false),
+        _ => None,
+    }
 }
 
 /// A destination pattern: `uniform | shuffle | hotspot:F | butterfly:I`,
 /// refused where [`TrafficPattern::validate`] refuses it (`hotspot:NaN`).
-pub fn parse_pattern(s: &str) -> Result<TrafficPattern, String> {
+fn parse_pattern(s: &str) -> Result<TrafficPattern, String> {
     let p = match s.split_once(':') {
         None if s == "uniform" => TrafficPattern::Uniform,
         None if s == "shuffle" => TrafficPattern::SHUFFLE,
@@ -162,17 +289,12 @@ pub fn parse_pattern(s: &str) -> Result<TrafficPattern, String> {
 /// `XX0 … XX3` at 64 nodes) or `halves` (the two binary cubes that fix
 /// the top address bit, `0XXXXX` / `1XXXXX`; `k` a power of two).
 pub fn parse_clusters(g: &Geometry, s: &str) -> Result<Clustering, String> {
-    let digit_cubes = |fix_msd: bool| {
-        let free = "X".repeat(g.n() as usize - 1);
-        let pats: Vec<String> = (0..g.k())
-            .map(|v| if fix_msd { format!("{v}{free}") } else { format!("{free}{v}") })
-            .collect();
-        Clustering::cubes_from_patterns(g, &pats.iter().map(String::as_str).collect::<Vec<_>>())
-    };
+    let digit_cubes =
+        |i| Ok(Clustering::Cubes((0..g.k()).map(|v| CubeSpec::fixing(g, i, v)).collect()));
     match s {
         "global" => Ok(Clustering::Global),
-        "msd" => digit_cubes(true),
-        "lsd" => digit_cubes(false),
+        "msd" => digit_cubes(g.n() - 1),
+        "lsd" => digit_cubes(0),
         "halves" if g.k().is_power_of_two() => {
             let top = 1u32 << (g.n() * g.k().trailing_zeros() - 1);
             Ok(Clustering::BitCubes(vec![BitCube::new(g, top, 0), BitCube::new(g, top, top)]))
@@ -183,9 +305,8 @@ pub fn parse_clusters(g: &Geometry, s: &str) -> Result<Clustering, String> {
 }
 
 /// Per-cluster relative rates, `a,b,…` (§5.2's `4,1,1,1`). Their count
-/// and signs are checked against the clustering when the workload is
-/// built.
-pub fn parse_rates(s: &str) -> Result<Vec<f64>, String> {
+/// and signs are checked against the clustering by [`Settings::finish`].
+fn parse_rates(s: &str) -> Result<Vec<f64>, String> {
     let rate = |x: &str| x.trim().parse().map_err(|e| format!("rate {x:?}: {e}"));
     s.split(',').map(rate).collect()
 }
@@ -193,7 +314,7 @@ pub fn parse_rates(s: &str) -> Result<Vec<f64>, String> {
 /// Message sizes: `paper | fixed:N | bimodal:S,L,P` (lengths in flits,
 /// `P` the share of short messages), refused where
 /// [`MessageSizeDist::validate`] refuses them (`fixed:0`).
-pub fn parse_sizes(s: &str) -> Result<MessageSizeDist, String> {
+fn parse_sizes(s: &str) -> Result<MessageSizeDist, String> {
     let d = match s.split_once(':') {
         None if s == "paper" => MessageSizeDist::PAPER,
         Some(("fixed", len)) => {
@@ -218,7 +339,7 @@ pub fn parse_sizes(s: &str) -> Result<MessageSizeDist, String> {
 /// The `k`-ary `n`-stage geometry once both are read as numbers, refused
 /// where [`Geometry::try_new`] or [`minnet_topology::graph::check_limits`]
 /// refuses it; the error names the parameter first (`k = 1: …`).
-pub fn geometry(k: u32, n: u32) -> Result<Geometry, String> {
+fn geometry(k: u32, n: u32) -> Result<Geometry, String> {
     Geometry::try_new(k, n).and_then(minnet_topology::graph::check_limits)
 }
 
@@ -294,6 +415,40 @@ mod tests {
         assert_eq!(parse_clusters(&g, "nope").unwrap_err(), "unknown clustering \"nope\"");
         let err = parse_clusters(&Geometry::new(3, 3), "halves").unwrap_err();
         assert!(err.contains("power of two"), "{err}");
+    }
+
+    #[test]
+    fn refusals_name_the_key_they_are_charged_to() {
+        let refused = |pairs: &[(&str, &str)]| {
+            let mut s = Settings::default();
+            for (key, value) in pairs {
+                s.set(key, value)?;
+            }
+            s.finish().map(drop)
+        };
+        for (pairs, key, text) in [
+            (&[("pattern", "butterfly:3")][..], "pattern", "pattern: butterfly index 3 out"),
+            (&[("rates", "4,1")], "rates", "rates: 2 rate entries for 1 clusters"),
+            (&[("buffer_depth", "0")], "buffer_depth", "buffer_depth: channel buffers must"),
+            (&[("measure", "0")], "measure", "measure: measurement window must be"),
+            (&[("network", "vmin"), ("vcs", "65")], "network", "network: at most 64 virtual"),
+            (&[("dilation", "0"), ("network", "dmin")], "network", "network: dilation must be"),
+            (&[("clusters", "halves"), ("k", "3")], "clusters", "clusters: halves needs k"),
+            (&[("k", "32"), ("n", "9")], "k", "k = 32, n = 9: "),
+            (&[("vcs", "300")], "vcs", "number too large to fit in target type"),
+            (&[("fault_abort", "maybe")], "fault_abort", "expected true/false, got \"maybe\""),
+            (&[("bogus", "1")], "bogus", "unknown key \"bogus\""),
+        ] {
+            let r = refused(pairs).unwrap_err();
+            assert_eq!(r.key, key, "{pairs:?}");
+            assert!(r.to_string().starts_with(text), "{pairs:?}: {r}");
+        }
+        // The lane count is the network's: the reader leaves `sim.vcs` alone.
+        let mut s = Settings::default();
+        s.set("network", "vmin").unwrap();
+        s.set("vcs", "4").unwrap();
+        let exp = s.finish().unwrap();
+        assert_eq!((exp.network, exp.sim.vcs), (NetworkSpec::vmin(4), 1));
     }
 
     #[test]

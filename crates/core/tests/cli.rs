@@ -340,6 +340,9 @@ fn impossible_geometries_fail_typed() {
         ("bad_delivery.scn", 8, "expect.delivery = NaN "),
         ("bad_sizes.scn", 7, "sizes: messages must have at least one flit"),
         ("bad_hotspot.scn", 7, "pattern: hot-spot extra fraction must be >= 0, got -1"),
+        ("bad_butterfly.scn", 7, "pattern: butterfly index 7 out of range"),
+        ("bad_buffer_depth.scn", 7, "buffer_depth: channel buffers must hold at least one flit"),
+        ("bad_measure.scn", 7, "measure: measurement window must be nonempty"),
     ] {
         let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
         let (ok, _, stderr) = minnet(&["scenario", "validate", &path]);
@@ -347,6 +350,31 @@ fn impossible_geometries_fail_typed() {
         let located = stderr.contains(&format!("{file}:{line}: {why}"));
         assert!(located, "{file}: {stderr}");
         assert!(!stderr.contains("panicked"), "{file}: {stderr}");
+    }
+}
+
+/// What only a compiled run used to refuse — a butterfly index past `n`,
+/// an empty buffer or window, rates for clusters that are not there — is
+/// refused by its flag before the CSV exists. Each of these used to
+/// leave an empty CSV behind and exit 1 with an error naming no flag.
+#[test]
+fn late_refusals_name_their_flag_and_leave_no_csv() {
+    let csv = std::env::temp_dir().join(format!("minnet_cli_late_{}.csv", std::process::id()));
+    let csv = csv.to_str().unwrap();
+    for (flag, value) in [
+        ("--pattern", "butterfly:7"),
+        ("--buffer-depth", "0"),
+        ("--measure", "0"),
+        ("--rates", "4,1,1,1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_minnet"))
+            .args(["sweep", "--loads", "0.1", "--csv", csv, flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {flag}")), "{flag} {value}: {stderr}");
+        assert!(!std::path::Path::new(csv).exists(), "{flag} {value} left {csv}");
     }
 }
 

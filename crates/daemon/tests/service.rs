@@ -234,6 +234,7 @@ fn unusable_values_are_refused_at_submit_and_never_journaled() {
     for (field, value) in [
         ("pattern", "hotspot:-1"),
         ("pattern", "hotspot:NaN"),
+        ("pattern", "butterfly:3"),
         ("sizes", "fixed:0"),
         ("sizes", "bimodal:8,1024,1.5"),
         ("loads", "1.5"),

@@ -163,20 +163,23 @@ impl std::fmt::Debug for EngineConfig {
 impl EngineConfig {
     /// Validate parameter consistency.
     pub fn validate(&self) -> Result<(), crate::SimError> {
-        let bad = |msg: &str| Err(crate::SimError::Config(msg.to_string()));
-        if self.vcs == 0 {
-            return bad("at least one virtual channel per physical channel");
+        self.check().map_err(|(_, why)| crate::SimError::Config(why.to_string()))
+    }
+
+    /// [`EngineConfig::validate`] with the field at fault named: the
+    /// first field no run can use (`vcs`, `buffer_depth`, `measure`) and
+    /// why.
+    pub fn check(&self) -> Result<(), (&'static str, &'static str)> {
+        let refusals = [
+            (self.vcs == 0, "vcs", "at least one virtual channel per physical channel"),
+            (self.vcs > 64, "vcs", "at most 64 virtual channels per physical channel"),
+            (self.buffer_depth == 0, "buffer_depth", "channel buffers must hold at least one flit"),
+            (self.measure == 0, "measure", "measurement window must be nonempty"),
+        ];
+        match refusals.into_iter().find(|r| r.0) {
+            Some((_, field, why)) => Err((field, why)),
+            None => Ok(()),
         }
-        if self.vcs > 64 {
-            return bad("at most 64 virtual channels per physical channel");
-        }
-        if self.buffer_depth == 0 {
-            return bad("channel buffers must hold at least one flit");
-        }
-        if self.measure == 0 {
-            return bad("measurement window must be nonempty");
-        }
-        Ok(())
     }
 }
 

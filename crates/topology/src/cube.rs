@@ -30,6 +30,13 @@ pub struct CubeSpec {
 }
 
 impl CubeSpec {
+    /// The cube over `g` that fixes digit `i` (least significant first)
+    /// to `v` and leaves the others free.
+    pub fn fixing(g: &Geometry, i: u32, v: u32) -> CubeSpec {
+        let digit = |d| if d == i { DigitSpec::Fixed(v) } else { DigitSpec::Free };
+        CubeSpec { spec: (0..g.n()).map(digit).collect() }
+    }
+
     /// Parse the paper's pattern notation, most significant digit first:
     /// `'*'` or `'X'`/`'x'` is a free digit, a decimal digit is fixed.
     /// Only radices up to 10 are supported by this notation.

@@ -22,6 +22,15 @@ pub enum Clustering {
 }
 
 impl Clustering {
+    /// Number of clusters, without resolving their members.
+    pub(crate) fn count(&self) -> usize {
+        match self {
+            Clustering::Global => 1,
+            Clustering::Cubes(cubes) => cubes.len(),
+            Clustering::BitCubes(cubes) => cubes.len(),
+        }
+    }
+
     /// Parse a list of digit patterns like `["0XX", "1XX"]`.
     pub fn cubes_from_patterns(g: &Geometry, patterns: &[&str]) -> Result<Clustering, String> {
         let cubes = patterns

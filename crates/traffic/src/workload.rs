@@ -41,6 +41,35 @@ pub struct WorkloadSpec {
     pub sizes: MessageSizeDist,
 }
 
+impl WorkloadSpec {
+    /// What no workload over `g` can use, found without resolving a
+    /// cluster map: the field at fault and why. [`WorkloadTemplate::compile`]
+    /// runs it first, and a reader of the text form runs it to refuse a
+    /// value where it is read (`offered_load` is not looked at).
+    pub fn check(&self, g: &Geometry) -> Result<(), (&'static str, String)> {
+        let at = |field| move |why| (field, why);
+        self.pattern.validate().map_err(at("pattern"))?;
+        if let TrafficPattern::Permutation(minnet_topology::Perm::Butterfly(i)) = self.pattern {
+            if i >= g.n() {
+                return Err(("pattern", format!("butterfly index {i} out of range")));
+            }
+        }
+        self.sizes.validate().map_err(at("sizes"))?;
+        let Some(r) = &self.rates else { return Ok(()) };
+        let ncl = self.clustering.count();
+        if r.len() != ncl {
+            return Err(("rates", format!("{} rate entries for {} clusters", r.len(), ncl)));
+        }
+        if r.iter().any(|&x| x < 0.0 || !x.is_finite()) {
+            return Err(("rates", "cluster rates must be nonnegative".into()));
+        }
+        if r.iter().sum::<f64>() <= 0.0 {
+            return Err(("rates", "at least one cluster rate must be positive".into()));
+        }
+        Ok(())
+    }
+}
+
 /// How destinations are drawn. A node with nobody to send to — alone in
 /// its cluster, or a fixed point of the permutation — is *silent*: its
 /// message rate is 0 and no destination may be asked of it.
@@ -101,32 +130,13 @@ impl WorkloadTemplate {
     ///
     /// # Errors
     ///
-    /// Reports malformed clusterings, rate/cluster count mismatches, and
-    /// permutation indices out of range.
+    /// What [`WorkloadSpec::check`] refuses, and clusterings that do not
+    /// partition the nodes.
     pub fn compile(g: Geometry, spec: &WorkloadSpec) -> Result<WorkloadTemplate, String> {
-        spec.pattern.validate()?;
-        spec.sizes.validate()?;
+        spec.check(&g).map_err(|(_, why)| why)?;
         let clusters = ClusterMap::build(&g, &spec.clustering)?;
         let ncl = clusters.len();
-        let mut rates: Vec<f64> = match &spec.rates {
-            None => vec![1.0; ncl],
-            Some(r) => {
-                if r.len() != ncl {
-                    return Err(format!(
-                        "{} rate entries for {} clusters",
-                        r.len(),
-                        ncl
-                    ));
-                }
-                if r.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-                    return Err("cluster rates must be nonnegative".into());
-                }
-                if r.iter().sum::<f64>() <= 0.0 {
-                    return Err("at least one cluster rate must be positive".into());
-                }
-                r.clone()
-            }
-        };
+        let mut rates = spec.rates.clone().unwrap_or_else(|| vec![1.0; ncl]);
 
         // Normalise: Σ_c r_c |C_c| · scale = load · N.
         let sizes = (0..ncl as u32).map(|c| clusters.size(c));
@@ -139,11 +149,6 @@ impl WorkloadTemplate {
                 DestSampler::HotSpot(sizes.clone().map(|n| hot_spot_probabilities(n, extra).0).collect())
             }
             TrafficPattern::Permutation(p) => {
-                if let minnet_topology::Perm::Butterfly(i) = p {
-                    if i >= g.n() {
-                        return Err(format!("butterfly index {i} out of range"));
-                    }
-                }
                 DestSampler::Fixed((0..g.nodes()).map(|a| p.apply(&g, NodeAddr(a)).0).collect())
             }
         };

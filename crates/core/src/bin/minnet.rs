@@ -66,6 +66,8 @@ exits 0 only if every scenario ends as its file declares (a
 watchdog-trip fixture *expects* fail). Chaos-gated scenarios are
 skipped unless --chaos. --json writes the deterministic verdict
 report (byte-identical across repeat runs and thread counts).
+--budget-cycles / --budget-ms tighten each scenario's declared budget;
+they never loosen it.
 
 COMMON OPTIONS
   --network tmin|dmin|vmin|bmin     network design           [tmin]

@@ -273,18 +273,22 @@ impl Scenario {
         &self.exp
     }
 
-    /// Override the scenario's declared run budget from outside — the
-    /// CLI's `--budget-cycles` / `--budget-ms` passthrough. A nonzero
-    /// field replaces the declared value; a zero field keeps it, so a
-    /// caller can cap cycles without disturbing a wall budget (or vice
-    /// versa).
+    /// Tighten the scenario's declared run budget from outside — the
+    /// CLI's `--budget-cycles` / `--budget-ms` passthrough. Each field
+    /// becomes the tighter of the two nonzero values (zero is "no
+    /// limit"): a cap never loosens what the file declares, and a zero
+    /// field keeps the declared value, so a caller can cap cycles without
+    /// disturbing a wall budget (or vice versa).
     pub fn override_budget(&mut self, budget: RunBudget) {
-        if budget.max_cycles > 0 {
-            self.exp.sim.budget.max_cycles = budget.max_cycles;
+        fn tighter(declared: u64, cap: u64) -> u64 {
+            match (declared, cap) {
+                (0, limit) | (limit, 0) => limit,
+                (declared, cap) => declared.min(cap),
+            }
         }
-        if budget.max_wall_ms > 0 {
-            self.exp.sim.budget.max_wall_ms = budget.max_wall_ms;
-        }
+        let own = &mut self.exp.sim.budget;
+        own.max_cycles = tighter(own.max_cycles, budget.max_cycles);
+        own.max_wall_ms = tighter(own.max_wall_ms, budget.max_wall_ms);
     }
 
     /// Run the scenario on the one runner and judge it into a
@@ -779,8 +783,9 @@ impl ScenarioSet {
 /// scenarios are skipped unless `include_chaos`; `checkpoint_dir`, when
 /// given, checkpoints each scenario to `<dir>/<name>.ckpt` for resume.
 /// A `budget_override` tightens each scenario's declared budget through
-/// [`Scenario::override_budget`] before it runs (nonzero fields replace,
-/// zero fields keep the declared value): the CLI's `minnet scenario run
+/// [`Scenario::override_budget`] before it runs (a nonzero field takes
+/// the tighter of the two limits, a zero field keeps the declared value):
+/// the CLI's `minnet scenario run
 /// --budget-cycles/--budget-ms` passthrough bounds a whole library
 /// without editing any `.scn` file.
 ///

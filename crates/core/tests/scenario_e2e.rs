@@ -138,6 +138,26 @@ fn cli_budget_override_cuts_scenarios_without_editing_files() {
     let zero = run_scenario_files(&files, 2, 0, true, None, Some(RunBudget::UNLIMITED)).unwrap();
     assert_eq!(verdict_report_json(&plain), verdict_report_json(&zero));
     assert_eq!(plain.verdicts[0].status, VerdictStatus::Pass);
+
+    // A cap looser than the file's own budget leaves it alone: the
+    // tighter of the two limits runs, byte for byte as with no cap.
+    let text = std::fs::read_to_string(&files[0]).unwrap() + "budget_cycles = 300\n";
+    let dir = std::env::temp_dir().join(format!("minnet_scn_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let declared = vec![dir.join("declared_300.scn")];
+    std::fs::write(&declared[0], text).unwrap();
+    let loose = RunBudget {
+        max_cycles: 5_000,
+        max_wall_ms: 0,
+    };
+    let own = run_scenario_files(&declared, 2, 0, true, None, None).unwrap();
+    let capped = run_scenario_files(&declared, 2, 0, true, None, Some(loose)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        own.verdicts[0].points.iter().all(|p| p.outcome.tag() == "partial"),
+        "the declared 300 cycles cut every task"
+    );
+    assert_eq!(verdict_report_json(&own), verdict_report_json(&capped));
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Dense index sets, lane-buffer occupancy counters and the source queues
-//! (fixed chunks of 16-byte records) for the engine's occupancy-scaled
-//! hot loop.
+//! Dense index sets, lane buffers (a full bit, and a counter past one
+//! flit) and the source queues (fixed chunks of 16-byte records) for the
+//! engine's occupancy-scaled hot loop.
 //!
 //! The engine keeps three active sets so its per-cycle cost tracks
 //! *occupancy* (in-flight worms, nonempty sources, claimed channels)
@@ -36,13 +36,20 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
-/// Every lane's flit buffer, as its occupancy. A lane buffers flits of
-/// its owning worm only, and a worm's flits pass through in order, so
-/// what a buffer holds is always a run of consecutive flits of one packet:
-/// a bounded FIFO of them is a counter, at any `depth`. Which flit sits at
-/// either end follows from the worm's chain (see `Engine::move_flit`).
+/// Every lane's flit buffer: the `full` mask the transmit sweep combines
+/// and, where a buffer holds more than one flit, its occupancy. A lane
+/// buffers flits of its owning worm only, and a worm's flits pass through
+/// in order, so what a buffer holds is always a run of consecutive flits
+/// of one packet: a bounded FIFO of them is a counter, at any `depth`.
+/// At the paper's one-flit buffers (§5) a counter would say no more than
+/// the mask bit, so there is none: the bit is the whole buffer. Which
+/// flit sits at either end follows from the worm's chain (see
+/// `Engine::move_flit`).
 #[derive(Clone, Debug, Default)]
 pub struct LaneBufs {
+    /// Bit `li` ⟺ lane `li`'s buffer is full (at depth 1: holds a flit).
+    full: DenseBitSet,
+    /// Per lane, the flits buffered; dimensioned only when `depth > 1`.
     len: Vec<u16>,
     depth: u16,
 }
@@ -53,24 +60,42 @@ impl LaneBufs {
     pub fn reset(&mut self, lanes: usize, depth: u16) {
         assert!(depth >= 1, "a channel buffer holds at least one flit");
         self.depth = depth;
-        refill(&mut self.len, lanes, 0);
+        self.full.reset(lanes);
+        refill(&mut self.len, if depth > 1 { lanes } else { 0 }, 0);
     }
 
-    /// Heap bytes held (capacity × element size).
+    /// Heap bytes held (capacities × element size).
     pub fn approx_bytes(&self) -> usize {
-        self.len.capacity() * 2
+        self.full.approx_bytes() + self.len.capacity() * 2
+    }
+
+    /// Whether the buffers keep counters: only deeper than one flit.
+    #[inline]
+    fn counted(&self) -> bool {
+        self.depth > 1
     }
 
     /// Whether lane `li` buffers no flit.
     #[inline]
     pub fn is_empty(&self, li: usize) -> bool {
-        self.len[li] == 0
+        if self.counted() {
+            self.len[li] == 0
+        } else {
+            !self.full.contains(li as u32)
+        }
     }
 
     /// Whether lane `li`'s buffer is full.
     #[inline]
     pub fn is_full(&self, li: usize) -> bool {
-        self.len[li] == self.depth
+        self.full.contains(li as u32)
+    }
+
+    /// The `full` mask's word `w` (lanes `64·w .. 64·w+63`), for the
+    /// transmit sweep's ready combine.
+    #[inline]
+    pub fn full_word(&self, w: usize) -> u64 {
+        self.full.word(w)
     }
 
     /// Remove lane `li`'s oldest flit and return how many it still
@@ -78,15 +103,13 @@ impl LaneBufs {
     #[inline]
     #[must_use]
     pub fn pop(&mut self, li: usize) -> Option<u16> {
+        if !self.counted() {
+            return self.full.take(li as u32).then_some(0);
+        }
         let len = &mut self.len[li];
         *len = len.checked_sub(1)?;
+        self.full.clear(li as u32);
         Some(*len)
-    }
-
-    /// The flits a lane buffers when full.
-    #[inline]
-    pub fn depth(&self) -> u16 {
-        self.depth
     }
 
     /// Buffer one more flit in lane `li` and return the new occupancy, or
@@ -97,16 +120,38 @@ impl LaneBufs {
     #[inline]
     #[must_use]
     pub fn push(&mut self, li: usize) -> Option<u16> {
-        if self.len[li] == self.depth {
+        if self.full.contains(li as u32) {
             return None;
         }
-        self.len[li] += 1;
-        Some(self.len[li])
+        let len = if self.counted() {
+            self.len[li] += 1;
+            self.len[li]
+        } else {
+            1
+        };
+        if len == self.depth {
+            self.full.set(li as u32);
+        }
+        Some(len)
     }
 
     /// Empty lane `li`, returning how many flits it buffered.
     pub fn drain(&mut self, li: usize) -> u32 {
+        if !self.counted() {
+            return u32::from(self.full.take(li as u32));
+        }
+        self.full.clear(li as u32);
         u32::from(std::mem::take(&mut self.len[li]))
+    }
+
+    /// Debug-only audit: every `full` bit is `len == depth` where there
+    /// are counters, and there are none at depth 1.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_full_mask(&self) {
+        assert!(self.counted() || self.len.is_empty(), "counters at depth 1");
+        for (li, &len) in self.len.iter().enumerate() {
+            assert_eq!(self.full.contains(li as u32), len == self.depth, "full lane {li}");
+        }
     }
 }
 
@@ -352,6 +397,15 @@ impl DenseBitSet {
         self.words[i as usize / 64] &= !(1u64 << (i % 64));
     }
 
+    /// Remove `i`; whether it was in the set.
+    #[inline]
+    pub fn take(&mut self, i: u32) -> bool {
+        let (w, bit) = (&mut self.words[i as usize / 64], 1u64 << (i % 64));
+        let was = *w & bit != 0;
+        *w &= !bit;
+        was
+    }
+
     /// Whether `i` is in the set.
     #[inline]
     pub fn contains(&self, i: u32) -> bool {
@@ -428,6 +482,59 @@ mod tests {
         assert_eq!((b.depth, b.len.len()), (3, 4));
         for li in 0..4 {
             assert!(b.is_empty(li));
+        }
+        b.reset(4, 1);
+        assert!(b.len.is_empty(), "no counters at depth 1: the bit is the buffer");
+        assert!((0..4).all(|li| b.is_empty(li) && !b.is_full(li)));
+    }
+
+    proptest::proptest! {
+        // At every depth, push / pop / drain answer as a plain counter
+        // would, and the `full` words the sweep reads are exactly the
+        // lanes whose counter is at the depth — also after a reset from
+        // a dirty state of another depth.
+        #[test]
+        fn lane_bufs_equal_a_counter_model(
+            lanes in 1usize..150,
+            depth in 1u16..=4,
+            prior in 1u16..=4,
+            ops in proptest::collection::vec((0u8..3, 0usize..150), 0..600),
+        ) {
+            let mut b = LaneBufs::default();
+            b.reset(lanes, prior);
+            for li in 0..lanes {
+                proptest::prop_assert_eq!(b.push(li), Some(1));
+            }
+            b.reset(lanes, depth);
+            let mut m = vec![0u16; lanes];
+            for (op, li) in ops {
+                let li = li % lanes;
+                match op {
+                    0 => {
+                        let want = (m[li] < depth).then(|| {
+                            m[li] += 1;
+                            m[li]
+                        });
+                        proptest::prop_assert_eq!(b.push(li), want);
+                    }
+                    1 => {
+                        let want = m[li].checked_sub(1);
+                        m[li] = want.unwrap_or(0);
+                        proptest::prop_assert_eq!(b.pop(li), want);
+                    }
+                    _ => proptest::prop_assert_eq!(b.drain(li), u32::from(std::mem::take(&mut m[li]))),
+                }
+                proptest::prop_assert_eq!(b.is_empty(li), m[li] == 0);
+                proptest::prop_assert_eq!(b.is_full(li), m[li] == depth);
+                for w in 0..lanes.div_ceil(64) {
+                    let want = (w * 64..lanes.min(w * 64 + 64))
+                        .filter(|&l| m[l] == depth)
+                        .fold(0u64, |acc, l| acc | 1 << (l % 64));
+                    proptest::prop_assert_eq!(b.full_word(w), want, "word {}", w);
+                }
+            }
+            #[cfg(debug_assertions)]
+            b.check_full_mask();
         }
     }
 
@@ -552,6 +659,8 @@ mod tests {
         assert!(!s.contains(64));
         s.set(0); // idempotent
         assert!(s.contains(0));
+        assert!(s.take(129) && !s.contains(129), "take removes a member");
+        assert!(!s.take(129), "and answers false once it is gone");
     }
 
     #[test]

@@ -75,7 +75,6 @@ impl Engine<'_> {
                 return Err(SimError::Internal { what });
             }
             drained += lanes.bufs.drain(li as usize);
-            lanes.full.clear(li);
             lanes.release(li);
         }
         if pkts.sent[pi] < pkts.len[pi] {

@@ -85,7 +85,8 @@
 //!   injector queue; injection start; injection end with a nonempty
 //!   queue). The allocation phase reads injection requests off this set
 //!   instead of scanning every source;
-//! * dense **lane masks** (`owned`, `has-input`, `full`, `dead`) indexed
+//! * dense **lane masks** (`owned`, `has-input`, `dead`, and `full`,
+//!   which `LaneBufs` keeps with the buffers it mirrors) indexed
 //!   by *plane* — a channel's transmit-order position times the lane
 //!   group width (`vcs` rounded up to a power of two) plus the lane, so
 //!   ascending bit order is the sweep order and a channel's lanes share
@@ -119,18 +120,18 @@
 //! # Hot state on a byte budget
 //!
 //! Lane, node and packet state are parallel dense arrays with no
-//! per-entity heap allocation: 7 bytes a lane at any `buffer_depth`,
-//! 28 a node and 4·H a packet slot for its lane path, held by
-//! `tests/footprint.rs`. ("Lane" is a plane: at a `vcs` of 3, 5 or 6 —
-//! test-only — the arrays carry each group's pad planes.)
+//! per-entity heap allocation: 5 bytes a lane at the paper's one-flit
+//! buffers and 7 deeper, 28 a node and 4·H a packet slot for its lane
+//! path, held by `tests/footprint.rs`. ("Lane" is a plane: at a `vcs`
+//! of 3, 5 or 6 — test-only — the arrays carry each group's pad planes.)
 //!
 //! | array | B | per | what it is for; when it exists |
 //! |---|---|---|---|
 //! | `lanes.owner` | 4 | lane | owning packet slot, `NONE` when free |
 //! | `lanes.hop` | 1 | lane | the lane's index along its owner's `pkts.path` |
-//! | `lanes.bufs` | 2 | lane | buffer occupancy — a counter: a lane holds a run of its owner's flits, and which is a header or a tail follows from the path (`move_flit`) |
+//! | `lanes.bufs` counters | 2 | lane | buffer occupancy — a counter: a lane holds a run of its owner's flits, and which is a header or a tail follows from the path (`move_flit`); only when `buffer_depth > 1`, since at depth 1 the `full` bit is the whole buffer |
 //! | `lanes.mux_last` | 1 | channel | VC multiplexer memory; only when `vcs > 1` |
-//! | the four plane masks | ½ | plane | `owned` / `has_input` / `full` / `dead` bits |
+//! | the four plane masks | ½ | plane | `owned` / `has_input` / `dead` bits, and `lanes.bufs`' `full` |
 //! | `src.injecting` | 4 | node | packet drawing from the source, else `NONE` |
 //! | `src.next_arrival` | 8 | node | next Poisson arrival time |
 //! | `src.arrivals` | 8 | node | the node's next Poisson arrival as a heap key, `⌈cycle⌉ << b \| node` with `b` the node id's bit width, a cycle past the horizon held as `end + 1`; only for a generating node, and a Poisson run whose `end + 1` does not fit above the `b` bits is refused before it starts |
@@ -468,7 +469,8 @@ impl<'a> Planes<'a> {
 impl CompiledNet {
     /// Compile `net` under `cfg`: validate the configuration, mark the
     /// ejection planes, and build the routing table — at every size; the
-    /// table is `O(stages × nodes)` bytes (see [`RouteTable`]).
+    /// table stores nothing but the graph's handle, and routes are
+    /// computed from destination digits (see [`RouteTable`]).
     ///
     /// # Errors
     ///

@@ -127,6 +127,10 @@ pub(super) struct Lanes {
     /// lanes are that entry's neighbours ([`Packets`]). Stale on a free
     /// lane, which nothing reads it through.
     pub(super) hop: Vec<u8>,
+    /// Every lane's buffer, and its `full` mask. Ejection lanes are never
+    /// pushed (the destination absorbs flits immediately), so their full
+    /// bits stay 0 forever — which is why the ready combine needs no
+    /// separate ejection mask: `eject ∨ ¬full` ≡ `¬full`.
     pub(super) bufs: LaneBufs,
     /// Per channel position, the VC that transmitted last (flit-level
     /// round-robin, [`round_robin_select`](super::transmit::round_robin_select)).
@@ -137,11 +141,6 @@ pub(super) struct Lanes {
     /// Bit `plane` ⟺ the lane's upstream input is available (a source
     /// with flits left to emit, or a nonempty upstream lane buffer).
     pub(super) has_input: DenseBitSet,
-    /// Bit `plane` ⟺ the lane's own buffer is full. Ejection lanes are
-    /// never pushed (the destination absorbs flits immediately), so
-    /// their bits stay 0 forever — which is why the ready combine needs
-    /// no separate ejection mask: `eject ∨ ¬full` ≡ `¬full`.
-    pub(super) full: DenseBitSet,
     /// Bit `plane` ⟺ the lane is dead in the current fault epoch
     /// (loaded at epoch boundaries from `CompiledEpoch::dead_planes`).
     pub(super) dead: DenseBitSet,
@@ -156,7 +155,7 @@ impl Lanes {
         refill(&mut self.hop, n, 0);
         self.bufs.reset(n, depth);
         refill(&mut self.mux_last, if planes.vcs > 1 { n >> planes.shift } else { 0 }, 0);
-        for m in [&mut self.owned, &mut self.has_input, &mut self.full, &mut self.dead] {
+        for m in [&mut self.owned, &mut self.has_input, &mut self.dead] {
             m.reset(n);
         }
         if let Some(words) = dead {
@@ -164,9 +163,9 @@ impl Lanes {
         }
     }
 
-    /// Free the lane at plane `li`: no owner, no mask bit. `full` needs no
-    /// touch: the buffer is empty (asserted), so the last pop already
-    /// cleared it; `hop` is left stale.
+    /// Free the lane at plane `li`: no owner, no mask bit. The buffer is
+    /// empty (asserted), so its full bit is already clear; `hop` is left
+    /// stale.
     pub(super) fn release(&mut self, li: u32) {
         debug_assert!(self.bufs.is_empty(li as usize), "releasing a lane with a buffered flit");
         debug_assert_ne!(self.owner[li as usize], NONE, "double lane release");
@@ -176,7 +175,7 @@ impl Lanes {
     }
 
     fn approx_bytes(&self) -> usize {
-        let masks = [&self.owned, &self.has_input, &self.full, &self.dead];
+        let masks = [&self.owned, &self.has_input, &self.dead];
         4 * self.owner.capacity()
             + self.hop.capacity()
             + self.bufs.approx_bytes()
@@ -358,11 +357,11 @@ impl Engine<'_> {
     #[cfg(debug_assertions)]
     pub(super) fn check_kernel_masks(&self) {
         let (lanes, pkts) = (&self.st.lanes, &self.st.pkts);
+        lanes.bufs.check_full_mask();
         for pl in 0..self.planes.count() as u32 {
             let li = pl as usize;
             let p = lanes.owner[li];
             assert_eq!(lanes.owned.contains(pl), p != NONE, "owned plane {pl}");
-            assert_eq!(lanes.full.contains(pl), lanes.bufs.is_full(li), "full plane {pl}");
             assert_eq!(lanes.has_input.contains(pl), self.has_input(li), "has_input plane {pl}");
             if p == NONE {
                 assert!(lanes.bufs.is_empty(li), "free plane {pl} holds a flit");
@@ -437,10 +436,10 @@ mod tests {
             let net = CompiledNet::new(graph.clone(), cfg).unwrap();
             st.reset(&net, Traffic::Poisson(&workload), None, net.keys.unwrap(), 1);
             let lanes = &st.lanes;
-            let lane_bytes = 4 * lanes.owner.len()
-                + lanes.hop.len()
-                + lanes.bufs.approx_bytes()
-                + lanes.mux_last.len();
+            // The buffers' `full` mask is one of the planes' four masks,
+            // as wide as `owned`.
+            let counters = lanes.bufs.approx_bytes() - lanes.owned.approx_bytes();
+            let lane_bytes = 4 * lanes.owner.len() + lanes.hop.len() + counters + lanes.mux_last.len();
             // Every node generates, so the arrival heap holds a key each.
             assert_eq!(st.src.arrivals.len(), nodes);
             let node_bytes = 4 * st.src.injecting.len()
@@ -449,14 +448,14 @@ mod tests {
             (lane_bytes, node_bytes + st.src.queues.approx_bytes())
         };
         let (lane_bytes, node_bytes) = reset(EngineConfig::default());
-        assert_eq!(lane_bytes, 7 * nch, "vcs 1, depth 1: 7 B a lane, no mux");
+        assert_eq!(lane_bytes, 5 * nch, "vcs 1, depth 1: 5 B a lane, no counter, no mux");
         assert_eq!(size_of::<std::cmp::Reverse<u64>>(), 8);
         assert_eq!(node_bytes, 28 * nodes, "injector 4, next arrival 8, heap key 8, queue 8");
         let (lane_bytes, _) = reset(EngineConfig { vcs: 2, buffer_depth: 4, ..EngineConfig::default() });
         assert_eq!(lane_bytes, 7 * 2 * nch + nch, "vcs 2, depth 4: 7 B a lane + 1 B a channel");
         // Not a power of two: the lane arrays are padded to the plane group.
         let (lane_bytes, _) = reset(EngineConfig { vcs: 3, ..EngineConfig::default() });
-        assert_eq!(lane_bytes, 7 * 4 * nch + nch, "vcs 3: a group of 4 planes a channel");
+        assert_eq!(lane_bytes, 5 * 4 * nch + nch, "vcs 3: a group of 4 planes a channel");
     }
 
     /// A claim past the stride is refused, typed, and leaves the next

@@ -87,7 +87,7 @@ impl Engine<'_> {
     fn transmit_kernel_vc1(&mut self, nw: usize, faulted: bool) -> Result<(), SimError> {
         for w in 0..nw {
             let lanes = &self.st.lanes;
-            let mut ready = lanes.owned.word(w) & lanes.has_input.word(w) & !lanes.full.word(w);
+            let mut ready = lanes.owned.word(w) & lanes.has_input.word(w) & !lanes.bufs.full_word(w);
             if faulted {
                 ready &= !lanes.dead.word(w);
             }
@@ -124,7 +124,7 @@ impl Engine<'_> {
         let gmask = u64::MAX >> (64 - gw);
         for w in 0..nw {
             let lanes = &self.st.lanes;
-            let mut ready = lanes.owned.word(w) & lanes.has_input.word(w) & !lanes.full.word(w);
+            let mut ready = lanes.owned.word(w) & lanes.has_input.word(w) & !lanes.bufs.full_word(w);
             if faulted {
                 ready &= !lanes.dead.word(w);
             }
@@ -227,7 +227,6 @@ impl Engine<'_> {
             // The pop leaves `up`'s buffer non-full; if it also drained
             // it, this lane's input is gone.
             fb = up;
-            self.st.lanes.full.clear(up);
             let drained = left == 0;
             if drained {
                 self.st.lanes.has_input.clear(pl);
@@ -278,9 +277,6 @@ impl Engine<'_> {
                 self.complete_packet(p, meta.gen_time, meta.measured)?;
             }
         } else if let Some(buffered) = self.st.lanes.bufs.push(li) {
-            if buffered == self.st.lanes.bufs.depth() {
-                self.st.lanes.full.set(pl);
-            }
             // The flit just buffered in `li` is input for the downstream
             // lane that pulls from `li` (if the worm has advanced past it).
             if let Some(down) = down {

@@ -69,12 +69,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Source-queue sustainability limit (paper: 100 messages).
     pub queue_limit: usize,
-    /// Collect per-channel utilization (busy fraction over the window).
-    pub collect_channel_util: bool,
-    /// Record a [`crate::trace::Trace`] of message events (queue, inject,
-    /// per-hop channel claims, delivery). Intended for deterministic or
-    /// short runs — the log grows with every header movement.
-    pub collect_trace: bool,
     /// No-progress watchdog window: if this many consecutive cycles pass
     /// with active packets but **zero** flit movement, the run terminates
     /// with [`crate::SimError::NoProgress`] and a structured
@@ -115,8 +109,6 @@ impl Default for EngineConfig {
             measure: 200_000,
             seed: 0x5EED,
             queue_limit: 100,
-            collect_channel_util: false,
-            collect_trace: false,
             watchdog_window: 10_000,
             fault_abort: true,
             budget: RunBudget::UNLIMITED,
@@ -128,12 +120,13 @@ impl Default for EngineConfig {
 /// The text `minnet::campaign::config_hash` hashes into every checkpoint
 /// header, journal key and `minnetd` job id (through `Experiment`'s
 /// derived `Debug`). Identity v1 is *defined* as this rendering — field
-/// names and order included — so it is written out, not derived. Seven
+/// names and order included — so it is written out, not derived. Nine
 /// entries name knobs the engine no longer has (`alloc`, `vc_mux`,
 /// `transmit_order`, `fast_forward`, `word_kernels`,
-/// `validate_crossbars`, `table_build_threads`); they stay as frozen
-/// literals — the values every production run had — at their old
-/// positions to keep those hashes stable.
+/// `collect_channel_util`, `collect_trace`, `validate_crossbars`,
+/// `table_build_threads`); they stay as frozen literals — the values
+/// every production run had — at their old positions to keep those
+/// hashes stable.
 impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
@@ -148,8 +141,8 @@ impl std::fmt::Debug for EngineConfig {
             .field("transmit_order", &format_args!("ReverseTopo"))
             .field("fast_forward", &true)
             .field("word_kernels", &true)
-            .field("collect_channel_util", &self.collect_channel_util)
-            .field("collect_trace", &self.collect_trace)
+            .field("collect_channel_util", &false)
+            .field("collect_trace", &false)
             .field("validate_crossbars", &false)
             .field("watchdog_window", &self.watchdog_window)
             .field("fault_abort", &self.fault_abort)
@@ -238,12 +231,12 @@ pub struct SimReport {
     /// their destination existed under the current fault epoch. Always 0
     /// without an active fault schedule.
     pub undeliverable_packets: u64,
-    /// Per-channel busy fraction over the window, when collection was
-    /// enabled.
+    /// Per-channel busy fraction over the window, by channel id; filled
+    /// by [`crate::CompiledNet::run_observed`].
     pub channel_utilization: Option<Vec<f64>>,
     /// Per-message completion records, populated for scripted runs.
     pub deliveries: Option<Vec<Delivery>>,
-    /// The event trace, when collection was enabled.
+    /// The event trace; filled by [`crate::CompiledNet::run_observed`].
     pub trace: Option<crate::trace::Trace>,
 }
 

@@ -7,7 +7,7 @@ use super::state::{PktMeta, NONE};
 use super::{Engine, Planes};
 use crate::active::trim;
 use crate::error::SimError;
-use crate::trace::TraceEvent;
+use crate::trace::{Observer, TraceEvent};
 use minnet_routing::Route;
 use minnet_topology::{ChannelId, PortSpan};
 use rand::RngExt;
@@ -37,7 +37,7 @@ impl Scratch {
     }
 }
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     pub(super) fn allocate(&mut self) -> Result<(), SimError> {
         let mut reqs = std::mem::take(&mut self.st.scratch.reqs);
         reqs.clear();
@@ -129,9 +129,7 @@ impl Engine<'_> {
             if msg.gen_time >= self.cfg.warmup {
                 meas.undeliverable_pkts += 1;
             }
-            if let Some(tr) = &mut meas.trace {
-                tr.events.push(TraceEvent::Refused { tag, time: self.st.now });
-            }
+            self.obs.on_event(TraceEvent::Refused { tag, time: self.st.now });
         }
     }
 
@@ -166,11 +164,9 @@ impl Engine<'_> {
             self.st.pkts.cand[slot as usize] = self.route(inj, dst);
         }
         self.st.src.injecting[node as usize] = slot;
-        if let Some(tr) = &mut self.st.meas.trace {
-            let time = self.st.now;
-            tr.events.push(TraceEvent::Injected { tag, time });
-            tr.events.push(TraceEvent::Hop { tag, time, channel: inj });
-        }
+        let time = self.st.now;
+        self.obs.on_event(TraceEvent::Injected { tag, time });
+        self.obs.on_event(TraceEvent::Hop { tag, time, channel: inj });
         Ok(())
     }
 
@@ -188,7 +184,7 @@ impl Engine<'_> {
     fn try_advance(&mut self, p: u32) -> Result<(), SimError> {
         // The destination comes from the hot SoA copy; the cold `PktMeta`
         // record is only touched on the rare paths that need more
-        // (tracing wants `tag`).
+        // (an observer wants `tag`).
         let dst = self.st.pkts.dst[p as usize];
         match self.faults {
             // Fault epochs route through the masked table: candidates
@@ -234,10 +230,10 @@ impl Engine<'_> {
         if self.faults.is_none() {
             self.st.pkts.cand[p as usize] = self.route(new_ch, dst);
         }
-        if let Some(tr) = &mut self.st.meas.trace {
-            let tag = self.st.pkts.meta[p as usize].tag;
-            tr.events.push(TraceEvent::Hop { tag, time: self.st.now, channel: new_ch });
-        }
+        // `get`, not an index: a lookup that cannot panic is dead code
+        // under the unit observer, and goes with the hook.
+        let tag = self.st.pkts.meta.get(p as usize).map_or(NONE, |m| m.tag);
+        self.obs.on_event(TraceEvent::Hop { tag, time: self.st.now, channel: new_ch });
         Ok(())
     }
 }

@@ -6,7 +6,7 @@
 use super::state::NONE;
 use super::{Engine, Traffic};
 use crate::active::{refill, trim, DenseBitSet, MsgQueues, QueuedMsg};
-use crate::trace::TraceEvent;
+use crate::trace::{Observer, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::cmp::Reverse;
@@ -137,16 +137,14 @@ fn poisson_gap(rng: &mut SmallRng, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     /// Arrivals-phase enqueue of one message at `node` under `tag`, the
     /// same for all three traffic kinds.
     fn enqueue(&mut self, node: u32, msg: QueuedMsg, tag: u32, measuring: bool) {
         let (src, meas, now) = (&mut self.st.src, &mut self.st.meas, self.st.now);
         let QueuedMsg { dst, len, .. } = msg;
         let queued = src.queues.push_back(node, msg, tag);
-        if let Some(tr) = &mut meas.trace {
-            tr.events.push(TraceEvent::Queued { tag, time: now, src: node, dst, len });
-        }
+        self.obs.on_event(TraceEvent::Queued { tag, time: now, src: node, dst, len });
         if measuring {
             meas.generated_pkts += 1;
             meas.generated_flits += u64::from(len);

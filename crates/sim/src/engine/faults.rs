@@ -4,10 +4,10 @@
 use super::state::NONE;
 use super::Engine;
 use crate::error::{SimError, StallDiagnostic, StalledPacket};
-use crate::trace::TraceEvent;
+use crate::trace::{Observer, TraceEvent};
 use minnet_routing::find_cycle;
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     /// Advance the fault epoch to match `now` (several boundaries may
     /// pass at once after a fast-forward jump). On a change, with
     /// `fault_abort` on, sweep the active packets and abort every
@@ -91,9 +91,7 @@ impl Engine<'_> {
         if meta.measured {
             self.st.meas.aborted_pkts += 1;
         }
-        if let Some(tr) = &mut self.st.meas.trace {
-            tr.events.push(TraceEvent::Aborted { tag: meta.tag, time: self.st.now });
-        }
+        self.obs.on_event(TraceEvent::Aborted { tag: meta.tag, time: self.st.now });
         self.retire(p, "aborting an inactive packet")
     }
 

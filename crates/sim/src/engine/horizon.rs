@@ -2,9 +2,10 @@
 //! quiescent run jumps straight to its next traffic event.
 
 use super::{Engine, Traffic};
+use crate::trace::Observer;
 use std::cmp::Reverse;
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     /// Whether no phase can do any work this cycle: no active worms and
     /// no queued messages — everything waits on a future traffic event.
     #[inline]

@@ -62,7 +62,8 @@
 //!
 //! There is no other entry: a caller that runs a network once compiles
 //! a [`CompiledNet`] and runs it on a fresh state, so there is one
-//! routing representation and one engine path at every size. The
+//! routing representation and one engine path at every size, which
+//! [`CompiledNet::run_observed`] runs watched (the `trace` module). The
 //! closed-form [`minnet_routing::RouteLogic`] is the table's *definition*
 //! — the routing crate's exhaustive tests hold the table to it, and the
 //! `reference` engine keeps routing through it.
@@ -186,6 +187,7 @@ use crate::active::DenseBitSet;
 use crate::config::{EngineConfig, SimReport};
 use crate::error::SimError;
 use crate::fault::CompiledFaults;
+use crate::trace::{Observer, Recorder};
 use minnet_routing::RouteTable;
 use minnet_topology::{ChannelId, FaultPlan, Geometry, LevelPositions, NetworkGraph};
 use minnet_traffic::Workload;
@@ -533,7 +535,9 @@ impl CompiledNet {
     /// Run `traffic` on `st` with the given seed under a fault schedule —
     /// the engine's one run entry. `st` is reset first, keeping its
     /// allocations; `None` (or a trivial schedule) runs the fault-free
-    /// path bit for bit.
+    /// path bit for bit. The report's observer fields, `trace` and
+    /// `channel_utilization`, are `None`; [`CompiledNet::run_observed`]
+    /// fills them.
     ///
     /// # Errors
     ///
@@ -541,9 +545,10 @@ impl CompiledNet {
     /// ([`SimError::NoProgress`]) or a budget cut
     /// ([`SimError::BudgetExceeded`]).
     // Inline: once a caller's variant is known the check is one compare,
-    // and the engine start stays out of line in `start`. The split also
-    // keeps the benchmark harness's text layout (EXPERIMENTS.md "One run
-    // entry").
+    // and the engine start stays out of line in `start`, which also keeps
+    // the one instantiation of the engine, the unit observer's, in this
+    // crate. The split keeps the benchmark harness's text layout
+    // (EXPERIMENTS-history.md "One run entry").
     #[inline]
     pub fn run(
         &self,
@@ -552,6 +557,39 @@ impl CompiledNet {
         seed: u64,
         st: &mut EngineState,
     ) -> Result<SimReport, SimError> {
+        self.check_geometry(traffic)?;
+        self.start(traffic, faults, seed, st)
+    }
+
+    /// [`CompiledNet::run`], watched: the report (a budget cut's too) also
+    /// carries the event trace and each channel's utilisation; every
+    /// other field is the unobserved run's, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CompiledNet::run`].
+    pub fn run_observed(
+        &self,
+        traffic: Traffic<'_>,
+        faults: Option<&CompiledFaults>,
+        seed: u64,
+        st: &mut EngineState,
+    ) -> Result<SimReport, SimError> {
+        self.check_geometry(traffic)?;
+        let mut rec = Recorder::new(&self.net);
+        let mut run = self.launch(traffic, faults, seed, st, &mut rec);
+        let report = match &mut run {
+            Ok(report) => report,
+            Err(SimError::BudgetExceeded(cut)) => &mut cut.report,
+            Err(_) => return run,
+        };
+        rec.fill(report, &self.net);
+        run
+    }
+
+    /// Refuse traffic compiled for another geometry, naming its source.
+    #[inline]
+    fn check_geometry(&self, traffic: Traffic<'_>) -> Result<(), SimError> {
         let (what, got) = match traffic {
             Traffic::Poisson(wl) => ("workload", wl.geometry()),
             Traffic::Script(s) => ("script", s.geometry),
@@ -560,18 +598,31 @@ impl CompiledNet {
         if got != self.net.geometry {
             return Err(SimError::GeometryMismatch { what, expected: self.net.geometry, got });
         }
-        self.start(traffic, faults, seed, st)
+        Ok(())
     }
 
-    /// Reset `st` for this run, which primes the traffic source's event
-    /// heaps, and run the engine to its end. A Poisson run whose horizon
-    /// the arrival keys cannot hold is refused first, with `st` untouched.
+    /// [`Self::launch`] with the unit observer.
     fn start(
         &self,
         traffic: Traffic<'_>,
         faults: Option<&CompiledFaults>,
         seed: u64,
         st: &mut EngineState,
+    ) -> Result<SimReport, SimError> {
+        self.launch(traffic, faults, seed, st, &mut ())
+    }
+
+    /// Reset `st` for this run, which primes the traffic source's event
+    /// heaps, and run the engine to its end under `obs`. A Poisson run
+    /// whose horizon the arrival keys cannot hold is refused first, with
+    /// `st` untouched.
+    fn launch<O: Observer>(
+        &self,
+        traffic: Traffic<'_>,
+        faults: Option<&CompiledFaults>,
+        seed: u64,
+        st: &mut EngineState,
+        obs: &mut O,
     ) -> Result<SimReport, SimError> {
         let keys = match (traffic, self.keys) {
             (Traffic::Poisson(_), None) => {
@@ -596,6 +647,7 @@ impl CompiledNet {
             faults,
             epoch: 0,
             st,
+            obs,
         }
         .run()
     }
@@ -639,9 +691,9 @@ impl CompiledNet {
 }
 
 /// One run's view: the compiled network's parts, the traffic, the fault
-/// schedule and its current epoch, and the state the phases drive. Each
-/// phase module adds its methods.
-struct Engine<'a> {
+/// schedule and its current epoch, the state the phases drive, and the
+/// observer they report to. Each phase module adds its methods.
+struct Engine<'a, O: Observer> {
     net: &'a NetworkGraph,
     cfg: &'a EngineConfig,
     routes: &'a RouteTable,
@@ -654,6 +706,8 @@ struct Engine<'a> {
     /// Index of the current fault epoch in `faults`.
     epoch: usize,
     st: &'a mut EngineState,
+    /// Called, never read: the unit observer's hooks compile to nothing.
+    obs: &'a mut O,
 }
 
 // The phases in the cycle's order, declared after the API so every

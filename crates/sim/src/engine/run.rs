@@ -3,15 +3,13 @@
 //! finishes with. The loop owns what a run measures, [`Measure`].
 
 use super::{Engine, Traffic};
-use crate::active::refill;
 use crate::config::{Delivery, EngineConfig, SimReport};
 use crate::error::{BudgetKind, PartialReport, SimError};
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
-use crate::trace::Trace;
+use crate::trace::Observer;
 
 /// What a run measures: packet and flit counts, latency statistics, the
-/// mean-queue sums, channel use, the delivery log and trace, and the
-/// watchdog's progress signal.
+/// mean-queue sums, the delivery log, and the watchdog's progress signal.
 #[derive(Debug, Default)]
 pub(super) struct Measure {
     pub(super) generated_pkts: u64,
@@ -34,11 +32,7 @@ pub(super) struct Measure {
     pub(super) queue_sum: u64,
     pub(super) queue_cycles: u64,
     pub(super) max_queue: usize,
-    /// Flits moved into each channel (by sweep position) while measuring;
-    /// dimensioned only under `collect_channel_util`.
-    pub(super) util: Vec<u64>,
     pub(super) deliveries: Option<Vec<Delivery>>,
-    pub(super) trace: Option<Trace>,
     /// Flits moved in the current cycle (watchdog progress signal).
     pub(super) moved: u32,
     /// Last cycle that saw flit movement (or had no active packets).
@@ -46,10 +40,10 @@ pub(super) struct Measure {
 }
 
 impl Measure {
-    /// Forget everything measured, for a run of `cfg` over `channels`
-    /// channels; `deterministic` enables the per-message delivery log
-    /// (finite scripted/chained runs).
-    pub(super) fn reset(&mut self, cfg: &EngineConfig, channels: usize, deterministic: bool) {
+    /// Forget everything measured, for a run of `cfg`; `deterministic`
+    /// enables the per-message delivery log (finite scripted/chained
+    /// runs).
+    pub(super) fn reset(&mut self, cfg: &EngineConfig, deterministic: bool) {
         for count in [
             &mut self.generated_pkts, &mut self.generated_flits, &mut self.delivered_pkts,
             &mut self.delivered_flits, &mut self.aborted_pkts, &mut self.undeliverable_pkts,
@@ -61,21 +55,20 @@ impl Measure {
         self.latency.reset();
         self.latency_hist.reset();
         self.latency_batches.reset(16, 64.max(cfg.measure / 2048));
-        refill(&mut self.util, if cfg.collect_channel_util { channels } else { 0 }, 0);
         self.deliveries = deterministic.then(Vec::new);
-        self.trace = cfg.collect_trace.then(Trace::default);
-    }
-
-    pub(super) fn approx_bytes(&self) -> usize {
-        8 * self.util.capacity()
     }
 }
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     /// Run to the horizon (a finite source: to its drain), a budget cut
     /// or an error. An iteration either fast-forwards a quiescent run or
     /// executes one full cycle: fault-epoch catch-up, the three phases,
     /// the no-progress watchdog, the mean-queue sample, the clock tick.
+    ///
+    /// Kept out of line, as one symbol an observer type: CI counts its
+    /// copies in the release binaries, which must hold the unit
+    /// observer's alone.
+    #[inline(never)]
     pub(super) fn run(mut self) -> Result<SimReport, SimError> {
         let budget = self.cfg.budget;
         // A jump stops at an armed cycle budget, so the cut lands on it
@@ -212,15 +205,9 @@ impl Engine<'_> {
             in_flight_at_end: st.pkts.active.len() as u64 + st.src.queued,
             aborted_packets: m.aborted_pkts,
             undeliverable_packets: m.undeliverable_pkts,
-            // Counted by sweep position; reported by channel id.
-            channel_utilization: (!m.util.is_empty()).then(|| {
-                (0..m.util.len() as u32)
-                    .map(|ch| m.util[(self.planes.of(ch, 0) >> self.planes.shift) as usize])
-                    .map(|u| per_cycle(u, window))
-                    .collect()
-            }),
+            channel_utilization: None,
             deliveries: m.deliveries.take(),
-            trace: m.trace.take(),
+            trace: None,
         }
     }
 }

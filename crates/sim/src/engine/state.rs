@@ -12,6 +12,7 @@ use super::{CompiledNet, Engine, Planes, Traffic};
 use crate::active::{refill, trim, DenseBitSet, LaneBufs};
 use crate::error::SimError;
 use crate::fault::CompiledFaults;
+use crate::trace::Observer;
 use minnet_topology::PortSpan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -74,7 +75,6 @@ impl EngineState {
             + self.lanes.approx_bytes()
             + self.pkts.approx_bytes()
             + self.src.approx_bytes()
-            + self.meas.approx_bytes()
             + self.scratch.approx_bytes()
     }
 
@@ -103,7 +103,7 @@ impl EngineState {
         self.pkts.reset(nodes, net.hops);
         self.src.reset(traffic, nodes, keys, &mut self.rng);
         let deterministic = !matches!(traffic, Traffic::Poisson(_));
-        self.meas.reset(cfg, net.net.num_channels(), deterministic);
+        self.meas.reset(cfg, deterministic);
         self.scratch.reset(nodes);
     }
 }
@@ -338,7 +338,7 @@ impl Packets {
     }
 }
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     #[inline]
     pub(super) fn measuring(&self) -> bool {
         self.st.now >= self.cfg.warmup

@@ -8,7 +8,7 @@ use super::state::NONE;
 use super::{Engine, Traffic};
 use crate::config::Delivery;
 use crate::error::SimError;
-use crate::trace::TraceEvent;
+use crate::trace::{Observer, TraceEvent};
 use std::cmp::Reverse;
 
 /// [`Engine::move_flit`] feedback: "no lane ahead of the cursor changed
@@ -36,7 +36,7 @@ pub(crate) fn round_robin_select(last: &mut u8, ready: u64, n: u32) -> Option<u3
     Some(i)
 }
 
-impl Engine<'_> {
+impl<O: Observer> Engine<'_, O> {
     /// Word-parallel transmit: combine the lane masks into an **exact**
     /// per-word ready mask — `owned ∧ has_input ∧ ¬full ∧ ¬dead`, bit
     /// for bit the [`lane_ready`](Self::lane_ready) predicate (its
@@ -249,8 +249,8 @@ impl Engine<'_> {
             return Err(SimError::Internal { what: "exhausted lanes are never ready" });
         };
         self.st.meas.moved += 1;
-        if !self.st.meas.util.is_empty() && self.measuring() {
-            self.st.meas.util[li >> self.planes.shift] += 1;
+        if self.measuring() {
+            self.obs.on_move(pl >> self.planes.shift);
         }
         if is_tail {
             if fb != NO_FEEDBACK {
@@ -329,9 +329,7 @@ impl Engine<'_> {
                 self.st.src.releases.push(Reverse((t, d)));
             }
         }
-        if let Some(tr) = &mut meas.trace {
-            tr.events.push(TraceEvent::Delivered { tag, time: done });
-        }
+        self.obs.on_event(TraceEvent::Delivered { tag, time: done });
         if let Some(log) = &mut meas.deliveries {
             let (src, dst, len) = (meta.src, meta.dst, self.st.pkts.len[p as usize]);
             log.push(Delivery { src, dst, len, gen_time, done_time: done, tag });

@@ -28,10 +28,11 @@
 //! (immutable graph + routing table + ejection mask) runs a [`Traffic`]
 //! source — a Poisson workload, a [`Script`] or a [`Chain`] — under an
 //! optional fault schedule, on a caller-owned, reusable [`EngineState`];
-//! see the [`engine`] module header. It is the only entry: a one-shot
-//! caller compiles the network and passes a fresh state. (The oracle
-//! keeps its own one-shot `run_simulation` / `run_scripted` /
-//! `run_chained`, which take the switch as an argument.)
+//! see the [`engine`] module header. It is the only entry (watched:
+//! [`CompiledNet::run_observed`], [`trace`]): a one-shot caller compiles
+//! the network and passes a fresh state. (The oracle keeps its own
+//! one-shot `run_simulation` / `run_scripted` / `run_chained`, which take
+//! the switch and whether to observe as arguments.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,9 +51,9 @@
 //! alone.
 
 use crate::config::{Delivery, EngineConfig, SimReport};
-use crate::engine::{ChainedMsg, ScriptedMsg};
+use crate::engine::{Chain, ChainedMsg, Script, ScriptedMsg};
 use crate::stats::{BatchMeans, LatencyHistogram, Welford};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Observer, Recorder, TraceEvent};
 use minnet_routing::RouteLogic;
 use minnet_topology::{ChannelId, Endpoint, NetworkGraph, Side};
 use minnet_traffic::Workload;
@@ -209,9 +209,9 @@ struct Engine<'a> {
     queue_sum: u64,
     queue_cycles: u64,
     max_queue: usize,
-    util: Vec<u64>,
     deliveries: Option<Vec<Delivery>>,
-    trace: Option<Trace>,
+    /// The recorder of an observed run: the engine's observer type.
+    obs: Option<Recorder>,
     cand: Vec<ChannelId>,
     elig: Vec<u32>,
     elig_flags: Vec<bool>,
@@ -224,6 +224,7 @@ impl<'a> Engine<'a> {
         traffic: Traffic<'a>,
         cfg: EngineConfig,
         arms: Ablation,
+        observe: bool,
     ) -> Result<Engine<'a>, String> {
         cfg.validate()?;
         let vcs = cfg.vcs as usize;
@@ -305,17 +306,8 @@ impl<'a> Engine<'a> {
             queue_sum: 0,
             queue_cycles: 0,
             max_queue: 0,
-            util: if cfg.collect_channel_util {
-                vec![0; nch]
-            } else {
-                Vec::new()
-            },
             deliveries: if deterministic { Some(Vec::new()) } else { None },
-            trace: if cfg.collect_trace {
-                Some(Trace::default())
-            } else {
-                None
-            },
+            obs: observe.then(|| Recorder::new(net)),
             cand: Vec::new(),
             elig: Vec::new(),
             elig_flags: Vec::new(),
@@ -367,7 +359,7 @@ impl<'a> Engine<'a> {
 
     fn generate_arrivals(&mut self) {
         let now_f = self.now as f64;
-        let measuring = self.measuring();
+        let mut due = Vec::new();
         match &mut self.traffic {
             Traffic::Poisson(wl) => {
                 for node in 0..self.sources.len() as u32 {
@@ -375,26 +367,7 @@ impl<'a> Engine<'a> {
                     while src.next_arrival <= now_f {
                         let dst = wl.draw_destination(node, &mut self.rng);
                         let len = wl.draw_length(&mut self.rng);
-                        src.queue.push_back(QueuedMsg {
-                            dst,
-                            len,
-                            gen_time: self.now,
-                            tag: NONE,
-                        });
-                        if let Some(tr) = &mut self.trace {
-                            tr.events.push(TraceEvent::Queued {
-                                tag: NONE,
-                                time: self.now,
-                                src: node,
-                                dst,
-                                len,
-                            });
-                        }
-                        if measuring {
-                            self.generated_pkts += 1;
-                            self.generated_flits += u64::from(len);
-                            self.max_queue = self.max_queue.max(src.queue.len());
-                        }
+                        due.push((node, QueuedMsg { dst, len, gen_time: self.now, tag: NONE }));
                         let rate = wl.message_rate(node);
                         let u: f64 = 1.0 - self.rng.random::<f64>();
                         src.next_arrival += -u.ln() / rate;
@@ -403,30 +376,9 @@ impl<'a> Engine<'a> {
             }
             Traffic::Scripted { msgs, next } => {
                 while *next < msgs.len() && msgs[*next].time <= self.now {
-                    let m = msgs[*next];
-                    let tag = *next as u32;
+                    let (m, tag) = (msgs[*next], *next as u32);
+                    due.push((m.src, QueuedMsg { dst: m.dst, len: m.len, gen_time: m.time, tag }));
                     *next += 1;
-                    let src = &mut self.sources[m.src as usize];
-                    src.queue.push_back(QueuedMsg {
-                        dst: m.dst,
-                        len: m.len,
-                        gen_time: m.time,
-                        tag,
-                    });
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(TraceEvent::Queued {
-                            tag,
-                            time: self.now,
-                            src: m.src,
-                            dst: m.dst,
-                            len: m.len,
-                        });
-                    }
-                    if measuring {
-                        self.generated_pkts += 1;
-                        self.generated_flits += u64::from(m.len);
-                        self.max_queue = self.max_queue.max(src.queue.len());
-                    }
                 }
             }
             Traffic::Chained {
@@ -444,29 +396,24 @@ impl<'a> Engine<'a> {
                         continue;
                     }
                     enqueued[i] = true;
-                    let m = msgs[i];
-                    let src = &mut self.sources[m.src as usize];
-                    src.queue.push_back(QueuedMsg {
-                        dst: m.dst,
-                        len: m.len,
-                        gen_time: t,
-                        tag: i as u32,
-                    });
-                    if let Some(tr) = &mut self.trace {
-                        tr.events.push(TraceEvent::Queued {
-                            tag: i as u32,
-                            time: self.now,
-                            src: m.src,
-                            dst: m.dst,
-                            len: m.len,
-                        });
-                    }
-                    if measuring {
-                        self.generated_pkts += 1;
-                        self.generated_flits += u64::from(m.len);
-                        self.max_queue = self.max_queue.max(src.queue.len());
-                    }
+                    let (m, tag) = (msgs[i], i as u32);
+                    due.push((m.src, QueuedMsg { dst: m.dst, len: m.len, gen_time: t, tag }));
                 }
+            }
+        }
+        // Every kind queues its due messages alike, in the order drawn.
+        let measuring = self.measuring();
+        for (node, msg) in due {
+            let queue = &mut self.sources[node as usize].queue;
+            queue.push_back(msg);
+            if let Some(obs) = &mut self.obs {
+                let (tag, time, dst, len) = (msg.tag, self.now, msg.dst, msg.len);
+                obs.on_event(TraceEvent::Queued { tag, time, src: node, dst, len });
+            }
+            if measuring {
+                self.generated_pkts += 1;
+                self.generated_flits += u64::from(msg.len);
+                self.max_queue = self.max_queue.max(queue.len());
             }
         }
     }
@@ -569,10 +516,10 @@ impl<'a> Engine<'a> {
         l.upstream = Upstream::Source(node);
         self.sources[node as usize].injecting = slot;
         self.active.push(slot);
-        if let Some(tr) = &mut self.trace {
+        if let Some(obs) = &mut self.obs {
             let tag = self.packets[slot as usize].tag;
-            tr.events.push(TraceEvent::Injected { tag, time: self.now });
-            tr.events.push(TraceEvent::Hop {
+            obs.on_event(TraceEvent::Injected { tag, time: self.now });
+            obs.on_event(TraceEvent::Hop {
                 tag,
                 time: self.now,
                 channel: (lane as usize / self.vcs) as u32,
@@ -595,8 +542,8 @@ impl<'a> Engine<'a> {
         let new_ch = (lane as usize / self.vcs) as u32;
         self.lanes[lane as usize].upstream = Upstream::Lane(at_lane);
         self.packets[p as usize].head_lane = lane;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(TraceEvent::Hop {
+        if let Some(obs) = &mut self.obs {
+            obs.on_event(TraceEvent::Hop {
                 tag: self.packets[p as usize].tag,
                 time: self.now,
                 channel: new_ch,
@@ -682,8 +629,10 @@ impl<'a> Engine<'a> {
             Upstream::Exhausted => unreachable!("exhausted lanes are never ready"),
         };
         debug_assert_eq!(flit.packet, p, "foreign flit in the worm's upstream buffer");
-        if !self.util.is_empty() && self.measuring() {
-            self.util[ch as usize] += 1;
+        if self.measuring() {
+            if let Some(obs) = &mut self.obs {
+                obs.on_move(self.net.position(ch));
+            }
         }
         let is_tail = flit.is_tail(len);
         if is_tail {
@@ -750,8 +699,8 @@ impl<'a> Engine<'a> {
                 release[d as usize] = Some((done + *overhead).max(msgs[d as usize].earliest));
             }
         }
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(TraceEvent::Delivered { tag, time: done });
+        if let Some(obs) = &mut self.obs {
+            obs.on_event(TraceEvent::Delivered { tag, time: done });
         }
         if let Some(log) = &mut self.deliveries {
             let pkt = &self.packets[p as usize];
@@ -806,7 +755,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn finish(self) -> SimReport {
+    fn finish(mut self) -> SimReport {
         let n_nodes = self.net.geometry.nodes() as f64;
         // Accounting fix (shared with the optimized engine): normalize by
         // the cycles actually measured, not the configured window.
@@ -820,7 +769,7 @@ impl<'a> Engine<'a> {
             }
         };
         let queued: u64 = self.sources.iter().map(|s| s.queue.len() as u64).sum();
-        SimReport {
+        let mut report = SimReport {
             cycles: self.now,
             measured_cycles,
             generated_packets: self.generated_pkts,
@@ -846,54 +795,44 @@ impl<'a> Engine<'a> {
             // runs never abort or refuse anything.
             aborted_packets: 0,
             undeliverable_packets: 0,
-            channel_utilization: if self.util.is_empty() {
-                None
-            } else {
-                Some(
-                    self.util
-                        .iter()
-                        .map(|&u| if measured_cycles == 0 { 0.0 } else { u as f64 / window })
-                        .collect(),
-                )
-            },
-            deliveries: self.deliveries,
-            trace: self.trace,
+            channel_utilization: None,
+            deliveries: self.deliveries.take(),
+            trace: None,
+        };
+        if let Some(obs) = self.obs {
+            obs.fill(&mut report, self.net);
         }
+        report
     }
 }
 
 /// One Poisson-workload run on the switch `arms` describes: the oracle's
-/// twin of the engine's `CompiledNet::run` on `Traffic::Poisson`.
+/// twin of the engine's `CompiledNet::run` on `Traffic::Poisson` — of
+/// `CompiledNet::run_observed` when `observe` is set, with the same
+/// recorder filling the report's `trace` and `channel_utilization`.
 pub fn run_simulation(
     net: &NetworkGraph,
     workload: &Workload,
     cfg: &EngineConfig,
     arms: Ablation,
+    observe: bool,
 ) -> Result<SimReport, String> {
-    Engine::new(net, Traffic::Poisson(workload), cfg.clone(), arms).map(Engine::run)
+    Engine::new(net, Traffic::Poisson(workload), cfg.clone(), arms, observe).map(Engine::run)
 }
 
 /// One scripted run on the switch `arms` describes: the oracle's twin
-/// of the engine's `CompiledNet::run` on `Traffic::Script`.
+/// of the engine's `CompiledNet::run` on `Traffic::Script`, observed as
+/// [`run_simulation`] is.
 pub fn run_scripted(
     net: &NetworkGraph,
     msgs: &[ScriptedMsg],
     cfg: &EngineConfig,
     arms: Ablation,
+    observe: bool,
 ) -> Result<SimReport, String> {
-    let mut sorted: Vec<ScriptedMsg> = msgs.to_vec();
-    sorted.sort_by_key(|m| m.time);
-    for m in &sorted {
-        if m.src == m.dst {
-            return Err(format!("scripted message {m:?} sends to itself"));
-        }
-        if m.src >= net.geometry.nodes() || m.dst >= net.geometry.nodes() {
-            return Err(format!("scripted message {m:?} addresses a missing node"));
-        }
-        if m.len == 0 {
-            return Err(format!("scripted message {m:?} has no flits"));
-        }
-    }
+    // The engine's checks and its stable sort by time.
+    let script = Script::compile(net.geometry, msgs).map_err(|e| e.to_string())?;
+    let sorted = script.msgs().to_vec();
     Engine::new(
         net,
         Traffic::Scripted {
@@ -902,40 +841,30 @@ pub fn run_scripted(
         },
         cfg.clone(),
         arms,
+        observe,
     )
     .map(Engine::run)
 }
 
 /// One chained run on the switch `arms` describes: the oracle's twin of
-/// the engine's `CompiledNet::run` on `Traffic::Chain`.
+/// the engine's `CompiledNet::run` on `Traffic::Chain`, observed as
+/// [`run_simulation`] is.
 pub fn run_chained(
     net: &NetworkGraph,
     msgs: &[ChainedMsg],
     overhead: u64,
     cfg: &EngineConfig,
     arms: Ablation,
+    observe: bool,
 ) -> Result<SimReport, String> {
+    // The engine's checks: parents precede children.
+    Chain::compile(net.geometry, msgs, overhead).map_err(|e| e.to_string())?;
     let mut dependents = vec![Vec::new(); msgs.len()];
     let mut release = vec![None; msgs.len()];
     for (i, m) in msgs.iter().enumerate() {
-        if m.src == m.dst {
-            return Err(format!("chained message {i} sends to itself"));
-        }
-        if m.src >= net.geometry.nodes() || m.dst >= net.geometry.nodes() {
-            return Err(format!("chained message {i} addresses a missing node"));
-        }
-        if m.len == 0 {
-            return Err(format!("chained message {i} has no flits"));
-        }
         match m.after {
             None => release[i] = Some(m.earliest),
-            Some(parent) if parent < i => dependents[parent].push(i as u32),
-            Some(parent) => {
-                return Err(format!(
-                    "chained message {i} depends on later entry {parent}; \
-                     order messages so parents precede children"
-                ));
-            }
+            Some(parent) => dependents[parent].push(i as u32),
         }
     }
     Engine::new(
@@ -950,6 +879,7 @@ pub fn run_chained(
         },
         cfg.clone(),
         arms,
+        observe,
     )
     .map(Engine::run)
 }

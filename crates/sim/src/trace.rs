@@ -1,16 +1,68 @@
-//! Optional event tracing.
-//!
-//! When [`crate::EngineConfig::collect_trace`] is set, the engine records
-//! the life cycle of every message: queueing, injection, each channel the
-//! worm's header acquires, and delivery. Traces make the engine's
-//! behaviour *auditable* — the integration tests replay a traced worm's
-//! channel sequence against `minnet-routing`'s independent path
-//! enumeration.
-//!
-//! Tracing is intended for deterministic (scripted/chained) runs and short
-//! stochastic runs; the log grows with every header movement.
+//! The [`Observer`] hooks the engine calls, and the two observations a
+//! [`SimReport`] can carry: the event [`Trace`] and channel utilisation.
+//! They are non-authoritative: a hook gets values already computed and
+//! is never read back, so no observer changes another report bit.
+//! [`crate::CompiledNet::run`] runs the unit observer, compiled away;
+//! [`crate::CompiledNet::run_observed`] records both. A trace (queueing,
+//! injection, each channel the header claims, delivery) makes the engine
+//! *auditable* — the tests replay traced worms against `minnet-routing`'s
+//! path enumeration — and grows with every hop: short runs only.
 
-use minnet_topology::ChannelId;
+use crate::config::SimReport;
+use minnet_topology::{ChannelId, NetworkGraph};
+
+/// The hooks a run calls as it goes. They take values and return nothing.
+pub(crate) trait Observer {
+    /// A flit moved into the channel at transmit position `pos` during the
+    /// measurement window.
+    fn on_move(&mut self, pos: u32);
+    /// A message event.
+    fn on_event(&mut self, event: TraceEvent);
+}
+
+impl Observer for () {
+    #[inline(always)]
+    fn on_move(&mut self, _: u32) {}
+    #[inline(always)]
+    fn on_event(&mut self, _: TraceEvent) {}
+}
+
+/// The observer of an observed run, the engine's and the oracle's alike:
+/// every event, and the flits moved into each channel while measuring,
+/// by transmit position.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    trace: Trace,
+    moves: Vec<u64>,
+}
+
+impl Recorder {
+    pub(crate) fn new(net: &NetworkGraph) -> Recorder {
+        Recorder { trace: Trace::default(), moves: vec![0; net.num_channels()] }
+    }
+
+    /// Put the observations into `report`: the trace, and each channel's
+    /// moves per measured cycle, by channel id.
+    pub(crate) fn fill(self, report: &mut SimReport, net: &NetworkGraph) {
+        let (cycles, moves) = (report.measured_cycles, &self.moves);
+        let per_cycle = |ch| match cycles {
+            0 => 0.0,
+            _ => moves[net.position(ch) as usize] as f64 / cycles as f64,
+        };
+        report.channel_utilization = Some((0..moves.len() as u32).map(per_cycle).collect());
+        report.trace = Some(self.trace);
+    }
+}
+
+impl Observer for Recorder {
+    fn on_move(&mut self, pos: u32) {
+        self.moves[pos as usize] += 1;
+    }
+
+    fn on_event(&mut self, event: TraceEvent) {
+        self.trace.events.push(event);
+    }
+}
 
 /// One traced event. `tag` is the script/chain index for deterministic
 /// traffic (or `u32::MAX` for Poisson); `time` is the cycle the event

@@ -190,7 +190,6 @@ fn transient_fault_aborts_refuses_then_recovers() {
     let cfg = EngineConfig {
         warmup: 0,
         measure: 50_000,
-        collect_trace: true,
         ..EngineConfig::default()
     };
     let net = compiled(NetChoice::Tmin, g, cfg.clone());
@@ -202,7 +201,7 @@ fn transient_fault_aborts_refuses_then_recovers() {
     )
     .unwrap();
     let mut st = EngineState::new();
-    let clean = net.run(Traffic::Script(&probe), None, 7, &mut st).unwrap();
+    let clean = net.run_observed(Traffic::Script(&probe), None, 7, &mut st).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     let victim = path[path.len() / 2];
 
@@ -243,14 +242,13 @@ fn refused_chain_root_never_releases_its_dependent() {
     let cfg = EngineConfig {
         warmup: 0,
         measure: 5_000,
-        collect_trace: true,
         ..EngineConfig::default()
     };
     let net = compiled(NetChoice::Tmin, g, cfg);
     let dst = g.nodes() - 1;
     let probe = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len: 8 }]).unwrap();
     let mut st = EngineState::new();
-    let clean = net.run(Traffic::Script(&probe), None, 7, &mut st).unwrap();
+    let clean = net.run_observed(Traffic::Script(&probe), None, 7, &mut st).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     // A TMIN has one path per pair: killing its middle hop for good
     // leaves the root none.
@@ -282,7 +280,6 @@ fn watchdog_fires_with_diagnostic_on_wedged_network() {
     let cfg = EngineConfig {
         warmup: 0,
         measure: 1_000_000,
-        collect_trace: true,
         fault_abort: false,
         watchdog_window: 500,
         ..EngineConfig::default()
@@ -295,7 +292,7 @@ fn watchdog_fires_with_diagnostic_on_wedged_network() {
     )
     .unwrap();
     let mut st = EngineState::new();
-    let clean = net.run(Traffic::Script(&script), None, 7, &mut st).unwrap();
+    let clean = net.run_observed(Traffic::Script(&script), None, 7, &mut st).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     let victim = path[path.len() / 2];
 
@@ -356,14 +353,13 @@ fn state_reused_after_an_early_exit_runs_bit_identically() {
     let wedge_cfg = EngineConfig {
         warmup: 0,
         measure: 1_000_000,
-        collect_trace: true,
         fault_abort: false,
         watchdog_window: 500,
         ..EngineConfig::default()
     };
     let wedge = compiled(NetChoice::Tmin, g, wedge_cfg);
     let long = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len: 3_000 }]).unwrap();
-    let clean = wedge.run(Traffic::Script(&long), None, 7, &mut EngineState::new()).unwrap();
+    let clean = wedge.run_observed(Traffic::Script(&long), None, 7, &mut EngineState::new()).unwrap();
     let path = clean.trace.as_ref().unwrap().channel_path(0);
     let victim = FaultTarget::Channel(path[path.len() / 2]);
     let stuck = FaultPlan::new().with(Fault::transient(victim, 100, u64::MAX));

@@ -64,8 +64,8 @@ fn burst(vcs: u8, buffer_depth: u16) -> EngineConfig {
 /// most packets in flight at once.
 fn burst_16k(cfg: EngineConfig, st: &mut EngineState) -> (usize, usize, usize, usize) {
     let lanes_per_channel = cfg.vcs as usize;
-    let net = bmin(4, 7, EngineConfig { collect_trace: true, ..cfg });
-    let report = net.run(Traffic::Poisson(&uniform(4, 7, 0.1)), None, 42, st).unwrap();
+    let net = bmin(4, 7, cfg);
+    let report = net.run_observed(Traffic::Poisson(&uniform(4, 7, 0.1)), None, 42, st).unwrap();
     assert!(report.generated_packets > 1_000, "the burst must load the network");
     let g = net.network();
     let lanes = g.num_channels() * lanes_per_channel;
@@ -181,9 +181,9 @@ fn saturated_source_queues_cost_20_bytes_a_message() {
     let tmin = Arc::new(build_unidir(g, UnidirKind::Cube, 1));
     let wl = uniform(4, 3, 0.7);
     let run = |measure: u64, st: &mut EngineState| {
-        let cfg = EngineConfig { warmup: 0, measure, collect_trace: true, ..EngineConfig::default() };
+        let cfg = EngineConfig { warmup: 0, measure, ..EngineConfig::default() };
         let net = CompiledNet::new(tmin.clone(), cfg).unwrap();
-        let report = net.run(Traffic::Poisson(&wl), None, 5, st).unwrap();
+        let report = net.run_observed(Traffic::Poisson(&wl), None, 5, st).unwrap();
         (st.approx_bytes(), peak_queued(&report))
     };
     // The longer run is the shorter one continued (same seed): past the
@@ -214,7 +214,7 @@ fn saturated_source_queues_cost_20_bytes_a_message() {
 fn tagged_and_untagged_runs_share_a_state_bit_identically() {
     let g = Geometry::new(4, 2);
     let nodes = g.nodes();
-    let cfg = EngineConfig { warmup: 0, measure: 3_000, collect_trace: true, ..EngineConfig::default() };
+    let cfg = EngineConfig { warmup: 0, measure: 3_000, ..EngineConfig::default() };
     let net = CompiledNet::new(Arc::new(build_unidir(g, UnidirKind::Cube, 1)), cfg).unwrap();
     // Bursts at a few sources queue hundreds of messages at once.
     let script: Vec<ScriptedMsg> = (0..400u32)
@@ -241,8 +241,8 @@ fn tagged_and_untagged_runs_share_a_state_bit_identically() {
     ];
     let mut st = EngineState::new();
     for (what, traffic) in runs {
-        let got = net.run(traffic, None, 9, &mut st).unwrap();
-        let want = net.run(traffic, None, 9, &mut EngineState::new()).unwrap();
+        let got = net.run_observed(traffic, None, 9, &mut st).unwrap();
+        let want = net.run_observed(traffic, None, 9, &mut EngineState::new()).unwrap();
         assert!(got.delivered_packets > 100 && got.trace.is_some(), "{what}");
         assert!(got.bitwise_eq(&want), "{what} on a reused state");
     }

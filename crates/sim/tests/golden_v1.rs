@@ -3,8 +3,9 @@
 //! `golden_v1.txt` holds one FNV-1a line per row of a fixed grid —
 //! networks × engine variant (fault schedule × buffer depth, plus a
 //! one-cell-cap ("logic") and a budget-cut variant) × traffic — hashed
-//! over the run's whole outcome: every [`SimReport`] field (channel
-//! utilization, delivery log and event trace included), or the full
+//! over the run's whole outcome: every [`SimReport`] field (delivery log
+//! included, and the channel utilization and event trace of an observed
+//! run: every row is one, on both engines), or the full
 //! `StallDiagnostic` / `PartialReport` when the run ends in a watchdog
 //! trip or a budget cut.
 //!
@@ -175,8 +176,6 @@ fn actual() -> String {
             vcs,
             warmup: 40,
             measure: 1_360,
-            collect_channel_util: true,
-            collect_trace: true,
             ..EngineConfig::default()
         };
         let mut variants = Vec::new();
@@ -221,7 +220,7 @@ fn actual() -> String {
             let faults = plan.map(|p| net.compile_faults(p).unwrap());
             let faults = faults.as_ref();
             for &(traffic, source) in &traffics {
-                let res = net.run(source, faults, SEED, &mut st);
+                let res = net.run_observed(source, faults, SEED, &mut st);
                 writeln!(out, "{name} {traffic} {variant} {}", outcome(&res)).unwrap();
             }
         }
@@ -229,14 +228,14 @@ fn actual() -> String {
     out
 }
 
-/// One healthy build-order row, on the reference engine (`cfg.seed` is
-/// the run's seed there).
+/// One healthy build-order row, observed, on the reference engine
+/// (`cfg.seed` is the run's seed there).
 fn build_order(graph: &NetworkGraph, source: Traffic<'_>, cfg: &EngineConfig) -> SimReport {
     let order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
     match source {
-        Traffic::Poisson(wl) => reference::run_simulation(graph, wl, cfg, order),
-        Traffic::Script(s) => reference::run_scripted(graph, s.msgs(), cfg, order),
-        Traffic::Chain(c) => reference::run_chained(graph, c.msgs(), OVERHEAD, cfg, order),
+        Traffic::Poisson(wl) => reference::run_simulation(graph, wl, cfg, order, true),
+        Traffic::Script(s) => reference::run_scripted(graph, s.msgs(), cfg, order, true),
+        Traffic::Chain(c) => reference::run_chained(graph, c.msgs(), OVERHEAD, cfg, order, true),
     }
     .unwrap()
 }

@@ -89,7 +89,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let script = Script::compile(g, &msgs).unwrap();
-        let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+        let report = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
         let deliveries = report.deliveries.clone().unwrap();
 
         // 1. Everything injected is delivered (deadlock/livelock freedom).
@@ -121,7 +121,7 @@ proptest! {
 
         // 4. Determinism: replaying the same script and seed reproduces
         //    every completion time.
-        let replay = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+        let replay = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
         prop_assert_eq!(replay.deliveries.unwrap(), deliveries);
     }
 
@@ -148,7 +148,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let script = Script::compile(g, &msgs).unwrap();
-        let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+        let report = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
         let deliveries = report.deliveries.unwrap();
         prop_assert_eq!(deliveries.len(), msgs.len());
         // Completion order equals generation order.

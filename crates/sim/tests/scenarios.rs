@@ -37,7 +37,7 @@ fn tmin_single_message_exact_latency() {
         let net = build_unidir(g, kind, 1);
         for len in [1u32, 8, 100] {
             let script = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst: 7, len }]).unwrap();
-            let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+            let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
             let deliveries = report.deliveries.unwrap();
             assert_eq!(deliveries.len(), 1);
             let expect = (g.n() + 1) as u64 + len as u64 - 1;
@@ -59,7 +59,7 @@ fn bmin_single_message_exact_latency() {
             .first_difference(NodeAddr(src), NodeAddr(dst))
             .unwrap();
         let script = Script::compile(g, &[ScriptedMsg { time: 0, src, dst, len }]).unwrap();
-        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
         let d = &report.deliveries.unwrap()[0];
         assert_eq!(
             d.done_time,
@@ -78,7 +78,7 @@ fn distance_insensitivity() {
     let len = 512u32;
     let done = |dst| {
         let script = Script::compile(g, &[ScriptedMsg { time: 0, src: 0, dst, len }]).unwrap();
-        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+        let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
         report.deliveries.unwrap()[0].done_time
     };
     let (near, far) = (done(1), done(63));
@@ -102,7 +102,7 @@ fn output_contention_serializes() {
         ],
     )
     .unwrap();
-    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
     let ds = report.deliveries.unwrap();
     assert_eq!(ds.len(), 2);
     let (first, second) = (ds[0].done_time, ds[1].done_time);
@@ -129,11 +129,11 @@ fn dilation_removes_port_serialization() {
     ];
     let (tmin, dmin) = (build_unidir(g, UnidirKind::Cube, 1), build_unidir(g, UnidirKind::Cube, 2));
     let (one, both) = (Script::compile(g, &msgs[..1]).unwrap(), Script::compile(g, &msgs).unwrap());
-    let solo = run_once(&tmin, &scripted_cfg(), Traffic::Script(&one)).unwrap();
+    let solo = run_once(&tmin, &scripted_cfg(), Traffic::Script(&one), false).unwrap();
     let solo = solo.deliveries.unwrap()[0].done_time;
 
-    let tmin = run_once(&tmin, &scripted_cfg(), Traffic::Script(&both)).unwrap();
-    let dmin = run_once(&dmin, &scripted_cfg(), Traffic::Script(&both)).unwrap();
+    let tmin = run_once(&tmin, &scripted_cfg(), Traffic::Script(&both), false).unwrap();
+    let dmin = run_once(&dmin, &scripted_cfg(), Traffic::Script(&both), false).unwrap();
     let tmax = tmin.deliveries.unwrap().iter().map(|d| d.done_time).max().unwrap();
     let dmax = dmin.deliveries.unwrap().iter().map(|d| d.done_time).max().unwrap();
     // TMIN: the two worms serialize on a shared channel. DMIN: both run at
@@ -156,9 +156,9 @@ fn vc_interleaving_shares_bandwidth_fairly() {
     ];
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let script = Script::compile(g, &msgs).unwrap();
-    let tmin = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let tmin = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
     let vmin = EngineConfig { vcs: 2, ..scripted_cfg() };
-    let vmin = run_once(&net, &vmin, Traffic::Script(&script)).unwrap();
+    let vmin = run_once(&net, &vmin, Traffic::Script(&script), false).unwrap();
     let t: Vec<u64> = tmin.deliveries.unwrap().iter().map(|d| d.done_time).collect();
     let v: Vec<u64> = vmin.deliveries.unwrap().iter().map(|d| d.done_time).collect();
     // TMIN: one worm blocks. Its completions are far apart.
@@ -186,7 +186,7 @@ fn vc_winner_holds_ablation() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let winner_holds = Ablation { mux: VcMuxPolicy::WinnerHolds, ..Ablation::PAPER };
     let cfg = EngineConfig { vcs: 2, ..scripted_cfg() };
-    let wh = reference::run_scripted(&net, &msgs, &cfg, winner_holds).unwrap();
+    let wh = reference::run_scripted(&net, &msgs, &cfg, winner_holds, false).unwrap();
     let w: Vec<u64> = wh.deliveries.unwrap().iter().map(|d| d.done_time).collect();
     // The held worm streams at full bandwidth; completions are spread.
     assert!(w[1] - w[0] >= len as u64 / 2, "winner-holds spread {w:?}");
@@ -208,7 +208,7 @@ fn one_port_injection_is_sequential() {
     )
     .unwrap();
     let cfg = EngineConfig { vcs: 2, ..scripted_cfg() };
-    let report = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+    let report = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
     let ds = report.deliveries.unwrap();
     // The second message cannot finish before the first has fully left the
     // source (len cycles) plus its own serialization.
@@ -230,7 +230,7 @@ fn bmin_delivers_under_scripted_burst() {
         }
     }
     let script = Script::compile(g, &msgs).unwrap();
-    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let report = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
     assert_eq!(report.deliveries.unwrap().len(), msgs.len());
 }
 
@@ -247,9 +247,9 @@ fn transmit_order_single_worm_is_order_insensitive() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let msg = [ScriptedMsg { time: 0, src: 0, dst: 7, len: 16 }];
     let script = Script::compile(g, &msg).unwrap();
-    let topo = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let topo = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
     let build_order = Ablation { order: TransmitOrder::BuildOrder, ..Ablation::PAPER };
-    let build = reference::run_scripted(&net, &msg, &scripted_cfg(), build_order);
+    let build = reference::run_scripted(&net, &msg, &scripted_cfg(), build_order, false);
     assert_eq!(
         topo.deliveries.unwrap()[0].done_time,
         build.unwrap().deliveries.unwrap()[0].done_time
@@ -282,10 +282,10 @@ fn crossbar_legality_holds_under_load() {
             build_unidir(g, UnidirKind::Cube, 2),
             build_bmin(g),
         ] {
-            let audited = reference::run_simulation(&net, &wl, &cfg, arms).unwrap();
+            let audited = reference::run_simulation(&net, &wl, &cfg, arms, false).unwrap();
             assert!(audited.delivered_packets > 0);
             if arms == Ablation::PAPER {
-                let report = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+                let report = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
                 assert!(report.bitwise_eq(&audited), "{:?}", net.kind);
             }
         }
@@ -304,12 +304,12 @@ fn determinism_and_seed_sensitivity() {
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 1_000, measure: 8_000, ..EngineConfig::default() };
-    let a = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
-    let b = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let a = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
+    let b = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
     assert_eq!(a.delivered_packets, b.delivered_packets);
     assert_eq!(a.mean_latency_cycles, b.mean_latency_cycles);
     assert_eq!(a.max_latency_cycles, b.max_latency_cycles);
-    let c = run_once(&net, &EngineConfig { seed: 99, ..cfg }, Traffic::Poisson(&wl)).unwrap();
+    let c = run_once(&net, &EngineConfig { seed: 99, ..cfg }, Traffic::Poisson(&wl), false).unwrap();
     assert_ne!(a.mean_latency_cycles, c.mean_latency_cycles);
     let rel = (a.accepted_flits_per_node_cycle - c.accepted_flits_per_node_cycle).abs()
         / a.accepted_flits_per_node_cycle;
@@ -329,7 +329,7 @@ fn low_load_conservation_and_latency() {
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 2_000, measure: 20_000, ..EngineConfig::default() };
-    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
     assert!(r.sustainable);
     assert!(r.delivered_packets > 100, "not enough samples: {}", r.delivered_packets);
     // Unloaded: 4 hops + 31 = 35 cycles; allow mild queueing.
@@ -353,14 +353,14 @@ fn overload_is_unsustainable() {
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 0, measure: 40_000, ..EngineConfig::default() };
-    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
     assert!(!r.sustainable, "max queue {}", r.max_queue);
     assert!(r.max_queue > 100);
     // Accepted throughput saturates strictly below the offered rate.
     assert!(r.accepted_flits_per_node_cycle < 0.9 * r.offered_flits_per_node_cycle);
 }
 
-/// Channel-utilization collection: injection channels of active sources
+/// Channel utilization, observed: injection channels of active sources
 /// are busy, utilization is within [0, 1].
 #[test]
 fn channel_utilization_collection() {
@@ -374,10 +374,9 @@ fn channel_utilization_collection() {
     let cfg = EngineConfig {
         warmup: 1_000,
         measure: 10_000,
-        collect_channel_util: true,
         ..EngineConfig::default()
     };
-    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl), true).unwrap();
     let util = r.channel_utilization.unwrap();
     assert_eq!(util.len(), net.num_channels());
     assert!(util.iter().all(|&u| (0.0..=1.0).contains(&u)));
@@ -392,9 +391,9 @@ fn buffer_depth_preserves_unloaded_latency() {
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let msg = [ScriptedMsg { time: 0, src: 0, dst: 7, len: 32 }];
     let script = Script::compile(g, &msg).unwrap();
-    let d1 = run_once(&net, &scripted_cfg(), Traffic::Script(&script)).unwrap();
+    let d1 = run_once(&net, &scripted_cfg(), Traffic::Script(&script), false).unwrap();
     let deep = EngineConfig { buffer_depth: 8, ..scripted_cfg() };
-    let d8 = run_once(&net, &deep, Traffic::Script(&script)).unwrap();
+    let d8 = run_once(&net, &deep, Traffic::Script(&script), false).unwrap();
     assert_eq!(
         d1.deliveries.unwrap()[0].done_time,
         d8.deliveries.unwrap()[0].done_time
@@ -424,7 +423,7 @@ fn buffer_depth_releases_blocked_chains() {
     let script = Script::compile(g, &msgs).unwrap();
     let done_c = |depth: u16| {
         let cfg = EngineConfig { buffer_depth: depth, ..scripted_cfg() };
-        let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+        let r = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
         r.deliveries
             .unwrap()
             .iter()
@@ -457,10 +456,9 @@ fn bmin_adaptive_up_routing_balances_channels() {
     let cfg = EngineConfig {
         warmup: 3_000,
         measure: 30_000,
-        collect_channel_util: true,
         ..EngineConfig::default()
     };
-    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl), true).unwrap();
     let util = r.channel_utilization.unwrap();
     for level in 0..g.n() as u8 {
         for dir in [Direction::Forward, Direction::Backward] {
@@ -495,7 +493,7 @@ fn report_metric_consistency() {
     )
     .unwrap();
     let cfg = EngineConfig { warmup: 3_000, measure: 20_000, ..EngineConfig::default() };
-    let r = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
     assert!(r.p50_latency_cycles <= r.p95_latency_cycles);
     assert!(r.p95_latency_cycles <= r.p99_latency_cycles);
     assert!(r.p99_latency_cycles <= r.max_latency_cycles);
@@ -523,7 +521,7 @@ fn chained_messages_exact_relay_timing() {
     ];
     let cfg = EngineConfig { warmup: 0, measure: 100_000, ..EngineConfig::default() };
     let chain = Chain::compile(g, &msgs, overhead).unwrap();
-    let r = run_once(&net, &cfg, Traffic::Chain(&chain)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Chain(&chain), false).unwrap();
     let ds = r.deliveries.unwrap();
     assert_eq!(ds.len(), 2);
     let hop = (g.n() + 1) as u64 + len as u64 - 1; // 23 cycles unloaded

@@ -7,11 +7,10 @@ use support::run_once;
 
 mod support;
 
-fn traced_cfg() -> EngineConfig {
+fn script_cfg() -> EngineConfig {
     EngineConfig {
         warmup: 0,
         measure: 1_000_000,
-        collect_trace: true,
         ..EngineConfig::default()
     }
 }
@@ -32,7 +31,7 @@ fn traced_path_is_a_legal_routing_path() {
         for (src, dst) in pairs {
             let msg = ScriptedMsg { time: 0, src, dst, len: 16 };
             let script = Script::compile(net.geometry, &[msg]).unwrap();
-            let r = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
+            let r = run_once(&net, &script_cfg(), Traffic::Script(&script), true).unwrap();
             let trace = r.trace.unwrap();
             let path = trace.channel_path(0);
             let legal = enumerate_paths(&net, logic, src, dst);
@@ -53,7 +52,7 @@ fn trace_event_ordering_and_timing() {
     let g = Geometry::new(2, 3);
     let net = build_unidir(g, UnidirKind::Cube, 1);
     let script = Script::compile(g, &[ScriptedMsg { time: 3, src: 2, dst: 5, len: 10 }]).unwrap();
-    let r = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
+    let r = run_once(&net, &script_cfg(), Traffic::Script(&script), true).unwrap();
     let trace = r.trace.unwrap();
     let evs: Vec<TraceEvent> = trace.events.iter().copied().filter(|e| e.tag() == 0).collect();
     assert!(matches!(evs[0], TraceEvent::Queued { time: 3, src: 2, dst: 5, len: 10, .. }));
@@ -92,9 +91,8 @@ fn tracing_does_not_perturb_the_simulation() {
         })
         .collect();
     let script = Script::compile(g, &msgs).unwrap();
-    let untraced = EngineConfig { collect_trace: false, ..traced_cfg() };
-    let plain = run_once(&net, &untraced, Traffic::Script(&script)).unwrap();
-    let traced = run_once(&net, &traced_cfg(), Traffic::Script(&script)).unwrap();
+    let plain = run_once(&net, &script_cfg(), Traffic::Script(&script), false).unwrap();
+    let traced = run_once(&net, &script_cfg(), Traffic::Script(&script), true).unwrap();
     assert_eq!(plain.deliveries.unwrap(), traced.deliveries.unwrap());
     assert!(traced.trace.is_some());
     assert!(plain.trace.is_none());

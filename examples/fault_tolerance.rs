@@ -92,7 +92,6 @@ fn main() -> Result<(), String> {
     let mut exp = quick(NetworkSpec::tmin());
     exp.sim.fault_abort = false;
     exp.sim.watchdog_window = 200;
-    exp.sim.collect_trace = true;
     let compiled = exp.compile()?;
     let worm = [ScriptedMsg {
         time: 0,
@@ -102,8 +101,8 @@ fn main() -> Result<(), String> {
     }];
     let script = Script::compile(exp.geometry, &worm)?;
     let mut st = EngineState::new();
-    let clean = compiled.network().run(Traffic::Script(&script), None, 7, &mut st)?;
-    let path = clean.trace.as_ref().expect("trace was enabled").channel_path(0);
+    let clean = compiled.network().run_observed(Traffic::Script(&script), None, 7, &mut st)?;
+    let path = clean.trace.as_ref().expect("an observed run is traced").channel_path(0);
     let mid = path[path.len() / 2];
     let plan = FaultPlan::new().with(Fault::transient(FaultTarget::Channel(mid), 100, u64::MAX));
     let faults = compiled.network().compile_faults(&plan)?;

@@ -100,7 +100,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let script = Script::compile(g, &msgs).unwrap();
-        let wrapper = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+        let wrapper = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
         let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
         let mut st = EngineState::new();
         for _ in 0..2 {
@@ -143,8 +143,8 @@ proptest! {
             seed,
             ..EngineConfig::default()
         };
-        let fast = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
-        let slow = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
+        let fast = run_once(&net, &cfg, Traffic::Poisson(&wl), false).unwrap();
+        let slow = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER, false).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} load {load} warmup {warmup} seed {seed:#x}: fast-forward changed the report",
@@ -185,8 +185,8 @@ proptest! {
             ..EngineConfig::default()
         };
         let script = Script::compile(g, &msgs).unwrap();
-        let fast = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
-        let slow = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
+        let fast = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
+        let slow = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER, false).unwrap();
         prop_assert!(
             fast.bitwise_eq(&slow),
             "{} seed {seed:#x}: fast-forward changed a sparse scripted report",

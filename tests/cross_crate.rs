@@ -71,8 +71,10 @@ fn partition_prediction_matches_measured_utilization() {
         exp.rates = Some(vec![1.0, 0.0, 0.0, 0.0]);
         exp.sim.warmup = 5_000;
         exp.sim.measure = 30_000;
-        exp.sim.collect_channel_util = true;
-        let report = exp.run(0.3).unwrap();
+        let compiled = exp.compile().unwrap();
+        let wl = compiled.template().workload_at(0.3).unwrap();
+        let (traffic, st) = (minnet_sim::Traffic::Poisson(&wl), &mut minnet_sim::EngineState::new());
+        let report = compiled.network().run_observed(traffic, None, exp.sim.seed, st).unwrap();
         let util = report.channel_utilization.unwrap();
 
         // Sanity: the static analysis agrees with what we re-derive below.
@@ -194,7 +196,7 @@ fn analytic_path_lengths_match_simulated_latency() {
         let net = spec.build(g);
         for (s, d) in [(0u32, 63u32), (5, 6), (17, 40)] {
             let script = Script::compile(g, &[ScriptedMsg { time: 0, src: s, dst: d, len }]).unwrap();
-            let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+            let r = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
             let done = r.deliveries.unwrap()[0].done_time;
             let path = shortest_path_length(
                 &g,

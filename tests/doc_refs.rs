@@ -36,12 +36,7 @@ const CAPS: &[(&str, usize)] = &[("EXPERIMENTS.md", 650), ("DESIGN.md", 1000)];
 /// history file: (source, document named, title, where the title now
 /// is). Each must still occur in its source, so an entry goes when its
 /// comment is repointed.
-const MOVED: &[(&str, &str, &str, &str)] = &[(
-    "crates/sim/src/engine/mod.rs",
-    "EXPERIMENTS.md",
-    "One run entry",
-    "EXPERIMENTS-history.md",
-)];
+const MOVED: &[(&str, &str, &str, &str)] = &[];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -17,6 +17,12 @@
 //! *reusing one engine state across all networks and seeds*, so a table
 //! cell that disagrees with [`minnet_routing::RouteLogic`] or a reset
 //! path that leaks state across runs diverges here.
+//!
+//! Observation is compared like with like: a differential that compares
+//! the event trace and the channel utilization runs both sides observed
+//! (the oracle's `observe` argument, [`CompiledNet::run_observed`]); an
+//! unobserved [`CompiledNet::run`] must equal the oracle's report without
+//! its observations. The last test holds the observer inert on its own.
 
 use minnet::NetworkSpec;
 use minnet_repro::support::{global_uniform, run_once};
@@ -28,6 +34,7 @@ use minnet_sim::{
 };
 use minnet_topology::{inter_stage_channels, Fault, FaultPlan, FaultTarget, Geometry};
 use minnet_traffic::{MessageSizeDist, Workload, WorkloadSpec};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [0x5EED, 0xD1FF_E7EA, 0xC0FF_EE00_0042];
@@ -38,7 +45,6 @@ fn cfg_for(spec: &NetworkSpec, seed: u64) -> EngineConfig {
         warmup: 2_000,
         measure: 8_000,
         seed,
-        collect_channel_util: true,
         ..EngineConfig::default()
     }
 }
@@ -58,6 +64,11 @@ fn assert_identical(kind: &str, opt: &SimReport, refr: &SimReport) {
     );
 }
 
+/// `r` without its observations: what an unobserved run of it reports.
+fn unobserved(r: &SimReport) -> SimReport {
+    SimReport { channel_utilization: None, trace: None, ..r.clone() }
+}
+
 /// Poisson traffic: moderate load, all four §5.3 networks, three seeds,
 /// three engines (optimized, reference, compiled-with-reused-state).
 #[test]
@@ -73,11 +84,11 @@ fn poisson_reports_are_bit_identical() {
             for seed in SEEDS {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
-                let opt = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
+                let opt = run_once(&net, &cfg, Traffic::Poisson(&wl), true).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER, true).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
-                assert_identical(&format!("{what} compiled"), &fast, &refr);
+                assert_identical(&format!("{what} compiled"), &fast, &unobserved(&refr));
                 assert!(opt.delivered_packets > 0, "{what}: nothing simulated");
             }
         }
@@ -122,16 +133,15 @@ fn scripted_reports_are_bit_identical() {
             base.buffer_depth = buffer_depth;
             base.warmup = 0;
             base.measure = 1_000_000;
-            base.collect_trace = true;
             let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
             for seed in SEEDS {
                 let cfg = EngineConfig { seed, ..base.clone() };
                 let what = format!("{} vcs {vcs} depth {buffer_depth} seed {seed:#x}", spec.name());
-                let opt = run_once(&net, &cfg, Traffic::Script(&once)).unwrap();
-                let refr = reference::run_scripted(&net, &script(g), &cfg, Ablation::PAPER).unwrap();
+                let opt = run_once(&net, &cfg, Traffic::Script(&once), true).unwrap();
+                let refr = reference::run_scripted(&net, &script(g), &cfg, Ablation::PAPER, true).unwrap();
                 assert_identical(&what, &opt, &refr);
                 let fast = compiled.run(Traffic::Script(&once), None, seed, &mut st).unwrap();
-                assert_identical(&format!("{what} compiled"), &fast, &refr);
+                assert_identical(&format!("{what} compiled"), &fast, &unobserved(&refr));
                 assert_eq!(
                     opt.delivered_packets as usize,
                     script(g).len(),
@@ -188,16 +198,16 @@ fn chained_reports_are_bit_identical() {
         let mut base = cfg_for(&spec, 0);
         base.warmup = 0;
         base.measure = 1_000_000;
-        base.collect_trace = true;
         let compiled = CompiledNet::new(Arc::clone(&net), base.clone()).unwrap();
         let once = Chain::compile(g, &chain(g), 20).unwrap();
         for seed in SEEDS {
             let cfg = EngineConfig { seed, ..base.clone() };
-            let opt = run_once(&net, &cfg, Traffic::Chain(&once)).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), 20, &cfg, Ablation::PAPER).unwrap();
+            let opt = run_once(&net, &cfg, Traffic::Chain(&once), true).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), 20, &cfg, Ablation::PAPER, true).unwrap();
             assert_identical(&format!("{} seed {seed:#x}", spec.name()), &opt, &refr);
             let fast = compiled.run(Traffic::Chain(&once), None, seed, &mut st).unwrap();
-            assert_identical(&format!("{} seed {seed:#x} compiled", spec.name()), &fast, &refr);
+            let what = format!("{} seed {seed:#x} compiled", spec.name());
+            assert_identical(&what, &fast, &unobserved(&refr));
             assert_eq!(
                 opt.delivered_packets as usize,
                 chain(g).len(),
@@ -226,16 +236,15 @@ fn build_order_transmit_is_bit_identical() {
             vcs,
             warmup: 0,
             measure: 1_000_000,
-            collect_trace: true,
             ..cfg_for(&spec, SEEDS[0])
         };
         let sparse = Script::compile(g, &sparse_script(g)).unwrap();
-        let opt = run_once(&net, &cfg, Traffic::Script(&sparse)).unwrap();
-        let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, build_order).unwrap();
+        let opt = run_once(&net, &cfg, Traffic::Script(&sparse), true).unwrap();
+        let refr = reference::run_scripted(&net, &sparse_script(g), &cfg, build_order, true).unwrap();
         assert_identical(&format!("cube wiring vcs {vcs} build-order, sparse"), &opt, &refr);
-        let busy = reference::run_scripted(&net, &script(g), &cfg, build_order).unwrap();
+        let busy = reference::run_scripted(&net, &script(g), &cfg, build_order, true).unwrap();
         let contended = Script::compile(g, &script(g)).unwrap();
-        let engine = run_once(&net, &cfg, Traffic::Script(&contended)).unwrap();
+        let engine = run_once(&net, &cfg, Traffic::Script(&contended), true).unwrap();
         assert!(!busy.bitwise_eq(&engine), "vcs {vcs}: contended worms must feel the order");
     }
 }
@@ -252,8 +261,8 @@ fn crossbar_validated_run_is_bit_identical() {
     let wl = Workload::compile(g, &global_uniform(0.3)).unwrap();
     let cfg = cfg_for(&spec, SEEDS[1]);
     assert_eq!(cfg.vcs, 1, "the audit runs at one lane a channel");
-    let opt = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
-    let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
+    let opt = run_once(&net, &cfg, Traffic::Poisson(&wl), true).unwrap();
+    let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER, true).unwrap();
     assert_identical("BMIN crossbar-validated", &opt, &refr);
 }
 
@@ -335,8 +344,7 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     let spec = NetworkSpec::dmin(2);
     let net = Arc::new(spec.build(g));
     let wl = Workload::compile(g, &global_uniform(0.3)).unwrap();
-    let mut poisson_cfg = cfg_for(&spec, SEEDS[0]);
-    poisson_cfg.collect_trace = true;
+    let poisson_cfg = cfg_for(&spec, SEEDS[0]);
     let mut det_cfg = poisson_cfg.clone();
     det_cfg.warmup = 0;
     det_cfg.measure = 1_000_000;
@@ -347,18 +355,20 @@ fn state_reuse_across_traffic_modes_is_bit_identical() {
     let once_chain = Chain::compile(g, &chain(g), 20).unwrap();
 
     // Fresh-state baselines.
-    let want_p = run_once(&net, &poisson_cfg, Traffic::Poisson(&wl)).unwrap();
-    let want_s = run_once(&net, &det_cfg, Traffic::Script(&once_script)).unwrap();
-    let want_c = run_once(&net, &det_cfg, Traffic::Chain(&once_chain)).unwrap();
+    let want_p = run_once(&net, &poisson_cfg, Traffic::Poisson(&wl), true).unwrap();
+    let want_s = run_once(&net, &det_cfg, Traffic::Script(&once_script), true).unwrap();
+    let want_c = run_once(&net, &det_cfg, Traffic::Chain(&once_chain), true).unwrap();
 
     // The same state cycles through all modes, twice.
     let mut st = EngineState::new();
     for round in 0..2 {
-        let p = compiled_p.run(Traffic::Poisson(&wl), None, SEEDS[0], &mut st).unwrap();
+        let p = compiled_p.run_observed(Traffic::Poisson(&wl), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("poisson round {round}"), &p, &want_p);
-        let s = compiled_d.run(Traffic::Script(&once_script), None, SEEDS[0], &mut st).unwrap();
+        let s =
+            compiled_d.run_observed(Traffic::Script(&once_script), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("scripted round {round}"), &s, &want_s);
-        let c = compiled_d.run(Traffic::Chain(&once_chain), None, SEEDS[0], &mut st).unwrap();
+        let c =
+            compiled_d.run_observed(Traffic::Chain(&once_chain), None, SEEDS[0], &mut st).unwrap();
         assert_identical(&format!("chained round {round}"), &c, &want_c);
     }
 }
@@ -405,15 +415,15 @@ fn short_message_scripts_are_bit_identical() {
                 buffer_depth,
                 warmup: 0,
                 measure: 1_000_000,
-                collect_trace: true,
                 ..cfg_for(&spec, SEEDS[0])
             };
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
             let msgs = short_script(g, buffer_depth);
-            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER, true).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
             let script = Script::compile(g, &msgs).unwrap();
-            let opt = compiled.run(Traffic::Script(&script), None, cfg.seed, &mut st).unwrap();
+            let opt =
+                compiled.run_observed(Traffic::Script(&script), None, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
             assert_eq!(opt.delivered_packets as usize, msgs.len(), "{what}: script must drain");
         }
@@ -438,9 +448,9 @@ fn short_message_poisson_is_bit_identical() {
             let wl = WorkloadSpec { sizes, ..global_uniform(0.3) };
             let wl = Workload::compile(g, &wl).unwrap();
             let what = format!("{} vcs {vcs} depth {buffer_depth}", spec.name());
-            let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
+            let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER, true).unwrap();
             let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
-            let opt = compiled.run(Traffic::Poisson(&wl), None, cfg.seed, &mut st).unwrap();
+            let opt = compiled.run_observed(Traffic::Poisson(&wl), None, cfg.seed, &mut st).unwrap();
             assert_identical(&what, &opt, &refr);
             assert!(opt.delivered_packets > 1_000, "{what}: nothing simulated");
         }
@@ -476,7 +486,6 @@ fn short_message_fault_abort_mid_worm() {
             buffer_depth,
             warmup: 0,
             measure: 1_000_000,
-            collect_trace: true,
             ..cfg_for(&NetworkSpec::tmin(), SEEDS[2])
         };
         let what = format!("vcs {vcs} depth {buffer_depth}");
@@ -492,8 +501,9 @@ fn short_message_fault_abort_mid_worm() {
         let faults = compiled.compile_faults(&plan).unwrap();
         assert!(!faults.is_trivial());
         let script = Script::compile(g, &msgs).unwrap();
-        let opt = compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
-        let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
+        let opt = compiled.run_observed(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st);
+        let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER, true).unwrap();
+        let opt = opt.unwrap();
         assert_identical(&format!("{what}, idle channel dead"), &opt, &refr);
 
         // Abort half. By cycle 3 both worms' headers are past the first
@@ -511,7 +521,8 @@ fn short_message_fault_abort_mid_worm() {
         });
         let faults = compiled.compile_faults(&plan).unwrap();
         let script = Script::compile(g, &msgs).unwrap();
-        let r = compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
+        let r = compiled.run_observed(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st);
+        let r = r.unwrap();
         let aborted: Vec<(u32, u64)> = r
             .trace
             .as_ref()
@@ -526,8 +537,8 @@ fn short_message_fault_abort_mid_worm() {
         assert_eq!(aborted, [(0, 3), (1, 3)], "{what}");
         assert_eq!((r.aborted_packets, r.delivered_packets), (2, 3), "{what}");
         assert_eq!((r.undeliverable_packets, r.in_flight_at_end), (0, 0), "{what}");
-        let again =
-            compiled.run(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st).unwrap();
+        let again = compiled.run_observed(Traffic::Script(&script), Some(&faults), cfg.seed, &mut st);
+        let again = again.unwrap();
         assert!(again.bitwise_eq(&r), "{what}: an aborted run must leave no residue");
     }
 }
@@ -574,14 +585,14 @@ fn fast_forward_reports_are_bit_identical() {
                 let mut cfg = cfg_for(&spec, seed);
                 cfg.warmup = 300;
                 cfg.measure = 2_500;
-                let fast = run_once(&net, &cfg, Traffic::Poisson(&wl)).unwrap();
-                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER).unwrap();
+                let fast = run_once(&net, &cfg, Traffic::Poisson(&wl), true).unwrap();
+                let refr = reference::run_simulation(&net, &wl, &cfg, Ablation::PAPER, true).unwrap();
                 let what = format!("{} poisson load {load} seed {seed:#x}", spec.name());
                 assert_identical(&what, &fast, &refr);
                 // The compiled path takes the same jumps through a reused state.
                 let compiled = CompiledNet::new(Arc::clone(&net), cfg.clone()).unwrap();
                 let comp = compiled.run(Traffic::Poisson(&wl), None, seed, &mut st).unwrap();
-                assert_identical(&format!("{what} (compiled)"), &comp, &refr);
+                assert_identical(&format!("{what} (compiled)"), &comp, &unobserved(&refr));
             }
         }
 
@@ -590,10 +601,9 @@ fn fast_forward_reports_are_bit_identical() {
             let mut cfg = cfg_for(&spec, SEEDS[0]);
             cfg.warmup = 0;
             cfg.measure = 1_000_000;
-            cfg.collect_trace = true;
             let script = Script::compile(g, &msgs).unwrap();
-            let fast = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
-            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER).unwrap();
+            let fast = run_once(&net, &cfg, Traffic::Script(&script), true).unwrap();
+            let refr = reference::run_scripted(&net, &msgs, &cfg, Ablation::PAPER, true).unwrap();
             let what = format!("{} scripted x{}", spec.name(), msgs.len());
             assert_identical(&what, &fast, &refr);
             assert_eq!(fast.delivered_packets as usize, msgs.len(), "{what}: must drain");
@@ -605,10 +615,9 @@ fn fast_forward_reports_are_bit_identical() {
             let mut cfg = cfg_for(&spec, SEEDS[1]);
             cfg.warmup = 0;
             cfg.measure = 1_000_000;
-            cfg.collect_trace = true;
             let chained = Chain::compile(g, &chain(g), overhead).unwrap();
-            let fast = run_once(&net, &cfg, Traffic::Chain(&chained)).unwrap();
-            let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, Ablation::PAPER).unwrap();
+            let fast = run_once(&net, &cfg, Traffic::Chain(&chained), true).unwrap();
+            let refr = reference::run_chained(&net, &chain(g), overhead, &cfg, Ablation::PAPER, true).unwrap();
             let what = format!("{} chained overhead {overhead}", spec.name());
             assert_identical(&what, &fast, &refr);
         }
@@ -636,7 +645,7 @@ fn early_drain_normalizes_by_elapsed_cycles() {
         ..EngineConfig::default()
     };
     let script = Script::compile(g, &msgs).unwrap();
-    let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
     assert_eq!(r.delivered_packets, 3);
     assert!(
         r.cycles < 200,
@@ -659,7 +668,7 @@ fn early_drain_normalizes_by_elapsed_cycles() {
     // its flits land inside the window.
     cfg.warmup = 3; // messages at t=0 and t=2 are warmup traffic
     cfg.measure = 1_000_000;
-    let r = run_once(&net, &cfg, Traffic::Script(&script)).unwrap();
+    let r = run_once(&net, &cfg, Traffic::Script(&script), false).unwrap();
     assert_eq!(r.delivered_packets, 1, "only the t=4 message is measured");
     let expect = 10.0 / (64.0 * r.measured_cycles as f64);
     assert!(
@@ -667,4 +676,63 @@ fn early_drain_normalizes_by_elapsed_cycles() {
         "warmup packets' flits must be excluded: accepted {} vs {expect}",
         r.accepted_flits_per_node_cycle
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Observation is inert: on the four paper networks at 1–3 lanes and
+    // one- or three-flit buffers, under Poisson, scripted and faulted
+    // traffic, the unobserved run and the run that records the trace and
+    // the channel utilization agree bit for bit in every other field,
+    // and only the observed one carries the two observations.
+    #[test]
+    fn observing_a_run_changes_no_other_bit(
+        which in 0usize..4,
+        lanes in (1u8..=3, proptest::bool::ANY),
+        kind in 0u8..3,
+        seed in 0u64..u64::MAX,
+        load in 0.05f64..0.8,
+        raw in proptest::collection::vec((0u64..2_000, 0u32..64, 0u32..64, 1u32..40), 1..64),
+    ) {
+        let g = Geometry::new(4, 3);
+        let spec = NetworkSpec::paper_lineup()[which];
+        let net = Arc::new(spec.build(g));
+        let (vcs, deep) = lanes;
+        let buffer_depth = if deep { 3 } else { 1 };
+        let cfg = EngineConfig { vcs, buffer_depth, warmup: 300, measure: 2_000, seed, ..EngineConfig::default() };
+        let compiled = CompiledNet::new(Arc::clone(&net), cfg).unwrap();
+        let spec_wl = WorkloadSpec { sizes: MessageSizeDist::Fixed(16), ..global_uniform(load) };
+        let wl = Workload::compile(g, &spec_wl).unwrap();
+        let msgs: Vec<ScriptedMsg> = raw
+            .into_iter()
+            .map(|(time, src, dst, len)| {
+                ScriptedMsg { time, src, dst: if dst == src { (dst + 1) % 64 } else { dst }, len }
+            })
+            .collect();
+        let script = Script::compile(g, &msgs).unwrap();
+        // A transient outage of every seventh inter-stage channel inside
+        // the window: worms are aborted at its onset and refused during it.
+        let outage = inter_stage_channels(&net).into_iter().step_by(7).fold(FaultPlan::new(), |p, c| {
+            p.with(Fault::transient(FaultTarget::Channel(c), 800, 1_600))
+        });
+        let outage = compiled.compile_faults(&outage).unwrap();
+        let (traffic, faults) = match kind {
+            0 => (Traffic::Poisson(&wl), None),
+            1 => (Traffic::Script(&script), None),
+            _ => (Traffic::Poisson(&wl), Some(&outage)),
+        };
+        let mut st = EngineState::new();
+        let plain = compiled.run(traffic, faults, seed, &mut st).unwrap();
+        let observed = compiled.run_observed(traffic, faults, seed, &mut st).unwrap();
+        let what = format!("{} vcs {vcs} depth {buffer_depth} traffic {kind} seed {seed:#x}", spec.name());
+        prop_assert!(plain.trace.is_none() && plain.channel_utilization.is_none(), "{what}");
+        prop_assert!(observed.trace.is_some(), "{what}");
+        prop_assert_eq!(observed.channel_utilization.as_ref().map(Vec::len), Some(net.num_channels()));
+        prop_assert!(
+            plain.bitwise_eq(&unobserved(&observed)),
+            "{what}: observing changed the report:\n  plain: {plain:?}\n  observed: {:?}",
+            unobserved(&observed)
+        );
+    }
 }
